@@ -13,8 +13,8 @@ package vexdb_test
 //     aggregation, scan, CSV parse).
 //
 // Benchmarks run at a reduced scale (20k voters x 24 columns) so the
-// suite completes quickly; cmd/voterbench reproduces the full-scale
-// numbers recorded in EXPERIMENTS.md.
+// suite completes quickly; cmd/voterbench runs the experiments at full
+// scale, and bench/README.md describes the benchmark of record.
 
 import (
 	"fmt"

@@ -1,7 +1,8 @@
 // Command voterbench regenerates the paper's evaluation: Figure 1
 // (the voter-classification benchmark across seven data placements)
-// and the ablation experiments E2-E5. Results print as aligned tables
-// comparable with EXPERIMENTS.md.
+// and the ablation experiments E2-E5. Results print as aligned tables;
+// the benchmark of record and its recorded baselines are described in
+// bench/README.md.
 //
 // Usage:
 //
@@ -197,11 +198,15 @@ func runProtocols(env *workload.Env) error {
 	return nil
 }
 
-// mlBenchJSON is the BENCH_ml.json schema: the pipeline shape plus
-// one entry per worker count with train/classify ns-per-row and the
-// model digest, and the cross-worker determinism verdict.
+// mlBenchJSON is the BENCH_ml.json schema: the machine (a speedup
+// column means nothing without the core count behind it), the pipeline
+// shape, one entry per worker count with train/classify ns-per-row and
+// the model digest, and the cross-worker determinism verdict.
 type mlBenchJSON struct {
 	Benchmark       string  `json:"benchmark"`
+	NProc           int     `json:"nproc"`
+	GoMaxProcs      int     `json:"gomaxprocs"`
+	GoVersion       string  `json:"go_version"`
 	Voters          int     `json:"voters"`
 	Features        int     `json:"features"`
 	Trees           int     `json:"trees"`
@@ -252,6 +257,9 @@ func runML(env *workload.Env, jsonPath string) error {
 	cfg := env.Cfg
 	out := mlBenchJSON{
 		Benchmark:       "voter-classification",
+		NProc:           runtime.NumCPU(),
+		GoMaxProcs:      runtime.GOMAXPROCS(0),
+		GoVersion:       runtime.Version(),
 		Voters:          cfg.Voters,
 		Features:        cfg.Features,
 		Trees:           cfg.Estimators,

@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -76,4 +78,29 @@ func BenchmarkForestRow(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2048, "ns/row")
+}
+
+// BenchmarkForestFit measures TRAIN on a voterbench-shaped fit (30k
+// rows, 6 features, 16 trees, depth 10) at one worker and at NumCPU.
+func BenchmarkForestFit(b *testing.B) {
+	const nrows = 30000
+	X, y := benchData(nrows, 6)
+	counts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := NewRandomForest(16)
+				f.MaxDepth = 10
+				f.Seed = 7
+				if err := f.FitWorkers(X, y, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nrows, "ns/row")
+		})
+	}
 }

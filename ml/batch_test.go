@@ -200,44 +200,6 @@ func TestParallelFitDeterminism(t *testing.T) {
 	}
 }
 
-// TestForestPartialMerge exercises the partial-fit/merge API directly:
-// two half-range partials must reassemble into the same forest Fit
-// produces.
-func TestForestPartialMerge(t *testing.T) {
-	X, y := batchDataset(2000, 4, 13)
-	whole := NewRandomForest(8)
-	whole.Seed = 9
-	wantBytes := marshalWith(t, whole, func() error { return whole.FitWorkers(X, y, 1) })
-
-	merged := NewRandomForest(8)
-	merged.Seed = 9
-	lo, err := merged.FitPartial(X, y, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := merged.FitPartial(X, y, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-order partials must still merge into tree order.
-	if err := merged.MergePartials([]*ForestPartial{hi, lo}); err != nil {
-		t.Fatal(err)
-	}
-	gotBytes, err := Marshal(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantBytes, gotBytes) {
-		t.Fatal("merged partial forest differs from whole fit")
-	}
-	// Gap detection.
-	bad := NewRandomForest(8)
-	bad.Seed = 9
-	if err := bad.MergePartials([]*ForestPartial{hi}); err == nil {
-		t.Fatal("expected non-contiguous partials to fail")
-	}
-}
-
 // TestNBParallelCloseToSerial sanity-checks that sufficient-statistics
 // training matches the two-pass serial fit to numerical tolerance.
 func TestNBParallelCloseToSerial(t *testing.T) {

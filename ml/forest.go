@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -54,109 +52,40 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	return f.FitWorkers(X, y, f.Workers)
 }
 
-// FitWorkers is Fit with an explicit worker count: the trees are
-// partitioned into contiguous ranges, one FitPartial per worker, and
-// the partials merge in tree order. Per-tree seeds derive from the
-// absolute tree index, so the fitted forest is byte-identical at any
-// worker count.
+// FitWorkers is Fit with an explicit worker count. The feature columns
+// are presorted once and shared by every tree; workers claim tree
+// indices from a shared cursor, and a tree's bootstrap — one
+// multiplicity per row, not a copied matrix — and split seeds derive
+// from its absolute index, so the fitted forest is byte-identical at
+// any worker count.
 func (f *RandomForest) FitWorkers(X [][]float64, y []int, workers int) error {
+	ts, err := newTrainSet(X, y, workers)
+	if err != nil {
+		return err
+	}
 	if f.NEstimators <= 0 {
 		f.NEstimators = 16
 	}
-	est := f.NEstimators
-	workers = resolveWorkers(workers, est)
-	parts := make([]*ForestPartial, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lo := w * est / workers
-			hi := (w + 1) * est / workers
-			parts[w], errs[w] = f.FitPartial(X, y, lo, hi)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			f.trees = nil
-			return err
-		}
-	}
-	return f.MergePartials(parts)
-}
-
-// ForestPartial holds the fitted trees of one contiguous tree range —
-// the per-worker partial state of parallel forest training. Because
-// every tree's bootstrap and split seeds derive from its absolute
-// index, a partial's bytes depend only on its range, never on which
-// worker produced it or what else ran concurrently.
-type ForestPartial struct {
-	lo, hi  int
-	trees   []*DecisionTree
-	classes []int
-	nfeat   int
-}
-
-// FitPartial fits trees [lo, hi) on X, y and returns them as a
-// mergeable partial. It does not mutate the receiver beyond reading
-// hyperparameters, so concurrent partial fits on one forest are safe.
-func (f *RandomForest) FitPartial(X [][]float64, y []int, lo, hi int) (*ForestPartial, error) {
-	n, err := validateXY(X, y)
-	if err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("ml: invalid tree range [%d, %d)", lo, hi)
-	}
-	classes, _ := classIndex(y)
-	mtry := f.mtry(len(X))
-	part := &ForestPartial{
-		lo: lo, hi: hi,
-		trees:   make([]*DecisionTree, 0, hi-lo),
-		classes: classes,
-		nfeat:   len(X),
-	}
-	for ti := lo; ti < hi; ti++ {
+	n, mtry := len(y), f.mtry(len(X))
+	trees := make([]*DecisionTree, f.NEstimators)
+	parallelMorsels(workers, len(trees), func(ti int) {
 		t := &DecisionTree{
 			MaxDepth:       f.MaxDepth,
 			MinSamplesLeaf: f.MinSamplesLeaf,
 			MaxFeatures:    mtry,
 			Seed:           f.Seed + int64(ti)*7919,
 		}
-		bx, by := bootstrap(X, y, n, newRNG(f.Seed+int64(ti)*104729+1))
-		if err := t.Fit(bx, by); err != nil {
-			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
+		w := make([]int32, n)
+		r := newRNG(f.Seed + int64(ti)*104729 + 1)
+		for i := 0; i < n; i++ {
+			w[r.Intn(n)]++
 		}
-		part.trees = append(part.trees, t)
-	}
-	return part, nil
-}
-
-// MergePartials assembles partial fits covering tree ranges
-// [0, NEstimators) contiguously into the fitted forest.
-func (f *RandomForest) MergePartials(parts []*ForestPartial) error {
-	ordered := append([]*ForestPartial(nil), parts...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].lo < ordered[j].lo })
-	trees := make([]*DecisionTree, 0, f.NEstimators)
-	next := 0
-	for _, p := range ordered {
-		if p.lo != next {
-			return fmt.Errorf("ml: forest partials not contiguous at tree %d", next)
-		}
-		if len(trees) > 0 && (p.nfeat != f.nfeat || !equalInts(p.classes, f.classes)) {
-			return fmt.Errorf("ml: forest partials trained on different data shapes")
-		}
-		f.classes = p.classes
-		f.nfeat = p.nfeat
-		trees = append(trees, p.trees...)
-		next = p.hi
-	}
-	if next != f.NEstimators {
-		return fmt.Errorf("ml: forest partials cover %d of %d trees", next, f.NEstimators)
-	}
+		ts.grow(t, w)
+		trees[ti] = t
+	})
 	f.trees = trees
+	f.classes = ts.classes
+	f.nfeat = len(X)
 	f.prep.Store(nil)
 	return nil
 }
@@ -171,41 +100,6 @@ func (f *RandomForest) mtry(nfeat int) int {
 		}
 	}
 	return mtry
-}
-
-// equalInts reports element-wise equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bootstrap draws n rows with replacement, materializing the sampled
-// columns (column-major).
-func bootstrap(X [][]float64, y []int, n int, r *rng) ([][]float64, []int) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = r.Intn(n)
-	}
-	bx := make([][]float64, len(X))
-	for fi, col := range X {
-		sampled := make([]float64, n)
-		for i, s := range idx {
-			sampled[i] = col[s]
-		}
-		bx[fi] = sampled
-	}
-	by := make([]int, n)
-	for i, s := range idx {
-		by[i] = y[s]
-	}
-	return bx, by
 }
 
 // PredictProba implements Classifier: the average of the trees' leaf

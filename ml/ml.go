@@ -7,6 +7,16 @@
 //
 // Feature matrices are column-major ([][]float64 indexed as
 // [feature][row]), matching how a column store hands vectors to UDFs.
+//
+// Trees and forests train through one exact presorted CART builder
+// (tree.go): feature columns are sorted once per fit and shared by all
+// trees, a bootstrap is a per-row multiplicity, each tree keeps one
+// value-sorted row list per feature, split search is a linear scan and
+// a split is a stable partition of every list. Training is
+// deterministic — the fitted bytes depend only on the data, the
+// hyperparameters and the seed, never on the worker count (see
+// treeBuilder for what pins them). NaN features sort last, are never a
+// split threshold and go right, as x <= threshold does at prediction.
 package ml
 
 import (

@@ -7,12 +7,12 @@ import (
 )
 
 // Morsel-parallel training support. Parallel fits partition work into
-// fixed-size row morsels (or contiguous tree ranges, for forests):
-// workers claim morsels from a shared atomic cursor, accumulate
-// per-morsel partial state, and the partials merge serially in morsel
-// order. Because morsel boundaries and the merge order depend only on
-// the input — never on the worker count or claim interleaving — a
-// parallel fit produces byte-identical models at any worker count.
+// fixed-size row morsels (or single trees, for forests): workers claim
+// morsels from a shared atomic cursor, accumulate per-morsel partial
+// state, and the partials merge serially in morsel order. Because
+// morsel boundaries and the merge order depend only on the input —
+// never on the worker count or claim interleaving — a parallel fit
+// produces byte-identical models at any worker count.
 
 // fitMorselRows is the fixed row-morsel size of parallel training.
 // It matches the engine's chunk size, but correctness only needs it

@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART classification tree split on the Gini
@@ -49,72 +50,161 @@ func (t *DecisionTree) Classes() []int { return t.classes }
 
 // Fit implements Classifier.
 func (t *DecisionTree) Fit(X [][]float64, y []int) error {
-	n, err := validateXY(X, y)
+	ts, err := newTrainSet(X, y, 1)
 	if err != nil {
 		return err
 	}
-	classes, cidx := classIndex(y)
-	t.classes = classes
-	t.nfeat = len(X)
-	t.nodes = t.nodes[:0]
-	yi := make([]int, n)
-	for i, c := range y {
-		yi[i] = cidx[c]
+	w := make([]int32, len(y))
+	for i := range w {
+		w[i] = 1
 	}
-	samples := make([]int, n)
-	for i := range samples {
-		samples[i] = i
-	}
-	b := &treeBuilder{
-		X: X, y: yi, nclasses: len(classes), tree: t,
-		minLeaf: max(1, t.MinSamplesLeaf),
-		rng:     newRNG(t.Seed + 1),
-	}
-	b.build(samples, 0)
+	ts.grow(t, w)
 	return nil
 }
 
-type treeBuilder struct {
-	X        [][]float64
-	y        []int
-	nclasses int
-	tree     *DecisionTree
-	minLeaf  int
-	rng      *rng
+// trainSet is what every tree of one fit shares read-only: the feature
+// columns, the class-indexed labels, and each column's row ids sorted
+// once by value. Trees never sort again (see treeBuilder).
+type trainSet struct {
+	X       [][]float64
+	y       []int32 // class index per row
+	classes []int
+	// order[f] lists the row ids ascending by X[f], NaN last: it routes
+	// right at prediction, so it must sit right of every threshold.
+	order [][]int32
 }
 
-// build grows the subtree over samples and returns its node index.
-func (b *treeBuilder) build(samples []int, depth int) int32 {
-	counts := make([]float64, b.nclasses)
-	for _, s := range samples {
-		counts[b.y[s]]++
+// newTrainSet validates X, y and presorts each feature column, one
+// column per parallelMorsels index.
+func newTrainSet(X [][]float64, y []int, workers int) (*trainSet, error) {
+	n, err := validateXY(X, y)
+	if err != nil {
+		return nil, err
 	}
-	nodeIdx := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, treeNode{left: -1, right: -1})
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("ml: tree training supports at most %d rows, got %d", math.MaxInt32, n)
+	}
+	classes, cidx := classIndex(y)
+	ts := &trainSet{X: X, y: make([]int32, n), classes: classes, order: make([][]int32, len(X))}
+	for i, c := range y {
+		ts.y[i] = int32(cidx[c])
+	}
+	type cell struct {
+		v float64
+		r int32
+	}
+	parallelMorsels(workers, len(X), func(f int) {
+		cells := make([]cell, 0, n)
+		var nans []int32
+		for r, v := range X[f] {
+			if v != v {
+				nans = append(nans, int32(r))
+			} else {
+				cells = append(cells, cell{v, int32(r)})
+			}
+		}
+		slices.SortFunc(cells, func(a, b cell) int { return cmp.Compare(a.v, b.v) })
+		order := make([]int32, 0, n)
+		for _, c := range cells {
+			order = append(order, c.r)
+		}
+		ts.order[f] = append(order, nans...)
+	})
+	return ts, nil
+}
 
-	pure := 0
+// treeBuilder grows one exact CART tree without sorting. The tree's
+// sample is a multiplicity per row (w; a bootstrap draws rows with
+// replacement, a plain tree has all ones). lists[f] holds the rows
+// with w > 0 in trainSet.order[f] order, and a node is the same
+// [lo, hi) range of every list, so a split scan is one linear pass and
+// pushing a node's rows down is a stable partition of each list.
+//
+// The fitted bytes are a function of (data, hyperparameters, seed)
+// alone: nodes are numbered and the split RNG is consumed in
+// depth-first preorder, gains are float arithmetic on integer-valued
+// class counts (so neither row order within a tie nor a multiplicity
+// versus repeated rows can change them), and rows are routed by the
+// stored x <= threshold predicate — the one PREDICT applies — not by
+// scan position, which differs when a midpoint rounds onto its upper
+// neighbour.
+type treeBuilder struct {
+	ts      *trainSet
+	tree    *DecisionTree
+	minLeaf int
+	rng     *rng
+	w       []int32
+	lists   [][]int32
+	scratch []int32 // right-hand rows of the list being partitioned
+	goLeft  []uint8 // per row id: 1 if the current split sends it left
+
+	featOrder                       []int
+	counts, leftCounts, rightCounts []float64
+}
+
+// grow fits t on the rows of ts weighted by w.
+func (ts *trainSet) grow(t *DecisionTree, w []int32) {
+	nfeat, k := len(ts.X), len(ts.classes)
+	m := 0
+	for _, c := range w {
+		if c > 0 {
+			m++
+		}
+	}
+	rows := make([]int32, (nfeat+1)*m)
+	lists := make([][]int32, nfeat)
+	for f := range lists {
+		list := rows[f*m : f*m : (f+1)*m]
+		for _, r := range ts.order[f] {
+			if w[r] > 0 {
+				list = append(list, r)
+			}
+		}
+		lists[f] = list
+	}
+	b := &treeBuilder{
+		ts: ts, tree: t,
+		minLeaf:   max(1, t.MinSamplesLeaf),
+		rng:       newRNG(t.Seed + 1),
+		w:         w,
+		lists:     lists,
+		scratch:   rows[nfeat*m:],
+		goLeft:    make([]uint8, len(w)),
+		featOrder: make([]int, nfeat),
+		counts:    make([]float64, k), leftCounts: make([]float64, k), rightCounts: make([]float64, k),
+	}
+	t.classes = ts.classes
+	t.nfeat = nfeat
+	t.nodes = t.nodes[:0]
+	b.build(0, m, 0)
+}
+
+// build grows the subtree over rows [lo, hi) of every list and returns
+// its node index.
+func (b *treeBuilder) build(lo, hi, depth int) int32 {
+	counts := b.counts
+	clear(counts)
+	for _, r := range b.lists[0][lo:hi] {
+		counts[b.ts.y[r]] += float64(b.w[r])
+	}
+	total, pure := 0.0, 0
 	for _, c := range counts {
+		total += c
 		if c > 0 {
 			pure++
 		}
 	}
+	nodeIdx := int32(len(b.tree.nodes))
+	b.tree.nodes = append(b.tree.nodes, treeNode{left: -1, right: -1})
+
 	stop := pure <= 1 ||
 		(b.tree.MaxDepth > 0 && depth >= b.tree.MaxDepth) ||
-		len(samples) < 2*b.minLeaf
+		int(total) < 2*b.minLeaf
 	if !stop {
-		feat, thresh, ok := b.bestSplit(samples, counts)
-		if ok {
-			var left, right []int
-			for _, s := range samples {
-				if b.X[feat][s] <= thresh {
-					left = append(left, s)
-				} else {
-					right = append(right, s)
-				}
-			}
-			if len(left) >= b.minLeaf && len(right) >= b.minLeaf {
-				l := b.build(left, depth+1)
-				r := b.build(right, depth+1)
+		if feat, thresh, ok := b.bestSplit(lo, hi, total); ok {
+			if mid, ok := b.partition(lo, hi, feat, thresh); ok {
+				l := b.build(lo, mid, depth+1)
+				r := b.build(mid, hi, depth+1)
 				nd := &b.tree.nodes[nodeIdx]
 				nd.feature = int32(feat)
 				nd.threshold = thresh
@@ -125,8 +215,7 @@ func (b *treeBuilder) build(samples []int, depth int) int32 {
 		}
 	}
 	// Leaf: normalize counts into a class distribution.
-	total := float64(len(samples))
-	probs := make([]float64, b.nclasses)
+	probs := make([]float64, len(counts))
 	for i, c := range counts {
 		probs[i] = c / total
 	}
@@ -135,10 +224,12 @@ func (b *treeBuilder) build(samples []int, depth int) int32 {
 }
 
 // bestSplit scans a (possibly random) subset of features for the
-// threshold minimizing weighted Gini impurity.
-func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, float64, bool) {
-	nfeat := len(b.X)
-	featOrder := make([]int, nfeat)
+// threshold minimizing weighted Gini impurity over the node whose
+// class counts are b.counts. Candidates are midpoints between adjacent
+// distinct values; the NaN tail of a list is never one.
+func (b *treeBuilder) bestSplit(lo, hi int, n float64) (int, float64, bool) {
+	nfeat := len(b.lists)
+	featOrder := b.featOrder
 	for i := range featOrder {
 		featOrder[i] = i
 	}
@@ -152,38 +243,30 @@ func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, floa
 		}
 	}
 
-	n := float64(len(samples))
 	bestGain := 1e-12
 	bestFeat, bestThresh := -1, 0.0
-	parentImp := giniImpurity(totalCounts, n)
+	parentImp := giniImpurity(b.counts, n)
+	leftCounts, rightCounts := b.leftCounts, b.rightCounts
+	y, w := b.ts.y, b.w
 
-	vals := make([]float64, len(samples))
-	order := make([]int, len(samples))
-	leftCounts := make([]float64, b.nclasses)
-	rightCounts := make([]float64, b.nclasses)
-
-	for fi := 0; fi < tryFeats; fi++ {
-		f := featOrder[fi]
-		col := b.X[f]
-		for i, s := range samples {
-			vals[i] = col[s]
-			order[i] = i
-		}
-		sort.Slice(order, func(a, c int) bool { return vals[order[a]] < vals[order[c]] })
-
-		copy(rightCounts, totalCounts)
-		for i := range leftCounts {
-			leftCounts[i] = 0
-		}
+	for _, f := range featOrder[:tryFeats] {
+		col := b.ts.X[f]
+		seg := b.lists[f][lo:hi]
+		copy(rightCounts, b.counts)
+		clear(leftCounts)
 		nLeft := 0.0
-		for i := 0; i < len(order)-1; i++ {
-			s := samples[order[i]]
-			cls := b.y[s]
-			leftCounts[cls]++
-			rightCounts[cls]--
-			nLeft++
-			v, vNext := vals[order[i]], vals[order[i+1]]
-			if v == vNext {
+		v := col[seg[0]]
+		for i, r := range seg[:len(seg)-1] {
+			wr := float64(w[r])
+			leftCounts[y[r]] += wr
+			rightCounts[y[r]] -= wr
+			nLeft += wr
+			vPrev := v
+			v = col[seg[i+1]]
+			if v != v {
+				break // the rest of the list is NaN
+			}
+			if vPrev == v {
 				continue // cannot split between equal values
 			}
 			nRight := n - nLeft
@@ -191,18 +274,54 @@ func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, floa
 				continue
 			}
 			imp := (nLeft*giniImpurity(leftCounts, nLeft) + nRight*giniImpurity(rightCounts, nRight)) / n
-			gain := parentImp - imp
-			if gain > bestGain {
+			if gain := parentImp - imp; gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThresh = (v + vNext) / 2
+				bestThresh = (vPrev + v) / 2
 			}
 		}
 	}
-	if bestFeat < 0 {
-		return 0, 0, false
+	return bestFeat, bestThresh, bestFeat >= 0
+}
+
+// partition routes the node's rows by X[feat] <= thresh and stably
+// partitions every list's [lo, hi) into left rows then right rows,
+// returning the boundary. It declines, touching no list, when either
+// side would hold fewer than minLeaf samples.
+func (b *treeBuilder) partition(lo, hi, feat int, thresh float64) (int, bool) {
+	col := b.ts.X[feat]
+	nl, wl, wr := 0, 0, 0
+	for _, r := range b.lists[feat][lo:hi] {
+		if col[r] <= thresh {
+			b.goLeft[r] = 1
+			nl++
+			wl += int(b.w[r])
+		} else {
+			b.goLeft[r] = 0
+			wr += int(b.w[r])
+		}
 	}
-	return bestFeat, bestThresh, true
+	if wl < b.minLeaf || wr < b.minLeaf {
+		return 0, false
+	}
+	for f, list := range b.lists {
+		if f == feat {
+			continue // sorted by the split feature: left rows are already its prefix
+		}
+		// Every row is written to both sides and only the taken side's
+		// cursor advances, so the loop carries no data-dependent branch.
+		seg, right := list[lo:hi], b.scratch
+		i, j := 0, 0
+		for _, r := range seg {
+			l := int(b.goLeft[r])
+			seg[i] = r
+			right[j] = r
+			i += l
+			j += 1 - l
+		}
+		copy(seg[i:], right[:j])
+	}
+	return lo + nl, true
 }
 
 func giniImpurity(counts []float64, n float64) float64 {

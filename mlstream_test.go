@@ -378,17 +378,20 @@ func TestStreamedPredictUnderMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestTrainDeterminismAcrossParallelism trains each parallel-capable
-// model through SQL at parallelism 1, 2 and 8 and requires the
-// serialized blobs to be byte-identical: morsel partials and per-tree
-// seeds are defined by absolute position, not worker layout.
+// TestTrainDeterminismAcrossParallelism trains each model through SQL
+// at parallelism 1, 2 and 8 — over pts, whose f1 carries NaNs and f2
+// NULLs — and requires the serialized blobs to be byte-identical
+// (morsel partials and per-tree seeds are defined by absolute position,
+// not worker layout) and the stored model to score every row of pts.
 func TestTrainDeterminismAcrossParallelism(t *testing.T) {
-	db := newMLStreamDB(t, 6000)
+	const n = 6000
+	db := newMLStreamDB(t, n)
 	cases := []struct {
 		name string
 		sql  string
 	}{
 		{"train_rf", `SELECT model FROM train_rf((SELECT f0, f1, f2, label FROM pts), 8, 6, 42)`},
+		{"train_tree", `SELECT model FROM train_tree((SELECT f0, f1, f2, label FROM pts), 6)`},
 		{"train_nb", `SELECT model FROM train_nb((SELECT f0, f1, f2, label FROM pts))`},
 		{"train_logreg", `SELECT model FROM train_logreg((SELECT f0, f1, f2, label FROM pts), 60)`},
 	}
@@ -415,6 +418,17 @@ func TestTrainDeterminismAcrossParallelism(t *testing.T) {
 				t.Fatalf("%s: model at workers=%d differs from workers=1 (%d vs %d bytes)",
 					tc.name, w, len(blob), len(ref))
 			}
+		}
+		if _, err := db.Exec(fmt.Sprintf(`CREATE TABLE %s_m AS %s`, tc.name, tc.sql)); err != nil {
+			t.Fatalf("%s: store model: %v", tc.name, err)
+		}
+		scored, err := db.Query(fmt.Sprintf(
+			`SELECT count(*) AS n FROM (SELECT predict(m.model, p.f0, p.f1, p.f2) AS pred FROM pts p, %s_m m) q WHERE q.pred >= 0`, tc.name))
+		if err != nil {
+			t.Fatalf("%s: predict: %v", tc.name, err)
+		}
+		if got := scored.Cols[0].Int64s()[0]; got != n {
+			t.Fatalf("%s: scored %d of %d rows", tc.name, got, n)
 		}
 	}
 }
