@@ -22,6 +22,7 @@ import (
 	"sync"
 	"testing"
 
+	"vexdb"
 	"vexdb/internal/wire"
 	"vexdb/internal/workload"
 	"vexdb/ml"
@@ -248,6 +249,93 @@ func BenchmarkMicroAggregateParallel(b *testing.B) {
 	benchQueryParallel(b,
 		"SELECT precinct_id, count(*) AS n, avg(f0) AS m FROM voters GROUP BY precinct_id",
 		func(tab interface{ NumRows() int }) bool { return tab.NumRows() == benchConfig().Precincts })
+}
+
+// The grouped-aggregation micros run over their own 256k-row events
+// table: BenchmarkMicroAggregate groups 20k rows into a few hundred
+// precincts and sees neither a table that outgrows the caches nor the
+// merge of per-worker tables.
+const aggBenchRows = 256_000
+
+var (
+	aggBenchOnce sync.Once
+	aggBenchDB   *vexdb.DB
+	aggBenchErr  error
+)
+
+func aggBenchEnv(b *testing.B) *vexdb.DB {
+	b.Helper()
+	aggBenchOnce.Do(func() {
+		hi := make([]int64, aggBenchRows)
+		lo := make([]int64, aggBenchRows)
+		id := make([]int64, aggBenchRows)
+		w := make([]float64, aggBenchRows)
+		cat := make([]string, aggBenchRows)
+		x := uint64(1)
+		next := func(n int) int { // xorshift: fixed data on every run
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int(x % uint64(n))
+		}
+		for i := range hi {
+			id[i] = int64(i)
+			hi[i] = int64(next(aggBenchRows / 4))
+			lo[i] = int64(next(1000))
+			w[i] = float64(next(1<<16)) / 16
+			cat[i] = fmt.Sprintf("c%02d", next(64))
+		}
+		tab, err := vexdb.NewTable([]string{"id", "hi", "lo", "w", "cat"}, []*vexdb.Vector{
+			vexdb.NewVectorInt64(id), vexdb.NewVectorInt64(hi), vexdb.NewVectorInt64(lo),
+			vexdb.NewVectorFloat64(w), vexdb.NewVectorString(cat)})
+		if err != nil {
+			aggBenchErr = err
+			return
+		}
+		aggBenchDB = vexdb.Open()
+		aggBenchErr = aggBenchDB.CreateTableFrom("events", tab)
+	})
+	if aggBenchErr != nil {
+		b.Fatal(aggBenchErr)
+	}
+	return aggBenchDB
+}
+
+func benchAggregate(b *testing.B, query string, minGroups int) {
+	db := aggBenchEnv(b)
+	defer db.SetParallelism(0)
+	for _, workers := range benchParallelWorkers {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			db.SetParallelism(workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab, err := db.Query(query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if tab.NumRows() < minGroups {
+					b.Fatalf("%d groups, want at least %d", tab.NumRows(), minGroups)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/aggBenchRows, "ns/row")
+		})
+	}
+}
+
+// BenchmarkMicroAggregateHighCard: ~64k groups on one BIGINT key.
+func BenchmarkMicroAggregateHighCard(b *testing.B) {
+	benchAggregate(b, "SELECT hi, count(*) AS n, sum(w) AS sw, max(id) AS last FROM events GROUP BY hi", 60_000)
+}
+
+// BenchmarkMicroAggregateIntStrKey: ~64k groups on a BIGINT + VARCHAR key.
+func BenchmarkMicroAggregateIntStrKey(b *testing.B) {
+	benchAggregate(b, "SELECT lo, cat, count(*) AS n, sum(w) AS sw, count(id) AS ni FROM events GROUP BY lo, cat", 60_000)
+}
+
+// BenchmarkMicroAggregateLowCard: 64 groups on one VARCHAR key.
+func BenchmarkMicroAggregateLowCard(b *testing.B) {
+	benchAggregate(b, "SELECT cat, count(*) AS n, sum(w) AS sw, min(w) AS mn, avg(w) AS m FROM events GROUP BY cat", 64)
 }
 
 func BenchmarkMicroHashJoinParallel(b *testing.B) {

@@ -1,20 +1,20 @@
-// The -exp adaptive experiment measures the two halves of adaptive
-// memory governance in-process (no wire protocol in the way):
+// The -exp adaptive experiment measures adaptive memory leases
+// in-process (no wire protocol in the way): one mixed workload
+// (concurrent heavy aggregations + light scans, far fewer clients than
+// MaxActive) against a governed pool under ReclaimPolicy "static" vs
+// "fair". Pool utilization is sampled throughout; the fair policy must
+// actually grow leases and reach strictly higher utilization.
 //
-//  1. Hybrid spill-mode aggregation: a heavy GROUP BY at a constrained
-//     budget, run with hybrid partition eviction on vs off
-//     (route-everything). Spill bytes come from the EXPLAIN ANALYZE
-//     memory header; results must stay byte-identical to an unlimited
-//     in-memory run, and hybrid must cut spill writes at least 2x.
+// It used to have a second leg, hybrid partition eviction against
+// routing every post-overflow row to disk. Hybrid eviction is now the
+// only spill mode (exec.HybridAggEnabled is gone), so there is nothing
+// left to compare; the report's note says so, and the executor's
+// TestHybridAggKeepsPartitionsResident still guards the resident
+// partitions.
 //
-//  2. Adaptive leases: the same mixed workload (concurrent heavy
-//     aggregations + light scans, far fewer clients than MaxActive)
-//     against a governed pool under ReclaimPolicy "static" vs "fair".
-//     Pool utilization is sampled throughout; the fair policy must
-//     actually grow leases and reach strictly higher utilization.
-//
-// Both halves self-assert: violations make loadgen exit non-zero, so
-// the CI smoke job is a regression gate, not just a report generator.
+// The experiment self-asserts: violations make loadgen exit non-zero,
+// so the CI smoke job is a regression gate, not just a report
+// generator.
 package main
 
 import (
@@ -28,26 +28,18 @@ import (
 	"time"
 
 	"vexdb"
-	"vexdb/internal/exec"
 	"vexdb/internal/workload"
 )
 
 const (
 	// Heavy aggregation: ~rows/8 groups, each carrying a DISTINCT set,
-	// so the hash-agg state is a small multiple of adaptiveBudget and
-	// overflow is guaranteed. val is dyadic, so sums are exact and
-	// results fingerprint identically at any worker count.
+	// so the hash-agg state outgrows a fair-share lease. val is dyadic,
+	// so sums are exact and results fingerprint identically at any
+	// worker count.
 	heavyAggSQL  = "SELECT key, count(*) AS n, sum(val) AS sv, count(DISTINCT event_id) AS d FROM events GROUP BY key"
 	lightScanSQL = "SELECT count(*) AS n, max(key) AS hi FROM events WHERE key % 7 = 0"
 
-	// Per-query budget for the hybrid half, sized against the heavy
-	// aggregation's state at the default -rows 100000: small enough
-	// that both modes overflow, large enough that hybrid can keep a
-	// meaningful share of partitions resident (where route-everything
-	// pays for every post-overflow row regardless).
-	adaptiveBudget = 6 << 20
-
-	// Governed pool for the lease half. MaxActive 8 with only 2
+	// The governed pool. MaxActive 8 with only 2
 	// clients means static fair-share leases pin utilization at 2/8 of
 	// the pool; the fair policy can grow toward the whole pool.
 	adaptivePool      = 16 << 20
@@ -70,43 +62,31 @@ type policyResult struct {
 }
 
 type adaptiveReport struct {
+	Note   string `json:"note"`
 	Config struct {
 		Rows       int   `json:"rows"`
 		Workers    int   `json:"workers"`
 		Seed       int64 `json:"seed"`
-		Budget     int64 `json:"hybrid_budget_bytes"`
 		Pool       int64 `json:"lease_pool_bytes"`
 		MaxActive  int   `json:"lease_max_active"`
 		Clients    int   `json:"lease_clients"`
 		Iterations int   `json:"lease_iterations"`
 	} `json:"config"`
-	Hybrid struct {
-		SpillBytesHybrid   int64   `json:"spill_bytes_hybrid"`
-		SpillBytesFull     int64   `json:"spill_bytes_route_everything"`
-		ReductionX         float64 `json:"reduction_x"`
-		ResidentPartitions int64   `json:"resident_partitions"`
-		SpilledPartitions  int64   `json:"spilled_partitions"`
-		FingerprintOK      bool    `json:"fingerprint_ok"`
-	} `json:"hybrid"`
 	Leases     []policyResult `json:"leases"`
 	Violations []string       `json:"violations"`
 }
 
 // runAdaptive is the -exp adaptive entry point.
 func runAdaptive(cfg config) error {
-	rep := &adaptiveReport{}
+	rep := &adaptiveReport{Note: "lease-policy comparison only: the hybrid-vs-route-everything spill leg went with exec.HybridAggEnabled (hybrid eviction is the only spill mode)"}
 	rep.Config.Rows = cfg.rows
 	rep.Config.Workers = cfg.workers
 	rep.Config.Seed = cfg.seed
-	rep.Config.Budget = adaptiveBudget
 	rep.Config.Pool = adaptivePool
 	rep.Config.MaxActive = adaptiveMaxActive
 	rep.Config.Clients = adaptiveClients
 	rep.Config.Iterations = cfg.requests
 
-	if err := hybridExperiment(cfg, rep); err != nil {
-		return err
-	}
 	for _, policy := range []string{"static", "fair"} {
 		res, err := leaseExperiment(cfg, rep, policy)
 		if err != nil {
@@ -123,8 +103,7 @@ func runAdaptive(cfg config) error {
 	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("loadgen: adaptive experiment: hybrid spill %d B vs %d B (%.1fx), utilization %.2f static -> %.2f fair (report: %s)\n",
-		rep.Hybrid.SpillBytesHybrid, rep.Hybrid.SpillBytesFull, rep.Hybrid.ReductionX,
+	fmt.Printf("loadgen: adaptive experiment: utilization %.2f static -> %.2f fair (report: %s)\n",
 		rep.Leases[0].MeanUtilization, rep.Leases[1].MeanUtilization, cfg.out)
 	if len(rep.Violations) > 0 {
 		return fmt.Errorf("violations: %s", strings.Join(rep.Violations, "; "))
@@ -160,103 +139,6 @@ func fingerprintQuery(db *vexdb.DB, sql string) (uint64, error) {
 		h.Write([]byte{0x1e})
 	}
 	return h.Sum64(), nil
-}
-
-// spillFromExplain runs EXPLAIN ANALYZE on sql and parses the "spill:"
-// memory-dynamics header added by the engine. All-zero when the query
-// never spilled.
-func spillFromExplain(db *vexdb.DB, sql string) (written, spilled, resident int64, err error) {
-	tab, err := db.Query("EXPLAIN ANALYZE " + sql)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for r := 0; r < tab.NumRows(); r++ {
-		line := tab.Cols[0].Get(r).Str()
-		if !strings.HasPrefix(strings.TrimSpace(line), "spill:") {
-			continue
-		}
-		var runs, read int64
-		_, err = fmt.Sscanf(strings.TrimSpace(line),
-			"spill: partitions spilled=%d resident=%d runs=%d written=%d read=%d",
-			&spilled, &resident, &runs, &written, &read)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("unparseable spill header %q: %w", line, err)
-		}
-		return written, spilled, resident, nil
-	}
-	return 0, 0, 0, nil
-}
-
-// hybridExperiment fills rep.Hybrid: spill bytes with hybrid eviction
-// on vs off at the same constrained budget, fingerprint-checked
-// against an unlimited in-memory run of the same query.
-func hybridExperiment(cfg config, rep *adaptiveReport) error {
-	dir, err := os.MkdirTemp("", "loadgen-adaptive-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	db, err := adaptiveDB(cfg, dir, vexdb.Options{})
-	if err != nil {
-		return err
-	}
-
-	// Unlimited in-memory baseline fingerprint.
-	baseFP, err := fingerprintQuery(db, heavyAggSQL)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-
-	db.SetMemoryBudget(adaptiveBudget)
-	defer func(prev bool) { exec.HybridAggEnabled = prev }(exec.HybridAggEnabled)
-
-	exec.HybridAggEnabled = true
-	hw, hs, hr, err := spillFromExplain(db, heavyAggSQL)
-	if err != nil {
-		return fmt.Errorf("hybrid run: %w", err)
-	}
-	hybFP, err := fingerprintQuery(db, heavyAggSQL)
-	if err != nil {
-		return fmt.Errorf("hybrid fingerprint: %w", err)
-	}
-
-	exec.HybridAggEnabled = false
-	fw, _, _, err := spillFromExplain(db, heavyAggSQL)
-	if err != nil {
-		return fmt.Errorf("route-everything run: %w", err)
-	}
-	fullFP, err := fingerprintQuery(db, heavyAggSQL)
-	if err != nil {
-		return fmt.Errorf("route-everything fingerprint: %w", err)
-	}
-
-	rep.Hybrid.SpillBytesHybrid = hw
-	rep.Hybrid.SpillBytesFull = fw
-	rep.Hybrid.SpilledPartitions = hs
-	rep.Hybrid.ResidentPartitions = hr
-	rep.Hybrid.FingerprintOK = hybFP == baseFP && fullFP == baseFP
-	if hw > 0 {
-		rep.Hybrid.ReductionX = float64(fw) / float64(hw)
-	} else if fw > 0 {
-		rep.Hybrid.ReductionX = float64(fw) // hybrid wrote nothing at all
-	}
-
-	if !rep.Hybrid.FingerprintOK {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("hybrid results diverged: baseline %x, hybrid %x, route-everything %x", baseFP, hybFP, fullFP))
-	}
-	if fw == 0 {
-		rep.Violations = append(rep.Violations,
-			"route-everything never spilled: budget not constraining, experiment void")
-	}
-	if hw*2 > fw {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("hybrid spill %d B is not a 2x reduction over route-everything %d B", hw, fw))
-	}
-	if hr == 0 {
-		rep.Violations = append(rep.Violations, "hybrid kept no partitions resident")
-	}
-	return nil
 }
 
 // leaseExperiment runs the mixed workload against a governed pool

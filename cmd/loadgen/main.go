@@ -139,7 +139,7 @@ func parseFlags() (config, error) {
 	flag.Float64Var(&c.faults, "faults", 0.1, "per-request fault-injection probability")
 	flag.Int64Var(&c.seed, "seed", 1, "deterministic traffic seed")
 	flag.BoolVar(&c.expectRej, "expect-rejects", false, "fail unless the governor rejected at least one query")
-	flag.StringVar(&c.exp, "exp", "", "experiment to run: empty = concurrency storm, adaptive = hybrid-spill + adaptive-lease benchmark")
+	flag.StringVar(&c.exp, "exp", "", "experiment to run: empty = concurrency storm, adaptive = adaptive-lease benchmark")
 	flag.StringVar(&c.out, "out", "", "report output path (default BENCH_concurrency.json, or BENCH_adaptive.json with -exp adaptive)")
 	flag.Parse()
 	if c.out == "" {

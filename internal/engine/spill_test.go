@@ -56,7 +56,7 @@ func TestEngineSpillDifferential(t *testing.T) {
 
 	dir := t.TempDir()
 	db := New()
-	db.MemoryBudget = 64 << 10
+	db.MemoryBudget = 32 << 10 // below the smallest state here: 513 float groups and a count, ~48KB
 	db.TempDir = dir
 	loadHighCard(t, db, rows)
 
@@ -79,7 +79,7 @@ func TestEngineSpillDifferential(t *testing.T) {
 			}
 			compareRows(t, q, workers, "spill-streamed", renderTable(t, streamed), want)
 			if !st.Spilled() {
-				t.Fatalf("%q workers=%d: expected spilling under 64KB budget", q, workers)
+				t.Fatalf("%q workers=%d: expected spilling under 32KB budget", q, workers)
 			}
 			ents, err := os.ReadDir(dir)
 			if err != nil {

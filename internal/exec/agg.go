@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"vexdb/internal/plan"
@@ -18,318 +20,593 @@ type hashAggOp struct {
 	child   Operator
 	ctx     *Context
 	started bool
-	emitter *aggEmitter
+	emitter *runMerger
 }
 
-// aggState is one aggregate's partial state. For DISTINCT aggregates
-// the accumulators stay zero during consumption: distinct holds the
-// encoded argument values (appendRowKey form), per-worker sets union
-// losslessly at the merge, and finalizeAgg folds the merged set into
-// the accumulators in sorted key order — deterministic regardless of
-// worker count or morsel claim order.
-type aggState struct {
-	count    int64
-	sumF     float64
-	sumI     int64
-	min      vector.Value
-	max      vector.Value
-	distinct map[string]struct{}
+// aggShape is the static description of one aggregate's state. A
+// DISTINCT aggregate keeps no accumulators during consumption, only
+// the set of encoded argument values (appendRowKey form) per group:
+// per-worker sets union losslessly at the merge, and finalize folds
+// each merged set in sorted key order — deterministic regardless of
+// worker count or morsel claim order. Every other aggregate keeps the
+// typed state columns its kind needs, listed in state:
+//
+//	COUNT     [count BIGINT]
+//	SUM, AVG  [count BIGINT, sum BIGINT or DOUBLE]
+//	MIN, MAX  [set BOOLEAN, extremum of the argument's type]
+type aggShape struct {
+	spec     plan.AggSpec
+	argType  vector.Type // Invalid for COUNT(*)
+	distinct bool
+	state    []vector.Type
 }
 
-// aggGroup is the accumulated state of one group. firstSeen orders the
-// output: it is the global position (morsel, row) of the group's first
-// input row, so parallel partitions merge back into the exact order
-// serial execution would produce.
-type aggGroup struct {
-	keyVals   []vector.Value
-	aggs      []aggState
-	firstSeen int64
+// inputType is the vector type an aggregation input is coerced to: the
+// expression's static type, with an untyped NULL evaluating (as
+// vector.Constant makes it) to an all-NULL DOUBLE column.
+func inputType(e plan.Expr) vector.Type {
+	if t := e.Type(); t != vector.Invalid {
+		return t
+	}
+	return vector.Float64
 }
 
-// aggTable accumulates hash-aggregation state. Groups are stored
-// densely in first-appearance order; the groupIndex maps key rows to
-// slots without per-row key allocation. bytes estimates the table's
-// retained footprint for the query's memory budget.
+func newAggShape(s plan.AggSpec) aggShape {
+	sh := aggShape{spec: s}
+	if s.Arg != nil {
+		sh.argType = inputType(s.Arg)
+	}
+	switch {
+	case s.Distinct && s.Arg != nil:
+		sh.distinct = true
+	case s.Kind == plan.AggCount:
+		sh.state = []vector.Type{vector.Int64}
+	case s.Kind == plan.AggAvg, s.Kind == plan.AggSum && (s.Typ == vector.Float64 || sh.argType == vector.Float64):
+		sh.state = []vector.Type{vector.Int64, vector.Float64}
+	case s.Kind == plan.AggSum:
+		sh.state = []vector.Type{vector.Int64, vector.Int64}
+	case sh.argType == vector.Bool: // MIN/MAX order booleans as 0 < 1
+		sh.state = []vector.Type{vector.Bool, vector.Int32}
+	default:
+		sh.state = []vector.Type{vector.Bool, sh.argType}
+	}
+	return sh
+}
+
+// isExtremum reports whether the shape is a (non-DISTINCT) MIN or MAX.
+func (sh *aggShape) isExtremum() bool { return len(sh.state) == 2 && sh.state[0] == vector.Bool }
+
+// typeWidth is what one cell of a group-indexed array of type t is
+// charged to the memory budget; string and blob payloads are charged
+// on top as they arrive.
+func typeWidth(t vector.Type) int64 {
+	switch t {
+	case vector.Bool:
+		return 1
+	case vector.Int32:
+		return 4
+	case vector.String:
+		return 16
+	case vector.Blob:
+		return 24
+	}
+	return 8
+}
+
+// growVector returns the NULL-free state column v extended to n rows
+// with zero values. State columns are kept at full length so that the
+// typed loops index them directly and what they are charged is what
+// they hold.
+func growVector(v *vector.Vector, n int) *vector.Vector {
+	switch v.Type() {
+	case vector.Bool:
+		return vector.FromBools(growTo(v.Bools(), n))
+	case vector.Int32:
+		return vector.FromInt32s(growTo(v.Int32s(), n))
+	case vector.Int64:
+		return vector.FromInt64s(growTo(v.Int64s(), n))
+	case vector.Float64:
+		return vector.FromFloat64s(growTo(v.Float64s(), n))
+	case vector.String:
+		return vector.FromStrings(growTo(v.Strings(), n))
+	}
+	return vector.FromBlobs(growTo(v.Blobs(), n))
+}
+
+// less is the engine's total order: NaN sorts after every number and
+// equal to itself (vector.Value.Compare).
+func less[T int32 | int64 | float64 | string](a, b T) bool { return a < b || (b != b && a == a) }
+
+// addInto adds xs to the sums and counts the rows added, skipping
+// NULLs: row r goes to group ids[r].
+func addInto[S int64 | float64, X int32 | int64 | float64](count []int64, sum []S, ids []int32, xs []X, nulls []bool) {
+	for r, id := range ids {
+		if nulls == nil || !nulls[r] {
+			count[id]++
+			sum[id] += S(xs[r])
+		}
+	}
+}
+
+func addAll[T int64 | float64](dst []T, ids []int32, src []T) {
+	for j, id := range ids {
+		dst[id] += src[j]
+	}
+}
+
+// extreme folds xs into the groups' extrema, skipping rows marked in
+// skip; an equal value keeps the one already held. It returns the
+// bytes by which retained string payloads grew.
+func extreme[T int32 | int64 | float64 | string](set []bool, ext []T, ids []int32, xs []T, skip []bool, max bool) (grown int64) {
+	news, _ := any(xs).([]string) // nil unless T is string
+	olds, _ := any(ext).([]string)
+	for r, id := range ids {
+		if skip != nil && skip[r] {
+			continue
+		}
+		if x, cur := xs[r], ext[id]; !set[id] || (max && less(cur, x)) || (!max && less(x, cur)) {
+			if news != nil {
+				grown += int64(len(news[r]) - len(olds[id]))
+			}
+			set[id], ext[id] = true, x
+		}
+	}
+	return grown
+}
+
+// distinctEntryBytes is what one DISTINCT set entry of n encoded bytes
+// is charged: the bytes plus the map's per-entry overhead.
+func distinctEntryBytes(n int) int64 { return int64(n) + 48 }
+
+// aggTable accumulates hash-aggregation state column-wise: the
+// groupIndex resolves key rows to dense group ids (and holds the key
+// columns); firstSeen, every aggregate's state columns and DISTINCT
+// sets are indexed by that id. firstSeen orders the output: it is the
+// smallest global input position (morsel, row) over a group's rows, so
+// parallel partitions merge back into the exact order serial execution
+// would produce.
 type aggTable struct {
-	spec   *plan.Aggregate
-	gi     *groupIndex
-	groups []aggGroup
-	bytes  int64
+	spec       *plan.Aggregate
+	shapes     []aggShape
+	gi         *groupIndex
+	firstSeen  []int64                 // gi.capacity() long, as is everything below
+	state      [][]*vector.Vector      // per aggregate, typed by aggShape.state
+	sets       [][]map[string]struct{} // per aggregate; nil unless DISTINCT
+	stateBytes int64                   // firstSeen and state columns, string and set payloads
 
-	groupVecs []*vector.Vector // reused across chunks
-	argVecs   []*vector.Vector
-	scratch   []byte // distinct-value key buffer
+	ids     []int32 // per-chunk group ids
+	scratch []byte  // DISTINCT value key buffer
 }
-
-// aggGroupOverhead estimates the fixed per-group bookkeeping cost
-// (slice headers, map slots, firstSeen) on top of key and state sizes.
-const aggGroupOverhead = 96
 
 func newAggTable(spec *plan.Aggregate) *aggTable {
 	types := make([]vector.Type, len(spec.GroupBy))
 	for i, g := range spec.GroupBy {
-		types[i] = g.Type()
+		types[i] = inputType(g)
 	}
-	return &aggTable{
-		spec:      spec,
-		gi:        newGroupIndex(types),
-		groupVecs: make([]*vector.Vector, len(spec.GroupBy)),
-		argVecs:   make([]*vector.Vector, len(spec.Aggs)),
+	shapes := make([]aggShape, len(spec.Aggs))
+	for i, s := range spec.Aggs {
+		shapes[i] = newAggShape(s)
+	}
+	return newAggTableOf(spec, newGroupIndex(types), shapes)
+}
+
+func newAggTableOf(spec *plan.Aggregate, gi *groupIndex, shapes []aggShape) *aggTable {
+	t := &aggTable{spec: spec, shapes: shapes, gi: gi,
+		state: make([][]*vector.Vector, len(shapes)), sets: make([][]map[string]struct{}, len(shapes))}
+	for i, sh := range shapes {
+		for _, typ := range sh.state {
+			t.state[i] = append(t.state[i], vector.New(typ, 0))
+		}
+	}
+	return t
+}
+
+func (t *aggTable) numGroups() int { return t.gi.n }
+
+// size is the table's retained footprint as charged to the query's
+// memory budget: the capacity of every key, hash-table and state
+// array, plus string and DISTINCT-set payloads.
+func (t *aggTable) size() int64 { return t.gi.bytes + t.stateBytes }
+
+// growStates extends the state columns to the index's group capacity
+// after groups were created.
+func (t *aggTable) growStates() {
+	old, size := len(t.firstSeen), t.gi.capacity()
+	if old == size {
+		return
+	}
+	t.firstSeen = growTo(t.firstSeen, size)
+	for i := old; i < size; i++ {
+		t.firstSeen[i] = math.MaxInt64
+	}
+	perGroup := int64(8)
+	for i, sh := range t.shapes {
+		if sh.distinct {
+			t.sets[i] = growTo(t.sets[i], size)
+			perGroup += 8
+		}
+		for c, v := range t.state[i] {
+			t.state[i][c] = growVector(v, size)
+			perGroup += typeWidth(v.Type())
+		}
+	}
+	t.stateBytes += perGroup * int64(size-old)
+}
+
+// noteFirstSeen folds each row's position into its group's firstSeen.
+// The minimum is order-independent, so replayed and merged state may
+// arrive in any order.
+func (t *aggTable) noteFirstSeen(pos []int64) {
+	fs := t.firstSeen
+	for r, id := range t.ids {
+		if pos[r] < fs[id] {
+			fs[id] = pos[r]
+		}
 	}
 }
 
-// evalInputs evaluates the group and argument expressions over one
-// chunk into the table's reusable vector slots.
-func (t *aggTable) evalInputs(ch *vector.Chunk) error {
-	for i, g := range t.spec.GroupBy {
-		v, err := Evaluate(g, ch)
-		if err != nil {
+// consumeVecs folds evaluated rows into the table in two passes: the
+// whole chunk resolves to group ids, then each aggregate runs one
+// typed loop over (ids, argument column). hashes are the key rows'
+// hashKeyRows; pos is each row's unique global input position.
+func (t *aggTable) consumeVecs(keys []*vector.Vector, hashes []uint64, args []*vector.Vector, pos []int64) error {
+	t.ids = t.gi.resolve(keys, hashes, t.ids)
+	t.growStates()
+	t.noteFirstSeen(pos)
+	for i := range t.shapes {
+		if err := t.update(i, args[i]); err != nil {
 			return err
 		}
-		t.groupVecs[i] = v
-	}
-	for i, s := range t.spec.Aggs {
-		if s.Arg == nil {
-			t.argVecs[i] = nil
-			continue
-		}
-		v, err := Evaluate(s.Arg, ch)
-		if err != nil {
-			return err
-		}
-		t.argVecs[i] = v
 	}
 	return nil
 }
 
-// consume folds one chunk into the table. morsel is the chunk's global
-// position in the input stream; it seeds firstSeen so output order is
-// deterministic regardless of which worker consumed the chunk.
-func (t *aggTable) consume(ch *vector.Chunk, morsel int) error {
-	if err := t.evalInputs(ch); err != nil {
-		return err
-	}
-	return t.consumeVecs(t.groupVecs, t.argVecs, ch.NumRows(), func(r int) int64 {
-		return int64(morsel)<<32 | int64(r)
-	})
-}
-
-// getOrCreate returns the group of row r of the key vectors, creating
-// it (with firstSeen = pos, per-group byte accounting, DISTINCT set
-// init) on first appearance and folding pos into firstSeen otherwise.
-// Shared by fresh consumption and spilled partial replay so group
-// initialization and budget accounting cannot diverge between paths.
-func (t *aggTable) getOrCreate(groupVecs []*vector.Vector, r int, pos int64) *aggGroup {
-	id, created := t.gi.groupID(groupVecs, r)
-	if created {
-		g := aggGroup{
-			aggs:      make([]aggState, len(t.spec.Aggs)),
-			firstSeen: pos,
+// update folds the argument rows into aggregate i's state (row r goes
+// to group t.ids[r]); NULL arguments are skipped.
+func (t *aggTable) update(i int, arg *vector.Vector) error {
+	sh, st, ids := &t.shapes[i], t.state[i], t.ids
+	kind := sh.spec.Kind
+	sums := kind == plan.AggSum || kind == plan.AggAvg
+	var nulls []bool
+	if arg != nil { // nil: COUNT(*), every row counts
+		nulls = arg.Nulls()
+		if sums && !arg.Type().IsNumeric() || (kind == plan.AggMin || kind == plan.AggMax) && arg.Type() == vector.Blob {
+			for r := range ids {
+				if nulls == nil || !nulls[r] {
+					if sums {
+						return fmt.Errorf("exec: cannot sum %s", arg.Type())
+					}
+					return fmt.Errorf("exec: type %s is not orderable", arg.Type())
+				}
+			}
+			return nil
 		}
-		t.bytes += aggGroupOverhead + 56*int64(len(t.spec.Aggs))
-		if len(groupVecs) > 0 {
-			g.keyVals = make([]vector.Value, len(groupVecs))
-			for i, gv := range groupVecs {
-				g.keyVals[i] = gv.Get(r)
-				t.bytes += valueBytes(g.keyVals[i])
+	}
+	switch {
+	case sh.distinct:
+		sets := t.sets[i]
+		for r, id := range ids {
+			if nulls != nil && nulls[r] {
+				continue
+			}
+			t.scratch = appendRowKey(t.scratch[:0], arg, r)
+			if sets[id] == nil {
+				sets[id] = make(map[string]struct{})
+			}
+			if _, seen := sets[id][string(t.scratch)]; !seen {
+				sets[id][string(t.scratch)] = struct{}{}
+				t.stateBytes += distinctEntryBytes(len(t.scratch))
 			}
 		}
-		for i, s := range t.spec.Aggs {
-			if s.Distinct {
-				g.aggs[i].distinct = make(map[string]struct{})
+	case kind == plan.AggCount:
+		count := st[0].Int64s()
+		for r, id := range ids {
+			if nulls == nil || !nulls[r] {
+				count[id]++
 			}
 		}
-		t.groups = append(t.groups, g)
-	}
-	g := &t.groups[id]
-	if pos < g.firstSeen {
-		g.firstSeen = pos
-	}
-	return g
-}
-
-// consumeVecs folds n rows of evaluated group/argument vectors into
-// the table. posOf returns each row's unique global input position;
-// a group's firstSeen is the minimum over its rows, so the result is
-// independent of consumption order (spilled partitions replay rows in
-// file order, which under parallel spillers is not position order).
-func (t *aggTable) consumeVecs(groupVecs, argVecs []*vector.Vector, n int, posOf func(r int) int64) error {
-	for r := 0; r < n; r++ {
-		g := t.getOrCreate(groupVecs, r, posOf(r))
-		for i, s := range t.spec.Aggs {
-			if err := updateAgg(&g.aggs[i], s, argVecs[i], r, &t.scratch, &t.bytes); err != nil {
-				return err
-			}
+	case sums && st[1].Type() == vector.Int64:
+		if arg.Type() == vector.Int32 {
+			addInto(st[0].Int64s(), st[1].Int64s(), ids, arg.Int32s(), nulls)
+		} else {
+			addInto(st[0].Int64s(), st[1].Int64s(), ids, arg.Int64s(), nulls)
 		}
+	case sums:
+		switch arg.Type() {
+		case vector.Int32:
+			addInto(st[0].Int64s(), st[1].Float64s(), ids, arg.Int32s(), nulls)
+		case vector.Int64:
+			addInto(st[0].Int64s(), st[1].Float64s(), ids, arg.Int64s(), nulls)
+		default:
+			addInto(st[0].Int64s(), st[1].Float64s(), ids, arg.Float64s(), nulls)
+		}
+	default:
+		t.foldExtreme(i, arg, nulls)
 	}
 	return nil
 }
 
-// consumeRowsSel folds a selection of rows of evaluated
-// group/argument vectors into the table. The hybrid spill path routes
-// the rows of a resident partition here — the selection is the subset
-// of a chunk that hashed to this partition — instead of to disk.
-func (t *aggTable) consumeRowsSel(groupVecs, argVecs []*vector.Vector, rows []int, posOf func(r int) int64) error {
-	for _, r := range rows {
-		g := t.getOrCreate(groupVecs, r, posOf(r))
-		for i, s := range t.spec.Aggs {
-			if err := updateAgg(&g.aggs[i], s, argVecs[i], r, &t.scratch, &t.bytes); err != nil {
-				return err
+// foldExtreme folds the rows of vals not marked in skip into MIN/MAX
+// aggregate i's state; vals is an argument column or, at a merge,
+// another table's extremum column.
+func (t *aggTable) foldExtreme(i int, vals *vector.Vector, skip []bool) {
+	set, ext, max := t.state[i][0].Bools(), t.state[i][1], t.shapes[i].spec.Kind == plan.AggMax
+	switch vals.Type() {
+	case vector.Bool:
+		xs := make([]int32, vals.Len())
+		for r, b := range vals.Bools() {
+			if b {
+				xs[r] = 1
+			}
+		}
+		extreme(set, ext.Int32s(), t.ids, xs, skip, max)
+	case vector.Int32:
+		extreme(set, ext.Int32s(), t.ids, vals.Int32s(), skip, max)
+	case vector.Int64:
+		extreme(set, ext.Int64s(), t.ids, vals.Int64s(), skip, max)
+	case vector.Float64:
+		extreme(set, ext.Float64s(), t.ids, vals.Float64s(), skip, max)
+	case vector.String:
+		t.stateBytes += extreme(set, ext.Strings(), t.ids, vals.Strings(), skip, max)
+	}
+}
+
+// aggPartial is a dense batch of groups in transit between tables:
+// worker table to merged table, consumer table to resident partition,
+// memory to a spill file and back (agg_spill.go has its column form).
+// Row j of every column is the batch's j-th group. DISTINCT sets are
+// shared with the source table, not copied: it is dropped once merged.
+type aggPartial struct {
+	keys      []*vector.Vector
+	firstSeen []int64
+	state     [][]*vector.Vector
+	sets      [][]map[string]struct{}
+}
+
+// partial returns the groups sel as a batch.
+func (t *aggTable) partial(sel []int) *aggPartial {
+	p := &aggPartial{
+		keys:      gatherVecs(t.gi.keys, sel),
+		firstSeen: gatherBy(t.firstSeen, sel),
+		state:     make([][]*vector.Vector, len(t.shapes)),
+		sets:      make([][]map[string]struct{}, len(t.shapes)),
+	}
+	for i, sh := range t.shapes {
+		p.state[i] = gatherVecs(t.state[i], sel)
+		if sh.distinct {
+			p.sets[i] = gatherBy(t.sets[i], sel)
+		}
+	}
+	return p
+}
+
+// mergePartial folds a batch of groups into the table: the one way
+// aggregation state is ever combined. Worker tables, consumer dumps
+// into resident partitions and spilled partial rows all arrive here.
+// Every kind composes: counts and sums add, MIN/MAX compare, DISTINCT
+// sets union — or move, when the group has none yet.
+func (t *aggTable) mergePartial(p *aggPartial) {
+	t.ids = t.gi.groupIDs(p.keys, len(p.firstSeen), t.ids)
+	t.growStates()
+	t.noteFirstSeen(p.firstSeen)
+	for i, sh := range t.shapes {
+		st, src := t.state[i], p.state[i]
+		switch {
+		case sh.distinct:
+			for j, id := range t.ids {
+				from, into := p.sets[i][j], t.sets[i][id]
+				if into == nil {
+					t.sets[i][id] = from
+				}
+				for k := range from {
+					if _, seen := into[k]; !seen {
+						if into != nil {
+							into[k] = struct{}{}
+						}
+						t.stateBytes += distinctEntryBytes(len(k))
+					}
+				}
+			}
+		case sh.isExtremum():
+			unset := make([]bool, len(t.ids))
+			for j, set := range src[0].Bools() {
+				unset[j] = !set
+			}
+			t.foldExtreme(i, src[1], unset)
+		default:
+			for c := range st {
+				if st[c].Type() == vector.Int64 {
+					addAll(st[c].Int64s(), t.ids, src[c].Int64s())
+				} else {
+					addAll(st[c].Float64s(), t.ids, src[c].Float64s())
+				}
 			}
 		}
 	}
-	return nil
 }
 
 // ensureGlobalGroup materializes the single output row a global
 // aggregation owes even for empty input.
 func (t *aggTable) ensureGlobalGroup() {
-	if len(t.spec.GroupBy) > 0 || len(t.groups) > 0 {
-		return
+	if len(t.spec.GroupBy) == 0 && t.numGroups() == 0 {
+		t.ids = t.gi.groupIDs(nil, 1, t.ids)
+		t.growStates()
 	}
-	g := aggGroup{aggs: make([]aggState, len(t.spec.Aggs))}
-	for i, s := range t.spec.Aggs {
-		if s.Distinct {
-			g.aggs[i].distinct = make(map[string]struct{})
-		}
-	}
-	t.groups = append(t.groups, g)
 }
 
-// mergeKeyMap builds the encoded-key → group-slot map merge uses;
-// build it once and reuse it across successive merge calls (merge
-// keeps it updated for appended groups).
-func (t *aggTable) mergeKeyMap() map[string]int32 {
-	byKey := make(map[string]int32, len(t.groups))
-	var buf []byte
-	for i := range t.groups {
-		buf = buf[:0]
-		for _, kv := range t.groups[i].keyVals {
-			buf = appendValueKey(buf, kv)
+// finalize computes aggregate i's output column for the groups order,
+// in that order.
+func (t *aggTable) finalize(i int, order []int) (*vector.Vector, error) {
+	sh := &t.shapes[i]
+	if sh.distinct {
+		if sh.spec.Kind == plan.AggCount {
+			out := make([]int64, len(order))
+			for j, g := range order {
+				out[j] = int64(len(t.sets[i][g]))
+			}
+			return castTo(vector.FromInt64s(out), sh.spec.Typ)
 		}
-		byKey[string(buf)] = int32(i)
+		folded, err := foldDistinct(sh, t.sets[i], order)
+		if err != nil {
+			return nil, err
+		}
+		return folded.finalize(0, identitySel(len(order)))
 	}
-	return byKey
-}
-
-// merge folds o's groups into t, matching groups by their encoded key
-// values. Every aggregate kind composes: counts and sums add, min/max
-// compare, and DISTINCT states union their per-worker key sets (the
-// accumulators stay untouched until finalizeAgg folds the merged set).
-// o's tracked bytes transfer to t (the groups move or union into it),
-// so whoever releases t releases everything merged into it.
-func (t *aggTable) merge(o *aggTable, byKey map[string]int32) error {
-	t.bytes += o.bytes
-	o.bytes = 0
-	if len(o.groups) == 0 {
-		return nil
+	st := gatherVecs(t.state[i], order)
+	v := st[len(st)-1] // the count, the sum or the extremum
+	if sh.spec.Kind == plan.AggAvg {
+		avg := make([]float64, len(order))
+		for j, sum := range v.Float64s() {
+			avg[j] = sum / float64(st[0].Int64s()[j])
+		}
+		v = vector.FromFloat64s(avg)
 	}
-	var buf []byte
-	for i := range o.groups {
-		og := &o.groups[i]
-		buf = buf[:0]
-		for _, kv := range og.keyVals {
-			buf = appendValueKey(buf, kv)
-		}
-		id, ok := byKey[string(buf)]
-		if !ok {
-			byKey[string(buf)] = int32(len(t.groups))
-			t.groups = append(t.groups, *og)
-			continue
-		}
-		g := &t.groups[id]
-		if og.firstSeen < g.firstSeen {
-			g.firstSeen = og.firstSeen
-		}
-		for a := range g.aggs {
-			if err := mergeAggState(&g.aggs[a], &og.aggs[a]); err != nil {
-				return err
+	if ext := sh.isExtremum(); len(st) == 2 { // NULL over no input: no extremum set, or nothing counted
+		for j := range order {
+			if ext && !st[0].Bools()[j] || !ext && st[0].Int64s()[j] == 0 {
+				v.SetNull(j)
 			}
 		}
 	}
-	return nil
+	return castTo(v, sh.spec.Typ)
 }
 
-// mergeAggState combines two partial states of the same aggregate.
-func mergeAggState(dst, src *aggState) error {
-	dst.count += src.count
-	dst.sumF += src.sumF
-	dst.sumI += src.sumI
-	if src.distinct != nil {
-		if dst.distinct == nil {
-			dst.distinct = make(map[string]struct{}, len(src.distinct))
-		}
-		for k := range src.distinct {
-			dst.distinct[k] = struct{}{}
-		}
+// castTo converts a column whose natural type is not the one the plan
+// declared; a failing cast is the query's error. A column the plan
+// could not type (an untyped NULL) stays as evaluated.
+func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
+	if v.Type() == t || t == vector.Invalid {
+		return v, nil
 	}
-	if src.min.Type() != vector.Invalid {
-		if dst.min.Type() == vector.Invalid {
-			dst.min = src.min
-		} else if c, err := src.min.Compare(dst.min); err != nil {
-			return err
-		} else if c < 0 {
-			dst.min = src.min
-		}
-	}
-	if src.max.Type() != vector.Invalid {
-		if dst.max.Type() == vector.Invalid {
-			dst.max = src.max
-		} else if c, err := src.max.Compare(dst.max); err != nil {
-			return err
-		} else if c > 0 {
-			dst.max = src.max
-		}
-	}
-	return nil
+	return v.Cast(t)
 }
 
-// emit materializes the groups, ordered by first appearance, as one
-// result chunk.
-func (t *aggTable) emit() (*vector.Chunk, error) {
-	run, err := t.emitRun()
-	if err != nil {
-		return nil, err
+// foldDistinct accumulates each group's deferred value set into the
+// state of a one-aggregate table without the DISTINCT, one group per
+// entry of order. Keys are visited in sorted encoded-byte order, so
+// float sums come out byte-identical no matter how many workers built
+// the set or in which order values arrived. Errors propagate: MIN/MAX
+// over an unorderable argument type (Blob) must fail here exactly as
+// the non-DISTINCT path fails in accumulation. The folded state is
+// transient and not budgeted.
+func foldDistinct(sh *aggShape, sets []map[string]struct{}, order []int) (*aggTable, error) {
+	spec := sh.spec
+	spec.Distinct = false
+	vals := vector.New(sh.argType, 0)
+	var ids []int32
+	var keys []string
+	for j, g := range order {
+		keys = keys[:0]
+		for k := range sets[g] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			// Entries made here always decode; ones read back from a
+			// spill file are only as good as the file.
+			v, rest, err := decodeValueKey([]byte(k))
+			if err != nil || len(rest) > 0 || v.Type() != sh.argType {
+				return nil, fmt.Errorf("%w: DISTINCT set entry %x for a %s argument (%v)", errCorruptSpill, k, sh.argType, err)
+			}
+			vals.AppendValue(v)
+			ids = append(ids, int32(j))
+		}
 	}
-	return run.data, nil
+	gi := &groupIndex{n: len(order), hashes: make([]uint64, len(order))}
+	out := newAggTableOf(nil, gi, []aggShape{newAggShape(spec)})
+	out.growStates()
+	out.ids = ids
+	return out, out.update(0, vals)
 }
 
 // emitRun materializes the groups as a run sorted by first appearance:
 // the finalized output chunk plus each group's firstSeen position, so
-// spilled partitions merge back into exact serial first-appearance
-// order via the shared run merger (zero sort keys: the merge orders
-// purely by position, and firstSeen values are unique — no two groups
-// share a first row).
+// partitions merge back into exact serial first-appearance order via
+// the shared run merger (zero sort keys: the merge orders purely by
+// position, and firstSeen values are unique — no two groups share a
+// first row).
 func (t *aggTable) emitRun() (*sortedRun, error) {
-	order := make([]int, len(t.groups))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return t.groups[order[a]].firstSeen < t.groups[order[b]].firstSeen
-	})
-	schema := t.spec.Schema()
-	cols := make([]*vector.Vector, len(schema))
-	for i, c := range schema {
-		cols[i] = vector.New(c.Type, len(t.groups))
-	}
-	pos := make([]int64, 0, len(t.groups))
-	ng := len(t.spec.GroupBy)
-	for _, gi := range order {
-		g := &t.groups[gi]
-		for i, kv := range g.keyVals {
-			appendCast(cols[i], kv, schema[i].Type)
+	fs := t.firstSeen[:t.numGroups()]
+	order := orderByPos(fs)
+	cols := gatherVecs(t.gi.keys, order)
+	for i := range t.shapes {
+		v, err := t.finalize(i, order)
+		if err != nil {
+			return nil, err
 		}
-		for i, s := range t.spec.Aggs {
-			v, err := finalizeAgg(&g.aggs[i], s)
-			if err != nil {
-				return nil, err
-			}
-			appendCast(cols[ng+i], v, schema[ng+i].Type)
-		}
-		pos = append(pos, g.firstSeen)
+		cols = append(cols, v)
 	}
-	return &sortedRun{data: vector.NewChunk(cols...), pos: pos}, nil
+	return &sortedRun{data: vector.NewChunk(cols...), pos: gatherBy(fs, order)}, nil
+}
+
+// orderByPos returns the indexes of pos in ascending position order:
+// the identity when pos already ascends (group ids are that order
+// whenever one consumer saw its input in position order, which is
+// every serial run), else a sort.
+func orderByPos(pos []int64) []int {
+	order := identitySel(len(pos))
+	if !slices.IsSorted(pos) {
+		slices.SortFunc(order, func(a, b int) int { return cmpOrdered(pos[a], pos[b]) })
+	}
+	return order
+}
+
+// aggInputs evaluates an aggregation's group and argument expressions
+// over input chunks, coercing the rare result whose runtime type is
+// not the planned one so that tables and spill files are typed
+// statically.
+type aggInputs struct {
+	spec   *plan.Aggregate
+	keys   []*vector.Vector
+	args   []*vector.Vector // nil entries for COUNT(*)
+	hashes []uint64
+	pos    []int64
+}
+
+func newAggInputs(spec *plan.Aggregate) *aggInputs {
+	return &aggInputs{
+		spec: spec,
+		keys: make([]*vector.Vector, len(spec.GroupBy)),
+		args: make([]*vector.Vector, len(spec.Aggs)),
+	}
+}
+
+// eval fills keys, args, hashes and pos for one chunk. morsel is the
+// chunk's global position in the input stream; it seeds the row
+// positions so output order is deterministic regardless of which
+// worker consumed the chunk.
+func (in *aggInputs) eval(ch *vector.Chunk, morsel int) (err error) {
+	for i, g := range in.spec.GroupBy {
+		if in.keys[i], err = evalAs(g, ch); err != nil {
+			return err
+		}
+	}
+	for i, s := range in.spec.Aggs {
+		if s.Arg == nil {
+			continue
+		}
+		if in.args[i], err = evalAs(s.Arg, ch); err != nil {
+			return err
+		}
+	}
+	n := ch.NumRows()
+	in.hashes = hashKeyRows(in.keys, n, in.hashes)
+	if cap(in.pos) < n {
+		in.pos = make([]int64, n)
+	}
+	in.pos = in.pos[:n]
+	for r := range in.pos {
+		in.pos[r] = int64(morsel)<<32 | int64(r)
+	}
+	return nil
+}
+
+func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
+	v, err := Evaluate(e, ch)
+	if err != nil {
+		return nil, err
+	}
+	return castTo(v, e.Type())
 }
 
 func (a *hashAggOp) Open(ctx *Context) error {
@@ -368,169 +645,6 @@ func (a *hashAggOp) Next() (*vector.Chunk, error) {
 		a.emitter = em
 	}
 	return a.emitter.next(a.ctx)
-}
-
-func appendCast(col *vector.Vector, v vector.Value, t vector.Type) {
-	if !v.IsNull() && v.Type() != t {
-		if cv, err := v.Cast(t); err == nil {
-			v = cv
-		}
-	}
-	col.AppendValue(v)
-}
-
-func updateAgg(st *aggState, spec plan.AggSpec, arg *vector.Vector, r int, scratch *[]byte, bytes *int64) error {
-	if spec.Arg == nil { // count(*)
-		st.count++
-		return nil
-	}
-	if arg.IsNull(r) {
-		return nil // aggregates skip NULLs
-	}
-	if spec.Distinct {
-		// Record the encoded value only; accumulation happens in
-		// finalizeAgg over the merged set. Type errors still surface
-		// here, where the argument vector is at hand.
-		if spec.Kind == plan.AggSum || spec.Kind == plan.AggAvg {
-			switch arg.Type() {
-			case vector.Float64, vector.Int32, vector.Int64:
-			default:
-				return fmt.Errorf("exec: cannot sum %s", arg.Type())
-			}
-		}
-		buf := appendRowKey((*scratch)[:0], arg, r)
-		*scratch = buf
-		if _, seen := st.distinct[string(buf)]; !seen {
-			st.distinct[string(buf)] = struct{}{}
-			*bytes += int64(len(buf)) + 48
-		}
-		return nil
-	}
-	return accumulateAgg(st, spec, arg.Get(r), bytes)
-}
-
-// accumulateAgg folds one non-NULL value into an aggregate state. It
-// is shared by the per-row update path and the distinct-set fold in
-// finalizeAgg. bytes tracks the retained-value footprint of MIN/MAX
-// — over string/blob columns the kept value can dominate the group's
-// size, so the memory budget must see it.
-func accumulateAgg(st *aggState, spec plan.AggSpec, v vector.Value, bytes *int64) error {
-	switch spec.Kind {
-	case plan.AggCount:
-		st.count++
-	case plan.AggSum, plan.AggAvg:
-		st.count++
-		switch v.Type() {
-		case vector.Float64:
-			st.sumF += v.Float64()
-		case vector.Int32, vector.Int64:
-			st.sumI += v.Int64()
-			st.sumF += v.Float64()
-		default:
-			return fmt.Errorf("exec: cannot sum %s", v.Type())
-		}
-	case plan.AggMin:
-		if st.min.Type() == vector.Invalid { // unset or NULL: first value wins
-			st.min = v
-			*bytes += valueBytes(v)
-			return nil
-		}
-		c, err := v.Compare(st.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			*bytes += valueBytes(v) - valueBytes(st.min)
-			st.min = v
-		}
-	case plan.AggMax:
-		if st.max.Type() == vector.Invalid {
-			st.max = v
-			*bytes += valueBytes(v)
-			return nil
-		}
-		c, err := v.Compare(st.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			*bytes += valueBytes(v) - valueBytes(st.max)
-			st.max = v
-		}
-	}
-	return nil
-}
-
-// foldDistinct accumulates a distinct aggregate's deferred value set
-// into fresh accumulators. Keys are visited in sorted encoded-byte
-// order, so float sums come out byte-identical no matter how many
-// workers built the set or in which order values arrived. Errors
-// propagate: MIN/MAX over an unorderable argument type (Blob) must
-// fail here exactly as the non-DISTINCT path fails in accumulation.
-func foldDistinct(st *aggState, spec plan.AggSpec) (*aggState, error) {
-	keys := make([]string, 0, len(st.distinct))
-	for k := range st.distinct {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := &aggState{}
-	var scratch int64 // finalize-time state is transient; not budgeted
-	for _, k := range keys {
-		v, _, err := decodeValueKey([]byte(k))
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue // unreachable: sets hold only non-NULL encodings
-		}
-		if err := accumulateAgg(out, spec, v, &scratch); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func finalizeAgg(st *aggState, spec plan.AggSpec) (vector.Value, error) {
-	if spec.Distinct && spec.Arg != nil {
-		// COUNT(DISTINCT) is the set's cardinality; skip the
-		// sort-and-decode fold the order-sensitive kinds need.
-		if spec.Kind == plan.AggCount {
-			return vector.NewInt64(int64(len(st.distinct))), nil
-		}
-		folded, err := foldDistinct(st, spec)
-		if err != nil {
-			return vector.Null(), err
-		}
-		st = folded
-	}
-	switch spec.Kind {
-	case plan.AggCount:
-		return vector.NewInt64(st.count), nil
-	case plan.AggSum:
-		if st.count == 0 {
-			return vector.Null(), nil
-		}
-		if spec.Typ == vector.Float64 {
-			return vector.NewFloat64(st.sumF), nil
-		}
-		return vector.NewInt64(st.sumI), nil
-	case plan.AggAvg:
-		if st.count == 0 {
-			return vector.Null(), nil
-		}
-		return vector.NewFloat64(st.sumF / float64(st.count)), nil
-	case plan.AggMin:
-		if st.min.Type() == vector.Invalid {
-			return vector.Null(), nil
-		}
-		return st.min, nil
-	case plan.AggMax:
-		if st.max.Type() == vector.Invalid {
-			return vector.Null(), nil
-		}
-		return st.max, nil
-	}
-	return vector.Null(), nil
 }
 
 func (a *hashAggOp) Close() error {

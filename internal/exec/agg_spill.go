@@ -3,19 +3,20 @@
 // budget and its aggregation state outgrows it, the consumer switches
 // to out-of-core mode:
 //
-//  1. The in-memory table's groups are partitioned by a hash of the
-//     encoded group key and folded into per-partition resident tables;
-//     then only the largest partitions are evicted to disk — their
-//     groups serialized as "partial" rows (group key values, firstSeen
-//     position, and each aggregate's serialized partial state) — until
-//     the resident remainder fits the budget.
-//  2. Every subsequent input row is routed by the same hash: rows
-//     whose partition is still resident update its in-memory states
-//     directly (no disk I/O); rows of an evicted partition append to
-//     its file as "raw" rows (evaluated group and argument columns
-//     plus the row's global input position) without touching a hash
-//     table at all. If resident partitions outgrow the budget again,
-//     the largest are evicted in turn.
+//  1. The in-memory table's groups are partitioned by a nibble of the
+//     group-key hash the table already holds and merged into
+//     per-partition resident tables; then only the largest partitions
+//     are evicted to disk — their groups written as "partial" rows (key
+//     columns, firstSeen position, and each aggregate's typed state
+//     columns) — until the resident remainder fits the budget.
+//  2. Every subsequent input row is routed by the same hash (computed
+//     once per chunk, column-wise): rows whose partition is still
+//     resident update its in-memory states directly (no disk I/O);
+//     rows of an evicted partition append to its file as "raw" rows
+//     (evaluated group and argument columns plus the row's global
+//     input position) without touching a hash table at all. If
+//     resident partitions outgrow the budget again, the largest are
+//     evicted in turn.
 //  3. On emit, resident partitions sort their groups by firstSeen and
 //     become runs directly. Evicted partitions are processed one at a
 //     time: partials merge by key, raw rows re-aggregate, and if a
@@ -41,9 +42,9 @@ package exec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
+	"slices"
 	"sync"
 
 	"vexdb/internal/plan"
@@ -55,35 +56,12 @@ import (
 // hash nibble).
 const spillFanout = 16
 
-// HybridAggEnabled selects hybrid spill-mode aggregation: on overflow
-// only the largest partitions are evicted to disk, and post-overflow
-// rows whose partition is resident update in-memory states directly.
-// False restores the pre-hybrid behavior — every post-overflow row
-// routes to its partition file ("route everything") — kept for
-// benchmarking the hybrid win (cmd/loadgen -exp adaptive) and for
-// differential tests; results are byte-identical either way. Must not
-// be toggled while queries are running.
-var HybridAggEnabled = true
-
 // maxSpillLevels caps re-partitioning depth; a partition that still
 // exceeds the budget at the deepest level (pathological key skew, or
 // a single group whose DISTINCT set alone exceeds the budget) is
 // processed in memory — correctness over the budget, degraded
 // gracefully.
 const maxSpillLevels = 8
-
-// hashKeyBytes hashes an encoded group key (FNV-1a 64); partitions at
-// recursion level L use nibble L, so a partition's keys re-split on
-// fresh bits at every level.
-func hashKeyBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-func partitionOf(h uint64, level int) int {
-	return int((h >> (4 * uint(level))) & (spillFanout - 1))
-}
 
 // ------------------------------------------------------- row appender
 
@@ -114,51 +92,153 @@ func (a *rowAppender) reset() {
 	}
 }
 
-// ------------------------------------------------------- agg spiller
+// ------------------------------------------------------- spilled rows
 
-// aggLayout describes the spilled row formats of one aggregation:
-// raw rows are [group cols..., arg cols (non-nil args only)..., pos];
-// partial rows are [group cols..., firstSeen, one state blob per agg].
+// errCorruptSpill marks spill chunks that do not have the layout the
+// aggregation wrote: a reader never trusts the bytes it reads back.
+var errCorruptSpill = errors.New("exec: corrupt aggregation spill chunk")
+
+// aggLayout describes the spilled row formats of one aggregation,
+// fixed by the plan: raw rows are [group cols..., arg cols (non-nil
+// args only)..., pos]; partial rows are [group cols..., firstSeen,
+// then per aggregate its state columns (aggShape.state) or, for a
+// DISTINCT aggregate, one blob holding the group's set].
 type aggLayout struct {
-	spec       *plan.Aggregate
-	groupTypes []vector.Type
-	argTypes   []vector.Type // one per agg with a non-nil Arg
-	argIdx     []int         // agg i -> index into argTypes, or -1
+	spec    *plan.Aggregate
+	shapes  []aggShape
+	numKeys int
+	raw     []vector.Type
+	partial []vector.Type
 }
 
-// newAggLayout derives the spilled layouts from evaluated vectors
-// (runtime types, which can differ from static expression types for
-// untyped NULLs).
-func newAggLayout(spec *plan.Aggregate, groupVecs, argVecs []*vector.Vector) *aggLayout {
-	l := &aggLayout{spec: spec, argIdx: make([]int, len(spec.Aggs))}
-	l.groupTypes = make([]vector.Type, len(groupVecs))
-	for i, v := range groupVecs {
-		l.groupTypes[i] = v.Type()
+func newAggLayout(spec *plan.Aggregate) *aggLayout {
+	t := newAggTable(spec)
+	l := &aggLayout{spec: spec, shapes: t.shapes, numKeys: len(t.gi.keys)}
+	for _, k := range t.gi.keys {
+		l.raw = append(l.raw, k.Type())
 	}
-	for i := range spec.Aggs {
-		l.argIdx[i] = -1
-		if argVecs[i] != nil {
-			l.argIdx[i] = len(l.argTypes)
-			l.argTypes = append(l.argTypes, argVecs[i].Type())
+	l.partial = append(slices.Clone(l.raw), vector.Int64)
+	for _, sh := range l.shapes {
+		if sh.spec.Arg != nil {
+			l.raw = append(l.raw, sh.argType)
 		}
+		if sh.distinct {
+			l.partial = append(l.partial, vector.Blob)
+		}
+		l.partial = append(l.partial, sh.state...)
 	}
+	l.raw = append(l.raw, vector.Int64)
 	return l
 }
 
-func (l *aggLayout) rawTypes() []vector.Type {
-	out := append([]vector.Type{}, l.groupTypes...)
-	out = append(out, l.argTypes...)
-	return append(out, vector.Int64)
+// chunk is the batch in partial-row column form.
+func (p *aggPartial) chunk() []*vector.Vector {
+	cols := append(slices.Clone(p.keys), vector.FromInt64s(p.firstSeen))
+	for i, sets := range p.sets {
+		if sets != nil { // a DISTINCT aggregate
+			blobs := make([][]byte, len(sets))
+			for j, set := range sets {
+				blobs[j] = encodeDistinctSet(set)
+			}
+			cols = append(cols, vector.FromBlobs(blobs))
+		}
+		cols = append(cols, p.state[i]...)
+	}
+	return cols
 }
 
-func (l *aggLayout) partialTypes() []vector.Type {
-	out := append([]vector.Type{}, l.groupTypes...)
-	out = append(out, vector.Int64)
-	for range l.spec.Aggs {
-		out = append(out, vector.Blob)
+// checkSpilled verifies that a chunk read back from a spill file has
+// the column count, types and equal lengths of the layout that wrote
+// it, and no NULL past the first nullable columns.
+func checkSpilled(cols []*vector.Vector, types []vector.Type, nullable int) error {
+	if len(cols) != len(types) {
+		return fmt.Errorf("%w: %d columns, want %d", errCorruptSpill, len(cols), len(types))
 	}
-	return out
+	for i, c := range cols {
+		if c.Type() != types[i] || c.Len() != cols[0].Len() {
+			return fmt.Errorf("%w: column %d is %s[%d], want %s[%d]", errCorruptSpill, i, c.Type(), c.Len(), types[i], cols[0].Len())
+		}
+		if i >= nullable && c.Nulls() != nil {
+			return fmt.Errorf("%w: NULL in column %d", errCorruptSpill, i)
+		}
+	}
+	return nil
 }
+
+// readPartial is chunk's inverse over columns read back from disk
+// (bytes this process may not have just written): it validates them
+// against the layout and aliases them as a batch, decoding DISTINCT
+// set blobs.
+func (l *aggLayout) readPartial(cols []*vector.Vector) (*aggPartial, error) {
+	if err := checkSpilled(cols, l.partial, l.numKeys); err != nil {
+		return nil, err
+	}
+	p := &aggPartial{keys: cols[:l.numKeys], firstSeen: cols[l.numKeys].Int64s(),
+		state: make([][]*vector.Vector, len(l.shapes)), sets: make([][]map[string]struct{}, len(l.shapes))}
+	rest := cols[l.numKeys+1:]
+	for i, sh := range l.shapes {
+		if sh.distinct {
+			p.sets[i] = make([]map[string]struct{}, len(p.firstSeen))
+			for j, b := range rest[0].Blobs() {
+				set, err := decodeDistinctSet(b)
+				if err != nil {
+					return nil, err
+				}
+				p.sets[i][j] = set
+			}
+			rest = rest[1:]
+		}
+		p.state[i], rest = rest[:len(sh.state)], rest[len(sh.state):]
+	}
+	return p, nil
+}
+
+// encodeDistinctSet serializes one group's DISTINCT set — the one
+// piece of aggregation state with no columnar form — as a count and
+// length-prefixed entries. Entries are appendRowKey encodings, which
+// round-trip bit-exactly (floats by bit pattern).
+func encodeDistinctSet(set map[string]struct{}) []byte {
+	size := 4
+	for k := range set {
+		size += 4 + len(k)
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(set)))
+	for k := range set {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
+		buf = append(buf, k...)
+	}
+	return buf
+}
+
+func decodeDistinctSet(b []byte) (map[string]struct{}, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("%w: truncated DISTINCT set", errCorruptSpill)
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n > len(b)/4 { // every entry carries a 4-byte length
+		return nil, fmt.Errorf("%w: DISTINCT set of %d entries in %d bytes", errCorruptSpill, n, len(b))
+	}
+	set := make(map[string]struct{}, n)
+	for ; n > 0; n-- {
+		if len(b) < 4 {
+			return nil, fmt.Errorf("%w: truncated DISTINCT entry", errCorruptSpill)
+		}
+		l := int(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		if len(b) < l {
+			return nil, fmt.Errorf("%w: truncated DISTINCT entry", errCorruptSpill)
+		}
+		set[string(b[:l])] = struct{}{}
+		b = b[l:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: trailing DISTINCT set bytes", errCorruptSpill)
+	}
+	return set, nil
+}
+
+// ------------------------------------------------------- agg spiller
 
 // aggSpiller fans aggregation overflow out to spillFanout partitions
 // at one recursion level. One spiller (and one spill file) is shared
@@ -168,7 +248,6 @@ type aggSpiller struct {
 	ctx    *Context
 	layout *aggLayout
 	level  int
-	hybrid bool // resident partitions allowed (HybridAggEnabled at creation)
 
 	fileMu sync.Mutex
 	file   *spill.File
@@ -182,23 +261,42 @@ type aggSpiller struct {
 	parts [spillFanout]aggSpillPart
 }
 
+// aggSpillPart is one partition: resident (rows and merged groups fold
+// into table) until evicted, then spilled (they append to the raw and
+// partial chunk lists). It never holds both a table and disk refs.
 type aggSpillPart struct {
 	mu          sync.Mutex
-	table       *aggTable // resident in-memory states; nil once spilled
-	spilled     bool      // evicted: rows for this partition go to disk
+	table       *aggTable
+	spilled     bool
 	raw         *rowAppender
 	partial     *rowAppender
 	rawRefs     []spill.ChunkRef
 	partialRefs []spill.ChunkRef
 }
 
-func newAggSpiller(ctx *Context, layout *aggLayout, level int) *aggSpiller {
-	return &aggSpiller{ctx: ctx, layout: layout, level: level, hybrid: HybridAggEnabled}
+// spillRows appends columns to one of a spilled partition's row
+// buffers, flushing it once a chunk's worth accumulated. The
+// partition's lock must be held.
+func (s *aggSpiller) spillRows(a **rowAppender, refs *[]spill.ChunkRef, cols []*vector.Vector) error {
+	if *a == nil {
+		types := make([]vector.Type, len(cols))
+		for i, c := range cols {
+			types[i] = c.Type()
+		}
+		*a = newRowAppender(types)
+	}
+	for i, c := range cols {
+		(*a).cols[i].AppendVector(c)
+	}
+	if (*a).rows() < vector.DefaultChunkSize {
+		return nil
+	}
+	return s.flush(*a, refs)
 }
 
-// writeBuf flushes one partition's buffered rows into the shared file,
+// flush writes one partition's buffered rows into the shared file,
 // recording the chunk ref. The partition's lock must be held.
-func (s *aggSpiller) writeBuf(a *rowAppender, refs *[]spill.ChunkRef) error {
+func (s *aggSpiller) flush(a *rowAppender, refs *[]spill.ChunkRef) error {
 	if a.rows() == 0 {
 		return nil
 	}
@@ -220,72 +318,59 @@ func (s *aggSpiller) writeBuf(a *rowAppender, refs *[]spill.ChunkRef) error {
 	return nil
 }
 
-// partitionRows computes each row's partition and groups row indexes
-// by partition, so appends take one lock per (chunk, partition)
-// instead of one per row.
-func (s *aggSpiller) partitionRows(groupVecs []*vector.Vector, n int) [spillFanout][]int {
+// partitionRows groups row (or group) indexes by the partition their
+// hash selects at this level, so routing takes one lock per (chunk,
+// partition) instead of one per row.
+func (s *aggSpiller) partitionRows(hashes []uint64) [spillFanout][]int {
 	var sel [spillFanout][]int
-	var keyBuf []byte
-	for r := 0; r < n; r++ {
-		keyBuf = keyBuf[:0]
-		for _, gv := range groupVecs {
-			keyBuf = appendRowKey(keyBuf, gv, r)
-		}
-		p := partitionOf(hashKeyBytes(keyBuf), s.level)
+	for r, h := range hashes {
+		p := partitionOf(h, s.level)
 		sel[p] = append(sel[p], r)
 	}
 	return sel
 }
 
-// routeVecs routes n evaluated rows to their partitions: rows of a
+// resident returns the partition's in-memory table, nil once evicted.
+func (pt *aggSpillPart) resident(spec *plan.Aggregate) *aggTable {
+	if pt.spilled {
+		return nil
+	}
+	if pt.table == nil {
+		pt.table = newAggTable(spec)
+	}
+	return pt.table
+}
+
+// routeVecs routes evaluated rows to their partitions: rows of a
 // resident partition fold into its in-memory table directly, rows of
-// an evicted partition append to its raw chunk list. posOf supplies
-// each row's global input position. Safe for concurrent use by
-// multiple workers; finishes by re-checking the resident footprint
-// against the budget and evicting if needed.
-func (s *aggSpiller) routeVecs(groupVecs, argVecs []*vector.Vector, n int, posOf func(r int) int64) error {
-	sel := s.partitionRows(groupVecs, n)
-	for p := range sel {
-		if len(sel[p]) == 0 {
+// an evicted partition append to its raw chunk list. hashes are the
+// key rows' hashKeyRows and pos each row's global input position. Safe
+// for concurrent use by multiple workers; finishes by re-checking the
+// resident footprint against the budget and evicting if needed.
+func (s *aggSpiller) routeVecs(keys []*vector.Vector, hashes []uint64, args []*vector.Vector, pos []int64) error {
+	sel := s.partitionRows(hashes)
+	for p, rows := range sel {
+		if len(rows) == 0 {
 			continue
 		}
+		pkeys, pargs := gatherVecs(keys, rows), gatherVecs(args, rows)
+		ppos := gatherBy(pos, rows)
 		pt := &s.parts[p]
 		pt.mu.Lock()
-		err := func() error {
-			if s.hybrid && !pt.spilled {
-				if pt.table == nil {
-					pt.table = newAggTable(s.layout.spec)
+		var err error
+		if t := pt.resident(s.layout.spec); t != nil {
+			prev := t.size()
+			err = t.consumeVecs(pkeys, gatherBy(hashes, rows), pargs, ppos)
+			s.ctx.memGrow(t.size() - prev)
+		} else {
+			cols := pkeys
+			for _, a := range pargs {
+				if a != nil {
+					cols = append(cols, a)
 				}
-				prev := pt.table.bytes
-				if err := pt.table.consumeRowsSel(groupVecs, argVecs, sel[p], posOf); err != nil {
-					return err
-				}
-				s.ctx.memGrow(pt.table.bytes - prev)
-				return nil
 			}
-			if pt.raw == nil {
-				pt.raw = newRowAppender(s.layout.rawTypes())
-			}
-			a := pt.raw
-			for _, r := range sel[p] {
-				c := 0
-				for _, gv := range groupVecs {
-					a.cols[c].AppendRowFrom(gv, r)
-					c++
-				}
-				for i := range s.layout.spec.Aggs {
-					if s.layout.argIdx[i] < 0 {
-						continue
-					}
-					a.cols[len(groupVecs)+s.layout.argIdx[i]].AppendRowFrom(argVecs[i], r)
-				}
-				a.cols[len(a.cols)-1].AppendValue(vector.NewInt64(posOf(r)))
-			}
-			if a.rows() >= vector.DefaultChunkSize {
-				return s.writeBuf(a, &pt.rawRefs)
-			}
-			return nil
-		}()
+			err = s.spillRows(&pt.raw, &pt.rawRefs, append(cols, vector.FromInt64s(ppos)))
+		}
 		pt.mu.Unlock()
 		if err != nil {
 			return err
@@ -294,81 +379,65 @@ func (s *aggSpiller) routeVecs(groupVecs, argVecs []*vector.Vector, n int, posOf
 	return s.spillUntilFits()
 }
 
-// appendPartialRows serializes the selected groups of t as partial
-// rows into a (the dumpTable/evict serialization shared by the disk
-// and resident absorption paths). stateBuf is the caller's reusable
-// encode buffer.
-func (s *aggSpiller) appendPartialRows(a *rowAppender, t *aggTable, gis []int, stateBuf *[]byte) {
-	ng := len(s.layout.groupTypes)
-	for _, gi := range gis {
-		g := &t.groups[gi]
-		for i, kv := range g.keyVals {
-			appendCast(a.cols[i], kv, s.layout.groupTypes[i])
-		}
-		a.cols[ng].AppendValue(vector.NewInt64(g.firstSeen))
-		for i := range g.aggs {
-			*stateBuf = encodeAggState((*stateBuf)[:0], &g.aggs[i])
-			a.cols[ng+1+i].AppendValue(vector.NewBlob(append([]byte(nil), *stateBuf...)))
-		}
+// absorb hands a batch of one partition's groups to the partition: a
+// resident one merges it into its table, an evicted one buffers it as
+// partial rows for disk. The partition's lock must be held.
+func (s *aggSpiller) absorb(pt *aggSpillPart, batch *aggPartial) error {
+	if t := pt.resident(s.layout.spec); t != nil {
+		prev := t.size()
+		t.mergePartial(batch)
+		s.ctx.memGrow(t.size() - prev)
+		return nil
 	}
+	return s.spillRows(&pt.partial, &pt.partialRefs, batch.chunk())
 }
 
 // dumpTable absorbs every group of t into the spiller and accounts the
-// table's memory as released (the caller drops the table): groups of
-// resident partitions fold into the per-partition in-memory tables via
-// the partial-row codec — the same path spilled partials replay
-// through, so merge semantics cannot diverge between disk and memory —
-// and groups of evicted partitions are written as partial rows. Safe
-// for concurrent use; ends by evicting the largest resident partitions
+// table's memory as released (the caller drops the table). Safe for
+// concurrent use; ends by evicting the largest resident partitions
 // until the remainder fits the budget.
 func (s *aggSpiller) dumpTable(t *aggTable) error {
-	ng := len(s.layout.groupTypes)
-	var sel [spillFanout][]int
-	var keyBuf []byte
-	for gi := range t.groups {
-		keyBuf = keyBuf[:0]
-		for _, kv := range t.groups[gi].keyVals {
-			keyBuf = appendValueKey(keyBuf, kv)
-		}
-		p := partitionOf(hashKeyBytes(keyBuf), s.level)
-		sel[p] = append(sel[p], gi)
-	}
-	var stateBuf []byte
-	for p := range sel {
-		if len(sel[p]) == 0 {
+	sel := s.partitionRows(t.gi.hashes[:t.numGroups()])
+	for p, groups := range sel {
+		if len(groups) == 0 {
 			continue
 		}
+		batch := t.partial(groups)
 		pt := &s.parts[p]
 		pt.mu.Lock()
-		err := func() error {
-			if s.hybrid && !pt.spilled {
-				a := newRowAppender(s.layout.partialTypes())
-				s.appendPartialRows(a, t, sel[p], &stateBuf)
-				if pt.table == nil {
-					pt.table = newAggTable(s.layout.spec)
-				}
-				prev := pt.table.bytes
-				if err := pt.table.mergePartialChunk(a.cols, ng); err != nil {
-					return err
-				}
-				s.ctx.memGrow(pt.table.bytes - prev)
-				return nil
-			}
-			if pt.partial == nil {
-				pt.partial = newRowAppender(s.layout.partialTypes())
-			}
-			s.appendPartialRows(pt.partial, t, sel[p], &stateBuf)
-			if pt.partial.rows() >= vector.DefaultChunkSize {
-				return s.writeBuf(pt.partial, &pt.partialRefs)
-			}
-			return nil
-		}()
+		err := s.absorb(pt, batch)
 		pt.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	s.ctx.memShrink(t.bytes)
+	s.ctx.memShrink(t.size())
+	return s.spillUntilFits()
+}
+
+// reroutePartialChunk forwards spilled partial rows to the next
+// recursion level's partitions.
+func (s *aggSpiller) reroutePartialChunk(cols []*vector.Vector) error {
+	if err := checkSpilled(cols, s.layout.partial, s.layout.numKeys); err != nil {
+		return err
+	}
+	sel := s.partitionRows(hashKeyRows(cols[:s.layout.numKeys], cols[0].Len(), nil))
+	for p, rows := range sel {
+		if len(rows) == 0 {
+			continue
+		}
+		batch, err := s.layout.readPartial(gatherVecs(cols, rows))
+		if err != nil {
+			return err
+		}
+		pt := &s.parts[p]
+		pt.mu.Lock()
+		err = s.absorb(pt, batch)
+		pt.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	return s.spillUntilFits()
 }
 
@@ -378,9 +447,6 @@ func (s *aggSpiller) dumpTable(t *aggTable) error {
 // join build. Ties go to the higher partition index so the choice is
 // deterministic for a given set of sizes.
 func (s *aggSpiller) spillUntilFits() error {
-	if !s.hybrid {
-		return nil
-	}
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
 	for {
@@ -390,7 +456,7 @@ func (s *aggSpiller) spillUntilFits() error {
 			pt := &s.parts[p]
 			pt.mu.Lock()
 			if pt.table != nil {
-				b := pt.table.bytes
+				b := pt.table.size()
 				resident += b
 				if b >= bestBytes {
 					best, bestBytes = p, b
@@ -407,7 +473,7 @@ func (s *aggSpiller) spillUntilFits() error {
 	}
 }
 
-// evictPart serializes one resident partition's groups as partial rows
+// evictPart writes one resident partition's groups as partial rows
 // and marks the partition spilled; subsequent rows for it go to disk.
 // No re-partitioning is needed: every group already belongs here.
 func (s *aggSpiller) evictPart(p int) error {
@@ -418,98 +484,27 @@ func (s *aggSpiller) evictPart(p int) error {
 	if t == nil {
 		return nil
 	}
-	if pt.partial == nil {
-		pt.partial = newRowAppender(s.layout.partialTypes())
-	}
-	gis := make([]int, len(t.groups))
-	for i := range gis {
-		gis[i] = i
-	}
-	var stateBuf []byte
-	s.appendPartialRows(pt.partial, t, gis, &stateBuf)
-	if pt.partial.rows() >= vector.DefaultChunkSize {
-		if err := s.writeBuf(pt.partial, &pt.partialRefs); err != nil {
-			return err
-		}
-	}
-	s.ctx.memShrink(t.bytes)
-	pt.table = nil
-	pt.spilled = true
-	return nil
-}
-
-// reroutePartialChunk forwards spilled partial rows to the next
-// recursion level's partitions: resident partitions merge them into
-// their in-memory tables, evicted ones buffer them for disk.
-func (s *aggSpiller) reroutePartialChunk(cols []*vector.Vector, ng int) error {
-	sel := s.partitionRows(cols[:ng], cols[ng].Len())
-	for p := range sel {
-		if len(sel[p]) == 0 {
-			continue
-		}
-		pt := &s.parts[p]
-		pt.mu.Lock()
-		err := func() error {
-			if s.hybrid && !pt.spilled {
-				if pt.table == nil {
-					pt.table = newAggTable(s.layout.spec)
-				}
-				// mergePartialChunk walks whole columns, so materialize
-				// just this partition's rows first.
-				a := newRowAppender(s.layout.partialTypes())
-				for _, r := range sel[p] {
-					for i, c := range cols {
-						a.cols[i].AppendRowFrom(c, r)
-					}
-				}
-				prev := pt.table.bytes
-				if err := pt.table.mergePartialChunk(a.cols, ng); err != nil {
-					return err
-				}
-				s.ctx.memGrow(pt.table.bytes - prev)
-				return nil
-			}
-			if pt.partial == nil {
-				pt.partial = newRowAppender(s.layout.partialTypes())
-			}
-			for _, r := range sel[p] {
-				for i, c := range cols {
-					pt.partial.cols[i].AppendRowFrom(c, r)
-				}
-			}
-			if pt.partial.rows() >= vector.DefaultChunkSize {
-				return s.writeBuf(pt.partial, &pt.partialRefs)
-			}
-			return nil
-		}()
-		pt.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return s.spillUntilFits()
+	pt.table, pt.spilled = nil, true
+	s.ctx.memShrink(t.size())
+	return s.absorb(pt, t.partial(identitySel(t.numGroups())))
 }
 
 // finish flushes all buffered rows and counts the partitions that went
-// to disk vs the ones hybrid mode kept resident (surfaced through
-// SpillStats and, under EXPLAIN ANALYZE, the operator's tap).
+// to disk vs the ones kept resident (surfaced through SpillStats and,
+// under EXPLAIN ANALYZE, the operator's tap).
 func (s *aggSpiller) finish() error {
 	var spilled, resident int64
 	for p := range s.parts {
 		pt := &s.parts[p]
-		if pt.raw != nil {
-			if err := s.writeBuf(pt.raw, &pt.rawRefs); err != nil {
-				return err
-			}
+		if err := s.flush(pt.raw, &pt.rawRefs); err != nil {
+			return err
 		}
-		if pt.partial != nil {
-			if err := s.writeBuf(pt.partial, &pt.partialRefs); err != nil {
-				return err
-			}
+		if err := s.flush(pt.partial, &pt.partialRefs); err != nil {
+			return err
 		}
 		if len(pt.rawRefs) > 0 || len(pt.partialRefs) > 0 {
 			spilled++
-		} else if pt.table != nil && len(pt.table.groups) > 0 {
+		} else if pt.table != nil && pt.table.numGroups() > 0 {
 			resident++
 		}
 	}
@@ -530,94 +525,6 @@ func (s *aggSpiller) release() {
 	}
 }
 
-// ------------------------------------------------------- state codec
-
-// encodeAggState serializes one aggregate's partial state: counts and
-// sums fixed-width, min/max as optional value keys, the DISTINCT set
-// as length-prefixed entries. appendValueKey round-trips bit-exactly
-// (floats by bit pattern), so partial states survive disk unchanged.
-func encodeAggState(buf []byte, st *aggState) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.count))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.sumI))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.sumF))
-	buf = appendOptValue(buf, st.min)
-	buf = appendOptValue(buf, st.max)
-	if st.distinct == nil {
-		buf = binary.LittleEndian.AppendUint32(buf, 0xFFFFFFFF)
-		return buf
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.distinct)))
-	for k := range st.distinct {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-	}
-	return buf
-}
-
-func appendOptValue(buf []byte, v vector.Value) []byte {
-	if v.Type() == vector.Invalid {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	return appendValueKey(buf, v)
-}
-
-func decodeAggState(b []byte) (aggState, error) {
-	var st aggState
-	if len(b) < 24 {
-		return st, fmt.Errorf("exec: truncated agg state")
-	}
-	st.count = int64(binary.LittleEndian.Uint64(b))
-	st.sumI = int64(binary.LittleEndian.Uint64(b[8:]))
-	st.sumF = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
-	b = b[24:]
-	var err error
-	if st.min, b, err = decodeOptValue(b); err != nil {
-		return st, err
-	}
-	if st.max, b, err = decodeOptValue(b); err != nil {
-		return st, err
-	}
-	if len(b) < 4 {
-		return st, fmt.Errorf("exec: truncated agg state distinct count")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if n == 0xFFFFFFFF {
-		if len(b) != 0 {
-			return st, fmt.Errorf("exec: trailing agg state bytes")
-		}
-		return st, nil
-	}
-	st.distinct = make(map[string]struct{}, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return st, fmt.Errorf("exec: truncated distinct entry")
-		}
-		l := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < l {
-			return st, fmt.Errorf("exec: truncated distinct entry")
-		}
-		st.distinct[string(b[:l])] = struct{}{}
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return st, fmt.Errorf("exec: trailing agg state bytes")
-	}
-	return st, nil
-}
-
-func decodeOptValue(b []byte) (vector.Value, []byte, error) {
-	if len(b) < 1 {
-		return vector.Null(), nil, fmt.Errorf("exec: truncated agg state value")
-	}
-	if b[0] == 0 {
-		return vector.Value{}, b[1:], nil
-	}
-	return decodeValueKey(b[1:])
-}
-
 // ------------------------------------------------------- consumer
 
 // aggShared is the spill state shared by every consumer of one
@@ -625,18 +532,15 @@ func decodeOptValue(b []byte) (vector.Value, []byte, error) {
 // and all consumers route into the same partition files afterwards.
 type aggShared struct {
 	mu      sync.Mutex
-	layout  *aggLayout
 	spiller *aggSpiller
 }
 
-// get returns the shared spiller, creating it (with a layout derived
-// from the caller's evaluated vectors) on first use.
-func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate, groupVecs, argVecs []*vector.Vector) *aggSpiller {
+// get returns the shared spiller, creating it on first use.
+func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate) *aggSpiller {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.spiller == nil {
-		sh.layout = newAggLayout(spec, groupVecs, argVecs)
-		sh.spiller = newAggSpiller(ctx, sh.layout, 0)
+		sh.spiller = &aggSpiller{ctx: ctx, layout: newAggLayout(spec)}
 	}
 	return sh.spiller
 }
@@ -646,30 +550,34 @@ func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate, groupVecs, argVecs 
 // when the query's footprint exceeds its budget.
 type aggConsumer struct {
 	ctx     *Context
-	spec    *plan.Aggregate
 	shared  *aggShared
+	in      *aggInputs
 	table   *aggTable
 	spiller *aggSpiller
 }
 
 func newAggConsumer(ctx *Context, spec *plan.Aggregate, shared *aggShared) *aggConsumer {
-	return &aggConsumer{ctx: ctx, spec: spec, shared: shared, table: newAggTable(spec)}
+	return &aggConsumer{ctx: ctx, shared: shared, in: newAggInputs(spec), table: newAggTable(spec)}
 }
 
 // consume folds one chunk, switching to spill routing once over
 // budget. morsel is the chunk's global input index.
 func (c *aggConsumer) consume(ch *vector.Chunk, morsel int) error {
-	t := c.table
-	if t == nil {
-		return c.routeChunk(ch, morsel)
-	}
-	prev := t.bytes
-	if err := t.consume(ch, morsel); err != nil {
+	in := c.in
+	if err := in.eval(ch, morsel); err != nil {
 		return err
 	}
-	c.ctx.memGrow(t.bytes - prev)
-	if c.ctx.shouldSpill(t.bytes) {
-		c.spiller = c.shared.get(c.ctx, c.spec, t.groupVecs, t.argVecs)
+	t := c.table
+	if t == nil {
+		return c.spiller.routeVecs(in.keys, in.hashes, in.args, in.pos)
+	}
+	prev := t.size()
+	if err := t.consumeVecs(in.keys, in.hashes, in.args, in.pos); err != nil {
+		return err
+	}
+	c.ctx.memGrow(t.size() - prev)
+	if c.ctx.shouldSpill(t.size()) {
+		c.spiller = c.shared.get(c.ctx, in.spec)
 		if err := c.spiller.dumpTable(t); err != nil {
 			return err
 		}
@@ -678,140 +586,89 @@ func (c *aggConsumer) consume(ch *vector.Chunk, morsel int) error {
 	return nil
 }
 
-// routeChunk evaluates a chunk's group/arg expressions and routes the
-// rows to spill partitions.
-func (c *aggConsumer) routeChunk(ch *vector.Chunk, morsel int) error {
-	groupVecs := make([]*vector.Vector, len(c.spec.GroupBy))
-	for i, g := range c.spec.GroupBy {
-		v, err := Evaluate(g, ch)
-		if err != nil {
-			return err
+// ------------------------------------------------------- emit
+
+// mergeRange is the slice of the hash space, out of parts equal ones,
+// that hash h falls in. It reads the hash's high word; spill
+// partitioning consumes the low nibbles.
+func mergeRange(h uint64, parts int) int {
+	return int((h >> 32) * uint64(parts) >> 32)
+}
+
+// mergeTables turns the consumers' in-memory tables (in worker-index
+// order) into firstSeen-sorted runs. One table emits as it is — every
+// serial query. Several are merged partition-parallel: merge worker w
+// owns the w-th slice of the hash space and folds, table by table in
+// worker-index order, the groups whose hash falls in it into a table
+// of its own, so no two workers ever touch one group, nothing depends
+// on which worker finishes first, and a float SUM adds its per-worker
+// partials in the same order at any degree of parallelism.
+func mergeTables(ctx *Context, spec *plan.Aggregate, tables []*aggTable) ([]*mergeRun, error) {
+	if len(tables) == 0 {
+		t := newAggTable(spec)
+		t.ensureGlobalGroup()
+		tables = append(tables, t)
+	}
+	runs := make([]*mergeRun, len(tables))
+	errs := make([]error, len(tables))
+	emit := func(w int, t *aggTable) {
+		run, err := t.emitRun()
+		runs[w], errs[w] = newMemRun(run), err
+	}
+	if len(tables) == 1 {
+		emit(0, tables[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := range tables {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				merged := newAggTable(spec)
+				for _, t := range tables {
+					sel := make([]int, 0, t.numGroups()/len(tables)*5/4)
+					for id, h := range t.gi.hashes[:t.numGroups()] {
+						if mergeRange(h, len(tables)) == w {
+							sel = append(sel, id)
+						}
+					}
+					merged.mergePartial(t.partial(sel))
+				}
+				emit(w, merged)
+			}(w)
 		}
-		groupVecs[i] = v
+		wg.Wait()
 	}
-	argVecs := make([]*vector.Vector, len(c.spec.Aggs))
-	for i, s := range c.spec.Aggs {
-		if s.Arg == nil {
-			continue
-		}
-		v, err := Evaluate(s.Arg, ch)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
+	// The aggregation state dies here; only the emitted runs live on.
+	for _, t := range tables {
+		ctx.memShrink(t.size())
 	}
-	return c.spiller.routeVecs(groupVecs, argVecs, ch.NumRows(), func(r int) int64 {
-		return int64(morsel)<<32 | int64(r)
-	})
+	return runs, errors.Join(errs...)
 }
 
-func (c *aggConsumer) spilled() bool { return c.spiller != nil }
-
-// ------------------------------------------------------- emitter
-
-// aggEmitter streams the aggregation result: a single in-memory chunk
-// on the fast path, or the firstSeen-ordered merge of partition runs
-// after a spill.
-type aggEmitter struct {
-	chunk  *vector.Chunk
-	merger *runMerger
-	done   bool
-}
-
-func (e *aggEmitter) next(ctx *Context) (*vector.Chunk, error) {
-	if e == nil || e.done {
-		return nil, nil
-	}
-	if e.chunk != nil {
-		e.done = true
-		return e.chunk, nil
-	}
-	ch, err := e.merger.next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ch == nil {
-		e.done = true
-	}
-	return ch, nil
-}
-
-func (e *aggEmitter) close() {
-	if e != nil {
-		e.merger.close()
-	}
-}
-
-// aggPartSource is one partition's spilled data: chunk refs into a
-// shared spill file.
-type aggPartSource struct {
-	file        *spill.File
-	rawRefs     []spill.ChunkRef
-	partialRefs []spill.ChunkRef
-}
-
-// finishAggEmit turns the consumers' accumulated state into an
-// emitter. With no spill anywhere, in-memory tables merge exactly as
-// before (worker order, first-appearance emit). Once any consumer
-// spilled, the remaining in-memory tables are merged and dumped into
-// the shared spiller too, and every partition is processed to a
-// firstSeen-sorted run; the runs merge back into global
+// finishAggEmit turns the consumers' accumulated state into the merger
+// that streams the result. With no spill anywhere the in-memory tables
+// merge directly (mergeTables). Once any consumer spilled, the
+// remaining in-memory tables are dumped into the shared spiller too,
+// in consumer order, and every partition is processed to a
+// firstSeen-sorted run; either way the runs merge back into global
 // first-appearance order.
-// mergeConsumerTables folds the consumers' in-memory tables into one,
-// in consumer (worker-index) order — the order the determinism
-// argument and the float-sum caveat are stated against. Returns nil
-// when no consumer holds a non-empty table.
-func mergeConsumerTables(consumers []*aggConsumer) (*aggTable, error) {
-	var base *aggTable
-	var byKey map[string]int32
+func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer, shared *aggShared) (*runMerger, error) {
+	var tables []*aggTable
 	for _, c := range consumers {
-		if c.table == nil || len(c.table.groups) == 0 {
-			continue
-		}
-		if base == nil {
-			base = c.table
-			continue
-		}
-		if byKey == nil {
-			byKey = base.mergeKeyMap()
-		}
-		if err := base.merge(c.table, byKey); err != nil {
-			return nil, err
+		if c.table != nil && c.table.numGroups() > 0 {
+			tables = append(tables, c.table)
 		}
 	}
-	return base, nil
-}
-
-func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer, shared *aggShared) (*aggEmitter, error) {
-	if shared.spiller == nil {
-		base, err := mergeConsumerTables(consumers)
-		if err != nil {
-			return nil, err
-		}
-		if base == nil {
-			base = newAggTable(spec)
-		}
-		base.ensureGlobalGroup()
-		ch, err := base.emit()
-		// The aggregation state (all consumers' bytes, transferred into
-		// base by merge) dies here; only the emitted chunk lives on.
-		ctx.memShrink(base.bytes)
-		if err != nil {
-			return nil, err
-		}
-		return &aggEmitter{chunk: ch}, nil
-	}
-
-	// Dump leftover in-memory tables (merged in consumer order, the
-	// same order the in-memory path merges) into the shared spiller so
-	// partition processing sees every consumer's state uniformly.
 	sp := shared.spiller
-	leftover, err := mergeConsumerTables(consumers)
-	if err != nil {
-		return nil, err
+	if sp == nil {
+		runs, err := mergeTables(ctx, spec, tables)
+		if err != nil {
+			return nil, err
+		}
+		return newRunMerger(ctx, nil, runs, -1, nil, 0), nil
 	}
-	if leftover != nil {
-		if err := sp.dumpTable(leftover); err != nil {
+	for _, t := range tables {
+		if err := sp.dumpTable(t); err != nil {
 			return nil, err
 		}
 	}
@@ -834,7 +691,7 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 	}
 
 	var held int64
-	runs, err := spillerRuns(ctx, spec, shared.layout, sp, 1, getOut, &held)
+	runs, err := spillerRuns(ctx, sp, 1, getOut, &held)
 	if err != nil {
 		ctx.memShrink(held)
 		return nil, err
@@ -846,33 +703,21 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 	if outFile != nil {
 		files = append(files, outFile)
 	}
-	return &aggEmitter{merger: newRunMerger(ctx, nil, runs, -1, files, held)}, nil
+	return newRunMerger(ctx, nil, runs, -1, files, held), nil
 }
 
 // spillerRuns turns every partition of sp into firstSeen-sorted runs:
-// resident tables (hybrid mode) never touched disk — their groups are
-// already merged by key and emit directly — while spilled partitions
-// re-aggregate (and recurse) via processAggPartition. A resident table
-// excludes disk refs by construction: the routing paths keep the two
-// mutually exclusive. nextLevel is the recursion level for spilled
-// partitions.
-func spillerRuns(ctx *Context, spec *plan.Aggregate, layout *aggLayout, sp *aggSpiller, nextLevel int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
+// resident tables never touched disk — their groups are already merged
+// by key and emit directly — while spilled partitions re-aggregate
+// (and recurse) via processAggPartition. nextLevel is the recursion
+// level for spilled partitions.
+func spillerRuns(ctx *Context, sp *aggSpiller, nextLevel int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
 	var runs []*mergeRun
 	for p := 0; p < spillFanout; p++ {
 		pt := &sp.parts[p]
-		if pt.table != nil {
-			t := pt.table
+		if t := pt.table; t != nil {
 			pt.table = nil
-			if len(t.groups) == 0 {
-				ctx.memShrink(t.bytes)
-				continue
-			}
-			run, err := t.emitRun()
-			ctx.memShrink(t.bytes)
-			if err != nil {
-				return nil, err
-			}
-			mr, err := maybeSpillAggRun(ctx, run, getOut, held)
+			mr, err := emitAggRun(ctx, t, getOut, held)
 			if err != nil {
 				return nil, err
 			}
@@ -882,8 +727,7 @@ func spillerRuns(ctx *Context, spec *plan.Aggregate, layout *aggLayout, sp *aggS
 		if len(pt.rawRefs) == 0 && len(pt.partialRefs) == 0 {
 			continue
 		}
-		src := aggPartSource{file: sp.file, rawRefs: pt.rawRefs, partialRefs: pt.partialRefs}
-		prs, err := processAggPartition(ctx, spec, layout, src, nextLevel, getOut, held)
+		prs, err := processAggPartition(ctx, sp, pt, nextLevel, getOut, held)
 		if err != nil {
 			return nil, err
 		}
@@ -897,21 +741,22 @@ func spillerRuns(ctx *Context, spec *plan.Aggregate, layout *aggLayout, sp *aggS
 // recursively at the next hash level. It returns the partition's
 // groups as firstSeen-sorted runs (several after recursion), spilling
 // each run that would not fit in memory to the shared out-file.
-func processAggPartition(ctx *Context, spec *plan.Aggregate, layout *aggLayout, src aggPartSource, level int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
-	t := newAggTable(spec)
+func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
+	layout := sp.layout
+	t := newAggTable(layout.spec)
 	var sub *aggSpiller
-	ng := len(layout.groupTypes)
 
-	overflow := func() error {
-		if sub != nil || level >= maxSpillLevels || !ctx.shouldSpill(t.bytes) {
+	// grown charges what the last chunk added to t and, once t is over
+	// budget, hands it to a sub-spiller on the next hash nibble.
+	grown := func(prev int64) error {
+		ctx.memGrow(t.size() - prev)
+		if level >= maxSpillLevels || !ctx.shouldSpill(t.size()) {
 			return nil
 		}
-		sub = newAggSpiller(ctx, layout, level)
-		if err := sub.dumpTable(t); err != nil {
-			return err
-		}
+		sub = &aggSpiller{ctx: ctx, layout: layout, level: level}
+		err := sub.dumpTable(t)
 		t = nil
-		return nil
+		return err
 	}
 
 	// Partials first, then raw rows: every group a raw row touches
@@ -921,60 +766,59 @@ func processAggPartition(ctx *Context, spec *plan.Aggregate, layout *aggLayout, 
 		if ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		cols, err := src.file.ReadChunkAt(ref)
+		cols, err := sp.file.ReadChunkAt(ref)
 		if err != nil {
 			return nil, err
 		}
-		if t != nil {
-			prev := t.bytes
-			if err := t.mergePartialChunk(cols, ng); err != nil {
-				return nil, err
-			}
-			ctx.memGrow(t.bytes - prev)
-			if err := overflow(); err != nil {
-				return nil, err
-			}
-		} else if err := sub.reroutePartialChunk(cols, ng); err != nil {
+		if t == nil {
+			err = sub.reroutePartialChunk(cols)
+		} else if batch, rerr := layout.readPartial(cols); rerr != nil {
+			err = rerr
+		} else {
+			prev := t.size()
+			t.mergePartial(batch)
+			err = grown(prev)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
+	var hashes []uint64
 	for _, ref := range src.rawRefs {
 		if ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		cols, err := src.file.ReadChunkAt(ref)
+		cols, err := sp.file.ReadChunkAt(ref)
 		if err != nil {
 			return nil, err
 		}
-		groupVecs := cols[:ng]
-		argVecs := make([]*vector.Vector, len(spec.Aggs))
-		for i := range spec.Aggs {
-			if layout.argIdx[i] >= 0 {
-				argVecs[i] = cols[ng+layout.argIdx[i]]
+		if err := checkSpilled(cols, layout.raw, len(cols)-1); err != nil {
+			return nil, err
+		}
+		keys, rest := cols[:layout.numKeys], cols[layout.numKeys:]
+		args := make([]*vector.Vector, len(layout.shapes))
+		for i := range layout.shapes {
+			if layout.shapes[i].spec.Arg != nil {
+				args[i], rest = rest[0], rest[1:]
 			}
 		}
-		pos := cols[len(cols)-1].Int64s()
-		if t != nil {
-			prev := t.bytes
-			if err := t.consumeVecs(groupVecs, argVecs, len(pos), func(r int) int64 { return pos[r] }); err != nil {
-				return nil, err
+		pos := rest[0].Int64s()
+		hashes = hashKeyRows(keys, len(pos), hashes)
+		if t == nil {
+			err = sub.routeVecs(keys, hashes, args, pos)
+		} else {
+			prev := t.size()
+			if err = t.consumeVecs(keys, hashes, args, pos); err == nil {
+				err = grown(prev)
 			}
-			ctx.memGrow(t.bytes - prev)
-			if err := overflow(); err != nil {
-				return nil, err
-			}
-		} else if err := sub.routeVecs(groupVecs, argVecs, len(pos), func(r int) int64 { return pos[r] }); err != nil {
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 
 	if sub == nil {
-		run, err := t.emitRun()
-		ctx.memShrink(t.bytes)
-		if err != nil {
-			return nil, err
-		}
-		mr, err := maybeSpillAggRun(ctx, run, getOut, held)
+		mr, err := emitAggRun(ctx, t, getOut, held)
 		if err != nil {
 			return nil, err
 		}
@@ -983,12 +827,23 @@ func processAggPartition(ctx *Context, spec *plan.Aggregate, layout *aggLayout, 
 	if err := sub.finish(); err != nil {
 		return nil, err
 	}
-	runs, err := spillerRuns(ctx, spec, layout, sub, level+1, getOut, held)
+	runs, err := spillerRuns(ctx, sub, level+1, getOut, held)
 	if err != nil {
 		return nil, err
 	}
 	sub.release()
 	return runs, nil
+}
+
+// emitAggRun emits a finished table as a run, releasing the table's
+// bytes and keeping or spilling the run as maybeSpillAggRun decides.
+func emitAggRun(ctx *Context, t *aggTable, getOut func() (*spill.File, error), held *int64) (*mergeRun, error) {
+	run, err := t.emitRun()
+	ctx.memShrink(t.size())
+	if err != nil {
+		return nil, err
+	}
+	return maybeSpillAggRun(ctx, run, getOut, held)
 }
 
 // maybeSpillAggRun keeps a partition's output run in memory when it
@@ -1016,38 +871,4 @@ func maybeSpillAggRun(ctx *Context, run *sortedRun, getOut func() (*spill.File, 
 	*held += b
 	ctx.memGrow(b)
 	return newMemRun(run), nil
-}
-
-// mergePartialChunk folds a chunk of spilled partial-state rows into
-// the table (group key columns, firstSeen, per-agg state blobs).
-func (t *aggTable) mergePartialChunk(cols []*vector.Vector, ng int) error {
-	groupVecs := cols[:ng]
-	firstSeen := cols[ng].Int64s()
-	n := len(firstSeen)
-	for r := 0; r < n; r++ {
-		g := t.getOrCreate(groupVecs, r, firstSeen[r])
-		for i := range t.spec.Aggs {
-			st, err := decodeAggState(cols[ng+1+i].Blobs()[r])
-			if err != nil {
-				return err
-			}
-			// Conservative footprint for the merged-in state: distinct
-			// entries plus retained MIN/MAX values (mergeAggState may
-			// keep either side; counting the incoming one can only
-			// overcount, which errs toward spilling).
-			for k := range st.distinct {
-				t.bytes += int64(len(k)) + 48
-			}
-			if st.min.Type() != vector.Invalid {
-				t.bytes += valueBytes(st.min)
-			}
-			if st.max.Type() != vector.Invalid {
-				t.bytes += valueBytes(st.max)
-			}
-			if err := mergeAggState(&g.aggs[i], &st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -4,8 +4,8 @@
 // out-of-core mode:
 //
 //  1. The index's keys are dumped as per-partition "seen" rows (one
-//     canonical key blob per already-emitted row), partitioned by a
-//     hash of the canonical key, and the index is dropped.
+//     encoded key blob per already-emitted row), partitioned by a
+//     hash of the encoded key, and the index is dropped.
 //  2. Every subsequent input row is routed by the same hash to its
 //     partition as a raw row (the data columns plus the row's global
 //     input position) without touching the index at all.
@@ -28,22 +28,8 @@
 package exec
 
 import (
-	"encoding/binary"
-
 	"vexdb/internal/spill"
 	"vexdb/internal/vector"
-)
-
-// Canonical distinct-key encoding. The group index stores keys in
-// three different representations (folded uint64, raw string, generic
-// byte encoding); the canonical form prefixes each with a marker so
-// dumped index keys and keys recomputed from replayed rows land in one
-// shared keyspace without collisions across representations.
-const (
-	distinctKeyNull  = 0xFF // single-key NULL row
-	distinctKeyInt   = 1    // folded fixed-width key (u64 LE)
-	distinctKeyStr   = 2    // raw string bytes
-	distinctKeyBytes = 3    // appendRowKey over all columns
 )
 
 // distinctSpiller fans post-overflow distinct input out to spillFanout
@@ -52,7 +38,6 @@ const (
 // partitions on; recursive sub-spillers run one nibble deeper.
 type distinctSpiller struct {
 	ctx   *Context
-	kind  keyKind
 	level int
 
 	file  *spill.File
@@ -61,42 +46,16 @@ type distinctSpiller struct {
 
 type distinctPart struct {
 	raw      *rowAppender // data cols + pos
-	seen     *rowAppender // one Blob col of canonical keys
+	seen     *rowAppender // one Blob col of row keys
 	rawRefs  []spill.ChunkRef
 	seenRefs []spill.ChunkRef
 }
 
-func newDistinctSpiller(ctx *Context, kind keyKind) *distinctSpiller {
-	return &distinctSpiller{ctx: ctx, kind: kind}
-}
-
-// keyOf appends row r's canonical distinct key to buf[:0], mirroring
-// groupIndex.groupID's representation choices (including the
-// divergence fallback to the generic encoding) so dumped index entries
-// and replayed rows agree byte-for-byte.
-func (s *distinctSpiller) keyOf(buf []byte, cols []*vector.Vector, r int) []byte {
+// keyOf appends row r's distinct key — appendRowKey over every column
+// — to buf[:0]. Dumped index entries and replayed rows are encoded
+// from the same typed columns, so they agree byte-for-byte.
+func keyOf(buf []byte, cols []*vector.Vector, r int) []byte {
 	buf = buf[:0]
-	switch s.kind {
-	case keyKindInt:
-		v := cols[0]
-		if v.IsNull(r) {
-			return append(buf, distinctKeyNull)
-		}
-		if k, ok := fixedKeyAt(v, r); ok {
-			buf = append(buf, distinctKeyInt)
-			return binary.LittleEndian.AppendUint64(buf, k)
-		}
-	case keyKindStr:
-		v := cols[0]
-		if v.IsNull(r) {
-			return append(buf, distinctKeyNull)
-		}
-		if v.Type() == vector.String {
-			buf = append(buf, distinctKeyStr)
-			return append(buf, v.Strings()[r]...)
-		}
-	}
-	buf = append(buf, distinctKeyBytes)
 	for _, c := range cols {
 		buf = appendRowKey(buf, c, r)
 	}
@@ -125,7 +84,7 @@ func (s *distinctSpiller) writeBuf(a *rowAppender, refs *[]spill.ChunkRef) error
 	return nil
 }
 
-// addSeen routes one canonical key to its partition's seen list.
+// addSeen routes one row key to its partition's seen list.
 func (s *distinctSpiller) addSeen(key []byte) error {
 	pt := &s.parts[partitionOf(hashKeyBytes(key), s.level)]
 	if pt.seen == nil {
@@ -138,33 +97,12 @@ func (s *distinctSpiller) addSeen(key []byte) error {
 	return nil
 }
 
-// dumpIndex writes every key of the dropped group index as a seen row,
-// each representation under its canonical marker.
+// dumpIndex writes every key of the dropped group index as a seen row.
 func (s *distinctSpiller) dumpIndex(gi *groupIndex) error {
 	var buf []byte
-	for k := range gi.fastInt {
-		buf = append(buf[:0], distinctKeyInt)
-		buf = binary.LittleEndian.AppendUint64(buf, k)
+	for id := 0; id < gi.n; id++ {
+		buf = keyOf(buf, gi.keys, id)
 		if err := s.addSeen(buf); err != nil {
-			return err
-		}
-	}
-	for k := range gi.fastStr {
-		buf = append(buf[:0], distinctKeyStr)
-		buf = append(buf, k...)
-		if err := s.addSeen(buf); err != nil {
-			return err
-		}
-	}
-	for k := range gi.slow {
-		buf = append(buf[:0], distinctKeyBytes)
-		buf = append(buf, k...)
-		if err := s.addSeen(buf); err != nil {
-			return err
-		}
-	}
-	if gi.nullID >= 0 {
-		if err := s.addSeen([]byte{distinctKeyNull}); err != nil {
 			return err
 		}
 	}
@@ -178,7 +116,7 @@ func (s *distinctSpiller) route(ch *vector.Chunk, basePos int64) error {
 	cols := ch.Cols()
 	var buf []byte
 	for r := 0; r < ch.NumRows(); r++ {
-		buf = s.keyOf(buf, cols, r)
+		buf = keyOf(buf, cols, r)
 		if err := s.routeRawRow(buf, cols, r, basePos+int64(r)); err != nil {
 			return err
 		}
@@ -214,7 +152,7 @@ func (s *distinctSpiller) routeRawRow(key []byte, cols []*vector.Vector, r int, 
 func (s *distinctSpiller) routeRawRows(data []*vector.Vector, pos []int64) error {
 	var buf []byte
 	for r := range pos {
-		buf = s.keyOf(buf, data, r)
+		buf = keyOf(buf, data, r)
 		if err := s.routeRawRow(buf, data, r, pos[r]); err != nil {
 			return err
 		}
@@ -360,7 +298,7 @@ func (s *distinctSpiller) processPartition(pt *distinctPart, getOut func() (*spi
 		if err := flush(); err != nil {
 			return nil, err
 		}
-		sub := &distinctSpiller{ctx: ctx, kind: s.kind, level: s.level + 1}
+		sub := &distinctSpiller{ctx: ctx, level: s.level + 1}
 		defer sub.release()
 		for k := range seen {
 			if err := sub.addSeen([]byte(k)); err != nil {
@@ -431,7 +369,7 @@ func (s *distinctSpiller) processPartition(pt *distinctPart, getOut func() (*spi
 		data := cols[:len(cols)-1]
 		pos := cols[len(cols)-1].Int64s()
 		for r := range pos {
-			buf = s.keyOf(buf, data, r)
+			buf = keyOf(buf, data, r)
 			if !note(buf) {
 				continue
 			}

@@ -2,20 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/vector"
 )
-
-// setHybridAgg flips the hybrid-aggregation toggle for one test and
-// restores it afterwards.
-func setHybridAgg(t *testing.T, on bool) {
-	t.Helper()
-	prev := HybridAggEnabled
-	HybridAggEnabled = on
-	t.Cleanup(func() { HybridAggEnabled = prev })
-}
 
 // hybridAggNode builds the adversarial aggregation the differential
 // matrix runs: NaN/NULL float group key alongside a high-cardinality
@@ -38,55 +30,53 @@ func hybridAggNode(tab plan.Node) plan.Node {
 	}
 }
 
-// TestHybridAggDifferentialMatrix proves byte-identity of the hybrid
-// spill path against the unlimited in-memory baseline and against the
-// route-everything path across the full matrix: workers 1/2/8 ×
-// budgets unlimited/4MB/64KB, NaN/NULL group keys, DISTINCT
-// aggregates, materialized and streamed consumption.
+// TestHybridAggDifferentialMatrix proves byte-identity of hybrid
+// spill-mode aggregation against the unlimited serial answer across
+// workers 1/2/3/8 × budgets unlimited/4MB/256KB/64KB/16KB (no spill,
+// most partitions resident, few resident, every partition evicted and
+// re-partitioned), with NaN/NULL group keys and DISTINCT aggregates,
+// materialized and streamed.
 func TestHybridAggDifferentialMatrix(t *testing.T) {
 	tab := buildSpillTable(t, 4*vector.DefaultChunkSize)
 	node := hybridAggNode(&plan.Scan{Table: tab})
 	want := runPlan(t, node, &Context{Parallelism: 1})
 
-	for _, hybrid := range []bool{true, false} {
-		setHybridAgg(t, hybrid)
-		for _, workers := range []int{1, 2, 8} {
-			for _, budget := range []int64{0, 4 << 20, 64 << 10} {
-				label := fmt.Sprintf("hybrid=%v workers=%d budget=%d", hybrid, workers, budget)
-				ctx, dir := spillCtx(t, workers, budget)
-				got := runPlan(t, node, ctx)
-				assertTablesEqual(t, got, want, label)
-				if budget == 64<<10 && !ctx.Spill.Spilled() {
-					t.Fatalf("%s: expected spilling", label)
-				}
-				assertTempDirEmpty(t, dir)
-
-				// Streamed consumption must agree chunk by chunk too.
-				ctx2, dir2 := spillCtx(t, workers, budget)
-				s, err := Stream(node, ctx2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				streamed, err := s.Materialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Close()
-				assertTablesEqual(t, streamed, want, label+" streamed")
-				assertTempDirEmpty(t, dir2)
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, budget := range []int64{0, 4 << 20, 256 << 10, 64 << 10, 16 << 10} {
+			label := fmt.Sprintf("workers=%d budget=%d", workers, budget)
+			ctx, dir := spillCtx(t, workers, budget)
+			got := runPlan(t, node, ctx)
+			assertTablesEqual(t, got, want, label)
+			if budget > 0 && budget <= 64<<10 && !ctx.Spill.Spilled() {
+				t.Fatalf("%s: expected spilling", label)
 			}
+			assertTempDirEmpty(t, dir)
+
+			// Streamed consumption must agree chunk by chunk too.
+			ctx2, dir2 := spillCtx(t, workers, budget)
+			s, err := Stream(node, ctx2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := s.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			assertTablesEqual(t, streamed, want, label+" streamed")
+			assertTempDirEmpty(t, dir2)
 		}
 	}
 }
 
 // TestHybridAggKeepsPartitionsResident: at a budget that fits most but
-// not all of the aggregation state, the hybrid path must keep some
-// partitions in memory (resident counter), write strictly less spill
-// than route-everything, and still produce identical bytes. The
-// grouping is low-cardinality (sk × v), the case hybrid is built for:
-// resident partitions merge repeated groups instead of re-writing
-// their rows, while the DISTINCT-over-id aggregate keeps the state
-// large enough to overflow the budget.
+// not all of the aggregation state, some partitions must stay in
+// memory (resident counter) and what is written must be a fraction of
+// what a budget too small to keep anything resident writes, with
+// identical bytes. The grouping is low-cardinality (sk × v), the case
+// hybrid is built for: resident partitions merge repeated groups
+// instead of re-writing their rows, while the DISTINCT-over-id
+// aggregate keeps the state large enough to overflow the budget.
 func TestHybridAggKeepsPartitionsResident(t *testing.T) {
 	tab := buildSpillTable(t, 8*vector.DefaultChunkSize)
 	node := &plan.Aggregate{
@@ -102,33 +92,25 @@ func TestHybridAggKeepsPartitionsResident(t *testing.T) {
 	want := runPlan(t, node, &Context{Parallelism: 1})
 
 	// The aggregation state (dominated by the DISTINCT id sets) is a
-	// small multiple of this budget: enough to force overflow while
-	// leaving room for most partitions to stay resident.
-	const budget = 1 << 20
+	// small multiple of the larger budget: enough to force overflow
+	// while leaving room for most partitions to stay resident.
+	ctxTiny, dirTiny := spillCtx(t, 1, 32<<10)
+	assertTablesEqual(t, runPlan(t, node, ctxTiny), want, "tiny budget")
+	assertTempDirEmpty(t, dirTiny)
 
-	setHybridAgg(t, false)
-	ctxFull, dirFull := spillCtx(t, 1, budget)
-	gotFull := runPlan(t, node, ctxFull)
-	assertTablesEqual(t, gotFull, want, "route-everything")
-	if !ctxFull.Spill.Spilled() {
-		t.Skip("budget did not force spilling on this configuration")
-	}
-	assertTempDirEmpty(t, dirFull)
-
-	setHybridAgg(t, true)
-	ctxHyb, dirHyb := spillCtx(t, 1, budget)
-	gotHyb := runPlan(t, node, ctxHyb)
-	assertTablesEqual(t, gotHyb, want, "hybrid")
+	ctxHyb, dirHyb := spillCtx(t, 1, 512<<10)
+	assertTablesEqual(t, runPlan(t, node, ctxHyb), want, "hybrid")
 	assertTempDirEmpty(t, dirHyb)
 
-	if ctxHyb.Spill.ResidentPartitions() == 0 {
-		t.Fatalf("hybrid: no resident partitions (spilled=%d)", ctxHyb.Spill.Partitions())
+	if !ctxHyb.Spill.Spilled() || ctxHyb.Spill.ResidentPartitions() == 0 {
+		t.Fatalf("512KB budget: spilled=%d resident=%d partitions, want some of each",
+			ctxHyb.Spill.Partitions(), ctxHyb.Spill.ResidentPartitions())
 	}
-	if hw, fw := ctxHyb.Spill.BytesWritten(), ctxFull.Spill.BytesWritten(); hw*2 > fw {
-		t.Fatalf("hybrid wrote %d bytes, route-everything wrote %d — expected at least a 2x reduction", hw, fw)
+	if hw, tw := ctxHyb.Spill.BytesWritten(), ctxTiny.Spill.BytesWritten(); hw*2 > tw {
+		t.Fatalf("512KB budget wrote %d bytes, 32KB budget wrote %d — expected at least a 2x reduction", hw, tw)
 	}
-	t.Logf("spill bytes: hybrid=%d route-everything=%d resident=%d spilled=%d",
-		ctxHyb.Spill.BytesWritten(), ctxFull.Spill.BytesWritten(),
+	t.Logf("spill bytes: 512KB=%d 32KB=%d resident=%d spilled=%d",
+		ctxHyb.Spill.BytesWritten(), ctxTiny.Spill.BytesWritten(),
 		ctxHyb.Spill.ResidentPartitions(), ctxHyb.Spill.Partitions())
 }
 
@@ -140,10 +122,11 @@ func TestHybridAggGrowBudgetAvoidsSpill(t *testing.T) {
 	node := hybridAggNode(&plan.Scan{Table: tab})
 	want := runPlan(t, node, &Context{Parallelism: 1})
 
-	var lease int64 = 64 << 10 // would certainly spill on its own
-	ctx, dir := spillCtx(t, 2, lease)
-	ctx.LiveBudget = func() int64 { return lease }
-	ctx.GrowBudget = func(n int64) int64 { lease += n; return lease }
+	var lease atomic.Int64 // both workers read and grow it
+	lease.Store(64 << 10)  // would certainly spill on its own
+	ctx, dir := spillCtx(t, 2, lease.Load())
+	ctx.LiveBudget = lease.Load
+	ctx.GrowBudget = lease.Add
 	got := runPlan(t, node, ctx)
 	assertTablesEqual(t, got, want, "grown budget")
 	if ctx.Spill.Spilled() {

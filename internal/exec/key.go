@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"vexdb/internal/core"
@@ -46,48 +47,11 @@ func appendRowKey(key []byte, v *vector.Vector, i int) []byte {
 	return append(key, 0xFE)
 }
 
-// appendValueKey appends the same encoding appendRowKey produces, but
-// reading from a materialized Value instead of a vector row. The two
-// encodings must stay byte-identical: partitioned aggregation matches
-// groups across worker tables by re-encoding their key values.
-func appendValueKey(key []byte, v vector.Value) []byte {
-	if v.IsNull() {
-		return append(key, 0xFF)
-	}
-	switch v.Type() {
-	case vector.Bool:
-		if v.Bool() {
-			return append(key, 1, 1)
-		}
-		return append(key, 1, 0)
-	case vector.Int32:
-		key = append(key, 2)
-		return binary.LittleEndian.AppendUint32(key, uint32(int32(v.Int64())))
-	case vector.Int64:
-		key = append(key, 3)
-		return binary.LittleEndian.AppendUint64(key, uint64(v.Int64()))
-	case vector.Float64:
-		key = append(key, 4)
-		return binary.LittleEndian.AppendUint64(key, math.Float64bits(v.Float64()))
-	case vector.String:
-		s := v.Str()
-		key = append(key, 5)
-		key = binary.LittleEndian.AppendUint32(key, uint32(len(s)))
-		return append(key, s...)
-	case vector.Blob:
-		b := v.Bytes()
-		key = append(key, 6)
-		key = binary.LittleEndian.AppendUint32(key, uint32(len(b)))
-		return append(key, b...)
-	}
-	return append(key, 0xFE)
-}
-
 // decodeValueKey decodes one value off the front of a key produced by
-// appendRowKey/appendValueKey, returning the value and the remaining
-// bytes. The distinct-aggregate finalizer uses it to recover argument
-// values from a merged per-worker key set, so the three functions must
-// stay encoding-compatible.
+// appendRowKey, returning the value and the remaining bytes. The
+// distinct-aggregate finalizer uses it to recover argument values from
+// a merged per-worker key set, so the two functions must stay
+// encoding-compatible.
 func decodeValueKey(key []byte) (vector.Value, []byte, error) {
 	if len(key) == 0 {
 		return vector.Null(), nil, fmt.Errorf("exec: empty value key")
@@ -139,137 +103,319 @@ func decodeValueKey(key []byte) (vector.Value, []byte, error) {
 	return vector.Null(), nil, fmt.Errorf("exec: corrupt value key tag %#x", tag)
 }
 
-// groupIndex maps group-key rows to dense group ids. Single fixed-width
-// keys (bool/int32/int64) and single string keys bypass the byte-slice
-// encoding entirely; the generic path reuses one key buffer and relies
-// on Go's map[string]([]byte) lookup optimization, so the only
-// per-group-lookup allocation left is the one insert per distinct key.
-type groupIndex struct {
-	kind    keyKind
-	fastInt map[uint64]int32
-	fastStr map[string]int32
-	slow    map[string]int32
-	nullID  int32 // dense id of the single-key NULL group, -1 if unseen
-	buf     []byte
-	n       int32
+// hashKeyBytes hashes an encoded key (FNV-1a 64); join and DISTINCT
+// spill partitions at recursion level L use nibble L, so a partition's
+// keys re-split on fresh bits at every level.
+func hashKeyBytes(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
-type keyKind uint8
+func partitionOf(h uint64, level int) int {
+	return int((h >> (4 * uint(level))) & (spillFanout - 1))
+}
+
+// ------------------------------------------------------- column hashing
 
 const (
-	keyKindNone  keyKind = iota // no key columns: one global group
-	keyKindInt                  // single bool/int32/int64 key
-	keyKindStr                  // single string key
-	keyKindBytes                // generic byte encoding
+	hashSeed = 0x243F6A8885A308D3
+	hashMul  = 0x9E3779B97F4A7C15
+	hashNull = 0xB7E151628AED2A6B // stands in for a NULL cell
 )
 
-// newGroupIndex picks the lookup strategy from the declared key types.
+// mixHash folds one 64-bit word into a running hash. The multiply
+// carries every input bit into the high word and the shift folds the
+// high word back down, so both the low nibbles (spill partition
+// routing, one per recursion level) and the high word (hash-table slot
+// and tag) depend on the whole key.
+func mixHash(h, x uint64) uint64 {
+	h = (h ^ x) * hashMul
+	return h ^ (h >> 32)
+}
+
+func hashBytes[T string | []byte](s T) uint64 {
+	h := uint64(len(s))
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		h = mixHash(h, w)
+	}
+	var w uint64
+	for sh := uint(0); i < len(s); i, sh = i+1, sh+8 {
+		w |= uint64(s[i]) << sh
+	}
+	return mixHash(h, w)
+}
+
+// hashColumn folds column v into the per-row hashes h, one type switch
+// per column rather than per row. Integer widths sign-extend, so the
+// hash of a number does not depend on its column's width. A NULL cell
+// folds a marker instead of its payload, which is not canonical (an
+// expression result can carry any payload under a NULL).
+func hashColumn(h []uint64, v *vector.Vector) {
+	nulls := v.Nulls()
+	var underNull []uint64 // the NULL rows' hashes before this column
+	for r, null := range nulls {
+		if null {
+			underNull = append(underNull, h[r])
+		}
+	}
+	switch v.Type() {
+	case vector.Bool:
+		for r, x := range v.Bools() {
+			w := uint64(0)
+			if x {
+				w = 1
+			}
+			h[r] = mixHash(h[r], w)
+		}
+	case vector.Int32:
+		for r, x := range v.Int32s() {
+			h[r] = mixHash(h[r], uint64(int64(x)))
+		}
+	case vector.Int64:
+		for r, x := range v.Int64s() {
+			h[r] = mixHash(h[r], uint64(x))
+		}
+	case vector.Float64:
+		for r, x := range v.Float64s() {
+			h[r] = mixHash(h[r], math.Float64bits(x))
+		}
+	case vector.String:
+		for r, x := range v.Strings() {
+			h[r] = mixHash(h[r], hashBytes(x))
+		}
+	case vector.Blob:
+		for r, x := range v.Blobs() {
+			h[r] = mixHash(h[r], hashBytes(x))
+		}
+	}
+	if len(underNull) > 0 {
+		k := 0
+		for r, null := range nulls {
+			if null {
+				h[r] = mixHash(underNull[k], hashNull)
+				k++
+			}
+		}
+	}
+}
+
+// hashKeyRows computes one hash per row of the key columns into h
+// (grown as needed), column by column.
+func hashKeyRows(keys []*vector.Vector, n int, h []uint64) []uint64 {
+	if cap(h) < n {
+		h = make([]uint64, n)
+	}
+	h = h[:n]
+	for r := range h {
+		h[r] = hashSeed
+	}
+	for _, v := range keys {
+		hashColumn(h, v)
+	}
+	return h
+}
+
+// ------------------------------------------------------- group index
+
+// groupIndex maps key rows to dense group ids, assigned in order of
+// first appearance. It is an open-addressing hash table (linear
+// probing, at most half full) whose slots hold a 32-bit hash tag and
+// the group id; the keys themselves live in key vectors indexed by
+// group id, next to each group's full hash (reused to grow the table,
+// to route groups to spill partitions and to split a table by hash
+// range for the parallel merge). bytes is what the index retains: the
+// capacity of every array plus string payloads.
+type groupIndex struct {
+	keys   []*vector.Vector // n rows each, allocated at capacity()
+	hashes []uint64         // len is the group capacity; [:n] are in use
+	slots  []uint64         // tag<<32 | id+1; 0 is empty
+	n      int
+	bytes  int64
+	hbuf   []uint64 // per-chunk row hashes
+}
+
 func newGroupIndex(types []vector.Type) *groupIndex {
-	gi := &groupIndex{nullID: -1}
-	switch {
-	case len(types) == 0:
-		gi.kind = keyKindNone
-	case len(types) == 1 && isFixedKeyType(types[0]):
-		gi.kind = keyKindInt
-		gi.fastInt = make(map[uint64]int32)
-	case len(types) == 1 && types[0] == vector.String:
-		gi.kind = keyKindStr
-		gi.fastStr = make(map[string]int32)
-	default:
-		gi.kind = keyKindBytes
-		gi.slow = make(map[string]int32)
+	gi := &groupIndex{keys: make([]*vector.Vector, len(types))}
+	for i, t := range types {
+		gi.keys[i] = vector.New(t, 0)
 	}
 	return gi
 }
 
-func isFixedKeyType(t vector.Type) bool {
-	return t == vector.Bool || t == vector.Int32 || t == vector.Int64
+// capacity is the number of groups the per-group arrays have room for.
+func (gi *groupIndex) capacity() int { return len(gi.hashes) }
+
+// groupIDs resolves rows 0..n-1 of the key columns to group ids,
+// creating groups as they first appear, and returns them in ids
+// (grown as needed). Row r created its group iff ids[r] equals the
+// number of groups that existed before it.
+func (gi *groupIndex) groupIDs(keys []*vector.Vector, n int, ids []int32) []int32 {
+	gi.hbuf = hashKeyRows(keys, n, gi.hbuf)
+	return gi.resolve(keys, gi.hbuf, ids)
 }
 
-// fixedKeyAt folds a fixed-width key value into a uint64. Integer
-// widths are sign-extended so the same number keys identically whether
-// the runtime vector is Int32 or Int64.
-func fixedKeyAt(v *vector.Vector, r int) (uint64, bool) {
-	switch v.Type() {
-	case vector.Bool:
-		if v.Bools()[r] {
-			return 1, true
-		}
-		return 0, true
-	case vector.Int32:
-		return uint64(int64(v.Int32s()[r])), true
-	case vector.Int64:
-		return uint64(v.Int64s()[r]), true
+// resolve is groupIDs over row hashes the caller already has
+// (hashKeyRows of the same rows). The key columns must have the types
+// the index was built for.
+func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int32) []int32 {
+	if cap(ids) < len(hashes) {
+		ids = make([]int32, len(hashes))
 	}
-	return 0, false
+	ids = ids[:len(hashes)]
+	for c, k := range gi.keys {
+		if keys[c].Type() != k.Type() {
+			panic(fmt.Sprintf("exec: group key %d is %s, index holds %s", c, keys[c].Type(), k.Type()))
+		}
+	}
+	for r, h := range hashes {
+		if 2*gi.n >= len(gi.slots) {
+			gi.growSlots()
+		}
+		tag, mask := h>>32, uint64(len(gi.slots)-1)
+		for i := tag & mask; ; i = (i + 1) & mask {
+			s := gi.slots[i]
+			if s == 0 {
+				ids[r] = int32(gi.insert(h, i, keys, r))
+				break
+			}
+			if id := int32(uint32(s)) - 1; s>>32 == tag && gi.equalRow(keys, r, int(id)) {
+				ids[r] = id
+				break
+			}
+		}
+	}
+	return ids
 }
 
-// groupID returns the dense group id for row r of the key vectors and
-// whether this call created the group. Ids are assigned in first-
-// appearance order.
-func (gi *groupIndex) groupID(keys []*vector.Vector, r int) (int32, bool) {
-	switch gi.kind {
-	case keyKindNone:
-		if gi.n == 0 {
-			gi.n = 1
-			return 0, true
-		}
-		return 0, false
-	case keyKindInt:
-		v := keys[0]
-		if v.IsNull(r) {
-			return gi.nullGroup()
-		}
-		if k, ok := fixedKeyAt(v, r); ok {
-			if id, ok := gi.fastInt[k]; ok {
-				return id, false
+// equalRow reports whether row r of the key columns is group id's key.
+// NULL equals NULL (one NULL group per column value combination);
+// floats compare by bit pattern, so NaN payloads and the two zeros are
+// distinct groups.
+func (gi *groupIndex) equalRow(keys []*vector.Vector, r, id int) bool {
+	for c, k := range gi.keys {
+		v := keys[c]
+		if null := k.IsNull(id); null || v.IsNull(r) {
+			if null != v.IsNull(r) {
+				return false
 			}
-			id := gi.n
-			gi.n++
-			gi.fastInt[k] = id
-			return id, true
+			continue
 		}
-		// Runtime type diverged from the declared key type: fall back
-		// to the generic encoding (separate keyspace by construction).
-	case keyKindStr:
-		v := keys[0]
-		if v.IsNull(r) {
-			return gi.nullGroup()
+		var eq bool
+		switch k.Type() {
+		case vector.Bool:
+			eq = v.Bools()[r] == k.Bools()[id]
+		case vector.Int32:
+			eq = v.Int32s()[r] == k.Int32s()[id]
+		case vector.Int64:
+			eq = v.Int64s()[r] == k.Int64s()[id]
+		case vector.Float64:
+			eq = math.Float64bits(v.Float64s()[r]) == math.Float64bits(k.Float64s()[id])
+		case vector.String:
+			eq = v.Strings()[r] == k.Strings()[id]
+		case vector.Blob:
+			eq = string(v.Blobs()[r]) == string(k.Blobs()[id])
 		}
-		if v.Type() == vector.String {
-			s := v.Strings()[r]
-			if id, ok := gi.fastStr[s]; ok {
-				return id, false
-			}
-			id := gi.n
-			gi.n++
-			gi.fastStr[s] = id
-			return id, true
+		if !eq {
+			return false
 		}
 	}
-	if gi.slow == nil {
-		gi.slow = make(map[string]int32)
-	}
-	gi.buf = gi.buf[:0]
-	for _, kv := range keys {
-		gi.buf = appendRowKey(gi.buf, kv, r)
-	}
-	if id, ok := gi.slow[string(gi.buf)]; ok {
-		return id, false
+	return true
+}
+
+// insert creates the next group for hash h at the empty slot the probe
+// stopped on, with row r of the key columns as its key.
+func (gi *groupIndex) insert(h, slot uint64, keys []*vector.Vector, r int) int {
+	if gi.n == gi.capacity() {
+		gi.growGroups()
 	}
 	id := gi.n
+	gi.hashes[id] = h
+	gi.slots[slot] = h&^math.MaxUint32 | uint64(id+1)
 	gi.n++
-	gi.slow[string(gi.buf)] = id
-	return id, true
+	for c, k := range gi.keys {
+		k.AppendRowFrom(keys[c], r)
+		switch v := keys[c]; {
+		case v.IsNull(r):
+		case v.Type() == vector.String:
+			gi.bytes += int64(len(v.Strings()[r]))
+		case v.Type() == vector.Blob:
+			gi.bytes += int64(len(v.Blobs()[r]))
+		}
+	}
+	return id
 }
 
-func (gi *groupIndex) nullGroup() (int32, bool) {
-	if gi.nullID >= 0 {
-		return gi.nullID, false
+// growSlots doubles the hash table and re-inserts every group from its
+// stored hash.
+func (gi *groupIndex) growSlots() {
+	size := max(8, 2*len(gi.slots))
+	gi.bytes += 8 * int64(size-len(gi.slots))
+	gi.slots = make([]uint64, size)
+	mask := uint64(size - 1)
+	for id, h := range gi.hashes[:gi.n] {
+		i := (h >> 32) & mask
+		for gi.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		gi.slots[i] = h&^math.MaxUint32 | uint64(id+1)
 	}
-	gi.nullID = gi.n
-	gi.n++
-	return gi.nullID, true
+}
+
+// growGroups doubles the capacity of the per-group arrays. Key vectors
+// are reallocated at the new capacity so that appends within it never
+// grow them again and the charge is what they hold.
+func (gi *groupIndex) growGroups() {
+	size := max(4, 2*gi.capacity())
+	perGroup := int64(8)
+	for c, k := range gi.keys {
+		grown := vector.New(k.Type(), size)
+		grown.AppendVector(k)
+		gi.keys[c] = grown
+		perGroup += typeWidth(k.Type()) + 1 // and a NULL flag
+	}
+	gi.bytes += perGroup * int64(size-gi.capacity())
+	gi.hashes = growTo(gi.hashes, size)
+}
+
+// growTo returns s reallocated to length n (zero-filled past the old
+// length). Group-indexed arrays keep len == cap so that what they are
+// charged for is exactly what they hold.
+func growTo[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
+}
+
+// gatherVecs gathers the rows sel of every non-nil vector.
+func gatherVecs(vecs []*vector.Vector, sel []int) []*vector.Vector {
+	out := make([]*vector.Vector, len(vecs))
+	for i, v := range vecs {
+		if v != nil {
+			out[i] = v.Gather(sel)
+		}
+	}
+	return out
+}
+
+func gatherBy[T any](src []T, sel []int) []T {
+	out := make([]T, len(sel))
+	for j, g := range sel {
+		out[j] = src[g]
+	}
+	return out
+}
+
+// identitySel returns 0..n-1.
+func identitySel(n int) []int {
+	sel := make([]int, n)
+	for i := range sel {
+		sel[i] = i
+	}
+	return sel
 }
 
 // EvalPartitionedCall evaluates a bound UDF call over already

@@ -709,9 +709,11 @@ func (m *runMerger) next(ctx *Context) (*vector.Chunk, error) {
 		if count == 0 {
 			break
 		}
-		if count == 1 {
+		if count < 8 { // a slice header per column costs more than a few row copies
 			for c := range cols {
-				cols[c].AppendRowFrom(win.data.Col(c), start)
+				for r := start; r < start+count; r++ {
+					cols[c].AppendRowFrom(win.data.Col(c), r)
+				}
 			}
 			continue
 		}

@@ -350,7 +350,9 @@ func TestDecodeValueKeyRoundTrip(t *testing.T) {
 	}
 	var key []byte
 	for _, v := range vals {
-		key = appendValueKey(key, v)
+		col := vector.New(v.Type(), 1)
+		col.AppendValue(v)
+		key = appendRowKey(key, col, 0)
 	}
 	rest := key
 	for i, want := range vals {

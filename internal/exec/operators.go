@@ -668,9 +668,9 @@ type distinctOp struct {
 	child   Operator
 	ctx     *Context
 	gi      *groupIndex
-	kind    keyKind
-	sel     []int // selection buffer reused across chunks
-	bytes   int64 // estimated index footprint, tracked against the budget
+	ids     []int32 // group-id and selection buffers reused across chunks
+	sel     []int
+	bytes   int64 // the index's footprint as tracked against the budget
 	pos     int64 // global input row counter (merge tiebreak after spill)
 	spiller *distinctSpiller
 	merger  *runMerger
@@ -723,27 +723,25 @@ func (d *distinctOp) Next() (*vector.Chunk, error) {
 				types[i] = ch.Col(i).Type()
 			}
 			d.gi = newGroupIndex(types)
-			d.kind = d.gi.kind
 		}
-		sel := d.sel[:0]
-		cols := ch.Cols()
-		var grew int64
-		for i := 0; i < ch.NumRows(); i++ {
-			if _, created := d.gi.groupID(cols, i); created {
-				sel = append(sel, i)
-				grew += distinctRowBytes(cols, i)
+		// Group ids are dense in first-appearance order, so the rows
+		// that created a group are the ones whose id is the next unused.
+		sel, next := d.sel[:0], int32(d.gi.n)
+		d.ids = d.gi.groupIDs(ch.Cols(), ch.NumRows(), d.ids)
+		for r, id := range d.ids {
+			if id == next {
+				sel = append(sel, r)
+				next++
 			}
 		}
 		d.pos += int64(ch.NumRows())
 		d.sel = sel
-		if grew > 0 {
-			d.bytes += grew
-			d.ctx.memGrow(grew)
-		}
+		d.ctx.memGrow(d.gi.bytes - d.bytes)
+		d.bytes = d.gi.bytes
 		// A zero-key distinct (defensive; plans always have columns)
 		// holds one group and never needs to spill.
-		if d.kind != keyKindNone && d.ctx.shouldSpill(d.bytes) {
-			d.spiller = newDistinctSpiller(d.ctx, d.kind)
+		if ch.NumCols() > 0 && d.ctx.shouldSpill(d.bytes) {
+			d.spiller = &distinctSpiller{ctx: d.ctx}
 			if err := d.spiller.dumpIndex(d.gi); err != nil {
 				return nil, err
 			}
@@ -767,29 +765,6 @@ func (d *distinctOp) Close() error {
 	d.ctx.memShrink(d.bytes)
 	d.bytes = 0
 	return d.child.Close()
-}
-
-// distinctRowBytes estimates the index footprint of one newly created
-// distinct key: per-column stored bytes plus map-entry overhead.
-func distinctRowBytes(cols []*vector.Vector, r int) int64 {
-	n := int64(48)
-	for _, c := range cols {
-		switch c.Type() {
-		case vector.String:
-			if !c.IsNull(r) {
-				n += int64(len(c.Strings()[r]))
-			}
-			n += 16
-		case vector.Blob:
-			if !c.IsNull(r) {
-				n += int64(len(c.Blobs()[r]))
-			}
-			n += 24
-		default:
-			n += 9
-		}
-	}
-	return n
 }
 
 // ----------------------------------------------------------------- union

@@ -393,7 +393,7 @@ type parallelAggOp struct {
 	workers int
 	ctx     *Context
 	started bool
-	emitter *aggEmitter
+	emitter *runMerger
 }
 
 func (a *parallelAggOp) Open(ctx *Context) error {
@@ -415,7 +415,7 @@ func (a *parallelAggOp) Next() (*vector.Chunk, error) {
 	return a.emitter.next(a.ctx)
 }
 
-func (a *parallelAggOp) run() (*aggEmitter, error) {
+func (a *parallelAggOp) run() (*runMerger, error) {
 	n := a.pipe.src.open(a.ctx)
 	workers := a.workers
 	if workers > n {

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,67 +314,61 @@ func TestOrderedDriverBoundedRunAhead(t *testing.T) {
 
 func TestGroupIndexFastPaths(t *testing.T) {
 	// Single int64 key: dense ids in first-appearance order, NULL gets
-	// its own group.
-	col := vector.New(vector.Int64, 5)
-	col.AppendValue(vector.NewInt64(7))
-	col.AppendValue(vector.NewInt64(3))
-	col.AppendValue(vector.Null())
-	col.AppendValue(vector.NewInt64(7))
-	col.AppendValue(vector.Null())
-	gi := newGroupIndex([]vector.Type{vector.Int64})
-	keys := []*vector.Vector{col}
-	wantIDs := []int32{0, 1, 2, 0, 2}
-	wantNew := []bool{true, true, true, false, false}
-	for r := 0; r < col.Len(); r++ {
-		id, created := gi.groupID(keys, r)
-		if id != wantIDs[r] || created != wantNew[r] {
-			t.Fatalf("row %d: (%d,%v), want (%d,%v)", r, id, created, wantIDs[r], wantNew[r])
-		}
+	// its own group (distinct from the key 0 its payload holds).
+	col := vector.New(vector.Int64, 6)
+	for _, v := range []vector.Value{vector.NewInt64(7), vector.NewInt64(3), vector.Null(),
+		vector.NewInt64(7), vector.Null(), vector.NewInt64(0)} {
+		col.AppendValue(v)
 	}
-	if gi.kind != keyKindInt {
-		t.Fatalf("kind = %v, want keyKindInt", gi.kind)
+	gi := newGroupIndex([]vector.Type{vector.Int64})
+	ids := gi.groupIDs([]*vector.Vector{col}, col.Len(), nil)
+	if want := []int32{0, 1, 2, 0, 2, 3}; !slices.Equal(ids, want) {
+		t.Fatalf("int ids = %v, want %v", ids, want)
+	}
+	// A second, NULL-free chunk takes the integer fast path against the
+	// same groups.
+	ids = gi.groupIDs([]*vector.Vector{vector.FromInt64s([]int64{0, 9, 7})}, 3, ids)
+	if want := []int32{3, 4, 0}; !slices.Equal(ids, want) {
+		t.Fatalf("int ids, second chunk = %v, want %v", ids, want)
 	}
 
 	// Single string key.
-	sc := vector.FromStrings([]string{"a", "b", "a"})
 	gs := newGroupIndex([]vector.Type{vector.String})
-	if gs.kind != keyKindStr {
-		t.Fatalf("kind = %v, want keyKindStr", gs.kind)
-	}
-	ids := make([]int32, 3)
-	for r := 0; r < 3; r++ {
-		ids[r], _ = gs.groupID([]*vector.Vector{sc}, r)
-	}
-	if ids[0] != 0 || ids[1] != 1 || ids[2] != 0 {
-		t.Fatalf("string ids = %v", ids)
+	ids = gs.groupIDs([]*vector.Vector{vector.FromStrings([]string{"a", "b", "a", ""})}, 4, ids)
+	if want := []int32{0, 1, 0, 2}; !slices.Equal(ids, want) {
+		t.Fatalf("string ids = %v, want %v", ids, want)
 	}
 
-	// Multi-column keys use the generic path.
-	gm := newGroupIndex([]vector.Type{vector.Int64, vector.String})
-	if gm.kind != keyKindBytes {
-		t.Fatalf("kind = %v, want keyKindBytes", gm.kind)
+	// Multi-column keys: equal numbers in differently typed columns
+	// are different keys, and floats group by bit pattern.
+	gm := newGroupIndex([]vector.Type{vector.Int32, vector.Float64})
+	ids = gm.groupIDs([]*vector.Vector{
+		vector.FromInt32s([]int32{1, 1, 1, 1}),
+		vector.FromFloat64s([]float64{0, math.Copysign(0, -1), math.NaN(), math.NaN()}),
+	}, 4, ids)
+	if want := []int32{0, 1, 2, 2}; !slices.Equal(ids, want) {
+		t.Fatalf("multi-column ids = %v, want %v", ids, want)
 	}
-}
 
-func TestAppendValueKeyMatchesRowKey(t *testing.T) {
-	cols := []*vector.Vector{
-		vector.FromInt64s([]int64{-5}),
-		vector.FromInt32s([]int32{42}),
-		vector.FromFloat64s([]float64{3.25}),
-		vector.FromBools([]bool{true}),
-		vector.FromStrings([]string{"xyz"}),
+	// Growth keeps every earlier group reachable.
+	big := newGroupIndex([]vector.Type{vector.Int64})
+	xs := make([]int64, 10_000)
+	for i := range xs {
+		xs[i] = int64(i) * 16 // low nibble constant: hashes must still spread
 	}
-	for _, c := range cols {
-		rowKey := appendRowKey(nil, c, 0)
-		valKey := appendValueKey(nil, c.Get(0))
-		if string(rowKey) != string(valKey) {
-			t.Fatalf("%s: value key %x != row key %x", c.Type(), valKey, rowKey)
+	ids = big.groupIDs([]*vector.Vector{vector.FromInt64s(xs)}, len(xs), ids)
+	again := big.groupIDs([]*vector.Vector{vector.FromInt64s(xs)}, len(xs), nil)
+	if !slices.Equal(ids, again) || int(ids[len(ids)-1]) != len(xs)-1 {
+		t.Fatal("ids changed after the table grew")
+	}
+	var perPart [spillFanout]int
+	for _, h := range big.hashes[:big.n] {
+		perPart[partitionOf(h, 0)]++
+	}
+	for p, n := range perPart {
+		if n < len(xs)/spillFanout/2 || n > len(xs)/spillFanout*2 {
+			t.Fatalf("partition %d got %d of %d keys: %v", p, n, len(xs), perPart)
 		}
-	}
-	nv := vector.New(vector.Int64, 1)
-	nv.AppendValue(vector.Null())
-	if string(appendRowKey(nil, nv, 0)) != string(appendValueKey(nil, vector.Null())) {
-		t.Fatal("NULL encodings differ")
 	}
 }
 

@@ -408,8 +408,8 @@ func TestSpillCleanupOnCancelAndError(t *testing.T) {
 
 // TestSpillDistinctMatchesInMemory: serial DISTINCT must produce the
 // same rows in the same (first-appearance) order under a tiny budget,
-// across all three key-index representations (single int key, single
-// string key, generic multi-column), and leave no temp files behind.
+// across key shapes (single int key, single string key, multi-column),
+// and leave no temp files behind.
 func TestSpillDistinctMatchesInMemory(t *testing.T) {
 	tab := buildSpillTable(t, 4*vector.DefaultChunkSize)
 	cases := []struct {
@@ -417,9 +417,9 @@ func TestSpillDistinctMatchesInMemory(t *testing.T) {
 		proj   []int
 		budget int64
 	}{
-		{"int-key", []int{1}, 1 << 12},         // hk: keyKindInt
-		{"str-key", []int{4}, 1 << 9},          // name: keyKindStr (26 keys — needs a tiny budget)
-		{"multi-col", []int{2, 3, 4}, 1 << 12}, // sk,v,name: generic bytes (incl. NULL/NaN)
+		{"int-key", []int{1}, 1 << 12},         // hk
+		{"str-key", []int{4}, 1 << 9},          // name (26 keys — needs a tiny budget)
+		{"multi-col", []int{2, 3, 4}, 1 << 12}, // sk,v,name (incl. NULL/NaN)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
