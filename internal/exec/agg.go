@@ -542,11 +542,20 @@ func (t *aggTable) emitRun() (*sortedRun, error) {
 // orderByPos returns the indexes of pos in ascending position order:
 // the identity when pos already ascends (group ids are that order
 // whenever one consumer saw its input in position order, which is
-// every serial run), else a sort.
+// every serial run), else a record sort on the positions (which are
+// non-negative, so their own bits are their codes).
 func orderByPos(pos []int64) []int {
-	order := identitySel(len(pos))
-	if !slices.IsSorted(pos) {
-		slices.SortFunc(order, func(a, b int) int { return cmpOrdered(pos[a], pos[b]) })
+	if slices.IsSorted(pos) {
+		return identitySel(len(pos))
+	}
+	recs := make([]sortRec, len(pos))
+	for i, p := range pos {
+		recs[i] = sortRec{code: uint64(p), row: i}
+	}
+	sortRecs(recs, make([]sortRec, len(pos)))
+	order := make([]int, len(pos))
+	for i, r := range recs {
+		order[i] = r.row
 	}
 	return order
 }

@@ -915,29 +915,7 @@ func (js *joinSpill) repartition(f *spill.File, acc []*vector.Vector, seqs []int
 // finishEmit closes the probe phase: every probe worker's runs merge
 // into final output order. The caller strips the two tag columns.
 func (js *joinSpill) finishEmit() (*runMerger, error) {
-	var runs []*mergeRun
-	var files []*spill.File
-	var held int64
-	var ferr error
-	for _, b := range js.sorters {
-		rs, file, err := b.finish()
-		if file != nil {
-			files = append(files, file)
-		}
-		held += b.heldBytes()
-		if err != nil && ferr == nil {
-			ferr = err
-		}
-		if err == nil {
-			runs = append(runs, rs...)
-		}
-	}
-	if ferr != nil {
-		releaseFiles(files)
-		js.ctx.memShrink(held)
-		return nil, ferr
-	}
-	return newRunMerger(js.ctx, joinSortKeys(js.outCols), runs, -1, files, held), nil
+	return finishBuilders(js.ctx, -1, js.sorters)
 }
 
 // release frees any files the spill state still holds (the manager

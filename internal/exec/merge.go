@@ -3,7 +3,8 @@
 // external sort: run generation (runBuilder), loser-tree k-way merge
 // over streaming run cursors (loserTree / runMerger), and spill of
 // whole sorted runs to temp files when the query's memory budget is
-// exceeded.
+// exceeded. Rows are ordered by the key codes of sortkey.go; the
+// comparator below settles only what equal codes leave open.
 //
 // A run is a sorted sequence of rows; in memory it is one window
 // (sortedRun), on disk it is a sequence of chunk-sized windows read
@@ -15,30 +16,27 @@
 package exec
 
 import (
-	"math"
-	"runtime"
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
 
-// sortRunCap bounds how many sorted runs parallel run generation may
-// produce. Context.Parallelism is an upper bound on concurrency, but
-// producing more runs than physical cores adds no sort parallelism —
-// it only widens the merge, which is pure overhead on the consumer.
-// Tests override the cap to exercise wide merges on small machines.
-// (Budget-forced spilling can still produce more runs than the cap:
-// each spill of a worker's buffer is its own run.)
-var sortRunCap = runtime.NumCPU()
+// sortRunCap, when positive, overrides the bound on how many sorted
+// runs parallel run generation may produce (see fillBuilders); tests set
+// it to exercise wide merges on small machines.
+var sortRunCap int
 
 // compareKeyRows compares row ra of avecs against row rb of bvecs
 // under the sort keys, returning the output-order comparison (<0 when
 // a precedes b). NULLs sort last ascending, first descending; with the
 // Float64 total order in vector.Value.Compare this is transitive even
-// over NaN-bearing keys. Serial sort, parallel merge and spilled runs
-// share it so every path orders rows identically.
+// over NaN-bearing keys. It is the order the key codes must never
+// contradict, and what run sorting, top-k and the merge call once
+// codes tie.
 func compareKeyRows(keys []plan.SortKey, avecs []*vector.Vector, ra int, bvecs []*vector.Vector, rb int) (int, error) {
 	for ki, k := range keys {
 		av, bv := avecs[ki], bvecs[ki]
@@ -72,53 +70,35 @@ func compareKeyRows(keys []plan.SortKey, avecs []*vector.Vector, ra int, bvecs [
 }
 
 // compareKeyVals compares two non-NULL key cells, with typed fast
-// paths for the common column types — this sits under every sort
-// comparison and every merge step, where boxing each cell into a
-// vector.Value costs more than the comparison itself. The Float64
-// path mirrors Value.Compare's total order (NaN greatest, NaN == NaN).
+// paths for the common column types: tie-heavy keys still reach it
+// once per comparison, where boxing each cell into a vector.Value
+// costs more than the comparison itself. DOUBLE cells compare by code,
+// which is Value.Compare's total order.
 func compareKeyVals(av *vector.Vector, ra int, bv *vector.Vector, rb int) (int, error) {
 	if t := av.Type(); t == bv.Type() {
 		switch t {
 		case vector.Int64:
-			return cmpOrdered(av.Int64s()[ra], bv.Int64s()[rb]), nil
+			return cmp.Compare(av.Int64s()[ra], bv.Int64s()[rb]), nil
 		case vector.Float64:
-			a, b := av.Float64s()[ra], bv.Float64s()[rb]
-			an, bn := math.IsNaN(a), math.IsNaN(b)
-			switch {
-			case an && bn:
-				return 0, nil
-			case an:
-				return 1, nil
-			case bn:
-				return -1, nil
-			}
-			return cmpOrdered(a, b), nil
+			return cmp.Compare(floatCode(av.Float64s()[ra]), floatCode(bv.Float64s()[rb])), nil
 		case vector.Int32:
-			return cmpOrdered(av.Int32s()[ra], bv.Int32s()[rb]), nil
+			return cmp.Compare(av.Int32s()[ra], bv.Int32s()[rb]), nil
 		case vector.String:
-			return cmpOrdered(av.Strings()[ra], bv.Strings()[rb]), nil
+			return cmp.Compare(av.Strings()[ra], bv.Strings()[rb]), nil
 		}
 	}
 	return av.Get(ra).Compare(bv.Get(rb))
 }
 
-func cmpOrdered[T int32 | int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // sortedRun is one fully sorted window of rows: the data columns, the
-// evaluated key columns in key order, and each row's unique global
-// input position used as the merge tiebreak.
+// evaluated key columns in key order, the leading key's codes (nil
+// for keyless runs and keys that cannot be coded), and each row's
+// unique global input position used as the merge tiebreak.
 type sortedRun struct {
-	data *vector.Chunk
-	keys []*vector.Vector
-	pos  []int64
+	data  *vector.Chunk
+	keys  []*vector.Vector
+	codes []uint64
+	pos   []int64
 }
 
 // mergeRun is one sorted input of the loser-tree merge: the current
@@ -131,6 +111,7 @@ type mergeRun struct {
 	idx   int
 	fetch func() (*sortedRun, error) // nil for in-memory runs
 	done  bool
+	slot  int // cur's index among the windows of the merge batch in progress, -1 before its first pick
 }
 
 // newMemRun wraps an in-memory sorted run.
@@ -175,19 +156,19 @@ func (r *mergeRun) advance() error {
 // instead of a full tournament. Leaf s maps to tree slot s+k with
 // parent(x) = x/2; internal nodes occupy 1..k-1.
 type loserTree struct {
-	keys []plan.SortKey
-	runs []*mergeRun
-	node []int // node[t] = run index of the loser at internal node t
-	win  int   // current overall winner, -1 when empty
-	err  error // first comparison or window-fetch error; output is invalid after
+	coder *sortCoder // nil when runs are ordered by position alone
+	runs  []*mergeRun
+	node  []int // node[t] = run index of the loser at internal node t
+	win   int   // current overall winner, -1 when empty
+	err   error // first comparison or window-fetch error; output is invalid after
 }
 
-func newLoserTree(keys []plan.SortKey, runs []*mergeRun) *loserTree {
+func newLoserTree(coder *sortCoder, runs []*mergeRun) *loserTree {
 	lt := &loserTree{
-		keys: keys,
-		runs: runs,
-		node: make([]int, len(runs)),
-		win:  -1,
+		coder: coder,
+		runs:  runs,
+		node:  make([]int, len(runs)),
+		win:   -1,
 	}
 	switch len(runs) {
 	case 0:
@@ -230,9 +211,10 @@ func (lt *loserTree) replay(s int) {
 	lt.win = s
 }
 
-// beats reports whether run a's front row precedes run b's. Exhausted
-// runs lose to everything, so the winner is exhausted only when every
-// run is.
+// beats reports whether run a's front row precedes run b's: by the
+// leading key's codes, then — where those tie — by the comparator over
+// the keys the tie leaves open, then by position. Exhausted runs lose
+// to everything, so the winner is exhausted only when every run is.
 func (lt *loserTree) beats(a, b int) bool {
 	if lt.err != nil {
 		return false
@@ -241,17 +223,30 @@ func (lt *loserTree) beats(a, b int) bool {
 	if ra.done || rb.done {
 		return rb.done && !ra.done
 	}
-	c, err := compareKeyRows(lt.keys, ra.cur.keys, ra.idx, rb.cur.keys, rb.idx)
-	if err != nil {
-		lt.err = err
-		return false
-	}
-	if c != 0 {
-		return c < 0
+	wa, wb := ra.cur, rb.cur
+	if c := lt.coder; c != nil {
+		from := 0
+		if wa.codes != nil && wb.codes != nil {
+			x, y := wa.codes[ra.idx], wb.codes[rb.idx]
+			if x != y {
+				return x < y
+			}
+			if c.decides(0, x) {
+				from = 1
+			}
+		}
+		d, err := compareKeyRows(c.keys[from:], wa.keys[from:], ra.idx, wb.keys[from:], rb.idx)
+		if err != nil {
+			lt.err = err
+			return false
+		}
+		if d != 0 {
+			return d < 0
+		}
 	}
 	// Global input positions are unique, so the tiebreak is total and
 	// the merge order deterministic.
-	return ra.cur.pos[ra.idx] < rb.cur.pos[rb.idx]
+	return wa.pos[ra.idx] < wb.pos[rb.idx]
 }
 
 // next returns the winning run's current window and row, then advances
@@ -281,22 +276,34 @@ const topKCompactFloor = 4096
 
 // runBuilder accumulates rows and turns them into sorted runs. Under
 // a memory budget it writes full runs to spill files whenever the
-// query's tracked footprint exceeds the budget; with a small limit
-// hint it keeps only the top-k rows via periodic compaction, so a
-// `ORDER BY ... LIMIT k` never materializes more than O(k) rows per
-// builder. Builders are single-goroutine; parallel sort gives each
+// query's tracked footprint exceeds the budget. With a limit hint it
+// keeps only the top-k rows: a compaction cuts the buffer to its first
+// k rows, and from then on a row that does not precede the k-th is
+// dropped before it is copied, so an `ORDER BY ... LIMIT k` never
+// materializes more than O(k) rows per builder and soon appends almost
+// nothing. Builders are single-goroutine; parallel sort gives each
 // worker its own, sharing the query-wide tracker.
 type runBuilder struct {
-	ctx    *Context
-	keys   []plan.SortKey
-	colKey []int // key i -> data column index for ColRef keys, else -1
-	limit  int64 // top-k bound (offset+count); <=0 unbounded
-	label  string
+	ctx   *Context
+	coder *sortCoder
+	limit int64 // top-k bound (offset+count); <=0 unbounded
+	label string
 
-	data      []*vector.Vector // accumulated data columns
-	extraKeys []*vector.Vector // accumulated non-ColRef key columns
-	pos       []int64
-	bytes     int64 // tracked estimate for the current buffer
+	data  []*vector.Vector // accumulated data columns
+	keys  []*vector.Vector // accumulated key columns; ColRef keys alias data
+	pos   []int64
+	bytes int64 // tracked estimate for the current buffer
+
+	// thr is the buffer row a new row must precede to be kept, thrCode
+	// its leading-key code: the k-th row after a compaction, -1 before
+	// the first one and after a spill.
+	thr     int
+	thrCode uint64
+	// Scratch reused from chunk to chunk: the incoming chunk's key
+	// columns, its leading-key codes and the rows of it that are kept.
+	chunkKeys []*vector.Vector
+	lead      []uint64
+	sel       []int
 
 	file *spill.File // shared by all of this builder's spilled runs
 	runs []*mergeRun // spilled runs completed so far
@@ -304,14 +311,8 @@ type runBuilder struct {
 }
 
 func newRunBuilder(ctx *Context, keys []plan.SortKey, limit int64, label string) *runBuilder {
-	colKey := make([]int, len(keys))
-	for i, k := range keys {
-		colKey[i] = -1
-		if cr, ok := k.Expr.(*plan.ColRef); ok {
-			colKey[i] = cr.Idx
-		}
-	}
-	return &runBuilder{ctx: ctx, keys: keys, colKey: colKey, limit: limit, label: label}
+	return &runBuilder{ctx: ctx, coder: newSortCoder(keys), limit: limit, label: label, thr: -1,
+		chunkKeys: make([]*vector.Vector, len(keys))}
 }
 
 // add appends one chunk. Row r's global position is posBase+r; bases
@@ -319,169 +320,239 @@ func newRunBuilder(ctx *Context, keys []plan.SortKey, limit int64, label string)
 // builders feeding one merge (callers use a running row count or
 // morsel<<32).
 func (b *runBuilder) add(ch *vector.Chunk, posBase int64) error {
-	n := ch.NumRows()
-	if n == 0 {
+	if ch.NumRows() == 0 {
 		return nil
 	}
-	if b.data == nil {
-		b.data = make([]*vector.Vector, ch.NumCols())
-		for i := range b.data {
-			b.data[i] = vector.New(ch.Col(i).Type(), n)
-		}
-	}
-	var added int64
-	for i := range b.data {
-		b.data[i].AppendVector(ch.Col(i))
-		added += vectorBytes(ch.Col(i))
-	}
-	ei := 0
-	for ki, k := range b.keys {
-		if b.colKey[ki] >= 0 {
+	colKey, keys := b.coder.colKey, b.chunkKeys
+	for ki, k := range b.coder.keys {
+		if colKey[ki] >= 0 {
+			keys[ki] = ch.Col(colKey[ki])
 			continue
 		}
 		kv, err := Evaluate(k.Expr, ch)
 		if err != nil {
 			return err
 		}
-		if b.extraKeys == nil {
-			b.extraKeys = make([]*vector.Vector, b.numExtraKeys())
+		keys[ki] = kv
+	}
+	var sel []int // rows kept, nil for all
+	if b.thr >= 0 {
+		var err error
+		if sel, err = b.beforeThreshold(keys, posBase); err != nil || len(sel) == 0 {
+			return err
 		}
-		if b.extraKeys[ei] == nil {
-			b.extraKeys[ei] = vector.New(kv.Type(), n)
+		ch = ch.Gather(sel)
+	}
+	n := ch.NumRows()
+	if b.data == nil {
+		b.data = make([]*vector.Vector, ch.NumCols())
+		for i := range b.data {
+			b.data[i] = vector.New(ch.Col(i).Type(), n)
 		}
-		b.extraKeys[ei].AppendVector(kv)
+		b.keys = make([]*vector.Vector, len(keys))
+		for ki, kv := range keys {
+			if colKey[ki] >= 0 {
+				b.keys[ki] = b.data[colKey[ki]]
+			} else {
+				b.keys[ki] = vector.New(kv.Type(), n)
+			}
+		}
+	}
+	added := 8 * int64(n) // the positions
+	for i := range b.data {
+		b.data[i].AppendVector(ch.Col(i))
+		added += vectorBytes(ch.Col(i))
+	}
+	for ki, kv := range keys {
+		if colKey[ki] >= 0 {
+			continue
+		}
+		if sel != nil {
+			kv = kv.Gather(sel)
+		}
+		b.keys[ki].AppendVector(kv)
 		added += vectorBytes(kv)
-		ei++
 	}
-	for r := 0; r < n; r++ {
-		b.pos = append(b.pos, posBase+int64(r))
+	at := len(b.pos)
+	b.pos = slices.Grow(b.pos, n)[:at+n]
+	for i := range n {
+		r := i
+		if sel != nil {
+			r = sel[i]
+		}
+		b.pos[at+i] = posBase + int64(r)
 	}
-	added += 8 * int64(n)
 	b.bytes += added
 	b.ctx.memGrow(added)
 
-	if b.limit > 0 && int64(len(b.pos)) >= 2*b.limit && len(b.pos) >= topKCompactFloor {
+	// Under memory pressure a top-k buffer first sheds the rows it can
+	// never emit, whatever its size; only what is left may spill.
+	pressed := b.ctx.shouldSpill(b.bytes)
+	if b.limit > 0 && int64(len(b.pos)) >= 2*b.limit && (pressed || len(b.pos) >= topKCompactFloor) {
 		if err := b.compact(); err != nil {
 			return err
 		}
+		pressed = b.ctx.shouldSpill(b.bytes)
 	}
-	if len(b.pos) > 0 && b.ctx.shouldSpill(b.bytes) {
+	if pressed {
 		return b.spillCurrent()
 	}
 	return nil
 }
 
-func (b *runBuilder) numExtraKeys() int {
-	n := 0
-	for _, ck := range b.colKey {
-		if ck < 0 {
-			n++
-		}
+// beforeThreshold selects the rows of an incoming chunk that precede
+// the buffer's k-th row: one pass over the leading codes, the
+// comparator and the position only where a code ties the threshold's.
+func (b *runBuilder) beforeThreshold(keys []*vector.Vector, posBase int64) ([]int, error) {
+	if b.lead = b.coder.encode(0, keys[0], b.lead); b.lead == nil {
+		return identitySel(keys[0].Len()), nil // not the planned type after all: keep everything
 	}
-	return n
-}
-
-// keyVecs resolves the key columns over the current buffer.
-func (b *runBuilder) keyVecs() []*vector.Vector {
-	out := make([]*vector.Vector, len(b.keys))
-	ei := 0
-	for i, ck := range b.colKey {
-		if ck >= 0 {
-			out[i] = b.data[ck]
+	sel := b.sel[:0]
+	for r, code := range b.lead {
+		if code > b.thrCode {
 			continue
 		}
-		out[i] = b.extraKeys[ei]
-		ei++
+		if code == b.thrCode {
+			c, err := compareKeyRows(b.coder.keys, keys, r, b.keys, b.thr)
+			if err != nil {
+				return nil, err
+			}
+			if c > 0 || c == 0 && posBase+int64(r) > b.pos[b.thr] {
+				continue
+			}
+		}
+		sel = append(sel, r)
 	}
-	return out
+	b.sel = sel
+	return sel, nil
+}
+
+// runSort orders the rows of one buffer, key by key: rows are sorted
+// by a key's codes, and each group the codes leave tied is ordered by
+// the next key's codes, or — where equal codes do not decide the key —
+// by the comparator. Rows tied on every key keep position order.
+type runSort struct {
+	b     *runBuilder
+	codes [][]uint64 // per key over the buffer, encoded on first use
+	tmp   []sortRec
+	held  int64 // tracker bytes of the records, tmp, the gather index and codes
+}
+
+// order sorts recs, rows tied on every key before k.
+func (s *runSort) order(recs []sortRec, k int) error {
+	if k < len(s.codes) && s.codes[k] == nil {
+		if s.codes[k] = s.b.coder.encode(k, s.b.keys[k], nil); s.codes[k] != nil {
+			s.held += 8 * int64(len(s.b.pos))
+			s.b.ctx.memGrow(8 * int64(len(s.b.pos)))
+		}
+	}
+	if k == len(s.codes) || s.codes[k] == nil {
+		return s.compareSort(recs, k) // no key left, or one that cannot be coded
+	}
+	codes := s.codes[k]
+	for i := range recs {
+		recs[i].code = codes[recs[i].row]
+	}
+	sortRecs(recs, s.tmp)
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].code == recs[lo].code {
+			hi++
+		}
+		if hi-lo > 1 {
+			var err error
+			if s.b.coder.decides(k, recs[lo].code) {
+				err = s.order(recs[lo:hi], k+1)
+			} else {
+				err = s.compareSort(recs[lo:hi], k)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// compareSort orders recs by the comparator over keys k onward, then
+// position.
+func (s *runSort) compareSort(recs []sortRec, k int) error {
+	keys, vecs, pos := s.b.coder.keys[k:], s.b.keys[k:], s.b.pos
+	var sortErr error
+	slices.SortFunc(recs, func(x, y sortRec) int {
+		c, err := compareKeyRows(keys, vecs, x.row, vecs, y.row)
+		if err != nil {
+			sortErr = err
+		}
+		if c != 0 {
+			return c
+		}
+		return cmp.Compare(pos[x.row], pos[y.row])
+	})
+	return sortErr
 }
 
 // buildRun sorts the current buffer by (keys, position) into a run,
 // truncated to the top-k limit when one is set, and resets the buffer.
+// The position tiebreak is explicit (not via sort stability): after a
+// top-k compaction the buffer is no longer in position order.
 func (b *runBuilder) buildRun() (*sortedRun, error) {
-	keyVecs := b.keyVecs()
-	idx := make([]int, len(b.pos))
-	for i := range idx {
-		idx[i] = i
+	n := len(b.pos)
+	// One allocation holds the records and the record sort's scratch;
+	// held adds the gather index. All of it dies with this call.
+	recs := make([]sortRec, 2*n)
+	s := runSort{b: b, codes: make([][]uint64, len(b.keys)), tmp: recs[n:], held: 40 * int64(n)}
+	recs = recs[:n]
+	b.ctx.memGrow(s.held)
+	for i := range recs {
+		recs[i].row = i
 	}
-	var sortErr error
-	// The position tiebreak is explicit (not via sort stability):
-	// after a top-k compaction or a spill the buffer is no longer in
-	// position order, so stability alone would not reproduce it.
-	sort.Slice(idx, func(x, y int) bool {
-		a, bi := idx[x], idx[y]
-		c, err := compareKeyRows(b.keys, keyVecs, a, keyVecs, bi)
-		if err != nil {
-			sortErr = err
-			return false
-		}
-		if c != 0 {
-			return c < 0
-		}
-		return b.pos[a] < b.pos[bi]
-	})
-	if sortErr != nil {
-		return nil, sortErr
+	err := s.order(recs, 0)
+	defer b.ctx.memShrink(s.held)
+	if err != nil {
+		return nil, err
 	}
-	if b.limit > 0 && int64(len(idx)) > b.limit {
-		idx = idx[:b.limit]
+	if b.limit > 0 && int64(n) > b.limit {
+		recs = recs[:b.limit]
 	}
-	data := vector.NewChunk(b.data...)
-	sortedData := data.Gather(idx)
-	sortedPos := make([]int64, len(idx))
-	for i, r := range idx {
-		sortedPos[i] = b.pos[r]
+	idx := make([]int, len(recs))
+	for i, r := range recs {
+		idx[i] = r.row
 	}
-	sortedKeys := make([]*vector.Vector, len(b.keys))
-	ei := 0
-	for i, ck := range b.colKey {
+	run := &sortedRun{data: vector.NewChunk(b.data...).Gather(idx), keys: make([]*vector.Vector, len(b.keys)), pos: gatherBy(b.pos, idx)}
+	if s.codes[0] != nil {
+		run.codes = gatherBy(s.codes[0], idx)
+	}
+	for i, ck := range b.coder.colKey {
 		if ck >= 0 {
 			// ColRef keys are the data column itself; reuse its gathered
 			// form instead of gathering the same vector twice.
-			sortedKeys[i] = sortedData.Col(ck)
-			continue
+			run.keys[i] = run.data.Col(ck)
+		} else {
+			run.keys[i] = b.keys[i].Gather(idx)
 		}
-		sortedKeys[i] = b.extraKeys[ei].Gather(idx)
-		ei++
 	}
 	b.ctx.memShrink(b.bytes)
-	b.data, b.extraKeys, b.pos, b.bytes = nil, nil, nil, 0
-	return &sortedRun{data: sortedData, keys: sortedKeys, pos: sortedPos}, nil
+	b.data, b.keys, b.pos, b.bytes, b.thr = nil, nil, nil, 0, -1
+	return run, nil
 }
 
-// compact sorts the buffer and keeps only the top-k rows, re-seeding
-// the accumulators from the truncated run.
+// compact sorts the buffer and keeps only the top-k rows: the buffer
+// becomes the truncated run, whose last row is the new threshold.
 func (b *runBuilder) compact() error {
 	run, err := b.buildRun()
 	if err != nil {
 		return err
 	}
-	b.adoptRun(run)
+	b.data, b.keys, b.pos = run.data.Cols(), run.keys, run.pos
+	b.bytes = runBytes(run) - 8*int64(len(run.codes))
+	b.ctx.memGrow(b.bytes)
+	if run.codes != nil && int64(len(b.pos)) == b.limit {
+		b.thr = len(b.pos) - 1
+		b.thrCode = run.codes[b.thr]
+	}
 	return nil
-}
-
-// adoptRun replaces the buffer with a run's rows.
-func (b *runBuilder) adoptRun(run *sortedRun) {
-	b.data = run.data.Cols()
-	b.pos = run.pos
-	if ne := b.numExtraKeys(); ne > 0 {
-		b.extraKeys = make([]*vector.Vector, 0, ne)
-		for i, ck := range b.colKey {
-			if ck < 0 {
-				b.extraKeys = append(b.extraKeys, run.keys[i])
-			}
-		}
-	}
-	var bytes int64
-	for _, c := range b.data {
-		bytes += vectorBytes(c)
-	}
-	for _, c := range b.extraKeys {
-		bytes += vectorBytes(c)
-	}
-	bytes += 8 * int64(len(b.pos))
-	b.bytes = bytes
-	b.ctx.memGrow(bytes)
 }
 
 // spillCurrent sorts the buffer into a run and writes it to the
@@ -498,7 +569,7 @@ func (b *runBuilder) spillCurrent() error {
 		}
 		b.file = f
 	}
-	mr, err := spillSortedRun(b.file, run, b.colKey)
+	mr, err := spillSortedRun(b.file, run, b.coder)
 	if err != nil {
 		return err
 	}
@@ -507,42 +578,68 @@ func (b *runBuilder) spillCurrent() error {
 	return nil
 }
 
-// finish returns every run the builder produced — the spilled runs
-// plus the final in-memory run — and the spill file backing them (nil
-// when nothing spilled). The final run stays resident through the
-// whole merge, so its bytes remain on the query tracker (heldBytes);
-// the merger that consumes the runs shrinks them at close. The caller
-// owns releasing the file once the merge is done.
-func (b *runBuilder) finish() ([]*mergeRun, *spill.File, error) {
-	if len(b.pos) > 0 {
-		run, err := b.buildRun()
-		if err != nil {
-			return nil, b.file, err
-		}
-		b.held = runBytes(run)
-		b.ctx.memGrow(b.held)
-		b.runs = append(b.runs, newMemRun(run))
+// finish sorts what is still buffered into the builder's last run,
+// which stays resident through the whole merge: its bytes remain on
+// the query tracker (held) until the merger that consumes the runs
+// closes.
+func (b *runBuilder) finish() error {
+	if len(b.pos) == 0 {
+		return nil
 	}
-	return b.runs, b.file, nil
+	run, err := b.buildRun()
+	if err != nil {
+		return err
+	}
+	b.held = runBytes(run)
+	b.ctx.memGrow(b.held)
+	b.runs = append(b.runs, newMemRun(run))
+	return nil
 }
 
-// heldBytes reports the tracker bytes the builder's in-memory run
-// still occupies after finish.
-func (b *runBuilder) heldBytes() int64 { return b.held }
-
-// runBytes estimates a sorted run's resident footprint. Key columns
-// aliasing data columns (ColRef keys) are not double-counted.
-func runBytes(run *sortedRun) int64 {
-	n := chunkBytes(run.data) + 8*int64(len(run.pos))
-	for _, k := range run.keys {
-		alias := false
-		for _, c := range run.data.Cols() {
-			if c == k {
-				alias = true
-				break
-			}
+// finishBuilders closes run generation: every builder sorts its last
+// buffer — concurrently, this is where an in-memory sort does its
+// sorting — and the runs of all of them, spilled and resident, feed
+// one merger, which owns their files and held bytes from here on.
+func finishBuilders(ctx *Context, limit int64, builders []*runBuilder) (*runMerger, error) {
+	var coder *sortCoder
+	errs := make([]error, len(builders))
+	var wg sync.WaitGroup
+	for i, b := range builders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.finish()
+		}()
+	}
+	wg.Wait()
+	var runs []*mergeRun
+	var files []*spill.File
+	var held int64
+	for _, b := range builders {
+		runs = append(runs, b.runs...)
+		if b.file != nil {
+			files = append(files, b.file)
 		}
-		if !alias {
+		held += b.held
+		coder = b.coder
+	}
+	m := newRunMerger(ctx, coder, runs, limit, files, held)
+	for _, err := range errs {
+		if err != nil {
+			m.close()
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// runBytes estimates a sorted run's resident footprint: data columns,
+// positions, codes and the key columns that do not alias a data column
+// (ColRef keys do).
+func runBytes(run *sortedRun) int64 {
+	n := chunkBytes(run.data) + 8*int64(len(run.pos)+len(run.codes))
+	for _, k := range run.keys {
+		if !slices.Contains(run.data.Cols(), k) {
 			n += vectorBytes(k)
 		}
 	}
@@ -555,22 +652,21 @@ func runBytes(run *sortedRun) int64 {
 // positioned reads (many runs share one file). Evaluated key columns
 // are persisted rather than re-derived on read, so spilling never
 // re-evaluates key expressions (UDF keys are called exactly once per
-// row, and computed keys cost no decode-time work).
-func spillSortedRun(f *spill.File, run *sortedRun, colKey []int) (*mergeRun, error) {
+// row, and computed keys cost no decode-time work); key codes are not
+// written: each window's are recomputed from its key column as it
+// loads. coder is nil for keyless runs.
+func spillSortedRun(f *spill.File, run *sortedRun, coder *sortCoder) (*mergeRun, error) {
 	nd := run.data.NumCols()
-	var extras []*vector.Vector
-	for i, ck := range colKey {
-		if ck < 0 {
-			extras = append(extras, run.keys[i])
+	extras := make([]*vector.Vector, 0, len(run.keys))
+	for i, k := range run.keys {
+		if coder.colKey[i] < 0 {
+			extras = append(extras, k)
 		}
 	}
 	n := run.data.NumRows()
 	refs := make([]spill.ChunkRef, 0, (n+vector.DefaultChunkSize-1)/vector.DefaultChunkSize)
 	for from := 0; from < n; from += vector.DefaultChunkSize {
-		to := from + vector.DefaultChunkSize
-		if to > n {
-			to = n
-		}
+		to := min(from+vector.DefaultChunkSize, n)
 		cols := make([]*vector.Vector, 0, nd+len(extras)+1)
 		for _, c := range run.data.Cols() {
 			cols = append(cols, c.Slice(from, to))
@@ -585,7 +681,9 @@ func spillSortedRun(f *spill.File, run *sortedRun, colKey []int) (*mergeRun, err
 		}
 		refs = append(refs, ref)
 	}
-	mr := &mergeRun{}
+	// The cursor starts before an empty window, so the first advance
+	// loads the run's front row for the merge to see.
+	mr := &mergeRun{cur: &sortedRun{data: run.data.Slice(0, 0)}, idx: -1}
 	next := 0
 	mr.fetch = func() (*sortedRun, error) {
 		if next >= len(refs) {
@@ -596,38 +694,31 @@ func spillSortedRun(f *spill.File, run *sortedRun, colKey []int) (*mergeRun, err
 			return nil, err
 		}
 		next++
-		return assembleRunWindow(cols, nd, colKey)
+		return assembleRunWindow(cols, nd, coder), nil
 	}
-	// Load the first window so the merge sees the run's front row.
-	win, err := mr.fetch()
-	if err != nil {
-		return nil, err
-	}
-	if win == nil || win.data.NumRows() == 0 {
-		mr.done = true
-		return mr, nil
-	}
-	mr.cur = win
-	return mr, nil
+	return mr, mr.advance()
 }
 
 // assembleRunWindow reconstructs a window from a spilled run chunk:
 // nd data columns, the non-ColRef key columns, then the position
 // column.
-func assembleRunWindow(cols []*vector.Vector, nd int, colKey []int) (*sortedRun, error) {
-	data := vector.NewChunk(cols[:nd]...)
-	keys := make([]*vector.Vector, len(colKey))
+func assembleRunWindow(cols []*vector.Vector, nd int, coder *sortCoder) *sortedRun {
+	win := &sortedRun{data: vector.NewChunk(cols[:nd]...), pos: cols[len(cols)-1].Int64s()}
+	if coder == nil {
+		return win
+	}
+	win.keys = make([]*vector.Vector, len(coder.colKey))
 	ei := nd
-	for i, ck := range colKey {
+	for i, ck := range coder.colKey {
 		if ck >= 0 {
-			keys[i] = data.Col(ck)
+			win.keys[i] = win.data.Col(ck)
 			continue
 		}
-		keys[i] = cols[ei]
+		win.keys[i] = cols[ei]
 		ei++
 	}
-	pos := cols[len(cols)-1].Int64s()
-	return &sortedRun{data: data, keys: keys, pos: pos}, nil
+	win.codes = coder.encode(0, win.keys[0], nil)
+	return win
 }
 
 // ------------------------------------------------------- run merger
@@ -643,13 +734,21 @@ type runMerger struct {
 	ctx       *Context
 	held      int64 // tracker bytes of the in-memory runs, shrunk on close
 	remaining int64 // rows the merge may still emit; <0 unbounded
+
+	// The batch in progress: the windows it draws from and, per output
+	// row, which window and which row of it.
+	wins  []*sortedRun
+	picks []mergePick
 }
 
-// newRunMerger merges runs with an optional row bound. held is the
-// tracker bytes the in-memory runs occupy (per runBuilder.heldBytes);
-// the merger releases them at close, when the runs become garbage.
-func newRunMerger(ctx *Context, keys []plan.SortKey, runs []*mergeRun, limit int64, files []*spill.File, held int64) *runMerger {
-	m := &runMerger{lt: newLoserTree(keys, runs), files: files, ctx: ctx, held: held, remaining: -1}
+type mergePick struct{ win, row int32 }
+
+// newRunMerger merges runs ordered under coder (nil: by position
+// alone) with an optional row bound. held is the
+// tracker bytes the in-memory runs occupy; the merger releases them at
+// close, when the runs become garbage.
+func newRunMerger(ctx *Context, coder *sortCoder, runs []*mergeRun, limit int64, files []*spill.File, held int64) *runMerger {
+	m := &runMerger{lt: newLoserTree(coder, runs), files: files, ctx: ctx, held: held, remaining: -1}
 	if limit > 0 {
 		m.remaining = limit
 	}
@@ -681,56 +780,78 @@ func (m *runMerger) next(ctx *Context) (*vector.Chunk, error) {
 	if len(m.lt.runs) == 1 {
 		return m.nextSingle(batch)
 	}
-	cols := make([]*vector.Vector, len(m.types))
-	for i, t := range m.types {
-		cols[i] = vector.New(t, batch)
+	// Pop the batch's winners first, noting where each row lives, then
+	// gather every output column in one typed pass over the picks.
+	m.wins, m.picks = m.wins[:0], m.picks[:0]
+	for _, r := range m.lt.runs {
+		r.slot = -1
 	}
-	// Pop winners in contiguous spans: rows consumed from one run's
-	// window are consecutive, so while the winner stays put
-	// (duplicate-heavy keys, pre-sorted stretches) whole slices copy
-	// in bulk.
-	emitted := 0
-	for emitted < batch {
+	for len(m.picks) < batch {
 		w := m.lt.win
-		if w < 0 || m.lt.runs[w].done || m.lt.err != nil {
+		win, row, ok := m.lt.next()
+		if !ok {
 			break
 		}
 		r := m.lt.runs[w]
-		win := r.cur
-		start := r.idx
-		count := 0
-		for emitted < batch && m.lt.win == w && !r.done && r.cur == win && m.lt.err == nil {
-			if _, _, ok := m.lt.next(); !ok {
-				break
-			}
-			count++
-			emitted++
+		if r.slot < 0 || m.wins[r.slot] != win {
+			r.slot = len(m.wins)
+			m.wins = append(m.wins, win)
 		}
-		if count == 0 {
-			break
-		}
-		if count < 8 { // a slice header per column costs more than a few row copies
-			for c := range cols {
-				for r := start; r < start+count; r++ {
-					cols[c].AppendRowFrom(win.data.Col(c), r)
-				}
-			}
-			continue
-		}
-		for c := range cols {
-			cols[c].AppendVector(win.data.Col(c).Slice(start, start+count))
-		}
+		m.picks = append(m.picks, mergePick{int32(r.slot), int32(row)})
 	}
 	if err := m.lt.err; err != nil {
 		return nil, err
 	}
-	if emitted == 0 {
+	if len(m.picks) == 0 {
 		return nil, nil
 	}
 	if m.remaining > 0 {
-		m.remaining -= int64(emitted)
+		m.remaining -= int64(len(m.picks))
+	}
+	cols := make([]*vector.Vector, len(m.types))
+	for c, t := range m.types {
+		cols[c] = gatherPicks(t, m.wins, c, m.picks)
 	}
 	return vector.NewChunk(cols...), nil
+}
+
+// gatherPicks assembles output column c of a merge batch.
+func gatherPicks(t vector.Type, wins []*sortedRun, c int, picks []mergePick) *vector.Vector {
+	var out *vector.Vector
+	switch t {
+	case vector.Bool:
+		out = vector.FromBools(pickCells(wins, c, picks, (*vector.Vector).Bools))
+	case vector.Int32:
+		out = vector.FromInt32s(pickCells(wins, c, picks, (*vector.Vector).Int32s))
+	case vector.Int64:
+		out = vector.FromInt64s(pickCells(wins, c, picks, (*vector.Vector).Int64s))
+	case vector.Float64:
+		out = vector.FromFloat64s(pickCells(wins, c, picks, (*vector.Vector).Float64s))
+	case vector.String:
+		out = vector.FromStrings(pickCells(wins, c, picks, (*vector.Vector).Strings))
+	default:
+		out = vector.FromBlobs(pickCells(wins, c, picks, (*vector.Vector).Blobs))
+	}
+	if slices.ContainsFunc(wins, func(w *sortedRun) bool { return w.data.Col(c).Nulls() != nil }) {
+		for i, p := range picks {
+			if wins[p.win].data.Col(c).IsNull(int(p.row)) {
+				out.SetNull(i)
+			}
+		}
+	}
+	return out
+}
+
+func pickCells[T any](wins []*sortedRun, c int, picks []mergePick, payload func(*vector.Vector) []T) []T {
+	srcs := make([][]T, len(wins))
+	for i, w := range wins {
+		srcs[i] = payload(w.data.Col(c))
+	}
+	out := make([]T, len(picks))
+	for i, p := range picks {
+		out[i] = srcs[p.win][p.row]
+	}
+	return out
 }
 
 // nextSingle emits from a lone run without per-row merging: in-memory

@@ -24,7 +24,7 @@ func TestLoserTreeMergeOrder(t *testing.T) {
 		newMemRun(mkRun(t, []int64{2, 4, 8}, []int64{1, 4, 7})),
 		newMemRun(mkRun(t, []int64{0, 4, 10, 11, 12}, []int64{2, 5, 8, 10, 11})),
 	}
-	lt := newLoserTree(keys, runs)
+	lt := newLoserTree(newSortCoder(keys), runs)
 	var got []int64
 	for {
 		win, row, ok := lt.next()
@@ -56,7 +56,7 @@ func TestLoserTreeTiebreakByPosition(t *testing.T) {
 		newMemRun(mkRun(t, []int64{5, 5}, []int64{1, 9})),
 		newMemRun(mkRun(t, []int64{5}, []int64{3})),
 	}
-	lt := newLoserTree(keys, runs)
+	lt := newLoserTree(newSortCoder(keys), runs)
 	var gotPos []int64
 	for {
 		win, row, ok := lt.next()
@@ -75,10 +75,10 @@ func TestLoserTreeTiebreakByPosition(t *testing.T) {
 
 func TestLoserTreeSingleAndEmpty(t *testing.T) {
 	keys := []plan.SortKey{{Expr: colRef(0, vector.Int64)}}
-	if _, _, ok := newLoserTree(keys, nil).next(); ok {
+	if _, _, ok := newLoserTree(newSortCoder(keys), nil).next(); ok {
 		t.Fatal("empty tree must be exhausted")
 	}
-	lt := newLoserTree(keys, []*mergeRun{newMemRun(mkRun(t, []int64{3, 8}, []int64{0, 1}))})
+	lt := newLoserTree(newSortCoder(keys), []*mergeRun{newMemRun(mkRun(t, []int64{3, 8}, []int64{0, 1}))})
 	var got []int64
 	for {
 		win, row, ok := lt.next()

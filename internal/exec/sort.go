@@ -10,11 +10,11 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"vexdb/internal/plan"
-	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
 
@@ -28,20 +28,15 @@ type sortOp struct {
 	child  Operator
 	ctx    *Context
 	merger *runMerger
-	done   bool
 }
 
 func (s *sortOp) Open(ctx *Context) error {
 	s.ctx = ctx
 	s.merger = nil
-	s.done = false
 	return s.child.Open(ctx)
 }
 
 func (s *sortOp) Next() (*vector.Chunk, error) {
-	if s.done {
-		return nil, nil
-	}
 	if s.merger == nil {
 		b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
 		var rows int64
@@ -61,25 +56,13 @@ func (s *sortOp) Next() (*vector.Chunk, error) {
 			}
 			rows += int64(ch.NumRows())
 		}
-		runs, file, err := b.finish()
-		var files []*spill.File
-		if file != nil {
-			files = append(files, file)
-		}
+		m, err := finishBuilders(s.ctx, s.spec.Limit, []*runBuilder{b})
 		if err != nil {
-			releaseFiles(files)
 			return nil, err
 		}
-		s.merger = newRunMerger(s.ctx, s.spec.Keys, runs, s.spec.Limit, files, b.heldBytes())
+		s.merger = m
 	}
-	ch, err := s.merger.next(s.ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ch == nil {
-		s.done = true
-	}
-	return ch, nil
+	return s.merger.next(s.ctx)
 }
 
 func (s *sortOp) Close() error {
@@ -114,122 +97,87 @@ func (s *parallelSortOp) Open(ctx *Context) error {
 func (s *parallelSortOp) Next() (*vector.Chunk, error) {
 	if !s.started {
 		s.started = true
-		runs, files, held, err := s.buildRuns()
+		builders, err := s.fillBuilders()
+		if err == nil {
+			s.merger, err = finishBuilders(s.ctx, s.spec.Limit, builders)
+		}
 		if err != nil {
-			releaseFiles(files)
 			return nil, err
 		}
-		s.merger = newRunMerger(s.ctx, s.spec.Keys, runs, s.spec.Limit, files, held)
-	}
-	if s.merger == nil {
-		return nil, nil
 	}
 	return s.merger.next(s.ctx)
 }
 
-// buildRuns drains the input morsel-parallel into sorted runs: each
-// worker accumulates claimed morsels in its own builder, spilling
-// sorted runs whenever the shared budget is exceeded, and closes with
-// one final in-memory run. Workers observe cancellation between
-// morsels; a cancelled drain surfaces ErrCancelled rather than
-// merging a partial input.
-func (s *parallelSortOp) buildRuns() ([]*mergeRun, []*spill.File, int64, error) {
+// fillBuilders drains the input morsel-parallel into run builders:
+// each worker accumulates claimed morsels in its own, spilling sorted
+// runs whenever the shared budget is exceeded. Workers observe
+// cancellation between morsels; a cancelled drain surfaces
+// ErrCancelled rather than merging a partial input.
+func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
 	n := s.pipe.src.open(s.ctx)
-	workers := s.workers
-	if cap := sortRunCap; cap >= 1 && workers > cap {
-		workers = cap
+	// Context.Parallelism is an upper bound on concurrency, but more
+	// runs than threads the scheduler will run add no sort parallelism —
+	// they only widen the merge, which is pure overhead on the consumer.
+	// (Budget-forced spilling can still produce more runs: each spill of
+	// a worker's buffer is its own run.)
+	runCap := sortRunCap
+	if runCap < 1 {
+		runCap = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		return nil, nil, 0, nil
-	}
-	perWorker := make([][]*mergeRun, workers)
-	perWorkerFile := make([]*spill.File, workers)
-	perWorkerHeld := make([]int64, workers)
-	errs := make([]error, workers)
+	builders := make([]*runBuilder, max(min(s.workers, runCap, n), 0))
+	errs := make([]error, len(builders))
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
+	for w := range builders {
+		b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
+		builders[w] = b
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
 			var sc pipeScratch
-			for {
+			for errs[w] == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n || stop.Load() || s.ctx.interrupted() {
-					break
+					return
 				}
 				ch, err := s.pipe.src.fetch(i)
 				if err == nil {
 					ch, err = s.pipe.apply(ch, &sc)
 				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
+				if err == nil && ch != nil {
+					err = b.add(ch, int64(i)<<32)
 				}
-				if ch == nil || ch.NumRows() == 0 {
-					continue
-				}
-				if err := b.add(ch, int64(i)<<32); err != nil {
-					errs[w] = err
+				if errs[w] = err; err != nil {
 					stop.Store(true)
-					return
 				}
 			}
-			runs, file, err := b.finish()
-			perWorkerFile[w] = file
-			perWorkerHeld[w] = b.heldBytes()
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-				return
-			}
-			perWorker[w] = runs
-		}(w)
+		}()
 	}
 	wg.Wait()
 	s.pipe.src.finish()
-	var all []*mergeRun
-	var files []*spill.File
-	var held int64
-	for _, runs := range perWorker {
-		all = append(all, runs...)
-	}
-	for _, f := range perWorkerFile {
-		if f != nil {
-			files = append(files, f)
-		}
-	}
-	for _, h := range perWorkerHeld {
-		held += h
-	}
-	abort := func() {
-		releaseFiles(files)
-		s.ctx.memShrink(held)
-	}
 	for _, err := range errs {
 		if err != nil {
-			abort()
-			return nil, nil, 0, err
+			releaseBuilders(builders)
+			return nil, err
 		}
 	}
 	if s.ctx.interrupted() {
 		// Workers stopped mid-input; a merge over partial runs would
 		// silently drop rows.
-		abort()
-		return nil, nil, 0, ErrCancelled
+		releaseBuilders(builders)
+		return nil, ErrCancelled
 	}
-	return all, files, held, nil
+	return builders, nil
 }
 
-func releaseFiles(files []*spill.File) {
-	for _, f := range files {
-		f.Release()
+// releaseBuilders drops the spill files of builders whose runs will
+// never be merged.
+func releaseBuilders(builders []*runBuilder) {
+	for _, b := range builders {
+		if b.file != nil {
+			b.file.Release()
+		}
 	}
 }
 

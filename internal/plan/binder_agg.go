@@ -242,6 +242,12 @@ func (b *Binder) bindAggCall(fc *sql.FuncCall, sc *scope) (AggSpec, error) {
 	if err != nil {
 		return AggSpec{}, err
 	}
+	if c, ok := arg.(*Const); ok && c.Typ == vector.Invalid {
+		// A bare NULL has no type for the state and output columns to
+		// take: it is a DOUBLE NULL, so sum, avg, min and max of it are
+		// DOUBLE NULLs and its count is 0.
+		arg = &Const{Val: c.Val, Typ: vector.Float64}
+	}
 	spec.Arg = arg
 	switch kind {
 	case AggCount:

@@ -185,6 +185,27 @@ func TestServerError(t *testing.T) {
 	}
 }
 
+// max(NULL) used to panic the server's stream when it cast the
+// untyped aggregate column to the schema; it is a DOUBLE NULL now, in
+// every protocol.
+func TestAggregateOfBareNullOverWire(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
+		tab, err := c.Query(proto, "SELECT max(NULL) AS mx, sum(NULL) AS s, count(DISTINCT NULL) AS cd FROM t")
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if tab.NumRows() != 1 || !tab.Column("mx").IsNull(0) || !tab.Column("s").IsNull(0) || tab.Column("cd").Get(0).Int64() != 0 {
+			t.Fatalf("%s: mx=%v s=%v cd=%v", proto, tab.Column("mx").Get(0), tab.Column("s").Get(0), tab.Column("cd").Get(0))
+		}
+	}
+}
+
 func TestClientExecAndMultipleRequests(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)

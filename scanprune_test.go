@@ -115,52 +115,65 @@ func BenchmarkFullScanCompressed(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroSortParallel: 200k-row ORDER BY through run generation
-// + loser-tree merge. workers=1 is the serial sortOp baseline; on a
-// multi-core machine workers=8 shows the run-sort fan-out, on a
-// 1-core CI box it must at least hold parity.
-func BenchmarkMicroSortParallel(b *testing.B) {
-	db := Open()
-	loadSortedEvents(b, db, 200_000)
-	for _, workers := range []int{1, 8} {
+// sortBenchRows is the input of the ordering micros: larger than the
+// caches, several merge batches per run.
+const sortBenchRows = 256_000
+
+// benchSort runs one ordering query at workers 1/2/4/8 and reports
+// ns per input row next to allocs/op.
+func benchSort(b *testing.B, db *DB, query string, wantRows int) {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			db.SetParallelism(workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query("SELECT id FROM events ORDER BY val, id")
+				tab, err := db.Query(query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if tab.NumRows() != 200_000 {
+				if tab.NumRows() != wantRows {
 					b.Fatal("short sort output")
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/sortBenchRows, "ns/row")
 		})
 	}
 }
 
-// BenchmarkMicroSortLimitParallel: the LIMIT bound pushed into the
-// merge means only 100 rows are ever popped off the loser tree.
+// BenchmarkMicroSortParallel: full ORDER BY on a DOUBLE key (1000
+// distinct values) then a BIGINT: run generation + loser-tree merge.
+// workers=1 is the serial sortOp.
+func BenchmarkMicroSortParallel(b *testing.B) {
+	db := Open()
+	loadSortedEvents(b, db, sortBenchRows)
+	benchSort(b, db, "SELECT id FROM events ORDER BY val, id", sortBenchRows)
+}
+
+// BenchmarkMicroSortLimitParallel: ORDER BY ... LIMIT 100, where run
+// generation keeps only the rows that can still reach the top 100.
 func BenchmarkMicroSortLimitParallel(b *testing.B) {
 	db := Open()
-	loadSortedEvents(b, db, 200_000)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetParallelism(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab, err := db.Query("SELECT id FROM events ORDER BY val DESC, id LIMIT 100")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if tab.NumRows() != 100 {
-					b.Fatal("short sort output")
-				}
-			}
-		})
-	}
+	loadSortedEvents(b, db, sortBenchRows)
+	benchSort(b, db, "SELECT id FROM events ORDER BY val DESC, id LIMIT 100", 100)
+}
+
+// BenchmarkMicroSortTwoIntKeys: two non-NULL BIGINT keys, the shape of
+// the order-restoring sorts behind spilled joins and reordered plans
+// (a nearly unique leading key in scattered order, a second key
+// breaking its small ties).
+func BenchmarkMicroSortTwoIntKeys(b *testing.B) {
+	db := Open()
+	loadSpillWorkload(b, db, sortBenchRows)
+	benchSort(b, db, "SELECT event_id FROM events ORDER BY key, event_id", sortBenchRows)
+}
+
+// BenchmarkMicroSortStringKey: a low-cardinality VARCHAR key (17 short
+// tags), then a BIGINT breaking its large ties.
+func BenchmarkMicroSortStringKey(b *testing.B) {
+	db := Open()
+	loadSpillWorkload(b, db, sortBenchRows)
+	benchSort(b, db, "SELECT event_id FROM events ORDER BY tag, event_id", sortBenchRows)
 }
 
 // BenchmarkMicroDistinctAggParallel: DISTINCT aggregation over

@@ -157,37 +157,41 @@ func BenchmarkMicroAggregateSpill(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroSortSpill measures the 200k-row full ORDER BY at an
-// unlimited vs. 4MB budget (external sorted runs + streaming merge).
+// BenchmarkMicroSortSpill measures the streamed full ORDER BY at an
+// unlimited vs. 4MB budget (external sorted runs + streaming merge) at
+// workers 1 and 2.
 func BenchmarkMicroSortSpill(b *testing.B) {
-	const rows = 200_000
 	for _, budget := range []int64{0, 4 << 20} {
 		name := "unlimited"
 		if budget > 0 {
 			name = "budget4MB"
 		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			db := OpenOptions(Options{MemoryBudget: budget, TempDir: dir})
-			loadSpillWorkload(b, db, rows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				rows, err := db.QueryStream("SELECT event_id, val FROM events ORDER BY val, event_id")
-				if err != nil {
-					b.Fatal(err)
+		db := OpenOptions(Options{MemoryBudget: budget, TempDir: b.TempDir()})
+		loadSpillWorkload(b, db, sortBenchRows)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				db.SetParallelism(workers)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n := 0
+					rows, err := db.QueryStream("SELECT event_id, val FROM events ORDER BY val, event_id")
+					if err != nil {
+						b.Fatal(err)
+					}
+					for rows.Next() {
+						n++
+					}
+					if err := rows.Err(); err != nil {
+						b.Fatal(err)
+					}
+					rows.Close()
+					if n == 0 {
+						b.Fatal("empty result")
+					}
 				}
-				for rows.Next() {
-					n++
-				}
-				if err := rows.Err(); err != nil {
-					b.Fatal(err)
-				}
-				rows.Close()
-				if n == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/sortBenchRows, "ns/row")
+			})
+		}
 	}
 }

@@ -378,3 +378,38 @@ func TestQueryStreamRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Aggregates of a bare NULL used to leave the output column untyped
+// and panic when the result was cast to the schema: the binder now
+// types the argument as a DOUBLE NULL.
+func TestAggregateOfBareNull(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		db.SetParallelism(workers)
+		tab, err := db.Query("SELECT max(NULL) AS mx, min(NULL) AS mn, sum(NULL) AS s, avg(NULL) AS av, count(NULL) AS c, count(DISTINCT NULL) AS cd FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"mx", "mn", "s", "av"} {
+			if col := tab.Column(name); tab.NumRows() != 1 || col.Type() != Float64 || !col.IsNull(0) {
+				t.Fatalf("workers=%d: %s = %v %v, want one DOUBLE NULL", workers, name, col.Type(), col.Get(0))
+			}
+		}
+		if c, cd := tab.Column("c").Get(0).Int64(), tab.Column("cd").Get(0).Int64(); c != 0 || cd != 0 {
+			t.Fatalf("workers=%d: count(NULL) = %d, count(DISTINCT NULL) = %d, want 0 and 0", workers, c, cd)
+		}
+		grouped, err := db.Query("SELECT a, max(NULL) AS mx FROM t GROUP BY a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped.NumRows() != 3 || !grouped.Column("mx").IsNull(2) {
+			t.Fatalf("workers=%d: grouped max(NULL): %d rows", workers, grouped.NumRows())
+		}
+	}
+}
