@@ -3,8 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
-	"sort"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/vector"
@@ -20,25 +20,21 @@ type hashAggOp struct {
 	child   Operator
 	ctx     *Context
 	started bool
-	emitter *runMerger
+	emitter aggEmitter
 }
 
-// aggShape is the static description of one aggregate's state. A
-// DISTINCT aggregate keeps no accumulators during consumption, only
-// the set of encoded argument values (appendRowKey form) per group:
-// per-worker sets union losslessly at the merge, and finalize folds
-// each merged set in sorted key order — deterministic regardless of
-// worker count or morsel claim order. Every other aggregate keeps the
-// typed state columns its kind needs, listed in state:
+// aggShape is the static description of one aggregate's state: the
+// typed state columns its kind needs, listed in state. A table never
+// holds a DISTINCT aggregate — aggregation dedups the argument first
+// and hands a table the plain form.
 //
 //	COUNT     [count BIGINT]
 //	SUM, AVG  [count BIGINT, sum BIGINT or DOUBLE]
 //	MIN, MAX  [set BOOLEAN, extremum of the argument's type]
 type aggShape struct {
-	spec     plan.AggSpec
-	argType  vector.Type // Invalid for COUNT(*)
-	distinct bool
-	state    []vector.Type
+	spec    plan.AggSpec
+	argType vector.Type // Invalid for COUNT(*)
+	state   []vector.Type
 }
 
 // inputType is the vector type an aggregation input is coerced to: the
@@ -57,8 +53,6 @@ func newAggShape(s plan.AggSpec) aggShape {
 		sh.argType = inputType(s.Arg)
 	}
 	switch {
-	case s.Distinct && s.Arg != nil:
-		sh.distinct = true
 	case s.Kind == plan.AggCount:
 		sh.state = []vector.Type{vector.Int64}
 	case s.Kind == plan.AggAvg, s.Kind == plan.AggSum && (s.Typ == vector.Float64 || sh.argType == vector.Float64):
@@ -73,7 +67,7 @@ func newAggShape(s plan.AggSpec) aggShape {
 	return sh
 }
 
-// isExtremum reports whether the shape is a (non-DISTINCT) MIN or MAX.
+// isExtremum reports whether the shape is a MIN or MAX.
 func (sh *aggShape) isExtremum() bool { return len(sh.state) == 2 && sh.state[0] == vector.Bool }
 
 // typeWidth is what one cell of a group-indexed array of type t is
@@ -154,28 +148,22 @@ func extreme[T int32 | int64 | float64 | string](set []bool, ext []T, ids []int3
 	return grown
 }
 
-// distinctEntryBytes is what one DISTINCT set entry of n encoded bytes
-// is charged: the bytes plus the map's per-entry overhead.
-func distinctEntryBytes(n int) int64 { return int64(n) + 48 }
-
 // aggTable accumulates hash-aggregation state column-wise: the
 // groupIndex resolves key rows to dense group ids (and holds the key
-// columns); firstSeen, every aggregate's state columns and DISTINCT
-// sets are indexed by that id. firstSeen orders the output: it is the
-// smallest global input position (morsel, row) over a group's rows, so
-// parallel partitions merge back into the exact order serial execution
-// would produce.
+// columns); firstSeen and every aggregate's state columns are indexed
+// by that id. firstSeen orders the output: it is the smallest global
+// input position (morsel, row) over a group's rows, so parallel
+// partitions merge back into the exact order serial execution would
+// produce.
 type aggTable struct {
 	spec       *plan.Aggregate
 	shapes     []aggShape
 	gi         *groupIndex
-	firstSeen  []int64                 // gi.capacity() long, as is everything below
-	state      [][]*vector.Vector      // per aggregate, typed by aggShape.state
-	sets       [][]map[string]struct{} // per aggregate; nil unless DISTINCT
-	stateBytes int64                   // firstSeen and state columns, string and set payloads
+	firstSeen  []int64            // gi.capacity() long, as is everything below
+	state      [][]*vector.Vector // per aggregate, typed by aggShape.state
+	stateBytes int64              // firstSeen and state columns, string payloads
 
-	ids     []int32 // per-chunk group ids
-	scratch []byte  // DISTINCT value key buffer
+	ids []int32 // per-chunk group ids
 }
 
 func newAggTable(spec *plan.Aggregate) *aggTable {
@@ -183,18 +171,11 @@ func newAggTable(spec *plan.Aggregate) *aggTable {
 	for i, g := range spec.GroupBy {
 		types[i] = inputType(g)
 	}
-	shapes := make([]aggShape, len(spec.Aggs))
+	t := &aggTable{spec: spec, shapes: make([]aggShape, len(spec.Aggs)), gi: newGroupIndex(types),
+		state: make([][]*vector.Vector, len(spec.Aggs))}
 	for i, s := range spec.Aggs {
-		shapes[i] = newAggShape(s)
-	}
-	return newAggTableOf(spec, newGroupIndex(types), shapes)
-}
-
-func newAggTableOf(spec *plan.Aggregate, gi *groupIndex, shapes []aggShape) *aggTable {
-	t := &aggTable{spec: spec, shapes: shapes, gi: gi,
-		state: make([][]*vector.Vector, len(shapes)), sets: make([][]map[string]struct{}, len(shapes))}
-	for i, sh := range shapes {
-		for _, typ := range sh.state {
+		t.shapes[i] = newAggShape(s)
+		for _, typ := range t.shapes[i].state {
 			t.state[i] = append(t.state[i], vector.New(typ, 0))
 		}
 	}
@@ -205,7 +186,7 @@ func (t *aggTable) numGroups() int { return t.gi.n }
 
 // size is the table's retained footprint as charged to the query's
 // memory budget: the capacity of every key, hash-table and state
-// array, plus string and DISTINCT-set payloads.
+// array, plus string payloads.
 func (t *aggTable) size() int64 { return t.gi.bytes + t.stateBytes }
 
 // growStates extends the state columns to the index's group capacity
@@ -220,11 +201,7 @@ func (t *aggTable) growStates() {
 		t.firstSeen[i] = math.MaxInt64
 	}
 	perGroup := int64(8)
-	for i, sh := range t.shapes {
-		if sh.distinct {
-			t.sets[i] = growTo(t.sets[i], size)
-			perGroup += 8
-		}
+	for i := range t.shapes {
 		for c, v := range t.state[i] {
 			t.state[i][c] = growVector(v, size)
 			perGroup += typeWidth(v.Type())
@@ -283,21 +260,6 @@ func (t *aggTable) update(i int, arg *vector.Vector) error {
 		}
 	}
 	switch {
-	case sh.distinct:
-		sets := t.sets[i]
-		for r, id := range ids {
-			if nulls != nil && nulls[r] {
-				continue
-			}
-			t.scratch = appendRowKey(t.scratch[:0], arg, r)
-			if sets[id] == nil {
-				sets[id] = make(map[string]struct{})
-			}
-			if _, seen := sets[id][string(t.scratch)]; !seen {
-				sets[id][string(t.scratch)] = struct{}{}
-				t.stateBytes += distinctEntryBytes(len(t.scratch))
-			}
-		}
 	case kind == plan.AggCount:
 		count := st[0].Int64s()
 		for r, id := range ids {
@@ -354,13 +316,11 @@ func (t *aggTable) foldExtreme(i int, vals *vector.Vector, skip []bool) {
 // aggPartial is a dense batch of groups in transit between tables:
 // worker table to merged table, consumer table to resident partition,
 // memory to a spill file and back (agg_spill.go has its column form).
-// Row j of every column is the batch's j-th group. DISTINCT sets are
-// shared with the source table, not copied: it is dropped once merged.
+// Row j of every column is the batch's j-th group.
 type aggPartial struct {
 	keys      []*vector.Vector
 	firstSeen []int64
 	state     [][]*vector.Vector
-	sets      [][]map[string]struct{}
 }
 
 // partial returns the groups sel as a batch.
@@ -369,13 +329,9 @@ func (t *aggTable) partial(sel []int) *aggPartial {
 		keys:      gatherVecs(t.gi.keys, sel),
 		firstSeen: gatherBy(t.firstSeen, sel),
 		state:     make([][]*vector.Vector, len(t.shapes)),
-		sets:      make([][]map[string]struct{}, len(t.shapes)),
 	}
-	for i, sh := range t.shapes {
+	for i := range t.shapes {
 		p.state[i] = gatherVecs(t.state[i], sel)
-		if sh.distinct {
-			p.sets[i] = gatherBy(t.sets[i], sel)
-		}
 	}
 	return p
 }
@@ -383,8 +339,7 @@ func (t *aggTable) partial(sel []int) *aggPartial {
 // mergePartial folds a batch of groups into the table: the one way
 // aggregation state is ever combined. Worker tables, consumer dumps
 // into resident partitions and spilled partial rows all arrive here.
-// Every kind composes: counts and sums add, MIN/MAX compare, DISTINCT
-// sets union — or move, when the group has none yet.
+// Every kind composes: counts and sums add, MIN/MAX compare.
 func (t *aggTable) mergePartial(p *aggPartial) {
 	t.ids = t.gi.groupIDs(p.keys, len(p.firstSeen), t.ids)
 	t.growStates()
@@ -392,21 +347,6 @@ func (t *aggTable) mergePartial(p *aggPartial) {
 	for i, sh := range t.shapes {
 		st, src := t.state[i], p.state[i]
 		switch {
-		case sh.distinct:
-			for j, id := range t.ids {
-				from, into := p.sets[i][j], t.sets[i][id]
-				if into == nil {
-					t.sets[i][id] = from
-				}
-				for k := range from {
-					if _, seen := into[k]; !seen {
-						if into != nil {
-							into[k] = struct{}{}
-						}
-						t.stateBytes += distinctEntryBytes(len(k))
-					}
-				}
-			}
 		case sh.isExtremum():
 			unset := make([]bool, len(t.ids))
 			for j, set := range src[0].Bools() {
@@ -438,20 +378,6 @@ func (t *aggTable) ensureGlobalGroup() {
 // in that order.
 func (t *aggTable) finalize(i int, order []int) (*vector.Vector, error) {
 	sh := &t.shapes[i]
-	if sh.distinct {
-		if sh.spec.Kind == plan.AggCount {
-			out := make([]int64, len(order))
-			for j, g := range order {
-				out[j] = int64(len(t.sets[i][g]))
-			}
-			return castTo(vector.FromInt64s(out), sh.spec.Typ)
-		}
-		folded, err := foldDistinct(sh, t.sets[i], order)
-		if err != nil {
-			return nil, err
-		}
-		return folded.finalize(0, identitySel(len(order)))
-	}
 	st := gatherVecs(t.state[i], order)
 	v := st[len(st)-1] // the count, the sum or the extremum
 	if sh.spec.Kind == plan.AggAvg {
@@ -481,53 +407,15 @@ func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
 	return v.Cast(t)
 }
 
-// foldDistinct accumulates each group's deferred value set into the
-// state of a one-aggregate table without the DISTINCT, one group per
-// entry of order. Keys are visited in sorted encoded-byte order, so
-// float sums come out byte-identical no matter how many workers built
-// the set or in which order values arrived. Errors propagate: MIN/MAX
-// over an unorderable argument type (Blob) must fail here exactly as
-// the non-DISTINCT path fails in accumulation. The folded state is
-// transient and not budgeted.
-func foldDistinct(sh *aggShape, sets []map[string]struct{}, order []int) (*aggTable, error) {
-	spec := sh.spec
-	spec.Distinct = false
-	vals := vector.New(sh.argType, 0)
-	var ids []int32
-	var keys []string
-	for j, g := range order {
-		keys = keys[:0]
-		for k := range sets[g] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			// Entries made here always decode; ones read back from a
-			// spill file are only as good as the file.
-			v, rest, err := decodeValueKey([]byte(k))
-			if err != nil || len(rest) > 0 || v.Type() != sh.argType {
-				return nil, fmt.Errorf("%w: DISTINCT set entry %x for a %s argument (%v)", errCorruptSpill, k, sh.argType, err)
-			}
-			vals.AppendValue(v)
-			ids = append(ids, int32(j))
-		}
-	}
-	gi := &groupIndex{n: len(order), hashes: make([]uint64, len(order))}
-	out := newAggTableOf(nil, gi, []aggShape{newAggShape(spec)})
-	out.growStates()
-	out.ids = ids
-	return out, out.update(0, vals)
-}
-
 // emitRun materializes the groups as a run sorted by first appearance:
 // the finalized output chunk plus each group's firstSeen position, so
 // partitions merge back into exact serial first-appearance order via
 // the shared run merger (zero sort keys: the merge orders purely by
 // position, and firstSeen values are unique — no two groups share a
 // first row).
-func (t *aggTable) emitRun() (*sortedRun, error) {
+func (t *aggTable) emitRun(ctx *Context) (*sortedRun, error) {
 	fs := t.firstSeen[:t.numGroups()]
-	order := orderByPos(fs)
+	order := orderByPos(ctx, fs)
 	cols := gatherVecs(t.gi.keys, order)
 	for i := range t.shapes {
 		v, err := t.finalize(i, order)
@@ -543,11 +431,14 @@ func (t *aggTable) emitRun() (*sortedRun, error) {
 // the identity when pos already ascends (group ids are that order
 // whenever one consumer saw its input in position order, which is
 // every serial run), else a record sort on the positions (which are
-// non-negative, so their own bits are their codes).
-func orderByPos(pos []int64) []int {
+// non-negative, so their own bits are their codes), whose records and
+// scratch are charged to the budget while they live.
+func orderByPos(ctx *Context, pos []int64) []int {
 	if slices.IsSorted(pos) {
 		return identitySel(len(pos))
 	}
+	ctx.memGrow(32 * int64(len(pos)))
+	defer ctx.memShrink(32 * int64(len(pos)))
 	recs := make([]sortRec, len(pos))
 	for i, p := range pos {
 		recs[i] = sortRec{code: uint64(p), row: i}
@@ -569,7 +460,6 @@ type aggInputs struct {
 	keys   []*vector.Vector
 	args   []*vector.Vector // nil entries for COUNT(*)
 	hashes []uint64
-	pos    []int64
 }
 
 func newAggInputs(spec *plan.Aggregate) *aggInputs {
@@ -580,11 +470,8 @@ func newAggInputs(spec *plan.Aggregate) *aggInputs {
 	}
 }
 
-// eval fills keys, args, hashes and pos for one chunk. morsel is the
-// chunk's global position in the input stream; it seeds the row
-// positions so output order is deterministic regardless of which
-// worker consumed the chunk.
-func (in *aggInputs) eval(ch *vector.Chunk, morsel int) (err error) {
+// eval fills keys, args and hashes for one chunk.
+func (in *aggInputs) eval(ch *vector.Chunk) (err error) {
 	for i, g := range in.spec.GroupBy {
 		if in.keys[i], err = evalAs(g, ch); err != nil {
 			return err
@@ -598,16 +485,19 @@ func (in *aggInputs) eval(ch *vector.Chunk, morsel int) (err error) {
 			return err
 		}
 	}
-	n := ch.NumRows()
-	in.hashes = hashKeyRows(in.keys, n, in.hashes)
-	if cap(in.pos) < n {
-		in.pos = make([]int64, n)
-	}
-	in.pos = in.pos[:n]
-	for r := range in.pos {
-		in.pos[r] = int64(morsel)<<32 | int64(r)
-	}
+	in.hashes = hashKeyRows(in.keys, ch.NumRows(), in.hashes)
 	return nil
+}
+
+// morselPos fills pos (grown as needed) with the global input positions
+// of the n rows of the morsel-th chunk of the input stream, so output
+// order is deterministic regardless of which worker consumed the chunk.
+func morselPos(pos []int64, morsel, n int) []int64 {
+	pos = slices.Grow(pos[:0], n)[:n]
+	for r := range pos {
+		pos[r] = int64(morsel)<<32 | int64(r)
+	}
+	return pos
 }
 
 func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
@@ -616,6 +506,223 @@ func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
 		return nil, err
 	}
 	return castTo(v, e.Type())
+}
+
+// aggregation is one execution of an Aggregate node: the tables its
+// input is consumed into, side by side, and how their outputs make the
+// result. Without DISTINCT that is one table of the node's own spec,
+// whose merger is the result. A DISTINCT aggregate is computed in two
+// stages, because DISTINCT is a group-by with no aggregates (MIN and
+// MAX skip them: they equal their plain forms):
+//
+//  1. dedup: per distinct argument expression x, a zero-aggregate table
+//     keyed (group columns..., x) — NULL x included, so that every
+//     input row lands in some pair — consumed, spilled (partitioned by
+//     the pair's hash: one huge group spreads over every partition) and
+//     merged like any other table. Its merger emits the surviving
+//     pairs in order of first appearance.
+//  2. fold: the pairs are consumed serially, each at its own position,
+//     by a table keyed on the group columns that holds the plain forms
+//     of the aggregates over x. A group's first row is the first row of
+//     one of its pairs, so this table emits the same groups in the same
+//     order as the table of the query's plain aggregates, and aggZip
+//     puts their columns side by side.
+//
+// A float SUM/AVG(DISTINCT) so adds a group's values in the order they
+// first appear in the input, at any worker count and any budget.
+type aggregation struct {
+	ctx    *Context
+	tables []aggStage
+	cols   [][2]int // result column → (table, column of its output); nil when tables[0]'s output is the result
+}
+
+type aggStage struct {
+	spec   *plan.Aggregate // what the input is consumed into
+	shared *aggShared
+	fold   *plan.Aggregate // stage 2, over the output of spec; nil for the table of plain aggregates
+}
+
+func newAggregation(ctx *Context, spec *plan.Aggregate) *aggregation {
+	a := &aggregation{ctx: ctx}
+	dedups := func(s plan.AggSpec) bool {
+		return s.Distinct && s.Arg != nil && s.Kind != plan.AggMin && s.Kind != plan.AggMax
+	}
+	if !slices.ContainsFunc(spec.Aggs, dedups) {
+		a.tables = []aggStage{{spec: spec, shared: &aggShared{}}}
+		return a
+	}
+	ng := len(spec.GroupBy)
+	plain := &plan.Aggregate{GroupBy: spec.GroupBy, GroupNames: spec.GroupNames, Hints: spec.Hints}
+	a.tables = []aggStage{{spec: plain, shared: &aggShared{}}}
+	groups := make([]plan.Expr, ng) // the group columns in a dedup table's output
+	for i, g := range spec.GroupBy {
+		groups[i] = &plan.ColRef{Idx: i, Typ: inputType(g)}
+		a.cols = append(a.cols, [2]int{0, i})
+	}
+	for _, s := range spec.Aggs {
+		k, into := 0, plain
+		if dedups(s) {
+			k = 1 + slices.IndexFunc(a.tables[1:], func(st aggStage) bool { return reflect.DeepEqual(st.spec.GroupBy[ng], s.Arg) })
+			if k == 0 {
+				k = len(a.tables)
+				a.tables = append(a.tables, aggStage{
+					spec:   &plan.Aggregate{GroupBy: append(slices.Clone(spec.GroupBy), s.Arg), GroupNames: append(slices.Clone(spec.GroupNames), s.Name), Hints: spec.Hints},
+					shared: &aggShared{},
+					fold:   &plan.Aggregate{GroupBy: groups, GroupNames: spec.GroupNames, Hints: spec.Hints},
+				})
+			}
+			into = a.tables[k].fold
+			s.Distinct, s.Arg = false, &plan.ColRef{Idx: ng, Typ: inputType(s.Arg)}
+		}
+		a.cols = append(a.cols, [2]int{k, ng + len(into.Aggs)})
+		into.Aggs = append(into.Aggs, s)
+	}
+	if len(plain.Aggs) == 0 { // every group is in every dedup table: no table of its own
+		a.tables = a.tables[1:]
+		for i := range a.cols[ng:] {
+			a.cols[ng+i][0]--
+		}
+	}
+	if len(a.tables) == 1 {
+		a.cols = nil
+	}
+	return a
+}
+
+// aggConsumers is one consumption thread's state: a consumer per table.
+type aggConsumers []*aggConsumer
+
+func (a *aggregation) newConsumers() aggConsumers {
+	cs := make(aggConsumers, len(a.tables))
+	for i, st := range a.tables {
+		cs[i] = newAggConsumer(a.ctx, st.spec, st.shared)
+	}
+	return cs
+}
+
+// consume folds one chunk into every table. morsel is the chunk's
+// global index in the input stream.
+func (cs aggConsumers) consume(ch *vector.Chunk, morsel int) error {
+	for _, c := range cs {
+		if err := c.consume(ch, morsel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// aggEmitter streams an aggregation's result.
+type aggEmitter interface {
+	next(ctx *Context) (*vector.Chunk, error)
+	close()
+}
+
+// finish turns what the threads consumed into the result's emitter.
+func (a *aggregation) finish(threads []aggConsumers) (aggEmitter, error) {
+	srcs := make([]*runMerger, len(a.tables))
+	for i, st := range a.tables {
+		cons := make([]*aggConsumer, len(threads))
+		for w, cs := range threads {
+			cons[w] = cs[i]
+		}
+		m, err := finishAggEmit(a.ctx, st.spec, cons, st.shared)
+		if err == nil && st.fold != nil {
+			m, err = foldPairs(a.ctx, st.fold, m)
+		}
+		if err != nil {
+			for _, m := range srcs[:i] {
+				m.close()
+			}
+			return nil, err
+		}
+		srcs[i] = m
+	}
+	if a.cols == nil {
+		return srcs[0], nil
+	}
+	for _, m := range srcs {
+		m.keepPos = true
+	}
+	return &aggZip{srcs: srcs, cols: a.cols, cur: make([]*vector.Chunk, len(srcs)), pos: make([][]int64, len(srcs))}, nil
+}
+
+// foldPairs is stage 2 of a DISTINCT aggregate: it drains the dedup
+// table's merger into a table of spec, each pair at the position it
+// first appeared at, and returns that table's merger.
+func foldPairs(ctx *Context, spec *plan.Aggregate, pairs *runMerger) (*runMerger, error) {
+	defer pairs.close()
+	pairs.keepPos = true
+	shared := &aggShared{}
+	cons := newAggConsumer(ctx, spec, shared)
+	for {
+		ch, err := pairs.next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if ch == nil {
+			return finishAggEmit(ctx, spec, []*aggConsumer{cons}, shared)
+		}
+		if err := cons.consumeAt(ch, pairs.pos); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// aggZip emits the result of an aggregation over several tables. Their
+// mergers emit the same groups in the same order (see aggregation);
+// each batch takes the result's columns from them and checks, by the
+// groups' positions, that it is so.
+type aggZip struct {
+	srcs []*runMerger
+	cols [][2]int
+	cur  []*vector.Chunk // what is left of each merger's last batch
+	pos  [][]int64       // and its groups' positions
+}
+
+func (z *aggZip) next(ctx *Context) (*vector.Chunk, error) {
+	n := 0
+	for i, m := range z.srcs {
+		if z.cur[i] == nil {
+			ch, err := m.next(ctx)
+			if err != nil {
+				return nil, err
+			}
+			z.cur[i], z.pos[i] = ch, m.pos
+		}
+		rows := 0
+		if z.cur[i] != nil {
+			rows = z.cur[i].NumRows()
+		}
+		if i == 0 || rows < n {
+			n = rows
+		}
+	}
+	for i, ch := range z.cur { // n is 0 once any merger is drained: then all must be
+		if (ch != nil) != (n > 0) || !slices.Equal(z.pos[i][:n], z.pos[0][:n]) {
+			return nil, fmt.Errorf("exec: internal error: aggregation tables 0 and %d disagree on the groups they emit", i)
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	cols := make([]*vector.Vector, len(z.cols))
+	for c, from := range z.cols {
+		cols[c] = z.cur[from[0]].Col(from[1]).Slice(0, n)
+	}
+	for i, ch := range z.cur {
+		if z.pos[i] = z.pos[i][n:]; len(z.pos[i]) == 0 {
+			z.cur[i] = nil
+		} else {
+			z.cur[i] = ch.Slice(n, ch.NumRows())
+		}
+	}
+	return vector.NewChunk(cols...), nil
+}
+
+func (z *aggZip) close() {
+	for _, m := range z.srcs {
+		m.close()
+	}
 }
 
 func (a *hashAggOp) Open(ctx *Context) error {
@@ -628,8 +735,8 @@ func (a *hashAggOp) Open(ctx *Context) error {
 func (a *hashAggOp) Next() (*vector.Chunk, error) {
 	if !a.started {
 		a.started = true
-		shared := &aggShared{}
-		cons := newAggConsumer(a.ctx, a.spec, shared)
+		agg := newAggregation(a.ctx, a.spec)
+		cons := agg.newConsumers()
 		morsel := 0
 		for {
 			if a.ctx.interrupted() {
@@ -647,7 +754,7 @@ func (a *hashAggOp) Next() (*vector.Chunk, error) {
 			}
 			morsel++
 		}
-		em, err := finishAggEmit(a.ctx, a.spec, []*aggConsumer{cons}, shared)
+		em, err := agg.finish([]aggConsumers{cons})
 		if err != nil {
 			return nil, err
 		}
@@ -657,6 +764,8 @@ func (a *hashAggOp) Next() (*vector.Chunk, error) {
 }
 
 func (a *hashAggOp) Close() error {
-	a.emitter.close()
+	if a.emitter != nil {
+		a.emitter.close()
+	}
 	return a.child.Close()
 }

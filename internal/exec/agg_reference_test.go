@@ -657,3 +657,60 @@ func (gi *refGroupIndex) nullGroup() (int32, bool) {
 	gi.n++
 	return gi.nullID, true
 }
+
+// decodeValueKey decodes one value off the front of a key produced by
+// appendRowKey, returning the value and the remaining bytes. The
+// oracle's distinct-aggregate finalizer uses it to recover argument
+// values from a merged per-worker key set (as the executor did before
+// it deduplicated (group, value) pairs in a table), so the two
+// functions must stay encoding-compatible.
+func decodeValueKey(key []byte) (vector.Value, []byte, error) {
+	if len(key) == 0 {
+		return vector.Null(), nil, fmt.Errorf("exec: empty value key")
+	}
+	tag, rest := key[0], key[1:]
+	need := func(n int) error {
+		if len(rest) < n {
+			return fmt.Errorf("exec: truncated value key (tag %#x)", tag)
+		}
+		return nil
+	}
+	switch tag {
+	case 0xFF:
+		return vector.Null(), rest, nil
+	case 1:
+		if err := need(1); err != nil {
+			return vector.Null(), nil, err
+		}
+		return vector.NewBool(rest[0] != 0), rest[1:], nil
+	case 2:
+		if err := need(4); err != nil {
+			return vector.Null(), nil, err
+		}
+		return vector.NewInt32(int32(binary.LittleEndian.Uint32(rest))), rest[4:], nil
+	case 3:
+		if err := need(8); err != nil {
+			return vector.Null(), nil, err
+		}
+		return vector.NewInt64(int64(binary.LittleEndian.Uint64(rest))), rest[8:], nil
+	case 4:
+		if err := need(8); err != nil {
+			return vector.Null(), nil, err
+		}
+		return vector.NewFloat64(math.Float64frombits(binary.LittleEndian.Uint64(rest))), rest[8:], nil
+	case 5, 6:
+		if err := need(4); err != nil {
+			return vector.Null(), nil, err
+		}
+		n := int(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if err := need(n); err != nil {
+			return vector.Null(), nil, err
+		}
+		if tag == 5 {
+			return vector.NewString(string(rest[:n])), rest[n:], nil
+		}
+		return vector.NewBlob(append([]byte(nil), rest[:n]...)), rest[n:], nil
+	}
+	return vector.Null(), nil, fmt.Errorf("exec: corrupt value key tag %#x", tag)
+}

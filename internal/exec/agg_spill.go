@@ -36,12 +36,12 @@
 // count. The single caveat is the one parallel execution already
 // carries: SUM/AVG over DOUBLE accumulate in whatever order rows are
 // replayed, so float sums can differ in the last ulps from the
-// in-memory run (integer, string, COUNT, MIN/MAX and all DISTINCT
-// aggregates are exact).
+// in-memory run; integer sums, COUNT and MIN/MAX are exact, and so is
+// every DISTINCT aggregate but a float SUM/AVG, whose fold order is
+// fixed instead (agg.go, aggregation).
 package exec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -57,10 +57,9 @@ import (
 const spillFanout = 16
 
 // maxSpillLevels caps re-partitioning depth; a partition that still
-// exceeds the budget at the deepest level (pathological key skew, or
-// a single group whose DISTINCT set alone exceeds the budget) is
-// processed in memory — correctness over the budget, degraded
-// gracefully.
+// exceeds the budget at the deepest level (keys that defeat
+// 16^maxSpillLevels-way splitting) is processed in memory — correctness
+// over the budget, degraded gracefully.
 const maxSpillLevels = 8
 
 // ------------------------------------------------------- row appender
@@ -101,8 +100,7 @@ var errCorruptSpill = errors.New("exec: corrupt aggregation spill chunk")
 // aggLayout describes the spilled row formats of one aggregation,
 // fixed by the plan: raw rows are [group cols..., arg cols (non-nil
 // args only)..., pos]; partial rows are [group cols..., firstSeen,
-// then per aggregate its state columns (aggShape.state) or, for a
-// DISTINCT aggregate, one blob holding the group's set].
+// then per aggregate its state columns (aggShape.state)].
 type aggLayout struct {
 	spec    *plan.Aggregate
 	shapes  []aggShape
@@ -122,9 +120,6 @@ func newAggLayout(spec *plan.Aggregate) *aggLayout {
 		if sh.spec.Arg != nil {
 			l.raw = append(l.raw, sh.argType)
 		}
-		if sh.distinct {
-			l.partial = append(l.partial, vector.Blob)
-		}
 		l.partial = append(l.partial, sh.state...)
 	}
 	l.raw = append(l.raw, vector.Int64)
@@ -134,15 +129,8 @@ func newAggLayout(spec *plan.Aggregate) *aggLayout {
 // chunk is the batch in partial-row column form.
 func (p *aggPartial) chunk() []*vector.Vector {
 	cols := append(slices.Clone(p.keys), vector.FromInt64s(p.firstSeen))
-	for i, sets := range p.sets {
-		if sets != nil { // a DISTINCT aggregate
-			blobs := make([][]byte, len(sets))
-			for j, set := range sets {
-				blobs[j] = encodeDistinctSet(set)
-			}
-			cols = append(cols, vector.FromBlobs(blobs))
-		}
-		cols = append(cols, p.state[i]...)
+	for _, st := range p.state {
+		cols = append(cols, st...)
 	}
 	return cols
 }
@@ -167,75 +155,17 @@ func checkSpilled(cols []*vector.Vector, types []vector.Type, nullable int) erro
 
 // readPartial is chunk's inverse over columns read back from disk
 // (bytes this process may not have just written): it validates them
-// against the layout and aliases them as a batch, decoding DISTINCT
-// set blobs.
+// against the layout and aliases them as a batch.
 func (l *aggLayout) readPartial(cols []*vector.Vector) (*aggPartial, error) {
 	if err := checkSpilled(cols, l.partial, l.numKeys); err != nil {
 		return nil, err
 	}
-	p := &aggPartial{keys: cols[:l.numKeys], firstSeen: cols[l.numKeys].Int64s(),
-		state: make([][]*vector.Vector, len(l.shapes)), sets: make([][]map[string]struct{}, len(l.shapes))}
+	p := &aggPartial{keys: cols[:l.numKeys], firstSeen: cols[l.numKeys].Int64s(), state: make([][]*vector.Vector, len(l.shapes))}
 	rest := cols[l.numKeys+1:]
 	for i, sh := range l.shapes {
-		if sh.distinct {
-			p.sets[i] = make([]map[string]struct{}, len(p.firstSeen))
-			for j, b := range rest[0].Blobs() {
-				set, err := decodeDistinctSet(b)
-				if err != nil {
-					return nil, err
-				}
-				p.sets[i][j] = set
-			}
-			rest = rest[1:]
-		}
 		p.state[i], rest = rest[:len(sh.state)], rest[len(sh.state):]
 	}
 	return p, nil
-}
-
-// encodeDistinctSet serializes one group's DISTINCT set — the one
-// piece of aggregation state with no columnar form — as a count and
-// length-prefixed entries. Entries are appendRowKey encodings, which
-// round-trip bit-exactly (floats by bit pattern).
-func encodeDistinctSet(set map[string]struct{}) []byte {
-	size := 4
-	for k := range set {
-		size += 4 + len(k)
-	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(set)))
-	for k := range set {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-	}
-	return buf
-}
-
-func decodeDistinctSet(b []byte) (map[string]struct{}, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated DISTINCT set", errCorruptSpill)
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b)/4 { // every entry carries a 4-byte length
-		return nil, fmt.Errorf("%w: DISTINCT set of %d entries in %d bytes", errCorruptSpill, n, len(b))
-	}
-	set := make(map[string]struct{}, n)
-	for ; n > 0; n-- {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("%w: truncated DISTINCT entry", errCorruptSpill)
-		}
-		l := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < l {
-			return nil, fmt.Errorf("%w: truncated DISTINCT entry", errCorruptSpill)
-		}
-		set[string(b[:l])] = struct{}{}
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: trailing DISTINCT set bytes", errCorruptSpill)
-	}
-	return set, nil
 }
 
 // ------------------------------------------------------- agg spiller
@@ -525,6 +455,20 @@ func (s *aggSpiller) release() {
 	}
 }
 
+// abandon drops a spiller whose partitions will not all be processed
+// (the query ended first): what its resident tables are charged goes
+// back to the budget, and its file goes. A no-op after the partitions
+// were processed.
+func (s *aggSpiller) abandon() {
+	for p := range s.parts {
+		if pt := &s.parts[p]; pt.table != nil {
+			s.ctx.memShrink(pt.table.size())
+			pt.table = nil
+		}
+	}
+	s.release()
+}
+
 // ------------------------------------------------------- consumer
 
 // aggShared is the spill state shared by every consumer of one
@@ -552,6 +496,7 @@ type aggConsumer struct {
 	ctx     *Context
 	shared  *aggShared
 	in      *aggInputs
+	pos     []int64
 	table   *aggTable
 	spiller *aggSpiller
 }
@@ -563,16 +508,23 @@ func newAggConsumer(ctx *Context, spec *plan.Aggregate, shared *aggShared) *aggC
 // consume folds one chunk, switching to spill routing once over
 // budget. morsel is the chunk's global input index.
 func (c *aggConsumer) consume(ch *vector.Chunk, morsel int) error {
+	c.pos = morselPos(c.pos, morsel, ch.NumRows())
+	return c.consumeAt(ch, c.pos)
+}
+
+// consumeAt is consume for rows that bring their unique global input
+// positions with them.
+func (c *aggConsumer) consumeAt(ch *vector.Chunk, pos []int64) error {
 	in := c.in
-	if err := in.eval(ch, morsel); err != nil {
+	if err := in.eval(ch); err != nil {
 		return err
 	}
 	t := c.table
 	if t == nil {
-		return c.spiller.routeVecs(in.keys, in.hashes, in.args, in.pos)
+		return c.spiller.routeVecs(in.keys, in.hashes, in.args, pos)
 	}
 	prev := t.size()
-	if err := t.consumeVecs(in.keys, in.hashes, in.args, in.pos); err != nil {
+	if err := t.consumeVecs(in.keys, in.hashes, in.args, pos); err != nil {
 		return err
 	}
 	c.ctx.memGrow(t.size() - prev)
@@ -589,10 +541,16 @@ func (c *aggConsumer) consume(ch *vector.Chunk, morsel int) error {
 // ------------------------------------------------------- emit
 
 // mergeRange is the slice of the hash space, out of parts equal ones,
-// that hash h falls in. It reads the hash's high word; spill
-// partitioning consumes the low nibbles.
+// that hash h falls in. It slices the hash multiplied once more, not
+// the hash: a merge worker indexes exactly the groups of its range, the
+// index places a group by its hash's top bits (groupIndex.home), and a
+// contiguous range of the hash itself would crowd that table into
+// 1/parts of its slots — linear probing goes quadratic. The product's
+// high word depends on every bit of the hash, so a range of it leaves
+// the hash's own top bits (and the low nibbles spill partitioning
+// consumes) spread over all their values.
 func mergeRange(h uint64, parts int) int {
-	return int((h >> 32) * uint64(parts) >> 32)
+	return int((h * hashMul >> 32) * uint64(parts) >> 32)
 }
 
 // mergeTables turns the consumers' in-memory tables (in worker-index
@@ -612,7 +570,7 @@ func mergeTables(ctx *Context, spec *plan.Aggregate, tables []*aggTable) ([]*mer
 	runs := make([]*mergeRun, len(tables))
 	errs := make([]error, len(tables))
 	emit := func(w int, t *aggTable) {
-		run, err := t.emitRun()
+		run, err := t.emitRun(ctx)
 		runs[w], errs[w] = newMemRun(run), err
 	}
 	if len(tables) == 1 {
@@ -838,7 +796,7 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 // emitAggRun emits a finished table as a run, releasing the table's
 // bytes and keeping or spilling the run as maybeSpillAggRun decides.
 func emitAggRun(ctx *Context, t *aggTable, getOut func() (*spill.File, error), held *int64) (*mergeRun, error) {
-	run, err := t.emitRun()
+	run, err := t.emitRun(ctx)
 	ctx.memShrink(t.size())
 	if err != nil {
 		return nil, err

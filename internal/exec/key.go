@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"vexdb/internal/core"
 	"vexdb/internal/plan"
@@ -13,7 +14,7 @@ import (
 
 // appendRowKey appends a type-tagged binary encoding of row i of v to
 // key. The encoding is injective per type so it can serve as a hash
-// map key for grouping, distinct and join probing.
+// map key for join probing.
 func appendRowKey(key []byte, v *vector.Vector, i int) []byte {
 	if v.IsNull(i) {
 		return append(key, 0xFF)
@@ -47,65 +48,9 @@ func appendRowKey(key []byte, v *vector.Vector, i int) []byte {
 	return append(key, 0xFE)
 }
 
-// decodeValueKey decodes one value off the front of a key produced by
-// appendRowKey, returning the value and the remaining bytes. The
-// distinct-aggregate finalizer uses it to recover argument values from
-// a merged per-worker key set, so the two functions must stay
-// encoding-compatible.
-func decodeValueKey(key []byte) (vector.Value, []byte, error) {
-	if len(key) == 0 {
-		return vector.Null(), nil, fmt.Errorf("exec: empty value key")
-	}
-	tag, rest := key[0], key[1:]
-	need := func(n int) error {
-		if len(rest) < n {
-			return fmt.Errorf("exec: truncated value key (tag %#x)", tag)
-		}
-		return nil
-	}
-	switch tag {
-	case 0xFF:
-		return vector.Null(), rest, nil
-	case 1:
-		if err := need(1); err != nil {
-			return vector.Null(), nil, err
-		}
-		return vector.NewBool(rest[0] != 0), rest[1:], nil
-	case 2:
-		if err := need(4); err != nil {
-			return vector.Null(), nil, err
-		}
-		return vector.NewInt32(int32(binary.LittleEndian.Uint32(rest))), rest[4:], nil
-	case 3:
-		if err := need(8); err != nil {
-			return vector.Null(), nil, err
-		}
-		return vector.NewInt64(int64(binary.LittleEndian.Uint64(rest))), rest[8:], nil
-	case 4:
-		if err := need(8); err != nil {
-			return vector.Null(), nil, err
-		}
-		return vector.NewFloat64(math.Float64frombits(binary.LittleEndian.Uint64(rest))), rest[8:], nil
-	case 5, 6:
-		if err := need(4); err != nil {
-			return vector.Null(), nil, err
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if err := need(n); err != nil {
-			return vector.Null(), nil, err
-		}
-		if tag == 5 {
-			return vector.NewString(string(rest[:n])), rest[n:], nil
-		}
-		return vector.NewBlob(append([]byte(nil), rest[:n]...)), rest[n:], nil
-	}
-	return vector.Null(), nil, fmt.Errorf("exec: corrupt value key tag %#x", tag)
-}
-
-// hashKeyBytes hashes an encoded key (FNV-1a 64); join and DISTINCT
-// spill partitions at recursion level L use nibble L, so a partition's
-// keys re-split on fresh bits at every level.
+// hashKeyBytes hashes an encoded key (FNV-1a 64); join spill
+// partitions at recursion level L use nibble L, so a partition's keys
+// re-split on fresh bits at every level.
 func hashKeyBytes(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
@@ -127,8 +72,8 @@ const (
 // mixHash folds one 64-bit word into a running hash. The multiply
 // carries every input bit into the high word and the shift folds the
 // high word back down, so both the low nibbles (spill partition
-// routing, one per recursion level) and the high word (hash-table slot
-// and tag) depend on the whole key.
+// routing, one per recursion level) and the high word (hash-table tag;
+// its top bits the slot) depend on the whole key.
 func mixHash(h, x uint64) uint64 {
 	h = (h ^ x) * hashMul
 	return h ^ (h >> 32)
@@ -223,16 +168,18 @@ func hashKeyRows(keys []*vector.Vector, n int, h []uint64) []uint64 {
 
 // groupIndex maps key rows to dense group ids, assigned in order of
 // first appearance. It is an open-addressing hash table (linear
-// probing, at most half full) whose slots hold a 32-bit hash tag and
-// the group id; the keys themselves live in key vectors indexed by
-// group id, next to each group's full hash (reused to grow the table,
-// to route groups to spill partitions and to split a table by hash
-// range for the parallel merge). bytes is what the index retains: the
-// capacity of every array plus string payloads.
+// probing from the group's home slot, at most half full) whose slots
+// hold a 32-bit hash tag and the group id; the keys
+// themselves live in key vectors indexed by group id, next to each
+// group's full hash (reused to grow the table, to route groups to
+// spill partitions and to split a table by hash range for the parallel
+// merge). bytes is what the index retains: the capacity of every array
+// plus string payloads.
 type groupIndex struct {
 	keys   []*vector.Vector // n rows each, allocated at capacity()
 	hashes []uint64         // len is the group capacity; [:n] are in use
 	slots  []uint64         // tag<<32 | id+1; 0 is empty
+	shift  uint             // 64 - log2(len(slots)), see home
 	n      int
 	bytes  int64
 	hbuf   []uint64 // per-chunk row hashes
@@ -248,6 +195,14 @@ func newGroupIndex(types []vector.Type) *groupIndex {
 
 // capacity is the number of groups the per-group arrays have room for.
 func (gi *groupIndex) capacity() int { return len(gi.hashes) }
+
+// home is the slot a hash probes from: its top bits, which the
+// multiply in mixHash fills from every bit of the key (sequential
+// integers land evenly spaced, Fibonacci hashing). A table must
+// therefore never be filled with only the hashes of one top-bit range;
+// mergeRange, which hands each merge worker a table of its own, slices
+// a remix of the hash for that reason.
+func (gi *groupIndex) home(h uint64) uint64 { return h >> gi.shift }
 
 // groupIDs resolves rows 0..n-1 of the key columns to group ids,
 // creating groups as they first appear, and returns them in ids
@@ -276,7 +231,7 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 			gi.growSlots()
 		}
 		tag, mask := h>>32, uint64(len(gi.slots)-1)
-		for i := tag & mask; ; i = (i + 1) & mask {
+		for i := gi.home(h); ; i = (i + 1) & mask {
 			s := gi.slots[i]
 			if s == 0 {
 				ids[r] = int32(gi.insert(h, i, keys, r))
@@ -355,9 +310,10 @@ func (gi *groupIndex) growSlots() {
 	size := max(8, 2*len(gi.slots))
 	gi.bytes += 8 * int64(size-len(gi.slots))
 	gi.slots = make([]uint64, size)
+	gi.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := uint64(size - 1)
 	for id, h := range gi.hashes[:gi.n] {
-		i := (h >> 32) & mask
+		i := gi.home(h)
 		for gi.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

@@ -256,14 +256,3 @@ func chunkBytes(ch *vector.Chunk) int64 {
 	}
 	return n
 }
-
-// valueBytes estimates the retained size of one boxed value.
-func valueBytes(v vector.Value) int64 {
-	switch v.Type() {
-	case vector.String:
-		return 16 + int64(len(v.Str()))
-	case vector.Blob:
-		return 24 + int64(len(v.Bytes()))
-	}
-	return 16
-}

@@ -739,6 +739,11 @@ type runMerger struct {
 	// row, which window and which row of it.
 	wins  []*sortedRun
 	picks []mergePick
+
+	// keepPos asks for pos: the input positions of the rows of the batch
+	// next returned last, valid until it is called again.
+	keepPos bool
+	pos     []int64
 }
 
 type mergePick struct{ win, row int32 }
@@ -812,6 +817,12 @@ func (m *runMerger) next(ctx *Context) (*vector.Chunk, error) {
 	for c, t := range m.types {
 		cols[c] = gatherPicks(t, m.wins, c, m.picks)
 	}
+	if m.keepPos {
+		m.pos = m.pos[:0]
+		for _, p := range m.picks {
+			m.pos = append(m.pos, m.wins[p.win].pos[p.row])
+		}
+	}
 	return vector.NewChunk(cols...), nil
 }
 
@@ -875,6 +886,9 @@ func (m *runMerger) nextSingle(batch int) (*vector.Chunk, error) {
 	}
 	if m.remaining > 0 {
 		m.remaining -= int64(to - from)
+	}
+	if m.keepPos {
+		m.pos = win.pos[from:to]
 	}
 	return win.data.Slice(from, to), nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
@@ -283,7 +284,7 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{child: child}, nil
+		return &distinctOp{spec: groupByAll(n.Child, n.Hints), child: child}, nil
 	case *plan.Union:
 		left, err := buildWith(n.Left, workers)
 		if err != nil {
@@ -295,7 +296,7 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		}
 		var op Operator = &unionOp{left: left, right: right, types: n.Schema().Types()}
 		if !n.All {
-			op = &distinctOp{child: op}
+			op = &distinctOp{spec: groupByAll(n, plan.ExecHints{}), child: op}
 		}
 		return op, nil
 	}
@@ -658,37 +659,42 @@ func (l *limitOp) Close() error { return l.child.Close() }
 
 // ----------------------------------------------------------------- distinct
 
-// distinctOp streams first appearances from an in-memory group index.
-// Under a memory budget it switches to grace-partitioned spill once
-// the index outgrows the budget (see distinct_spill.go): rows already
-// emitted keep the streaming order, and the spilled remainder is
-// merged back in global input order at child exhaustion, so output is
-// identical to the unbounded run.
+// groupByAll is DISTINCT over node's rows as the aggregation it is: a
+// group-by on every column with no aggregates.
+func groupByAll(node plan.Node, hints plan.ExecHints) *plan.Aggregate {
+	exprs, names := (&plan.Distinct{Child: node}).GroupExprs()
+	return &plan.Aggregate{GroupBy: exprs, GroupNames: names, Hints: hints}
+}
+
+// distinctOp is the serial form of that aggregation, which streams: a
+// row that creates a group in the consumer's table is a first
+// appearance and is emitted at once. When the table outgrows the
+// query's memory budget the consumer dumps it into the aggregation
+// spiller like any other table (agg_spill.go) — every group in it
+// already emitted — and routes the rest of the input there; at child
+// exhaustion the spiller's merger returns all groups in first-appearance
+// order, of which the first `emitted` are skipped. Output is identical
+// to the unbounded run.
 type distinctOp struct {
+	spec    *plan.Aggregate
 	child   Operator
 	ctx     *Context
-	gi      *groupIndex
-	ids     []int32 // group-id and selection buffers reused across chunks
-	sel     []int
-	bytes   int64 // the index's footprint as tracked against the budget
-	pos     int64 // global input row counter (merge tiebreak after spill)
-	spiller *distinctSpiller
+	cons    *aggConsumer
+	morsel  int
+	sel     []int // selection buffer reused across chunks
+	emitted int   // groups the merger emits first that were streamed before the table was dumped
 	merger  *runMerger
 }
 
 func (d *distinctOp) Open(ctx *Context) error {
-	d.gi = nil
 	d.ctx = ctx
-	d.bytes, d.pos = 0, 0
-	d.spiller, d.merger = nil, nil
+	d.cons = newAggConsumer(ctx, d.spec, &aggShared{})
+	d.morsel, d.emitted, d.merger = 0, 0, nil
 	return d.child.Open(ctx)
 }
 
 func (d *distinctOp) Next() (*vector.Chunk, error) {
-	if d.merger != nil {
-		return d.merger.next(d.ctx)
-	}
-	for {
+	for d.merger == nil {
 		if d.ctx.interrupted() {
 			return nil, ErrCancelled
 		}
@@ -697,73 +703,76 @@ func (d *distinctOp) Next() (*vector.Chunk, error) {
 			return nil, err
 		}
 		if ch == nil {
-			if d.spiller == nil {
-				d.ctx.memShrink(d.bytes)
-				d.bytes = 0
+			if d.cons.table != nil {
 				return nil, nil
 			}
-			m, err := d.spiller.finishDistinct()
-			if err != nil {
+			if d.merger, err = finishAggEmit(d.ctx, d.spec, []*aggConsumer{d.cons}, d.cons.shared); err != nil {
 				return nil, err
 			}
-			d.merger = m
-			return d.merger.next(d.ctx)
+			break
 		}
-		if d.spiller != nil {
-			base := d.pos
-			d.pos += int64(ch.NumRows())
-			if err := d.spiller.route(ch, base); err != nil {
-				return nil, err
-			}
+		t, next := d.cons.table, int32(0)
+		if t != nil {
+			next = int32(t.numGroups())
+		}
+		err = d.cons.consume(ch, d.morsel)
+		d.morsel++
+		if err != nil {
+			return nil, err
+		}
+		if t == nil { // dumped: the spiller took the chunk
 			continue
-		}
-		if d.gi == nil {
-			types := make([]vector.Type, ch.NumCols())
-			for i := range types {
-				types[i] = ch.Col(i).Type()
-			}
-			d.gi = newGroupIndex(types)
 		}
 		// Group ids are dense in first-appearance order, so the rows
 		// that created a group are the ones whose id is the next unused.
-		sel, next := d.sel[:0], int32(d.gi.n)
-		d.ids = d.gi.groupIDs(ch.Cols(), ch.NumRows(), d.ids)
-		for r, id := range d.ids {
+		sel := d.sel[:0]
+		for r, id := range t.ids {
 			if id == next {
 				sel = append(sel, r)
 				next++
 			}
 		}
-		d.pos += int64(ch.NumRows())
 		d.sel = sel
-		d.ctx.memGrow(d.gi.bytes - d.bytes)
-		d.bytes = d.gi.bytes
-		// A zero-key distinct (defensive; plans always have columns)
-		// holds one group and never needs to spill.
-		if ch.NumCols() > 0 && d.ctx.shouldSpill(d.bytes) {
-			d.spiller = &distinctSpiller{ctx: d.ctx}
-			if err := d.spiller.dumpIndex(d.gi); err != nil {
-				return nil, err
-			}
-			d.ctx.memShrink(d.bytes)
-			d.bytes = 0
-			d.gi = nil
+		if d.cons.table == nil {
+			d.emitted = t.numGroups()
 		}
 		if len(sel) == 0 {
 			continue
 		}
-		if len(sel) == ch.NumRows() {
-			return ch, nil
+		out := vector.NewChunk(slices.Clone(d.cons.in.keys)...) // the consumer reuses its slice
+		if len(sel) < ch.NumRows() {
+			out = out.Gather(sel)
 		}
-		return ch.Gather(sel), nil
+		return out, nil
+	}
+	for {
+		ch, err := d.merger.next(d.ctx)
+		if err != nil || ch == nil {
+			return nil, err
+		}
+		n := ch.NumRows()
+		if d.emitted >= n {
+			d.emitted -= n
+			continue
+		}
+		if d.emitted > 0 {
+			ch, d.emitted = ch.Slice(d.emitted, n), 0
+		}
+		return ch, nil
 	}
 }
 
 func (d *distinctOp) Close() error {
 	d.merger.close()
-	d.spiller.release()
-	d.ctx.memShrink(d.bytes)
-	d.bytes = 0
+	if c := d.cons; c != nil {
+		if c.table != nil {
+			d.ctx.memShrink(c.table.size())
+			c.table = nil
+		}
+		if c.spiller != nil { // closed between the hand-off and the merger
+			c.spiller.abandon()
+		}
+	}
 	return d.child.Close()
 }
 

@@ -5,8 +5,9 @@
 // chunk-local filter→project stages, and either re-emit the surviving
 // chunks in morsel order (exchange), feed thread-local aggregation
 // tables that are merged when the input drains (partitioned hash
-// aggregation — including DISTINCT aggregates and SELECT DISTINCT via
-// per-worker key sets), sort per-worker runs merged by a loser tree
+// aggregation — including SELECT DISTINCT and the dedup stage of
+// DISTINCT aggregates, which are group-bys with no aggregates), sort
+// per-worker runs merged by a loser tree
 // (parallel sort, merge.go), or probe a shared hash-join build table.
 // All parallel operators preserve the exact row order serial execution
 // produces, so both ORDER BY and ORDER BY-less results stay
@@ -393,7 +394,7 @@ type parallelAggOp struct {
 	workers int
 	ctx     *Context
 	started bool
-	emitter *runMerger
+	emitter aggEmitter
 }
 
 func (a *parallelAggOp) Open(ctx *Context) error {
@@ -415,7 +416,7 @@ func (a *parallelAggOp) Next() (*vector.Chunk, error) {
 	return a.emitter.next(a.ctx)
 }
 
-func (a *parallelAggOp) run() (*runMerger, error) {
+func (a *parallelAggOp) run() (aggEmitter, error) {
 	n := a.pipe.src.open(a.ctx)
 	workers := a.workers
 	if workers > n {
@@ -424,8 +425,8 @@ func (a *parallelAggOp) run() (*runMerger, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	shared := &aggShared{}
-	consumers := make([]*aggConsumer, workers)
+	agg := newAggregation(a.ctx, a.spec)
+	consumers := make([]aggConsumers, workers)
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var stop atomic.Bool
@@ -434,7 +435,7 @@ func (a *parallelAggOp) run() (*runMerger, error) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			c := newAggConsumer(a.ctx, a.spec, shared)
+			c := agg.newConsumers()
 			consumers[w] = c
 			var sc pipeScratch
 			for {
@@ -474,11 +475,13 @@ func (a *parallelAggOp) run() (*runMerger, error) {
 		// surface the cancellation instead of merging them.
 		return nil, ErrCancelled
 	}
-	return finishAggEmit(a.ctx, a.spec, consumers, shared)
+	return agg.finish(consumers)
 }
 
 func (a *parallelAggOp) Close() error {
-	a.emitter.close()
+	if a.emitter != nil {
+		a.emitter.close()
+	}
 	return nil
 }
 
@@ -515,9 +518,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 		// per-worker and restores serial first-appearance order at the
 		// merge.
 		if pipe := extractPipe(n.Child); pipe != nil {
-			exprs, names := n.GroupExprs()
-			spec := &plan.Aggregate{GroupBy: exprs, GroupNames: names}
-			return &parallelAggOp{spec: spec, pipe: pipe, workers: workers}, true, nil
+			return &parallelAggOp{spec: groupByAll(n.Child, n.Hints), pipe: pipe, workers: workers}, true, nil
 		}
 	case *plan.HashJoin:
 		if exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra})) {
@@ -536,11 +537,11 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 	return nil, false, nil
 }
 
-// aggParallelizable reports whether an aggregation's state composes
-// across partitions. Every aggregate kind now does — DISTINCT
-// aggregates defer accumulation to finalization, so per-worker
-// distinct key-sets union losslessly at the merge — but UDFs in group
-// or argument expressions may not be called concurrently.
+// aggParallelizable reports whether an aggregation may be consumed by
+// several workers. Every aggregate kind's state composes across tables
+// — a DISTINCT aggregate's parallel part is a group-by on (group, value)
+// pairs — but UDFs in group or argument expressions may not be called
+// concurrently.
 func aggParallelizable(n *plan.Aggregate) bool {
 	for _, s := range n.Aggs {
 		if s.Arg != nil && exprsHaveUDF([]plan.Expr{s.Arg}) {

@@ -158,7 +158,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("agg: err = %v, want ErrCancelled", err)
 	}
 
-	dist := &distinctOp{child: child()}
+	dist := &distinctOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, child: child()}
 	if err := dist.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

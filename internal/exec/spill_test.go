@@ -3,11 +3,14 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
+	"vexdb/internal/spill"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
@@ -125,7 +128,7 @@ func TestSpillAggMatchesInMemory(t *testing.T) {
 	})
 	want := runPlan(t, node, &Context{Parallelism: 1})
 	for _, workers := range []int{1, 2, 8} {
-		for _, budget := range []int64{1 << 14, 1 << 20} { // 16KB forces deep recursion
+		for _, budget := range []int64{1 << 14, 1 << 19} { // 16KB forces deep recursion
 			ctx, dir := spillCtx(t, workers, budget)
 			got := runPlan(t, node, ctx)
 			assertTablesEqual(t, got, want, "agg spill")
@@ -460,4 +463,104 @@ func TestSpillDistinctStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTempDirEmpty(t, dir)
+}
+
+// TestSpillDistinctClosedAfterHandOff: a DISTINCT closed between the
+// hand-off of its table to the spiller and the end of its input gives
+// back what the spiller holds — the memory charged for the resident
+// partitions and the spill file — at its own Close, not when the query
+// is torn down.
+func TestSpillDistinctClosedAfterHandOff(t *testing.T) {
+	tab := buildSpillTable(t, 64*vector.DefaultChunkSize)
+	op, err := Build(&plan.Distinct{Child: &plan.Scan{Table: tab, Projection: []int{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, _ := spillCtx(t, 1, 2<<20)
+	ctx.mem = newMemTracker(ctx.MemoryBudget)
+	ctx.spillMgr = spill.NewManager(ctx.TempDir, ctx.Spill)
+	defer ctx.spillMgr.Close()
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The chunk whose groups overflow the budget is still streamed out;
+	// the next call would run the rest of the input into the spiller.
+	d := op.(*distinctOp)
+	for d.cons.spiller == nil {
+		if ch, err := op.Next(); err != nil || ch == nil {
+			t.Fatalf("no hand-off before the end of the input (err %v)", err)
+		}
+	}
+	if d.merger != nil || ctx.mem.used.Load() == 0 || ctx.spillMgr.Dir() == "" {
+		t.Fatalf("not between hand-off and merge: merger %v, %d bytes tracked, spill dir %q", d.merger != nil, ctx.mem.used.Load(), ctx.spillMgr.Dir())
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if used := ctx.mem.used.Load(); used != 0 {
+		t.Errorf("%d bytes still charged after Close", used)
+	}
+	assertTempDirEmpty(t, ctx.spillMgr.Dir())
+}
+
+// TestSpillDistinctAggSplitsOneGroup pins what a DISTINCT aggregate
+// over a set ten times the budget costs: the dedup table is partitioned
+// by the (group, value) pair, so even a single group spreads over every
+// partition and re-partitioning makes progress. The pairs go to disk
+// twice — routed once, and once more as merged runs that do not fit
+// either — so at most 3x the raw pair rows are written (a set kept
+// whole per group and partitioned by the group was rewritten once per
+// level: 11x here), and tracked memory, sampled at every spill
+// decision, stays within the budget's slack (a table doubles when it
+// grows, each worker's at its own time: under 3x) instead of ending
+// with the whole set, 10x, in memory. One global group, then ten of
+// skewed sizes.
+func TestSpillDistinctAggSplitsOneGroup(t *testing.T) {
+	const rows = 200_000
+	tab, err := catalog.New().CreateTable("d", catalog.Schema{{Name: "g", Type: vector.Int64}, {Name: "x", Type: vector.Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, xs := make([]int64, rows), make([]int64, rows)
+	for i := range xs {
+		gs[i] = int64(min(bits.TrailingZeros(uint(i+1)), 9)) // group k holds about 2^-(k+1) of the rows
+		xs[i] = int64(i) * 7919
+	}
+	if err := tab.Data.AppendChunk(vector.NewChunk(vector.FromInt64s(gs), vector.FromInt64s(xs))); err != nil {
+		t.Fatal(err)
+	}
+	for _, grouped := range []bool{false, true} {
+		node := &plan.Aggregate{
+			Aggs:  []plan.AggSpec{{Kind: plan.AggCount, Arg: colRef(1, vector.Int64), Distinct: true, Name: "d", Typ: vector.Int64}},
+			Child: &plan.Scan{Table: tab},
+		}
+		rowBytes := int64(16) // value, position
+		if grouped {
+			node.GroupBy, node.GroupNames = []plan.Expr{colRef(0, vector.Int64)}, []string{"g"}
+			rowBytes += 8
+		}
+		want := runPlan(t, node, &Context{Parallelism: 1})
+		budget := tableBytes(t, node, tab) / 10
+		for _, workers := range []int{1, 2} {
+			ctx, dir := spillCtx(t, workers, budget)
+			var peakSeen atomic.Int64
+			ctx.mem = newMemTracker(budget)
+			ctx.mem.live = func() int64 {
+				for u, p := ctx.mem.used.Load(), peakSeen.Load(); u > p && !peakSeen.CompareAndSwap(p, u); p = peakSeen.Load() {
+				}
+				return budget
+			}
+			assertTablesEqual(t, runPlan(t, node, ctx), want, "count(DISTINCT) over a set 10x the budget")
+			assertTempDirEmpty(t, dir)
+			written, peak := ctx.Spill.BytesWritten(), peakSeen.Load()
+			t.Logf("grouped=%v workers=%d budget=%d: wrote %d bytes (%.1fx the pair rows), peak tracked %d (%.2fx the budget)",
+				grouped, workers, budget, written, float64(written)/float64(rowBytes*rows), peak, float64(peak)/float64(budget))
+			if written == 0 || written > 3*rowBytes*rows {
+				t.Fatalf("grouped=%v workers=%d: wrote %d spill bytes, want (0, %d]", grouped, workers, written, 3*rowBytes*rows)
+			}
+			if peak > 3*budget {
+				t.Fatalf("grouped=%v workers=%d: peak tracked memory %d under a budget of %d", grouped, workers, peak, budget)
+			}
+		}
+	}
 }

@@ -22,9 +22,11 @@ const parallelRowFloor = 4 * storage.SegmentRows
 // Apply runs the cost-based planning pass over a bound, pruned plan:
 // inner-join chains are greedily reordered smallest-intermediate-first
 // (with an explicit order-restoring sort, so output bytes never
-// change), hash-join build sides flip to the smaller estimated input,
-// and every operator is annotated with cardinality estimates plus
-// serial/spill-fan-out hints. workers and memBudget describe the
+// change) or, where the syntactic order stays, get their single-table
+// conjuncts evaluated below the joins as well as above; hash-join
+// build sides flip to the smaller estimated input, and every operator
+// is annotated with cardinality estimates plus serial/spill-fan-out
+// hints. workers and memBudget describe the
 // execution environment the hints are sized for. The plan tree is
 // mutated in place (plans are query-private); the returned node is the
 // new root.
@@ -113,13 +115,13 @@ func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) plan.Node {
 		}
 	}
 	if identity && !swapsBuild {
-		return hj // greedy agrees with the syntactic plan
+		return c.filterLeaves() // greedy agrees with the syntactic plan
 	}
 	// The rewrite pays for the restoration sort: charge ~2x the final
 	// cardinality (sort + re-projection) on top of the join cost.
 	candidate := ev.cost + 2*ev.card
 	if candidate >= reorderGainFloor*syntactic.cost {
-		return hj
+		return c.filterLeaves()
 	}
 	return c.rebuild(order, ev)
 }

@@ -33,6 +33,19 @@ type chainLeaf struct {
 	stats   []storage.ColumnStats
 }
 
+// node is the leaf as a join input: its scan under its single-leaf
+// conjuncts, moved into the scan's own column space.
+func (l *chainLeaf) node() plan.Node {
+	if len(l.filters) == 0 {
+		return l.scan
+	}
+	conj := make([]plan.Expr, len(l.filters))
+	for k, f := range l.filters {
+		conj[k] = shiftExpr(f, -l.start)
+	}
+	return &plan.Filter{Pred: andAll(conj), Child: l.scan}
+}
+
 func (l *chainLeaf) tableCol(local int) int {
 	if l.scan.Projection == nil {
 		return local
@@ -66,6 +79,7 @@ type residual struct {
 // decomposed into leaves and normalized conjuncts.
 type chain struct {
 	leaves []*chainLeaf
+	joins  []*plan.HashJoin // joins[i] joins leaves[0..i] with leaves[i+1]
 	equis  []equi
 	res    []residual
 }
@@ -76,14 +90,13 @@ type chain struct {
 // or a predicate contains a UDF call.
 func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 	c := &chain{}
-	var joins []*plan.HashJoin
 	var walk func(n plan.Node) bool
 	walk = func(n plan.Node) bool {
 		if hj, ok := n.(*plan.HashJoin); ok && hj.Kind == sql.InnerJoin {
 			if !walk(hj.Left) {
 				return false
 			}
-			joins = append(joins, hj)
+			c.joins = append(c.joins, hj)
 			n = hj.Right
 		}
 		sc, ok := n.(*plan.Scan)
@@ -105,8 +118,7 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 		l.stats = l.scan.Table.Data.ColumnStatistics()
 	}
 
-	// joins[i] joins the prefix of leaves[0..i] with leaves[i+1].
-	for i, hj := range joins {
+	for i, hj := range c.joins {
 		leaf := c.leaves[i+1]
 		for k := range hj.LeftKeys {
 			if hasCall(hj.LeftKeys[k]) || hasCall(hj.RightKeys[k]) {
@@ -377,18 +389,7 @@ func (c *chain) rebuild(order []int, ev *orderEval) plan.Node {
 	nodes := make([]plan.Node, len(c.leaves))
 	for i, l := range c.leaves {
 		l.scan.RowPos = true
-		var n plan.Node = l.scan
-		if len(l.filters) > 0 {
-			start := l.start
-			conj := make([]plan.Expr, len(l.filters))
-			for k, f := range l.filters {
-				conj[k] = plan.MapColRefs(f, func(r *plan.ColRef) plan.Expr {
-					return &plan.ColRef{Idx: r.Idx - start, Typ: r.Typ, Name: r.Name}
-				})
-			}
-			n = &plan.Filter{Pred: andAll(conj), Child: n}
-		}
-		nodes[i] = n
+		nodes[i] = l.node()
 	}
 
 	layout := []int{order[0]}
@@ -479,6 +480,18 @@ func (c *chain) rebuild(order []int, ev *orderEval) plan.Node {
 		}
 	}
 	return &plan.Project{Exprs: exprs, Names: names, Child: sorted}
+}
+
+// filterLeaves keeps the syntactic tree and filters its leaves: an
+// inner join emits probe order x build order, so filtering either
+// input early keeps exactly the rows the Filter above the chain (which
+// stays) would keep, in the same order — without probing the rest.
+func (c *chain) filterLeaves() plan.Node {
+	c.joins[0].Left = c.leaves[0].node()
+	for i, hj := range c.joins {
+		hj.Right = c.leaves[i+1].node()
+	}
+	return c.joins[len(c.joins)-1]
 }
 
 // remapLayout rewrites a full-schema expression into the rebuilt
