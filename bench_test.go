@@ -345,6 +345,75 @@ func BenchmarkMicroHashJoinParallel(b *testing.B) {
 		func(tab interface{ NumRows() int }) bool { return tab.NumRows() == 1 })
 }
 
+// BenchmarkMicroHashJoinMultiKey: 256k probe rows against a 64k-row
+// build side (one row per key) on a BIGINT + VARCHAR key, at workers
+// 1/2/4/8, in memory and under a 1MB budget a third of the build side,
+// where the join must spill and also reports the bytes it wrote.
+func BenchmarkMicroHashJoinMultiKey(b *testing.B) {
+	const rows, los, cats = 256_000, 1000, 64
+	for _, v := range []struct {
+		name   string
+		budget int64
+	}{{"mem", 0}, {"budget1MB", 1 << 20}} {
+		db := vexdb.OpenOptions(vexdb.Options{MemoryBudget: v.budget, TempDir: b.TempDir()})
+		lo, cat := make([]int64, rows), make([]string, rows)
+		x := uint64(1)
+		for i := range lo {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			lo[i], cat[i] = int64(x%los), fmt.Sprintf("c%02d", (x>>32)%cats)
+		}
+		dlo, dcat, dv := make([]int64, los*cats), make([]string, los*cats), make([]int64, los*cats)
+		for i := range dlo {
+			dlo[i], dcat[i], dv[i] = int64(i/cats), fmt.Sprintf("c%02d", i%cats), 1
+		}
+		for name, cols := range map[string][]*vexdb.Vector{
+			"events": {vexdb.NewVectorInt64(lo), vexdb.NewVectorString(cat)},
+			"dim":    {vexdb.NewVectorInt64(dlo), vexdb.NewVectorString(dcat), vexdb.NewVectorInt64(dv)},
+		} {
+			tab, err := vexdb.NewTable([]string{"lo", "cat", "v"}[:len(cols)], cols)
+			if err == nil {
+				err = db.CreateTableFrom(name, tab)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, workers := range benchParallelWorkers {
+			b.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(b *testing.B) {
+				db.SetParallelism(workers)
+				var spilled int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := db.QueryStream("SELECT sum(d.v) AS n FROM events e JOIN dim d ON e.lo = d.lo AND e.cat = d.cat")
+					if err != nil {
+						b.Fatal(err)
+					}
+					tab, err := r.NextTable()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if n := tab.Cols[0].Int64s()[0]; n != rows {
+						b.Fatalf("%d joined rows, want %d", n, rows)
+					}
+					_, _, written, _ := r.SpillStats()
+					spilled += written
+					r.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				if v.budget > 0 {
+					if spilled == 0 {
+						b.Fatal("the join did not spill")
+					}
+					b.ReportMetric(float64(spilled)/float64(b.N), "spill-B/op")
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkMicroScanFilterParallel(b *testing.B) {
 	benchQueryParallel(b, "SELECT voter_id FROM voters WHERE f0 > 0.5", nil)
 }

@@ -308,3 +308,43 @@ func TestLeafFiltersKeepSyntacticOrder(t *testing.T) {
 		db.Parallelism = 0
 	}
 }
+
+// TestJoinKeyTyping: an ON key pair of two numeric types is compared in
+// the wider one whether it stands alone or beside other keys, so every
+// ON form returns what the WHERE form returns — at any worker count,
+// budget and planner setting.
+func TestJoinKeyTyping(t *testing.T) {
+	db := New()
+	db.TempDir = t.TempDir()
+	mustExec(t, db, "CREATE TABLE a (i INTEGER, s VARCHAR)")
+	mustExec(t, db, "INSERT INTO a VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+	mustExec(t, db, "CREATE TABLE b (j BIGINT, s VARCHAR, e DOUBLE)")
+	mustExec(t, db, "INSERT INTO b VALUES (1, 'x', -0.0), (2, 'y', 1.0), (3, 'q', 2.0)")
+	for _, c := range []struct {
+		on   string
+		want int64
+	}{
+		{"ON a.i = b.j", 3},
+		{"ON a.i = b.j AND a.s = b.s", 2},
+		{", b WHERE a.i = b.j AND a.s = b.s", 2},
+		{"ON a.i = b.e", 2},
+		{", b WHERE a.i = b.e", 2},
+	} {
+		q := "SELECT count(*) FROM a JOIN b " + c.on
+		if c.on[0] == ',' {
+			q = "SELECT count(*) FROM a" + c.on
+		}
+		for _, planner := range []bool{false, true} {
+			db.NoCostPlanner = !planner
+			for _, workers := range []int{1, 2, 3, 8} {
+				db.Parallelism = workers
+				for _, budget := range []int64{0, 64 << 10, 64} {
+					db.MemoryBudget = budget
+					if got := mustQuery(t, db, q).Cols[0].Int64s()[0]; got != c.want {
+						t.Fatalf("%s (planner=%v workers=%d budget=%d): %d rows, want %d", q, planner, workers, budget, got, c.want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -62,40 +62,7 @@ const spillFanout = 16
 // over the budget, degraded gracefully.
 const maxSpillLevels = 8
 
-// ------------------------------------------------------- row appender
-
-// rowAppender buffers rows destined for one partition until a chunk's
-// worth accumulated.
-type rowAppender struct {
-	cols []*vector.Vector
-}
-
-func newRowAppender(types []vector.Type) *rowAppender {
-	a := &rowAppender{cols: make([]*vector.Vector, len(types))}
-	for i, t := range types {
-		a.cols[i] = vector.New(t, 0)
-	}
-	return a
-}
-
-func (a *rowAppender) rows() int {
-	if a == nil || len(a.cols) == 0 {
-		return 0
-	}
-	return a.cols[0].Len()
-}
-
-func (a *rowAppender) reset() {
-	for i, c := range a.cols {
-		a.cols[i] = vector.New(c.Type(), 0)
-	}
-}
-
 // ------------------------------------------------------- spilled rows
-
-// errCorruptSpill marks spill chunks that do not have the layout the
-// aggregation wrote: a reader never trusts the bytes it reads back.
-var errCorruptSpill = errors.New("exec: corrupt aggregation spill chunk")
 
 // aggLayout describes the spilled row formats of one aggregation,
 // fixed by the plan: raw rows are [group cols..., arg cols (non-nil
@@ -135,24 +102,6 @@ func (p *aggPartial) chunk() []*vector.Vector {
 	return cols
 }
 
-// checkSpilled verifies that a chunk read back from a spill file has
-// the column count, types and equal lengths of the layout that wrote
-// it, and no NULL past the first nullable columns.
-func checkSpilled(cols []*vector.Vector, types []vector.Type, nullable int) error {
-	if len(cols) != len(types) {
-		return fmt.Errorf("%w: %d columns, want %d", errCorruptSpill, len(cols), len(types))
-	}
-	for i, c := range cols {
-		if c.Type() != types[i] || c.Len() != cols[0].Len() {
-			return fmt.Errorf("%w: column %d is %s[%d], want %s[%d]", errCorruptSpill, i, c.Type(), c.Len(), types[i], cols[0].Len())
-		}
-		if i >= nullable && c.Nulls() != nil {
-			return fmt.Errorf("%w: NULL in column %d", errCorruptSpill, i)
-		}
-	}
-	return nil
-}
-
 // readPartial is chunk's inverse over columns read back from disk
 // (bytes this process may not have just written): it validates them
 // against the layout and aliases them as a batch.
@@ -179,73 +128,30 @@ type aggSpiller struct {
 	layout *aggLayout
 	level  int
 
-	fileMu sync.Mutex
-	file   *spill.File
+	file spillFile
 
 	// evictMu serializes eviction decisions: concurrent routers may
 	// keep folding rows into partitions not being evicted, but only one
 	// spillUntilFits pass picks victims at a time. Lock order is
-	// evictMu → parts[p].mu → fileMu.
+	// evictMu → parts[p].mu → file.mu.
 	evictMu sync.Mutex
 
 	parts [spillFanout]aggSpillPart
+}
+
+func newAggSpiller(ctx *Context, layout *aggLayout, level int) *aggSpiller {
+	return &aggSpiller{ctx: ctx, layout: layout, level: level,
+		file: spillFile{ctx: ctx, label: fmt.Sprintf("agg-l%d", level)}}
 }
 
 // aggSpillPart is one partition: resident (rows and merged groups fold
 // into table) until evicted, then spilled (they append to the raw and
 // partial chunk lists). It never holds both a table and disk refs.
 type aggSpillPart struct {
-	mu          sync.Mutex
-	table       *aggTable
-	spilled     bool
-	raw         *rowAppender
-	partial     *rowAppender
-	rawRefs     []spill.ChunkRef
-	partialRefs []spill.ChunkRef
-}
-
-// spillRows appends columns to one of a spilled partition's row
-// buffers, flushing it once a chunk's worth accumulated. The
-// partition's lock must be held.
-func (s *aggSpiller) spillRows(a **rowAppender, refs *[]spill.ChunkRef, cols []*vector.Vector) error {
-	if *a == nil {
-		types := make([]vector.Type, len(cols))
-		for i, c := range cols {
-			types[i] = c.Type()
-		}
-		*a = newRowAppender(types)
-	}
-	for i, c := range cols {
-		(*a).cols[i].AppendVector(c)
-	}
-	if (*a).rows() < vector.DefaultChunkSize {
-		return nil
-	}
-	return s.flush(*a, refs)
-}
-
-// flush writes one partition's buffered rows into the shared file,
-// recording the chunk ref. The partition's lock must be held.
-func (s *aggSpiller) flush(a *rowAppender, refs *[]spill.ChunkRef) error {
-	if a.rows() == 0 {
-		return nil
-	}
-	s.fileMu.Lock()
-	defer s.fileMu.Unlock()
-	if s.file == nil {
-		f, err := s.ctx.spillManager().Create(fmt.Sprintf("agg-l%d", s.level))
-		if err != nil {
-			return err
-		}
-		s.file = f
-	}
-	ref, err := s.file.WriteChunkRef(a.cols)
-	if err != nil {
-		return err
-	}
-	*refs = append(*refs, ref)
-	a.reset()
-	return nil
+	mu           sync.Mutex
+	table        *aggTable
+	spilled      bool
+	raw, partial spillBuf
 }
 
 // partitionRows groups row (or group) indexes by the partition their
@@ -299,7 +205,7 @@ func (s *aggSpiller) routeVecs(keys []*vector.Vector, hashes []uint64, args []*v
 					cols = append(cols, a)
 				}
 			}
-			err = s.spillRows(&pt.raw, &pt.rawRefs, append(cols, vector.FromInt64s(ppos)))
+			err = s.file.write(&pt.raw, append(cols, vector.FromInt64s(ppos)))
 		}
 		pt.mu.Unlock()
 		if err != nil {
@@ -319,7 +225,7 @@ func (s *aggSpiller) absorb(pt *aggSpillPart, batch *aggPartial) error {
 		s.ctx.memGrow(t.size() - prev)
 		return nil
 	}
-	return s.spillRows(&pt.partial, &pt.partialRefs, batch.chunk())
+	return s.file.write(&pt.partial, batch.chunk())
 }
 
 // dumpTable absorbs every group of t into the spiller and accounts the
@@ -348,9 +254,6 @@ func (s *aggSpiller) dumpTable(t *aggTable) error {
 // reroutePartialChunk forwards spilled partial rows to the next
 // recursion level's partitions.
 func (s *aggSpiller) reroutePartialChunk(cols []*vector.Vector) error {
-	if err := checkSpilled(cols, s.layout.partial, s.layout.numKeys); err != nil {
-		return err
-	}
 	sel := s.partitionRows(hashKeyRows(cols[:s.layout.numKeys], cols[0].Len(), nil))
 	for p, rows := range sel {
 		if len(rows) == 0 {
@@ -426,13 +329,13 @@ func (s *aggSpiller) finish() error {
 	var spilled, resident int64
 	for p := range s.parts {
 		pt := &s.parts[p]
-		if err := s.flush(pt.raw, &pt.rawRefs); err != nil {
+		if err := s.file.flush(&pt.raw); err != nil {
 			return err
 		}
-		if err := s.flush(pt.partial, &pt.partialRefs); err != nil {
+		if err := s.file.flush(&pt.partial); err != nil {
 			return err
 		}
-		if len(pt.rawRefs) > 0 || len(pt.partialRefs) > 0 {
+		if len(pt.raw.refs) > 0 || len(pt.partial.refs) > 0 {
 			spilled++
 		} else if pt.table != nil && pt.table.numGroups() > 0 {
 			resident++
@@ -447,14 +350,6 @@ func (s *aggSpiller) finish() error {
 	return nil
 }
 
-// release frees the spiller's file once every partition is processed.
-func (s *aggSpiller) release() {
-	if s.file != nil {
-		s.file.Release()
-		s.file = nil
-	}
-}
-
 // abandon drops a spiller whose partitions will not all be processed
 // (the query ended first): what its resident tables are charged goes
 // back to the budget, and its file goes. A no-op after the partitions
@@ -466,7 +361,7 @@ func (s *aggSpiller) abandon() {
 			pt.table = nil
 		}
 	}
-	s.release()
+	s.file.release()
 }
 
 // ------------------------------------------------------- consumer
@@ -484,7 +379,7 @@ func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate) *aggSpiller {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.spiller == nil {
-		sh.spiller = &aggSpiller{ctx: ctx, layout: newAggLayout(spec)}
+		sh.spiller = newAggSpiller(ctx, newAggLayout(spec), 0)
 	}
 	return sh.spiller
 }
@@ -656,7 +551,7 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 	}
 	// Every partition is consumed; the spiller's file can go now. The
 	// out-file lives until the merge drains.
-	sp.release()
+	sp.file.release()
 	var files []*spill.File
 	if outFile != nil {
 		files = append(files, outFile)
@@ -682,7 +577,7 @@ func spillerRuns(ctx *Context, sp *aggSpiller, nextLevel int, getOut func() (*sp
 			runs = append(runs, mr)
 			continue
 		}
-		if len(pt.rawRefs) == 0 && len(pt.partialRefs) == 0 {
+		if len(pt.raw.refs) == 0 && len(pt.partial.refs) == 0 {
 			continue
 		}
 		prs, err := processAggPartition(ctx, sp, pt, nextLevel, getOut, held)
@@ -711,7 +606,7 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 		if level >= maxSpillLevels || !ctx.shouldSpill(t.size()) {
 			return nil
 		}
-		sub = &aggSpiller{ctx: ctx, layout: layout, level: level}
+		sub = newAggSpiller(ctx, layout, level)
 		err := sub.dumpTable(t)
 		t = nil
 		return err
@@ -720,11 +615,11 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 	// Partials first, then raw rows: every group a raw row touches
 	// either already has its pre-spill partial merged in, or never had
 	// one.
-	for _, ref := range src.partialRefs {
+	for _, ref := range src.partial.refs {
 		if ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		cols, err := sp.file.ReadChunkAt(ref)
+		cols, err := sp.file.read(ref, layout.partial, layout.numKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -742,15 +637,12 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 		}
 	}
 	var hashes []uint64
-	for _, ref := range src.rawRefs {
+	for _, ref := range src.raw.refs {
 		if ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		cols, err := sp.file.ReadChunkAt(ref)
+		cols, err := sp.file.read(ref, layout.raw, len(layout.raw)-1)
 		if err != nil {
-			return nil, err
-		}
-		if err := checkSpilled(cols, layout.raw, len(cols)-1); err != nil {
 			return nil, err
 		}
 		keys, rest := cols[:layout.numKeys], cols[layout.numKeys:]
@@ -789,7 +681,7 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 	if err != nil {
 		return nil, err
 	}
-	sub.release()
+	sub.file.release()
 	return runs, nil
 }
 

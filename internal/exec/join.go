@@ -2,25 +2,220 @@ package exec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 
-	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
 
+// ------------------------------------------------------- join keys
+
+// joinKeyTypes returns, per ON key pair, the type both sides are
+// compared in: their own when they share it, the wider numeric one
+// otherwise (INTEGER with BIGINT as BIGINT, an integer with DOUBLE as
+// DOUBLE), and Invalid for a pair no cast reconciles, which never
+// matches.
+func joinKeyTypes(spec *plan.HashJoin) []vector.Type {
+	types := make([]vector.Type, len(spec.LeftKeys))
+	for i, l := range spec.LeftKeys {
+		lt, rt := inputType(l), inputType(spec.RightKeys[i])
+		if t, ok := vector.CommonNumeric(lt, rt); ok {
+			types[i] = t
+		} else if lt == rt {
+			types[i] = lt
+		}
+	}
+	return types
+}
+
+// joinInput is one chunk of either join side prepared for a joinTable.
+type joinInput struct {
+	ch     *vector.Chunk
+	keys   []*vector.Vector // the side's key expressions, each in its pair's type
+	hashes []uint64         // hashKeyRows of keys
+	null   []bool           // rows with a NULL key cell, which match nothing; nil without any
+}
+
+// prepareJoin evaluates one side's key expressions over a chunk, casts
+// each to its pair's type and hashes the rows: the one place join keys
+// are made, for build and probe, in memory and spilled, so that equal
+// keys are equal vector cells with equal hashes whatever their sides'
+// declared types.
+func prepareJoin(exprs []plan.Expr, types []vector.Type, ch *vector.Chunk) (joinInput, error) {
+	n := ch.NumRows()
+	in := joinInput{ch: ch, keys: make([]*vector.Vector, len(exprs))}
+	for i, e := range exprs {
+		v, err := Evaluate(e, ch)
+		if err != nil {
+			return in, err
+		}
+		if types[i] == vector.Invalid {
+			v = vector.Constant(vector.Null(), n, vector.Bool)
+		} else if v, err = v.Cast(types[i]); err != nil {
+			return in, err
+		}
+		in.keys[i] = v
+		for r, null := range v.Nulls() {
+			if null {
+				if in.null == nil {
+					in.null = make([]bool, n)
+				}
+				in.null[r] = true
+			}
+		}
+	}
+	in.hashes = hashKeyRows(in.keys, n, nil)
+	return in, nil
+}
+
+// gather is the input restricted to rows sel, none of which has a NULL
+// key.
+func (in joinInput) gather(sel []int) joinInput {
+	return joinInput{ch: in.ch.Gather(sel), keys: gatherVecs(in.keys, sel), hashes: gatherBy(in.hashes, sel)}
+}
+
+// ------------------------------------------------------- join table
+
+// joinTable is a hash join's build side: the build rows, a groupIndex
+// over their distinct keys, and per key id the rows that carry it, in
+// build order, as two CSR arrays. A join without key columns is the
+// same table with one key, the empty one, that every row carries. The
+// table is read-only once built; any number of workers probe it.
+type joinTable struct {
+	build *vector.Chunk
+	seq   []int64 // each row's position in the whole build input; nil when build is all of it
+	gi    *groupIndex
+	start []int32 // key id's rows are rows[start[id]:start[id+1]]
+	rows  []int32
+}
+
+func newJoinTable(spec *plan.HashJoin, types []vector.Type, build *vector.Chunk, seq []int64) (*joinTable, error) {
+	in, err := prepareJoin(spec.RightKeys, types, build)
+	if err != nil {
+		return nil, err
+	}
+	keyTypes := make([]vector.Type, len(in.keys))
+	for i, k := range in.keys {
+		keyTypes[i] = k.Type()
+	}
+	// A row with a NULL key cell is indexed like any other: no probe
+	// looks its key up.
+	t := &joinTable{build: build, seq: seq, gi: newGroupIndex(keyTypes)}
+	ids := t.gi.resolve(in.keys, in.hashes, nil)
+	// Counting sort of the rows by key id. Counts land two slots up so
+	// that, summed, start[id+1] is where id's rows begin; filling
+	// advances it to where they end, which is where id+1's begin.
+	t.start = make([]int32, t.gi.n+2)
+	for _, id := range ids {
+		t.start[id+2]++
+	}
+	for id := 2; id < len(t.start); id++ {
+		t.start[id] += t.start[id-1]
+	}
+	t.rows = make([]int32, len(ids))
+	for r, id := range ids {
+		t.rows[t.start[id+1]] = int32(r)
+		t.start[id+1]++
+	}
+	return t, nil
+}
+
+// size is what the table retains beyond its build rows: the index
+// (slots, hashes and key copies at capacity) and the CSR arrays.
+func (t *joinTable) size() int64 {
+	return t.gi.bytes + 4*int64(cap(t.start)+cap(t.rows))
+}
+
+// joinOut is one probe's result. chunk holds the joined rows, left
+// columns then right, in the three sections every join emits per probe
+// chunk: the matched pairs that pass the residual, ordered by (probe
+// row, build row); then, for a LEFT join, the probe rows whose key
+// matched no build row, NULL-padded; then the probe rows whose every
+// match the residual rejected, NULL-padded.
+type joinOut struct {
+	chunk               *vector.Chunk
+	probe, build        []int // the matched section's pairs
+	unmatched, rejected []int // the padded sections' probe rows
+}
+
+// probe joins prepared probe rows against the table: the one probe
+// kernel, in memory and spilled.
+func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
+	ids := t.gi.find(in.keys, in.hashes)
+	pairs := 0
+	for r, id := range ids {
+		if in.null != nil && in.null[r] {
+			ids[r] = -1
+		} else if id >= 0 {
+			pairs += int(t.start[id+1] - t.start[id])
+		}
+	}
+	out := &joinOut{probe: make([]int, 0, pairs), build: make([]int, 0, pairs)}
+	// Per probe row: 0 no pair, 1 pairs, 2 a pair the residual kept.
+	state := make([]uint8, len(ids))
+	for r, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for _, m := range t.rows[t.start[id]:t.start[id+1]] {
+			out.probe = append(out.probe, r)
+			out.build = append(out.build, int(m))
+		}
+		state[r] = 1
+	}
+	if spec.Extra != nil && pairs > 0 {
+		cand := vector.NewChunk(append(in.ch.Gather(out.probe).Cols(), t.build.Gather(out.build).Cols()...)...)
+		pred, err := Evaluate(spec.Extra, cand)
+		if err != nil {
+			return nil, err
+		}
+		if pred.Type() != vector.Bool {
+			return nil, fmt.Errorf("exec: join condition must be boolean, got %s", pred.Type())
+		}
+		kept := 0
+		for i, r := range out.probe {
+			if !pred.IsNull(i) && pred.Bools()[i] {
+				out.probe[kept], out.build[kept] = r, out.build[i]
+				kept++
+				state[r] = 2
+			}
+		}
+		out.probe, out.build = out.probe[:kept], out.build[:kept]
+	}
+	left := out.probe
+	if spec.Kind == sql.LeftJoin {
+		for r, s := range state {
+			if s == 0 {
+				out.unmatched = append(out.unmatched, r)
+			} else if s == 1 && spec.Extra != nil {
+				out.rejected = append(out.rejected, r)
+			}
+		}
+		if len(out.unmatched)+len(out.rejected) > 0 {
+			left = slices.Concat(out.probe, out.unmatched, out.rejected)
+		}
+	}
+	cols := in.ch.Gather(left).Cols()
+	for _, c := range t.build.Gather(out.build).Cols() {
+		if pads := len(left) - len(out.probe); pads > 0 {
+			c.AppendVector(vector.Constant(vector.Null(), pads, c.Type()))
+		}
+		cols = append(cols, c)
+	}
+	out.chunk = vector.NewChunk(cols...)
+	return out, nil
+}
+
+// ------------------------------------------------------- operator
+
 // hashJoinOp implements inner and left outer equi-joins: the right
-// input is materialized into a hash table keyed on the right key
-// expressions; left chunks probe it. With no key pairs it degrades to
-// a cross product (single-bucket join). Residual ON conjuncts are
-// applied to joined rows.
+// input is materialized into a joinTable; left chunks probe it.
+// Residual ON conjuncts are applied to joined rows.
 //
 // When probePipe is set, the left input is a morsel-parallelizable
-// pipeline: the build table is shared (it is read-only after Open) and
-// workers probe left morsels concurrently, re-emitting join output in
-// morsel order so results match serial execution row for row.
+// pipeline: workers probe left morsels concurrently, re-emitting join
+// output in morsel order so results match serial execution row for row.
 type hashJoinOp struct {
 	spec  *plan.HashJoin
 	left  Operator
@@ -32,11 +227,10 @@ type hashJoinOp struct {
 	drv       *orderedDriver
 	ctx       *Context
 
-	build    *vector.Chunk // materialized right input
-	buildIdx map[string][]int
-	// buildIdx64 is the fast path for a single integer equi-key.
-	buildIdx64 map[int64][]int32
-	done       bool
+	keyTypes []vector.Type
+	table    *joinTable
+	charged  int64 // what the build rows and the table hold of the budget
+	done     bool
 
 	// spill is non-nil once the build side grace-partitioned to disk
 	// under the memory budget (join_spill.go); probing then runs
@@ -47,101 +241,52 @@ type hashJoinOp struct {
 }
 
 func (j *hashJoinOp) Open(ctx *Context) error {
-	j.done = false
-	j.ctx = ctx
-	j.spill = nil
-	j.spillMerger = nil
+	j.done, j.ctx, j.spill, j.spillMerger = false, ctx, nil, nil
+	j.keyTypes = joinKeyTypes(j.spec)
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	build, js, err := j.drainBuild(ctx)
+	build, err := j.drainBuild(ctx)
 	if err != nil {
 		return err
 	}
-	if js != nil {
-		j.spill = js
-		if err := js.finishBuild(); err != nil {
+	if j.spill != nil {
+		if err := j.spill.finishBuild(); err != nil {
 			return err
 		}
-		// Probing runs serially under spill (the order-restoring sort
-		// makes output order independent of probe scheduling); the
-		// pipeline source, when present, is drained morsel by morsel
-		// in spillProbe instead of through the ordered driver.
+		// The spilled probe claims a pipelined probe side's morsels
+		// itself (spillProbe) instead of through the ordered driver.
 		if j.probePipe == nil {
 			return j.left.Open(ctx)
 		}
 		return nil
 	}
-	j.build = build
-	j.buildIdx = nil
-	j.buildIdx64 = nil
-	if build.NumCols() == 0 || build.NumRows() == 0 {
-		j.buildIdx = map[string][]int{}
-		return j.openProbe(ctx)
+	if j.table, err = newJoinTable(j.spec, j.keyTypes, build, nil); err != nil {
+		return err
 	}
-	keyVecs := make([]*vector.Vector, len(j.spec.RightKeys))
-	for i, k := range j.spec.RightKeys {
-		v, err := Evaluate(k, build)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	leftIntKey := len(j.spec.LeftKeys) == 1 &&
-		(j.spec.LeftKeys[0].Type() == vector.Int64 || j.spec.LeftKeys[0].Type() == vector.Int32)
-	if len(keyVecs) == 1 && isIntKey(keyVecs[0]) && leftIntKey {
-		j.buildIdx64 = make(map[int64][]int32, build.NumRows())
-		kv := keyVecs[0]
-		for r := 0; r < build.NumRows(); r++ {
-			if kv.IsNull(r) {
-				continue // NULL keys never match
-			}
-			k := intKeyAt(kv, r)
-			j.buildIdx64[k] = append(j.buildIdx64[k], int32(r))
-		}
-		return j.openProbe(ctx)
-	}
-	j.buildIdx = make(map[string][]int, build.NumRows())
-	var key []byte
-	for r := 0; r < build.NumRows(); r++ {
-		key = key[:0]
-		null := false
-		for _, kv := range keyVecs {
-			if kv.IsNull(r) {
-				null = true
-				break
-			}
-			key = appendRowKey(key, kv, r)
-		}
-		if null {
-			continue // NULL keys never match
-		}
-		j.buildIdx[string(key)] = append(j.buildIdx[string(key)], r)
-	}
+	j.charge(j.table.size())
 	return j.openProbe(ctx)
 }
 
-// drainBuild materializes the right input. Under a memory budget (and
-// for joins that can grace-partition at all) it accounts the build
-// footprint as it grows and switches to partitioned spill the moment
-// the budget is exceeded, returning the spill state instead of a
-// build chunk.
-func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error) {
-	if !ctx.spillEnabled() || !spillableJoin(j.spec) {
-		ch, err := drain(j.right, ctx)
-		return ch, nil, err
-	}
-	intKey := joinIntKey(j.spec)
+func (j *hashJoinOp) charge(n int64) {
+	j.charged += n
+	j.ctx.memGrow(n)
+}
+
+// drainBuild materializes the right input, charging the budget as it
+// grows. The moment a join that can grace-partition exceeds the budget
+// it switches to partitioned spill: j.spill takes the rows so far and
+// every later one, and no chunk is returned.
+func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, error) {
+	spillable := spillableJoin(j.spec)
 	var acc []*vector.Vector
-	var bytes int64
-	var js *joinSpill
 	for {
 		if ctx.interrupted() {
-			return nil, nil, ErrCancelled
+			return nil, ErrCancelled
 		}
 		ch, err := j.right.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ch == nil {
 			break
@@ -149,12 +294,9 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error)
 		if ch.NumRows() == 0 {
 			continue
 		}
-		if js != nil {
-			if err := js.addBuildChunk(ch); err != nil {
-				return nil, nil, err
-			}
-			if err := js.spillUntilFits(); err != nil {
-				return nil, nil, err
+		if j.spill != nil {
+			if err := j.spill.addBuildChunk(ch); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -167,24 +309,22 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error)
 		for i := range acc {
 			acc[i].AppendVector(ch.Col(i))
 		}
-		b := chunkBytes(ch)
-		bytes += b
-		ctx.memGrow(b)
-		if ctx.shouldSpill(bytes) {
-			js, err = newJoinSpill(ctx, j.spec, acc, bytes, intKey)
-			if err != nil {
-				return nil, nil, err
+		j.charge(chunkBytes(ch))
+		if spillable && ctx.shouldSpill(j.charged) {
+			j.charge(-j.charged) // the partitions charge the rows as they take them
+			j.spill = newJoinSpill(ctx, j.spec, j.keyTypes)
+			if err := j.spill.addBuildChunk(vector.NewChunk(acc...)); err != nil {
+				return nil, err
 			}
 			acc = nil
 		}
 	}
-	if js != nil {
-		return nil, js, nil
+	if acc == nil && j.spill == nil { // an empty build side still has the right schema's columns
+		for _, c := range j.spec.Right.Schema() {
+			acc = append(acc, vector.New(c.Type, 0))
+		}
 	}
-	if acc == nil {
-		return vector.NewChunk(), nil, nil
-	}
-	return vector.NewChunk(acc...), nil, nil
+	return vector.NewChunk(acc...), nil
 }
 
 // spillProbe drains the probe input through the partitioned path:
@@ -194,38 +334,20 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error)
 // probe concurrently; the order-restoring sort hides the scheduling.
 func (j *hashJoinOp) spillProbe() error {
 	js := j.spill
-	switch {
-	case j.probePipe != nil && j.workers > 1:
-		if err := j.spillProbeParallel(); err != nil {
+	if j.probePipe != nil {
+		states := make([]*probeState, max(j.workers, 1))
+		err := j.probePipe.forEach(j.ctx, j.workers, func(w, i int, ch *vector.Chunk) error {
+			if states[w] == nil {
+				states[w] = js.newProbeState()
+			}
+			return js.probeChunk(ch, i, states[w])
+		})
+		if err != nil {
 			return err
 		}
-	case j.probePipe != nil:
+	} else {
 		ps := js.newProbeState()
-		n := j.probePipe.src.open(j.ctx)
-		var sc pipeScratch
-		for i := 0; i < n; i++ {
-			if j.ctx.interrupted() {
-				return ErrCancelled
-			}
-			ch, err := j.probePipe.src.fetch(i)
-			if err == nil {
-				ch, err = j.probePipe.apply(ch, &sc)
-			}
-			if err != nil {
-				return err
-			}
-			if ch == nil || ch.NumRows() == 0 {
-				continue
-			}
-			if err := js.probeChunk(ch, i, ps); err != nil {
-				return err
-			}
-		}
-		j.probePipe.src.finish()
-	default:
-		ps := js.newProbeState()
-		c := 0
-		for {
+		for c := 0; ; c++ {
 			if j.ctx.interrupted() {
 				return ErrCancelled
 			}
@@ -241,67 +363,9 @@ func (j *hashJoinOp) spillProbe() error {
 					return err
 				}
 			}
-			c++
 		}
 	}
-	return js.processSpilled(js.newProbeState())
-}
-
-// spillProbeParallel drains a pipelined probe side with a worker pool:
-// each worker claims morsels, probes resident partitions through its
-// own probe state (private run builder and key scratch), and
-// serializes only on routing rows deferred to spilled partitions.
-func (j *hashJoinOp) spillProbeParallel() error {
-	js := j.spill
-	n := j.probePipe.src.open(j.ctx)
-	workers := j.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			ps := js.newProbeState()
-			var sc pipeScratch
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || j.ctx.interrupted() {
-					return
-				}
-				ch, err := j.probePipe.src.fetch(i)
-				if err == nil {
-					ch, err = j.probePipe.apply(ch, &sc)
-				}
-				if err == nil && ch != nil && ch.NumRows() > 0 {
-					err = js.probeChunk(ch, i, ps)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	j.probePipe.src.finish()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if j.ctx.interrupted() {
-		return ErrCancelled
-	}
-	return nil
+	return js.processSpilled(&js.top, js.newProbeState())
 }
 
 // spillNext streams the spilled join's output: first drain the probe
@@ -331,7 +395,7 @@ func (j *hashJoinOp) spillNext() (*vector.Chunk, error) {
 
 // openProbe starts the probe side once the build table is complete:
 // either the serial left child, or the morsel-parallel probe workers
-// (probe only reads the operator's state, so workers share it).
+// (probe only reads the table, so workers share it).
 func (j *hashJoinOp) openProbe(ctx *Context) error {
 	if j.probePipe == nil {
 		return j.left.Open(ctx)
@@ -349,17 +413,6 @@ func (j *hashJoinOp) openProbe(ctx *Context) error {
 		return j.probe(ch)
 	})
 	return nil
-}
-
-func isIntKey(v *vector.Vector) bool {
-	return v.Type() == vector.Int64 || v.Type() == vector.Int32
-}
-
-func intKeyAt(v *vector.Vector, r int) int64 {
-	if v.Type() == vector.Int64 {
-		return v.Int64s()[r]
-	}
-	return int64(v.Int32s()[r])
 }
 
 func (j *hashJoinOp) Next() (*vector.Chunk, error) {
@@ -390,167 +443,22 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 		if err != nil {
 			return nil, err
 		}
-		if out != nil && out.NumRows() > 0 {
+		if out.NumRows() > 0 {
 			return out, nil
 		}
 	}
 }
 
 func (j *hashJoinOp) probe(ch *vector.Chunk) (*vector.Chunk, error) {
-	n := ch.NumRows()
-	keyVecs := make([]*vector.Vector, len(j.spec.LeftKeys))
-	for i, k := range j.spec.LeftKeys {
-		v, err := Evaluate(k, ch)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v
+	in, err := prepareJoin(j.spec.LeftKeys, j.keyTypes, ch)
+	if err != nil {
+		return nil, err
 	}
-	var leftSel, rightSel []int
-	var unmatched []int
-	var key []byte
-	noKeys := len(j.spec.LeftKeys) == 0
-	var allRight []int
-	if noKeys {
-		allRight = make([]int, j.build.NumRows())
-		for i := range allRight {
-			allRight[i] = i
-		}
+	out, err := j.table.probe(j.spec, in)
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < n; r++ {
-		matched := false
-		switch {
-		case noKeys:
-			for _, m := range allRight {
-				leftSel = append(leftSel, r)
-				rightSel = append(rightSel, m)
-			}
-			matched = len(allRight) > 0
-		case j.buildIdx64 != nil:
-			kv := keyVecs[0]
-			if !kv.IsNull(r) {
-				for _, m := range j.buildIdx64[intKeyAt(kv, r)] {
-					leftSel = append(leftSel, r)
-					rightSel = append(rightSel, int(m))
-					matched = true
-				}
-			}
-		default:
-			key = key[:0]
-			null := false
-			for _, kv := range keyVecs {
-				if kv.IsNull(r) {
-					null = true
-					break
-				}
-				key = appendRowKey(key, kv, r)
-			}
-			if !null {
-				for _, m := range j.buildIdx[string(key)] {
-					leftSel = append(leftSel, r)
-					rightSel = append(rightSel, m)
-					matched = true
-				}
-			}
-		}
-		if !matched && j.spec.Kind == sql.LeftJoin {
-			unmatched = append(unmatched, r)
-		}
-	}
-
-	leftCols := ch.Gather(leftSel).Cols()
-	rightCols := j.gatherBuild(rightSel)
-	joined := vector.NewChunk(append(leftCols, rightCols...)...)
-
-	if j.spec.Extra != nil && joined.NumRows() > 0 {
-		pred, err := Evaluate(j.spec.Extra, joined)
-		if err != nil {
-			return nil, err
-		}
-		if pred.Type() != vector.Bool {
-			return nil, fmt.Errorf("exec: join condition must be boolean, got %s", pred.Type())
-		}
-		sel := make([]int, 0, joined.NumRows())
-		keep := make(map[int]bool) // left rows that survived the residual
-		for i := 0; i < joined.NumRows(); i++ {
-			if !pred.IsNull(i) && pred.Bools()[i] {
-				sel = append(sel, i)
-				keep[leftSel[i]] = true
-			}
-		}
-		if j.spec.Kind == sql.LeftJoin {
-			// Left rows whose every match failed the residual are
-			// emitted null-padded.
-			seen := make(map[int]bool)
-			for _, l := range leftSel {
-				if !seen[l] && !keep[l] {
-					unmatched = append(unmatched, l)
-				}
-				seen[l] = true
-			}
-		}
-		joined = joined.Gather(sel)
-	}
-
-	if j.spec.Kind == sql.LeftJoin && len(unmatched) > 0 {
-		padded := j.padUnmatched(ch, unmatched)
-		joined = concatChunks(joined, padded)
-	}
-	return joined, nil
-}
-
-// gatherBuild gathers build-side rows; with an empty build relation it
-// synthesizes empty columns of the right schema's types.
-func (j *hashJoinOp) gatherBuild(sel []int) []*vector.Vector {
-	if j.build.NumCols() > 0 {
-		return j.build.Gather(sel).Cols()
-	}
-	rightSchema := j.spec.Right.Schema()
-	cols := make([]*vector.Vector, len(rightSchema))
-	for i, c := range rightSchema {
-		cols[i] = vector.New(c.Type, 0)
-	}
-	return cols
-}
-
-// padUnmatched builds output rows for unmatched left rows with NULL
-// right columns.
-func (j *hashJoinOp) padUnmatched(ch *vector.Chunk, rows []int) *vector.Chunk {
-	return padRightNull(j.spec.Right.Schema(), ch, rows)
-}
-
-// padRightNull gathers the selected left rows and pads the right
-// schema's columns with NULLs — the LEFT-join padding shape shared by
-// the in-memory probe and the spilled join (which must stay
-// byte-identical to each other).
-func padRightNull(rightSchema catalog.Schema, ch *vector.Chunk, rows []int) *vector.Chunk {
-	leftCols := ch.Gather(rows).Cols()
-	rightCols := make([]*vector.Vector, len(rightSchema))
-	for i, c := range rightSchema {
-		v := vector.New(c.Type, len(rows))
-		for range rows {
-			v.AppendValue(vector.Null())
-		}
-		rightCols[i] = v
-	}
-	return vector.NewChunk(append(leftCols, rightCols...)...)
-}
-
-func concatChunks(a, b *vector.Chunk) *vector.Chunk {
-	if a.NumCols() == 0 || a.NumRows() == 0 {
-		return b
-	}
-	if b.NumRows() == 0 {
-		return a
-	}
-	cols := make([]*vector.Vector, a.NumCols())
-	for i := range cols {
-		v := vector.New(a.Col(i).Type(), a.NumRows()+b.NumRows())
-		v.AppendVector(a.Col(i))
-		v.AppendVector(b.Col(i))
-		cols[i] = v
-	}
-	return vector.NewChunk(cols...)
+	return out.chunk, nil
 }
 
 func (j *hashJoinOp) Close() error {
@@ -560,6 +468,8 @@ func (j *hashJoinOp) Close() error {
 	}
 	j.spill.release()
 	j.spillMerger.close()
+	j.charge(-j.charged)
+	j.table = nil
 	var lerr error
 	if j.left != nil {
 		lerr = j.left.Close()

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
 
@@ -12,51 +10,9 @@ import (
 	"vexdb/internal/vector"
 )
 
-// appendRowKey appends a type-tagged binary encoding of row i of v to
-// key. The encoding is injective per type so it can serve as a hash
-// map key for join probing.
-func appendRowKey(key []byte, v *vector.Vector, i int) []byte {
-	if v.IsNull(i) {
-		return append(key, 0xFF)
-	}
-	switch v.Type() {
-	case vector.Bool:
-		if v.Bools()[i] {
-			return append(key, 1, 1)
-		}
-		return append(key, 1, 0)
-	case vector.Int32:
-		key = append(key, 2)
-		return binary.LittleEndian.AppendUint32(key, uint32(v.Int32s()[i]))
-	case vector.Int64:
-		key = append(key, 3)
-		return binary.LittleEndian.AppendUint64(key, uint64(v.Int64s()[i]))
-	case vector.Float64:
-		key = append(key, 4)
-		return binary.LittleEndian.AppendUint64(key, math.Float64bits(v.Float64s()[i]))
-	case vector.String:
-		s := v.Strings()[i]
-		key = append(key, 5)
-		key = binary.LittleEndian.AppendUint32(key, uint32(len(s)))
-		return append(key, s...)
-	case vector.Blob:
-		b := v.Blobs()[i]
-		key = append(key, 6)
-		key = binary.LittleEndian.AppendUint32(key, uint32(len(b)))
-		return append(key, b...)
-	}
-	return append(key, 0xFE)
-}
-
-// hashKeyBytes hashes an encoded key (FNV-1a 64); join spill
-// partitions at recursion level L use nibble L, so a partition's keys
-// re-split on fresh bits at every level.
-func hashKeyBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
+// partitionOf is the spill partition of hash h at a recursion level:
+// nibble level, so a partition's keys re-split on fresh bits at every
+// level.
 func partitionOf(h uint64, level int) int {
 	return int((h >> (4 * uint(level))) & (spillFanout - 1))
 }
@@ -221,11 +177,7 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 		ids = make([]int32, len(hashes))
 	}
 	ids = ids[:len(hashes)]
-	for c, k := range gi.keys {
-		if keys[c].Type() != k.Type() {
-			panic(fmt.Sprintf("exec: group key %d is %s, index holds %s", c, keys[c].Type(), k.Type()))
-		}
-	}
+	gi.checkTypes(keys)
 	for r, h := range hashes {
 		if 2*gi.n >= len(gi.slots) {
 			gi.growSlots()
@@ -244,6 +196,37 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 		}
 	}
 	return ids
+}
+
+// find is resolve without the insert: ids[r] is -1 for a key row the
+// index does not hold. It writes nothing, so any number of goroutines
+// may search one index at once.
+func (gi *groupIndex) find(keys []*vector.Vector, hashes []uint64) []int32 {
+	ids := make([]int32, len(hashes))
+	gi.checkTypes(keys)
+	mask := uint64(len(gi.slots) - 1)
+	for r, h := range hashes {
+		ids[r] = -1
+		if gi.n == 0 {
+			continue
+		}
+		for i := gi.home(h); gi.slots[i] != 0; i = (i + 1) & mask {
+			s := gi.slots[i]
+			if id := int32(uint32(s)) - 1; s>>32 == h>>32 && gi.equalRow(keys, r, int(id)) {
+				ids[r] = id
+				break
+			}
+		}
+	}
+	return ids
+}
+
+func (gi *groupIndex) checkTypes(keys []*vector.Vector) {
+	for c, k := range gi.keys {
+		if keys[c].Type() != k.Type() {
+			panic(fmt.Sprintf("exec: group key %d is %s, index holds %s", c, keys[c].Type(), k.Type()))
+		}
+	}
 }
 
 // equalRow reports whether row r of the key columns is group id's key.

@@ -15,6 +15,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -209,6 +210,54 @@ func (p *pipeSpec) apply(ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, erro
 		ch = vector.NewChunk(cols...)
 	}
 	return ch, nil
+}
+
+// forEach drains the pipeline through a pool of up to workers
+// goroutines (at least one): each claims morsels and hands fn the
+// non-empty ones with its own index w — calls that share a w never
+// overlap — and the morsel's. The first error stops the pool. Workers
+// observe cancellation between morsels, and a cancelled drain is
+// ErrCancelled: whatever fn accumulated saw only part of the input.
+func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch *vector.Chunk) error) error {
+	n := p.src.open(ctx)
+	errs := make([]error, max(min(workers, n), 1))
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc pipeScratch
+			for errs[w] == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n || stop.Load() || ctx.interrupted() {
+					return
+				}
+				ch, err := p.src.fetch(i)
+				if err == nil {
+					ch, err = p.apply(ch, &sc)
+				}
+				if err == nil && ch != nil && ch.NumRows() > 0 {
+					err = fn(w, i, ch)
+				}
+				if errs[w] = err; err != nil {
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.src.finish()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if ctx.interrupted() {
+		return ErrCancelled
+	}
+	return nil
 }
 
 // ------------------------------------------------------- ordered driver
@@ -417,65 +466,18 @@ func (a *parallelAggOp) Next() (*vector.Chunk, error) {
 }
 
 func (a *parallelAggOp) run() (aggEmitter, error) {
-	n := a.pipe.src.open(a.ctx)
-	workers := a.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	agg := newAggregation(a.ctx, a.spec)
-	consumers := make([]aggConsumers, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			c := agg.newConsumers()
-			consumers[w] = c
-			var sc pipeScratch
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || a.ctx.interrupted() {
-					return
-				}
-				ch, err := a.pipe.src.fetch(i)
-				if err == nil {
-					ch, err = a.pipe.apply(ch, &sc)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				if ch == nil || ch.NumRows() == 0 {
-					continue
-				}
-				if err := c.consume(ch, i); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	a.pipe.src.finish()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	consumers := make([]aggConsumers, max(a.workers, 1))
+	err := a.pipe.forEach(a.ctx, a.workers, func(w, i int, ch *vector.Chunk) error {
+		if consumers[w] == nil {
+			consumers[w] = agg.newConsumers()
 		}
+		return consumers[w].consume(ch, i)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if a.ctx.interrupted() {
-		// Workers stopped mid-input; partial aggregates are wrong, so
-		// surface the cancellation instead of merging them.
-		return nil, ErrCancelled
-	}
-	return agg.finish(consumers)
+	return agg.finish(slices.DeleteFunc(consumers, func(c aggConsumers) bool { return c == nil }))
 }
 
 func (a *parallelAggOp) Close() error {

@@ -11,8 +11,6 @@ package exec
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/vector"
@@ -114,7 +112,6 @@ func (s *parallelSortOp) Next() (*vector.Chunk, error) {
 // cancellation between morsels; a cancelled drain surfaces
 // ErrCancelled rather than merging a partial input.
 func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
-	n := s.pipe.src.open(s.ctx)
 	// Context.Parallelism is an upper bound on concurrency, but more
 	// runs than threads the scheduler will run add no sort parallelism —
 	// they only widen the merge, which is pure overhead on the consumer.
@@ -124,49 +121,17 @@ func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
 	if runCap < 1 {
 		runCap = runtime.GOMAXPROCS(0)
 	}
-	builders := make([]*runBuilder, max(min(s.workers, runCap, n), 0))
-	errs := make([]error, len(builders))
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
+	builders := make([]*runBuilder, max(min(s.workers, runCap), 1))
 	for w := range builders {
-		b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
-		builders[w] = b
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc pipeScratch
-			for errs[w] == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || s.ctx.interrupted() {
-					return
-				}
-				ch, err := s.pipe.src.fetch(i)
-				if err == nil {
-					ch, err = s.pipe.apply(ch, &sc)
-				}
-				if err == nil && ch != nil {
-					err = b.add(ch, int64(i)<<32)
-				}
-				if errs[w] = err; err != nil {
-					stop.Store(true)
-				}
-			}
-		}()
+		builders[w] = newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
 	}
-	wg.Wait()
-	s.pipe.src.finish()
-	for _, err := range errs {
-		if err != nil {
-			releaseBuilders(builders)
-			return nil, err
-		}
-	}
-	if s.ctx.interrupted() {
-		// Workers stopped mid-input; a merge over partial runs would
-		// silently drop rows.
+	err := s.pipe.forEach(s.ctx, len(builders), func(w, i int, ch *vector.Chunk) error {
+		return builders[w].add(ch, int64(i)<<32)
+	})
+	if err != nil {
+		// A merge over partial runs would silently drop rows.
 		releaseBuilders(builders)
-		return nil, ErrCancelled
+		return nil, err
 	}
 	return builders, nil
 }

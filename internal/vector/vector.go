@@ -444,6 +444,21 @@ func (v *Vector) Cast(to Type) (*Vector, error) {
 	if v.typ == to {
 		return v, nil
 	}
+	// Numeric widenings convert the payload in one typed pass and keep
+	// the null mask.
+	var wide *Vector
+	switch {
+	case v.typ == Int32 && to == Int64:
+		wide = FromInt64s(widen[int64](v.i32))
+	case v.typ == Int32 && to == Float64:
+		wide = FromFloat64s(widen[float64](v.i32))
+	case v.typ == Int64 && to == Float64:
+		wide = FromFloat64s(widen[float64](v.i64))
+	}
+	if wide != nil {
+		wide.nulls = append([]bool(nil), v.nulls...)
+		return wide, nil
+	}
 	out := New(to, v.length)
 	for i := 0; i < v.length; i++ {
 		if v.IsNull(i) {
@@ -516,4 +531,12 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+func widen[D int64 | float64, S int32 | int64](xs []S) []D {
+	out := make([]D, len(xs))
+	for i, x := range xs {
+		out[i] = D(x)
+	}
+	return out
 }
