@@ -271,6 +271,7 @@ func aggBenchEnv(b *testing.B) *vexdb.DB {
 		id := make([]int64, aggBenchRows)
 		w := make([]float64, aggBenchRows)
 		cat := make([]string, aggBenchRows)
+		shift := make([]int64, aggBenchRows)
 		x := uint64(1)
 		next := func(n int) int { // xorshift: fixed data on every run
 			x ^= x << 13
@@ -284,10 +285,13 @@ func aggBenchEnv(b *testing.B) *vexdb.DB {
 			lo[i] = int64(next(1000))
 			w[i] = float64(next(1<<16)) / 16
 			cat[i] = fmt.Sprintf("c%02d", next(64))
+			if shift[i] = lo[i] % 64; i >= aggBenchRows/2 { // derived: the other columns keep their values
+				shift[i] = 64 + hi[i]
+			}
 		}
-		tab, err := vexdb.NewTable([]string{"id", "hi", "lo", "w", "cat"}, []*vexdb.Vector{
+		tab, err := vexdb.NewTable([]string{"id", "hi", "lo", "w", "cat", "shift"}, []*vexdb.Vector{
 			vexdb.NewVectorInt64(id), vexdb.NewVectorInt64(hi), vexdb.NewVectorInt64(lo),
-			vexdb.NewVectorFloat64(w), vexdb.NewVectorString(cat)})
+			vexdb.NewVectorFloat64(w), vexdb.NewVectorString(cat), vexdb.NewVectorInt64(shift)})
 		if err != nil {
 			aggBenchErr = err
 			return
@@ -336,6 +340,14 @@ func BenchmarkMicroAggregateIntStrKey(b *testing.B) {
 // BenchmarkMicroAggregateLowCard: 64 groups on one VARCHAR key.
 func BenchmarkMicroAggregateLowCard(b *testing.B) {
 	benchAggregate(b, "SELECT cat, count(*) AS n, sum(w) AS sw, min(w) AS mn, avg(w) AS m FROM events GROUP BY cat", 64)
+}
+
+// BenchmarkMicroAggregateShift: one BIGINT key whose cardinality
+// changes mid-input — 64 groups over the first half of the rows, ~55k
+// over the second — so consumers that pre-aggregated usefully must
+// notice when they no longer do.
+func BenchmarkMicroAggregateShift(b *testing.B) {
+	benchAggregate(b, "SELECT shift, count(*) AS n, sum(w) AS sw, max(id) AS last FROM events GROUP BY shift", 50_000)
 }
 
 func BenchmarkMicroHashJoinParallel(b *testing.B) {

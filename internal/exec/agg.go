@@ -10,14 +10,17 @@ import (
 	"vexdb/internal/vector"
 )
 
-// hashAggOp implements hash aggregation with optional grouping. With
-// no GROUP BY it produces exactly one row (even for empty input, per
-// SQL semantics). Under a memory budget, consumption grace-partitions
-// to disk when the table outgrows the budget (agg_spill.go) and the
-// emitter streams partition results merged by first appearance.
-type hashAggOp struct {
+// aggOp implements hash aggregation with optional grouping. With no
+// GROUP BY it produces exactly one row (even for empty input, per SQL
+// semantics). Its input is a child operator, consumed serially into one
+// table, or — pipe — a morsel pipeline drained by up to workers
+// goroutines, each into tables of its own until those stop paying
+// (agg_spill.go); the emitter streams the groups by first appearance.
+type aggOp struct {
 	spec    *plan.Aggregate
-	child   Operator
+	child   Operator  // nil when pipe is set
+	pipe    *pipeSpec // the morsel-parallel form (parallel.go)
+	workers int
 	ctx     *Context
 	started bool
 	emitter aggEmitter
@@ -163,7 +166,8 @@ type aggTable struct {
 	state      [][]*vector.Vector // per aggregate, typed by aggShape.state
 	stateBytes int64              // firstSeen and state columns, string payloads
 
-	ids []int32 // per-chunk group ids
+	ids     []int32 // per-chunk group ids
+	counted int     // groups already counted into the node's tap
 }
 
 func newAggTable(spec *plan.Aggregate) *aggTable {
@@ -192,6 +196,10 @@ func (t *aggTable) size() int64 { return t.gi.bytes + t.stateBytes }
 // growStates extends the state columns to the index's group capacity
 // after groups were created.
 func (t *aggTable) growStates() {
+	if tap := t.spec.Hints.Tap; tap != nil {
+		tap.GroupsInserted.Add(int64(t.gi.n - t.counted))
+		t.counted = t.gi.n
+	}
 	old, size := len(t.firstSeen), t.gi.capacity()
 	if old == size {
 		return
@@ -415,6 +423,9 @@ func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
 // first row).
 func (t *aggTable) emitRun(ctx *Context) (*sortedRun, error) {
 	fs := t.firstSeen[:t.numGroups()]
+	if tap := t.spec.Hints.Tap; tap != nil {
+		tap.GroupsEmitted.Add(int64(len(fs)))
+	}
 	order := orderByPos(ctx, fs)
 	cols := gatherVecs(t.gi.keys, order)
 	for i := range t.shapes {
@@ -531,9 +542,10 @@ func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
 // A float SUM/AVG(DISTINCT) so adds a group's values in the order they
 // first appear in the input, at any worker count and any budget.
 type aggregation struct {
-	ctx    *Context
-	tables []aggStage
-	cols   [][2]int // result column → (table, column of its output); nil when tables[0]'s output is the result
+	ctx     *Context
+	workers int // consumption threads; several make the tables adaptive (aggShared)
+	tables  []aggStage
+	cols    [][2]int // result column → (table, column of its output); nil when tables[0]'s output is the result
 }
 
 type aggStage struct {
@@ -542,18 +554,19 @@ type aggStage struct {
 	fold   *plan.Aggregate // stage 2, over the output of spec; nil for the table of plain aggregates
 }
 
-func newAggregation(ctx *Context, spec *plan.Aggregate) *aggregation {
-	a := &aggregation{ctx: ctx}
+func newAggregation(ctx *Context, spec *plan.Aggregate, workers int) *aggregation {
+	a := &aggregation{ctx: ctx, workers: max(workers, 1)}
+	shared := func() *aggShared { return &aggShared{adaptive: workers > 1} }
 	dedups := func(s plan.AggSpec) bool {
 		return s.Distinct && s.Arg != nil && s.Kind != plan.AggMin && s.Kind != plan.AggMax
 	}
 	if !slices.ContainsFunc(spec.Aggs, dedups) {
-		a.tables = []aggStage{{spec: spec, shared: &aggShared{}}}
+		a.tables = []aggStage{{spec: spec, shared: shared()}}
 		return a
 	}
 	ng := len(spec.GroupBy)
 	plain := &plan.Aggregate{GroupBy: spec.GroupBy, GroupNames: spec.GroupNames, Hints: spec.Hints}
-	a.tables = []aggStage{{spec: plain, shared: &aggShared{}}}
+	a.tables = []aggStage{{spec: plain, shared: shared()}}
 	groups := make([]plan.Expr, ng) // the group columns in a dedup table's output
 	for i, g := range spec.GroupBy {
 		groups[i] = &plan.ColRef{Idx: i, Typ: inputType(g)}
@@ -567,7 +580,7 @@ func newAggregation(ctx *Context, spec *plan.Aggregate) *aggregation {
 				k = len(a.tables)
 				a.tables = append(a.tables, aggStage{
 					spec:   &plan.Aggregate{GroupBy: append(slices.Clone(spec.GroupBy), s.Arg), GroupNames: append(slices.Clone(spec.GroupNames), s.Name), Hints: spec.Hints},
-					shared: &aggShared{},
+					shared: shared(),
 					fold:   &plan.Aggregate{GroupBy: groups, GroupNames: spec.GroupNames, Hints: spec.Hints},
 				})
 			}
@@ -609,6 +622,30 @@ func (cs aggConsumers) consume(ch *vector.Chunk, morsel int) error {
 		}
 	}
 	return nil
+}
+
+// run consumes the input feed pushes at it — chunks that share a w never
+// overlap — and returns the result's emitter. What the consumers hold
+// when the input fails or the query is cancelled goes back to the
+// budget.
+func (a *aggregation) run(feed func(consume func(w, morsel int, ch *vector.Chunk) error) error) (em aggEmitter, err error) {
+	threads := make([]aggConsumers, a.workers)
+	err = feed(func(w, morsel int, ch *vector.Chunk) error {
+		if threads[w] == nil {
+			threads[w] = a.newConsumers()
+		}
+		return threads[w].consume(ch, morsel)
+	})
+	threads = slices.DeleteFunc(threads, func(cs aggConsumers) bool { return cs == nil })
+	if err == nil {
+		em, err = a.finish(threads)
+	}
+	if err != nil {
+		for _, c := range slices.Concat(threads...) {
+			c.abandon()
+		}
+	}
+	return em, err
 }
 
 // aggEmitter streams an aggregation's result.
@@ -656,13 +693,14 @@ func foldPairs(ctx *Context, spec *plan.Aggregate, pairs *runMerger) (*runMerger
 	cons := newAggConsumer(ctx, spec, shared)
 	for {
 		ch, err := pairs.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
+		if err == nil && ch == nil {
 			return finishAggEmit(ctx, spec, []*aggConsumer{cons}, shared)
 		}
-		if err := cons.consumeAt(ch, pairs.pos); err != nil {
+		if err == nil {
+			err = cons.consumeAt(ch, pairs.pos)
+		}
+		if err != nil {
+			cons.abandon()
 			return nil, err
 		}
 	}
@@ -725,36 +763,18 @@ func (z *aggZip) close() {
 	}
 }
 
-func (a *hashAggOp) Open(ctx *Context) error {
-	a.ctx = ctx
-	a.emitter = nil
-	a.started = false
+func (a *aggOp) Open(ctx *Context) error {
+	a.ctx, a.emitter, a.started = ctx, nil, false
+	if a.child == nil {
+		return nil
+	}
 	return a.child.Open(ctx)
 }
 
-func (a *hashAggOp) Next() (*vector.Chunk, error) {
+func (a *aggOp) Next() (*vector.Chunk, error) {
 	if !a.started {
 		a.started = true
-		agg := newAggregation(a.ctx, a.spec)
-		cons := agg.newConsumers()
-		morsel := 0
-		for {
-			if a.ctx.interrupted() {
-				return nil, ErrCancelled
-			}
-			ch, err := a.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if ch == nil {
-				break
-			}
-			if err := cons.consume(ch, morsel); err != nil {
-				return nil, err
-			}
-			morsel++
-		}
-		em, err := agg.finish([]aggConsumers{cons})
+		em, err := newAggregation(a.ctx, a.spec, a.workers).run(a.feed)
 		if err != nil {
 			return nil, err
 		}
@@ -763,9 +783,32 @@ func (a *hashAggOp) Next() (*vector.Chunk, error) {
 	return a.emitter.next(a.ctx)
 }
 
-func (a *hashAggOp) Close() error {
+// feed pushes the input at consume: the pipeline's morsels from up to
+// workers goroutines, or the child's chunks, in order, to consumer 0.
+func (a *aggOp) feed(consume func(w, morsel int, ch *vector.Chunk) error) error {
+	if a.pipe != nil {
+		return a.pipe.forEach(a.ctx, a.workers, consume)
+	}
+	for morsel := 0; ; morsel++ {
+		if a.ctx.interrupted() {
+			return ErrCancelled
+		}
+		ch, err := a.child.Next()
+		if err != nil || ch == nil {
+			return err
+		}
+		if err := consume(0, morsel, ch); err != nil {
+			return err
+		}
+	}
+}
+
+func (a *aggOp) Close() error {
 	if a.emitter != nil {
 		a.emitter.close()
+	}
+	if a.child == nil {
+		return nil
 	}
 	return a.child.Close()
 }

@@ -14,6 +14,7 @@ import (
 	"vexdb/internal/catalog"
 	"vexdb/internal/core"
 	"vexdb/internal/plan"
+	"vexdb/internal/spill"
 	"vexdb/internal/sql"
 	"vexdb/internal/storage"
 	"vexdb/internal/vector"
@@ -258,7 +259,7 @@ func tableBytes(t testing.TB, spec *plan.Aggregate, tab *catalog.Table) int64 {
 	t.Helper()
 	var most int64
 	snap := tab.Data.Snapshot()
-	for _, st := range newAggregation(nil, spec).tables {
+	for _, st := range newAggregation(nil, spec, 1).tables {
 		at, in := newAggTable(st.spec), newAggInputs(st.spec)
 		for m := 0; m < snap.NumSegments(); m++ {
 			ch, err := snap.Segment(m, nil)
@@ -459,7 +460,7 @@ func TestAggZipRefusesMisalignedTables(t *testing.T) {
 func TestDistinctAggBudgetTracksHeap(t *testing.T) {
 	const rows, values = 256 << 10, 64 << 10
 	agg := newAggregation(nil, &plan.Aggregate{Aggs: []plan.AggSpec{
-		{Kind: plan.AggCount, Arg: colRef(0, vector.Int64), Distinct: true, Name: "d", Typ: vector.Int64}}})
+		{Kind: plan.AggCount, Arg: colRef(0, vector.Int64), Distinct: true, Name: "d", Typ: vector.Int64}}}, 1)
 	if len(agg.tables) != 1 || agg.tables[0].fold == nil {
 		t.Fatalf("count(DISTINCT) alone is %d tables", len(agg.tables))
 	}
@@ -540,6 +541,72 @@ func TestAggBudgetTracksHeap(t *testing.T) {
 		t.Fatalf("tracked %d bytes, heap grew %d: ratio %.2f outside [0.8, 1.5]", tracked, heap, ratio)
 	}
 	t.Logf("tracked %d bytes, heap grew %d (%.0f bytes per group)", tracked, heap, float64(heap)/groups)
+
+	// The same groups four rows each through 2, 3 and 8 consumers, which
+	// stop pre-aggregating after their sample windows: what the query is
+	// charged — the partitions' tables and every consumer's blocks — is
+	// what the heap holds, all of it is returned by the time the result
+	// is drained and closed, and nothing went near the spill directory.
+	for _, workers := range []int{2, 3, 8} {
+		ctx, dir := spillCtx(t, workers, 1<<30)
+		ctx.mem, ctx.spillMgr = newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+		var agg *aggregation
+		var threads []aggConsumers
+		ks, vs := make([]int64, vector.DefaultChunkSize), make([]float64, vector.DefaultChunkSize)
+		routed := func() {
+			agg, threads = newAggregation(ctx, spec, workers), make([]aggConsumers, workers)
+			for m := 0; m < 4*groups/len(ks); m++ {
+				for r := range ks {
+					ks[r], vs[r] = int64((m*len(ks)+r)*2654435761%groups)*7919, float64(r)
+				}
+				if threads[m%workers] == nil {
+					threads[m%workers] = agg.newConsumers()
+				}
+				if err := threads[m%workers].consume(vector.NewChunk(vector.FromInt64s(ks), vector.FromFloat64s(vs)), m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		release := func() {
+			em, err := agg.finish(threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for ch, err := em.next(ctx); ch != nil || err != nil; ch, err = em.next(ctx) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += ch.NumRows()
+			}
+			em.close()
+			if used := ctx.mem.used.Load(); n != groups || used != 0 {
+				t.Fatalf("workers=%d: %d groups out, %d bytes still charged after close", workers, n, used)
+			}
+		}
+		routed()
+		release()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		routed()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap, tracked := int64(after.HeapAlloc)-int64(before.HeapAlloc), ctx.mem.used.Load()
+		for w, cs := range threads {
+			if cs[0].router == nil {
+				t.Fatalf("workers=%d: consumer %d still pre-aggregates", workers, w)
+			}
+		}
+		if ratio := float64(tracked) / float64(heap); ratio < 0.8 || ratio > 1.5 {
+			t.Errorf("workers=%d: tracked %d bytes, heap grew %d: ratio %.2f outside [0.8, 1.5]", workers, tracked, heap, ratio)
+		}
+		t.Logf("workers=%d: tracked %d bytes, heap grew %d", workers, tracked, heap)
+		release()
+		if ctx.spillMgr.Dir() != "" || ctx.Spill.Spilled() || ctx.Spill.ResidentPartitions() != 0 {
+			t.Errorf("workers=%d: spill directory %q, %d resident partitions reported", workers, ctx.spillMgr.Dir(), ctx.Spill.ResidentPartitions())
+		}
+		assertTempDirEmpty(t, dir)
+	}
 }
 
 // fuzzLayouts are the tables FuzzReadPartial reads partial rows for:
@@ -555,7 +622,7 @@ func fuzzLayouts() []*aggLayout {
 	}
 	var layouts []*aggLayout
 	for _, s := range specs {
-		for _, st := range newAggregation(nil, s).tables {
+		for _, st := range newAggregation(nil, s, 1).tables {
 			layouts = append(layouts, newAggLayout(st.spec))
 		}
 	}

@@ -11,11 +11,20 @@ package exec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
 
+	"vexdb/internal/catalog"
+	"vexdb/internal/core"
 	"vexdb/internal/plan"
+	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
 
@@ -713,4 +722,254 @@ func decodeValueKey(key []byte) (vector.Value, []byte, error) {
 		return vector.NewBlob(append([]byte(nil), rest[:n]...)), rest[n:], nil
 	}
 	return vector.Null(), nil, fmt.Errorf("exec: corrupt value key tag %#x", tag)
+}
+
+// ------------------------------------------------------- the switch
+
+// The columns of the streams TestAggSwitchMatchesReference aggregates:
+// each stream chooses the key column k row by row; the rest are
+// functions of the row number.
+const (
+	swK    = iota // BIGINT key, NULL where the stream says so
+	swID          // BIGINT, the row number
+	swW           // DOUBLE, dyadic: sums are exact in any order
+	swS           // VARCHAR, ~49k values of varying length
+	swF           // DOUBLE key: two NaN patterns, both zeros, 1.5
+	swG           // BIGINT, 64 values
+	swCols = 6
+)
+
+var swSchema = catalog.Schema{{Name: "k", Type: vector.Int64}, {Name: "id", Type: vector.Int64}, {Name: "w", Type: vector.Float64},
+	{Name: "s", Type: vector.String}, {Name: "f", Type: vector.Float64}, {Name: "g", Type: vector.Int64}}
+
+// buildSwitchTable makes a rows-long table whose key column is key(i),
+// NULL where it returns ok false.
+func buildSwitchTable(t testing.TB, rows int, key func(i int) (k int64, ok bool)) *catalog.Table {
+	t.Helper()
+	cols := make([]*vector.Vector, swCols)
+	for c, col := range swSchema {
+		cols[c] = vector.New(col.Type, rows)
+	}
+	fs := []float64{math.NaN(), math.Float64frombits(math.Float64bits(math.NaN()) ^ 1), math.Copysign(0, -1), 0, 1.5}
+	for i := 0; i < rows; i++ {
+		if k, ok := key(i); ok {
+			cols[swK].AppendValue(vector.NewInt64(k))
+		} else {
+			cols[swK].AppendValue(vector.Null())
+		}
+		cols[swID].AppendValue(vector.NewInt64(int64(i)))
+		cols[swW].AppendValue(vector.NewFloat64(float64(i%257) / 8))
+		cols[swS].AppendValue(vector.NewString(fmt.Sprintf("s%0*d", 1+i%7, (i*7919)%49_157)))
+		cols[swF].AppendValue(vector.NewFloat64(fs[i%len(fs)]))
+		cols[swG].AppendValue(vector.NewInt64(int64(i % 64)))
+	}
+	tab, err := catalog.New().CreateTable("sw", swSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Data.AppendChunk(vector.NewChunk(cols...)); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func swAgg(kind plan.AggKind, col int, distinct bool) plan.AggSpec {
+	s := plan.AggSpec{Kind: kind, Arg: colRef(col, swSchema[col].Type), Distinct: distinct, Name: fmt.Sprintf("a%d_%d_%v", kind, col, distinct), Typ: vector.Int64}
+	switch {
+	case kind == plan.AggAvg, kind == plan.AggSum && s.Arg.Type() == vector.Float64:
+		s.Typ = vector.Float64
+	case kind == plan.AggMin, kind == plan.AggMax:
+		s.Typ = s.Arg.Type()
+	}
+	return s
+}
+
+// TestAggSwitchMatchesReference runs streams that make consumers stop
+// pre-aggregating — at once, midway, never, one table of two — against
+// the row-at-a-time oracle, byte for byte, at workers 1/2/3/8 with no
+// budget (the switch is the sample's doing) and 64 KB (a race between
+// the sample and the budget), and at one of them under 4 KB (the
+// budget's, inside the window; every partition recurses to the bottom).
+// Without a budget it also checks, by the node's own counters, that the
+// switch happened exactly where the stream is built to cause it.
+func TestAggSwitchMatchesReference(t *testing.T) {
+	const chunk = vector.DefaultChunkSize
+	rng := rand.New(rand.NewSource(18))
+	perm := rng.Perm(64 << 10)
+	unique := func(i int) (int64, bool) { return int64(perm[i%len(perm)])*7919 + 64, true }
+	few := func(i int) (int64, bool) { return int64(rng.Intn(64)), true }
+	plain := []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggSum, swW, false), swAgg(plan.AggMax, swID, false)}
+	cases := 0
+	for _, c := range []struct {
+		name     string
+		rows     int
+		key      func(i int) (int64, bool)
+		groupBy  []int
+		aggs     []plan.AggSpec
+		switches bool // at two workers and more, unbudgeted
+	}{
+		{"64 groups then 48k", 32 * chunk, func(i int) (int64, bool) {
+			if i < 8*chunk {
+				return few(i)
+			}
+			return unique(i)
+		}, []int{swK}, plain, true},
+		{"48k groups then 64", 32 * chunk, func(i int) (int64, bool) {
+			if i >= 24*chunk {
+				return few(i)
+			}
+			return unique(i)
+		}, []int{swK}, plain, true},
+		{"shorter than the window", aggSampleRows - 100, unique, []int{swK}, plain, false},
+		{"one group in two rows, 40k singletons", 40 * chunk, func(i int) (int64, bool) {
+			if i%2 == 0 {
+				return -1, true
+			}
+			return unique(i / 2)
+		}, []int{swK}, plain, true},
+		{"all-NULL key", 12 * chunk, func(int) (int64, bool) { return 0, false }, []int{swK}, plain, false},
+		{"VARCHAR and DOUBLE keys", 24 * chunk, unique, []int{swS, swF}, plain, true},
+		{"MIN and MAX of strings", 24 * chunk, unique, []int{swK}, []plan.AggSpec{swAgg(plan.AggMin, swS, false), swAgg(plan.AggMax, swS, false), swAgg(plan.AggCount, swS, false)}, true},
+		{"DISTINCT over 64 groups", 24 * chunk, unique, []int{swG}, []plan.AggSpec{swAgg(plan.AggCount, swK, true), swAgg(plan.AggSum, swK, true),
+			swAgg(plan.AggAvg, swK, true), {Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggSum, swW, false)}, true},
+	} {
+		tab := buildSwitchTable(t, c.rows, c.key)
+		cases++
+		spec := &plan.Aggregate{Aggs: c.aggs, Child: &plan.Scan{Table: tab}}
+		for _, g := range c.groupBy {
+			spec.GroupBy = append(spec.GroupBy, colRef(g, swSchema[g].Type))
+			spec.GroupNames = append(spec.GroupNames, swSchema[g].Name)
+		}
+		want := referenceAggregate(t, spec, tab, 1)
+		for wi, workers := range []int{1, 2, 3, 8} {
+			for _, budget := range []int64{0, 64 << 10, 4 << 10} {
+				if budget == 4<<10 && wi != cases%4 {
+					continue // 25 µs a row at any worker count: one count a stream, in rotation
+				}
+				label := fmt.Sprintf("%s: workers=%d budget=%d", c.name, workers, budget)
+				tap := &plan.NodeStats{}
+				spec.Hints.Tap = tap
+				ctx, dir := spillCtx(t, workers, budget)
+				assertSameBytes(t, label, runPlan(t, spec, ctx).Cols, want.Cols())
+				assertTempDirEmpty(t, dir)
+				if at := tap.PartitionedAt.Load(); budget == 0 && (at > 0) != (c.switches && workers > 1) {
+					t.Errorf("%s: partitioned at row %d, want a switch: %v", label, at, c.switches && workers > 1)
+				}
+				if budget == 0 && ctx.Spill.Spilled() || ctx.Spill.ResidentPartitions() > 0 && !ctx.Spill.Spilled() {
+					t.Errorf("%s: %d partitions spilled, %d resident, %d bytes written", label, ctx.Spill.Partitions(), ctx.Spill.ResidentPartitions(), ctx.Spill.BytesWritten())
+				}
+			}
+		}
+		spec.Hints.Tap = nil
+	}
+
+	// The last stream again, by its tables: the dedup table of the (g, k)
+	// pairs is handed to the partitions, the 64 groups of the plain
+	// aggregates never are.
+	tab := buildSwitchTable(t, 24*chunk, unique)
+	agg := newAggregation(&Context{}, &plan.Aggregate{GroupBy: []plan.Expr{colRef(swG, vector.Int64)}, GroupNames: []string{"g"},
+		Aggs: []plan.AggSpec{swAgg(plan.AggCount, swK, true), swAgg(plan.AggSum, swW, false)}}, 2)
+	threads := []aggConsumers{agg.newConsumers(), agg.newConsumers()}
+	snap := tab.Data.Snapshot()
+	for m := 0; m < snap.NumSegments(); m++ {
+		ch, err := snap.Segment(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := threads[m%2].consume(ch, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w, cs := range threads {
+		if len(cs) != 2 || cs[0].router != nil || cs[0].table.numGroups() != 64 || cs[1].router == nil || cs[1].table != nil {
+			t.Fatalf("consumer %d: plain table routed %v, dedup table routed %v", w, cs[0].router != nil, cs[1].router != nil)
+		}
+	}
+}
+
+// TestAggInsertsEachGroupOnce is the gate on what the partitioned path
+// is for: over the 64k-group input of BenchmarkMicroAggregateHighCard a
+// group is created once, in its partition's table, plus once per
+// consumer that saw it during that consumer's sample window — not once
+// per consumer and once more at the merge, as thread-local tables do
+// ((workers + 1) x the groups).
+func TestAggInsertsEachGroupOnce(t *testing.T) {
+	const rows = 256_000
+	x := uint64(1)
+	tab := buildSwitchTable(t, rows, func(int) (int64, bool) {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int64(x % (rows / 4)), true
+	})
+	for _, workers := range []int{1, 2, 3, 8} {
+		tap := &plan.NodeStats{}
+		spec := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"}, Hints: plan.ExecHints{Tap: tap},
+			Aggs: []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggSum, swW, false), swAgg(plan.AggMax, swID, false)}, Child: &plan.Scan{Table: tab}}
+		out := runPlan(t, spec, &Context{Parallelism: workers})
+		inserted, emitted, at := tap.GroupsInserted.Load(), tap.GroupsEmitted.Load(), tap.PartitionedAt.Load()
+		if emitted != int64(out.NumRows()) || emitted < 60_000 {
+			t.Fatalf("workers=%d: %d groups emitted, %d rows out", workers, emitted, out.NumRows())
+		}
+		if limit := emitted*5/4 + int64(workers*aggSampleRows); workers > 1 && (inserted > limit || at != aggSampleRows) {
+			t.Errorf("workers=%d: %d groups inserted for %d emitted (limit %d), partitioned at row %d", workers, inserted, emitted, limit, at)
+		}
+		if workers == 1 && (inserted != emitted || at != 0) {
+			t.Errorf("one worker: %d groups inserted for %d emitted, partitioned at row %d", inserted, emitted, at)
+		}
+		t.Logf("workers=%d: inserted %d, emitted %d, partitioned at %d", workers, inserted, emitted, at)
+	}
+}
+
+// TestAggCancelledMidRoute: a query cancelled after its consumers went
+// partitioned gives everything back at Close — the consumers' blocks
+// and the partitions' tables to the budget, its goroutines, and a
+// spill directory never created.
+func TestAggCancelledMidRoute(t *testing.T) {
+	tab := buildSwitchTable(t, 64*vector.DefaultChunkSize, func(i int) (int64, bool) { return int64(i) * 7919, true })
+	for _, workers := range []int{2, 8} {
+		done := make(chan struct{})
+		var calls atomic.Int64
+		tap := &plan.NodeStats{}
+		cancelAt40 := &core.ScalarFunc{Name: "cancel_at_40", Arity: 1, Parallel: true, Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+			if calls.Add(1) == 40 {
+				close(done)
+			}
+			return vector.Constant(vector.NewBool(true), args[0].Len(), vector.Bool), nil
+		}}
+		node := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"}, Hints: plan.ExecHints{Tap: tap},
+			Aggs:  []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggMax, swS, false)},
+			Child: &plan.Filter{Pred: &plan.Call{Fn: cancelAt40, Args: []plan.Expr{colRef(swK, vector.Int64)}, Typ: vector.Bool}, Child: &plan.Scan{Table: tab}}}
+		before := runtime.NumGoroutine()
+		op, err := buildWith(node, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, dir := spillCtx(t, workers, 1<<30)
+		ctx.Done, ctx.mem, ctx.spillMgr = done, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := op.Next(); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("workers=%d: err = %v, want ErrCancelled", workers, err)
+		}
+		if tap.PartitionedAt.Load() == 0 {
+			t.Fatalf("workers=%d: cancelled before any consumer was routing", workers)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if used := ctx.mem.used.Load(); used != 0 {
+			t.Errorf("workers=%d: %d bytes still charged after Close", workers, used)
+		}
+		if ctx.spillMgr.Dir() != "" || ctx.Spill.Spilled() {
+			t.Errorf("workers=%d: spill directory %q, %d bytes written", workers, ctx.spillMgr.Dir(), ctx.Spill.BytesWritten())
+		}
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("workers=%d: %d goroutines, %d before the query", workers, n, before)
+		}
+	}
 }

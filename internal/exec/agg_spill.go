@@ -1,44 +1,49 @@
-// Grace-partitioned spill for hash aggregation, in hybrid spill mode
-// (mirroring the hybrid join build). When a query runs under a memory
-// budget and its aggregation state outgrows it, the consumer switches
-// to out-of-core mode:
+// Partitioned hash aggregation, in memory and out of core: what a
+// consumer does once a table of its own stops paying.
 //
-//  1. The in-memory table's groups are partitioned by a nibble of the
-//     group-key hash the table already holds and merged into
-//     per-partition resident tables; then only the largest partitions
-//     are evicted to disk — their groups written as "partial" rows (key
-//     columns, firstSeen position, and each aggregate's typed state
-//     columns) — until the resident remainder fits the budget.
-//  2. Every subsequent input row is routed by the same hash (computed
-//     once per chunk, column-wise): rows whose partition is still
-//     resident update its in-memory states directly (no disk I/O);
-//     rows of an evicted partition append to its file as "raw" rows
-//     (evaluated group and argument columns plus the row's global
-//     input position) without touching a hash table at all. If
-//     resident partitions outgrow the budget again, the largest are
-//     evicted in turn.
-//  3. On emit, resident partitions sort their groups by firstSeen and
-//     become runs directly. Evicted partitions are processed one at a
-//     time: partials merge by key, raw rows re-aggregate, and if a
-//     partition itself outgrows the budget it re-partitions
-//     recursively on the next hash nibble. The shared run merger folds
-//     all runs back into exact global first-appearance order, because
-//     firstSeen is the minimum input position over all of a group's
-//     rows — an order-independent quantity.
+// A consumer pre-aggregates its share of the input into a thread-local
+// table until the query's memory budget is exceeded and the table is a
+// fair share of it (shouldSpill), or — when several consumers feed the
+// aggregation — a sample window of input created more than half as many
+// groups as it had rows: the table reduces nothing, and every group in
+// it would be inserted a second time at the merge. Either way the
+// consumer makes the one transition there is (aggConsumer.partition):
 //
-// All partitions of one spiller share one physical spill file (file
-// creation dominates spill cost on most filesystems); per-partition
-// chunk-ref lists make the partitions independently readable via
-// positioned reads.
+//  1. Its table's groups are merged into the aggregation's shared hash
+//     partitions: spillFanout tables, each holding the groups one nibble
+//     of the remixed hash selects (dumpTable).
+//  2. Every later chunk's evaluated rows (keys, arguments, the hash
+//     computed once per chunk, the global input position) are scattered
+//     into the consumer's own fixed-capacity block per partition
+//     (aggRouter). A full block is folded into its partition's table
+//     under the partition's lock: every group is inserted once, into a
+//     table a sixteenth the size. Rows of an evicted partition append
+//     to its file as "raw" rows without touching a hash table at all.
+//  3. Under a budget only: when the resident partitions outgrow it, the
+//     largest are evicted — their groups written as "partial" rows (key
+//     columns, firstSeen, each aggregate's typed state columns) — until
+//     the rest fits (spillUntilFits).
+//  4. When the input drains each partition is finished by one owner
+//     (aggSpiller.finish), which folds in what the thread-local tables
+//     still hold for it and emits its groups sorted by firstSeen as a
+//     run. Evicted partitions are reloaded one at a time — partials
+//     merge by key, raw rows re-aggregate — and re-partition on the next
+//     nibble when they do not fit. The run merger interleaves the runs.
 //
-// Rows of one group always hash to one partition chain, so grouping is
-// exact; determinism of row order holds at any budget and worker
-// count. The single caveat is the one parallel execution already
-// carries: SUM/AVG over DOUBLE accumulate in whatever order rows are
-// replayed, so float sums can differ in the last ulps from the
-// in-memory run; integer sums, COUNT and MIN/MAX are exact, and so is
-// every DISTINCT aggregate but a float SUM/AVG, whose fold order is
-// fixed instead (agg.go, aggregation).
+// An in-memory high-cardinality aggregation is thus a spilled one that
+// never evicts: no file, no spill manager. Tables never handed over (low
+// cardinality, short inputs) meet in the same partitions at step 4; a
+// lone table emits as it is.
+//
+// Rows of one group hash to one partition chain and firstSeen is the
+// minimum input position over a group's rows — neither depends on who
+// saw which row when — so output bytes do not depend on the worker
+// count, the budget, or the row at which a consumer switched. The one
+// caveat is parallel execution's own: SUM/AVG over DOUBLE add in the
+// order rows and partials are folded, so float sums can differ in the
+// last ulps; integer sums, COUNT and MIN/MAX are exact, and so is every
+// DISTINCT aggregate but a float SUM/AVG, whose fold order is fixed
+// instead (agg.go, aggregation).
 package exec
 
 import (
@@ -46,21 +51,42 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
 
-// spillFanout is the grace-partition fan-out per recursion level (one
-// hash nibble).
-const spillFanout = 16
+const (
+	// spillFanout is the partition fan-out per recursion level (one
+	// nibble of the remixed hash, partitionOf).
+	spillFanout = 16
 
-// maxSpillLevels caps re-partitioning depth; a partition that still
-// exceeds the budget at the deepest level (keys that defeat
-// 16^maxSpillLevels-way splitting) is processed in memory — correctness
-// over the budget, degraded gracefully.
-const maxSpillLevels = 8
+	// maxSpillLevels caps re-partitioning depth; a partition that still
+	// exceeds the budget at the deepest level (keys that defeat
+	// 16^maxSpillLevels-way splitting) is processed in memory —
+	// correctness over the budget, degraded gracefully.
+	maxSpillLevels = 8
+
+	// aggSampleRows is the window over which a consumer measures what
+	// pre-aggregation buys it; more than one new group per two rows is
+	// nothing. Four chunks: 64 groups never look like 64k, and eight
+	// consumers of 256k rows give up a quarter of them to it. HighCard
+	// and IntStrKey (0.9 new groups a row in the first window) switch;
+	// LowCard and the grouped DISTINCT micro (0.1) never do.
+	aggSampleRows = 4 * vector.DefaultChunkSize
+
+	// aggBlockRows is a scatter block's capacity when no budget says
+	// less. A fold touches some eight cache lines a group (slot, key,
+	// state columns); 2048 rows into a partition's ~4k groups touch most
+	// lines again while they are in L2, 256 rows few (HighCard at two
+	// workers: 27 vs 33 ms). Under a budget a router's blocks take a
+	// sixteenth of it at most, down to aggMinBlockRows: the sliver of a
+	// chunk a partition was handed before there were blocks.
+	aggBlockRows    = vector.DefaultChunkSize
+	aggMinBlockRows = vector.DefaultChunkSize / spillFanout
+)
 
 // ------------------------------------------------------- spilled rows
 
@@ -93,6 +119,18 @@ func newAggLayout(spec *plan.Aggregate) *aggLayout {
 	return l
 }
 
+// rawArgs spreads the argument columns of raw rows back over the
+// aggregates: nil for COUNT(*).
+func (l *aggLayout) rawArgs(cols []*vector.Vector) []*vector.Vector {
+	args, rest := make([]*vector.Vector, len(l.shapes)), cols[l.numKeys:]
+	for i := range l.shapes {
+		if l.shapes[i].spec.Arg != nil {
+			args[i], rest = rest[0], rest[1:]
+		}
+	}
+	return args
+}
+
 // chunk is the batch in partial-row column form.
 func (p *aggPartial) chunk() []*vector.Vector {
 	cols := append(slices.Clone(p.keys), vector.FromInt64s(p.firstSeen))
@@ -117,18 +155,26 @@ func (l *aggLayout) readPartial(cols []*vector.Vector) (*aggPartial, error) {
 	return p, nil
 }
 
-// ------------------------------------------------------- agg spiller
+// ------------------------------------------------------- partitions
 
-// aggSpiller fans aggregation overflow out to spillFanout partitions
-// at one recursion level. One spiller (and one spill file) is shared
-// by every consumer of an aggregation: parallel workers route into
-// the same partitions under per-partition locks.
+// aggSpiller is an aggregation's spillFanout hash partitions at one
+// recursion level, shared by every consumer that stopped
+// pre-aggregating: their routers fold into the same partition tables
+// under per-partition locks. Nothing of it touches disk until a budget
+// is overflowed; then all its partitions share one spill file (file
+// creation dominates spill cost on most filesystems) and per-partition
+// chunk-ref lists keep them independently readable.
 type aggSpiller struct {
 	ctx    *Context
 	layout *aggLayout
 	level  int
 
 	file spillFile
+
+	// overflowed is set once the budget made a consumer hand its table
+	// over or a partition go to disk: only then are the partitions
+	// reported as spilled and resident (SpillStats, NodeStats).
+	overflowed atomic.Bool
 
 	// evictMu serializes eviction decisions: concurrent routers may
 	// keep folding rows into partitions not being evicted, but only one
@@ -155,10 +201,8 @@ type aggSpillPart struct {
 }
 
 // partitionRows groups row (or group) indexes by the partition their
-// hash selects at this level, so routing takes one lock per (chunk,
-// partition) instead of one per row.
-func (s *aggSpiller) partitionRows(hashes []uint64) [spillFanout][]int {
-	var sel [spillFanout][]int
+// hash selects at this level.
+func (s *aggSpiller) partitionRows(hashes []uint64) (sel [spillFanout][]int) {
 	for r, h := range hashes {
 		p := partitionOf(h, s.level)
 		sel[p] = append(sel[p], r)
@@ -177,47 +221,122 @@ func (pt *aggSpillPart) resident(spec *plan.Aggregate) *aggTable {
 	return pt.table
 }
 
-// routeVecs routes evaluated rows to their partitions: rows of a
-// resident partition fold into its in-memory table directly, rows of
-// an evicted partition append to its raw chunk list. hashes are the
-// key rows' hashKeyRows and pos each row's global input position. Safe
-// for concurrent use by multiple workers; finishes by re-checking the
-// resident footprint against the budget and evicting if needed.
-func (s *aggSpiller) routeVecs(keys []*vector.Vector, hashes []uint64, args []*vector.Vector, pos []int64) error {
-	sel := s.partitionRows(hashes)
-	for p, rows := range sel {
-		if len(rows) == 0 {
-			continue
+// aggRouter is one consumer's way into the partitions: a block of
+// evaluated rows per partition, allocated once at its capacity (buffers
+// grown by append spend the scatter in growslice) and charged to the
+// budget until close.
+type aggRouter struct {
+	s      *aggSpiller
+	rows   int // a block's capacity
+	blocks [spillFanout]aggBlock
+	sel    [spillFanout][]int // per-chunk scratch
+	src    []*vector.Vector
+	bytes  int64
+}
+
+// aggBlock holds rows in raw-row layout beside their hashes; keys and
+// args alias cols the way consumeVecs takes them.
+type aggBlock struct {
+	cols, keys, args []*vector.Vector
+	hashes           []uint64
+}
+
+func (s *aggSpiller) newRouter() *aggRouter {
+	r, l := &aggRouter{s: s, rows: aggBlockRows}, s.layout
+	width := int64(8) // the hash
+	for _, t := range l.raw {
+		width += typeWidth(t)
+	}
+	if s.ctx.spillEnabled() { // all the blocks in a sixteenth of the budget
+		r.rows = max(aggMinBlockRows, min(r.rows, int(s.ctx.mem.limit()/(16*spillFanout*width))))
+	}
+	for p := range r.blocks {
+		b := &r.blocks[p]
+		b.hashes = make([]uint64, 0, r.rows)
+		for _, t := range l.raw {
+			b.cols = append(b.cols, vector.New(t, r.rows))
 		}
-		pkeys, pargs := gatherVecs(keys, rows), gatherVecs(args, rows)
-		ppos := gatherBy(pos, rows)
-		pt := &s.parts[p]
-		pt.mu.Lock()
-		var err error
-		if t := pt.resident(s.layout.spec); t != nil {
-			prev := t.size()
-			err = t.consumeVecs(pkeys, gatherBy(hashes, rows), pargs, ppos)
-			s.ctx.memGrow(t.size() - prev)
-		} else {
-			cols := pkeys
-			for _, a := range pargs {
-				if a != nil {
-					cols = append(cols, a)
-				}
-			}
-			err = s.file.write(&pt.raw, append(cols, vector.FromInt64s(ppos)))
-		}
-		pt.mu.Unlock()
-		if err != nil {
-			return err
+		b.keys, b.args = b.cols[:l.numKeys], l.rawArgs(b.cols)
+	}
+	r.bytes = width * int64(r.rows) * spillFanout
+	s.ctx.memGrow(r.bytes)
+	return r
+}
+
+// route scatters evaluated rows into the partitions' blocks, folding
+// each block that fills. hashes are the key rows' hashKeyRows and pos
+// each row's global input position. Under a budget it ends by
+// re-checking the resident footprint and evicting if needed.
+func (r *aggRouter) route(keys []*vector.Vector, hashes []uint64, args []*vector.Vector, pos []int64) error {
+	r.src = append(r.src[:0], keys...)
+	for _, a := range args {
+		if a != nil {
+			r.src = append(r.src, a)
 		}
 	}
-	return s.spillUntilFits()
+	r.src = append(r.src, vector.FromInt64s(pos))
+	for p := range r.sel {
+		r.sel[p] = r.sel[p][:0]
+	}
+	level := r.s.level
+	for row, h := range hashes {
+		p := partitionOf(h, level)
+		r.sel[p] = append(r.sel[p], row)
+	}
+	for p, rows := range r.sel {
+		for b := &r.blocks[p]; len(rows) > 0; {
+			take := rows[:min(len(rows), r.rows-len(b.hashes))]
+			for c, v := range b.cols {
+				v.AppendGather(r.src[c], take)
+			}
+			for _, row := range take {
+				b.hashes = append(b.hashes, hashes[row])
+			}
+			if rows = rows[len(take):]; len(b.hashes) == r.rows {
+				if err := r.flush(p); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return r.s.spillUntilFits()
+}
+
+// flush hands partition p's block to the partition: a resident one
+// folds the rows into its table, an evicted one appends them to its raw
+// chunk list. Safe for concurrent use by the routers of one spiller.
+func (r *aggRouter) flush(p int) (err error) {
+	b, pt, s := &r.blocks[p], &r.s.parts[p], r.s
+	if len(b.hashes) == 0 {
+		return nil
+	}
+	pt.mu.Lock()
+	if t := pt.resident(s.layout.spec); t != nil {
+		prev := t.size()
+		err = t.consumeVecs(b.keys, b.hashes, b.args, b.cols[len(b.cols)-1].Int64s())
+		s.ctx.memGrow(t.size() - prev)
+	} else {
+		err = s.file.write(&pt.raw, b.cols)
+	}
+	pt.mu.Unlock()
+	for _, v := range b.cols {
+		v.Reset()
+	}
+	b.hashes = b.hashes[:0]
+	return err
+}
+
+// close returns the blocks to the budget. Idempotent, nil-safe.
+func (r *aggRouter) close() {
+	if r != nil {
+		r.s.ctx.memShrink(r.bytes)
+		r.bytes, r.blocks = 0, [spillFanout]aggBlock{}
+	}
 }
 
 // absorb hands a batch of one partition's groups to the partition: a
 // resident one merges it into its table, an evicted one buffers it as
-// partial rows for disk. The partition's lock must be held.
+// partial rows for disk. Under the partition's lock or, in finish, owner.
 func (s *aggSpiller) absorb(pt *aggSpillPart, batch *aggPartial) error {
 	if t := pt.resident(s.layout.spec); t != nil {
 		prev := t.size()
@@ -228,58 +347,57 @@ func (s *aggSpiller) absorb(pt *aggSpillPart, batch *aggPartial) error {
 	return s.file.write(&pt.partial, batch.chunk())
 }
 
-// dumpTable absorbs every group of t into the spiller and accounts the
-// table's memory as released (the caller drops the table). Safe for
-// concurrent use; ends by evicting the largest resident partitions
-// until the remainder fits the budget.
-func (s *aggSpiller) dumpTable(t *aggTable) error {
-	sel := s.partitionRows(t.gi.hashes[:t.numGroups()])
-	for p, groups := range sel {
-		if len(groups) == 0 {
+// absorbRows hands groups to their partitions: batch makes the batch of
+// the groups sel, which are those of one partition by their hashes.
+func (s *aggSpiller) absorbRows(hashes []uint64, batch func(sel []int) (*aggPartial, error)) error {
+	for p, rows := range s.partitionRows(hashes) {
+		if len(rows) == 0 {
 			continue
 		}
-		batch := t.partial(groups)
+		b, err := batch(rows)
+		if err != nil {
+			return err
+		}
 		pt := &s.parts[p]
 		pt.mu.Lock()
-		err := s.absorb(pt, batch)
+		err = s.absorb(pt, b)
 		pt.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	s.ctx.memShrink(t.size())
 	return s.spillUntilFits()
+}
+
+// dumpTable absorbs every group of t into the partitions and accounts
+// the table's memory as released (the caller drops the table). Safe for
+// concurrent use; ends by evicting as route does.
+func (s *aggSpiller) dumpTable(t *aggTable) error {
+	err := s.absorbRows(t.gi.hashes[:t.numGroups()], func(sel []int) (*aggPartial, error) { return t.partial(sel), nil })
+	if err == nil {
+		s.ctx.memShrink(t.size())
+	}
+	return err
 }
 
 // reroutePartialChunk forwards spilled partial rows to the next
 // recursion level's partitions.
 func (s *aggSpiller) reroutePartialChunk(cols []*vector.Vector) error {
-	sel := s.partitionRows(hashKeyRows(cols[:s.layout.numKeys], cols[0].Len(), nil))
-	for p, rows := range sel {
-		if len(rows) == 0 {
-			continue
-		}
-		batch, err := s.layout.readPartial(gatherVecs(cols, rows))
-		if err != nil {
-			return err
-		}
-		pt := &s.parts[p]
-		pt.mu.Lock()
-		err = s.absorb(pt, batch)
-		pt.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return s.spillUntilFits()
+	return s.absorbRows(hashKeyRows(cols[:s.layout.numKeys], cols[0].Len(), nil), func(sel []int) (*aggPartial, error) {
+		return s.layout.readPartial(gatherVecs(cols, sel))
+	})
 }
 
 // spillUntilFits evicts the largest resident partitions to disk until
-// the spiller's resident footprint passes the budget check (which
-// itself first tries to grow the governor lease), mirroring the hybrid
-// join build. Ties go to the higher partition index so the choice is
-// deterministic for a given set of sizes.
+// the resident footprint passes the budget check (which itself first
+// tries to grow the governor lease), mirroring the hybrid join build.
+// Ties go to the higher partition index so the choice is deterministic
+// for a given set of sizes. It returns at once, no lock taken, while
+// the query is within its budget or has none.
 func (s *aggSpiller) spillUntilFits() error {
+	if !s.ctx.overBudget() {
+		return nil
+	}
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
 	for {
@@ -317,43 +435,77 @@ func (s *aggSpiller) evictPart(p int) error {
 	if t == nil {
 		return nil
 	}
+	s.overflowed.Store(true)
 	pt.table, pt.spilled = nil, true
 	s.ctx.memShrink(t.size())
 	return s.absorb(pt, t.partial(identitySel(t.numGroups())))
 }
 
-// finish flushes all buffered rows and counts the partitions that went
-// to disk vs the ones kept resident (surfaced through SpillStats and,
-// under EXPLAIN ANALYZE, the operator's tap).
-func (s *aggSpiller) finish() error {
+// finish turns every partition into firstSeen-sorted runs: the one way
+// an aggregation's partitions end. Up to workers owners claim partitions
+// off a cursor; an owner folds in what the routers' blocks and then the
+// thread-local tables still hold for its partition, each in consumer
+// order, flushes what is buffered for disk and, if the partition is
+// resident, emits it: its groups are already merged by key. Evicted
+// partitions then re-aggregate one at a time (a reloaded partition may
+// need the whole budget) at recursion level nextLevel. A spiller that
+// overflowed its budget reports how many partitions went to disk and
+// how many it kept (SpillStats and, under EXPLAIN ANALYZE, the tap).
+func (s *aggSpiller) finish(routers []*aggRouter, tables []*aggTable, workers, nextLevel int, out *aggOut) ([]*mergeRun, error) {
+	sels := make([][spillFanout][]int, len(tables))
+	for i, t := range tables {
+		sels[i] = s.partitionRows(t.gi.hashes[:t.numGroups()])
+	}
+	runs := make([][]*mergeRun, spillFanout)
+	err := parallelFor(workers, spillFanout, func(_, p int) error {
+		pt := &s.parts[p]
+		for _, r := range routers {
+			if err := r.flush(p); err != nil {
+				return err
+			}
+		}
+		for i, t := range tables {
+			if len(sels[i][p]) > 0 {
+				if err := s.absorb(pt, t.partial(sels[i][p])); err != nil {
+					return err
+				}
+			}
+		}
+		if err := errors.Join(s.file.flush(&pt.raw), s.file.flush(&pt.partial)); err != nil {
+			return err
+		}
+		t := pt.table
+		if t == nil || t.numGroups() == 0 {
+			return nil
+		}
+		pt.table = nil
+		mr, err := emitAggRun(s.ctx, t, out)
+		runs[p] = []*mergeRun{mr}
+		return err
+	})
 	var spilled, resident int64
 	for p := range s.parts {
-		pt := &s.parts[p]
-		if err := s.file.flush(&pt.raw); err != nil {
-			return err
-		}
-		if err := s.file.flush(&pt.partial); err != nil {
-			return err
-		}
-		if len(pt.raw.refs) > 0 || len(pt.partial.refs) > 0 {
+		if pt := &s.parts[p]; err == nil && len(pt.raw.refs)+len(pt.partial.refs) > 0 {
 			spilled++
-		} else if pt.table != nil && pt.table.numGroups() > 0 {
+			runs[p], err = processAggPartition(s, pt, nextLevel, out)
+		} else if runs[p] != nil {
 			resident++
 		}
 	}
-	s.ctx.spillStats().addPartitions(spilled)
-	s.ctx.spillStats().addResident(resident)
-	if tap := s.layout.spec.Hints.Tap; tap != nil {
-		tap.SpillSpilled.Add(spilled)
-		tap.SpillResident.Add(resident)
+	if s.overflowed.Load() {
+		s.ctx.spillStats().addPartitions(spilled)
+		s.ctx.spillStats().addResident(resident)
+		if tap := s.layout.spec.Hints.Tap; tap != nil {
+			tap.SpillSpilled.Add(spilled)
+			tap.SpillResident.Add(resident)
+		}
 	}
-	return nil
+	s.abandon() // every partition is consumed, or never will be
+	return slices.Concat(runs...), err
 }
 
-// abandon drops a spiller whose partitions will not all be processed
-// (the query ended first): what its resident tables are charged goes
-// back to the budget, and its file goes. A no-op after the partitions
-// were processed.
+// abandon drops what the partitions still hold: their resident tables'
+// charge goes back to the budget, and the file goes. A no-op after finish.
 func (s *aggSpiller) abandon() {
 	for p := range s.parts {
 		if pt := &s.parts[p]; pt.table != nil {
@@ -366,15 +518,17 @@ func (s *aggSpiller) abandon() {
 
 // ------------------------------------------------------- consumer
 
-// aggShared is the spill state shared by every consumer of one
-// aggregation: the first consumer to overflow creates the spiller,
-// and all consumers route into the same partition files afterwards.
+// aggShared is what the consumers of one table of an aggregation
+// share: the partitions, created by the first to stop pre-aggregating
+// (or at the merge), and whether the consumers are several — adaptive;
+// one alone keeps its table however little it reduces.
 type aggShared struct {
-	mu      sync.Mutex
-	spiller *aggSpiller
+	mu       sync.Mutex
+	spiller  *aggSpiller
+	adaptive bool
 }
 
-// get returns the shared spiller, creating it on first use.
+// get returns the shared partitions, creating them on first use.
 func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate) *aggSpiller {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -384,24 +538,26 @@ func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate) *aggSpiller {
 	return sh.spiller
 }
 
-// aggConsumer is one consumption thread's aggregation state: an
-// in-memory table that converts to grace-partitioned spill routing
-// when the query's footprint exceeds its budget.
+// aggConsumer is one consumption thread's aggregation state: a table of
+// its own, then — after partition — a router into the shared partitions.
 type aggConsumer struct {
-	ctx     *Context
-	shared  *aggShared
-	in      *aggInputs
-	pos     []int64
-	table   *aggTable
-	spiller *aggSpiller
+	ctx    *Context
+	shared *aggShared
+	in     *aggInputs
+	pos    []int64
+	table  *aggTable  // nil once partitioned
+	router *aggRouter // nil until then
+
+	// rows counts the input; the sample window in progress began at row
+	// winStart, when the table held winGroups groups.
+	rows, winStart, winGroups int
 }
 
 func newAggConsumer(ctx *Context, spec *plan.Aggregate, shared *aggShared) *aggConsumer {
 	return &aggConsumer{ctx: ctx, shared: shared, in: newAggInputs(spec), table: newAggTable(spec)}
 }
 
-// consume folds one chunk, switching to spill routing once over
-// budget. morsel is the chunk's global input index.
+// consume folds one chunk. morsel is the chunk's global input index.
 func (c *aggConsumer) consume(ch *vector.Chunk, morsel int) error {
 	c.pos = morselPos(c.pos, morsel, ch.NumRows())
 	return c.consumeAt(ch, c.pos)
@@ -416,188 +572,169 @@ func (c *aggConsumer) consumeAt(ch *vector.Chunk, pos []int64) error {
 	}
 	t := c.table
 	if t == nil {
-		return c.spiller.routeVecs(in.keys, in.hashes, in.args, pos)
+		return c.router.route(in.keys, in.hashes, in.args, pos)
 	}
 	prev := t.size()
 	if err := t.consumeVecs(in.keys, in.hashes, in.args, pos); err != nil {
 		return err
 	}
 	c.ctx.memGrow(t.size() - prev)
-	if c.ctx.shouldSpill(t.size()) {
-		c.spiller = c.shared.get(c.ctx, in.spec)
-		if err := c.spiller.dumpTable(t); err != nil {
-			return err
-		}
+	c.rows += len(pos)
+	over, reducing := c.ctx.shouldSpill(t.size()), true
+	if seen := c.rows - c.winStart; c.shared.adaptive && seen >= aggSampleRows {
+		reducing = 2*(t.numGroups()-c.winGroups) <= seen
+		c.winStart, c.winGroups = c.rows, t.numGroups()
+	}
+	if !over && reducing {
+		return nil
+	}
+	return c.partition(over)
+}
+
+// partition is the transition: the table goes to the shared partitions
+// and the rest of the input is routed there.
+func (c *aggConsumer) partition(overflowed bool) error {
+	sp := c.shared.get(c.ctx, c.in.spec)
+	if overflowed {
+		sp.overflowed.Store(true)
+	}
+	if tap := c.in.spec.Hints.Tap; tap != nil {
+		tap.PartitionedAt.CompareAndSwap(0, int64(c.rows))
+	}
+	c.router = sp.newRouter()
+	if err := sp.dumpTable(c.table); err != nil {
+		return err
+	}
+	c.table = nil
+	return nil
+}
+
+// abandon returns what the consumer and the shared partitions hold to
+// the budget when their aggregation will not be finished (an error, a
+// cancelled or closed query). A no-op after finishAggEmit.
+func (c *aggConsumer) abandon() {
+	if c.table != nil {
+		c.ctx.memShrink(c.table.size())
 		c.table = nil
 	}
-	return nil
+	c.router.close()
+	c.router = nil
+	if sp := c.shared.spiller; sp != nil {
+		sp.abandon()
+	}
 }
 
 // ------------------------------------------------------- emit
 
-// mergeRange is the slice of the hash space, out of parts equal ones,
-// that hash h falls in. It slices the hash multiplied once more, not
-// the hash: a merge worker indexes exactly the groups of its range, the
-// index places a group by its hash's top bits (groupIndex.home), and a
-// contiguous range of the hash itself would crowd that table into
-// 1/parts of its slots — linear probing goes quadratic. The product's
-// high word depends on every bit of the hash, so a range of it leaves
-// the hash's own top bits (and the low nibbles spill partitioning
-// consumes) spread over all their values.
-func mergeRange(h uint64, parts int) int {
-	return int((h * hashMul >> 32) * uint64(parts) >> 32)
-}
-
-// mergeTables turns the consumers' in-memory tables (in worker-index
-// order) into firstSeen-sorted runs. One table emits as it is — every
-// serial query. Several are merged partition-parallel: merge worker w
-// owns the w-th slice of the hash space and folds, table by table in
-// worker-index order, the groups whose hash falls in it into a table
-// of its own, so no two workers ever touch one group, nothing depends
-// on which worker finishes first, and a float SUM adds its per-worker
-// partials in the same order at any degree of parallelism.
-func mergeTables(ctx *Context, spec *plan.Aggregate, tables []*aggTable) ([]*mergeRun, error) {
-	if len(tables) == 0 {
-		t := newAggTable(spec)
-		t.ensureGlobalGroup()
-		tables = append(tables, t)
-	}
-	runs := make([]*mergeRun, len(tables))
-	errs := make([]error, len(tables))
-	emit := func(w int, t *aggTable) {
-		run, err := t.emitRun(ctx)
-		runs[w], errs[w] = newMemRun(run), err
-	}
-	if len(tables) == 1 {
-		emit(0, tables[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := range tables {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				merged := newAggTable(spec)
-				for _, t := range tables {
-					sel := make([]int, 0, t.numGroups()/len(tables)*5/4)
-					for id, h := range t.gi.hashes[:t.numGroups()] {
-						if mergeRange(h, len(tables)) == w {
-							sel = append(sel, id)
-						}
-					}
-					merged.mergePartial(t.partial(sel))
-				}
-				emit(w, merged)
-			}(w)
-		}
-		wg.Wait()
-	}
-	// The aggregation state dies here; only the emitted runs live on.
-	for _, t := range tables {
-		ctx.memShrink(t.size())
-	}
-	return runs, errors.Join(errs...)
-}
-
 // finishAggEmit turns the consumers' accumulated state into the merger
-// that streams the result. With no spill anywhere the in-memory tables
-// merge directly (mergeTables). Once any consumer spilled, the
-// remaining in-memory tables are dumped into the shared spiller too,
-// in consumer order, and every partition is processed to a
-// firstSeen-sorted run; either way the runs merge back into global
-// first-appearance order.
-func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer, shared *aggShared) (*runMerger, error) {
+// that streams the result. A lone table no partition took from emits as
+// it is: every serial query within its budget. Anything else meets in
+// the shared partitions (aggSpiller.finish), whose runs the merger
+// interleaves back into global first-appearance order.
+func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer, shared *aggShared) (_ *runMerger, err error) {
 	var tables []*aggTable
+	var routers []*aggRouter
 	for _, c := range consumers {
 		if c.table != nil && c.table.numGroups() > 0 {
 			tables = append(tables, c.table)
 		}
-	}
-	sp := shared.spiller
-	if sp == nil {
-		runs, err := mergeTables(ctx, spec, tables)
-		if err != nil {
-			return nil, err
-		}
-		return newRunMerger(ctx, nil, runs, -1, nil, 0), nil
-	}
-	for _, t := range tables {
-		if err := sp.dumpTable(t); err != nil {
-			return nil, err
+		if c.router != nil {
+			routers = append(routers, c.router)
 		}
 	}
-	if err := sp.finish(); err != nil {
-		return nil, err
-	}
-
-	// Partition output runs that cannot stay in memory share one
-	// "out" file, created on first need and owned by the merger.
-	var outFile *spill.File
-	getOut := func() (*spill.File, error) {
-		if outFile == nil {
-			f, err := ctx.spillManager().Create("agg-out")
-			if err != nil {
-				return nil, err
-			}
-			outFile = f
-		}
-		return outFile, nil
-	}
-
-	var held int64
-	runs, err := spillerRuns(ctx, sp, 1, getOut, &held)
-	if err != nil {
-		ctx.memShrink(held)
-		return nil, err
-	}
-	// Every partition is consumed; the spiller's file can go now. The
-	// out-file lives until the merge drains.
-	sp.file.release()
-	var files []*spill.File
-	if outFile != nil {
-		files = append(files, outFile)
-	}
-	return newRunMerger(ctx, nil, runs, -1, files, held), nil
-}
-
-// spillerRuns turns every partition of sp into firstSeen-sorted runs:
-// resident tables never touched disk — their groups are already merged
-// by key and emit directly — while spilled partitions re-aggregate
-// (and recurse) via processAggPartition. nextLevel is the recursion
-// level for spilled partitions.
-func spillerRuns(ctx *Context, sp *aggSpiller, nextLevel int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
+	out := &aggOut{ctx: ctx}
 	var runs []*mergeRun
-	for p := 0; p < spillFanout; p++ {
-		pt := &sp.parts[p]
-		if t := pt.table; t != nil {
-			pt.table = nil
-			mr, err := emitAggRun(ctx, t, getOut, held)
+	if shared.spiller == nil && len(tables) <= 1 {
+		t := newAggTable(spec)
+		if len(tables) == 1 {
+			t = tables[0]
+		}
+		t.ensureGlobalGroup()
+		var run *sortedRun
+		run, err = t.emitRun(ctx)
+		runs = []*mergeRun{newMemRun(run)}
+	} else {
+		sp := shared.get(ctx, spec)
+		out.spill = sp.overflowed.Load()
+		runs, err = sp.finish(routers, tables, len(consumers), 1, out)
+	}
+	// The aggregation state dies here; only the emitted runs live on.
+	for _, c := range consumers {
+		c.abandon()
+	}
+	if err != nil {
+		(&runMerger{ctx: ctx, files: out.files, held: out.held}).close()
+		return nil, err
+	}
+	return newRunMerger(ctx, nil, runs, -1, out.files, out.held), nil
+}
+
+// aggOut is where an aggregation's partition runs go: kept in memory
+// (their bytes accounted into held, released when the merger closes)
+// unless the aggregation overflowed its budget — spill — and the query
+// is still over it; then written to one shared out-file, created on
+// first need and owned by the merger, so merge-time memory stays
+// bounded by O(partitions) windows. Partition owners share it.
+type aggOut struct {
+	ctx   *Context
+	spill bool
+	mu    sync.Mutex
+	files []*spill.File // none, or the out-file
+	held  int64
+}
+
+// keep takes one partition's run.
+func (o *aggOut) keep(run *sortedRun) (*mergeRun, error) {
+	if run.data.NumRows() == 0 {
+		return newMemRun(run), nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.spill && o.ctx.overBudget() {
+		if o.files == nil {
+			f, err := o.ctx.spillManager().Create("agg-out")
 			if err != nil {
 				return nil, err
 			}
-			runs = append(runs, mr)
-			continue
+			o.files = []*spill.File{f}
 		}
-		if len(pt.raw.refs) == 0 && len(pt.partial.refs) == 0 {
-			continue
-		}
-		prs, err := processAggPartition(ctx, sp, pt, nextLevel, getOut, held)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, prs...)
+		o.ctx.spillStats().addRuns(1)
+		return spillSortedRun(o.files[0], run, nil)
 	}
-	return runs, nil
+	b := runBytes(run)
+	o.held += b
+	o.ctx.memGrow(b)
+	return newMemRun(run), nil
 }
 
-// processAggPartition re-aggregates one partition: partial rows merge
-// by key, raw rows replay, and an over-budget partition re-partitions
-// recursively at the next hash level. It returns the partition's
-// groups as firstSeen-sorted runs (several after recursion), spilling
-// each run that would not fit in memory to the shared out-file.
-func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level int, getOut func() (*spill.File, error), held *int64) ([]*mergeRun, error) {
-	layout := sp.layout
+// emitAggRun emits a finished table as a run and releases its bytes.
+func emitAggRun(ctx *Context, t *aggTable, out *aggOut) (*mergeRun, error) {
+	run, err := t.emitRun(ctx)
+	ctx.memShrink(t.size())
+	if err != nil {
+		return nil, err
+	}
+	return out.keep(run)
+}
+
+// processAggPartition re-aggregates one evicted partition: partial rows
+// merge by key, raw rows replay, and an over-budget partition
+// re-partitions at the next hash level. It returns the partition's
+// groups as firstSeen-sorted runs (several after recursion).
+func processAggPartition(sp *aggSpiller, src *aggSpillPart, level int, out *aggOut) ([]*mergeRun, error) {
+	ctx, layout := sp.ctx, sp.layout
 	t := newAggTable(layout.spec)
 	var sub *aggSpiller
+	var router *aggRouter
+	defer func() {
+		if t != nil {
+			ctx.memShrink(t.size())
+		}
+		router.close()
+		if sub != nil {
+			sub.abandon()
+		}
+	}()
 
 	// grown charges what the last chunk added to t and, once t is over
 	// budget, hands it to a sub-spiller on the next hash nibble.
@@ -607,8 +744,12 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 			return nil
 		}
 		sub = newAggSpiller(ctx, layout, level)
+		sub.overflowed.Store(true)
+		router = sub.newRouter()
 		err := sub.dumpTable(t)
-		t = nil
+		if err == nil {
+			t = nil
+		}
 		return err
 	}
 
@@ -623,7 +764,7 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 		if err != nil {
 			return nil, err
 		}
-		if t == nil {
+		if sub != nil {
 			err = sub.reroutePartialChunk(cols)
 		} else if batch, rerr := layout.readPartial(cols); rerr != nil {
 			err = rerr
@@ -645,17 +786,10 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 		if err != nil {
 			return nil, err
 		}
-		keys, rest := cols[:layout.numKeys], cols[layout.numKeys:]
-		args := make([]*vector.Vector, len(layout.shapes))
-		for i := range layout.shapes {
-			if layout.shapes[i].spec.Arg != nil {
-				args[i], rest = rest[0], rest[1:]
-			}
-		}
-		pos := rest[0].Int64s()
+		keys, args, pos := cols[:layout.numKeys], layout.rawArgs(cols), cols[len(cols)-1].Int64s()
 		hashes = hashKeyRows(keys, len(pos), hashes)
-		if t == nil {
-			err = sub.routeVecs(keys, hashes, args, pos)
+		if sub != nil {
+			err = router.route(keys, hashes, args, pos)
 		} else {
 			prev := t.size()
 			if err = t.consumeVecs(keys, hashes, args, pos); err == nil {
@@ -668,57 +802,9 @@ func processAggPartition(ctx *Context, sp *aggSpiller, src *aggSpillPart, level 
 	}
 
 	if sub == nil {
-		mr, err := emitAggRun(ctx, t, getOut, held)
-		if err != nil {
-			return nil, err
-		}
-		return []*mergeRun{mr}, nil
+		mr, err := emitAggRun(ctx, t, out)
+		t = nil
+		return []*mergeRun{mr}, err
 	}
-	if err := sub.finish(); err != nil {
-		return nil, err
-	}
-	runs, err := spillerRuns(ctx, sub, level+1, getOut, held)
-	if err != nil {
-		return nil, err
-	}
-	sub.file.release()
-	return runs, nil
-}
-
-// emitAggRun emits a finished table as a run, releasing the table's
-// bytes and keeping or spilling the run as maybeSpillAggRun decides.
-func emitAggRun(ctx *Context, t *aggTable, getOut func() (*spill.File, error), held *int64) (*mergeRun, error) {
-	run, err := t.emitRun(ctx)
-	ctx.memShrink(t.size())
-	if err != nil {
-		return nil, err
-	}
-	return maybeSpillAggRun(ctx, run, getOut, held)
-}
-
-// maybeSpillAggRun keeps a partition's output run in memory when it
-// fits (accounting its bytes into *held, released when the merger
-// closes), writing it to the shared out-file when the query is
-// (still) over budget so merge-time memory stays bounded by
-// O(partitions) windows.
-func maybeSpillAggRun(ctx *Context, run *sortedRun, getOut func() (*spill.File, error), held *int64) (*mergeRun, error) {
-	if run.data.NumRows() == 0 {
-		return newMemRun(run), nil
-	}
-	if ctx.spillEnabled() && ctx.overBudget() {
-		f, err := getOut()
-		if err != nil {
-			return nil, err
-		}
-		mr, err := spillSortedRun(f, run, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx.spillStats().addRuns(1)
-		return mr, nil
-	}
-	b := runBytes(run)
-	*held += b
-	ctx.memGrow(b)
-	return newMemRun(run), nil
+	return sub.finish([]*aggRouter{router}, nil, 1, level+1, out)
 }

@@ -10,11 +10,16 @@ import (
 	"vexdb/internal/vector"
 )
 
-// partitionOf is the spill partition of hash h at a recursion level:
-// nibble level, so a partition's keys re-split on fresh bits at every
-// level.
+// partitionOf is the hash partition of h at a recursion level, for the
+// aggregation's partitions and both spillers: nibble level, from the
+// top, of the hash multiplied once more. A nibble of the hash itself
+// will not do: the low ones are constant over keys that differ only
+// above bit 40 (whole-number doubles, integers shifted left), and the
+// top ones are the home slot in a partition's own index
+// (groupIndex.home), which one nibble's keys would crowd into a
+// sixteenth of the slots. The product's top word depends on every bit.
 func partitionOf(h uint64, level int) int {
-	return int((h >> (4 * uint(level))) & (spillFanout - 1))
+	return int(h * hashMul >> (60 - 4*uint(level)) & (spillFanout - 1))
 }
 
 // ------------------------------------------------------- column hashing
@@ -27,9 +32,9 @@ const (
 
 // mixHash folds one 64-bit word into a running hash. The multiply
 // carries every input bit into the high word and the shift folds the
-// high word back down, so both the low nibbles (spill partition
-// routing, one per recursion level) and the high word (hash-table tag;
-// its top bits the slot) depend on the whole key.
+// high word back down, so the high word (hash-table tag; its top bits
+// the slot) depends on the whole key and a second multiply (partitionOf)
+// does not bring the same bits back to the top.
 func mixHash(h, x uint64) uint64 {
 	h = (h ^ x) * hashMul
 	return h ^ (h >> 32)
@@ -156,8 +161,8 @@ func (gi *groupIndex) capacity() int { return len(gi.hashes) }
 // multiply in mixHash fills from every bit of the key (sequential
 // integers land evenly spaced, Fibonacci hashing). A table must
 // therefore never be filled with only the hashes of one top-bit range;
-// mergeRange, which hands each merge worker a table of its own, slices
-// a remix of the hash for that reason.
+// partitionOf, which fills a table per partition, cuts from a remix of
+// the hash for that reason.
 func (gi *groupIndex) home(h uint64) uint64 { return h >> gi.shift }
 
 // groupIDs resolves rows 0..n-1 of the key columns to group ids,

@@ -93,7 +93,6 @@ type Context struct {
 	spillMgr *spill.Manager
 }
 
-// Workers returns the effective parallelism.
 // tableData resolves the data version scans of t read: the query's
 // pinned snapshot when one is set, else the table's current version.
 func (c *Context) tableData(t *catalog.Table) *storage.TableSnapshot {
@@ -103,6 +102,7 @@ func (c *Context) tableData(t *catalog.Table) *storage.TableSnapshot {
 	return t.Data.Snapshot()
 }
 
+// Workers returns the effective parallelism.
 func (c *Context) Workers() int {
 	if c == nil || c.Parallelism <= 0 {
 		return runtime.NumCPU()
@@ -266,7 +266,7 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashAggOp{spec: n, child: child}, nil
+		return &aggOp{spec: n, child: child}, nil
 	case *plan.Sort:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
@@ -764,14 +764,8 @@ func (d *distinctOp) Next() (*vector.Chunk, error) {
 
 func (d *distinctOp) Close() error {
 	d.merger.close()
-	if c := d.cons; c != nil {
-		if c.table != nil {
-			d.ctx.memShrink(c.table.size())
-			c.table = nil
-		}
-		if c.spiller != nil { // closed between the hand-off and the merger
-			c.spiller.abandon()
-		}
+	if d.cons != nil {
+		d.cons.abandon() // closed before the merger: the table, or what the partitions hold
 	}
 	return d.child.Close()
 }

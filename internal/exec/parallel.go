@@ -4,18 +4,17 @@
 // hands morsels to Context.Workers() goroutines, which run the
 // chunk-local filter→project stages, and either re-emit the surviving
 // chunks in morsel order (exchange), feed thread-local aggregation
-// tables that are merged when the input drains (partitioned hash
-// aggregation — including SELECT DISTINCT and the dedup stage of
-// DISTINCT aggregates, which are group-bys with no aggregates), sort
-// per-worker runs merged by a loser tree
-// (parallel sort, merge.go), or probe a shared hash-join build table.
+// tables — or, once those stop reducing their input, shared hash
+// partitions — that are merged when the input drains (aggOp, agg.go;
+// SELECT DISTINCT and the dedup stage of DISTINCT aggregates are
+// group-bys with no aggregates), sort per-worker runs merged by a loser
+// tree (parallel sort, merge.go), or probe a shared hash-join build table.
 // All parallel operators preserve the exact row order serial execution
 // produces, so both ORDER BY and ORDER BY-less results stay
 // deterministic.
 package exec
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -220,42 +219,51 @@ func (p *pipeSpec) apply(ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, erro
 // ErrCancelled: whatever fn accumulated saw only part of the input.
 func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch *vector.Chunk) error) error {
 	n := p.src.open(ctx)
+	scratch := make([]pipeScratch, max(workers, 1))
+	err := parallelFor(workers, n, func(w, i int) error {
+		if ctx.interrupted() {
+			return ErrCancelled
+		}
+		ch, err := p.src.fetch(i)
+		if err == nil {
+			ch, err = p.apply(ch, &scratch[w])
+		}
+		if err == nil && ch != nil && ch.NumRows() > 0 {
+			err = fn(w, i, ch)
+		}
+		return err
+	})
+	p.src.finish()
+	if err == nil && ctx.interrupted() {
+		return ErrCancelled
+	}
+	return err
+}
+
+// parallelFor calls fn(w, i) once for every i below n from up to
+// workers goroutines (at least one), w being the caller's index among
+// them, which claim the indexes in order off a shared cursor. The first
+// error stops the claiming and is returned.
+func parallelFor(workers, n int, fn func(w, i int) error) error {
 	errs := make([]error, max(min(workers, n), 1))
 	var next atomic.Int64
-	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc pipeScratch
-			for errs[w] == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || ctx.interrupted() {
-					return
-				}
-				ch, err := p.src.fetch(i)
-				if err == nil {
-					ch, err = p.apply(ch, &sc)
-				}
-				if err == nil && ch != nil && ch.NumRows() > 0 {
-					err = fn(w, i, ch)
-				}
-				if errs[w] = err; err != nil {
-					stop.Store(true)
+			for i := int(next.Add(1)) - 1; i < n && errs[w] == nil; i = int(next.Add(1)) - 1 {
+				if errs[w] = fn(w, i); errs[w] != nil {
+					next.Store(int64(n))
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	p.src.finish()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-	}
-	if ctx.interrupted() {
-		return ErrCancelled
 	}
 	return nil
 }
@@ -429,64 +437,6 @@ func (p *parallelPipeOp) Close() error {
 	return nil
 }
 
-// ------------------------------------------------------- partitioned agg
-
-// parallelAggOp is partitioned hash aggregation: every worker consumes
-// morsels into a thread-local aggregation consumer (an in-memory table
-// that grace-partitions to disk when the query's memory budget is
-// exceeded); when the input drains the consumers' state merges —
-// in-memory tables directly, spilled state per partition — and the
-// emitter streams groups in first-appearance order.
-type parallelAggOp struct {
-	spec    *plan.Aggregate
-	pipe    *pipeSpec
-	workers int
-	ctx     *Context
-	started bool
-	emitter aggEmitter
-}
-
-func (a *parallelAggOp) Open(ctx *Context) error {
-	a.ctx = ctx
-	a.started = false
-	a.emitter = nil
-	return nil
-}
-
-func (a *parallelAggOp) Next() (*vector.Chunk, error) {
-	if !a.started {
-		a.started = true
-		em, err := a.run()
-		if err != nil {
-			return nil, err
-		}
-		a.emitter = em
-	}
-	return a.emitter.next(a.ctx)
-}
-
-func (a *parallelAggOp) run() (aggEmitter, error) {
-	agg := newAggregation(a.ctx, a.spec)
-	consumers := make([]aggConsumers, max(a.workers, 1))
-	err := a.pipe.forEach(a.ctx, a.workers, func(w, i int, ch *vector.Chunk) error {
-		if consumers[w] == nil {
-			consumers[w] = agg.newConsumers()
-		}
-		return consumers[w].consume(ch, i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return agg.finish(slices.DeleteFunc(consumers, func(c aggConsumers) bool { return c == nil }))
-}
-
-func (a *parallelAggOp) Close() error {
-	if a.emitter != nil {
-		a.emitter.close()
-	}
-	return nil
-}
-
 // ------------------------------------------------------- build dispatch
 
 // buildParallel returns a morsel-parallel operator for the plan shapes
@@ -503,7 +453,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 			return nil, false, nil
 		}
 		if pipe := extractPipe(n.Child); pipe != nil {
-			return &parallelAggOp{spec: n, pipe: pipe, workers: workers}, true, nil
+			return &aggOp{spec: n, pipe: pipe, workers: workers}, true, nil
 		}
 	case *plan.Sort:
 		// UDFs in key expressions keep the sort serial: parallel run
@@ -520,7 +470,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 		// per-worker and restores serial first-appearance order at the
 		// merge.
 		if pipe := extractPipe(n.Child); pipe != nil {
-			return &parallelAggOp{spec: groupByAll(n.Child, n.Hints), pipe: pipe, workers: workers}, true, nil
+			return &aggOp{spec: groupByAll(n.Child, n.Hints), pipe: pipe, workers: workers}, true, nil
 		}
 	case *plan.HashJoin:
 		if exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra})) {
@@ -565,5 +515,5 @@ func sortKeyExprs(keys []plan.SortKey) []plan.Expr {
 // assertOperator guards the parallel operators against interface drift.
 var (
 	_ Operator = (*parallelPipeOp)(nil)
-	_ Operator = (*parallelAggOp)(nil)
+	_ Operator = (*aggOp)(nil)
 )

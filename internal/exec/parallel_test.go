@@ -72,8 +72,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*parallelAggOp); !ok {
-		t.Fatalf("aggregate built %T, want *parallelAggOp", op)
+	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+		t.Fatalf("aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
 	// DISTINCT aggregates parallelize too: accumulation is deferred to
@@ -86,8 +86,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*parallelAggOp); !ok {
-		t.Fatalf("distinct aggregate built %T, want *parallelAggOp", op)
+	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+		t.Fatalf("distinct aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
 	sortNode := &plan.Sort{
@@ -107,8 +107,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*parallelAggOp); !ok {
-		t.Fatalf("DISTINCT built %T, want *parallelAggOp (group-by rewrite)", op)
+	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+		t.Fatalf("DISTINCT built %T, want *aggOp over a pipeline (group-by rewrite)", op)
 	}
 
 	join := &plan.HashJoin{
@@ -380,9 +380,9 @@ func TestGroupIndexFastPaths(t *testing.T) {
 // left, differ: 28 and 49 probes per key on the shapes below that a
 // DISTINCT over a DOUBLE argument makes group keys.) The tables that
 // are filled with a subset of the keys chosen by hash must see the same
-// spread: a merge worker's, which holds one mergeRange (a range cut
-// from the hash's own top bits costs 8,400 probes per key of these
-// 25,000), and a spill partition's two levels down.
+// spread: a hash partition's (one cut from the hash's own top bits
+// costs thousands of probes per key), and a spill partition's two
+// levels down.
 func TestGroupIndexProbeLengths(t *testing.T) {
 	const n = 200_000
 	ints := func(f func(i int) int64) *vector.Vector {
@@ -408,9 +408,10 @@ func TestGroupIndexProbeLengths(t *testing.T) {
 		keep func(h, first uint64) bool
 	}{
 		{"all keys", func(uint64, uint64) bool { return true }},
-		{"one merge range of 8", func(h, first uint64) bool { return mergeRange(h, 8) == mergeRange(first, 8) }},
-		{"one merge range of 3", func(h, first uint64) bool { return mergeRange(h, 3) == mergeRange(first, 3) }},
-		{"one level-1 spill partition", func(h, first uint64) bool { return h&0xFF == first&0xFF }},
+		{"one partition", func(h, first uint64) bool { return partitionOf(h, 0) == partitionOf(first, 0) }},
+		{"one level-1 spill partition", func(h, first uint64) bool {
+			return partitionOf(h, 0) == partitionOf(first, 0) && partitionOf(h, 1) == partitionOf(first, 1)
+		}},
 	}
 	for name, keys := range map[string][]*vector.Vector{
 		"sequential":       {ints(func(i int) int64 { return int64(i) })},
@@ -447,6 +448,44 @@ func TestGroupIndexProbeLengths(t *testing.T) {
 			}
 			if avg := float64(probes) / float64(gi.n); avg > 2 {
 				t.Errorf("%s, %s: %.1f probes per key over %d keys in %d slots", name, sub.name, avg, gi.n, len(gi.slots))
+			}
+		}
+	}
+}
+
+// TestPartitionOfSpreadsHighBitKeys: keys that differ only above bit 40
+// — whole-number doubles, integers shifted far left — hash to values
+// whose low nibbles are constant, and used to land in one partition for
+// the first one or two levels of either spiller. Every level is cut from
+// a remix of the hash: 64k such keys fill at least 14 of the 16
+// partitions at level 0, and one level-0 partition's keys at least 14
+// at level 1, none holding more than twice its share.
+func TestPartitionOfSpreadsHighBitKeys(t *testing.T) {
+	const n = 64 << 10
+	doubles, shifted := make([]float64, n), make([]int64, n)
+	for i := range doubles {
+		doubles[i], shifted[i] = float64(i), int64(i)<<44
+	}
+	for name, key := range map[string]*vector.Vector{"whole doubles": vector.FromFloat64s(doubles), "i<<44": vector.FromInt64s(shifted)} {
+		hashes := hashKeyRows([]*vector.Vector{key}, n, nil)
+		for level := 0; level < 2; level++ {
+			var counts [spillFanout]int
+			total := 0
+			for _, h := range hashes {
+				if level == 0 || partitionOf(h, 0) == partitionOf(hashes[0], 0) {
+					counts[partitionOf(h, level)]++
+					total++
+				}
+			}
+			filled, largest := 0, 0
+			for _, c := range counts {
+				if c > 0 {
+					filled++
+				}
+				largest = max(largest, c)
+			}
+			if filled < 14 || largest*spillFanout > 2*total {
+				t.Errorf("%s, level %d: %d of %d partitions filled, largest %d of %d keys", name, level, filled, spillFanout, largest, total)
 			}
 		}
 	}

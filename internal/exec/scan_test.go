@@ -150,7 +150,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("sort: err = %v, want ErrCancelled", err)
 	}
 
-	agg := &hashAggOp{spec: &plan.Aggregate{}, child: child()}
+	agg := &aggOp{spec: &plan.Aggregate{}, child: child()}
 	if err := agg.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -158,10 +158,8 @@ func sortRecs(recs, tmp []sortRec) {
 		return
 	}
 	src, dst := recs, tmp[:len(recs)]
-	for shift := bits.TrailingZeros64(diff); diff>>shift != 0; shift += 11 {
-		if diff>>shift&0x7FF == 0 {
-			continue
-		}
+	for shift := 0; diff>>shift != 0; shift += 11 {
+		shift += bits.TrailingZeros64(diff >> shift) // a digit starts at a bit that differs
 		var count [1 << 11]int
 		for _, r := range src {
 			count[r.code>>shift&0x7FF]++

@@ -486,7 +486,7 @@ func TestSpillDistinctClosedAfterHandOff(t *testing.T) {
 	// The chunk whose groups overflow the budget is still streamed out;
 	// the next call would run the rest of the input into the spiller.
 	d := op.(*distinctOp)
-	for d.cons.spiller == nil {
+	for d.cons.router == nil {
 		if ch, err := op.Next(); err != nil || ch == nil {
 			t.Fatalf("no hand-off before the end of the input (err %v)", err)
 		}

@@ -144,8 +144,10 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 }
 
 // hintSuffix renders an operator's planner annotations: estimated (and
-// with act, actual) rows, the serial/parallel pin, and — for operators
-// that can grace-partition (fanout) — the sized spill fan-out.
+// with act, actual) rows — for a hash aggregation also groups inserted
+// over groups emitted, and the input row at which it stopped
+// pre-aggregating, if it did — the serial/parallel pin, and — for
+// operators that can grace-partition (fanout) — the sized spill fan-out.
 func hintSuffix(h *ExecHints, fanout, act bool) string {
 	var parts []string
 	parts = append(parts, fmt.Sprintf("est=%d", h.EstRows))
@@ -155,6 +157,12 @@ func hintSuffix(h *ExecHints, fanout, act bool) string {
 		// partitions written to disk vs kept resident in memory.
 		if sp, res := h.Tap.SpillSpilled.Load(), h.Tap.SpillResident.Load(); sp > 0 || res > 0 {
 			parts = append(parts, fmt.Sprintf("spilled=%d resident=%d", sp, res))
+		}
+		if ins := h.Tap.GroupsInserted.Load(); ins > 0 {
+			parts = append(parts, fmt.Sprintf("groups=%d/%d", ins, h.Tap.GroupsEmitted.Load()))
+		}
+		if at := h.Tap.PartitionedAt.Load(); at > 0 {
+			parts = append(parts, fmt.Sprintf("partitioned@%d", at))
 		}
 	}
 	if h.Serial {

@@ -27,6 +27,16 @@ type NodeStats struct {
 	// overflowed.
 	SpillSpilled  atomic.Int64
 	SpillResident atomic.Int64
+
+	// Hash aggregation (Aggregate, Distinct): groups created over all of
+	// the node's tables — thread-local, partition, reloaded — against the
+	// groups those tables emitted; the nearer the two, the less was
+	// pre-aggregated only to be merged again. PartitionedAt is how many
+	// input rows the first consumer to stop pre-aggregating had consumed
+	// when it did, zero when none did.
+	GroupsInserted atomic.Int64
+	GroupsEmitted  atomic.Int64
+	PartitionedAt  atomic.Int64
 }
 
 // ExecHints carries cost-based planner decisions down to the executor.

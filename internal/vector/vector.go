@@ -1,6 +1,9 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a single column of values of one type with an optional
 // null mask. Exactly one of the typed payload slices is in use,
@@ -378,40 +381,57 @@ func (v *Vector) Slice(from, to int) *Vector {
 // sel order. Row indices may repeat.
 func (v *Vector) Gather(sel []int) *Vector {
 	out := New(v.typ, len(sel))
+	out.AppendGather(v, sel)
+	return out
+}
+
+// AppendGather appends the rows sel of src, which must have the same
+// type, in sel order. Within the vector's capacity it allocates nothing.
+func (v *Vector) AppendGather(src *Vector, sel []int) {
 	switch v.typ {
 	case Bool:
-		for _, i := range sel {
-			out.bools = append(out.bools, v.bools[i])
-		}
+		v.bools = appendSel(v.bools, src.bools, sel)
 	case Int32:
-		for _, i := range sel {
-			out.i32 = append(out.i32, v.i32[i])
-		}
+		v.i32 = appendSel(v.i32, src.i32, sel)
 	case Int64:
-		for _, i := range sel {
-			out.i64 = append(out.i64, v.i64[i])
-		}
+		v.i64 = appendSel(v.i64, src.i64, sel)
 	case Float64:
-		for _, i := range sel {
-			out.f64 = append(out.f64, v.f64[i])
-		}
+		v.f64 = appendSel(v.f64, src.f64, sel)
 	case String:
-		for _, i := range sel {
-			out.strs = append(out.strs, v.strs[i])
-		}
+		v.strs = appendSel(v.strs, src.strs, sel)
 	case Blob:
-		for _, i := range sel {
-			out.blobs = append(out.blobs, v.blobs[i])
-		}
+		v.blobs = appendSel(v.blobs, src.blobs, sel)
 	}
-	out.length = len(sel)
+	if v.nulls == nil && src.nulls != nil { // as much room as the payload has
+		room := cap(v.bools) + cap(v.i32) + cap(v.i64) + cap(v.f64) + cap(v.strs) + cap(v.blobs)
+		v.nulls = make([]bool, v.length, max(room, v.length+len(sel)))
+	}
+	if src.nulls != nil {
+		v.nulls = appendSel(v.nulls, src.nulls, sel)
+	} else if v.nulls != nil {
+		v.nulls = append(v.nulls, make([]bool, len(sel))...)
+	}
+	v.length += len(sel)
+}
+
+func appendSel[T any](dst, src []T, sel []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	out := dst[n:][:len(sel)]
+	for j, i := range sel {
+		out[j] = src[i]
+	}
+	return dst
+}
+
+// Reset empties the vector, keeping its arrays for the rows appended
+// next.
+func (v *Vector) Reset() {
+	v.length = 0
+	v.bools, v.i32, v.i64, v.f64, v.strs, v.blobs = v.bools[:0], v.i32[:0], v.i64[:0], v.f64[:0], v.strs[:0], v.blobs[:0]
 	if v.nulls != nil {
-		out.nulls = make([]bool, len(sel))
-		for j, i := range sel {
-			out.nulls[j] = v.nulls[i]
-		}
+		v.nulls = v.nulls[:0]
 	}
-	return out
 }
 
 // Clone returns a deep copy of the vector. Blob payload bytes are
