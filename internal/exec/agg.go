@@ -12,15 +12,13 @@ import (
 
 // aggOp implements hash aggregation with optional grouping. With no
 // GROUP BY it produces exactly one row (even for empty input, per SQL
-// semantics). Its input is a child operator, consumed serially into one
-// table, or — pipe — a morsel pipeline drained by up to workers
-// goroutines, each into tables of its own until those stop paying
-// (agg_spill.go); the emitter streams the groups by first appearance.
+// semantics). Its input is consumed serially into one table or, by the
+// workers of a morsel pipeline, each into tables of its own until those
+// stop paying (agg_spill.go); the emitter streams the groups by first
+// appearance.
 type aggOp struct {
 	spec    *plan.Aggregate
-	child   Operator  // nil when pipe is set
-	pipe    *pipeSpec // the morsel-parallel form (parallel.go)
-	workers int
+	in      chunkFeed
 	ctx     *Context
 	started bool
 	emitter aggEmitter
@@ -624,13 +622,12 @@ func (cs aggConsumers) consume(ch *vector.Chunk, morsel int) error {
 	return nil
 }
 
-// run consumes the input feed pushes at it — chunks that share a w never
-// overlap — and returns the result's emitter. What the consumers hold
-// when the input fails or the query is cancelled goes back to the
-// budget.
-func (a *aggregation) run(feed func(consume func(w, morsel int, ch *vector.Chunk) error) error) (em aggEmitter, err error) {
+// run consumes the input — chunks that share a w never overlap — and
+// returns the result's emitter. What the consumers hold when the input
+// fails or the query is cancelled goes back to the budget.
+func (a *aggregation) run(in *chunkFeed) (em aggEmitter, err error) {
 	threads := make([]aggConsumers, a.workers)
-	err = feed(func(w, morsel int, ch *vector.Chunk) error {
+	err = in.forEach(a.ctx, a.workers, func(w, morsel int, ch *vector.Chunk) error {
 		if threads[w] == nil {
 			threads[w] = a.newConsumers()
 		}
@@ -765,16 +762,13 @@ func (z *aggZip) close() {
 
 func (a *aggOp) Open(ctx *Context) error {
 	a.ctx, a.emitter, a.started = ctx, nil, false
-	if a.child == nil {
-		return nil
-	}
-	return a.child.Open(ctx)
+	return a.in.open(ctx)
 }
 
 func (a *aggOp) Next() (*vector.Chunk, error) {
 	if !a.started {
 		a.started = true
-		em, err := newAggregation(a.ctx, a.spec, a.workers).run(a.feed)
+		em, err := newAggregation(a.ctx, a.spec, a.in.workers).run(&a.in)
 		if err != nil {
 			return nil, err
 		}
@@ -783,32 +777,9 @@ func (a *aggOp) Next() (*vector.Chunk, error) {
 	return a.emitter.next(a.ctx)
 }
 
-// feed pushes the input at consume: the pipeline's morsels from up to
-// workers goroutines, or the child's chunks, in order, to consumer 0.
-func (a *aggOp) feed(consume func(w, morsel int, ch *vector.Chunk) error) error {
-	if a.pipe != nil {
-		return a.pipe.forEach(a.ctx, a.workers, consume)
-	}
-	for morsel := 0; ; morsel++ {
-		if a.ctx.interrupted() {
-			return ErrCancelled
-		}
-		ch, err := a.child.Next()
-		if err != nil || ch == nil {
-			return err
-		}
-		if err := consume(0, morsel, ch); err != nil {
-			return err
-		}
-	}
-}
-
 func (a *aggOp) Close() error {
 	if a.emitter != nil {
 		a.emitter.close()
 	}
-	if a.child == nil {
-		return nil
-	}
-	return a.child.Close()
+	return a.in.close()
 }

@@ -707,9 +707,10 @@ func decodeSpillChunk(b []byte) []*vector.Vector {
 	return cols
 }
 
-// FuzzReadPartial feeds the partial-row reader spill chunks it did not
-// just write. Whatever decodes into columns must either be rejected
-// with errCorruptSpill or merge and emit without a panic.
+// FuzzReadPartial feeds the reload of an evicted aggregation partition
+// spill chunks it did not just write. Whatever decodes into columns must
+// either be rejected with errCorruptSpill or merge and emit without a
+// panic.
 func FuzzReadPartial(f *testing.F) {
 	layouts := fuzzLayouts()
 	for li, l := range layouts {
@@ -739,18 +740,22 @@ func FuzzReadPartial(f *testing.F) {
 			return
 		}
 		l := layouts[int(which)%len(layouts)]
-		p, err := l.readPartial(cols)
-		if err != nil {
-			if !errors.Is(err, errCorruptSpill) {
-				t.Fatalf("untyped error: %v", err)
+		// An evicted partition holds the chunk twice — the second copy's
+		// groups all exist: the merge loops run, not just inserts — and
+		// is re-aggregated as any is: the engine's reload reads it back.
+		ctx := &Context{Parallelism: 1, mem: newMemTracker(1 << 30), spillMgr: spill.NewManager(t.TempDir(), nil)}
+		defer ctx.spillMgr.Close()
+		sp := newAggSpiller(l, newGrace(ctx, &l.rows, 4, 0))
+		for range 2 {
+			sp.g.parts[0].streams[partialRows].cols = cols
+			if err := sp.g.flushStreams(0); err != nil {
+				t.Fatal(err)
 			}
-			return
 		}
-		at := newAggTable(l.spec)
-		at.mergePartial(p)
-		at.mergePartial(p) // every group now exists: the merge loops run, not just inserts
-		if _, err := at.emitRun(nil); err != nil {
-			t.Fatalf("columns that passed the layout check do not emit: %v", err)
+		_, err := processAggPartition(sp, 0, &aggOut{ctx: ctx})
+		sp.abandon()
+		if _, rerr := l.readPartial(cols); (err == nil) != (rerr == nil) || err != nil && !errors.Is(err, errCorruptSpill) {
+			t.Fatalf("reloaded: %v; read directly: %v", err, rerr)
 		}
 	})
 }

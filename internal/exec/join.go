@@ -41,10 +41,11 @@ type joinInput struct {
 // each to its pair's type and hashes the rows: the one place join keys
 // are made, for build and probe, in memory and spilled, so that equal
 // keys are equal vector cells with equal hashes whatever their sides'
-// declared types.
-func prepareJoin(exprs []plan.Expr, types []vector.Type, ch *vector.Chunk) (joinInput, error) {
+// declared types. hashes, when not nil, are the rows' hashes kept from
+// an earlier call.
+func prepareJoin(exprs []plan.Expr, types []vector.Type, ch *vector.Chunk, hashes []uint64) (joinInput, error) {
 	n := ch.NumRows()
-	in := joinInput{ch: ch, keys: make([]*vector.Vector, len(exprs))}
+	in := joinInput{ch: ch, keys: make([]*vector.Vector, len(exprs)), hashes: hashes}
 	for i, e := range exprs {
 		v, err := Evaluate(e, ch)
 		if err != nil {
@@ -65,7 +66,9 @@ func prepareJoin(exprs []plan.Expr, types []vector.Type, ch *vector.Chunk) (join
 			}
 		}
 	}
-	in.hashes = hashKeyRows(in.keys, n, nil)
+	if hashes == nil {
+		in.hashes = hashKeyRows(in.keys, n, nil)
+	}
 	return in, nil
 }
 
@@ -90,8 +93,8 @@ type joinTable struct {
 	rows  []int32
 }
 
-func newJoinTable(spec *plan.HashJoin, types []vector.Type, build *vector.Chunk, seq []int64) (*joinTable, error) {
-	in, err := prepareJoin(spec.RightKeys, types, build)
+func newJoinTable(spec *plan.HashJoin, types []vector.Type, build *vector.Chunk, seq []int64, hashes []uint64) (*joinTable, error) {
+	in, err := prepareJoin(spec.RightKeys, types, build, hashes)
 	if err != nil {
 		return nil, err
 	}
@@ -213,19 +216,16 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 // input is materialized into a joinTable; left chunks probe it.
 // Residual ON conjuncts are applied to joined rows.
 //
-// When probePipe is set, the left input is a morsel-parallelizable
-// pipeline: workers probe left morsels concurrently, re-emitting join
-// output in morsel order so results match serial execution row for row.
+// When the left input is a morsel-parallelizable pipeline (probe.pipe),
+// workers probe left morsels concurrently, re-emitting join output in
+// morsel order so results match serial execution row for row.
 type hashJoinOp struct {
 	spec  *plan.HashJoin
-	left  Operator
-	right Operator
+	probe chunkFeed // the left input
+	build chunkFeed // the right input, drained into a joinTable at Open
 
-	// probePipe, when non-nil, replaces left with a parallel probe.
-	probePipe *pipeSpec
-	workers   int
-	drv       *orderedDriver
-	ctx       *Context
+	drv *orderedDriver // the parallel in-memory probe
+	ctx *Context
 
 	keyTypes []vector.Type
 	table    *joinTable
@@ -243,7 +243,7 @@ type hashJoinOp struct {
 func (j *hashJoinOp) Open(ctx *Context) error {
 	j.done, j.ctx, j.spill, j.spillMerger = false, ctx, nil, nil
 	j.keyTypes = joinKeyTypes(j.spec)
-	if err := j.right.Open(ctx); err != nil {
+	if err := j.build.open(ctx); err != nil {
 		return err
 	}
 	build, err := j.drainBuild(ctx)
@@ -251,21 +251,21 @@ func (j *hashJoinOp) Open(ctx *Context) error {
 		return err
 	}
 	if j.spill != nil {
-		if err := j.spill.finishBuild(); err != nil {
+		if err := j.spill.top.finishBuild(); err != nil {
 			return err
 		}
 		// The spilled probe claims a pipelined probe side's morsels
-		// itself (spillProbe) instead of through the ordered driver.
-		if j.probePipe == nil {
-			return j.left.Open(ctx)
-		}
-		return nil
+		// itself (probeAll) instead of through the ordered driver.
+		return j.probe.open(ctx)
 	}
-	if j.table, err = newJoinTable(j.spec, j.keyTypes, build, nil); err != nil {
+	if j.table, err = newJoinTable(j.spec, j.keyTypes, build, nil, nil); err != nil {
 		return err
 	}
 	j.charge(j.table.size())
-	return j.openProbe(ctx)
+	if j.probe.pipe != nil { // probing only reads the table, so workers share it
+		j.drv = j.probe.pipe.ordered(ctx, j.probe.workers, j.probeChunk)
+	}
+	return j.probe.open(ctx)
 }
 
 func (j *hashJoinOp) charge(n int64) {
@@ -279,93 +279,27 @@ func (j *hashJoinOp) charge(n int64) {
 // every later one, and no chunk is returned.
 func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, error) {
 	spillable := spillableJoin(j.spec)
-	var acc []*vector.Vector
-	for {
-		if ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := j.right.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			break
-		}
-		if ch.NumRows() == 0 {
-			continue
-		}
+	var acc spillBuf
+	err := j.build.forEach(ctx, 1, func(_, _ int, ch *vector.Chunk) error {
 		if j.spill != nil {
-			if err := j.spill.addBuildChunk(ch); err != nil {
-				return nil, err
-			}
-			continue
+			return j.spill.addBuildChunk(ch)
 		}
-		if acc == nil {
-			acc = make([]*vector.Vector, ch.NumCols())
-			for i := range acc {
-				acc[i] = vector.New(ch.Col(i).Type(), ch.NumRows())
-			}
-		}
-		for i := range acc {
-			acc[i].AppendVector(ch.Col(i))
-		}
+		acc.add(ch.Cols())
 		j.charge(chunkBytes(ch))
-		if spillable && ctx.shouldSpill(j.charged) {
-			j.charge(-j.charged) // the partitions charge the rows as they take them
-			j.spill = newJoinSpill(ctx, j.spec, j.keyTypes)
-			if err := j.spill.addBuildChunk(vector.NewChunk(acc...)); err != nil {
-				return nil, err
-			}
-			acc = nil
+		if !spillable || !ctx.shouldSpill(j.charged) {
+			return nil
 		}
-	}
-	if acc == nil && j.spill == nil { // an empty build side still has the right schema's columns
+		j.charge(-j.charged) // the partitions charge the rows as they take them
+		j.spill = newJoinSpill(ctx, j.spec, j.keyTypes)
+		ch, acc = vector.NewChunk(acc.cols...), spillBuf{}
+		return j.spill.addBuildChunk(ch)
+	})
+	if acc.cols == nil && j.spill == nil { // an empty build side still has the right schema's columns
 		for _, c := range j.spec.Right.Schema() {
-			acc = append(acc, vector.New(c.Type, 0))
+			acc.cols = append(acc.cols, vector.New(c.Type, 0))
 		}
 	}
-	return vector.NewChunk(acc...), nil
-}
-
-// spillProbe drains the probe input through the partitioned path:
-// resident partitions join immediately, spilled ones defer, and the
-// deferred partitions are then processed one at a time. A pipelined
-// probe side keeps its morsel parallelism — workers claim morsels and
-// probe concurrently; the order-restoring sort hides the scheduling.
-func (j *hashJoinOp) spillProbe() error {
-	js := j.spill
-	if j.probePipe != nil {
-		states := make([]*probeState, max(j.workers, 1))
-		err := j.probePipe.forEach(j.ctx, j.workers, func(w, i int, ch *vector.Chunk) error {
-			if states[w] == nil {
-				states[w] = js.newProbeState()
-			}
-			return js.probeChunk(ch, i, states[w])
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		ps := js.newProbeState()
-		for c := 0; ; c++ {
-			if j.ctx.interrupted() {
-				return ErrCancelled
-			}
-			ch, err := j.left.Next()
-			if err != nil {
-				return err
-			}
-			if ch == nil {
-				break
-			}
-			if ch.NumRows() > 0 {
-				if err := js.probeChunk(ch, c, ps); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return js.processSpilled(&js.top, js.newProbeState())
+	return vector.NewChunk(acc.cols...), err
 }
 
 // spillNext streams the spilled join's output: first drain the probe
@@ -373,46 +307,17 @@ func (j *hashJoinOp) spillProbe() error {
 // stripping the tag columns.
 func (j *hashJoinOp) spillNext() (*vector.Chunk, error) {
 	if j.spillMerger == nil {
-		if err := j.spillProbe(); err != nil {
+		var err error
+		if j.spillMerger, err = j.spill.probeAll(&j.probe); err != nil {
 			return nil, err
 		}
-		m, err := j.spill.finishEmit()
-		if err != nil {
-			return nil, err
-		}
-		j.spillMerger = m
 	}
 	ch, err := j.spillMerger.next(j.ctx)
-	if err != nil {
+	if err != nil || ch == nil {
+		j.done = true
 		return nil, err
 	}
-	if ch == nil {
-		j.done = true
-		return nil, nil
-	}
 	return vector.NewChunk(ch.Cols()[:j.spill.outCols]...), nil
-}
-
-// openProbe starts the probe side once the build table is complete:
-// either the serial left child, or the morsel-parallel probe workers
-// (probe only reads the table, so workers share it).
-func (j *hashJoinOp) openProbe(ctx *Context) error {
-	if j.probePipe == nil {
-		return j.left.Open(ctx)
-	}
-	n := j.probePipe.src.open(ctx)
-	scratch := make([]pipeScratch, j.workers)
-	j.drv = startOrdered(n, j.workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := j.probePipe.src.fetch(i)
-		if err == nil {
-			ch, err = j.probePipe.apply(ch, &scratch[w])
-		}
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		return j.probe(ch)
-	})
-	return nil
 }
 
 func (j *hashJoinOp) Next() (*vector.Chunk, error) {
@@ -431,7 +336,7 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 		if j.ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		ch, err := j.left.Next()
+		ch, err := j.probe.child.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -439,7 +344,7 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 			j.done = true
 			return nil, nil
 		}
-		out, err := j.probe(ch)
+		out, err := j.probeChunk(ch)
 		if err != nil {
 			return nil, err
 		}
@@ -449,8 +354,8 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 	}
 }
 
-func (j *hashJoinOp) probe(ch *vector.Chunk) (*vector.Chunk, error) {
-	in, err := prepareJoin(j.spec.LeftKeys, j.keyTypes, ch)
+func (j *hashJoinOp) probeChunk(ch *vector.Chunk) (*vector.Chunk, error) {
+	in, err := prepareJoin(j.spec.LeftKeys, j.keyTypes, ch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -463,18 +368,12 @@ func (j *hashJoinOp) probe(ch *vector.Chunk) (*vector.Chunk, error) {
 
 func (j *hashJoinOp) Close() error {
 	j.drv.abort()
-	if j.probePipe != nil {
-		j.probePipe.src.finish()
-	}
 	j.spill.release()
 	j.spillMerger.close()
 	j.charge(-j.charged)
 	j.table = nil
-	var lerr error
-	if j.left != nil {
-		lerr = j.left.Close()
-	}
-	rerr := j.right.Close()
+	lerr := j.probe.close()
+	rerr := j.build.close()
 	if lerr != nil {
 		return lerr
 	}

@@ -10,10 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/catalog"
+	"vexdb/internal/core"
 	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/sql"
@@ -361,7 +364,7 @@ func TestJoinBudgetTracksHeap(t *testing.T) {
 	build := vector.NewChunk(vector.FromInt64s(ks), vector.FromFloat64s(vs))
 	spec := &plan.HashJoin{LeftKeys: []plan.Expr{colRef(0, vector.Int64)}, RightKeys: []plan.Expr{colRef(0, vector.Int64)}}
 	table := func() *joinTable {
-		jt, err := newJoinTable(spec, joinKeyTypes(spec), build, nil)
+		jt, err := newJoinTable(spec, joinKeyTypes(spec), build, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,6 +419,69 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 			assertTempDirEmpty(t, dir)
 		}
 	}
+
+	// Nor does a spilled join that never finishes: cancelled while its
+	// build side drains into the partitions, cancelled while its probe
+	// side does, or failed there by its residual, its router blocks,
+	// resident rows and tables and run builders are back at Close. (A
+	// pipelined side's workers run at most 2x8 morsels ahead of the join:
+	// by a filter's 40th call the join has taken 24 chunks of that side.)
+	probe, build = buildJoinTables(t, 48*vector.DefaultChunkSize, 48*vector.DefaultChunkSize)
+	for _, workers := range []int{1, 2, 8} {
+		for _, c := range []struct {
+			name     string
+			cancelAt [2]int64 // the call of the probe side's, the build side's filter that cancels; 0 never
+			residual plan.Expr
+		}{
+			{name: "cancelled mid-build", cancelAt: [2]int64{0, 40}},
+			{name: "cancelled mid-probe", cancelAt: [2]int64{40, 0}},
+			{name: "failing residual", residual: colRef(4, vector.Int64)}, // not a boolean
+		} {
+			done := make(chan struct{})
+			side := func(tab *catalog.Table, at int64) plan.Node {
+				var calls atomic.Int64
+				fn := &core.ScalarFunc{Name: "cancel_at", Arity: 1, Parallel: true, Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+					if calls.Add(1) == at {
+						close(done)
+					}
+					return vector.Constant(vector.NewBool(true), args[0].Len(), vector.Bool), nil
+				}}
+				return &plan.Filter{Pred: &plan.Call{Fn: fn, Args: []plan.Expr{colRef(0, vector.Int64)}, Typ: vector.Bool}, Child: &plan.Scan{Table: tab}}
+			}
+			op, err := buildWith(&plan.HashJoin{Kind: sql.LeftJoin, Left: side(probe, c.cancelAt[0]), Right: side(build, c.cancelAt[1]), Extra: c.residual,
+				LeftKeys: []plan.Expr{colRef(1, vector.Int64)}, RightKeys: []plan.Expr{colRef(0, vector.Int64)}}, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, dir := spillCtx(t, workers, 64<<10)
+			ctx.Done, ctx.mem, ctx.spillMgr = done, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+			err = op.Open(ctx)
+			for ch := (*vector.Chunk)(nil); err == nil; {
+				if ch, err = op.Next(); ch == nil && err == nil {
+					t.Fatalf("%s workers=%d: ran to completion", c.name, workers)
+				}
+			}
+			if errors.Is(err, ErrCancelled) != (c.residual == nil) {
+				t.Fatalf("%s workers=%d: err = %v", c.name, workers, err)
+			}
+			if ctx.Spill.BytesWritten() == 0 {
+				t.Fatalf("%s workers=%d: stopped before anything spilled", c.name, workers)
+			}
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if used := ctx.mem.used.Load(); used != 0 {
+				t.Errorf("%s workers=%d: %d bytes still tracked after Close", c.name, workers, used)
+			}
+			if files, _ := os.ReadDir(ctx.spillMgr.Dir()); len(files) != 0 {
+				t.Errorf("%s workers=%d: %d spill files left by the closed join", c.name, workers, len(files))
+			}
+			if err := ctx.spillMgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertTempDirEmpty(t, dir)
+		}
+	}
 }
 
 // fuzzJoin is the join FuzzJoinSpillChunk spills: a BIGINT + VARCHAR key
@@ -466,11 +532,13 @@ func FuzzJoinSpillChunk(f *testing.F) {
 			return
 		}
 		js, build, probe := fuzzJoin(t)
-		// The layouts are what the join's own rows set them to.
-		if err := errors.Join(js.setLayout(0, build), js.setLayout(1, probe)); err != nil {
+		// The layouts are what the join's own rows set them to, and the
+		// build phase ends with every partition of level 0 resident.
+		nb := len(build) - 1
+		if err := js.addBuildChunk(vector.NewChunk(build[:nb]...)); err != nil {
 			t.Fatal(err)
 		}
-		if err := js.finishBuild(); err != nil {
+		if err := errors.Join(js.layout.conform(probeRows, probe), js.top.finishBuild()); err != nil {
 			t.Fatal(err)
 		}
 		if side%2 == 0 {
@@ -478,19 +546,22 @@ func FuzzJoinSpillChunk(f *testing.F) {
 		} else {
 			probe = cols
 		}
-		lv := js.newLevel(1, spillFanout)
-		pt := &lv.parts[0]
-		pt.build.cols, pt.probe.cols = build, probe
-		if err := errors.Join(lv.file.flush(&pt.build), lv.file.flush(&pt.probe)); err != nil {
+		// A spilled partition of a level-1 pass holds the chunks: the
+		// engine's reload is what reads them back.
+		up := js.newPass(js.top.g.sub())
+		pt := &up.g.parts[0]
+		pt.spilled = true
+		pt.streams[buildRows].cols, pt.streams[probeRows].cols = build, probe
+		if err := up.g.flushStreams(0); err != nil {
 			t.Fatal(err)
 		}
-		defer lv.file.release()
-		ps := js.newProbeState()
-		err := js.processPart(&lv, pt, ps)
+		defer up.g.abandon()
+		ps := &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out")}
+		err := js.joinSpilled(up, 0, ps)
 		if err != nil && !errors.Is(err, errCorruptSpill) {
 			t.Fatalf("untyped error: %v", err)
 		}
-		m, merr := js.finishEmit()
+		m, merr := finishBuilders(js.ctx, -1, []*runBuilder{ps.sorter})
 		if merr != nil {
 			t.Fatal(merr)
 		}

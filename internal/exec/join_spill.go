@@ -1,57 +1,47 @@
-// Grace-partitioned spill for the hash join's build side. When the
-// build relation outgrows the query's memory budget, the build drain
-// switches to hybrid grace mode:
+// The spilled hash join. When the build relation outgrows the query's
+// memory budget the build drain moves into passes of the grace engine
+// (grace.go), which owns partitioning, eviction, reload and recursion.
+// What is the join's:
 //
-//  1. Build rows partition by the hash of their equi-key — the per-chunk
-//     hashKeyRows every joinTable is built from. Partitions spill
-//     largest-first (ties to the higher index) until the resident set,
-//     tables included, fits; later build rows append to their
-//     partition's resident buffer or spill file directly.
-//  2. Probe rows re-partition by the same hash on the left keys. Rows
-//     landing in a memory-resident partition probe its joinTable
-//     immediately; rows of spilled partitions are deferred to
-//     per-partition probe chunk lists. A spilled partition whose
-//     build side still exceeds the budget when loaded re-partitions
-//     recursively on the next hash nibble.
-//  3. Because deferred output arrives partition-at-a-time — not in
-//     probe order — every output row is tagged with the position the
-//     in-memory join would have emitted it at: posKey packs
-//     (probe chunk, output section, row) and buildSeq is the global
-//     build row id. The whole output then flows through the shared
-//     external-sort machinery keyed on (posKey, buildSeq), restoring
-//     byte-identical in-memory emission order; that sort spills its
-//     own runs under the same budget.
+//   - Layouts. Build rows are [right columns..., seq], seq the row's
+//     position in the whole build input; probe rows [left columns...,
+//     posKey]. Both are typed by the first chunk of their side.
+//   - Folds. A resident partition keeps its build rows, and the hashes
+//     routed beside them, in a buffer that eviction writes out; when the
+//     build input drains the buffer is indexed, from those hashes, as a
+//     joinTable. Probe rows landing there probe that table; those of a
+//     spilled partition wait on disk for joinSpilled.
+//   - Order. Deferred output arrives partition-at-a-time, not in probe
+//     order, so every output row is tagged with the position the
+//     in-memory join would have emitted it at: posKey packs (probe chunk,
+//     output section, row) and seq orders the matches of one probe row.
+//     The whole output flows through the shared external-sort machinery
+//     keyed on (posKey, seq), restoring byte-identical in-memory emission
+//     order; that sort spills its own runs under the same budget.
 //
 // The posKey section bits name the three sections of joinOut, which is
 // the in-memory per-chunk emission layout: matched rows first (by probe
 // row, then build row), then LEFT-join padded rows — unmatched-key rows
 // before residual-rejected rows, each in probe-row order.
 //
-// The probe side stays morsel-parallel under spill when the plan
-// probed in parallel: workers claim probe morsels and probe resident
-// partitions concurrently, each tagging output through its own run
-// builder (all runs merge in one order-restoring sort), and serialize
-// only on routing deferred rows to spilled partitions. The sort makes
-// worker scheduling an implementation detail, not a semantic one.
-// Joins without equi-keys (cross products) and joins whose keys or
-// residual contain UDFs never spill — they keep the in-memory path
-// regardless of budget.
-//
-// The level-0 fan-out defaults to 16 partitions but widens (up to 256)
-// when the planner estimated the build side large enough that one
-// partitioning pass at 16 would still leave oversized partitions
-// (plan.ExecHints.FanoutLog2); recursive re-partitioning then starts
-// on the first hash nibble above the level-0 bits.
+// Level 0 has 16 partitions, up to 256 when the planner estimated the
+// build side large enough that one pass at 16 would still leave
+// oversized partitions (plan.ExecHints.FanoutLog2).
 package exec
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
+)
+
+// The join's row streams in its passes of the grace engine.
+const (
+	buildRows = 0
+	probeRows = 1
 )
 
 // posKey section bits. Probe chunk rows are far below 2^30.
@@ -74,24 +64,16 @@ func spillableJoin(spec *plan.HashJoin) bool {
 	return spec.Extra == nil || !exprsHaveUDF([]plan.Expr{spec.Extra})
 }
 
-// joinPart is one grace partition. Its build rows are [right columns...,
-// seq] and its deferred probe rows [left columns..., posKey], in memory
-// and on disk alike: a resident partition's build rows simply stay in
-// their buffer, which spilling flushes.
-type joinPart struct {
-	spilled      bool
-	build, probe spillBuf
-	table        *joinTable // resident: over the build rows, once the drain completes
-	bytes        int64      // resident: what the build rows and the table hold of the budget
-}
-
-// joinLevel is one partitioning pass: level 0 is the hybrid pass the
-// build input drains into, a deeper one re-partitions, all to disk, one
-// spilled partition of the level above.
-type joinLevel struct {
-	level int
-	file  spillFile
-	parts []joinPart
+// joinPass is one partitioning pass of a spilled join: level 0 is the
+// one the build and probe inputs drain into, a deeper one takes the rows
+// of one spilled partition of the pass above.
+type joinPass struct {
+	js     *joinSpill
+	g      *grace
+	build  *graceRouter // the build phase's
+	rows   []spillBuf   // per resident partition, its build rows,
+	hashes [][]uint64   // their key hashes
+	tables []*joinTable // and, once the build phase ends, the table over them
 }
 
 // joinSpill is the state of a grace-partitioned join.
@@ -99,35 +81,22 @@ type joinSpill struct {
 	ctx      *Context
 	spec     *plan.HashJoin
 	keyTypes []vector.Type
+	layout   graceLayout
 
-	top        joinLevel
-	fanoutBits uint             // level 0 has 1<<fanoutBits partitions
-	nextSeq    int64            // global build row counter (input order)
-	empty      *joinTable       // joins the probe rows that have no build row to meet
-	layout     [2][]vector.Type // spilled build and probe rows; each set by the first chunk routed
+	top     *joinPass
+	nextSeq int64      // global build row counter (input order)
+	empty   *joinTable // joins the probe rows that have no build row to meet
 
-	// mu guards the deferred-probe routing (partition buffers) and the
-	// sorter list during the parallel probe; build and post-probe
-	// phases are single-threaded.
-	mu      sync.Mutex
-	sorters []*runBuilder // one per probe worker; runs merge at finish
+	states  []*probeState // one per probe worker that saw a chunk; their runs merge at finishEmit
 	outPos  atomic.Int64
 	outCols int // joined output columns (before the 2 tag columns)
 }
 
-// probeState is one probe worker's private output: its own run builder
-// (runs from all workers merge in finishEmit).
+// probeState is one probe worker's private state: its router into the
+// top pass, made by its first chunk, and its own run builder.
 type probeState struct {
 	sorter *runBuilder
-}
-
-// newProbeState registers a probe worker's private output builder.
-func (js *joinSpill) newProbeState() *probeState {
-	b := newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out")
-	js.mu.Lock()
-	js.sorters = append(js.sorters, b)
-	js.mu.Unlock()
-	return &probeState{sorter: b}
+	router *graceRouter
 }
 
 // joinSortKeys returns the tag sort keys over a joined chunk with
@@ -140,191 +109,151 @@ func joinSortKeys(nOut int) []plan.SortKey {
 }
 
 func newJoinSpill(ctx *Context, spec *plan.HashJoin, keyTypes []vector.Type) *joinSpill {
-	js := &joinSpill{ctx: ctx, spec: spec, keyTypes: keyTypes, fanoutBits: 4}
-	if h := spec.Hints.FanoutLog2; h > 4 {
-		js.fanoutBits = uint(min(h, 8))
-	}
-	js.top = js.newLevel(0, 1<<js.fanoutBits)
+	js := &joinSpill{ctx: ctx, spec: spec, keyTypes: keyTypes, layout: graceLayout{label: "join", tap: spec.Hints.Tap}}
+	js.top = js.newPass(newGrace(ctx, &js.layout, uint(min(max(spec.Hints.FanoutLog2, 4), 8)), 0))
+	js.top.g.overflowed.Store(true)
 	js.outCols = len(spec.Left.Schema()) + len(spec.Right.Schema())
 	return js
 }
 
-func (js *joinSpill) newLevel(level, parts int) joinLevel {
-	return joinLevel{level: level, file: spillFile{ctx: js.ctx, label: "join"}, parts: make([]joinPart, parts)}
-}
-
-// partition groups the rows of a prepared chunk by the partition their
-// hash selects at lv — the low fanoutBits at level 0, one nibble above
-// them per level below — leaving out the rows with a NULL key.
-func (js *joinSpill) partition(lv *joinLevel, in joinInput) [][]int {
-	sel := make([][]int, len(lv.parts))
-	for r, h := range in.hashes {
-		if in.null != nil && in.null[r] {
-			continue
-		}
-		p := int(h & uint64(len(lv.parts)-1))
-		if lv.level > 0 {
-			p = partitionOf(h>>(js.fanoutBits-4), lv.level)
-		}
-		sel[p] = append(sel[p], r)
+func (js *joinSpill) newPass(g *grace) *joinPass {
+	n := len(g.parts)
+	jp := &joinPass{js: js, g: g, rows: make([]spillBuf, n), hashes: make([][]uint64, n), tables: make([]*joinTable, n)}
+	g.evict = func(p int) []*vector.Vector {
+		cols := jp.rows[p].cols
+		jp.rows[p], jp.hashes[p], jp.tables[p] = spillBuf{}, nil, nil
+		return cols
 	}
-	return sel
-}
-
-// setLayout records, or checks against the record, the column types of
-// the spilled build (side 0) or probe (side 1) rows.
-func (js *joinSpill) setLayout(side int, cols []*vector.Vector) error {
-	if js.layout[side] == nil {
-		for _, c := range cols {
-			js.layout[side] = append(js.layout[side], c.Type())
-		}
-	}
-	return checkSpilled(cols, js.layout[side], len(cols)-1)
+	return jp
 }
 
 // addBuildChunk tags one chunk of the build input with global sequence
-// ids in input order and routes it into level 0, then spills until the
-// resident partitions fit again.
-func (js *joinSpill) addBuildChunk(ch *vector.Chunk) error {
+// ids in input order and routes it into level 0.
+func (js *joinSpill) addBuildChunk(ch *vector.Chunk) (err error) {
 	seq := make([]int64, ch.NumRows())
 	for r := range seq {
 		seq[r] = js.nextSeq + int64(r)
 	}
 	js.nextSeq += int64(len(seq))
-	if err := js.addBuild(&js.top, append(slices.Clone(ch.Cols()), vector.FromInt64s(seq))); err != nil {
-		return err
+	cols := append(slices.Clone(ch.Cols()), vector.FromInt64s(seq))
+	if js.empty == nil {
+		js.empty, err = newJoinTable(js.spec, js.keyTypes, ch.Slice(0, 0), nil, nil)
 	}
-	return js.spillUntilFits()
-}
-
-// addBuild routes build rows to lv's partitions. Rows with a NULL key
-// are dropped: they can never match, and LEFT-join padding only ever
-// references probe rows.
-func (js *joinSpill) addBuild(lv *joinLevel, cols []*vector.Vector) error {
-	if err := js.setLayout(0, cols); err != nil {
-		return err
+	if err == nil {
+		err = js.layout.conform(buildRows, cols)
 	}
-	in, err := prepareJoin(js.spec.RightKeys, js.keyTypes, vector.NewChunk(cols[:len(cols)-1]...))
 	if err != nil {
 		return err
 	}
-	for p, rows := range js.partition(lv, in) {
-		if len(rows) == 0 {
-			continue
-		}
-		pt, part := &lv.parts[p], gatherVecs(cols, rows)
-		if pt.spilled {
-			if err := lv.file.write(&pt.build, part); err != nil {
+	return js.top.addBuild(cols)
+}
+
+// addBuild routes build rows into the pass, which evicts until the
+// resident partitions fit again. Rows with a NULL key are dropped: they
+// can never match, and LEFT-join padding only ever references probe rows.
+func (jp *joinPass) addBuild(cols []*vector.Vector) error {
+	in, err := prepareJoin(jp.js.spec.RightKeys, jp.js.keyTypes, vector.NewChunk(cols[:len(cols)-1]...), nil)
+	if err != nil {
+		return err
+	}
+	if jp.build == nil {
+		jp.build = jp.g.newRouter(buildRows, func(p int, cols []*vector.Vector, hashes []uint64) (int64, error) {
+			jp.rows[p].add(cols)
+			jp.hashes[p] = append(jp.hashes[p], hashes...)
+			return chunkBytes(vector.NewChunk(cols...)) + 8*int64(len(hashes)), nil
+		})
+	}
+	return jp.build.route(cols, in.hashes, in.null)
+}
+
+// finishBuild ends a pass's build phase: the last blocks land, the
+// resident partitions are indexed — their tables count against the
+// budget like the rows, so partitions may spill once more — the pass is
+// frozen, and the hybrid outcome (partitions on disk vs resident) goes to
+// SpillStats and EXPLAIN ANALYZE.
+func (jp *joinPass) finishBuild() (err error) {
+	g := jp.g
+	if err := jp.build.finish(); err != nil {
+		return err
+	}
+	for p := range g.parts {
+		cols := jp.rows[p].cols
+		if nb := len(cols) - 1; nb >= 0 { // indexed from the hashes kept beside the rows
+			jp.tables[p], err = newJoinTable(jp.js.spec, jp.js.keyTypes, vector.NewChunk(cols[:nb]...), cols[nb].Int64s(), jp.hashes[p])
+			if err != nil {
 				return err
 			}
-			continue
+			g.charge(&g.parts[p], jp.tables[p].size()-8*int64(len(jp.hashes[p])))
+			jp.hashes[p] = nil // the table keeps one per key
 		}
-		pt.build.add(part)
-		b := chunkBytes(vector.NewChunk(part...))
-		pt.bytes += b
-		js.ctx.memGrow(b)
 	}
-	return nil
-}
-
-// spillUntilFits writes level 0's resident partitions to disk, largest
-// first (ties to the higher index), until the resident build state fits
-// the budget's share or everything is spilled.
-func (js *joinSpill) spillUntilFits() error {
-	for {
-		resident, best := int64(0), -1
-		for p := range js.top.parts {
-			pt := &js.top.parts[p]
-			resident += pt.bytes
-			if pt.bytes > 0 && (best < 0 || pt.bytes >= js.top.parts[best].bytes) {
-				best = p
-			}
-		}
-		if best < 0 || !js.ctx.shouldSpill(resident) {
-			return nil
-		}
-		pt := &js.top.parts[best]
-		pt.spilled = true
-		js.dropResident(pt)
-		if err := js.top.file.flush(&pt.build); err != nil {
-			return err
-		}
-		js.ctx.spillStats().addPartitions(1)
-	}
-}
-
-// dropResident gives back what a partition holds of the budget.
-func (js *joinSpill) dropResident(pt *joinPart) {
-	js.ctx.memShrink(pt.bytes)
-	pt.table, pt.bytes = nil, 0
-}
-
-// finishBuild builds the resident partitions' tables — which count
-// against the budget like the rows, so partitions may spill once more —
-// flushes the spilled partitions' buffers, and records the hybrid
-// outcome (partitions on disk vs resident) for SpillStats and EXPLAIN
-// ANALYZE.
-func (js *joinSpill) finishBuild() (err error) {
-	none := make([]*vector.Vector, len(js.layout[0])-1)
-	for i, t := range js.layout[0][:len(none)] {
-		none[i] = vector.New(t, 0)
-	}
-	if js.empty, err = js.newTable(none, nil); err != nil {
+	if err := g.spillUntilFits(); err != nil {
 		return err
 	}
-	for p := range js.top.parts {
-		pt := &js.top.parts[p]
-		if pt.spilled {
-			continue
-		}
-		if pt.table = js.empty; pt.bytes == 0 {
-			continue
-		}
-		nb := len(pt.build.cols) - 1
-		if pt.table, err = js.newTable(pt.build.cols[:nb], pt.build.cols[nb].Int64s()); err != nil {
-			return err
-		}
-		pt.bytes += pt.table.size()
-		js.ctx.memGrow(pt.table.size())
-	}
-	if err := js.spillUntilFits(); err != nil {
-		return err
-	}
+	g.frozen = true
 	var spilled, resident int64
-	for p := range js.top.parts {
-		pt := &js.top.parts[p]
-		if pt.spilled {
+	for p := range g.parts {
+		if pt := &g.parts[p]; pt.spilled {
 			spilled++
-			if err := js.top.file.flush(&pt.build); err != nil {
+			if err := g.flushStreams(p); err != nil {
 				return err
 			}
 		} else if pt.bytes > 0 {
 			resident++
 		}
 	}
-	js.ctx.spillStats().addResident(resident)
-	if tap := js.spec.Hints.Tap; tap != nil {
-		tap.SpillSpilled.Add(spilled)
-		tap.SpillResident.Add(resident)
-	}
+	g.report(spilled, resident)
 	return nil
 }
 
-func (js *joinSpill) newTable(build []*vector.Vector, seq []int64) (*joinTable, error) {
-	return newJoinTable(js.spec, js.keyTypes, vector.NewChunk(build...), seq)
+// probeChunk tags one chunk of the probe input with its rows' posKeys
+// and routes it into level 0 through the worker's router. Safe for
+// concurrent probe workers: resident state is read-only here and output
+// goes through the worker's private state.
+func (js *joinSpill) probeChunk(ch *vector.Chunk, chunkIdx int, ps *probeState) error {
+	cols := append(slices.Clone(ch.Cols()), vector.FromInt64s(morselPos(nil, chunkIdx, ch.NumRows())))
+	if err := js.layout.conform(probeRows, cols); err != nil {
+		return err
+	}
+	if ps.router == nil {
+		ps.router = js.top.prober(ps)
+	}
+	return js.top.addProbe(ps.router, ps, cols)
 }
 
-// probeChunk joins one probe chunk as far as memory allows: its rows
-// probe resident partitions at once, wait on disk for spilled ones, and
-// pad at once (LEFT joins) when their key is NULL. Safe for concurrent
-// probe workers: resident state is read-only here and output goes
-// through the worker's private state.
-func (js *joinSpill) probeChunk(ch *vector.Chunk, chunkIdx int, ps *probeState) error {
-	in, err := prepareJoin(js.spec.LeftKeys, js.keyTypes, ch)
+// prober returns a router of probe rows into the pass whose fold joins
+// them, from the hashes kept beside them, with the resident partition's
+// table into ps.
+func (jp *joinPass) prober(ps *probeState) *graceRouter {
+	return jp.g.newRouter(probeRows, func(p int, cols []*vector.Vector, hashes []uint64) (int64, error) {
+		t := jp.tables[p]
+		if t == nil {
+			t = jp.js.empty
+		}
+		return 0, jp.js.probe(t, cols, hashes, ps)
+	})
+}
+
+// probe joins probe rows — hashes their keys' hashKeyRows when the caller
+// kept them — with one table.
+func (js *joinSpill) probe(t *joinTable, cols []*vector.Vector, hashes []uint64, ps *probeState) error {
+	np := len(cols) - 1
+	in, err := prepareJoin(js.spec.LeftKeys, js.keyTypes, vector.NewChunk(cols[:np]...), hashes)
 	if err != nil {
 		return err
 	}
-	tags := morselPos(nil, chunkIdx, ch.NumRows())
+	return js.join(t, in, cols[np].Int64s(), ps)
+}
+
+// addProbe joins probe rows as far as memory allows: they probe resident
+// partitions as r's blocks fill, wait on disk for spilled ones, and pad at
+// once (LEFT joins) when their key is NULL.
+func (jp *joinPass) addProbe(r *graceRouter, ps *probeState, cols []*vector.Vector) error {
+	js, np := jp.js, len(cols)-1
+	in, err := prepareJoin(js.spec.LeftKeys, js.keyTypes, vector.NewChunk(cols[:np]...), nil)
+	if err != nil {
+		return err
+	}
 	if in.null != nil && js.spec.Kind == sql.LeftJoin {
 		var nulls []int
 		for r, null := range in.null {
@@ -332,40 +261,11 @@ func (js *joinSpill) probeChunk(ch *vector.Chunk, chunkIdx int, ps *probeState) 
 				nulls = append(nulls, r)
 			}
 		}
-		if err := js.join(js.empty, in.gather(nulls), gatherBy(tags, nulls), ps); err != nil {
+		if err := js.join(js.empty, in.gather(nulls), gatherBy(cols[np].Int64s(), nulls), ps); err != nil {
 			return err
 		}
 	}
-	return js.route(&js.top, in, tags, ps)
-}
-
-// route sends probe rows — tags holds each one's posKey — to lv's
-// partitions: a resident partition joins them now, a spilled one keeps
-// them, tag column last, for processPart.
-func (js *joinSpill) route(lv *joinLevel, in joinInput, tags []int64, ps *probeState) error {
-	for p, rows := range js.partition(lv, in) {
-		if len(rows) == 0 {
-			continue
-		}
-		pt, ptags := &lv.parts[p], gatherBy(tags, rows)
-		if !pt.spilled {
-			if err := js.join(pt.table, in.gather(rows), ptags, ps); err != nil {
-				return err
-			}
-			continue
-		}
-		part := append(gatherVecs(in.ch.Cols(), rows), vector.FromInt64s(ptags))
-		js.mu.Lock()
-		err := js.setLayout(1, part)
-		if err == nil {
-			err = lv.file.write(&pt.probe, part)
-		}
-		js.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.route(cols, in.hashes, in.null)
 }
 
 // join probes one table and appends the result, tagged, to the worker's
@@ -394,121 +294,132 @@ func (js *joinSpill) join(t *joinTable, in joinInput, tags []int64, ps *probeSta
 	return ps.sorter.add(vector.NewChunk(cols...), js.outPos.Add(int64(n))-int64(n))
 }
 
-// processSpilled joins every spilled partition of a level — its
-// deferred probe rows against its build rows — and removes the level's
-// file. Runs after all probe workers have joined (single-threaded); the
-// resident partitions of level 0 have met every probe row by then.
-func (js *joinSpill) processSpilled(lv *joinLevel, ps *probeState) error {
-	defer lv.file.release()
-	for p := range lv.parts {
-		js.dropResident(&lv.parts[p])
+// finishProbe ends a pass's probe phase — the routers' last blocks join
+// or go to disk, the resident partitions have then met every probe row
+// and are dropped — and joins every spilled partition that has probe
+// rows (without any, inner joins and LEFT pads both emit nothing) into
+// ps. Single-threaded.
+func (jp *joinPass) finishProbe(routers []*graceRouter, ps *probeState) error {
+	g := jp.g
+	defer g.abandon()
+	for _, r := range routers {
+		if err := r.finish(); err != nil {
+			return err
+		}
 	}
-	for p := range lv.parts {
-		pt := &lv.parts[p]
-		if err := lv.file.flush(&pt.build); err != nil {
+	for p := range g.parts { // the resident partitions have met every probe row
+		g.evict(p)
+		g.release(p)
+	}
+	for p := range g.parts {
+		if err := g.flushStreams(p); err != nil {
 			return err
 		}
-		if err := lv.file.flush(&pt.probe); err != nil {
-			return err
-		}
-		if len(pt.probe.refs) == 0 {
-			continue // no probe rows: inner joins and LEFT pads both emit nothing
-		}
-		if err := js.processPart(lv, pt, ps); err != nil {
-			return err
+		if len(g.parts[p].streams[probeRows].refs) > 0 {
+			if err := jp.js.joinSpilled(jp, p, ps); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// processPart joins one spilled partition, re-partitioning it on the
-// next hash nibble when its build side still exceeds the budget.
-func (js *joinSpill) processPart(lv *joinLevel, pt *joinPart, ps *probeState) error {
-	var build spillBuf
-	for _, ref := range pt.build.refs {
-		if js.ctx.interrupted() {
-			return ErrCancelled
+// probeAll drains the probe input through level 0, joins level 0's
+// spilled partitions (into the first worker's state) and returns the
+// merger of every worker's runs, which restores final output order and
+// owns the runs from here on; the caller strips the two tag columns. A
+// pipelined probe side keeps its morsel parallelism — workers claim
+// morsels and probe concurrently, each with a state of its own; the
+// order-restoring sort hides the scheduling.
+func (js *joinSpill) probeAll(in *chunkFeed) (*runMerger, error) {
+	js.states = make([]*probeState, max(in.workers, 1))
+	err := in.forEach(js.ctx, in.workers, func(w, i int, ch *vector.Chunk) error {
+		if js.states[w] == nil {
+			js.states[w] = &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out")}
 		}
-		cols, err := lv.file.read(ref, js.layout[0], len(js.layout[0])-1)
-		if err != nil {
-			return err
-		}
-		build.add(cols)
+		return js.probeChunk(ch, i, js.states[w])
+	})
+	js.states = slices.DeleteFunc(js.states, func(ps *probeState) bool { return ps == nil })
+	routers, sorters := make([]*graceRouter, len(js.states)), make([]*runBuilder, len(js.states))
+	for i, ps := range js.states {
+		routers[i], sorters[i] = ps.router, ps.sorter
 	}
+	if err == nil && len(js.states) > 0 {
+		err = js.top.finishProbe(routers, js.states[0])
+	}
+	if err != nil {
+		return nil, err
+	}
+	js.states = nil
+	return finishBuilders(js.ctx, -1, sorters)
+}
+
+// joinSpilled joins spilled partition p of pass up: its build rows are
+// reloaded into one table or, from the chunk on at which they stop
+// fitting, into a pass of their own on the next hash nibble; its deferred
+// probe rows follow them.
+func (js *joinSpill) joinSpilled(up *joinPass, p int, ps *probeState) error {
+	sub := js.newPass(up.g.sub())
+	var whole spillBuf // the build rows, while they fit
+	var router *graceRouter
 	held := int64(0)
-	defer func() { js.ctx.memShrink(held) }()
 	hold := func(n int64) {
 		held += n
 		js.ctx.memGrow(n)
 	}
-	hold(chunkBytes(vector.NewChunk(build.cols...)))
-
-	sub := js.newLevel(lv.level+1, spillFanout)
-	defer sub.file.release()
-	t := js.empty
-	if js.ctx.shouldSpill(held) && sub.level < maxSpillLevels {
-		for p := range sub.parts {
-			sub.parts[p].spilled = true
-		}
-		if err := js.addBuild(&sub, build.cols); err != nil {
-			return err
-		}
-		for p := range sub.parts {
-			if sub.parts[p].build.cols != nil || sub.parts[p].build.refs != nil {
-				js.ctx.spillStats().addPartitions(1)
-			}
-		}
+	defer func() {
 		hold(-held)
-		t, build = nil, spillBuf{}
-	} else if nb := len(build.cols) - 1; nb >= 0 {
-		var err error
-		if t, err = js.newTable(build.cols[:nb], build.cols[nb].Int64s()); err != nil {
+		sub.build.close()
+		router.close()
+		sub.g.abandon()
+	}()
+	err := up.g.reload(p, buildRows, func(cols []*vector.Vector) error {
+		if sub.build == nil {
+			whole.add(cols)
+			hold(chunkBytes(vector.NewChunk(cols...)))
+			if !js.ctx.shouldSpill(held) {
+				return nil
+			}
+			hold(-held) // the pass charges the rows as it takes them
+			cols, whole = whole.cols, spillBuf{}
+		}
+		return sub.addBuild(cols)
+	})
+	if err != nil {
+		return err
+	}
+	if sub.build == nil {
+		nb := len(whole.cols) - 1 // not -1: a partition is evicted for its build rows
+		t, err := newJoinTable(js.spec, js.keyTypes, vector.NewChunk(whole.cols[:nb]...), whole.cols[nb].Int64s(), nil)
+		if err != nil {
 			return err
 		}
 		hold(t.size())
+		return up.g.reload(p, probeRows, func(cols []*vector.Vector) error { return js.probe(t, cols, nil, ps) })
 	}
-	for _, ref := range pt.probe.refs {
-		if js.ctx.interrupted() {
-			return ErrCancelled
-		}
-		cols, err := lv.file.read(ref, js.layout[1], len(js.layout[1])-1)
-		if err != nil {
-			return err
-		}
-		np := len(cols) - 1
-		in, err := prepareJoin(js.spec.LeftKeys, js.keyTypes, vector.NewChunk(cols[:np]...))
-		if err != nil {
-			return err
-		}
-		if t != nil {
-			err = js.join(t, in, cols[np].Int64s(), ps)
-		} else {
-			err = js.route(&sub, in, cols[np].Int64s(), ps)
-		}
-		if err != nil {
-			return err
-		}
+	if err := sub.finishBuild(); err != nil {
+		return err
 	}
-	if t != nil {
-		return nil
+	router = sub.prober(ps)
+	err = up.g.reload(p, probeRows, func(cols []*vector.Vector) error { return sub.addProbe(router, ps, cols) })
+	if err != nil {
+		return err
 	}
-	return js.processSpilled(&sub, ps)
+	return sub.finishProbe([]*graceRouter{router}, ps)
 }
 
-// finishEmit closes the probe phase: every probe worker's runs merge
-// into final output order. The caller strips the two tag columns.
-func (js *joinSpill) finishEmit() (*runMerger, error) {
-	return finishBuilders(js.ctx, -1, js.sorters)
-}
-
-// release gives back what the spill state still holds of the budget
-// and of the disk (the manager sweeps anything missed at stream close).
+// release gives back what the spill state still holds of the budget and
+// of the disk when the join ends, finished or not (the manager sweeps
+// anything missed at stream close).
 func (js *joinSpill) release() {
 	if js == nil {
 		return
 	}
-	for p := range js.top.parts {
-		js.dropResident(&js.top.parts[p])
+	for _, ps := range js.states {
+		ps.router.close()
+		releaseBuilders([]*runBuilder{ps.sorter})
 	}
-	js.top.file.release()
+	js.states = nil
+	js.top.build.close()
+	js.top.g.abandon()
 }

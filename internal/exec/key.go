@@ -10,18 +10,6 @@ import (
 	"vexdb/internal/vector"
 )
 
-// partitionOf is the hash partition of h at a recursion level, for the
-// aggregation's partitions and both spillers: nibble level, from the
-// top, of the hash multiplied once more. A nibble of the hash itself
-// will not do: the low ones are constant over keys that differ only
-// above bit 40 (whole-number doubles, integers shifted left), and the
-// top ones are the home slot in a partition's own index
-// (groupIndex.home), which one nibble's keys would crowd into a
-// sixteenth of the slots. The product's top word depends on every bit.
-func partitionOf(h uint64, level int) int {
-	return int(h * hashMul >> (60 - 4*uint(level)) & (spillFanout - 1))
-}
-
 // ------------------------------------------------------- column hashing
 
 const (

@@ -5,84 +5,86 @@ import (
 	"vexdb/internal/vector"
 )
 
-// mlProjectOp is the streaming vectorized projection for row-local
-// (Parallel) UDFs — the engine's PREDICT operator. Where udfProjectOp
-// drains its whole input before the first UDF call, mlProjectOp scores
-// each arriving chunk as it is pulled: memory stays O(chunk) no matter
-// the input size, LIMIT consumers stop the scan early, cancellation is
-// observed at every chunk boundary, and a memory-governed query never
-// needs to spill its scored input. Oversized child chunks (a join can
-// emit more than DefaultChunkSize rows at once) are split before
-// evaluation, so downstream operators and the wire only ever see
-// standard-sized chunks.
+// mlProjectOp is the vectorized projection over UDF calls — the engine's
+// PREDICT operator. Row-local (Parallel) calls score each arriving chunk
+// as it is pulled: memory stays O(chunk) no matter the input size, LIMIT
+// consumers stop the scan early, and a memory-governed query never needs
+// to spill its scored input. A holistic call (not Parallel: output row i
+// may depend on any input row) makes the input whole — the child is
+// drained before the one evaluation. Either way the evaluated columns
+// are emitted in standard-sized slices (a join can hand over more than
+// DefaultChunkSize rows at once), so downstream operators and the wire
+// never see an oversized chunk; row-local calls give the same bytes
+// sliced before or after. Cancellation is observed at every chunk
+// boundary.
 //
-// Top-level Parallel UDF calls are partitioned across the context's
-// worker count per chunk via EvalPartitionedCall, preserving the
-// drained path's partitioned-execution semantics; row-local evaluation
-// makes chunked results bit-identical to whole-input evaluation.
+// Top-level Parallel calls are partitioned across the context's worker
+// count via EvalPartitionedCall.
 type mlProjectOp struct {
 	exprs []plan.Expr
 	child Operator
+	whole bool // some call is not Parallel (derived from the plan)
 	ctx   *Context
-	carry *vector.Chunk // oversized child chunk being re-sliced
-	off   int
+	out   *vector.Chunk // evaluated rows not yet emitted
+	done  bool          // the child is exhausted
 }
 
 func (p *mlProjectOp) Open(ctx *Context) error {
-	p.ctx = ctx
-	p.carry, p.off = nil, 0
+	p.ctx, p.out, p.done = ctx, nil, false
 	return p.child.Open(ctx)
 }
 
 func (p *mlProjectOp) Next() (*vector.Chunk, error) {
-	for {
+	for p.out == nil {
 		if p.ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		if p.carry != nil {
-			end := p.off + vector.DefaultChunkSize
-			if n := p.carry.NumRows(); end > n {
-				end = n
-			}
-			in := p.carry.Slice(p.off, end)
-			if end >= p.carry.NumRows() {
-				p.carry, p.off = nil, 0
-			} else {
-				p.off = end
-			}
-			return p.evalChunk(in)
+		if p.done {
+			return nil, nil
 		}
-		ch, err := p.child.Next()
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		if ch.NumRows() == 0 {
-			continue
-		}
-		if ch.NumRows() > vector.DefaultChunkSize {
-			p.carry, p.off = ch, 0
-			continue
-		}
-		return p.evalChunk(ch)
-	}
-}
-
-// evalChunk evaluates the projection over one input chunk.
-func (p *mlProjectOp) evalChunk(in *vector.Chunk) (*vector.Chunk, error) {
-	cols := make([]*vector.Vector, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := p.evalExpr(e, in)
+		in, err := p.input()
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = v
+		if in == nil || in.NumRows() == 0 {
+			continue
+		}
+		cols := make([]*vector.Vector, len(p.exprs))
+		for i, e := range p.exprs {
+			if cols[i], err = p.evalExpr(e, in); err != nil {
+				return nil, err
+			}
+		}
+		p.out = vector.NewChunk(cols...)
 	}
-	return vector.NewChunk(cols...), nil
+	ch := p.out
+	if n := ch.NumRows(); n > vector.DefaultChunkSize {
+		ch, p.out = ch.Slice(0, vector.DefaultChunkSize), ch.Slice(vector.DefaultChunkSize, n)
+	} else {
+		p.out = nil
+	}
+	return ch, nil
+}
+
+// input returns the next rows to evaluate: the child's next chunk or,
+// for a holistic projection, all of its chunks as one.
+func (p *mlProjectOp) input() (*vector.Chunk, error) {
+	if p.whole {
+		var all spillBuf
+		p.done = true
+		err := (&chunkFeed{child: p.child}).forEach(p.ctx, 1, func(_, _ int, ch *vector.Chunk) error {
+			all.add(ch.Cols())
+			return nil
+		})
+		return vector.NewChunk(all.cols...), err
+	}
+	ch, err := p.child.Next()
+	p.done = ch == nil
+	return ch, err
 }
 
 // evalExpr evaluates one expression over a chunk, partitioning
-// top-level Parallel UDF calls across workers (the same shape
-// udfProjectOp.evalFull uses over the drained input).
+// top-level Parallel UDF calls across workers.
 func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, error) {
 	if call, ok := e.(*plan.Call); ok && call.Fn.Parallel {
 		args := make([]*vector.Vector, len(call.Args))
@@ -99,5 +101,3 @@ func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, e
 }
 
 func (p *mlProjectOp) Close() error { return p.child.Close() }
-
-var _ Operator = (*mlProjectOp)(nil)

@@ -239,16 +239,10 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 			return nil, err
 		}
 		if exprsHaveUDF(n.Exprs) {
-			if callsAllParallel(n.Exprs) {
-				// Row-local (Parallel) UDFs — model prediction — stream
-				// chunk at a time: O(chunk) memory, LIMIT early-exit,
-				// cancellation at chunk boundaries.
-				return &mlProjectOp{exprs: n.Exprs, child: child}, nil
-			}
-			// Holistic UDFs must see the whole input at once, as
-			// MonetDB/Python vectorized UDFs do: materialize the child
-			// and evaluate once over the full input.
-			return &udfProjectOp{exprs: n.Exprs, child: child}, nil
+			// Row-local (Parallel) UDFs — model prediction — stream chunk
+			// at a time; a holistic one must see the whole input at once,
+			// as MonetDB/Python vectorized UDFs do.
+			return &mlProjectOp{exprs: n.Exprs, child: child, whole: !callsAllParallel(n.Exprs)}, nil
 		}
 		return &projectOp{exprs: n.Exprs, child: child}, nil
 	case *plan.HashJoin:
@@ -260,19 +254,19 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinOp{spec: n, left: left, right: right}, nil
+		return &hashJoinOp{spec: n, probe: chunkFeed{child: left}, build: chunkFeed{child: right}}, nil
 	case *plan.Aggregate:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
 			return nil, err
 		}
-		return &aggOp{spec: n, child: child}, nil
+		return &aggOp{spec: n, in: chunkFeed{child: child}}, nil
 	case *plan.Sort:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{spec: n, child: child}, nil
+		return &sortOp{spec: n, in: chunkFeed{child: child}}, nil
 	case *plan.Limit:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
@@ -503,114 +497,6 @@ func callsAllParallel(exprs []plan.Expr) bool {
 	}
 	return true
 }
-
-// drain materializes an operator's full output as one chunk,
-// observing the context's cancellation between chunks so a long
-// blocking drain (sort, join build, UDF projection) stops promptly
-// instead of at its next operator boundary.
-func drain(op Operator, ctx *Context) (*vector.Chunk, error) {
-	var acc []*vector.Vector
-	for {
-		if ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			break
-		}
-		if acc == nil {
-			acc = make([]*vector.Vector, ch.NumCols())
-			for i := range acc {
-				acc[i] = vector.New(ch.Col(i).Type(), ch.NumRows())
-			}
-		}
-		for i := range acc {
-			acc[i].AppendVector(ch.Col(i))
-		}
-	}
-	if acc == nil {
-		return vector.NewChunk(), nil
-	}
-	return vector.NewChunk(acc...), nil
-}
-
-// udfProjectOp materializes its child and evaluates the projection
-// once over the whole input, so holistic vectorized UDFs (calls not
-// marked Parallel) see entire columns. Parallel UDF calls at the top
-// level of an expression are partitioned across the context's worker
-// count. The evaluated result is re-emitted in standard-sized chunks
-// so downstream operators and the wire never see an oversized chunk.
-// Row-local UDF projections take the streaming mlProjectOp path
-// instead (see mlproject.go).
-type udfProjectOp struct {
-	exprs []plan.Expr
-	child Operator
-	ctx   *Context
-	done  bool
-	out   *vector.Chunk // evaluated result, emitted in slices
-	pos   int
-}
-
-func (p *udfProjectOp) Open(ctx *Context) error {
-	p.ctx = ctx
-	p.done = false
-	p.out, p.pos = nil, 0
-	return p.child.Open(ctx)
-}
-
-func (p *udfProjectOp) Next() (*vector.Chunk, error) {
-	if !p.done {
-		p.done = true
-		in, err := drain(p.child, p.ctx)
-		if err != nil {
-			return nil, err
-		}
-		if in.NumCols() == 0 || in.NumRows() == 0 {
-			return nil, nil
-		}
-		cols := make([]*vector.Vector, len(p.exprs))
-		for i, e := range p.exprs {
-			v, err := p.evalFull(e, in)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = v
-		}
-		p.out = vector.NewChunk(cols...)
-	}
-	if p.out == nil || p.pos >= p.out.NumRows() {
-		return nil, nil
-	}
-	end := p.pos + vector.DefaultChunkSize
-	if n := p.out.NumRows(); end > n {
-		end = n
-	}
-	ch := p.out.Slice(p.pos, end)
-	p.pos = end
-	return ch, nil
-}
-
-// evalFull evaluates an expression over the whole input, partitioning
-// top-level Parallel UDF calls across workers.
-func (p *udfProjectOp) evalFull(e plan.Expr, in *vector.Chunk) (*vector.Vector, error) {
-	if call, ok := e.(*plan.Call); ok && call.Fn.Parallel {
-		args := make([]*vector.Vector, len(call.Args))
-		for i, a := range call.Args {
-			v, err := p.evalFull(a, in)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return EvalPartitionedCall(call, args, p.ctx.Workers())
-	}
-	return Evaluate(e, in)
-}
-
-func (p *udfProjectOp) Close() error { return p.child.Close() }
 
 // ----------------------------------------------------------------- limit
 

@@ -8,7 +8,7 @@
 // partitions — that are merged when the input drains (aggOp, agg.go;
 // SELECT DISTINCT and the dedup stage of DISTINCT aggregates are
 // group-bys with no aggregates), sort per-worker runs merged by a loser
-// tree (parallel sort, merge.go), or probe a shared hash-join build table.
+// tree (sortOp, merge.go), or probe a shared hash-join build table.
 // All parallel operators preserve the exact row order serial execution
 // produces, so both ORDER BY and ORDER BY-less results stay
 // deterministic.
@@ -211,6 +211,23 @@ func (p *pipeSpec) apply(ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, erro
 	return ch, nil
 }
 
+// ordered starts workers that run the pipeline's morsels and then over
+// what is left of each; the results are re-emitted in morsel order.
+func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (*vector.Chunk, error)) *orderedDriver {
+	n := p.src.open(ctx)
+	scratch := make([]pipeScratch, workers)
+	return startOrdered(n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
+		ch, err := p.src.fetch(i)
+		if err == nil {
+			ch, err = p.apply(ch, &scratch[w])
+		}
+		if err != nil || ch == nil {
+			return nil, err
+		}
+		return then(ch)
+	})
+}
+
 // forEach drains the pipeline through a pool of up to workers
 // goroutines (at least one): each claims morsels and hands fn the
 // non-empty ones with its own index w — calls that share a w never
@@ -238,6 +255,54 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 		return ErrCancelled
 	}
 	return err
+}
+
+// chunkFeed is a blocking operator's input: a child operator, whose
+// chunks go in order to worker 0, or — pipe — a morsel pipeline drained
+// by up to workers goroutines.
+type chunkFeed struct {
+	child   Operator  // nil when pipe is set
+	pipe    *pipeSpec // the morsel-parallel form
+	workers int
+}
+
+func (f *chunkFeed) open(ctx *Context) error {
+	if f.pipe != nil {
+		return nil // forEach snapshots the source
+	}
+	return f.child.Open(ctx)
+}
+
+// forEach pushes the input's non-empty chunks at fn, each with its index
+// in the input stream, as pipeSpec.forEach does.
+func (f *chunkFeed) forEach(ctx *Context, workers int, fn func(w, morsel int, ch *vector.Chunk) error) error {
+	if f.pipe != nil {
+		return f.pipe.forEach(ctx, workers, fn)
+	}
+	for morsel := 0; ; morsel++ {
+		if ctx.interrupted() {
+			return ErrCancelled
+		}
+		ch, err := f.child.Next()
+		if err != nil || ch == nil {
+			return err
+		}
+		if ch.NumRows() > 0 {
+			if err := fn(0, morsel, ch); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// close ends the input, drained or not: finish is idempotent and flushes
+// scan accounting when the stream is abandoned before the first Next.
+func (f *chunkFeed) close() error {
+	if f.pipe != nil {
+		f.pipe.src.finish()
+		return nil
+	}
+	return f.child.Close()
 }
 
 // parallelFor calls fn(w, i) once for every i below n from up to
@@ -417,15 +482,7 @@ type parallelPipeOp struct {
 }
 
 func (p *parallelPipeOp) Open(ctx *Context) error {
-	n := p.pipe.src.open(ctx)
-	scratch := make([]pipeScratch, p.workers)
-	p.drv = startOrdered(n, p.workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := p.pipe.src.fetch(i)
-		if err != nil {
-			return nil, err
-		}
-		return p.pipe.apply(ch, &scratch[w])
-	})
+	p.drv = p.pipe.ordered(ctx, p.workers, func(ch *vector.Chunk) (*vector.Chunk, error) { return ch, nil })
 	return nil
 }
 
@@ -453,7 +510,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 			return nil, false, nil
 		}
 		if pipe := extractPipe(n.Child); pipe != nil {
-			return &aggOp{spec: n, pipe: pipe, workers: workers}, true, nil
+			return &aggOp{spec: n, in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
 		}
 	case *plan.Sort:
 		// UDFs in key expressions keep the sort serial: parallel run
@@ -462,7 +519,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 			return nil, false, nil
 		}
 		if pipe := extractPipe(n.Child); pipe != nil {
-			return &parallelSortOp{spec: n, pipe: pipe, workers: workers}, true, nil
+			return &sortOp{spec: n, in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
 		}
 	case *plan.Distinct:
 		// DISTINCT over the full row is grouping by every column with
@@ -470,7 +527,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 		// per-worker and restores serial first-appearance order at the
 		// merge.
 		if pipe := extractPipe(n.Child); pipe != nil {
-			return &aggOp{spec: groupByAll(n.Child, n.Hints), pipe: pipe, workers: workers}, true, nil
+			return &aggOp{spec: groupByAll(n.Child, n.Hints), in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
 		}
 	case *plan.HashJoin:
 		if exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra})) {
@@ -484,7 +541,7 @@ func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error
 		if err != nil {
 			return nil, false, err
 		}
-		return &hashJoinOp{spec: n, right: right, probePipe: pipe, workers: workers}, true, nil
+		return &hashJoinOp{spec: n, build: chunkFeed{child: right}, probe: chunkFeed{pipe: pipe, workers: workers}}, true, nil
 	}
 	return nil, false, nil
 }
@@ -511,9 +568,3 @@ func sortKeyExprs(keys []plan.SortKey) []plan.Expr {
 	}
 	return exprs
 }
-
-// assertOperator guards the parallel operators against interface drift.
-var (
-	_ Operator = (*parallelPipeOp)(nil)
-	_ Operator = (*aggOp)(nil)
-)

@@ -72,7 +72,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
 		t.Fatalf("aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
@@ -86,7 +86,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
 		t.Fatalf("distinct aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
@@ -98,8 +98,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*parallelSortOp); !ok {
-		t.Fatalf("sort over pipeline built %T, want *parallelSortOp", op)
+	if s, ok := op.(*sortOp); !ok || s.in.pipe == nil {
+		t.Fatalf("sort over pipeline built %T, want *sortOp over a pipeline", op)
 	}
 
 	distinct := &plan.Distinct{Child: filter}
@@ -107,7 +107,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
 		t.Fatalf("DISTINCT built %T, want *aggOp over a pipeline (group-by rewrite)", op)
 	}
 
@@ -123,8 +123,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	jop, ok := op.(*hashJoinOp)
-	if !ok || jop.probePipe == nil {
-		t.Fatalf("join built %T (probePipe set: %v), want parallel-probe *hashJoinOp", op, ok && jop.probePipe != nil)
+	if !ok || jop.probe.pipe == nil {
+		t.Fatalf("join built %T (probePipe set: %v), want parallel-probe *hashJoinOp", op, ok && jop.probe.pipe != nil)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestGroupIndexFastPaths(t *testing.T) {
 	}
 	var perPart [spillFanout]int
 	for _, h := range big.hashes[:big.n] {
-		perPart[partitionOf(h, 0)]++
+		perPart[partitionOf(h, 4, 0)]++
 	}
 	for p, n := range perPart {
 		if n < len(xs)/spillFanout/2 || n > len(xs)/spillFanout*2 {
@@ -408,9 +408,9 @@ func TestGroupIndexProbeLengths(t *testing.T) {
 		keep func(h, first uint64) bool
 	}{
 		{"all keys", func(uint64, uint64) bool { return true }},
-		{"one partition", func(h, first uint64) bool { return partitionOf(h, 0) == partitionOf(first, 0) }},
+		{"one partition", func(h, first uint64) bool { return partitionOf(h, 4, 0) == partitionOf(first, 4, 0) }},
 		{"one level-1 spill partition", func(h, first uint64) bool {
-			return partitionOf(h, 0) == partitionOf(first, 0) && partitionOf(h, 1) == partitionOf(first, 1)
+			return partitionOf(h, 4, 0) == partitionOf(first, 4, 0) && partitionOf(h, 4, 1) == partitionOf(first, 4, 1)
 		}},
 	}
 	for name, keys := range map[string][]*vector.Vector{
@@ -455,10 +455,11 @@ func TestGroupIndexProbeLengths(t *testing.T) {
 
 // TestPartitionOfSpreadsHighBitKeys: keys that differ only above bit 40
 // — whole-number doubles, integers shifted far left — hash to values
-// whose low nibbles are constant, and used to land in one partition for
-// the first one or two levels of either spiller. Every level is cut from
-// a remix of the hash: 64k such keys fill at least 14 of the 16
-// partitions at level 0, and one level-0 partition's keys at least 14
+// whose low bits are constant, and used to land in one partition for the
+// first one or two levels of the aggregation's partitions and at level 0
+// of the join's. Every level is cut from a remix of the hash, at either
+// level-0 width: 64k such keys fill at least 7/8 of the partitions at
+// level 0, and one level-0 partition's keys at least 7/8 of the sixteen
 // at level 1, none holding more than twice its share.
 func TestPartitionOfSpreadsHighBitKeys(t *testing.T) {
 	const n = 64 << 10
@@ -468,24 +469,28 @@ func TestPartitionOfSpreadsHighBitKeys(t *testing.T) {
 	}
 	for name, key := range map[string]*vector.Vector{"whole doubles": vector.FromFloat64s(doubles), "i<<44": vector.FromInt64s(shifted)} {
 		hashes := hashKeyRows([]*vector.Vector{key}, n, nil)
-		for level := 0; level < 2; level++ {
-			var counts [spillFanout]int
-			total := 0
-			for _, h := range hashes {
-				if level == 0 || partitionOf(h, 0) == partitionOf(hashes[0], 0) {
-					counts[partitionOf(h, level)]++
-					total++
+		for _, bits := range []uint{4, 8} {
+			for level := 0; level < 2; level++ {
+				counts, total := make([]int, spillFanout), 0
+				if level == 0 {
+					counts = make([]int, 1<<bits)
 				}
-			}
-			filled, largest := 0, 0
-			for _, c := range counts {
-				if c > 0 {
-					filled++
+				for _, h := range hashes {
+					if level == 0 || partitionOf(h, bits, 0) == partitionOf(hashes[0], bits, 0) {
+						counts[partitionOf(h, bits, level)]++
+						total++
+					}
 				}
-				largest = max(largest, c)
-			}
-			if filled < 14 || largest*spillFanout > 2*total {
-				t.Errorf("%s, level %d: %d of %d partitions filled, largest %d of %d keys", name, level, filled, spillFanout, largest, total)
+				filled, largest := 0, 0
+				for _, c := range counts {
+					if c > 0 {
+						filled++
+					}
+					largest = max(largest, c)
+				}
+				if filled*8 < len(counts)*7 || largest*len(counts) > 2*total {
+					t.Errorf("%s, width %d, level %d: %d of %d partitions filled, largest %d of %d keys", name, bits, level, filled, len(counts), largest, total)
+				}
 			}
 		}
 	}

@@ -142,7 +142,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		return &materialOp{data: bigMaterialTable(t, 10_000)}
 	}
 
-	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, child: child()}
+	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, in: chunkFeed{child: child()}}
 	if err := sortop.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("sort: err = %v, want ErrCancelled", err)
 	}
 
-	agg := &aggOp{spec: &plan.Aggregate{}, child: child()}
+	agg := &aggOp{spec: &plan.Aggregate{}, in: chunkFeed{child: child()}}
 	if err := agg.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
-// Sort operators: the serial sortOp and the morsel-parallel
-// parallelSortOp, both built on the shared run machinery in merge.go.
-// Run generation accumulates rows (spilling whole sorted runs to disk
-// when the query's memory budget is exceeded, and keeping only the
-// top-k rows when a LIMIT bounds the observable output); a loser-tree
-// merge then streams fully sorted chunks incrementally. The global
-// input position tiebreak makes every configuration — serial or
-// parallel, in-memory or spilled, any worker count, any budget —
-// byte-identical to a serial stable sort.
+// The sort operator, built on the shared run machinery in merge.go. Run
+// generation accumulates rows (spilling whole sorted runs to disk when
+// the query's memory budget is exceeded, and keeping only the top-k rows
+// when a LIMIT bounds the observable output); a loser-tree merge then
+// streams fully sorted chunks incrementally. The global input position
+// tiebreak makes every configuration — serial or parallel, in-memory or
+// spilled, any worker count, any budget — byte-identical to a serial
+// stable sort.
 package exec
 
 import (
@@ -16,85 +15,25 @@ import (
 	"vexdb/internal/vector"
 )
 
-// ----------------------------------------------------------------- serial
-
-// sortOp is the serial ORDER BY operator. It drains its child into a
-// run builder (external runs under memory pressure, top-k compaction
-// under a LIMIT hint) and streams the merged output.
+// sortOp is the ORDER BY operator: a child drains into one run builder,
+// a morsel pipeline, fanned out over the worker pool, into one per
+// worker; Next streams merged chunks, observing cancellation between
+// merge batches and stopping early once the plan's LIMIT bound is met.
 type sortOp struct {
-	spec   *plan.Sort
-	child  Operator
+	spec *plan.Sort
+	in   chunkFeed
+
 	ctx    *Context
 	merger *runMerger
 }
 
 func (s *sortOp) Open(ctx *Context) error {
-	s.ctx = ctx
-	s.merger = nil
-	return s.child.Open(ctx)
+	s.ctx, s.merger = ctx, nil
+	return s.in.open(ctx)
 }
 
 func (s *sortOp) Next() (*vector.Chunk, error) {
 	if s.merger == nil {
-		b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
-		var rows int64
-		for {
-			if s.ctx.interrupted() {
-				return nil, ErrCancelled
-			}
-			ch, err := s.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if ch == nil {
-				break
-			}
-			if err := b.add(ch, rows); err != nil {
-				return nil, err
-			}
-			rows += int64(ch.NumRows())
-		}
-		m, err := finishBuilders(s.ctx, s.spec.Limit, []*runBuilder{b})
-		if err != nil {
-			return nil, err
-		}
-		s.merger = m
-	}
-	return s.merger.next(s.ctx)
-}
-
-func (s *sortOp) Close() error {
-	s.merger.close()
-	return s.child.Close()
-}
-
-// ----------------------------------------------------------------- parallel
-
-// parallelSortOp is the morsel-parallel ORDER BY operator: run
-// generation fans out over the worker pool (each worker owning a run
-// builder that spills under budget pressure), then Next streams merged
-// chunks off the loser tree, observing cancellation between merge
-// batches and stopping early once the plan's LIMIT bound is met.
-type parallelSortOp struct {
-	spec    *plan.Sort
-	pipe    *pipeSpec
-	workers int
-
-	ctx     *Context
-	started bool
-	merger  *runMerger
-}
-
-func (s *parallelSortOp) Open(ctx *Context) error {
-	s.ctx = ctx
-	s.started = false
-	s.merger = nil
-	return nil
-}
-
-func (s *parallelSortOp) Next() (*vector.Chunk, error) {
-	if !s.started {
-		s.started = true
 		builders, err := s.fillBuilders()
 		if err == nil {
 			s.merger, err = finishBuilders(s.ctx, s.spec.Limit, builders)
@@ -106,12 +45,12 @@ func (s *parallelSortOp) Next() (*vector.Chunk, error) {
 	return s.merger.next(s.ctx)
 }
 
-// fillBuilders drains the input morsel-parallel into run builders:
-// each worker accumulates claimed morsels in its own, spilling sorted
-// runs whenever the shared budget is exceeded. Workers observe
-// cancellation between morsels; a cancelled drain surfaces
-// ErrCancelled rather than merging a partial input.
-func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
+// fillBuilders drains the input into run builders: each worker
+// accumulates the morsels it claims in its own, spilling sorted runs
+// whenever the shared budget is exceeded. A row's position is
+// (morsel, row). A cancelled drain surfaces ErrCancelled rather than
+// merging a partial input.
+func (s *sortOp) fillBuilders() ([]*runBuilder, error) {
 	// Context.Parallelism is an upper bound on concurrency, but more
 	// runs than threads the scheduler will run add no sort parallelism —
 	// they only widen the merge, which is pure overhead on the consumer.
@@ -121,11 +60,11 @@ func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
 	if runCap < 1 {
 		runCap = runtime.GOMAXPROCS(0)
 	}
-	builders := make([]*runBuilder, max(min(s.workers, runCap), 1))
+	builders := make([]*runBuilder, max(min(s.in.workers, runCap), 1))
 	for w := range builders {
 		builders[w] = newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
 	}
-	err := s.pipe.forEach(s.ctx, len(builders), func(w, i int, ch *vector.Chunk) error {
+	err := s.in.forEach(s.ctx, len(builders), func(w, i int, ch *vector.Chunk) error {
 		return builders[w].add(ch, int64(i)<<32)
 	})
 	if err != nil {
@@ -136,23 +75,21 @@ func (s *parallelSortOp) fillBuilders() ([]*runBuilder, error) {
 	return builders, nil
 }
 
-// releaseBuilders drops the spill files of builders whose runs will
-// never be merged.
+// releaseBuilders drops the buffers and spill files of builders whose
+// runs will never be merged.
 func releaseBuilders(builders []*runBuilder) {
 	for _, b := range builders {
+		b.ctx.memShrink(b.bytes)
+		b.bytes = 0
 		if b.file != nil {
 			b.file.Release()
 		}
 	}
 }
 
-func (s *parallelSortOp) Close() error {
-	// Run generation joins its workers before buildRuns returns, so
-	// nothing is in flight here; finish is idempotent and flushes scan
-	// accounting when the stream is abandoned before the first Next.
-	s.pipe.src.finish()
+func (s *sortOp) Close() error {
+	// Run generation joins its workers before fillBuilders returns, so
+	// nothing is in flight here.
 	s.merger.close()
-	return nil
+	return s.in.close()
 }
-
-var _ Operator = (*parallelSortOp)(nil)

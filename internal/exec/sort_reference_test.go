@@ -324,7 +324,7 @@ func TestSortRunsFollowScheduler(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		old := runtime.GOMAXPROCS(procs)
 		ctx := &Context{Parallelism: 8}
-		op := &parallelSortOp{spec: spec, pipe: extractPipe(spec.Child), workers: 8}
+		op := &sortOp{spec: spec, in: chunkFeed{pipe: extractPipe(spec.Child), workers: 8}}
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -342,6 +342,66 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	}
 }
 
+// highBitJoin is a 128k-row build side joined by a 256k-row probe side
+// (every build key twice) on one key column filled by key(i).
+func highBitJoin(t testing.TB, key func(i int) vector.Value) *plan.HashJoin {
+	t.Helper()
+	const buildRows, probeRows = 128 << 10, 256 << 10
+	cat := catalog.New()
+	typ := key(0).Type()
+	mk := func(name string, rows int) *plan.Scan {
+		tab, err := cat.CreateTable(name, catalog.Schema{{Name: "k", Type: typ}, {Name: "v", Type: vector.Int64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from := 0; from < rows; from += vector.DefaultChunkSize {
+			k, v := vector.New(typ, vector.DefaultChunkSize), make([]int64, vector.DefaultChunkSize)
+			for r := range v {
+				k.AppendValue(key((from + r) % buildRows))
+				v[r] = int64(from + r)
+			}
+			if err := tab.Data.AppendChunk(vector.NewChunk(k, vector.FromInt64s(v))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &plan.Scan{Table: tab}
+	}
+	return &plan.HashJoin{Kind: sql.InnerJoin, Left: mk("probe", probeRows), Right: mk("build", buildRows),
+		LeftKeys: []plan.Expr{colRef(0, typ)}, RightKeys: []plan.Expr{colRef(0, typ)}}
+}
+
+// TestSpillJoinHighBitKeys: keys that differ only above bit 40 — whole-
+// number doubles, integers shifted far left — have constant low hash
+// bits, from which the join used to cut its level-0 partition: every row
+// landed in one partition, which spilled and was re-partitioned, build
+// side and deferred probe rows both written twice. Cut by partitionOf
+// like every other level, such a join is byte-identical to the in-memory
+// one, spills no more than level 0's sixteen partitions and writes what
+// the same join on scrambled keys writes.
+func TestSpillJoinHighBitKeys(t *testing.T) {
+	scrambled := highBitJoin(t, func(i int) vector.Value { return vector.NewInt64(int64(i) * 7919) })
+	for name, key := range map[string]func(i int) vector.Value{
+		"whole doubles": func(i int) vector.Value { return vector.NewFloat64(float64(i)) },
+		"i<<44":         func(i int) vector.Value { return vector.NewInt64(int64(i) << 44) },
+	} {
+		node := highBitJoin(t, key)
+		want := runPlan(t, node, &Context{Parallelism: 1})
+		for _, workers := range []int{1, 2, 8} {
+			base, _ := spillCtx(t, workers, 512<<10)
+			runPlan(t, scrambled, base)
+			ctx, dir := spillCtx(t, workers, 512<<10)
+			assertTablesEqual(t, runPlan(t, node, ctx), want, fmt.Sprintf("%s workers=%d", name, workers))
+			assertTempDirEmpty(t, dir)
+			parts, wrote, baseline := ctx.Spill.Partitions(), ctx.Spill.BytesWritten(), base.Spill.BytesWritten()
+			t.Logf("%s workers=%d: %d partitions, %d bytes written (scrambled: %d)", name, workers, parts, wrote, baseline)
+			if parts == 0 || parts > 16 || wrote*100 > baseline*105 {
+				t.Errorf("%s workers=%d: %d partitions spilled, %d bytes written; scrambled keys: %d partitions, %d bytes",
+					name, workers, parts, wrote, base.Spill.Partitions(), baseline)
+			}
+		}
+	}
+}
+
 // TestSpillCleanupOnCancelAndError: temp files must vanish when a
 // spilling query is cancelled mid-stream or dies on an execution
 // error.

@@ -157,6 +157,67 @@ func BenchmarkMicroAggregateSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroHashJoinSpill measures a 256k-row probe side joined to a
+// 128k-row build side (every key twice) under a 1MB budget, a fraction
+// of the build side, where routing, evicting and reloading partitions is
+// the join's work: on scrambled keys (i*7919) and on keys that differ
+// only above bit 44 (i<<44: constant low hash bits), at workers 1 and 2.
+// spill-B/op is what the query wrote.
+func BenchmarkMicroHashJoinSpill(b *testing.B) {
+	const buildRows, probeRows = 128 << 10, 256 << 10
+	for _, v := range []struct {
+		name string
+		key  func(i int) int64
+	}{
+		{"scrambled", func(i int) int64 { return int64(i) * 7919 }},
+		{"shifted", func(i int) int64 { return int64(i) << 44 }},
+	} {
+		db := OpenOptions(Options{MemoryBudget: 1 << 20, TempDir: b.TempDir()})
+		for name, rows := range map[string]int{"build": buildRows, "probe": probeRows} {
+			ks, ones := make([]int64, rows), make([]int64, rows)
+			for i := range ks {
+				ks[i], ones[i] = v.key(i%buildRows), 1
+			}
+			tab, err := NewTable([]string{"k", "v"}, []*Vector{NewVectorInt64(ks), NewVectorInt64(ones)})
+			if err == nil {
+				err = db.CreateTableFrom(name, tab)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(b *testing.B) {
+				db.SetParallelism(workers)
+				var spilled int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rows, err := db.QueryStream("SELECT sum(b.v) AS n FROM probe p JOIN build b ON p.k = b.k")
+					if err != nil {
+						b.Fatal(err)
+					}
+					tab, err := rows.NextTable()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if n := tab.Cols[0].Int64s()[0]; n != probeRows {
+						b.Fatalf("%d joined rows, want %d", n, probeRows)
+					}
+					_, _, written, _ := rows.SpillStats()
+					spilled += written
+					rows.Close()
+				}
+				if spilled == 0 {
+					b.Fatal("the join did not spill")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/probeRows, "ns/row")
+				b.ReportMetric(float64(spilled)/float64(b.N), "spill-B/op")
+			})
+		}
+	}
+}
+
 // BenchmarkMicroSortSpill measures the streamed full ORDER BY at an
 // unlimited vs. 4MB budget (external sorted runs + streaming merge) at
 // workers 1 and 2.
