@@ -1,36 +1,24 @@
 package vexdb_test
 
-// The benchmark harness regenerating the paper's evaluation:
-//
-//   - BenchmarkFigure1_*       — one benchmark per Figure-1 bar (the
-//     voter-classification pipeline under each data placement).
-//   - BenchmarkE2Model*        — model (de)serialization overhead
-//     (paper §5.1).
-//   - BenchmarkE3ParallelUDF_* — parallel prediction UDF scaling.
-//   - BenchmarkE4Ensemble      — stored-model ensemble inference.
-//   - BenchmarkE5Protocols_*   — client result-set protocols.
-//   - BenchmarkMicro*          — engine micro-ablations (join,
-//     aggregation, scan, CSV parse).
-//
-// Benchmarks run at a reduced scale (20k voters x 24 columns) so the
-// suite completes quickly; cmd/voterbench runs the experiments at full
-// scale, and bench/README.md describes the benchmark of record.
+// Engine micro-ablations (join, aggregation, scan, model marshalling)
+// over generated voter and event tables, at a reduced scale (20k
+// voters x 24 columns) so the suite completes quickly; scanprune_test.go
+// and spillsmoke_test.go hold the rest. The benchmark of record is
+// bench/ (see bench/README.md).
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
 	"vexdb"
-	"vexdb/internal/wire"
 	"vexdb/internal/workload"
 	"vexdb/ml"
 )
 
 var (
 	benchOnce sync.Once
-	benchEnv  *workload.Env
+	benchDB   *vexdb.DB
 	benchErr  error
 )
 
@@ -39,139 +27,32 @@ func benchConfig() workload.Config {
 	cfg.Voters = 20_000
 	cfg.Columns = 24
 	cfg.Precincts = 500
-	cfg.Estimators = 8
 	return cfg
 }
 
-func getEnv(b *testing.B) *workload.Env {
+// votersDB returns the shared database holding the generated voters and
+// precincts tables.
+func votersDB(b *testing.B) *vexdb.DB {
 	b.Helper()
 	benchOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "vexdb-bench-*")
-		if err != nil {
-			benchErr = err
+		cfg := benchConfig()
+		precincts := workload.GeneratePrecincts(cfg)
+		benchDB = vexdb.Open()
+		if benchErr = benchDB.CreateTableFrom("precincts", workload.FrameToTable(precincts)); benchErr != nil {
 			return
 		}
-		benchEnv, benchErr = workload.Setup(benchConfig(), dir)
+		benchErr = benchDB.CreateTableFrom("voters", workload.FrameToTable(workload.GenerateVoters(cfg, precincts)))
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchEnv
-}
-
-func benchPipeline(b *testing.B, run func(*workload.Env) (workload.Result, error)) {
-	env := getEnv(b)
-	if _, err := run(env); err != nil { // warmup (hot runs, as in the paper)
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := run(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TestRows == 0 {
-			b.Fatal("pipeline classified no rows")
-		}
-	}
-}
-
-func BenchmarkFigure1_InDatabase(b *testing.B)   { benchPipeline(b, workload.RunInDatabase) }
-func BenchmarkFigure1_NumpyBinary(b *testing.B)  { benchPipeline(b, workload.RunNumpy) }
-func BenchmarkFigure1_HDF5Binary(b *testing.B)   { benchPipeline(b, workload.RunHDF5) }
-func BenchmarkFigure1_CSV(b *testing.B)          { benchPipeline(b, workload.RunCSV) }
-func BenchmarkFigure1_PostgresLike(b *testing.B) { benchPipeline(b, workload.RunPostgresLike) }
-func BenchmarkFigure1_MySQLLike(b *testing.B)    { benchPipeline(b, workload.RunMySQLLike) }
-func BenchmarkFigure1_SQLiteLike(b *testing.B)   { benchPipeline(b, workload.RunSQLiteLike) }
-
-func BenchmarkE2ModelSerialization(b *testing.B) {
-	env := getEnv(b)
-	for _, trees := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("trees=%d", trees), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := workload.E2ModelSerialization(env, []int{trees})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rows[0].BlobBytes == 0 {
-					b.Fatal("empty blob")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE3ParallelUDF(b *testing.B) {
-	env := getEnv(b)
-	// Build the labeled table and model once.
-	if _, err := workload.E3ParallelUDF(env, []int{1}); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := workload.E3ParallelUDF(env, []int{workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE4Ensemble(b *testing.B) {
-	env := getEnv(b)
-	for i := 0; i < b.N; i++ {
-		res, err := workload.E4Ensemble(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Majority == 0 {
-			b.Fatal("ensemble produced no accuracy")
-		}
-	}
-}
-
-func BenchmarkE5Protocols(b *testing.B) {
-	env := getEnv(b)
-	protos := []wire.Protocol{wire.Columnar, wire.BinaryRows, wire.TextRows}
-	for _, proto := range protos {
-		b.Run(proto.String(), func(b *testing.B) {
-			c, err := wire.Dial(env.Addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab, err := c.Query(proto, "SELECT * FROM voters")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if tab.NumRows() != env.Cfg.Voters {
-					b.Fatal("short transfer")
-				}
-			}
-		})
-	}
-	b.Run("row-cursor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tab, err := wire.RowIterate(env.ServerDB, "SELECT * FROM voters")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tab.NumRows() != env.Cfg.Voters {
-				b.Fatal("short transfer")
-			}
-		}
-	})
+	return benchDB
 }
 
 // ------------------------------------------------- micro ablations
 
 func BenchmarkMicroHashJoin(b *testing.B) {
-	env := getEnv(b)
-	db := env.DB
+	db := votersDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -181,15 +62,14 @@ func BenchmarkMicroHashJoin(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tab.Column("n").Get(0).Int64() != int64(env.Cfg.Voters) {
+		if tab.Column("n").Get(0).Int64() != int64(benchConfig().Voters) {
 			b.Fatal("wrong join cardinality")
 		}
 	}
 }
 
 func BenchmarkMicroAggregate(b *testing.B) {
-	env := getEnv(b)
-	db := env.DB
+	db := votersDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -201,8 +81,7 @@ func BenchmarkMicroAggregate(b *testing.B) {
 }
 
 func BenchmarkMicroScanFilter(b *testing.B) {
-	env := getEnv(b)
-	db := env.DB
+	db := votersDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,9 +103,8 @@ func BenchmarkMicroScanFilter(b *testing.B) {
 var benchParallelWorkers = []int{1, 2, 4, 8}
 
 func benchQueryParallel(b *testing.B, query string, check func(tab interface{ NumRows() int }) bool) {
-	env := getEnv(b)
-	db := env.DB
-	defer db.SetParallelism(env.Cfg.Parallelism)
+	db := votersDB(b)
+	defer db.SetParallelism(0)
 	for _, workers := range benchParallelWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			db.SetParallelism(workers)
@@ -453,39 +331,3 @@ func BenchmarkMicroModelMarshal(b *testing.B) {
 		}
 	}
 }
-
-// benchPredictQuery runs the Listing-2 prediction query with the
-// given predict function name (the cached variant is the paper's §5.1
-// future work implemented).
-func benchPredictQuery(b *testing.B, fn string) {
-	env := getEnv(b)
-	db := env.DB
-	if !db.HasTable("rf_model") {
-		if _, err := workload.RunInDatabase(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query := fmt.Sprintf(`
-		SELECT count(*) AS n FROM (
-			SELECT %s(m.model, v.f0, v.f1, v.f2, v.f3, v.f4, v.f5) AS p
-			FROM voters v, rf_model m) q
-		WHERE q.p >= 0`, fn)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab, err := db.Query(query)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tab.Column("n").Get(0).Int64() != int64(env.Cfg.Voters) {
-			b.Fatal("wrong prediction count")
-		}
-	}
-}
-
-// BenchmarkMicroPredictUDF measures the steady-state cost of the
-// paper's Listing 2 (model deserialized on every UDF invocation).
-func BenchmarkMicroPredictUDF(b *testing.B) { benchPredictQuery(b, "predict") }
-
-// BenchmarkMicroPredictUDFCached is the §5.1 extension: the model's
-// in-memory snapshot is reused across invocations.
-func BenchmarkMicroPredictUDFCached(b *testing.B) { benchPredictQuery(b, "predict_cached") }

@@ -58,7 +58,6 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight queries")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: writes become durable (group-commit fsync before ack) and crash recovery replays the log on start")
 	syncMode := flag.String("sync", "group", "WAL fsync policy: group (one fsync per commit batch), each (per statement), none (OS-buffered)")
-	reclaim := flag.String("reclaim", "fair", "memory-lease reclaim policy: fair (leases grow into idle pool bytes and shrink back to fair share under admission pressure), static (fixed fair-share leases, no grow/reclaim)")
 	flag.Parse()
 
 	budget, err := cliutil.ParseByteSize(*memBudget)
@@ -77,11 +76,6 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-sync: %w", err)
 	}
-	switch *reclaim {
-	case "fair", "static":
-	default:
-		return fmt.Errorf("-reclaim: %q (want fair or static)", *reclaim)
-	}
 	opts := vexdb.Options{
 		Parallelism:  *workers,
 		MemoryBudget: budget,
@@ -96,7 +90,6 @@ func run() error {
 			MaxQueued:        *maxQueue,
 			SessionMaxActive: *sessionQueries,
 			SessionMaxMemory: sessMem,
-			ReclaimPolicy:    *reclaim,
 		},
 	}
 	var db *vexdb.DB

@@ -84,8 +84,8 @@ type DB struct {
 
 	// NoCostPlanner disables the cost-based planning pass (join
 	// reordering, build-side selection, execution hints); plans then
-	// execute exactly as bound. Results are identical either way — the
-	// flag exists for benchmarking and differential testing.
+	// execute exactly as bound. Results are identical either way; it is
+	// the test hook the byte-identity matrix flips.
 	NoCostPlanner bool
 }
 

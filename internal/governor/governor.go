@@ -73,15 +73,6 @@ type Config struct {
 	// RetryAfter is the base client back-off hint carried by
 	// OverloadedError; 0 means 250ms.
 	RetryAfter time.Duration
-
-	// ReclaimPolicy selects how leases behave after admission:
-	//
-	//   "fair" (default) — Ticket.TryGrow grants idle pool bytes, and
-	//     admission reclaims grown bytes back toward fair share when
-	//     the pool cannot cover a newcomer's fair-share grant.
-	//   "static" — PR 6 behavior: leases are fixed at admission;
-	//     TryGrow is a no-op and nothing is ever reclaimed.
-	ReclaimPolicy string
 }
 
 func (c Config) maxActive() int {
@@ -111,9 +102,6 @@ func (c Config) retryAfter() time.Duration {
 	}
 	return 250 * time.Millisecond
 }
-
-// adaptive reports whether leases may grow and be reclaimed.
-func (c Config) adaptive() bool { return c.ReclaimPolicy != "static" }
 
 // fairShare is the lease granted at admission (and the level reclaim
 // shrinks grown tickets back toward).
@@ -252,7 +240,7 @@ func (t *Ticket) Workers() int { return t.workers }
 // bytes from other tickets; only admission-side reclaim does that.
 func (t *Ticket) TryGrow(n int64) int64 {
 	g := t.g
-	if n <= 0 || g.cfg.PoolBytes <= 0 || !g.cfg.adaptive() {
+	if n <= 0 || g.cfg.PoolBytes <= 0 {
 		return t.lease.Load()
 	}
 	g.mu.Lock()
@@ -458,7 +446,7 @@ func (g *Governor) grantLocked(sess *Session, wantWorkers int) (*Ticket, error) 
 // over-budget check observes the smaller lease and spills, which is
 // the enforcement mechanism — nothing blocks here.
 func (g *Governor) reclaimLocked(need int64) {
-	if need <= 0 || !g.cfg.adaptive() {
+	if need <= 0 {
 		return
 	}
 	fair := g.cfg.fairShare()

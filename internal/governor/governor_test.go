@@ -284,17 +284,6 @@ func TestTryGrowAndReclaim(t *testing.T) {
 		t.Fatalf("session-capped grow: lease = %d, want 1500", got)
 	}
 	c.Release()
-
-	// The static policy refuses to grow at all.
-	gst := New(Config{PoolBytes: 1000, MaxActive: 4, ReclaimPolicy: "static"})
-	d := mustAdmit(t, gst, nil)
-	if got := d.TryGrow(500); got != 250 {
-		t.Fatalf("static grow: lease = %d, want unchanged 250", got)
-	}
-	d.Release()
-	if st := gst.Stats(); st.Grows != 0 || st.Shrinks != 0 {
-		t.Fatalf("static policy counted grows/shrinks: %+v", st)
-	}
 }
 
 // TestAdaptiveLeaseChurn storms the governor with concurrent

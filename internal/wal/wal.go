@@ -16,7 +16,7 @@
 // frame buffered so far in one batch while later committers queue up
 // for the next round. N concurrent writers therefore share fsyncs
 // instead of paying one each, which is where the multi-writer INSERT
-// throughput comes from (BENCH_wal.json).
+// throughput comes from (GroupStats counts the fsyncs).
 package wal
 
 import (

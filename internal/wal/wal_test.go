@@ -259,7 +259,10 @@ func TestResetSealsLog(t *testing.T) {
 }
 
 // Group commit under contention: all records from all goroutines must
-// be durable, in strictly increasing LSN order, with no gaps.
+// be durable, in strictly increasing LSN order, with no gaps. The fsync
+// count is the group-commit gate: 16 committers share fsyncs under
+// SyncGroup (at most one per two records), SyncEach pays one per record
+// and SyncNone none.
 func TestGroupCommitConcurrent(t *testing.T) {
 	for _, mode := range []SyncMode{SyncGroup, SyncEach, SyncNone} {
 		mode := mode
@@ -269,7 +272,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers, perWriter = 8, 50
+			const writers, perWriter = 16, 50
 			var wg sync.WaitGroup
 			errs := make(chan error, writers)
 			for w := 0; w < writers; w++ {
@@ -295,6 +298,25 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Fatal(err)
+			}
+			syncs, commits := l.GroupStats()
+			t.Logf("%d fsyncs for %d commits", syncs, commits)
+			if commits != writers*perWriter {
+				t.Fatalf("%d records committed, want %d", commits, writers*perWriter)
+			}
+			switch mode {
+			case SyncGroup:
+				if syncs > commits/2 {
+					t.Fatalf("%d fsyncs for %d commits: group commit did not batch", syncs, commits)
+				}
+			case SyncEach:
+				if syncs != commits {
+					t.Fatalf("%d fsyncs for %d commits, want one per record", syncs, commits)
+				}
+			case SyncNone:
+				if syncs != 0 {
+					t.Fatalf("%d commit fsyncs, want none", syncs)
+				}
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)

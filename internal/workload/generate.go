@@ -1,8 +1,8 @@
-// Package workload implements the paper's evaluation: the North
-// Carolina voter-classification pipeline (Section 4) run under every
-// data placement of Figure 1, plus the ablation experiments derived
-// from the paper's discussion (model serialization overhead, parallel
-// UDF scaling, ensemble meta-analysis, client protocol comparison).
+// Package workload generates the paper's datasets: the North Carolina
+// voter-classification inputs (Section 4) and a skewed event stream for
+// the out-of-core operators. cmd/datagen and
+// examples/voterclassification load them; the benchmark of record is
+// bench/ (its own copy, so editing these cannot move its numbers).
 //
 // The original datasets (7.5M NC voters with 96 demographic columns;
 // 2,751 precinct vote totals) are not redistributable, so a
@@ -18,10 +18,11 @@ import (
 	"math"
 
 	"vexdb/internal/frame"
+	"vexdb/internal/vector"
 )
 
-// Config sizes the benchmark. The zero value is not usable; start
-// from DefaultConfig or TestConfig.
+// Config sizes the generated datasets. The zero value is not usable;
+// start from DefaultConfig or TestConfig.
 type Config struct {
 	// Voters is the voter row count (paper: 7.5M).
 	Voters int
@@ -42,9 +43,6 @@ type Config struct {
 	// TestModulus splits train/test: rows with id % TestModulus == 0
 	// are the test set (4 => 25% test).
 	TestModulus int
-	// Parallelism bounds engine-side parallelism: the morsel-driven
-	// relational executor and partitioned UDF evaluation. 0 = NumCPU.
-	Parallelism int
 }
 
 // DefaultConfig is the full-scale shape scaled to a laptop: 150k
@@ -74,26 +72,6 @@ func TestConfig() Config {
 		Seed:        1,
 		TestModulus: 4,
 	}
-}
-
-func (c Config) validate() error {
-	if c.Voters < 10 || c.Precincts < 2 || c.Features < 1 ||
-		c.Columns < c.Features+2 || c.Estimators < 1 || c.TestModulus < 2 {
-		return fmt.Errorf("workload: invalid config %+v", c)
-	}
-	return nil
-}
-
-// splitmix64 is the shared deterministic hash used for label drawing
-// (matching the engine's weighted_label UDF bit-for-bit).
-func splitmix64(id, seed uint64) float64 {
-	x := id*0x9E3779B97F4A7C15 + seed + 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // rng is a local xorshift generator for data synthesis.
@@ -254,4 +232,27 @@ func FeatureNames(cfg Config) []string {
 		out[i] = fmt.Sprintf("f%d", i)
 	}
 	return out
+}
+
+// FrameToTable converts a dataframe to an engine relation.
+func FrameToTable(df *frame.DataFrame) *vector.Table {
+	names := make([]string, len(df.Cols))
+	cols := make([]*vector.Vector, len(df.Cols))
+	for i := range df.Cols {
+		c := &df.Cols[i]
+		names[i] = c.Name
+		switch c.Kind {
+		case frame.Int:
+			cols[i] = vector.FromInt64s(c.Ints)
+		case frame.Float:
+			cols[i] = vector.FromFloat64s(c.Floats)
+		default:
+			cols[i] = vector.FromStrings(c.Strs)
+		}
+	}
+	tab, err := vector.NewTable(names, cols)
+	if err != nil {
+		panic(err) // frames are equal-length by construction
+	}
+	return tab
 }

@@ -4,16 +4,6 @@ import (
 	"testing"
 )
 
-func testEnv(t *testing.T) *Env {
-	t.Helper()
-	env, err := Setup(TestConfig(), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	return env
-}
-
 func TestGenerators(t *testing.T) {
 	cfg := TestConfig()
 	precincts := GeneratePrecincts(cfg)
@@ -43,212 +33,5 @@ func TestGenerators(t *testing.T) {
 		if p < 0 || p >= int64(cfg.Precincts) {
 			t.Fatalf("precinct id %d out of range", p)
 		}
-	}
-}
-
-func TestSetupWritesAllFormats(t *testing.T) {
-	env := testEnv(t)
-	if env.DB.NumRows("voters") != env.Cfg.Voters {
-		t.Fatal("in-db voters missing")
-	}
-	if env.ServerDB == nil || env.Addr == "" {
-		t.Fatal("server not started")
-	}
-}
-
-func TestInDatabasePipeline(t *testing.T) {
-	env := testEnv(t)
-	res, err := RunInDatabase(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, env)
-}
-
-func TestExternalPipelines(t *testing.T) {
-	env := testEnv(t)
-	for _, run := range []struct {
-		name string
-		fn   func(*Env) (Result, error)
-	}{
-		{"csv", RunCSV},
-		{"numpy", RunNumpy},
-		{"hdf5", RunHDF5},
-		{"pg", RunPostgresLike},
-		{"mysql", RunMySQLLike},
-		{"sqlite", RunSQLiteLike},
-	} {
-		t.Run(run.name, func(t *testing.T) {
-			res, err := run.fn(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkResult(t, res, env)
-			if res.Load <= 0 {
-				t.Error("external pipeline must report load time")
-			}
-		})
-	}
-}
-
-func checkResult(t *testing.T, res Result, env *Env) {
-	t.Helper()
-	wantTest := 0
-	for i := 0; i < env.Cfg.Voters; i++ {
-		if i%env.Cfg.TestModulus == 0 {
-			wantTest++
-		}
-	}
-	if res.TestRows != wantTest {
-		t.Errorf("%s: test rows = %d, want %d", res.Method, res.TestRows, wantTest)
-	}
-	// The synthetic task is learnable: comfortably above chance.
-	if res.VoterAccuracy < 0.58 {
-		t.Errorf("%s: voter accuracy %.3f too low", res.Method, res.VoterAccuracy)
-	}
-	// Aggregated precinct shares track the actual shares.
-	if res.PrecinctMAE > 0.25 {
-		t.Errorf("%s: precinct MAE %.3f too high", res.Method, res.PrecinctMAE)
-	}
-	if res.Total <= 0 || res.Train <= 0 || res.Predict <= 0 {
-		t.Errorf("%s: missing stage timings %+v", res.Method, res)
-	}
-}
-
-func TestPipelinesAgreeOnLabels(t *testing.T) {
-	// The in-DB weighted_label UDF and the client-side splitmix64 path
-	// must produce identical labels, so all pipelines solve the same
-	// problem.
-	env := testEnv(t)
-	inDB, err := RunInDatabase(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := RunNumpy(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both train the same forest on the same labels: accuracies match
-	// closely (identical up to train-order nondeterminism; forest
-	// fitting is deterministic given the seed, so they are equal).
-	if diff := inDB.VoterAccuracy - ext.VoterAccuracy; diff > 0.02 || diff < -0.02 {
-		t.Fatalf("accuracy diverged: in-db %.4f vs external %.4f", inDB.VoterAccuracy, ext.VoterAccuracy)
-	}
-}
-
-func TestFigure1AllBars(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	env := testEnv(t)
-	results, err := Figure1(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 7 {
-		t.Fatalf("bars = %d", len(results))
-	}
-	if results[0].Method != "vexdb (in-database)" {
-		t.Fatal("first bar must be in-database")
-	}
-}
-
-func TestE2Serialization(t *testing.T) {
-	env := testEnv(t)
-	rows, err := E2ModelSerialization(env, []int{1, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Blob size grows with tree count.
-	if !(rows[0].BlobBytes < rows[1].BlobBytes && rows[1].BlobBytes < rows[2].BlobBytes) {
-		t.Fatalf("blob sizes not increasing: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.Serialize <= 0 || r.Deserialize <= 0 {
-			t.Fatalf("missing timings: %+v", r)
-		}
-	}
-}
-
-func TestE3Parallel(t *testing.T) {
-	env := testEnv(t)
-	rows, err := E3ParallelUDF(env, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].Workers != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Speedup != 1 {
-		t.Fatal("baseline speedup must be 1")
-	}
-}
-
-func TestE6MorselScaling(t *testing.T) {
-	env := testEnv(t)
-	rows, err := E6MorselScaling(env, []int{1, 2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].Workers != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Speedup != 1 {
-		t.Fatal("baseline speedup must be 1")
-	}
-}
-
-func TestE4Ensemble(t *testing.T) {
-	env := testEnv(t)
-	res, err := E4Ensemble(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerModel) != 4 {
-		t.Fatalf("models = %d", len(res.PerModel))
-	}
-	for algo, acc := range res.PerModel {
-		if acc < 0.5 {
-			t.Errorf("%s accuracy %.3f below chance", algo, acc)
-		}
-	}
-	// Meta-analysis selection is at least as good as the worst model.
-	worst := 1.0
-	for _, acc := range res.PerModel {
-		if acc < worst {
-			worst = acc
-		}
-	}
-	if res.BestByMeta < worst {
-		t.Fatalf("best-by-meta %.3f worse than worst model %.3f", res.BestByMeta, worst)
-	}
-	if res.Majority < 0.5 || res.Confidence < 0.5 {
-		t.Fatalf("ensemble accuracies too low: %+v", res)
-	}
-}
-
-func TestE5Protocols(t *testing.T) {
-	env := testEnv(t)
-	rows, err := E5Protocols(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Rows != env.Cfg.Voters {
-			t.Fatalf("%s transferred %d rows", r.Protocol, r.Rows)
-		}
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := Config{Voters: 1}
-	if _, err := Setup(bad, t.TempDir()); err == nil {
-		t.Fatal("invalid config should fail")
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// benchForest fits a voterbench-shaped forest (16 trees, depth 10,
-// 6 features) and returns it with one chunk of scoring input.
+// benchForest fits a forest of the voter pipeline's default shape
+// (workload.DefaultConfig: 16 trees, depth 10, 6 features) and
+// returns it with one chunk of scoring input.
 func benchForest(b *testing.B, nrows int) (*RandomForest, [][]float64) {
 	b.Helper()
 	const nfeat = 6
@@ -80,7 +81,7 @@ func BenchmarkForestRow(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2048, "ns/row")
 }
 
-// BenchmarkForestFit measures TRAIN on a voterbench-shaped fit (30k
+// BenchmarkForestFit measures TRAIN on a voter-pipeline-shaped fit (30k
 // rows, 6 features, 16 trees, depth 10) at one worker and at NumCPU.
 func BenchmarkForestFit(b *testing.B) {
 	const nrows = 30000

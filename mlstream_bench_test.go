@@ -14,8 +14,9 @@ func benchPredictQuery(b *testing.B, fn string) {
 	db := newMLStreamDB(b, 200000)
 	registerSerialPredict(b, db)
 	db.SetParallelism(1)
-	// Score against the voterbench model shape: a 16-tree forest, not
-	// the single tree the correctness tests use.
+	// Score against the voter pipeline's model shape
+	// (workload.DefaultConfig): a 16-tree forest, not the single tree
+	// the correctness tests use.
 	if _, err := db.Exec(`CREATE TABLE mrf AS SELECT model FROM train_rf((SELECT f0, f1, f2, label FROM pts WHERE id < 2000), 16, 10, 1)`); err != nil {
 		b.Fatal(err)
 	}

@@ -435,8 +435,8 @@ func TestTrainDeterminismAcrossParallelism(t *testing.T) {
 
 // TestPredictPopulatesModelCache asserts all predict variants route
 // through the digest-verified model cache: after a predict query the
-// cache holds the model, and the deprecated predict_cached alias adds
-// no second entry for the same blob.
+// cache holds the model, and predict_confidence adds no second entry
+// for the same blob.
 func TestPredictPopulatesModelCache(t *testing.T) {
 	db := newMLStreamDB(t, 500)
 	if _, err := db.Query(`SELECT predict(model, f0, f1, f2) FROM pts, m`); err != nil {
@@ -447,9 +447,6 @@ func TestPredictPopulatesModelCache(t *testing.T) {
 	db.modelCache.mu.Unlock()
 	if after != 1 {
 		t.Fatalf("cache entries after predict = %d, want 1", after)
-	}
-	if _, err := db.Query(`SELECT predict_cached(model, f0, f1, f2) FROM pts, m`); err != nil {
-		t.Fatalf("predict_cached: %v", err)
 	}
 	if _, err := db.Query(`SELECT predict_confidence(model, f0, f1, f2) FROM pts, m`); err != nil {
 		t.Fatalf("predict_confidence: %v", err)

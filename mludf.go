@@ -39,8 +39,7 @@ import (
 // overhead") is the default, not an opt-in: a pointer-identity fast
 // path plus a SHA-256-verified digest map hand each chunk the already
 // deserialized classifier, and scoring runs through ml's batch
-// predictors (no per-row boxing). predict_cached remains registered
-// as a deprecated alias of predict for backward compatibility.
+// predictors (no per-row boxing).
 func registerMLFunctions(db *DB) {
 	cache := newModelCache()
 	db.modelCache = cache
@@ -155,14 +154,18 @@ func registerMLFunctions(db *DB) {
 		FnPar:   trainNB,
 	})
 
-	// evalPredictLabels scores feature columns against the cached model
-	// through ml's batch predictors: the cache hands back the already
+	// predict scores feature columns against the cached model through
+	// ml's batch predictors: the cache hands back the already
 	// deserialized classifier (pointer-identity fast path per chunk) and
 	// PredictLabelsInto writes straight into the result column — no
 	// per-call Unmarshal, no per-row feature boxing.
-	evalPredictLabels := func(fn string) func(args []*Vector) (*Vector, error) {
-		return func(args []*Vector) (*Vector, error) {
-			clf, X, err := predictInputsCached(fn, args, cache)
+	mustRegisterScalar(&ScalarFunc{
+		Name:       "predict",
+		Arity:      -1,
+		Parallel:   true,
+		ReturnType: core.FixedReturn(Int32),
+		Eval: func(args []*Vector) (*Vector, error) {
+			clf, X, err := predictInputsCached("predict", args, cache)
 			if err != nil {
 				return nil, err
 			}
@@ -171,15 +174,7 @@ func registerMLFunctions(db *DB) {
 				return nil, err
 			}
 			return vector.FromInt32s(out), nil
-		}
-	}
-
-	mustRegisterScalar(&ScalarFunc{
-		Name:       "predict",
-		Arity:      -1,
-		Parallel:   true,
-		ReturnType: core.FixedReturn(Int32),
-		Eval:       evalPredictLabels("predict"),
+		},
 	})
 
 	mustRegisterScalar(&ScalarFunc{
@@ -198,16 +193,6 @@ func registerMLFunctions(db *DB) {
 			}
 			return vector.FromFloat64s(out), nil
 		},
-	})
-
-	// Deprecated: predict_cached is an alias of predict, kept for
-	// queries written before the cache became the default path.
-	mustRegisterScalar(&ScalarFunc{
-		Name:       "predict_cached",
-		Arity:      -1,
-		Parallel:   true,
-		ReturnType: core.FixedReturn(Int32),
-		Eval:       evalPredictLabels("predict_cached"),
 	})
 
 	// weighted_label(id, w0, w1, seed) draws class 0 with probability

@@ -104,8 +104,9 @@ func TestModelCacheHitReturnsSameInstance(t *testing.T) {
 	}
 }
 
-// TestPredictCachedEndToEnd drives predict_cached through SQL so the
-// verified cache sits on the real PREDICT path.
+// TestPredictCachedEndToEnd drives predict through SQL, in a WHERE
+// clause and again on a cache hit, so the verified model cache sits on
+// the real PREDICT path.
 func TestPredictCachedEndToEnd(t *testing.T) {
 	db := Open()
 	if _, err := db.Exec("CREATE TABLE d (f0 DOUBLE, f1 DOUBLE, label INTEGER)"); err != nil {
@@ -125,13 +126,13 @@ func TestPredictCachedEndToEnd(t *testing.T) {
 		CREATE TABLE models AS SELECT model FROM train_tree((SELECT f0, f1, label FROM d), 6)`); err != nil {
 		t.Fatal(err)
 	}
-	q := `SELECT count(*) AS n FROM d, models WHERE predict_cached(model, f0, f1) >= 0`
+	q := `SELECT count(*) AS n FROM d, models WHERE predict(model, f0, f1) >= 0`
 	tab, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.Column("n").Get(0).Int64() != 40 {
-		t.Fatalf("predict_cached covered %d rows, want 40", tab.Column("n").Get(0).Int64())
+		t.Fatalf("predict covered %d rows, want 40", tab.Column("n").Get(0).Int64())
 	}
 	// Second run hits the cache; results must be identical.
 	tab2, err := db.Query(q)

@@ -136,13 +136,6 @@ type Options struct {
 	// admits every query immediately, as before.
 	Governor *GovernorConfig
 
-	// NoCostPlanner disables the cost-based planning pass (join
-	// reordering over column sketches, build-side selection,
-	// serial/fan-out execution hints); plans then execute exactly as
-	// bound. Results are identical either way — the switch exists for
-	// benchmarking and differential testing. See SetCostPlanning.
-	NoCostPlanner bool
-
 	// WALDir, when non-empty, makes writes durable: every
 	// CREATE/INSERT/DELETE/UPDATE/DROP appends a checksummed record to
 	// a write-ahead log in this directory before it is acknowledged,
@@ -269,7 +262,6 @@ func (db *DB) applyOptions(opts Options) {
 	db.SetMemoryBudget(opts.MemoryBudget)
 	db.SetTempDir(opts.TempDir)
 	db.SetQueryTimeout(opts.QueryTimeout)
-	db.SetCostPlanning(!opts.NoCostPlanner)
 	if opts.Governor != nil {
 		db.SetGovernor(*opts.Governor)
 	}
@@ -437,14 +429,6 @@ func (db *DB) RegisterTable(f *TableFunc) error { return db.eng.Registry().Regis
 // compare equal but are distinguishable (NaN against numbers, -0.0 vs
 // 0.0). Integer, string, COUNT and boolean results are exact.
 func (db *DB) SetParallelism(n int) { db.eng.Parallelism = n }
-
-// SetCostPlanning enables (the default) or disables the cost-based
-// planning pass: join reordering driven by column sketches, build-side
-// selection, and serial/spill-fan-out execution hints. Disabling it
-// never changes results — plans just execute exactly as bound — so a
-// before/after comparison isolates the planner's effect (EXPLAIN shows
-// the chosen plan either way).
-func (db *DB) SetCostPlanning(on bool) { db.eng.NoCostPlanner = !on }
 
 // SetMemoryBudget bounds, per query, the estimated in-memory footprint
 // of blocking operators; over-budget queries spill to TempDir and

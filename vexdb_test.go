@@ -224,31 +224,6 @@ func TestModelStoredBlobRoundTripsThroughDisk(t *testing.T) {
 	}
 }
 
-func TestPredictCachedMatchesUncached(t *testing.T) {
-	db := Open()
-	buildLabeled(t, db, "d", 300)
-	if _, err := db.Exec(`CREATE TABLE m AS
-		SELECT * FROM train_rf((SELECT f0, f1, label FROM d), 8, 8, 3)`); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := db.Query("SELECT d.id AS id, predict(m.model, d.f0, d.f1) AS p FROM d, m ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run the cached variant twice: first populates, second hits.
-	for round := 0; round < 2; round++ {
-		cached, err := db.Query("SELECT d.id AS id, predict_cached(m.model, d.f0, d.f1) AS p FROM d, m ORDER BY id")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < plain.NumRows(); i++ {
-			if plain.Column("p").Get(i).Int64() != cached.Column("p").Get(i).Int64() {
-				t.Fatalf("round %d row %d: cached prediction differs", round, i)
-			}
-		}
-	}
-}
-
 func TestModelCacheEviction(t *testing.T) {
 	c := newModelCache()
 	// Fill beyond capacity with distinct blobs; each must still
