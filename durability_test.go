@@ -7,62 +7,166 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
 )
 
 // The crash harness re-execs the test binary as a writer child
-// (guarded by this env var), kills it with SIGKILL mid-INSERT, and
-// asserts recovery restores exactly a committed prefix.
+// (guarded by this env var), kills it with SIGKILL mid-statement, and
+// asserts recovery restores exactly a prefix of its statements.
 const crashChildEnv = "VEXDB_CRASH_CHILD"
+
+// crashCheckpointEnv makes the child checkpoint while the table's tail
+// segment is open and then DELETE a run of rows spanning the tail's
+// end at checkpoint time.
+const crashCheckpointEnv = "VEXDB_CRASH_CHECKPOINT"
 
 func TestMain(m *testing.M) {
 	if dir := os.Getenv(crashChildEnv); dir != "" {
-		crashChildMain(dir)
+		crashChildMain(dir, os.Getenv(crashCheckpointEnv) != "")
 		return
 	}
 	os.Exit(m.Run())
 }
 
+// crashStmt is one statement of the writer child: an insert of
+// (seq, payload), an update setting seq's payload, or a delete of the
+// seqs seq..hi (whose payload is a placeholder).
+type crashStmt struct {
+	op      string // "I", "U" or "D"
+	seq, hi int64
+	payload string
+}
+
+// crashRow is one row of crashlog.
+type crashRow struct {
+	seq     int64
+	payload string
+}
+
+// apply returns rows after s, in table order: inserts append, updates
+// rewrite in place, deletes drop.
+func (s crashStmt) apply(rows []crashRow) []crashRow {
+	out := make([]crashRow, 0, len(rows)+1)
+	for _, r := range rows {
+		switch {
+		case s.op == "U" && r.seq == s.seq:
+			r.payload = s.payload
+		case s.op == "D" && r.seq >= s.seq && r.seq <= s.hi:
+			continue
+		}
+		out = append(out, r)
+	}
+	if s.op == "I" {
+		out = append(out, crashRow{s.seq, s.payload})
+	}
+	return out
+}
+
 // crashChildMain is the writer process: it opens the durable database
-// in dir, creates the table, then INSERTs rows with consecutive
-// sequence numbers, printing "ack <n>" only after each statement's
-// commit returned — i.e. after its WAL record is durable. It never
-// exits on its own; the parent kills it.
-func crashChildMain(dir string) {
+// in dir, creates the table, then runs INSERTs of consecutive sequence
+// numbers interleaved with UPDATEs and DELETEs of rows already
+// acknowledged. It prints "do <statement>" before each statement and
+// "ack" only after its commit returned — i.e. after its WAL record is
+// durable. With checkpoint set, its tenth statement is a checkpoint
+// taken with the tail segment open, followed by five INSERTs and a
+// DELETE of rows on both sides of the tail's end at the checkpoint:
+// recovery loads the checkpoint's image, whose tail was sealed, and
+// replays that DELETE onto segment boundaries the writer never had. It
+// never exits on its own; the parent kills it.
+func crashChildMain(dir string, checkpoint bool) {
+	fail := func(what string, err error) {
+		fmt.Fprintf(os.Stderr, "child %s: %v\n", what, err)
+		os.Exit(1)
+	}
 	db, err := OpenDurable(Options{WALDir: dir})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "child open: %v\n", err)
-		os.Exit(1)
+		fail("open", err)
 	}
 	if _, err := db.Exec("CREATE TABLE IF NOT EXISTS crashlog (seq BIGINT, payload VARCHAR)"); err != nil {
-		fmt.Fprintf(os.Stderr, "child create: %v\n", err)
-		os.Exit(1)
+		fail("create", err)
 	}
-	// Resume after the committed prefix so repeated crash rounds keep
+	// Resume after the recovered rows so repeated crash rounds keep
 	// extending one sequence.
-	start := db.NumRows("crashlog")
+	tab, err := db.Query("SELECT seq FROM crashlog")
+	if err != nil {
+		fail("read", err)
+	}
+	var live []crashRow
+	for _, seq := range tab.Cols[0].Int64s() {
+		live = append(live, crashRow{seq: seq})
+	}
+	next := int64(0)
+	if len(live) > 0 {
+		next = live[len(live)-1].seq + 1
+	}
 	out := bufio.NewWriter(os.Stdout)
-	for seq := start; ; seq++ {
-		stmt := fmt.Sprintf("INSERT INTO crashlog VALUES (%d, 'row-%d')", seq, seq)
-		if _, err := db.Exec(stmt); err != nil {
-			fmt.Fprintf(os.Stderr, "child insert %d: %v\n", seq, err)
-			os.Exit(1)
+	run := func(s crashStmt) {
+		var stmt string
+		switch s.op {
+		case "I":
+			stmt = fmt.Sprintf("INSERT INTO crashlog VALUES (%d, '%s')", s.seq, s.payload)
+		case "U":
+			stmt = fmt.Sprintf("UPDATE crashlog SET payload = '%s' WHERE seq = %d", s.payload, s.seq)
+		case "D":
+			stmt = fmt.Sprintf("DELETE FROM crashlog WHERE seq >= %d AND seq <= %d", s.seq, s.hi)
+			if s.seq == s.hi {
+				stmt = fmt.Sprintf("DELETE FROM crashlog WHERE seq = %d", s.seq)
+			}
 		}
-		fmt.Fprintf(out, "ack %d\n", seq)
+		fmt.Fprintf(out, "do %s %d %d %s\n", s.op, s.seq, s.hi, s.payload)
 		out.Flush()
+		if _, err := db.Exec(stmt); err != nil {
+			fail(stmt, err)
+		}
+		fmt.Fprintln(out, "ack")
+		out.Flush()
+		live = s.apply(live)
+	}
+	insert := func() {
+		run(crashStmt{op: "I", seq: next, hi: next, payload: fmt.Sprintf("row-%d", next)})
+		next++
+	}
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	for n := 0; ; n++ {
+		if checkpoint && n == 10 && len(live) > 0 {
+			if err := db.Checkpoint(); err != nil {
+				fail("checkpoint", err)
+			}
+			lo := live[max(0, len(live)-3)].seq
+			for i := 0; i < 5; i++ {
+				insert()
+			}
+			run(crashStmt{op: "D", seq: lo, hi: next - 3, payload: "-"})
+			continue
+		}
+		switch r := rng.Intn(10); {
+		case r < 7 || len(live) == 0:
+			insert()
+		case r < 9:
+			k := live[rng.Intn(len(live))].seq
+			run(crashStmt{op: "U", seq: k, hi: k, payload: fmt.Sprintf("upd-%d-%d", k, n)})
+		default:
+			k := live[rng.Intn(len(live))].seq
+			run(crashStmt{op: "D", seq: k, hi: k, payload: "-"})
+		}
 	}
 }
 
 // spawnCrashChild starts the writer, waits until it acked at least
-// minAcks inserts, lets it run a little longer (so the kill lands at a
-// randomized offset, possibly mid-append), then SIGKILLs it. Returns
-// the highest acked sequence number.
-func spawnCrashChild(t *testing.T, dir string, minAcks int, rng *rand.Rand) int {
+// minAcks statements, lets it run a little longer (so the kill lands
+// at a randomized offset, possibly mid-append), then SIGKILLs it. It
+// returns every statement the child started, in order, and how many of
+// them it acknowledged.
+func spawnCrashChild(t *testing.T, dir string, minAcks int, rng *rand.Rand, checkpoint bool) ([]crashStmt, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+	if checkpoint {
+		cmd.Env = append(cmd.Env, crashCheckpointEnv+"=1")
+	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -72,28 +176,37 @@ func spawnCrashChild(t *testing.T, dir string, minAcks int, rng *rand.Rand) int 
 		t.Fatal(err)
 	}
 
-	acks := make(chan int, 1024)
+	// lines carries "do" statements and acks (nil) in output order.
+	lines := make(chan *crashStmt, 1024)
 	go func() {
-		defer close(acks)
+		defer close(lines)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			var seq int
-			if _, err := fmt.Sscanf(sc.Text(), "ack %d", &seq); err == nil {
-				acks <- seq
+			if sc.Text() == "ack" {
+				lines <- nil
+				continue
+			}
+			var s crashStmt
+			if _, err := fmt.Sscanf(sc.Text(), "do %s %d %d %s", &s.op, &s.seq, &s.hi, &s.payload); err == nil {
+				lines <- &s
 			}
 		}
 	}()
 
-	lastAck := -1
+	var stmts []crashStmt
+	acked := 0
 	deadline := time.After(30 * time.Second)
-	for n := 0; n < minAcks; {
+	for acked < minAcks {
 		select {
-		case seq, ok := <-acks:
+		case s, ok := <-lines:
 			if !ok {
-				t.Fatal("crash child exited before acking enough inserts")
+				t.Fatal("crash child exited before acking enough statements")
 			}
-			lastAck = seq
-			n++
+			if s == nil {
+				acked++
+			} else {
+				stmts = append(stmts, *s)
+			}
 		case <-deadline:
 			cmd.Process.Kill()
 			t.Fatal("timeout waiting for child acks")
@@ -107,77 +220,82 @@ func spawnCrashChild(t *testing.T, dir string, minAcks int, rng *rand.Rand) int 
 		t.Fatal(err)
 	}
 	cmd.Wait() // reaps; exit status is the signal, ignore it
-	// Drain any acks buffered before the kill.
-	for seq := range acks {
-		lastAck = seq
+	// Drain any lines buffered before the kill.
+	for s := range lines {
+		if s == nil {
+			acked++
+		} else {
+			stmts = append(stmts, *s)
+		}
 	}
-	return lastAck
+	return stmts, acked
 }
 
-// assertCommittedPrefix opens the database after a crash and checks
-// crashlog holds exactly the rows 0..m-1 for some m > lastAck: every
-// acknowledged insert survived, nothing is torn, no row is duplicated
-// or skipped. Returns m.
-func assertCommittedPrefix(t *testing.T, dir string, lastAck int) int {
+// assertRecoveredPrefix opens the database after a crash and checks
+// crashlog holds exactly base with the child's first k statements
+// applied, for some k that covers every acknowledged one: no
+// acknowledged statement is lost, nothing is torn, and the rows are in
+// table order. It returns the recovered rows.
+func assertRecoveredPrefix(t *testing.T, dir string, base []crashRow, stmts []crashStmt, acked int) []crashRow {
 	t.Helper()
 	db, err := OpenDurable(Options{WALDir: dir})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	defer db.Close()
-	tab, err := db.Query("SELECT seq, payload FROM crashlog ORDER BY seq")
+	tab, err := db.Query("SELECT seq, payload FROM crashlog")
 	if err != nil {
 		t.Fatalf("post-crash table unreadable: %v", err)
 	}
-	m := tab.NumRows()
-	if m <= lastAck {
-		t.Fatalf("recovered %d rows, lost acknowledged inserts (last ack %d)", m, lastAck)
+	got := make([]crashRow, tab.NumRows())
+	for i := range got {
+		got[i] = crashRow{tab.Cols[0].Int64s()[i], tab.Cols[1].Get(i).Str()}
 	}
-	seqs := tab.Cols[0].Int64s()
-	for i := 0; i < m; i++ {
-		if seqs[i] != int64(i) {
-			t.Fatalf("row %d has seq %d: recovered set is not a contiguous prefix", i, seqs[i])
+	model := base
+	for k := 0; k <= len(stmts); k++ {
+		if k >= acked && slices.Equal(got, model) {
+			return got
 		}
-		if want := fmt.Sprintf("row-%d", i); tab.Cols[1].Get(i).Str() != want {
-			t.Fatalf("row %d payload %q, want %q", i, tab.Cols[1].Get(i).Str(), want)
+		if k < len(stmts) {
+			model = stmts[k].apply(model)
 		}
 	}
-	return m
+	t.Fatalf("recovered %d rows match no prefix of %d statements covering the %d acknowledged", len(got), len(stmts), acked)
+	return nil
 }
 
 // TestCrashRecoveryKill9 kills a writer process with SIGKILL at
-// randomized offsets mid-INSERT, several rounds against the same WAL
-// directory, asserting after every crash that recovery yields exactly
-// the committed prefix — never a lost ack, never a torn row.
+// randomized offsets mid-statement, several rounds against the same
+// WAL directory, asserting after every crash that recovery yields
+// exactly a prefix of the statements covering every acknowledged one —
+// never a lost ack, never a torn row.
 func TestCrashRecoveryKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills child processes")
 	}
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	prevRows := 0
+	var rows []crashRow
 	for round := 0; round < 3; round++ {
-		lastAck := spawnCrashChild(t, dir, 50+rng.Intn(100), rng)
-		if lastAck < prevRows {
-			t.Fatalf("round %d: child acked only to %d, below prior recovery %d", round, lastAck, prevRows)
-		}
-		m := assertCommittedPrefix(t, dir, lastAck)
-		t.Logf("round %d: acked to seq %d, recovered %d rows", round, lastAck, m)
-		prevRows = m
+		stmts, acked := spawnCrashChild(t, dir, 50+rng.Intn(100), rng, false)
+		rows = assertRecoveredPrefix(t, dir, rows, stmts, acked)
+		t.Logf("round %d: %d statements acked, recovered %d rows", round, acked, len(rows))
 	}
 }
 
-// TestCrashRecoveryAfterCheckpoint crashes a writer whose history
-// spans a checkpoint: recovery must stitch checkpoint tables and log
-// suffix back together.
+// TestCrashRecoveryAfterCheckpoint crashes writers whose history spans
+// a checkpoint: recovery must stitch checkpoint tables and log suffix
+// back together — after a checkpoint taken between writers, and after
+// one the writer took itself with the tail segment open, followed by a
+// DELETE across the end of that tail.
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills child processes")
 	}
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
-	lastAck := spawnCrashChild(t, dir, 60, rng)
-	m := assertCommittedPrefix(t, dir, lastAck)
+	stmts, acked := spawnCrashChild(t, dir, 60, rng, false)
+	rows := assertRecoveredPrefix(t, dir, nil, stmts, acked)
 
 	// Checkpoint in the parent, then run (and kill) another writer so
 	// the log holds only post-checkpoint records.
@@ -191,11 +309,15 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lastAck2 := spawnCrashChild(t, dir, 40, rng)
-	if lastAck2 < m {
-		t.Fatalf("second child started below checkpointed prefix: %d < %d", lastAck2, m)
+	stmts, acked = spawnCrashChild(t, dir, 40, rng, false)
+	rows = assertRecoveredPrefix(t, dir, rows, stmts, acked)
+
+	stmts, acked = spawnCrashChild(t, dir, 40, rng, true)
+	spanning := slices.IndexFunc(stmts, func(s crashStmt) bool { return s.op == "D" && s.hi > s.seq })
+	if spanning < 0 || spanning >= acked {
+		t.Fatalf("the DELETE across the checkpointed tail was not acknowledged (statement %d of %d acked)", spanning, acked)
 	}
-	assertCommittedPrefix(t, dir, lastAck2)
+	assertRecoveredPrefix(t, dir, rows, stmts, acked)
 }
 
 func TestDurableReopenRoundTrip(t *testing.T) {

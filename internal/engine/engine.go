@@ -369,27 +369,46 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 		}
 		ch = vector.NewChunk(cols...)
 	}
-	if ch.NumRows() == 0 {
-		return &Result{}, nil
+	if err := db.appendLogged(tab, ch); err != nil {
+		return nil, err
 	}
+	return &Result{RowsAffected: int64(ch.NumRows())}, nil
+}
 
+// AppendChunk appends ch, whose columns must match the table's schema,
+// to the named table as one logged INSERT (the bulk-load path for an
+// existing table).
+func (db *DB) AppendChunk(table string, ch *vector.Chunk) error {
+	db.ddlMu.RLock()
+	defer db.ddlMu.RUnlock()
+	tab, err := db.cat.Table(table)
+	if err != nil {
+		return err
+	}
+	return db.appendLogged(tab, ch)
+}
+
+// appendLogged logs ch as one RecInsert and appends it under the
+// table's write lock, so the log records rows in table order: a
+// RecRewrite names rows by that order. The caller holds ddlMu shared.
+func (db *DB) appendLogged(tab *catalog.Table, ch *vector.Chunk) error {
+	if ch.NumRows() == 0 {
+		return nil
+	}
 	tab.LockWrites()
 	lsn, err := db.walAppend(&wal.Record{Type: wal.RecInsert, Table: tab.Name, Chunk: ch})
 	if err != nil {
 		tab.UnlockWrites()
-		return nil, err
+		return err
 	}
 	if err := tab.Data.AppendChunk(ch); err != nil {
 		tab.UnlockWrites()
-		return nil, err
+		return err
 	}
 	tab.UnlockWrites()
 	// Durability wait happens outside the table lock, so committers of
 	// concurrent statements share one fsync (group commit).
-	if err := db.walCommit(lsn); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: int64(ch.NumRows())}, nil
+	return db.walCommit(lsn)
 }
 
 // castValue coerces a single literal to the column type by routing it
@@ -445,12 +464,9 @@ func bindConst(b *plan.Binder, e sql.Expr) (plan.Expr, error) {
 	return proj.Exprs[0], nil
 }
 
-// execDelete rewrites the table keeping rows where the predicate is
-// not TRUE (column-store style copy-on-delete). The read, rewrite and
-// publish happen under the table's write lock so a concurrent INSERT
-// can neither be lost nor double-applied; the rewrite is logged as a
-// single RecReplace record (or RecTruncate for the unqualified form)
-// so replay is all-or-nothing.
+// execDelete removes the rows where the predicate is TRUE. The
+// unqualified form truncates and logs RecTruncate; with a WHERE it is
+// a segment-granular rewrite (see rewriteRows).
 func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
@@ -458,94 +474,32 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab.LockWrites()
-	if s.Where == nil {
-		n := tab.Data.NumRows()
-		lsn, err := db.walAppend(&wal.Record{Type: wal.RecTruncate, Table: tab.Name})
+	if s.Where != nil {
+		n, err := db.rewriteRows(tab, s.Where, nil)
 		if err != nil {
-			tab.UnlockWrites()
 			return nil, err
 		}
-		tab.Data.Truncate()
-		tab.UnlockWrites()
-		if err := db.walCommit(lsn); err != nil {
-			return nil, err
-		}
-		return &Result{RowsAffected: int64(n)}, nil
+		return &Result{RowsAffected: n}, nil
 	}
-	keep, removed, err := db.partitionRows(tab, s.Where)
+	tab.LockWrites()
+	n := tab.Data.NumRows()
+	lsn, err := db.walAppend(&wal.Record{Type: wal.RecTruncate, Table: tab.Name})
 	if err != nil {
 		tab.UnlockWrites()
 		return nil, err
 	}
-	lsn, err := db.replaceLocked(tab, keep.Chunk())
+	tab.Data.Truncate()
 	tab.UnlockWrites()
-	if err != nil {
-		return nil, err
-	}
 	if err := db.walCommit(lsn); err != nil {
 		return nil, err
 	}
-	return &Result{RowsAffected: removed}, nil
+	return &Result{RowsAffected: int64(n)}, nil
 }
 
-// replaceLocked logs and applies an atomic whole-table substitution.
-// Caller holds tab's write lock.
-func (db *DB) replaceLocked(tab *catalog.Table, ch *vector.Chunk) (uint64, error) {
-	lsn, err := db.walAppend(&wal.Record{Type: wal.RecReplace, Table: tab.Name, Chunk: ch})
-	if err != nil {
-		return 0, err
-	}
-	if err := tab.Data.Replace(ch); err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// partitionRows evaluates pred over the whole table and returns the
-// rows where it is not TRUE, plus the count of removed rows.
-func (db *DB) partitionRows(tab *catalog.Table, pred sql.Expr) (*vector.Table, int64, error) {
-	binder := plan.NewBinder(db.cat, db.reg)
-	sc := newTableScope(tab)
-	bound, err := binder.BindExprIn(pred, sc)
-	if err != nil {
-		return nil, 0, err
-	}
-	full, err := materializeTable(tab)
-	if err != nil {
-		return nil, 0, err
-	}
-	ch := full.Chunk()
-	if ch.NumRows() == 0 {
-		return full, 0, nil
-	}
-	pv, err := exec.Evaluate(bound, ch)
-	if err != nil {
-		return nil, 0, err
-	}
-	if pv.Type() != vector.Bool {
-		return nil, 0, fmt.Errorf("engine: WHERE predicate must be boolean")
-	}
-	var keepSel []int
-	var removed int64
-	for i := 0; i < ch.NumRows(); i++ {
-		if !pv.IsNull(i) && pv.Bools()[i] {
-			removed++
-			continue
-		}
-		keepSel = append(keepSel, i)
-	}
-	kept := ch.Gather(keepSel)
-	out, err := vector.NewTable(tab.Schema.Names(), kept.Cols())
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, removed, nil
-}
-
-// execUpdate rewrites the table applying SET expressions to matching
-// rows. Like DELETE it reads and republishes under the table's write
-// lock and logs one RecReplace record.
+// execUpdate applies the SET expressions to the rows where the
+// predicate is TRUE, in place, as a segment-granular rewrite (see
+// rewriteRows). Every SET expression reads the row as it was before
+// the statement.
 func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
@@ -555,6 +509,72 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	}
 	binder := plan.NewBinder(db.cat, db.reg)
 	sc := newTableScope(tab)
+	set := make([]plan.Expr, len(tab.Schema))
+	for _, asn := range s.Set {
+		ci := tab.Schema.IndexOf(asn.Column)
+		if ci < 0 {
+			return nil, fmt.Errorf("engine: table %s has no column %q", s.Table, asn.Column)
+		}
+		if set[ci], err = binder.BindExprIn(asn.Value, sc); err != nil {
+			return nil, err
+		}
+	}
+	n, err := db.rewriteRows(tab, s.Where, func(matched *vector.Chunk) ([]*vector.Vector, error) {
+		cols := append([]*vector.Vector(nil), matched.Cols()...)
+		for ci, e := range set {
+			if e == nil {
+				continue
+			}
+			nv, err := exec.Evaluate(e, matched)
+			if err != nil {
+				return nil, err
+			}
+			if colType := tab.Schema[ci].Type; nv.Type() != colType {
+				if nv, err = nv.Cast(colType); err != nil {
+					return nil, fmt.Errorf("engine: column %q: %w", tab.Schema[ci].Name, err)
+				}
+			}
+			cols[ci] = nv
+		}
+		return cols, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{RowsAffected: n}, nil
+}
+
+// rewriteRows is DELETE with a WHERE (update == nil) and UPDATE: it
+// finds the rows where where is TRUE (every row when it is nil), logs
+// one RecRewrite record naming them by global ordinal — with their
+// replacement rows from update, which sees only the matched rows of
+// one segment at a time — and applies it through
+// storage.ColumnStore.Rewrite, which rebuilds only the segments
+// holding a match. The read, the log append and the publish happen
+// under the table's write lock, on the version pinned there, so a
+// concurrent INSERT can neither be lost nor double-applied and the
+// ordinals name the rows they were computed from. Segments whose zone
+// maps rule out the WHERE's `col <op> const` conjuncts are skipped
+// undecoded, by the scan's own rule. Nothing is logged or applied
+// until every segment is evaluated, so an error leaves the table and
+// the log as they were. It returns the count of rows matched.
+func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matched *vector.Chunk) ([]*vector.Vector, error)) (int64, error) {
+	var pred plan.Expr
+	var preds []plan.ScanPredicate
+	if where != nil {
+		var err error
+		if pred, err = plan.NewBinder(db.cat, db.reg).BindExprIn(where, newTableScope(tab)); err != nil {
+			return 0, err
+		}
+		preds = plan.ExtractScanPreds(pred, nil)
+	}
+	var repl []*vector.Vector
+	if update != nil {
+		repl = make([]*vector.Vector, len(tab.Schema))
+		for i, c := range tab.Schema {
+			repl[i] = vector.New(c.Type, 0)
+		}
+	}
 
 	tab.LockWrites()
 	locked := true
@@ -563,104 +583,91 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 			tab.UnlockWrites()
 		}
 	}()
-	full, err := materializeTable(tab)
-	if err != nil {
-		return nil, err
-	}
-	ch := full.Chunk()
-	n := ch.NumRows()
-	if n == 0 {
-		return &Result{}, nil
-	}
-
-	match := make([]bool, n)
-	if s.Where == nil {
-		for i := range match {
-			match[i] = true
+	snap := tab.Data.Snapshot()
+	var ranges []storage.RowRange
+	var matched int64
+	first := 0
+	for i, rows := range snap.SegmentRowCounts() {
+		base := first
+		first += rows
+		if len(preds) > 0 && exec.SegmentPrunable(snap.Zones(i), preds) {
+			continue
 		}
-	} else {
-		bound, err := binder.BindExprIn(s.Where, sc)
+		ch, err := snap.Segment(i, nil)
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("engine: table %s: %w", tab.Name, err)
 		}
-		pv, err := exec.Evaluate(bound, ch)
+		sel, err := matchingRows(pred, ch)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if pv.Type() != vector.Bool {
-			return nil, fmt.Errorf("engine: WHERE predicate must be boolean")
+		if len(sel) == 0 {
+			continue
 		}
-		for i := 0; i < n; i++ {
-			match[i] = !pv.IsNull(i) && pv.Bools()[i]
-		}
-	}
-
-	var affected int64
-	for _, m := range match {
-		if m {
-			affected++
-		}
-	}
-
-	for _, asn := range s.Set {
-		ci := tab.Schema.IndexOf(asn.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %s has no column %q", s.Table, asn.Column)
-		}
-		bound, err := binder.BindExprIn(asn.Value, sc)
-		if err != nil {
-			return nil, err
-		}
-		nv, err := exec.Evaluate(bound, ch)
-		if err != nil {
-			return nil, err
-		}
-		colType := tab.Schema[ci].Type
-		if nv.Type() != colType {
-			nv, err = nv.Cast(colType)
-			if err != nil {
-				return nil, fmt.Errorf("engine: column %q: %w", asn.Column, err)
-			}
-		}
-		old := full.Cols[ci]
-		merged := vector.New(colType, n)
-		for i := 0; i < n; i++ {
-			if match[i] {
-				merged.AppendValue(nv.Get(i))
+		for _, r := range sel {
+			if k := len(ranges) - 1; k >= 0 && ranges[k].End == base+r {
+				ranges[k].End++
 			} else {
-				merged.AppendValue(old.Get(i))
+				ranges = append(ranges, storage.RowRange{Start: base + r, End: base + r + 1})
 			}
 		}
-		full.Cols[ci] = merged
+		matched += int64(len(sel))
+		if update != nil {
+			cols, err := update(ch.Gather(sel))
+			if err != nil {
+				return 0, err
+			}
+			for c, v := range cols {
+				repl[c].AppendVector(v)
+			}
+		}
 	}
-
-	lsn, err := db.replaceLocked(tab, full.Chunk())
+	if matched == 0 {
+		return 0, nil
+	}
+	rec := &wal.Record{Type: wal.RecRewrite, Table: tab.Name, Ranges: ranges}
+	if update != nil {
+		rec.Chunk = vector.NewChunk(repl...)
+	}
+	lsn, err := db.walAppend(rec)
+	if err != nil {
+		return 0, err
+	}
+	if err := tab.Data.Rewrite(ranges, rec.Chunk); err != nil {
+		return 0, err
+	}
 	tab.UnlockWrites()
 	locked = false
-	if err != nil {
-		return nil, err
-	}
 	if err := db.walCommit(lsn); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &Result{RowsAffected: affected}, nil
+	return matched, nil
 }
 
-func materializeTable(tab *catalog.Table) (*vector.Table, error) {
-	cols := make([]*vector.Vector, len(tab.Schema))
-	for i := range tab.Schema {
-		c, err := tab.Data.Column(i)
-		if err != nil {
-			return nil, fmt.Errorf("engine: table %s: %w", tab.Name, err)
+// matchingRows returns the rows of ch where pred is TRUE, or every row
+// when pred is nil.
+func matchingRows(pred plan.Expr, ch *vector.Chunk) ([]int, error) {
+	var sel []int
+	if pred == nil {
+		sel = make([]int, ch.NumRows())
+		for i := range sel {
+			sel[i] = i
 		}
-		cols[i] = c
+		return sel, nil
 	}
-	out, err := vector.NewTable(tab.Schema.Names(), cols)
+	pv, err := exec.Evaluate(pred, ch)
 	if err != nil {
-		// Columns come straight from storage; lengths always match.
-		panic(err)
+		return nil, err
 	}
-	return out, nil
+	if pv.Type() != vector.Bool {
+		return nil, fmt.Errorf("engine: WHERE predicate must be boolean")
+	}
+	for i, b := range pv.Bools() {
+		if b && !pv.IsNull(i) {
+			sel = append(sel, i)
+		}
+	}
+	return sel, nil
 }
 
 func newTableScope(tab *catalog.Table) *plan.TableScope {

@@ -1,0 +1,186 @@
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"vexdb/internal/catalog"
+	"vexdb/internal/storage"
+	"vexdb/internal/vector"
+	"vexdb/internal/wal"
+)
+
+// rewriteTable creates t(id BIGINT, n BIGINT, s VARCHAR) with ids
+// 0..rows-1 in a durable database; s is "7" except where bad says.
+func rewriteTable(t *testing.T, rows int, bad func(id int) bool) (*DB, *catalog.Table) {
+	t.Helper()
+	db := New()
+	if err := db.EnableWAL(t.TempDir(), wal.SyncGroup); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ids, ns, ss := make([]int64, rows), make([]int64, rows), make([]string, rows)
+	for i := range ids {
+		ids[i], ss[i] = int64(i), "7"
+		if bad(i) {
+			ss[i] = "x"
+		}
+	}
+	schema := catalog.Schema{{Name: "id", Type: vector.Int64}, {Name: "n", Type: vector.Int64}, {Name: "s", Type: vector.String}}
+	if err := db.CreateTableFrom("t", schema, vector.NewChunk(vector.FromInt64s(ids), vector.FromInt64s(ns), vector.FromStrings(ss))); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, tab
+}
+
+func columnsOf(t *testing.T, tab *catalog.Table) []*vector.Vector {
+	t.Helper()
+	out := make([]*vector.Vector, len(tab.Schema))
+	for c := range out {
+		v, err := tab.Data.Column(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[c] = v
+	}
+	return out
+}
+
+// An UPDATE whose SET cast fails in the second segment it touches has
+// already rewritten rows of the first in its head; none of it may
+// reach the table, its statistics or the log.
+func TestFailedUpdateLeavesTableStatsAndLog(t *testing.T) {
+	rows := 3 * storage.SegmentRows
+	db, tab := rewriteTable(t, rows, func(id int) bool { return id >= 3000 })
+	before, stats, logSize := columnsOf(t, tab), tab.Data.Stats(), db.WALSize()
+	if _, err := db.Exec("UPDATE t SET n = s WHERE id >= 1000 AND id < 3500"); err == nil {
+		t.Fatal("UPDATE casting 'x' to BIGINT succeeded")
+	}
+	if !reflect.DeepEqual(columnsOf(t, tab), before) {
+		t.Fatal("a failed UPDATE changed the table")
+	}
+	if !reflect.DeepEqual(tab.Data.Stats(), stats) {
+		t.Fatalf("a failed UPDATE changed the statistics:\n%+v\n%+v", tab.Data.Stats(), stats)
+	}
+	if db.WALSize() != logSize {
+		t.Fatalf("a failed UPDATE logged %d bytes", db.WALSize()-logSize)
+	}
+	// The rows that cast cleanly update, in place.
+	res := mustExec(t, db, "UPDATE t SET n = s WHERE id >= 1000 AND id < 3000")
+	if res.RowsAffected != 2000 {
+		t.Fatalf("updated %d rows, want 2000", res.RowsAffected)
+	}
+	ids, ns := columnsOf(t, tab)[0].Int64s(), columnsOf(t, tab)[1].Int64s()
+	for i := range ids {
+		want := int64(0)
+		if i >= 1000 && i < 3000 {
+			want = 7
+		}
+		if ids[i] != int64(i) || ns[i] != want {
+			t.Fatalf("row %d = (%d, %d), want (%d, %d)", i, ids[i], ns[i], i, want)
+		}
+	}
+}
+
+// After DELETEs of id ranges at the head, middle and tail, the table's
+// statistics — bounds, row coverage, distinct counts — describe the
+// live rows only.
+func TestDeleteKeepsStatisticsExact(t *testing.T) {
+	rows := 4*storage.SegmentRows + 500
+	db, tab := rewriteTable(t, rows, func(int) bool { return false })
+	for _, q := range []string{
+		"DELETE FROM t WHERE id < 2100",
+		fmt.Sprintf("DELETE FROM t WHERE id >= %d", rows-600),
+		"DELETE FROM t WHERE id >= 5000 AND id < 6000",
+	} {
+		mustExec(t, db, q)
+	}
+	live := rows - 2100 - 600 - 1000
+	st := tab.Data.Stats()
+	if st.Rows != live {
+		t.Fatalf("%d rows, want %d", st.Rows, live)
+	}
+	id := st.Columns[0]
+	if id.StatsRows != live || id.SketchRows != live || !id.HasMinMax {
+		t.Fatalf("id statistics cover %d/%d of %d rows", id.StatsRows, id.SketchRows, live)
+	}
+	if id.Min.Int64() != 2100 || id.Max.Int64() != int64(rows-601) {
+		t.Fatalf("id bounds [%v, %v], want [2100, %d]", id.Min, id.Max, rows-601)
+	}
+	if d := float64(id.Distinct) / float64(live); d < 0.8 || d > 1.2 {
+		t.Fatalf("id distinct estimate %d for %d live rows", id.Distinct, live)
+	}
+	// No segment outlives its rows.
+	for i, n := range tab.Data.SegmentRowCounts() {
+		if n == 0 {
+			t.Fatalf("segment %d is empty", i)
+		}
+	}
+}
+
+// A log written by an older build logs DELETE and UPDATE as
+// whole-table RecReplace records: recovery still replays them, and
+// new statements on the recovered table log RecRewrite instead.
+func TestRecoverReplaceRecordFromOlderLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*wal.Record{
+		{Type: wal.RecCreate, Table: "t", Cols: []wal.ColumnDef{{Name: "x", Type: vector.Int64}},
+			Chunk: vector.NewChunk(vector.FromInt64s([]int64{1, 2, 3, 4, 5}))},
+		{Type: wal.RecReplace, Table: "t", Chunk: vector.NewChunk(vector.FromInt64s([]int64{9, 8}))},
+		{Type: wal.RecInsert, Table: "t", Chunk: vector.NewChunk(vector.FromInt64s([]int64{7}))},
+	} {
+		lsn, err := l.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db := New()
+	if err := db.EnableWAL(dir, wal.SyncGroup); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(mustQuery(t, db, "SELECT x FROM t").Cols[0].Int64s()); got != "[9 8 7]" {
+		t.Fatalf("recovered %s, want [9 8 7]", got)
+	}
+	mustExec(t, db, "DELETE FROM t WHERE x = 8")
+	mustExec(t, db, "UPDATE t SET x = x + 1 WHERE x = 7")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = wal.Open(dir, wal.SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []wal.Type
+	if err := l.Replay(func(r *wal.Record) error { types = append(types, r.Type); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if got := fmt.Sprint(types); got != "[create replace insert rewrite rewrite]" {
+		t.Fatalf("log holds %s", got)
+	}
+	re := New()
+	if err := re.EnableWAL(dir, wal.SyncGroup); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := fmt.Sprint(mustQuery(t, re, "SELECT x FROM t").Cols[0].Int64s()); got != "[9 8]" {
+		t.Fatalf("recovered %s, want [9 8]", got)
+	}
+}

@@ -171,6 +171,12 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 	}
 	ids = ids[:len(hashes)]
 	gi.checkTypes(keys)
+	// One BIGINT key with no NULL on either side compares in the probe
+	// loop, not through equalRow's per-row call and type switch.
+	var in []int64
+	if len(keys) == 1 && keys[0].Type() == vector.Int64 && keys[0].Nulls() == nil && gi.keys[0].Nulls() == nil {
+		in = keys[0].Int64s()
+	}
 	for r, h := range hashes {
 		if 2*gi.n >= len(gi.slots) {
 			gi.growSlots()
@@ -182,9 +188,11 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 				ids[r] = int32(gi.insert(h, i, keys, r))
 				break
 			}
-			if id := int32(uint32(s)) - 1; s>>32 == tag && gi.equalRow(keys, r, int(id)) {
-				ids[r] = id
-				break
+			if id := int32(uint32(s)) - 1; s>>32 == tag {
+				if in != nil && gi.keys[0].Int64s()[id] == in[r] || in == nil && gi.equalRow(keys, r, int(id)) {
+					ids[r] = id
+					break
+				}
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func (s *scanSource) open(ctx *Context) int {
 }
 
 func (s *scanSource) fetch(i int) (*vector.Chunk, error) {
-	if len(s.preds) > 0 && segmentPrunable(s.store.Zones(i), s.preds) {
+	if len(s.preds) > 0 && SegmentPrunable(s.store.Zones(i), s.preds) {
 		s.skipped.Add(1)
 		s.stats.addSkipped(1)
 		return nil, nil

@@ -61,12 +61,12 @@ func (c *Context) stats() *ScanStats {
 	return c.Stats
 }
 
-// segmentPrunable reports whether the zone maps prove that no row of
+// SegmentPrunable reports whether the zone maps prove that no row of
 // the segment satisfies all pushed predicates. It only ever prunes on
 // positive knowledge: missing statistics (mutable tail, legacy files,
 // compression disabled), failed comparisons and unknown operators all
 // keep the segment.
-func segmentPrunable(zones []storage.ZoneMap, preds []plan.ScanPredicate) bool {
+func SegmentPrunable(zones []storage.ZoneMap, preds []plan.ScanPredicate) bool {
 	if len(zones) == 0 {
 		return false
 	}
@@ -184,7 +184,7 @@ func (s *scanOp) Open(ctx *Context) error {
 		var scanned, skipped int64
 		defer func() { store.NoteScan(scanned, skipped) }()
 		for i := 0; i < n; i++ {
-			if len(s.preds) > 0 && segmentPrunable(store.Zones(i), s.preds) {
+			if len(s.preds) > 0 && SegmentPrunable(store.Zones(i), s.preds) {
 				skipped++
 				stats.addSkipped(1)
 				continue

@@ -125,7 +125,7 @@ func TestSegmentPrunableOperators(t *testing.T) {
 		{"all-null", []storage.ZoneMap{{Rows: 4, NullCount: 4}}, pred(sql.OpGe, 0), true},
 	}
 	for _, c := range cases {
-		if got := segmentPrunable(c.zones, c.preds); got != c.want {
+		if got := SegmentPrunable(c.zones, c.preds); got != c.want {
 			t.Errorf("%s: prunable = %v, want %v", c.name, got, c.want)
 		}
 	}

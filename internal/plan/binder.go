@@ -80,7 +80,7 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		// to the scan owning its column. The filter itself is
 		// untouched either way.
 		if scan, ok := node.(*Scan); ok {
-			scan.Preds = extractScanPreds(pred, nil)
+			scan.Preds = ExtractScanPreds(pred, nil)
 		} else {
 			pushJoinScanPreds(node, pred)
 		}
@@ -563,19 +563,19 @@ func literalType(v vector.Value) vector.Type {
 	return v.Type()
 }
 
-// extractScanPreds collects WHERE conjuncts of the form
+// ExtractScanPreds collects WHERE conjuncts of the form
 // `col <cmp> const` (or the flipped `const <cmp> col`) that a scan
 // can evaluate against segment zone maps. Disjunctions, NULL
 // constants, incomparable type pairs and <> are all left to the
 // row-level filter: <> is excluded because a Float64 NaN row
 // satisfies it while being invisible to min/max statistics.
-func extractScanPreds(e Expr, out []ScanPredicate) []ScanPredicate {
+func ExtractScanPreds(e Expr, out []ScanPredicate) []ScanPredicate {
 	b, ok := e.(*BinOp)
 	if !ok {
 		return out
 	}
 	if b.Op == sql.OpAnd {
-		return extractScanPreds(b.Right, extractScanPreds(b.Left, out))
+		return ExtractScanPreds(b.Right, ExtractScanPreds(b.Left, out))
 	}
 	switch b.Op {
 	case sql.OpEq, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
@@ -617,7 +617,7 @@ func pushJoinScanPreds(node Node, pred Expr) {
 	if _, ok := node.(*HashJoin); !ok {
 		return
 	}
-	for _, p := range extractScanPreds(pred, nil) {
+	for _, p := range ExtractScanPreds(pred, nil) {
 		// p.Col is the combined-schema position here; resolve it to
 		// the owning leaf and its local (= table-schema) position.
 		if scan, local, ok := resolveScanColumn(node, p.Col); ok {

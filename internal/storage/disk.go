@@ -637,6 +637,11 @@ func decodeColumn(t vector.Type, n int, payload []byte) (*vector.Vector, error) 
 		}
 		return applyNulls(vector.FromFloat64s(out), nulls)
 	case vector.String:
+		// Every row costs at least its 4-byte length: a row count the
+		// payload cannot hold is rejected before it sizes an allocation.
+		if n > len(payload)/4 {
+			return nil, fmt.Errorf("truncated string column: %d bytes for %d rows", len(payload), n)
+		}
 		v := vector.New(vector.String, n)
 		off := 0
 		for i := 0; i < n; i++ {
@@ -660,6 +665,9 @@ func decodeColumn(t vector.Type, n int, payload []byte) (*vector.Vector, error) 
 		}
 		return v, nil
 	case vector.Blob:
+		if n > len(payload)/4 {
+			return nil, fmt.Errorf("truncated blob column: %d bytes for %d rows", len(payload), n)
+		}
 		v := vector.New(vector.Blob, n)
 		off := 0
 		for i := 0; i < n; i++ {

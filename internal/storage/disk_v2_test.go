@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -230,9 +231,19 @@ func TestDecodeColumnRejectsMalformedPayloads(t *testing.T) {
 		{"string-truncated", vector.String, 1, binary.LittleEndian.AppendUint32(nil, 10), "truncated"},
 		{"blob-trailing-garbage", vector.Blob, 1, append(binary.LittleEndian.AppendUint32(nil, 0), 0xEE), "trailing"},
 		{"short-fixed", vector.Int32, 3, make([]byte, 7), "truncated null trailer"},
+		// A header claiming 2^30 rows over an empty payload: rejected
+		// before the row count sizes a 16 GiB allocation.
+		{"string-row-count-past-payload", vector.String, 1 << 30, nil, "truncated"},
+		{"blob-row-count-past-payload", vector.Blob, 1 << 30, make([]byte, 7), "truncated"},
 	}
 	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		_, err := DecodeColumn(c.typ, c.n, c.payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: rejecting %d payload bytes allocated %d", c.name, len(c.payload), grew)
+		}
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 			continue

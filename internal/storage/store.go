@@ -13,10 +13,11 @@
 // a cheap handle on one version — and read it to completion without
 // locks, unaffected by concurrent writes. Writers serialize on the
 // store mutex, share sealed segments with the previous version by
-// pointer, clone only the mutable tail before touching it, and
-// publish the new version in one atomic store, so a statement's rows
-// become visible all at once and a reader never observes a torn
-// write.
+// pointer, clone only the mutable tail before touching it — or, for a
+// DELETE or UPDATE (Rewrite), rebuild only the segments holding the
+// rows it touches — and publish the new version in one atomic store,
+// so a statement's rows become visible all at once and a reader never
+// observes a torn write.
 package storage
 
 import (
@@ -368,10 +369,10 @@ func (s *ColumnStore) AppendRow(vals []vector.Value) error {
 }
 
 // Replace atomically substitutes the table's entire contents with ch
-// (which may be nil or empty): copy-on-delete DELETE and UPDATE
-// rewrites publish exactly one new version, so a snapshot reader sees
-// either the old contents or the new, never the truncated
-// intermediate state.
+// (which may be nil or empty) in one new version, so a snapshot reader
+// sees either the old contents or the new, never the truncated
+// intermediate state. Only the replay of whole-table replace records,
+// which older builds logged for DELETE and UPDATE, still calls it.
 func (s *ColumnStore) Replace(ch *vector.Chunk) error {
 	var cast []*vector.Vector
 	n := 0
@@ -391,6 +392,141 @@ func (s *ColumnStore) Replace(ch *vector.Chunk) error {
 	}
 	s.cur.Store(v)
 	return nil
+}
+
+// RowRange names the rows [Start, End) of a table by global ordinal:
+// a row's position counted from the table's first row across every
+// segment in order.
+type RowRange struct{ Start, End int }
+
+// CheckRanges reports whether ranges are non-empty runs, sorted and
+// disjoint, that lie within [0, limit), and returns how many rows they
+// name.
+func CheckRanges(ranges []RowRange, limit int) (int, error) {
+	prev := 0
+	for _, r := range ranges {
+		if r.Start < prev || r.End <= r.Start || r.End > limit {
+			return 0, fmt.Errorf("storage: row range [%d, %d) unsorted, empty or past %d rows", r.Start, r.End, limit)
+		}
+		prev = r.End
+	}
+	return rangeRows(ranges), nil
+}
+
+// Rewrite deletes the rows that ranges name (rows == nil) or overwrites
+// them in place (rows holds one replacement per named row, in ordinal
+// order), and publishes the result as one version. Only the segments
+// the ranges fall in are rebuilt — a sealed one is re-sealed with fresh
+// zone maps and sketches, the open tail is cloned and edited — and
+// every other segment is shared by pointer. Row order is kept, so an
+// ordinal names the same row wherever the segment boundaries lie: a
+// store loaded from a checkpoint image, whose tail was sealed early,
+// applies a logged rewrite to the rows it named when it was logged.
+func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
+	var cast []*vector.Vector
+	if rows != nil {
+		var err error
+		if cast, err = s.castColumns(rows); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	base := s.cur.Load()
+	n, err := CheckRanges(ranges, base.rows)
+	if err != nil {
+		return err
+	}
+	if rows != nil && rows.NumRows() != n {
+		return fmt.Errorf("storage: %d replacement rows for %d ordinals", rows.NumRows(), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	segs := make([]*segment, 0, len(base.segs))
+	var local []RowRange // the ranges' part in the current segment, segment-relative
+	ri, next, taken, start := 0, ranges[0].Start, 0, 0
+	for i, seg := range base.segs {
+		end := start + seg.rows
+		local = local[:0]
+		for ri < len(ranges) && next < end {
+			stop := min(ranges[ri].End, end)
+			local = append(local, RowRange{next - start, stop - start})
+			next = stop
+			if stop == ranges[ri].End {
+				if ri++; ri < len(ranges) {
+					next = ranges[ri].Start
+				}
+			}
+		}
+		start = end
+		if len(local) == 0 {
+			segs = append(segs, seg)
+			continue
+		}
+		g, err := seg.rewrite(s.types, local, cast, taken, s.compress)
+		if err != nil {
+			return fmt.Errorf("storage: segment %d: %w", i, err)
+		}
+		taken += rangeRows(local)
+		if g.rows > 0 {
+			segs = append(segs, g)
+		}
+	}
+	v := &tableVersion{segs: segs, rows: base.rows}
+	if cast == nil {
+		v.rows -= n
+	}
+	s.cur.Store(v)
+	return nil
+}
+
+// rangeRows counts the rows ranges name.
+func rangeRows(ranges []RowRange) int {
+	n := 0
+	for _, r := range ranges {
+		n += r.End - r.Start
+	}
+	return n
+}
+
+// rewrite returns a copy of g with the segment-relative runs deleted
+// (cast == nil) or overwritten by cast's rows from position from on. A
+// sealed segment comes back sealed, the open tail open; an emptied
+// segment comes back with no rows for the caller to drop.
+func (g *segment) rewrite(types []vector.Type, runs []RowRange, cast []*vector.Vector, from int, compress bool) (*segment, error) {
+	out := &segment{cols: make([]*vector.Vector, len(types)), rows: g.rows}
+	if cast == nil {
+		out.rows -= rangeRows(runs)
+	}
+	for c, t := range types {
+		var col *vector.Vector
+		if g.sealed != nil {
+			v, err := g.sealed[c].Decode(nil)
+			if err != nil {
+				return nil, fmt.Errorf("column %d: %w", c, err)
+			}
+			col = v
+		} else {
+			col = g.cols[c]
+		}
+		nc := vector.New(t, out.rows)
+		prev, k := 0, from
+		for _, r := range runs {
+			nc.AppendVector(col.Slice(prev, r.Start))
+			if cast != nil {
+				nc.AppendVector(cast[c].Slice(k, k+r.End-r.Start))
+				k += r.End - r.Start
+			}
+			prev = r.End
+		}
+		nc.AppendVector(col.Slice(prev, g.rows))
+		out.cols[c] = nc
+	}
+	if g.sealed != nil && out.rows > 0 {
+		out.seal(compress)
+	}
+	return out, nil
 }
 
 // attachSealedSegment appends an already sealed segment (used when

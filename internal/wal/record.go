@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"vexdb/internal/storage"
@@ -24,12 +25,17 @@ const (
 	// RecDrop removes a table.
 	RecDrop Type = 4
 	// RecReplace atomically substitutes a table's entire contents with
-	// the record's chunk (copy-on-delete DELETE/UPDATE rewrites).
+	// the record's chunk. Older builds logged DELETE and UPDATE this
+	// way; it is no longer written, and replays for their logs only.
 	RecReplace Type = 5
 	// RecCheckpoint marks a durable checkpoint: every record at or
 	// before its LSN is captured by the checkpoint's table files, and a
 	// freshly sealed (truncated) log begins with one.
 	RecCheckpoint Type = 6
+	// RecRewrite deletes the table rows its Ranges name (DELETE with
+	// WHERE) or overwrites them in place with its Chunk (UPDATE), so it
+	// costs bytes in proportion to the rows matched, not the table.
+	RecRewrite Type = 7
 )
 
 func (t Type) String() string {
@@ -46,6 +52,8 @@ func (t Type) String() string {
 		return "replace"
 	case RecCheckpoint:
 		return "checkpoint"
+	case RecRewrite:
+		return "rewrite"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -63,16 +71,30 @@ type Record struct {
 	Table string
 	// Cols carries the schema of a RecCreate.
 	Cols []ColumnDef
-	// Chunk carries the rows of RecInsert/RecReplace and optionally of
-	// a CTAS RecCreate. Columns use the raw storage payload encoding
-	// (storage.EncodeColumn), the same layout as disk segments and
-	// wire chunk frames.
+	// Chunk carries the rows of RecInsert/RecReplace, and optionally of
+	// a CTAS RecCreate or (as replacement rows) of a RecRewrite. Columns
+	// use the raw storage payload encoding (storage.EncodeColumn), the
+	// same layout as disk segments and wire chunk frames.
 	Chunk *vector.Chunk
+	// Ranges names the rows a RecRewrite touches by global ordinal —
+	// position in the table, not (segment, row): a checkpoint seals the
+	// open tail into its image, so segment boundaries after a restart
+	// differ from the ones the record was logged against, while row
+	// order does not.
+	Ranges []storage.RowRange
 }
+
+// ErrCorrupt is wrapped by every error decoding a record body returns:
+// the frame passed its checksum but its contents are malformed.
+var ErrCorrupt = errors.New("wal: corrupt record")
 
 // maxFramePayload bounds one record's payload; anything larger in the
 // file is treated as corruption (a torn or overwritten length field).
 const maxFramePayload = 1 << 30
+
+// maxOrdinal bounds a RecRewrite ordinal: far past any table a process
+// can hold, and low enough that Start+Len never overflows.
+const maxOrdinal = 1 << 48
 
 // encodePayload serializes the record body (everything the frame CRC
 // covers).
@@ -95,6 +117,18 @@ func encodePayload(r *Record) ([]byte, error) {
 			out = append(out, byte(c.Type))
 		}
 		if r.Chunk == nil || r.Chunk.NumRows() == 0 {
+			return append(out, 0), nil
+		}
+		out = append(out, 1)
+		return appendChunk(out, r.Chunk)
+	case RecRewrite:
+		out = appendString16(out, r.Table)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Ranges)))
+		for _, g := range r.Ranges {
+			out = binary.LittleEndian.AppendUint64(out, uint64(g.Start))
+			out = binary.LittleEndian.AppendUint64(out, uint64(g.End-g.Start))
+		}
+		if r.Chunk == nil {
 			return append(out, 0), nil
 		}
 		out = append(out, 1)
@@ -141,24 +175,45 @@ func decodePayload(p []byte) (*Record, error) {
 		r.Chunk = d.chunk()
 	case RecCreate:
 		r.Table = d.str16()
+		// A column definition takes at least three bytes.
 		ncols := int(d.u16())
-		if d.err == nil && ncols > 1<<12 {
+		if d.err == nil && (ncols > 1<<12 || ncols > (len(d.buf)-d.off)/3) {
 			d.err = fmt.Errorf("implausible column count %d", ncols)
 		}
+		if d.err == nil {
+			r.Cols = make([]ColumnDef, 0, ncols)
+		}
 		for i := 0; i < ncols && d.err == nil; i++ {
-			r.Cols = append(r.Cols, ColumnDef{Name: d.str16(), Type: vector.Type(d.u8())})
+			c := ColumnDef{Name: d.str16(), Type: vector.Type(d.u8())}
+			if d.err == nil && (c.Type == vector.Invalid || c.Type > vector.Blob) {
+				d.err = fmt.Errorf("column %q of type %d", c.Name, c.Type)
+			}
+			r.Cols = append(r.Cols, c)
 		}
 		if d.u8() == 1 {
 			r.Chunk = d.chunk()
 		}
+	case RecRewrite:
+		r.Table = d.str16()
+		var n int
+		r.Ranges, n = d.ranges()
+		switch flag := d.u8(); {
+		case flag == 1:
+			r.Chunk = d.chunk()
+			if d.err == nil && r.Chunk.NumRows() != n {
+				d.err = fmt.Errorf("%d replacement rows for %d ordinals", r.Chunk.NumRows(), n)
+			}
+		case flag != 0 && d.err == nil:
+			d.err = fmt.Errorf("rows flag %d", flag)
+		}
 	default:
-		return nil, fmt.Errorf("wal: record type %d unknown", r.Type)
+		return nil, fmt.Errorf("%w: type %d unknown", ErrCorrupt, r.Type)
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("wal: decode %s record: %w", r.Type, d.err)
+		return nil, fmt.Errorf("%w: decode %s record: %w", ErrCorrupt, r.Type, d.err)
 	}
 	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("wal: %s record has %d trailing bytes", r.Type, len(d.buf)-d.off)
+		return nil, fmt.Errorf("%w: %s record has %d trailing bytes", ErrCorrupt, r.Type, len(d.buf)-d.off)
 	}
 	return r, nil
 }
@@ -223,13 +278,43 @@ func (d *decoder) str16() string {
 	return string(b)
 }
 
+// ranges reads a RecRewrite's ordinal runs, each a start and a length,
+// and rejects runs that are empty, unsorted, overlapping or past
+// maxOrdinal. It returns the runs and the rows they name.
+func (d *decoder) ranges() ([]storage.RowRange, int) {
+	n := int(d.u32())
+	if d.err != nil {
+		return nil, 0
+	}
+	if n > (len(d.buf)-d.off)/16 {
+		d.err = fmt.Errorf("%d row ranges in %d bytes", n, len(d.buf)-d.off)
+		return nil, 0
+	}
+	out := make([]storage.RowRange, n)
+	for i := range out {
+		start, length := d.u64(), d.u64()
+		if start > maxOrdinal || length > maxOrdinal {
+			d.err = fmt.Errorf("row range %d at ordinal %d, %d rows: out of range", i, start, length)
+			return nil, 0
+		}
+		out[i] = storage.RowRange{Start: int(start), End: int(start + length)}
+	}
+	rows, err := storage.CheckRanges(out, maxOrdinal)
+	if err != nil {
+		d.err = err
+		return nil, 0
+	}
+	return out, rows
+}
+
 func (d *decoder) chunk() *vector.Chunk {
 	nrows := int(d.u32())
 	ncols := int(d.u16())
 	if d.err != nil {
 		return nil
 	}
-	if nrows > maxFramePayload || ncols > 1<<12 {
+	// A column takes at least its type byte and payload length.
+	if nrows > maxFramePayload || ncols > 1<<12 || ncols > (len(d.buf)-d.off)/5 {
 		d.err = fmt.Errorf("implausible chunk %d rows x %d cols", nrows, ncols)
 		return nil
 	}

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
 
@@ -66,15 +68,19 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	mustAppendCommit(t, l, &Record{Type: RecCreate, Table: "u",
 		Cols:  []ColumnDef{{Name: "x", Type: vector.Int64}},
 		Chunk: intChunk(4, 5)})
+	// DELETE and UPDATE: ordinal runs, the second with its rows.
+	mustAppendCommit(t, l, &Record{Type: RecRewrite, Table: "u", Ranges: []storage.RowRange{{Start: 0, End: 1}, {Start: 5, End: 9}}})
+	mustAppendCommit(t, l, &Record{Type: RecRewrite, Table: "u", Ranges: []storage.RowRange{{Start: 1, End: 3}},
+		Chunk: intChunk(6, 7)})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	recs := replayAll(t, dir)
-	if len(recs) != 6 {
-		t.Fatalf("replayed %d records, want 6", len(recs))
+	if len(recs) != 8 {
+		t.Fatalf("replayed %d records, want 8", len(recs))
 	}
-	wantTypes := []Type{RecCreate, RecInsert, RecTruncate, RecReplace, RecDrop, RecCreate}
+	wantTypes := []Type{RecCreate, RecInsert, RecTruncate, RecReplace, RecDrop, RecCreate, RecRewrite, RecRewrite}
 	for i, r := range recs {
 		if r.Type != wantTypes[i] {
 			t.Fatalf("record %d: type %s, want %s", i, r.Type, wantTypes[i])
@@ -94,6 +100,35 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	}
 	if len(recs[0].Cols) != 2 || recs[0].Cols[1].Name != "name" || recs[0].Cols[1].Type != vector.String {
 		t.Fatalf("create schema round trip: %+v", recs[0].Cols)
+	}
+	if del := recs[6]; del.Chunk != nil || len(del.Ranges) != 2 || del.Ranges[1] != (storage.RowRange{Start: 5, End: 9}) {
+		t.Fatalf("delete rewrite round trip: %+v, chunk %v", del.Ranges, del.Chunk)
+	}
+	if upd := recs[7]; len(upd.Ranges) != 1 || upd.Chunk == nil || upd.Chunk.Col(0).Get(1).Int64() != 7 {
+		t.Fatalf("update rewrite round trip: %+v", upd.Ranges)
+	}
+}
+
+// The rewrite decoder rejects ordinal runs a writer never produces —
+// unsorted, overlapping, empty or out of range — and a row count that
+// disagrees with them, all as ErrCorrupt.
+func TestDecodeRejectsBadRewrites(t *testing.T) {
+	cases := map[string]*Record{
+		"unsorted":    {Ranges: []storage.RowRange{{Start: 10, End: 12}, {Start: 3, End: 4}}},
+		"overlapping": {Ranges: []storage.RowRange{{Start: 10, End: 12}, {Start: 11, End: 14}}},
+		"empty-run":   {Ranges: []storage.RowRange{{Start: 4, End: 4}}},
+		"past-max":    {Ranges: []storage.RowRange{{Start: maxOrdinal, End: maxOrdinal + 1}}},
+		"row-count":   {Ranges: []storage.RowRange{{Start: 0, End: 3}}, Chunk: intChunk(1, 2)},
+	}
+	for name, r := range cases {
+		r.Type, r.Table = RecRewrite, "t"
+		p, err := encodePayload(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodePayload(p); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // ImportCSV bulk-loads a headered CSV file into an existing table.
 // The file's columns must match the table's schema in order; numeric
 // and string column types are supported (BOOLEAN and BLOB columns
-// cannot be imported from CSV). It returns the number of rows loaded.
+// cannot be imported from CSV). The rows are written like one INSERT:
+// logged, and recovered after a crash. It returns the number of rows
+// loaded.
 func (db *DB) ImportCSV(table, path string) (int64, error) {
 	tab, err := db.eng.Catalog().Table(table)
 	if err != nil {
@@ -55,7 +57,7 @@ func (db *DB) ImportCSV(table, path string) (int64, error) {
 			cols[i] = vector.FromStrings(c.Strs)
 		}
 	}
-	if err := tab.Data.AppendChunk(vector.NewChunk(cols...)); err != nil {
+	if err := db.eng.AppendChunk(table, vector.NewChunk(cols...)); err != nil {
 		return 0, err
 	}
 	return int64(df.NumRows()), nil

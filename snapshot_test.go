@@ -223,3 +223,97 @@ func TestConcurrentWritersDifferentTables(t *testing.T) {
 		}
 	}
 }
+
+// DELETE and UPDATE race INSERTs into the same table and the readers:
+// each writer owns its batches, so a reader must see every batch whole
+// (count and sum(v) multiples of the batch size) and the final table
+// must be exactly what the writers' acknowledged statements left.
+func TestSnapshotIsolationUnderMixedWrites(t *testing.T) {
+	const batch, rounds, writers = 100, 30, 2
+	db := Open()
+	if _, err := db.Exec("CREATE TABLE mix (id BIGINT, v BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Int32
+	var wg sync.WaitGroup
+	writerErrs := make([]error, writers)
+	rows, sums := make([]int, writers), make([]int, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer done.Add(1)
+			var live []int // batch bases, oldest first; v of batch i is bumps[i]
+			var bumps []int
+			exec := func(q string) bool {
+				if _, err := db.Exec(q); err != nil {
+					writerErrs[w] = err
+					return false
+				}
+				return true
+			}
+			for r := 0; r < rounds; r++ {
+				base := (w+1)*1000000 + r*batch
+				var sb strings.Builder
+				fmt.Fprintf(&sb, "INSERT INTO mix VALUES (%d, 0)", base)
+				for i := 1; i < batch; i++ {
+					fmt.Fprintf(&sb, ", (%d, 0)", base+i)
+				}
+				if !exec(sb.String()) {
+					return
+				}
+				live, bumps = append(live, base), append(bumps, 0)
+				if r%3 == 1 {
+					k := r % len(live)
+					if !exec(fmt.Sprintf("UPDATE mix SET v = v + 1 WHERE id >= %d AND id < %d", live[k], live[k]+batch)) {
+						return
+					}
+					bumps[k]++
+				}
+				if r%5 == 4 {
+					if !exec(fmt.Sprintf("DELETE FROM mix WHERE id >= %d AND id < %d", live[0], live[0]+batch)) {
+						return
+					}
+					live, bumps = live[1:], bumps[1:]
+				}
+			}
+			rows[w] = batch * len(live)
+			for _, b := range bumps {
+				sums[w] += batch * b
+			}
+		}(w)
+	}
+	var readerErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for done.Load() < writers {
+			tab, err := db.Query("SELECT count(*) AS n, sum(v) AS s FROM mix")
+			if err != nil {
+				readerErr = err
+				return
+			}
+			n, s := tab.Cols[0].Get(0).Int64(), tab.Cols[1].Get(0).Int64()
+			if n%batch != 0 || s%batch != 0 {
+				readerErr = fmt.Errorf("saw %d rows summing to %d: a batch torn", n, s)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for w, err := range writerErrs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	if readerErr != nil {
+		t.Fatalf("reader: %v", readerErr)
+	}
+	tab, err := db.Query("SELECT count(*) AS n, sum(v) AS s FROM mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, s := tab.Cols[0].Get(0).Int64(), tab.Cols[1].Get(0).Int64(); n != int64(rows[0]+rows[1]) || s != int64(sums[0]+sums[1]) {
+		t.Fatalf("final table (%d rows, sum %d), acknowledged (%d, %d)", n, s, rows[0]+rows[1], sums[0]+sums[1])
+	}
+}
