@@ -89,11 +89,12 @@ func WriteFile(path string, df *frame.DataFrame) error {
 // declared column types (which must match the header's column count).
 func ReadFrame(r io.Reader, types []ColType) (*frame.DataFrame, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	header, err := readLine(br)
+	var long []byte
+	header, err := readLine(br, &long)
 	if err != nil {
 		return nil, fmt.Errorf("csvio: read header: %w", err)
 	}
-	names := splitComma(header)
+	names := splitComma(nil, header)
 	if len(names) != len(types) {
 		return nil, fmt.Errorf("csvio: %d header columns, %d declared types", len(names), len(types))
 	}
@@ -109,9 +110,12 @@ func ReadFrame(r io.Reader, types []ColType) (*frame.DataFrame, error) {
 			cols[i].Kind = frame.Str
 		}
 	}
+	// One fields slice serves every line; the fields alias the line,
+	// which aliases the reader's buffer until the next read.
+	var fields [][]byte
 	lineNo := 1
 	for {
-		line, err := readLine(br)
+		line, err := readLine(br, &long)
 		if err == io.EOF && len(line) == 0 {
 			break
 		}
@@ -125,7 +129,7 @@ func ReadFrame(r io.Reader, types []ColType) (*frame.DataFrame, error) {
 			}
 			continue
 		}
-		fields := splitComma(line)
+		fields = splitComma(fields, line)
 		if len(fields) != len(cols) {
 			return nil, fmt.Errorf("csvio: line %d has %d fields, expected %d", lineNo, len(fields), len(cols))
 		}
@@ -165,8 +169,19 @@ func ReadFile(path string, types []ColType) (*frame.DataFrame, error) {
 }
 
 // readLine reads one line without the trailing newline (handles \r\n).
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
+// The line aliases the reader's buffer and is valid until the next
+// read; a line longer than the buffer is assembled in *long instead.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		buf := append((*long)[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			buf = append(buf, line...)
+		}
+		*long = buf
+		line = buf
+	}
 	if len(line) > 0 && line[len(line)-1] == '\n' {
 		line = line[:len(line)-1]
 	}
@@ -178,9 +193,9 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 
 // splitComma splits on ',' without quote handling (the generated
 // datasets never contain embedded commas; this is the "optimized
-// parser" fast path).
-func splitComma(line []byte) [][]byte {
-	var out [][]byte
+// parser" fast path), reusing out's storage for the fields.
+func splitComma(out [][]byte, line []byte) [][]byte {
+	out = out[:0]
 	start := 0
 	for i := 0; i < len(line); i++ {
 		if line[i] == ',' {

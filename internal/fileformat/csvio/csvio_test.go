@@ -92,3 +92,39 @@ func TestParseIntEdge(t *testing.T) {
 		t.Errorf("large negative: %d %v", v, err)
 	}
 }
+
+// A line longer than the reader's 1 MiB buffer is assembled across
+// reads, and the lines around it still parse from the buffer.
+func TestLineLongerThanBuffer(t *testing.T) {
+	long := strings.Repeat("x", 3<<20/2)
+	in := "id,s\n1,a\n2," + long + "\n3,c"
+	got, err := ReadFrame(strings.NewReader(in), []ColType{Int, Str})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := got.Col("s").Strs
+	if got.NumRows() != 3 || got.Col("id").Ints[2] != 3 || s[0] != "a" || s[1] != long || s[2] != "c" {
+		t.Fatalf("rows %d, lengths %d/%d/%d", got.NumRows(), len(s[0]), len(s[1]), len(s[2]))
+	}
+}
+
+// Reading allocates per column, not per line: the line is read in
+// place and one fields slice serves every line.
+func TestReadDoesNotAllocatePerLine(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("a,b,c,d,e,f,g,h\n")
+	const lines = 2000
+	for i := 0; i < lines; i++ {
+		sb.WriteString("1,2,3,4,5,6,7,8\n")
+	}
+	in := sb.String()
+	types := []ColType{Int, Int, Int, Int, Int, Int, Int, Int}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadFrame(strings.NewReader(in), types); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > lines/10 {
+		t.Fatalf("%.0f allocations for %d lines", allocs, lines)
+	}
+}

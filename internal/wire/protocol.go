@@ -18,12 +18,13 @@
 // independent of result size. See README.md for the frame format.
 //
 // RowIterate provides the SQLite analog: an in-process row-at-a-time
-// cursor with per-value boxing but no socket.
+// cursor with a typed per-value copy but no socket.
 package wire
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -105,6 +106,15 @@ const (
 // bounded by vector.DefaultChunkSize rows, so anything near this limit
 // is a corrupt or hostile stream.
 const maxFrameSize = 1 << 28
+
+// ErrMalformed reports a schema or chunk frame from the server that
+// does not decode: truncated or trailing bytes, a bad null flag or
+// field, a row count the body cannot hold, or an unknown column type.
+var ErrMalformed = errors.New("wire: malformed frame")
+
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrMalformed}, args...)...)
+}
 
 func writeRequest(w io.Writer, proto Protocol, sql string) error {
 	var hdr [5]byte
@@ -246,27 +256,33 @@ func encodeSchema(buf *bytes.Buffer, schema catalog.Schema) {
 
 func decodeSchema(payload []byte) (names []string, types []vector.Type, err error) {
 	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("wire: truncated schema frame")
+		return nil, nil, malformed("truncated schema frame")
 	}
+	// Every column spends at least 3 bytes (name length and type), so a
+	// count the payload cannot hold is rejected before it sizes a slice.
 	n := binary.LittleEndian.Uint32(payload)
-	if n > 1<<16 {
-		return nil, nil, fmt.Errorf("wire: implausible column count %d", n)
+	if n > 1<<16 || uint64(n)*3 > uint64(len(payload)-4) {
+		return nil, nil, malformed("implausible column count %d in %d bytes", n, len(payload))
 	}
 	off := 4
 	names = make([]string, n)
 	types = make([]vector.Type, n)
 	for i := range names {
 		if off+2 > len(payload) {
-			return nil, nil, fmt.Errorf("wire: truncated schema frame")
+			return nil, nil, malformed("truncated schema frame")
 		}
 		nl := int(binary.LittleEndian.Uint16(payload[off:]))
 		off += 2
 		if off+nl+1 > len(payload) {
-			return nil, nil, fmt.Errorf("wire: truncated schema frame")
+			return nil, nil, malformed("truncated schema frame")
 		}
 		names[i] = string(payload[off : off+nl])
 		off += nl
-		types[i] = vector.Type(payload[off])
+		t := vector.Type(payload[off])
+		if t == vector.Invalid || t > vector.Blob {
+			return nil, nil, malformed("column %d has invalid type byte 0x%02x", i, payload[off])
+		}
+		types[i] = t
 		off++
 	}
 	return names, types, nil
@@ -295,22 +311,20 @@ func encodeChunk(proto Protocol, buf *bytes.Buffer, ch *vector.Chunk) error {
 // given types.
 func decodeChunk(proto Protocol, payload []byte, types []vector.Type) (*vector.Chunk, error) {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: truncated chunk frame")
+		return nil, malformed("truncated chunk frame")
 	}
-	n := int(binary.LittleEndian.Uint32(payload))
+	rows := binary.LittleEndian.Uint32(payload)
 	body := payload[4:]
-	// The row count is untrusted input: columns preallocate n slots, so
-	// bound it by the body size before any allocation. Every encoding
-	// spends at least one byte per row (text: the newline; binary: a
-	// null flag per column; columnar: ≥1 byte per row per column), so
-	// a count exceeding the body length is corrupt.
-	if len(types) == 0 {
-		if n != 0 {
-			return nil, fmt.Errorf("wire: %d rows in zero-column chunk", n)
-		}
-	} else if n > len(body) {
-		return nil, fmt.Errorf("wire: chunk declares %d rows in %d payload bytes", n, len(body))
+	// The row count is untrusted input: the row decoders allocate every
+	// column's rows up front, so bound it by the body size first. Every
+	// encoding spends at least one byte per field (text: a tab or the
+	// newline; binary: the null flag; columnar: ≥1 byte per row per
+	// column), so rows × columns beyond the body length is corrupt.
+	// Zero-column chunks must declare zero rows.
+	if rows > 0 && (len(types) == 0 || uint64(rows)*uint64(len(types)) > uint64(len(body))) {
+		return nil, malformed("chunk declares %d rows of %d columns in %d payload bytes", rows, len(types), len(body))
 	}
+	n := int(rows)
 	switch proto {
 	case TextRows:
 		return decodeTextChunk(body, n, types)
@@ -348,13 +362,15 @@ func writeTextField(buf *bytes.Buffer, col *vector.Vector, r int) error {
 		buf.WriteString("\\N")
 		return nil
 	}
+	// Numbers are formatted into the buffer's spare capacity, so no
+	// value allocates a string.
 	switch col.Type() {
 	case vector.Int32:
-		buf.WriteString(strconv.FormatInt(int64(col.Int32s()[r]), 10))
+		buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(col.Int32s()[r]), 10))
 	case vector.Int64:
-		buf.WriteString(strconv.FormatInt(col.Int64s()[r], 10))
+		buf.Write(strconv.AppendInt(buf.AvailableBuffer(), col.Int64s()[r], 10))
 	case vector.Float64:
-		buf.WriteString(strconv.FormatFloat(col.Float64s()[r], 'g', -1, 64))
+		buf.Write(strconv.AppendFloat(buf.AvailableBuffer(), col.Float64s()[r], 'g', -1, 64))
 	case vector.Bool:
 		if col.Bools()[r] {
 			buf.WriteString("t")
@@ -446,70 +462,84 @@ func hexDecode(s string) ([]byte, error) {
 }
 
 // decodeTextChunk parses the text-row body back into columns: the
-// client-side conversion cost of the pg-like path.
+// client-side conversion cost of the pg-like path. Each field is
+// parsed straight into row r of its typed column; the body is copied
+// to one string whose slices become the String values, so a field
+// costs no allocation unless it has escapes.
 func decodeTextChunk(body []byte, n int, types []vector.Type) (*vector.Chunk, error) {
-	cols := newColumns(types, n)
-	rows := 0
-	for len(body) > 0 {
-		nl := bytes.IndexByte(body, '\n')
+	cols := zeroColumns(types, n)
+	text := string(body)
+	last := len(types) - 1
+	r := 0
+	for ; len(text) > 0; r++ {
+		nl := strings.IndexByte(text, '\n')
 		if nl < 0 {
-			return nil, fmt.Errorf("wire: unterminated text row")
+			return nil, malformed("unterminated text row")
 		}
-		line := string(body[:nl])
-		body = body[nl+1:]
-		fields := strings.Split(line, "\t")
-		if len(fields) != len(cols) {
-			return nil, fmt.Errorf("wire: row has %d fields, expected %d", len(fields), len(cols))
+		if r == n {
+			return nil, malformed("chunk declared %d rows, carried more", n)
 		}
-		for i, f := range fields {
-			if err := appendTextField(cols[i], types[i], f); err != nil {
-				return nil, err
+		line := text[:nl]
+		text = text[nl+1:]
+		for i := range types {
+			f := line
+			if i < last {
+				tab := strings.IndexByte(line, '\t')
+				if tab < 0 {
+					return nil, malformed("row %d has %d fields, expected %d", r, i+1, len(types))
+				}
+				f, line = line[:tab], line[tab+1:]
+			} else if strings.IndexByte(line, '\t') >= 0 {
+				return nil, malformed("row %d has more than %d fields", r, len(types))
+			}
+			if err := setTextField(cols[i], r, f); err != nil {
+				return nil, malformed("row %d column %d: %w", r, i, err)
 			}
 		}
-		rows++
 	}
-	if rows != n {
-		return nil, fmt.Errorf("wire: chunk declared %d rows, carried %d", n, rows)
+	if r != n {
+		return nil, malformed("chunk declared %d rows, carried %d", n, r)
 	}
 	return vector.NewChunk(cols...), nil
 }
 
-func appendTextField(col *vector.Vector, t vector.Type, f string) error {
+// setTextField parses text field f into row r of col.
+func setTextField(col *vector.Vector, r int, f string) error {
 	if f == "\\N" {
-		col.AppendValue(vector.Null())
+		col.SetNull(r)
 		return nil
 	}
-	switch t {
+	switch col.Type() {
 	case vector.Int32:
 		v, err := strconv.ParseInt(f, 10, 32)
 		if err != nil {
-			return fmt.Errorf("wire: parse int %q: %w", f, err)
+			return err
 		}
-		col.AppendValue(vector.NewInt32(int32(v)))
+		col.Int32s()[r] = int32(v)
 	case vector.Int64:
 		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
-			return fmt.Errorf("wire: parse bigint %q: %w", f, err)
+			return err
 		}
-		col.AppendValue(vector.NewInt64(v))
+		col.Int64s()[r] = v
 	case vector.Float64:
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return fmt.Errorf("wire: parse double %q: %w", f, err)
+			return err
 		}
-		col.AppendValue(vector.NewFloat64(v))
+		col.Float64s()[r] = v
 	case vector.Bool:
-		col.AppendValue(vector.NewBool(f == "t"))
+		col.Bools()[r] = f == "t"
 	case vector.String:
-		col.AppendValue(vector.NewString(unescapeText(f)))
+		col.Strings()[r] = unescapeText(f)
 	case vector.Blob:
 		b, err := hexDecode(f)
 		if err != nil {
 			return err
 		}
-		col.AppendValue(vector.NewBlob(b))
+		col.Blobs()[r] = b
 	default:
-		return fmt.Errorf("wire: unsupported type %v", t)
+		return fmt.Errorf("unsupported type %v", col.Type())
 	}
 	return nil
 }
@@ -564,67 +594,68 @@ func encodeBinaryChunk(buf *bytes.Buffer, ch *vector.Chunk) error {
 	return nil
 }
 
+// decodeBinaryChunk reads the binary-row body field by field at a
+// byte offset into row r of each typed column. Every read is checked
+// against the bytes left before it is made, so a hostile length costs
+// an error, not an allocation.
 func decodeBinaryChunk(body []byte, n int, types []vector.Type) (*vector.Chunk, error) {
-	cols := newColumns(types, n)
-	r := bytes.NewReader(body)
-	var buf [8]byte
-	for row := 0; row < n; row++ {
+	cols := zeroColumns(types, n)
+	off := 0
+	for r := 0; r < n; r++ {
 		for i, t := range types {
-			nullFlag, err := r.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("wire: truncated binary chunk: %w", err)
+			if off >= len(body) {
+				return nil, malformed("truncated binary chunk at row %d", r)
 			}
-			if nullFlag == 1 {
-				cols[i].AppendValue(vector.Null())
+			switch body[off] {
+			case 0:
+			case 1:
+				cols[i].SetNull(r)
+				off++
 				continue
+			default:
+				return nil, malformed("null flag %d at row %d column %d", body[off], r, i)
 			}
+			off++
+			w := t.FixedWidth()
+			if w == 0 {
+				w = 4 // VARCHAR and BLOB start with a u32 length
+			}
+			if len(body)-off < w {
+				return nil, malformed("truncated binary chunk at row %d", r)
+			}
+			field := body[off : off+w]
+			off += w
 			switch t {
 			case vector.Int32:
-				if _, err := io.ReadFull(r, buf[:4]); err != nil {
-					return nil, err
-				}
-				cols[i].AppendValue(vector.NewInt32(int32(binary.LittleEndian.Uint32(buf[:4]))))
+				cols[i].Int32s()[r] = int32(binary.LittleEndian.Uint32(field))
 			case vector.Int64:
-				if _, err := io.ReadFull(r, buf[:8]); err != nil {
-					return nil, err
-				}
-				cols[i].AppendValue(vector.NewInt64(int64(binary.LittleEndian.Uint64(buf[:8]))))
+				cols[i].Int64s()[r] = int64(binary.LittleEndian.Uint64(field))
 			case vector.Float64:
-				if _, err := io.ReadFull(r, buf[:8]); err != nil {
-					return nil, err
-				}
-				cols[i].AppendValue(vector.NewFloat64(math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))))
+				cols[i].Float64s()[r] = math.Float64frombits(binary.LittleEndian.Uint64(field))
 			case vector.Bool:
-				b, err := r.ReadByte()
-				if err != nil {
-					return nil, err
+				if field[0] > 1 {
+					return nil, malformed("bool byte %d at row %d column %d", field[0], r, i)
 				}
-				cols[i].AppendValue(vector.NewBool(b == 1))
-			case vector.String:
-				if _, err := io.ReadFull(r, buf[:4]); err != nil {
-					return nil, err
+				cols[i].Bools()[r] = field[0] == 1
+			case vector.String, vector.Blob:
+				l := binary.LittleEndian.Uint32(field)
+				if uint64(l) > uint64(len(body)-off) {
+					return nil, malformed("field of %d bytes at row %d overruns the chunk", l, r)
 				}
-				sb := make([]byte, binary.LittleEndian.Uint32(buf[:4]))
-				if _, err := io.ReadFull(r, sb); err != nil {
-					return nil, err
+				v := body[off : off+int(l)]
+				off += int(l)
+				if t == vector.String {
+					cols[i].Strings()[r] = string(v)
+				} else {
+					cols[i].Blobs()[r] = bytes.Clone(v)
 				}
-				cols[i].AppendValue(vector.NewString(string(sb)))
-			case vector.Blob:
-				if _, err := io.ReadFull(r, buf[:4]); err != nil {
-					return nil, err
-				}
-				bb := make([]byte, binary.LittleEndian.Uint32(buf[:4]))
-				if _, err := io.ReadFull(r, bb); err != nil {
-					return nil, err
-				}
-				cols[i].AppendValue(vector.NewBlob(bb))
 			default:
-				return nil, fmt.Errorf("wire: unsupported type %v", t)
+				return nil, malformed("unsupported type %v", t)
 			}
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in binary chunk", r.Len())
+	if off != len(body) {
+		return nil, malformed("%d trailing bytes in binary chunk", len(body)-off)
 	}
 	return vector.NewChunk(cols...), nil
 }
@@ -652,26 +683,50 @@ func decodeColumnarChunk(body []byte, n int, types []vector.Type) (*vector.Chunk
 	off := 0
 	for i, t := range types {
 		if off+4 > len(body) {
-			return nil, fmt.Errorf("wire: truncated columnar chunk")
+			return nil, malformed("truncated columnar chunk")
 		}
 		l := int(binary.LittleEndian.Uint32(body[off:]))
 		off += 4
-		if off+l > len(body) {
-			return nil, fmt.Errorf("wire: truncated columnar chunk")
+		if l > len(body)-off {
+			return nil, malformed("truncated columnar chunk")
 		}
 		col, err := storage.DecodeColumn(t, n, body[off:off+l])
 		if err != nil {
-			return nil, fmt.Errorf("wire: %w", err)
+			return nil, malformed("%w", err)
 		}
 		off += l
 		cols[i] = col
 	}
 	if off != len(body) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in columnar chunk", len(body)-off)
+		return nil, malformed("%d trailing bytes in columnar chunk", len(body)-off)
 	}
 	return vector.NewChunk(cols...), nil
 }
 
+// zeroColumns returns one column of n zero rows per type, for the row
+// decoders to fill by index.
+func zeroColumns(types []vector.Type, n int) []*vector.Vector {
+	cols := make([]*vector.Vector, len(types))
+	for i, t := range types {
+		switch t {
+		case vector.Bool:
+			cols[i] = vector.FromBools(make([]bool, n))
+		case vector.Int32:
+			cols[i] = vector.FromInt32s(make([]int32, n))
+		case vector.Int64:
+			cols[i] = vector.FromInt64s(make([]int64, n))
+		case vector.Float64:
+			cols[i] = vector.FromFloat64s(make([]float64, n))
+		case vector.String:
+			cols[i] = vector.FromStrings(make([]string, n))
+		case vector.Blob:
+			cols[i] = vector.FromBlobs(make([][]byte, n))
+		}
+	}
+	return cols
+}
+
+// newColumns returns one empty column per type with room for n rows.
 func newColumns(types []vector.Type, n int) []*vector.Vector {
 	cols := make([]*vector.Vector, len(types))
 	for i, t := range types {

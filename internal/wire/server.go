@@ -468,6 +468,9 @@ func (c *Client) Stream(proto Protocol, sql string) (*ResultStream, error) {
 	case frameSchema:
 		names, types, err := decodeSchema(payload)
 		if err != nil {
+			// The result's chunks follow undecodable: latch the
+			// connection as desynchronized, as Next does.
+			c.fatal = err
 			return nil, err
 		}
 		st.names, st.types, st.hasRows = names, types, true
@@ -576,23 +579,31 @@ func (c *Client) Query(proto Protocol, sql string) (*vector.Table, error) {
 		// possibly empty.
 		return &vector.Table{}, nil
 	}
-	cols := newColumns(st.types, 0)
-	out, err := vector.NewTable(st.names, cols)
-	if err != nil {
-		return nil, err
-	}
+	// Collect the decoded chunks first, so each result column is sized
+	// once instead of growing by doubling.
+	var chunks []*vector.Chunk
+	total := 0
 	for {
 		ch, err := st.Next()
 		if err != nil {
 			return nil, err
 		}
 		if ch == nil {
-			return out, nil
+			break
 		}
+		chunks = append(chunks, ch)
+		total += ch.NumRows()
+	}
+	out, err := vector.NewTable(st.names, newColumns(st.types, total))
+	if err != nil {
+		return nil, err
+	}
+	for _, ch := range chunks {
 		if err := out.AppendChunk(ch); err != nil {
 			return nil, err
 		}
 	}
+	return out, nil
 }
 
 // Exec executes a statement, discarding any result rows, and reports
@@ -612,8 +623,9 @@ func (c *Client) Exec(sql string) (int64, error) {
 }
 
 // RowIterate is the SQLite analog: execute a query in-process and pull
-// the result through a row-at-a-time cursor with per-value boxing (no
-// socket, but all the per-row API overhead). It rides the same
+// the result through a row-at-a-time cursor that copies one typed
+// field per row per column, as sqlite3_column_* does (no socket and no
+// boxing, but all the per-row API overhead). It rides the same
 // streaming ResultSet as the wire path — the result is never
 // materialized twice.
 func RowIterate(db *engine.DB, sql string) (*vector.Table, error) {
@@ -640,10 +652,8 @@ func RowIterate(db *engine.DB, sql string) (*vector.Table, error) {
 		}
 		n := ch.NumRows()
 		for r := 0; r < n; r++ {
-			// One boxed Value per field per row, as a row-cursor API
-			// (sqlite3_column_*) would force.
 			for i, c := range ch.Cols() {
-				cols[i].AppendValue(c.Get(r))
+				cols[i].AppendRowFrom(c, r)
 			}
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -592,7 +594,9 @@ func TestStreamCloseDrains(t *testing.T) {
 }
 
 // Chunk frames carry an untrusted row count; a hostile value must be
-// rejected before column preallocation, not OOM the client.
+// rejected before column preallocation, not OOM the client. Every
+// field costs a body byte, so rows × columns beyond the body is hostile
+// too, even when the rows alone would fit.
 func TestDecodeChunkRowCountGuard(t *testing.T) {
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint32(payload, 0xFFFFFFFF)
@@ -605,18 +609,96 @@ func TestDecodeChunkRowCountGuard(t *testing.T) {
 	if _, err := decodeChunk(Columnar, payload, nil); err == nil {
 		t.Fatal("rows in zero-column chunk accepted")
 	}
+	wide := make([]vector.Type, 16)
+	for i := range wide {
+		wide[i] = vector.Blob
+	}
+	payload = make([]byte, 4+16<<10)
+	binary.LittleEndian.PutUint32(payload, 16<<10) // one byte per row for 16 columns
+	for _, proto := range []Protocol{TextRows, BinaryRows} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeChunk(proto, payload, wide)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("%s: rejecting %d rows of 16 columns allocated %d bytes", proto, 16<<10, grew)
+		}
+	}
 }
 
-// An undecodable frame desynchronizes the stream; the client must
-// refuse further requests on that connection instead of misparsing
-// leftover frames.
-func TestDesyncLatchRefusesReuse(t *testing.T) {
+// Text rows must carry exactly the schema's fields and the declared
+// row count.
+func TestDecodeTextRowShape(t *testing.T) {
+	types := []vector.Type{vector.Int64, vector.String}
+	for _, tc := range []struct {
+		rows uint32
+		body string
+	}{
+		{1, "1\ta\tb\n"}, // a field too many
+		{1, "1\n"},       // a field short
+		{1, "1\ta"},      // unterminated
+		{1, "1\ta\n2\tb\n"},
+		{2, "1\ta\n"},
+	} {
+		payload := binary.LittleEndian.AppendUint32(nil, tc.rows)
+		payload = append(payload, tc.body...)
+		if _, err := decodeChunk(TextRows, payload, types); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%d rows of %q: %v", tc.rows, tc.body, err)
+		}
+	}
+	payload := append(binary.LittleEndian.AppendUint32(nil, 2), "1\ta\n\\N\tb\\tc\n"...)
+	ch, err := decodeChunk(TextRows, payload, types)
+	if err != nil || !ch.Col(0).IsNull(1) || ch.Col(1).Strings()[1] != "b\tc" {
+		t.Fatalf("valid rows: %v", err)
+	}
+}
+
+// A binary VARCHAR/BLOB length is untrusted too: one past the end of
+// the body must be rejected before it sizes an allocation (a 5-byte
+// body declaring 4 GiB), and null flags other than 0/1 are corruption.
+func TestDecodeBinaryFieldGuards(t *testing.T) {
+	hostile := []byte{1, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF} // 1 row: flag 0, length 2^32-1
+	for _, typ := range []vector.Type{vector.String, vector.Blob} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeChunk(BinaryRows, hostile, []vector.Type{typ})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%v: hostile length: %v", typ, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+			t.Fatalf("%v: rejecting a hostile length allocated %d bytes", typ, grew)
+		}
+	}
+	for _, flag := range []byte{2, 0xFF} {
+		body := []byte{1, 0, 0, 0, flag, 7, 0, 0, 0} // 1 row: an INTEGER 7
+		if _, err := decodeChunk(BinaryRows, body, []vector.Type{vector.Int32}); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("null flag %d: %v", flag, err)
+		}
+	}
+	body := []byte{1, 0, 0, 0, 0, 7, 0, 0, 0}
+	if ch, err := decodeChunk(BinaryRows, body, []vector.Type{vector.Int32}); err != nil || ch.Col(0).Int32s()[0] != 7 {
+		t.Fatalf("valid field: %v", err)
+	}
+}
+
+// serveFrames accepts one connection, reads one request and answers it
+// with the given frames, then holds the connection open so a client
+// failure is decode-level, not a read error.
+func serveFrames(t *testing.T, frames func(w io.Writer)) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	served := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
 	go func() {
 		defer close(served)
 		conn, err := ln.Accept()
@@ -629,20 +711,57 @@ func TestDesyncLatchRefusesReuse(t *testing.T) {
 			return
 		}
 		bw := bufio.NewWriter(conn)
-		var buf bytes.Buffer
-		encodeSchema(&buf, catalog.Schema{{Name: "x", Type: vector.Int64}})
-		writeFrame(bw, frameSchema, buf.Bytes())
-		// Bogus chunk: declares 3 rows with an empty body.
-		chunk := make([]byte, 4)
-		binary.LittleEndian.PutUint32(chunk, 3)
-		writeFrame(bw, frameChunk, chunk)
+		frames(bw)
 		bw.Flush()
-		// Hold the connection open so the client failure is
-		// decode-level, not a read error.
 		var one [1]byte
 		conn.Read(one[:])
 	}()
-	c, err := Dial(ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// A schema frame naming an unknown column type must come back as
+// ErrMalformed, not a panic inside vector.New, and the frames after it
+// leave the connection desynchronized.
+func TestSchemaRejectsInvalidType(t *testing.T) {
+	addr := serveFrames(t, func(w io.Writer) {
+		var buf bytes.Buffer
+		encodeSchema(&buf, catalog.Schema{{Name: "x", Type: vector.Int64}, {Name: "y", Type: vector.Int64}})
+		schema := buf.Bytes()
+		schema[len(schema)-1] = 0xEE
+		writeFrame(w, frameSchema, schema)
+		chunk := make([]byte, 4)
+		writeFrame(w, frameChunk, chunk)
+		writeEndFrame(w, 0)
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(Columnar, "SELECT 1, 2"); !errors.Is(err, ErrMalformed) ||
+		!strings.Contains(err.Error(), "0xee") {
+		t.Fatalf("invalid type byte: %v", err)
+	}
+	if _, err := c.Stream(Columnar, "SELECT 1"); err == nil ||
+		!strings.Contains(err.Error(), "desynchronized") {
+		t.Fatalf("desync not latched: %v", err)
+	}
+}
+
+// An undecodable frame desynchronizes the stream; the client must
+// refuse further requests on that connection instead of misparsing
+// leftover frames.
+func TestDesyncLatchRefusesReuse(t *testing.T) {
+	addr := serveFrames(t, func(w io.Writer) {
+		var buf bytes.Buffer
+		encodeSchema(&buf, catalog.Schema{{Name: "x", Type: vector.Int64}})
+		writeFrame(w, frameSchema, buf.Bytes())
+		// Bogus chunk: declares 3 rows with an empty body.
+		chunk := make([]byte, 4)
+		binary.LittleEndian.PutUint32(chunk, 3)
+		writeFrame(w, frameChunk, chunk)
+	})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
