@@ -40,7 +40,7 @@ func main() {
 		if err := m.Fit(trainX, trainY); err != nil {
 			log.Fatal(err)
 		}
-		pred, err := m.Predict(testX)
+		pred, err := ml.Predict(m, testX)
 		if err != nil {
 			log.Fatal(err)
 		}

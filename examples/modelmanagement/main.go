@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, err := clf.Predict(X)
+	pred, err := ml.Predict(clf, X)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestRegistryTable(t *testing.T) {
 	fn := &TableFunc{
 		Name:    "one",
 		Columns: []ColumnDecl{{Name: "x", Type: vector.Int64}},
-		Fn: func([]TableArg) (*vector.Table, error) {
+		Fn: func([]TableArg, int) (*vector.Table, error) {
 			return vector.NewTable([]string{"x"}, []*vector.Vector{vector.FromInt64s([]int64{1})})
 		},
 	}

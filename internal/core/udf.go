@@ -55,14 +55,12 @@ type TableFunc struct {
 	// Columns declares the output schema.
 	Columns []ColumnDecl
 	// Fn consumes the evaluated arguments and produces the output
-	// relation, whose columns must match Columns.
-	Fn func(args []TableArg) (*vector.Table, error)
-	// FnPar, when set, is invoked instead of Fn with the executing
-	// query's worker count, letting blocking table UDFs (model
-	// training) parallelize internally under the engine's parallelism
-	// setting. Implementations must produce results identical to Fn at
-	// any worker count; workers <= 0 means "choose" (NumCPU).
-	FnPar func(args []TableArg, workers int) (*vector.Table, error)
+	// relation, whose columns must match Columns. workers is the
+	// executing query's worker count, so blocking table UDFs (model
+	// training) can parallelize under the engine's parallelism setting;
+	// their results must not depend on it. workers <= 0 means "choose"
+	// (NumCPU); functions that do not parallelize ignore it.
+	Fn func(args []TableArg, workers int) (*vector.Table, error)
 }
 
 // ColumnDecl declares one output column of a table UDF.

@@ -426,7 +426,7 @@ func TestTableUDF(t *testing.T) {
 			{Name: "total", Type: vector.Float64},
 			{Name: "rows", Type: vector.Int64},
 		},
-		Fn: func(args []core.TableArg) (*vector.Table, error) {
+		Fn: func(args []core.TableArg, _ int) (*vector.Table, error) {
 			if len(args) != 2 || !args[0].IsTable() || args[1].IsTable() {
 				return nil, fmt.Errorf("summarize(table, factor)")
 			}

@@ -9,7 +9,8 @@ import (
 )
 
 // tableFuncOp evaluates a table UDF's arguments (running subplans for
-// relation arguments), invokes the function once, validates the result
+// relation arguments), invokes the function once with the query's
+// worker count, validates the result
 // against the declared schema, and streams it out in chunks.
 type tableFuncOp struct {
 	spec *plan.TableFuncScan
@@ -37,16 +38,7 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 		}
 		args[i] = core.TableArg{Scalar: v}
 	}
-	var out *vector.Table
-	var err error
-	if t.spec.Fn.FnPar != nil {
-		// Parallel-aware table UDFs (the trainers) get the query's
-		// worker count; their contract requires results identical to
-		// the serial path at any count.
-		out, err = t.spec.Fn.FnPar(args, ctx.Workers())
-	} else {
-		out, err = t.spec.Fn.Fn(args)
-	}
+	out, err := t.spec.Fn.Fn(args, ctx.Workers())
 	if err != nil {
 		return fmt.Errorf("exec: table function %s: %w", t.spec.Fn.Name, err)
 	}

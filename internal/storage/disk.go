@@ -32,18 +32,12 @@ import (
 // Segments are stored in their sealed (possibly compressed) form and
 // stay encoded after loading: LoadTableFile attaches the payload
 // bytes, zone maps and distinct-count sketches directly, and columns
-// decode lazily when first scanned. Version 2 files ("VXTB0002",
-// identical but with no sketch flag) and version 1 files ("VXTB0001",
-// one raw payload per column, no segments or zone maps) are still
-// read; writes always produce version 3. Any other version is
-// rejected. A version-3 sketch whose register width differs from the
+// decode lazily when first scanned. Version 3 is the only version
+// read or written; any other magic, including the retired versions 1
+// and 2, is rejected. A sketch whose register width differs from the
 // current hllP is skipped rather than rejected, so a future precision
 // change stays backward readable.
-var (
-	tableMagicV1 = [8]byte{'V', 'X', 'T', 'B', '0', '0', '0', '1'}
-	tableMagicV2 = [8]byte{'V', 'X', 'T', 'B', '0', '0', '0', '2'}
-	tableMagicV3 = [8]byte{'V', 'X', 'T', 'B', '0', '0', '0', '3'}
-)
+var tableMagicV3 = [8]byte{'V', 'X', 'T', 'B', '0', '0', '0', '3'}
 
 const nullMarker = uint32(0xFFFFFFFF)
 
@@ -256,26 +250,21 @@ func readZoneValue(br *bufio.Reader) (vector.Value, error) {
 	return vector.Null(), fmt.Errorf("storage: zone value type %d invalid", tb)
 }
 
-// ReadTable reads a table written by WriteTable (version 3) or by the
-// version 1 and 2 writers. Unknown versions are rejected.
+// ReadTable reads a table written by WriteTable (version 3). Other
+// versions are rejected.
 func ReadTable(r io.Reader) (names []string, store *ColumnStore, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, nil, fmt.Errorf("storage: read magic: %w", err)
 	}
-	switch magic {
-	case tableMagicV3:
-		return readTableSegments(br, true)
-	case tableMagicV2:
-		return readTableSegments(br, false)
-	case tableMagicV1:
-		return readTableV1(br)
+	if magic != tableMagicV3 {
+		return nil, nil, fmt.Errorf("storage: bad magic %q (unsupported table file version)", magic[:])
 	}
-	return nil, nil, fmt.Errorf("storage: bad magic %q (unsupported table file version)", magic[:])
+	return readTableSegments(br)
 }
 
-// readHeader reads the shared column-meta header of both versions.
+// readHeader reads the column-meta header.
 func readHeader(br *bufio.Reader) (names []string, types []vector.Type, nrows uint64, err error) {
 	var ncols uint32
 	if err := binary.Read(br, binary.LittleEndian, &ncols); err != nil {
@@ -305,9 +294,8 @@ func readHeader(br *bufio.Reader) (names []string, types []vector.Type, nrows ui
 	return names, types, nrows, nil
 }
 
-// readTableSegments reads the segmented body shared by versions 2 and
-// 3; sketches (version 3) are the only difference between the two.
-func readTableSegments(br *bufio.Reader, hasSketch bool) (names []string, store *ColumnStore, err error) {
+// readTableSegments reads the segmented body.
+func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, err error) {
 	names, types, nrows, err := readHeader(br)
 	if err != nil {
 		return nil, nil, err
@@ -365,7 +353,7 @@ func readTableSegments(br *bufio.Reader, hasSketch bool) (names []string, store 
 				}
 			}
 			var sketch *HLL
-			if hasSketch && flags&2 != 0 {
+			if flags&2 != 0 {
 				p, err := br.ReadByte()
 				if err != nil {
 					return nil, nil, err
@@ -421,46 +409,6 @@ func encodingValidForType(enc Encoding, t vector.Type) error {
 		}
 	}
 	return nil
-}
-
-// readTableV1 reads the legacy single-payload-per-column format. The
-// columns are materialized eagerly and re-segmented (and re-sealed
-// under the current compression setting) through AppendChunk.
-func readTableV1(br *bufio.Reader) (names []string, store *ColumnStore, err error) {
-	names, types, nrows, err := readHeader(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	store = NewColumnStore(types)
-	cols := make([]*vector.Vector, len(types))
-	for c := range types {
-		var plen uint64
-		if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-			return nil, nil, err
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, nil, err
-		}
-		var sum uint32
-		if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
-			return nil, nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, nil, fmt.Errorf("storage: column %q: checksum mismatch", names[c])
-		}
-		col, err := decodeColumn(types[c], int(nrows), payload)
-		if err != nil {
-			return nil, nil, fmt.Errorf("storage: column %q: %w", names[c], err)
-		}
-		cols[c] = col
-	}
-	if len(types) > 0 {
-		if err := store.AppendChunk(vector.NewChunk(cols...)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return names, store, nil
 }
 
 // SaveTableFile writes the table to path atomically (temp + rename).

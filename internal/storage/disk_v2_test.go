@@ -155,55 +155,46 @@ func TestDiskV2AppendAfterLoad(t *testing.T) {
 	}
 }
 
-// Satellite: the format bump accepts version-1 files and rejects
-// unknown versions.
-func TestDiskV1FileAccepted(t *testing.T) {
-	// Hand-build a v1 file: magic, ncols, nrows, column meta, then one
-	// raw payload + crc per column.
-	cols := []*vector.Vector{
-		vector.FromInt64s([]int64{1, 2, 3}),
-		vector.FromStrings([]string{"a", "b", "c"}),
-	}
-	names := []string{"id", "s"}
-	types := []vector.Type{vector.Int64, vector.String}
-	var buf bytes.Buffer
-	buf.Write([]byte("VXTB0001"))
-	binary.Write(&buf, binary.LittleEndian, uint32(2))
-	binary.Write(&buf, binary.LittleEndian, uint64(3))
-	for i, name := range names {
-		binary.Write(&buf, binary.LittleEndian, uint16(len(name)))
-		buf.WriteString(name)
-		buf.WriteByte(byte(types[i]))
-	}
-	for _, c := range cols {
-		payload, err := EncodeColumn(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.Write(&buf, binary.LittleEndian, uint64(len(payload)))
-		buf.Write(payload)
-		binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(payload))
-	}
-
-	gotNames, got, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if gotNames[1] != "s" || got.NumRows() != 3 {
-		t.Fatalf("names=%v rows=%d", gotNames, got.NumRows())
-	}
-	if mustColumn(t, got, 0).Int64s()[2] != 3 || mustColumn(t, got, 1).Strings()[0] != "a" {
-		t.Fatal("v1 contents wrong")
-	}
-}
-
+// Only version 3 is read: real version-1 and version-2 images (the
+// retired formats) are rejected like any unknown magic.
 func TestDiskUnknownVersionRejected(t *testing.T) {
+	// A v1 file: magic, ncols, nrows, column meta, then one raw
+	// payload + crc per column.
+	var v1 bytes.Buffer
+	v1.Write([]byte("VXTB0001"))
+	binary.Write(&v1, binary.LittleEndian, uint32(1))
+	binary.Write(&v1, binary.LittleEndian, uint64(3))
+	binary.Write(&v1, binary.LittleEndian, uint16(2))
+	v1.WriteString("id")
+	v1.WriteByte(byte(vector.Int64))
+	payload, err := EncodeColumn(vector.FromInt64s([]int64{1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.Write(&v1, binary.LittleEndian, uint64(len(payload)))
+	v1.Write(payload)
+	binary.Write(&v1, binary.LittleEndian, crc32.ChecksumIEEE(payload))
+
+	// A v2 file: the v3 layout without sketches.
+	s := eventsStore(t, 2, 100)
+	stripSketches(s)
+	var v2 bytes.Buffer
+	if err := WriteTable(&v2, []string{"key", "val", "tag"}, s); err != nil {
+		t.Fatal(err)
+	}
+	copy(v2.Bytes(), "VXTB0002")
+
+	images := map[string][]byte{"VXTB0001": v1.Bytes(), "VXTB0002": v2.Bytes()}
 	for _, magic := range []string{"VXTB0004", "VXTB9999", "XXXXXXXX"} {
-		payload := magic + strings.Repeat("\x00", 64)
-		_, _, err := ReadTable(bytes.NewReader([]byte(payload)))
-		if err == nil || !strings.Contains(err.Error(), "unsupported") {
-			t.Fatalf("magic %q: err = %v, want unsupported-version error", magic, err)
-		}
+		images[magic] = []byte(magic + strings.Repeat("\x00", 64))
+	}
+	for magic, image := range images {
+		t.Run(magic, func(t *testing.T) {
+			_, _, err := ReadTable(bytes.NewReader(image))
+			if err == nil || !strings.Contains(err.Error(), "unsupported") {
+				t.Fatalf("err = %v, want unsupported-version error", err)
+			}
+		})
 	}
 }
 
@@ -302,12 +293,12 @@ func TestCompressedFileSmallerThanRaw(t *testing.T) {
 	}
 }
 
-// A v2 file whose zone bounds are typed unlike their column must be
+// A file whose zone bounds are typed unlike their column must be
 // rejected at load: a mistyped bound would otherwise silently
 // over-prune at scan time.
 func TestDiskV2RejectsMistypedZoneBounds(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte("VXTB0002"))
+	buf.Write([]byte("VXTB0003"))
 	binary.Write(&buf, binary.LittleEndian, uint32(1)) // ncols
 	binary.Write(&buf, binary.LittleEndian, uint64(1)) // nrows
 	binary.Write(&buf, binary.LittleEndian, uint16(1))
@@ -316,7 +307,7 @@ func TestDiskV2RejectsMistypedZoneBounds(t *testing.T) {
 	binary.Write(&buf, binary.LittleEndian, uint32(1)) // nsegs
 	binary.Write(&buf, binary.LittleEndian, uint32(1)) // rows
 	buf.WriteByte(byte(EncRaw))
-	buf.WriteByte(1)                                   // flags: has min/max
+	buf.WriteByte(1)                                   // flags: has min/max, no sketch
 	binary.Write(&buf, binary.LittleEndian, uint32(0)) // null count
 	for i := 0; i < 2; i++ {                           // min and max typed String
 		buf.WriteByte(byte(vector.String))

@@ -178,8 +178,7 @@ func TestColumnStatisticsPartialCoverage(t *testing.T) {
 	}
 }
 
-// Sketches must survive the disk round trip (version 3) and V2 files
-// must still load, just without sketches.
+// Sketches must survive the disk round trip (version 3).
 func TestSketchPersistenceV3(t *testing.T) {
 	const nseg, ndv = 3, 200
 	s := eventsStore(t, nseg, ndv)
@@ -207,38 +206,8 @@ func TestSketchPersistenceV3(t *testing.T) {
 	}
 }
 
-func TestV2FileLoadsWithoutSketch(t *testing.T) {
-	s := eventsStore(t, 2, 100)
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, []string{"key", "val", "tag"}, s); err != nil {
-		t.Fatal(err)
-	}
-	// A V3 body parsed as V2 would misalign, so build a real V2 image:
-	// write with sketches stripped, then patch the magic.
-	s2 := eventsStore(t, 2, 100)
-	stripSketches(s2)
-	buf.Reset()
-	if err := WriteTable(&buf, []string{"key", "val", "tag"}, s2); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	copy(b, []byte("VXTB0002"))
-	_, got, err := ReadTable(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
-	}
-	if got.NumRows() != SegmentRows*2 {
-		t.Fatalf("rows = %d", got.NumRows())
-	}
-	cs := got.ColumnStatistics()
-	if cs[0].Distinct != 0 || cs[0].SketchRows != 0 {
-		t.Fatalf("v2 load: Distinct=%d SketchRows=%d, want 0/0", cs[0].Distinct, cs[0].SketchRows)
-	}
-	if !cs[0].HasMinMax || cs[0].NullCount != 0 {
-		t.Fatal("v2 load lost zone-map statistics")
-	}
-}
-
+// stripSketches drops every sealed segment's sketch, as a writer
+// without sketches would have left them.
 func stripSketches(s *ColumnStore) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -162,7 +162,7 @@ func TestForestWorkerCountIdentity(t *testing.T) {
 
 // TestForestRareClass: one row of a third class among 200, so about a
 // third of the bootstraps never draw it. Every tree must still index
-// classes as the forest does — the row, proba and batch paths agree,
+// classes as the forest does — labels, probabilities and batch agree,
 // nothing panics, and the model survives a serialization round trip.
 func TestForestRareClass(t *testing.T) {
 	X, y := blobs2(200, 3)
@@ -174,14 +174,11 @@ func TestForestRareClass(t *testing.T) {
 	}
 	check := func(name string, c Classifier) {
 		t.Helper()
-		labels, err := c.Predict(X)
+		labels, err := Predict(c, X)
 		if err != nil {
 			t.Fatalf("%s predict: %v", name, err)
 		}
-		probs, err := c.PredictProba(X)
-		if err != nil {
-			t.Fatalf("%s proba: %v", name, err)
-		}
+		probs := probaOf(t, c, X)
 		batch := make([]int32, len(y))
 		if err := PredictLabelsInto(c, X, batch); err != nil {
 			t.Fatalf("%s batch: %v", name, err)
@@ -228,7 +225,7 @@ func TestTreeNaNContract(t *testing.T) {
 	if tr.NumNodes() != 3 || tr.nodes[0].feature != 0 || tr.nodes[0].threshold != 7 {
 		t.Fatalf("want one split on feature 0 at 7, got %+v", tr.nodes)
 	}
-	pred, err := tr.Predict(X)
+	pred, err := Predict(tr, X)
 	if err != nil {
 		t.Fatal(err)
 	}

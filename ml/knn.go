@@ -2,20 +2,18 @@ package ml
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 )
 
 // KNN is a brute-force k-nearest-neighbours classifier with Euclidean
-// distance. Fit stores the training data; Predict scans it.
+// distance. Fit stores the training data; scoring scans it.
 type KNN struct {
 	// K is the neighbour count (default 5).
 	K int
 
-	trainX  [][]float64 // column-major
-	trainY  []int       // class indices
-	classes []int
-	nfeat   int
+	header
+	trainX [][]float64 // column-major
+	trainY []int       // class indices
 }
 
 // NewKNN returns a k-nearest-neighbours model.
@@ -23,9 +21,6 @@ func NewKNN(k int) *KNN { return &KNN{K: k} }
 
 // Name implements Classifier.
 func (m *KNN) Name() string { return "knn" }
-
-// Classes implements Classifier.
-func (m *KNN) Classes() []int { return m.classes }
 
 // Fit implements Classifier (stores a copy of the training set).
 func (m *KNN) Fit(X [][]float64, y []int) error {
@@ -37,8 +32,7 @@ func (m *KNN) Fit(X [][]float64, y []int) error {
 		m.K = 5
 	}
 	classes, cidx := classIndex(y)
-	m.classes = classes
-	m.nfeat = len(X)
+	m.header = header{classes: classes, nfeat: len(X)}
 	m.trainX = make([][]float64, len(X))
 	for i, col := range X {
 		m.trainX[i] = append([]float64(nil), col...)
@@ -65,34 +59,19 @@ func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *distHeap) Push(x any)        { *h = append(*h, x.(distEntry)) }
 func (h *distHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// PredictProba implements Classifier: neighbour vote fractions.
-func (m *KNN) PredictProba(X [][]float64) ([][]float64, error) {
-	if m.trainX == nil {
-		return nil, ErrNotFitted
-	}
-	n, err := validateX(X)
-	if err != nil {
-		return nil, err
-	}
-	if len(X) != m.nfeat {
-		return nil, fmt.Errorf("ml: model fitted on %d features, got %d", m.nfeat, len(X))
-	}
+// probsInto is KNN's kernel: per row, the class vote fractions of the
+// K nearest training rows.
+func (m *KNN) probsInto(X [][]float64, n int, probs []float64) {
 	ntrain := len(m.trainY)
-	k := m.K
-	if k > ntrain {
-		k = ntrain
-	}
-	out := make([][]float64, n)
-	q := make([]float64, m.nfeat)
+	k := min(m.K, ntrain)
+	nc := len(m.classes)
+	h := make(distHeap, 0, k+1)
 	for r := 0; r < n; r++ {
-		for f := 0; f < m.nfeat; f++ {
-			q[f] = X[f][r]
-		}
-		h := make(distHeap, 0, k+1)
+		h = h[:0]
 		for t := 0; t < ntrain; t++ {
 			d := 0.0
 			for f := 0; f < m.nfeat; f++ {
-				diff := q[f] - m.trainX[f][t]
+				diff := X[f][r] - m.trainX[f][t]
 				d += diff * diff
 			}
 			if len(h) < k {
@@ -102,7 +81,8 @@ func (m *KNN) PredictProba(X [][]float64) ([][]float64, error) {
 				heap.Fix(&h, 0)
 			}
 		}
-		votes := make([]float64, len(m.classes))
+		votes := probs[r*nc : r*nc+nc]
+		clear(votes)
 		for _, e := range h {
 			votes[m.trainY[e.row]]++
 		}
@@ -110,20 +90,5 @@ func (m *KNN) PredictProba(X [][]float64) ([][]float64, error) {
 		for i := range votes {
 			votes[i] *= inv
 		}
-		out[r] = votes
 	}
-	return out, nil
-}
-
-// Predict implements Classifier.
-func (m *KNN) Predict(X [][]float64) ([]int, error) {
-	probs, err := m.PredictProba(X)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probs))
-	for i, p := range probs {
-		out[i] = m.classes[argmax(p)]
-	}
-	return out, nil
 }

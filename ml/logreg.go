@@ -16,11 +16,10 @@ type LogisticRegression struct {
 	// L2 is the ridge penalty strength (default 1e-4).
 	L2 float64
 
+	header
 	// weights[k] holds the weight vector (plus bias as last element)
 	// of the one-vs-rest model for class k.
 	weights [][]float64
-	classes []int
-	nfeat   int
 }
 
 // NewLogisticRegression returns a model with common defaults.
@@ -31,11 +30,17 @@ func NewLogisticRegression() *LogisticRegression {
 // Name implements Classifier.
 func (m *LogisticRegression) Name() string { return "logistic_regression" }
 
-// Classes implements Classifier.
-func (m *LogisticRegression) Classes() []int { return m.classes }
+// Fit implements Classifier: FitWorkers with NumCPU workers.
+func (m *LogisticRegression) Fit(X [][]float64, y []int) error { return m.FitWorkers(X, y, 0) }
 
-// Fit implements Classifier.
-func (m *LogisticRegression) Fit(X [][]float64, y []int) error {
+// FitWorkers trains by full-batch gradient descent parallelized over
+// row morsels: each iteration computes residuals over disjoint row
+// ranges concurrently (per-row arithmetic) and accumulates per-morsel
+// gradient partials that merge in morsel order. Fixed morsel
+// boundaries make the fitted weights byte-identical at any worker
+// count (0 means NumCPU). On one morsel (≤ fitMorselRows rows) the
+// gradient sums exactly as a serial pass does.
+func (m *LogisticRegression) FitWorkers(X [][]float64, y []int, workers int) error {
 	n, err := validateXY(X, y)
 	if err != nil {
 		return err
@@ -50,90 +55,8 @@ func (m *LogisticRegression) Fit(X [][]float64, y []int) error {
 	if len(classes) < 2 {
 		return fmt.Errorf("ml: logistic regression needs at least 2 classes, got %d", len(classes))
 	}
-	m.classes = classes
-	m.nfeat = len(X)
 	p := len(X)
-
-	m.weights = make([][]float64, len(classes))
-	targets := make([]float64, n)
-	grad := make([]float64, p+1)
-	preds := make([]float64, n)
-	for k := range classes {
-		w := make([]float64, p+1)
-		for i, c := range y {
-			if cidx[c] == k {
-				targets[i] = 1
-			} else {
-				targets[i] = 0
-			}
-		}
-		for it := 0; it < m.Iterations; it++ {
-			// preds = sigmoid(Xw + b), computed column-wise.
-			for i := range preds {
-				preds[i] = w[p] // bias
-			}
-			for f := 0; f < p; f++ {
-				wf := w[f]
-				if wf == 0 {
-					continue
-				}
-				col := X[f]
-				for i := range preds {
-					preds[i] += wf * col[i]
-				}
-			}
-			for i := range preds {
-				preds[i] = sigmoid(preds[i]) - targets[i] // residual
-			}
-			// grad = X^T residual / n + l2*w
-			for f := 0; f < p; f++ {
-				col := X[f]
-				g := 0.0
-				for i := range preds {
-					g += col[i] * preds[i]
-				}
-				grad[f] = g/float64(n) + m.L2*w[f]
-			}
-			gb := 0.0
-			for i := range preds {
-				gb += preds[i]
-			}
-			grad[p] = gb / float64(n)
-			for f := range w {
-				w[f] -= m.LearningRate * grad[f]
-			}
-		}
-		m.weights[k] = w
-	}
-	return nil
-}
-
-// FitParallel trains by the same full-batch gradient descent as Fit,
-// parallelized over row morsels: each iteration computes residuals
-// over disjoint row ranges concurrently (per-row arithmetic, identical
-// to serial) and accumulates per-morsel gradient partials that merge
-// in morsel order. Fixed morsel boundaries make the fitted weights
-// byte-identical at any worker count (0 means NumCPU); the gradient's
-// summation grouping differs from Fit, so its last-bit numerics may
-// differ from the serial path.
-func (m *LogisticRegression) FitParallel(X [][]float64, y []int, workers int) error {
-	n, err := validateXY(X, y)
-	if err != nil {
-		return err
-	}
-	if m.LearningRate <= 0 {
-		m.LearningRate = 0.1
-	}
-	if m.Iterations <= 0 {
-		m.Iterations = 200
-	}
-	classes, cidx := classIndex(y)
-	if len(classes) < 2 {
-		return fmt.Errorf("ml: logistic regression needs at least 2 classes, got %d", len(classes))
-	}
-	m.classes = classes
-	m.nfeat = len(X)
-	p := len(X)
+	m.header = header{classes: classes, nfeat: p}
 	nm := numMorsels(n)
 
 	m.weights = make([][]float64, len(classes))
@@ -215,27 +138,16 @@ func sigmoid(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
-// PredictProba implements Classifier: one-vs-rest scores normalized to
-// sum to one.
-func (m *LogisticRegression) PredictProba(X [][]float64) ([][]float64, error) {
-	if m.weights == nil {
-		return nil, ErrNotFitted
-	}
-	n, err := validateX(X)
-	if err != nil {
-		return nil, err
-	}
-	if len(X) != m.nfeat {
-		return nil, fmt.Errorf("ml: model fitted on %d features, got %d", m.nfeat, len(X))
-	}
+// probsInto is logistic regression's kernel: every class's one-vs-rest
+// score computed column-wise over the chunk, then each row normalized
+// to sum to one.
+func (m *LogisticRegression) probsInto(X [][]float64, n int, probs []float64) {
 	p := m.nfeat
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, len(m.classes))
-	}
-	scores := make([]float64, n)
-	for k, w := range m.weights {
-		for i := range scores {
+	k := len(m.weights)
+	scoresp := getFloats(n)
+	scores := *scoresp
+	for ki, w := range m.weights {
+		for i := 0; i < n; i++ {
 			scores[i] = w[p]
 		}
 		for f := 0; f < p; f++ {
@@ -244,37 +156,25 @@ func (m *LogisticRegression) PredictProba(X [][]float64) ([][]float64, error) {
 				continue
 			}
 			col := X[f]
-			for i := range scores {
+			for i := 0; i < n; i++ {
 				scores[i] += wf * col[i]
 			}
 		}
-		for i := range scores {
-			out[i][k] = sigmoid(scores[i])
+		for i := 0; i < n; i++ {
+			probs[i*k+ki] = sigmoid(scores[i])
 		}
 	}
-	for i := range out {
+	putFloats(scoresp)
+	for r := 0; r < n; r++ {
+		row := probs[r*k : r*k+k]
 		sum := 0.0
-		for _, v := range out[i] {
+		for _, v := range row {
 			sum += v
 		}
 		if sum > 0 {
-			for k := range out[i] {
-				out[i][k] /= sum
+			for c := range row {
+				row[c] /= sum
 			}
 		}
 	}
-	return out, nil
-}
-
-// Predict implements Classifier.
-func (m *LogisticRegression) Predict(X [][]float64) ([]int, error) {
-	probs, err := m.PredictProba(X)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probs))
-	for i, pr := range probs {
-		out[i] = m.classes[argmax(pr)]
-	}
-	return out, nil
 }

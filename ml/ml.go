@@ -1,12 +1,22 @@
 // Package ml is a from-scratch, stdlib-only machine-learning library
 // playing the role scikit-learn plays in the paper: classification
-// models with a uniform fit/predict interface, model metrics,
-// preprocessing helpers, and versioned binary model serialization (the
-// pickle analog) so trained models can be stored in BLOB columns
+// models with a uniform fit/predict interface, accuracy and
+// cross-validation helpers, and versioned binary model serialization
+// (the pickle analog) so trained models can be stored in BLOB columns
 // inside the database and later deserialized inside prediction UDFs.
 //
 // Feature matrices are column-major ([][]float64 indexed as
 // [feature][row]), matching how a column store hands vectors to UDFs.
+// There are no preprocessing helpers: features arrive as the query
+// computed them, NaN included.
+//
+// Every model has one fit (FitWorkers; Fit is FitWorkers with 0, i.e.
+// NumCPU) and one scoring kernel, probsInto, which fills a row-major
+// n×k class-probability buffer from pooled scratch. Predict,
+// PredictLabelsInto and PredictConfidenceInto (predict.go) are the only
+// callers of the kernels, and they check fittedness, feature count and
+// output length in one place. Unmarshal rejects any blob Marshal could
+// not have produced, so a stored model cannot crash the scorer.
 //
 // Trees and forests train through one exact presorted CART builder
 // (tree.go): feature columns are sorted once per fit and shared by all
@@ -25,23 +35,40 @@ import (
 	"sort"
 )
 
-// Classifier is the uniform interface of all models in this package.
+// Classifier is the uniform interface of the package's five models. It
+// is sealed: scoring goes through the unexported kernel, so only this
+// package's models implement it.
 type Classifier interface {
 	// Fit trains the model on column-major features X and integer
 	// class labels y (len(y) == len(X[i]) for every feature i).
 	Fit(X [][]float64, y []int) error
-	// Predict returns the predicted class label for each row.
-	Predict(X [][]float64) ([]int, error)
-	// PredictProba returns per-row class probabilities, indexed
-	// [row][classIndex] following Classes() order.
-	PredictProba(X [][]float64) ([][]float64, error)
 	// Classes returns the sorted class labels seen during Fit.
 	Classes() []int
 	// Name returns the algorithm name, e.g. "random_forest".
 	Name() string
+	// probsInto is the model's scoring kernel: it writes the class
+	// probabilities of rows [0, n) of X into probs (row-major n×k, k =
+	// len(Classes()), columns in Classes() order). The caller has
+	// checked X against shape().
+	probsInto(X [][]float64, n int, probs []float64)
+	// shape returns the fitted header the caller checks X against.
+	shape() *header
 }
 
-// ErrNotFitted is returned by Predict on an untrained model.
+// header is the fitted shape every model shares: the sorted class
+// labels (empty until fitted) and the feature count.
+type header struct {
+	classes []int
+	nfeat   int
+}
+
+// Classes implements Classifier.
+func (h *header) Classes() []int { return h.classes }
+
+func (h *header) shape() *header { return h }
+
+// ErrNotFitted is returned when an untrained model is scored or
+// marshaled.
 var ErrNotFitted = errors.New("ml: model is not fitted")
 
 // validateX checks a column-major feature matrix for consistent
@@ -89,15 +116,6 @@ func classIndex(y []int) ([]int, map[int]int) {
 		idx[c] = i
 	}
 	return classes, idx
-}
-
-// row extracts row r of a column-major matrix into dst (reused buffer).
-func row(X [][]float64, r int, dst []float64) []float64 {
-	dst = dst[:0]
-	for _, col := range X {
-		dst = append(dst, col[r])
-	}
-	return dst
 }
 
 // argmax returns the index of the largest value (first on ties).

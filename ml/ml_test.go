@@ -52,9 +52,9 @@ func fitAccuracy(t *testing.T, c Classifier, X [][]float64, y []int) float64 {
 	if err := c.Fit(X, y); err != nil {
 		t.Fatalf("%s.Fit: %v", c.Name(), err)
 	}
-	pred, err := c.Predict(X)
+	pred, err := Predict(c, X)
 	if err != nil {
-		t.Fatalf("%s.Predict: %v", c.Name(), err)
+		t.Fatalf("%s: Predict: %v", c.Name(), err)
 	}
 	acc, err := Accuracy(y, pred)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestDecisionTreePureLeaf(t *testing.T) {
 	if tr.NumNodes() != 1 {
 		t.Fatalf("pure data should yield a single leaf, got %d nodes", tr.NumNodes())
 	}
-	pred, err := tr.Predict([][]float64{{9}})
+	pred, err := Predict(tr, [][]float64{{9}})
 	if err != nil || pred[0] != 7 {
 		t.Fatalf("pred = %v, %v", pred, err)
 	}
@@ -119,8 +119,8 @@ func TestRandomForestAccuracyAndDeterminism(t *testing.T) {
 	if err := f2.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := f1.Predict(X)
-	p2, _ := f2.Predict(X)
+	p1, _ := Predict(f1, X)
+	p2, _ := Predict(f2, X)
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatalf("same seed, different predictions at row %d", i)
@@ -134,11 +134,7 @@ func TestRandomForestProbaSumsToOne(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := f.PredictProba(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range probs {
+	for i, p := range probaOf(t, f, X) {
 		sum := 0.0
 		for _, v := range p {
 			sum += v
@@ -201,7 +197,7 @@ func TestKNN(t *testing.T) {
 func TestNotFittedErrors(t *testing.T) {
 	X := [][]float64{{1, 2}}
 	for _, c := range []Classifier{NewDecisionTree(), NewRandomForest(2), NewLogisticRegression(), NewGaussianNB(), NewKNN(3)} {
-		if _, err := c.Predict(X); err == nil {
+		if _, err := Predict(c, X); err == nil {
 			t.Errorf("%s: predict before fit should fail", c.Name())
 		}
 	}
@@ -221,7 +217,7 @@ func TestFitValidation(t *testing.T) {
 	if err := tr.Fit([][]float64{{1, 2, 3, 4}}, []int{0, 1, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Predict([][]float64{{1}, {2}}); err == nil {
+	if _, err := Predict(tr, [][]float64{{1}, {2}}); err == nil {
 		t.Error("feature count mismatch at predict should fail")
 	}
 }
@@ -250,11 +246,11 @@ func TestSerializeRoundTripAllModels(t *testing.T) {
 		if back.Name() != m.Name() {
 			t.Fatalf("name %q != %q", back.Name(), m.Name())
 		}
-		p1, err := m.Predict(X)
+		p1, err := Predict(m, X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := back.Predict(X)
+		p2, err := Predict(back, X)
 		if err != nil {
 			t.Fatalf("%s deserialized predict: %v", m.Name(), err)
 		}
@@ -266,29 +262,6 @@ func TestSerializeRoundTripAllModels(t *testing.T) {
 	}
 }
 
-func TestUnmarshalCorruption(t *testing.T) {
-	X, y := blobs2(50, 11)
-	m := NewDecisionTree()
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(blob[:5]); err == nil {
-		t.Error("truncated blob should fail")
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] = 'X'
-	if _, err := Unmarshal(bad); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if _, err := Unmarshal(blob[:len(blob)-4]); err == nil {
-		t.Error("truncated tail should fail")
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	truth := []int{0, 0, 1, 1, 1}
 	pred := []int{0, 1, 1, 1, 0}
@@ -296,78 +269,8 @@ func TestMetrics(t *testing.T) {
 	if err != nil || acc != 0.6 {
 		t.Fatalf("accuracy = %v, %v", acc, err)
 	}
-	m, classes, err := ConfusionMatrix(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 2 || m[0][0] != 1 || m[0][1] != 1 || m[1][0] != 1 || m[1][1] != 2 {
-		t.Fatalf("confusion = %v classes = %v", m, classes)
-	}
-	reports, err := PrecisionRecallF1(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// class 1: tp=2, fp=1, fn=1 -> precision 2/3, recall 2/3
-	if math.Abs(reports[1].Precision-2.0/3) > 1e-9 || math.Abs(reports[1].Recall-2.0/3) > 1e-9 {
-		t.Fatalf("report = %+v", reports[1])
-	}
 	if _, err := Accuracy([]int{1}, []int{1, 2}); err == nil {
 		t.Error("length mismatch should fail")
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	probs := [][]float64{{0.9, 0.1}, {0.2, 0.8}}
-	ll, err := LogLoss([]int{0, 1}, probs, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -(math.Log(0.9) + math.Log(0.8)) / 2
-	if math.Abs(ll-want) > 1e-9 {
-		t.Fatalf("logloss = %v, want %v", ll, want)
-	}
-	if _, err := LogLoss([]int{5}, probs[:1], []int{0, 1}); err == nil {
-		t.Error("unknown class should fail")
-	}
-}
-
-func TestStandardScaler(t *testing.T) {
-	X := [][]float64{{1, 2, 3, 4}, {10, 10, 10, 10}}
-	s := &StandardScaler{}
-	out, err := s.FitTransform(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := (out[0][0] + out[0][1] + out[0][2] + out[0][3]) / 4
-	if math.Abs(mean) > 1e-9 {
-		t.Fatalf("scaled mean = %v", mean)
-	}
-	// Constant column: std 0 becomes 1, values become 0.
-	if out[1][0] != 0 {
-		t.Fatalf("constant column scaled to %v", out[1][0])
-	}
-}
-
-func TestMinMaxScaler(t *testing.T) {
-	X := [][]float64{{2, 4, 6}}
-	s := &MinMaxScaler{}
-	if err := s.Fit(X); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Transform(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0][0] != 0 || out[0][2] != 1 || out[0][1] != 0.5 {
-		t.Fatalf("minmax = %v", out[0])
-	}
-}
-
-func TestImputeMean(t *testing.T) {
-	X := [][]float64{{1, math.NaN(), 3}}
-	n := ImputeMean(X)
-	if n != 1 || X[0][1] != 2 {
-		t.Fatalf("imputed %d, value %v", n, X[0][1])
 	}
 }
 
@@ -456,8 +359,8 @@ func TestQuickSerializeForest(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p1, _ := m.Predict(X)
-		p2, _ := back.Predict(X)
+		p1, _ := Predict(m, X)
+		p2, _ := Predict(back, X)
 		for i := range p1 {
 			if p1[i] != p2[i] {
 				return false
@@ -478,11 +381,7 @@ func TestQuickTreeProbsValid(t *testing.T) {
 		if err := m.Fit(X, y); err != nil {
 			return false
 		}
-		probs, err := m.PredictProba(X)
-		if err != nil {
-			return false
-		}
-		for _, p := range probs {
+		for _, p := range probaOf(t, m, X) {
 			sum := 0.0
 			for _, v := range p {
 				if v < 0 || v > 1 {

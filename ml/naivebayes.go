@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // GaussianNB is a Gaussian naive Bayes classifier: per-class feature
 // means and variances with log-likelihood scoring.
@@ -12,11 +9,10 @@ type GaussianNB struct {
 	// (default 1e-9 times the largest feature variance).
 	VarSmoothing float64
 
-	classes []int
-	priors  []float64   // log priors per class
-	means   [][]float64 // [class][feature]
-	vars    [][]float64 // [class][feature]
-	nfeat   int
+	header
+	priors []float64   // log priors per class
+	means  [][]float64 // [class][feature]
+	vars   [][]float64 // [class][feature]
 }
 
 // NewGaussianNB returns a Gaussian naive Bayes model with defaults.
@@ -25,151 +21,24 @@ func NewGaussianNB() *GaussianNB { return &GaussianNB{} }
 // Name implements Classifier.
 func (m *GaussianNB) Name() string { return "gaussian_nb" }
 
-// Classes implements Classifier.
-func (m *GaussianNB) Classes() []int { return m.classes }
+// Fit implements Classifier: FitWorkers with NumCPU workers.
+func (m *GaussianNB) Fit(X [][]float64, y []int) error { return m.FitWorkers(X, y, 0) }
 
-// Fit implements Classifier.
-func (m *GaussianNB) Fit(X [][]float64, y []int) error {
-	n, err := validateXY(X, y)
-	if err != nil {
-		return err
-	}
-	classes, cidx := classIndex(y)
-	m.classes = classes
-	m.nfeat = len(X)
-	k := len(classes)
-	counts := make([]float64, k)
-	m.means = make([][]float64, k)
-	m.vars = make([][]float64, k)
-	for c := 0; c < k; c++ {
-		m.means[c] = make([]float64, m.nfeat)
-		m.vars[c] = make([]float64, m.nfeat)
-	}
-	for i, c := range y {
-		ci := cidx[c]
-		counts[ci]++
-		for f := 0; f < m.nfeat; f++ {
-			m.means[ci][f] += X[f][i]
-		}
-	}
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue
-		}
-		for f := 0; f < m.nfeat; f++ {
-			m.means[c][f] /= counts[c]
-		}
-	}
-	for i, c := range y {
-		ci := cidx[c]
-		for f := 0; f < m.nfeat; f++ {
-			d := X[f][i] - m.means[ci][f]
-			m.vars[ci][f] += d * d
-		}
-	}
-	// Smoothing relative to the global variance scale.
-	maxVar := 0.0
-	for c := 0; c < k; c++ {
-		for f := 0; f < m.nfeat; f++ {
-			if counts[c] > 0 {
-				m.vars[c][f] /= counts[c]
-			}
-			if m.vars[c][f] > maxVar {
-				maxVar = m.vars[c][f]
-			}
-		}
-	}
-	eps := m.VarSmoothing
-	if eps <= 0 {
-		eps = 1e-9 * maxVar
-		if eps <= 0 {
-			eps = 1e-9
-		}
-	}
-	for c := 0; c < k; c++ {
-		for f := 0; f < m.nfeat; f++ {
-			m.vars[c][f] += eps
-		}
-	}
-	m.priors = make([]float64, k)
-	for c := 0; c < k; c++ {
-		m.priors[c] = math.Log(counts[c] / float64(n))
-	}
-	return nil
-}
-
-// PredictProba implements Classifier.
-func (m *GaussianNB) PredictProba(X [][]float64) ([][]float64, error) {
-	if m.means == nil {
-		return nil, ErrNotFitted
-	}
-	n, err := validateX(X)
-	if err != nil {
-		return nil, err
-	}
-	if len(X) != m.nfeat {
-		return nil, fmt.Errorf("ml: model fitted on %d features, got %d", m.nfeat, len(X))
-	}
-	k := len(m.classes)
-	out := make([][]float64, n)
-	logp := make([]float64, k)
-	for r := 0; r < n; r++ {
-		for c := 0; c < k; c++ {
-			lp := m.priors[c]
-			for f := 0; f < m.nfeat; f++ {
-				v := m.vars[c][f]
-				d := X[f][r] - m.means[c][f]
-				lp += -0.5*math.Log(2*math.Pi*v) - d*d/(2*v)
-			}
-			logp[c] = lp
-		}
-		out[r] = softmaxFromLogs(logp)
-	}
-	return out, nil
-}
-
-// softmaxFromLogs exponentiates shifted log scores into probabilities.
-func softmaxFromLogs(logp []float64) []float64 {
-	out := make([]float64, len(logp))
-	softmaxInto(logp, out)
-	return out
-}
-
-// softmaxInto is softmaxFromLogs writing into caller scratch (same
-// arithmetic, no allocation) for the batch prediction path.
-func softmaxInto(logp, out []float64) {
-	maxLog := logp[0]
-	for _, v := range logp[1:] {
-		if v > maxLog {
-			maxLog = v
-		}
-	}
-	sum := 0.0
-	for i, v := range logp {
-		out[i] = math.Exp(v - maxLog)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-}
-
-// NBPartial is the mergeable sufficient-statistics accumulator of
+// nbPartial is the mergeable sufficient-statistics accumulator of
 // Gaussian naive Bayes training: per-class row counts, feature sums,
 // and feature sums of squares. Partials merge by plain addition, so
-// per-worker statistics combine exactly like the engine's partitioned
-// DISTINCT key sets — the merge result depends only on the merge
-// order, never on which worker produced which partial.
-type NBPartial struct {
+// the merge result depends only on the merge order, never on which
+// worker produced which partial.
+type nbPartial struct {
 	counts []float64
 	sum    [][]float64 // [class][feature]
 	sumsq  [][]float64 // [class][feature]
 }
 
-// NewNBPartial returns an empty accumulator for k classes over nfeat
+// newNBPartial returns an empty accumulator for k classes over nfeat
 // features.
-func NewNBPartial(k, nfeat int) *NBPartial {
-	p := &NBPartial{
+func newNBPartial(k, nfeat int) *nbPartial {
+	p := &nbPartial{
 		counts: make([]float64, k),
 		sum:    make([][]float64, k),
 		sumsq:  make([][]float64, k),
@@ -181,8 +50,8 @@ func NewNBPartial(k, nfeat int) *NBPartial {
 	return p
 }
 
-// Observe accumulates rows [lo, hi) of X; yi holds class indices.
-func (p *NBPartial) Observe(X [][]float64, yi []int, lo, hi int) {
+// observe accumulates rows [lo, hi) of X; yi holds class indices.
+func (p *nbPartial) observe(X [][]float64, yi []int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		c := yi[i]
 		p.counts[c]++
@@ -195,8 +64,8 @@ func (p *NBPartial) Observe(X [][]float64, yi []int, lo, hi int) {
 	}
 }
 
-// Merge adds o's statistics into p.
-func (p *NBPartial) Merge(o *NBPartial) {
+// merge adds o's statistics into p.
+func (p *nbPartial) merge(o *nbPartial) {
 	for c := range p.counts {
 		p.counts[c] += o.counts[c]
 		for f := range p.sum[c] {
@@ -206,13 +75,13 @@ func (p *NBPartial) Merge(o *NBPartial) {
 	}
 }
 
-// FitParallel trains the model from per-morsel sufficient statistics
-// accumulated by up to `workers` goroutines (0 means NumCPU) and
-// merged in morsel order. Because morsel boundaries are fixed and the
-// merge is ordered, the fitted model is byte-identical at any worker
-// count; its last-bit numerics may differ from the two-pass serial
-// Fit (variance via E[x²]−E[x]² instead of centered deviations).
-func (m *GaussianNB) FitParallel(X [][]float64, y []int, workers int) error {
+// FitWorkers trains the model from per-morsel sufficient statistics
+// accumulated by up to workers goroutines (0 means NumCPU) and merged
+// in morsel order. Because morsel boundaries are fixed and the merge
+// is ordered, the fitted model is byte-identical at any worker count.
+// Variances are E[x²]−E[x]², not centered deviations, so the last bits
+// can differ from a two-pass fit (fit_reference_test.go keeps one).
+func (m *GaussianNB) FitWorkers(X [][]float64, y []int, workers int) error {
 	n, err := validateXY(X, y)
 	if err != nil {
 		return err
@@ -222,28 +91,21 @@ func (m *GaussianNB) FitParallel(X [][]float64, y []int, workers int) error {
 	for i, c := range y {
 		yi[i] = cidx[c]
 	}
-	k := len(classes)
+	k, nfeat := len(classes), len(X)
 	nm := numMorsels(n)
-	parts := make([]*NBPartial, nm)
+	parts := make([]*nbPartial, nm)
 	parallelMorsels(workers, nm, func(mi int) {
 		lo, hi := morselBounds(mi, n)
-		p := NewNBPartial(k, len(X))
-		p.Observe(X, yi, lo, hi)
+		p := newNBPartial(k, nfeat)
+		p.observe(X, yi, lo, hi)
 		parts[mi] = p
 	})
-	total := NewNBPartial(k, len(X))
+	s := newNBPartial(k, nfeat)
 	for _, p := range parts {
-		total.Merge(p)
+		s.merge(p)
 	}
-	return m.fitFromStats(classes, len(X), n, total)
-}
 
-// fitFromStats finalizes the model parameters from merged sufficient
-// statistics.
-func (m *GaussianNB) fitFromStats(classes []int, nfeat, n int, s *NBPartial) error {
-	m.classes = classes
-	m.nfeat = nfeat
-	k := len(classes)
+	m.header = header{classes: classes, nfeat: nfeat}
 	m.means = make([][]float64, k)
 	m.vars = make([][]float64, k)
 	maxVar := 0.0
@@ -287,15 +149,42 @@ func (m *GaussianNB) fitFromStats(classes []int, nfeat, n int, s *NBPartial) err
 	return nil
 }
 
-// Predict implements Classifier.
-func (m *GaussianNB) Predict(X [][]float64) ([]int, error) {
-	probs, err := m.PredictProba(X)
-	if err != nil {
-		return nil, err
+// probsInto is naive Bayes's kernel: per row, the per-class joint
+// log-likelihoods, shifted by their maximum and normalized.
+func (m *GaussianNB) probsInto(X [][]float64, n int, probs []float64) {
+	k := len(m.classes)
+	logpp := getFloats(k)
+	logp := *logpp
+	for r := 0; r < n; r++ {
+		for c := range logp {
+			lp := m.priors[c]
+			means, vars := m.means[c], m.vars[c]
+			for f := 0; f < m.nfeat; f++ {
+				v := vars[f]
+				d := X[f][r] - means[f]
+				lp += -0.5*math.Log(2*math.Pi*v) - d*d/(2*v)
+			}
+			logp[c] = lp
+		}
+		softmaxInto(logp, probs[r*k:r*k+k])
 	}
-	out := make([]int, len(probs))
-	for i, p := range probs {
-		out[i] = m.classes[argmax(p)]
+	putFloats(logpp)
+}
+
+// softmaxInto exponentiates shifted log scores into probabilities.
+func softmaxInto(logp, out []float64) {
+	maxLog := logp[0]
+	for _, v := range logp[1:] {
+		if v > maxLog {
+			maxLog = v
+		}
 	}
-	return out, nil
+	sum := 0.0
+	for i, v := range logp {
+		out[i] = math.Exp(v - maxLog)
+		sum += out[i]
+	}
+	for i := range out {
+		out[i] /= sum
+	}
 }

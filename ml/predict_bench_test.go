@@ -55,26 +55,13 @@ func benchData(n, nfeat int) ([][]float64, []int) {
 }
 
 // BenchmarkForestBatch measures the streaming operator's scoring core:
-// one 2048-row chunk through the batch path.
+// one 2048-row chunk through PredictLabelsInto.
 func BenchmarkForestBatch(b *testing.B) {
 	f, X := benchForest(b, 2048)
 	out := make([]int32, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.PredictLabelsInto(X, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2048, "ns/row")
-}
-
-// BenchmarkForestRow measures the row-at-a-time Classifier path on the
-// same chunk, for comparison.
-func BenchmarkForestRow(b *testing.B) {
-	f, X := benchForest(b, 2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Predict(X); err != nil {
+		if err := PredictLabelsInto(f, X, out); err != nil {
 			b.Fatal(err)
 		}
 	}

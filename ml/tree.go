@@ -21,12 +21,13 @@ type DecisionTree struct {
 	// Seed drives feature subsampling when MaxFeatures > 0.
 	Seed int64
 
-	nodes   []treeNode
-	classes []int
-	nfeat   int
+	header
+	nodes []treeNode
 }
 
-// treeNode is one node in the flattened tree. Leaves have left == -1.
+// treeNode is one node in the flattened tree, numbered in preorder:
+// an internal node's left child is the next node, its right child
+// follows the left subtree. Leaves have left == right == -1.
 type treeNode struct {
 	feature   int32
 	left      int32
@@ -45,12 +46,14 @@ func NewDecisionTree() *DecisionTree {
 // Name implements Classifier.
 func (t *DecisionTree) Name() string { return "decision_tree" }
 
-// Classes implements Classifier.
-func (t *DecisionTree) Classes() []int { return t.classes }
+// Fit implements Classifier: FitWorkers with NumCPU workers.
+func (t *DecisionTree) Fit(X [][]float64, y []int) error { return t.FitWorkers(X, y, 0) }
 
-// Fit implements Classifier.
-func (t *DecisionTree) Fit(X [][]float64, y []int) error {
-	ts, err := newTrainSet(X, y, 1)
+// FitWorkers fits the tree, presorting the feature columns on up to
+// workers goroutines (0 means NumCPU); the fitted bytes do not depend
+// on the worker count.
+func (t *DecisionTree) FitWorkers(X [][]float64, y []int, workers int) error {
+	ts, err := newTrainSet(X, y, workers)
 	if err != nil {
 		return err
 	}
@@ -74,6 +77,10 @@ type trainSet struct {
 	order [][]int32
 }
 
+// maxTreeFeatures is the widest matrix a tree trains on: the prepared
+// forest packs a feature index into 16 bits (packNode).
+const maxTreeFeatures = 1 << 16
+
 // newTrainSet validates X, y and presorts each feature column, one
 // column per parallelMorsels index.
 func newTrainSet(X [][]float64, y []int, workers int) (*trainSet, error) {
@@ -83,6 +90,9 @@ func newTrainSet(X [][]float64, y []int, workers int) (*trainSet, error) {
 	}
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("ml: tree training supports at most %d rows, got %d", math.MaxInt32, n)
+	}
+	if len(X) > maxTreeFeatures {
+		return nil, fmt.Errorf("ml: tree training supports at most %d features, got %d", maxTreeFeatures, len(X))
 	}
 	classes, cidx := classIndex(y)
 	ts := &trainSet{X: X, y: make([]int32, n), classes: classes, order: make([][]int32, len(X))}
@@ -173,8 +183,7 @@ func (ts *trainSet) grow(t *DecisionTree, w []int32) {
 		featOrder: make([]int, nfeat),
 		counts:    make([]float64, k), leftCounts: make([]float64, k), rightCounts: make([]float64, k),
 	}
-	t.classes = ts.classes
-	t.nfeat = nfeat
+	t.header = header{classes: ts.classes, nfeat: nfeat}
 	t.nodes = t.nodes[:0]
 	b.build(0, m, 0)
 }
@@ -336,80 +345,41 @@ func giniImpurity(counts []float64, n float64) float64 {
 	return 1 - sumSq
 }
 
-// predictRowProbs walks the tree for one row.
-func (t *DecisionTree) predictRowProbs(x []float64) []float64 {
-	i := int32(0)
-	for {
-		nd := &t.nodes[i]
-		if nd.left < 0 {
-			return nd.probs
-		}
-		if x[nd.feature] <= nd.threshold {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
-}
-
-// Predict implements Classifier.
-func (t *DecisionTree) Predict(X [][]float64) ([]int, error) {
-	probs, err := t.PredictProba(X)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probs))
-	for i, p := range probs {
-		out[i] = t.classes[argmax(p)]
-	}
-	return out, nil
-}
-
-// PredictProba implements Classifier.
-func (t *DecisionTree) PredictProba(X [][]float64) ([][]float64, error) {
-	if len(t.nodes) == 0 {
-		return nil, ErrNotFitted
-	}
-	n, err := validateX(X)
-	if err != nil {
-		return nil, err
-	}
-	if len(X) != t.nfeat {
-		return nil, fmt.Errorf("ml: tree fitted on %d features, got %d", t.nfeat, len(X))
-	}
-	out := make([][]float64, n)
-	buf := make([]float64, 0, t.nfeat)
+// probsInto is the tree's kernel: each row walks root to leaf over
+// the chunk's columnar slices (no per-row gather; the chunk's columns
+// stay cache-resident across rows) and copies the leaf's class
+// distribution. NaN features compare false and descend right.
+func (t *DecisionTree) probsInto(X [][]float64, n int, probs []float64) {
+	k := len(t.classes)
+	nodes := t.nodes
 	for r := 0; r < n; r++ {
-		buf = row(X, r, buf)
-		p := t.predictRowProbs(buf)
-		out[r] = append([]float64(nil), p...)
+		i := int32(0)
+		for nodes[i].left >= 0 {
+			nd := &nodes[i]
+			if X[nd.feature][r] <= nd.threshold {
+				i = nd.left
+			} else {
+				i = nd.right
+			}
+		}
+		copy(probs[r*k:r*k+k], nodes[i].probs)
 	}
-	return out, nil
 }
 
 // Depth returns the maximum depth of the fitted tree (0 for a stump).
+// Children follow their parent in preorder, so one forward pass sees
+// every parent's depth before its children's.
 func (t *DecisionTree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	var depth func(i int32) int
-	depth = func(i int32) int {
-		nd := &t.nodes[i]
-		if nd.left < 0 {
-			return 0
+	depth := make([]int32, len(t.nodes))
+	maxDepth := int32(0)
+	for i, nd := range t.nodes {
+		if nd.left >= 0 {
+			depth[nd.left], depth[nd.right] = depth[i]+1, depth[i]+1
+			maxDepth = max(maxDepth, depth[i]+1)
 		}
-		l, r := depth(nd.left), depth(nd.right)
-		return 1 + int(math.Max(float64(l), float64(r)))
 	}
-	return depth(0)
+	return int(maxDepth)
 }
 
 // NumNodes returns the number of nodes in the fitted tree.
 func (t *DecisionTree) NumNodes() int { return len(t.nodes) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package vexdb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"sync"
@@ -83,7 +84,8 @@ func newMLStreamDB(t testing.TB, n int) *DB {
 
 // registerSerialPredict installs predict_serial: a non-Parallel UDF
 // reproducing the pre-streaming prediction path — fresh deserialization
-// on every call, row-at-a-time scoring. Because it is not marked
+// on every call, the whole input scored by one ml.Predict. Because it
+// is not marked
 // Parallel, the planner routes it through udfProjectOp's
 // materialize-then-evaluate path, giving the differential baseline for
 // the streamed operator.
@@ -113,7 +115,7 @@ func registerSerialPredict(t testing.TB, db *DB) {
 				}
 				X[i] = col
 			}
-			y, err := clf.Predict(X)
+			y, err := ml.Predict(clf, X)
 			if err != nil {
 				return nil, err
 			}
@@ -429,6 +431,34 @@ func TestTrainDeterminismAcrossParallelism(t *testing.T) {
 		}
 		if got := scored.Cols[0].Int64s()[0]; got != n {
 			t.Fatalf("%s: scored %d of %d rows", tc.name, got, n)
+		}
+	}
+}
+
+// TestTrainedModelDigests pins the SHA-256 of the models train_tree,
+// train_nb and train_logreg store at workers 1, 2 and 8. The digests
+// were captured before each model kept a single fit, so a change to
+// any fit's arithmetic or to the model format fails here.
+func TestTrainedModelDigests(t *testing.T) {
+	db := newMLStreamDB(t, 6000)
+	cases := []struct{ sql, sha256 string }{
+		{`SELECT model FROM train_tree((SELECT f0, f1, f2, label FROM pts), 6)`,
+			"f19382c744d737dde1cf5ea94c43606a1b665434e13faf63e60192327401bdc2"},
+		{`SELECT model FROM train_nb((SELECT f0, f1, f2, label FROM pts))`,
+			"443cddf085a43082a38dd03632a36df579f44b8d8b0c082cc355c61d46fd533f"},
+		{`SELECT model FROM train_logreg((SELECT f0, f1, f2, label FROM pts), 60)`,
+			"5031eb7b6749c674945d28587dd12ac7da06afee28e844aa4f22a9cb329f0781"},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2, 8} {
+			db.SetParallelism(w)
+			tab, err := db.Query(tc.sql)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.sql, w, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(tab.Cols[0].Blobs()[0])); got != tc.sha256 {
+				t.Errorf("%s workers=%d: sha256 %s, want %s", tc.sql, w, got, tc.sha256)
+			}
 		}
 	}
 }

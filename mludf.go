@@ -25,12 +25,12 @@ import (
 // Training relations use the convention of the paper's train(data,
 // classes) UDF generalized to many features: every column except the
 // last is a numeric feature, the last column is the integer class
-// label. The trainers are parallel blocking operators: they fit
-// per-worker partials (contiguous tree ranges for the forest,
-// per-morsel sufficient statistics for naive Bayes, per-morsel
-// gradient partials for logistic regression) under the query's
-// parallelism setting and merge them deterministically, so trained
-// models are byte-identical at any worker count.
+// label. The trainers are blocking table UDFs that fit under the
+// query's worker count (ml's FitWorkers: per-tree work for the forest,
+// presorted columns for the tree, per-morsel sufficient statistics for
+// naive Bayes, per-morsel gradient partials for logistic regression)
+// and merge deterministically, so trained models are byte-identical at
+// any worker count.
 //
 // Every predict variant goes through the per-database model cache —
 // the paper's §5.1 future work ("the database system could be
@@ -38,124 +38,80 @@ import (
 // representation of the models to avoid this (de)serialization
 // overhead") is the default, not an opt-in: a pointer-identity fast
 // path plus a SHA-256-verified digest map hand each chunk the already
-// deserialized classifier, and scoring runs through ml's batch
-// predictors (no per-row boxing).
+// deserialized classifier, and scoring runs through ml's per-chunk
+// PredictLabelsInto/PredictConfidenceInto (no per-row boxing). A model
+// BLOB ml.Unmarshal rejects is a query error.
 func registerMLFunctions(db *DB) {
 	cache := newModelCache()
 	db.modelCache = cache
-	mustRegisterTable := func(f *TableFunc) {
-		if err := db.RegisterTable(f); err != nil {
-			panic(err)
-		}
-	}
 	mustRegisterScalar := func(f *ScalarFunc) {
 		if err := db.RegisterScalar(f); err != nil {
 			panic(err)
 		}
 	}
 
-	trainColumns := []ColumnDecl{
-		{Name: "model", Type: Blob},
-		{Name: "algo", Type: String},
-		{Name: "n_features", Type: Int64},
-		{Name: "trained_rows", Type: Int64},
-	}
-
-	trainResult := func(clf ml.Classifier, rows, feats int) (*Table, error) {
-		blob, err := ml.Marshal(clf)
-		if err != nil {
-			return nil, err
+	// trainer registers one training table UDF: maxParams scalar
+	// parameters follow the relation, and fit builds and fits the model
+	// from them under the query's worker count.
+	trainer := func(name string, maxParams int, fit func(X [][]float64, y []int, args []TableArg, workers int) (ml.Classifier, error)) {
+		f := &TableFunc{
+			Name: name,
+			Columns: []ColumnDecl{
+				{Name: "model", Type: Blob},
+				{Name: "algo", Type: String},
+				{Name: "n_features", Type: Int64},
+				{Name: "trained_rows", Type: Int64},
+			},
+			Fn: func(args []TableArg, workers int) (*Table, error) {
+				X, y, err := trainingData(name, args, maxParams)
+				if err != nil {
+					return nil, err
+				}
+				clf, err := fit(X, y, args, workers)
+				if err != nil {
+					return nil, err
+				}
+				blob, err := ml.Marshal(clf)
+				if err != nil {
+					return nil, err
+				}
+				return vector.NewTable(
+					[]string{"model", "algo", "n_features", "trained_rows"},
+					[]*Vector{
+						vector.FromBlobs([][]byte{blob}),
+						vector.FromStrings([]string{clf.Name()}),
+						vector.FromInt64s([]int64{int64(len(X))}),
+						vector.FromInt64s([]int64{int64(len(y))}),
+					})
+			},
 		}
-		return vector.NewTable(
-			[]string{"model", "algo", "n_features", "trained_rows"},
-			[]*Vector{
-				vector.FromBlobs([][]byte{blob}),
-				vector.FromStrings([]string{clf.Name()}),
-				vector.FromInt64s([]int64{int64(feats)}),
-				vector.FromInt64s([]int64{int64(rows)}),
-			})
-	}
-
-	// Each trainer's FnPar receives the executing query's worker count
-	// (workers <= 0 lets the fit choose); the serial Fn entry point
-	// defers to the same implementation, so both paths produce
-	// byte-identical models.
-	trainRF := func(args []TableArg, workers int) (*Table, error) {
-		X, y, err := trainingData("train_rf", args, 3)
-		if err != nil {
-			return nil, err
+		if err := db.RegisterTable(f); err != nil {
+			panic(err)
 		}
+	}
+	trainer("train_rf", 3, func(X [][]float64, y []int, args []TableArg, workers int) (ml.Classifier, error) {
 		f := ml.NewRandomForest(int(scalarInt(args, 1, 16)))
 		f.MaxDepth = int(scalarInt(args, 2, 12))
 		f.Seed = scalarInt(args, 3, 1)
-		if err := f.FitWorkers(X, y, workers); err != nil {
-			return nil, err
-		}
-		return trainResult(f, len(y), len(X))
-	}
-	mustRegisterTable(&TableFunc{
-		Name:    "train_rf",
-		Columns: trainColumns,
-		Fn:      func(args []TableArg) (*Table, error) { return trainRF(args, 0) },
-		FnPar:   trainRF,
+		return f, f.FitWorkers(X, y, workers)
 	})
-
-	mustRegisterTable(&TableFunc{
-		Name:    "train_tree",
-		Columns: trainColumns,
-		Fn: func(args []TableArg) (*Table, error) {
-			X, y, err := trainingData("train_tree", args, 1)
-			if err != nil {
-				return nil, err
-			}
-			t := ml.NewDecisionTree()
-			t.MaxDepth = int(scalarInt(args, 1, 12))
-			if err := t.Fit(X, y); err != nil {
-				return nil, err
-			}
-			return trainResult(t, len(y), len(X))
-		},
+	trainer("train_tree", 1, func(X [][]float64, y []int, args []TableArg, workers int) (ml.Classifier, error) {
+		t := ml.NewDecisionTree()
+		t.MaxDepth = int(scalarInt(args, 1, 12))
+		return t, t.FitWorkers(X, y, workers)
 	})
-
-	trainLogreg := func(args []TableArg, workers int) (*Table, error) {
-		X, y, err := trainingData("train_logreg", args, 1)
-		if err != nil {
-			return nil, err
-		}
+	trainer("train_logreg", 1, func(X [][]float64, y []int, args []TableArg, workers int) (ml.Classifier, error) {
 		m := ml.NewLogisticRegression()
 		m.Iterations = int(scalarInt(args, 1, 200))
-		if err := m.FitParallel(X, y, workers); err != nil {
-			return nil, err
-		}
-		return trainResult(m, len(y), len(X))
-	}
-	mustRegisterTable(&TableFunc{
-		Name:    "train_logreg",
-		Columns: trainColumns,
-		Fn:      func(args []TableArg) (*Table, error) { return trainLogreg(args, 0) },
-		FnPar:   trainLogreg,
+		return m, m.FitWorkers(X, y, workers)
 	})
-
-	trainNB := func(args []TableArg, workers int) (*Table, error) {
-		X, y, err := trainingData("train_nb", args, 0)
-		if err != nil {
-			return nil, err
-		}
+	trainer("train_nb", 0, func(X [][]float64, y []int, _ []TableArg, workers int) (ml.Classifier, error) {
 		m := ml.NewGaussianNB()
-		if err := m.FitParallel(X, y, workers); err != nil {
-			return nil, err
-		}
-		return trainResult(m, len(y), len(X))
-	}
-	mustRegisterTable(&TableFunc{
-		Name:    "train_nb",
-		Columns: trainColumns,
-		Fn:      func(args []TableArg) (*Table, error) { return trainNB(args, 0) },
-		FnPar:   trainNB,
+		return m, m.FitWorkers(X, y, workers)
 	})
 
 	// predict scores feature columns against the cached model through
-	// ml's batch predictors: the cache hands back the already
+	// ml's per-chunk scoring: the cache hands back the already
 	// deserialized classifier (pointer-identity fast path per chunk) and
 	// PredictLabelsInto writes straight into the result column — no
 	// per-call Unmarshal, no per-row feature boxing.

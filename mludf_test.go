@@ -2,7 +2,9 @@ package vexdb
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vexdb/ml"
@@ -48,7 +50,7 @@ func TestModelCacheCollisionVerifiesBlob(t *testing.T) {
 	}
 	// The two training sets predict different classes for their own
 	// training point; a collision serving clfA would misclassify.
-	got, err := clfB.Predict([][]float64{{2}})
+	got, err := ml.Predict(clfB, [][]float64{{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +143,43 @@ func TestPredictCachedEndToEnd(t *testing.T) {
 	}
 	if tab2.Column("n").Get(0).Int64() != 40 {
 		t.Fatal("cached run diverged")
+	}
+}
+
+// TestPredictRejectsCraftedModelBlob: a model BLOB written as a SQL
+// literal whose root splits on feature 5 of a one-feature tree once
+// panicked a morsel worker and took the process down. It must now be
+// an error of the query.
+func TestPredictRejectsCraftedModelBlob(t *testing.T) {
+	tree := ml.NewDecisionTree()
+	if err := tree.Fit([][]float64{{0, 1, 2, 3}}, []int{0, 0, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version and kind (7 bytes), four hyperparameters, two
+	// classes, the feature count and the node count precede the root's
+	// feature index.
+	const rootFeature = 7 + 4*8 + 8 + 2*8 + 8 + 8
+	if f := binary.LittleEndian.Uint32(blob[rootFeature:]); f != 0 || len(tree.Classes()) != 2 {
+		t.Fatalf("unexpected layout: root feature %d, classes %v", f, tree.Classes())
+	}
+	binary.LittleEndian.PutUint32(blob[rootFeature:], 5)
+
+	db := Open()
+	if _, err := db.Exec("CREATE TABLE f (x DOUBLE)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO f VALUES (0.5), (2.5), (7)"); err != nil {
+		t.Fatal(err)
+	}
+	literal := strings.ReplaceAll(string(blob), "'", "''")
+	for _, fn := range []string{"predict", "predict_confidence"} {
+		_, err := db.Query(fmt.Sprintf("SELECT %s(CAST('%s' AS BLOB), x) FROM f", fn, literal))
+		if err == nil || !strings.Contains(err.Error(), "corrupt model blob") {
+			t.Fatalf("%s over a crafted blob: err = %v, want a corrupt-model error", fn, err)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func (e *Ensemble) PredictMajority(X [][]float64) ([]int, error) {
 	}
 	preds := make([][]int, len(e.Models))
 	for i, m := range e.Models {
-		p, err := m.Predict(X)
+		p, err := ml.Predict(m, X)
 		if err != nil {
 			return nil, fmt.Errorf("modelstore: model %d: %w", e.IDs[i], err)
 		}
@@ -70,32 +70,26 @@ func (e *Ensemble) PredictHighestConfidence(X [][]float64) (labels []int, winner
 	if len(e.Models) == 0 {
 		return nil, nil, fmt.Errorf("modelstore: empty ensemble")
 	}
+	n := 0 // ml rejects an X without columns
+	if len(X) > 0 {
+		n = len(X[0])
+	}
 	type scored struct {
-		labels []int
+		labels []int32
 		conf   []float64
 	}
 	all := make([]scored, len(e.Models))
 	for i, m := range e.Models {
-		probs, err := m.PredictProba(X)
+		s := scored{labels: make([]int32, n), conf: make([]float64, n)}
+		err := ml.PredictLabelsInto(m, X, s.labels)
+		if err == nil {
+			err = ml.PredictConfidenceInto(m, X, s.conf)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("modelstore: model %d: %w", e.IDs[i], err)
 		}
-		classes := m.Classes()
-		ls := make([]int, len(probs))
-		cs := make([]float64, len(probs))
-		for r, p := range probs {
-			best, bi := p[0], 0
-			for k := 1; k < len(p); k++ {
-				if p[k] > best {
-					best, bi = p[k], k
-				}
-			}
-			ls[r] = classes[bi]
-			cs[r] = best
-		}
-		all[i] = scored{labels: ls, conf: cs}
+		all[i] = s
 	}
-	n := len(all[0].labels)
 	labels = make([]int, n)
 	winner = make([]int, n)
 	for r := 0; r < n; r++ {
@@ -105,7 +99,7 @@ func (e *Ensemble) PredictHighestConfidence(X [][]float64) (labels []int, winner
 				bi = i
 			}
 		}
-		labels[r] = all[bi].labels[r]
+		labels[r] = int(all[bi].labels[r])
 		winner[r] = bi
 	}
 	return labels, winner, nil

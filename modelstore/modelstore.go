@@ -87,7 +87,7 @@ func (s *Store) insertModel(id int64, name, algo, params string, blob []byte) er
 			{Name: "params", Type: vexdb.String},
 			{Name: "model", Type: vexdb.Blob},
 		},
-		Fn: func([]vexdb.TableArg) (*vexdb.Table, error) {
+		Fn: func([]vexdb.TableArg, int) (*vexdb.Table, error) {
 			return newModelRow(id, name, algo, params, blob)
 		},
 	}

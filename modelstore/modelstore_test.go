@@ -58,7 +58,7 @@ func TestSaveLoadList(t *testing.T) {
 		t.Fatalf("meta = %+v", meta)
 	}
 	X, y := trainSample(t, 1)
-	pred, err := clf.Predict(X)
+	pred, err := ml.Predict(clf, X)
 	if err != nil {
 		t.Fatal(err)
 	}
