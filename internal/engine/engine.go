@@ -584,6 +584,9 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		}
 	}()
 	snap := tab.Data.Snapshot()
+	filter := exec.CompileWhere(pred)
+	var sel []int
+	bufs := make([]*vector.Vector, len(tab.Schema)) // each segment decodes into these; only gathered rows leave
 	var ranges []storage.RowRange
 	var matched int64
 	first := 0
@@ -593,12 +596,11 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		if len(preds) > 0 && exec.SegmentPrunable(snap.Zones(i), preds) {
 			continue
 		}
-		ch, err := snap.Segment(i, nil)
+		ch, err := snap.SegmentInto(i, nil, bufs)
 		if err != nil {
 			return 0, fmt.Errorf("engine: table %s: %w", tab.Name, err)
 		}
-		sel, err := matchingRows(pred, ch)
-		if err != nil {
+		if sel, err = filter.Select(ch, sel); err != nil {
 			return 0, err
 		}
 		if len(sel) == 0 {
@@ -642,32 +644,6 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		return 0, err
 	}
 	return matched, nil
-}
-
-// matchingRows returns the rows of ch where pred is TRUE, or every row
-// when pred is nil.
-func matchingRows(pred plan.Expr, ch *vector.Chunk) ([]int, error) {
-	var sel []int
-	if pred == nil {
-		sel = make([]int, ch.NumRows())
-		for i := range sel {
-			sel[i] = i
-		}
-		return sel, nil
-	}
-	pv, err := exec.Evaluate(pred, ch)
-	if err != nil {
-		return nil, err
-	}
-	if pv.Type() != vector.Bool {
-		return nil, fmt.Errorf("engine: WHERE predicate must be boolean")
-	}
-	for i, b := range pv.Bools() {
-		if b && !pv.IsNull(i) {
-			sel = append(sel, i)
-		}
-	}
-	return sel, nil
 }
 
 func newTableScope(tab *catalog.Table) *plan.TableScope {

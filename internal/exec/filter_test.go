@@ -1,0 +1,304 @@
+package exec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"vexdb/internal/plan"
+	"vexdb/internal/sql"
+	"vexdb/internal/vector"
+)
+
+// Columns of the kernel test chunks, in order; the last is each row's
+// ordinal, which identifies the rows a filter keeps.
+const (
+	fcI32 = iota
+	fcI64
+	fcF64
+	fcStr
+	fcRow
+)
+
+var filterColTypes = []vector.Type{vector.Int32, vector.Int64, vector.Float64, vector.String}
+
+var compareOps = []sql.BinaryOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe}
+
+// filterChunkOf generates n rows of INTEGER, BIGINT, DOUBLE and VARCHAR
+// columns drawn from small pools of edge values: NULLs, NaN, ±Inf,
+// -0.0, BIGINT values above 2^53 and INTEGER extremes.
+func filterChunkOf(rng *rand.Rand, n int) *vector.Chunk {
+	i32s := []int32{0, 1, -1, 3, 40, math.MaxInt32, math.MinInt32}
+	i64s := []int64{0, 1, -1, 39, 40, 41, 2048, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	f64s := []float64{0, math.Copysign(0, -1), 0.5, 39.5, 40, 40.5, 2048, 9007199254740992, math.Inf(1), math.Inf(-1), math.NaN()}
+	strs := []string{"", "a", "ab", "b", "c00", "c01", "\xff"}
+	cols := make([]*vector.Vector, len(filterColTypes)+1)
+	for c, t := range filterColTypes {
+		v := vector.New(t, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(8) == 0 {
+				v.AppendValue(vector.Null())
+				continue
+			}
+			switch t {
+			case vector.Int32:
+				v.AppendValue(vector.NewInt32(i32s[rng.Intn(len(i32s))]))
+			case vector.Int64:
+				v.AppendValue(vector.NewInt64(i64s[rng.Intn(len(i64s))]))
+			case vector.Float64:
+				v.AppendValue(vector.NewFloat64(f64s[rng.Intn(len(f64s))]))
+			default:
+				v.AppendValue(vector.NewString(strs[rng.Intn(len(strs))]))
+			}
+		}
+		cols[c] = v
+	}
+	rows := make([]int64, n)
+	for i := range rows {
+		rows[i] = int64(i)
+	}
+	cols[fcRow] = vector.FromInt64s(rows)
+	return vector.NewChunk(cols...)
+}
+
+// randomConst draws a constant for a comparison with column c:
+// numeric of any width against the numeric columns (cross-type pairs
+// such as BIGINT < 40.5 or INTEGER < 3000000000 included), a string
+// against VARCHAR, and now and then NULL.
+func randomConst(rng *rand.Rand, c int) *plan.Const {
+	if rng.Intn(20) == 0 {
+		return &plan.Const{Val: vector.Null(), Typ: filterColTypes[c]}
+	}
+	var v vector.Value
+	if c == fcStr {
+		v = vector.NewString([]string{"", "a", "ab", "b", "c00", "zz"}[rng.Intn(6)])
+	} else {
+		switch rng.Intn(3) {
+		case 0:
+			v = vector.NewInt32([]int32{0, 3, 40, -1, math.MaxInt32}[rng.Intn(5)])
+		case 1:
+			v = vector.NewInt64([]int64{40, 2048, 3000000000, 1<<53 + 1, math.MinInt64}[rng.Intn(5)])
+		default:
+			v = vector.NewFloat64([]float64{40.5, 2048, math.Copysign(0, -1), math.NaN(), math.Inf(1), 9007199254740993}[rng.Intn(6)])
+		}
+	}
+	return &plan.Const{Val: v, Typ: v.Type()}
+}
+
+// randomConjunct is a kernel-shaped comparison in either operand order
+// or, one time in four, a residual: modular arithmetic, IS NOT NULL or
+// an OR.
+func randomConjunct(rng *rand.Rand) plan.Expr {
+	c := rng.Intn(len(filterColTypes))
+	col := colRef(c, filterColTypes[c])
+	switch rng.Intn(8) {
+	case 0:
+		mod := &plan.BinOp{Op: sql.OpMod, Left: colRef(fcRow, vector.Int64), Right: &plan.Const{Val: vector.NewInt64(7), Typ: vector.Int64}, Typ: vector.Int64}
+		return &plan.BinOp{Op: sql.OpEq, Left: mod, Right: &plan.Const{Val: vector.NewInt64(0), Typ: vector.Int64}, Typ: vector.Bool}
+	case 1:
+		return &plan.IsNull{Operand: col, Negate: true}
+	}
+	op := compareOps[rng.Intn(len(compareOps))]
+	k := randomConst(rng, c)
+	cmp := &plan.BinOp{Op: op, Left: col, Right: k, Typ: vector.Bool}
+	if rng.Intn(2) == 0 {
+		cmp.Left, cmp.Right = k, col
+	}
+	if rng.Intn(8) == 0 {
+		return &plan.BinOp{Op: sql.OpOr, Left: cmp, Right: randomConjunct(rng), Typ: vector.Bool}
+	}
+	return cmp
+}
+
+// referenceRows runs the oracle and returns the ordinals it keeps.
+func referenceRows(pred plan.Expr, ch *vector.Chunk) ([]int, error) {
+	var buf []int
+	out, err := filterChunk(pred, ch, &buf)
+	if err != nil || out == nil {
+		return nil, err
+	}
+	rows := make([]int, out.NumRows())
+	for i, r := range out.Col(out.NumCols() - 1).Int64s() {
+		rows[i] = int(r)
+	}
+	return rows, nil
+}
+
+// checkAgainstReference compares Where's selection of ch with the
+// oracle's, row for row, errors included.
+func checkAgainstReference(t *testing.T, pred plan.Expr, ch *vector.Chunk) {
+	t.Helper()
+	want, werr := referenceRows(pred, ch)
+	got, gerr := CompileWhere(pred).Select(ch, nil)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("%s over %d rows: error %v, reference %v", plan.ExprString(pred), ch.NumRows(), gerr, werr)
+	}
+	if len(got) == 0 && len(want) == 0 {
+		return
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s over %d rows: kept %d rows, reference %d\n got %v\nwant %v", plan.ExprString(pred), ch.NumRows(), len(got), len(want), head(got), head(want))
+	}
+}
+
+func head(s []int) []int { return s[:min(len(s), 20)] }
+
+// TestFilterKernelsMatchReference: over seeded chunks of every kernel
+// column type, conjunct chains mixing kernels (every operator, either
+// operand order, cross-type constants, NaN and NULL constants) with
+// residuals select exactly the rows the whole-predicate oracle keeps.
+func TestFilterKernelsMatchReference(t *testing.T) {
+	cases := 0
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{0, 1, 2048, 1 + rng.Intn(300)} {
+			ch := filterChunkOf(rng, n)
+			pred := randomConjunct(rng)
+			for k := rng.Intn(3); k > 0; k-- {
+				pred = &plan.BinOp{Op: sql.OpAnd, Left: pred, Right: randomConjunct(rng), Typ: vector.Bool}
+			}
+			checkAgainstReference(t, pred, ch)
+			cases++
+		}
+	}
+	// Every operator against every column with the bench's shapes and
+	// the edge constants, alone and in both orders.
+	rng := rand.New(rand.NewSource(99))
+	ch := filterChunkOf(rng, 2048)
+	consts := []vector.Value{vector.NewInt64(40), vector.NewFloat64(40.5), vector.NewInt64(3000000000),
+		vector.NewFloat64(math.NaN()), vector.NewFloat64(math.Copysign(0, -1)), vector.NewString("ab")}
+	for c, typ := range filterColTypes {
+		for _, v := range consts {
+			if (typ == vector.String) != (v.Type() == vector.String) {
+				continue
+			}
+			for _, op := range compareOps {
+				k := &plan.Const{Val: v, Typ: v.Type()}
+				checkAgainstReference(t, &plan.BinOp{Op: op, Left: colRef(c, typ), Right: k, Typ: vector.Bool}, ch)
+				checkAgainstReference(t, &plan.BinOp{Op: op, Left: k, Right: colRef(c, typ), Typ: vector.Bool}, ch)
+				cases += 2
+			}
+		}
+	}
+	if cases < 300 {
+		t.Fatalf("only %d cases", cases)
+	}
+}
+
+// TestFilterKernelSplit: the conjuncts that run as kernels and the
+// residual are the ones EXPLAIN names.
+func TestFilterKernelSplit(t *testing.T) {
+	lo := &plan.ColRef{Idx: 1, Typ: vector.Int64, Name: "lo"}
+	c40 := &plan.Const{Val: vector.NewInt64(40), Typ: vector.Int64}
+	mod := &plan.BinOp{Op: sql.OpMod, Left: lo, Right: &plan.Const{Val: vector.NewInt64(7), Typ: vector.Int64}, Typ: vector.Int64}
+	pred := &plan.BinOp{Op: sql.OpAnd, Typ: vector.Bool,
+		Left:  &plan.BinOp{Op: sql.OpGt, Left: c40, Right: lo, Typ: vector.Bool},
+		Right: &plan.BinOp{Op: sql.OpEq, Left: mod, Right: &plan.Const{Val: vector.Null(), Typ: vector.Int64}, Typ: vector.Bool}}
+	w := CompileWhere(pred)
+	if len(w.kernels) != 1 || len(w.residual) != 1 || w.kernels[0].Col != 1 || w.kernels[0].Op != sql.OpLt || w.kernels[0].Val.Int64() != 40 {
+		t.Fatalf("split %+v / %d residual", w.kernels, len(w.residual))
+	}
+	if w := CompileWhere(nil); len(w.kernels)+len(w.residual) != 0 {
+		t.Fatal("a nil predicate compiled to conjuncts")
+	}
+}
+
+// TestFilterKernelKeepsResidualErrors: a residual is evaluated over
+// the whole chunk, so its error on a row the kernel rejects surfaces,
+// whether the kernel keeps the other row or no row at all.
+func TestFilterKernelKeepsResidualErrors(t *testing.T) {
+	ch := vector.NewChunk(vector.FromInt64s([]int64{1, 2}), vector.FromStrings([]string{"x", "2"}))
+	for _, bound := range []int64{1, 5} {
+		pred := &plan.BinOp{Op: sql.OpAnd, Typ: vector.Bool,
+			Left:  &plan.BinOp{Op: sql.OpGt, Left: colRef(0, vector.Int64), Right: &plan.Const{Val: vector.NewInt64(bound), Typ: vector.Int64}, Typ: vector.Bool},
+			Right: &plan.BinOp{Op: sql.OpGt, Left: &plan.Cast{Operand: colRef(1, vector.String), To: vector.Int64}, Right: &plan.Const{Val: vector.NewInt64(0), Typ: vector.Int64}, Typ: vector.Bool}}
+		if _, err := CompileWhere(pred).Select(ch, nil); err == nil {
+			t.Fatalf("id > %d: CAST('x' AS BIGINT) in the residual did not fail", bound)
+		}
+	}
+}
+
+// FuzzFilterKernel: one kernel conjunct over a column built from the
+// fuzzer's bytes selects what the oracle keeps, for any column type,
+// operator, operand order and constant.
+func FuzzFilterKernel(f *testing.F) {
+	le := func(xs ...uint64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	nan, negZero := math.Float64bits(math.NaN()), math.Float64bits(math.Copysign(0, -1))
+	f.Add(byte(0), byte(2), byte(1), false, le(40, 39, 41, 1<<31), uint64(40))
+	f.Add(byte(1), byte(5), byte(2), true, le(1<<53+1, 1<<53, math.MaxInt64), math.Float64bits(9007199254740992))
+	f.Add(byte(2), byte(1), byte(2), false, le(nan, negZero, 0, math.Float64bits(math.Inf(-1))), nan)
+	f.Add(byte(2), byte(0), byte(1), true, le(negZero, 0), uint64(0))
+	f.Add(byte(3), byte(3), byte(3), false, []byte("a\x00ab\x00\x00b"), uint64('a'))
+	f.Add(byte(0), byte(4), byte(1), false, le(math.MaxUint64), uint64(3000000000))
+	f.Fuzz(func(t *testing.T, typ, op, ctyp byte, flip bool, data []byte, cbits uint64) {
+		ct := filterColTypes[int(typ)%len(filterColTypes)]
+		col := vector.New(ct, 0)
+		if ct == vector.String {
+			for i, s := range splitBytes(data) {
+				if i%5 == 4 {
+					col.AppendValue(vector.Null())
+				} else {
+					col.AppendValue(vector.NewString(s))
+				}
+			}
+		} else {
+			for i := 0; i+8 <= len(data); i += 8 {
+				bits := binary.LittleEndian.Uint64(data[i:])
+				switch {
+				case bits%7 == 3:
+					col.AppendValue(vector.Null())
+				case ct == vector.Int32:
+					col.AppendValue(vector.NewInt32(int32(bits)))
+				case ct == vector.Int64:
+					col.AppendValue(vector.NewInt64(int64(bits)))
+				default:
+					col.AppendValue(vector.NewFloat64(math.Float64frombits(bits)))
+				}
+			}
+		}
+		var v vector.Value
+		switch {
+		case ct == vector.String:
+			v = vector.NewString(fmt.Sprint(cbits % 300))
+		case ctyp%3 == 0:
+			v = vector.NewInt32(int32(cbits))
+		case ctyp%3 == 1:
+			v = vector.NewInt64(int64(cbits))
+		default:
+			v = vector.NewFloat64(math.Float64frombits(cbits))
+		}
+		rows := make([]int64, col.Len())
+		for i := range rows {
+			rows[i] = int64(i)
+		}
+		ch := vector.NewChunk(col, vector.FromInt64s(rows))
+		k := &plan.Const{Val: v, Typ: v.Type()}
+		cmp := &plan.BinOp{Op: compareOps[int(op)%len(compareOps)], Left: colRef(0, ct), Right: k, Typ: vector.Bool}
+		if flip {
+			cmp.Left, cmp.Right = k, cmp.Left
+		}
+		checkAgainstReference(t, cmp, ch)
+	})
+}
+
+// splitBytes cuts data at zero bytes into strings.
+func splitBytes(data []byte) []string {
+	var out []string
+	start := 0
+	for i, b := range data {
+		if b == 0 {
+			out = append(out, string(data[start:i]))
+			start = i + 1
+		}
+	}
+	return append(out, string(data[start:]))
+}

@@ -232,7 +232,7 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterOp{pred: n.Pred, child: child, tap: n.Hints.Tap}, nil
+		return &filterOp{where: CompileWhere(n.Pred), child: child, tap: n.Hints.Tap}, nil
 	case *plan.Project:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
@@ -368,7 +368,7 @@ func (m *materialOp) Close() error { return nil }
 // ----------------------------------------------------------------- filter
 
 type filterOp struct {
-	pred  plan.Expr
+	where *Where
 	child Operator
 	tap   *plan.NodeStats
 	ctx   *Context
@@ -391,7 +391,7 @@ func (f *filterOp) Next() (*vector.Chunk, error) {
 		if err != nil || ch == nil {
 			return ch, err
 		}
-		out, err := filterChunk(f.pred, ch, &f.sel)
+		out, err := f.where.filter(ch, &f.sel)
 		if err != nil {
 			return nil, err
 		}
@@ -403,50 +403,6 @@ func (f *filterOp) Next() (*vector.Chunk, error) {
 }
 
 func (f *filterOp) Close() error { return f.child.Close() }
-
-// filterChunk returns the rows of ch matching pred, nil when none do.
-// *selBuf is reused across calls; an all-true NULL-free predicate
-// skips the selection vector (and the Gather copy) entirely.
-func filterChunk(pred plan.Expr, ch *vector.Chunk, selBuf *[]int) (*vector.Chunk, error) {
-	pv, err := Evaluate(pred, ch)
-	if err != nil {
-		return nil, err
-	}
-	if pv.Type() != vector.Bool {
-		return nil, fmt.Errorf("exec: WHERE predicate must be boolean, got %s", pv.Type())
-	}
-	n := ch.NumRows()
-	if n == 0 {
-		return nil, nil
-	}
-	bools := pv.Bools()
-	if pv.Nulls() == nil {
-		allTrue := true
-		for i := 0; i < n; i++ {
-			if !bools[i] {
-				allTrue = false
-				break
-			}
-		}
-		if allTrue {
-			return ch, nil
-		}
-	}
-	sel := (*selBuf)[:0]
-	for i := 0; i < n; i++ {
-		if !pv.IsNull(i) && bools[i] {
-			sel = append(sel, i)
-		}
-	}
-	*selBuf = sel
-	if len(sel) == 0 {
-		return nil, nil
-	}
-	if len(sel) == n {
-		return ch, nil
-	}
-	return ch.Gather(sel), nil
-}
 
 // ----------------------------------------------------------------- project
 

@@ -30,11 +30,12 @@ import (
 // fetchable morsels. open snapshots the input and returns the morsel
 // count; fetch must be safe for concurrent use and may return
 // (nil, nil) for a morsel eliminated before decode (zone-map
-// pruning). finish flushes per-scan accounting once the morsels are
-// drained or abandoned.
+// pruning). A source that decodes does so into sc's buffers when sc is
+// non-nil, freshly otherwise. finish flushes per-scan accounting once
+// the morsels are drained or abandoned.
 type morselSource interface {
 	open(ctx *Context) int
-	fetch(i int) (*vector.Chunk, error)
+	fetch(i int, sc *pipeScratch) (*vector.Chunk, error)
 	finish()
 }
 
@@ -67,13 +68,20 @@ func (s *scanSource) open(ctx *Context) int {
 	return s.n
 }
 
-func (s *scanSource) fetch(i int) (*vector.Chunk, error) {
+func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 	if len(s.preds) > 0 && SegmentPrunable(s.store.Zones(i), s.preds) {
 		s.skipped.Add(1)
 		s.stats.addSkipped(1)
 		return nil, nil
 	}
-	ch, err := s.store.Segment(i, s.projection)
+	var bufs []*vector.Vector
+	if sc != nil {
+		if sc.bufs == nil {
+			sc.bufs = make([]*vector.Vector, max(len(s.projection), s.store.NumColumns()))
+		}
+		bufs = sc.bufs
+	}
+	ch, err := s.store.SegmentInto(i, s.projection, bufs)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +113,7 @@ func (m *materialSource) open(*Context) int {
 	return m.n
 }
 
-func (m *materialSource) fetch(i int) (*vector.Chunk, error) {
+func (m *materialSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 	from := i * vector.DefaultChunkSize
 	to := from + vector.DefaultChunkSize
 	if n := m.data.NumRows(); to > n {
@@ -118,12 +126,12 @@ func (m *materialSource) finish() {}
 
 // ------------------------------------------------------- pipeline spec
 
-// pipeStage is one chunk-local transformation: a filter when pred is
+// pipeStage is one chunk-local transformation: a filter when where is
 // set, otherwise a projection. tap, when set, counts the stage's
 // output rows (EXPLAIN ANALYZE) — pipelined stages have no operator
 // boundary to wrap, so they count inline.
 type pipeStage struct {
-	pred  plan.Expr
+	where *Where
 	exprs []plan.Expr
 	tap   *plan.NodeStats
 }
@@ -134,9 +142,16 @@ type pipeSpec struct {
 	stages []pipeStage
 }
 
-// pipeScratch holds one worker's reusable buffers.
+// pipeScratch holds one worker's reusable buffers: the filters'
+// selection vector and, when the first stage filters, the decode
+// buffers each morsel decodes into. A decode buffer never leaves its
+// worker: the filter hands on its survivors gathered into fresh
+// vectors, and when every row passes the decoded vectors go downstream
+// and their slots are cleared, so the next morsel decodes into new ones
+// (costing what a fresh decode always did).
 type pipeScratch struct {
-	sel []int
+	sel  []int
+	bufs []*vector.Vector
 }
 
 // extractPipe returns the pipeline form of node when every operator in
@@ -162,7 +177,7 @@ func extractPipe(node plan.Node) *pipeSpec {
 		if p == nil {
 			return nil
 		}
-		p.stages = append(p.stages, pipeStage{pred: n.Pred, tap: n.Hints.Tap})
+		p.stages = append(p.stages, pipeStage{where: CompileWhere(n.Pred), tap: n.Hints.Tap})
 		return p
 	case *plan.Project:
 		if !callsAllParallel(n.Exprs) {
@@ -178,21 +193,27 @@ func extractPipe(node plan.Node) *pipeSpec {
 	return nil
 }
 
-// apply runs the pipeline stages over one morsel. It returns nil when
-// the morsel was pruned before decode or the filter eliminates every
-// row.
-func (p *pipeSpec) apply(ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, error) {
-	if ch == nil {
-		return nil, nil
+// run fetches morsel i and runs the pipeline stages over it. It
+// returns nil when the morsel was pruned before decode or a filter
+// eliminates every row. A first-stage filter reads the morsel from the
+// worker's decode buffers (see pipeScratch).
+func (p *pipeSpec) run(i int, sc *pipeScratch) (*vector.Chunk, error) {
+	into := sc
+	if len(p.stages) == 0 || p.stages[0].where == nil {
+		into = nil
 	}
-	for _, st := range p.stages {
-		if st.pred != nil {
-			out, err := filterChunk(st.pred, ch, &sc.sel)
-			if err != nil {
+	ch, err := p.src.fetch(i, into)
+	if err != nil || ch == nil {
+		return nil, err
+	}
+	for k, st := range p.stages {
+		if st.where != nil {
+			out, err := st.where.filter(ch, &sc.sel)
+			if err != nil || out == nil {
 				return nil, err
 			}
-			if out == nil {
-				return nil, nil
+			if k == 0 && out == ch {
+				clear(sc.bufs)
 			}
 			ch = out
 			tapCount(st.tap, ch)
@@ -217,10 +238,7 @@ func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (
 	n := p.src.open(ctx)
 	scratch := make([]pipeScratch, workers)
 	return startOrdered(n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := p.src.fetch(i)
-		if err == nil {
-			ch, err = p.apply(ch, &scratch[w])
-		}
+		ch, err := p.run(i, &scratch[w])
 		if err != nil || ch == nil {
 			return nil, err
 		}
@@ -241,10 +259,7 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 		if ctx.interrupted() {
 			return ErrCancelled
 		}
-		ch, err := p.src.fetch(i)
-		if err == nil {
-			ch, err = p.apply(ch, &scratch[w])
-		}
+		ch, err := p.run(i, &scratch[w])
 		if err == nil && ch != nil && ch.NumRows() > 0 {
 			err = fn(w, i, ch)
 		}

@@ -166,7 +166,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("distinct: err = %v, want ErrCancelled", err)
 	}
 
-	filt := &filterOp{pred: &plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}, child: child()}
+	filt := &filterOp{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}), child: child()}
 	if err := filt.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

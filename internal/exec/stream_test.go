@@ -82,7 +82,7 @@ type countingSource struct {
 
 func (c *countingSource) open(*Context) int { return (c.rows + c.perMors - 1) / c.perMors }
 
-func (c *countingSource) fetch(i int) (*vector.Chunk, error) {
+func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 	c.fetches.Add(1)
 	if c.delay > 0 {
 		time.Sleep(c.delay)

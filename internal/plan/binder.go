@@ -570,34 +570,72 @@ func literalType(v vector.Value) vector.Type {
 // row-level filter: <> is excluded because a Float64 NaN row
 // satisfies it while being invisible to min/max statistics.
 func ExtractScanPreds(e Expr, out []ScanPredicate) []ScanPredicate {
-	b, ok := e.(*BinOp)
-	if !ok {
-		return out
-	}
-	if b.Op == sql.OpAnd {
-		return ExtractScanPreds(b.Right, ExtractScanPreds(b.Left, out))
-	}
-	switch b.Op {
-	case sql.OpEq, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-	default:
-		return out
-	}
-	if col, ok := b.Left.(*ColRef); ok {
-		if c, ok := b.Right.(*Const); ok {
-			if p, ok := makeScanPred(col, b.Op, c); ok {
-				return append(out, p)
-			}
-		}
-		return out
-	}
-	if c, ok := b.Left.(*Const); ok {
-		if col, ok := b.Right.(*ColRef); ok {
-			if p, ok := makeScanPred(col, flipCompare(b.Op), c); ok {
-				return append(out, p)
+	for _, conj := range Conjuncts(e) {
+		if col, op, c, ok := colOpConst(conj); ok && op != sql.OpNe {
+			if p, ok := makeScanPred(col, op, c); ok {
+				out = append(out, p)
 			}
 		}
 	}
 	return out
+}
+
+// Conjuncts flattens a predicate's AND tree, left to right (nil for a
+// nil predicate).
+func Conjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if b, ok := e.(*BinOp); ok && b.Op == sql.OpAnd {
+		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
+	}
+	return []Expr{e}
+}
+
+// SplitFilter splits a WHERE predicate into the conjuncts the executor
+// runs as selection kernels and the residual, both in syntactic order.
+// A kernel is `column <op> constant` or `constant <op> column` — any
+// comparison, normalized with the column on the left — over a non-NULL
+// constant, both sides numeric or both VARCHAR. The executor compiles
+// its filters from this split and EXPLAIN prints it, so the two agree.
+func SplitFilter(pred Expr) (kernels []ScanPredicate, residual []Expr) {
+	for _, conj := range Conjuncts(pred) {
+		col, op, c, ok := colOpConst(conj)
+		if ok && !c.Val.IsNull() {
+			ct, vt := col.Typ, c.Val.Type()
+			if (ct.IsNumeric() && vt.IsNumeric()) || (ct == vector.String && vt == vector.String) {
+				kernels = append(kernels, ScanPredicate{Col: col.Idx, Op: op, Val: c.Val})
+				continue
+			}
+		}
+		residual = append(residual, conj)
+	}
+	return kernels, residual
+}
+
+// colOpConst matches a comparison between a column and a constant in
+// either order, returning it with the column on the left.
+func colOpConst(e Expr) (*ColRef, sql.BinaryOp, *Const, bool) {
+	b, ok := e.(*BinOp)
+	if !ok {
+		return nil, 0, nil, false
+	}
+	switch b.Op {
+	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+	default:
+		return nil, 0, nil, false
+	}
+	if col, ok := b.Left.(*ColRef); ok {
+		if c, ok := b.Right.(*Const); ok {
+			return col, b.Op, c, true
+		}
+	}
+	if c, ok := b.Left.(*Const); ok {
+		if col, ok := b.Right.(*ColRef); ok {
+			return col, flipCompare(b.Op), c, true
+		}
+	}
+	return nil, 0, nil, false
 }
 
 // pushJoinScanPreds routes scan-eligible WHERE conjuncts through a

@@ -50,7 +50,7 @@ func (p *planner) rewrite(n plan.Node) plan.Node {
 	switch x := n.(type) {
 	case *plan.Filter:
 		if hj, ok := x.Child.(*plan.HashJoin); ok && hj.Kind == sql.InnerJoin {
-			x.Child = p.reorder(hj, splitConjuncts(x.Pred))
+			x.Child = p.reorder(hj, plan.Conjuncts(x.Pred))
 			return x
 		}
 		x.Child = p.rewrite(x.Child)
@@ -145,7 +145,7 @@ func (p *planner) annotate(n plan.Node) float64 {
 	case *plan.Filter:
 		in := p.annotate(x.Child)
 		est := in
-		for _, cj := range splitConjuncts(x.Pred) {
+		for _, cj := range plan.Conjuncts(x.Pred) {
 			est *= p.conjSel(cj, x.Child)
 		}
 		if in >= 1 {

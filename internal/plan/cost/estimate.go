@@ -137,14 +137,6 @@ func hasCall(e plan.Expr) bool {
 	return !plan.EachCall(e, func(*plan.Call) bool { return false })
 }
 
-// splitConjuncts flattens a predicate's AND tree.
-func splitConjuncts(e plan.Expr) []plan.Expr {
-	if b, ok := e.(*plan.BinOp); ok && b.Op == sql.OpAnd {
-		return append(splitConjuncts(b.Left), splitConjuncts(b.Right)...)
-	}
-	return []plan.Expr{e}
-}
-
 // andAll combines conjuncts back into one predicate (nil when empty).
 func andAll(es []plan.Expr) plan.Expr {
 	if len(es) == 0 {

@@ -137,7 +137,7 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 			c.equis = append(c.equis, equi{l: l, r: r, lSet: lSet, rSet: rSet, keyable: true})
 		}
 		if hj.Extra != nil {
-			for _, conj := range splitConjuncts(hj.Extra) {
+			for _, conj := range plan.Conjuncts(hj.Extra) {
 				if hasCall(conj) {
 					return nil, false
 				}

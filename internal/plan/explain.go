@@ -87,7 +87,7 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 			}
 		}
 	case *Filter:
-		line("Filter %s%s", ExprString(x.Pred), hintSuffix(&x.Hints, false, act))
+		line("Filter%s%s", filterSplit(x), hintSuffix(&x.Hints, false, act))
 		render(b, x.Child, depth+1, act)
 	case *Project:
 		line("Project cols=%d", len(x.Exprs))
@@ -141,6 +141,29 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 	default:
 		line("%T", n)
 	}
+}
+
+// filterSplit renders a filter's predicate as the executor runs it: the
+// conjuncts that are selection kernels, then the residual.
+func filterSplit(f *Filter) string {
+	kernels, residual := SplitFilter(f.Pred)
+	schema := f.Child.Schema()
+	var s string
+	if len(kernels) > 0 {
+		ks := make([]string, len(kernels))
+		for i, k := range kernels {
+			ks[i] = fmt.Sprintf("(%s %s %s)", schema[k.Col].Name, k.Op, k.Val)
+		}
+		s += " kernels=[" + strings.Join(ks, ", ") + "]"
+	}
+	if len(residual) > 0 {
+		rs := make([]string, len(residual))
+		for i, r := range residual {
+			rs[i] = ExprString(r)
+		}
+		s += " residual=[" + strings.Join(rs, ", ") + "]"
+	}
+	return s
 }
 
 // hintSuffix renders an operator's planner annotations: estimated (and

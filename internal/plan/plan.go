@@ -65,9 +65,11 @@ type ExecHints struct {
 // is advisory: the full WHERE filter still runs over every surviving
 // chunk, so pruning may only skip segments whose zone maps prove no
 // row can match — it never substitutes for row-level evaluation.
+// SplitFilter uses the same shape for the selection kernels a filter
+// runs, where Col is the filter input's position.
 type ScanPredicate struct {
 	Col int
-	Op  sql.BinaryOp // OpEq, OpLt, OpLe, OpGt or OpGe
+	Op  sql.BinaryOp // OpEq, OpLt, OpLe, OpGt or OpGe; a kernel may also be OpNe
 	Val vector.Value // non-NULL constant
 }
 

@@ -73,6 +73,7 @@ type segment struct {
 	cols   []*vector.Vector
 	rows   int
 	sealed []*SealedColumn
+	zones  []ZoneMap // sealed's zone maps, collected once when it is set
 }
 
 // NewColumnStore creates an empty store for columns of the given types
@@ -139,18 +140,9 @@ func (t *TableSnapshot) NoteScan(scanned, skipped int64) { t.store.NoteScan(scan
 
 // Zones returns the zone maps of segment i's columns (indexed by
 // table column position), or nil for the mutable tail — unsealed
-// segments carry no statistics and are never pruned.
-func (t *TableSnapshot) Zones(i int) []ZoneMap {
-	seg := t.v.segs[i]
-	if seg.sealed == nil {
-		return nil
-	}
-	out := make([]ZoneMap, len(seg.sealed))
-	for j, sc := range seg.sealed {
-		out[j] = sc.Zone
-	}
-	return out
-}
+// segments carry no statistics and are never pruned. The slice is the
+// segment's own: callers must not modify it.
+func (t *TableSnapshot) Zones(i int) []ZoneMap { return t.v.segs[i].zones }
 
 // Segment returns segment i's columns restricted to the projected
 // column indexes (nil projects all), as a chunk. Sealed raw columns
@@ -269,8 +261,17 @@ func (g *segment) seal(compress bool) {
 	for i, c := range g.cols {
 		sealed[i] = sealColumn(c, compress)
 	}
-	g.sealed = sealed
+	g.sealed, g.zones = sealed, zonesOf(sealed)
 	g.cols = nil
+}
+
+// zonesOf collects a sealed segment's per-column zone maps.
+func zonesOf(sealed []*SealedColumn) []ZoneMap {
+	out := make([]ZoneMap, len(sealed))
+	for j, sc := range sealed {
+		out[j] = sc.Zone
+	}
+	return out
 }
 
 // AppendChunk appends the rows of ch. Column arity and types must
@@ -535,7 +536,7 @@ func (s *ColumnStore) attachSealedSegment(rows int, cols []*SealedColumn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	base := s.cur.Load()
-	segs := append(append([]*segment(nil), base.segs...), &segment{rows: rows, sealed: cols})
+	segs := append(append([]*segment(nil), base.segs...), &segment{rows: rows, sealed: cols, zones: zonesOf(cols)})
 	s.cur.Store(&tableVersion{segs: segs, rows: base.rows + rows})
 }
 
