@@ -313,6 +313,9 @@ func TestDifferentialParallelMatchesSerial(t *testing.T) {
 		"SELECT DISTINCT k, g FROM w",
 		// sort and limit over parallel children
 		"SELECT k, v FROM w WHERE v > 0 ORDER BY k, v LIMIT 50",
+		// LIMIT over DISTINCT, and UNION's dedup under ORDER BY and LIMIT
+		"SELECT DISTINCT g FROM w LIMIT 3",
+		"SELECT g, s FROM (SELECT g, s FROM w WHERE v > 0 UNION SELECT g, s FROM w WHERE k < 10) u ORDER BY g DESC, s LIMIT 7",
 	}
 	db := New()
 	db.Parallelism = 1

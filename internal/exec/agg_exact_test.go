@@ -334,11 +334,12 @@ func TestColumnarAggMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDistinctFrontMatchesReference: SELECT DISTINCT and UNION through
-// the serial streaming operator — and SELECT DISTINCT as the parallel
-// aggregation it otherwise is — against the reference table grouping on
-// every column. The budgets hand the front's table to the spiller after
-// the first chunk (nothing later is streamed), in mid-input, on the
+// TestDistinctFrontMatchesReference: SELECT DISTINCT and UNION, each
+// the aggregation over every column with no aggregates at every width —
+// fed by the morsel pipeline over a scan, by the child operator under a
+// UNION — against the reference table grouping on every column. The
+// budgets (an eighth, half and all but one byte of the table's size)
+// make the table overflow after its first chunk, in mid-input, on the
 // last group of all, and never.
 func TestDistinctFrontMatchesReference(t *testing.T) {
 	projs := [][]int{{exI32}, {exHi}, {exStr, exF2}, {exBool, exI64, exBlob}, {exNull, exF}}

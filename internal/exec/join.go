@@ -330,37 +330,19 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 	if j.drv != nil {
 		return j.drv.next()
 	}
-	for {
-		// A probe chunk whose every row misses produces no output;
-		// observe cancellation between input chunks.
-		if j.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := j.probe.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			j.done = true
-			return nil, nil
-		}
-		out, err := j.probeChunk(ch)
-		if err != nil {
-			return nil, err
-		}
-		if out.NumRows() > 0 {
-			return out, nil
-		}
-	}
+	ch, err := pull(j.ctx, j.probe.child, j.probeChunk)
+	j.done = ch == nil
+	return ch, err
 }
 
+// probeChunk joins one probe chunk, nil when none of its rows joins.
 func (j *hashJoinOp) probeChunk(ch *vector.Chunk) (*vector.Chunk, error) {
 	in, err := prepareJoin(j.spec.LeftKeys, j.keyTypes, ch, nil)
 	if err != nil {
 		return nil, err
 	}
 	out, err := j.table.probe(j.spec, in)
-	if err != nil {
+	if err != nil || out.chunk.NumRows() == 0 {
 		return nil, err
 	}
 	return out.chunk, nil

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
@@ -33,8 +32,8 @@ type Context struct {
 	// partitioned UDF evaluation. Zero means runtime.NumCPU().
 	Parallelism int
 
-	// Done, when non-nil, cancels the query when closed: parallel
-	// operators stop claiming morsels, serial drain loops return
+	// Done, when non-nil, cancels the query when closed: morsel
+	// workers stop claiming morsels, operators draining a child return
 	// ErrCancelled between chunks, and ChunkStream.Next returns
 	// ErrCancelled. Stream installs its own channel here when unset.
 	Done <-chan struct{}
@@ -132,58 +131,48 @@ func (c *Context) interrupted() bool {
 	}
 }
 
-// Build converts a bound plan into a serial operator tree. Run builds
-// with the context's worker count instead, enabling the morsel-driven
-// parallel operators; Build stays serial for callers without a context.
+// Build converts a bound plan into an operator tree at one worker. Run
+// and Stream build with the context's worker count instead; every
+// width runs the same operators.
 func Build(node plan.Node) (Operator, error) { return buildWith(node, 1) }
 
-// buildWith converts a bound plan into an operator tree, substituting
-// morsel-parallel operators for eligible subtrees when workers > 1 and
-// the planner did not mark the node Serial. Nodes carrying an EXPLAIN
-// ANALYZE tap are wrapped in a counting operator; Scan and Filter
-// count inside their operators instead, because the pipeline extractor
-// collapses them into morsel stages with no operator boundary.
+// buildWith converts a bound plan into an operator tree whose morsel
+// pipelines run at up to workers goroutines — at one where the planner
+// marked the subtree Serial. Nodes carrying an EXPLAIN ANALYZE tap are
+// wrapped in a counting operator; Scan and Filter count inside their
+// stages instead, because a morsel pipeline has no operator boundary
+// between them.
 func buildWith(node plan.Node, workers int) (Operator, error) {
+	h := execHints(node)
+	if h.Serial {
+		workers = 1
+	}
 	op, err := buildNode(node, workers)
 	if err != nil {
 		return nil, err
 	}
-	if tap := boundaryTap(node); tap != nil {
-		op = &tapOp{child: op, tap: tap}
+	if h.Tap != nil {
+		op = &tapOp{child: op, tap: h.Tap}
 	}
 	return op, nil
 }
 
-// boundaryTap returns the node's tap when its rows are counted at the
-// operator boundary (nil for Scan/Filter, which count internally).
-func boundaryTap(node plan.Node) *plan.NodeStats {
+// execHints returns the hints the build acts on for node: Serial, the
+// estimated input too small to amortize more than one worker, and the
+// Tap counted at the operator boundary. It is the zero value for nodes
+// that carry neither (Scan and Filter count their taps inline).
+func execHints(node plan.Node) plan.ExecHints {
 	switch n := node.(type) {
 	case *plan.HashJoin:
-		return n.Hints.Tap
+		return n.Hints
 	case *plan.Aggregate:
-		return n.Hints.Tap
+		return n.Hints
 	case *plan.Sort:
-		return n.Hints.Tap
+		return n.Hints
 	case *plan.Distinct:
-		return n.Hints.Tap
+		return n.Hints
 	}
-	return nil
-}
-
-// serialHint reports whether the planner pinned this node to serial
-// execution (estimated input too small to amortize parallel setup).
-func serialHint(node plan.Node) bool {
-	switch n := node.(type) {
-	case *plan.HashJoin:
-		return n.Hints.Serial
-	case *plan.Aggregate:
-		return n.Hints.Serial
-	case *plan.Sort:
-		return n.Hints.Serial
-	case *plan.Distinct:
-		return n.Hints.Serial
-	}
-	return false
+	return plan.ExecHints{}
 }
 
 // tapOp counts the rows flowing through it into a plan node's stats
@@ -210,63 +199,46 @@ func tapCount(tap *plan.NodeStats, ch *vector.Chunk) {
 	}
 }
 
+// buildNode builds one node. A Scan/Material/Filter/Project chain that
+// extractPipe accepts is a morsel pipeline at width workers: the
+// exchange (parallelPipeOp) when its rows stream on, or the input of the
+// blocking operator above it. Filters and UDF-free projections over
+// anything else run the same stages in a stageOp.
 func buildNode(node plan.Node, workers int) (Operator, error) {
-	if workers > 1 && !serialHint(node) {
-		op, ok, err := buildParallel(node, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return op, nil
-		}
-	}
 	switch n := node.(type) {
-	case *plan.Scan:
-		return &scanOp{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, tap: n.Hints.Tap}, nil
-	case *plan.Material:
-		return &materialOp{data: n.Data}, nil
+	case *plan.Scan, *plan.Material, *plan.Filter, *plan.Project:
+		if pipe := extractPipe(node); pipe != nil {
+			return &parallelPipeOp{pipe: pipe, workers: workers}, nil
+		}
+		return buildStage(node, workers)
 	case *plan.TableFuncScan:
-		return newTableFuncOp(n)
-	case *plan.Filter:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &filterOp{where: CompileWhere(n.Pred), child: child, tap: n.Hints.Tap}, nil
-	case *plan.Project:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		if exprsHaveUDF(n.Exprs) {
-			// Row-local (Parallel) UDFs — model prediction — stream chunk
-			// at a time; a holistic one must see the whole input at once,
-			// as MonetDB/Python vectorized UDFs do.
-			return &mlProjectOp{exprs: n.Exprs, child: child, whole: !callsAllParallel(n.Exprs)}, nil
-		}
-		return &projectOp{exprs: n.Exprs, child: child}, nil
+		return &tableFuncOp{spec: n}, nil
 	case *plan.HashJoin:
-		left, err := buildWith(n.Left, workers)
+		// UDFs in the probe keys or the residual keep the probe on one
+		// thread. The build side drains in order, so the exchange feeds it.
+		udf := exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra}))
+		probe, err := feed(n.Left, workers, !udf)
 		if err != nil {
 			return nil, err
 		}
-		right, err := buildWith(n.Right, workers)
+		build, err := feed(n.Right, workers, false)
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinOp{spec: n, probe: chunkFeed{child: left}, build: chunkFeed{child: right}}, nil
+		return &hashJoinOp{spec: n, probe: probe, build: build}, nil
 	case *plan.Aggregate:
-		child, err := buildWith(n.Child, workers)
+		in, err := feed(n.Child, workers, aggParallelizable(n))
 		if err != nil {
 			return nil, err
 		}
-		return &aggOp{spec: n, in: chunkFeed{child: child}}, nil
+		return &aggOp{spec: n, in: in}, nil
 	case *plan.Sort:
-		child, err := buildWith(n.Child, workers)
+		// UDFs in key expressions keep run generation on one thread.
+		in, err := feed(n.Child, workers, !exprsHaveUDF(sortKeyExprs(n.Keys)))
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{spec: n, in: chunkFeed{child: child}}, nil
+		return &sortOp{spec: n, in: in}, nil
 	case *plan.Limit:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
@@ -274,11 +246,11 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		}
 		return &limitOp{count: n.Count, offset: n.Offset, child: child}, nil
 	case *plan.Distinct:
-		child, err := buildWith(n.Child, workers)
+		in, err := feed(n.Child, workers, true)
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{spec: groupByAll(n.Child, n.Hints), child: child}, nil
+		return &aggOp{spec: groupByAll(n.Child, n.Hints), in: in}, nil
 	case *plan.Union:
 		left, err := buildWith(n.Left, workers)
 		if err != nil {
@@ -288,13 +260,58 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		var op Operator = &unionOp{left: left, right: right, types: n.Schema().Types()}
+		var op Operator = &unionOp{arms: [2]Operator{left, right}, types: n.Schema().Types()}
 		if !n.All {
-			op = &distinctOp{spec: groupByAll(n, plan.ExecHints{}), child: op}
+			op = &aggOp{spec: groupByAll(n, plan.ExecHints{}), in: chunkFeed{child: op}}
 		}
 		return op, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", node)
+}
+
+// feed builds node as a blocking operator's input: the morsel pipeline
+// itself, drained by up to workers goroutines, when pipe allows it and
+// node is one, else the operator node builds to, whose chunks arrive in
+// order on one thread.
+func feed(node plan.Node, workers int, pipe bool) (chunkFeed, error) {
+	if pipe {
+		if p := extractPipe(node); p != nil {
+			return chunkFeed{pipe: p, workers: workers}, nil
+		}
+	}
+	child, err := buildWith(node, workers)
+	return chunkFeed{child: child}, err
+}
+
+// buildStage builds a Filter or Project that is not part of a morsel
+// pipeline: over a join, an aggregate, a UNION or a table function, or
+// a filter whose predicate calls a UDF not marked Parallel. A
+// projection with UDF calls is mlProjectOp; the rest fold into one
+// stageOp per chain.
+func buildStage(node plan.Node, workers int) (Operator, error) {
+	var st pipeStage
+	var under plan.Node
+	if f, ok := node.(*plan.Filter); ok {
+		st, under = pipeStage{where: CompileWhere(f.Pred), tap: f.Hints.Tap}, f.Child
+	} else {
+		p := node.(*plan.Project)
+		st, under = pipeStage{exprs: p.Exprs}, p.Child
+	}
+	child, err := buildWith(under, workers)
+	if err != nil {
+		return nil, err
+	}
+	if exprsHaveUDF(st.exprs) {
+		// Row-local (Parallel) UDFs — model prediction — stream chunk
+		// at a time; a holistic one must see the whole input at once,
+		// as MonetDB/Python vectorized UDFs do.
+		return &mlProjectOp{exprs: st.exprs, child: child, whole: !callsAllParallel(st.exprs)}, nil
+	}
+	if s, ok := child.(*stageOp); ok {
+		s.stages = append(s.stages, st)
+		return s, nil
+	}
+	return &stageOp{stages: []pipeStage{st}, child: child}, nil
 }
 
 // Run executes a plan to completion, returning the materialized result
@@ -340,96 +357,47 @@ func errColumnCast(name string, err error) error {
 	return fmt.Errorf("exec: result column %q: %w", name, err)
 }
 
-// ----------------------------------------------------------------- material
+// ----------------------------------------------------------------- stages
 
-type materialOp struct {
-	data *vector.Table
-	pos  int
+// stageOp runs a chain of filter and projection stages over a child
+// operator's chunks with the loop a morsel pipeline runs them in
+// (runStages).
+type stageOp struct {
+	stages []pipeStage
+	child  Operator
+	ctx    *Context
+	sc     pipeScratch
 }
 
-func (m *materialOp) Open(*Context) error { m.pos = 0; return nil }
-
-func (m *materialOp) Next() (*vector.Chunk, error) {
-	n := m.data.NumRows()
-	if m.pos >= n {
-		return nil, nil
-	}
-	end := m.pos + vector.DefaultChunkSize
-	if end > n {
-		end = n
-	}
-	ch := m.data.Chunk().Slice(m.pos, end)
-	m.pos = end
-	return ch, nil
+func (s *stageOp) Open(ctx *Context) error {
+	s.ctx = ctx
+	return s.child.Open(ctx)
 }
 
-func (m *materialOp) Close() error { return nil }
-
-// ----------------------------------------------------------------- filter
-
-type filterOp struct {
-	where *Where
-	child Operator
-	tap   *plan.NodeStats
-	ctx   *Context
-	sel   []int // selection buffer reused across chunks
+func (s *stageOp) Next() (*vector.Chunk, error) {
+	return pull(s.ctx, s.child, func(ch *vector.Chunk) (*vector.Chunk, error) { return runStages(s.stages, ch, &s.sc) })
 }
 
-func (f *filterOp) Open(ctx *Context) error {
-	f.ctx = ctx
-	return f.child.Open(ctx)
-}
+func (s *stageOp) Close() error { return s.child.Close() }
 
-func (f *filterOp) Next() (*vector.Chunk, error) {
+// pull returns the first non-nil chunk fn makes of one of child's next
+// chunks, nil when child is exhausted. It observes cancellation between
+// input chunks: a selective filter or a join whose probe rows all miss
+// can pass over many before one survives.
+func pull(ctx *Context, child Operator, fn func(*vector.Chunk) (*vector.Chunk, error)) (*vector.Chunk, error) {
 	for {
-		// A highly selective filter can spin through many input chunks
-		// before emitting one; observe cancellation between chunks.
-		if f.ctx.interrupted() {
+		if ctx.interrupted() {
 			return nil, ErrCancelled
 		}
-		ch, err := f.child.Next()
+		ch, err := child.Next()
 		if err != nil || ch == nil {
+			return nil, err
+		}
+		if ch, err = fn(ch); err != nil || ch != nil {
 			return ch, err
 		}
-		out, err := f.where.filter(ch, &f.sel)
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			tapCount(f.tap, out)
-			return out, nil
-		}
 	}
 }
-
-func (f *filterOp) Close() error { return f.child.Close() }
-
-// ----------------------------------------------------------------- project
-
-type projectOp struct {
-	exprs []plan.Expr
-	child Operator
-}
-
-func (p *projectOp) Open(ctx *Context) error { return p.child.Open(ctx) }
-
-func (p *projectOp) Next() (*vector.Chunk, error) {
-	ch, err := p.child.Next()
-	if err != nil || ch == nil {
-		return nil, err
-	}
-	cols := make([]*vector.Vector, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := Evaluate(e, ch)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = v
-	}
-	return vector.NewChunk(cols...), nil
-}
-
-func (p *projectOp) Close() error { return p.child.Close() }
 
 // exprsHaveUDF reports whether any expression contains a UDF call.
 func exprsHaveUDF(exprs []plan.Expr) bool {
@@ -508,165 +476,51 @@ func groupByAll(node plan.Node, hints plan.ExecHints) *plan.Aggregate {
 	return &plan.Aggregate{GroupBy: exprs, GroupNames: names, Hints: hints}
 }
 
-// distinctOp is the serial form of that aggregation, which streams: a
-// row that creates a group in the consumer's table is a first
-// appearance and is emitted at once. When the table outgrows the
-// query's memory budget the consumer dumps it into the aggregation
-// spiller like any other table (agg_spill.go) — every group in it
-// already emitted — and routes the rest of the input there; at child
-// exhaustion the spiller's merger returns all groups in first-appearance
-// order, of which the first `emitted` are skipped. Output is identical
-// to the unbounded run.
-type distinctOp struct {
-	spec    *plan.Aggregate
-	child   Operator
-	ctx     *Context
-	cons    *aggConsumer
-	morsel  int
-	sel     []int // selection buffer reused across chunks
-	emitted int   // groups the merger emits first that were streamed before the table was dumped
-	merger  *runMerger
-}
-
-func (d *distinctOp) Open(ctx *Context) error {
-	d.ctx = ctx
-	d.cons = newAggConsumer(ctx, d.spec, &aggShared{})
-	d.morsel, d.emitted, d.merger = 0, 0, nil
-	return d.child.Open(ctx)
-}
-
-func (d *distinctOp) Next() (*vector.Chunk, error) {
-	for d.merger == nil {
-		if d.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := d.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			if d.cons.table != nil {
-				return nil, nil
-			}
-			if d.merger, err = finishAggEmit(d.ctx, d.spec, []*aggConsumer{d.cons}, d.cons.shared); err != nil {
-				return nil, err
-			}
-			break
-		}
-		t, next := d.cons.table, int32(0)
-		if t != nil {
-			next = int32(t.numGroups())
-		}
-		err = d.cons.consume(ch, d.morsel)
-		d.morsel++
-		if err != nil {
-			return nil, err
-		}
-		if t == nil { // dumped: the spiller took the chunk
-			continue
-		}
-		// Group ids are dense in first-appearance order, so the rows
-		// that created a group are the ones whose id is the next unused.
-		sel := d.sel[:0]
-		for r, id := range t.ids {
-			if id == next {
-				sel = append(sel, r)
-				next++
-			}
-		}
-		d.sel = sel
-		if d.cons.table == nil {
-			d.emitted = t.numGroups()
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		out := vector.NewChunk(slices.Clone(d.cons.in.keys)...) // the consumer reuses its slice
-		if len(sel) < ch.NumRows() {
-			out = out.Gather(sel)
-		}
-		return out, nil
-	}
-	for {
-		ch, err := d.merger.next(d.ctx)
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		n := ch.NumRows()
-		if d.emitted >= n {
-			d.emitted -= n
-			continue
-		}
-		if d.emitted > 0 {
-			ch, d.emitted = ch.Slice(d.emitted, n), 0
-		}
-		return ch, nil
-	}
-}
-
-func (d *distinctOp) Close() error {
-	d.merger.close()
-	if d.cons != nil {
-		d.cons.abandon() // closed before the merger: the table, or what the partitions hold
-	}
-	return d.child.Close()
-}
-
 // ----------------------------------------------------------------- union
 
+// unionOp emits its left arm's rows, then its right arm's, cast to the
+// union's declared (left) types.
 type unionOp struct {
-	left, right Operator
-	types       []vector.Type
-	onRight     bool
+	arms  [2]Operator
+	types []vector.Type
+	arm   int // the arm being read
 }
 
 func (u *unionOp) Open(ctx *Context) error {
-	u.onRight = false
-	if err := u.left.Open(ctx); err != nil {
+	u.arm = 0
+	if err := u.arms[0].Open(ctx); err != nil {
 		return err
 	}
-	return u.right.Open(ctx)
+	return u.arms[1].Open(ctx)
 }
 
 func (u *unionOp) Next() (*vector.Chunk, error) {
-	for {
-		var src Operator
-		if !u.onRight {
-			src = u.left
-		} else {
-			src = u.right
-		}
-		ch, err := src.Next()
+	for u.arm < len(u.arms) {
+		ch, err := u.arms[u.arm].Next()
 		if err != nil {
 			return nil, err
 		}
 		if ch == nil {
-			if u.onRight {
-				return nil, nil
-			}
-			u.onRight = true
+			u.arm++
 			continue
 		}
-		// Cast columns to the union's declared (left) types.
 		cols := make([]*vector.Vector, ch.NumCols())
-		for i := 0; i < ch.NumCols(); i++ {
-			c := ch.Col(i)
+		for i, c := range ch.Cols() {
 			if c.Type() != u.types[i] {
-				cc, err := c.Cast(u.types[i])
-				if err != nil {
+				if c, err = c.Cast(u.types[i]); err != nil {
 					return nil, fmt.Errorf("exec: UNION column %d: %w", i+1, err)
 				}
-				c = cc
 			}
 			cols[i] = c
 		}
 		return vector.NewChunk(cols...), nil
 	}
+	return nil, nil
 }
 
 func (u *unionOp) Close() error {
-	lerr := u.left.Close()
-	rerr := u.right.Close()
+	lerr := u.arms[0].Close()
+	rerr := u.arms[1].Close()
 	if lerr != nil {
 		return lerr
 	}

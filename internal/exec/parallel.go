@@ -1,7 +1,8 @@
-// Morsel-driven parallel execution. A query pipeline whose leaf is a
-// base-table scan or materialized relation is split into morsels (one
-// storage segment or chunk-sized slice each); a shared atomic cursor
-// hands morsels to Context.Workers() goroutines, which run the
+// Morsel-driven execution at every width. A query pipeline whose leaf
+// is a base-table scan or materialized relation is split into morsels
+// (one storage segment or chunk-sized slice each); a shared atomic
+// cursor hands morsels to the query's workers — one worker included:
+// a serial query runs the same pipeline at width one — which run the
 // chunk-local filter→project stages, and either re-emit the surviving
 // chunks in morsel order (exchange), feed thread-local aggregation
 // tables — or, once those stop reducing their input, shared hash
@@ -9,9 +10,8 @@
 // SELECT DISTINCT and the dedup stage of DISTINCT aggregates are
 // group-bys with no aggregates), sort per-worker runs merged by a loser
 // tree (sortOp, merge.go), or probe a shared hash-join build table.
-// All parallel operators preserve the exact row order serial execution
-// produces, so both ORDER BY and ORDER BY-less results stay
-// deterministic.
+// Every width produces the exact row order one worker produces, so
+// both ORDER BY and ORDER BY-less results stay deterministic.
 package exec
 
 import (
@@ -28,11 +28,10 @@ import (
 
 // morselSource yields the input of a parallel pipeline as independently
 // fetchable morsels. open snapshots the input and returns the morsel
-// count; fetch must be safe for concurrent use and may return
-// (nil, nil) for a morsel eliminated before decode (zone-map
-// pruning). A source that decodes does so into sc's buffers when sc is
-// non-nil, freshly otherwise. finish flushes per-scan accounting once
-// the morsels are drained or abandoned.
+// count; fetch must be safe for concurrent use. A source that decodes
+// does so into sc's buffers when sc is non-nil, freshly otherwise.
+// finish flushes per-scan accounting once the morsels are drained or
+// abandoned.
 type morselSource interface {
 	open(ctx *Context) int
 	fetch(i int, sc *pipeScratch) (*vector.Chunk, error)
@@ -42,7 +41,9 @@ type morselSource interface {
 // scanSource reads one storage segment per morsel (zero-copy for
 // sealed raw columns; compressed columns decode in the worker, which
 // overlaps decode with compute across the pool). Segments whose zone
-// maps refute the pushed-down predicates are skipped before decode.
+// maps refute the pushed-down predicates are skipped at open: they are
+// no morsel, so no worker claims them and no exchange slot waits on
+// them.
 type scanSource struct {
 	table      *catalog.Table
 	projection []int
@@ -51,29 +52,30 @@ type scanSource struct {
 	tap        *plan.NodeStats
 	stats      *ScanStats
 	store      *storage.TableSnapshot
+	segs       []int // the segment of each morsel
 	bases      []int64
-	n          int
 
-	scanned, skipped atomic.Int64
-	finishOnce       sync.Once
+	scanned    atomic.Int64
+	finishOnce sync.Once
 }
 
 func (s *scanSource) open(ctx *Context) int {
 	s.store = ctx.tableData(s.table)
-	s.n = s.store.NumSegments()
 	s.stats = ctx.stats()
 	if s.rowPos {
 		s.bases = rowPosBases(s.store)
 	}
-	return s.n
+	s.segs = s.segs[:0]
+	for i := range s.store.NumSegments() {
+		if len(s.preds) == 0 || !SegmentPrunable(s.store.Zones(i), s.preds) {
+			s.segs = append(s.segs, i)
+		}
+	}
+	s.stats.addSkipped(int64(s.store.NumSegments() - len(s.segs)))
+	return len(s.segs)
 }
 
 func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
-	if len(s.preds) > 0 && SegmentPrunable(s.store.Zones(i), s.preds) {
-		s.skipped.Add(1)
-		s.stats.addSkipped(1)
-		return nil, nil
-	}
 	var bufs []*vector.Vector
 	if sc != nil {
 		if sc.bufs == nil {
@@ -81,14 +83,14 @@ func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 		}
 		bufs = sc.bufs
 	}
-	ch, err := s.store.SegmentInto(i, s.projection, bufs)
+	ch, err := s.store.SegmentInto(s.segs[i], s.projection, bufs)
 	if err != nil {
 		return nil, err
 	}
 	s.scanned.Add(1)
 	s.stats.addScanned(1)
 	if s.rowPos {
-		ch = withRowPos(ch, s.bases[i])
+		ch = withRowPos(ch, s.bases[s.segs[i]])
 	}
 	tapCount(s.tap, ch)
 	return ch, nil
@@ -97,7 +99,7 @@ func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 func (s *scanSource) finish() {
 	s.finishOnce.Do(func() {
 		if s.store != nil { // Close without Open (a sibling failed to open)
-			s.store.NoteScan(s.scanned.Load(), s.skipped.Load())
+			s.store.NoteScan(s.scanned.Load(), int64(s.store.NumSegments()-len(s.segs)))
 		}
 	})
 }
@@ -105,12 +107,10 @@ func (s *scanSource) finish() {
 // materialSource slices a materialized table into chunk-sized morsels.
 type materialSource struct {
 	data *vector.Table
-	n    int
 }
 
 func (m *materialSource) open(*Context) int {
-	m.n = (m.data.NumRows() + vector.DefaultChunkSize - 1) / vector.DefaultChunkSize
-	return m.n
+	return (m.data.NumRows() + vector.DefaultChunkSize - 1) / vector.DefaultChunkSize
 }
 
 func (m *materialSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
@@ -143,12 +143,15 @@ type pipeSpec struct {
 }
 
 // pipeScratch holds one worker's reusable buffers: the filters'
-// selection vector and, when the first stage filters, the decode
-// buffers each morsel decodes into. A decode buffer never leaves its
-// worker: the filter hands on its survivors gathered into fresh
-// vectors, and when every row passes the decoded vectors go downstream
-// and their slots are cleared, so the next morsel decodes into new ones
-// (costing what a fresh decode always did).
+// selection vector and the decode buffers its morsels decode into. A
+// decode buffer never outlives the worker's next morsel. Drained by a
+// blocking consumer (forEach), whose fn is done with a chunk when it
+// returns, every morsel decodes into them. Through the exchange, whose
+// chunks go downstream, only a first-stage filter reads them: it hands
+// on its survivors gathered into fresh vectors, and when every row
+// passes the decoded vectors go downstream and their slots are
+// cleared, so the next morsel decodes into new ones (costing what a
+// fresh decode always did).
 type pipeScratch struct {
 	sel  []int
 	bufs []*vector.Vector
@@ -193,20 +196,26 @@ func extractPipe(node plan.Node) *pipeSpec {
 	return nil
 }
 
-// run fetches morsel i and runs the pipeline stages over it. It
-// returns nil when the morsel was pruned before decode or a filter
-// eliminates every row. A first-stage filter reads the morsel from the
-// worker's decode buffers (see pipeScratch).
-func (p *pipeSpec) run(i int, sc *pipeScratch) (*vector.Chunk, error) {
+// run fetches morsel i, into the worker's decode buffers when bufs is
+// set, and runs the pipeline stages over it. It returns nil when a
+// filter eliminates every row.
+func (p *pipeSpec) run(i int, sc *pipeScratch, bufs bool) (*vector.Chunk, error) {
 	into := sc
-	if len(p.stages) == 0 || p.stages[0].where == nil {
+	if !bufs {
 		into = nil
 	}
 	ch, err := p.src.fetch(i, into)
-	if err != nil || ch == nil {
+	if err != nil {
 		return nil, err
 	}
-	for k, st := range p.stages {
+	return runStages(p.stages, ch, sc)
+}
+
+// runStages runs the stages over ch in order, nil when a filter
+// eliminates every row. When the first filter passes every row, ch goes
+// on as it is and the decode buffers it may sit in are given up.
+func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, error) {
+	for k, st := range stages {
 		if st.where != nil {
 			out, err := st.where.filter(ch, &sc.sel)
 			if err != nil || out == nil {
@@ -237,8 +246,9 @@ func (p *pipeSpec) run(i int, sc *pipeScratch) (*vector.Chunk, error) {
 func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (*vector.Chunk, error)) *orderedDriver {
 	n := p.src.open(ctx)
 	scratch := make([]pipeScratch, workers)
+	filterFirst := len(p.stages) > 0 && p.stages[0].where != nil
 	return startOrdered(n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := p.run(i, &scratch[w])
+		ch, err := p.run(i, &scratch[w], filterFirst)
 		if err != nil || ch == nil {
 			return nil, err
 		}
@@ -259,7 +269,7 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 		if ctx.interrupted() {
 			return ErrCancelled
 		}
-		ch, err := p.run(i, &scratch[w])
+		ch, err := p.run(i, &scratch[w], true)
 		if err == nil && ch != nil && ch.NumRows() > 0 {
 			err = fn(w, i, ch)
 		}
@@ -509,57 +519,7 @@ func (p *parallelPipeOp) Close() error {
 	return nil
 }
 
-// ------------------------------------------------------- build dispatch
-
-// buildParallel returns a morsel-parallel operator for the plan shapes
-// the exchange layer covers; ok is false when the node must be built
-// serially.
-func buildParallel(node plan.Node, workers int) (op Operator, ok bool, err error) {
-	switch n := node.(type) {
-	case *plan.Filter, *plan.Project:
-		if pipe := extractPipe(node); pipe != nil {
-			return &parallelPipeOp{pipe: pipe, workers: workers}, true, nil
-		}
-	case *plan.Aggregate:
-		if !aggParallelizable(n) {
-			return nil, false, nil
-		}
-		if pipe := extractPipe(n.Child); pipe != nil {
-			return &aggOp{spec: n, in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
-		}
-	case *plan.Sort:
-		// UDFs in key expressions keep the sort serial: parallel run
-		// generation would evaluate them concurrently per worker.
-		if exprsHaveUDF(sortKeyExprs(n.Keys)) {
-			return nil, false, nil
-		}
-		if pipe := extractPipe(n.Child); pipe != nil {
-			return &sortOp{spec: n, in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
-		}
-	case *plan.Distinct:
-		// DISTINCT over the full row is grouping by every column with
-		// no aggregates; the partitioned aggregation path dedups
-		// per-worker and restores serial first-appearance order at the
-		// merge.
-		if pipe := extractPipe(n.Child); pipe != nil {
-			return &aggOp{spec: groupByAll(n.Child, n.Hints), in: chunkFeed{pipe: pipe, workers: workers}}, true, nil
-		}
-	case *plan.HashJoin:
-		if exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra})) {
-			return nil, false, nil
-		}
-		pipe := extractPipe(n.Left)
-		if pipe == nil {
-			return nil, false, nil
-		}
-		right, err := buildWith(n.Right, workers)
-		if err != nil {
-			return nil, false, err
-		}
-		return &hashJoinOp{spec: n, build: chunkFeed{child: right}, probe: chunkFeed{pipe: pipe, workers: workers}}, true, nil
-	}
-	return nil, false, nil
-}
+// ------------------------------------------------------- build helpers
 
 // aggParallelizable reports whether an aggregation may be consumed by
 // several workers. Every aggregate kind's state composes across tables

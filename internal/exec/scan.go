@@ -1,17 +1,13 @@
-// Zone-map pruned, prefetching base-table scans. Sealed storage
-// segments carry per-column min/max statistics; a scan first tests
-// the pushed-down predicates against them and skips whole segments
-// that provably contain no matching row, then decodes the survivors.
-// The serial scan overlaps decode with compute by running a bounded
-// prefetcher goroutine; the morsel-parallel scan gets the same
-// overlap from its worker pool, so only pruning is added there.
+// Zone-map pruning for base-table scans. Sealed storage segments carry
+// per-column min/max statistics; a scan (scanSource, parallel.go) first
+// tests the pushed-down predicates against them and skips whole
+// segments that provably contain no matching row, then decodes the
+// survivors in the morsel workers, at every width including one.
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/storage"
@@ -124,127 +120,6 @@ func cmpKnown(a, b vector.Value) (int, bool) {
 	return c, err == nil
 }
 
-// prefetchDepth bounds how many decoded segments the serial scan's
-// prefetcher may run ahead of the consumer.
-const prefetchDepth = 4
-
-// scanOp is the serial base-table scan: a single prefetcher goroutine
-// walks the segments, skips the ones zone maps prune, decodes
-// survivors into recycled chunk buffers and hands them over a bounded
-// channel, overlapping decode with downstream compute. Chunks are
-// valid until the next call to Next (standard operator contract);
-// only then is their buffer set recycled.
-type scanOp struct {
-	table      *catalog.Table
-	projection []int
-	preds      []plan.ScanPredicate
-	rowPos     bool
-	tap        *plan.NodeStats
-
-	results  chan scanResult
-	free     chan []*vector.Vector
-	quit     chan struct{}
-	quitOnce sync.Once
-	aborted  atomic.Bool
-	wg       sync.WaitGroup
-	last     []*vector.Vector
-}
-
-type scanResult struct {
-	ch   *vector.Chunk
-	bufs []*vector.Vector
-	err  error
-}
-
-func (s *scanOp) Open(ctx *Context) error {
-	s.results = make(chan scanResult, prefetchDepth)
-	s.free = make(chan []*vector.Vector, prefetchDepth+2)
-	s.quit = make(chan struct{})
-	s.quitOnce = sync.Once{}
-	s.aborted.Store(false)
-	s.last = nil
-
-	store := ctx.tableData(s.table)
-	n := store.NumSegments()
-	ncols := len(s.projection)
-	if s.projection == nil {
-		ncols = store.NumColumns()
-	}
-	done := ctx.done()
-	stats := ctx.stats()
-	var bases []int64
-	if s.rowPos {
-		bases = rowPosBases(store)
-	}
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(s.results)
-		var scanned, skipped int64
-		defer func() { store.NoteScan(scanned, skipped) }()
-		for i := 0; i < n; i++ {
-			if len(s.preds) > 0 && SegmentPrunable(store.Zones(i), s.preds) {
-				skipped++
-				stats.addSkipped(1)
-				continue
-			}
-			var bufs []*vector.Vector
-			select {
-			case bufs = <-s.free:
-			default:
-				bufs = make([]*vector.Vector, ncols)
-			}
-			ch, err := store.SegmentInto(i, s.projection, bufs)
-			if err == nil {
-				scanned++
-				stats.addScanned(1)
-				if s.rowPos {
-					ch = withRowPos(ch, bases[i])
-				}
-			}
-			select {
-			case s.results <- scanResult{ch: ch, bufs: bufs, err: err}:
-				if err != nil {
-					return
-				}
-			case <-s.quit:
-				s.aborted.Store(true)
-				return
-			case <-done:
-				s.aborted.Store(true)
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-func (s *scanOp) Next() (*vector.Chunk, error) {
-	// The chunk handed out by the previous Next is dead now; recycle
-	// its decode buffers for the prefetcher.
-	if s.last != nil {
-		select {
-		case s.free <- s.last:
-		default:
-		}
-		s.last = nil
-	}
-	r, ok := <-s.results
-	if !ok {
-		if s.aborted.Load() {
-			return nil, ErrCancelled
-		}
-		return nil, nil
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	s.last = r.bufs
-	tapCount(s.tap, r.ch)
-	return r.ch, nil
-}
-
 // rowPosBases returns, per segment, the global position of its first
 // row. Pruned segments still advance the base: positions name physical
 // table rows, so they are stable across predicate pushdown and worker
@@ -270,16 +145,4 @@ func withRowPos(ch *vector.Chunk, base int64) *vector.Chunk {
 	}
 	cols := append(append([]*vector.Vector(nil), ch.Cols()...), vector.FromInt64s(pos))
 	return vector.NewChunk(cols...)
-}
-
-func (s *scanOp) Close() error {
-	if s.quit == nil {
-		return nil
-	}
-	s.quitOnce.Do(func() { close(s.quit) })
-	// Unblock the prefetcher if it is waiting to deliver, then join.
-	for range s.results {
-	}
-	s.wg.Wait()
-	return nil
 }

@@ -30,66 +30,71 @@ func scanTable(t *testing.T, rows int) *catalog.Table {
 	}
 }
 
-// The prefetching serial scan must deliver every row in order, and
-// its recycled decode buffers must never corrupt a chunk the consumer
-// still holds (the previous chunk is compared after the next fetch).
-func TestSerialScanPrefetchOrderAndBufferSafety(t *testing.T) {
-	rows := storage.SegmentRows*3 + 57
-	tab := scanTable(t, rows)
-	op := &scanOp{table: tab, projection: nil}
-	if err := op.Open(&Context{Parallelism: 1}); err != nil {
+// drainScan builds a scan of tab at width workers, as Stream would,
+// and returns every chunk it delivers.
+func drainScan(t *testing.T, scan *plan.Scan, ctx *Context) []*vector.Chunk {
+	t.Helper()
+	op, err := buildWith(scan, ctx.Parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	next := int64(0)
+	var out []*vector.Chunk
 	for {
 		ch, err := op.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ch == nil {
-			break
+			return out
 		}
-		for _, x := range ch.Col(0).Int64s() {
-			if x != next {
-				t.Fatalf("row %d out of order: %d", next, x)
-			}
-			next++
-		}
-	}
-	if next != int64(rows) {
-		t.Fatalf("scanned %d rows, want %d", next, rows)
+		out = append(out, ch)
 	}
 }
 
-func TestSerialScanPrunesSegments(t *testing.T) {
+// A scan must deliver every row in order at every width, and no chunk
+// it handed out may change afterwards: every chunk is checked only
+// once the scan is drained, after later segments were decoded.
+func TestScanOrderAndBufferSafety(t *testing.T) {
+	rows := storage.SegmentRows*3 + 57
+	tab := scanTable(t, rows)
+	for _, workers := range []int{1, 2} {
+		next := int64(0)
+		for _, ch := range drainScan(t, &plan.Scan{Table: tab}, &Context{Parallelism: workers}) {
+			for _, x := range ch.Col(0).Int64s() {
+				if x != next {
+					t.Fatalf("workers=%d: row %d out of order or overwritten: %d", workers, next, x)
+				}
+				next++
+			}
+		}
+		if next != int64(rows) {
+			t.Fatalf("workers=%d: scanned %d rows, want %d", workers, next, rows)
+		}
+	}
+}
+
+func TestScanPrunesSegments(t *testing.T) {
 	rows := storage.SegmentRows * 4
 	tab := scanTable(t, rows)
 	preds := []plan.ScanPredicate{{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(int64(rows - 100))}}
-	stats := &ScanStats{}
-	op := &scanOp{table: tab, projection: nil, preds: preds}
-	if err := op.Open(&Context{Parallelism: 1, Stats: stats}); err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close()
-	var got int
-	for {
-		ch, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		stats := &ScanStats{}
+		var got int
+		for _, ch := range drainScan(t, &plan.Scan{Table: tab, Preds: preds}, &Context{Parallelism: workers, Stats: stats}) {
+			got += ch.NumRows()
 		}
-		if ch == nil {
-			break
+		// Pruning is segment-granular: the matching segment is delivered
+		// whole (the row filter narrows it later).
+		if got != storage.SegmentRows {
+			t.Fatalf("workers=%d: delivered %d rows, want one segment", workers, got)
 		}
-		got += ch.NumRows()
-	}
-	// Pruning is segment-granular: the matching segment is delivered
-	// whole (the row filter narrows it later).
-	if got != storage.SegmentRows {
-		t.Fatalf("delivered %d rows, want one segment", got)
-	}
-	if stats.Skipped() != 3 || stats.Scanned() != 1 {
-		t.Fatalf("scanned=%d skipped=%d, want 1/3", stats.Scanned(), stats.Skipped())
+		if stats.Skipped() != 3 || stats.Scanned() != 1 {
+			t.Fatalf("workers=%d: scanned=%d skipped=%d, want 1/3", workers, stats.Scanned(), stats.Skipped())
+		}
 	}
 }
 
@@ -131,15 +136,16 @@ func TestSegmentPrunableOperators(t *testing.T) {
 	}
 }
 
-// Satellite: serial blocking operators (sort, aggregate, distinct,
-// filter and the drain they share) must observe Context.Done between
-// chunks instead of running to completion.
+// Blocking operators fed by a child (sort, aggregate, DISTINCT) and
+// the filter stages over one must observe Context.Done between chunks
+// instead of running to completion. The child ignores cancellation, so
+// only the operator's own drain loop can stop.
 func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	ctx := &Context{Parallelism: 1, Done: done}
 	child := func() Operator {
-		return &materialOp{data: bigMaterialTable(t, 10_000)}
+		return &tableOp{data: bigMaterialTable(t, 10_000)}
 	}
 
 	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, in: chunkFeed{child: child()}}
@@ -158,7 +164,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("agg: err = %v, want ErrCancelled", err)
 	}
 
-	dist := &distinctOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, child: child()}
+	dist := &aggOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, in: chunkFeed{child: child()}}
 	if err := dist.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("distinct: err = %v, want ErrCancelled", err)
 	}
 
-	filt := &filterOp{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}), child: child()}
+	filt := &stageOp{stages: []pipeStage{{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool})}}, child: child()}
 	if err := filt.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +180,27 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("filter: err = %v, want ErrCancelled", err)
 	}
 }
+
+// tableOp emits a table in chunk-sized slices and never looks at the
+// context.
+type tableOp struct {
+	data *vector.Table
+	pos  int
+}
+
+func (o *tableOp) Open(*Context) error { o.pos = 0; return nil }
+
+func (o *tableOp) Next() (*vector.Chunk, error) {
+	if o.pos >= o.data.NumRows() {
+		return nil, nil
+	}
+	end := min(o.pos+vector.DefaultChunkSize, o.data.NumRows())
+	ch := o.data.Chunk().Slice(o.pos, end)
+	o.pos = end
+	return ch, nil
+}
+
+func (o *tableOp) Close() error { return nil }
 
 func bigMaterialTable(t *testing.T, rows int) *vector.Table {
 	t.Helper()

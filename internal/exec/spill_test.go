@@ -525,42 +525,55 @@ func TestSpillDistinctStreamed(t *testing.T) {
 	assertTempDirEmpty(t, dir)
 }
 
-// TestSpillDistinctClosedAfterHandOff: a DISTINCT closed between the
-// hand-off of its table to the spiller and the end of its input gives
-// back what the spiller holds — the memory charged for the resident
-// partitions and the spill file — at its own Close, not when the query
-// is torn down.
-func TestSpillDistinctClosedAfterHandOff(t *testing.T) {
+// TestDistinctReturnsItsBudget: a DISTINCT closed after its first
+// chunk, with its partitions spilled, gives back every tracked byte and
+// empties its spill directory at its own Close, not when the query is
+// torn down — fed by a child operator at one worker and by the morsel
+// pipeline at two.
+func TestDistinctReturnsItsBudget(t *testing.T) {
 	tab := buildSpillTable(t, 64*vector.DefaultChunkSize)
-	op, err := Build(&plan.Distinct{Child: &plan.Scan{Table: tab, Projection: []int{1}}})
+	scan := &plan.Scan{Table: tab, Projection: []int{1}}
+	child, err := Build(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, _ := spillCtx(t, 1, 2<<20)
-	ctx.mem = newMemTracker(ctx.MemoryBudget)
-	ctx.spillMgr = spill.NewManager(ctx.TempDir, ctx.Spill)
-	defer ctx.spillMgr.Close()
-	if err := op.Open(ctx); err != nil {
+	piped, err := buildWith(&plan.Distinct{Child: scan}, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The chunk whose groups overflow the budget is still streamed out;
-	// the next call would run the rest of the input into the spiller.
-	d := op.(*distinctOp)
-	for d.cons.router == nil {
-		if ch, err := op.Next(); err != nil || ch == nil {
-			t.Fatalf("no hand-off before the end of the input (err %v)", err)
+	if piped.(*aggOp).in.pipe == nil {
+		t.Fatal("DISTINCT over a scan is not fed by the morsel pipeline")
+	}
+	for _, c := range []struct {
+		name    string
+		workers int
+		op      Operator
+	}{
+		{"child-fed", 1, &aggOp{spec: groupByAll(scan, plan.ExecHints{}), in: chunkFeed{child: child}}},
+		{"pipe-fed", 2, piped},
+	} {
+		ctx, _ := spillCtx(t, c.workers, 1<<20)
+		ctx.mem = newMemTracker(ctx.MemoryBudget)
+		ctx.spillMgr = spill.NewManager(ctx.TempDir, ctx.Spill)
+		if err := c.op.Open(ctx); err != nil {
+			t.Fatal(err)
 		}
+		if ch, err := c.op.Next(); err != nil || ch == nil {
+			t.Fatalf("%s: no first chunk (err %v)", c.name, err)
+		}
+		if ctx.Spill.Partitions() == 0 || ctx.mem.used.Load() == 0 || ctx.spillMgr.Dir() == "" {
+			t.Fatalf("%s: nothing held: %d partitions spilled, %d bytes tracked, spill dir %q",
+				c.name, ctx.Spill.Partitions(), ctx.mem.used.Load(), ctx.spillMgr.Dir())
+		}
+		if err := c.op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if used := ctx.mem.used.Load(); used != 0 {
+			t.Errorf("%s: %d bytes still tracked after Close", c.name, used)
+		}
+		assertTempDirEmpty(t, ctx.spillMgr.Dir())
+		ctx.spillMgr.Close()
 	}
-	if d.merger != nil || ctx.mem.used.Load() == 0 || ctx.spillMgr.Dir() == "" {
-		t.Fatalf("not between hand-off and merge: merger %v, %d bytes tracked, spill dir %q", d.merger != nil, ctx.mem.used.Load(), ctx.spillMgr.Dir())
-	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if used := ctx.mem.used.Load(); used != 0 {
-		t.Errorf("%d bytes still charged after Close", used)
-	}
-	assertTempDirEmpty(t, ctx.spillMgr.Dir())
 }
 
 // TestSpillDistinctAggSplitsOneGroup pins what a DISTINCT aggregate

@@ -14,11 +14,9 @@ import (
 // against the declared schema, and streams it out in chunks.
 type tableFuncOp struct {
 	spec *plan.TableFuncScan
-	out  *materialOp
-}
-
-func newTableFuncOp(spec *plan.TableFuncScan) (Operator, error) {
-	return &tableFuncOp{spec: spec}, nil
+	out  materialSource // the result, sliced into chunks
+	n    int            // its chunk count
+	next int            // the first chunk not yet emitted
 }
 
 func (t *tableFuncOp) Open(ctx *Context) error {
@@ -56,15 +54,17 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 			out.Cols[i] = cc
 		}
 	}
-	t.out = &materialOp{data: out}
-	return t.out.Open(ctx)
+	t.out, t.next = materialSource{data: out}, 0
+	t.n = t.out.open(ctx)
+	return nil
 }
 
 func (t *tableFuncOp) Next() (*vector.Chunk, error) {
-	if t.out == nil {
+	if t.next >= t.n {
 		return nil, nil
 	}
-	return t.out.Next()
+	t.next++
+	return t.out.fetch(t.next-1, nil)
 }
 
 func (t *tableFuncOp) Close() error { return nil }

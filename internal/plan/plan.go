@@ -47,7 +47,7 @@ type ExecHints struct {
 	// EstRows is the planner's output-cardinality estimate; 0 means
 	// unknown. Used for EXPLAIN and for sizing decisions.
 	EstRows int64
-	// Serial forces single-worker execution of this operator when the
+	// Serial runs this operator's subtree at one worker when the
 	// estimated input is too small to amortize parallel setup.
 	Serial bool
 	// FanoutLog2 overrides the first-level spill partition fan-out
@@ -273,7 +273,7 @@ func (d *Distinct) Schema() catalog.Schema { return d.Child.Schema() }
 
 // GroupExprs returns the child's output columns as group-by
 // expressions: DISTINCT is equivalent to grouping by every column
-// with no aggregates, which is how the parallel executor runs it
+// with no aggregates, which is how the executor runs it at every width
 // (per-worker distinct sets unioned at the first-appearance merge).
 func (d *Distinct) GroupExprs() ([]Expr, []string) {
 	schema := d.Child.Schema()

@@ -633,8 +633,8 @@ func decodeDict(rows int, payload []byte, dst *vector.Vector) (*vector.Vector, e
 // Decode materializes the sealed column. Raw columns return their
 // cached vector zero-copy (decoding it from the disk payload at most
 // once). Compressed columns decode into dst's backing arrays when it
-// is non-nil and type-compatible — the prefetching scan passes
-// recycled buffers here — and into fresh storage otherwise; either
+// is non-nil and type-compatible — a morsel worker under a filter
+// passes its decode buffers here — and into fresh storage otherwise; either
 // way the result is a new Vector header, so callers that recycle must
 // track the returned vector (see ColumnStore.SegmentInto).
 func (c *SealedColumn) Decode(dst *vector.Vector) (*vector.Vector, error) {

@@ -225,14 +225,67 @@ func BenchmarkMicroDistinctAggParallel(b *testing.B) {
 	}
 }
 
-// Tables returned by NextTable must own their columns: the serial
-// prefetching scan recycles decode buffers, so retaining earlier
-// tables across iterations must not see them overwritten.
+// Tables returned by NextTable must own their columns: retaining
+// earlier tables across iterations must not see them change, at one
+// worker and at two.
 func TestNextTableRetainsDataAcrossIteration(t *testing.T) {
 	db := Open()
-	db.SetParallelism(1) // serial scan path (the one that recycles)
 	loadSortedEvents(t, db, 20_000)
-	r, err := db.QueryStream("SELECT id FROM events")
+	for _, workers := range []int{1, 2} {
+		db.SetParallelism(workers)
+		var next int64
+		for ti, tab := range drainTables(t, db, "SELECT id FROM events") {
+			for _, x := range tab.Cols[0].Int64s() {
+				if x != next {
+					t.Fatalf("workers=%d table %d: row value %d, want %d (buffer overwritten?)", workers, ti, x, next)
+				}
+				next++
+			}
+		}
+		if next != 20_000 {
+			t.Fatalf("workers=%d: iterated %d rows", workers, next)
+		}
+	}
+}
+
+// NextTable's clone is what keeps the store safe from its caller:
+// executor chunks alias store-owned sealed raw vectors and the unsealed
+// tail, and Int64s/Float64s hand out the backing slices. Writing into
+// every column NextTable returned must not change what a later SELECT
+// reads.
+func TestNextTableWritesDoNotReachTheStore(t *testing.T) {
+	db := Open()
+	loadSortedEvents(t, db, 20_000)
+	const q = "SELECT id, grp, val FROM events"
+	for _, workers := range []int{1, 2} {
+		db.SetParallelism(workers)
+		want, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range drainTables(t, db, q) {
+			clear(tab.Cols[0].Int64s())
+			clear(tab.Cols[1].Int64s())
+			clear(tab.Cols[2].Float64s())
+		}
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want.Cols {
+			for r := 0; r < want.NumRows(); r++ {
+				if g, w := got.Cols[c].Get(r), want.Cols[c].Get(r); g.String() != w.String() {
+					t.Fatalf("workers=%d: column %d row %d reads %v after the caller wrote into a NextTable column, want %v", workers, c, r, g, w)
+				}
+			}
+		}
+	}
+}
+
+// drainTables streams q and returns every table NextTable hands out.
+func drainTables(t *testing.T, db *DB, q string) []*Table {
+	t.Helper()
+	r, err := db.QueryStream(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,20 +297,8 @@ func TestNextTableRetainsDataAcrossIteration(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tab == nil {
-			break
+			return tables
 		}
 		tables = append(tables, tab)
-	}
-	var next int64
-	for ti, tab := range tables {
-		for _, x := range tab.Cols[0].Int64s() {
-			if x != next {
-				t.Fatalf("table %d: row value %d, want %d (buffer overwritten?)", ti, x, next)
-			}
-			next++
-		}
-	}
-	if next != 20_000 {
-		t.Fatalf("iterated %d rows", next)
 	}
 }

@@ -354,10 +354,11 @@ func (r *Rows) Row() []Value { return r.ch.Row(r.pos) }
 // NextTable returns the next unconsumed slice of the result as a named
 // table: the rest of the current chunk if Next left one partially
 // read, otherwise the next chunk. It returns nil at end of result.
-// The table owns its columns: executor chunks can alias the scan's
-// recycled decode buffers (valid only until the next fetch), so the
-// columns are copied out before being handed to the caller, who may
-// retain them indefinitely.
+// The table owns its columns: executor chunks can alias store-owned
+// memory (sealed raw segment vectors and the unsealed tail), and a
+// vector's typed accessors hand out its backing slice, so the columns
+// are copied out before being handed to the caller, who may retain and
+// write them.
 func (r *Rows) NextTable() (*Table, error) {
 	if r.err != nil {
 		return nil, r.err
