@@ -162,13 +162,6 @@ func (db *DB) applyRecord(r *wal.Record) error {
 			return err
 		}
 		return t.Data.Rewrite(r.Ranges, r.Chunk)
-	case wal.RecReplace:
-		// Written by older builds for DELETE and UPDATE.
-		t, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
-		}
-		return t.Data.Replace(r.Chunk)
 	}
 	return fmt.Errorf("engine: replay record type %s", r.Type)
 }

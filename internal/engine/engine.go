@@ -72,8 +72,10 @@ type DB struct {
 	// budget and worker count from the shared pools instead of the
 	// per-query fields above (MemoryBudget still applies as a per-query
 	// cap when smaller than the lease). Writes (DDL/DML) are serialized
-	// by ddlMu and do not admit; their embedded SELECTs (CTAS,
-	// INSERT..SELECT) run ungoverned under the write lock.
+	// by ddlMu and do not admit, but the SELECTs inside CTAS and
+	// INSERT..SELECT run through RunSelect before any write lock is
+	// taken, so they admit (without a session) and obey QueryTimeout
+	// like any other query.
 	Gov *governor.Governor
 
 	// QueryTimeout bounds each governed query's wall-clock time —

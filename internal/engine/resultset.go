@@ -79,23 +79,46 @@ func (db *DB) StreamSelect(s *sql.Select) (*exec.ChunkStream, error) {
 	return db.streamSelect(nil, s)
 }
 
-// streamSelect binds and opens a SELECT, admitting through the
-// governor (when configured) and arming the query deadline. The
-// governor ticket and deadline timer are released by the stream's
-// OnClose hook, so every exit path — drain, early Close, cancel,
-// error — returns the lease exactly once.
 func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkStream, error) {
-	binder := plan.NewBinder(db.cat, db.reg)
-	node, err := binder.BindSelect(s)
+	cs, _, _, err := db.openSelect(sess, s, false)
+	return cs, err
+}
+
+// planSelect binds and prunes s and returns it with the context it
+// runs in, before admission and the cost-based pass.
+func (db *DB) planSelect(s *sql.Select) (plan.Node, *exec.Context, error) {
+	node, err := plan.NewBinder(db.cat, db.reg).BindSelect(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	node = plan.Prune(node)
-	ctx := &exec.Context{
+	return plan.Prune(node), &exec.Context{
 		Snap:         db.cat.Snapshot(),
 		Parallelism:  db.Parallelism,
 		MemoryBudget: db.MemoryBudget,
 		TempDir:      db.TempDir,
+	}, nil
+}
+
+// costPlan applies the cost-based pass for the context's width and
+// budget, unless it is disabled.
+func (db *DB) costPlan(node plan.Node, ctx *exec.Context) plan.Node {
+	if db.NoCostPlanner {
+		return node
+	}
+	return cost.Apply(node, ctx.Workers(), ctx.MemoryBudget)
+}
+
+// openSelect binds and opens a SELECT, admitting through the governor
+// (when configured) and arming the query deadline; with taps set it
+// installs row-count taps on the planned tree first, for EXPLAIN
+// ANALYZE. It returns the stream, the planned tree and the governor
+// ticket (nil without a governor). The ticket and deadline timer are
+// released by the stream's OnClose hook, so every exit path — drain,
+// early Close, cancel, error — returns the lease exactly once.
+func (db *DB) openSelect(sess *governor.Session, s *sql.Select, taps bool) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
+	node, ctx, err := db.planSelect(s)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	deadline := db.QueryTimeout
 	var ticket *governor.Ticket
@@ -104,9 +127,9 @@ func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkSt
 		t, err := db.Gov.Admit(sess, ctx.Workers(), deadline, nil)
 		if err != nil {
 			if errors.Is(err, governor.ErrQueueTimeout) {
-				return nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, deadline)
+				return nil, nil, nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, deadline)
 			}
-			return nil, err
+			return nil, nil, nil, err
 		}
 		ticket = t
 		ctx.Parallelism = t.Workers()
@@ -116,12 +139,13 @@ func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkSt
 			deadline -= time.Since(start)
 			if deadline <= 0 {
 				t.Release()
-				return nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, db.QueryTimeout)
+				return nil, nil, nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, db.QueryTimeout)
 			}
 		}
 	}
-	if !db.NoCostPlanner {
-		node = cost.Apply(node, ctx.Workers(), ctx.MemoryBudget)
+	node = db.costPlan(node, ctx)
+	if taps {
+		plan.InstallTaps(node)
 	}
 	var tb *timerBox
 	if deadline > 0 {
@@ -137,7 +161,7 @@ func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkSt
 	cs, err := exec.Stream(node, ctx)
 	if err != nil {
 		release() // Stream does not fire OnClose on construction errors
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if tb != nil {
 		total := db.QueryTimeout
@@ -145,7 +169,7 @@ func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkSt
 			cs.CancelCause(fmt.Errorf("%w (%v)", ErrQueryTimeout, total))
 		}))
 	}
-	return cs, nil
+	return cs, node, ticket, nil
 }
 
 // wireLease points an exec context's memory budget at a governor
@@ -174,48 +198,19 @@ func wireLease(ctx *exec.Context, t *governor.Ticket, engineCap int64) {
 // explain binds and plans ex.Query exactly as streamSelect would
 // (including the cost-based pass, unless disabled) and renders the
 // resulting tree as a one-column result set, one operator line per
-// row. EXPLAIN ANALYZE additionally executes the query to completion
-// with row-count taps installed, so the rendering reports actual
-// cardinalities next to the estimates. The ANALYZE run admits through
-// the governor like a regular query — it consumes real executor
-// resources — and its ticket is released before the (materialized)
-// plan text streams back, so it cannot strand a lease; the rendering
-// then leads with the query's memory dynamics: initial vs final lease,
-// grow/shrink counts, and spill totals.
+// row. EXPLAIN ANALYZE additionally opens the query through
+// streamSelect's own path — governor admission, memory lease, query
+// deadline — with row-count taps installed, and drains it, so the
+// rendering reports actual cardinalities next to the estimates. Its
+// ticket is released when the drained stream closes, before the
+// (materialized) plan text streams back, so it cannot strand a lease;
+// the rendering then leads with the query's memory dynamics: initial
+// vs final lease, grow/shrink counts, and spill totals.
 func (db *DB) explain(sess *governor.Session, ex *sql.Explain) (*ResultSet, error) {
-	binder := plan.NewBinder(db.cat, db.reg)
-	node, err := binder.BindSelect(ex.Query)
-	if err != nil {
-		return nil, err
-	}
-	node = plan.Prune(node)
-	ctx := &exec.Context{
-		Snap:         db.cat.Snapshot(),
-		Parallelism:  db.Parallelism,
-		MemoryBudget: db.MemoryBudget,
-		TempDir:      db.TempDir,
-	}
-	var ticket *governor.Ticket
-	if ex.Analyze && db.Gov != nil {
-		t, err := db.Gov.Admit(sess, ctx.Workers(), db.QueryTimeout, nil)
-		if err != nil {
-			if errors.Is(err, governor.ErrQueueTimeout) {
-				return nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, db.QueryTimeout)
-			}
-			return nil, err
-		}
-		ticket = t
-		defer t.Release()
-		ctx.Parallelism = t.Workers()
-		wireLease(ctx, t, db.MemoryBudget)
-	}
-	if !db.NoCostPlanner {
-		node = cost.Apply(node, ctx.Workers(), ctx.MemoryBudget)
-	}
+	var node plan.Node
 	var memLines []string
 	if ex.Analyze {
-		plan.InstallTaps(node)
-		cs, err := exec.Stream(node, ctx)
+		cs, n, ticket, err := db.openSelect(sess, ex.Query, true)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +228,13 @@ func (db *DB) explain(sess *governor.Session, ex *sql.Explain) (*ResultSet, erro
 		if err := cs.Close(); err != nil {
 			return nil, err
 		}
-		memLines = explainMemoryLines(ticket, spill)
+		node, memLines = n, explainMemoryLines(ticket, spill)
+	} else {
+		n, ctx, err := db.planSelect(ex.Query)
+		if err != nil {
+			return nil, err
+		}
+		node = db.costPlan(n, ctx)
 	}
 	lines := append(memLines, strings.Split(plan.Render(node, ex.Analyze), "\n")...)
 	tab, err := vector.NewTable([]string{"plan"}, []*vector.Vector{vector.FromStrings(lines)})

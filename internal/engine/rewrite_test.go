@@ -1,8 +1,14 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vexdb/internal/catalog"
@@ -123,64 +129,52 @@ func TestDeleteKeepsStatisticsExact(t *testing.T) {
 	}
 }
 
-// A log written by an older build logs DELETE and UPDATE as
-// whole-table RecReplace records: recovery still replays them, and
-// new statements on the recovered table log RecRewrite instead.
+// A log written by a build before rewrite records logs DELETE and
+// UPDATE as whole-table replace records (type 5). Those are no longer
+// replayed: such a log fails to open with ErrCorrupt naming the type,
+// rather than recovering something else.
 func TestRecoverReplaceRecordFromOlderLog(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(dir, wal.SyncGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*wal.Record{
-		{Type: wal.RecCreate, Table: "t", Cols: []wal.ColumnDef{{Name: "x", Type: vector.Int64}},
-			Chunk: vector.NewChunk(vector.FromInt64s([]int64{1, 2, 3, 4, 5}))},
-		{Type: wal.RecReplace, Table: "t", Chunk: vector.NewChunk(vector.FromInt64s([]int64{9, 8}))},
-		{Type: wal.RecInsert, Table: "t", Chunk: vector.NewChunk(vector.FromInt64s([]int64{7}))},
-	} {
-		lsn, err := l.Append(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(lsn); err != nil {
-			t.Fatal(err)
-		}
+	lsn, err := l.Append(&wal.Record{Type: wal.RecCreate, Table: "t", Cols: []wal.ColumnDef{{Name: "x", Type: vector.Int64}},
+		Chunk: vector.NewChunk(vector.FromInt64s([]int64{1, 2, 3, 4, 5}))})
+	if err == nil {
+		err = l.Commit(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	db := New()
-	if err := db.EnableWAL(dir, wal.SyncGroup); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(mustQuery(t, db, "SELECT x FROM t").Cols[0].Int64s()); got != "[9 8 7]" {
-		t.Fatalf("recovered %s, want [9 8 7]", got)
-	}
-	mustExec(t, db, "DELETE FROM t WHERE x = 8")
-	mustExec(t, db, "UPDATE t SET x = x + 1 WHERE x = 7")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err = wal.Open(dir, wal.SyncGroup)
+	// The replace record as older builds framed it: LSN, type, table,
+	// then its rows.
+	payload := binary.LittleEndian.AppendUint64(nil, lsn+1)
+	payload = append(payload, byte(wal.RecReplace), 1, 0, 't')
+	payload, err = storage.AppendChunk(payload, []*vector.Vector{vector.FromInt64s([]int64{9, 8})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var types []wal.Type
-	if err := l.Replay(func(r *wal.Record) error { types = append(types, r.Type); return nil }); err != nil {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(filepath.Join(dir, wal.LogName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if got := fmt.Sprint(types); got != "[create replace insert rewrite rewrite]" {
-		t.Fatalf("log holds %s", got)
-	}
-	re := New()
-	if err := re.EnableWAL(dir, wal.SyncGroup); err != nil {
+	if _, err := f.Write(append(frame, payload...)); err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if got := fmt.Sprint(mustQuery(t, re, "SELECT x FROM t").Cols[0].Int64s()); got != "[9 8]" {
-		t.Fatalf("recovered %s, want [9 8]", got)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
+
+	db := New()
+	err = db.EnableWAL(dir, wal.SyncGroup)
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "type 5 (replace)") {
+		t.Fatalf("opening a log with a replace record: %v, want ErrCorrupt naming type 5", err)
+	}
+	db.Close()
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"vexdb/internal/core"
 	"vexdb/internal/exec"
 	"vexdb/internal/vector"
 )
@@ -204,5 +206,33 @@ func TestResultSetCancel(t *testing.T) {
 	}
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExplainAnalyzeHonoursQueryTimeout: EXPLAIN ANALYZE runs the
+// query, so the deadline that bounds a SELECT bounds it too. The UDF
+// sleeps 5 µs a row, per chunk it is handed: 30 000 rows take 150 ms,
+// three times the deadline.
+func TestExplainAnalyzeHonoursQueryTimeout(t *testing.T) {
+	db := streamDB(t, 30_000)
+	err := db.Registry().RegisterScalar(&core.ScalarFunc{
+		Name:       "slow",
+		Arity:      1,
+		ReturnType: core.FixedReturn(vector.Int64),
+		Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+			time.Sleep(time.Duration(args[0].Len()) * 5 * time.Microsecond)
+			return args[0], nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.QueryTimeout = 50 * time.Millisecond
+	rs, err := db.Query("EXPLAIN ANALYZE SELECT slow(id) AS s FROM ev")
+	if err == nil {
+		rs.Close()
+	}
+	if !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("EXPLAIN ANALYZE past the deadline: err = %v, want ErrQueryTimeout", err)
 	}
 }

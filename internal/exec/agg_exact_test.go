@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -664,46 +663,21 @@ func TestReadPartialRejectsForeignChunks(t *testing.T) {
 // encodeSpillChunk frames columns the way spill.File writes a chunk.
 func encodeSpillChunk(t testing.TB, cols []*vector.Vector) []byte {
 	t.Helper()
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(cols[0].Len()))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cols)))
-	for _, c := range cols {
-		payload, err := storage.EncodeColumn(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, byte(c.Type()))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
+	b, err := storage.AppendChunk(nil, cols)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return buf
+	return b
 }
 
 // decodeSpillChunk parses a chunk frame, nil when the frame itself is
-// malformed (the spill package's reader rejects those; the target here
-// is what exec does with columns that decoded).
+// malformed or is not one spill.File reads back (the target here is
+// what exec does with columns that decoded), or holds more than 4 096
+// rows, which keeps each fuzz input's work small.
 func decodeSpillChunk(b []byte) []*vector.Vector {
-	if len(b) < 6 {
+	cols, _, err := storage.DecodeChunk(b)
+	if err != nil || len(cols) == 0 || cols[0].Len() == 0 || cols[0].Len() > 4096 {
 		return nil
-	}
-	n, ncols := int(binary.LittleEndian.Uint32(b)), int(binary.LittleEndian.Uint16(b[4:]))
-	if n <= 0 || n > 4096 || ncols <= 0 {
-		return nil
-	}
-	b = b[6:]
-	cols := make([]*vector.Vector, ncols)
-	for i := range cols {
-		if len(b) < 5 {
-			return nil
-		}
-		typ, plen := vector.Type(b[0]), int(binary.LittleEndian.Uint32(b[1:]))
-		if b = b[5:]; len(b) < plen {
-			return nil
-		}
-		v, err := storage.DecodeColumn(typ, n, b[:plen])
-		if err != nil {
-			return nil
-		}
-		cols[i], b = v, b[plen:]
 	}
 	return cols
 }

@@ -1,22 +1,21 @@
 // Package spill provides the temp-file substrate for out-of-core
 // execution: a per-query Manager that owns a directory of spill files
-// with guaranteed cleanup, and a File that streams vector chunks to
-// disk and back using the storage package's raw column encoding (the
-// same injective byte layout the on-disk table format and the wire
-// protocol use), so spilled data round-trips bit-exactly — including
-// float payloads, NULL masks and blobs.
+// with guaranteed cleanup, and a File that writes vector chunks to
+// disk and reads them back in the storage package's chunk frame (the
+// frame WAL records carry rows in, around the raw column payload the
+// table files and the wire protocol use), so spilled data round-trips
+// bit-exactly — including float payloads, NULL masks and blobs.
 //
-// Files are written append-only, then rewound and read sequentially.
-// A Manager survives double Close and cleans up every file it created
-// even when operators abandoned them mid-write (query cancellation or
-// error): Close closes and removes the whole directory.
+// Files are written append-only and read back chunk by chunk with
+// positioned reads, in any order and between writes. A Manager
+// survives double Close and cleans up every file it created even when
+// operators abandoned them mid-write (query cancellation or error):
+// Close closes and removes the whole directory.
 package spill
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -140,27 +139,20 @@ func (m *Manager) release(f *File) {
 	}
 }
 
-// File is one append-then-read spill file holding a sequence of
-// chunks. Writes go through WriteChunk; after the last write,
-// StartRead rewinds the file and ReadChunk streams the chunks back in
-// write order. A File is not safe for concurrent use.
+// File is one append-only spill file holding a sequence of chunks:
+// WriteChunkRef appends one and returns where it lies, ReadChunkAt
+// reads it back. A File is not safe for concurrent use.
 type File struct {
 	mgr  *Manager
 	f    *os.File
 	path string
 	w    *bufio.Writer
-	r    *bufio.Reader
+	buf  []byte // the chunk being written, reused across the file's chunks
 
-	rows    int64
-	chunks  int64
 	written int64
 	dirty   bool // buffered writes not yet flushed
 	closed  bool
 }
-
-// chunk header: u32 rows, u16 cols; per column: u8 type, u32 payload
-// length, payload bytes (storage raw column encoding).
-const chunkHeaderLen = 6
 
 // ChunkRef locates one chunk inside a spill file, so many logical
 // streams (grace partitions, sorted runs) can share one physical file
@@ -171,82 +163,46 @@ type ChunkRef struct {
 	Len int64
 }
 
-// Rows returns the total number of rows written so far.
-func (f *File) Rows() int64 { return f.rows }
-
-// Chunks returns the number of chunks written so far.
-func (f *File) Chunks() int64 { return f.chunks }
-
 // BytesWritten returns the encoded size of everything written so far.
 func (f *File) BytesWritten() int64 { return f.written }
 
-// WriteChunk appends the columns as one chunk. All columns must have
-// equal length; zero-row chunks are dropped.
-func (f *File) WriteChunk(cols []*vector.Vector) error {
-	_, err := f.WriteChunkRef(cols)
-	return err
-}
-
 // WriteChunkRef appends the columns as one chunk and returns its
-// location for later positioned reads. Zero-row chunks are dropped
-// (Len 0 in the returned ref).
+// location for later positioned reads. All columns must have equal
+// length; zero-row chunks are dropped (Len 0 in the returned ref).
 func (f *File) WriteChunkRef(cols []*vector.Vector) (ChunkRef, error) {
 	if f.closed {
 		return ChunkRef{}, fmt.Errorf("spill: write on closed file")
 	}
-	if f.r != nil {
-		return ChunkRef{}, fmt.Errorf("spill: write after StartRead")
-	}
 	if len(cols) == 0 || cols[0].Len() == 0 {
 		return ChunkRef{}, nil
 	}
-	n := cols[0].Len()
-	var hdr [chunkHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(cols)))
-	if _, err := f.w.Write(hdr[:]); err != nil {
+	buf, err := storage.AppendChunk(f.buf[:0], cols)
+	if err != nil {
+		return ChunkRef{}, fmt.Errorf("spill: %w", err)
+	}
+	f.buf = buf
+	if _, err := f.w.Write(buf); err != nil {
 		return ChunkRef{}, err
 	}
-	total := int64(chunkHeaderLen)
-	for _, c := range cols {
-		if c.Len() != n {
-			return ChunkRef{}, fmt.Errorf("spill: column length %d != %d", c.Len(), n)
-		}
-		payload, err := storage.EncodeColumn(c)
-		if err != nil {
-			return ChunkRef{}, fmt.Errorf("spill: encode column: %w", err)
-		}
-		var colHdr [5]byte
-		colHdr[0] = byte(c.Type())
-		binary.LittleEndian.PutUint32(colHdr[1:], uint32(len(payload)))
-		if _, err := f.w.Write(colHdr[:]); err != nil {
-			return ChunkRef{}, err
-		}
-		if _, err := f.w.Write(payload); err != nil {
-			return ChunkRef{}, err
-		}
-		total += 5 + int64(len(payload))
-	}
-	ref := ChunkRef{Off: f.written, Len: total}
-	f.rows += int64(n)
-	f.chunks++
-	f.written += total
+	ref := ChunkRef{Off: f.written, Len: int64(len(buf))}
+	f.written += ref.Len
 	f.dirty = true
 	if f.mgr != nil && f.mgr.rec != nil {
-		f.mgr.rec.SpillWrote(total)
+		f.mgr.rec.SpillWrote(ref.Len)
 	}
 	return ref, nil
 }
 
 // ReadChunkAt reads the chunk at ref with a positioned read, flushing
-// buffered writes first. Unlike the sequential reader it may be
-// interleaved with further WriteChunk calls, so shared files can serve
-// one partition while others are still being written.
+// buffered writes first, so it may be interleaved with further writes:
+// a shared file can serve one partition while others are still being
+// written. A chunk without rows or columns, or with bytes past its
+// frame, is corrupt.
 func (f *File) ReadChunkAt(ref ChunkRef) ([]*vector.Vector, error) {
 	if f.closed {
 		return nil, fmt.Errorf("spill: read on closed file")
 	}
-	if ref.Len < chunkHeaderLen {
+	if ref.Len <= 0 {
 		return nil, fmt.Errorf("spill: chunk ref length %d invalid", ref.Len)
 	}
 	if f.dirty {
@@ -259,115 +215,17 @@ func (f *File) ReadChunkAt(ref ChunkRef) ([]*vector.Vector, error) {
 	if _, err := f.f.ReadAt(buf, ref.Off); err != nil {
 		return nil, fmt.Errorf("spill: read chunk at %d: %w", ref.Off, err)
 	}
-	cols, err := decodeChunkBytes(buf)
-	if err != nil {
-		return nil, err
+	cols, rest, err := storage.DecodeChunk(buf)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("spill: %w", err)
+	case len(cols) == 0 || cols[0].Len() == 0:
+		return nil, fmt.Errorf("spill: corrupt chunk without rows or columns")
+	case len(rest) != 0:
+		return nil, fmt.Errorf("spill: %d trailing chunk bytes", len(rest))
 	}
 	if f.mgr != nil && f.mgr.rec != nil {
 		f.mgr.rec.SpillRead(ref.Len)
-	}
-	return cols, nil
-}
-
-// decodeChunkBytes parses one serialized chunk held fully in memory.
-func decodeChunkBytes(b []byte) ([]*vector.Vector, error) {
-	n := int(binary.LittleEndian.Uint32(b[0:]))
-	ncols := int(binary.LittleEndian.Uint16(b[4:]))
-	if n <= 0 || ncols <= 0 {
-		return nil, fmt.Errorf("spill: corrupt chunk header (%d rows, %d cols)", n, ncols)
-	}
-	b = b[chunkHeaderLen:]
-	cols := make([]*vector.Vector, ncols)
-	for i := range cols {
-		if len(b) < 5 {
-			return nil, fmt.Errorf("spill: truncated column header")
-		}
-		typ := vector.Type(b[0])
-		plen := int(binary.LittleEndian.Uint32(b[1:]))
-		b = b[5:]
-		if len(b) < plen {
-			return nil, fmt.Errorf("spill: truncated column payload")
-		}
-		v, err := storage.DecodeColumn(typ, n, b[:plen])
-		if err != nil {
-			return nil, fmt.Errorf("spill: decode column: %w", err)
-		}
-		cols[i] = v
-		b = b[plen:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("spill: %d trailing chunk bytes", len(b))
-	}
-	return cols, nil
-}
-
-// StartRead flushes pending writes and rewinds the file for reading.
-// It may be called again to re-read from the start.
-func (f *File) StartRead() error {
-	if f.closed {
-		return fmt.Errorf("spill: read on closed file")
-	}
-	if err := f.w.Flush(); err != nil {
-		return err
-	}
-	f.dirty = false
-	if _, err := f.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if f.r == nil {
-		f.r = bufio.NewReaderSize(f.f, 1<<16)
-	} else {
-		f.r.Reset(f.f)
-	}
-	return nil
-}
-
-// ReadChunk returns the next chunk's columns, or io.EOF after the
-// last chunk. Column headers are validated strictly; a truncated or
-// corrupt file surfaces as an error, never as silently short data.
-func (f *File) ReadChunk() ([]*vector.Vector, error) {
-	if f.closed {
-		return nil, fmt.Errorf("spill: read on closed file")
-	}
-	if f.r == nil {
-		if err := f.StartRead(); err != nil {
-			return nil, err
-		}
-	}
-	var hdr [chunkHeaderLen]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("spill: chunk header: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:]))
-	ncols := int(binary.LittleEndian.Uint16(hdr[4:]))
-	if n <= 0 || ncols <= 0 {
-		return nil, fmt.Errorf("spill: corrupt chunk header (%d rows, %d cols)", n, ncols)
-	}
-	total := int64(chunkHeaderLen)
-	cols := make([]*vector.Vector, ncols)
-	for i := range cols {
-		var colHdr [5]byte
-		if _, err := io.ReadFull(f.r, colHdr[:]); err != nil {
-			return nil, fmt.Errorf("spill: column header: %w", err)
-		}
-		typ := vector.Type(colHdr[0])
-		plen := int(binary.LittleEndian.Uint32(colHdr[1:]))
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f.r, payload); err != nil {
-			return nil, fmt.Errorf("spill: column payload: %w", err)
-		}
-		v, err := storage.DecodeColumn(typ, n, payload)
-		if err != nil {
-			return nil, fmt.Errorf("spill: decode column: %w", err)
-		}
-		cols[i] = v
-		total += 5 + int64(plen)
-	}
-	if f.mgr != nil && f.mgr.rec != nil {
-		f.mgr.rec.SpillRead(total)
 	}
 	return cols, nil
 }

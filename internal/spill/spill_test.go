@@ -1,13 +1,13 @@
 package spill
 
 import (
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
 
@@ -57,26 +57,34 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := buildMixedChunk(t)
+	var refs []ChunkRef
 	for c := 0; c < 3; c++ {
-		if err := f.WriteChunk(cols); err != nil {
+		ref, err := f.WriteChunkRef(cols)
+		if err != nil {
 			t.Fatal(err)
 		}
+		refs = append(refs, ref)
 	}
-	if f.Rows() != 12 || f.Chunks() != 3 {
-		t.Fatalf("rows=%d chunks=%d", f.Rows(), f.Chunks())
+	// The chunks lie back to back and account for every byte written.
+	for i, ref := range refs {
+		if want := int64(i) * refs[0].Len; ref.Off != want || ref.Len != refs[0].Len {
+			t.Fatalf("chunk %d at %+v, want offset %d", i, ref, want)
+		}
 	}
+	if end := refs[2].Off + refs[2].Len; f.BytesWritten() != end || rec.wrote.Load() != end {
+		t.Fatalf("wrote %d bytes (%d recorded), chunks end at %d", f.BytesWritten(), rec.wrote.Load(), end)
+	}
+	rows := 0
 	for pass := 0; pass < 2; pass++ { // re-read must work
-		if err := f.StartRead(); err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 3; c++ {
-			got, err := f.ReadChunk()
+		for c, ref := range refs {
+			got, err := f.ReadChunkAt(ref)
 			if err != nil {
 				t.Fatalf("pass %d chunk %d: %v", pass, c, err)
 			}
 			if len(got) != len(cols) {
 				t.Fatalf("got %d cols, want %d", len(got), len(cols))
 			}
+			rows += got[0].Len()
 			for ci, gc := range got {
 				wc := cols[ci]
 				if gc.Type() != wc.Type() || gc.Len() != wc.Len() {
@@ -101,12 +109,12 @@ func TestFileRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if _, err := f.ReadChunk(); err != io.EOF {
-			t.Fatalf("want EOF, got %v", err)
-		}
 	}
-	if rec.wrote.Load() == 0 || rec.read.Load() == 0 {
-		t.Fatalf("recorder wrote=%d read=%d", rec.wrote.Load(), rec.read.Load())
+	if rows != 24 {
+		t.Fatalf("read %d rows in two passes, want 24", rows)
+	}
+	if rec.read.Load() != 2*f.BytesWritten() {
+		t.Fatalf("recorder read=%d, want %d", rec.read.Load(), 2*f.BytesWritten())
 	}
 }
 
@@ -124,7 +132,7 @@ func TestManagerCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f1.WriteChunk([]*vector.Vector{vector.FromInt64s([]int64{1, 2})}); err != nil {
+	if _, err := f1.WriteChunkRef([]*vector.Vector{vector.FromInt64s([]int64{1, 2})}); err != nil {
 		t.Fatal(err)
 	}
 	dir := m.Dir()
@@ -163,17 +171,20 @@ func TestZeroRowChunkSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteChunk([]*vector.Vector{vector.New(vector.Int64, 0)}); err != nil {
-		t.Fatal(err)
+	for _, cols := range [][]*vector.Vector{{vector.New(vector.Int64, 0)}, nil} {
+		ref, err := f.WriteChunkRef(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Len != 0 {
+			t.Fatalf("zero-row chunk written: %+v", ref)
+		}
+		if _, err := f.ReadChunkAt(ref); err == nil {
+			t.Fatal("read of a dropped chunk succeeded")
+		}
 	}
-	if err := f.WriteChunk(nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Chunks() != 0 {
-		t.Fatalf("zero-row chunks written: %d", f.Chunks())
-	}
-	if _, err := f.ReadChunk(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
+	if f.BytesWritten() != 0 {
+		t.Fatalf("zero-row chunks wrote %d bytes", f.BytesWritten())
 	}
 }
 
@@ -184,18 +195,37 @@ func TestCorruptFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteChunk([]*vector.Vector{vector.FromInt64s([]int64{7})}); err != nil {
+	ref, err := f.WriteChunkRef([]*vector.Vector{vector.FromInt64s([]int64{7})})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Frames the writer never produces: a chunk without rows, one
+	// without columns, and a ref reaching past its chunk's frame.
+	frame := func(cols ...*vector.Vector) []byte {
+		b, err := storage.AppendChunk(nil, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"no rows":        frame(vector.New(vector.Int64, 0)),
+		"no columns":     frame(),
+		"trailing bytes": append(frame(vector.FromInt64s([]int64{7})), 0),
+	} {
+		if _, err := f.f.WriteAt(b, f.written); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ReadChunkAt(ChunkRef{Off: f.written, Len: int64(len(b))}); err == nil {
+			t.Fatalf("%s: want error", name)
+		}
 	}
 	// Truncate mid-payload: the reader must error, not return short data.
-	if err := f.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := f.f.Truncate(f.written - 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadChunk(); err == nil || err == io.EOF {
-		t.Fatalf("truncated file: want error, got %v", err)
+	if _, err := f.ReadChunkAt(ref); err == nil {
+		t.Fatal("truncated file: want error")
 	}
 	// A file whose path vanished underneath still releases cleanly.
 	g, err := m.Create("gone")

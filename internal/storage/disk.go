@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"vexdb/internal/vector"
 )
@@ -66,7 +67,7 @@ func (s *ColumnStore) sealedView() (segRows []int, segCols [][]*SealedColumn, er
 			if sc.payload == nil {
 				// Detach from the live tail vector: appends after this
 				// snapshot must not affect the written payload.
-				sc.payload, err = encodeColumn(c)
+				sc.payload, err = AppendColumn(nil, c)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -118,6 +119,7 @@ func WriteTable(w io.Writer, names []string, store *ColumnStore) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(segRows))); err != nil {
 		return err
 	}
+	var scratch []byte
 	for si, cols := range segCols {
 		if err := binary.Write(bw, binary.LittleEndian, uint32(segRows[si])); err != nil {
 			return err
@@ -155,9 +157,14 @@ func WriteTable(w io.Writer, names []string, store *ColumnStore) error {
 					return err
 				}
 			}
-			payload, err := sc.diskPayload()
-			if err != nil {
-				return fmt.Errorf("storage: column %q: %w", names[c], err)
+			// A column sealed raw in memory is encoded into one buffer
+			// reused across the file's columns.
+			payload := sc.payload
+			if payload == nil {
+				if scratch, err = AppendColumn(scratch[:0], sc.vec); err != nil {
+					return fmt.Errorf("storage: column %q: %w", names[c], err)
+				}
+				payload = scratch
 			}
 			if err := binary.Write(bw, binary.LittleEndian, uint64(len(payload))); err != nil {
 				return err
@@ -441,23 +448,85 @@ func LoadTableFile(path string) ([]string, *ColumnStore, error) {
 	return ReadTable(f)
 }
 
-// EncodeColumn serializes one column to the raw storage payload
-// format (fixed-width values with an optional null trailer, or
-// length-prefixed variable-width entries). The wire protocol's
-// columnar chunk frames reuse it, so the on-disk raw and on-wire
-// column layouts stay identical.
-func EncodeColumn(col *vector.Vector) ([]byte, error) { return encodeColumn(col) }
+// maxChunkCols bounds a chunk frame's column count, for the writer as
+// for the reader.
+const maxChunkCols = 1 << 12
 
-// DecodeColumn reverses EncodeColumn for a column of n rows.
-func DecodeColumn(t vector.Type, n int, payload []byte) (*vector.Vector, error) {
-	return decodeColumn(t, n, payload)
+// AppendChunk appends cols to dst as one chunk frame: u32 rows, u16
+// columns, then per column a u8 type, a u32 payload length and the
+// column's raw payload (AppendColumn). WAL records and spill files
+// carry their rows in this frame; all columns must have equal length.
+func AppendChunk(dst []byte, cols []*vector.Vector) ([]byte, error) {
+	if len(cols) > maxChunkCols {
+		return nil, fmt.Errorf("storage: chunk of %d columns (at most %d)", len(cols), maxChunkCols)
+	}
+	rows := 0
+	if len(cols) > 0 {
+		rows = cols[0].Len()
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(cols)))
+	for i, c := range cols {
+		if c.Len() != rows {
+			return nil, fmt.Errorf("storage: chunk column %d has %d rows, not %d", i, c.Len(), rows)
+		}
+		dst = append(dst, byte(c.Type()), 0, 0, 0, 0)
+		at := len(dst)
+		var err error
+		if dst, err = AppendColumn(dst, c); err != nil {
+			return nil, fmt.Errorf("storage: chunk column %d: %w", i, err)
+		}
+		binary.LittleEndian.PutUint32(dst[at-4:], uint32(len(dst)-at))
+	}
+	return dst, nil
 }
 
-func encodeColumn(col *vector.Vector) ([]byte, error) {
+// DecodeChunk parses the chunk frame AppendChunk wrote at the front of
+// b and returns its columns and the bytes after it. Decoding is
+// strict: a truncated frame, a column count past maxChunkCols or the
+// bytes left, rows without columns, and any payload decodeColumn
+// rejects are errors, and no count sizes an allocation b does not back.
+func DecodeChunk(b []byte) (cols []*vector.Vector, rest []byte, err error) {
+	if len(b) < 6 {
+		return nil, nil, fmt.Errorf("storage: truncated chunk header (%d bytes)", len(b))
+	}
+	rows := int(binary.LittleEndian.Uint32(b))
+	ncols := int(binary.LittleEndian.Uint16(b[4:]))
+	b = b[6:]
+	// A column takes at least its type byte and payload length.
+	if ncols > maxChunkCols || ncols > len(b)/5 || ncols == 0 && rows != 0 {
+		return nil, nil, fmt.Errorf("storage: implausible chunk of %d rows x %d columns in %d bytes", rows, ncols, len(b))
+	}
+	cols = make([]*vector.Vector, ncols)
+	for i := range cols {
+		if len(b) < 5 {
+			return nil, nil, fmt.Errorf("storage: chunk truncated at column %d", i)
+		}
+		typ, n := vector.Type(b[0]), binary.LittleEndian.Uint32(b[1:])
+		if b = b[5:]; uint64(n) > uint64(len(b)) {
+			return nil, nil, fmt.Errorf("storage: chunk truncated in column %d", i)
+		}
+		if cols[i], err = decodeColumn(typ, rows, b[:n]); err != nil {
+			return nil, nil, fmt.Errorf("storage: chunk column %d: %w", i, err)
+		}
+		b = b[n:]
+	}
+	return cols, b, nil
+}
+
+// AppendColumn appends col's raw storage payload to dst: fixed-width
+// values with a one-byte-per-row null trailer when the column has
+// NULLs, or per row a u32 length (0xFFFFFFFF for NULL) and the bytes
+// of a variable-width value. Chunk frames, the wire protocol's
+// columnar frames and raw table-file segments all carry this payload,
+// so the on-disk, spilled and on-wire column layouts stay identical.
+func AppendColumn(dst []byte, col *vector.Vector) ([]byte, error) {
 	n := col.Len()
+	if w := col.Type().FixedWidth(); w > 0 {
+		dst = slices.Grow(dst, w*n+n)
+	}
 	switch col.Type() {
 	case vector.Bool:
-		out := make([]byte, 0, 2*n)
 		for i, b := range col.Bools() {
 			var v byte
 			if b {
@@ -466,51 +535,51 @@ func encodeColumn(col *vector.Vector) ([]byte, error) {
 			if col.IsNull(i) {
 				v = 2
 			}
-			out = append(out, v)
+			dst = append(dst, v)
 		}
-		return out, nil
+		return dst, nil
 	case vector.Int32:
-		out := make([]byte, 0, 4*n+n)
 		for _, x := range col.Int32s() {
-			out = binary.LittleEndian.AppendUint32(out, uint32(x))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
 		}
-		return appendNullTrailer(out, col), nil
+		return appendNullTrailer(dst, col), nil
 	case vector.Int64:
-		out := make([]byte, 0, 8*n+n)
 		for _, x := range col.Int64s() {
-			out = binary.LittleEndian.AppendUint64(out, uint64(x))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 		}
-		return appendNullTrailer(out, col), nil
+		return appendNullTrailer(dst, col), nil
 	case vector.Float64:
-		out := make([]byte, 0, 8*n+n)
 		for _, x := range col.Float64s() {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
-		return appendNullTrailer(out, col), nil
+		return appendNullTrailer(dst, col), nil
 	case vector.String:
-		var out []byte
 		for i, s := range col.Strings() {
 			if col.IsNull(i) {
-				out = binary.LittleEndian.AppendUint32(out, nullMarker)
+				dst = binary.LittleEndian.AppendUint32(dst, nullMarker)
 				continue
 			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-			out = append(out, s...)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
 		}
-		return out, nil
+		return dst, nil
 	case vector.Blob:
-		var out []byte
 		for i, b := range col.Blobs() {
 			if col.IsNull(i) {
-				out = binary.LittleEndian.AppendUint32(out, nullMarker)
+				dst = binary.LittleEndian.AppendUint32(dst, nullMarker)
 				continue
 			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
-			out = append(out, b...)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+			dst = append(dst, b...)
 		}
-		return out, nil
+		return dst, nil
 	}
 	return nil, fmt.Errorf("unsupported column type %v", col.Type())
+}
+
+// DecodeColumn reverses AppendColumn for a column of n rows.
+func DecodeColumn(t vector.Type, n int, payload []byte) (*vector.Vector, error) {
+	return decodeColumn(t, n, payload)
 }
 
 // appendNullTrailer appends one byte per row (1 = NULL) when the
@@ -658,7 +727,9 @@ func splitFixed(payload []byte, n, width int) (data, nulls []byte, err error) {
 }
 
 // applyNulls marks rows NULL from a trailer of 0/1 bytes, rejecting
-// any other byte value as corruption.
+// any other byte value as corruption, and so is a trailer that marks no
+// row: AppendColumn writes one only for a column with NULLs, so every
+// payload decodes to a column that re-encodes to the same bytes.
 func applyNulls(v *vector.Vector, nulls []byte) (*vector.Vector, error) {
 	for i, b := range nulls {
 		switch b {
@@ -668,6 +739,9 @@ func applyNulls(v *vector.Vector, nulls []byte) (*vector.Vector, error) {
 		default:
 			return nil, fmt.Errorf("null trailer byte %d at row %d (want 0 or 1)", b, i)
 		}
+	}
+	if nulls != nil && !v.HasNulls() {
+		return nil, fmt.Errorf("null trailer marks none of %d rows NULL", len(nulls))
 	}
 	return v, nil
 }

@@ -167,7 +167,7 @@ func TestDiskUnknownVersionRejected(t *testing.T) {
 	binary.Write(&v1, binary.LittleEndian, uint16(2))
 	v1.WriteString("id")
 	v1.WriteByte(byte(vector.Int64))
-	payload, err := EncodeColumn(vector.FromInt64s([]int64{1, 2, 3}))
+	payload, err := AppendColumn(nil, vector.FromInt64s([]int64{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -670,12 +670,3 @@ func (c *SealedColumn) rawVec() (*vector.Vector, error) {
 	})
 	return c.vec, c.lazyErr
 }
-
-// diskPayload returns the bytes persisted for this column: the
-// compressed payload, or the raw storage encoding of the vector.
-func (c *SealedColumn) diskPayload() ([]byte, error) {
-	if c.payload != nil {
-		return c.payload, nil
-	}
-	return encodeColumn(c.vec)
-}

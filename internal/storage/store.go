@@ -369,32 +369,6 @@ func (s *ColumnStore) AppendRow(vals []vector.Value) error {
 	return s.AppendChunk(vector.NewChunk(cols...))
 }
 
-// Replace atomically substitutes the table's entire contents with ch
-// (which may be nil or empty) in one new version, so a snapshot reader
-// sees either the old contents or the new, never the truncated
-// intermediate state. Only the replay of whole-table replace records,
-// which older builds logged for DELETE and UPDATE, still calls it.
-func (s *ColumnStore) Replace(ch *vector.Chunk) error {
-	var cast []*vector.Vector
-	n := 0
-	if ch != nil && ch.NumRows() > 0 {
-		var err error
-		cast, err = s.castColumns(ch)
-		if err != nil {
-			return err
-		}
-		n = ch.NumRows()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := &tableVersion{}
-	if n > 0 {
-		v = s.appendLocked(v, cast, n)
-	}
-	s.cur.Store(v)
-	return nil
-}
-
 // RowRange names the rows [Start, End) of a table by global ordinal:
 // a row's position counted from the table's first row across every
 // segment in order.

@@ -11,7 +11,8 @@ import (
 )
 
 // fuzzSeedRecords is one record of every type, the rewrite both as a
-// DELETE and as an UPDATE, over every column type with NULLs.
+// DELETE and as an UPDATE, over every column type with NULLs, and an
+// insert of rows that are NULL throughout.
 func fuzzSeedRecords() []*Record {
 	withNull := func(v *vector.Vector) *vector.Vector { v.SetNull(1); return v }
 	rows := vector.NewChunk(
@@ -22,6 +23,13 @@ func fuzzSeedRecords() []*Record {
 		withNull(vector.FromStrings([]string{"a", "", "ccc"})),
 		vector.FromBlobs([][]byte{{1}, nil, {2, 3}}),
 	)
+	// Every row NULL: each column's null marker or full null trailer.
+	allNull := func(v *vector.Vector) *vector.Vector { v.SetNull(0); v.SetNull(1); return v }
+	nulls := vector.NewChunk(
+		allNull(vector.FromBools([]bool{false, false})),
+		allNull(vector.FromFloat64s([]float64{0, 0})),
+		allNull(vector.FromStrings([]string{"", ""})),
+	)
 	cols := []ColumnDef{{"b", vector.Bool}, {"i", vector.Int32}, {"l", vector.Int64},
 		{"f", vector.Float64}, {"s", vector.String}, {"x", vector.Blob}}
 	return []*Record{
@@ -30,7 +38,7 @@ func fuzzSeedRecords() []*Record {
 		{LSN: 3, Type: RecInsert, Table: "t", Chunk: rows},
 		{LSN: 4, Type: RecTruncate, Table: "t"},
 		{LSN: 5, Type: RecDrop, Table: "t"},
-		{LSN: 6, Type: RecReplace, Table: "t", Chunk: rows},
+		{LSN: 6, Type: RecInsert, Table: "t", Chunk: nulls},
 		{LSN: 7, Type: RecCheckpoint},
 		{LSN: 8, Type: RecRewrite, Table: "t", Ranges: []storage.RowRange{{Start: 0, End: 2}, {Start: 7, End: 1 << 20}}},
 		{LSN: 9, Type: RecRewrite, Table: "t", Ranges: []storage.RowRange{{Start: 1, End: 2}, {Start: 4, End: 6}}, Chunk: rows},

@@ -24,9 +24,10 @@ const (
 	RecTruncate Type = 3
 	// RecDrop removes a table.
 	RecDrop Type = 4
-	// RecReplace atomically substitutes a table's entire contents with
-	// the record's chunk. Older builds logged DELETE and UPDATE this
-	// way; it is no longer written, and replays for their logs only.
+	// RecReplace substituted a table's entire contents with the
+	// record's chunk; builds before RecRewrite logged DELETE and UPDATE
+	// this way. It is neither written nor replayed any more: decoding
+	// one is ErrCorrupt, and the number stays reserved.
 	RecReplace Type = 5
 	// RecCheckpoint marks a durable checkpoint: every record at or
 	// before its LSN is captured by the checkpoint's table files, and a
@@ -71,10 +72,11 @@ type Record struct {
 	Table string
 	// Cols carries the schema of a RecCreate.
 	Cols []ColumnDef
-	// Chunk carries the rows of RecInsert/RecReplace, and optionally of
-	// a CTAS RecCreate or (as replacement rows) of a RecRewrite. Columns
-	// use the raw storage payload encoding (storage.EncodeColumn), the
-	// same layout as disk segments and wire chunk frames.
+	// Chunk carries the rows of RecInsert, and optionally of a CTAS
+	// RecCreate or (as replacement rows) of a RecRewrite, in the chunk
+	// frame spill files also use (storage.AppendChunk). Its column
+	// payloads are the raw layout of disk segments and wire columnar
+	// frames; the frame around them is not shared with either.
 	Chunk *vector.Chunk
 	// Ranges names the rows a RecRewrite touches by global ordinal —
 	// position in the table, not (segment, row): a checkpoint seals the
@@ -106,7 +108,10 @@ func encodePayload(r *Record) ([]byte, error) {
 		return out, nil
 	case RecTruncate, RecDrop:
 		return appendString16(out, r.Table), nil
-	case RecInsert, RecReplace:
+	case RecInsert:
+		if r.Chunk == nil {
+			return nil, fmt.Errorf("wal: insert record carries no chunk")
+		}
 		out = appendString16(out, r.Table)
 		return appendChunk(out, r.Chunk)
 	case RecCreate:
@@ -143,20 +148,9 @@ func appendString16(out []byte, s string) []byte {
 }
 
 func appendChunk(out []byte, ch *vector.Chunk) ([]byte, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("wal: record carries no chunk")
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(ch.NumRows()))
-	out = binary.LittleEndian.AppendUint16(out, uint16(ch.NumCols()))
-	for i := 0; i < ch.NumCols(); i++ {
-		col := ch.Col(i)
-		payload, err := storage.EncodeColumn(col)
-		if err != nil {
-			return nil, fmt.Errorf("wal: column %d: %w", i, err)
-		}
-		out = append(out, byte(col.Type()))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
+	out, err := storage.AppendChunk(out, ch.Cols())
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return out, nil
 }
@@ -170,7 +164,7 @@ func decodePayload(p []byte) (*Record, error) {
 	case RecCheckpoint:
 	case RecTruncate, RecDrop:
 		r.Table = d.str16()
-	case RecInsert, RecReplace:
+	case RecInsert:
 		r.Table = d.str16()
 		r.Chunk = d.chunk()
 	case RecCreate:
@@ -206,6 +200,8 @@ func decodePayload(p []byte) (*Record, error) {
 		case flag != 0 && d.err == nil:
 			d.err = fmt.Errorf("rows flag %d", flag)
 		}
+	case RecReplace:
+		return nil, fmt.Errorf("%w: type %d (%s) is retired: only builds before rewrite records wrote it", ErrCorrupt, r.Type, r.Type)
 	default:
 		return nil, fmt.Errorf("%w: type %d unknown", ErrCorrupt, r.Type)
 	}
@@ -308,30 +304,14 @@ func (d *decoder) ranges() ([]storage.RowRange, int) {
 }
 
 func (d *decoder) chunk() *vector.Chunk {
-	nrows := int(d.u32())
-	ncols := int(d.u16())
 	if d.err != nil {
 		return nil
 	}
-	// A column takes at least its type byte and payload length.
-	if nrows > maxFramePayload || ncols > 1<<12 || ncols > (len(d.buf)-d.off)/5 {
-		d.err = fmt.Errorf("implausible chunk %d rows x %d cols", nrows, ncols)
+	cols, rest, err := storage.DecodeChunk(d.buf[d.off:])
+	if err != nil {
+		d.err = err
 		return nil
 	}
-	cols := make([]*vector.Vector, ncols)
-	for i := range cols {
-		t := vector.Type(d.u8())
-		plen := int(d.u32())
-		payload := d.take(plen)
-		if d.err != nil {
-			return nil
-		}
-		col, err := storage.DecodeColumn(t, nrows, payload)
-		if err != nil {
-			d.err = fmt.Errorf("column %d: %w", i, err)
-			return nil
-		}
-		cols[i] = col
-	}
+	d.off = len(d.buf) - len(rest)
 	return vector.NewChunk(cols...)
 }

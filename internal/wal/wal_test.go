@@ -59,10 +59,6 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 		vector.FromStrings([]string{"a", "b", "c"}),
 	)})
 	mustAppendCommit(t, l, &Record{Type: RecTruncate, Table: "t"})
-	mustAppendCommit(t, l, &Record{Type: RecReplace, Table: "t", Chunk: vector.NewChunk(
-		vector.FromInt64s([]int64{9}),
-		vector.FromStrings([]string{"z"}),
-	)})
 	mustAppendCommit(t, l, &Record{Type: RecDrop, Table: "t"})
 	// CTAS: create carrying rows.
 	mustAppendCommit(t, l, &Record{Type: RecCreate, Table: "u",
@@ -77,10 +73,10 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	}
 
 	recs := replayAll(t, dir)
-	if len(recs) != 8 {
-		t.Fatalf("replayed %d records, want 8", len(recs))
+	if len(recs) != 7 {
+		t.Fatalf("replayed %d records, want 7", len(recs))
 	}
-	wantTypes := []Type{RecCreate, RecInsert, RecTruncate, RecReplace, RecDrop, RecCreate, RecRewrite, RecRewrite}
+	wantTypes := []Type{RecCreate, RecInsert, RecTruncate, RecDrop, RecCreate, RecRewrite, RecRewrite}
 	for i, r := range recs {
 		if r.Type != wantTypes[i] {
 			t.Fatalf("record %d: type %s, want %s", i, r.Type, wantTypes[i])
@@ -95,16 +91,16 @@ func TestRoundTripAllRecordTypes(t *testing.T) {
 	if got := recs[1].Chunk.Col(1).Get(2).Str(); got != "c" {
 		t.Fatalf("insert string col round trip: %q", got)
 	}
-	if recs[5].Chunk == nil || recs[5].Chunk.NumRows() != 2 {
+	if recs[4].Chunk == nil || recs[4].Chunk.NumRows() != 2 {
 		t.Fatal("CTAS chunk lost in round trip")
 	}
 	if len(recs[0].Cols) != 2 || recs[0].Cols[1].Name != "name" || recs[0].Cols[1].Type != vector.String {
 		t.Fatalf("create schema round trip: %+v", recs[0].Cols)
 	}
-	if del := recs[6]; del.Chunk != nil || len(del.Ranges) != 2 || del.Ranges[1] != (storage.RowRange{Start: 5, End: 9}) {
+	if del := recs[5]; del.Chunk != nil || len(del.Ranges) != 2 || del.Ranges[1] != (storage.RowRange{Start: 5, End: 9}) {
 		t.Fatalf("delete rewrite round trip: %+v, chunk %v", del.Ranges, del.Chunk)
 	}
-	if upd := recs[7]; len(upd.Ranges) != 1 || upd.Chunk == nil || upd.Chunk.Col(0).Get(1).Int64() != 7 {
+	if upd := recs[6]; len(upd.Ranges) != 1 || upd.Chunk == nil || upd.Chunk.Col(0).Get(1).Int64() != 7 {
 		t.Fatalf("update rewrite round trip: %+v", upd.Ranges)
 	}
 }

@@ -663,17 +663,17 @@ func decodeBinaryChunk(body []byte, n int, types []vector.Type) (*vector.Chunk, 
 // ----------------------------------------------------------- columnar
 
 // encodeColumnarChunk writes each column as a length-prefixed storage
-// payload (the engine's native layout — no per-value conversion).
+// payload (the engine's native layout — no per-value conversion),
+// encoded straight into buf's spare capacity with the length
+// backfilled.
 func encodeColumnarChunk(buf *bytes.Buffer, ch *vector.Chunk) error {
-	var l [4]byte
 	for _, col := range ch.Cols() {
-		payload, err := storage.EncodeColumn(col)
+		b, err := storage.AppendColumn(append(buf.AvailableBuffer(), 0, 0, 0, 0), col)
 		if err != nil {
 			return fmt.Errorf("wire: %w", err)
 		}
-		binary.LittleEndian.PutUint32(l[:], uint32(len(payload)))
-		buf.Write(l[:])
-		buf.Write(payload)
+		binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+		buf.Write(b)
 	}
 	return nil
 }

@@ -93,8 +93,8 @@ func NewVectorBlob(v [][]byte) *Vector { return vector.FromBlobs(v) }
 // DB is a database instance. Use Open to create one.
 type DB struct {
 	eng *engine.DB
-	// modelCache memoizes deserialized models for the *_cached
-	// prediction UDFs (paper §5.1).
+	// modelCache memoizes deserialized models for every predict UDF
+	// (paper §5.1), so a chunk is scored without unmarshaling its model.
 	modelCache *modelCache
 }
 
@@ -152,10 +152,6 @@ type Options struct {
 	// SyncNone leaves flushing to the OS (and to Checkpoint/Close).
 	// Ignored without WALDir.
 	SyncMode SyncMode
-
-	// DisableWAL keeps the database purely in-memory even when WALDir
-	// is set (escape hatch for tooling that reuses a durable config).
-	DisableWAL bool
 }
 
 // SyncMode selects the WAL durability/latency trade-off; see the
@@ -215,7 +211,7 @@ func OpenDurable(opts Options) (*DB, error) {
 }
 
 func (db *DB) enableWAL(opts Options) error {
-	if opts.WALDir == "" || opts.DisableWAL {
+	if opts.WALDir == "" {
 		return nil
 	}
 	return db.eng.EnableWAL(opts.WALDir, opts.SyncMode)
