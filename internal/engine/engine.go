@@ -4,6 +4,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -25,7 +26,7 @@ import (
 
 // ErrQueryTimeout is returned (wrapped) when a query exceeds the
 // database's QueryTimeout — whether it expired waiting in the
-// admission queue or mid-execution.
+// admission queue, in Open or mid-stream.
 var ErrQueryTimeout = errors.New("engine: query deadline exceeded")
 
 // DB is one database instance: a catalog of tables plus a UDF
@@ -78,10 +79,10 @@ type DB struct {
 	// like any other query.
 	Gov *governor.Governor
 
-	// QueryTimeout bounds each governed query's wall-clock time —
-	// admission wait plus execution; expiry cancels the stream with
-	// ErrQueryTimeout at the same checkpoints as cancellation.
-	// 0 = no deadline.
+	// QueryTimeout bounds each SELECT's wall-clock time, with or
+	// without a governor — admission wait, Open and execution share
+	// one deadline; expiry stops the query with ErrQueryTimeout at the
+	// same checkpoints as cancellation. 0 = no deadline.
 	QueryTimeout time.Duration
 
 	// NoCostPlanner disables the cost-based planning pass (join
@@ -149,7 +150,7 @@ func (db *DB) ExecStmt(stmt sql.Statement) (*Result, error) {
 		}
 		return &Result{Table: tab}, nil
 	case *sql.Explain:
-		rs, err := db.explain(nil, s)
+		rs, err := db.explain(context.Background(), nil, s)
 		if err != nil {
 			return nil, err
 		}
@@ -173,10 +174,10 @@ func (db *DB) ExecStmt(stmt sql.Statement) (*Result, error) {
 }
 
 // RunSelect binds and executes a SELECT, returning the materialized
-// result. It is a thin wrapper over the streaming path (StreamSelect)
+// result. It is a thin wrapper over the streaming path (openSelect)
 // for callers that want the whole relation at once.
 func (db *DB) RunSelect(s *sql.Select) (*vector.Table, error) {
-	stream, err := db.StreamSelect(s)
+	stream, _, _, err := db.openSelect(context.Background(), nil, s, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/exec"
@@ -33,55 +31,47 @@ type ResultSet struct {
 // Query parses and executes one SQL statement, streaming result rows.
 // The caller must Close the ResultSet.
 func (db *DB) Query(query string) (*ResultSet, error) {
-	return db.QuerySession(nil, query)
+	return db.QuerySession(context.Background(), nil, query)
 }
 
-// QuerySession is Query with a governor session: when the database has
-// a governor, the query admits against sess's concurrent-query and
+// QuerySession is Query under a context and a governor session. The
+// query stops when ctx is done — queued for admission, opening or
+// streaming — and reports ctx's cause; when the database has a
+// governor, the query admits against sess's concurrent-query and
 // memory limits (a nil session admits without session limits). The
-// wire server passes one session per connection.
-func (db *DB) QuerySession(sess *governor.Session, query string) (*ResultSet, error) {
+// wire server passes one session per connection and one context per
+// request.
+func (db *DB) QuerySession(ctx context.Context, sess *governor.Session, query string) (*ResultSet, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.QueryStmtSession(sess, stmt)
+	return db.queryStmt(ctx, sess, stmt)
 }
 
 // QueryStmt executes a parsed statement, streaming result rows.
 // Non-SELECT statements run through the materializing Exec path (their
 // results are row counts, not relations).
 func (db *DB) QueryStmt(stmt sql.Statement) (*ResultSet, error) {
-	return db.QueryStmtSession(nil, stmt)
+	return db.queryStmt(context.Background(), nil, stmt)
 }
 
-// QueryStmtSession is QueryStmt with a governor session.
-func (db *DB) QueryStmtSession(sess *governor.Session, stmt sql.Statement) (*ResultSet, error) {
+func (db *DB) queryStmt(ctx context.Context, sess *governor.Session, stmt sql.Statement) (*ResultSet, error) {
 	if s, ok := stmt.(*sql.Select); ok {
-		stream, err := db.streamSelect(sess, s)
+		stream, _, _, err := db.openSelect(ctx, sess, s, false)
 		if err != nil {
 			return nil, err
 		}
 		return &ResultSet{schema: stream.Schema(), stream: stream}, nil
 	}
 	if ex, ok := stmt.(*sql.Explain); ok {
-		return db.explain(sess, ex)
+		return db.explain(ctx, sess, ex)
 	}
 	res, err := db.ExecStmt(stmt)
 	if err != nil {
 		return nil, err
 	}
 	return &ResultSet{rowsAffected: res.RowsAffected}, nil
-}
-
-// StreamSelect binds a SELECT and opens it as a chunk-pull stream.
-func (db *DB) StreamSelect(s *sql.Select) (*exec.ChunkStream, error) {
-	return db.streamSelect(nil, s)
-}
-
-func (db *DB) streamSelect(sess *governor.Session, s *sql.Select) (*exec.ChunkStream, error) {
-	cs, _, _, err := db.openSelect(sess, s, false)
-	return cs, err
 }
 
 // planSelect binds and prunes s and returns it with the context it
@@ -108,66 +98,52 @@ func (db *DB) costPlan(node plan.Node, ctx *exec.Context) plan.Node {
 	return cost.Apply(node, ctx.Workers(), ctx.MemoryBudget)
 }
 
-// openSelect binds and opens a SELECT, admitting through the governor
-// (when configured) and arming the query deadline; with taps set it
-// installs row-count taps on the planned tree first, for EXPLAIN
-// ANALYZE. It returns the stream, the planned tree and the governor
-// ticket (nil without a governor). The ticket and deadline timer are
-// released by the stream's OnClose hook, so every exit path — drain,
-// early Close, cancel, error — returns the lease exactly once.
-func (db *DB) openSelect(sess *governor.Session, s *sql.Select, taps bool) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
-	node, ctx, err := db.planSelect(s)
+// openSelect binds and opens a SELECT under ctx, arming the query
+// deadline on it before admitting through the governor (when
+// configured), so admission wait, Open and execution share one
+// deadline; with taps set it installs row-count taps on the planned
+// tree first, for EXPLAIN ANALYZE. It returns the stream, the planned
+// tree and the governor ticket (nil without a governor). The ticket
+// and the deadline are released by the stream's OnClose hook, so every
+// exit path — drain, early Close, cancel, error — returns the lease
+// exactly once.
+func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Select, taps bool) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
+	node, ectx, err := db.planSelect(s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	deadline := db.QueryTimeout
+	release := func() {}
+	if d := db.QueryTimeout; d > 0 {
+		ctx, release = context.WithTimeoutCause(ctx, d, fmt.Errorf("%w (%v)", ErrQueryTimeout, d))
+	}
 	var ticket *governor.Ticket
 	if db.Gov != nil {
-		start := time.Now()
-		t, err := db.Gov.Admit(sess, ctx.Workers(), deadline, nil)
+		// Admission returns early once ctx is done; report why.
+		ticket, err = db.Gov.Admit(sess, ectx.Workers(), 0, ctx.Done())
 		if err != nil {
-			if errors.Is(err, governor.ErrQueueTimeout) {
-				return nil, nil, nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, deadline)
+			if ctx.Err() != nil {
+				err = context.Cause(ctx)
 			}
+			release()
 			return nil, nil, nil, err
 		}
-		ticket = t
-		ctx.Parallelism = t.Workers()
-		wireLease(ctx, t, db.MemoryBudget)
-		// The admission wait already consumed part of the deadline.
-		if deadline > 0 {
-			deadline -= time.Since(start)
-			if deadline <= 0 {
-				t.Release()
-				return nil, nil, nil, fmt.Errorf("%w (queued %v)", ErrQueryTimeout, db.QueryTimeout)
-			}
-		}
-	}
-	node = db.costPlan(node, ctx)
-	if taps {
-		plan.InstallTaps(node)
-	}
-	var tb *timerBox
-	if deadline > 0 {
-		tb = &timerBox{}
-	}
-	release := func() {
-		tb.stop()
-		if ticket != nil {
+		ectx.Parallelism = ticket.Workers()
+		wireLease(ectx, ticket, db.MemoryBudget)
+		cancel := release
+		release = func() {
+			cancel()
 			ticket.Release()
 		}
 	}
-	ctx.OnClose = release
-	cs, err := exec.Stream(node, ctx)
+	node = db.costPlan(node, ectx)
+	if taps {
+		plan.InstallTaps(node)
+	}
+	ectx.Ctx, ectx.OnClose = ctx, release
+	cs, err := exec.Stream(node, ectx)
 	if err != nil {
 		release() // Stream does not fire OnClose on construction errors
 		return nil, nil, nil, err
-	}
-	if tb != nil {
-		total := db.QueryTimeout
-		tb.set(time.AfterFunc(deadline, func() {
-			cs.CancelCause(fmt.Errorf("%w (%v)", ErrQueryTimeout, total))
-		}))
 	}
 	return cs, node, ticket, nil
 }
@@ -195,22 +171,22 @@ func wireLease(ctx *exec.Context, t *governor.Ticket, engineCap int64) {
 	ctx.GrowBudget = func(n int64) int64 { return clamp(t.TryGrow(n)) }
 }
 
-// explain binds and plans ex.Query exactly as streamSelect would
+// explain binds and plans ex.Query exactly as a SELECT would
 // (including the cost-based pass, unless disabled) and renders the
 // resulting tree as a one-column result set, one operator line per
 // row. EXPLAIN ANALYZE additionally opens the query through
-// streamSelect's own path — governor admission, memory lease, query
+// a SELECT's own path — governor admission, memory lease, query
 // deadline — with row-count taps installed, and drains it, so the
 // rendering reports actual cardinalities next to the estimates. Its
 // ticket is released when the drained stream closes, before the
 // (materialized) plan text streams back, so it cannot strand a lease;
 // the rendering then leads with the query's memory dynamics: initial
 // vs final lease, grow/shrink counts, and spill totals.
-func (db *DB) explain(sess *governor.Session, ex *sql.Explain) (*ResultSet, error) {
+func (db *DB) explain(ctx context.Context, sess *governor.Session, ex *sql.Explain) (*ResultSet, error) {
 	var node plan.Node
 	var memLines []string
 	if ex.Analyze {
-		cs, n, ticket, err := db.openSelect(sess, ex.Query, true)
+		cs, n, ticket, err := db.openSelect(ctx, sess, ex.Query, true)
 		if err != nil {
 			return nil, err
 		}
@@ -272,37 +248,6 @@ func explainMemoryLines(t *governor.Ticket, spill *exec.SpillStats) []string {
 	return lines
 }
 
-// timerBox holds a deadline timer that may be stopped before it is
-// set: OnClose can fire from Stream's error path before the timer is
-// armed, and set observes the prior stop instead of leaking a timer.
-type timerBox struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
-}
-
-func (b *timerBox) set(t *time.Timer) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.stopped {
-		t.Stop()
-		return
-	}
-	b.t = t
-}
-
-func (b *timerBox) stop() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stopped = true
-	if b.t != nil {
-		b.t.Stop()
-	}
-}
-
 // Schema returns the result's column names and types (empty for
 // statements without result rows).
 func (r *ResultSet) Schema() catalog.Schema { return r.schema }
@@ -350,15 +295,6 @@ func (r *ResultSet) Next() (*vector.Chunk, error) {
 func (r *ResultSet) Cancel() {
 	if r.stream != nil {
 		r.stream.Cancel()
-	}
-}
-
-// CancelCause cancels like Cancel but records err as the reason, so
-// Next reports it instead of the generic exec.ErrCancelled (e.g. a
-// client-initiated cancel vs. a deadline). Safe from any goroutine.
-func (r *ResultSet) CancelCause(err error) {
-	if r.stream != nil {
-		r.stream.CancelCause(err)
 	}
 }
 

@@ -10,6 +10,7 @@ package exec
 // left out.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -928,12 +929,12 @@ func TestAggInsertsEachGroupOnce(t *testing.T) {
 func TestAggCancelledMidRoute(t *testing.T) {
 	tab := buildSwitchTable(t, 64*vector.DefaultChunkSize, func(i int) (int64, bool) { return int64(i) * 7919, true })
 	for _, workers := range []int{2, 8} {
-		done := make(chan struct{})
+		qctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
 		tap := &plan.NodeStats{}
 		cancelAt40 := &core.ScalarFunc{Name: "cancel_at_40", Arity: 1, Parallel: true, Eval: func(args []*vector.Vector) (*vector.Vector, error) {
 			if calls.Add(1) == 40 {
-				close(done)
+				cancel()
 			}
 			return vector.Constant(vector.NewBool(true), args[0].Len(), vector.Bool), nil
 		}}
@@ -946,7 +947,7 @@ func TestAggCancelledMidRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, dir := spillCtx(t, workers, 1<<30)
-		ctx.Done, ctx.mem, ctx.spillMgr = done, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+		ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}

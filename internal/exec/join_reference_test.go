@@ -6,6 +6,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -437,12 +438,12 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 			{name: "cancelled mid-probe", cancelAt: [2]int64{40, 0}},
 			{name: "failing residual", residual: colRef(4, vector.Int64)}, // not a boolean
 		} {
-			done := make(chan struct{})
+			qctx, cancel := context.WithCancel(context.Background())
 			side := func(tab *catalog.Table, at int64) plan.Node {
 				var calls atomic.Int64
 				fn := &core.ScalarFunc{Name: "cancel_at", Arity: 1, Parallel: true, Eval: func(args []*vector.Vector) (*vector.Vector, error) {
 					if calls.Add(1) == at {
-						close(done)
+						cancel()
 					}
 					return vector.Constant(vector.NewBool(true), args[0].Len(), vector.Bool), nil
 				}}
@@ -454,7 +455,7 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, dir := spillCtx(t, workers, 64<<10)
-			ctx.Done, ctx.mem, ctx.spillMgr = done, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+			ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
 			err = op.Open(ctx)
 			for ch := (*vector.Chunk)(nil); err == nil; {
 				if ch, err = op.Next(); ch == nil && err == nil {

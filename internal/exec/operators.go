@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -32,11 +33,13 @@ type Context struct {
 	// partitioned UDF evaluation. Zero means runtime.NumCPU().
 	Parallelism int
 
-	// Done, when non-nil, cancels the query when closed: morsel
-	// workers stop claiming morsels, operators draining a child return
-	// ErrCancelled between chunks, and ChunkStream.Next returns
-	// ErrCancelled. Stream installs its own channel here when unset.
-	Done <-chan struct{}
+	// Ctx, when non-nil, is the query's context: once it is done,
+	// morsel workers stop claiming morsels, operators draining a child
+	// return ErrCancelled between chunks, and ChunkStream.Next returns
+	// its cause. Stream installs a cancellable child of it (of
+	// context.Background() when unset), so a stream's Cancel never
+	// reaches the caller's context.
+	Ctx context.Context
 
 	// Stats, when non-nil, accumulates this query's segment-level
 	// scan counters (scanned vs. skipped by zone-map pruning).
@@ -109,22 +112,20 @@ func (c *Context) Workers() int {
 	return c.Parallelism
 }
 
-// done returns the cancellation channel (nil when unset or the
-// context itself is nil — a nil channel never fires in a select).
+// done returns the query context's Done channel (nil when unset or
+// the context itself is nil — a nil channel never fires in a select).
+// Checkpoints poll the channel, never Err, which takes a mutex.
 func (c *Context) done() <-chan struct{} {
-	if c == nil {
+	if c == nil || c.Ctx == nil {
 		return nil
 	}
-	return c.Done
+	return c.Ctx.Done()
 }
 
-// interrupted reports whether the context's Done channel has closed.
+// interrupted reports whether the query's context is done.
 func (c *Context) interrupted() bool {
-	if c == nil || c.Done == nil {
-		return false
-	}
 	select {
-	case <-c.Done:
+	case <-c.done():
 		return true
 	default:
 		return false

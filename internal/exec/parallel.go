@@ -375,7 +375,7 @@ type orderedDriver struct {
 	slots     []chan slotResult
 	tokens    chan struct{}
 	done      chan struct{}
-	ext       <-chan struct{} // external cancellation (Context.Done)
+	ext       <-chan struct{} // external cancellation (the query context's Done)
 	closeOnce sync.Once
 	cursor    int
 	stop      atomic.Bool
@@ -391,7 +391,7 @@ type orderedDriver struct {
 // error or abort may stay unwritten — next() never reads them because
 // it hard-stops at the first error.
 //
-// ext is an optional external cancellation channel (Context.Done):
+// ext is the query context's Done channel (nil when there is none):
 // when it closes, workers stop claiming morsels and a blocked next()
 // returns ErrCancelled, so a consumer abandoned mid-stream (client
 // disconnect, server shutdown) does not strand the driver.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -137,13 +138,13 @@ func TestSegmentPrunableOperators(t *testing.T) {
 }
 
 // Blocking operators fed by a child (sort, aggregate, DISTINCT) and
-// the filter stages over one must observe Context.Done between chunks
+// the filter stages over one must observe the query context between chunks
 // instead of running to completion. The child ignores cancellation, so
 // only the operator's own drain loop can stop.
 func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-	ctx := &Context{Parallelism: 1, Done: done}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &Context{Parallelism: 1, Ctx: cancelled}
 	child := func() Operator {
 		return &tableOp{data: bigMaterialTable(t, 10_000)}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"sync"
 
@@ -11,7 +12,8 @@ import (
 )
 
 // ErrCancelled is returned by ChunkStream.Next after the stream has
-// been cancelled (Close/Cancel, or the context's Done channel).
+// been cancelled by Close or Cancel, or by a caller context cancelled
+// without a cause.
 var ErrCancelled = errors.New("exec: query cancelled")
 
 // ChunkStream is the streaming form of Run: the root operator's output
@@ -20,7 +22,7 @@ var ErrCancelled = errors.New("exec: query cancelled")
 //
 // Next and Close must be called from the consuming goroutine. Cancel
 // may be called from any goroutine (e.g. a server shutting down a
-// connection): it closes the stream's cancellation channel, which the
+// connection): it cancels the stream's context, which the
 // morsel-parallel operators observe between morsels and Next observes
 // between chunks, so a blocked Next returns ErrCancelled promptly and
 // scan workers stop instead of racing through the whole input.
@@ -31,17 +33,12 @@ type ChunkStream struct {
 	spill    *SpillStats
 	spillMgr *spill.Manager // owned: closed (files removed) on Close
 
-	cancel     chan struct{}   // closed by Cancel/Close
-	ext        <-chan struct{} // the caller's Context.Done, if any
-	eff        <-chan struct{} // cancel merged with ext, watched by the operators
-	cancelOnce sync.Once
-	closeOnce  sync.Once
-	closeErr   error
-	done       bool
-
-	causeMu sync.Mutex
-	cause   error  // first CancelCause error, reported instead of ErrCancelled
-	onClose func() // the caller Context's OnClose hook, fired once by Close
+	ctx       context.Context         // the query's context, child of the caller's
+	cancel    context.CancelCauseFunc // cancels ctx; fired by Cancel and Close
+	closeOnce sync.Once
+	closeErr  error
+	done      bool
+	onClose   func() // the caller Context's OnClose hook, fired once by Close
 }
 
 // Stream builds and opens a plan as a chunk-pull stream. The caller
@@ -51,28 +48,16 @@ func Stream(node plan.Node, ctx *Context) (*ChunkStream, error) {
 	if ctx == nil {
 		ctx = &Context{}
 	}
-	// The operators watch one effective Done channel that fires on the
-	// stream's own Cancel/Close OR the caller's Context.Done, so
-	// Cancel keeps its contract even when the caller supplied a
-	// channel. The merge goroutine exits once either fires (Close
-	// always fires cancel). The caller's context is copied, not
+	// The operators watch a child of the caller's context, so the
+	// stream's own Cancel/Close and the caller's cancellation or
+	// deadline stop them alike. The caller's Context is copied, not
 	// mutated.
-	cancel := make(chan struct{})
-	ext := ctx.Done
-	eff := (<-chan struct{})(cancel)
-	if ext != nil {
-		merged := make(chan struct{})
-		go func() {
-			select {
-			case <-ext:
-			case <-cancel:
-			}
-			close(merged)
-		}()
-		eff = merged
-	}
 	c2 := *ctx
-	c2.Done = eff
+	if c2.Ctx == nil {
+		c2.Ctx = context.Background()
+	}
+	qctx, cancel := context.WithCancelCause(c2.Ctx)
+	c2.Ctx = qctx
 	onClose := c2.OnClose
 	c2.OnClose = nil
 	if c2.Stats == nil {
@@ -100,24 +85,37 @@ func Stream(node plan.Node, ctx *Context) (*ChunkStream, error) {
 	}
 	ctx = &c2
 	op, err := buildWith(node, ctx.Workers())
-	if err != nil {
-		if ownedMgr != nil {
-			ownedMgr.Close()
+	if err == nil {
+		if err = op.Open(ctx); err != nil {
+			// A failed Open can leave earlier-opened subtrees running
+			// (parallel operators start workers in Open); Close
+			// cascades the shutdown.
+			err = cancelErr(qctx, err)
+			op.Close()
 		}
-		return nil, err
 	}
-	if err := op.Open(ctx); err != nil {
-		// A failed Open can leave earlier-opened subtrees running
-		// (parallel operators start workers in Open); Close cascades
-		// the shutdown.
-		op.Close()
+	if err != nil {
+		cancel(nil)
 		if ownedMgr != nil {
 			ownedMgr.Close()
 		}
 		return nil, err
 	}
 	return &ChunkStream{op: op, schema: node.Schema(), stats: ctx.Stats, spill: ctx.Spill,
-		spillMgr: ownedMgr, cancel: cancel, ext: ext, eff: eff, onClose: onClose}, nil
+		spillMgr: ownedMgr, ctx: qctx, cancel: cancel, onClose: onClose}, nil
+}
+
+// cancelErr reports an operator's ErrCancelled as the reason the
+// query's context ended — the cause its canceller gave (a deadline, a
+// client's cancel), or ErrCancelled for a bare context.Canceled.
+func cancelErr(ctx context.Context, err error) error {
+	if !errors.Is(err, ErrCancelled) || ctx.Err() == nil {
+		return err
+	}
+	if cause := context.Cause(ctx); cause != context.Canceled {
+		return cause
+	}
+	return ErrCancelled
 }
 
 // Schema returns the stream's column names and types.
@@ -141,17 +139,16 @@ func (s *ChunkStream) Next() (*vector.Chunk, error) {
 	if s.done {
 		return nil, nil
 	}
-	if s.interrupted() {
-		s.done = true
-		return nil, s.cancelCause()
+	var ch *vector.Chunk
+	err := ErrCancelled
+	select {
+	case <-s.ctx.Done():
+	default:
+		ch, err = s.op.Next()
 	}
-	ch, err := s.op.Next()
 	if err != nil {
 		s.done = true
-		if errors.Is(err, ErrCancelled) {
-			return nil, s.cancelCause()
-		}
-		return nil, err
+		return nil, cancelErr(s.ctx, err)
 	}
 	if ch == nil {
 		s.done = true
@@ -165,59 +162,10 @@ func (s *ChunkStream) Next() (*vector.Chunk, error) {
 	return out, nil
 }
 
-// interrupted polls both cancellation sources directly rather than
-// the merged channel: the merge goroutine may not have been scheduled
-// yet (single-CPU runtimes), and Next must observe a preceding Cancel
-// deterministically.
-func (s *ChunkStream) interrupted() bool {
-	select {
-	case <-s.cancel:
-		return true
-	default:
-	}
-	if s.ext != nil {
-		select {
-		case <-s.ext:
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// Cancel requests termination without closing the operators. It is
-// safe to call from any goroutine and more than once; the consuming
-// goroutine still owns the Close call.
-func (s *ChunkStream) Cancel() {
-	s.cancelOnce.Do(func() { close(s.cancel) })
-}
-
-// CancelCause cancels like Cancel but records err as the reason: a
-// blocked or subsequent Next returns err instead of the generic
-// ErrCancelled, so callers can tell a deadline expiry or a
-// client-initiated cancel from a shutdown. The first recorded cause
-// wins. Safe to call from any goroutine.
-func (s *ChunkStream) CancelCause(err error) {
-	if err != nil {
-		s.causeMu.Lock()
-		if s.cause == nil {
-			s.cause = err
-		}
-		s.causeMu.Unlock()
-	}
-	s.Cancel()
-}
-
-// cancelCause returns the recorded cancellation cause, defaulting to
-// ErrCancelled.
-func (s *ChunkStream) cancelCause() error {
-	s.causeMu.Lock()
-	defer s.causeMu.Unlock()
-	if s.cause != nil {
-		return s.cause
-	}
-	return ErrCancelled
-}
+// Cancel requests termination without closing the operators: Next
+// then returns ErrCancelled. It is safe to call from any goroutine and
+// more than once; the consuming goroutine still owns the Close call.
+func (s *ChunkStream) Cancel() { s.cancel(ErrCancelled) }
 
 // Close cancels the stream and shuts the operator tree down, stopping
 // and joining any parallel workers. Safe to call more than once.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -108,12 +109,12 @@ func TestChunkStreamCloseStopsFetches(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 64 * 16, perMors: 16}
 	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
-	cancel := make(chan struct{})
-	ctx := &Context{Parallelism: workers, Done: cancel}
+	qctx, cancel := context.WithCancelCause(context.Background())
+	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s := &ChunkStream{op: op, schema: catalog.Schema{{Name: "x", Type: vector.Int64}}, cancel: cancel, eff: cancel}
+	s := &ChunkStream{op: op, schema: catalog.Schema{{Name: "x", Type: vector.Int64}}, ctx: qctx, cancel: cancel}
 	if ch, err := s.Next(); err != nil || ch == nil {
 		t.Fatalf("first chunk: %v %v", ch, err)
 	}
@@ -132,12 +133,12 @@ func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 1 << 20, perMors: 8, delay: 2 * time.Millisecond}
 	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
-	cancel := make(chan struct{})
-	ctx := &Context{Parallelism: workers, Done: cancel}
+	qctx, cancel := context.WithCancelCause(context.Background())
+	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s := &ChunkStream{op: op, schema: catalog.Schema{{Name: "x", Type: vector.Int64}}, cancel: cancel, eff: cancel}
+	s := &ChunkStream{op: op, schema: catalog.Schema{{Name: "x", Type: vector.Int64}}, ctx: qctx, cancel: cancel}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		s.Cancel()
@@ -189,10 +190,11 @@ func TestRunMatchesStream(t *testing.T) {
 }
 
 // Cancel must keep its contract when the caller supplied its own
-// Context.Done: the stream merges both signals.
+// context: the stream's context is a child of it.
 func TestCancelWithCallerSuppliedDone(t *testing.T) {
-	ext := make(chan struct{}) // never closed
-	s, err := Stream(plan.Node(bigMaterial(t, 1_000_000)), &Context{Parallelism: 2, Done: ext})
+	ext, cancel := context.WithCancel(context.Background()) // never cancelled before the stream
+	defer cancel()
+	s, err := Stream(plan.Node(bigMaterial(t, 1_000_000)), &Context{Parallelism: 2, Ctx: ext})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestCancelWithCallerSuppliedDone(t *testing.T) {
 			break
 		}
 		if ch == nil {
-			t.Fatal("stream fully drained; Cancel was not propagated past the caller's Done")
+			t.Fatal("stream fully drained; Cancel was not propagated past the caller's context")
 		}
 		drained += ch.NumRows()
 	}
@@ -216,14 +218,14 @@ func TestCancelWithCallerSuppliedDone(t *testing.T) {
 	}
 }
 
-// Closing the caller's Done channel must cancel the stream too.
+// Cancelling the caller's context must cancel the stream too.
 func TestCallerDoneCancelsStream(t *testing.T) {
-	ext := make(chan struct{})
-	s, err := Stream(plan.Node(bigMaterial(t, 1_000_000)), &Context{Parallelism: 2, Done: ext})
+	ext, cancel := context.WithCancel(context.Background())
+	s, err := Stream(plan.Node(bigMaterial(t, 1_000_000)), &Context{Parallelism: 2, Ctx: ext})
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(ext)
+	cancel()
 	for {
 		ch, err := s.Next()
 		if err != nil {
@@ -233,7 +235,7 @@ func TestCallerDoneCancelsStream(t *testing.T) {
 			break
 		}
 		if ch == nil {
-			t.Fatal("stream fully drained; caller Done was not observed")
+			t.Fatal("stream fully drained; the caller's context was not observed")
 		}
 	}
 	if err := s.Close(); err != nil {

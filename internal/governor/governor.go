@@ -129,8 +129,8 @@ func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("governor: overloaded (%s), retry after %v", e.Reason, e.RetryAfter)
 }
 
-// ErrQueueTimeout reports that an admission waited out its deadline
-// while queued. It is a deadline error, not an overload rejection:
+// ErrQueueTimeout reports that an admission left the queue unadmitted,
+// its wait expired or abandoned. It is not an overload rejection:
 // retrying immediately would queue again behind the same backlog.
 var ErrQueueTimeout = errors.New("governor: queue wait deadline exceeded")
 
@@ -306,11 +306,11 @@ type waiter struct {
 }
 
 // Admit requests a ticket for one query wanting up to wantWorkers
-// executor workers (0 means NumCPU). When the governor is at
-// MaxActive the call queues FIFO; wait bounds the queue time (0 =
-// wait indefinitely) and a closed done channel abandons the wait.
-// Rejections (queue full, draining, session limits) are
-// *OverloadedError; waiting out the deadline is ErrQueueTimeout.
+// executor workers (0 means NumCPU). At MaxActive the call queues FIFO;
+// wait bounds the queue time (0 = unbounded), and a closed done — the
+// query's deadline or its cancellation — abandons the wait. Rejections
+// (queue full, draining, session limits) are *OverloadedError; a wait
+// that expires or is abandoned is ErrQueueTimeout, counted in TimedOut.
 func (g *Governor) Admit(sess *Session, wantWorkers int, wait time.Duration, done <-chan struct{}) (*Ticket, error) {
 	g.mu.Lock()
 	if g.draining {
@@ -517,7 +517,7 @@ type Stats struct {
 
 	Admitted int64 // tickets granted since start
 	Rejected int64 // overload rejections since start
-	TimedOut int64 // queue-wait deadline expiries since start
+	TimedOut int64 // queued waits expired or abandoned via done since start
 
 	PeakActive      int   // high-water concurrent queries
 	PeakQueued      int   // high-water queue depth

@@ -58,11 +58,12 @@ const (
 	Columnar
 
 	// protoCancel marks a control request rather than a query: its SQL
-	// payload is empty and the server cancels the connection's
-	// in-flight query (if any) instead of replying. The client may send
-	// it from another goroutine while a result is streaming; the
-	// cancelled query terminates with an in-band error frame carrying
-	// ErrQueryCancelled, and the connection stays usable.
+	// payload is empty and the server cancels the connection's last
+	// query (a no-op once it has finished) instead of replying. The
+	// client may send it from another goroutine while a result is
+	// streaming or the query is queued; the cancelled query terminates
+	// with an in-band error frame carrying ErrQueryCancelled, and the
+	// connection stays usable.
 	protoCancel Protocol = 0xF0
 )
 

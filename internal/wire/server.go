@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,8 +18,8 @@ import (
 )
 
 // ErrQueryCancelled reports a query abandoned by a client-initiated
-// cancel request. The server uses it as the stream's cancellation
-// cause, so its message travels the error frame verbatim and the
+// cancel request. The server cancels the request's context with it as
+// the cause, so its message travels the error frame verbatim and the
 // client reconstructs the sentinel for errors.Is.
 var ErrQueryCancelled = errors.New("wire: query cancelled by client")
 
@@ -27,37 +28,37 @@ var ErrQueryCancelled = errors.New("wire: query cancelled by client")
 // goroutine that keeps consuming control requests (cancel) while a
 // result streams. Results are streamed chunk by chunk straight from
 // the executor, so serving a huge result holds O(chunk size × workers)
-// memory, and a client that disconnects mid-result (or a server
-// Close) cancels the query instead of letting scan workers run to
-// completion. When the database has a governor, each connection gets
+// memory. Every request runs under its own context, a child of its
+// connection's, which is a child of the server's: a client cancel, a
+// client that hangs up and a server Close each cancel one of them, and
+// the query stops wherever it is — queued for admission, opening or
+// streaming. When the database has a governor, each connection gets
 // one governor session, so per-session limits are per-connection.
 type Server struct {
 	db *engine.DB
 	ln net.Listener
 
+	ctx    context.Context // parent of every request's context
+	cancel context.CancelFunc
+
 	mu       sync.Mutex
 	closed   bool
 	draining bool
 	conns    map[net.Conn]*connState
-	streams  map[*engine.ResultSet]struct{}
 	wg       sync.WaitGroup
 }
 
 // connState is one connection's serving state, shared between its
-// serve loop and its reader goroutine.
+// serve loop and the server's Shutdown.
 type connState struct {
 	sess    *governor.Session
-	serving atomic.Bool                      // a request is being served right now
-	cur     atomic.Pointer[engine.ResultSet] // in-flight result, cancel target
+	serving atomic.Bool // a request is being served right now
 }
 
 // NewServer wraps a database for network serving.
 func NewServer(db *engine.DB) *Server {
-	return &Server{
-		db:      db,
-		conns:   make(map[net.Conn]*connState),
-		streams: make(map[*engine.ResultSet]struct{}),
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Server{db: db, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]*connState)}
 }
 
 // Start listens on addr (use "127.0.0.1:0" for an ephemeral port) and
@@ -107,53 +108,58 @@ func (s *Server) acceptLoop() {
 }
 
 // connRequest is one item handed from a connection's reader goroutine
-// to its serve loop.
+// to its serve loop: a query under its own context, or an oversized
+// request the reader discarded (err).
 type connRequest struct {
-	proto    Protocol
-	query    string
-	err      error // read failure; tooLarge requests are recoverable
-	tooLarge bool
+	ctx    context.Context // the request's context; cancel ends it
+	cancel context.CancelCauseFunc
+	proto  Protocol
+	query  string
+	err    error
 }
 
 func (s *Server) serveConn(conn net.Conn, st *connState) {
 	defer conn.Close()
+	// connCtx ends when the serve loop exits, the reader sees the
+	// client hang up, or the server closes.
+	connCtx, hangUp := context.WithCancel(s.ctx)
+	defer hangUp()
 	// A dedicated reader keeps consuming requests while the serve loop
 	// streams a result, so a cancel control request takes effect
-	// mid-stream. Regular requests are handed over one at a time;
-	// connDone (closed when the serve loop exits) keeps the reader from
-	// blocking forever on the handoff if the loop exits early.
-	connDone := make(chan struct{})
-	defer close(connDone)
+	// mid-stream — or while the query still waits for admission. It
+	// creates each request's context, so a cancel targets the last
+	// request read (a no-op once that one has finished). Regular
+	// requests are handed over one at a time, in order; the reader
+	// closes reqC when it stops, and stops once connCtx ends rather
+	// than block on the handoff.
 	reqC := make(chan connRequest, 1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		defer close(reqC)
 		br := bufio.NewReaderSize(conn, 1<<16)
+		cancelLast := context.CancelCauseFunc(func(error) {})
 		for {
 			proto, query, err := readRequest(br)
-			if err != nil {
-				var tl *requestTooLargeError
-				recoverable := errors.As(err, &tl)
-				select {
-				case reqC <- connRequest{err: err, tooLarge: recoverable}:
-				case <-connDone:
-					return
-				}
-				if recoverable {
-					continue
-				}
-				return // client hung up or sent garbage
-			}
-			if proto == protoCancel {
-				if rs := st.cur.Load(); rs != nil {
-					rs.CancelCause(ErrQueryCancelled)
-				}
+			var req connRequest
+			var tl *requestTooLargeError
+			switch {
+			case errors.As(err, &tl):
+				req.err = err
+			case err != nil:
+				hangUp() // client hung up or sent garbage: stop its query
+				return
+			case proto == protoCancel:
+				cancelLast(ErrQueryCancelled)
 				continue
+			default:
+				req.ctx, req.cancel = context.WithCancelCause(connCtx)
+				req.proto, req.query, cancelLast = proto, query, req.cancel
 			}
 			select {
-			case reqC <- connRequest{proto: proto, query: query}:
-			case <-connDone:
-				return
+			case reqC <- req:
+			case <-connCtx.Done():
+				return // a request not handed over ended with connCtx
 			}
 		}
 	}()
@@ -161,11 +167,11 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	bw := bufio.NewWriterSize(conn, 1<<18)
 	var scratch bytes.Buffer
 	for {
-		req := <-reqC
+		req, ok := <-reqC
+		if !ok {
+			return
+		}
 		if req.err != nil {
-			if !req.tooLarge {
-				return
-			}
 			// Oversized request: the reader discarded the payload, so
 			// reject in-band and keep serving.
 			if writeErrorFrame(bw, req.err) != nil || bw.Flush() != nil {
@@ -174,7 +180,8 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 			continue
 		}
 		st.serving.Store(true)
-		err := s.serveQuery(bw, &scratch, st, req.proto, req.query)
+		err := s.serveQuery(req.ctx, bw, &scratch, st.sess, req.proto, req.query)
+		req.cancel(nil)
 		st.serving.Store(false)
 		if err != nil {
 			return // connection-level write failure
@@ -198,13 +205,13 @@ func (s *Server) isDraining() bool {
 // Statement failures become error frames and return nil (the
 // connection stays usable); a non-nil return means the connection
 // itself is broken.
-func (s *Server) serveQuery(bw *bufio.Writer, scratch *bytes.Buffer, st *connState, proto Protocol, query string) error {
+func (s *Server) serveQuery(ctx context.Context, bw *bufio.Writer, scratch *bytes.Buffer, sess *governor.Session, proto Protocol, query string) error {
 	switch proto {
 	case TextRows, BinaryRows, Columnar:
 	default:
 		return writeErrorFrame(bw, fmt.Errorf("wire: unknown protocol %d", proto))
 	}
-	rs, err := s.db.QuerySession(st.sess, query)
+	rs, err := s.db.QuerySession(ctx, sess, query)
 	if err != nil {
 		var ov *governor.OverloadedError
 		if errors.As(err, &ov) {
@@ -213,17 +220,10 @@ func (s *Server) serveQuery(bw *bufio.Writer, scratch *bytes.Buffer, st *connSta
 		}
 		return writeErrorFrame(bw, err)
 	}
-	// Register for cancellation on Server.Close and expose to the
-	// reader goroutine for client-initiated cancel; always stop the
-	// executor's workers before returning — including on write errors,
-	// which is how a mid-result client disconnect cancels the query.
-	s.trackStream(rs)
-	st.cur.Store(rs)
-	defer func() {
-		st.cur.Store(nil)
-		s.untrackStream(rs)
-		rs.Close()
-	}()
+	// Always stop the executor's workers before returning — including
+	// on write errors, which is how a client that stops reading
+	// mid-result cancels the query.
+	defer rs.Close()
 
 	if !rs.HasRows() {
 		return writeAffectedFrame(bw, rs.RowsAffected())
@@ -261,27 +261,8 @@ func (s *Server) serveQuery(bw *bufio.Writer, scratch *bytes.Buffer, st *connSta
 	}
 }
 
-func (s *Server) trackStream(rs *engine.ResultSet) {
-	s.mu.Lock()
-	if s.closed {
-		// Server.Close already swept the registry; cancel here so a
-		// query that started during shutdown cannot stall wg.Wait for
-		// its full runtime.
-		s.mu.Unlock()
-		rs.Cancel()
-		return
-	}
-	s.streams[rs] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *Server) untrackStream(rs *engine.ResultSet) {
-	s.mu.Lock()
-	delete(s.streams, rs)
-	s.mu.Unlock()
-}
-
-// Close stops accepting, cancels in-flight queries, and closes live
+// Close stops accepting, cancels the server's context — and with it
+// every query, queued, opening or streaming — and closes live
 // connections, then waits for the per-connection goroutines to drain.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -290,9 +271,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for rs := range s.streams {
-		rs.Cancel()
-	}
+	s.cancel()
 	for c := range s.conns {
 		c.Close()
 	}
@@ -348,6 +327,7 @@ func (s *Server) Shutdown(drainTimeout time.Duration) {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
+		s.cancel()
 	case <-t.C:
 		s.Close() // drain window expired: hard-cancel the stragglers
 	}
@@ -388,8 +368,9 @@ func Dial(addr string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Cancel asks the server to abandon the connection's in-flight query
-// without dropping the connection. Safe to call from any goroutine; a
+// Cancel asks the server to abandon the connection's in-flight query,
+// streaming or still queued for admission, without dropping the
+// connection. Safe to call from any goroutine; a
 // best-effort race with query completion is fine — the streaming
 // goroutine then sees either ErrQueryCancelled or the completed
 // result. The cancelled stream must still be drained (Next to the
@@ -548,7 +529,7 @@ func (s *ResultStream) fail(err error) error {
 // next request. The abandoned chunks are discarded undecoded, but a
 // mid-stream server error is still recorded (surfaced by Exec); to
 // abort a very large result entirely, close the Client instead (the
-// server cancels the query when its writes fail).
+// server cancels the query when it reads the hang-up), or Cancel.
 func (s *ResultStream) Close() error {
 	for !s.done {
 		kind, payload, err := readFrame(s.c.br)

@@ -5,11 +5,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vexdb/internal/core"
 	"vexdb/internal/engine"
 	"vexdb/internal/governor"
+	"vexdb/internal/vector"
 )
 
 // govServer is bigServer with a governor attached before the listener
@@ -31,21 +34,20 @@ func govServer(t *testing.T, rows, workers int, cfg governor.Config, configure f
 	return db, srv, addr
 }
 
-// waitNoLeaks polls until the server's stream registry is empty and
+// waitNoLeaks polls until the governor of a govServer holds no
+// admitted query — every stream closed and released its ticket — and
 // the goroutine count is back near the baseline.
 func waitNoLeaks(t *testing.T, srv *Server, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		srv.mu.Lock()
-		inflight := len(srv.streams)
-		srv.mu.Unlock()
-		if inflight == 0 && runtime.NumGoroutine() <= baseline+4 {
+		active := srv.db.Gov.Stats().Active
+		if active == 0 && runtime.NumGoroutine() <= baseline+4 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leak: %d streams in flight, %d goroutines (baseline %d)",
-				inflight, runtime.NumGoroutine(), baseline)
+			t.Fatalf("leak: %d queries active, %d goroutines (baseline %d)",
+				active, runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -288,19 +290,43 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	waitNoLeaks(t, srv, before)
 }
 
+// registerNap adds nap(x) to db, a row-local UDF that returns x after
+// sleeping perRow for every row it is handed and counts its calls.
+func registerNap(t *testing.T, db *engine.DB, perRow time.Duration, calls *atomic.Int64) {
+	t.Helper()
+	err := db.Registry().RegisterScalar(&core.ScalarFunc{
+		Name:       "nap",
+		Arity:      1,
+		ReturnType: core.FixedReturn(vector.Int64),
+		Parallel:   true,
+		Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+			calls.Add(1)
+			time.Sleep(time.Duration(args[0].Len()) * perRow)
+			return args[0], nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQueryTimeoutOverWire: a deadline shorter than the query's
 // runtime must terminate it with an in-band deadline error, keeping
 // the connection usable.
 func TestQueryTimeoutOverWire(t *testing.T) {
+	var calls atomic.Int64
 	_, _, addr := govServer(t, 400_000, 2, governor.Config{MaxActive: 4},
-		func(db *engine.DB) { db.QueryTimeout = 30 * time.Millisecond })
+		func(db *engine.DB) {
+			registerNap(t, db, 5*time.Microsecond, &calls)
+			db.QueryTimeout = 30 * time.Millisecond
+		})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Sorting 400k strings is comfortably slower than the deadline.
-	st, err := c.Stream(Columnar, "SELECT id, pad FROM big ORDER BY pad, id")
+	// nap sleeps ~2 s over 400k rows, far past the deadline.
+	st, err := c.Stream(Columnar, "SELECT nap(id) AS id, pad FROM big")
 	var got error
 	if err != nil {
 		got = err
@@ -316,10 +342,7 @@ func TestQueryTimeoutOverWire(t *testing.T) {
 			}
 		}
 	}
-	if got == nil {
-		t.Skip("query finished under the deadline on this machine")
-	}
-	if !strings.Contains(got.Error(), engine.ErrQueryTimeout.Error()) {
+	if got == nil || !strings.Contains(got.Error(), engine.ErrQueryTimeout.Error()) {
 		t.Fatalf("err = %v, want deadline error", got)
 	}
 	// Deadline errors are per-query; the connection stays usable for
@@ -330,5 +353,123 @@ func TestQueryTimeoutOverWire(t *testing.T) {
 	}
 	if tab.NumRows() != 1 {
 		t.Fatalf("got %d rows", tab.NumRows())
+	}
+}
+
+// queuedStreamer is a connection whose query waits behind a holder
+// that occupies a MaxActive: 1 governor mid-stream.
+type queuedStreamer struct {
+	db     *engine.DB
+	holder *ResultStream
+	c      *Client
+	errc   chan error // the queued query's Stream error
+}
+
+// queueBehindHolder starts a holder streaming a large result, reads
+// one chunk of it, and sends a second connection's query, returning
+// once the governor shows it queued.
+func queueBehindHolder(t *testing.T) *queuedStreamer {
+	t.Helper()
+	db, _, addr := govServer(t, 200_000, 2, governor.Config{MaxActive: 1}, nil)
+	h, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	holder, err := h.Stream(Columnar, "SELECT id, pad FROM big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.Next(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	q := &queuedStreamer{db: db, holder: holder, c: c, errc: make(chan error, 1)}
+	go func() {
+		_, err := c.Stream(Columnar, "SELECT count(*) AS n FROM big")
+		q.errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); db.Gov.Stats().Queued != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("second query never queued")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return q
+}
+
+// leftQueue waits up to 2 s for the queue to empty and checks the
+// holder still streams.
+func (q *queuedStreamer) leftQueue(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); q.db.Gov.Stats().Queued != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("query still queued after 2s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := q.db.Gov.Stats(); st.Active != 1 {
+		t.Fatalf("Active = %d, want the holder's 1", st.Active)
+	}
+	if ch, err := q.holder.Next(); err != nil || ch == nil {
+		t.Fatalf("holder stopped streaming: %v %v", ch, err)
+	}
+}
+
+// TestCancelWhileQueued: a client cancel reaches a query still waiting
+// for admission; it leaves the queue and reports ErrQueryCancelled.
+func TestCancelWhileQueued(t *testing.T) {
+	q := queueBehindHolder(t)
+	if err := q.c.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	q.leftQueue(t)
+	if err := <-q.errc; !errors.Is(err, ErrQueryCancelled) {
+		t.Fatalf("err = %v, want ErrQueryCancelled", err)
+	}
+}
+
+// TestDisconnectWhileQueued: a client that hangs up while its query
+// waits for admission takes the query out of the queue.
+func TestDisconnectWhileQueued(t *testing.T) {
+	q := queueBehindHolder(t)
+	q.c.Close()
+	q.leftQueue(t)
+}
+
+// TestServerCloseDuringJoinBuild: Server.Close reaches a query still
+// inside Open, where its hash join drains a build side that would take
+// over a second (nap at 20 µs a row over 60 000 rows, ~40 ms a morsel).
+func TestServerCloseDuringJoinBuild(t *testing.T) {
+	var calls atomic.Int64
+	_, srv, addr := govServer(t, 60_000, 1, governor.Config{MaxActive: 4},
+		func(db *engine.DB) { registerNap(t, db, 20*time.Microsecond, &calls) })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	qerr := make(chan error, 1)
+	go func() {
+		_, err := c.Query(Columnar, "SELECT count(*) AS n FROM big a JOIN (SELECT id FROM big WHERE nap(id) >= 0) b ON a.id = b.id")
+		qerr <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); calls.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the join never started its build")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	srv.Close()
+	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+		t.Fatalf("Server.Close took %v during a join build, want under 200ms", elapsed)
+	}
+	if err := <-qerr; err == nil {
+		t.Fatal("the join finished despite Server.Close")
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/engine"
+	"vexdb/internal/governor"
 	"vexdb/internal/vector"
 )
 
@@ -491,11 +492,12 @@ func TestLimitEarlyExitOverWire(t *testing.T) {
 }
 
 // A client that disconnects mid-result must cancel the query: the
-// server's next write fails, the ResultSet closes, and executor
-// workers exit instead of scanning to completion.
+// server's next write fails, the ResultSet closes and releases its
+// governor ticket, and executor workers exit instead of scanning to
+// completion.
 func TestClientDisconnectStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	_, srv, addr := bigServer(t, 400_000, 8)
+	_, srv, addr := govServer(t, 400_000, 8, governor.Config{MaxActive: 4}, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -509,20 +511,7 @@ func TestClientDisconnectStopsWorkers(t *testing.T) {
 	}
 	// Abrupt disconnect with most of the ~28MB result unread.
 	c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		srv.mu.Lock()
-		inflight := len(srv.streams)
-		srv.mu.Unlock()
-		if inflight == 0 && runtime.NumGoroutine() <= before+4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("disconnect leak: %d streams in flight, %d goroutines (baseline %d)",
-				inflight, runtime.NumGoroutine(), before)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitNoLeaks(t, srv, before)
 }
 
 // Server.Close during an in-flight result must cancel the query and
