@@ -8,6 +8,7 @@ package vexdb_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -306,6 +307,35 @@ func BenchmarkMicroHashJoinMultiKey(b *testing.B) {
 
 func BenchmarkMicroScanFilterParallel(b *testing.B) {
 	benchQueryParallel(b, "SELECT voter_id FROM voters WHERE f0 > 0.5", nil)
+}
+
+// BenchmarkInsertValues is the write path of a client streaming rows
+// in: one 1 000-row INSERT … VALUES of four literal columns (the
+// bench/ serve_mixed shape) per op into an in-memory table, parse,
+// bind and append.
+func BenchmarkInsertValues(b *testing.B) {
+	db := vexdb.Open()
+	if _, err := db.Exec("CREATE TABLE ingest (id BIGINT, k BIGINT, val BIGINT, note VARCHAR)"); err != nil {
+		b.Fatal(err)
+	}
+	const rows = 1000
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO ingest VALUES ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d, 'note-%03d')", i, i%16, i%100, i%1000)
+	}
+	text := sb.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func BenchmarkMicroModelMarshal(b *testing.B) {

@@ -358,8 +358,9 @@ func TestLeafFiltersKeepSyntacticOrder(t *testing.T) {
 			plan = append(plan, tab.Cols[0].Get(i).Str())
 		}
 		text := strings.Join(plan, "\n")
-		if strings.Contains(text, "rowpos") || strings.Count(text, "Filter") < 2 {
-			t.Fatalf("q%d: want the syntactic order with a Filter on a leaf as well as on top:\n%s", qi, text)
+		join := strings.Index(text, "HashJoin")
+		if strings.Contains(text, "rowpos") || join < 0 || !strings.Contains(text[join:], "Filter") || strings.Contains(text[:join], "Filter") {
+			t.Fatalf("q%d: want the syntactic order with a Filter on a leaf and none on top:\n%s", qi, text)
 		}
 
 		db.NoCostPlanner = true
@@ -424,5 +425,60 @@ func TestJoinKeyTyping(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExplainSingleFilterOverJoin: a WHERE conjunct the cost pass
+// places in the join tree is evaluated there and nowhere else, so
+// EXPLAIN shows it once — on the leaf it filters, or at the join that
+// takes it in a rebuilt tree — and the Filter over the chain keeps
+// only what the tree does not evaluate (conjuncts spanning leaves of a
+// syntactic tree, UDF calls), or goes. Results match the syntactic
+// plan's.
+func TestExplainSingleFilterOverJoin(t *testing.T) {
+	db := New()
+	loadEvents(t, db, 3000)
+	for qi, c := range []struct {
+		q      string
+		once   []string // conjuncts EXPLAIN must print exactly once
+		onTop  string   // the Filter over the chain, "" for none
+		rowpos bool     // whether the tree is rebuilt
+	}{
+		{"SELECT dm.label, count(*) AS n, sum(ev1.v) AS s FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 GROUP BY dm.label",
+			[]string{"k < 3"}, "", false},
+		{"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND dm.dk >= 17 AND ev1.v > dm.dk",
+			[]string{"k < 3", "dk >= 17", "v > dk"}, "v > dk", false},
+		{"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE abs(ev1.v) > 1 AND ev1.k < 3",
+			[]string{"k < 3", "abs"}, "abs", false},
+		{"SELECT ev1.v, ev2.w, dm.label FROM ev1 JOIN ev2 ON ev1.k = ev2.k JOIN dm ON ev1.dk = dm.dk WHERE dm.dk < 2",
+			[]string{"dk < 2"}, "", true},
+		{"SELECT ev1.v, ev2.w, dm.label FROM ev1 JOIN ev2 ON ev1.k = ev2.k JOIN dm ON ev1.dk = dm.dk WHERE dm.dk < 2 AND ev2.w > ev1.v",
+			[]string{"dk < 2", "residual"}, "", true}, // the join evaluates w > v
+	} {
+		db.NoCostPlanner = false
+		tab := mustQuery(t, db, "EXPLAIN "+c.q)
+		var lines []string
+		for i := 0; i < tab.NumRows(); i++ {
+			lines = append(lines, tab.Cols[0].Get(i).Str())
+		}
+		text := strings.Join(lines, "\n")
+		for _, conj := range c.once {
+			if n := strings.Count(text, conj); n != 1 {
+				t.Fatalf("q%d: %q printed %d times, want once:\n%s", qi, conj, n, text)
+			}
+		}
+		join := strings.Index(text, "HashJoin")
+		top := text[:join]
+		if c.rowpos {
+			top = text[:strings.Index(text, "Sort")]
+		}
+		if strings.Contains(top, "Filter") != (c.onTop != "") || !strings.Contains(top, c.onTop) || strings.Contains(text, "rowpos") != c.rowpos {
+			t.Fatalf("q%d: want the Filter over the chain to be %q (rebuilt: %v):\n%s", qi, c.onTop, c.rowpos, text)
+		}
+		db.NoCostPlanner = true
+		want := queryFingerprint(t, db, c.q, false)
+		db.NoCostPlanner = false
+		assertSameRows(t, fmt.Sprintf("q%d planner on vs off", qi), queryFingerprint(t, db, c.q, false), want)
+		assertSameRows(t, fmt.Sprintf("q%d planner on vs off, streamed", qi), queryFingerprint(t, db, c.q, true), want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -333,49 +334,97 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		// Literal VALUES rows, evaluated column-wise into one chunk.
-		binder := plan.NewBinder(db.cat, db.reg)
-		n := len(s.Rows)
-		cols := make([]*vector.Vector, len(tab.Schema))
-		for i, col := range tab.Schema {
-			cols[i] = vector.New(col.Type, n)
+		ch, err = db.valuesChunk(tab, colIdx, s.Rows)
+		if err != nil {
+			return nil, err
 		}
-		for _, row := range s.Rows {
-			if len(row) != len(colIdx) {
-				return nil, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(row), len(colIdx))
-			}
-			vals := make([]vector.Value, len(tab.Schema))
-			for i := range vals {
-				vals[i] = vector.Null()
-			}
-			for j, e := range row {
-				bound, err := bindConst(binder, e)
-				if err != nil {
-					return nil, err
-				}
-				v, err := exec.EvalConst(bound)
-				if err != nil {
-					return nil, err
-				}
-				vals[colIdx[j]] = v
-			}
-			for i, v := range vals {
-				if !v.IsNull() && v.Type() != tab.Schema[i].Type {
-					cv, err := castValue(v, tab.Schema[i].Type)
-					if err != nil {
-						return nil, fmt.Errorf("engine: column %q: %w", tab.Schema[i].Name, err)
-					}
-					v = cv
-				}
-				cols[i].AppendValue(v)
-			}
-		}
-		ch = vector.NewChunk(cols...)
 	}
 	if err := db.appendLogged(tab, ch); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: int64(ch.NumRows())}, nil
+}
+
+// valuesChunk evaluates VALUES rows into one chunk of the table's
+// schema. Cells append straight into the typed columns; one of another
+// type than its column goes through the cast INSERT … SELECT applies.
+// A row's cells all bind and evaluate before any of its casts fails,
+// and casts fail in column order. Of cells naming the same column the
+// last one is stored, and columns the list leaves out are NULL.
+func (db *DB) valuesChunk(tab *catalog.Table, colIdx []int, rows [][]sql.Expr) (*vector.Chunk, error) {
+	binder := plan.NewBinder(db.cat, db.reg)
+	n := len(rows)
+	cols := make([]*vector.Vector, len(tab.Schema))
+	for i, col := range tab.Schema {
+		cols[i] = vector.New(col.Type, n)
+	}
+	dst := slices.Clone(colIdx) // -1 where a later cell names the same column
+	for j := range dst {
+		if slices.Contains(colIdx[j+1:], colIdx[j]) {
+			dst[j] = -1
+		}
+	}
+	for _, row := range rows {
+		if len(row) != len(colIdx) {
+			return nil, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(row), len(colIdx))
+		}
+		var castErr error
+		castCol := len(cols)
+		for j, e := range row {
+			bound, err := binder.BindConst(e)
+			if err != nil {
+				return nil, err
+			}
+			v, err := exec.EvalConst(bound)
+			if err != nil {
+				return nil, err
+			}
+			i := dst[j]
+			if i < 0 {
+				continue
+			}
+			if t := tab.Schema[i].Type; !v.IsNull() && v.Type() != t {
+				if v, err = castValue(v, t); err != nil {
+					if i < castCol {
+						castErr, castCol = fmt.Errorf("engine: column %q: %w", tab.Schema[i].Name, err), i
+					}
+					continue
+				}
+			}
+			cols[i].AppendValue(v)
+		}
+		if castErr != nil {
+			return nil, castErr
+		}
+	}
+	for _, c := range cols {
+		for c.Len() < n {
+			c.AppendValue(vector.Null())
+		}
+		if c.Type() == vector.String {
+			ownStrings(c.Strings())
+		}
+	}
+	return vector.NewChunk(cols...), nil
+}
+
+// ownStrings moves strs into one buffer of their own: a literal's
+// string is a slice of the statement text, which a stored row must not
+// keep alive.
+func ownStrings(strs []string) {
+	var b strings.Builder
+	size := 0
+	for _, s := range strs {
+		size += len(s)
+	}
+	b.Grow(size)
+	for _, s := range strs {
+		b.WriteString(s)
+	}
+	all := b.String()
+	for i, s := range strs {
+		strs[i], all = all[:len(s)], all[len(s):]
+	}
 }
 
 // AppendChunk appends ch, whose columns must match the table's schema,
@@ -451,20 +500,6 @@ func (db *DB) CreateTableFrom(name string, schema catalog.Schema, ch *vector.Chu
 		}
 	}
 	return db.walCommit(lsn)
-}
-
-// bindConst binds an expression with no visible columns.
-func bindConst(b *plan.Binder, e sql.Expr) (plan.Expr, error) {
-	sel := &sql.Select{Items: []sql.SelectItem{{Expr: e}}}
-	node, err := b.BindSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	proj, ok := node.(*plan.Project)
-	if !ok || len(proj.Exprs) != 1 {
-		return nil, fmt.Errorf("engine: expected constant expression")
-	}
-	return proj.Exprs[0], nil
 }
 
 // execDelete removes the rows where the predicate is TRUE. The

@@ -61,8 +61,12 @@ func Evaluate(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
 }
 
 // EvalConst evaluates an expression with no column references (a
-// constant) to a single value.
+// constant) to a single value. A bound literal is its value; anything
+// else is evaluated over one row.
 func EvalConst(e plan.Expr) (vector.Value, error) {
+	if c, ok := e.(*plan.Const); ok {
+		return c.Val, nil
+	}
 	one := vector.FromInt32s([]int32{0})
 	ch := vector.NewChunk(one)
 	v, err := Evaluate(e, ch)

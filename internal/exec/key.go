@@ -171,12 +171,7 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 	}
 	ids = ids[:len(hashes)]
 	gi.checkTypes(keys)
-	// One BIGINT key with no NULL on either side compares in the probe
-	// loop, not through equalRow's per-row call and type switch.
-	var in []int64
-	if len(keys) == 1 && keys[0].Type() == vector.Int64 && keys[0].Nulls() == nil && gi.keys[0].Nulls() == nil {
-		in = keys[0].Int64s()
-	}
+	in := gi.int64Key(keys)
 	for r, h := range hashes {
 		if 2*gi.n >= len(gi.slots) {
 			gi.growSlots()
@@ -205,6 +200,11 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 func (gi *groupIndex) find(keys []*vector.Vector, hashes []uint64) []int32 {
 	ids := make([]int32, len(hashes))
 	gi.checkTypes(keys)
+	in := gi.int64Key(keys)
+	var held []int64
+	if in != nil {
+		held = gi.keys[0].Int64s()
+	}
 	mask := uint64(len(gi.slots) - 1)
 	for r, h := range hashes {
 		ids[r] = -1
@@ -213,13 +213,26 @@ func (gi *groupIndex) find(keys []*vector.Vector, hashes []uint64) []int32 {
 		}
 		for i := gi.home(h); gi.slots[i] != 0; i = (i + 1) & mask {
 			s := gi.slots[i]
-			if id := int32(uint32(s)) - 1; s>>32 == h>>32 && gi.equalRow(keys, r, int(id)) {
-				ids[r] = id
-				break
+			if id := int32(uint32(s)) - 1; s>>32 == h>>32 {
+				if in != nil && held[id] == in[r] || in == nil && gi.equalRow(keys, r, int(id)) {
+					ids[r] = id
+					break
+				}
 			}
 		}
 	}
 	return ids
+}
+
+// int64Key is the key column when it is one BIGINT column with no NULL
+// in it or in the index: resolve and find compare that key in their
+// probe loops, not through equalRow's per-row call and type switch.
+// It is nil for any other key.
+func (gi *groupIndex) int64Key(keys []*vector.Vector) []int64 {
+	if len(keys) == 1 && keys[0].Type() == vector.Int64 && keys[0].Nulls() == nil && gi.keys[0].Nulls() == nil {
+		return keys[0].Int64s()
+	}
+	return nil
 }
 
 func (gi *groupIndex) checkTypes(keys []*vector.Vector) {

@@ -339,7 +339,7 @@ func (b *Binder) bindTableRef(ref sql.TableRef) (Node, *scope, error) {
 				tfs.Args = append(tfs.Args, FuncArg{Sub: sub})
 				continue
 			}
-			ce, err := b.bindExpr(a.Expr, &scope{}, false)
+			ce, err := b.BindConst(a.Expr)
 			if err != nil {
 				return nil, nil, fmt.Errorf("argument %d of %s must be constant: %w", i+1, r.Name, err)
 			}
@@ -403,6 +403,17 @@ func (b *Binder) constInt(e sql.Expr) (int64, error) {
 		return 0, fmt.Errorf("expected integer literal")
 	}
 	return lit.Value.Int64(), nil
+}
+
+// noColumns is the scope of a constant: it resolves no column.
+var noColumns scope
+
+// BindConst binds an expression that must be a constant, such as a
+// VALUES cell or a scalar table-function argument: it sees no columns,
+// so a column reference is not found, and an aggregate is refused as
+// anywhere outside a grouped select list. A literal binds to a *Const.
+func (b *Binder) BindConst(e sql.Expr) (Expr, error) {
+	return b.bindExpr(e, &noColumns, false)
 }
 
 // bindExpr binds a scalar expression against a scope. allowAgg permits

@@ -23,7 +23,7 @@ const parallelRowFloor = 4 * storage.SegmentRows
 // inner-join chains are greedily reordered smallest-intermediate-first
 // (with an explicit order-restoring sort, so output bytes never
 // change) or, where the syntactic order stays, get their single-table
-// conjuncts evaluated below the joins as well as above; hash-join
+// conjuncts evaluated below the joins instead of above; hash-join
 // build sides flip to the smaller estimated input, and every operator
 // is annotated with cardinality estimates plus serial/spill-fan-out
 // hints. workers and memBudget describe the
@@ -44,19 +44,28 @@ type planner struct {
 
 // rewrite walks the tree looking for inner-join chains to reorder. A
 // Filter directly above a chain contributes its WHERE conjuncts to the
-// cost model (and to pushdown); the Filter itself always remains, so
-// conjuncts the chain cannot place are still enforced.
+// cost model (and to pushdown); it keeps only the conjuncts the chain's
+// new tree does not evaluate, and goes when none remain.
 func (p *planner) rewrite(n plan.Node) plan.Node {
 	switch x := n.(type) {
 	case *plan.Filter:
 		if hj, ok := x.Child.(*plan.HashJoin); ok && hj.Kind == sql.InnerJoin {
-			x.Child = p.reorder(hj, plan.Conjuncts(x.Pred))
+			conjs := plan.Conjuncts(x.Pred)
+			child, above := p.reorder(hj, conjs)
+			if len(above) == 0 {
+				return child
+			}
+			x.Child = child
+			if len(above) < len(conjs) {
+				x.Pred = andAll(above)
+			}
 			return x
 		}
 		x.Child = p.rewrite(x.Child)
 	case *plan.HashJoin:
 		if x.Kind == sql.InnerJoin {
-			return p.reorder(x, nil)
+			n, _ = p.reorder(x, nil)
+			return n
 		}
 		x.Left = p.rewrite(x.Left)
 		x.Right = p.rewrite(x.Right)
@@ -83,15 +92,17 @@ func (p *planner) rewrite(n plan.Node) plan.Node {
 	return n
 }
 
-// reorder evaluates one inner-join chain rooted at hj. When the chain
-// is not safely decomposable, it recurses into the children instead
-// (a deeper sub-chain may still be reorderable).
-func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) plan.Node {
+// reorder evaluates one inner-join chain rooted at hj and returns its
+// new tree with the WHERE conjuncts that tree leaves to the Filter
+// above. When the chain is not safely decomposable, it recurses into
+// the children instead (a deeper sub-chain may still be reorderable)
+// and leaves every conjunct above.
+func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) (plan.Node, []plan.Expr) {
 	c, ok := buildChain(hj, whereConjs)
 	if !ok {
 		hj.Left = p.rewrite(hj.Left)
 		hj.Right = p.rewrite(hj.Right)
-		return hj
+		return hj, whereConjs
 	}
 
 	order, ev := c.greedyOrder()
@@ -115,15 +126,15 @@ func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) plan.Node {
 		}
 	}
 	if identity && !swapsBuild {
-		return c.filterLeaves() // greedy agrees with the syntactic plan
+		return c.filterLeaves(), c.above(whereConjs, false) // greedy agrees with the syntactic plan
 	}
 	// The rewrite pays for the restoration sort: charge ~2x the final
 	// cardinality (sort + re-projection) on top of the join cost.
 	candidate := ev.cost + 2*ev.card
 	if candidate >= reorderGainFloor*syntactic.cost {
-		return c.filterLeaves()
+		return c.filterLeaves(), c.above(whereConjs, false)
 	}
-	return c.rebuild(order, ev)
+	return c.rebuild(order, ev), c.above(whereConjs, true)
 }
 
 // annotate walks the plan bottom-up filling in EstRows for every node

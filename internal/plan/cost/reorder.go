@@ -484,14 +484,28 @@ func (c *chain) rebuild(order []int, ev *orderEval) plan.Node {
 
 // filterLeaves keeps the syntactic tree and filters its leaves: an
 // inner join emits probe order x build order, so filtering either
-// input early keeps exactly the rows the Filter above the chain (which
-// stays) would keep, in the same order — without probing the rest.
+// input early keeps exactly the rows a Filter above the chain would
+// keep, in the same order — without probing the rest.
 func (c *chain) filterLeaves() plan.Node {
 	c.joins[0].Left = c.leaves[0].node()
 	for i, hj := range c.joins {
 		hj.Right = c.leaves[i+1].node()
 	}
 	return c.joins[len(c.joins)-1]
+}
+
+// above is what of the WHERE conjuncts the chain's new tree does not
+// evaluate: UDF calls, which no chain takes, and, unless the tree was
+// rebuilt (which places every other conjunct at its earliest join),
+// the conjuncts spanning several leaves.
+func (c *chain) above(whereConjs []plan.Expr, rebuilt bool) []plan.Expr {
+	var out []plan.Expr
+	for _, conj := range whereConjs {
+		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() > 1 {
+			out = append(out, conj)
+		}
+	}
+	return out
 }
 
 // remapLayout rewrites a full-schema expression into the rebuilt

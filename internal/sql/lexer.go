@@ -114,24 +114,31 @@ done:
 	return Token{Kind: kind, Text: l.src[start:l.pos], Pos: start}, nil
 }
 
+// lexString reads a '…' literal. Its text is a slice of the source
+// unless it holds an escaped (doubled) quote: only then is it copied.
 func (l *Lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // '' escape
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
+	var esc []byte
+	from := l.pos
+	for {
+		i := strings.IndexByte(l.src[l.pos:], '\'')
+		if i < 0 {
+			return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 		}
-		b.WriteByte(c)
-		l.pos++
+		l.pos += i
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // '' escape
+			esc = append(esc, l.src[from:l.pos+1]...)
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		text := l.src[from:l.pos]
+		if esc != nil {
+			text = string(append(esc, text...))
+		}
+		l.pos++ // closing quote
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 }
 
 var twoCharSymbols = map[string]bool{
@@ -140,17 +147,19 @@ var twoCharSymbols = map[string]bool{
 
 func (l *Lexer) lexSymbol(start int) (Token, error) {
 	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		if twoCharSymbols[two] {
-			l.pos += 2
-			return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
+		switch l.src[l.pos+1] { // the second bytes of twoCharSymbols
+		case '=', '>', '|':
+			if two := l.src[l.pos : l.pos+2]; twoCharSymbols[two] {
+				l.pos += 2
+				return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
+			}
 		}
 	}
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';':
 		l.pos++
-		return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokSymbol, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 }
@@ -158,7 +167,9 @@ func (l *Lexer) lexSymbol(start int) (Token, error) {
 // Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
+	// A token takes a byte and most take a separator: one allocation
+	// holds the tokens of almost any statement.
+	out := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -65,9 +65,18 @@ func newParser(src string) (*Parser, error) {
 }
 
 func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 func (p *Parser) atEOF() bool { return p.peek().Kind == TokEOF }
 func (p *Parser) backup()     { p.pos-- }
+
+// next consumes the next token. The EOF token is never consumed, so
+// peek after a truncated statement still reads EOF.
+func (p *Parser) next() Token {
+	t := p.toks[p.pos]
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *Parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sql: %s (near offset %d)", fmt.Sprintf(format, args...), p.peek().Pos)
@@ -256,11 +265,12 @@ func (p *Parser) parseInsert() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("VALUES") {
+		width := 0 // the previous row's, to size the next at once
 		for {
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
-			var row []Expr
+			row := make([]Expr, 0, width)
 			for {
 				e, err := p.parseExpr()
 				if err != nil {
@@ -276,6 +286,7 @@ func (p *Parser) parseInsert() (Statement, error) {
 				break
 			}
 			ins.Rows = append(ins.Rows, row)
+			width = len(row)
 			if !p.accept(TokSymbol, ",") {
 				break
 			}
