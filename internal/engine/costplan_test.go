@@ -184,6 +184,11 @@ func TestCostPlanByteIdentity(t *testing.T) {
 		// Same flip under a final ORDER BY (restoration sort composes
 		// with a user sort).
 		"SELECT f2.b, f1.a FROM f2 JOIN f1 ON f2.fk = f1.fk WHERE f1.a < 200 ORDER BY f1.a, f2.b",
+		// Conjuncts naming no column, over a chain that keeps its
+		// order and over one the planner rebuilds.
+		"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE 1 = 0",
+		"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND FALSE",
+		"SELECT ev1.v, ev2.w, dm.label FROM ev1 JOIN ev2 ON ev1.k = ev2.k JOIN dm ON ev1.dk = dm.dk WHERE dm.dk < 2 AND CAST(NULL AS BOOLEAN)",
 	}
 	for qi, q := range queries {
 		db.NoCostPlanner = true
@@ -454,6 +459,12 @@ func TestExplainSingleFilterOverJoin(t *testing.T) {
 			[]string{"dk < 2"}, "", true},
 		{"SELECT ev1.v, ev2.w, dm.label FROM ev1 JOIN ev2 ON ev1.k = ev2.k JOIN dm ON ev1.dk = dm.dk WHERE dm.dk < 2 AND ev2.w > ev1.v",
 			[]string{"dk < 2", "residual"}, "", true}, // the join evaluates w > v
+		{"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE 1 = 0",
+			[]string{"1 = 0"}, "1 = 0", false}, // a conjunct naming no column is no leaf's filter
+		{"SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND FALSE",
+			[]string{"k < 3", "false"}, "false", false},
+		{"SELECT ev1.v, ev2.w, dm.label FROM ev1 JOIN ev2 ON ev1.k = ev2.k JOIN dm ON ev1.dk = dm.dk WHERE dm.dk < 2 AND 1 = 0",
+			[]string{"dk < 2", "residual"}, "", true}, // the first join evaluates 1 = 0
 	} {
 		db.NoCostPlanner = false
 		tab := mustQuery(t, db, "EXPLAIN "+c.q)

@@ -401,30 +401,8 @@ func (db *DB) valuesChunk(tab *catalog.Table, colIdx []int, rows [][]sql.Expr) (
 		for c.Len() < n {
 			c.AppendValue(vector.Null())
 		}
-		if c.Type() == vector.String {
-			ownStrings(c.Strings())
-		}
 	}
 	return vector.NewChunk(cols...), nil
-}
-
-// ownStrings moves strs into one buffer of their own: a literal's
-// string is a slice of the statement text, which a stored row must not
-// keep alive.
-func ownStrings(strs []string) {
-	var b strings.Builder
-	size := 0
-	for _, s := range strs {
-		size += len(s)
-	}
-	b.Grow(size)
-	for _, s := range strs {
-		b.WriteString(s)
-	}
-	all := b.String()
-	for i, s := range strs {
-		strs[i], all = all[:len(s)], all[len(s):]
-	}
 }
 
 // AppendChunk appends ch, whose columns must match the table's schema,

@@ -147,36 +147,44 @@ func TestInsertValuesRefusesAggregates(t *testing.T) {
 	}
 }
 
-// TestInsertValuesOwnStrings: a stored VARCHAR cell does not point into
-// the INSERT's text, which would stay alive as long as the row.
+// TestInsertValuesOwnStrings: no stored VARCHAR cell points into the
+// text of the statement that wrote it, which would stay alive as long
+// as the row — whether the literal came in through VALUES, an UPDATE's
+// SET, INSERT … SELECT or CREATE TABLE … AS.
 func TestInsertValuesOwnStrings(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (s VARCHAR, n BIGINT)")
-	text := "INSERT INTO t VALUES ('alpha', 1), ('it''s', 2), ('', 3), (upper('x'), 4)"
-	mustExec(t, db, text)
-	tab, err := db.cat.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := tab.Data.Column(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := uintptr(unsafe.Pointer(unsafe.StringData(text)))
-	for i, s := range col.Strings() {
-		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && p >= from && p < from+uintptr(len(text)) {
-			t.Fatalf("row %d: %q is stored inside the statement text", i, s)
+	for _, c := range []struct{ table, text, want string }{
+		{"t", "INSERT INTO t VALUES ('alpha', 1), ('it''s', 2), ('', 3), (upper('x'), 4)", "[alpha it's  X]"},
+		{"t", "UPDATE t SET s = 'beta' WHERE n = 2", "[alpha beta  X]"},
+		{"t", "INSERT INTO t SELECT 'gamma', n + 10 FROM t WHERE n = 1", "[alpha beta  X gamma]"},
+		{"u", "CREATE TABLE u AS SELECT 'delta' AS s, n FROM t WHERE n < 3", "[delta delta]"},
+	} {
+		mustExec(t, db, c.text)
+		tab, err := db.cat.Table(c.table)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := fmt.Sprint(col.Strings()); got != "[alpha it's  X]" {
-		t.Fatalf("stored %s", got)
+		col, err := tab.Data.Column(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := uintptr(unsafe.Pointer(unsafe.StringData(c.text)))
+		for i, s := range col.Strings() {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && p >= from && p < from+uintptr(len(c.text)) {
+				t.Fatalf("%s: row %d: %q is stored inside the statement text", c.text, i, s)
+			}
+		}
+		if got := fmt.Sprint(col.Strings()); got != c.want {
+			t.Fatalf("%s: stored %s, want %s", c.text, got, c.want)
+		}
 	}
 }
 
 // TestInsertValuesAllocs bounds what a 1 000-row literal INSERT
 // allocates, parse included: two per cell (the literal node and its
-// bound constant), one per row (the row's slice) and a few per
-// statement. Binding a cell as a one-row SELECT made ~96 000.
+// bound constant), one per string cell (the bound value's own bytes)
+// and a few per statement. Binding a cell as a one-row SELECT made ~96 000.
 func TestInsertValuesAllocs(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE ingest (id BIGINT, k BIGINT, val BIGINT, note VARCHAR)")

@@ -422,7 +422,14 @@ func (b *Binder) BindConst(e sql.Expr) (Expr, error) {
 func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
-		return &Const{Val: x.Value, Typ: literalType(x.Value)}, nil
+		v := x.Value
+		if v.Type() == vector.String && !v.IsNull() {
+			// The lexer slices a literal from its statement's text: the
+			// bound value gets bytes of its own, so a row it is stored in
+			// does not keep the statement alive.
+			v = vector.NewString(strings.Clone(v.Str()))
+		}
+		return &Const{Val: v, Typ: literalType(x.Value)}, nil
 	case *sql.ColumnRef:
 		idx, typ, err := sc.resolve(x.Table, x.Name)
 		if err != nil {

@@ -497,11 +497,12 @@ func (c *chain) filterLeaves() plan.Node {
 // above is what of the WHERE conjuncts the chain's new tree does not
 // evaluate: UDF calls, which no chain takes, and, unless the tree was
 // rebuilt (which places every other conjunct at its earliest join),
-// the conjuncts spanning several leaves.
+// every conjunct that is not one leaf's filter — those spanning
+// several leaves and those naming no column at all, like 1 = 0.
 func (c *chain) above(whereConjs []plan.Expr, rebuilt bool) []plan.Expr {
 	var out []plan.Expr
 	for _, conj := range whereConjs {
-		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() > 1 {
+		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() != 1 {
 			out = append(out, conj)
 		}
 	}

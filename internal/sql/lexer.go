@@ -141,18 +141,12 @@ func (l *Lexer) lexString(start int) (Token, error) {
 	}
 }
 
-var twoCharSymbols = map[string]bool{
-	"<=": true, ">=": true, "<>": true, "!=": true, "||": true,
-}
-
 func (l *Lexer) lexSymbol(start int) (Token, error) {
 	if l.pos+1 < len(l.src) {
-		switch l.src[l.pos+1] { // the second bytes of twoCharSymbols
-		case '=', '>', '|':
-			if two := l.src[l.pos : l.pos+2]; twoCharSymbols[two] {
-				l.pos += 2
-				return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
-			}
+		switch two := l.src[l.pos : l.pos+2]; two {
+		case "<=", ">=", "<>", "!=", "||":
+			l.pos += 2
+			return Token{Kind: TokSymbol, Text: two, Pos: start}, nil
 		}
 	}
 	c := l.src[l.pos]
@@ -164,12 +158,18 @@ func (l *Lexer) lexSymbol(start int) (Token, error) {
 	return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 }
 
+// maxTokenHint caps the tokens Tokenize allocates before it has read
+// any: 32 Ki tokens of 32 bytes.
+const maxTokenHint = 1 << 15
+
 // Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	// A token takes a byte and most take a separator: one allocation
-	// holds the tokens of almost any statement.
-	out := make([]Token, 0, len(src)/2+1)
+	// Most tokens take a byte and a separator, so one allocation holds
+	// a statement's tokens; the cap (1 MiB of tokens) keeps a long
+	// literal from costing 16x its own size before parsing, and a
+	// statement with more tokens grows the slice as it goes.
+	out := make([]Token, 0, min(len(src)/2+1, maxTokenHint))
 	for {
 		t, err := l.Next()
 		if err != nil {

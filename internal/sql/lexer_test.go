@@ -1,6 +1,9 @@
 package sql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestLexBasic(t *testing.T) {
 	toks, err := Tokenize("SELECT a, b2 FROM t WHERE x >= 1.5 AND y = 'it''s'")
@@ -77,5 +80,39 @@ func TestLexKeywordCase(t *testing.T) {
 	}
 	if toks[0].Text != "SELECT" {
 		t.Errorf("keyword not uppercased: %q", toks[0].Text)
+	}
+}
+
+// TestLexSymbols: each two-character operator is one token, and a
+// first byte that starts none stays a token of its own.
+func TestLexSymbols(t *testing.T) {
+	toks, err := Tokenize("a<=b>=c<>d!=e||f<g>h=i<-j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var syms []string
+	for _, tok := range toks {
+		if tok.Kind == TokSymbol {
+			syms = append(syms, tok.Text)
+		}
+	}
+	if got := strings.Join(syms, " "); got != "<= >= <> != || < > = < -" {
+		t.Fatalf("symbols %q", got)
+	}
+	if _, err := Tokenize("a ! b"); err == nil {
+		t.Error("a lone ! should fail")
+	}
+}
+
+// TestTokenizeBoundsItsFirstAllocation: a long literal lexes to a few
+// tokens, so the slice Tokenize sizes before reading stays within
+// maxTokenHint however long the statement is.
+func TestTokenizeBoundsItsFirstAllocation(t *testing.T) {
+	toks, err := Tokenize("'" + strings.Repeat("x", 1<<20) + "'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 2 || cap(toks) > maxTokenHint {
+		t.Fatalf("%d tokens in a slice of capacity %d, want 2 within %d", len(toks), cap(toks), maxTokenHint)
 	}
 }

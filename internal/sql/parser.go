@@ -265,18 +265,24 @@ func (p *Parser) parseInsert() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("VALUES") {
-		width := 0 // the previous row's, to size the next at once
+		// Rows' cells lie back to back in blocks of 64 rows of the
+		// previous row's width; a row is a capped slice of its block.
+		var cells []Expr
+		width := 0
 		for {
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
-			row := make([]Expr, 0, width)
+			if cap(cells)-len(cells) < width {
+				cells = make([]Expr, 0, 64*width)
+			}
+			start := len(cells)
 			for {
 				e, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, e)
+				cells = append(cells, e)
 				if p.accept(TokSymbol, ",") {
 					continue
 				}
@@ -285,8 +291,8 @@ func (p *Parser) parseInsert() (Statement, error) {
 				}
 				break
 			}
-			ins.Rows = append(ins.Rows, row)
-			width = len(row)
+			ins.Rows = append(ins.Rows, cells[start:len(cells):len(cells)])
+			width = len(cells) - start
 			if !p.accept(TokSymbol, ",") {
 				break
 			}
