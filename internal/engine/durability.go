@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"vexdb/internal/catalog"
-	"vexdb/internal/storage"
 	"vexdb/internal/wal"
 )
 
@@ -219,19 +218,8 @@ func (db *DB) Checkpoint() error {
 	}
 	cpLSN := db.wal.LastLSN()
 	ckptDir := fmt.Sprintf("ckpt-%016d", cpLSN)
-	full := filepath.Join(db.walDir, ckptDir)
-	if err := os.MkdirAll(full, 0o755); err != nil {
+	if err := db.SaveDir(filepath.Join(db.walDir, ckptDir)); err != nil {
 		return err
-	}
-	for _, name := range db.cat.TableNames() {
-		tab, err := db.cat.Table(name)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(full, strings.ToLower(name)+".vxtb")
-		if err := storage.SaveTableFile(path, tab.Schema.Names(), tab.Data); err != nil {
-			return fmt.Errorf("engine: checkpoint table %s: %w", name, err)
-		}
 	}
 	if err := writeManifest(db.walDir, cpLSN, ckptDir); err != nil {
 		return err
@@ -282,9 +270,6 @@ func writeManifest(dir string, lsn uint64, ckptDir string) error {
 	}
 	return nil
 }
-
-// WALEnabled reports whether this database logs its writes.
-func (db *DB) WALEnabled() bool { return db.wal != nil }
 
 // WALGroupStats reports the WAL's commit fsyncs and the records they
 // made durable (both 0 with the WAL off); commits/syncs is the

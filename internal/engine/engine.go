@@ -178,7 +178,7 @@ func (db *DB) ExecStmt(stmt sql.Statement) (*Result, error) {
 // result. It is a thin wrapper over the streaming path (openSelect)
 // for callers that want the whole relation at once.
 func (db *DB) RunSelect(s *sql.Select) (*vector.Table, error) {
-	stream, _, _, err := db.openSelect(context.Background(), nil, s, false)
+	stream, _, _, err := db.openSelect(context.Background(), nil, s)
 	if err != nil {
 		return nil, err
 	}

@@ -283,6 +283,70 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestUntypedNullSelectList: a bare NULL in a select list is a VARCHAR
+// column of NULLs — through a projection, an aggregate, DISTINCT, UNION,
+// ORDER BY and CREATE TABLE AS, streamed and materialized — not an
+// untyped vector the executor cannot build.
+func TestUntypedNullSelectList(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		db := New()
+		db.Parallelism = workers
+		mustExec(t, db, "CREATE TABLE t (a BIGINT)")
+		mustExec(t, db, "INSERT INTO t VALUES (3), (1), (2)")
+		for _, c := range []struct {
+			query     string
+			rows, col int // the NULL column
+		}{
+			{"SELECT NULL", 1, 0},
+			{"SELECT a, NULL FROM t", 3, 1},
+			{"SELECT NULL FROM t UNION SELECT NULL FROM t", 1, 0},
+			{"SELECT DISTINCT NULL FROM t", 1, 0},
+			{"SELECT NULL FROM t ORDER BY a", 3, 0},
+			{"SELECT count(*), NULL FROM t", 1, 1},
+		} {
+			check := func(mode string, rows int, v *vector.Vector) {
+				t.Helper()
+				if rows != c.rows || v.Type() != vector.String {
+					t.Fatalf("workers=%d %s %q: %d rows of %s, want %d of VARCHAR", workers, mode, c.query, rows, v.Type(), c.rows)
+				}
+				for i := range v.Len() {
+					if !v.IsNull(i) {
+						t.Fatalf("workers=%d %s %q: row %d is %v", workers, mode, c.query, i, v.Get(i))
+					}
+				}
+			}
+			tab := mustQuery(t, db, c.query)
+			check("materialized", tab.NumRows(), tab.Cols[c.col])
+			rs, err := db.Query(c.query)
+			if err != nil {
+				t.Fatalf("workers=%d %q: %v", workers, c.query, err)
+			}
+			col, rows := vector.New(vector.String, 0), 0
+			for {
+				ch, err := rs.Next()
+				if err != nil {
+					t.Fatalf("workers=%d streamed %q: %v", workers, c.query, err)
+				}
+				if ch == nil {
+					break
+				}
+				if typ := ch.Col(c.col).Type(); typ != vector.String {
+					t.Fatalf("workers=%d streamed %q: a chunk of %s", workers, c.query, typ)
+				}
+				rows += ch.NumRows()
+				col.AppendVector(ch.Col(c.col))
+			}
+			rs.Close()
+			check("streamed", rows, col)
+		}
+		mustExec(t, db, "CREATE TABLE u AS SELECT NULL AS x FROM t")
+		tab := mustQuery(t, db, "SELECT x FROM u")
+		if tab.NumRows() != 3 || tab.Cols[0].Type() != vector.String || !tab.Cols[0].IsNull(2) {
+			t.Fatalf("workers=%d: CREATE TABLE AS stored %d rows of %s", workers, tab.NumRows(), tab.Cols[0].Type())
+		}
+	}
+}
+
 func TestUnion(t *testing.T) {
 	db := newTestDB(t)
 	tab := mustQuery(t, db, "SELECT id FROM users WHERE id <= 2 UNION ALL SELECT id FROM users WHERE id <= 1")

@@ -58,7 +58,7 @@ func (db *DB) QueryStmt(stmt sql.Statement) (*ResultSet, error) {
 
 func (db *DB) queryStmt(ctx context.Context, sess *governor.Session, stmt sql.Statement) (*ResultSet, error) {
 	if s, ok := stmt.(*sql.Select); ok {
-		stream, _, _, err := db.openSelect(ctx, sess, s, false)
+		stream, _, _, err := db.openSelect(ctx, sess, s)
 		if err != nil {
 			return nil, err
 		}
@@ -101,13 +101,11 @@ func (db *DB) costPlan(node plan.Node, ctx *exec.Context) plan.Node {
 // openSelect binds and opens a SELECT under ctx, arming the query
 // deadline on it before admitting through the governor (when
 // configured), so admission wait, Open and execution share one
-// deadline; with taps set it installs row-count taps on the planned
-// tree first, for EXPLAIN ANALYZE. It returns the stream, the planned
-// tree and the governor ticket (nil without a governor). The ticket
-// and the deadline are released by the stream's OnClose hook, so every
-// exit path — drain, early Close, cancel, error — returns the lease
-// exactly once.
-func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Select, taps bool) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
+// deadline. It returns the stream, the planned tree and the governor
+// ticket (nil without a governor). The ticket and the deadline are
+// released by the stream's OnClose hook, so every exit path — drain,
+// early Close, cancel, error — returns the lease exactly once.
+func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Select) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
 	node, ectx, err := db.planSelect(s)
 	if err != nil {
 		return nil, nil, nil, err
@@ -136,9 +134,6 @@ func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Sel
 		}
 	}
 	node = db.costPlan(node, ectx)
-	if taps {
-		plan.InstallTaps(node)
-	}
 	ectx.Ctx, ectx.OnClose = ctx, release
 	cs, err := exec.Stream(node, ectx)
 	if err != nil {
@@ -174,45 +169,21 @@ func wireLease(ctx *exec.Context, t *governor.Ticket, engineCap int64) {
 // explain binds and plans ex.Query exactly as a SELECT would
 // (including the cost-based pass, unless disabled) and renders the
 // resulting tree as a one-column result set, one operator line per
-// row. EXPLAIN ANALYZE additionally opens the query through
-// a SELECT's own path — governor admission, memory lease, query
-// deadline — with row-count taps installed, and drains it, so the
-// rendering reports actual cardinalities next to the estimates. Its
-// ticket is released when the drained stream closes, before the
-// (materialized) plan text streams back, so it cannot strand a lease;
-// the rendering then leads with the query's memory dynamics: initial
-// vs final lease, grow/shrink counts, and spill totals.
+// row. EXPLAIN ANALYZE runs the query first (analyze).
 func (db *DB) explain(ctx context.Context, sess *governor.Session, ex *sql.Explain) (*ResultSet, error) {
-	var node plan.Node
-	var memLines []string
+	var lines []string
 	if ex.Analyze {
-		cs, n, ticket, err := db.openSelect(ctx, sess, ex.Query, true)
-		if err != nil {
+		var err error
+		if lines, _, err = db.analyze(ctx, sess, ex.Query); err != nil {
 			return nil, err
 		}
-		for {
-			ch, err := cs.Next()
-			if err != nil {
-				cs.Close()
-				return nil, err
-			}
-			if ch == nil {
-				break
-			}
-		}
-		spill := cs.SpillStats()
-		if err := cs.Close(); err != nil {
-			return nil, err
-		}
-		node, memLines = n, explainMemoryLines(ticket, spill)
 	} else {
 		n, ctx, err := db.planSelect(ex.Query)
 		if err != nil {
 			return nil, err
 		}
-		node = db.costPlan(n, ctx)
+		lines = strings.Split(plan.Render(db.costPlan(n, ctx), nil), "\n")
 	}
-	lines := append(memLines, strings.Split(plan.Render(node, ex.Analyze), "\n")...)
 	tab, err := vector.NewTable([]string{"plan"}, []*vector.Vector{vector.FromStrings(lines)})
 	if err != nil {
 		return nil, err
@@ -225,13 +196,45 @@ func (db *DB) explain(ctx context.Context, sess *governor.Session, ex *sql.Expla
 	return &ResultSet{schema: schema, stream: cs}, nil
 }
 
+// analyze is EXPLAIN ANALYZE: it opens s through a SELECT's own path —
+// governor admission, memory lease, query deadline — drains it, and
+// renders the planned tree with the query's profile, so each operator
+// reports what it did next to the estimates. The ticket is released
+// when the drained stream closes, before the plan text streams back, so
+// it cannot strand a lease; the rendering then leads with the query's
+// memory dynamics: initial vs final lease, grow/shrink counts, and
+// spill totals. It also returns the drained result set, whose totals
+// are the same profile's.
+func (db *DB) analyze(ctx context.Context, sess *governor.Session, s *sql.Select) ([]string, *ResultSet, error) {
+	cs, node, ticket, err := db.openSelect(ctx, sess, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	for {
+		ch, err := cs.Next()
+		if err != nil {
+			cs.Close()
+			return nil, nil, err
+		}
+		if ch == nil {
+			break
+		}
+	}
+	if err := cs.Close(); err != nil {
+		return nil, nil, err
+	}
+	prof := cs.Profile()
+	lines := append(explainMemoryLines(ticket, prof), strings.Split(plan.Render(node, prof.Actuals), "\n")...)
+	return lines, &ResultSet{schema: cs.Schema(), stream: cs}, nil
+}
+
 // explainMemoryLines renders an EXPLAIN ANALYZE header describing the
 // query's memory dynamics: the governor lease it started with, the
 // lease it ended with after grows and reclaim shrinks, and what the
 // spill machinery did under that budget. Empty without a governor
 // lease and without spill activity, so plans from ungoverned databases
 // render exactly as before.
-func explainMemoryLines(t *governor.Ticket, spill *exec.SpillStats) []string {
+func explainMemoryLines(t *governor.Ticket, spill *exec.Profile) []string {
 	var lines []string
 	if t != nil && t.InitialBudget() > 0 {
 		grows, shrinks := t.Growths()
@@ -252,28 +255,23 @@ func explainMemoryLines(t *governor.Ticket, spill *exec.SpillStats) []string {
 // statements without result rows).
 func (r *ResultSet) Schema() catalog.Schema { return r.schema }
 
-// ScanStats returns the query's segment-level scan counters (segments
-// decoded vs. skipped by zone-map pruning), or nil for row-less
-// statements. The counters are live until the set is drained or
-// closed.
-func (r *ResultSet) ScanStats() *exec.ScanStats {
+// ScanStats returns the query's profile, read for its segment-level
+// scan totals (Scanned: segments decoded, Skipped: segments zone-map
+// pruning skipped), or nil — reading zero — for row-less statements.
+// The totals are live until the set is drained or closed.
+func (r *ResultSet) ScanStats() *exec.Profile {
 	if r.stream == nil {
 		return nil
 	}
-	return r.stream.Stats()
+	return r.stream.Profile()
 }
 
-// SpillStats returns the query's out-of-core counters (grace
-// partitions and sorted runs spilled to disk, spill bytes
-// written/read), or nil for row-less statements. All zero when the
-// query ran without a memory budget or fit within it; live until the
-// set is drained or closed.
-func (r *ResultSet) SpillStats() *exec.SpillStats {
-	if r.stream == nil {
-		return nil
-	}
-	return r.stream.SpillStats()
-}
+// SpillStats returns the query's profile, read for its out-of-core
+// totals (grace partitions spilled and kept resident, sorted runs
+// spilled, spill bytes written and read), or nil — reading zero — for
+// row-less statements. All zero when the query ran without a memory
+// budget or fit within it.
+func (r *ResultSet) SpillStats() *exec.Profile { return r.ScanStats() }
 
 // HasRows reports whether the statement produces result rows (even if
 // zero of them).

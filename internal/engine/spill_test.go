@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
+	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
 
@@ -121,5 +126,86 @@ func TestEngineSpillCancelCleanup(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("%d temp entries left after cancel", len(ents))
+	}
+}
+
+// TestProfileCountersAgree: one query's counters, read three ways, are
+// the same events — the per-operator spilled=/resident= of EXPLAIN
+// ANALYZE sum to its spill: header and to the result set's spill
+// totals, and the table's cumulative segment counters advance by
+// exactly the result set's scan totals — for a GROUP BY, a hash join,
+// an ORDER BY and a zone-map-pruned scan, with and without a budget
+// that makes the first three spill.
+func TestProfileCountersAgree(t *testing.T) {
+	const rows = 12_000
+	queries := []struct {
+		sql                 string
+		parts, runs, prunes bool // partitions and runs spilled under the budget; segments skipped
+	}{
+		{"SELECT k, count(*) AS n, sum(v) AS sv FROM h GROUP BY k", true, false, false},
+		{"SELECT a.id, b.k FROM h a JOIN h b ON a.k = b.k WHERE a.id < 2000", true, false, true},
+		{"SELECT id, v FROM h ORDER BY v, id", false, true, false},
+		{"SELECT count(*) AS n FROM h WHERE id >= 10000", false, false, true},
+	}
+	node := regexp.MustCompile(`spilled=(\d+) resident=(\d+)`)
+	header := regexp.MustCompile(`^spill: partitions spilled=(\d+) resident=(\d+) runs=(\d+) `)
+	atoi := func(s string) int64 {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, budget := range []int64{0, 32 << 10} {
+		db := New()
+		db.MemoryBudget, db.TempDir = budget, t.TempDir()
+		loadHighCard(t, db, rows)
+		tab, err := db.cat.Table("h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range parallelWorkerCounts {
+			db.Parallelism = workers
+			for _, q := range queries {
+				label := fmt.Sprintf("%q workers=%d budget=%d", q.sql, workers, budget)
+				stmt, err := sql.Parse(q.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := tab.Data.Stats()
+				lines, rs, err := db.analyze(context.Background(), nil, stmt.(*sql.Select))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				after := tab.Data.Stats()
+
+				var spilled, resident int64
+				var hdr [3]int64
+				for _, l := range lines {
+					if m := header.FindStringSubmatch(l); m != nil {
+						hdr = [3]int64{atoi(m[1]), atoi(m[2]), atoi(m[3])}
+					} else if m := node.FindStringSubmatch(l); m != nil {
+						spilled += atoi(m[1])
+						resident += atoi(m[2])
+					}
+				}
+				sp := rs.SpillStats()
+				if spilled != hdr[0] || resident != hdr[1] || sp.Partitions() != hdr[0] || sp.ResidentPartitions() != hdr[1] || sp.Runs() != hdr[2] {
+					t.Fatalf("%s: operators spilled=%d resident=%d; header %v; result set partitions=%d resident=%d runs=%d\n%s",
+						label, spilled, resident, hdr, sp.Partitions(), sp.ResidentPartitions(), sp.Runs(), strings.Join(lines, "\n"))
+				}
+				if sp.Partitions() > 0 != (q.parts && budget > 0) || q.runs && budget > 0 && sp.Runs() == 0 || budget == 0 && sp.Spilled() {
+					t.Fatalf("%s: %d partitions and %d runs spilled, %d bytes written\n%s", label, sp.Partitions(), sp.Runs(), sp.BytesWritten(), strings.Join(lines, "\n"))
+				}
+
+				sc := rs.ScanStats()
+				if got, want := after.SegmentsScanned-before.SegmentsScanned, sc.Scanned(); got != want || want == 0 {
+					t.Fatalf("%s: table counted %d segments scanned, the query %d", label, got, want)
+				}
+				if got, want := after.SegmentsSkipped-before.SegmentsSkipped, sc.Skipped(); got != want || (want > 0) != q.prunes {
+					t.Fatalf("%s: table counted %d segments skipped, the query %d", label, got, want)
+				}
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 // appearance.
 type aggOp struct {
 	spec    *plan.Aggregate
+	st      *nodeStats
 	in      chunkFeed
 	ctx     *Context
 	started bool
@@ -158,6 +159,7 @@ func extreme[T int32 | int64 | float64 | string](set []bool, ext []T, ids []int3
 // produce.
 type aggTable struct {
 	spec       *plan.Aggregate
+	st         *nodeStats // the node's record: groups inserted and emitted
 	shapes     []aggShape
 	gi         *groupIndex
 	firstSeen  []int64            // gi.capacity() long, as is everything below
@@ -165,15 +167,15 @@ type aggTable struct {
 	stateBytes int64              // firstSeen and state columns, string payloads
 
 	ids     []int32 // per-chunk group ids
-	counted int     // groups already counted into the node's tap
+	counted int     // groups already counted into st
 }
 
-func newAggTable(spec *plan.Aggregate) *aggTable {
+func newAggTable(spec *plan.Aggregate, st *nodeStats) *aggTable {
 	types := make([]vector.Type, len(spec.GroupBy))
 	for i, g := range spec.GroupBy {
 		types[i] = inputType(g)
 	}
-	t := &aggTable{spec: spec, shapes: make([]aggShape, len(spec.Aggs)), gi: newGroupIndex(types),
+	t := &aggTable{spec: spec, st: st, shapes: make([]aggShape, len(spec.Aggs)), gi: newGroupIndex(types),
 		state: make([][]*vector.Vector, len(spec.Aggs))}
 	for i, s := range spec.Aggs {
 		t.shapes[i] = newAggShape(s)
@@ -194,10 +196,8 @@ func (t *aggTable) size() int64 { return t.gi.bytes + t.stateBytes }
 // growStates extends the state columns to the index's group capacity
 // after groups were created.
 func (t *aggTable) growStates() {
-	if tap := t.spec.Hints.Tap; tap != nil {
-		tap.GroupsInserted.Add(int64(t.gi.n - t.counted))
-		t.counted = t.gi.n
-	}
+	t.st.groupsInserted.Add(int64(t.gi.n - t.counted))
+	t.counted = t.gi.n
 	old, size := len(t.firstSeen), t.gi.capacity()
 	if old == size {
 		return
@@ -421,9 +421,7 @@ func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
 // first row).
 func (t *aggTable) emitRun(ctx *Context) (*sortedRun, error) {
 	fs := t.firstSeen[:t.numGroups()]
-	if tap := t.spec.Hints.Tap; tap != nil {
-		tap.GroupsEmitted.Add(int64(len(fs)))
-	}
+	t.st.groupsEmitted.Add(int64(len(fs)))
 	order := orderByPos(ctx, fs)
 	cols := gatherVecs(t.gi.keys, order)
 	for i := range t.shapes {
@@ -541,6 +539,7 @@ func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
 // first appear in the input, at any worker count and any budget.
 type aggregation struct {
 	ctx     *Context
+	st      *nodeStats
 	workers int // consumption threads; several make the tables adaptive (aggShared)
 	tables  []aggStage
 	cols    [][2]int // result column → (table, column of its output); nil when tables[0]'s output is the result
@@ -552,9 +551,9 @@ type aggStage struct {
 	fold   *plan.Aggregate // stage 2, over the output of spec; nil for the table of plain aggregates
 }
 
-func newAggregation(ctx *Context, spec *plan.Aggregate, workers int) *aggregation {
-	a := &aggregation{ctx: ctx, workers: max(workers, 1)}
-	shared := func() *aggShared { return &aggShared{adaptive: workers > 1} }
+func newAggregation(ctx *Context, spec *plan.Aggregate, workers int, st *nodeStats) *aggregation {
+	a := &aggregation{ctx: ctx, st: st, workers: max(workers, 1)}
+	shared := func() *aggShared { return &aggShared{adaptive: workers > 1, st: st} }
 	dedups := func(s plan.AggSpec) bool {
 		return s.Distinct && s.Arg != nil && s.Kind != plan.AggMin && s.Kind != plan.AggMax
 	}
@@ -661,7 +660,7 @@ func (a *aggregation) finish(threads []aggConsumers) (aggEmitter, error) {
 		}
 		m, err := finishAggEmit(a.ctx, st.spec, cons, st.shared)
 		if err == nil && st.fold != nil {
-			m, err = foldPairs(a.ctx, st.fold, m)
+			m, err = foldPairs(a.ctx, st.fold, m, a.st)
 		}
 		if err != nil {
 			for _, m := range srcs[:i] {
@@ -683,10 +682,10 @@ func (a *aggregation) finish(threads []aggConsumers) (aggEmitter, error) {
 // foldPairs is stage 2 of a DISTINCT aggregate: it drains the dedup
 // table's merger into a table of spec, each pair at the position it
 // first appeared at, and returns that table's merger.
-func foldPairs(ctx *Context, spec *plan.Aggregate, pairs *runMerger) (*runMerger, error) {
+func foldPairs(ctx *Context, spec *plan.Aggregate, pairs *runMerger, st *nodeStats) (*runMerger, error) {
 	defer pairs.close()
 	pairs.keepPos = true
-	shared := &aggShared{}
+	shared := &aggShared{st: st}
 	cons := newAggConsumer(ctx, spec, shared)
 	for {
 		ch, err := pairs.next(ctx)
@@ -768,7 +767,7 @@ func (a *aggOp) Open(ctx *Context) error {
 func (a *aggOp) Next() (*vector.Chunk, error) {
 	if !a.started {
 		a.started = true
-		em, err := newAggregation(a.ctx, a.spec, a.in.workers).run(&a.in)
+		em, err := newAggregation(a.ctx, a.spec, a.in.workers, a.st).run(&a.in)
 		if err != nil {
 			return nil, err
 		}

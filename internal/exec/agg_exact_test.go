@@ -258,8 +258,8 @@ func tableBytes(t testing.TB, spec *plan.Aggregate, tab *catalog.Table) int64 {
 	t.Helper()
 	var most int64
 	snap := tab.Data.Snapshot()
-	for _, st := range newAggregation(nil, spec, 1).tables {
-		at, in := newAggTable(st.spec), newAggInputs(st.spec)
+	for _, st := range newAggregation(nil, spec, 1, &nodeStats{}).tables {
+		at, in := newAggTable(st.spec, &nodeStats{}), newAggInputs(st.spec)
 		for m := 0; m < snap.NumSegments(); m++ {
 			ch, err := snap.Segment(m, nil)
 			if err != nil {
@@ -364,7 +364,7 @@ func TestDistinctFrontMatchesReference(t *testing.T) {
 				}
 				spec := groupByAll(inputs[0], plan.ExecHints{})
 				ref, morsel := refNewAggTable(spec), 0
-				at, in := newAggTable(spec), newAggInputs(spec)
+				at, in := newAggTable(spec, &nodeStats{}), newAggInputs(spec)
 				for _, m := range inputs {
 					for from := 0; from < m.Data.NumRows(); from += vector.DefaultChunkSize {
 						ch := m.Data.Chunk().Slice(from, min(from+vector.DefaultChunkSize, m.Data.NumRows()))
@@ -396,7 +396,7 @@ func TestDistinctFrontMatchesReference(t *testing.T) {
 							ctx, dir := spillCtx(t, workers, budget)
 							assertSameBytes(t, label, runPlan(t, n, ctx).Cols, want.Cols())
 							assertTempDirEmpty(t, dir)
-							if budget == max(size/8, 1) && rows > 0 && !ctx.Spill.Spilled() {
+							if budget == max(size/8, 1) && rows > 0 && !ctx.prof.Spilled() {
 								t.Fatalf("%s: nothing spilled", label)
 							}
 						}
@@ -460,7 +460,7 @@ func TestAggZipRefusesMisalignedTables(t *testing.T) {
 func TestDistinctAggBudgetTracksHeap(t *testing.T) {
 	const rows, values = 256 << 10, 64 << 10
 	agg := newAggregation(nil, &plan.Aggregate{Aggs: []plan.AggSpec{
-		{Kind: plan.AggCount, Arg: colRef(0, vector.Int64), Distinct: true, Name: "d", Typ: vector.Int64}}}, 1)
+		{Kind: plan.AggCount, Arg: colRef(0, vector.Int64), Distinct: true, Name: "d", Typ: vector.Int64}}}, 1, &nodeStats{})
 	if len(agg.tables) != 1 || agg.tables[0].fold == nil {
 		t.Fatalf("count(DISTINCT) alone is %d tables", len(agg.tables))
 	}
@@ -510,7 +510,7 @@ func TestAggBudgetTracksHeap(t *testing.T) {
 		},
 	}
 	build := func() *aggTable {
-		at, in := newAggTable(spec), newAggInputs(spec)
+		at, in := newAggTable(spec, &nodeStats{}), newAggInputs(spec)
 		ks, vs := make([]int64, vector.DefaultChunkSize), make([]float64, vector.DefaultChunkSize)
 		for m := 0; m < groups/len(ks); m++ {
 			for r := range ks {
@@ -549,12 +549,12 @@ func TestAggBudgetTracksHeap(t *testing.T) {
 	// is drained and closed, and nothing went near the spill directory.
 	for _, workers := range []int{2, 3, 8} {
 		ctx, dir := spillCtx(t, workers, 1<<30)
-		ctx.mem, ctx.spillMgr = newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+		ctx.mem, ctx.spillMgr = newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.prof)
 		var agg *aggregation
 		var threads []aggConsumers
 		ks, vs := make([]int64, vector.DefaultChunkSize), make([]float64, vector.DefaultChunkSize)
 		routed := func() {
-			agg, threads = newAggregation(ctx, spec, workers), make([]aggConsumers, workers)
+			agg, threads = newAggregation(ctx, spec, workers, &nodeStats{}), make([]aggConsumers, workers)
 			for m := 0; m < 4*groups/len(ks); m++ {
 				for r := range ks {
 					ks[r], vs[r] = int64((m*len(ks)+r)*2654435761%groups)*7919, float64(r)
@@ -602,8 +602,8 @@ func TestAggBudgetTracksHeap(t *testing.T) {
 		}
 		t.Logf("workers=%d: tracked %d bytes, heap grew %d", workers, tracked, heap)
 		release()
-		if ctx.spillMgr.Dir() != "" || ctx.Spill.Spilled() || ctx.Spill.ResidentPartitions() != 0 {
-			t.Errorf("workers=%d: spill directory %q, %d resident partitions reported", workers, ctx.spillMgr.Dir(), ctx.Spill.ResidentPartitions())
+		if ctx.spillMgr.Dir() != "" || ctx.prof.Spilled() || ctx.prof.ResidentPartitions() != 0 {
+			t.Errorf("workers=%d: spill directory %q, %d resident partitions reported", workers, ctx.spillMgr.Dir(), ctx.prof.ResidentPartitions())
 		}
 		assertTempDirEmpty(t, dir)
 	}
@@ -622,8 +622,8 @@ func fuzzLayouts() []*aggLayout {
 	}
 	var layouts []*aggLayout
 	for _, s := range specs {
-		for _, st := range newAggregation(nil, s, 1).tables {
-			layouts = append(layouts, newAggLayout(st.spec))
+		for _, st := range newAggregation(nil, s, 1, &nodeStats{}).tables {
+			layouts = append(layouts, newAggLayout(st.spec, &nodeStats{}))
 		}
 	}
 	return layouts
@@ -690,7 +690,7 @@ func FuzzReadPartial(f *testing.F) {
 	layouts := fuzzLayouts()
 	for li, l := range layouts {
 		tab := buildExactTable(f, 300, int64(li))
-		at, in := newAggTable(l.spec), newAggInputs(l.spec)
+		at, in := newAggTable(l.spec, &nodeStats{}), newAggInputs(l.spec)
 		ch, err := tab.Data.Snapshot().Segment(0, nil)
 		if err != nil {
 			f.Fatal(err)
@@ -727,7 +727,7 @@ func FuzzReadPartial(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		_, err := processAggPartition(sp, 0, &aggOut{ctx: ctx})
+		_, err := processAggPartition(sp, 0, &aggOut{ctx: ctx, st: l.rows.st})
 		sp.abandon()
 		if _, rerr := l.readPartial(cols); (err == nil) != (rerr == nil) || err != nil && !errors.Is(err, errCorruptSpill) {
 			t.Fatalf("reloaded: %v; read directly: %v", err, rerr)

@@ -848,20 +848,17 @@ func TestAggSwitchMatchesReference(t *testing.T) {
 					continue // 25 µs a row at any worker count: one count a stream, in rotation
 				}
 				label := fmt.Sprintf("%s: workers=%d budget=%d", c.name, workers, budget)
-				tap := &plan.NodeStats{}
-				spec.Hints.Tap = tap
 				ctx, dir := spillCtx(t, workers, budget)
 				assertSameBytes(t, label, runPlan(t, spec, ctx).Cols, want.Cols())
 				assertTempDirEmpty(t, dir)
-				if at := tap.PartitionedAt.Load(); budget == 0 && (at > 0) != (c.switches && workers > 1) {
+				if at := ctx.prof.node(spec).partitionedAt.Load(); budget == 0 && (at > 0) != (c.switches && workers > 1) {
 					t.Errorf("%s: partitioned at row %d, want a switch: %v", label, at, c.switches && workers > 1)
 				}
-				if budget == 0 && ctx.Spill.Spilled() || ctx.Spill.ResidentPartitions() > 0 && !ctx.Spill.Spilled() {
-					t.Errorf("%s: %d partitions spilled, %d resident, %d bytes written", label, ctx.Spill.Partitions(), ctx.Spill.ResidentPartitions(), ctx.Spill.BytesWritten())
+				if budget == 0 && ctx.prof.Spilled() || ctx.prof.ResidentPartitions() > 0 && !ctx.prof.Spilled() {
+					t.Errorf("%s: %d partitions spilled, %d resident, %d bytes written", label, ctx.prof.Partitions(), ctx.prof.ResidentPartitions(), ctx.prof.BytesWritten())
 				}
 			}
 		}
-		spec.Hints.Tap = nil
 	}
 
 	// The last stream again, by its tables: the dedup table of the (g, k)
@@ -869,7 +866,7 @@ func TestAggSwitchMatchesReference(t *testing.T) {
 	// aggregates never are.
 	tab := buildSwitchTable(t, 24*chunk, unique)
 	agg := newAggregation(&Context{}, &plan.Aggregate{GroupBy: []plan.Expr{colRef(swG, vector.Int64)}, GroupNames: []string{"g"},
-		Aggs: []plan.AggSpec{swAgg(plan.AggCount, swK, true), swAgg(plan.AggSum, swW, false)}}, 2)
+		Aggs: []plan.AggSpec{swAgg(plan.AggCount, swK, true), swAgg(plan.AggSum, swW, false)}}, 2, &nodeStats{})
 	threads := []aggConsumers{agg.newConsumers(), agg.newConsumers()}
 	snap := tab.Data.Snapshot()
 	for m := 0; m < snap.NumSegments(); m++ {
@@ -904,11 +901,12 @@ func TestAggInsertsEachGroupOnce(t *testing.T) {
 		return int64(x % (rows / 4)), true
 	})
 	for _, workers := range []int{1, 2, 3, 8} {
-		tap := &plan.NodeStats{}
-		spec := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"}, Hints: plan.ExecHints{Tap: tap},
+		spec := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"},
 			Aggs: []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggSum, swW, false), swAgg(plan.AggMax, swID, false)}, Child: &plan.Scan{Table: tab}}
-		out := runPlan(t, spec, &Context{Parallelism: workers})
-		inserted, emitted, at := tap.GroupsInserted.Load(), tap.GroupsEmitted.Load(), tap.PartitionedAt.Load()
+		ctx := &Context{Parallelism: workers, prof: &Profile{}}
+		out := runPlan(t, spec, ctx)
+		st := ctx.prof.node(spec)
+		inserted, emitted, at := st.groupsInserted.Load(), st.groupsEmitted.Load(), st.partitionedAt.Load()
 		if emitted != int64(out.NumRows()) || emitted < 60_000 {
 			t.Fatalf("workers=%d: %d groups emitted, %d rows out", workers, emitted, out.NumRows())
 		}
@@ -931,30 +929,29 @@ func TestAggCancelledMidRoute(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		qctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
-		tap := &plan.NodeStats{}
 		cancelAt40 := &core.ScalarFunc{Name: "cancel_at_40", Arity: 1, Parallel: true, Eval: func(args []*vector.Vector) (*vector.Vector, error) {
 			if calls.Add(1) == 40 {
 				cancel()
 			}
 			return vector.Constant(vector.NewBool(true), args[0].Len(), vector.Bool), nil
 		}}
-		node := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"}, Hints: plan.ExecHints{Tap: tap},
+		node := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"},
 			Aggs:  []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggMax, swS, false)},
 			Child: &plan.Filter{Pred: &plan.Call{Fn: cancelAt40, Args: []plan.Expr{colRef(swK, vector.Int64)}, Typ: vector.Bool}, Child: &plan.Scan{Table: tab}}}
 		before := runtime.NumGoroutine()
-		op, err := buildWith(node, workers)
+		ctx, dir := spillCtx(t, workers, 1<<30)
+		op, err := buildWith(node, workers, ctx.prof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, dir := spillCtx(t, workers, 1<<30)
-		ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+		ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.prof)
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := op.Next(); !errors.Is(err, ErrCancelled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCancelled", workers, err)
 		}
-		if tap.PartitionedAt.Load() == 0 {
+		if ctx.prof.node(node).partitionedAt.Load() == 0 {
 			t.Fatalf("workers=%d: cancelled before any consumer was routing", workers)
 		}
 		if err := op.Close(); err != nil {
@@ -963,8 +960,8 @@ func TestAggCancelledMidRoute(t *testing.T) {
 		if used := ctx.mem.used.Load(); used != 0 {
 			t.Errorf("workers=%d: %d bytes still charged after Close", workers, used)
 		}
-		if ctx.spillMgr.Dir() != "" || ctx.Spill.Spilled() {
-			t.Errorf("workers=%d: spill directory %q, %d bytes written", workers, ctx.spillMgr.Dir(), ctx.Spill.BytesWritten())
+		if ctx.spillMgr.Dir() != "" || ctx.prof.Spilled() {
+			t.Errorf("workers=%d: spill directory %q, %d bytes written", workers, ctx.spillMgr.Dir(), ctx.prof.BytesWritten())
 		}
 		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
 			time.Sleep(time.Millisecond)

@@ -68,9 +68,9 @@ type aggLayout struct {
 	rows    graceLayout
 }
 
-func newAggLayout(spec *plan.Aggregate) *aggLayout {
-	t := newAggTable(spec)
-	l := &aggLayout{spec: spec, shapes: t.shapes, numKeys: len(t.gi.keys), rows: graceLayout{label: "agg", tap: spec.Hints.Tap}}
+func newAggLayout(spec *plan.Aggregate, st *nodeStats) *aggLayout {
+	t := newAggTable(spec, st)
+	l := &aggLayout{spec: spec, shapes: t.shapes, numKeys: len(t.gi.keys), rows: graceLayout{label: "agg", st: st}}
 	var raw []vector.Type
 	for _, k := range t.gi.keys {
 		raw = append(raw, k.Type())
@@ -154,7 +154,7 @@ func newAggSpiller(layout *aggLayout, g *grace) *aggSpiller {
 
 func (s *aggSpiller) table(p int) *aggTable {
 	if s.tables[p] == nil {
-		s.tables[p] = newAggTable(s.layout.spec)
+		s.tables[p] = newAggTable(s.layout.spec, s.layout.rows.st)
 	}
 	return s.tables[p]
 }
@@ -270,11 +270,13 @@ func (s *aggSpiller) abandon() {
 // aggShared is what the consumers of one table of an aggregation
 // share: the partitions, created by the first to stop pre-aggregating
 // (or at the merge), and whether the consumers are several — adaptive;
-// one alone keeps its table however little it reduces.
+// one alone keeps its table however little it reduces. st is the
+// node's record.
 type aggShared struct {
 	mu       sync.Mutex
 	spiller  *aggSpiller
 	adaptive bool
+	st       *nodeStats
 }
 
 // get returns the shared partitions, creating them on first use.
@@ -282,7 +284,7 @@ func (sh *aggShared) get(ctx *Context, spec *plan.Aggregate) *aggSpiller {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.spiller == nil {
-		layout := newAggLayout(spec)
+		layout := newAggLayout(spec, sh.st)
 		sh.spiller = newAggSpiller(layout, newGrace(ctx, &layout.rows, 4, 0))
 	}
 	return sh.spiller
@@ -305,7 +307,7 @@ type aggConsumer struct {
 }
 
 func newAggConsumer(ctx *Context, spec *plan.Aggregate, shared *aggShared) *aggConsumer {
-	return &aggConsumer{ctx: ctx, shared: shared, in: newAggInputs(spec), table: newAggTable(spec)}
+	return &aggConsumer{ctx: ctx, shared: shared, in: newAggInputs(spec), table: newAggTable(spec, shared.st)}
 }
 
 // consume folds one chunk. morsel is the chunk's global input index.
@@ -356,9 +358,7 @@ func (c *aggConsumer) partition(overflowed bool) error {
 	if overflowed {
 		sp.g.overflowed.Store(true)
 	}
-	if tap := c.in.spec.Hints.Tap; tap != nil {
-		tap.PartitionedAt.CompareAndSwap(0, int64(c.rows))
-	}
+	c.shared.st.partitionedAt.CompareAndSwap(0, int64(c.rows))
 	c.router = sp.g.newRouter(rawRows, sp.foldRaw)
 	if err := sp.dumpTable(c.table); err != nil {
 		return err
@@ -400,10 +400,10 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 			routers = append(routers, c.router)
 		}
 	}
-	out := &aggOut{ctx: ctx}
+	out := &aggOut{ctx: ctx, st: shared.st}
 	var runs []*mergeRun
 	if shared.spiller == nil && len(tables) <= 1 {
-		t := newAggTable(spec)
+		t := newAggTable(spec, shared.st)
 		if len(tables) == 1 {
 			t = tables[0]
 		}
@@ -435,6 +435,7 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 // bounded by O(partitions) windows. Partition owners share it.
 type aggOut struct {
 	ctx   *Context
+	st    *nodeStats // the node's record: runs spilled
 	spill bool
 	mu    sync.Mutex
 	files []*spill.File // none, or the out-file
@@ -456,7 +457,7 @@ func (o *aggOut) keep(run *sortedRun) (*mergeRun, error) {
 			}
 			o.files = []*spill.File{f}
 		}
-		o.ctx.spillStats().addRuns(1)
+		o.st.runs.Add(1)
 		return spillSortedRun(o.files[0], run, nil)
 	}
 	b := runBytes(run)
@@ -481,7 +482,7 @@ func emitAggRun(ctx *Context, t *aggTable, out *aggOut) (*mergeRun, error) {
 // groups as firstSeen-sorted runs (several after recursion).
 func processAggPartition(sp *aggSpiller, p int, out *aggOut) ([]*mergeRun, error) {
 	ctx, layout := sp.g.ctx, sp.layout
-	t := newAggTable(layout.spec)
+	t := newAggTable(layout.spec, layout.rows.st)
 	var sub *aggSpiller
 	var router *graceRouter
 	defer func() {

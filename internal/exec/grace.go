@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
@@ -65,7 +64,7 @@ type graceLayout struct {
 	label    string
 	types    [2][]vector.Type
 	nullable [2]int
-	tap      *plan.NodeStats // nil unless EXPLAIN ANALYZE
+	st       *nodeStats // the node's record: partitions spilled and kept
 
 	mu sync.Mutex // conform
 }
@@ -298,18 +297,14 @@ func (g *grace) reload(p, stream int, fn func(cols []*vector.Vector) error) erro
 }
 
 // report counts a finished pass's partitions — on disk, kept — into the
-// query's SpillStats and, under EXPLAIN ANALYZE, the node's tap; a pass
-// that never overflowed the budget was not a spill.
+// node's record; a pass that never overflowed the budget was not a
+// spill.
 func (g *grace) report(spilled, resident int64) {
 	if !g.overflowed.Load() {
 		return
 	}
-	g.ctx.spillStats().addPartitions(spilled)
-	g.ctx.spillStats().addResident(resident)
-	if tap := g.layout.tap; tap != nil {
-		tap.SpillSpilled.Add(spilled)
-		tap.SpillResident.Add(resident)
-	}
+	g.layout.st.spilled.Add(spilled)
+	g.layout.st.resident.Add(resident)
 }
 
 // abandon returns every partition's charge to the budget and removes the

@@ -26,7 +26,7 @@ const (
 )
 
 func countLayout() *graceLayout {
-	return &graceLayout{label: "count", nullable: [2]int{0, 0},
+	return &graceLayout{label: "count", st: &nodeStats{}, nullable: [2]int{0, 0},
 		types: [2][]vector.Type{countedRows: {vector.Int64, vector.Int64}, keyRows: {vector.Int64}}}
 }
 
@@ -107,7 +107,7 @@ func (cp *countPass) collect(t *testing.T, out map[int64]int64) (deepest int) {
 
 func graceCtx(t *testing.T, budget int64) (*Context, string) {
 	ctx, dir := spillCtx(t, 1, budget)
-	ctx.mem, ctx.spillMgr = newMemTracker(budget), spill.NewManager(dir, ctx.Spill)
+	ctx.mem, ctx.spillMgr = newMemTracker(budget), spill.NewManager(dir, ctx.prof)
 	t.Cleanup(func() { ctx.spillMgr.Close() })
 	return ctx, dir
 }

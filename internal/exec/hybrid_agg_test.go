@@ -47,7 +47,7 @@ func TestHybridAggDifferentialMatrix(t *testing.T) {
 			ctx, dir := spillCtx(t, workers, budget)
 			got := runPlan(t, node, ctx)
 			assertTablesEqual(t, got, want, label)
-			if budget > 0 && budget <= 64<<10 && !ctx.Spill.Spilled() {
+			if budget > 0 && budget <= 64<<10 && !ctx.prof.Spilled() {
 				t.Fatalf("%s: expected spilling", label)
 			}
 			assertTempDirEmpty(t, dir)
@@ -102,16 +102,16 @@ func TestHybridAggKeepsPartitionsResident(t *testing.T) {
 	assertTablesEqual(t, runPlan(t, node, ctxHyb), want, "hybrid")
 	assertTempDirEmpty(t, dirHyb)
 
-	if !ctxHyb.Spill.Spilled() || ctxHyb.Spill.ResidentPartitions() == 0 {
+	if !ctxHyb.prof.Spilled() || ctxHyb.prof.ResidentPartitions() == 0 {
 		t.Fatalf("512KB budget: spilled=%d resident=%d partitions, want some of each",
-			ctxHyb.Spill.Partitions(), ctxHyb.Spill.ResidentPartitions())
+			ctxHyb.prof.Partitions(), ctxHyb.prof.ResidentPartitions())
 	}
-	if hw, tw := ctxHyb.Spill.BytesWritten(), ctxTiny.Spill.BytesWritten(); hw*2 > tw {
+	if hw, tw := ctxHyb.prof.BytesWritten(), ctxTiny.prof.BytesWritten(); hw*2 > tw {
 		t.Fatalf("512KB budget wrote %d bytes, 32KB budget wrote %d — expected at least a 2x reduction", hw, tw)
 	}
 	t.Logf("spill bytes: 512KB=%d 32KB=%d resident=%d spilled=%d",
-		ctxHyb.Spill.BytesWritten(), ctxTiny.Spill.BytesWritten(),
-		ctxHyb.Spill.ResidentPartitions(), ctxHyb.Spill.Partitions())
+		ctxHyb.prof.BytesWritten(), ctxTiny.prof.BytesWritten(),
+		ctxHyb.prof.ResidentPartitions(), ctxHyb.prof.Partitions())
 }
 
 // TestHybridAggGrowBudgetAvoidsSpill: when GrowBudget can extend the
@@ -129,9 +129,9 @@ func TestHybridAggGrowBudgetAvoidsSpill(t *testing.T) {
 	ctx.GrowBudget = lease.Add
 	got := runPlan(t, node, ctx)
 	assertTablesEqual(t, got, want, "grown budget")
-	if ctx.Spill.Spilled() {
+	if ctx.prof.Spilled() {
 		t.Fatalf("spilled despite growable budget: partitions=%d written=%d",
-			ctx.Spill.Partitions(), ctx.Spill.BytesWritten())
+			ctx.prof.Partitions(), ctx.prof.BytesWritten())
 	}
 	assertTempDirEmpty(t, dir)
 }

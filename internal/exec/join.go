@@ -221,6 +221,7 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 // morsel order so results match serial execution row for row.
 type hashJoinOp struct {
 	spec  *plan.HashJoin
+	st    *nodeStats
 	probe chunkFeed // the left input
 	build chunkFeed // the right input, drained into a joinTable at Open
 
@@ -290,7 +291,7 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, error) {
 			return nil
 		}
 		j.charge(-j.charged) // the partitions charge the rows as they take them
-		j.spill = newJoinSpill(ctx, j.spec, j.keyTypes)
+		j.spill = newJoinSpill(ctx, j.spec, j.keyTypes, j.st)
 		ch, acc = vector.NewChunk(acc.cols...), spillBuf{}
 		return j.spill.addBuildChunk(ch)
 	})

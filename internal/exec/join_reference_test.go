@@ -278,8 +278,8 @@ func TestJoinMatchesReference(t *testing.T) {
 							ctx, dir := spillCtx(t, workers, budget)
 							assertSameBytes(t, label, runPlan(t, spec, ctx).Cols, want)
 							assertTempDirEmpty(t, dir)
-							if budget == 4<<10 && rrows == 3000 && spec.Hints.FanoutLog2 == 0 && ctx.Spill.Partitions() <= 16 {
-								t.Fatalf("%s: %d partitions, none below level 0", label, ctx.Spill.Partitions())
+							if budget == 4<<10 && rrows == 3000 && spec.Hints.FanoutLog2 == 0 && ctx.prof.Partitions() <= 16 {
+								t.Fatalf("%s: %d partitions, none below level 0", label, ctx.prof.Partitions())
 							}
 						}
 					}
@@ -405,7 +405,7 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 			if _, err := s.Materialize(); err != nil {
 				t.Fatal(err)
 			}
-			if budget < 1<<30 && ctx.Spill.Partitions() == 0 {
+			if budget < 1<<30 && ctx.prof.Partitions() == 0 {
 				t.Fatalf("workers=%d budget=%d: nothing spilled", workers, budget)
 			}
 			if budget == 1<<30 && ctx.mem.used.Load() == 0 {
@@ -450,12 +450,12 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 				return &plan.Filter{Pred: &plan.Call{Fn: fn, Args: []plan.Expr{colRef(0, vector.Int64)}, Typ: vector.Bool}, Child: &plan.Scan{Table: tab}}
 			}
 			op, err := buildWith(&plan.HashJoin{Kind: sql.LeftJoin, Left: side(probe, c.cancelAt[0]), Right: side(build, c.cancelAt[1]), Extra: c.residual,
-				LeftKeys: []plan.Expr{colRef(1, vector.Int64)}, RightKeys: []plan.Expr{colRef(0, vector.Int64)}}, workers)
+				LeftKeys: []plan.Expr{colRef(1, vector.Int64)}, RightKeys: []plan.Expr{colRef(0, vector.Int64)}}, workers, &Profile{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, dir := spillCtx(t, workers, 64<<10)
-			ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.Spill)
+			ctx.Ctx, ctx.mem, ctx.spillMgr = qctx, newMemTracker(ctx.MemoryBudget), spill.NewManager(dir, ctx.prof)
 			err = op.Open(ctx)
 			for ch := (*vector.Chunk)(nil); err == nil; {
 				if ch, err = op.Next(); ch == nil && err == nil {
@@ -465,7 +465,7 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 			if errors.Is(err, ErrCancelled) != (c.residual == nil) {
 				t.Fatalf("%s workers=%d: err = %v", c.name, workers, err)
 			}
-			if ctx.Spill.BytesWritten() == 0 {
+			if ctx.prof.BytesWritten() == 0 {
 				t.Fatalf("%s workers=%d: stopped before anything spilled", c.name, workers)
 			}
 			if err := op.Close(); err != nil {
@@ -497,7 +497,7 @@ func fuzzJoin(t testing.TB) (js *joinSpill, build, probe []*vector.Vector) {
 	}
 	ctx := &Context{Parallelism: 1, mem: newMemTracker(1 << 30), spillMgr: spill.NewManager(t.TempDir(), nil)}
 	t.Cleanup(func() { ctx.spillMgr.Close() })
-	js = newJoinSpill(ctx, spec, joinKeyTypes(spec))
+	js = newJoinSpill(ctx, spec, joinKeyTypes(spec), &nodeStats{})
 	const n = 64
 	k, s, v := make([]int64, n), make([]string, n), vector.New(vector.Float64, n)
 	for r := range k {
@@ -557,7 +557,7 @@ func FuzzJoinSpillChunk(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer up.g.abandon()
-		ps := &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out")}
+		ps := &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out", &nodeStats{})}
 		err := js.joinSpilled(up, 0, ps)
 		if err != nil && !errors.Is(err, errCorruptSpill) {
 			t.Fatalf("untyped error: %v", err)

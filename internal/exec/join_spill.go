@@ -108,8 +108,8 @@ func joinSortKeys(nOut int) []plan.SortKey {
 	}
 }
 
-func newJoinSpill(ctx *Context, spec *plan.HashJoin, keyTypes []vector.Type) *joinSpill {
-	js := &joinSpill{ctx: ctx, spec: spec, keyTypes: keyTypes, layout: graceLayout{label: "join", tap: spec.Hints.Tap}}
+func newJoinSpill(ctx *Context, spec *plan.HashJoin, keyTypes []vector.Type, st *nodeStats) *joinSpill {
+	js := &joinSpill{ctx: ctx, spec: spec, keyTypes: keyTypes, layout: graceLayout{label: "join", st: st}}
 	js.top = js.newPass(newGrace(ctx, &js.layout, uint(min(max(spec.Hints.FanoutLog2, 4), 8)), 0))
 	js.top.g.overflowed.Store(true)
 	js.outCols = len(spec.Left.Schema()) + len(spec.Right.Schema())
@@ -170,7 +170,7 @@ func (jp *joinPass) addBuild(cols []*vector.Vector) error {
 // resident partitions are indexed — their tables count against the
 // budget like the rows, so partitions may spill once more — the pass is
 // frozen, and the hybrid outcome (partitions on disk vs resident) goes to
-// SpillStats and EXPLAIN ANALYZE.
+// the node's record.
 func (jp *joinPass) finishBuild() (err error) {
 	g := jp.g
 	if err := jp.build.finish(); err != nil {
@@ -335,7 +335,7 @@ func (js *joinSpill) probeAll(in *chunkFeed) (*runMerger, error) {
 	js.states = make([]*probeState, max(in.workers, 1))
 	err := in.forEach(js.ctx, in.workers, func(w, i int, ch *vector.Chunk) error {
 		if js.states[w] == nil {
-			js.states[w] = &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out")}
+			js.states[w] = &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out", js.layout.st)}
 		}
 		return js.probeChunk(ch, i, js.states[w])
 	})

@@ -50,103 +50,6 @@ func (t *memTracker) over() bool {
 	return t.used.Load() > t.limit()
 }
 
-// SpillStats accumulates one query's out-of-core counters: how many
-// partitions (grace-partitioned hash state) and sorted runs went to
-// disk, and the spill bytes written and read back. All methods are
-// safe for concurrent use and for a nil receiver, mirroring ScanStats.
-type SpillStats struct {
-	partitions   atomic.Int64
-	resident     atomic.Int64
-	runs         atomic.Int64
-	bytesWritten atomic.Int64
-	bytesRead    atomic.Int64
-}
-
-// Partitions returns the number of hash partitions (aggregation
-// groups, join build/probe sides) spilled to disk.
-func (s *SpillStats) Partitions() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.partitions.Load()
-}
-
-// ResidentPartitions returns the number of hash partitions a hybrid
-// blocking operator kept in memory after overflowing: the partitions
-// spill-mode execution did NOT have to write. Zero for queries that
-// never overflowed (nothing was partitioned) or that evicted every
-// partition.
-func (s *SpillStats) ResidentPartitions() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.resident.Load()
-}
-
-// Runs returns the number of sorted runs written to disk by external
-// sorts.
-func (s *SpillStats) Runs() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.runs.Load()
-}
-
-// BytesWritten returns the total bytes written to spill files.
-func (s *SpillStats) BytesWritten() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytesWritten.Load()
-}
-
-// BytesRead returns the total bytes read back from spill files.
-func (s *SpillStats) BytesRead() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytesRead.Load()
-}
-
-// Spilled reports whether anything went to disk.
-func (s *SpillStats) Spilled() bool {
-	return s.Partitions() > 0 || s.Runs() > 0 || s.BytesWritten() > 0
-}
-
-func (s *SpillStats) addPartitions(n int64) {
-	if s != nil {
-		s.partitions.Add(n)
-	}
-}
-
-func (s *SpillStats) addResident(n int64) {
-	if s != nil {
-		s.resident.Add(n)
-	}
-}
-
-func (s *SpillStats) addRuns(n int64) {
-	if s != nil {
-		s.runs.Add(n)
-	}
-}
-
-// SpillWrote implements spill.Recorder.
-func (s *SpillStats) SpillWrote(n int64) {
-	if s != nil {
-		s.bytesWritten.Add(n)
-	}
-}
-
-// SpillRead implements spill.Recorder.
-func (s *SpillStats) SpillRead(n int64) {
-	if s != nil {
-		s.bytesRead.Add(n)
-	}
-}
-
-var _ spill.Recorder = (*SpillStats)(nil)
-
 // spillEnabled reports whether this query runs under a memory budget
 // with a spill manager attached (Stream sets both up when
 // MemoryBudget > 0).
@@ -204,14 +107,6 @@ func (c *Context) memShrink(n int64) {
 	if c != nil && c.mem != nil {
 		c.mem.shrink(n)
 	}
-}
-
-// spillStats returns the context's per-query spill counters (nil-safe).
-func (c *Context) spillStats() *SpillStats {
-	if c == nil {
-		return nil
-	}
-	return c.Spill
 }
 
 // spillManager returns the query's spill file manager, nil when

@@ -287,6 +287,7 @@ type runBuilder struct {
 	coder *sortCoder
 	limit int64 // top-k bound (offset+count); <=0 unbounded
 	label string
+	st    *nodeStats // the node's record: runs spilled
 
 	data  []*vector.Vector // accumulated data columns
 	keys  []*vector.Vector // accumulated key columns; ColRef keys alias data
@@ -309,8 +310,8 @@ type runBuilder struct {
 	held int64       // tracker bytes of the final in-memory run
 }
 
-func newRunBuilder(ctx *Context, keys []plan.SortKey, limit int64, label string) *runBuilder {
-	return &runBuilder{ctx: ctx, coder: newSortCoder(keys), limit: limit, label: label, thr: -1,
+func newRunBuilder(ctx *Context, keys []plan.SortKey, limit int64, label string, st *nodeStats) *runBuilder {
+	return &runBuilder{ctx: ctx, coder: newSortCoder(keys), limit: limit, label: label, st: st, thr: -1,
 		chunkKeys: make([]*vector.Vector, len(keys))}
 }
 
@@ -572,7 +573,7 @@ func (b *runBuilder) spillCurrent() error {
 	if err != nil {
 		return err
 	}
-	b.ctx.spillStats().addRuns(1)
+	b.st.runs.Add(1)
 	b.runs = append(b.runs, mr)
 	return nil
 }

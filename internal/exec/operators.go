@@ -41,11 +41,6 @@ type Context struct {
 	// reaches the caller's context.
 	Ctx context.Context
 
-	// Stats, when non-nil, accumulates this query's segment-level
-	// scan counters (scanned vs. skipped by zone-map pruning).
-	// Stream installs one when unset.
-	Stats *ScanStats
-
 	// MemoryBudget bounds the estimated bytes of blocking-operator
 	// state (hash aggregation tables, join build sides, sort runs)
 	// this query may hold in memory at once. When the budget is
@@ -59,11 +54,6 @@ type Context struct {
 	// out-of-core execution; empty means os.TempDir(). The query's
 	// spill directory is removed when its stream closes.
 	TempDir string
-
-	// Spill, when non-nil, accumulates this query's out-of-core
-	// counters (partitions and runs spilled, bytes written/read).
-	// Stream installs one when unset.
-	Spill *SpillStats
 
 	// OnClose, when non-nil, runs exactly once when the query's stream
 	// closes — after the operators shut down and the spill files are
@@ -88,9 +78,11 @@ type Context struct {
 	// grow simply lets the spill proceed.
 	GrowBudget func(n int64) int64
 
-	// mem and spillMgr are installed by Stream when MemoryBudget > 0;
-	// they are shared by every operator of the query (the Context
-	// itself is copied).
+	// prof is the query's profile, installed by Stream; mem and
+	// spillMgr are installed by Stream when MemoryBudget > 0. They are
+	// shared by every operator of the query (the Context itself is
+	// copied), and prof and mem by its nested streams too.
+	prof     *Profile
 	mem      *memTracker
 	spillMgr *spill.Manager
 }
@@ -132,72 +124,56 @@ func (c *Context) interrupted() bool {
 	}
 }
 
-// Build converts a bound plan into an operator tree at one worker. Run
-// and Stream build with the context's worker count instead; every
-// width runs the same operators.
-func Build(node plan.Node) (Operator, error) { return buildWith(node, 1) }
-
 // buildWith converts a bound plan into an operator tree whose morsel
 // pipelines run at up to workers goroutines — at one where the planner
-// marked the subtree Serial. Nodes carrying an EXPLAIN ANALYZE tap are
-// wrapped in a counting operator; Scan and Filter count inside their
-// stages instead, because a morsel pipeline has no operator boundary
-// between them.
-func buildWith(node plan.Node, workers int) (Operator, error) {
-	h := execHints(node)
-	if h.Serial {
+// marked the subtree Serial — and gives every node a record in prof.
+// A node's operator counts the rows it emits at its boundary; the
+// stages of a morsel pipeline (Scan, Filter, Project) count inline,
+// because a pipeline has no operator boundary between them.
+func buildWith(node plan.Node, workers int, prof *Profile) (Operator, error) {
+	if serialHint(node) {
 		workers = 1
 	}
-	op, err := buildNode(node, workers)
+	op, err := buildNode(node, workers, prof)
 	if err != nil {
 		return nil, err
 	}
-	if h.Tap != nil {
-		op = &tapOp{child: op, tap: h.Tap}
+	switch op.(type) {
+	case *parallelPipeOp, *stageOp:
+		return op, nil
 	}
-	return op, nil
+	return &countOp{Operator: op, st: prof.node(node)}, nil
 }
 
-// execHints returns the hints the build acts on for node: Serial, the
-// estimated input too small to amortize more than one worker, and the
-// Tap counted at the operator boundary. It is the zero value for nodes
-// that carry neither (Scan and Filter count their taps inline).
-func execHints(node plan.Node) plan.ExecHints {
+// serialHint reports whether the planner pinned node's subtree to one
+// worker: its estimated input is too small to amortize more.
+func serialHint(node plan.Node) bool {
 	switch n := node.(type) {
 	case *plan.HashJoin:
-		return n.Hints
+		return n.Hints.Serial
 	case *plan.Aggregate:
-		return n.Hints
+		return n.Hints.Serial
 	case *plan.Sort:
-		return n.Hints
+		return n.Hints.Serial
 	case *plan.Distinct:
-		return n.Hints
+		return n.Hints.Serial
 	}
-	return plan.ExecHints{}
+	return false
 }
 
-// tapOp counts the rows flowing through it into a plan node's stats
-// (EXPLAIN ANALYZE); it changes nothing else.
-type tapOp struct {
-	child Operator
-	tap   *plan.NodeStats
+// countOp counts the rows an operator emits into its node's record; it
+// changes nothing else.
+type countOp struct {
+	Operator
+	st *nodeStats
 }
 
-func (t *tapOp) Open(ctx *Context) error { return t.child.Open(ctx) }
-
-func (t *tapOp) Next() (*vector.Chunk, error) {
-	ch, err := t.child.Next()
-	tapCount(t.tap, ch)
+func (c *countOp) Next() (*vector.Chunk, error) {
+	ch, err := c.Operator.Next()
+	if ch != nil {
+		c.st.rows.Add(int64(ch.NumRows()))
+	}
 	return ch, err
-}
-
-func (t *tapOp) Close() error { return t.child.Close() }
-
-// tapCount adds ch's rows to tap; nil-safe on both arguments.
-func tapCount(tap *plan.NodeStats, ch *vector.Chunk) {
-	if tap != nil && ch != nil {
-		tap.Rows.Add(int64(ch.NumRows()))
-	}
 }
 
 // buildNode builds one node. A Scan/Material/Filter/Project chain that
@@ -205,65 +181,65 @@ func tapCount(tap *plan.NodeStats, ch *vector.Chunk) {
 // exchange (parallelPipeOp) when its rows stream on, or the input of the
 // blocking operator above it. Filters and UDF-free projections over
 // anything else run the same stages in a stageOp.
-func buildNode(node plan.Node, workers int) (Operator, error) {
+func buildNode(node plan.Node, workers int, prof *Profile) (Operator, error) {
 	switch n := node.(type) {
 	case *plan.Scan, *plan.Material, *plan.Filter, *plan.Project:
-		if pipe := extractPipe(node); pipe != nil {
+		if pipe := extractPipe(node, prof); pipe != nil {
 			return &parallelPipeOp{pipe: pipe, workers: workers}, nil
 		}
-		return buildStage(node, workers)
+		return buildStage(node, workers, prof)
 	case *plan.TableFuncScan:
 		return &tableFuncOp{spec: n}, nil
 	case *plan.HashJoin:
 		// UDFs in the probe keys or the residual keep the probe on one
 		// thread. The build side drains in order, so the exchange feeds it.
 		udf := exprsHaveUDF(n.LeftKeys) || (n.Extra != nil && exprsHaveUDF([]plan.Expr{n.Extra}))
-		probe, err := feed(n.Left, workers, !udf)
+		probe, err := feed(n.Left, workers, !udf, prof)
 		if err != nil {
 			return nil, err
 		}
-		build, err := feed(n.Right, workers, false)
+		build, err := feed(n.Right, workers, false, prof)
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinOp{spec: n, probe: probe, build: build}, nil
+		return &hashJoinOp{spec: n, st: prof.node(n), probe: probe, build: build}, nil
 	case *plan.Aggregate:
-		in, err := feed(n.Child, workers, aggParallelizable(n))
+		in, err := feed(n.Child, workers, aggParallelizable(n), prof)
 		if err != nil {
 			return nil, err
 		}
-		return &aggOp{spec: n, in: in}, nil
+		return &aggOp{spec: n, st: prof.node(n), in: in}, nil
 	case *plan.Sort:
 		// UDFs in key expressions keep run generation on one thread.
-		in, err := feed(n.Child, workers, !exprsHaveUDF(sortKeyExprs(n.Keys)))
+		in, err := feed(n.Child, workers, !exprsHaveUDF(sortKeyExprs(n.Keys)), prof)
 		if err != nil {
 			return nil, err
 		}
-		return &sortOp{spec: n, in: in}, nil
+		return &sortOp{spec: n, st: prof.node(n), in: in}, nil
 	case *plan.Limit:
-		child, err := buildWith(n.Child, workers)
+		child, err := buildWith(n.Child, workers, prof)
 		if err != nil {
 			return nil, err
 		}
 		return &limitOp{count: n.Count, offset: n.Offset, child: child}, nil
 	case *plan.Distinct:
-		in, err := feed(n.Child, workers, true)
+		in, err := feed(n.Child, workers, true, prof)
 		if err != nil {
 			return nil, err
 		}
-		return &aggOp{spec: groupByAll(n.Child, n.Hints), in: in}, nil
+		return &aggOp{spec: groupByAll(n.Child, n.Hints), st: prof.node(n), in: in}, nil
 	case *plan.Union:
-		left, err := buildWith(n.Left, workers)
+		left, err := buildWith(n.Left, workers, prof)
 		if err != nil {
 			return nil, err
 		}
-		right, err := buildWith(n.Right, workers)
+		right, err := buildWith(n.Right, workers, prof)
 		if err != nil {
 			return nil, err
 		}
 		var op Operator = &unionOp{arms: [2]Operator{left, right}, types: n.Schema().Types()}
 		if !n.All {
-			op = &aggOp{spec: groupByAll(n, plan.ExecHints{}), in: chunkFeed{child: op}}
+			op = &aggOp{spec: groupByAll(n, plan.ExecHints{}), st: prof.node(n), in: chunkFeed{child: op}}
 		}
 		return op, nil
 	}
@@ -274,13 +250,13 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 // itself, drained by up to workers goroutines, when pipe allows it and
 // node is one, else the operator node builds to, whose chunks arrive in
 // order on one thread.
-func feed(node plan.Node, workers int, pipe bool) (chunkFeed, error) {
+func feed(node plan.Node, workers int, pipe bool, prof *Profile) (chunkFeed, error) {
 	if pipe {
-		if p := extractPipe(node); p != nil {
+		if p := extractPipe(node, prof); p != nil {
 			return chunkFeed{pipe: p, workers: workers}, nil
 		}
 	}
-	child, err := buildWith(node, workers)
+	child, err := buildWith(node, workers, prof)
 	return chunkFeed{child: child}, err
 }
 
@@ -289,16 +265,16 @@ func feed(node plan.Node, workers int, pipe bool) (chunkFeed, error) {
 // a filter whose predicate calls a UDF not marked Parallel. A
 // projection with UDF calls is mlProjectOp; the rest fold into one
 // stageOp per chain.
-func buildStage(node plan.Node, workers int) (Operator, error) {
+func buildStage(node plan.Node, workers int, prof *Profile) (Operator, error) {
 	var st pipeStage
 	var under plan.Node
 	if f, ok := node.(*plan.Filter); ok {
-		st, under = pipeStage{where: CompileWhere(f.Pred), tap: f.Hints.Tap}, f.Child
+		st, under = pipeStage{where: CompileWhere(f.Pred), st: prof.node(f)}, f.Child
 	} else {
 		p := node.(*plan.Project)
-		st, under = pipeStage{exprs: p.Exprs}, p.Child
+		st, under = pipeStage{exprs: p.Exprs, st: prof.node(p)}, p.Child
 	}
-	child, err := buildWith(under, workers)
+	child, err := buildWith(under, workers, prof)
 	if err != nil {
 		return nil, err
 	}

@@ -30,12 +30,9 @@ import (
 // fetchable morsels. open snapshots the input and returns the morsel
 // count; fetch must be safe for concurrent use. A source that decodes
 // does so into sc's buffers when sc is non-nil, freshly otherwise.
-// finish flushes per-scan accounting once the morsels are drained or
-// abandoned.
 type morselSource interface {
 	open(ctx *Context) int
 	fetch(i int, sc *pipeScratch) (*vector.Chunk, error)
-	finish()
 }
 
 // scanSource reads one storage segment per morsel (zero-copy for
@@ -49,19 +46,14 @@ type scanSource struct {
 	projection []int
 	preds      []plan.ScanPredicate
 	rowPos     bool
-	tap        *plan.NodeStats
-	stats      *ScanStats
+	st         *nodeStats
 	store      *storage.TableSnapshot
 	segs       []int // the segment of each morsel
 	bases      []int64
-
-	scanned    atomic.Int64
-	finishOnce sync.Once
 }
 
 func (s *scanSource) open(ctx *Context) int {
 	s.store = ctx.tableData(s.table)
-	s.stats = ctx.stats()
 	if s.rowPos {
 		s.bases = rowPosBases(s.store)
 	}
@@ -71,7 +63,7 @@ func (s *scanSource) open(ctx *Context) int {
 			s.segs = append(s.segs, i)
 		}
 	}
-	s.stats.addSkipped(int64(s.store.NumSegments() - len(s.segs)))
+	s.st.skipped.Add(int64(s.store.NumSegments() - len(s.segs)))
 	return len(s.segs)
 }
 
@@ -87,21 +79,11 @@ func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.scanned.Add(1)
-	s.stats.addScanned(1)
+	s.st.scanned.Add(1)
 	if s.rowPos {
 		ch = withRowPos(ch, s.bases[s.segs[i]])
 	}
-	tapCount(s.tap, ch)
 	return ch, nil
-}
-
-func (s *scanSource) finish() {
-	s.finishOnce.Do(func() {
-		if s.store != nil { // Close without Open (a sibling failed to open)
-			s.store.NoteScan(s.scanned.Load(), int64(s.store.NumSegments()-len(s.segs)))
-		}
-	})
 }
 
 // materialSource slices a materialized table into chunk-sized morsels.
@@ -122,23 +104,23 @@ func (m *materialSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 	return m.data.Chunk().Slice(from, to), nil
 }
 
-func (m *materialSource) finish() {}
-
 // ------------------------------------------------------- pipeline spec
 
 // pipeStage is one chunk-local transformation: a filter when where is
-// set, otherwise a projection. tap, when set, counts the stage's
-// output rows (EXPLAIN ANALYZE) — pipelined stages have no operator
-// boundary to wrap, so they count inline.
+// set, otherwise a projection. It counts its output rows into its
+// node's record st — pipelined stages have no operator boundary to
+// count at.
 type pipeStage struct {
 	where *Where
 	exprs []plan.Expr
-	tap   *plan.NodeStats
+	st    *nodeStats
 }
 
-// pipeSpec is a morsel-parallelizable scan→filter→project chain.
+// pipeSpec is a morsel-parallelizable scan→filter→project chain; st is
+// the record of the source's node.
 type pipeSpec struct {
 	src    morselSource
+	st     *nodeStats
 	stages []pipeStage
 }
 
@@ -166,31 +148,32 @@ type pipeScratch struct {
 // with zone-map pruning intact. Holistic UDFs (not Parallel) may keep
 // unsynchronized state across calls and stay on the serial
 // materializing path.
-func extractPipe(node plan.Node) *pipeSpec {
+func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
 	switch n := node.(type) {
 	case *plan.Scan:
-		return &pipeSpec{src: &scanSource{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, tap: n.Hints.Tap}}
+		st := prof.node(n)
+		return &pipeSpec{src: &scanSource{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, st: st}, st: st}
 	case *plan.Material:
-		return &pipeSpec{src: &materialSource{data: n.Data}}
+		return &pipeSpec{src: &materialSource{data: n.Data}, st: prof.node(n)}
 	case *plan.Filter:
 		if !callsAllParallel([]plan.Expr{n.Pred}) {
 			return nil
 		}
-		p := extractPipe(n.Child)
+		p := extractPipe(n.Child, prof)
 		if p == nil {
 			return nil
 		}
-		p.stages = append(p.stages, pipeStage{where: CompileWhere(n.Pred), tap: n.Hints.Tap})
+		p.stages = append(p.stages, pipeStage{where: CompileWhere(n.Pred), st: prof.node(n)})
 		return p
 	case *plan.Project:
 		if !callsAllParallel(n.Exprs) {
 			return nil
 		}
-		p := extractPipe(n.Child)
+		p := extractPipe(n.Child, prof)
 		if p == nil {
 			return nil
 		}
-		p.stages = append(p.stages, pipeStage{exprs: n.Exprs})
+		p.stages = append(p.stages, pipeStage{exprs: n.Exprs, st: prof.node(n)})
 		return p
 	}
 	return nil
@@ -208,6 +191,7 @@ func (p *pipeSpec) run(i int, sc *pipeScratch, bufs bool) (*vector.Chunk, error)
 	if err != nil {
 		return nil, err
 	}
+	p.st.rows.Add(int64(ch.NumRows()))
 	return runStages(p.stages, ch, sc)
 }
 
@@ -225,18 +209,18 @@ func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.C
 				clear(sc.bufs)
 			}
 			ch = out
-			tapCount(st.tap, ch)
-			continue
-		}
-		cols := make([]*vector.Vector, len(st.exprs))
-		for i, e := range st.exprs {
-			v, err := Evaluate(e, ch)
-			if err != nil {
-				return nil, err
+		} else {
+			cols := make([]*vector.Vector, len(st.exprs))
+			for i, e := range st.exprs {
+				v, err := Evaluate(e, ch)
+				if err != nil {
+					return nil, err
+				}
+				cols[i] = v
 			}
-			cols[i] = v
+			ch = vector.NewChunk(cols...)
 		}
-		ch = vector.NewChunk(cols...)
+		st.st.rows.Add(int64(ch.NumRows()))
 	}
 	return ch, nil
 }
@@ -275,7 +259,6 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 		}
 		return err
 	})
-	p.src.finish()
 	if err == nil && ctx.interrupted() {
 		return ErrCancelled
 	}
@@ -320,11 +303,9 @@ func (f *chunkFeed) forEach(ctx *Context, workers int, fn func(w, morsel int, ch
 	}
 }
 
-// close ends the input, drained or not: finish is idempotent and flushes
-// scan accounting when the stream is abandoned before the first Next.
+// close ends the input, drained or not.
 func (f *chunkFeed) close() error {
 	if f.pipe != nil {
-		f.pipe.src.finish()
 		return nil
 	}
 	return f.child.Close()
@@ -515,7 +496,6 @@ func (p *parallelPipeOp) Next() (*vector.Chunk, error) { return p.drv.next() }
 
 func (p *parallelPipeOp) Close() error {
 	p.drv.abort()
-	p.pipe.src.finish()
 	return nil
 }
 

@@ -54,7 +54,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	tab := buildMultiSegTable(t, 100)
 	filter := &plan.Filter{Pred: gtPred(0, vector.Int64, 10), Child: &plan.Scan{Table: tab}}
 
-	op, err := buildWith(filter, 4)
+	op, err := buildNode(filter, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		Aggs:       []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}},
 		Child:      filter,
 	}
-	op, err = buildWith(agg, 4)
+	op, err = buildNode(agg, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		Aggs:  []plan.AggSpec{{Kind: plan.AggCount, Arg: colRef(1, vector.Int32), Distinct: true, Name: "n", Typ: vector.Int64}},
 		Child: &plan.Scan{Table: tab},
 	}
-	op, err = buildWith(distinctAgg, 4)
+	op, err = buildNode(distinctAgg, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		Keys:  []plan.SortKey{{Expr: colRef(2, vector.Float64)}},
 		Child: filter,
 	}
-	op, err = buildWith(sortNode, 4)
+	op, err = buildNode(sortNode, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	}
 
 	distinct := &plan.Distinct{Child: filter}
-	op, err = buildWith(distinct, 4)
+	op, err = buildNode(distinct, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		LeftKeys:  []plan.Expr{colRef(1, vector.Int32)},
 		RightKeys: []plan.Expr{colRef(1, vector.Int32)},
 	}
-	op, err = buildWith(join, 4)
+	op, err = buildNode(join, 4, &Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}

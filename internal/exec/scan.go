@@ -6,56 +6,11 @@
 package exec
 
 import (
-	"sync/atomic"
-
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
-
-// ScanStats accumulates segment-level counters for one query. All
-// methods are safe for concurrent use and for a nil receiver.
-type ScanStats struct {
-	scanned atomic.Int64
-	skipped atomic.Int64
-}
-
-// Scanned returns the number of segments decoded and scanned.
-func (s *ScanStats) Scanned() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.scanned.Load()
-}
-
-// Skipped returns the number of segments skipped by zone-map pruning.
-func (s *ScanStats) Skipped() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.skipped.Load()
-}
-
-func (s *ScanStats) addScanned(n int64) {
-	if s != nil {
-		s.scanned.Add(n)
-	}
-}
-
-func (s *ScanStats) addSkipped(n int64) {
-	if s != nil {
-		s.skipped.Add(n)
-	}
-}
-
-// stats returns the context's per-query scan counters (nil-safe).
-func (c *Context) stats() *ScanStats {
-	if c == nil {
-		return nil
-	}
-	return c.Stats
-}
 
 // SegmentPrunable reports whether the zone maps prove that no row of
 // the segment satisfies all pushed predicates. It only ever prunes on

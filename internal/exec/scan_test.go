@@ -32,10 +32,10 @@ func scanTable(t *testing.T, rows int) *catalog.Table {
 }
 
 // drainScan builds a scan of tab at width workers, as Stream would,
-// and returns every chunk it delivers.
+// and returns every chunk it delivers; ctx must carry a profile.
 func drainScan(t *testing.T, scan *plan.Scan, ctx *Context) []*vector.Chunk {
 	t.Helper()
-	op, err := buildWith(scan, ctx.Parallelism)
+	op, err := buildWith(scan, ctx.Parallelism, ctx.prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestScanOrderAndBufferSafety(t *testing.T) {
 	tab := scanTable(t, rows)
 	for _, workers := range []int{1, 2} {
 		next := int64(0)
-		for _, ch := range drainScan(t, &plan.Scan{Table: tab}, &Context{Parallelism: workers}) {
+		for _, ch := range drainScan(t, &plan.Scan{Table: tab}, &Context{Parallelism: workers, prof: &Profile{}}) {
 			for _, x := range ch.Col(0).Int64s() {
 				if x != next {
 					t.Fatalf("workers=%d: row %d out of order or overwritten: %d", workers, next, x)
@@ -83,9 +83,9 @@ func TestScanPrunesSegments(t *testing.T) {
 	tab := scanTable(t, rows)
 	preds := []plan.ScanPredicate{{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(int64(rows - 100))}}
 	for _, workers := range []int{1, 2} {
-		stats := &ScanStats{}
+		stats := &Profile{}
 		var got int
-		for _, ch := range drainScan(t, &plan.Scan{Table: tab, Preds: preds}, &Context{Parallelism: workers, Stats: stats}) {
+		for _, ch := range drainScan(t, &plan.Scan{Table: tab, Preds: preds}, &Context{Parallelism: workers, prof: stats}) {
 			got += ch.NumRows()
 		}
 		// Pruning is segment-granular: the matching segment is delivered
@@ -149,7 +149,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		return &tableOp{data: bigMaterialTable(t, 10_000)}
 	}
 
-	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, in: chunkFeed{child: child()}}
+	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, st: &nodeStats{}, in: chunkFeed{child: child()}}
 	if err := sortop.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("sort: err = %v, want ErrCancelled", err)
 	}
 
-	agg := &aggOp{spec: &plan.Aggregate{}, in: chunkFeed{child: child()}}
+	agg := &aggOp{spec: &plan.Aggregate{}, st: &nodeStats{}, in: chunkFeed{child: child()}}
 	if err := agg.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("agg: err = %v, want ErrCancelled", err)
 	}
 
-	dist := &aggOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, in: chunkFeed{child: child()}}
+	dist := &aggOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, st: &nodeStats{}, in: chunkFeed{child: child()}}
 	if err := dist.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("distinct: err = %v, want ErrCancelled", err)
 	}
 
-	filt := &stageOp{stages: []pipeStage{{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool})}}, child: child()}
+	filt := &stageOp{stages: []pipeStage{{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}), st: &nodeStats{}}}, child: child()}
 	if err := filt.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestParallelScanPrunes(t *testing.T) {
 		},
 	})
 	for _, workers := range []int{1, 2, 8} {
-		stats := &ScanStats{}
-		out, err := Run(node, &Context{Parallelism: workers, Stats: stats})
+		stats := &Profile{}
+		out, err := Run(node, &Context{Parallelism: workers, prof: stats})
 		if err != nil {
 			t.Fatal(err)
 		}

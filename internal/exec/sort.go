@@ -21,6 +21,7 @@ import (
 // merge batches and stopping early once the plan's LIMIT bound is met.
 type sortOp struct {
 	spec *plan.Sort
+	st   *nodeStats
 	in   chunkFeed
 
 	ctx    *Context
@@ -62,7 +63,7 @@ func (s *sortOp) fillBuilders() ([]*runBuilder, error) {
 	}
 	builders := make([]*runBuilder, max(min(s.in.workers, runCap), 1))
 	for w := range builders {
-		builders[w] = newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
+		builders[w] = newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort", s.st)
 	}
 	err := s.in.forEach(s.ctx, len(builders), func(w, i int, ch *vector.Chunk) error {
 		return builders[w].add(ch, int64(i)<<32)

@@ -198,7 +198,7 @@ func referenceSort(t testing.TB, keys []plan.SortKey, all *vector.Chunk, count, 
 // on the last chunk.
 func sortBufferBytes(t testing.TB, keys []plan.SortKey, tab *catalog.Table) int64 {
 	t.Helper()
-	b := newRunBuilder(&Context{}, keys, 0, "probe")
+	b := newRunBuilder(&Context{}, keys, 0, "probe", &nodeStats{})
 	snap := tab.Data.Snapshot()
 	for m := 0; m < snap.NumSegments(); m++ {
 		ch, err := snap.Segment(m, nil)
@@ -309,8 +309,8 @@ func TestTopKShedsRowsBeforeSpilling(t *testing.T) {
 	ctx, dir := spillCtx(t, 8, 3*sortBufferBytes(t, keys, tab)/16)
 	got := runPlan(t, node, ctx)
 	assertSameBytes(t, "top-k under pressure", got.Cols, want)
-	if ctx.Spill.Spilled() {
-		t.Fatalf("top-k spilled %d runs, %d bytes", ctx.Spill.Runs(), ctx.Spill.BytesWritten())
+	if ctx.prof.Spilled() {
+		t.Fatalf("top-k spilled %d runs, %d bytes", ctx.prof.Runs(), ctx.prof.BytesWritten())
 	}
 	assertTempDirEmpty(t, dir)
 }
@@ -324,7 +324,7 @@ func TestSortRunsFollowScheduler(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		old := runtime.GOMAXPROCS(procs)
 		ctx := &Context{Parallelism: 8}
-		op := &sortOp{spec: spec, in: chunkFeed{pipe: extractPipe(spec.Child), workers: 8}}
+		op := &sortOp{spec: spec, st: &nodeStats{}, in: chunkFeed{pipe: extractPipe(spec.Child, &Profile{}), workers: 8}}
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestSortBudgetTracksHeap(t *testing.T) {
 	keys := []plan.SortKey{{Expr: colRef(1, vector.Float64), Desc: true}, {Expr: colRef(0, vector.Int64)}}
 	ids, vs := make([]int64, vector.DefaultChunkSize), make([]float64, vector.DefaultChunkSize)
 	fill := func(ctx *Context) *runBuilder {
-		b := newRunBuilder(ctx, keys, 0, "sort")
+		b := newRunBuilder(ctx, keys, 0, "sort", &nodeStats{})
 		for m := 0; m < rows/len(ids); m++ {
 			for r := range ids {
 				ids[r], vs[r] = int64(m*len(ids)+r), float64((m*len(ids)+r)*7919%100_003)

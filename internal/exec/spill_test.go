@@ -93,7 +93,7 @@ func assertTablesEqual(t *testing.T, got, want *vector.Table, label string) {
 func spillCtx(t *testing.T, workers int, budget int64) (*Context, string) {
 	t.Helper()
 	dir := t.TempDir()
-	return &Context{Parallelism: workers, MemoryBudget: budget, TempDir: dir, Spill: &SpillStats{}}, dir
+	return &Context{Parallelism: workers, MemoryBudget: budget, TempDir: dir, prof: &Profile{}}, dir
 }
 
 func assertTempDirEmpty(t *testing.T, dir string) {
@@ -132,10 +132,10 @@ func TestSpillAggMatchesInMemory(t *testing.T) {
 			ctx, dir := spillCtx(t, workers, budget)
 			got := runPlan(t, node, ctx)
 			assertTablesEqual(t, got, want, "agg spill")
-			if !ctx.Spill.Spilled() {
+			if !ctx.prof.Spilled() {
 				t.Fatalf("workers=%d budget=%d: expected spilling", workers, budget)
 			}
-			if ctx.Spill.Partitions() == 0 {
+			if ctx.prof.Partitions() == 0 {
 				t.Fatalf("workers=%d budget=%d: no partitions spilled", workers, budget)
 			}
 			assertTempDirEmpty(t, dir)
@@ -161,7 +161,7 @@ func TestSpillAggNullAndNaNKeys(t *testing.T) {
 		ctx, dir := spillCtx(t, workers, 1<<13)
 		got := runPlan(t, node, ctx)
 		assertTablesEqual(t, got, want, "agg null/nan keys")
-		if !ctx.Spill.Spilled() {
+		if !ctx.prof.Spilled() {
 			t.Fatal("expected spilling")
 		}
 		assertTempDirEmpty(t, dir)
@@ -188,7 +188,7 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 			ctx, dir := spillCtx(t, workers, 1<<14)
 			got := runPlan(t, node, ctx)
 			assertTablesEqual(t, got, want, "sort spill")
-			if ctx.Spill.Runs() == 0 {
+			if ctx.prof.Runs() == 0 {
 				t.Fatalf("desc=%v workers=%d: no runs spilled", desc, workers)
 			}
 			assertTempDirEmpty(t, dir)
@@ -331,7 +331,7 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 					got := runPlan(t, node, ctx)
 					assertTablesEqual(t, got, want,
 						fmt.Sprintf("join spill kind=%v extra=%v workers=%d budget=%d", kind, withExtra, workers, budget))
-					if ctx.Spill.Partitions() == 0 {
+					if ctx.prof.Partitions() == 0 {
 						t.Fatalf("kind=%v extra=%v workers=%d budget=%d: no partitions spilled",
 							kind, withExtra, workers, budget)
 					}
@@ -392,11 +392,11 @@ func TestSpillJoinHighBitKeys(t *testing.T) {
 			ctx, dir := spillCtx(t, workers, 512<<10)
 			assertTablesEqual(t, runPlan(t, node, ctx), want, fmt.Sprintf("%s workers=%d", name, workers))
 			assertTempDirEmpty(t, dir)
-			parts, wrote, baseline := ctx.Spill.Partitions(), ctx.Spill.BytesWritten(), base.Spill.BytesWritten()
+			parts, wrote, baseline := ctx.prof.Partitions(), ctx.prof.BytesWritten(), base.prof.BytesWritten()
 			t.Logf("%s workers=%d: %d partitions, %d bytes written (scrambled: %d)", name, workers, parts, wrote, baseline)
 			if parts == 0 || parts > 16 || wrote*100 > baseline*105 {
 				t.Errorf("%s workers=%d: %d partitions spilled, %d bytes written; scrambled keys: %d partitions, %d bytes",
-					name, workers, parts, wrote, base.Spill.Partitions(), baseline)
+					name, workers, parts, wrote, base.prof.Partitions(), baseline)
 			}
 		}
 	}
@@ -491,10 +491,10 @@ func TestSpillDistinctMatchesInMemory(t *testing.T) {
 			ctx, dir := spillCtx(t, 1, tc.budget)
 			got := runPlan(t, node, ctx)
 			assertTablesEqual(t, got, want, "distinct spill "+tc.name)
-			if !ctx.Spill.Spilled() {
+			if !ctx.prof.Spilled() {
 				t.Fatal("expected spilling")
 			}
-			if ctx.Spill.Partitions() == 0 {
+			if ctx.prof.Partitions() == 0 {
 				t.Fatal("no partitions recorded")
 			}
 			assertTempDirEmpty(t, dir)
@@ -533,11 +533,12 @@ func TestSpillDistinctStreamed(t *testing.T) {
 func TestDistinctReturnsItsBudget(t *testing.T) {
 	tab := buildSpillTable(t, 64*vector.DefaultChunkSize)
 	scan := &plan.Scan{Table: tab, Projection: []int{1}}
-	child, err := Build(scan)
+	childProf, pipedProf := &Profile{}, &Profile{}
+	child, err := buildWith(scan, 1, childProf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := buildWith(&plan.Distinct{Child: scan}, 2)
+	piped, err := buildNode(&plan.Distinct{Child: scan}, 2, pipedProf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,23 +548,25 @@ func TestDistinctReturnsItsBudget(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		workers int
+		prof    *Profile
 		op      Operator
 	}{
-		{"child-fed", 1, &aggOp{spec: groupByAll(scan, plan.ExecHints{}), in: chunkFeed{child: child}}},
-		{"pipe-fed", 2, piped},
+		{"child-fed", 1, childProf, &aggOp{spec: groupByAll(scan, plan.ExecHints{}), st: childProf.node(scan), in: chunkFeed{child: child}}},
+		{"pipe-fed", 2, pipedProf, piped},
 	} {
 		ctx, _ := spillCtx(t, c.workers, 1<<20)
+		ctx.prof = c.prof
 		ctx.mem = newMemTracker(ctx.MemoryBudget)
-		ctx.spillMgr = spill.NewManager(ctx.TempDir, ctx.Spill)
+		ctx.spillMgr = spill.NewManager(ctx.TempDir, ctx.prof)
 		if err := c.op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if ch, err := c.op.Next(); err != nil || ch == nil {
 			t.Fatalf("%s: no first chunk (err %v)", c.name, err)
 		}
-		if ctx.Spill.Partitions() == 0 || ctx.mem.used.Load() == 0 || ctx.spillMgr.Dir() == "" {
+		if ctx.prof.Partitions() == 0 || ctx.mem.used.Load() == 0 || ctx.spillMgr.Dir() == "" {
 			t.Fatalf("%s: nothing held: %d partitions spilled, %d bytes tracked, spill dir %q",
-				c.name, ctx.Spill.Partitions(), ctx.mem.used.Load(), ctx.spillMgr.Dir())
+				c.name, ctx.prof.Partitions(), ctx.mem.used.Load(), ctx.spillMgr.Dir())
 		}
 		if err := c.op.Close(); err != nil {
 			t.Fatal(err)
@@ -625,7 +628,7 @@ func TestSpillDistinctAggSplitsOneGroup(t *testing.T) {
 			}
 			assertTablesEqual(t, runPlan(t, node, ctx), want, "count(DISTINCT) over a set 10x the budget")
 			assertTempDirEmpty(t, dir)
-			written, peak := ctx.Spill.BytesWritten(), peakSeen.Load()
+			written, peak := ctx.prof.BytesWritten(), peakSeen.Load()
 			t.Logf("grouped=%v workers=%d budget=%d: wrote %d bytes (%.1fx the pair rows), peak tracked %d (%.2fx the budget)",
 				grouped, workers, budget, written, float64(written)/float64(rowBytes*rows), peak, float64(peak)/float64(budget))
 			if written == 0 || written > 3*rowBytes*rows {

@@ -29,8 +29,8 @@ var ErrCancelled = errors.New("exec: query cancelled")
 type ChunkStream struct {
 	op       Operator
 	schema   catalog.Schema
-	stats    *ScanStats
-	spill    *SpillStats
+	prof     *Profile
+	ownsProf bool           // created prof: flushes its scan counts on Close
 	spillMgr *spill.Manager // owned: closed (files removed) on Close
 
 	ctx       context.Context         // the query's context, child of the caller's
@@ -60,11 +60,11 @@ func Stream(node plan.Node, ctx *Context) (*ChunkStream, error) {
 	c2.Ctx = qctx
 	onClose := c2.OnClose
 	c2.OnClose = nil
-	if c2.Stats == nil {
-		c2.Stats = &ScanStats{}
-	}
-	if c2.Spill == nil {
-		c2.Spill = &SpillStats{}
+	// The query's profile: nested streams (table-UDF subplans) re-enter
+	// with it set and add their nodes to it.
+	ownsProf := c2.prof == nil
+	if ownsProf {
+		c2.prof = &Profile{}
 	}
 	// A memory budget arms out-of-core execution: one tracker and one
 	// spill-file manager shared by every operator of the query. The
@@ -80,11 +80,11 @@ func Stream(node plan.Node, ctx *Context) (*ChunkStream, error) {
 			c2.mem = newMemTracker(c2.MemoryBudget)
 			c2.mem.live = c2.LiveBudget
 		}
-		ownedMgr = spill.NewManager(c2.TempDir, c2.Spill)
+		ownedMgr = spill.NewManager(c2.TempDir, c2.prof)
 		c2.spillMgr = ownedMgr
 	}
 	ctx = &c2
-	op, err := buildWith(node, ctx.Workers())
+	op, err := buildWith(node, ctx.Workers(), ctx.prof)
 	if err == nil {
 		if err = op.Open(ctx); err != nil {
 			// A failed Open can leave earlier-opened subtrees running
@@ -101,7 +101,7 @@ func Stream(node plan.Node, ctx *Context) (*ChunkStream, error) {
 		}
 		return nil, err
 	}
-	return &ChunkStream{op: op, schema: node.Schema(), stats: ctx.Stats, spill: ctx.Spill,
+	return &ChunkStream{op: op, schema: node.Schema(), prof: ctx.prof, ownsProf: ownsProf,
 		spillMgr: ownedMgr, ctx: qctx, cancel: cancel, onClose: onClose}, nil
 }
 
@@ -121,16 +121,11 @@ func cancelErr(ctx context.Context, err error) error {
 // Schema returns the stream's column names and types.
 func (s *ChunkStream) Schema() catalog.Schema { return s.schema }
 
-// Stats returns the query's scan counters (segments scanned vs.
-// skipped by zone-map pruning). The counters are live: they keep
-// growing until the stream is drained or closed.
-func (s *ChunkStream) Stats() *ScanStats { return s.stats }
-
-// SpillStats returns the query's out-of-core counters (partitions and
-// sorted runs spilled to disk, spill bytes written/read). The counters
-// are live until the stream is drained or closed; they stay zero when
-// the query ran without a memory budget or fit within it.
-func (s *ChunkStream) SpillStats() *SpillStats { return s.spill }
+// Profile returns the query's execution profile: per-node counters and
+// their totals (segments scanned and skipped, partitions and runs
+// spilled, spill bytes). It is live until the stream is drained or
+// closed.
+func (s *ChunkStream) Profile() *Profile { return s.prof }
 
 // Next returns the next result chunk with columns cast to the declared
 // schema, or (nil, nil) when the stream is exhausted. After an error
@@ -179,6 +174,9 @@ func (s *ChunkStream) Close() error {
 		// already failed.
 		if err := s.spillMgr.Close(); err != nil && s.closeErr == nil {
 			s.closeErr = err
+		}
+		if s.ownsProf {
+			s.prof.noteScans()
 		}
 		if s.onClose != nil {
 			s.onClose()

@@ -100,15 +100,13 @@ func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 	return vector.NewChunk(vector.FromInt64s(vals)), nil
 }
 
-func (c *countingSource) finish() {}
-
 // Abandoning a stream early (client disconnect) must stop workers with
 // bounded extra fetches: at most consumed + run-ahead window + one
 // in-flight morsel per worker.
 func TestChunkStreamCloseStopsFetches(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 64 * 16, perMors: 16}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src, st: &nodeStats{}}, workers: workers}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
@@ -132,7 +130,7 @@ func TestChunkStreamCloseStopsFetches(t *testing.T) {
 func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 1 << 20, perMors: 8, delay: 2 * time.Millisecond}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src, st: &nodeStats{}}, workers: workers}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {

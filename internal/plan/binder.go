@@ -102,7 +102,7 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		}
 	}
 
-	var projNode Node
+	var projNode *Project
 	var outNames []string
 	if needAgg {
 		projNode, outNames, err = b.bindAggregate(sel, items, node, sc)
@@ -136,8 +136,10 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		if len(right.Schema()) != len(node.Schema()) {
 			return nil, fmt.Errorf("plan: UNION arms have %d and %d columns", len(node.Schema()), len(right.Schema()))
 		}
+		typeUntyped(projNode, right.Schema())
 		return &Union{Left: node, Right: right, All: sel.UnionAll}, nil
 	}
+	typeUntyped(projNode, nil)
 
 	if len(sel.OrderBy) > 0 {
 		keys, hidden, err := b.bindOrderByHidden(sel.OrderBy, node, outNames, sc, needAgg || sel.Distinct)
@@ -194,6 +196,25 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		node = &Limit{Count: count, Offset: offset, Child: node}
 	}
 	return node, nil
+}
+
+// typeUntyped gives each select-list column whose bound type is Invalid
+// — a bare NULL, or an expression of NULLs alone — a concrete type: the
+// type of the column at its position in like (the other arm of a
+// UNION) when that has one, else VARCHAR, as PostgreSQL resolves an
+// untyped literal to text. Vectors, the operators over them and a
+// CREATE TABLE AS column all need one.
+func typeUntyped(p *Project, like catalog.Schema) {
+	for i, e := range p.Exprs {
+		if e.Type() != vector.Invalid {
+			continue
+		}
+		to := vector.String
+		if i < len(like) && like[i].Type != vector.Invalid {
+			to = like[i].Type
+		}
+		p.Exprs[i] = &Cast{Operand: e, To: to}
+	}
 }
 
 // pushSortLimit annotates the Sort directly under node (through 1:1
@@ -581,21 +602,34 @@ func literalType(v vector.Value) vector.Type {
 	return v.Type()
 }
 
-// ExtractScanPreds collects WHERE conjuncts of the form
-// `col <cmp> const` (or the flipped `const <cmp> col`) that a scan
-// can evaluate against segment zone maps. Disjunctions, NULL
-// constants, incomparable type pairs and <> are all left to the
-// row-level filter: <> is excluded because a Float64 NaN row
-// satisfies it while being invisible to min/max statistics.
+// ExtractScanPreds collects the WHERE conjuncts a scan can evaluate
+// against segment zone maps (ScanPred).
 func ExtractScanPreds(e Expr, out []ScanPredicate) []ScanPredicate {
 	for _, conj := range Conjuncts(e) {
-		if col, op, c, ok := colOpConst(conj); ok && op != sql.OpNe {
-			if p, ok := makeScanPred(col, op, c); ok {
-				out = append(out, p)
-			}
+		if p, ok := ScanPred(conj); ok {
+			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// ScanPred matches a conjunct of the form `col <cmp> const` (or the
+// flipped `const <cmp> col`) that a scan can evaluate against segment
+// zone maps, and returns it with the column on the left; Col is the
+// column's position in the conjunct's input. Disjunctions, NULL
+// constants, incomparable type pairs and <> are all left to the
+// row-level filter: <> is excluded because a Float64 NaN row satisfies
+// it while being invisible to min/max statistics.
+func ScanPred(e Expr) (ScanPredicate, bool) {
+	col, op, c, ok := colOpConst(e)
+	if !ok || op == sql.OpNe || c.Val.IsNull() {
+		return ScanPredicate{}, false
+	}
+	ct, vt := col.Typ, c.Val.Type()
+	if !(ct.IsNumeric() && vt.IsNumeric()) && (ct != vt || ct == vector.Blob) {
+		return ScanPredicate{}, false
+	}
+	return ScanPredicate{Col: col.Idx, Op: op, Val: c.Val}, true
 }
 
 // Conjuncts flattens a predicate's AND tree, left to right (nil for a
@@ -721,17 +755,4 @@ func flipCompare(op sql.BinaryOp) sql.BinaryOp {
 		return sql.OpLe
 	}
 	return op
-}
-
-func makeScanPred(col *ColRef, op sql.BinaryOp, c *Const) (ScanPredicate, bool) {
-	v := c.Val
-	if v.IsNull() {
-		return ScanPredicate{}, false
-	}
-	ct, vt := col.Typ, v.Type()
-	comparable := (ct.IsNumeric() && vt.IsNumeric()) || (ct == vt && ct != vector.Blob)
-	if !comparable {
-		return ScanPredicate{}, false
-	}
-	return ScanPredicate{Col: col.Idx, Op: op, Val: v}, true
 }

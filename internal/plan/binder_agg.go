@@ -12,7 +12,7 @@ import (
 // bindAggregate builds an Aggregate node plus the post-aggregation
 // projection (and HAVING filter). Select items must be group-by
 // expressions, aggregates, or expressions over those.
-func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child Node, sc *scope) (Node, []string, error) {
+func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child Node, sc *scope) (*Project, []string, error) {
 	agg := &Aggregate{Child: child}
 
 	// Bind group-by expressions over the child scope.

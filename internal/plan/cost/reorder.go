@@ -529,59 +529,21 @@ func (c *chain) remapLayout(e plan.Expr, layout []int) plan.Expr {
 
 // scanPredAt converts a conjunct whose column references live at
 // offset start (relative to scan sc's output) into a table-space scan
-// predicate, mirroring the binder's pushdown shape rules.
+// predicate, by the binder's pushdown shape rules (plan.ScanPred).
 func scanPredAt(e plan.Expr, sc *plan.Scan, start int) (plan.ScanPredicate, bool) {
-	b, ok := e.(*plan.BinOp)
-	if !ok {
+	p, ok := plan.ScanPred(e)
+	local := p.Col - start
+	if !ok || local < 0 {
 		return plan.ScanPredicate{}, false
 	}
-	switch b.Op {
-	case sql.OpEq, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-	default:
-		return plan.ScanPredicate{}, false
-	}
-	col, cok := b.Left.(*plan.ColRef)
-	cst, vok := b.Right.(*plan.Const)
-	op := b.Op
-	if !cok || !vok {
-		cst, vok = b.Left.(*plan.Const)
-		col, cok = b.Right.(*plan.ColRef)
-		op = flipCompare(b.Op)
-	}
-	if !cok || !vok || cst.Val.IsNull() {
-		return plan.ScanPredicate{}, false
-	}
-	ct, vt := col.Typ, cst.Val.Type()
-	comparable := (ct.IsNumeric() && vt.IsNumeric()) || (ct == vt && ct != vector.Blob)
-	if !comparable {
-		return plan.ScanPredicate{}, false
-	}
-	local := col.Idx - start
-	if local < 0 {
-		return plan.ScanPredicate{}, false
-	}
-	tcol := local
+	p.Col = local
 	if sc.Projection != nil {
 		if local >= len(sc.Projection) {
 			return plan.ScanPredicate{}, false
 		}
-		tcol = sc.Projection[local]
+		p.Col = sc.Projection[local]
 	}
-	return plan.ScanPredicate{Col: tcol, Op: op, Val: cst.Val}, true
-}
-
-func flipCompare(op sql.BinaryOp) sql.BinaryOp {
-	switch op {
-	case sql.OpLt:
-		return sql.OpGt
-	case sql.OpLe:
-		return sql.OpGe
-	case sql.OpGt:
-		return sql.OpLt
-	case sql.OpGe:
-		return sql.OpLe
-	}
-	return op
+	return p, true
 }
 
 // predsContain reports whether preds already includes p (same column,

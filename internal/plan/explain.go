@@ -2,10 +2,9 @@
 // outline annotated with the cost-based planner's decisions — join
 // order (tree shape), build sides (a hash join always builds on its
 // right child), estimated cardinalities, serial-vs-parallel pinning,
-// and spill fan-out sizing. With actuals enabled (EXPLAIN ANALYZE),
-// each annotated operator also reports the rows it really emitted,
-// collected through the Tap counters the engine installs before the
-// run.
+// and spill fan-out sizing. With actuals (EXPLAIN ANALYZE, after the
+// query has been drained), each annotated operator also reports what
+// the executor's profile recorded for it.
 package plan
 
 import (
@@ -13,56 +12,16 @@ import (
 	"strings"
 )
 
-// InstallTaps attaches a row counter to every operator that carries
-// execution hints, so a subsequent run records actual cardinalities
-// for EXPLAIN ANALYZE. Returns the root for chaining.
-func InstallTaps(n Node) Node {
-	switch x := n.(type) {
-	case *Scan:
-		x.Hints.Tap = &NodeStats{}
-	case *Filter:
-		x.Hints.Tap = &NodeStats{}
-		InstallTaps(x.Child)
-	case *Project:
-		InstallTaps(x.Child)
-	case *HashJoin:
-		x.Hints.Tap = &NodeStats{}
-		InstallTaps(x.Left)
-		InstallTaps(x.Right)
-	case *Aggregate:
-		x.Hints.Tap = &NodeStats{}
-		InstallTaps(x.Child)
-	case *Sort:
-		x.Hints.Tap = &NodeStats{}
-		InstallTaps(x.Child)
-	case *Limit:
-		InstallTaps(x.Child)
-	case *Distinct:
-		x.Hints.Tap = &NodeStats{}
-		InstallTaps(x.Child)
-	case *Union:
-		InstallTaps(x.Left)
-		InstallTaps(x.Right)
-	case *TableFuncScan:
-		for i := range x.Args {
-			if x.Args[i].Sub != nil {
-				InstallTaps(x.Args[i].Sub)
-			}
-		}
-	}
-	return n
-}
-
-// Render formats the plan as one operator per line. withActuals adds
-// the Tap counters' observed row counts (EXPLAIN ANALYZE, after the
-// query has been drained).
-func Render(n Node, withActuals bool) string {
+// Render formats the plan as one operator per line. actuals, when
+// non-nil, renders what executing a node did (EXPLAIN ANALYZE); it is
+// asked for each node that carries execution hints.
+func Render(n Node, actuals func(Node) string) string {
 	var b strings.Builder
-	render(&b, n, 0, withActuals)
+	render(&b, n, 0, actuals)
 	return strings.TrimRight(b.String(), "\n")
 }
 
-func render(b *strings.Builder, n Node, depth int, act bool) {
+func render(b *strings.Builder, n Node, depth int, act func(Node) string) {
 	indent := strings.Repeat("  ", depth)
 	line := func(format string, args ...any) {
 		fmt.Fprintf(b, "%s%s\n", indent, fmt.Sprintf(format, args...))
@@ -76,7 +35,7 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 		if x.RowPos {
 			s += " rowpos"
 		}
-		line("%s%s", s, hintSuffix(&x.Hints, false, act))
+		line("%s%s", s, hintSuffix(n, &x.Hints, false, act))
 	case *Material:
 		line("Material rows=%d", x.Data.NumRows())
 	case *TableFuncScan:
@@ -87,7 +46,7 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 			}
 		}
 	case *Filter:
-		line("Filter%s%s", filterSplit(x), hintSuffix(&x.Hints, false, act))
+		line("Filter%s%s", filterSplit(x), hintSuffix(n, &x.Hints, false, act))
 		render(b, x.Child, depth+1, act)
 	case *Project:
 		line("Project cols=%d", len(x.Exprs))
@@ -111,24 +70,24 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 			s += " residual"
 		}
 		s += " build=right"
-		line("%s%s", s, hintSuffix(&x.Hints, true, act))
+		line("%s%s", s, hintSuffix(n, &x.Hints, true, act))
 		render(b, x.Left, depth+1, act)
 		render(b, x.Right, depth+1, act)
 	case *Aggregate:
-		line("Aggregate groups=%d aggs=%d%s", len(x.GroupBy), len(x.Aggs), hintSuffix(&x.Hints, false, act))
+		line("Aggregate groups=%d aggs=%d%s", len(x.GroupBy), len(x.Aggs), hintSuffix(n, &x.Hints, false, act))
 		render(b, x.Child, depth+1, act)
 	case *Sort:
 		s := fmt.Sprintf("Sort keys=%d", len(x.Keys))
 		if x.Limit > 0 {
 			s += fmt.Sprintf(" topk=%d", x.Limit)
 		}
-		line("%s%s", s, hintSuffix(&x.Hints, false, act))
+		line("%s%s", s, hintSuffix(n, &x.Hints, false, act))
 		render(b, x.Child, depth+1, act)
 	case *Limit:
 		line("Limit count=%d offset=%d", x.Count, x.Offset)
 		render(b, x.Child, depth+1, act)
 	case *Distinct:
-		line("Distinct%s", hintSuffix(&x.Hints, false, act))
+		line("Distinct%s", hintSuffix(n, &x.Hints, false, act))
 		render(b, x.Child, depth+1, act)
 	case *Union:
 		all := ""
@@ -166,27 +125,14 @@ func filterSplit(f *Filter) string {
 	return s
 }
 
-// hintSuffix renders an operator's planner annotations: estimated (and
-// with act, actual) rows — for a hash aggregation also groups inserted
-// over groups emitted, and the input row at which it stopped
-// pre-aggregating, if it did — the serial/parallel pin, and — for
-// operators that can grace-partition (fanout) — the sized spill fan-out.
-func hintSuffix(h *ExecHints, fanout, act bool) string {
-	var parts []string
-	parts = append(parts, fmt.Sprintf("est=%d", h.EstRows))
-	if act && h.Tap != nil {
-		parts = append(parts, fmt.Sprintf("act=%d", h.Tap.Rows.Load()))
-		// Hybrid spill outcome for blocking operators that overflowed:
-		// partitions written to disk vs kept resident in memory.
-		if sp, res := h.Tap.SpillSpilled.Load(), h.Tap.SpillResident.Load(); sp > 0 || res > 0 {
-			parts = append(parts, fmt.Sprintf("spilled=%d resident=%d", sp, res))
-		}
-		if ins := h.Tap.GroupsInserted.Load(); ins > 0 {
-			parts = append(parts, fmt.Sprintf("groups=%d/%d", ins, h.Tap.GroupsEmitted.Load()))
-		}
-		if at := h.Tap.PartitionedAt.Load(); at > 0 {
-			parts = append(parts, fmt.Sprintf("partitioned@%d", at))
-		}
+// hintSuffix renders an operator's planner annotations: estimated rows
+// (and with act, what executing n did), the serial/parallel pin, and —
+// for operators that can grace-partition (fanout) — the sized spill
+// fan-out.
+func hintSuffix(n Node, h *ExecHints, fanout bool, act func(Node) string) string {
+	parts := []string{fmt.Sprintf("est=%d", h.EstRows)}
+	if act != nil {
+		parts = append(parts, act(n))
 	}
 	if h.Serial {
 		parts = append(parts, "serial")

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"sync/atomic"
-
 	"vexdb/internal/catalog"
 	"vexdb/internal/core"
 	"vexdb/internal/sql"
@@ -13,30 +11,6 @@ import (
 // columns in order.
 type Node interface {
 	Schema() catalog.Schema
-}
-
-// NodeStats receives per-node runtime counters when a plan is executed
-// with taps installed (EXPLAIN ANALYZE). Updated atomically by the
-// executor; read after the stream drains.
-type NodeStats struct {
-	Rows atomic.Int64 // rows the node emitted
-
-	// Hybrid spill-mode counters for blocking operators: how many hash
-	// partitions overflowed to disk vs stayed resident in memory after
-	// the operator went out-of-core. Both zero when the operator never
-	// overflowed.
-	SpillSpilled  atomic.Int64
-	SpillResident atomic.Int64
-
-	// Hash aggregation (Aggregate, Distinct): groups created over all of
-	// the node's tables — thread-local, partition, reloaded — against the
-	// groups those tables emitted; the nearer the two, the less was
-	// pre-aggregated only to be merged again. PartitionedAt is how many
-	// input rows the first consumer to stop pre-aggregating had consumed
-	// when it did, zero when none did.
-	GroupsInserted atomic.Int64
-	GroupsEmitted  atomic.Int64
-	PartitionedAt  atomic.Int64
 }
 
 // ExecHints carries cost-based planner decisions down to the executor.
@@ -53,9 +27,6 @@ type ExecHints struct {
 	// FanoutLog2 overrides the first-level spill partition fan-out
 	// (log2 of the partition count); 0 keeps the default.
 	FanoutLog2 int
-	// Tap, when non-nil, asks the executor to count the node's actual
-	// output rows into it (EXPLAIN ANALYZE).
-	Tap *NodeStats
 }
 
 // ScanPredicate is one scan-eligible WHERE conjunct of the form

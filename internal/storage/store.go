@@ -107,8 +107,7 @@ func (s *ColumnStore) NumColumns() int { return len(s.types) }
 // TableSnapshot is a pinned, immutable point-in-time view of one
 // table: the version it references never changes, so a reader can
 // walk its segments lock-free while concurrent statements append,
-// rewrite or truncate the live store. Scan accounting (NoteScan)
-// still feeds the live store's cumulative counters.
+// rewrite or truncate the live store.
 type TableSnapshot struct {
 	v     *tableVersion
 	store *ColumnStore
@@ -133,10 +132,6 @@ func (t *TableSnapshot) NumSegments() int { return len(t.v.segs) }
 
 // SegmentIsSealed reports whether segment i is sealed.
 func (t *TableSnapshot) SegmentIsSealed(i int) bool { return t.v.segs[i].sealed != nil }
-
-// NoteScan adds to the live store's cumulative scanned/skipped segment
-// counters (called by the executor when a scan finishes).
-func (t *TableSnapshot) NoteScan(scanned, skipped int64) { t.store.NoteScan(scanned, skipped) }
 
 // Zones returns the zone maps of segment i's columns (indexed by
 // table column position), or nil for the mutable tail — unsealed
@@ -574,7 +569,8 @@ func (s *ColumnStore) Zones(i int) []ZoneMap { return s.Snapshot().Zones(i) }
 func (s *ColumnStore) SegmentIsSealed(i int) bool { return s.Snapshot().SegmentIsSealed(i) }
 
 // NoteScan adds to the store's cumulative scanned/skipped segment
-// counters (called by the executor when a scan finishes).
+// counters (called by the executor when a query that scanned the table
+// closes).
 func (s *ColumnStore) NoteScan(scanned, skipped int64) {
 	s.segsScanned.Add(scanned)
 	s.segsSkipped.Add(skipped)

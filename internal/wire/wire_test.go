@@ -209,6 +209,32 @@ func TestAggregateOfBareNullOverWire(t *testing.T) {
 	}
 }
 
+// A bare NULL in a select list used to panic the connection's goroutine
+// and so end the server; it is a VARCHAR NULL now, and the connection
+// answers the next query.
+func TestSelectNullOverWire(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tab, err := c.Query(Columnar, "SELECT NULL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.NumRows() != 1 || tab.Cols[0].Type() != vector.String || !tab.Cols[0].IsNull(0) {
+		t.Fatalf("SELECT NULL: %d rows of %s", tab.NumRows(), tab.Cols[0].Type())
+	}
+	tab, err = c.Query(Columnar, "SELECT count(*) AS n FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Column("n").Get(0).Int64() != 500 {
+		t.Fatalf("next query: n = %v", tab.Column("n").Get(0))
+	}
+}
+
 func TestClientExecAndMultipleRequests(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)

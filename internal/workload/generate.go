@@ -225,15 +225,6 @@ func GenerateVoters(cfg Config, precincts *frame.DataFrame) *frame.DataFrame {
 	return df
 }
 
-// FeatureNames returns the trained feature column names for cfg.
-func FeatureNames(cfg Config) []string {
-	out := make([]string, cfg.Features)
-	for i := range out {
-		out[i] = fmt.Sprintf("f%d", i)
-	}
-	return out
-}
-
 // FrameToTable converts a dataframe to an engine relation.
 func FrameToTable(df *frame.DataFrame) *vector.Table {
 	names := make([]string, len(df.Cols))

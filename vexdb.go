@@ -383,9 +383,10 @@ func (r *Rows) NextTable() (*Table, error) {
 
 // ScanStats reports how many storage segments the query scanned and
 // how many it skipped outright via zone-map pruning of pushed-down
-// WHERE predicates. The counters are live while the result streams;
-// read them after draining (or closing) for final values. Both are
-// zero for row-less statements.
+// WHERE predicates, summed over the query's scans; the same counts
+// reach each table's cumulative TableStats when the query closes. The
+// counters are live while the result streams; read them after draining
+// (or closing) for final values. Both are zero for row-less statements.
 func (r *Rows) ScanStats() (scanned, skipped int64) {
 	st := r.rs.ScanStats()
 	return st.Scanned(), st.Skipped()
@@ -393,9 +394,11 @@ func (r *Rows) ScanStats() (scanned, skipped int64) {
 
 // SpillStats reports the query's out-of-core activity under a memory
 // budget: how many grace partitions (hash aggregation and join state)
-// and sorted runs went to disk, and the spill bytes written and read
-// back. All zero when the query ran without a budget or fit within
-// it. The counters are live while the result streams; read them after
+// and sorted runs went to disk — the sums over the query's operators of
+// what each recorded, whose partition counts EXPLAIN ANALYZE prints per
+// operator as spilled= — and the spill bytes written and read back.
+// All zero when the query ran without a budget or fit within it. The
+// counters are live while the result streams; read them after
 // draining (or closing) for final values.
 func (r *Rows) SpillStats() (partitions, runs, bytesWritten, bytesRead int64) {
 	st := r.rs.SpillStats()
