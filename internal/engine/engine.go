@@ -571,7 +571,9 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 // concurrent INSERT can neither be lost nor double-applied and the
 // ordinals name the rows they were computed from. Segments whose zone
 // maps rule out the WHERE's `col <op> const` conjuncts are skipped
-// undecoded, by the scan's own rule. Nothing is logged or applied
+// undecoded, by the scan's own rule; the others are read as a fused
+// scan reads them (exec.Where.ScanSegment): kernels on codes, and only
+// the matched rows decoded, for UPDATE alone. Nothing is logged or applied
 // until every segment is evaluated, so an error leaves the table and
 // the log as they were. It returns the count of rows matched.
 func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matched *vector.Chunk) ([]*vector.Vector, error)) (int64, error) {
@@ -601,8 +603,7 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 	}()
 	snap := tab.Data.Snapshot()
 	filter := exec.CompileWhere(pred)
-	var sel []int
-	bufs := make([]*vector.Vector, len(tab.Schema)) // each segment decodes into these; only gathered rows leave
+	var sc exec.SegmentScratch // matched columns decode into its buffers: update copies them out
 	var ranges []storage.RowRange
 	var matched int64
 	first := 0
@@ -612,11 +613,8 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		if len(preds) > 0 && exec.SegmentPrunable(snap.Zones(i), preds) {
 			continue
 		}
-		ch, err := snap.SegmentInto(i, nil, bufs)
+		sel, cols, err := filter.ScanSegment(snap, i, nil, &sc, update != nil)
 		if err != nil {
-			return 0, fmt.Errorf("engine: table %s: %w", tab.Name, err)
-		}
-		if sel, err = filter.Select(ch, sel); err != nil {
 			return 0, err
 		}
 		if len(sel) == 0 {
@@ -631,7 +629,7 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		}
 		matched += int64(len(sel))
 		if update != nil {
-			cols, err := update(ch.Gather(sel))
+			cols, err := update(vector.NewChunk(cols...))
 			if err != nil {
 				return 0, err
 			}

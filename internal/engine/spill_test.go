@@ -148,6 +148,7 @@ func TestProfileCountersAgree(t *testing.T) {
 		{"SELECT count(*) AS n FROM h WHERE id >= 10000", false, false, true},
 	}
 	node := regexp.MustCompile(`spilled=(\d+) resident=(\d+)`)
+	scan := regexp.MustCompile(`decoded=(\d+) coded=(\d+)`)
 	header := regexp.MustCompile(`^spill: partitions spilled=(\d+) resident=(\d+) runs=(\d+) `)
 	atoi := func(s string) int64 {
 		n, err := strconv.ParseInt(s, 10, 64)
@@ -179,7 +180,7 @@ func TestProfileCountersAgree(t *testing.T) {
 				}
 				after := tab.Data.Stats()
 
-				var spilled, resident int64
+				var spilled, resident, decoded, coded int64
 				var hdr [3]int64
 				for _, l := range lines {
 					if m := header.FindStringSubmatch(l); m != nil {
@@ -187,6 +188,10 @@ func TestProfileCountersAgree(t *testing.T) {
 					} else if m := node.FindStringSubmatch(l); m != nil {
 						spilled += atoi(m[1])
 						resident += atoi(m[2])
+					}
+					if m := scan.FindStringSubmatch(l); m != nil {
+						decoded += atoi(m[1])
+						coded += atoi(m[2])
 					}
 				}
 				sp := rs.SpillStats()
@@ -199,6 +204,12 @@ func TestProfileCountersAgree(t *testing.T) {
 				}
 
 				sc := rs.ScanStats()
+				// Every query decodes compressed values; the two with a
+				// WHERE evaluate its kernels on codes.
+				if decoded != sc.Decoded() || coded != sc.Coded() || decoded == 0 || (coded > 0) != q.prunes {
+					t.Fatalf("%s: scans decoded=%d coded=%d, query decoded=%d coded=%d\n%s",
+						label, decoded, coded, sc.Decoded(), sc.Coded(), strings.Join(lines, "\n"))
+				}
 				if got, want := after.SegmentsScanned-before.SegmentsScanned, sc.Scanned(); got != want || want == 0 {
 					t.Fatalf("%s: table counted %d segments scanned, the query %d", label, got, want)
 				}

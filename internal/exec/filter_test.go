@@ -10,6 +10,7 @@ import (
 
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
+	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
 
@@ -142,6 +143,178 @@ func checkAgainstReference(t *testing.T, pred plan.Expr, ch *vector.Chunk) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s over %d rows: kept %d rows, reference %d\n got %v\nwant %v", plan.ExprString(pred), ch.NumRows(), len(got), len(want), head(got), head(want))
 	}
+	checkSegments(t, pred, ch)
+}
+
+// segVariant is a chunk's rows stored as segments in one of the forms
+// a scan meets.
+type segVariant struct {
+	name string
+	ch   *vector.Chunk // the rows the segments hold
+	segs [][]*storage.SealedColumn
+}
+
+// segmentVariants stores ch's rows as sealed raw columns; through a
+// column store, as the mutable tail below a segment's worth of rows and
+// in the store's own encodings from there; and, with its NULLs replaced
+// (only NULL-free columns compress), with every integer column in FOR,
+// then in RLE, and VARCHAR in dict.
+func segmentVariants(t testing.TB, ch *vector.Chunk) []segVariant {
+	seal := func(v *vector.Vector, enc storage.Encoding) *storage.SealedColumn {
+		c, err := storage.SealColumn(v, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	raw := make([]*storage.SealedColumn, ch.NumCols())
+	types := make([]vector.Type, ch.NumCols())
+	for i, v := range ch.Cols() {
+		raw[i], types[i] = seal(v, storage.EncRaw), v.Type()
+	}
+	store := storage.NewColumnStore(types)
+	if err := store.AppendChunk(ch); err != nil {
+		t.Fatal(err)
+	}
+	snap := store.Snapshot()
+	var stored [][]*storage.SealedColumn
+	for i := range snap.NumSegments() {
+		stored = append(stored, snap.SegmentColumns(i, nil, nil))
+	}
+	out := []segVariant{{"raw", ch, [][]*storage.SealedColumn{raw}}, {"store", ch, stored}}
+	if ch.NumRows() == 0 {
+		return out
+	}
+	dense := withoutNulls(ch)
+	for _, intEnc := range []storage.Encoding{storage.EncFOR, storage.EncRLE} {
+		cols := make([]*storage.SealedColumn, ch.NumCols())
+		for i, v := range dense.Cols() {
+			enc := storage.EncRaw
+			switch v.Type() {
+			case vector.Int32, vector.Int64:
+				enc = intEnc
+			case vector.String:
+				enc = storage.EncDict
+			}
+			cols[i] = seal(v, enc)
+		}
+		out = append(out, segVariant{intEnc.String() + "+dict", dense, [][]*storage.SealedColumn{cols}})
+	}
+	return out
+}
+
+// withoutNulls returns ch with each NULL replaced by the value above it
+// in its column (the type's zero value at the top).
+func withoutNulls(ch *vector.Chunk) *vector.Chunk {
+	cols := make([]*vector.Vector, ch.NumCols())
+	for c, v := range ch.Cols() {
+		out := vector.New(v.Type(), v.Len())
+		prev := map[vector.Type]vector.Value{vector.Int32: vector.NewInt32(0), vector.Int64: vector.NewInt64(0),
+			vector.Float64: vector.NewFloat64(0), vector.String: vector.NewString("")}[v.Type()]
+		for i := range v.Len() {
+			if x := v.Get(i); !x.IsNull() {
+				prev = x
+			}
+			out.AppendValue(prev)
+		}
+		cols[c] = out
+	}
+	return vector.NewChunk(cols...)
+}
+
+// checkSegments holds Where.scanSegment over every variant of ch to the
+// whole-predicate oracle over the variant's rows: the same error, and
+// the same rows, decoded from the emitted columns value for value. The
+// last column must hold each row's ordinal: the emitted selection must
+// name the rows the emitted columns hold. Odd variants scan into
+// buffers they own nothing of, as the morsel exchange does.
+func checkSegments(t *testing.T, pred plan.Expr, ch *vector.Chunk) {
+	t.Helper()
+	w := CompileWhere(pred)
+	for vi, v := range segmentVariants(t, ch) {
+		var buf []int
+		want, werr := filterChunk(pred, v.ch, &buf)
+		got, gerr := scanSegments(w, v.segs, vi%2 == 1)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%s over %d %s rows: error %v, reference %v", plan.ExprString(pred), v.ch.NumRows(), v.name, gerr, werr)
+		}
+		if werr == nil && !sameChunk(got, want) {
+			t.Fatalf("%s over %d %s rows: segment scan kept %v, reference %v", plan.ExprString(pred), v.ch.NumRows(), v.name, chunkRows(got), chunkRows(want))
+		}
+	}
+}
+
+// scanSegments runs w over each segment in turn and appends what it
+// emits; nil when nothing survives.
+func scanSegments(w *Where, segs [][]*storage.SealedColumn, own bool) (*vector.Chunk, error) {
+	sc := SegmentScratch{own: own}
+	var out []*vector.Vector
+	base := int64(0)
+	for _, cols := range segs {
+		sel, emitted, err := w.scanSegment(cols, &sc, true)
+		if err != nil {
+			return nil, err
+		}
+		if emitted != nil {
+			if ids := emitted[len(emitted)-1].Int64s(); len(ids) != len(sel) || len(sel) > 0 && ids[0] != base+int64(sel[0]) || ids[len(ids)-1] != base+int64(sel[len(sel)-1]) {
+				return nil, fmt.Errorf("selection %v does not name the emitted rows %v", head(sel), ids[:min(len(ids), 20)])
+			}
+			if out == nil {
+				for _, v := range emitted {
+					out = append(out, vector.New(v.Type(), 0))
+				}
+			}
+			for i, v := range emitted {
+				out[i].AppendVector(v)
+			}
+		}
+		base += int64(cols[0].Rows)
+	}
+	if out == nil {
+		return nil, nil
+	}
+	return vector.NewChunk(out...), nil
+}
+
+// sameChunk compares two chunks value for value, DOUBLEs by their bits.
+func sameChunk(a, b *vector.Chunk) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	if a.NumCols() != b.NumCols() || a.NumRows() != b.NumRows() {
+		return false
+	}
+	for c := range a.NumCols() {
+		x, y := a.Col(c), b.Col(c)
+		if x.Type() != y.Type() {
+			return false
+		}
+		for i := range x.Len() {
+			u, v := x.Get(i), y.Get(i)
+			switch {
+			case u.IsNull() || v.IsNull():
+				if u.IsNull() != v.IsNull() {
+					return false
+				}
+			case x.Type() == vector.Float64:
+				if math.Float64bits(u.Float64()) != math.Float64bits(v.Float64()) {
+					return false
+				}
+			case !u.Equal(v):
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// chunkRows is the first ordinals (last column) a chunk holds.
+func chunkRows(ch *vector.Chunk) []int64 {
+	if ch == nil {
+		return nil
+	}
+	ids := ch.Col(ch.NumCols() - 1).Int64s()
+	return ids[:min(len(ids), 20)]
 }
 
 func head(s []int) []int { return s[:min(len(s), 20)] }
@@ -207,8 +380,9 @@ func TestFilterKernelSplit(t *testing.T) {
 }
 
 // TestFilterKernelKeepsResidualErrors: a residual is evaluated over
-// the whole chunk, so its error on a row the kernel rejects surfaces,
-// whether the kernel keeps the other row or no row at all.
+// the whole chunk, or every row of its columns in a segment, so its
+// error on a row the kernel rejects surfaces, whether the kernel keeps
+// the other row or no row at all.
 func TestFilterKernelKeepsResidualErrors(t *testing.T) {
 	ch := vector.NewChunk(vector.FromInt64s([]int64{1, 2}), vector.FromStrings([]string{"x", "2"}))
 	for _, bound := range []int64{1, 5} {
@@ -218,6 +392,7 @@ func TestFilterKernelKeepsResidualErrors(t *testing.T) {
 		if _, err := CompileWhere(pred).Select(ch, nil); err == nil {
 			t.Fatalf("id > %d: CAST('x' AS BIGINT) in the residual did not fail", bound)
 		}
+		checkSegments(t, pred, ch) // the oracle fails too: so must every segment scan
 	}
 }
 
@@ -301,4 +476,36 @@ func splitBytes(data []byte) []string {
 		}
 	}
 	return append(out, string(data[start:]))
+}
+
+// TestScanSegmentOwnsWhatItEmits: a scan whose output outlives its next
+// segment (the morsel exchange) hands on a column its residual decoded
+// whole into a buffer when every row survives, and gives the buffer up:
+// the next segment's decode must not write into the emitted rows.
+func TestScanSegmentOwnsWhatItEmits(t *testing.T) {
+	seg := func(from int64) []*storage.SealedColumn {
+		vals := make([]int64, 100)
+		for i := range vals {
+			vals[i] = from + int64(i)
+		}
+		c, err := storage.SealColumn(vector.FromInt64s(vals), storage.EncFOR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*storage.SealedColumn{c}
+	}
+	w := CompileWhere(&plan.IsNull{Operand: colRef(0, vector.Int64), Negate: true})
+	sc := SegmentScratch{own: true}
+	_, first, err := w.scanSegment(seg(0), &sc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.scanSegment(seg(1000), &sc, true); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range first[0].Int64s() {
+		if x != int64(i) {
+			t.Fatalf("row %d of the first segment reads %d after the second was scanned", i, x)
+		}
+	}
 }

@@ -27,9 +27,10 @@ import (
 // ------------------------------------------------------- morsel sources
 
 // morselSource yields the input of a parallel pipeline as independently
-// fetchable morsels. open snapshots the input and returns the morsel
-// count; fetch must be safe for concurrent use. A source that decodes
-// does so into sc's buffers when sc is non-nil, freshly otherwise.
+// fetchable morsels, counting the rows it reads into its node's record.
+// open snapshots the input and returns the morsel count; fetch must be
+// safe for concurrent use, and returns nil for a morsel a fused filter
+// empties. A source that decodes does so through sc.
 type morselSource interface {
 	open(ctx *Context) int
 	fetch(i int, sc *pipeScratch) (*vector.Chunk, error)
@@ -40,17 +41,24 @@ type morselSource interface {
 // overlaps decode with compute across the pool). Segments whose zone
 // maps refute the pushed-down predicates are skipped at open: they are
 // no morsel, so no worker claims them and no exchange slot waits on
-// them.
+// them. A Filter directly above the scan is fused into it (where, with
+// fst its node's record): its kernels run on the segment's codes and
+// only the rows it keeps are decoded (Where.ScanSegment).
 type scanSource struct {
 	table      *catalog.Table
 	projection []int
 	preds      []plan.ScanPredicate
 	rowPos     bool
 	st         *nodeStats
+	where      *Where
+	fst        *nodeStats
 	store      *storage.TableSnapshot
 	segs       []int // the segment of each morsel
 	bases      []int64
 }
+
+// everyRow is the Where of a scan without a fused filter.
+var everyRow = &Where{}
 
 func (s *scanSource) open(ctx *Context) int {
 	s.store = ctx.tableData(s.table)
@@ -68,40 +76,77 @@ func (s *scanSource) open(ctx *Context) int {
 }
 
 func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
-	var bufs []*vector.Vector
-	if sc != nil {
-		if sc.bufs == nil {
-			sc.bufs = make([]*vector.Vector, max(len(s.projection), s.store.NumColumns()))
-		}
-		bufs = sc.bufs
+	w := s.where
+	if w == nil {
+		w = everyRow
 	}
-	ch, err := s.store.SegmentInto(s.segs[i], s.projection, bufs)
+	seg := &sc.seg
+	sel, cols, err := w.ScanSegment(s.store, s.segs[i], s.projection, seg, true)
 	if err != nil {
 		return nil, err
 	}
 	s.st.scanned.Add(1)
-	if s.rowPos {
-		ch = withRowPos(ch, s.bases[s.segs[i]])
+	s.st.rows.Add(int64(seg.cols[0].Rows))
+	s.st.decoded.Add(seg.decoded)
+	s.st.coded.Add(seg.coded)
+	seg.decoded, seg.coded = 0, 0
+	if s.fst != nil {
+		s.fst.rows.Add(int64(len(sel)))
 	}
-	return ch, nil
+	if len(sel) == 0 {
+		return nil, nil
+	}
+	if s.rowPos {
+		cols = append(cols, rowPositions(s.bases[s.segs[i]], sel))
+	}
+	return vector.NewChunk(cols...), nil
+}
+
+// fuse makes f's predicate the scan's filter, unless the scan already
+// has one or the predicate reads the __rowpos column, which the scan
+// appends after filtering.
+func (s *scanSource) fuse(f *plan.Filter, st *nodeStats) bool {
+	if s.where != nil {
+		return false
+	}
+	if s.rowPos {
+		width := len(s.projection)
+		if s.projection == nil {
+			width = len(s.table.Schema)
+		}
+		reads := false
+		plan.EachColRef(f.Pred, func(c *plan.ColRef) { reads = reads || c.Idx >= width })
+		if reads {
+			return false
+		}
+	}
+	s.where, s.fst = CompileWhere(f.Pred), st
+	return true
 }
 
 // materialSource slices a materialized table into chunk-sized morsels.
 type materialSource struct {
 	data *vector.Table
+	st   *nodeStats
 }
 
-func (m *materialSource) open(*Context) int {
-	return (m.data.NumRows() + vector.DefaultChunkSize - 1) / vector.DefaultChunkSize
-}
+func (m *materialSource) open(*Context) int { return numChunks(m.data) }
 
 func (m *materialSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
+	ch := chunkOf(m.data, i)
+	m.st.rows.Add(int64(ch.NumRows()))
+	return ch, nil
+}
+
+// numChunks is how many chunk-sized slices data has.
+func numChunks(data *vector.Table) int {
+	return (data.NumRows() + vector.DefaultChunkSize - 1) / vector.DefaultChunkSize
+}
+
+// chunkOf returns data's chunk-sized slice i.
+func chunkOf(data *vector.Table, i int) *vector.Chunk {
 	from := i * vector.DefaultChunkSize
-	to := from + vector.DefaultChunkSize
-	if n := m.data.NumRows(); to > n {
-		to = n
-	}
-	return m.data.Chunk().Slice(from, to), nil
+	return data.Chunk().Slice(from, min(from+vector.DefaultChunkSize, data.NumRows()))
 }
 
 // ------------------------------------------------------- pipeline spec
@@ -116,27 +161,23 @@ type pipeStage struct {
 	st    *nodeStats
 }
 
-// pipeSpec is a morsel-parallelizable scan→filter→project chain; st is
-// the record of the source's node.
+// pipeSpec is a morsel-parallelizable scan→filter→project chain.
 type pipeSpec struct {
 	src    morselSource
-	st     *nodeStats
 	stages []pipeStage
 }
 
-// pipeScratch holds one worker's reusable buffers: the filters'
-// selection vector and the decode buffers its morsels decode into. A
-// decode buffer never outlives the worker's next morsel. Drained by a
-// blocking consumer (forEach), whose fn is done with a chunk when it
-// returns, every morsel decodes into them. Through the exchange, whose
-// chunks go downstream, only a first-stage filter reads them: it hands
-// on its survivors gathered into fresh vectors, and when every row
-// passes the decoded vectors go downstream and their slots are
-// cleared, so the next morsel decodes into new ones (costing what a
-// fresh decode always did).
+// pipeScratch holds one worker's reusable buffers: its stage filters'
+// selection vector and its scan's SegmentScratch. A decode buffer never
+// outlives the worker's next morsel. Drained by a blocking consumer
+// (forEach), whose fn is done with a chunk when it returns, every morsel
+// decodes into them. Through the exchange (ordered), whose chunks go
+// downstream, the scratch owns nothing it emits: only what a fused
+// filter reads is decoded into the buffers, and a column decoded whole
+// there that goes on because every row passed leaves its slot.
 type pipeScratch struct {
-	sel  []int
-	bufs []*vector.Vector
+	sel []int
+	seg SegmentScratch
 }
 
 // extractPipe returns the pipeline form of node when every operator in
@@ -151,10 +192,9 @@ type pipeScratch struct {
 func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
 	switch n := node.(type) {
 	case *plan.Scan:
-		st := prof.node(n)
-		return &pipeSpec{src: &scanSource{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, st: st}, st: st}
+		return &pipeSpec{src: &scanSource{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, st: prof.node(n)}}
 	case *plan.Material:
-		return &pipeSpec{src: &materialSource{data: n.Data}, st: prof.node(n)}
+		return &pipeSpec{src: &materialSource{data: n.Data, st: prof.node(n)}}
 	case *plan.Filter:
 		if !callsAllParallel([]plan.Expr{n.Pred}) {
 			return nil
@@ -162,6 +202,9 @@ func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
 		p := extractPipe(n.Child, prof)
 		if p == nil {
 			return nil
+		}
+		if s, ok := p.src.(*scanSource); ok && len(p.stages) == 0 && s.fuse(n, prof.node(n)) {
+			return p
 		}
 		p.stages = append(p.stages, pipeStage{where: CompileWhere(n.Pred), st: prof.node(n)})
 		return p
@@ -179,34 +222,25 @@ func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
 	return nil
 }
 
-// run fetches morsel i, into the worker's decode buffers when bufs is
-// set, and runs the pipeline stages over it. It returns nil when a
-// filter eliminates every row.
-func (p *pipeSpec) run(i int, sc *pipeScratch, bufs bool) (*vector.Chunk, error) {
-	into := sc
-	if !bufs {
-		into = nil
-	}
-	ch, err := p.src.fetch(i, into)
-	if err != nil {
+// run fetches morsel i through the worker's scratch and runs the
+// pipeline stages over it. It returns nil when a filter eliminates
+// every row.
+func (p *pipeSpec) run(i int, sc *pipeScratch) (*vector.Chunk, error) {
+	ch, err := p.src.fetch(i, sc)
+	if err != nil || ch == nil {
 		return nil, err
 	}
-	p.st.rows.Add(int64(ch.NumRows()))
 	return runStages(p.stages, ch, sc)
 }
 
 // runStages runs the stages over ch in order, nil when a filter
-// eliminates every row. When the first filter passes every row, ch goes
-// on as it is and the decode buffers it may sit in are given up.
+// eliminates every row.
 func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, error) {
-	for k, st := range stages {
+	for _, st := range stages {
 		if st.where != nil {
 			out, err := st.where.filter(ch, &sc.sel)
 			if err != nil || out == nil {
 				return nil, err
-			}
-			if k == 0 && out == ch {
-				clear(sc.bufs)
 			}
 			ch = out
 		} else {
@@ -230,9 +264,11 @@ func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.C
 func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (*vector.Chunk, error)) *orderedDriver {
 	n := p.src.open(ctx)
 	scratch := make([]pipeScratch, workers)
-	filterFirst := len(p.stages) > 0 && p.stages[0].where != nil
+	for w := range scratch {
+		scratch[w].seg.own = true
+	}
 	return startOrdered(n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := p.run(i, &scratch[w], filterFirst)
+		ch, err := p.run(i, &scratch[w])
 		if err != nil || ch == nil {
 			return nil, err
 		}
@@ -253,7 +289,7 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 		if ctx.interrupted() {
 			return ErrCancelled
 		}
-		ch, err := p.run(i, &scratch[w], true)
+		ch, err := p.run(i, &scratch[w])
 		if err == nil && ch != nil && ch.NumRows() > 0 {
 			err = fn(w, i, ch)
 		}

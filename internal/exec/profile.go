@@ -22,8 +22,11 @@ import (
 type nodeStats struct {
 	rows atomic.Int64 // rows the node emitted
 
-	// Scan: segments decoded, and segments zone-map pruning skipped.
+	// Scan: segments decoded, and segments zone-map pruning skipped;
+	// values decoded from compressed columns, and rows a fused filter's
+	// kernels evaluated on codes instead (Where.ScanSegment).
 	scanned, skipped atomic.Int64
+	decoded, coded   atomic.Int64
 
 	// Hash partitions a blocking operator wrote to disk vs kept resident
 	// in memory, over the partitioning passes that overflowed the budget;
@@ -94,6 +97,18 @@ func (p *Profile) Skipped() int64 {
 	return p.sum(func(st *nodeStats) *atomic.Int64 { return &st.skipped })
 }
 
+// Decoded returns the number of values decoded from compressed
+// columns.
+func (p *Profile) Decoded() int64 {
+	return p.sum(func(st *nodeStats) *atomic.Int64 { return &st.decoded })
+}
+
+// Coded returns the number of rows WHERE kernels evaluated on a
+// compressed column's codes, summed over kernels.
+func (p *Profile) Coded() int64 {
+	return p.sum(func(st *nodeStats) *atomic.Int64 { return &st.coded })
+}
+
 // Partitions returns the number of hash partitions (aggregation
 // groups, join build/probe sides) spilled to disk.
 func (p *Profile) Partitions() int64 {
@@ -143,11 +158,12 @@ func (p *Profile) SpillRead(n int64) { p.bytesRead.Add(n) }
 
 var _ spill.Recorder = (*Profile)(nil)
 
-// Actuals renders what n did for EXPLAIN ANALYZE: the rows it emitted
-// and, for a blocking operator, partitions spilled vs kept resident once
-// it overflowed, groups inserted over groups emitted, and the input row
-// at which it stopped pre-aggregating, if it did. A node the query never
-// built did nothing.
+// Actuals renders what n did for EXPLAIN ANALYZE: the rows it emitted;
+// for a scan, the values it decoded and the rows its fused filter
+// evaluated on codes; for a blocking operator, partitions spilled vs
+// kept resident once it overflowed, groups inserted over groups
+// emitted, and the input row at which it stopped pre-aggregating, if it
+// did. A node the query never built did nothing.
 func (p *Profile) Actuals(n plan.Node) string {
 	p.mu.Lock()
 	st := p.nodes[n]
@@ -156,6 +172,9 @@ func (p *Profile) Actuals(n plan.Node) string {
 		st = &nodeStats{}
 	}
 	parts := []string{fmt.Sprintf("act=%d", st.rows.Load())}
+	if dec, cod := st.decoded.Load(), st.coded.Load(); dec > 0 || cod > 0 {
+		parts = append(parts, fmt.Sprintf("decoded=%d coded=%d", dec, cod))
+	}
 	if sp, res := st.spilled.Load(), st.resident.Load(); sp > 0 || res > 0 {
 		parts = append(parts, fmt.Sprintf("spilled=%d resident=%d", sp, res))
 	}

@@ -91,13 +91,12 @@ func rowPosBases(store *storage.TableSnapshot) []int64 {
 	return bases
 }
 
-// withRowPos appends the __rowpos column (base, base+1, ...) to ch.
-func withRowPos(ch *vector.Chunk, base int64) *vector.Chunk {
-	n := ch.NumRows()
-	pos := make([]int64, n)
-	for i := range pos {
-		pos[i] = base + int64(i)
+// rowPositions is the __rowpos column of the rows sel of the segment
+// whose first row is at base.
+func rowPositions(base int64, sel []int) *vector.Vector {
+	pos := make([]int64, len(sel))
+	for i, r := range sel {
+		pos[i] = base + int64(r)
 	}
-	cols := append(append([]*vector.Vector(nil), ch.Cols()...), vector.FromInt64s(pos))
-	return vector.NewChunk(cols...)
+	return vector.FromInt64s(pos)
 }

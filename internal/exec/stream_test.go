@@ -106,7 +106,7 @@ func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 func TestChunkStreamCloseStopsFetches(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 64 * 16, perMors: 16}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src, st: &nodeStats{}}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
@@ -130,7 +130,7 @@ func TestChunkStreamCloseStopsFetches(t *testing.T) {
 func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 1 << 20, perMors: 8, delay: 2 * time.Millisecond}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src, st: &nodeStats{}}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {

@@ -14,9 +14,9 @@ import (
 // against the declared schema, and streams it out in chunks.
 type tableFuncOp struct {
 	spec *plan.TableFuncScan
-	out  materialSource // the result, sliced into chunks
-	n    int            // its chunk count
-	next int            // the first chunk not yet emitted
+	out  *vector.Table // the result, sliced into chunks
+	n    int           // its chunk count
+	next int           // the first chunk not yet emitted
 }
 
 func (t *tableFuncOp) Open(ctx *Context) error {
@@ -54,8 +54,7 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 			out.Cols[i] = cc
 		}
 	}
-	t.out, t.next = materialSource{data: out}, 0
-	t.n = t.out.open(ctx)
+	t.out, t.n, t.next = out, numChunks(out), 0
 	return nil
 }
 
@@ -64,7 +63,7 @@ func (t *tableFuncOp) Next() (*vector.Chunk, error) {
 		return nil, nil
 	}
 	t.next++
-	return t.out.fetch(t.next-1, nil)
+	return chunkOf(t.out, t.next-1), nil
 }
 
 func (t *tableFuncOp) Close() error { return nil }

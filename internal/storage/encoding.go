@@ -200,12 +200,15 @@ type SealedColumn struct {
 	// for raw columns loaded from disk that have not been decoded yet.
 	payload []byte
 	// vec is the materialized raw form: set at seal time for EncRaw,
-	// or filled lazily (exactly once) from payload for raw columns
-	// loaded from disk. Compressed columns never cache a decoded
-	// vector — that would defeat the compression.
-	vec     *vector.Vector
-	once    sync.Once
-	lazyErr error
+	// or filled lazily (exactly once, by parse) from payload for raw
+	// columns loaded from disk. Compressed columns never cache a
+	// decoded vector — that would defeat the compression.
+	vec *vector.Vector
+	// once guards parse, whose findings every decode and code kernel
+	// reads: form for a compressed payload, parseErr for a corrupt one.
+	once     sync.Once
+	form     form
+	parseErr error
 	// logicalBytes estimates the uncompressed payload size for stats.
 	logicalBytes int
 }
@@ -215,7 +218,8 @@ type SealedColumn struct {
 // and carries no zone map, which is the reference path differential
 // tests compare against.
 func sealColumn(v *vector.Vector, compress bool) *SealedColumn {
-	c := &SealedColumn{Enc: EncRaw, Typ: v.Type(), Rows: v.Len(), vec: v, logicalBytes: rawSizeOf(v)}
+	c := rawColumn(v)
+	c.logicalBytes = rawSizeOf(v)
 	if !compress {
 		return c
 	}
@@ -235,6 +239,43 @@ func sealColumn(v *vector.Vector, compress bool) *SealedColumn {
 		}
 	}
 	return c
+}
+
+// rawColumn wraps v as a raw column without statistics.
+func rawColumn(v *vector.Vector) *SealedColumn {
+	return &SealedColumn{Enc: EncRaw, Typ: v.Type(), Rows: v.Len(), vec: v}
+}
+
+// SealColumn seals v in encoding enc whether or not it is the
+// smallest, with the zone map and sketch a compressed table gives it.
+// It fails where enc does not apply: a compressed encoding on an empty
+// column or one with NULLs, FOR or RLE on a non-integer column, dict on
+// a non-VARCHAR one or past 65 536 distinct values.
+func SealColumn(v *vector.Vector, enc Encoding) (*SealedColumn, error) {
+	c := sealColumn(v, false)
+	c.Zone, c.Sketch = computeZone(v), computeSketch(v)
+	if enc == EncRaw {
+		return c, nil
+	}
+	if v.HasNulls() || v.Len() == 0 {
+		return nil, fmt.Errorf("storage: %s needs a non-empty column without NULLs", enc)
+	}
+	var p []byte
+	switch isInt := v.Type() == vector.Int32 || v.Type() == vector.Int64; {
+	case enc == EncFOR && isInt:
+		minV, maxV, _ := intShape(v)
+		p = encodeFOR(v, minV, deltaWidth(uint64(maxV)-uint64(minV)))
+	case enc == EncRLE && isInt:
+		_, _, runs := intShape(v)
+		p = encodeRLE(v, runs)
+	case enc == EncDict && v.Type() == vector.String:
+		p = encodeDict(v)
+	}
+	if p == nil {
+		return nil, fmt.Errorf("storage: encoding %s does not apply to this %s column", enc, v.Type())
+	}
+	c.Enc, c.payload, c.vec = enc, p, nil
+	return c, nil
 }
 
 // loadedColumn reconstructs a sealed column from its persisted form.
@@ -304,33 +345,34 @@ func intAt(v *vector.Vector, i int) int64 {
 	return v.Int64s()[i]
 }
 
-// encodeInts picks between RLE and FOR for a NULL-free integer
-// column in one pass, returning (nil, EncRaw) when neither applies.
-func encodeInts(v *vector.Vector) ([]byte, Encoding) {
-	n := v.Len()
-	width := v.Type().FixedWidth()
-	minV, maxV := intAt(v, 0), intAt(v, 0)
-	runs := 1
+// intShape returns a NULL-free integer column's least and greatest
+// value and its number of runs of equal values.
+func intShape(v *vector.Vector) (minV, maxV int64, runs int) {
+	minV, maxV = intAt(v, 0), intAt(v, 0)
+	runs = 1
 	prev := minV
-	for i := 1; i < n; i++ {
+	for i := 1; i < v.Len(); i++ {
 		x := intAt(v, i)
 		if x != prev {
 			runs++
 			prev = x
 		}
-		if x < minV {
-			minV = x
-		}
-		if x > maxV {
-			maxV = x
-		}
+		minV, maxV = min(minV, x), max(maxV, x)
 	}
+	return minV, maxV, runs
+}
+
+// encodeInts picks between RLE and FOR for a NULL-free integer
+// column, returning (nil, EncRaw) when neither applies.
+func encodeInts(v *vector.Vector) ([]byte, Encoding) {
+	n := v.Len()
+	minV, maxV, runs := intShape(v)
 	// uint64 subtraction is exact for maxV >= minV even when the
 	// signed difference overflows.
 	forWidth := deltaWidth(uint64(maxV) - uint64(minV))
 	rleSize := 4 + runs*12
 	forSize := 9 + n*forWidth
-	rawSize := n * width
+	rawSize := n * v.Type().FixedWidth()
 	if rleSize < forSize && rleSize < rawSize {
 		return encodeRLE(v, runs), EncRLE
 	}
@@ -381,33 +423,6 @@ func encodeRLE(v *vector.Vector, runs int) []byte {
 	return out
 }
 
-func decodeRLE(typ vector.Type, rows int, payload []byte, dst *vector.Vector) (*vector.Vector, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("rle payload too short (%d bytes)", len(payload))
-	}
-	runs := int(binary.LittleEndian.Uint32(payload))
-	if len(payload) != 4+runs*12 {
-		return nil, fmt.Errorf("rle payload %d bytes for %d runs", len(payload), runs)
-	}
-	out := intSink(dst, typ, rows)
-	total := 0
-	off := 4
-	for r := 0; r < runs; r++ {
-		val := int64(binary.LittleEndian.Uint64(payload[off:]))
-		length := int(binary.LittleEndian.Uint32(payload[off+8:]))
-		off += 12
-		if length <= 0 || total+length > rows {
-			return nil, fmt.Errorf("rle run %d: length %d exceeds %d rows", r, length, rows)
-		}
-		out.fill(total, total+length, val)
-		total += length
-	}
-	if total != rows {
-		return nil, fmt.Errorf("rle runs cover %d of %d rows", total, rows)
-	}
-	return out.vector(), nil
-}
-
 // FOR payload: int64 base, uint8 delta width, then rows×width delta
 // bytes (width 0 means every value equals the base).
 func encodeFOR(v *vector.Vector, base int64, width int) []byte {
@@ -430,101 +445,6 @@ func encodeFOR(v *vector.Vector, base int64, width int) []byte {
 		}
 	}
 	return out
-}
-
-func decodeFOR(typ vector.Type, rows int, payload []byte, dst *vector.Vector) (*vector.Vector, error) {
-	if len(payload) < 9 {
-		return nil, fmt.Errorf("for payload too short (%d bytes)", len(payload))
-	}
-	base := int64(binary.LittleEndian.Uint64(payload))
-	width := int(payload[8])
-	switch width {
-	case 0, 1, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("for delta width %d invalid", width)
-	}
-	if len(payload) != 9+rows*width {
-		return nil, fmt.Errorf("for payload %d bytes for %d rows of width %d", len(payload), rows, width)
-	}
-	out := intSink(dst, typ, rows)
-	data := payload[9:]
-	switch width {
-	case 0:
-		out.fill(0, rows, base)
-	case 1:
-		for i := 0; i < rows; i++ {
-			out.set(i, int64(uint64(base)+uint64(data[i])))
-		}
-	case 2:
-		for i := 0; i < rows; i++ {
-			out.set(i, int64(uint64(base)+uint64(binary.LittleEndian.Uint16(data[2*i:]))))
-		}
-	case 4:
-		for i := 0; i < rows; i++ {
-			out.set(i, int64(uint64(base)+uint64(binary.LittleEndian.Uint32(data[4*i:]))))
-		}
-	default:
-		for i := 0; i < rows; i++ {
-			out.set(i, int64(uint64(base)+binary.LittleEndian.Uint64(data[8*i:])))
-		}
-	}
-	return out.vector(), nil
-}
-
-// intDst is a pre-sized typed output buffer for the integer decoders,
-// reusing the recycled vector's backing array when one is supplied.
-type intDst struct {
-	i32 []int32
-	i64 []int64
-}
-
-// intSink prepares a length-rows output for typ, reusing dst's
-// payload capacity when it matches.
-func intSink(dst *vector.Vector, typ vector.Type, rows int) intDst {
-	if typ == vector.Int32 {
-		var buf []int32
-		if dst != nil && dst.Type() == vector.Int32 && cap(dst.Int32s()) >= rows {
-			buf = dst.Int32s()[:rows]
-		} else {
-			buf = make([]int32, rows)
-		}
-		return intDst{i32: buf}
-	}
-	var buf []int64
-	if dst != nil && dst.Type() == vector.Int64 && cap(dst.Int64s()) >= rows {
-		buf = dst.Int64s()[:rows]
-	} else {
-		buf = make([]int64, rows)
-	}
-	return intDst{i64: buf}
-}
-
-func (d intDst) set(i int, x int64) {
-	if d.i32 != nil {
-		d.i32[i] = int32(x)
-		return
-	}
-	d.i64[i] = x
-}
-
-func (d intDst) fill(from, to int, x int64) {
-	if d.i32 != nil {
-		x32 := int32(x)
-		for i := from; i < to; i++ {
-			d.i32[i] = x32
-		}
-		return
-	}
-	for i := from; i < to; i++ {
-		d.i64[i] = x
-	}
-}
-
-func (d intDst) vector() *vector.Vector {
-	if d.i32 != nil {
-		return vector.FromInt32s(d.i32)
-	}
-	return vector.FromInt64s(d.i64)
 }
 
 // dictMaxEntries bounds dictionary size; columns with more distinct
@@ -574,99 +494,4 @@ func encodeDict(v *vector.Vector) []byte {
 		}
 	}
 	return out
-}
-
-func decodeDict(rows int, payload []byte, dst *vector.Vector) (*vector.Vector, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("dict payload too short (%d bytes)", len(payload))
-	}
-	entries := int(binary.LittleEndian.Uint32(payload))
-	if entries <= 0 || entries > dictMaxEntries {
-		return nil, fmt.Errorf("dict entry count %d invalid", entries)
-	}
-	off := 4
-	dict := make([]string, entries)
-	for e := range dict {
-		if off+4 > len(payload) {
-			return nil, fmt.Errorf("dict truncated at entry %d", e)
-		}
-		l := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if l < 0 || off+l > len(payload) {
-			return nil, fmt.Errorf("dict truncated at entry %d", e)
-		}
-		dict[e] = string(payload[off : off+l])
-		off += l
-	}
-	if off >= len(payload) {
-		return nil, fmt.Errorf("dict payload missing code width")
-	}
-	codeWidth := int(payload[off])
-	off++
-	if codeWidth != 1 && codeWidth != 2 {
-		return nil, fmt.Errorf("dict code width %d invalid", codeWidth)
-	}
-	if len(payload)-off != rows*codeWidth {
-		return nil, fmt.Errorf("dict codes %d bytes for %d rows of width %d", len(payload)-off, rows, codeWidth)
-	}
-	var buf []string
-	if dst != nil && dst.Type() == vector.String && cap(dst.Strings()) >= rows {
-		buf = dst.Strings()[:rows]
-	} else {
-		buf = make([]string, rows)
-	}
-	for i := 0; i < rows; i++ {
-		var c int
-		if codeWidth == 1 {
-			c = int(payload[off+i])
-		} else {
-			c = int(binary.LittleEndian.Uint16(payload[off+2*i:]))
-		}
-		if c >= entries {
-			return nil, fmt.Errorf("dict code %d out of range (%d entries)", c, entries)
-		}
-		buf[i] = dict[c]
-	}
-	return vector.FromStrings(buf), nil
-}
-
-// Decode materializes the sealed column. Raw columns return their
-// cached vector zero-copy (decoding it from the disk payload at most
-// once). Compressed columns decode into dst's backing arrays when it
-// is non-nil and type-compatible — a morsel worker under a filter
-// passes its decode buffers here — and into fresh storage otherwise; either
-// way the result is a new Vector header, so callers that recycle must
-// track the returned vector (see ColumnStore.SegmentInto).
-func (c *SealedColumn) Decode(dst *vector.Vector) (*vector.Vector, error) {
-	switch c.Enc {
-	case EncRaw:
-		return c.rawVec()
-	case EncRLE:
-		return decodeRLE(c.Typ, c.Rows, c.payload, dst)
-	case EncFOR:
-		return decodeFOR(c.Typ, c.Rows, c.payload, dst)
-	case EncDict:
-		if c.Typ != vector.String {
-			return nil, fmt.Errorf("dict encoding on %s column", c.Typ)
-		}
-		return decodeDict(c.Rows, c.payload, dst)
-	}
-	return nil, fmt.Errorf("unknown encoding %v", c.Enc)
-}
-
-// rawVec returns the raw vector, decoding the disk payload exactly
-// once; concurrent scans share the result.
-func (c *SealedColumn) rawVec() (*vector.Vector, error) {
-	c.once.Do(func() {
-		if c.vec != nil {
-			return
-		}
-		v, err := decodeColumn(c.Typ, c.Rows, c.payload)
-		if err != nil {
-			c.lazyErr = err
-			return
-		}
-		c.vec = v
-	})
-	return c.vec, c.lazyErr
 }

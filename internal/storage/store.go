@@ -143,48 +143,42 @@ func (t *TableSnapshot) Zones(i int) []ZoneMap { return t.v.segs[i].zones }
 // column indexes (nil projects all), as a chunk. Sealed raw columns
 // are returned zero-copy; compressed columns are decoded.
 func (t *TableSnapshot) Segment(i int, projection []int) (*vector.Chunk, error) {
-	return t.SegmentInto(i, projection, nil)
+	cols := t.SegmentColumns(i, projection, nil)
+	vecs := make([]*vector.Vector, len(cols))
+	for j, c := range cols {
+		v, err := c.Decode(nil)
+		if err != nil {
+			return nil, fmt.Errorf("storage: segment %d column %d: %w", i, j, err)
+		}
+		vecs[j] = v
+	}
+	return vector.NewChunk(vecs...), nil
 }
 
-// SegmentInto is Segment with optional reusable decode buffers: when
-// bufs is non-nil it must have one (possibly nil) vector per
-// projected column; compressed columns decode into the corresponding
-// buffer instead of allocating. The returned chunk may alias both the
-// buffers and store-owned raw vectors, and is valid until the buffers
-// are reused.
-func (t *TableSnapshot) SegmentInto(i int, projection []int, bufs []*vector.Vector) (*vector.Chunk, error) {
+// SegmentColumns appends to dst segment i's columns restricted to the
+// projected column indexes (nil projects all), undecoded: a scan reads
+// what it needs of each, evaluating on codes where it can
+// (SealedColumn.KeepInts, KeepStrings) and decoding only the rows it
+// keeps (DecodeSel). The mutable tail's columns come as raw columns
+// without statistics over the version's own vectors.
+func (t *TableSnapshot) SegmentColumns(i int, projection []int, dst []*SealedColumn) []*SealedColumn {
 	seg := t.v.segs[i]
-	if sealed := seg.sealed; sealed != nil {
-		if projection == nil {
-			cols := make([]*vector.Vector, len(sealed))
-			for j, sc := range sealed {
-				v, err := decodeRecycling(sc, bufs, j)
-				if err != nil {
-					return nil, fmt.Errorf("storage: segment %d column %d: %w", i, j, err)
-				}
-				cols[j] = v
-			}
-			return vector.NewChunk(cols...), nil
+	col := func(c int) *SealedColumn {
+		if seg.sealed != nil {
+			return seg.sealed[c]
 		}
-		cols := make([]*vector.Vector, len(projection))
-		for j, p := range projection {
-			v, err := decodeRecycling(sealed[p], bufs, j)
-			if err != nil {
-				return nil, fmt.Errorf("storage: segment %d column %d: %w", i, p, err)
-			}
-			cols[j] = v
-		}
-		return vector.NewChunk(cols...), nil
+		return rawColumn(seg.cols[c])
 	}
-
 	if projection == nil {
-		return vector.NewChunk(seg.cols...), nil
+		for c := range t.store.types {
+			dst = append(dst, col(c))
+		}
+		return dst
 	}
-	cols := make([]*vector.Vector, len(projection))
-	for j, p := range projection {
-		cols[j] = seg.cols[p]
+	for _, c := range projection {
+		dst = append(dst, col(c))
 	}
-	return vector.NewChunk(cols...), nil
+	return dst
 }
 
 // SegmentRowCounts returns the row count of every segment in order.
@@ -533,32 +527,6 @@ func (s *ColumnStore) NumSegments() int { return s.Snapshot().NumSegments() }
 // TableSnapshot.Segment.
 func (s *ColumnStore) Segment(i int, projection []int) (*vector.Chunk, error) {
 	return s.Snapshot().Segment(i, projection)
-}
-
-// SegmentInto is Segment with reusable decode buffers; see
-// TableSnapshot.SegmentInto.
-func (s *ColumnStore) SegmentInto(i int, projection []int, bufs []*vector.Vector) (*vector.Chunk, error) {
-	return s.Snapshot().SegmentInto(i, projection, bufs)
-}
-
-// decodeRecycling decodes one sealed column through the caller's
-// buffer slot j. Decoded (non-raw) vectors are written back into the
-// slot so the next decode reuses their backing arrays; raw columns
-// bypass the slot entirely — their cached vector is store-owned and
-// must never be handed out as a scratch buffer.
-func decodeRecycling(sc *SealedColumn, bufs []*vector.Vector, j int) (*vector.Vector, error) {
-	var buf *vector.Vector
-	if j < len(bufs) {
-		buf = bufs[j]
-	}
-	v, err := sc.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Enc != EncRaw && j < len(bufs) {
-		bufs[j] = v
-	}
-	return v, nil
 }
 
 // Zones returns the zone maps of segment i's columns of the current
