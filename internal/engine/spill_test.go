@@ -135,17 +135,18 @@ func TestEngineSpillCancelCleanup(t *testing.T) {
 // totals, and the table's cumulative segment counters advance by
 // exactly the result set's scan totals — for a GROUP BY, a hash join,
 // an ORDER BY and a zone-map-pruned scan, with and without a budget
-// that makes the first three spill.
+// that makes the first three spill. The GROUP BY groups on codes
+// (dense=) without the budget, and hashes under it.
 func TestProfileCountersAgree(t *testing.T) {
 	const rows = 12_000
 	queries := []struct {
-		sql                 string
-		parts, runs, prunes bool // partitions and runs spilled under the budget; segments skipped
+		sql                        string
+		parts, runs, prunes, dense bool // partitions and runs spilled under the budget; segments skipped; dense without it
 	}{
-		{"SELECT k, count(*) AS n, sum(v) AS sv FROM h GROUP BY k", true, false, false},
-		{"SELECT a.id, b.k FROM h a JOIN h b ON a.k = b.k WHERE a.id < 2000", true, false, true},
-		{"SELECT id, v FROM h ORDER BY v, id", false, true, false},
-		{"SELECT count(*) AS n FROM h WHERE id >= 10000", false, false, true},
+		{"SELECT k, count(*) AS n, sum(v) AS sv FROM h GROUP BY k", true, false, false, true},
+		{"SELECT a.id, b.k FROM h a JOIN h b ON a.k = b.k WHERE a.id < 2000", true, false, true, false},
+		{"SELECT id, v FROM h ORDER BY v, id", false, true, false, false},
+		{"SELECT count(*) AS n FROM h WHERE id >= 10000", false, false, true, false},
 	}
 	node := regexp.MustCompile(`spilled=(\d+) resident=(\d+)`)
 	scan := regexp.MustCompile(`decoded=(\d+) coded=(\d+)`)
@@ -203,10 +204,16 @@ func TestProfileCountersAgree(t *testing.T) {
 					t.Fatalf("%s: %d partitions and %d runs spilled, %d bytes written\n%s", label, sp.Partitions(), sp.Runs(), sp.BytesWritten(), strings.Join(lines, "\n"))
 				}
 
+				dense := q.dense && budget == 0
+				if strings.Contains(strings.Join(lines, "\n"), "dense=") != dense {
+					t.Fatalf("%s: dense=%v wanted\n%s", label, dense, strings.Join(lines, "\n"))
+				}
 				sc := rs.ScanStats()
-				// Every query decodes compressed values; the two with a
-				// WHERE evaluate its kernels on codes.
-				if decoded != sc.Decoded() || coded != sc.Coded() || decoded == 0 || (coded > 0) != q.prunes {
+				// Every query decodes compressed values but the dense
+				// GROUP BY, whose key is read on its codes and whose
+				// other column is raw; the two with a WHERE evaluate its
+				// kernels on codes.
+				if decoded != sc.Decoded() || coded != sc.Coded() || (decoded == 0) != dense || (coded > 0) != q.prunes {
 					t.Fatalf("%s: scans decoded=%d coded=%d, query decoded=%d coded=%d\n%s",
 						label, decoded, coded, sc.Decoded(), sc.Coded(), strings.Join(lines, "\n"))
 				}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -150,10 +151,12 @@ func extreme[T int32 | int64 | float64 | string](set []bool, ext []T, ids []int3
 	return grown
 }
 
-// aggTable accumulates hash-aggregation state column-wise: the
-// groupIndex resolves key rows to dense group ids (and holds the key
-// columns); firstSeen and every aggregate's state columns are indexed
-// by that id. firstSeen orders the output: it is the smallest global
+// aggTable accumulates aggregation state column-wise: firstSeen and
+// every aggregate's state columns are indexed by a group id. A hash
+// table's groupIndex resolves key rows to ids (and holds the key
+// columns); a dense table's ids are slots of its domain (dense.go),
+// which the scan computes, and its arrays are allocated whole at
+// creation. firstSeen orders the output: it is the smallest global
 // input position (morsel, row) over a group's rows, so parallel
 // partitions merge back into the exact order serial execution would
 // produce.
@@ -161,13 +164,27 @@ type aggTable struct {
 	spec       *plan.Aggregate
 	st         *nodeStats // the node's record: groups inserted and emitted
 	shapes     []aggShape
-	gi         *groupIndex
-	firstSeen  []int64            // gi.capacity() long, as is everything below
+	gi         *groupIndex        // nil for a dense table
+	dom        *groupDomain       // nil for a hash table
+	firstSeen  []int64            // gi.capacity() or dom.slots long, as is everything below
 	state      [][]*vector.Vector // per aggregate, typed by aggShape.state
 	stateBytes int64              // firstSeen and state columns, string payloads
 
 	ids     []int32 // per-chunk group ids
 	counted int     // groups already counted into st
+	// A dense table's slots in the order its consumer's rows first
+	// touched them, in pieces, one a chunk, and the last input position
+	// it consumed.
+	touch   []int32
+	pieces  []touchPiece
+	lastPos int64
+}
+
+// touchPiece is the slots one chunk touched first (a stretch of
+// aggTable.touch) and the position of the chunk's first row.
+type touchPiece struct {
+	at    int64
+	slots []int32
 }
 
 func newAggTable(spec *plan.Aggregate, st *nodeStats) *aggTable {
@@ -175,30 +192,80 @@ func newAggTable(spec *plan.Aggregate, st *nodeStats) *aggTable {
 	for i, g := range spec.GroupBy {
 		types[i] = inputType(g)
 	}
-	t := &aggTable{spec: spec, st: st, shapes: make([]aggShape, len(spec.Aggs)), gi: newGroupIndex(types),
+	t := &aggTable{spec: spec, st: st, shapes: newAggShapes(spec), gi: newGroupIndex(types),
 		state: make([][]*vector.Vector, len(spec.Aggs))}
-	for i, s := range spec.Aggs {
-		t.shapes[i] = newAggShape(s)
-		for _, typ := range t.shapes[i].state {
+	for i, sh := range t.shapes {
+		for _, typ := range sh.state {
 			t.state[i] = append(t.state[i], vector.New(typ, 0))
 		}
 	}
 	return t
 }
 
-func (t *aggTable) numGroups() int { return t.gi.n }
+func newAggShapes(spec *plan.Aggregate) []aggShape {
+	shapes := make([]aggShape, len(spec.Aggs))
+	for i, s := range spec.Aggs {
+		shapes[i] = newAggShape(s)
+	}
+	return shapes
+}
+
+// newDenseTable returns a table whose group ids are the slots of dom,
+// every array allocated for all of them: denseWidth bytes a slot.
+func newDenseTable(spec *plan.Aggregate, st *nodeStats, dom *groupDomain) *aggTable {
+	t := newAggTable(spec, st)
+	t.gi, t.dom = nil, dom
+	t.grow(dom.slots)
+	t.touch, t.lastPos = make([]int32, 0, dom.slots), -1
+	t.stateBytes += 4 * int64(dom.slots)
+	return t
+}
+
+// denseWidth is what one slot of a dense table takes: its firstSeen and
+// state cells, and its place in the touch order.
+func denseWidth(shapes []aggShape) int64 { return slotWidth(shapes) + 4 }
+
+// numGroups is the number of group ids the table holds: the groups a
+// hash table created, every slot of a dense one.
+func (t *aggTable) numGroups() int {
+	if t.dom != nil {
+		return t.dom.slots
+	}
+	return t.gi.n
+}
 
 // size is the table's retained footprint as charged to the query's
 // memory budget: the capacity of every key, hash-table and state
 // array, plus string payloads.
-func (t *aggTable) size() int64 { return t.gi.bytes + t.stateBytes }
+func (t *aggTable) size() int64 {
+	if t.gi == nil {
+		return t.stateBytes
+	}
+	return t.gi.bytes + t.stateBytes
+}
+
+// slotWidth is what one group id's firstSeen and state cells take.
+func slotWidth(shapes []aggShape) int64 {
+	w := int64(8)
+	for _, sh := range shapes {
+		for _, typ := range sh.state {
+			w += typeWidth(typ)
+		}
+	}
+	return w
+}
 
 // growStates extends the state columns to the index's group capacity
 // after groups were created.
 func (t *aggTable) growStates() {
 	t.st.groupsInserted.Add(int64(t.gi.n - t.counted))
 	t.counted = t.gi.n
-	old, size := len(t.firstSeen), t.gi.capacity()
+	t.grow(t.gi.capacity())
+}
+
+// grow extends firstSeen and the state columns to size group ids.
+func (t *aggTable) grow(size int) {
+	old := len(t.firstSeen)
 	if old == size {
 		return
 	}
@@ -206,36 +273,69 @@ func (t *aggTable) growStates() {
 	for i := old; i < size; i++ {
 		t.firstSeen[i] = math.MaxInt64
 	}
-	perGroup := int64(8)
 	for i := range t.shapes {
 		for c, v := range t.state[i] {
 			t.state[i][c] = growVector(v, size)
-			perGroup += typeWidth(v.Type())
 		}
 	}
-	t.stateBytes += perGroup * int64(size-old)
+	t.stateBytes += slotWidth(t.shapes) * int64(size-old)
 }
 
-// noteFirstSeen folds each row's position into its group's firstSeen.
-// The minimum is order-independent, so replayed and merged state may
-// arrive in any order.
-func (t *aggTable) noteFirstSeen(pos []int64) {
+// noteFirstSeen folds each row's position into its group's firstSeen
+// (row r is in group ids[r]). The minimum is order-independent, so
+// replayed and merged state may arrive in any order.
+func (t *aggTable) noteFirstSeen(ids []int32, pos []int64) {
 	fs := t.firstSeen
-	for r, id := range t.ids {
+	for r, id := range ids {
 		if pos[r] < fs[id] {
 			fs[id] = pos[r]
 		}
 	}
 }
 
-// consumeVecs folds evaluated rows into the table in two passes: the
-// whole chunk resolves to group ids, then each aggregate runs one
-// typed loop over (ids, argument column). hashes are the key rows'
-// hashKeyRows; pos is each row's unique global input position.
+// touchSlots is noteFirstSeen for a dense table's consumer, whose
+// positions ascend across its chunks (its worker claims morsels in
+// order): a slot's first row is then its first seen, so only a slot's
+// first touch writes it, and appends the slot to touch — the chunk's
+// piece. It counts the slots it touches first as the groups the table
+// inserted.
+func (t *aggTable) touchSlots(pos []int64) error {
+	if pos[0] <= t.lastPos {
+		return errors.New("exec: internal error: a dense table's input positions must ascend")
+	}
+	t.lastPos = pos[len(pos)-1]
+	fs, n := t.firstSeen, len(t.touch)
+	for r, id := range t.ids {
+		if fs[id] == math.MaxInt64 {
+			fs[id] = pos[r]
+			t.touch = append(t.touch, id) // never past its capacity, as a slot is touched first once: the pieces stay valid
+		}
+	}
+	if len(t.touch) > n {
+		t.pieces = append(t.pieces, touchPiece{pos[0], t.touch[n:]})
+		t.st.groupsInserted.Add(int64(len(t.touch) - n))
+	}
+	return nil
+}
+
+// consumeVecs folds evaluated rows into a hash table in two passes: the
+// whole chunk resolves to group ids, then consumeIDs folds them.
+// hashes are the key rows' hashKeyRows.
 func (t *aggTable) consumeVecs(keys []*vector.Vector, hashes []uint64, args []*vector.Vector, pos []int64) error {
 	t.ids = t.gi.resolve(keys, hashes, t.ids)
 	t.growStates()
-	t.noteFirstSeen(pos)
+	return t.consumeIDs(args, pos)
+}
+
+// consumeIDs folds rows whose group ids are t.ids: each aggregate runs
+// one typed loop over (ids, argument column). pos is each row's unique
+// global input position.
+func (t *aggTable) consumeIDs(args []*vector.Vector, pos []int64) error {
+	if t.dom == nil {
+		t.noteFirstSeen(t.ids, pos)
+	} else if err := t.touchSlots(pos); err != nil {
+		return err
+	}
 	for i := range t.shapes {
 		if err := t.update(i, args[i]); err != nil {
 			return err
@@ -289,15 +389,16 @@ func (t *aggTable) update(i int, arg *vector.Vector) error {
 			addInto(st[0].Int64s(), st[1].Float64s(), ids, arg.Float64s(), nulls)
 		}
 	default:
-		t.foldExtreme(i, arg, nulls)
+		t.stateBytes += t.foldExtreme(i, ids, arg, nulls)
 	}
 	return nil
 }
 
 // foldExtreme folds the rows of vals not marked in skip into MIN/MAX
-// aggregate i's state; vals is an argument column or, at a merge,
-// another table's extremum column.
-func (t *aggTable) foldExtreme(i int, vals *vector.Vector, skip []bool) {
+// aggregate i's state, row r into group ids[r]; vals is an argument
+// column or, at a merge, another table's extremum column. It returns
+// the bytes by which retained string payloads grew.
+func (t *aggTable) foldExtreme(i int, ids []int32, vals *vector.Vector, skip []bool) int64 {
 	set, ext, max := t.state[i][0].Bools(), t.state[i][1], t.shapes[i].spec.Kind == plan.AggMax
 	switch vals.Type() {
 	case vector.Bool:
@@ -307,16 +408,17 @@ func (t *aggTable) foldExtreme(i int, vals *vector.Vector, skip []bool) {
 				xs[r] = 1
 			}
 		}
-		extreme(set, ext.Int32s(), t.ids, xs, skip, max)
+		extreme(set, ext.Int32s(), ids, xs, skip, max)
 	case vector.Int32:
-		extreme(set, ext.Int32s(), t.ids, vals.Int32s(), skip, max)
+		extreme(set, ext.Int32s(), ids, vals.Int32s(), skip, max)
 	case vector.Int64:
-		extreme(set, ext.Int64s(), t.ids, vals.Int64s(), skip, max)
+		extreme(set, ext.Int64s(), ids, vals.Int64s(), skip, max)
 	case vector.Float64:
-		extreme(set, ext.Float64s(), t.ids, vals.Float64s(), skip, max)
+		extreme(set, ext.Float64s(), ids, vals.Float64s(), skip, max)
 	case vector.String:
-		t.stateBytes += extreme(set, ext.Strings(), t.ids, vals.Strings(), skip, max)
+		return extreme(set, ext.Strings(), ids, vals.Strings(), skip, max)
 	}
+	return 0
 }
 
 // aggPartial is a dense batch of groups in transit between tables:
@@ -329,12 +431,15 @@ type aggPartial struct {
 	state     [][]*vector.Vector
 }
 
-// partial returns the groups sel as a batch.
+// partial returns the groups sel as a batch; a dense table's batch
+// carries no key columns, its group ids being the same in every table.
 func (t *aggTable) partial(sel []int) *aggPartial {
 	p := &aggPartial{
-		keys:      gatherVecs(t.gi.keys, sel),
 		firstSeen: gatherBy(t.firstSeen, sel),
 		state:     make([][]*vector.Vector, len(t.shapes)),
+	}
+	if t.gi != nil {
+		p.keys = gatherVecs(t.gi.keys, sel)
 	}
 	for i := range t.shapes {
 		p.state[i] = gatherVecs(t.state[i], sel)
@@ -342,33 +447,42 @@ func (t *aggTable) partial(sel []int) *aggPartial {
 	return p
 }
 
-// mergePartial folds a batch of groups into the table: the one way
-// aggregation state is ever combined. Worker tables, consumer dumps
-// into resident partitions and spilled partial rows all arrive here.
-// Every kind composes: counts and sums add, MIN/MAX compare.
+// mergePartial folds a batch of groups into a hash table: worker
+// tables, consumer dumps into resident partitions and spilled partial
+// rows all arrive here.
 func (t *aggTable) mergePartial(p *aggPartial) {
 	t.ids = t.gi.groupIDs(p.keys, len(p.firstSeen), t.ids)
 	t.growStates()
-	t.noteFirstSeen(p.firstSeen)
+	t.stateBytes += t.mergeStates(t.ids, p)
+}
+
+// mergeStates folds the batch's groups into the groups ids — the one
+// way aggregation state is ever combined. Every kind composes: counts
+// and sums add, MIN/MAX compare. It writes nothing but the groups ids,
+// so merges into disjoint ids may run at once, and returns the bytes by
+// which retained string payloads grew.
+func (t *aggTable) mergeStates(ids []int32, p *aggPartial) (grown int64) {
+	t.noteFirstSeen(ids, p.firstSeen)
 	for i, sh := range t.shapes {
 		st, src := t.state[i], p.state[i]
 		switch {
 		case sh.isExtremum():
-			unset := make([]bool, len(t.ids))
+			unset := make([]bool, len(ids))
 			for j, set := range src[0].Bools() {
 				unset[j] = !set
 			}
-			t.foldExtreme(i, src[1], unset)
+			grown += t.foldExtreme(i, ids, src[1], unset)
 		default:
 			for c := range st {
 				if st[c].Type() == vector.Int64 {
-					addAll(st[c].Int64s(), t.ids, src[c].Int64s())
+					addAll(st[c].Int64s(), ids, src[c].Int64s())
 				} else {
-					addAll(st[c].Float64s(), t.ids, src[c].Float64s())
+					addAll(st[c].Float64s(), ids, src[c].Float64s())
 				}
 			}
 		}
 	}
+	return grown
 }
 
 // ensureGlobalGroup materializes the single output row a global
@@ -413,17 +527,24 @@ func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
 	return v.Cast(t)
 }
 
-// emitRun materializes the groups as a run sorted by first appearance:
-// the finalized output chunk plus each group's firstSeen position, so
-// partitions merge back into exact serial first-appearance order via
-// the shared run merger (zero sort keys: the merge orders purely by
-// position, and firstSeen values are unique — no two groups share a
-// first row).
-func (t *aggTable) emitRun(ctx *Context) (*sortedRun, error) {
-	fs := t.firstSeen[:t.numGroups()]
-	t.st.groupsEmitted.Add(int64(len(fs)))
-	order := orderByPos(ctx, fs)
-	cols := gatherVecs(t.gi.keys, order)
+// emitRun materializes the groups order, which ascends in firstSeen —
+// every group of a hash table, in that order, when order is nil — as a
+// run sorted by first appearance: the finalized output chunk plus each
+// group's firstSeen position, so partitions merge back into exact
+// serial first-appearance order via the shared run merger (zero sort
+// keys: the merge orders purely by position, and firstSeen values are
+// unique — no two groups share a first row).
+func (t *aggTable) emitRun(ctx *Context, order []int) (*sortedRun, error) {
+	if order == nil {
+		order = orderByPos(ctx, t.firstSeen[:t.numGroups()])
+	}
+	t.st.groupsEmitted.Add(int64(len(order)))
+	var cols []*vector.Vector
+	if t.dom != nil {
+		cols = t.dom.keyCols(order)
+	} else {
+		cols = gatherVecs(t.gi.keys, order)
+	}
 	for i := range t.shapes {
 		v, err := t.finalize(i, order)
 		if err != nil {
@@ -431,7 +552,7 @@ func (t *aggTable) emitRun(ctx *Context) (*sortedRun, error) {
 		}
 		cols = append(cols, v)
 	}
-	return &sortedRun{data: vector.NewChunk(cols...), pos: gatherBy(fs, order)}, nil
+	return &sortedRun{data: vector.NewChunk(cols...), pos: gatherBy(t.firstSeen, order)}, nil
 }
 
 // orderByPos returns the indexes of pos in ascending position order:
@@ -461,12 +582,14 @@ func orderByPos(ctx *Context, pos []int64) []int {
 // aggInputs evaluates an aggregation's group and argument expressions
 // over input chunks, coercing the rare result whose runtime type is
 // not the planned one so that tables and spill files are typed
-// statically.
+// statically. A dense table's inputs (slotted) are its arguments
+// alone: its group ids come with the chunk.
 type aggInputs struct {
-	spec   *plan.Aggregate
-	keys   []*vector.Vector
-	args   []*vector.Vector // nil entries for COUNT(*)
-	hashes []uint64
+	spec    *plan.Aggregate
+	slotted bool
+	keys    []*vector.Vector
+	args    []*vector.Vector // nil entries for COUNT(*)
+	hashes  []uint64
 }
 
 func newAggInputs(spec *plan.Aggregate) *aggInputs {
@@ -477,10 +600,10 @@ func newAggInputs(spec *plan.Aggregate) *aggInputs {
 	}
 }
 
-// eval fills keys, args and hashes for one chunk.
+// eval fills args and, unless slotted, keys and hashes for one chunk.
 func (in *aggInputs) eval(ch *vector.Chunk) (err error) {
-	for i, g := range in.spec.GroupBy {
-		if in.keys[i], err = evalAs(g, ch); err != nil {
+	for i := 0; i < len(in.keys) && !in.slotted; i++ {
+		if in.keys[i], err = evalAs(in.spec.GroupBy[i], ch); err != nil {
 			return err
 		}
 	}
@@ -492,7 +615,9 @@ func (in *aggInputs) eval(ch *vector.Chunk) (err error) {
 			return err
 		}
 	}
-	in.hashes = hashKeyRows(in.keys, ch.NumRows(), in.hashes)
+	if !in.slotted {
+		in.hashes = hashKeyRows(in.keys, ch.NumRows(), in.hashes)
+	}
 	return nil
 }
 
@@ -549,6 +674,8 @@ type aggStage struct {
 	spec   *plan.Aggregate // what the input is consumed into
 	shared *aggShared
 	fold   *plan.Aggregate // stage 2, over the output of spec; nil for the table of plain aggregates
+	dom    *groupDomain    // the tables' domain when they are dense (groupOnCodes), else nil
+	idCol  int             // then the input column that carries the rows' group ids
 }
 
 func newAggregation(ctx *Context, spec *plan.Aggregate, workers int, st *nodeStats) *aggregation {
@@ -606,6 +733,9 @@ func (a *aggregation) newConsumers() aggConsumers {
 	cs := make(aggConsumers, len(a.tables))
 	for i, st := range a.tables {
 		cs[i] = newAggConsumer(a.ctx, st.spec, st.shared)
+		if st.dom != nil {
+			cs[i].slotted(st.dom, st.idCol)
+		}
 	}
 	return cs
 }
@@ -625,6 +755,7 @@ func (cs aggConsumers) consume(ch *vector.Chunk, morsel int) error {
 // returns the result's emitter. What the consumers hold when the input
 // fails or the query is cancelled goes back to the budget.
 func (a *aggregation) run(in *chunkFeed) (em aggEmitter, err error) {
+	a.groupOnCodes(in)
 	threads := make([]aggConsumers, a.workers)
 	err = in.forEach(a.ctx, a.workers, func(w, morsel int, ch *vector.Chunk) error {
 		if threads[w] == nil {

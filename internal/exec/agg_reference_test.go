@@ -747,6 +747,14 @@ var swSchema = catalog.Schema{{Name: "k", Type: vector.Int64}, {Name: "id", Type
 // NULL where it returns ok false.
 func buildSwitchTable(t testing.TB, rows int, key func(i int) (k int64, ok bool)) *catalog.Table {
 	t.Helper()
+	return buildSwitchTableStats(t, rows, key, true)
+}
+
+// buildSwitchTableStats is buildSwitchTable, its segments sealed
+// without compression or statistics when stats is false: then no key
+// has a domain, and every aggregation over it hashes.
+func buildSwitchTableStats(t testing.TB, rows int, key func(i int) (k int64, ok bool), stats bool) *catalog.Table {
+	t.Helper()
 	cols := make([]*vector.Vector, swCols)
 	for c, col := range swSchema {
 		cols[c] = vector.New(col.Type, rows)
@@ -768,6 +776,7 @@ func buildSwitchTable(t testing.TB, rows int, key func(i int) (k int64, ok bool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab.Data.SetCompression(stats)
 	if err := tab.Data.AppendChunk(vector.NewChunk(cols...)); err != nil {
 		t.Fatal(err)
 	}
@@ -890,16 +899,17 @@ func TestAggSwitchMatchesReference(t *testing.T) {
 // group is created once, in its partition's table, plus once per
 // consumer that saw it during that consumer's sample window — not once
 // per consumer and once more at the merge, as thread-local tables do
-// ((workers + 1) x the groups).
+// ((workers + 1) x the groups). The table has no statistics, so the
+// keys have no domain and the aggregation hashes.
 func TestAggInsertsEachGroupOnce(t *testing.T) {
 	const rows = 256_000
 	x := uint64(1)
-	tab := buildSwitchTable(t, rows, func(int) (int64, bool) {
+	tab := buildSwitchTableStats(t, rows, func(int) (int64, bool) {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		return int64(x % (rows / 4)), true
-	})
+	}, false)
 	for _, workers := range []int{1, 2, 3, 8} {
 		spec := &plan.Aggregate{GroupBy: []plan.Expr{colRef(swK, vector.Int64)}, GroupNames: []string{"k"},
 			Aggs: []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Typ: vector.Int64}, swAgg(plan.AggSum, swW, false), swAgg(plan.AggMax, swID, false)}, Child: &plan.Scan{Table: tab}}

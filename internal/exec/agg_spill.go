@@ -300,6 +300,7 @@ type aggConsumer struct {
 	table  *aggTable    // nil once partitioned
 	router *graceRouter // nil until then
 	src    []*vector.Vector
+	idCol  int // a dense table's: the input column of the rows' group ids
 
 	// rows counts the input; the sample window in progress began at row
 	// winStart, when the table held winGroups groups.
@@ -308,6 +309,15 @@ type aggConsumer struct {
 
 func newAggConsumer(ctx *Context, spec *plan.Aggregate, shared *aggShared) *aggConsumer {
 	return &aggConsumer{ctx: ctx, shared: shared, in: newAggInputs(spec), table: newAggTable(spec, shared.st)}
+}
+
+// slotted makes the consumer's table dense over dom, its rows' group
+// ids arriving in input column idCol. The table is charged to the
+// budget whole, now, and never partitions.
+func (c *aggConsumer) slotted(dom *groupDomain, idCol int) {
+	c.table = newDenseTable(c.in.spec, c.shared.st, dom)
+	c.in.slotted, c.idCol = true, idCol
+	c.ctx.memGrow(c.table.size())
 }
 
 // consume folds one chunk. morsel is the chunk's global input index.
@@ -335,6 +345,12 @@ func (c *aggConsumer) consumeAt(ch *vector.Chunk, pos []int64) error {
 		return c.router.route(c.src, in.hashes, nil)
 	}
 	prev := t.size()
+	if t.dom != nil {
+		t.ids = ch.Col(c.idCol).Int32s()
+		err := t.consumeIDs(in.args, pos)
+		c.ctx.memGrow(t.size() - prev)
+		return err
+	}
 	if err := t.consumeVecs(in.keys, in.hashes, in.args, pos); err != nil {
 		return err
 	}
@@ -385,9 +401,10 @@ func (c *aggConsumer) abandon() {
 // ------------------------------------------------------- emit
 
 // finishAggEmit turns the consumers' accumulated state into the merger
-// that streams the result. A lone table no partition took from emits as
-// it is: every serial query within its budget. Anything else meets in
-// the shared partitions (aggSpiller.finish), whose runs the merger
+// that streams the result. Dense tables merge slot range by slot range
+// (finishDense). A lone table no partition took from emits as it is:
+// every serial query within its budget. Anything else meets in the
+// shared partitions (aggSpiller.finish), whose runs the merger
 // interleaves back into global first-appearance order.
 func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer, shared *aggShared) (_ *runMerger, err error) {
 	var tables []*aggTable
@@ -402,16 +419,29 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 	}
 	out := &aggOut{ctx: ctx, st: shared.st}
 	var runs []*mergeRun
-	if shared.spiller == nil && len(tables) <= 1 {
+	switch {
+	case len(tables) > 0 && tables[0].dom != nil:
+		var run *mergeRun
+		run, err = finishDense(ctx, tables, len(consumers))
+		runs = []*mergeRun{run}
+		// The first table lives on in the run, and its charge with the
+		// merger.
+		out.held += tables[0].size()
+		for _, c := range consumers {
+			if c.table == tables[0] {
+				c.table = nil
+			}
+		}
+	case shared.spiller == nil && len(tables) <= 1:
 		t := newAggTable(spec, shared.st)
 		if len(tables) == 1 {
 			t = tables[0]
 		}
 		t.ensureGlobalGroup()
 		var run *sortedRun
-		run, err = t.emitRun(ctx)
+		run, err = t.emitRun(ctx, nil)
 		runs = []*mergeRun{newMemRun(run)}
-	} else {
+	default:
 		sp := shared.get(ctx, spec)
 		out.spill = sp.g.overflowed.Load()
 		runs, err = sp.finish(routers, tables, len(consumers), out)
@@ -468,7 +498,7 @@ func (o *aggOut) keep(run *sortedRun) (*mergeRun, error) {
 
 // emitAggRun emits a finished table as a run and releases its bytes.
 func emitAggRun(ctx *Context, t *aggTable, out *aggOut) (*mergeRun, error) {
-	run, err := t.emitRun(ctx)
+	run, err := t.emitRun(ctx, nil)
 	ctx.memShrink(t.size())
 	if err != nil {
 		return nil, err

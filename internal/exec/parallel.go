@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
 	"vexdb/internal/storage"
 	"vexdb/internal/vector"
@@ -43,31 +42,44 @@ type morselSource interface {
 // no morsel, so no worker claims them and no exchange slot waits on
 // them. A Filter directly above the scan is fused into it (where, with
 // fst its node's record): its kernels run on the segment's codes and
-// only the rows it keeps are decoded (Where.ScanSegment).
+// only the rows it keeps are decoded (Where.ScanSegment). An
+// aggregation that groups on codes (dense.go) pins the snapshot the
+// scan reads before it opens, and has it append its rows' group ids.
 type scanSource struct {
-	table      *catalog.Table
-	projection []int
-	preds      []plan.ScanPredicate
-	rowPos     bool
-	st         *nodeStats
-	where      *Where
-	fst        *nodeStats
-	store      *storage.TableSnapshot
-	segs       []int // the segment of each morsel
-	bases      []int64
+	scan   *plan.Scan
+	st     *nodeStats
+	where  *Where
+	fst    *nodeStats
+	pinned *storage.TableSnapshot // the next open's snapshot, when set
+	groups *scanGroups
+	store  *storage.TableSnapshot
+	segs   []int // the segment of each morsel
+	bases  []int64
 }
 
 // everyRow is the Where of a scan without a fused filter.
 var everyRow = &Where{}
 
+// outWidth is the number of columns the scan emits before any group
+// ids: its table columns and __rowpos.
+func (s *scanSource) outWidth() int {
+	if s.scan.RowPos {
+		return s.scan.Width() + 1
+	}
+	return s.scan.Width()
+}
+
 func (s *scanSource) open(ctx *Context) int {
-	s.store = ctx.tableData(s.table)
-	if s.rowPos {
+	s.store, s.pinned = s.pinned, nil
+	if s.store == nil {
+		s.store = ctx.tableData(s.scan.Table)
+	}
+	if s.scan.RowPos {
 		s.bases = rowPosBases(s.store)
 	}
 	s.segs = s.segs[:0]
 	for i := range s.store.NumSegments() {
-		if len(s.preds) == 0 || !SegmentPrunable(s.store.Zones(i), s.preds) {
+		if len(s.scan.Preds) == 0 || !SegmentPrunable(s.store.Zones(i), s.scan.Preds) {
 			s.segs = append(s.segs, i)
 		}
 	}
@@ -81,7 +93,11 @@ func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 		w = everyRow
 	}
 	seg := &sc.seg
-	sel, cols, err := w.ScanSegment(s.store, s.segs[i], s.projection, seg, true)
+	seg.skip = nil
+	if s.groups != nil {
+		seg.skip = s.groups.skip
+	}
+	sel, cols, err := w.ScanSegment(s.store, s.segs[i], s.scan.Projection, seg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +112,13 @@ func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
 	if len(sel) == 0 {
 		return nil, nil
 	}
-	if s.rowPos {
+	if s.scan.RowPos {
 		cols = append(cols, rowPositions(s.bases[s.segs[i]], sel))
+	}
+	if s.groups != nil {
+		if cols, err = s.groups.appendIDs(cols, seg.cols, s.segs[i], sel, &sc.ids); err != nil {
+			return nil, err
+		}
 	}
 	return vector.NewChunk(cols...), nil
 }
@@ -109,13 +130,9 @@ func (s *scanSource) fuse(f *plan.Filter, st *nodeStats) bool {
 	if s.where != nil {
 		return false
 	}
-	if s.rowPos {
-		width := len(s.projection)
-		if s.projection == nil {
-			width = len(s.table.Schema)
-		}
+	if s.scan.RowPos {
 		reads := false
-		plan.EachColRef(f.Pred, func(c *plan.ColRef) { reads = reads || c.Idx >= width })
+		plan.EachColRef(f.Pred, func(c *plan.ColRef) { reads = reads || c.Idx >= s.scan.Width() })
 		if reads {
 			return false
 		}
@@ -178,6 +195,7 @@ type pipeSpec struct {
 type pipeScratch struct {
 	sel []int
 	seg SegmentScratch
+	ids [][]int32 // a grouping scan's id columns (scanGroups)
 }
 
 // extractPipe returns the pipeline form of node when every operator in
@@ -192,7 +210,7 @@ type pipeScratch struct {
 func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
 	switch n := node.(type) {
 	case *plan.Scan:
-		return &pipeSpec{src: &scanSource{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, st: prof.node(n)}}
+		return &pipeSpec{src: &scanSource{scan: n, st: prof.node(n)}}
 	case *plan.Material:
 		return &pipeSpec{src: &materialSource{data: n.Data, st: prof.node(n)}}
 	case *plan.Filter:

@@ -41,8 +41,11 @@ type nodeStats struct {
 	// groups those tables emitted; the nearer the two, the less was
 	// pre-aggregated only to be merged again. partitionedAt is how many
 	// input rows the first consumer to stop pre-aggregating had consumed
-	// when it did, zero when none did.
-	groupsInserted, groupsEmitted, partitionedAt atomic.Int64
+	// when it did, zero when none did. A dense table (dense.go) inserts
+	// a group where one consumer's rows first touch its slot, so its
+	// groups inserted are at most the consumers × its groups emitted;
+	// dense is the slots of the node's dense tables, zero when none is.
+	groupsInserted, groupsEmitted, partitionedAt, dense atomic.Int64
 }
 
 // Profile is one query's execution counters: a record per built plan
@@ -162,8 +165,9 @@ var _ spill.Recorder = (*Profile)(nil)
 // for a scan, the values it decoded and the rows its fused filter
 // evaluated on codes; for a blocking operator, partitions spilled vs
 // kept resident once it overflowed, groups inserted over groups
-// emitted, and the input row at which it stopped pre-aggregating, if it
-// did. A node the query never built did nothing.
+// emitted, the slots of its dense tables, and the input row at which
+// it stopped pre-aggregating, if it did. A node the query never built
+// did nothing.
 func (p *Profile) Actuals(n plan.Node) string {
 	p.mu.Lock()
 	st := p.nodes[n]
@@ -180,6 +184,9 @@ func (p *Profile) Actuals(n plan.Node) string {
 	}
 	if ins := st.groupsInserted.Load(); ins > 0 {
 		parts = append(parts, fmt.Sprintf("groups=%d/%d", ins, st.groupsEmitted.Load()))
+	}
+	if d := st.dense.Load(); d > 0 {
+		parts = append(parts, fmt.Sprintf("dense=%d", d))
 	}
 	if at := st.partitionedAt.Load(); at > 0 {
 		parts = append(parts, fmt.Sprintf("partitioned@%d", at))

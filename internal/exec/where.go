@@ -134,8 +134,11 @@ func (w *Where) filter(ch *vector.Chunk, sel *[]int) (*vector.Chunk, error) {
 // emitted columns must outlive it (the morsel exchange), and then they
 // never sit in a buffer. decoded and coded count the values decoded
 // from compressed columns and the rows kernels evaluated on codes.
+// skip, when set, names input columns not to emit: their emitted
+// column is nil.
 type SegmentScratch struct {
 	own               bool
+	skip              []bool
 	sel               []int
 	cols              []*storage.SealedColumn
 	whole, bufs, outs []*vector.Vector
@@ -204,6 +207,9 @@ func (w *Where) scanSegment(cols []*storage.SealedColumn, sc *SegmentScratch, em
 	}
 	out := make([]*vector.Vector, len(cols))
 	for p := range cols {
+		if sc.skip != nil && sc.skip[p] {
+			continue
+		}
 		v, err := sc.emit(cols, p, sel)
 		if err != nil {
 			return nil, nil, err

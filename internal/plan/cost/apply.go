@@ -188,7 +188,9 @@ func (p *planner) annotate(n plan.Node) float64 {
 	case *plan.Aggregate:
 		in := p.annotate(x.Child)
 		est := 1.0
-		if len(x.GroupBy) > 0 {
+		if ndv, ok := keysNDV(x); ok {
+			est = math.Max(1, math.Min(in, ndv))
+		} else if len(x.GroupBy) > 0 {
 			// Crude group-count guess: grows with input but sublinearly.
 			est = math.Max(1, math.Min(in, 8*math.Sqrt(in)))
 		}
@@ -235,6 +237,34 @@ func (p *planner) annotate(n plan.Node) float64 {
 		return float64(storage.SegmentRows) // unknown; one segment's worth
 	}
 	return float64(storage.SegmentRows)
+}
+
+// keysNDV estimates the groups of an aggregation whose keys are all
+// bare columns of the scan under it (through filters, which keep the
+// scan's columns): the product of the keys' distinct counts.
+func keysNDV(x *plan.Aggregate) (float64, bool) {
+	child := x.Child
+	for {
+		f, ok := child.(*plan.Filter)
+		if !ok {
+			break
+		}
+		child = f.Child
+	}
+	scan, ok := child.(*plan.Scan)
+	if !ok || len(x.GroupBy) == 0 {
+		return 0, false
+	}
+	stats, rows := scan.Table.Data.ColumnStatistics(), float64(scan.Table.Data.NumRows())
+	ndv := 1.0
+	for _, g := range x.GroupBy {
+		c, ok := scan.TableColumn(g)
+		if !ok {
+			return 0, false
+		}
+		ndv *= colNDV(stats[c], rows)
+	}
+	return ndv, true
 }
 
 // conjSel estimates one filter conjunct's selectivity. Directly above

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vexdb/internal/catalog"
@@ -298,5 +299,42 @@ func TestFanoutHint(t *testing.T) {
 	}
 	if jn.Hints.FanoutLog2 > 8 {
 		t.Fatalf("fan-out exceeds cap: %d", jn.Hints.FanoutLog2)
+	}
+}
+
+// TestAggregateEstimateFromKeys: an aggregation keyed on bare scan
+// columns estimates the product of their distinct counts, capped at its
+// input; one keyed on an expression keeps the 8·√input guess.
+func TestAggregateEstimateFromKeys(t *testing.T) {
+	cat := eventsCatalog(t)
+	est := func(q string) float64 {
+		var agg *plan.Aggregate
+		var walk func(n plan.Node)
+		walk = func(n plan.Node) {
+			switch x := n.(type) {
+			case *plan.Aggregate:
+				agg = x
+			case *plan.Project:
+				walk(x.Child)
+			case *plan.Sort:
+				walk(x.Child)
+			}
+		}
+		walk(Apply(bindSelect(t, cat, q), 8, 0))
+		if agg == nil {
+			t.Fatalf("%s: no aggregate", q)
+		}
+		return float64(agg.Hints.EstRows)
+	}
+	near := func(got, want float64) bool { return got >= 0.9*want && got <= 1.1*want }
+	if got := est("SELECT k, dk, count(*) AS n FROM big1 GROUP BY k, dk"); !near(got, 7*256) {
+		t.Errorf("GROUP BY k, dk: est %v, want about %d", got, 7*256)
+	}
+	if got := est("SELECT dk, k, sum(v) AS s FROM big1 WHERE v < 1000 GROUP BY dk, k"); got > 1000 || got < 256 {
+		t.Errorf("filtered GROUP BY dk, k: est %v, want the filtered input's bound", got)
+	}
+	in := float64(4 * storage.SegmentRows)
+	if got, want := est("SELECT k + 1 AS k1, count(*) AS n FROM big1 GROUP BY k + 1"), 8*math.Sqrt(in); !near(got, want) {
+		t.Errorf("GROUP BY k + 1: est %v, want %v", got, want)
 	}
 }

@@ -75,6 +75,29 @@ func (s *Scan) Schema() catalog.Schema {
 	return out
 }
 
+// Width is the number of table columns the scan produces, __rowpos not
+// counted.
+func (s *Scan) Width() int {
+	if s.Projection == nil {
+		return len(s.Table.Schema)
+	}
+	return len(s.Projection)
+}
+
+// TableColumn returns the table-schema position of the column e reads
+// when e is a bare reference to one of the scan's table columns, and
+// false for any other expression (__rowpos included).
+func (s *Scan) TableColumn(e Expr) (int, bool) {
+	ref, ok := e.(*ColRef)
+	if !ok || ref.Idx >= s.Width() {
+		return 0, false
+	}
+	if s.Projection != nil {
+		return s.Projection[ref.Idx], true
+	}
+	return ref.Idx, true
+}
+
 // MaterialScan reads an already materialized table (UNION inputs,
 // VALUES, cached relations).
 type Material struct {
