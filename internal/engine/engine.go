@@ -375,7 +375,7 @@ func (db *DB) valuesChunk(tab *catalog.Table, colIdx []int, rows [][]sql.Expr) (
 			if err != nil {
 				return nil, err
 			}
-			v, err := exec.EvalConst(bound)
+			v, err := plan.EvalConst(bound)
 			if err != nil {
 				return nil, err
 			}
@@ -541,7 +541,7 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 			if e == nil {
 				continue
 			}
-			nv, err := exec.Evaluate(e, matched)
+			nv, err := plan.Evaluate(e, matched)
 			if err != nil {
 				return nil, err
 			}
@@ -566,7 +566,8 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 // replacement rows from update, which sees only the matched rows of
 // one segment at a time — and applies it through
 // storage.ColumnStore.Rewrite, which rebuilds only the segments
-// holding a match. The read, the log append and the publish happen
+// holding a match. A WHERE that folds to FALSE matches nothing and
+// reads no segment. The read, the log append and the publish happen
 // under the table's write lock, on the version pinned there, so a
 // concurrent INSERT can neither be lost nor double-applied and the
 // ordinals name the rows they were computed from. Segments whose zone
@@ -581,8 +582,11 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 	var preds []plan.ScanPredicate
 	if where != nil {
 		var err error
-		if pred, err = plan.NewBinder(db.cat, db.reg).BindExprIn(where, newTableScope(tab)); err != nil {
+		if pred, err = plan.NewBinder(db.cat, db.reg).BindWhereIn(where, newTableScope(tab)); err != nil {
 			return 0, err
+		}
+		if plan.IsFalse(pred) {
+			return 0, nil
 		}
 		preds = plan.ExtractScanPreds(pred, nil)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vexdb/internal/core"
@@ -345,6 +346,105 @@ func TestUntypedNullSelectList(t *testing.T) {
 			t.Fatalf("workers=%d: CREATE TABLE AS stored %d rows of %s", workers, tab.NumRows(), tab.Cols[0].Type())
 		}
 	}
+}
+
+// TestTypesAndConstantsSettledAtBind: an untyped NULL takes its type
+// from its context, column-free subtrees fold before the scan
+// predicates are taken, a FALSE WHERE reads no segment, and items above
+// GROUP BY bind as any other expression does — with the same rows at
+// every width, budget and planner setting, materialized and streamed.
+func TestTypesAndConstantsSettledAtBind(t *testing.T) {
+	db := New()
+	db.TempDir = t.TempDir()
+	mustExec(t, db, "CREATE TABLE t (a INTEGER, s VARCHAR)")
+	batchInsert(t, db, "t", 6144, func(i int) string { return fmt.Sprintf("(%d, 's%d')", i%1000, i%7) }) // three sealed segments
+	mustExec(t, db, "CREATE TABLE x AS SELECT a, count(*) FROM t WHERE a < 2 GROUP BY a")
+	for _, c := range []struct {
+		q     string
+		want  []string      // fingerprintTable rows
+		names []string      // result columns
+		types []vector.Type // result column types, nil for any
+		scans bool          // whether the query reads a segment
+	}{
+		{"SELECT a FROM t WHERE NULL", nil, []string{"a"}, nil, false},
+		{"SELECT a FROM t WHERE NOT NULL", nil, []string{"a"}, nil, false},
+		{"SELECT a FROM t WHERE 1 = 0 AND a > 0", nil, []string{"a"}, nil, false},
+		{"SELECT count(*) FROM t WHERE NULL OR a > 997", []string{"12|"}, []string{"count"}, nil, true},
+		{"SELECT a + NULL FROM t WHERE a = 5 LIMIT 2", []string{"N|", "N|"}, nil, []vector.Type{vector.Int32}, true},
+		{"SELECT -NULL", []string{"N|"}, nil, []vector.Type{vector.Float64}, false},
+		{"SELECT sum(a) + NULL FROM t", []string{"N|"}, []string{"(sum(a) + NULL)"}, []vector.Type{vector.Int64}, true},
+		{"SELECT a, count(*) FROM t WHERE a < 146 GROUP BY a HAVING count(*) IN (1, 6) ORDER BY a", []string{"144|6|", "145|6|"}, []string{"a", "count"}, nil, true},
+		{"SELECT count(*) IN (6144, 4) FROM t", []string{"true|"}, nil, []vector.Type{vector.Bool}, true},
+		{"SELECT a, count(*) AS n FROM t WHERE a > 140 AND a < 146 GROUP BY a ORDER BY count(*) DESC, a DESC", []string{"143|7|", "142|7|", "141|7|", "145|6|", "144|6|"}, []string{"a", "n"}, nil, true},
+		{"SELECT a, count(*), max(a) + 1 FROM t WHERE a = 7 GROUP BY a", []string{"7|7|8|"}, []string{"a", "count", "(max(a) + 1)"}, nil, true},
+		{"SELECT count(*) FROM t WHERE a = CAST('3' AS INTEGER)", []string{"7|"}, nil, nil, true},
+		{"SELECT a FROM t WHERE a > 997 + 1 ORDER BY a LIMIT 1 + 1", []string{"999|", "999|"}, nil, nil, true},
+		{"SELECT count FROM x ORDER BY a", []string{"7|", "7|"}, nil, []vector.Type{vector.Int64}, true},
+	} {
+		for _, planner := range []bool{false, true} {
+			db.NoCostPlanner = !planner
+			for _, workers := range []int{1, 2, 8} {
+				db.Parallelism = workers
+				for _, budget := range []int64{0, 64 << 10} {
+					db.MemoryBudget = budget
+					label := fmt.Sprintf("%q planner=%v workers=%d budget=%d", c.q, planner, workers, budget)
+					rs, err := db.Query(c.q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					tab, err := rs.Materialize()
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					assertSameRows(t, label, fingerprintTable(tab), c.want)
+					assertSameRows(t, label+" streamed", queryFingerprint(t, db, c.q, true), c.want)
+					if st := rs.ScanStats(); (st.Scanned()+st.Skipped() > 0) != c.scans {
+						t.Fatalf("%s: scanned %d and skipped %d segments", label, st.Scanned(), st.Skipped())
+					}
+					for i, col := range rs.Schema() {
+						if c.names != nil && col.Name != c.names[i] || c.types != nil && col.Type != c.types[i] {
+							t.Fatalf("%s: column %d is %s %s, want %v %v", label, i, col.Name, col.Type, c.names, c.types)
+						}
+					}
+				}
+			}
+		}
+	}
+	db.NoCostPlanner, db.Parallelism, db.MemoryBudget = false, 0, 0
+
+	for q, want := range map[string]string{
+		"SELECT a FROM t WHERE 1 = 0 AND a > 0":              "Material rows=0",
+		"SELECT a FROM t WHERE a > 1 + 2":                    "Filter kernels=[(a > 3)]",
+		"SELECT a FROM t WHERE a = CAST('3' AS INTEGER)":     "Filter kernels=[(a = 3)]",
+		"SELECT a FROM t WHERE a = CAST('3' AS INTEGER) + 0": "Scan t preds=1",
+	} {
+		plan := explainAnalyze(t, db, q)
+		if !strings.Contains(plan, want) || strings.Contains(plan, "residual") {
+			t.Fatalf("EXPLAIN %s: want %q and no residual:\n%s", q, want, plan)
+		}
+	}
+	if plan := explainAnalyze(t, db, "SELECT a FROM t WHERE NULL"); strings.Contains(plan, "Scan") {
+		t.Fatalf("a FALSE WHERE scans:\n%s", plan)
+	}
+	_, aggErr := db.Exec("SELECT abs(sum(a), 1) FROM t")
+	_, rowErr := db.Exec("SELECT abs(a, 1) FROM t")
+	if aggErr == nil || rowErr == nil || aggErr.Error() != rowErr.Error() {
+		t.Fatalf("abs with two arguments: %v over an aggregate, %v over a column", aggErr, rowErr)
+	}
+	if _, err := db.Exec("EXPLAIN SELECT -max(s) FROM t"); err == nil || !strings.Contains(err.Error(), "unary minus on VARCHAR") {
+		t.Fatalf("-max(s) bound: %v", err)
+	}
+	// A FALSE predicate reads no row, so the CAST that fails on every
+	// row of s is never evaluated.
+	for _, q := range []string{
+		"DELETE FROM t WHERE 1 = 0 AND CAST(s AS INTEGER) > 0",
+		"UPDATE t SET a = 0 WHERE NULL AND CAST(s AS INTEGER) > 0",
+	} {
+		if res := mustExec(t, db, q); res.RowsAffected != 0 {
+			t.Fatalf("%s: %d rows affected", q, res.RowsAffected)
+		}
+	}
+	assertSameRows(t, "after the writes", queryFingerprint(t, db, "SELECT count(*), sum(a) FROM t", false), []string{"6144|3007296|"})
 }
 
 func TestUnion(t *testing.T) {

@@ -40,20 +40,10 @@ type aggShape struct {
 	state   []vector.Type
 }
 
-// inputType is the vector type an aggregation input is coerced to: the
-// expression's static type, with an untyped NULL evaluating (as
-// vector.Constant makes it) to an all-NULL DOUBLE column.
-func inputType(e plan.Expr) vector.Type {
-	if t := e.Type(); t != vector.Invalid {
-		return t
-	}
-	return vector.Float64
-}
-
 func newAggShape(s plan.AggSpec) aggShape {
 	sh := aggShape{spec: s}
 	if s.Arg != nil {
-		sh.argType = inputType(s.Arg)
+		sh.argType = s.Arg.Type()
 	}
 	switch {
 	case s.Kind == plan.AggCount:
@@ -190,7 +180,7 @@ type touchPiece struct {
 func newAggTable(spec *plan.Aggregate, st *nodeStats) *aggTable {
 	types := make([]vector.Type, len(spec.GroupBy))
 	for i, g := range spec.GroupBy {
-		types[i] = inputType(g)
+		types[i] = g.Type()
 	}
 	t := &aggTable{spec: spec, st: st, shapes: newAggShapes(spec), gi: newGroupIndex(types),
 		state: make([][]*vector.Vector, len(spec.Aggs))}
@@ -514,17 +504,7 @@ func (t *aggTable) finalize(i int, order []int) (*vector.Vector, error) {
 			}
 		}
 	}
-	return castTo(v, sh.spec.Typ)
-}
-
-// castTo converts a column whose natural type is not the one the plan
-// declared; a failing cast is the query's error. A column the plan
-// could not type (an untyped NULL) stays as evaluated.
-func castTo(v *vector.Vector, t vector.Type) (*vector.Vector, error) {
-	if v.Type() == t || t == vector.Invalid {
-		return v, nil
-	}
-	return v.Cast(t)
+	return v.Cast(sh.spec.Typ) // the plan's type, where the state's natural one differs
 }
 
 // emitRun materializes the groups order, which ascends in firstSeen —
@@ -633,11 +613,11 @@ func morselPos(pos []int64, morsel, n int) []int64 {
 }
 
 func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
-	v, err := Evaluate(e, ch)
+	v, err := plan.Evaluate(e, ch)
 	if err != nil {
 		return nil, err
 	}
-	return castTo(v, e.Type())
+	return v.Cast(e.Type())
 }
 
 // aggregation is one execution of an Aggregate node: the tables its
@@ -693,7 +673,7 @@ func newAggregation(ctx *Context, spec *plan.Aggregate, workers int, st *nodeSta
 	a.tables = []aggStage{{spec: plain, shared: shared()}}
 	groups := make([]plan.Expr, ng) // the group columns in a dedup table's output
 	for i, g := range spec.GroupBy {
-		groups[i] = &plan.ColRef{Idx: i, Typ: inputType(g)}
+		groups[i] = &plan.ColRef{Idx: i, Typ: g.Type()}
 		a.cols = append(a.cols, [2]int{0, i})
 	}
 	for _, s := range spec.Aggs {
@@ -709,7 +689,7 @@ func newAggregation(ctx *Context, spec *plan.Aggregate, workers int, st *nodeSta
 				})
 			}
 			into = a.tables[k].fold
-			s.Distinct, s.Arg = false, &plan.ColRef{Idx: ng, Typ: inputType(s.Arg)}
+			s.Distinct, s.Arg = false, &plan.ColRef{Idx: ng, Typ: s.Arg.Type()}
 		}
 		a.cols = append(a.cols, [2]int{k, ng + len(into.Aggs)})
 		into.Aggs = append(into.Aggs, s)

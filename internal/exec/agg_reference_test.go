@@ -101,7 +101,7 @@ func refNewAggTable(spec *plan.Aggregate) *refAggTable {
 // chunk into the table's reusable vector slots.
 func (t *refAggTable) evalInputs(ch *vector.Chunk) error {
 	for i, g := range t.spec.GroupBy {
-		v, err := Evaluate(g, ch)
+		v, err := plan.Evaluate(g, ch)
 		if err != nil {
 			return err
 		}
@@ -112,7 +112,7 @@ func (t *refAggTable) evalInputs(ch *vector.Chunk) error {
 			t.argVecs[i] = nil
 			continue
 		}
-		v, err := Evaluate(s.Arg, ch)
+		v, err := plan.Evaluate(s.Arg, ch)
 		if err != nil {
 			return err
 		}

@@ -12,7 +12,7 @@ import (
 // evalOver evaluates a bound expression over a one-chunk input.
 func evalOver(t *testing.T, e plan.Expr, cols ...*vector.Vector) *vector.Vector {
 	t.Helper()
-	out, err := Evaluate(e, vector.NewChunk(cols...))
+	out, err := plan.Evaluate(e, vector.NewChunk(cols...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEvalThreeValuedLogic(t *testing.T) {
 func TestEvalComparisonWithNullConstant(t *testing.T) {
 	a := vector.FromInt64s([]int64{1, 2})
 	e := &plan.BinOp{Op: sql.OpEq, Left: colRef(0, vector.Int64),
-		Right: &plan.Const{Val: vector.Null(), Typ: vector.Invalid}, Typ: vector.Bool}
+		Right: &plan.Const{Val: vector.Null(), Typ: vector.Int64}, Typ: vector.Bool}
 	out := evalOver(t, e, a)
 	if !out.IsNull(0) || !out.IsNull(1) {
 		t.Fatal("x = NULL must be NULL")
@@ -95,7 +95,7 @@ func TestEvalInWithNulls(t *testing.T) {
 		Operand: colRef(0, vector.Int64),
 		List: []plan.Expr{
 			&plan.Const{Val: vector.NewInt64(1), Typ: vector.Int64},
-			&plan.Const{Val: vector.Null(), Typ: vector.Invalid},
+			&plan.Const{Val: vector.Null(), Typ: vector.Int64},
 		},
 	}
 	out := evalOver(t, in, a)
@@ -113,7 +113,7 @@ func TestEvalConst(t *testing.T) {
 		Left:  &plan.Const{Val: vector.NewInt64(6), Typ: vector.Int64},
 		Right: &plan.Const{Val: vector.NewInt64(7), Typ: vector.Int64},
 		Typ:   vector.Int64}
-	v, err := EvalConst(e)
+	v, err := plan.EvalConst(e)
 	if err != nil || v.Int64() != 42 {
 		t.Fatalf("EvalConst: %v %v", v, err)
 	}

@@ -15,7 +15,7 @@ import (
 // *selBuf is reused across calls; an all-true NULL-free predicate
 // skips the selection vector (and the Gather copy) entirely.
 func filterChunk(pred plan.Expr, ch *vector.Chunk, selBuf *[]int) (*vector.Chunk, error) {
-	pv, err := Evaluate(pred, ch)
+	pv, err := plan.Evaluate(pred, ch)
 	if err != nil {
 		return nil, err
 	}

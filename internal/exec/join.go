@@ -19,7 +19,7 @@ import (
 func joinKeyTypes(spec *plan.HashJoin) []vector.Type {
 	types := make([]vector.Type, len(spec.LeftKeys))
 	for i, l := range spec.LeftKeys {
-		lt, rt := inputType(l), inputType(spec.RightKeys[i])
+		lt, rt := l.Type(), spec.RightKeys[i].Type()
 		if t, ok := vector.CommonNumeric(lt, rt); ok {
 			types[i] = t
 		} else if lt == rt {
@@ -47,7 +47,7 @@ func prepareJoin(exprs []plan.Expr, types []vector.Type, ch *vector.Chunk, hashe
 	n := ch.NumRows()
 	in := joinInput{ch: ch, keys: make([]*vector.Vector, len(exprs)), hashes: hashes}
 	for i, e := range exprs {
-		v, err := Evaluate(e, ch)
+		v, err := plan.Evaluate(e, ch)
 		if err != nil {
 			return in, err
 		}
@@ -169,7 +169,7 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 	}
 	if spec.Extra != nil && pairs > 0 {
 		cand := vector.NewChunk(append(in.ch.Gather(out.probe).Cols(), t.build.Gather(out.build).Cols()...)...)
-		pred, err := Evaluate(spec.Extra, cand)
+		pred, err := plan.Evaluate(spec.Extra, cand)
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ func refJoinKeys(t testing.TB, mine, theirs []plan.Expr, ch *vector.Chunk) []*ve
 	t.Helper()
 	keys := make([]*vector.Vector, len(mine))
 	for i, e := range mine {
-		v, err := Evaluate(e, ch)
+		v, err := plan.Evaluate(e, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func referenceJoin(t testing.TB, spec *plan.HashJoin) []*vector.Vector {
 		}
 		joined := vector.NewChunk(append(ch.Gather(leftSel).Cols(), right.Gather(rightSel).Cols()...)...)
 		if spec.Extra != nil && joined.NumRows() > 0 {
-			pred, err := Evaluate(spec.Extra, joined)
+			pred, err := plan.Evaluate(spec.Extra, joined)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestJoinKeyTyping(t *testing.T) {
 		{"i = e", []plan.Expr{ai}, []plan.Expr{be}, 2}, // 1 and 2; integer 0 is +0, which is not the DOUBLE column's -0
 		{"i = e AND s = s", []plan.Expr{ai, as}, []plan.Expr{be, bs}, 0},
 		{"s = j", []plan.Expr{as}, []plan.Expr{bj}, 0}, // no common type: nothing matches
-		{"i = NULL", []plan.Expr{ai}, []plan.Expr{&plan.Const{Val: vector.Null()}}, 0},
+		{"i = NULL", []plan.Expr{ai}, []plan.Expr{&plan.Const{Val: vector.Null(), Typ: vector.Int32}}, 0},
 	} {
 		for _, swap := range []bool{false, true} {
 			spec := &plan.HashJoin{Kind: sql.InnerJoin, Left: a, Right: b, LeftKeys: c.left, RightKeys: c.right}

@@ -329,7 +329,7 @@ func (b *runBuilder) add(ch *vector.Chunk, posBase int64) error {
 			keys[ki] = ch.Col(colKey[ki])
 			continue
 		}
-		kv, err := Evaluate(k.Expr, ch)
+		kv, err := plan.Evaluate(k.Expr, ch)
 		if err != nil {
 			return err
 		}

@@ -97,7 +97,7 @@ func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, e
 		}
 		return EvalPartitionedCall(call, args, p.ctx.Workers())
 	}
-	return Evaluate(e, in)
+	return plan.Evaluate(e, in)
 }
 
 func (p *mlProjectOp) Close() error { return p.child.Close() }

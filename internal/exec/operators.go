@@ -1,3 +1,7 @@
+// Package exec implements the vectorized execution engine: pull-based
+// operators exchanging chunks of column vectors, hash join, hash
+// aggregation, sorting and table-UDF invocation. Expressions evaluate
+// through plan.Evaluate.
 package exec
 
 import (

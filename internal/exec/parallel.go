@@ -264,7 +264,7 @@ func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.C
 		} else {
 			cols := make([]*vector.Vector, len(st.exprs))
 			for i, e := range st.exprs {
-				v, err := Evaluate(e, ch)
+				v, err := plan.Evaluate(e, ch)
 				if err != nil {
 					return nil, err
 				}

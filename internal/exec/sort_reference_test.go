@@ -173,7 +173,7 @@ func referenceSort(t testing.TB, keys []plan.SortKey, all *vector.Chunk, count, 
 	t.Helper()
 	keyVecs := make([]*vector.Vector, len(keys))
 	for i, k := range keys {
-		v, err := Evaluate(k.Expr, all)
+		v, err := plan.Evaluate(k.Expr, all)
 		if err != nil {
 			t.Fatal(err)
 		}

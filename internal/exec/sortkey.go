@@ -33,8 +33,8 @@ const nullCode = ^uint64(0)
 //	         under 8 bytes are decided by their code
 //	NULL     nullCode; DESC complements every code
 //
-// A BLOB key, an untyped key and a key vector that is not of the
-// planned type are not coded: every pair falls through to the
+// A BLOB key and a key vector that is not of the planned type are not
+// coded: every pair falls through to the
 // comparator, which orders it or reports why it cannot.
 type sortCoder struct {
 	keys   []plan.SortKey

@@ -186,7 +186,8 @@ func (s *ChunkStream) Close() error {
 }
 
 // castChunk casts columns whose runtime type differs from the declared
-// schema (e.g. untyped NULL columns).
+// schema (e.g. a scalar UDF's result, which need not be of the type it
+// declared).
 func castChunk(ch *vector.Chunk, schema catalog.Schema) (*vector.Chunk, error) {
 	for i := 0; i < ch.NumCols(); i++ {
 		if ch.Col(i).Type() != schema[i].Type {

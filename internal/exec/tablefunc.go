@@ -30,7 +30,7 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 			args[i] = core.TableArg{Table: tab}
 			continue
 		}
-		v, err := EvalConst(a.ConstExpr)
+		v, err := plan.EvalConst(a.ConstExpr)
 		if err != nil {
 			return fmt.Errorf("exec: argument %d of %s: %w", i+1, t.spec.Fn.Name, err)
 		}

@@ -88,7 +88,7 @@ func allRows(sel []int, n int) []int {
 // evaluated over every row of rch (the resCols), is TRUE.
 func (w *Where) keepResidual(rch *vector.Chunk, sel []int) ([]int, error) {
 	for _, e := range w.residual {
-		pv, err := Evaluate(e, rch)
+		pv, err := plan.Evaluate(e, rch)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func (sc *SegmentScratch) codeKeep(c *storage.SealedColumn, k plan.ScanPredicate
 		out, ok, err = c.KeepInts(sel, lo, span)
 	case c.Typ == vector.String && k.Val.Type() == vector.String:
 		cv := k.Val.Str()
-		out, ok, err = c.KeepStrings(sel, func(s string) bool { return cmpToBool(k.Op, compareString(s, cv)) })
+		out, ok, err = c.KeepStrings(sel, func(s string) bool { return plan.CmpToBool(k.Op, plan.CompareString(s, cv)) })
 	}
 	if ok {
 		sc.coded += int64(len(sel))
@@ -469,7 +469,7 @@ func keepNumbers[S, T int32 | int64 | float64](sel []int, col []S, op sql.Binary
 func keepStrings(sel []int, col []string, op sql.BinaryOp, c string) []int {
 	k := 0
 	for _, r := range sel {
-		if cmpToBool(op, compareString(col[r], c)) {
+		if plan.CmpToBool(op, plan.CompareString(col[r], c)) {
 			sel[k] = r
 			k++
 		}

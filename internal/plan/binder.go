@@ -23,8 +23,15 @@ func NewBinder(cat *catalog.Catalog, reg *core.Registry) *Binder {
 }
 
 // scope maps visible (qualifier, column) pairs to chunk positions.
+// Above GROUP BY (agg set) it is the output of agg over the scope in:
+// keys[i], a GROUP BY expression or an aggregate call, is column i. An
+// aggregate call not among them yet is bound over in and added to agg;
+// a column reference that is none of them is an error.
 type scope struct {
 	cols []scopeCol
+	keys []sql.Expr
+	agg  *Aggregate
+	in   *scope
 }
 
 type scopeCol struct {
@@ -71,25 +78,40 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 	}
 
 	if sel.Where != nil {
-		pred, err := b.bindExpr(sel.Where, sc, false)
+		pred, err := b.bindPredicate(sel.Where, sc)
 		if err != nil {
 			return nil, fmt.Errorf("in WHERE: %w", err)
 		}
-		// Single-table scans get the scan-eligible conjuncts pushed
-		// down for zone-map pruning; under joins each conjunct routes
-		// to the scan owning its column. The filter itself is
-		// untouched either way.
-		if scan, ok := node.(*Scan); ok {
-			scan.Preds = ExtractScanPreds(pred, nil)
-		} else {
-			pushJoinScanPreds(node, pred)
+		switch {
+		case pred == nil:
+		case IsFalse(pred):
+			node = emptyOf(node.Schema())
+		default:
+			// Single-table scans get the scan-eligible conjuncts pushed
+			// down for zone-map pruning; under joins each conjunct routes
+			// to the scan owning its column. The filter itself is
+			// untouched either way.
+			if scan, ok := node.(*Scan); ok {
+				scan.Preds = ExtractScanPreds(pred, nil)
+			} else {
+				pushJoinScanPreds(node, pred)
+			}
+			node = &Filter{Pred: pred, Child: node}
 		}
-		node = &Filter{Pred: pred, Child: node}
 	}
 
 	items, err := b.expandStars(sel.Items, sc)
 	if err != nil {
 		return nil, err
+	}
+
+	var right Node
+	var like catalog.Schema // an untyped select-list column takes its type here
+	if sel.Union != nil {
+		if right, err = b.BindSelect(sel.Union); err != nil {
+			return nil, err
+		}
+		like = right.Schema()
 	}
 
 	needAgg := len(sel.GroupBy) > 0 || sel.Having != nil
@@ -103,46 +125,30 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 	}
 
 	var projNode *Project
-	var outNames []string
 	if needAgg {
-		projNode, outNames, err = b.bindAggregate(sel, items, node, sc)
-		if err != nil {
-			return nil, err
-		}
+		projNode, err = b.bindAggregate(sel, items, node, sc, like)
 	} else {
-		exprs := make([]Expr, len(items))
-		outNames = make([]string, len(items))
-		for i, it := range items {
-			e, err := b.bindExpr(it.Expr, sc, false)
-			if err != nil {
-				return nil, err
-			}
-			exprs[i] = e
-			outNames[i] = itemName(it, e)
-		}
-		projNode = &Project{Exprs: exprs, Names: outNames, Child: node}
+		projNode, err = b.bindItems(items, sc, like, node)
 	}
+	if err != nil {
+		return nil, err
+	}
+	outNames := projNode.Names
 	node = projNode
 
 	if sel.Distinct {
 		node = &Distinct{Child: node}
 	}
 
-	if sel.Union != nil {
-		right, err := b.BindSelect(sel.Union)
-		if err != nil {
-			return nil, err
-		}
+	if right != nil {
 		if len(right.Schema()) != len(node.Schema()) {
 			return nil, fmt.Errorf("plan: UNION arms have %d and %d columns", len(node.Schema()), len(right.Schema()))
 		}
-		typeUntyped(projNode, right.Schema())
 		return &Union{Left: node, Right: right, All: sel.UnionAll}, nil
 	}
-	typeUntyped(projNode, nil)
 
 	if len(sel.OrderBy) > 0 {
-		keys, hidden, err := b.bindOrderByHidden(sel.OrderBy, node, outNames, sc, needAgg || sel.Distinct)
+		keys, hidden, err := b.bindOrderByHidden(sel.OrderBy, items, node, outNames, sc, needAgg || sel.Distinct)
 		if err != nil {
 			return nil, err
 		}
@@ -198,23 +204,36 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 	return node, nil
 }
 
-// typeUntyped gives each select-list column whose bound type is Invalid
-// — a bare NULL, or an expression of NULLs alone — a concrete type: the
-// type of the column at its position in like (the other arm of a
-// UNION) when that has one, else VARCHAR, as PostgreSQL resolves an
-// untyped literal to text. Vectors, the operators over them and a
-// CREATE TABLE AS column all need one.
-func typeUntyped(p *Project, like catalog.Schema) {
-	for i, e := range p.Exprs {
-		if e.Type() != vector.Invalid {
-			continue
+// bindItems binds a select list over child. A column is named before
+// its constants fold, so SELECT 1 + 2 is still "(1 + 2)". An untyped
+// column takes the type of the column at its position in like (the
+// other UNION arm) when there is one, else VARCHAR, as PostgreSQL
+// resolves an untyped literal to text.
+func (b *Binder) bindItems(items []sql.SelectItem, sc *scope, like catalog.Schema, child Node) (*Project, error) {
+	p := &Project{Exprs: make([]Expr, len(items)), Names: make([]string, len(items)), Child: child}
+	for i, it := range items {
+		e, err := b.bindExpr(it.Expr, sc)
+		if err != nil {
+			return nil, err
 		}
-		to := vector.String
-		if i < len(like) && like[i].Type != vector.Invalid {
-			to = like[i].Type
+		t := vector.String
+		if i < len(like) {
+			t = like[i].Type
 		}
-		p.Exprs[i] = &Cast{Operand: e, To: to}
+		p.Names[i] = itemName(it, e)
+		p.Exprs[i] = fold(settle(e, t))
 	}
+	return p, nil
+}
+
+// emptyOf is a relation of schema with no rows: the input of a WHERE
+// that is FALSE, which reads nothing.
+func emptyOf(schema catalog.Schema) *Material {
+	cols := make([]*vector.Vector, len(schema))
+	for i, c := range schema {
+		cols[i] = vector.New(c.Type, 0)
+	}
+	return &Material{Data: &vector.Table{Names: schema.Names(), Cols: cols}, Schem: schema}
 }
 
 // pushSortLimit annotates the Sort directly under node (through 1:1
@@ -259,24 +278,20 @@ func (b *Binder) bindFromClause(sel *sql.Select) (Node, *scope, error) {
 		combined := &scope{cols: append(append([]scopeCol{}, sc.cols...), rsc.cols...)}
 		join := &HashJoin{Kind: j.Kind, Left: node, Right: rnode}
 		if j.On != nil {
-			conjuncts := splitAnd(j.On)
-			var extras []sql.Expr
-			for _, c := range conjuncts {
-				lk, rk, ok := b.tryBindEquiKey(c, sc, rsc)
-				if ok {
+			var extras []Expr
+			for _, c := range splitAnd(j.On) {
+				if lk, rk, ok := b.tryBindEquiKey(c, sc, rsc); ok {
 					join.LeftKeys = append(join.LeftKeys, lk)
 					join.RightKeys = append(join.RightKeys, rk)
 					continue
 				}
-				extras = append(extras, c)
-			}
-			if len(extras) > 0 {
-				pred, err := b.bindExpr(joinAnd(extras), combined, false)
+				pred, err := b.bindTyped(c, combined, vector.Bool)
 				if err != nil {
 					return nil, nil, fmt.Errorf("in ON: %w", err)
 				}
-				join.Extra = pred
+				extras = append(extras, pred)
 			}
+			join.Extra = simplifyAnd(AndAll(extras))
 		}
 		node = join
 		sc = combined
@@ -291,14 +306,6 @@ func splitAnd(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
-func joinAnd(es []sql.Expr) sql.Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &sql.BinaryExpr{Op: sql.OpAnd, Left: out, Right: e}
-	}
-	return out
-}
-
 // tryBindEquiKey recognizes conjuncts of the form l = r where one side
 // binds entirely in the left scope and the other in the right scope.
 func (b *Binder) tryBindEquiKey(c sql.Expr, left, right *scope) (Expr, Expr, bool) {
@@ -306,14 +313,12 @@ func (b *Binder) tryBindEquiKey(c sql.Expr, left, right *scope) (Expr, Expr, boo
 	if !ok || be.Op != sql.OpEq {
 		return nil, nil, false
 	}
-	if lk, err := b.bindExpr(be.Left, left, false); err == nil {
-		if rk, err := b.bindExpr(be.Right, right, false); err == nil {
-			return lk, rk, true
-		}
-	}
-	if lk, err := b.bindExpr(be.Right, left, false); err == nil {
-		if rk, err := b.bindExpr(be.Left, right, false); err == nil {
-			return lk, rk, true
+	for _, sides := range [2][2]sql.Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
+		if lk, err := b.bindExpr(sides[0], left); err == nil {
+			if rk, err := b.bindExpr(sides[1], right); err == nil {
+				ks := settleLike(lk, rk)
+				return fold(ks[0]), fold(ks[1]), true
+			}
 		}
 	}
 	return nil, nil, false
@@ -408,22 +413,35 @@ func (b *Binder) expandStars(items []sql.SelectItem, sc *scope) ([]sql.SelectIte
 	return out, nil
 }
 
+// itemName names an unaliased select-list column: by its column, by
+// its function for a bare aggregate, as PostgreSQL does, else by its
+// bound expression.
 func itemName(it sql.SelectItem, bound Expr) string {
 	if it.Alias != "" {
 		return it.Alias
 	}
-	if cr, ok := it.Expr.(*sql.ColumnRef); ok {
-		return cr.Name
+	switch x := it.Expr.(type) {
+	case *sql.ColumnRef:
+		return x.Name
+	case *sql.FuncCall:
+		if sql.AggregateNames[x.Name] {
+			return x.Name
+		}
 	}
 	return ExprString(bound)
 }
 
+// constInt binds a LIMIT or OFFSET, which must fold to an integer.
 func (b *Binder) constInt(e sql.Expr) (int64, error) {
-	lit, ok := e.(*sql.Literal)
-	if !ok || lit.Value.Type() != vector.Int64 {
-		return 0, fmt.Errorf("expected integer literal")
+	x, err := b.BindConst(e)
+	if err != nil {
+		return 0, err
 	}
-	return lit.Value.Int64(), nil
+	c, ok := x.(*Const)
+	if !ok || c.Val.IsNull() || (c.Typ != vector.Int64 && c.Typ != vector.Int32) {
+		return 0, fmt.Errorf("expected an integer constant, got %s", ExprString(x))
+	}
+	return c.Val.Int64(), nil
 }
 
 // noColumns is the scope of a constant: it resolves no column.
@@ -432,15 +450,45 @@ var noColumns scope
 // BindConst binds an expression that must be a constant, such as a
 // VALUES cell or a scalar table-function argument: it sees no columns,
 // so a column reference is not found, and an aggregate is refused as
-// anywhere outside a grouped select list. A literal binds to a *Const.
+// anywhere outside a grouped select list. Anything but a scalar
+// function call folds to a *Const.
 func (b *Binder) BindConst(e sql.Expr) (Expr, error) {
-	return b.bindExpr(e, &noColumns, false)
+	return b.bindTyped(e, &noColumns, vector.Float64)
 }
 
-// bindExpr binds a scalar expression against a scope. allowAgg permits
-// aggregate function calls (only used inside bindAggregate's argument
-// binding, where they are handled separately).
-func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
+// bindTyped binds a whole expression in a context that types an
+// untyped result as t (see settle) and folds its constant subtrees.
+func (b *Binder) bindTyped(e sql.Expr, sc *scope, t vector.Type) (Expr, error) {
+	x, err := b.bindExpr(e, sc)
+	if err != nil {
+		return nil, err
+	}
+	return fold(settle(x, t)), nil
+}
+
+// bindPredicate binds a WHERE or HAVING predicate: BOOLEAN where it is
+// untyped, and simplified (simplifyAnd).
+func (b *Binder) bindPredicate(e sql.Expr, sc *scope) (Expr, error) {
+	pred, err := b.bindTyped(e, sc, vector.Bool)
+	if err != nil {
+		return nil, err
+	}
+	return simplifyAnd(pred), nil
+}
+
+// bindExpr binds a scalar expression against a scope. Each operand an
+// operator gives a context is settled to it; the result itself stays
+// untyped (vector.Invalid) when it is a NULL, or a CASE of NULLs, for
+// the caller's context to settle.
+func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
+	if sc.agg != nil {
+		for i, k := range sc.keys {
+			if eqExpr(e, k) {
+				c := sc.cols[i]
+				return &ColRef{Idx: i, Typ: c.typ, Name: c.name}, nil
+			}
+		}
+	}
 	switch x := e.(type) {
 	case *sql.Literal:
 		v := x.Value
@@ -450,21 +498,33 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 			// does not keep the statement alive.
 			v = vector.NewString(strings.Clone(v.Str()))
 		}
-		return &Const{Val: v, Typ: literalType(x.Value)}, nil
+		return &Const{Val: v, Typ: v.Type()}, nil
 	case *sql.ColumnRef:
+		if sc.agg != nil {
+			return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate", x.Name)
+		}
 		idx, typ, err := sc.resolve(x.Table, x.Name)
 		if err != nil {
 			return nil, err
 		}
 		return &ColRef{Idx: idx, Typ: typ, Name: x.Name}, nil
 	case *sql.BinaryExpr:
-		l, err := b.bindExpr(x.Left, sc, allowAgg)
+		l, err := b.bindExpr(x.Left, sc)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.bindExpr(x.Right, sc, allowAgg)
+		r, err := b.bindExpr(x.Right, sc)
 		if err != nil {
 			return nil, err
+		}
+		switch x.Op {
+		case sql.OpAnd, sql.OpOr:
+			l, r = settle(l, vector.Bool), settle(r, vector.Bool)
+		case sql.OpConcat:
+			l, r = settle(l, vector.String), settle(r, vector.String)
+		default:
+			lr := settleLike(l, r)
+			l, r = lr[0], lr[1]
 		}
 		t, err := binOpType(x.Op, l.Type(), r.Type())
 		if err != nil {
@@ -472,48 +532,55 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 		}
 		return &BinOp{Op: x.Op, Left: l, Right: r, Typ: t}, nil
 	case *sql.UnaryExpr:
-		op, err := b.bindExpr(x.Operand, sc, allowAgg)
+		op, err := b.bindExpr(x.Operand, sc)
 		if err != nil {
 			return nil, err
 		}
 		if x.Neg {
+			op = settle(op, vector.Float64)
 			if !op.Type().IsNumeric() {
 				return nil, fmt.Errorf("plan: unary minus on %s", op.Type())
 			}
 			return &Neg{Operand: op}, nil
 		}
-		return &Not{Operand: op}, nil
+		return &Not{Operand: settle(op, vector.Bool)}, nil
 	case *sql.IsNullExpr:
-		op, err := b.bindExpr(x.Operand, sc, allowAgg)
+		op, err := b.bindExpr(x.Operand, sc)
 		if err != nil {
 			return nil, err
 		}
-		return &IsNull{Operand: op, Negate: x.Negate}, nil
+		return &IsNull{Operand: settle(op, vector.Float64), Negate: x.Negate}, nil
 	case *sql.CastExpr:
-		op, err := b.bindExpr(x.Operand, sc, allowAgg)
+		op, err := b.bindExpr(x.Operand, sc)
 		if err != nil {
 			return nil, err
 		}
-		return &Cast{Operand: op, To: x.To}, nil
+		return &Cast{Operand: settle(op, x.To), To: x.To}, nil
 	case *sql.InExpr:
-		op, err := b.bindExpr(x.Operand, sc, allowAgg)
-		if err != nil {
-			return nil, err
+		all := make([]Expr, 1+len(x.List)) // the operand, then the list
+		for i, a := range append([]sql.Expr{x.Operand}, x.List...) {
+			var err error
+			if all[i], err = b.bindExpr(a, sc); err != nil {
+				return nil, err
+			}
 		}
-		list := make([]Expr, len(x.List))
-		for i, le := range x.List {
-			bl, err := b.bindExpr(le, sc, allowAgg)
+		all = settleLike(all...)
+		return &In{Operand: all[0], List: all[1:], Negate: x.Negate}, nil
+	case *sql.CaseExpr:
+		return b.bindCase(x, sc)
+	case *sql.FuncCall:
+		if sql.AggregateNames[x.Name] {
+			if sc.agg == nil {
+				return nil, fmt.Errorf("plan: aggregate %s not allowed here", x.Name)
+			}
+			spec, err := b.bindAggCall(x, sc.in)
 			if err != nil {
 				return nil, err
 			}
-			list[i] = bl
-		}
-		return &In{Operand: op, List: list, Negate: x.Negate}, nil
-	case *sql.CaseExpr:
-		return b.bindCase(x, sc, allowAgg)
-	case *sql.FuncCall:
-		if sql.AggregateNames[x.Name] {
-			return nil, fmt.Errorf("plan: aggregate %s not allowed here", x.Name)
+			sc.agg.Aggs = append(sc.agg.Aggs, spec)
+			sc.add("", spec.Name, spec.Typ)
+			sc.keys = append(sc.keys, x)
+			return &ColRef{Idx: len(sc.cols) - 1, Typ: spec.Typ, Name: spec.Name}, nil
 		}
 		fn, ok := b.Registry.Scalar(x.Name)
 		if !ok {
@@ -525,12 +592,12 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 		args := make([]Expr, len(x.Args))
 		types := make([]vector.Type, len(x.Args))
 		for i, a := range x.Args {
-			ba, err := b.bindExpr(a, sc, allowAgg)
+			ba, err := b.bindExpr(a, sc)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = ba
-			types[i] = ba.Type()
+			args[i] = settle(ba, vector.Float64)
+			types[i] = args[i].Type()
 		}
 		rt, err := fn.ReturnType(types)
 		if err != nil {
@@ -541,7 +608,7 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 	return nil, fmt.Errorf("plan: unsupported expression %T", e)
 }
 
-func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope, allowAgg bool) (Expr, error) {
+func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope) (Expr, error) {
 	// Desugar simple CASE (CASE op WHEN v ...) into searched CASE.
 	whens := x.Whens
 	if x.Operand != nil {
@@ -554,34 +621,34 @@ func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope, allowAgg bool) (Expr, erro
 		}
 	}
 	out := &Case{}
-	var resultType vector.Type
+	var rt vector.Type
 	for _, w := range whens {
-		cond, err := b.bindExpr(w.Cond, sc, allowAgg)
+		cond, err := b.bindExpr(w.Cond, sc)
 		if err != nil {
 			return nil, err
 		}
-		then, err := b.bindExpr(w.Then, sc, allowAgg)
+		then, err := b.bindExpr(w.Then, sc)
 		if err != nil {
 			return nil, err
 		}
-		resultType = mergeCaseType(resultType, then.Type())
-		out.Whens = append(out.Whens, When{Cond: cond, Then: then})
+		rt = mergeCaseType(rt, then.Type())
+		out.Whens = append(out.Whens, When{Cond: settle(cond, vector.Bool), Then: then})
 	}
 	if x.Else != nil {
-		els, err := b.bindExpr(x.Else, sc, allowAgg)
+		els, err := b.bindExpr(x.Else, sc)
 		if err != nil {
 			return nil, err
 		}
-		resultType = mergeCaseType(resultType, els.Type())
+		rt = mergeCaseType(rt, els.Type())
 		out.Else = els
 	}
-	if resultType == vector.Invalid {
-		resultType = vector.String
-	}
-	out.Typ = resultType
-	return out, nil
+	// Arms of NULL take the type of the others; a CASE of NULLs alone
+	// stays untyped for its own context to settle.
+	return settle(out, rt), nil
 }
 
+// mergeCaseType widens a CASE's result type acc (Invalid before the
+// first typed arm) by one arm's type t.
 func mergeCaseType(acc, t vector.Type) vector.Type {
 	if acc == vector.Invalid {
 		return t
@@ -595,11 +662,97 @@ func mergeCaseType(acc, t vector.Type) vector.Type {
 	return acc
 }
 
-func literalType(v vector.Value) vector.Type {
-	if v.IsNull() {
-		return vector.Invalid
+// settle gives an untyped expression — a NULL, or a CASE whose arms are
+// all NULLs — the type t of its context, the way PostgreSQL resolves an
+// unknown literal; a typed expression, or t Invalid, leaves e as it is.
+// The contexts are the other operand of an operator or comparison
+// (settleLike), the other arms of CASE and IN, BOOLEAN under NOT, AND
+// and OR and for a whole WHERE or HAVING, and a CAST's target. With no
+// context, a select-list column is VARCHAR and anything else — an
+// aggregate or function argument, an arithmetic operand — is DOUBLE.
+func settle(e Expr, t vector.Type) Expr {
+	if e.Type() != vector.Invalid || t == vector.Invalid {
+		return e
 	}
-	return v.Type()
+	switch x := e.(type) {
+	case *Const:
+		return &Const{Val: x.Val, Typ: t}
+	case *Case:
+		x.Typ = t
+		for i := range x.Whens {
+			x.Whens[i].Then = settle(x.Whens[i].Then, t)
+		}
+		if x.Else != nil {
+			x.Else = settle(x.Else, t)
+		}
+	}
+	return e
+}
+
+// settleLike settles the untyped expressions of es — the operands of
+// a comparison or arithmetic, an IN's operand and list — to the type of
+// the first typed one, or all to DOUBLE when none is typed.
+func settleLike(es ...Expr) []Expr {
+	t := vector.Float64
+	for _, e := range es {
+		if e.Type() != vector.Invalid {
+			t = e.Type()
+			break
+		}
+	}
+	for i := range es {
+		es[i] = settle(es[i], t)
+	}
+	return es
+}
+
+// fold replaces each column-free subtree of e by the *Const it
+// evaluates to, bottom up, so each evaluates once, through Evaluate,
+// the evaluator the executor runs. A scalar function call is never folded (a
+// registered function need not be pure), nor is a subtree whose
+// evaluation fails: that error is the statement's, raised when a row
+// reaches it, as if nothing folded.
+func fold(e Expr) Expr {
+	return mapExpr(e, func(x Expr) Expr {
+		switch x.(type) {
+		case *Const, *ColRef, *Call:
+			return x
+		}
+		constant := true
+		EachColRef(x, func(*ColRef) { constant = false })
+		if !constant || !EachCall(x, func(*Call) bool { return false }) {
+			return x
+		}
+		v, err := EvalConst(x)
+		if err != nil {
+			return x
+		}
+		return &Const{Val: v, Typ: x.Type()}
+	})
+}
+
+// simplifyAnd simplifies a predicate's conjunction under three-valued
+// logic, where a row passes only when every conjunct is TRUE: a TRUE
+// conjunct goes, and a FALSE or NULL one makes the predicate FALSE. It
+// returns nil for a predicate every row passes.
+func simplifyAnd(pred Expr) Expr {
+	var keep []Expr
+	for _, c := range Conjuncts(pred) {
+		k, ok := c.(*Const)
+		switch {
+		case !ok || k.Typ != vector.Bool:
+			keep = append(keep, c)
+		case k.Val.IsNull() || !k.Val.Bool():
+			return &Const{Val: vector.NewBool(false), Typ: vector.Bool}
+		}
+	}
+	return AndAll(keep)
+}
+
+// IsFalse reports whether a bound predicate is the constant FALSE.
+func IsFalse(e Expr) bool {
+	c, ok := e.(*Const)
+	return ok && c.Typ == vector.Bool && !c.Val.IsNull() && !c.Val.Bool()
 }
 
 // ExtractScanPreds collects the WHERE conjuncts a scan can evaluate

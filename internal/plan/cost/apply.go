@@ -57,7 +57,7 @@ func (p *planner) rewrite(n plan.Node) plan.Node {
 			}
 			x.Child = child
 			if len(above) < len(conjs) {
-				x.Pred = andAll(above)
+				x.Pred = plan.AndAll(above)
 			}
 			return x
 		}

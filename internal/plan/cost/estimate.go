@@ -137,18 +137,6 @@ func hasCall(e plan.Expr) bool {
 	return !plan.EachCall(e, func(*plan.Call) bool { return false })
 }
 
-// andAll combines conjuncts back into one predicate (nil when empty).
-func andAll(es []plan.Expr) plan.Expr {
-	if len(es) == 0 {
-		return nil
-	}
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &plan.BinOp{Op: sql.OpAnd, Left: out, Right: e, Typ: vector.Bool}
-	}
-	return out
-}
-
 // filterConjSel gives a shape-based default selectivity for a filter
 // conjunct when no column statistics apply: equality 1/10, range 1/3,
 // anything else 1/2. These are the crude-but-serviceable defaults the

@@ -43,7 +43,7 @@ func (l *chainLeaf) node() plan.Node {
 	for k, f := range l.filters {
 		conj[k] = shiftExpr(f, -l.start)
 	}
-	return &plan.Filter{Pred: andAll(conj), Child: l.scan}
+	return &plan.Filter{Pred: plan.AndAll(conj), Child: l.scan}
 }
 
 func (l *chainLeaf) tableCol(local int) int {
@@ -161,10 +161,13 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 
 // addConjunct classifies one pushable conjunct: single-leaf conjuncts
 // filter at the leaf, cross-leaf equalities become (non-keyable) join
-// edges, everything else is a residual filter.
+// edges, everything else is a residual filter. A conjunct naming no
+// column is one whose evaluation fails — the binder folds every other —
+// and keeps the chain syntactic, so it fails where it would without
+// the planner.
 func (c *chain) addConjunct(conj plan.Expr) bool {
 	set, ok := c.refLeaves(conj)
-	if !ok {
+	if !ok || set == 0 {
 		return false
 	}
 	if set.count() == 1 {
@@ -444,7 +447,7 @@ func (c *chain) rebuild(order []int, ev *orderEval) plan.Node {
 			extras = append(extras, c.remapLayout(r.e, layout))
 		}
 
-		jn := &plan.HashJoin{Kind: sql.InnerJoin, LeftKeys: lkeys, RightKeys: rkeys, Extra: andAll(extras)}
+		jn := &plan.HashJoin{Kind: sql.InnerJoin, LeftKeys: lkeys, RightKeys: rkeys, Extra: plan.AndAll(extras)}
 		if buildAcc {
 			jn.Left, jn.Right = nodes[li], tree
 		} else {
@@ -497,12 +500,11 @@ func (c *chain) filterLeaves() plan.Node {
 // above is what of the WHERE conjuncts the chain's new tree does not
 // evaluate: UDF calls, which no chain takes, and, unless the tree was
 // rebuilt (which places every other conjunct at its earliest join),
-// every conjunct that is not one leaf's filter — those spanning
-// several leaves and those naming no column at all, like 1 = 0.
+// the conjuncts spanning several leaves.
 func (c *chain) above(whereConjs []plan.Expr, rebuilt bool) []plan.Expr {
 	var out []plan.Expr
 	for _, conj := range whereConjs {
-		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() != 1 {
+		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() > 1 {
 			out = append(out, conj)
 		}
 	}

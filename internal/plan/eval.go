@@ -1,45 +1,40 @@
-// Package exec implements the vectorized execution engine: pull-based
-// operators exchanging chunks of column vectors, vectorized expression
-// evaluation with SQL three-valued logic, hash join, hash aggregation,
-// sorting and table-UDF invocation.
-package exec
+package plan
 
 import (
 	"fmt"
 	"math"
 
-	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
 
 // Evaluate computes a bound expression over a chunk, returning a
 // vector with one row per input row.
-func Evaluate(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
+func Evaluate(e Expr, ch *vector.Chunk) (*vector.Vector, error) {
 	switch x := e.(type) {
-	case *plan.ColRef:
+	case *ColRef:
 		return ch.Col(x.Idx), nil
-	case *plan.Const:
+	case *Const:
 		return vector.Constant(x.Val, ch.NumRows(), x.Typ), nil
-	case *plan.BinOp:
+	case *BinOp:
 		return evalBinOp(x, ch)
-	case *plan.Neg:
+	case *Neg:
 		return evalNeg(x, ch)
-	case *plan.Not:
+	case *Not:
 		return evalNot(x, ch)
-	case *plan.IsNull:
+	case *IsNull:
 		return evalIsNull(x, ch)
-	case *plan.Cast:
+	case *Cast:
 		in, err := Evaluate(x.Operand, ch)
 		if err != nil {
 			return nil, err
 		}
 		return in.Cast(x.To)
-	case *plan.Case:
+	case *Case:
 		return evalCase(x, ch)
-	case *plan.In:
+	case *In:
 		return evalIn(x, ch)
-	case *plan.Call:
+	case *Call:
 		args := make([]*vector.Vector, len(x.Args))
 		for i, a := range x.Args {
 			v, err := Evaluate(a, ch)
@@ -63,8 +58,8 @@ func Evaluate(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
 // EvalConst evaluates an expression with no column references (a
 // constant) to a single value. A bound literal is its value; anything
 // else is evaluated over one row.
-func EvalConst(e plan.Expr) (vector.Value, error) {
-	if c, ok := e.(*plan.Const); ok {
+func EvalConst(e Expr) (vector.Value, error) {
+	if c, ok := e.(*Const); ok {
 		return c.Val, nil
 	}
 	one := vector.FromInt32s([]int32{0})
@@ -72,9 +67,6 @@ func EvalConst(e plan.Expr) (vector.Value, error) {
 	v, err := Evaluate(e, ch)
 	if err != nil {
 		return vector.Null(), err
-	}
-	if v.Len() != 1 {
-		return vector.Null(), fmt.Errorf("exec: constant expression produced %d rows", v.Len())
 	}
 	return v.Get(0), nil
 }
@@ -91,7 +83,7 @@ func combineNulls(out *vector.Vector, ins ...*vector.Vector) {
 	}
 }
 
-func evalBinOp(x *plan.BinOp, ch *vector.Chunk) (*vector.Vector, error) {
+func evalBinOp(x *BinOp, ch *vector.Chunk) (*vector.Vector, error) {
 	switch x.Op {
 	case sql.OpAnd, sql.OpOr:
 		return evalLogical(x, ch)
@@ -283,13 +275,13 @@ func evalCompare(op sql.BinaryOp, l, r *vector.Vector) (*vector.Vector, error) {
 			a, _ := asInt64s(l)
 			b, _ := asInt64s(r)
 			for i := range out {
-				out[i] = cmpToBool(op, compareInt(a[i], b[i]))
+				out[i] = CmpToBool(op, compareInt(a[i], b[i]))
 			}
 		}
 	case lt == vector.String && rt == vector.String:
 		a, b := l.Strings(), r.Strings()
 		for i := range out {
-			out[i] = cmpToBool(op, compareString(a[i], b[i]))
+			out[i] = CmpToBool(op, CompareString(a[i], b[i]))
 		}
 	case lt == vector.Bool && rt == vector.Bool:
 		a, b := l.Bools(), r.Bools()
@@ -300,22 +292,15 @@ func evalCompare(op sql.BinaryOp, l, r *vector.Vector) (*vector.Vector, error) {
 			case sql.OpNe:
 				out[i] = a[i] != b[i]
 			default:
-				out[i] = cmpToBool(op, compareBool(a[i], b[i]))
+				out[i] = CmpToBool(op, compareBool(a[i], b[i]))
 			}
 		}
 	case lt == vector.Blob && rt == vector.Blob:
 		a, b := l.Blobs(), r.Blobs()
 		for i := range out {
-			c := compareString(string(a[i]), string(b[i]))
-			out[i] = cmpToBool(op, c)
+			c := CompareString(string(a[i]), string(b[i]))
+			out[i] = CmpToBool(op, c)
 		}
-	case lt == vector.Invalid || rt == vector.Invalid:
-		// Comparison against an untyped NULL constant: all NULL.
-		res := vector.FromBools(out)
-		for i := 0; i < n; i++ {
-			res.SetNull(i)
-		}
-		return res, nil
 	default:
 		return nil, fmt.Errorf("exec: cannot compare %s with %s", lt, rt)
 	}
@@ -337,7 +322,7 @@ func floatCmpToBool(op sql.BinaryOp, a, b float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return op == sql.OpNe
 	}
-	return cmpToBool(op, compareFloat(a, b))
+	return CmpToBool(op, compareFloat(a, b))
 }
 
 func compareFloat(a, b float64) int {
@@ -360,7 +345,8 @@ func compareInt(a, b int64) int {
 	return 0
 }
 
-func compareString(a, b string) int {
+// CompareString orders two strings bytewise: -1, 0 or 1.
+func CompareString(a, b string) int {
 	switch {
 	case a < b:
 		return -1
@@ -380,7 +366,9 @@ func compareBool(a, b bool) int {
 	return 0
 }
 
-func cmpToBool(op sql.BinaryOp, c int) bool {
+// CmpToBool applies comparison op to the result c of a three-way
+// compare.
+func CmpToBool(op sql.BinaryOp, c int) bool {
 	switch op {
 	case sql.OpEq:
 		return c == 0
@@ -399,7 +387,7 @@ func cmpToBool(op sql.BinaryOp, c int) bool {
 }
 
 // evalLogical implements AND/OR with SQL three-valued logic.
-func evalLogical(x *plan.BinOp, ch *vector.Chunk) (*vector.Vector, error) {
+func evalLogical(x *BinOp, ch *vector.Chunk) (*vector.Vector, error) {
 	l, err := Evaluate(x.Left, ch)
 	if err != nil {
 		return nil, err
@@ -444,7 +432,7 @@ func evalLogical(x *plan.BinOp, ch *vector.Chunk) (*vector.Vector, error) {
 	return res, nil
 }
 
-func evalNeg(x *plan.Neg, ch *vector.Chunk) (*vector.Vector, error) {
+func evalNeg(x *Neg, ch *vector.Chunk) (*vector.Vector, error) {
 	in, err := Evaluate(x.Operand, ch)
 	if err != nil {
 		return nil, err
@@ -478,7 +466,7 @@ func evalNeg(x *plan.Neg, ch *vector.Chunk) (*vector.Vector, error) {
 	return nil, fmt.Errorf("exec: cannot negate %s", in.Type())
 }
 
-func evalNot(x *plan.Not, ch *vector.Chunk) (*vector.Vector, error) {
+func evalNot(x *Not, ch *vector.Chunk) (*vector.Vector, error) {
 	in, err := Evaluate(x.Operand, ch)
 	if err != nil {
 		return nil, err
@@ -495,7 +483,7 @@ func evalNot(x *plan.Not, ch *vector.Chunk) (*vector.Vector, error) {
 	return res, nil
 }
 
-func evalIsNull(x *plan.IsNull, ch *vector.Chunk) (*vector.Vector, error) {
+func evalIsNull(x *IsNull, ch *vector.Chunk) (*vector.Vector, error) {
 	in, err := Evaluate(x.Operand, ch)
 	if err != nil {
 		return nil, err
@@ -512,7 +500,7 @@ func evalIsNull(x *plan.IsNull, ch *vector.Chunk) (*vector.Vector, error) {
 	return vector.FromBools(out), nil
 }
 
-func evalCase(x *plan.Case, ch *vector.Chunk) (*vector.Vector, error) {
+func evalCase(x *Case, ch *vector.Chunk) (*vector.Vector, error) {
 	n := ch.NumRows()
 	conds := make([]*vector.Vector, len(x.Whens))
 	thens := make([]*vector.Vector, len(x.Whens))
@@ -539,40 +527,31 @@ func evalCase(x *plan.Case, ch *vector.Chunk) (*vector.Vector, error) {
 		els = v
 	}
 	out := vector.New(x.Typ, n)
-rows:
 	for i := 0; i < n; i++ {
+		arm := els // nil without an ELSE: NULL
 		for w := range conds {
 			if !conds[w].IsNull(i) && conds[w].Bools()[i] {
-				v := thens[w].Get(i)
-				if !v.IsNull() && v.Type() != x.Typ {
-					cv, err := v.Cast(x.Typ)
-					if err != nil {
-						return nil, err
-					}
-					v = cv
-				}
-				out.AppendValue(v)
-				continue rows
+				arm = thens[w]
+				break
 			}
 		}
-		if els != nil {
-			v := els.Get(i)
-			if !v.IsNull() && v.Type() != x.Typ {
-				cv, err := v.Cast(x.Typ)
-				if err != nil {
-					return nil, err
-				}
-				v = cv
-			}
-			out.AppendValue(v)
-		} else {
-			out.AppendValue(vector.Null())
+		v := vector.Null()
+		if arm != nil {
+			v = arm.Get(i)
 		}
+		if !v.IsNull() && v.Type() != x.Typ {
+			cv, err := v.Cast(x.Typ)
+			if err != nil {
+				return nil, err
+			}
+			v = cv
+		}
+		out.AppendValue(v)
 	}
 	return out, nil
 }
 
-func evalIn(x *plan.In, ch *vector.Chunk) (*vector.Vector, error) {
+func evalIn(x *In, ch *vector.Chunk) (*vector.Vector, error) {
 	op, err := Evaluate(x.Operand, ch)
 	if err != nil {
 		return nil, err

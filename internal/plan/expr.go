@@ -192,42 +192,64 @@ func EachColRef(e Expr, fn func(*ColRef)) {
 // cost-based planner uses this to retarget predicates at rebuilt join
 // shapes while the original tree stays intact.
 func MapColRefs(e Expr, f func(*ColRef) Expr) Expr {
+	return mapExpr(e, func(x Expr) Expr {
+		if c, ok := x.(*ColRef); ok {
+			return f(c)
+		}
+		return x
+	})
+}
+
+// mapExpr returns a copy of e with every node replaced by f's result,
+// bottom up: f sees each interior node rebuilt over its mapped
+// children, and each leaf as it is. e itself is never mutated.
+func mapExpr(e Expr, f func(Expr) Expr) Expr {
 	switch x := e.(type) {
-	case *ColRef:
-		return f(x)
 	case *BinOp:
-		return &BinOp{Op: x.Op, Left: MapColRefs(x.Left, f), Right: MapColRefs(x.Right, f), Typ: x.Typ}
+		e = &BinOp{Op: x.Op, Left: mapExpr(x.Left, f), Right: mapExpr(x.Right, f), Typ: x.Typ}
 	case *Neg:
-		return &Neg{Operand: MapColRefs(x.Operand, f)}
+		e = &Neg{Operand: mapExpr(x.Operand, f)}
 	case *Not:
-		return &Not{Operand: MapColRefs(x.Operand, f)}
+		e = &Not{Operand: mapExpr(x.Operand, f)}
 	case *IsNull:
-		return &IsNull{Operand: MapColRefs(x.Operand, f), Negate: x.Negate}
+		e = &IsNull{Operand: mapExpr(x.Operand, f), Negate: x.Negate}
 	case *Cast:
-		return &Cast{Operand: MapColRefs(x.Operand, f), To: x.To}
+		e = &Cast{Operand: mapExpr(x.Operand, f), To: x.To}
 	case *Case:
 		out := &Case{Typ: x.Typ}
 		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, When{Cond: MapColRefs(w.Cond, f), Then: MapColRefs(w.Then, f)})
+			out.Whens = append(out.Whens, When{Cond: mapExpr(w.Cond, f), Then: mapExpr(w.Then, f)})
 		}
 		if x.Else != nil {
-			out.Else = MapColRefs(x.Else, f)
+			out.Else = mapExpr(x.Else, f)
 		}
-		return out
+		e = out
 	case *Call:
 		out := &Call{Fn: x.Fn, Typ: x.Typ}
 		for _, a := range x.Args {
-			out.Args = append(out.Args, MapColRefs(a, f))
+			out.Args = append(out.Args, mapExpr(a, f))
 		}
-		return out
+		e = out
 	case *In:
-		out := &In{Operand: MapColRefs(x.Operand, f), Negate: x.Negate}
+		out := &In{Operand: mapExpr(x.Operand, f), Negate: x.Negate}
 		for _, l := range x.List {
-			out.List = append(out.List, MapColRefs(l, f))
+			out.List = append(out.List, mapExpr(l, f))
 		}
-		return out
+		e = out
 	}
-	return e
+	return f(e)
+}
+
+// AndAll joins conjuncts into a left-deep AND (nil for none).
+func AndAll(es []Expr) Expr {
+	if len(es) == 0 {
+		return nil
+	}
+	out := es[0]
+	for _, e := range es[1:] {
+		out = &BinOp{Op: sql.OpAnd, Left: out, Right: e, Typ: vector.Bool}
+	}
+	return out
 }
 
 // binOpType infers the result type of a binary operator application.
@@ -247,8 +269,7 @@ func binOpType(op sql.BinaryOp, l, r vector.Type) (vector.Type, error) {
 		}
 		return vector.Float64, nil
 	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		comparable := (l.IsNumeric() && r.IsNumeric()) || l == r
-		if !comparable && l != vector.Invalid && r != vector.Invalid {
+		if !(l.IsNumeric() && r.IsNumeric()) && l != r {
 			return vector.Invalid, fmt.Errorf("cannot compare %s with %s", l, r)
 		}
 		return vector.Bool, nil

@@ -3,6 +3,7 @@ package plan
 import (
 	"vexdb/internal/catalog"
 	"vexdb/internal/sql"
+	"vexdb/internal/vector"
 )
 
 // TableScope is a public binding scope over a single table's columns,
@@ -22,7 +23,15 @@ func NewTableScope(tab *catalog.Table) *TableScope {
 	return &TableScope{sc: sc}
 }
 
-// BindExprIn binds an AST expression against a table scope.
+// BindExprIn binds an AST expression against a table scope, such as an
+// UPDATE's SET value.
 func (b *Binder) BindExprIn(e sql.Expr, ts *TableScope) (Expr, error) {
-	return b.bindExpr(e, ts.sc, false)
+	return b.bindTyped(e, ts.sc, vector.Float64)
+}
+
+// BindWhereIn binds a DELETE or UPDATE predicate against a table scope,
+// simplified as a SELECT's WHERE is: nil when every row passes, and
+// the constant FALSE (IsFalse) when none does.
+func (b *Binder) BindWhereIn(e sql.Expr, ts *TableScope) (Expr, error) {
+	return b.bindPredicate(e, ts.sc)
 }

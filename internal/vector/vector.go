@@ -76,23 +76,19 @@ func FromBlobs(data [][]byte) *Vector {
 	return &Vector{typ: Blob, length: len(data), blobs: data}
 }
 
-// Constant returns a vector of n copies of val. A NULL val yields an
-// all-NULL Float64-typed vector unless typeHint is valid. The payload
-// is bulk-filled rather than appended value by value.
-func Constant(val Value, n int, typeHint Type) *Vector {
-	t := val.Type()
-	if t == Invalid {
-		t = typeHint
-		if t == Invalid {
-			t = Float64
-		}
-		v := newZeroed(t, n)
+// Constant returns a vector of n copies of val. A NULL val, which has
+// no type of its own, yields an all-NULL vector of type typ. The
+// payload is bulk-filled rather than appended value by value.
+func Constant(val Value, n int, typ Type) *Vector {
+	if val.IsNull() {
+		v := newZeroed(typ, n)
 		v.nulls = make([]bool, n)
 		for i := range v.nulls {
 			v.nulls[i] = true
 		}
 		return v
 	}
+	t := val.Type()
 	v := newZeroed(t, n)
 	switch t {
 	case Bool:
