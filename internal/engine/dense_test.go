@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"vexdb/internal/difftest"
 	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
@@ -107,6 +108,7 @@ var denseQueries = []struct {
 // aggregates, MIN/MAX over strings and sums of −0.0, before and after
 // UPDATE and DELETE rewrite segments and an INSERT grows the tail.
 func TestDenseGroupMatchesReference(t *testing.T) {
+	t.Parallel()
 	db := New()
 	db.TempDir = t.TempDir()
 	loadDenseTables(t, db, 9000)
@@ -124,40 +126,24 @@ func TestDenseGroupMatchesReference(t *testing.T) {
 		for qi, c := range denseQueries {
 			dq, rq := strings.ReplaceAll(c.q, " T", " dz"), strings.ReplaceAll(c.q, " T", " rz")
 			db.NoCostPlanner, db.Parallelism, db.MemoryBudget = false, 2, 0
-			if plan := explainAnalyze(t, db, dq); strings.Contains(plan, "dense=") != c.dense {
+			if plan := planText(t, db, "EXPLAIN ANALYZE "+dq); strings.Contains(plan, "dense=") != c.dense {
 				t.Fatalf("round %d q%d: dense tables over dz not as wanted:\n%s", round, qi, plan)
 			}
-			if plan := explainAnalyze(t, db, rq); strings.Contains(plan, "dense=") {
+			if plan := planText(t, db, "EXPLAIN ANALYZE "+rq); strings.Contains(plan, "dense=") {
 				t.Fatalf("round %d q%d: a dense table over rz:\n%s", round, qi, plan)
 			}
 			db.Parallelism = 1
-			want := queryFingerprint(t, db, rq, false)
-			for _, planner := range []bool{false, true} {
-				db.NoCostPlanner = !planner
-				for _, workers := range []int{1, 2, 8} {
-					db.Parallelism = workers
-					for _, budget := range []int64{0, 64 << 10} {
-						db.MemoryBudget = budget
-						for _, streamed := range []bool{false, true} {
-							label := fmt.Sprintf("round %d q%d planner=%v workers=%d budget=%d streamed=%v", round, qi, planner, workers, budget, streamed)
-							assertSameRows(t, label, queryFingerprint(t, db, dq, streamed), want)
-						}
-					}
-				}
+			if d := difftest.Diff(difftest.Matrix(t, dq, 64<<10, at(db, dq)), mustQuery(t, db, rq)); d != "" {
+				t.Fatalf("round %d q%d: dz differs from rz: %s", round, qi, d)
 			}
 		}
 	}
 }
 
-// explainAnalyze returns EXPLAIN ANALYZE's lines for q.
-func explainAnalyze(t *testing.T, db *DB, q string) string {
+// planText returns the lines an EXPLAIN statement prints.
+func planText(t *testing.T, db *DB, explain string) string {
 	t.Helper()
-	tab := mustQuery(t, db, "EXPLAIN ANALYZE "+q)
-	lines := make([]string, tab.NumRows())
-	for i := range lines {
-		lines[i] = tab.Cols[0].Get(i).Str()
-	}
-	return strings.Join(lines, "\n")
+	return strings.Join(mustQuery(t, db, explain).Cols[0].Strings(), "\n")
 }
 
 // writeUnderstatedTable saves a table c whose key k spans 1000…1999
@@ -220,6 +206,7 @@ func TestUnderstatedStatisticsAreAnError(t *testing.T) {
 // fair-share test (1 001 slots of 37 B at two workers is 74 KB, under
 // a quarter of the budget, while the payloads reach a megabyte).
 func TestDenseStringExtremaUnderBudget(t *testing.T) {
+	t.Parallel()
 	const rows = 20_000
 	db := New()
 	db.TempDir = t.TempDir()
@@ -245,30 +232,29 @@ func TestDenseStringExtremaUnderBudget(t *testing.T) {
 	const q = "SELECT k, max(name) AS mx, count(*) AS n FROM T GROUP BY k"
 	dq, rq := strings.ReplaceAll(q, " T", " sz"), strings.ReplaceAll(q, " T", " sr")
 	db.Parallelism = 2
-	if plan := explainAnalyze(t, db, dq); !strings.Contains(plan, "dense=") {
+	if plan := planText(t, db, "EXPLAIN ANALYZE "+dq); !strings.Contains(plan, "dense=") {
 		t.Fatalf("no dense table without a budget:\n%s", plan)
 	}
-	want := queryFingerprint(t, db, rq, false)
-	db.MemoryBudget = 512 << 10
-	for _, workers := range []int{1, 2, 8} {
-		db.Parallelism = workers
-		for _, q := range []string{rq, dq} {
-			if plan := explainAnalyze(t, db, q); strings.Contains(plan, "dense=") {
-				t.Fatalf("workers=%d: a dense table under the budget:\n%s", workers, plan)
+	want := mustQuery(t, db, rq)
+	for _, q := range []string{rq, dq} {
+		got := difftest.Matrix(t, q, 512<<10, func(p difftest.Point) (*vector.Table, error) {
+			if p.Budget > 0 && !p.Streamed {
+				plan, _, err := queryAt(db, p, "EXPLAIN ANALYZE "+q)
+				if err == nil && strings.Contains(strings.Join(plan.Cols[0].Strings(), "\n"), "dense=") {
+					err = fmt.Errorf("a dense table under the budget")
+				}
+				if err != nil {
+					return nil, err
+				}
 			}
-			rs, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
+			tab, rs, err := queryAt(db, p, q)
+			if err == nil && p.Budget > 0 && !rs.SpillStats().Spilled() {
+				err = fmt.Errorf("no spill under the budget")
 			}
-			st := rs.SpillStats()
-			tab, err := rs.Materialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRows(t, fmt.Sprintf("%s workers=%d", q, workers), fingerprintTable(tab), want)
-			if !st.Spilled() {
-				t.Fatalf("%s workers=%d: no spill under the budget", q, workers)
-			}
+			return tab, err
+		})
+		if d := difftest.Diff(got, want); d != "" {
+			t.Fatalf("%s differs from %s: %s", q, rq, d)
 		}
 	}
 }

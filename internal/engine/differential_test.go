@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
+	"vexdb/internal/difftest"
 	"vexdb/internal/vector"
 )
 
@@ -20,18 +20,7 @@ type randTable struct {
 func (r randTable) load(t *testing.T, db *DB, name string) {
 	t.Helper()
 	mustExec(t, db, fmt.Sprintf("CREATE TABLE %s (k BIGINT, v DOUBLE)", name))
-	if len(r.keys) == 0 {
-		return
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", name)
-	for i := range r.keys {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, "(%d, %g)", r.keys[i], r.vals[i])
-	}
-	mustExec(t, db, sb.String())
+	batchInsert(t, db, name, len(r.keys), func(i int) string { return fmt.Sprintf("(%d, %g)", r.keys[i], r.vals[i]) })
 }
 
 // mkTable derives a bounded random table from quick's raw inputs.
@@ -243,55 +232,50 @@ func TestDifferentialDistinct(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel differential tests: every covered query shape must produce
-// results identical to serial execution at any worker count. The
-// morsel exchange preserves row order, so the comparison is exact and
-// positional; if a future exchange relaxes ordering, these tests must
-// switch to comparing sorted row renderings instead.
+// Parallel differential tests: every covered query shape returns the
+// same bytes at every point of difftest.Matrix. The morsel exchange
+// preserves row order, so the comparison is exact and positional.
 
-// parallelWorkerCounts are the parallelism levels differential tests
-// compare against serial execution.
-var parallelWorkerCounts = []int{1, 2, 8}
+// at is difftest.Matrix's run for q over db.
+func at(db *DB, q string) func(difftest.Point) (*vector.Table, error) {
+	return func(p difftest.Point) (*vector.Table, error) {
+		tab, _, err := queryAt(db, p, q)
+		return tab, err
+	}
+}
+
+// queryAt runs q over db at p — its width, budget and planner setting,
+// drained materialized or chunk by chunk — and returns the rows and the
+// closed result set, whose counters stay readable. db's knobs are
+// restored afterwards.
+func queryAt(db *DB, p difftest.Point, q string) (*vector.Table, *ResultSet, error) {
+	defer func(w int, b int64, off bool) { db.Parallelism, db.MemoryBudget, db.NoCostPlanner = w, b, off }(db.Parallelism, db.MemoryBudget, db.NoCostPlanner)
+	db.Parallelism, db.MemoryBudget, db.NoCostPlanner = p.Width, p.Budget, !p.Planner
+	rs, err := db.Query(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rs.Close()
+	if !p.Streamed {
+		tab, err := rs.Materialize()
+		return tab, rs, err
+	}
+	tab, err := difftest.Collect(rs.Schema().Names(), rs.Schema().Types(), rs.Next)
+	return tab, rs, err
+}
 
 // loadWide populates a table large enough to span several storage
 // segments so morsel dispatch actually fans out.
 func loadWide(t *testing.T, db *DB, rows int) {
 	t.Helper()
 	mustExec(t, db, "CREATE TABLE w (k BIGINT, g INTEGER, v DOUBLE, s VARCHAR)")
-	var sb strings.Builder
-	for i := 0; i < rows; i++ {
-		if i%500 == 0 {
-			if sb.Len() > 0 {
-				mustExec(t, db, sb.String())
-				sb.Reset()
-			}
-			sb.WriteString("INSERT INTO w VALUES ")
-		} else {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %g, 's%d')", i%97, i%13, float64(i%31)-15.0, i%7)
-	}
-	if sb.Len() > 0 {
-		mustExec(t, db, sb.String())
-	}
-}
-
-// renderTable flattens a result into printable rows for comparison.
-func renderTable(t *testing.T, tab *vector.Table) []string {
-	t.Helper()
-	rows := make([]string, tab.NumRows())
-	for i := range rows {
-		var sb strings.Builder
-		for c := 0; c < tab.NumCols(); c++ {
-			sb.WriteString(tab.Cols[c].Get(i).String())
-			sb.WriteString("|")
-		}
-		rows[i] = sb.String()
-	}
-	return rows
+	batchInsert(t, db, "w", rows, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %g, 's%d')", i%97, i%13, float64(i%31)-15.0, i%7)
+	})
 }
 
 func TestDifferentialParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	queries := []string{
 		// filter-heavy scans
 		"SELECT k, v FROM w WHERE v > 0",
@@ -318,31 +302,10 @@ func TestDifferentialParallelMatchesSerial(t *testing.T) {
 		"SELECT g, s FROM (SELECT g, s FROM w WHERE v > 0 UNION SELECT g, s FROM w WHERE k < 10) u ORDER BY g DESC, s LIMIT 7",
 	}
 	db := New()
-	db.Parallelism = 1
+	db.TempDir = t.TempDir()
 	loadWide(t, db, 10_000)
 	for _, q := range queries {
-		serial, err := db.Exec(q)
-		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
-		}
-		want := renderTable(t, serial.Table)
-		for _, workers := range parallelWorkerCounts {
-			db.Parallelism = workers
-			got, err := db.Exec(q)
-			if err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, q, err)
-			}
-			rows := renderTable(t, got.Table)
-			if len(rows) != len(want) {
-				t.Fatalf("workers=%d %q: %d rows, serial %d", workers, q, len(rows), len(want))
-			}
-			for i := range rows {
-				if rows[i] != want[i] {
-					t.Fatalf("workers=%d %q row %d:\n  got  %s\n  want %s", workers, q, i, rows[i], want[i])
-				}
-			}
-		}
-		db.Parallelism = 1
+		difftest.Matrix(t, q, 64<<10, at(db, q))
 	}
 }
 
@@ -350,40 +313,15 @@ func TestDifferentialParallelRandomized(t *testing.T) {
 	f := func(rawKeys []uint8, rawVals []int16) bool {
 		tab := mkTable(rawKeys, rawVals)
 		db := New()
+		db.TempDir = t.TempDir()
 		tab.load(t, db, "t")
-		queries := []string{
+		for _, q := range []string{
 			"SELECT k, count(*) AS n, sum(v) AS s FROM t GROUP BY k",
 			"SELECT count(*) AS n FROM t a JOIN t b ON a.k = b.k",
 			"SELECT DISTINCT k FROM t",
 			"SELECT k, v FROM t WHERE v > 0",
-		}
-		for _, q := range queries {
-			db.Parallelism = 1
-			serial, err := db.Exec(q)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			want := renderTable(t, serial.Table)
-			for _, workers := range parallelWorkerCounts[1:] {
-				db.Parallelism = workers
-				got, err := db.Exec(q)
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				rows := renderTable(t, got.Table)
-				if len(rows) != len(want) {
-					t.Logf("workers=%d %q: %d rows, serial %d", workers, q, len(rows), len(want))
-					return false
-				}
-				for i := range rows {
-					if rows[i] != want[i] {
-						t.Logf("workers=%d %q row %d: got %s want %s", workers, q, i, rows[i], want[i])
-						return false
-					}
-				}
-			}
+		} {
+			difftest.Matrix(t, q, 64<<10, at(db, q))
 		}
 		return true
 	}

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"vexdb/internal/core"
+	"vexdb/internal/difftest"
+	"vexdb/internal/plan"
 	"vexdb/internal/vector"
 )
 
@@ -286,64 +290,45 @@ func TestDistinct(t *testing.T) {
 
 // TestUntypedNullSelectList: a bare NULL in a select list is a VARCHAR
 // column of NULLs — through a projection, an aggregate, DISTINCT, UNION,
-// ORDER BY and CREATE TABLE AS, streamed and materialized — not an
-// untyped vector the executor cannot build.
+// ORDER BY and CREATE TABLE AS, at every point of difftest.Matrix — not
+// an untyped vector the executor cannot build.
 func TestUntypedNullSelectList(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		db := New()
-		db.Parallelism = workers
-		mustExec(t, db, "CREATE TABLE t (a BIGINT)")
-		mustExec(t, db, "INSERT INTO t VALUES (3), (1), (2)")
-		for _, c := range []struct {
-			query     string
-			rows, col int // the NULL column
-		}{
-			{"SELECT NULL", 1, 0},
-			{"SELECT a, NULL FROM t", 3, 1},
-			{"SELECT NULL FROM t UNION SELECT NULL FROM t", 1, 0},
-			{"SELECT DISTINCT NULL FROM t", 1, 0},
-			{"SELECT NULL FROM t ORDER BY a", 3, 0},
-			{"SELECT count(*), NULL FROM t", 1, 1},
-		} {
-			check := func(mode string, rows int, v *vector.Vector) {
-				t.Helper()
-				if rows != c.rows || v.Type() != vector.String {
-					t.Fatalf("workers=%d %s %q: %d rows of %s, want %d of VARCHAR", workers, mode, c.query, rows, v.Type(), c.rows)
+	db := New()
+	db.TempDir = t.TempDir()
+	mustExec(t, db, "CREATE TABLE t (a BIGINT)")
+	mustExec(t, db, "INSERT INTO t VALUES (3), (1), (2)")
+	const ctas = "CREATE TABLE u AS SELECT NULL AS x FROM t"
+	for _, c := range []struct {
+		query     string
+		rows, col int // the NULL column
+	}{
+		{"SELECT NULL", 1, 0},
+		{"SELECT a, NULL FROM t", 3, 1},
+		{"SELECT NULL FROM t UNION SELECT NULL FROM t", 1, 0},
+		{"SELECT DISTINCT NULL FROM t", 1, 0},
+		{"SELECT NULL FROM t ORDER BY a", 3, 0},
+		{"SELECT count(*), NULL FROM t", 1, 1},
+		{ctas, 3, 0},
+	} {
+		run := at(db, c.query)
+		if c.query == ctas {
+			run = func(p difftest.Point) (*vector.Table, error) {
+				if _, _, err := queryAt(db, p, ctas); err != nil {
+					return nil, err
 				}
-				for i := range v.Len() {
-					if !v.IsNull(i) {
-						t.Fatalf("workers=%d %s %q: row %d is %v", workers, mode, c.query, i, v.Get(i))
-					}
-				}
+				defer mustExec(t, db, "DROP TABLE u")
+				return at(db, "SELECT x FROM u")(p)
 			}
-			tab := mustQuery(t, db, c.query)
-			check("materialized", tab.NumRows(), tab.Cols[c.col])
-			rs, err := db.Query(c.query)
-			if err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, c.query, err)
-			}
-			col, rows := vector.New(vector.String, 0), 0
-			for {
-				ch, err := rs.Next()
-				if err != nil {
-					t.Fatalf("workers=%d streamed %q: %v", workers, c.query, err)
-				}
-				if ch == nil {
-					break
-				}
-				if typ := ch.Col(c.col).Type(); typ != vector.String {
-					t.Fatalf("workers=%d streamed %q: a chunk of %s", workers, c.query, typ)
-				}
-				rows += ch.NumRows()
-				col.AppendVector(ch.Col(c.col))
-			}
-			rs.Close()
-			check("streamed", rows, col)
 		}
-		mustExec(t, db, "CREATE TABLE u AS SELECT NULL AS x FROM t")
-		tab := mustQuery(t, db, "SELECT x FROM u")
-		if tab.NumRows() != 3 || tab.Cols[0].Type() != vector.String || !tab.Cols[0].IsNull(2) {
-			t.Fatalf("workers=%d: CREATE TABLE AS stored %d rows of %s", workers, tab.NumRows(), tab.Cols[0].Type())
+		tab := difftest.Matrix(t, c.query, 64<<10, run)
+		v := tab.Cols[c.col]
+		if tab.NumRows() != c.rows || v.Type() != vector.String {
+			t.Fatalf("%q: %d rows of %s, want %d of VARCHAR", c.query, tab.NumRows(), v.Type(), c.rows)
+		}
+		for i := range v.Len() {
+			if !v.IsNull(i) {
+				t.Fatalf("%q: row %d is %v", c.query, i, v.Get(i))
+			}
 		}
 	}
 }
@@ -361,7 +346,7 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE x AS SELECT a, count(*) FROM t WHERE a < 2 GROUP BY a")
 	for _, c := range []struct {
 		q     string
-		want  []string      // fingerprintTable rows
+		want  []string      // difftest.Fingerprint rows
 		names []string      // result columns
 		types []vector.Type // result column types, nil for any
 		scans bool          // whether the query reads a segment
@@ -381,36 +366,25 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 		{"SELECT a FROM t WHERE a > 997 + 1 ORDER BY a LIMIT 1 + 1", []string{"999|", "999|"}, nil, nil, true},
 		{"SELECT count FROM x ORDER BY a", []string{"7|", "7|"}, nil, []vector.Type{vector.Int64}, true},
 	} {
-		for _, planner := range []bool{false, true} {
-			db.NoCostPlanner = !planner
-			for _, workers := range []int{1, 2, 8} {
-				db.Parallelism = workers
-				for _, budget := range []int64{0, 64 << 10} {
-					db.MemoryBudget = budget
-					label := fmt.Sprintf("%q planner=%v workers=%d budget=%d", c.q, planner, workers, budget)
-					rs, err := db.Query(c.q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					tab, err := rs.Materialize()
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertSameRows(t, label, fingerprintTable(tab), c.want)
-					assertSameRows(t, label+" streamed", queryFingerprint(t, db, c.q, true), c.want)
-					if st := rs.ScanStats(); (st.Scanned()+st.Skipped() > 0) != c.scans {
-						t.Fatalf("%s: scanned %d and skipped %d segments", label, st.Scanned(), st.Skipped())
-					}
-					for i, col := range rs.Schema() {
-						if c.names != nil && col.Name != c.names[i] || c.types != nil && col.Type != c.types[i] {
-							t.Fatalf("%s: column %d is %s %s, want %v %v", label, i, col.Name, col.Type, c.names, c.types)
-						}
-					}
-				}
+		tab := difftest.Matrix(t, c.q, 64<<10, func(p difftest.Point) (*vector.Table, error) {
+			tab, rs, err := queryAt(db, p, c.q)
+			if err != nil {
+				return nil, err
+			}
+			if st := rs.ScanStats(); (st.Scanned()+st.Skipped() > 0) != c.scans {
+				return nil, fmt.Errorf("scanned %d and skipped %d segments", st.Scanned(), st.Skipped())
+			}
+			return tab, nil
+		})
+		if rows := difftest.Fingerprint(tab)[1:]; !slices.Equal(rows, c.want) {
+			t.Fatalf("%q: rows %q, want %q", c.q, rows, c.want)
+		}
+		for i, col := range tab.Cols {
+			if c.names != nil && tab.Names[i] != c.names[i] || c.types != nil && col.Type() != c.types[i] {
+				t.Fatalf("%q: column %d is %s %s, want %v %v", c.q, i, tab.Names[i], col.Type(), c.names, c.types)
 			}
 		}
 	}
-	db.NoCostPlanner, db.Parallelism, db.MemoryBudget = false, 0, 0
 
 	for q, want := range map[string]string{
 		"SELECT a FROM t WHERE 1 = 0 AND a > 0":              "Material rows=0",
@@ -418,12 +392,12 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 		"SELECT a FROM t WHERE a = CAST('3' AS INTEGER)":     "Filter kernels=[(a = 3)]",
 		"SELECT a FROM t WHERE a = CAST('3' AS INTEGER) + 0": "Scan t preds=1",
 	} {
-		plan := explainAnalyze(t, db, q)
+		plan := planText(t, db, "EXPLAIN ANALYZE "+q)
 		if !strings.Contains(plan, want) || strings.Contains(plan, "residual") {
 			t.Fatalf("EXPLAIN %s: want %q and no residual:\n%s", q, want, plan)
 		}
 	}
-	if plan := explainAnalyze(t, db, "SELECT a FROM t WHERE NULL"); strings.Contains(plan, "Scan") {
+	if plan := planText(t, db, "EXPLAIN ANALYZE "+"SELECT a FROM t WHERE NULL"); strings.Contains(plan, "Scan") {
 		t.Fatalf("a FALSE WHERE scans:\n%s", plan)
 	}
 	_, aggErr := db.Exec("SELECT abs(sum(a), 1) FROM t")
@@ -444,7 +418,9 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 			t.Fatalf("%s: %d rows affected", q, res.RowsAffected)
 		}
 	}
-	assertSameRows(t, "after the writes", queryFingerprint(t, db, "SELECT count(*), sum(a) FROM t", false), []string{"6144|3007296|"})
+	if rows := difftest.Fingerprint(mustQuery(t, db, "SELECT count(*), sum(a) FROM t"))[1:]; !slices.Equal(rows, []string{"6144|3007296|"}) {
+		t.Fatalf("after the writes: %q", rows)
+	}
 }
 
 func TestUnion(t *testing.T) {
@@ -715,5 +691,34 @@ func TestGroupByExpression(t *testing.T) {
 	}
 	if tab.Column("n").Get(1).Int64() != 3 {
 		t.Fatalf("bucket5 n=%v", tab.Column("n").Get(1))
+	}
+}
+
+// TestNonBooleanPredicatesFailAtBind: a predicate, an AND, OR or NOT
+// operand or a CASE condition that is not BOOLEAN is rejected when the
+// statement binds, as PostgreSQL rejects it: over an empty table, where
+// no row reaches it, as over one with rows.
+func TestNonBooleanPredicatesFailAtBind(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE e (s VARCHAR, n INTEGER)")
+	for round := range 2 {
+		if round == 1 {
+			mustExec(t, db, "INSERT INTO e VALUES ('x', 1)")
+		}
+		for _, q := range []string{
+			"SELECT s FROM e WHERE s",
+			"SELECT s FROM e WHERE n > 0 AND s",
+			"SELECT s FROM e WHERE n OR n > 0",
+			"SELECT s FROM e WHERE NOT n",
+			"SELECT CASE WHEN s THEN 1 ELSE 0 END FROM e",
+			"SELECT s, count(*) FROM e GROUP BY s HAVING count(*)",
+			"SELECT e.s FROM e JOIN e f ON e.s = f.s AND f.n",
+			"DELETE FROM e WHERE s",
+			"UPDATE e SET n = 0 WHERE n",
+		} {
+			if _, err := db.Exec(q); !errors.Is(err, plan.ErrNotBoolean) {
+				t.Fatalf("round %d: %s: err = %v, want ErrNotBoolean", round, q, err)
+			}
+		}
 	}
 }

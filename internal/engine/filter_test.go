@@ -66,12 +66,7 @@ func TestResidualErrorsWhereKernelRejects(t *testing.T) {
 func TestExplainNamesFilterKernels(t *testing.T) {
 	db := New()
 	loadCastTable(t, db)
-	tab := mustQuery(t, db, "EXPLAIN SELECT id FROM t WHERE id < 40 AND 2048 <= id AND CAST(s AS BIGINT) % 7 = 0")
-	var lines []string
-	for i := 0; i < tab.NumRows(); i++ {
-		lines = append(lines, tab.Cols[0].Get(i).Str())
-	}
-	text := strings.Join(lines, "\n")
+	text := planText(t, db, "EXPLAIN SELECT id FROM t WHERE id < 40 AND 2048 <= id AND CAST(s AS BIGINT) % 7 = 0")
 	want := "Filter kernels=[(id < 40), (id >= 2048)] residual=[((CAST(s AS BIGINT) % 7) = 0)]"
 	if !strings.Contains(text, want) {
 		t.Fatalf("EXPLAIN missing %q:\n%s", want, text)

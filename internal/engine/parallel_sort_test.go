@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vexdb/internal/difftest"
 	"vexdb/internal/vector"
 )
 
@@ -16,30 +17,12 @@ import (
 func loadNaNTable(t *testing.T, db *DB, rows int) {
 	t.Helper()
 	mustExec(t, db, "CREATE TABLE nf (id BIGINT, g INTEGER, v DOUBLE)")
-	var sb strings.Builder
-	flushed := 0
-	for i := 0; i < rows; i++ {
-		if sb.Len() == 0 {
-			sb.WriteString("INSERT INTO nf VALUES ")
-		} else {
-			sb.WriteByte(',')
+	batchInsert(t, db, "nf", rows, func(i int) string {
+		if i%53 == 13 { // NULL sort keys
+			return fmt.Sprintf("(%d, %d, NULL)", i, i%7)
 		}
-		switch i % 53 {
-		case 13:
-			// NULL sort keys.
-			fmt.Fprintf(&sb, "(%d, %d, NULL)", i, i%7)
-		default:
-			fmt.Fprintf(&sb, "(%d, %d, %g)", i, i%7, float64(i%19)-9)
-		}
-		if i-flushed >= 499 {
-			mustExec(t, db, sb.String())
-			sb.Reset()
-			flushed = i + 1
-		}
-	}
-	if sb.Len() > 0 {
-		mustExec(t, db, sb.String())
-	}
+		return fmt.Sprintf("(%d, %d, %g)", i, i%7, float64(i%19)-9)
+	})
 	// NaN rows: SQL has no NaN literal; sqrt(-1) produces one. Batch
 	// them as UNION ALL chains of FROM-less selects.
 	for lo := 0; lo < rows; lo += 53 * 40 {
@@ -59,45 +42,12 @@ func loadNaNTable(t *testing.T, db *DB, rows int) {
 	}
 }
 
-// streamRows drains a query through the chunk-pull path (ResultSet
-// Next loop), so the comparison covers incremental delivery, not just
-// Materialize.
-func streamRows(t *testing.T, db *DB, q string) *vector.Table {
-	t.Helper()
-	rs, err := db.Query(q)
-	if err != nil {
-		t.Fatalf("Query(%q): %v", q, err)
-	}
-	defer rs.Close()
-	cols := make([]*vector.Vector, len(rs.Schema()))
-	for i, c := range rs.Schema() {
-		cols[i] = vector.New(c.Type, 0)
-	}
-	tab, err := vector.NewTable(rs.Schema().Names(), cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		ch, err := rs.Next()
-		if err != nil {
-			t.Fatalf("stream %q: %v", q, err)
-		}
-		if ch == nil {
-			return tab
-		}
-		if err := tab.AppendChunk(ch); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestDifferentialParallelSortAndDistinctAgg: ORDER BY and DISTINCT
-// aggregates must be row-identical between serial and parallel
-// execution at workers 1/2/8, materialized and streamed, including
-// NaN- and NULL-bearing sort keys.
+// aggregates return the same bytes at every point of difftest.Matrix,
+// including NaN- and NULL-bearing sort keys.
 func TestDifferentialParallelSortAndDistinctAgg(t *testing.T) {
 	db := New()
-	db.Parallelism = 1
+	db.TempDir = t.TempDir()
 	loadNaNTable(t, db, 6_000)
 	queries := []string{
 		// parallel sort over NaN/NULL keys, asc and desc, multi-key
@@ -119,34 +69,7 @@ func TestDifferentialParallelSortAndDistinctAgg(t *testing.T) {
 		"SELECT DISTINCT g, v FROM nf WHERE id < 2000",
 	}
 	for _, q := range queries {
-		db.Parallelism = 1
-		serial, err := db.Exec(q)
-		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
-		}
-		want := renderTable(t, serial.Table)
-		for _, workers := range parallelWorkerCounts {
-			db.Parallelism = workers
-			got, err := db.Exec(q)
-			if err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, q, err)
-			}
-			compareRendered(t, q, workers, "materialized", renderTable(t, got.Table), want)
-			compareRendered(t, q, workers, "streamed", renderTable(t, streamRows(t, db, q)), want)
-		}
-		db.Parallelism = 1
-	}
-}
-
-func compareRendered(t *testing.T, q string, workers int, mode string, rows, want []string) {
-	t.Helper()
-	if len(rows) != len(want) {
-		t.Fatalf("workers=%d %s %q: %d rows, serial %d", workers, mode, q, len(rows), len(want))
-	}
-	for i := range rows {
-		if rows[i] != want[i] {
-			t.Fatalf("workers=%d %s %q row %d:\n  got  %s\n  want %s", workers, mode, q, i, rows[i], want[i])
-		}
+		difftest.Matrix(t, q, 64<<10, at(db, q))
 	}
 }
 
@@ -159,21 +82,13 @@ func TestOrderByNaNDeterministic(t *testing.T) {
 	db.Parallelism = 8
 	loadNaNTable(t, db, 3_000)
 	const q = "SELECT id, v FROM nf ORDER BY v, id"
-	first := renderTable(t, mustQuery(t, db, q))
+	tab := mustQuery(t, db, q)
 	for run := 0; run < 5; run++ {
-		again := renderTable(t, mustQuery(t, db, q))
-		if len(again) != len(first) {
-			t.Fatalf("run %d: %d rows, first %d", run, len(again), len(first))
-		}
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("run %d row %d: %s, first run %s — ORDER BY over NaN is nondeterministic",
-					run, i, again[i], first[i])
-			}
+		if d := difftest.Diff(mustQuery(t, db, q), tab); d != "" {
+			t.Fatalf("run %d against the first: %s — ORDER BY over NaN is nondeterministic", run, d)
 		}
 	}
 	// Class ordering: finite < NaN < NULL ascending.
-	tab := mustQuery(t, db, q)
 	v := tab.Column("v")
 	state, nan := 0, 0
 	for i := 0; i < v.Len(); i++ {
@@ -206,14 +121,11 @@ func TestOrderByNaNDeterministic(t *testing.T) {
 // unpruned scans could disagree.
 func TestWhereNaNSemantics(t *testing.T) {
 	db := New()
+	db.TempDir = t.TempDir()
 	mustExec(t, db, "CREATE TABLE wn (id BIGINT, v DOUBLE)")
 	mustExec(t, db, "INSERT INTO wn VALUES (1, 1.0), (2, 5.0), (3, NULL)")
 	mustExec(t, db, "INSERT INTO wn SELECT CAST(4 AS BIGINT), sqrt(-1.0)")
-	count := func(pred string) int64 {
-		tab := mustQuery(t, db, "SELECT count(*) AS n FROM wn WHERE "+pred)
-		return tab.Column("n").Get(0).Int64()
-	}
-	cases := []struct {
+	for _, c := range []struct {
 		pred string
 		want int64
 	}{
@@ -223,43 +135,24 @@ func TestWhereNaNSemantics(t *testing.T) {
 		{"v < 100", 2},
 		{"v > 0", 2},
 		{"v <> 5", 2}, // 1.0 and NaN; NULL row stays excluded
-	}
-	for _, c := range cases {
-		for _, workers := range parallelWorkerCounts {
-			db.Parallelism = workers
-			if got := count(c.pred); got != c.want {
-				t.Fatalf("workers=%d WHERE %s: count %d, want %d", workers, c.pred, got, c.want)
-			}
+	} {
+		q := "SELECT count(*) AS n FROM wn WHERE " + c.pred
+		if got := difftest.Matrix(t, q, 64<<10, at(db, q)).Cols[0].Int64s()[0]; got != c.want {
+			t.Fatalf("WHERE %s: count %d, want %d", c.pred, got, c.want)
 		}
-		db.Parallelism = 1
 	}
 }
 
 // TestLimitOffsetChunkBoundaries pins limitOp's slicing at chunk
 // boundaries: offsets landing mid-chunk, spanning whole chunks, and
-// offset+count inside a single chunk must all return the same rows
-// across serial, parallel, and streamed execution.
+// offset+count inside a single chunk must all return the same rows at
+// every point of difftest.Matrix.
 func TestLimitOffsetChunkBoundaries(t *testing.T) {
 	db := New()
-	db.Parallelism = 1
+	db.TempDir = t.TempDir()
 	rows := 3*vector.DefaultChunkSize + 100 // 3 full segments + partial tail
 	mustExec(t, db, "CREATE TABLE lt (id BIGINT)")
-	var sb strings.Builder
-	for i := 0; i < rows; i++ {
-		if i%500 == 0 {
-			if sb.Len() > 0 {
-				mustExec(t, db, sb.String())
-				sb.Reset()
-			}
-			sb.WriteString("INSERT INTO lt VALUES ")
-		} else {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "(%d)", i)
-	}
-	if sb.Len() > 0 {
-		mustExec(t, db, sb.String())
-	}
+	batchInsert(t, db, "lt", rows, func(i int) string { return fmt.Sprintf("(%d)", i) })
 	cs := vector.DefaultChunkSize
 	cases := []struct {
 		name          string
@@ -292,25 +185,15 @@ func TestLimitOffsetChunkBoundaries(t *testing.T) {
 			} else if effOff+c.limit > rows {
 				wantN = rows - effOff
 			}
-			db.Parallelism = 1
-			serial := mustQuery(t, db, query)
+			serial := difftest.Matrix(t, query, 64<<10, at(db, query))
 			if serial.NumRows() != wantN {
-				t.Fatalf("%s serial %q: %d rows, want %d", c.name, query, serial.NumRows(), wantN)
+				t.Fatalf("%s %q: %d rows, want %d", c.name, query, serial.NumRows(), wantN)
 			}
-			for i := 0; i < serial.NumRows(); i++ {
-				if got := serial.Column("id").Int64s()[i]; got != int64(effOff+i) {
-					t.Fatalf("%s serial row %d: id %d, want %d", c.name, i, got, effOff+i)
+			for i, id := range serial.Column("id").Int64s() {
+				if id != int64(effOff+i) {
+					t.Fatalf("%s row %d: id %d, want %d", c.name, i, id, effOff+i)
 				}
 			}
-			want := renderTable(t, serial)
-			for _, workers := range parallelWorkerCounts {
-				db.Parallelism = workers
-				compareRendered(t, query, workers, "materialized",
-					renderTable(t, mustQuery(t, db, query)), want)
-				compareRendered(t, query, workers, "streamed",
-					renderTable(t, streamRows(t, db, query)), want)
-			}
-			db.Parallelism = 1
 		}
 	}
 }

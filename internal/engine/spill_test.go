@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"vexdb/internal/difftest"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
@@ -50,50 +51,30 @@ var spillQueries = []string{
 }
 
 // TestEngineSpillDifferential: SQL-level results under a tiny budget
-// must match the unlimited run at every worker count, for both
-// materialized and streamed delivery; SpillStats must surface through
-// the ResultSet and the temp dir must end empty.
+// match the unlimited run at every point of difftest.Matrix; under the
+// budget SpillStats surface through the ResultSet, and the temp dir
+// ends empty.
 func TestEngineSpillDifferential(t *testing.T) {
+	t.Parallel()
 	const rows = 12_000
-	ref := New()
-	ref.Parallelism = 1
-	loadHighCard(t, ref, rows)
-
 	dir := t.TempDir()
 	db := New()
-	db.MemoryBudget = 32 << 10 // below the smallest state here: 513 float groups and a count, ~48KB
 	db.TempDir = dir
 	loadHighCard(t, db, rows)
-
-	for _, q := range spillQueries {
-		want := renderTable(t, mustQuery(t, ref, q))
-		for _, workers := range parallelWorkerCounts {
-			db.Parallelism = workers
-
-			got := renderTable(t, mustQuery(t, db, q))
-			compareRows(t, q, workers, "spill-materialized", got, want)
-
-			rs, err := db.Query(q)
+	for _, q := range spillQueries { // 32 KB is below the smallest state, 513 float groups and a count (~48 KB)
+		difftest.Matrix(t, q, 32<<10, func(p difftest.Point) (*vector.Table, error) {
+			tab, rs, err := queryAt(db, p, q)
 			if err != nil {
-				t.Fatalf("stream %q: %v", q, err)
+				return nil, err
 			}
-			st := rs.SpillStats()
-			streamed, err := rs.Materialize()
-			if err != nil {
-				t.Fatalf("stream %q: %v", q, err)
+			if rs.SpillStats().Spilled() != (p.Budget > 0) {
+				return nil, fmt.Errorf("spilled=%v", rs.SpillStats().Spilled())
 			}
-			compareRows(t, q, workers, "spill-streamed", renderTable(t, streamed), want)
-			if !st.Spilled() {
-				t.Fatalf("%q workers=%d: expected spilling under 32KB budget", q, workers)
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				return nil, fmt.Errorf("%d temp entries left (%v)", len(ents), err)
 			}
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ents) != 0 {
-				t.Fatalf("%q workers=%d: %d temp entries left", q, workers, len(ents))
-			}
-		}
+			return tab, nil
+		})
 	}
 }
 
@@ -166,7 +147,7 @@ func TestProfileCountersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range parallelWorkerCounts {
+		for _, workers := range []int{1, 2, 8} {
 			db.Parallelism = workers
 			for _, q := range queries {
 				label := fmt.Sprintf("%q workers=%d budget=%d", q.sql, workers, budget)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vexdb/internal/core"
+	"vexdb/internal/difftest"
 	"vexdb/internal/exec"
 	"vexdb/internal/vector"
 )
@@ -19,65 +20,19 @@ func streamDB(t *testing.T, rows int) *DB {
 	db := New()
 	mustExec(t, db, "CREATE TABLE ev (id BIGINT, grp INTEGER, score DOUBLE, tag VARCHAR)")
 	mustExec(t, db, "CREATE TABLE grps (grp INTEGER, label VARCHAR)")
-	for lo := 0; lo < rows; lo += 1000 {
-		hi := lo + 1000
-		if hi > rows {
-			hi = rows
-		}
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO ev VALUES ")
-		for i := lo; i < hi; i++ {
-			if i > lo {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "(%d, %d, %g, 'tag%d')", i, i%13, float64(i%997)*0.25, i%7)
-		}
-		mustExec(t, db, sb.String())
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO grps VALUES ")
-	for g := 0; g < 13; g++ {
-		if g > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "(%d, 'group-%d')", g, g)
-	}
-	mustExec(t, db, sb.String())
+	batchInsert(t, db, "ev", rows, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %g, 'tag%d')", i, i%13, float64(i%997)*0.25, i%7)
+	})
+	batchInsert(t, db, "grps", 13, func(g int) string { return fmt.Sprintf("(%d, 'group-%d')", g, g) })
 	return db
 }
 
-func drainResultSet(t *testing.T, rs *ResultSet) *vector.Table {
-	t.Helper()
-	tab, err := rs.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-func tablesEqual(t *testing.T, q string, a, b *vector.Table) {
-	t.Helper()
-	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
-		t.Fatalf("%s: dims %dx%d vs %dx%d", q, a.NumCols(), a.NumRows(), b.NumCols(), b.NumRows())
-	}
-	for c := range a.Cols {
-		if a.Names[c] != b.Names[c] {
-			t.Fatalf("%s: column %d name %q vs %q", q, c, a.Names[c], b.Names[c])
-		}
-		for r := 0; r < a.NumRows(); r++ {
-			av, bv := a.Cols[c].Get(r), b.Cols[c].Get(r)
-			if av.String() != bv.String() {
-				t.Fatalf("%s: row %d col %q: %v vs %v", q, r, a.Names[c], av, bv)
-			}
-		}
-	}
-}
-
-// Streamed results must be row-identical to the materialized Exec path
-// for every plan shape, at every worker count.
+// Streamed results must be row-identical to materialized ones for
+// every plan shape, at every point of difftest.Matrix.
 func TestStreamedMatchesExec(t *testing.T) {
 	db := streamDB(t, 10_000)
-	queries := []string{
+	db.TempDir = t.TempDir()
+	for _, q := range []string{
 		"SELECT id, score FROM ev",
 		"SELECT id, score * 2 AS s2 FROM ev WHERE grp = 3",
 		"SELECT grp, count(*) AS n, sum(score) AS total FROM ev GROUP BY grp",
@@ -85,21 +40,8 @@ func TestStreamedMatchesExec(t *testing.T) {
 		"SELECT id FROM ev ORDER BY score, id LIMIT 100",
 		"SELECT DISTINCT tag FROM ev",
 		"SELECT id FROM ev LIMIT 10 OFFSET 4000",
-	}
-	for _, workers := range []int{1, 2, 8} {
-		db.Parallelism = workers
-		for _, q := range queries {
-			res, err := db.Exec(q)
-			if err != nil {
-				t.Fatalf("exec %s: %v", q, err)
-			}
-			rs, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("stream %s: %v", q, err)
-			}
-			streamed := drainResultSet(t, rs)
-			tablesEqual(t, fmt.Sprintf("w=%d %s", workers, q), res.Table, streamed)
-		}
+	} {
+		difftest.Matrix(t, q, 64<<10, at(db, q))
 	}
 }
 
@@ -109,21 +51,12 @@ func TestStreamMidStreamError(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE s (v VARCHAR)")
 	const rows = 20_000
-	for lo := 0; lo < rows; lo += 1000 {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO s VALUES ")
-		for i := lo; i < lo+1000; i++ {
-			if i > lo {
-				sb.WriteByte(',')
-			}
-			if i == rows-500 {
-				sb.WriteString("('oops')")
-				continue
-			}
-			fmt.Fprintf(&sb, "('%d')", i)
+	batchInsert(t, db, "s", rows, func(i int) string {
+		if i == rows-500 {
+			return "('oops')"
 		}
-		mustExec(t, db, sb.String())
-	}
+		return fmt.Sprintf("('%d')", i)
+	})
 	for _, workers := range []int{1, 2, 8} {
 		db.Parallelism = workers
 		rs, err := db.Query("SELECT CAST(v AS BIGINT) AS n FROM s")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vexdb/internal/catalog"
+	"vexdb/internal/difftest"
 	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/sql"
@@ -71,20 +72,12 @@ func runPlan(t *testing.T, node plan.Node, ctx *Context) *vector.Table {
 	return out
 }
 
-// assertTablesEqual compares two results cell by cell (float cells by
-// bit pattern via Value.String, which distinguishes NaN).
+// assertTablesEqual compares two results bit-exactly: names, types,
+// NULLs, float bits and BLOB bytes (difftest.Diff).
 func assertTablesEqual(t *testing.T, got, want *vector.Table, label string) {
 	t.Helper()
-	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
-		t.Fatalf("%s: got %dx%d, want %dx%d", label, got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
-	}
-	for r := 0; r < want.NumRows(); r++ {
-		for c := 0; c < want.NumCols(); c++ {
-			gv, wv := got.Cols[c].Get(r), want.Cols[c].Get(r)
-			if gv.String() != wv.String() {
-				t.Fatalf("%s: row %d col %d: %v, want %v", label, r, c, gv, wv)
-			}
-		}
+	if d := difftest.Diff(got, want); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -285,7 +286,7 @@ func (b *Binder) bindFromClause(sel *sql.Select) (Node, *scope, error) {
 					join.RightKeys = append(join.RightKeys, rk)
 					continue
 				}
-				pred, err := b.bindTyped(c, combined, vector.Bool)
+				pred, err := b.bindPredicate(c, combined)
 				if err != nil {
 					return nil, nil, fmt.Errorf("in ON: %w", err)
 				}
@@ -307,15 +308,20 @@ func splitAnd(e sql.Expr) []sql.Expr {
 }
 
 // tryBindEquiKey recognizes conjuncts of the form l = r where one side
-// binds entirely in the left scope and the other in the right scope.
+// reads columns of the left scope only and the other of the right; 1 = 0
+// is no key but a conjunct of Extra, which simplifyAnd settles.
 func (b *Binder) tryBindEquiKey(c sql.Expr, left, right *scope) (Expr, Expr, bool) {
 	be, ok := c.(*sql.BinaryExpr)
 	if !ok || be.Op != sql.OpEq {
 		return nil, nil, false
 	}
+	reads := func(e Expr) (found bool) {
+		EachColRef(e, func(*ColRef) { found = true })
+		return found
+	}
 	for _, sides := range [2][2]sql.Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
-		if lk, err := b.bindExpr(sides[0], left); err == nil {
-			if rk, err := b.bindExpr(sides[1], right); err == nil {
+		if lk, err := b.bindExpr(sides[0], left); err == nil && reads(lk) {
+			if rk, err := b.bindExpr(sides[1], right); err == nil && reads(rk) {
 				ks := settleLike(lk, rk)
 				return fold(ks[0]), fold(ks[1]), true
 			}
@@ -466,14 +472,29 @@ func (b *Binder) bindTyped(e sql.Expr, sc *scope, t vector.Type) (Expr, error) {
 	return fold(settle(x, t)), nil
 }
 
-// bindPredicate binds a WHERE or HAVING predicate: BOOLEAN where it is
-// untyped, and simplified (simplifyAnd).
+// bindPredicate binds a WHERE, HAVING or ON predicate or a CASE
+// condition: BOOLEAN where it is untyped, and simplified (simplifyAnd).
 func (b *Binder) bindPredicate(e sql.Expr, sc *scope) (Expr, error) {
-	pred, err := b.bindTyped(e, sc, vector.Bool)
+	pred, err := b.bindExpr(e, sc)
+	if err == nil {
+		pred, err = boolean(pred, "a predicate")
+	}
 	if err != nil {
 		return nil, err
 	}
-	return simplifyAnd(pred), nil
+	return simplifyAnd(fold(pred)), nil
+}
+
+// ErrNotBoolean is the bind error, as in PostgreSQL, of a predicate, an
+// AND, OR or NOT operand or a CASE condition of another type.
+var ErrNotBoolean = errors.New("must be BOOLEAN")
+
+// boolean settles e, one of those, to BOOLEAN or rejects it as what.
+func boolean(e Expr, what string) (Expr, error) {
+	if e = settle(e, vector.Bool); e.Type() != vector.Bool {
+		return nil, fmt.Errorf("plan: %s %w, not %s", what, ErrNotBoolean, e.Type())
+	}
+	return e, nil
 }
 
 // bindExpr binds a scalar expression against a scope. Each operand an
@@ -519,7 +540,12 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
 		}
 		switch x.Op {
 		case sql.OpAnd, sql.OpOr:
-			l, r = settle(l, vector.Bool), settle(r, vector.Bool)
+			if l, err = boolean(l, "an operand of "+x.Op.String()); err == nil {
+				r, err = boolean(r, "an operand of "+x.Op.String())
+			}
+			if err != nil {
+				return nil, err
+			}
 		case sql.OpConcat:
 			l, r = settle(l, vector.String), settle(r, vector.String)
 		default:
@@ -543,7 +569,10 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
 			}
 			return &Neg{Operand: op}, nil
 		}
-		return &Not{Operand: settle(op, vector.Bool)}, nil
+		if op, err = boolean(op, "the operand of NOT"); err != nil {
+			return nil, err
+		}
+		return &Not{Operand: op}, nil
 	case *sql.IsNullExpr:
 		op, err := b.bindExpr(x.Operand, sc)
 		if err != nil {
@@ -623,7 +652,7 @@ func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope) (Expr, error) {
 	out := &Case{}
 	var rt vector.Type
 	for _, w := range whens {
-		cond, err := b.bindExpr(w.Cond, sc)
+		cond, err := b.bindPredicate(w.Cond, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -632,7 +661,7 @@ func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope) (Expr, error) {
 			return nil, err
 		}
 		rt = mergeCaseType(rt, then.Type())
-		out.Whens = append(out.Whens, When{Cond: settle(cond, vector.Bool), Then: then})
+		out.Whens = append(out.Whens, When{Cond: cond, Then: then})
 	}
 	if x.Else != nil {
 		els, err := b.bindExpr(x.Else, sc)

@@ -1,13 +1,13 @@
 package vexdb
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
 
+	"vexdb/internal/difftest"
 	"vexdb/internal/vector"
 	"vexdb/ml"
 )
@@ -54,7 +54,7 @@ func mlStreamData(n int) (id []int64, f0, f1, f2 []float64, label []int32) {
 // min(n, 2000) rows.
 func newMLStreamDB(t testing.TB, n int) *DB {
 	t.Helper()
-	db := Open()
+	db := OpenOptions(Options{TempDir: t.TempDir()})
 	id, f0, f1, f2, label := mlStreamData(n)
 	vf2 := NewVectorFloat64(f2)
 	for i := 0; i < n; i += 131 {
@@ -144,52 +144,25 @@ func queryInt32Col(t *testing.T, db *DB, sql string) []int32 {
 	return col
 }
 
-func queryFloat64Col(t *testing.T, db *DB, sql string) []float64 {
-	t.Helper()
-	tab, err := db.Query(sql)
-	if err != nil {
-		t.Fatalf("query %q: %v", sql, err)
-	}
-	col, err := tab.Cols[0].AsFloat64s()
-	if err != nil {
-		t.Fatalf("column of %q: %v", sql, err)
-	}
-	return col
-}
-
 // TestStreamedPredictMatchesDrained is the tentpole differential: the
 // streaming vectorized predict must be byte-identical (labels exact,
 // confidences bit-equal) to the drained, freshly-deserializing serial
-// path, at every worker count, over data with NaN and NULL features.
+// path, at every point of difftest.Matrix, over data with NaN and NULL
+// features.
 func TestStreamedPredictMatchesDrained(t *testing.T) {
 	db := newMLStreamDB(t, 20000)
 	registerSerialPredict(t, db)
 
-	wantLabels := queryInt32Col(t, db, `SELECT predict_serial(model, f0, f1, f2) FROM pts, m`)
-	if len(wantLabels) != 20000 {
-		t.Fatalf("baseline rows = %d, want 20000", len(wantLabels))
+	serial, err := db.Query(`SELECT predict_serial(model, f0, f1, f2) AS label FROM pts, m`)
+	if err != nil || serial.NumRows() != 20000 {
+		t.Fatalf("baseline: %v", err)
 	}
-	db.SetParallelism(1)
-	wantConf := queryFloat64Col(t, db, `SELECT predict_confidence(model, f0, f1, f2) FROM pts, m`)
-
-	for _, w := range []int{1, 2, 8} {
-		db.SetParallelism(w)
-		got := queryInt32Col(t, db, `SELECT predict(model, f0, f1, f2) FROM pts, m`)
-		if len(got) != len(wantLabels) {
-			t.Fatalf("workers=%d: rows = %d, want %d", w, len(got), len(wantLabels))
-		}
-		for i := range got {
-			if got[i] != wantLabels[i] {
-				t.Fatalf("workers=%d row %d: streamed label %d != serial %d", w, i, got[i], wantLabels[i])
-			}
-		}
-		conf := queryFloat64Col(t, db, `SELECT predict_confidence(model, f0, f1, f2) FROM pts, m`)
-		for i := range conf {
-			if math.Float64bits(conf[i]) != math.Float64bits(wantConf[i]) {
-				t.Fatalf("workers=%d row %d: confidence %v != %v", w, i, conf[i], wantConf[i])
-			}
-		}
+	const q = `SELECT predict(model, f0, f1, f2) AS label FROM pts, m`
+	if d := difftest.Diff(difftest.Matrix(t, q, 64<<10, at(db, q)), serial); d != "" {
+		t.Fatalf("streamed labels differ from the serial path's: %s", d)
 	}
+	const qc = `SELECT predict_confidence(model, f0, f1, f2) FROM pts, m`
+	difftest.Matrix(t, qc, 64<<10, at(db, qc))
 }
 
 // TestStreamedPredictChunkInvariant asserts the streamed path emits
@@ -331,9 +304,8 @@ func TestStreamedPredictLimitEarlyExit(t *testing.T) {
 	// ordered driver's run-ahead window bounds wasted work, so far
 	// fewer rows than the input are evaluated before the abort.
 	db.SetParallelism(8)
-	gotF := queryFloat64Col(t, db, `SELECT probe_pass(f0) FROM pts LIMIT 10`)
-	if len(gotF) != 10 {
-		t.Fatalf("parallel LIMIT 10 returned %d rows", len(gotF))
+	if gotF, err := db.Query(`SELECT probe_pass(f0) FROM pts LIMIT 10`); err != nil || gotF.NumRows() != 10 {
+		t.Fatalf("parallel LIMIT 10: %v", err)
 	}
 	_, _, ptotal := pass.snapshot()
 	if ptotal > int64(n)/2 {
@@ -381,8 +353,8 @@ func TestStreamedPredictUnderMemoryBudget(t *testing.T) {
 }
 
 // TestTrainDeterminismAcrossParallelism trains each model through SQL
-// at parallelism 1, 2 and 8 — over pts, whose f1 carries NaNs and f2
-// NULLs — and requires the serialized blobs to be byte-identical
+// at every point of difftest.Matrix — over pts, whose f1 carries NaNs
+// and f2 NULLs — and requires the serialized blobs to be byte-identical
 // (morsel partials and per-tree seeds are defined by absolute position,
 // not worker layout) and the stored model to score every row of pts.
 func TestTrainDeterminismAcrossParallelism(t *testing.T) {
@@ -398,28 +370,8 @@ func TestTrainDeterminismAcrossParallelism(t *testing.T) {
 		{"train_logreg", `SELECT model FROM train_logreg((SELECT f0, f1, f2, label FROM pts), 60)`},
 	}
 	for _, tc := range cases {
-		var ref []byte
-		for _, w := range []int{1, 2, 8} {
-			db.SetParallelism(w)
-			tab, err := db.Query(tc.sql)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
-			}
-			if tab.NumRows() != 1 {
-				t.Fatalf("%s workers=%d: %d rows", tc.name, w, tab.NumRows())
-			}
-			blob := tab.Cols[0].Blobs()[0]
-			if len(blob) == 0 {
-				t.Fatalf("%s workers=%d: empty model blob", tc.name, w)
-			}
-			if ref == nil {
-				ref = append([]byte(nil), blob...)
-				continue
-			}
-			if !bytes.Equal(ref, blob) {
-				t.Fatalf("%s: model at workers=%d differs from workers=1 (%d vs %d bytes)",
-					tc.name, w, len(blob), len(ref))
-			}
+		if tab := difftest.Matrix(t, tc.sql, 64<<10, at(db, tc.sql)); tab.NumRows() != 1 || len(tab.Cols[0].Blobs()[0]) == 0 {
+			t.Fatalf("%s: %d rows, want one model", tc.name, tab.NumRows())
 		}
 		if _, err := db.Exec(fmt.Sprintf(`CREATE TABLE %s_m AS %s`, tc.name, tc.sql)); err != nil {
 			t.Fatalf("%s: store model: %v", tc.name, err)

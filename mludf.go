@@ -252,27 +252,21 @@ func scalarInt(args []TableArg, idx int, def int64) int64 {
 	return args[idx].Scalar.Int64()
 }
 
-// modelCache memoizes deserialized models keyed by a 64-bit FNV hash
-// of the blob. The hash is an index, not an identity: each entry
-// carries the blob's SHA-256 digest and a hit verifies it, so an FNV
-// collision falls through to ml.Unmarshal instead of silently serving
-// the wrong classifier to PREDICT (the digest costs 32 bytes per
-// entry versus retaining multi-megabyte model blobs). The cache is
-// bounded to a fixed entry count with single-entry eviction, so
-// filling it does not drop every hot model at once.
+// modelCache memoizes deserialized models keyed by the SHA-256 digest
+// of the blob, so a hit serves the classifier of exactly those bytes
+// while an entry keeps 32 bytes, not a multi-megabyte blob. It holds a
+// fixed number of entries and evicts one at a time, so filling it does
+// not drop every hot model at once.
 //
-// In front of the digest map sits a small MRU pointer-identity ring:
-// engine blobs are immutable once stored, so (&blob[0], len)
-// identifies the exact bytes without touching them. Streaming PREDICT
-// consults the cache once per chunk, where hashing a multi-megabyte
-// model blob per 2048-row chunk would rival the scoring cost itself;
-// the identity hit is O(1). A blob copy (different backing array,
-// same bytes) misses the ring and falls through to the verified
-// digest path, so identity is an accelerator, never an identity
-// *assumption*.
+// In front of it sits a small MRU pointer-identity ring: engine blobs
+// are immutable once stored, so (&blob[0], len) identifies the bytes
+// without hashing them, which streaming PREDICT would otherwise do once
+// per 2048-row chunk. A copy of a blob misses the ring and falls
+// through to the digest map: identity is an accelerator, never an
+// identity *assumption*.
 type modelCache struct {
 	mu      sync.Mutex
-	entries map[modelKey]*modelEntry
+	entries map[[sha256.Size]byte]ml.Classifier
 	ident   [identSlots]identEntry
 }
 
@@ -287,22 +281,10 @@ type identEntry struct {
 	clf  ml.Classifier
 }
 
-type modelKey struct {
-	hash uint64
-	size int
-}
-
-// modelEntry pairs the deserialized classifier with the digest of the
-// exact bytes it was deserialized from.
-type modelEntry struct {
-	digest [sha256.Size]byte
-	clf    ml.Classifier
-}
-
 const modelCacheMaxEntries = 64
 
 func newModelCache() *modelCache {
-	return &modelCache{entries: make(map[modelKey]*modelEntry)}
+	return &modelCache{entries: make(map[[sha256.Size]byte]ml.Classifier)}
 }
 
 func (c *modelCache) get(blob []byte) (ml.Classifier, error) {
@@ -322,13 +304,12 @@ func (c *modelCache) get(blob []byte) (ml.Classifier, error) {
 		}
 		c.mu.Unlock()
 	}
-	key := modelKey{hash: fnv64a(blob), size: len(blob)}
 	digest := sha256.Sum256(blob)
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.digest == digest {
-		c.noteIdentLocked(blob, e.clf)
+	if clf, ok := c.entries[digest]; ok {
+		c.noteIdentLocked(blob, clf)
 		c.mu.Unlock()
-		return e.clf, nil
+		return clf, nil
 	}
 	c.mu.Unlock()
 	clf, err := ml.Unmarshal(blob)
@@ -336,16 +317,14 @@ func (c *modelCache) get(blob []byte) (ml.Classifier, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok && len(c.entries) >= modelCacheMaxEntries {
-		// Evict one arbitrary entry (Go map iteration order). A
-		// colliding key replaces its entry in place instead —
-		// latest-deserialized wins the slot.
+	if _, ok := c.entries[digest]; !ok && len(c.entries) >= modelCacheMaxEntries {
+		// Evict one arbitrary entry (Go map iteration order).
 		for k := range c.entries {
 			delete(c.entries, k)
 			break
 		}
 	}
-	c.entries[key] = &modelEntry{digest: digest, clf: clf}
+	c.entries[digest] = clf
 	c.noteIdentLocked(blob, clf)
 	c.mu.Unlock()
 	return clf, nil
@@ -359,15 +338,6 @@ func (c *modelCache) noteIdentLocked(blob []byte, clf ml.Classifier) {
 	}
 	copy(c.ident[1:], c.ident[:len(c.ident)-1])
 	c.ident[0] = identEntry{ptr: &blob[0], size: len(blob), clf: clf}
-}
-
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // predictInputsCached resolves the model from the first argument's

@@ -1,7 +1,6 @@
 package vexdb
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -26,45 +25,33 @@ func trainKNNBlob(t testing.TB, seed int) []byte {
 	return blob
 }
 
-// TestModelCacheCollisionVerifiesBlob simulates a 64-bit hash
-// collision: an entry is planted under blob B's key but holding blob
-// A's digest and classifier. get(B) must detect the digest mismatch
-// and deserialize B instead of serving A's classifier.
-func TestModelCacheCollisionVerifiesBlob(t *testing.T) {
-	blobA := trainKNNBlob(t, 1)
-	blobB := trainKNNBlob(t, 2)
+// TestModelCacheDistinguishesEqualLengthBlobs: two models whose blobs
+// have the same length and different bytes get classifiers of their
+// own, each predicting its own training point's class.
+func TestModelCacheDistinguishesEqualLengthBlobs(t *testing.T) {
+	blobA, blobB := trainKNNBlob(t, 1), trainKNNBlob(t, 2)
+	if len(blobA) != len(blobB) || string(blobA) == string(blobB) {
+		t.Fatalf("blobs of %d and %d bytes, equal: %v", len(blobA), len(blobB), string(blobA) == string(blobB))
+	}
 	c := newModelCache()
-	clfA, err := c.get(blobA)
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []int{1, 2, 1, 2} {
+		// A fresh copy each time misses the identity ring, so every
+		// get goes through the digest map.
+		blob := append([]byte(nil), map[int][]byte{1: blobA, 2: blobB}[seed]...)
+		clf, err := c.get(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ml.Predict(clf, [][]float64{{float64(seed)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != seed%3 {
+			t.Fatalf("model %d served the other's classifier: predicted %d, want %d", seed, got[0], seed%3)
+		}
 	}
-	// Plant A's entry under B's key, as a colliding hash would.
-	keyB := modelKey{hash: fnv64a(blobB), size: len(blobB)}
-	c.mu.Lock()
-	c.entries[keyB] = &modelEntry{digest: sha256.Sum256(blobA), clf: clfA}
-	c.mu.Unlock()
-
-	clfB, err := c.get(blobB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two training sets predict different classes for their own
-	// training point; a collision serving clfA would misclassify.
-	got, err := ml.Predict(clfB, [][]float64{{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2%3 {
-		t.Fatalf("collision served the wrong model: predicted %d, want %d", got[0], 2%3)
-	}
-	// The slot now holds B (latest-deserialized wins); a repeat get(B)
-	// must hit and return the same classifier instance.
-	again, err := c.get(blobB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != clfB {
-		t.Fatal("verified entry was not cached")
+	if n := len(c.entries); n != 2 {
+		t.Fatalf("%d entries for two models", n)
 	}
 }
 

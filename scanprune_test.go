@@ -3,6 +3,8 @@ package vexdb
 import (
 	"fmt"
 	"testing"
+
+	"vexdb/internal/difftest"
 )
 
 // loadSortedEvents bulk-loads n rows clustered on id (sorted), the
@@ -252,33 +254,26 @@ func TestNextTableRetainsDataAcrossIteration(t *testing.T) {
 // executor chunks alias store-owned sealed raw vectors and the unsealed
 // tail, and Int64s/Float64s hand out the backing slices. Writing into
 // every column NextTable returned must not change what a later SELECT
-// reads.
+// reads, at any point of difftest.Matrix.
 func TestNextTableWritesDoNotReachTheStore(t *testing.T) {
-	db := Open()
+	db := OpenOptions(Options{TempDir: t.TempDir()})
 	loadSortedEvents(t, db, 20_000)
 	const q = "SELECT id, grp, val FROM events"
-	for _, workers := range []int{1, 2} {
-		db.SetParallelism(workers)
-		want, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := difftest.Matrix(t, q, 64<<10, func(p difftest.Point) (*Table, error) {
+		db.SetParallelism(p.Width)
 		for _, tab := range drainTables(t, db, q) {
 			clear(tab.Cols[0].Int64s())
 			clear(tab.Cols[1].Int64s())
 			clear(tab.Cols[2].Float64s())
 		}
-		got, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range want.Cols {
-			for r := 0; r < want.NumRows(); r++ {
-				if g, w := got.Cols[c].Get(r), want.Cols[c].Get(r); g.String() != w.String() {
-					t.Fatalf("workers=%d: column %d row %d reads %v after the caller wrote into a NextTable column, want %v", workers, c, r, g, w)
-				}
-			}
-		}
+		return at(db, q)(p)
+	})
+	if d := difftest.Diff(got, want); d != "" {
+		t.Fatalf("a write into a NextTable column reached the store: %s", d)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"vexdb/internal/difftest"
 )
 
 // loadSpillWorkload loads a 200k-row high-cardinality events table
@@ -57,75 +59,33 @@ var spillSmokeQueries = []string{
 	"SELECT event_id, key, val FROM events ORDER BY val, event_id",
 }
 
-// materialize drains a streamed query into rendered rows plus its
-// spill counters.
-func materializeRows(tb testing.TB, db *DB, q string) ([]string, [4]int64) {
-	tb.Helper()
-	rows, err := db.QueryStream(q)
-	if err != nil {
-		tb.Fatalf("%s: %v", q, err)
-	}
-	defer rows.Close()
-	var out []string
-	for rows.Next() {
-		line := ""
-		for i := range rows.Columns() {
-			line += rows.Value(i).String() + "|"
-		}
-		out = append(out, line)
-	}
-	if err := rows.Err(); err != nil {
-		tb.Fatalf("%s: %v", q, err)
-	}
-	parts, runs, w, r := rows.SpillStats()
-	return out, [4]int64{parts, runs, w, r}
-}
-
 // TestSpillSmoke is the acceptance criterion (and the CI spill
-// smoke): with a 4MB budget, GROUP BY / hash join / ORDER BY over
-// 200k high-cardinality rows must complete with nonzero SpillStats,
-// return results byte-identical to the unlimited-budget run at
-// workers 1, 2 and 8, and leave no files in TempDir afterward.
+// smoke): GROUP BY / hash join / ORDER BY over 200k high-cardinality
+// rows return the same bytes at every point of difftest.Matrix; under
+// its 4MB budget each spills (nonzero SpillStats, bytes written and
+// read), without it none does, and TempDir is empty after every query.
 func TestSpillSmoke(t *testing.T) {
 	const rows = 200_000
-	ref := Open()
-	loadSpillWorkload(t, ref, rows)
-	ref.SetParallelism(1)
-
 	tempDir := t.TempDir()
-	budgeted := OpenOptions(Options{MemoryBudget: 4 << 20, TempDir: tempDir})
-	loadSpillWorkload(t, budgeted, rows)
-
+	db := OpenOptions(Options{TempDir: tempDir})
+	loadSpillWorkload(t, db, rows)
 	for _, q := range spillSmokeQueries {
-		want, refStats := materializeRows(t, ref, q)
-		if refStats != [4]int64{} {
-			t.Fatalf("%s: unlimited run spilled: %v", q, refStats)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			budgeted.SetParallelism(workers)
-			got, stats := materializeRows(t, budgeted, q)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d rows, want %d", q, workers, len(got), len(want))
+		difftest.Matrix(t, q, 4<<20, func(p difftest.Point) (*Table, error) {
+			tab, rs, err := queryAt(db, p, q)
+			if err != nil {
+				return nil, err
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d row %d:\n  got  %s\n  want %s", q, workers, i, got[i], want[i])
+			if rs != nil {
+				parts, runs, w, r := rs.SpillStats()
+				if p.Budget > 0 && (parts+runs == 0 || w == 0 || r == 0) || p.Budget == 0 && parts+runs+w+r != 0 {
+					return nil, fmt.Errorf("SpillStats partitions=%d runs=%d written=%d read=%d", parts, runs, w, r)
 				}
 			}
-			if stats == [4]int64{} {
-				t.Fatalf("%s workers=%d: expected nonzero SpillStats under 4MB budget", q, workers)
+			if ents, err := os.ReadDir(tempDir); err != nil || len(ents) != 0 {
+				return nil, fmt.Errorf("%d entries left in temp dir (%v)", len(ents), err)
 			}
-			if stats[2] == 0 || stats[3] == 0 {
-				t.Fatalf("%s workers=%d: spill bytes written=%d read=%d", q, workers, stats[2], stats[3])
-			}
-			ents, err := os.ReadDir(tempDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ents) != 0 {
-				t.Fatalf("%s workers=%d: %d entries left in temp dir", q, workers, len(ents))
-			}
-		}
+			return tab, nil
+		})
 	}
 }
 

@@ -4,7 +4,38 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"vexdb/internal/difftest"
 )
+
+// at is difftest.Matrix's run for q over db.
+func at(db *DB, q string) func(difftest.Point) (*Table, error) {
+	return func(p difftest.Point) (*Table, error) {
+		tab, _, err := queryAt(db, p, q)
+		return tab, err
+	}
+}
+
+// queryAt runs q over db at p — its width, budget and planner setting —
+// through Query, or streamed through QueryStream's chunks, and returns
+// the rows and, streamed, the closed Rows, whose counters stay
+// readable. db's knobs are restored afterwards.
+func queryAt(db *DB, p difftest.Point, q string) (*Table, *Rows, error) {
+	e := db.eng
+	defer func(w int, b int64, off bool) { e.Parallelism, e.MemoryBudget, e.NoCostPlanner = w, b, off }(e.Parallelism, e.MemoryBudget, e.NoCostPlanner)
+	e.Parallelism, e.MemoryBudget, e.NoCostPlanner = p.Width, p.Budget, !p.Planner
+	if !p.Streamed {
+		tab, err := db.Query(q)
+		return tab, nil, err
+	}
+	rows, err := db.QueryStream(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rows.Close()
+	tab, err := difftest.Collect(rows.Columns(), rows.Types(), rows.rs.Next)
+	return tab, rows, err
+}
 
 // buildLabeled populates a labeled 2-feature table mirroring the
 // paper's training input: separable blobs.
@@ -152,30 +183,15 @@ func TestWeightedLabel(t *testing.T) {
 }
 
 func TestParallelPredictMatchesSerial(t *testing.T) {
-	db := Open()
+	db := OpenOptions(Options{TempDir: t.TempDir()})
 	buildLabeled(t, db, "d", 500)
 	if _, err := db.Exec(`CREATE TABLE m AS
 		SELECT * FROM train_tree((SELECT f0, f1, label FROM d), 8)`); err != nil {
 		t.Fatal(err)
 	}
 	q := "SELECT d.id AS id, predict(m.model, d.f0, d.f1) AS p FROM d, m ORDER BY id"
-	db.SetParallelism(1)
-	serial, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetParallelism(8)
-	parallel, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.NumRows() != parallel.NumRows() {
-		t.Fatal("row counts differ")
-	}
-	for i := 0; i < serial.NumRows(); i++ {
-		if serial.Column("p").Get(i).Int64() != parallel.Column("p").Get(i).Int64() {
-			t.Fatalf("row %d differs between serial and parallel", i)
-		}
+	if n := difftest.Matrix(t, q, 64<<10, at(db, q)).NumRows(); n != 500 {
+		t.Fatalf("%d rows", n)
 	}
 }
 
@@ -358,33 +374,25 @@ func TestQueryStreamRows(t *testing.T) {
 // and panic when the result was cast to the schema: the binder now
 // types the argument as a DOUBLE NULL.
 func TestAggregateOfBareNull(t *testing.T) {
-	db := Open()
+	db := OpenOptions(Options{TempDir: t.TempDir()})
 	if _, err := db.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("INSERT INTO t VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		db.SetParallelism(workers)
-		tab, err := db.Query("SELECT max(NULL) AS mx, min(NULL) AS mn, sum(NULL) AS s, avg(NULL) AS av, count(NULL) AS c, count(DISTINCT NULL) AS cd FROM t")
-		if err != nil {
-			t.Fatal(err)
+	q := "SELECT max(NULL) AS mx, min(NULL) AS mn, sum(NULL) AS s, avg(NULL) AS av, count(NULL) AS c, count(DISTINCT NULL) AS cd FROM t"
+	tab := difftest.Matrix(t, q, 64<<10, at(db, q))
+	for _, name := range []string{"mx", "mn", "s", "av"} {
+		if col := tab.Column(name); tab.NumRows() != 1 || col.Type() != Float64 || !col.IsNull(0) {
+			t.Fatalf("%s = %v %v, want one DOUBLE NULL", name, col.Type(), col.Get(0))
 		}
-		for _, name := range []string{"mx", "mn", "s", "av"} {
-			if col := tab.Column(name); tab.NumRows() != 1 || col.Type() != Float64 || !col.IsNull(0) {
-				t.Fatalf("workers=%d: %s = %v %v, want one DOUBLE NULL", workers, name, col.Type(), col.Get(0))
-			}
-		}
-		if c, cd := tab.Column("c").Get(0).Int64(), tab.Column("cd").Get(0).Int64(); c != 0 || cd != 0 {
-			t.Fatalf("workers=%d: count(NULL) = %d, count(DISTINCT NULL) = %d, want 0 and 0", workers, c, cd)
-		}
-		grouped, err := db.Query("SELECT a, max(NULL) AS mx FROM t GROUP BY a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grouped.NumRows() != 3 || !grouped.Column("mx").IsNull(2) {
-			t.Fatalf("workers=%d: grouped max(NULL): %d rows", workers, grouped.NumRows())
-		}
+	}
+	if c, cd := tab.Column("c").Get(0).Int64(), tab.Column("cd").Get(0).Int64(); c != 0 || cd != 0 {
+		t.Fatalf("count(NULL) = %d, count(DISTINCT NULL) = %d, want 0 and 0", c, cd)
+	}
+	q = "SELECT a, max(NULL) AS mx FROM t GROUP BY a"
+	if grouped := difftest.Matrix(t, q, 64<<10, at(db, q)); grouped.NumRows() != 3 || !grouped.Column("mx").IsNull(2) {
+		t.Fatalf("grouped max(NULL): %d rows", grouped.NumRows())
 	}
 }
