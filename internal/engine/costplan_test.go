@@ -327,13 +327,14 @@ func TestColumnFreeOnConjuncts(t *testing.T) {
 	}
 }
 
-// TestExplainSingleFilterOverJoin: a WHERE conjunct the cost pass
-// places in the join tree is evaluated there and nowhere else, so
-// EXPLAIN shows it once — on the leaf it filters, or at the join that
-// takes it in a rebuilt tree — and the Filter over the chain keeps
-// only what the tree does not evaluate (conjuncts spanning leaves of a
-// syntactic tree, UDF calls), or goes. A WHERE with a FALSE conjunct
-// reads no join at all: its FROM is an empty relation.
+// TestExplainSingleFilterOverJoin: a WHERE conjunct the binder or the
+// cost pass places in the join tree is evaluated there and nowhere
+// else, so EXPLAIN shows it once — on the leaf it filters, or at the
+// join that takes it in a rebuilt tree — and the Filter over the chain
+// keeps only what the tree does not evaluate (conjuncts spanning leaves
+// of a syntactic tree; every conjunct of a WHERE with a UDF call, which
+// may raise), or goes. A WHERE with a FALSE conjunct reads no join at
+// all: its FROM is an empty relation.
 // TestCostPlanByteIdentity holds the results to the syntactic plan's.
 func TestExplainSingleFilterOverJoin(t *testing.T) {
 	db := New()
@@ -385,6 +386,48 @@ func TestExplainSingleFilterOverJoin(t *testing.T) {
 		db.NoCostPlanner = !planner
 		if _, err := db.Exec("SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND CAST('x' AS INTEGER) = 1"); err == nil {
 			t.Fatalf("planner=%v: a failing conjunct over a join chain did not fail", planner)
+		}
+	}
+}
+
+// outcome runs q at p and returns its rows or, where it fails, a
+// one-row table of the error's text, so that Matrix holds a failure to
+// the same contract as a result.
+func outcome(db *DB, q string) func(difftest.Point) (*vector.Table, error) {
+	return func(p difftest.Point) (*vector.Table, error) {
+		tab, _, err := queryAt(db, p, q)
+		if err != nil {
+			return vector.NewTable([]string{"error"}, []*vector.Vector{vector.FromStrings([]string{err.Error()})})
+		}
+		return tab, nil
+	}
+}
+
+// TestMayFailConjunctsStayInPlace: a conjunct that may raise (a CAST
+// from VARCHAR) sees exactly the rows the syntactic plan gives it, with
+// the planner on or off: over the joined rows, where the row 'x' never
+// joins, in WHERE and in ON alike; and beside a kernel that would
+// otherwise move below the join and drop 'x' before the CAST saw it.
+func TestMayFailConjunctsStayInPlace(t *testing.T) {
+	db := New()
+	db.TempDir = t.TempDir()
+	mustExec(t, db, "CREATE TABLE t (k INTEGER, s VARCHAR)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, '5'), (2, 'x')")
+	mustExec(t, db, "CREATE TABLE u1 (k INTEGER)")
+	mustExec(t, db, "INSERT INTO u1 VALUES (1)")
+	mustExec(t, db, "CREATE TABLE u2 (k INTEGER)")
+	mustExec(t, db, "INSERT INTO u2 VALUES (1), (2)")
+	for _, c := range []struct {
+		q    string
+		want string // the one row, or the error the oracle raises
+	}{
+		{"SELECT t.k FROM u1 JOIN t ON u1.k = t.k WHERE CAST(t.s AS INTEGER) > 3", "1"},
+		{"SELECT t.k FROM u1 JOIN t ON u1.k = t.k AND CAST(t.s AS INTEGER) > 3", "1"},
+		{"SELECT t.k FROM u2 JOIN t ON u2.k = t.k WHERE t.k < 2 AND CAST(t.s AS INTEGER) > u2.k", `cast "x" to INTEGER`},
+	} {
+		tab := difftest.Matrix(t, c.q, 64<<10, outcome(db, c.q))
+		if got := tab.Cols[0].Get(0).String(); tab.NumRows() != 1 || !strings.Contains(got, c.want) {
+			t.Fatalf("%s: %d rows, first %q; want one, %q", c.q, tab.NumRows(), got, c.want)
 		}
 	}
 }

@@ -14,12 +14,14 @@ package engine
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"vexdb/internal/catalog"
+	"vexdb/internal/storage"
 	"vexdb/internal/wal"
 )
 
@@ -221,6 +223,13 @@ func (db *DB) Checkpoint() error {
 	if err := db.SaveDir(filepath.Join(db.walDir, ckptDir)); err != nil {
 		return err
 	}
+	// The checkpoint's directory entries, and its own entry in the WAL
+	// directory, are durable before the manifest names it.
+	for _, d := range []string{filepath.Join(db.walDir, ckptDir), db.walDir} {
+		if err := storage.SyncDir(d); err != nil {
+			return err
+		}
+	}
 	if err := writeManifest(db.walDir, cpLSN, ckptDir); err != nil {
 		return err
 	}
@@ -240,35 +249,14 @@ func (db *DB) Checkpoint() error {
 	return nil
 }
 
-// writeManifest atomically replaces dir's manifest (tmp file, fsync,
-// rename, directory fsync) so recovery sees either the old or the new
+// writeManifest atomically replaces dir's manifest
+// (storage.WriteFileAtomic) so recovery sees either the old or the new
 // checkpoint, never a torn one.
 func writeManifest(dir string, lsn uint64, ckptDir string) error {
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	body := fmt.Sprintf("VEXCKPT1\nlsn %d\ndir %s\n", lsn, ckptDir)
-	f, err := os.Create(tmp)
-	if err != nil {
+	return storage.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "VEXCKPT1\nlsn %d\ndir %s\n", lsn, ckptDir)
 		return err
-	}
-	if _, err := f.WriteString(body); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }
 
 // WALGroupStats reports the WAL's commit fsyncs and the records they

@@ -570,16 +570,15 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 // reads no segment. The read, the log append and the publish happen
 // under the table's write lock, on the version pinned there, so a
 // concurrent INSERT can neither be lost nor double-applied and the
-// ordinals name the rows they were computed from. Segments whose zone
-// maps rule out the WHERE's `col <op> const` conjuncts are skipped
-// undecoded, by the scan's own rule; the others are read as a fused
-// scan reads them (exec.Where.ScanSegment): kernels on codes, and only
-// the matched rows decoded, for UPDATE alone. Nothing is logged or applied
+// ordinals name the rows they were computed from. The WHERE is read as
+// a filter fused into its scan reads it: segments whose zone maps
+// refute its kernels are skipped undecoded (exec.Where.Refutes), and in
+// the others the kernels run on codes and only the matched rows are
+// decoded, for UPDATE alone (exec.Where.ScanSegment). Nothing is logged or applied
 // until every segment is evaluated, so an error leaves the table and
 // the log as they were. It returns the count of rows matched.
 func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matched *vector.Chunk) ([]*vector.Vector, error)) (int64, error) {
 	var pred plan.Expr
-	var preds []plan.ScanPredicate
 	if where != nil {
 		var err error
 		if pred, err = plan.NewBinder(db.cat, db.reg).BindWhereIn(where, newTableScope(tab)); err != nil {
@@ -588,7 +587,6 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		if plan.IsFalse(pred) {
 			return 0, nil
 		}
-		preds = plan.ExtractScanPreds(pred, nil)
 	}
 	var repl []*vector.Vector
 	if update != nil {
@@ -614,7 +612,7 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 	for i, rows := range snap.SegmentRowCounts() {
 		base := first
 		first += rows
-		if len(preds) > 0 && exec.SegmentPrunable(snap.Zones(i), preds) {
+		if filter.Refutes(snap.Zones(i), nil) {
 			continue
 		}
 		sel, cols, err := filter.ScanSegment(snap, i, nil, &sc, update != nil)

@@ -147,22 +147,33 @@ func loadDim(t *testing.T, db *DB, rows int, compress bool) {
 	}
 }
 
-// joinPruningQueries push col <op> const conjuncts through the join
-// onto either side's scan (PR 3 follow-up): probe-side, build-side,
-// both sides, and the LEFT-join right side (sound: a comparison is
-// never TRUE on the NULL-padded rows pruning may introduce).
-var joinPruningQueries = []string{
-	"SELECT e.id, d.tag FROM e JOIN d ON e.grp = d.k WHERE e.id >= 7000",
-	"SELECT count(*) AS n FROM e JOIN d ON e.grp = d.k WHERE d.w > 0.5",
-	"SELECT e.id, d.w FROM e JOIN d ON e.grp = d.k WHERE e.id < 1200 AND d.w <= 0.25",
-	"SELECT e.id, d.tag FROM e LEFT JOIN d ON e.grp = d.k WHERE d.w > 0.125",
-	"SELECT sum(e.val) AS s FROM e JOIN d ON e.grp = d.k WHERE e.id > 6000 AND d.tag = 'tag-3'",
+// joinPruningQueries place col <op> const conjuncts through the join
+// on either side's scan: probe side, build side, both sides, and the
+// LEFT join's right input (copied there: the WHERE above also rejects
+// the NULL-padded rows a pruned build row leaves). skipped is how many
+// of e's segments they skip; d is the mutable tail alone, which no
+// conjunct skips. Each query's twin writes every placed conjunct c as
+// NOT (NOT (c)), which no pass moves and no zone map refutes.
+var joinPruningQueries = []struct {
+	q, twin string
+	skipped int64
+}{
+	{"SELECT e.id, d.tag FROM e JOIN d ON e.grp = d.k WHERE e.id >= 7000",
+		"SELECT e.id, d.tag FROM e JOIN d ON e.grp = d.k WHERE NOT (NOT (e.id >= 7000))", 3},
+	{"SELECT count(*) AS n FROM e JOIN d ON e.grp = d.k WHERE d.w > 0.5",
+		"SELECT count(*) AS n FROM e JOIN d ON e.grp = d.k WHERE NOT (NOT (d.w > 0.5))", 0},
+	{"SELECT e.id, d.w FROM e JOIN d ON e.grp = d.k WHERE e.id < 1200 AND d.w <= 0.25",
+		"SELECT e.id, d.w FROM e JOIN d ON e.grp = d.k WHERE NOT (NOT (e.id < 1200)) AND NOT (NOT (d.w <= 0.25))", 3},
+	{"SELECT e.id, d.tag FROM e LEFT JOIN d ON e.grp = d.k WHERE d.w > 0.125",
+		"SELECT e.id, d.tag FROM e LEFT JOIN d ON e.grp = d.k WHERE NOT (NOT (d.w > 0.125))", 0},
+	{"SELECT sum(e.val) AS s FROM e JOIN d ON e.grp = d.k WHERE e.id > 6000 AND d.tag = 'tag-3'",
+		"SELECT sum(e.val) AS s FROM e JOIN d ON e.grp = d.k WHERE NOT (NOT (e.id > 6000)) AND NOT (NOT (d.tag = 'tag-3'))", 2},
 }
 
-// Differential: join results with predicates pushed through to pruned
-// compressed scans return the bytes of the uncompressed, unpruned path
-// at every point of difftest.Matrix — and the pushdown must actually
-// skip segments.
+// Differential: join results with conjuncts placed on pruned compressed
+// scans return the bytes of the uncompressed, unpruned path, and of
+// their twins that nothing prunes, at every point of difftest.Matrix;
+// and at every point the placed conjuncts skip the same segments.
 func TestJoinPushdownPrunedMatchesUnpruned(t *testing.T) {
 	const rows = storage.SegmentRows*4 + 123
 	comp := New()
@@ -174,19 +185,23 @@ func TestJoinPushdownPrunedMatchesUnpruned(t *testing.T) {
 	loadClustered(t, raw, rows, false)
 	loadDim(t, raw, rows/1000+1, false)
 
-	for _, q := range joinPruningQueries {
-		if d := difftest.Diff(difftest.Matrix(t, q, 64<<10, at(comp, q)), mustQuery(t, raw, q)); d != "" {
-			t.Fatalf("%s: join over pruned scans differs from raw: %s", q, d)
+	skipping := func(q string, skipped int64) func(difftest.Point) (*vector.Table, error) {
+		return func(p difftest.Point) (*vector.Table, error) {
+			tab, rs, err := queryAt(comp, p, q)
+			if err == nil && rs.ScanStats().Skipped() != skipped {
+				err = fmt.Errorf("skipped %d segments, want %d", rs.ScanStats().Skipped(), skipped)
+			}
+			return tab, err
 		}
 	}
-
-	// The probe-side predicate must skip whole segments under the join.
-	_, rs, err := queryAt(comp, difftest.Point{Width: 1, Planner: true}, "SELECT count(*) AS n FROM e JOIN d ON e.grp = d.k WHERE e.id >= 7000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.ScanStats().Skipped() == 0 {
-		t.Fatal("join pushdown skipped no segments")
+	for _, c := range joinPruningQueries {
+		got := difftest.Matrix(t, c.q, 64<<10, skipping(c.q, c.skipped))
+		if d := difftest.Diff(got, mustQuery(t, raw, c.q)); d != "" {
+			t.Fatalf("%s: join over pruned scans differs from raw: %s", c.q, d)
+		}
+		if d := difftest.Diff(difftest.Matrix(t, c.twin, 64<<10, skipping(c.twin, 0)), got); d != "" {
+			t.Fatalf("%s: differs from its twin: %s", c.q, d)
+		}
 	}
 }
 

@@ -129,11 +129,24 @@ func referenceRows(pred plan.Expr, ch *vector.Chunk) ([]int, error) {
 }
 
 // checkAgainstReference compares Where's selection of ch with the
-// oracle's, row for row, errors included.
+// oracle's, row for row, errors included; and zone maps of ch's columns
+// may refute the kernels only where the oracle keeps no row.
 func checkAgainstReference(t *testing.T, pred plan.Expr, ch *vector.Chunk) {
 	t.Helper()
 	want, werr := referenceRows(pred, ch)
-	got, gerr := CompileWhere(pred).Select(ch, nil)
+	w := CompileWhere(pred)
+	zones := make([]storage.ZoneMap, ch.NumCols())
+	for i, v := range ch.Cols() {
+		c, err := storage.SealColumn(v, storage.EncRaw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zones[i] = c.Zone
+	}
+	if len(want) > 0 && w.Refutes(zones, nil) {
+		t.Fatalf("%s over %d rows: zone maps refute a segment the reference keeps %d rows of", plan.ExprString(pred), ch.NumRows(), len(want))
+	}
+	got, gerr := w.Select(ch, nil)
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("%s over %d rows: error %v, reference %v", plan.ExprString(pred), ch.NumRows(), gerr, werr)
 	}
@@ -210,7 +223,7 @@ func withoutNulls(ch *vector.Chunk) *vector.Chunk {
 	for c, v := range ch.Cols() {
 		out := vector.New(v.Type(), v.Len())
 		prev := map[vector.Type]vector.Value{vector.Int32: vector.NewInt32(0), vector.Int64: vector.NewInt64(0),
-			vector.Float64: vector.NewFloat64(0), vector.String: vector.NewString("")}[v.Type()]
+			vector.Float64: vector.NewFloat64(0), vector.String: vector.NewString(""), vector.Bool: vector.NewBool(false)}[v.Type()]
 		for i := range v.Len() {
 			if x := v.Get(i); !x.IsNull() {
 				prev = x
@@ -379,6 +392,67 @@ func TestFilterKernelSplit(t *testing.T) {
 	}
 }
 
+// TestWhereRefutesZones: a filter's kernels refute a segment only where
+// its zone maps prove no row passes them — at a bound, one past it, on
+// an all-NULL column — and never without statistics, on a column a
+// projection maps elsewhere, or for <>, which a NaN row passes unseen.
+func TestWhereRefutesZones(t *testing.T) {
+	zone := func(min, max vector.Value) []storage.ZoneMap {
+		return []storage.ZoneMap{{Min: min, Max: max, Rows: 2}}
+	}
+	ints := func(min, max int64) []storage.ZoneMap { return zone(vector.NewInt64(min), vector.NewInt64(max)) }
+	i64, str := vector.NewInt64, vector.NewString
+	cases := []struct {
+		name  string
+		zones []storage.ZoneMap
+		op    sql.BinaryOp
+		val   vector.Value
+		want  bool
+	}{
+		{"eq-below", ints(10, 20), sql.OpEq, i64(5), true},
+		{"eq-above", ints(10, 20), sql.OpEq, i64(25), true},
+		{"eq-inside", ints(10, 20), sql.OpEq, i64(15), false},
+		{"lt-at-min", ints(10, 20), sql.OpLt, i64(10), true},
+		{"lt-above-min", ints(10, 20), sql.OpLt, i64(11), false},
+		{"le-below-min", ints(10, 20), sql.OpLe, i64(9), true},
+		{"le-at-min", ints(10, 20), sql.OpLe, i64(10), false},
+		{"gt-at-max", ints(10, 20), sql.OpGt, i64(20), true},
+		{"gt-below-max", ints(10, 20), sql.OpGt, i64(19), false},
+		{"ge-above-max", ints(10, 20), sql.OpGe, i64(21), true},
+		{"ge-at-max", ints(10, 20), sql.OpGe, i64(20), false},
+		{"double-constant", ints(10, 20), sql.OpGt, vector.NewFloat64(20.5), true},
+		{"ne-single-value", ints(7, 7), sql.OpNe, i64(7), false},
+		{"ne-all-null", []storage.ZoneMap{{Rows: 4, NullCount: 4}}, sql.OpNe, i64(0), false},
+		{"no-zones", nil, sql.OpEq, i64(5), false},
+		{"no-stats", []storage.ZoneMap{{}}, sql.OpEq, i64(5), false},
+		{"all-null", []storage.ZoneMap{{Rows: 4, NullCount: 4}}, sql.OpGe, i64(0), true},
+		{"bool-all-false", zone(vector.NewBool(false), vector.NewBool(false)), sql.OpEq, vector.NewBool(true), true},
+		{"bool-both", zone(vector.NewBool(false), vector.NewBool(true)), sql.OpEq, vector.NewBool(true), false},
+		{"bool-gt-true", zone(vector.NewBool(false), vector.NewBool(true)), sql.OpGt, vector.NewBool(true), true},
+		{"varchar-below", zone(str("b"), str("d")), sql.OpLt, str("b"), true},
+		{"varchar-prefix", zone(str("b"), str("d")), sql.OpEq, str("bb"), false},
+		{"varchar-above", zone(str("b"), str("d")), sql.OpGe, str("da"), true},
+		{"varchar-int-bound", zone(str("b"), str("d")), sql.OpEq, i64(5), false},
+	}
+	for _, c := range cases {
+		w := &Where{kernels: []plan.ScanPredicate{{Col: 0, Op: c.op, Val: c.val}}}
+		if got := w.Refutes(c.zones, nil); got != c.want {
+			t.Errorf("%s: refutes = %v, want %v", c.name, got, c.want)
+		}
+		if len(c.zones) == 0 {
+			continue
+		}
+		// Through the projection [1], the kernel's column is table
+		// column 1: the zone decides there, and nowhere else.
+		if got := w.Refutes(append([]storage.ZoneMap{{}}, c.zones...), []int{1}); got != c.want {
+			t.Errorf("%s: refutes through the projection = %v, want %v", c.name, got, c.want)
+		}
+		if w.Refutes(append(slices.Clone(c.zones), storage.ZoneMap{}), []int{1}) {
+			t.Errorf("%s: refuted on a column the projection does not read", c.name)
+		}
+	}
+}
+
 // TestFilterKernelKeepsResidualErrors: a residual is evaluated over
 // the whole chunk, or every row of its columns in a segment, so its
 // error on a row the kernel rejects surfaces, whether the kernel keeps
@@ -397,8 +471,9 @@ func TestFilterKernelKeepsResidualErrors(t *testing.T) {
 }
 
 // FuzzFilterKernel: one kernel conjunct over a column built from the
-// fuzzer's bytes selects what the oracle keeps, for any column type,
-// operator, operand order and constant.
+// fuzzer's bytes selects what the oracle keeps, for any column type
+// (BOOLEAN too), operator, operand order and constant, and the column's
+// zone map refutes it only where the oracle keeps nothing.
 func FuzzFilterKernel(f *testing.F) {
 	le := func(xs ...uint64) []byte {
 		var b []byte
@@ -414,8 +489,11 @@ func FuzzFilterKernel(f *testing.F) {
 	f.Add(byte(2), byte(0), byte(1), true, le(negZero, 0), uint64(0))
 	f.Add(byte(3), byte(3), byte(3), false, []byte("a\x00ab\x00\x00b"), uint64('a'))
 	f.Add(byte(0), byte(4), byte(1), false, le(math.MaxUint64), uint64(3000000000))
+	f.Add(byte(4), byte(4), byte(0), false, le(0, 2, 4), uint64(1))
+	f.Add(byte(4), byte(0), byte(0), true, le(1, 3, 5), uint64(0))
+	colTypes := append(slices.Clone(filterColTypes), vector.Bool)
 	f.Fuzz(func(t *testing.T, typ, op, ctyp byte, flip bool, data []byte, cbits uint64) {
-		ct := filterColTypes[int(typ)%len(filterColTypes)]
+		ct := colTypes[int(typ)%len(colTypes)]
 		col := vector.New(ct, 0)
 		if ct == vector.String {
 			for i, s := range splitBytes(data) {
@@ -431,6 +509,8 @@ func FuzzFilterKernel(f *testing.F) {
 				switch {
 				case bits%7 == 3:
 					col.AppendValue(vector.Null())
+				case ct == vector.Bool:
+					col.AppendValue(vector.NewBool(bits&1 == 1))
 				case ct == vector.Int32:
 					col.AppendValue(vector.NewInt32(int32(bits)))
 				case ct == vector.Int64:
@@ -444,6 +524,8 @@ func FuzzFilterKernel(f *testing.F) {
 		switch {
 		case ct == vector.String:
 			v = vector.NewString(fmt.Sprint(cbits % 300))
+		case ct == vector.Bool:
+			v = vector.NewBool(cbits&1 == 1)
 		case ctyp%3 == 0:
 			v = vector.NewInt32(int32(cbits))
 		case ctyp%3 == 1:

@@ -266,13 +266,19 @@ func feed(node plan.Node, workers int, pipe bool, prof *Profile) (chunkFeed, err
 
 // buildStage builds a Filter or Project that is not part of a morsel
 // pipeline: over a join, an aggregate, a UNION or a table function, or
-// a filter whose predicate calls a UDF not marked Parallel. A
-// projection with UDF calls is mlProjectOp; the rest fold into one
-// stageOp per chain.
+// a filter whose predicate calls a UDF not marked Parallel. Such a
+// filter directly over a scan is still fused into it, so its kernels
+// prune, and runs at one worker. A projection with UDF calls is
+// mlProjectOp; the rest fold into one stageOp per chain.
 func buildStage(node plan.Node, workers int, prof *Profile) (Operator, error) {
 	var st pipeStage
 	var under plan.Node
 	if f, ok := node.(*plan.Filter); ok {
+		if scan, ok := f.Child.(*plan.Scan); ok {
+			if src := (&scanSource{scan: scan, st: prof.node(scan)}); src.fuse(f, prof.node(f)) {
+				return &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: 1}, nil
+			}
+		}
 		st, under = pipeStage{where: CompileWhere(f.Pred), st: prof.node(f)}, f.Child
 	} else {
 		p := node.(*plan.Project)

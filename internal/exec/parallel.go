@@ -37,12 +37,13 @@ type morselSource interface {
 
 // scanSource reads one storage segment per morsel (zero-copy for
 // sealed raw columns; compressed columns decode in the worker, which
-// overlaps decode with compute across the pool). Segments whose zone
-// maps refute the pushed-down predicates are skipped at open: they are
-// no morsel, so no worker claims them and no exchange slot waits on
-// them. A Filter directly above the scan is fused into it (where, with
-// fst its node's record): its kernels run on the segment's codes and
-// only the rows it keeps are decoded (Where.ScanSegment). An
+// overlaps decode with compute across the pool). A Filter directly
+// above the scan is fused into it (where, with fst its node's record):
+// segments whose zone maps refute its kernels (Where.Refutes) are
+// skipped at open — they are no morsel, so no worker claims them and no
+// exchange slot waits on them — and in the others its kernels run on
+// the segment's codes and only the rows it keeps are decoded
+// (Where.ScanSegment). An
 // aggregation that groups on codes (dense.go) pins the snapshot the
 // scan reads before it opens, and has it append its rows' group ids.
 type scanSource struct {
@@ -59,6 +60,14 @@ type scanSource struct {
 
 // everyRow is the Where of a scan without a fused filter.
 var everyRow = &Where{}
+
+// filter is the scan's fused Where, everyRow without one.
+func (s *scanSource) filter() *Where {
+	if s.where == nil {
+		return everyRow
+	}
+	return s.where
+}
 
 // outWidth is the number of columns the scan emits before any group
 // ids: its table columns and __rowpos.
@@ -79,7 +88,7 @@ func (s *scanSource) open(ctx *Context) int {
 	}
 	s.segs = s.segs[:0]
 	for i := range s.store.NumSegments() {
-		if len(s.scan.Preds) == 0 || !SegmentPrunable(s.store.Zones(i), s.scan.Preds) {
+		if !s.filter().Refutes(s.store.Zones(i), s.scan.Projection) {
 			s.segs = append(s.segs, i)
 		}
 	}
@@ -88,16 +97,12 @@ func (s *scanSource) open(ctx *Context) int {
 }
 
 func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
-	w := s.where
-	if w == nil {
-		w = everyRow
-	}
 	seg := &sc.seg
 	seg.skip = nil
 	if s.groups != nil {
 		seg.skip = s.groups.skip
 	}
-	sel, cols, err := w.ScanSegment(s.store, s.segs[i], s.scan.Projection, seg, true)
+	sel, cols, err := s.filter().ScanSegment(s.store, s.segs[i], s.scan.Projection, seg, true)
 	if err != nil {
 		return nil, err
 	}

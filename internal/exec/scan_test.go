@@ -31,9 +31,10 @@ func scanTable(t *testing.T, rows int) *catalog.Table {
 	}
 }
 
-// drainScan builds a scan of tab at width workers, as Stream would,
-// and returns every chunk it delivers; ctx must carry a profile.
-func drainScan(t *testing.T, scan *plan.Scan, ctx *Context) []*vector.Chunk {
+// drainScan builds a scan, filtered or not, at width workers, as
+// Stream would, and returns every chunk it delivers; ctx must carry a
+// profile.
+func drainScan(t *testing.T, scan plan.Node, ctx *Context) []*vector.Chunk {
 	t.Helper()
 	op, err := buildWith(scan, ctx.Parallelism, ctx.prof)
 	if err != nil {
@@ -78,61 +79,42 @@ func TestScanOrderAndBufferSafety(t *testing.T) {
 	}
 }
 
-func TestScanPrunesSegments(t *testing.T) {
-	rows := storage.SegmentRows * 4
-	tab := scanTable(t, rows)
-	preds := []plan.ScanPredicate{{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(int64(rows - 100))}}
-	for _, workers := range []int{1, 2} {
-		stats := &Profile{}
-		var got int
-		for _, ch := range drainScan(t, &plan.Scan{Table: tab, Preds: preds}, &Context{Parallelism: workers, prof: stats}) {
-			got += ch.NumRows()
-		}
-		// Pruning is segment-granular: the matching segment is delivered
-		// whole (the row filter narrows it later).
-		if got != storage.SegmentRows {
-			t.Fatalf("workers=%d: delivered %d rows, want one segment", workers, got)
-		}
-		if stats.Skipped() != 3 || stats.Scanned() != 1 {
-			t.Fatalf("workers=%d: scanned=%d skipped=%d, want 1/3", workers, stats.Scanned(), stats.Skipped())
-		}
+// geFilter is the filter x >= lo over a scan of scanTable's table.
+func geFilter(tab *catalog.Table, lo int64) *plan.Filter {
+	return &plan.Filter{
+		Pred: &plan.BinOp{
+			Op:    sql.OpGe,
+			Left:  &plan.ColRef{Idx: 0, Typ: vector.Int64, Name: "x"},
+			Right: &plan.Const{Val: vector.NewInt64(lo), Typ: vector.Int64},
+			Typ:   vector.Bool,
+		},
+		Child: &plan.Scan{Table: tab},
 	}
 }
 
-func TestSegmentPrunableOperators(t *testing.T) {
-	zone := func(min, max int64) []storage.ZoneMap {
-		v := vector.FromInt64s([]int64{min, max})
-		z := storage.ZoneMap{Rows: 2}
-		z.Min, z.Max = v.Get(0), v.Get(1)
-		return []storage.ZoneMap{z}
-	}
-	pred := func(op sql.BinaryOp, val int64) []plan.ScanPredicate {
-		return []plan.ScanPredicate{{Col: 0, Op: op, Val: vector.NewInt64(val)}}
-	}
-	cases := []struct {
-		name  string
-		zones []storage.ZoneMap
-		preds []plan.ScanPredicate
-		want  bool
-	}{
-		{"eq-below", zone(10, 20), pred(sql.OpEq, 5), true},
-		{"eq-above", zone(10, 20), pred(sql.OpEq, 25), true},
-		{"eq-inside", zone(10, 20), pred(sql.OpEq, 15), false},
-		{"lt-at-min", zone(10, 20), pred(sql.OpLt, 10), true},
-		{"lt-above-min", zone(10, 20), pred(sql.OpLt, 11), false},
-		{"le-below-min", zone(10, 20), pred(sql.OpLe, 9), true},
-		{"le-at-min", zone(10, 20), pred(sql.OpLe, 10), false},
-		{"gt-at-max", zone(10, 20), pred(sql.OpGt, 20), true},
-		{"gt-below-max", zone(10, 20), pred(sql.OpGt, 19), false},
-		{"ge-above-max", zone(10, 20), pred(sql.OpGe, 21), true},
-		{"ge-at-max", zone(10, 20), pred(sql.OpGe, 20), false},
-		{"no-zones", nil, pred(sql.OpEq, 5), false},
-		{"no-stats", []storage.ZoneMap{{}}, pred(sql.OpEq, 5), false},
-		{"all-null", []storage.ZoneMap{{Rows: 4, NullCount: 4}}, pred(sql.OpGe, 0), true},
-	}
-	for _, c := range cases {
-		if got := SegmentPrunable(c.zones, c.preds); got != c.want {
-			t.Errorf("%s: prunable = %v, want %v", c.name, got, c.want)
+// A filter fused into its scan skips the segments its kernels refute,
+// and a scan without one reads every segment.
+func TestScanPrunesSegments(t *testing.T) {
+	rows := storage.SegmentRows * 4
+	tab := scanTable(t, rows)
+	for _, workers := range []int{1, 2} {
+		for _, c := range []struct {
+			node             plan.Node
+			rows             int
+			scanned, skipped int64
+		}{
+			{geFilter(tab, int64(rows-100)), 100, 1, 3},
+			{&plan.Scan{Table: tab}, rows, 4, 0},
+		} {
+			stats := &Profile{}
+			var got int
+			for _, ch := range drainScan(t, c.node, &Context{Parallelism: workers, prof: stats}) {
+				got += ch.NumRows()
+			}
+			if got != c.rows || stats.Scanned() != c.scanned || stats.Skipped() != c.skipped {
+				t.Fatalf("workers=%d %T: %d rows, scanned=%d skipped=%d, want %d rows, %d/%d",
+					workers, c.node, got, stats.Scanned(), stats.Skipped(), c.rows, c.scanned, c.skipped)
+			}
 		}
 	}
 }
@@ -221,18 +203,7 @@ func bigMaterialTable(t *testing.T, rows int) *vector.Table {
 func TestParallelScanPrunes(t *testing.T) {
 	rows := storage.SegmentRows * 6
 	tab := scanTable(t, rows)
-	node := plan.Node(&plan.Filter{
-		Pred: &plan.BinOp{
-			Op:    sql.OpGe,
-			Left:  &plan.ColRef{Idx: 0, Typ: vector.Int64, Name: "x"},
-			Right: &plan.Const{Val: vector.NewInt64(int64(rows - 10)), Typ: vector.Int64},
-			Typ:   vector.Bool,
-		},
-		Child: &plan.Scan{
-			Table: tab,
-			Preds: []plan.ScanPredicate{{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(int64(rows - 10))}},
-		},
-	})
+	node := geFilter(tab, int64(rows-10))
 	for _, workers := range []int{1, 2, 8} {
 		stats := &Profile{}
 		out, err := Run(node, &Context{Parallelism: workers, prof: stats})

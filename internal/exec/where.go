@@ -14,8 +14,9 @@ import (
 // it filters. Its conjuncts of the form `column <op> constant`
 // (plan.SplitFilter) run as typed selection kernels that narrow one
 // selection vector in place — no constant vector, no bool vector, no
-// AND vector — and, over a sealed segment, on the column's codes. The
-// other conjuncts, the residual, are evaluated over every row of the
+// AND vector — and, over a sealed segment, on the column's codes; fused
+// into a scan, they also skip the segments zone maps refute (Refutes).
+// The other conjuncts, the residual, are evaluated over every row of the
 // columns they read, so a query that raises an error on some row still
 // raises it when a kernel rejects that row.
 type Where struct {
@@ -46,6 +47,45 @@ func CompileWhere(pred plan.Expr) *Where {
 		w.resCols = []int{0} // a column-free residual still needs the row count
 	}
 	return w
+}
+
+// Refutes reports whether a segment's zone maps prove that no row of
+// it passes w's kernels. zones holds one zone map per table column and
+// projection names the table column of each of w's input columns (nil:
+// the identity). It prunes only on positive knowledge: a column without
+// statistics (the mutable tail, compression off) or a bound that does
+// not compare with the constant keeps the segment. A comparison is
+// never TRUE on NULL, so an all-NULL column refutes every kernel but
+// `<>`, which never prunes: a NaN row passes it while no bound shows it.
+func (w *Where) Refutes(zones []storage.ZoneMap, projection []int) bool {
+	for _, k := range w.kernels {
+		col := k.Col
+		if projection != nil {
+			col = projection[col]
+		}
+		if k.Op == sql.OpNe || col >= len(zones) || zones[col].Rows == 0 {
+			continue
+		}
+		z := zones[col]
+		if z.NullCount == z.Rows {
+			return true
+		}
+		if !z.HasMinMax() {
+			continue
+		}
+		lo, errLo := z.Min.Compare(k.Val)
+		hi, errHi := z.Max.Compare(k.Val)
+		switch {
+		case errLo != nil || errHi != nil:
+		case k.Op == sql.OpEq && (lo > 0 || hi < 0),
+			k.Op == sql.OpLt && lo >= 0,
+			k.Op == sql.OpLe && lo > 0,
+			k.Op == sql.OpGt && hi <= 0,
+			k.Op == sql.OpGe && hi < 0:
+			return true
+		}
+	}
+	return false
 }
 
 // Select returns the rows of ch where the predicate is TRUE, in
@@ -400,7 +440,9 @@ func keep(sel []int, col *vector.Vector, op sql.BinaryOp, c vector.Value) ([]int
 	ct, vt := col.Type(), c.Type()
 	switch {
 	case ct == vector.String && vt == vector.String:
-		return keepStrings(sel, col.Strings(), op, c.Str()), nil
+		return keepCompared(sel, col.Strings(), op, c.Str(), plan.CompareString), nil
+	case ct == vector.Bool && vt == vector.Bool:
+		return keepCompared(sel, col.Bools(), op, c.Bool(), plan.CompareBool), nil
 	case !ct.IsNumeric() || !vt.IsNumeric():
 		return nil, fmt.Errorf("exec: cannot compare %s with %s", ct, vt)
 	case ct == vector.Float64:
@@ -465,11 +507,12 @@ func keepNumbers[S, T int32 | int64 | float64](sel []int, col []S, op sql.Binary
 	return sel[:k]
 }
 
-// keepStrings is keepNumbers for VARCHAR.
-func keepStrings(sel []int, col []string, op sql.BinaryOp, c string) []int {
+// keepCompared is keepNumbers for VARCHAR and BOOLEAN, whose order is
+// cmp's.
+func keepCompared[T any](sel []int, col []T, op sql.BinaryOp, c T, cmp func(a, b T) int) []int {
 	k := 0
 	for _, r := range sel {
-		if plan.CmpToBool(op, plan.CompareString(col[r], c)) {
+		if plan.CmpToBool(op, cmp(col[r], c)) {
 			sel[k] = r
 			k++
 		}

@@ -88,16 +88,12 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		case IsFalse(pred):
 			node = emptyOf(node.Schema())
 		default:
-			// Single-table scans get the scan-eligible conjuncts pushed
-			// down for zone-map pruning; under joins each conjunct routes
-			// to the scan owning its column. The filter itself is
-			// untouched either way.
-			if scan, ok := node.(*Scan); ok {
-				scan.Preds = ExtractScanPreds(pred, nil)
-			} else {
-				pushJoinScanPreds(node, pred)
+			if j, ok := node.(*HashJoin); ok {
+				pred = pushWhere(j, pred)
 			}
-			node = &Filter{Pred: pred, Child: node}
+			if pred != nil {
+				node = &Filter{Pred: pred, Child: node}
+			}
 		}
 	}
 
@@ -784,36 +780,6 @@ func IsFalse(e Expr) bool {
 	return ok && c.Typ == vector.Bool && !c.Val.IsNull() && !c.Val.Bool()
 }
 
-// ExtractScanPreds collects the WHERE conjuncts a scan can evaluate
-// against segment zone maps (ScanPred).
-func ExtractScanPreds(e Expr, out []ScanPredicate) []ScanPredicate {
-	for _, conj := range Conjuncts(e) {
-		if p, ok := ScanPred(conj); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ScanPred matches a conjunct of the form `col <cmp> const` (or the
-// flipped `const <cmp> col`) that a scan can evaluate against segment
-// zone maps, and returns it with the column on the left; Col is the
-// column's position in the conjunct's input. Disjunctions, NULL
-// constants, incomparable type pairs and <> are all left to the
-// row-level filter: <> is excluded because a Float64 NaN row satisfies
-// it while being invisible to min/max statistics.
-func ScanPred(e Expr) (ScanPredicate, bool) {
-	col, op, c, ok := colOpConst(e)
-	if !ok || op == sql.OpNe || c.Val.IsNull() {
-		return ScanPredicate{}, false
-	}
-	ct, vt := col.Typ, c.Val.Type()
-	if !(ct.IsNumeric() && vt.IsNumeric()) && (ct != vt || ct == vector.Blob) {
-		return ScanPredicate{}, false
-	}
-	return ScanPredicate{Col: col.Idx, Op: op, Val: c.Val}, true
-}
-
 // Conjuncts flattens a predicate's AND tree, left to right (nil for a
 // nil predicate).
 func Conjuncts(e Expr) []Expr {
@@ -830,14 +796,16 @@ func Conjuncts(e Expr) []Expr {
 // runs as selection kernels and the residual, both in syntactic order.
 // A kernel is `column <op> constant` or `constant <op> column` — any
 // comparison, normalized with the column on the left — over a non-NULL
-// constant, both sides numeric or both VARCHAR. The executor compiles
-// its filters from this split and EXPLAIN prints it, so the two agree.
+// constant, both sides numeric, both VARCHAR or both BOOLEAN. The
+// executor compiles its filters from this split, tests the kernels of
+// a filter fused into its scan against zone maps, and EXPLAIN prints
+// it, so the three agree.
 func SplitFilter(pred Expr) (kernels []ScanPredicate, residual []Expr) {
 	for _, conj := range Conjuncts(pred) {
 		col, op, c, ok := colOpConst(conj)
 		if ok && !c.Val.IsNull() {
 			ct, vt := col.Typ, c.Val.Type()
-			if (ct.IsNumeric() && vt.IsNumeric()) || (ct == vector.String && vt == vector.String) {
+			if (ct.IsNumeric() && vt.IsNumeric()) || (ct == vt && (ct == vector.String || ct == vector.Bool)) {
 				kernels = append(kernels, ScanPredicate{Col: col.Idx, Op: op, Val: c.Val})
 				continue
 			}
@@ -872,55 +840,66 @@ func colOpConst(e Expr) (*ColRef, sql.BinaryOp, *Const, bool) {
 	return nil, 0, nil, false
 }
 
-// pushJoinScanPreds routes scan-eligible WHERE conjuncts through a
-// join tree onto the base-table scan owning each column, so zone-map
-// pruning fires under joins too.
-//
-// This is sound for pruning because the WHERE filter still runs over
-// every joined row: a base row a pushed `col <op> const` conjunct
-// refutes can only ever contribute output rows that fail that same
-// conjunct. For inner joins its output rows carry the refuted value
-// itself; under the right side of a LEFT join, pruning a build row
-// may turn a matched row into a NULL-padded one instead — but a
-// comparison is never TRUE on NULL, so the padded row is filtered
-// exactly like the matched rows it replaced. Probe-side pruning drops
-// the row's entire output, all of which carried the refuted value.
-func pushJoinScanPreds(node Node, pred Expr) {
-	if _, ok := node.(*HashJoin); !ok {
-		return
-	}
-	for _, p := range ExtractScanPreds(pred, nil) {
-		// p.Col is the combined-schema position here; resolve it to
-		// the owning leaf and its local (= table-schema) position.
-		if scan, local, ok := resolveScanColumn(node, p.Col); ok {
-			scan.Preds = append(scan.Preds, ScanPredicate{Col: local, Op: p.Op, Val: p.Val})
+// pushWhere places the kernel conjuncts (SplitFilter) of a WHERE over
+// the join tree j as filters directly on the base-table scans owning
+// their columns, where the executor fuses them into the scan and they
+// skip the segments zone maps refute. It returns what stays above the
+// join. A conjunct moves when the path to its scan crosses no LEFT
+// join's right input: a row it rejects there only ever makes joined
+// rows it rejects too. Under a LEFT join's right input a rejected row
+// turns matches into NULL-padded rows instead, which the comparison
+// rejects as well, so there the conjunct is copied and also stays
+// above. Nothing is placed when any conjunct may raise (MayFail): the
+// rows a placed conjunct rejects would no longer reach it, and whether
+// the statement fails would depend on where the conjunct ran.
+func pushWhere(j *HashJoin, pred Expr) Expr {
+	conjs := Conjuncts(pred)
+	for _, c := range conjs {
+		if MayFail(c) {
+			return pred
 		}
 	}
+	var above []Expr
+	for _, c := range conjs {
+		if k, _ := SplitFilter(c); len(k) == 0 || !placeOnScan(j, c, k[0].Col) {
+			above = append(above, c)
+		}
+	}
+	return AndAll(above)
 }
 
-// resolveScanColumn descends a join tree to the leaf owning combined
-// output column idx. It succeeds only when the leaf is a base-table
-// Scan without a projection (the bind-time shape, where output
-// position equals table-schema position); subquery and function
-// leaves are left alone.
-func resolveScanColumn(node Node, idx int) (*Scan, int, bool) {
-	for {
-		switch n := node.(type) {
-		case *HashJoin:
-			if nl := len(n.Left.Schema()); idx < nl {
-				node = n.Left
-			} else {
-				node, idx = n.Right, idx-nl
-			}
-		case *Scan:
-			if n.Projection != nil {
-				return nil, 0, false
-			}
-			return n, idx, true
-		default:
-			return nil, 0, false
+// placeOnScan puts kernel conjunct c, on column col of j's output, in
+// a Filter directly over the base-table scan that owns the column, and
+// reports whether it moved there: false when it was copied (under a
+// LEFT join's right input) or not placed at all (the column belongs to
+// a subquery or a table function).
+func placeOnScan(j *HashJoin, c Expr, col int) bool {
+	moved := true
+	var at *Node
+	for n := Node(j); ; n = *at {
+		hj, ok := n.(*HashJoin)
+		if !ok {
+			break
+		}
+		if nl := len(hj.Left.Schema()); col < nl {
+			at = &hj.Left
+		} else {
+			at, col = &hj.Right, col-nl
+			moved = moved && hj.Kind != sql.LeftJoin
 		}
 	}
+	local := MapColRefs(c, func(r *ColRef) Expr { return &ColRef{Idx: col, Typ: r.Typ, Name: r.Name} })
+	switch n := (*at).(type) {
+	case *Scan:
+		*at = &Filter{Pred: local, Child: n}
+		return moved
+	case *Filter:
+		if _, ok := n.Child.(*Scan); ok { // placed by an earlier conjunct
+			n.Pred = AndAll([]Expr{n.Pred, local})
+			return moved
+		}
+	}
+	return false
 }
 
 // flipCompare mirrors a comparison for swapped operands

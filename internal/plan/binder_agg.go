@@ -40,7 +40,10 @@ func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child No
 		if err != nil {
 			return nil, fmt.Errorf("in HAVING: %w", err)
 		}
-		if pred != nil {
+		switch {
+		case IsFalse(pred):
+			p.Child = emptyOf(agg.Schema()) // a FALSE HAVING reads nothing, as a FALSE WHERE
+		case pred != nil:
 			p.Child = &Filter{Pred: pred, Child: agg}
 		}
 	}

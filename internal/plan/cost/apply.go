@@ -126,15 +126,15 @@ func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) (plan.Node,
 		}
 	}
 	if identity && !swapsBuild {
-		return c.filterLeaves(), c.above(whereConjs, false) // greedy agrees with the syntactic plan
+		return c.filterLeaves(), c.spanning(whereConjs) // greedy agrees with the syntactic plan
 	}
 	// The rewrite pays for the restoration sort: charge ~2x the final
 	// cardinality (sort + re-projection) on top of the join cost.
 	candidate := ev.cost + 2*ev.card
 	if candidate >= reorderGainFloor*syntactic.cost {
-		return c.filterLeaves(), c.above(whereConjs, false)
+		return c.filterLeaves(), c.spanning(whereConjs)
 	}
-	return c.rebuild(order, ev), c.above(whereConjs, true)
+	return c.rebuild(order, ev), nil
 }
 
 // annotate walks the plan bottom-up filling in EstRows for every node
@@ -143,21 +143,15 @@ func (p *planner) reorder(hj *plan.HashJoin, whereConjs []plan.Expr) (plan.Node,
 func (p *planner) annotate(n plan.Node) float64 {
 	switch x := n.(type) {
 	case *plan.Scan:
-		rows := float64(x.Table.Data.NumRows())
-		est := rows
-		if len(x.Preds) > 0 {
-			stats := x.Table.Data.ColumnStatistics()
-			for _, pr := range x.Preds {
-				est *= predSel(stats, rows, pr)
-			}
-		}
+		est := float64(x.Table.Data.NumRows())
 		x.Hints.EstRows = int64(est)
 		return est
 	case *plan.Filter:
 		in := p.annotate(x.Child)
 		est := in
+		sc, _ := x.Child.(*plan.Scan)
 		for _, cj := range plan.Conjuncts(x.Pred) {
-			est *= p.conjSel(cj, x.Child)
+			est *= conjSel(cj, sc, 0)
 		}
 		if in >= 1 {
 			est = math.Max(est, 1)
@@ -265,23 +259,6 @@ func keysNDV(x *plan.Aggregate) (float64, bool) {
 		ndv *= colNDV(stats[c], rows)
 	}
 	return ndv, true
-}
-
-// conjSel estimates one filter conjunct's selectivity. Directly above
-// a scan the conjunct can consult zone maps and sketches; conjuncts
-// the binder already pushed into the scan's predicate list count once
-// (the scan estimate includes them).
-func (p *planner) conjSel(cj plan.Expr, child plan.Node) float64 {
-	if sc, ok := child.(*plan.Scan); ok {
-		if pr, ok2 := scanPredAt(cj, sc, 0); ok2 {
-			if predsContain(sc.Preds, pr) {
-				return 1
-			}
-			rows := float64(sc.Table.Data.NumRows())
-			return predSel(sc.Table.Data.ColumnStatistics(), rows, pr)
-		}
-	}
-	return filterConjSel(cj)
 }
 
 // sizeFanout widens the first-level spill partition fan-out when the

@@ -129,12 +129,21 @@ func numericValue(v vector.Value) (float64, bool) {
 	return 0, false
 }
 
-// hasCall reports whether e contains a UDF call. The reorderer leaves
-// such predicates untouched in their syntactic position: a UDF may be
-// stateful or non-deterministic, so changing how often or over which
-// intermediate it runs is not provably result-preserving.
-func hasCall(e plan.Expr) bool {
-	return !plan.EachCall(e, func(*plan.Call) bool { return false })
+// conjSel estimates a filter conjunct over the output of scan sc
+// (nil: not directly over a scan), whose columns begin at position
+// start of the conjunct's input: a kernel (plan.SplitFilter) from its
+// column's statistics (predSel), and anything else — `<>` too, on which
+// statistics say little — by its shape (filterConjSel).
+func conjSel(cj plan.Expr, sc *plan.Scan, start int) float64 {
+	k, _ := plan.SplitFilter(cj)
+	if sc == nil || len(k) == 0 || k[0].Op == sql.OpNe || k[0].Col-start >= sc.Width() {
+		return filterConjSel(cj)
+	}
+	p := k[0]
+	if p.Col -= start; sc.Projection != nil {
+		p.Col = sc.Projection[p.Col]
+	}
+	return predSel(sc.Table.Data.ColumnStatistics(), float64(sc.Table.Data.NumRows()), p)
 }
 
 // filterConjSel gives a shape-based default selectivity for a filter

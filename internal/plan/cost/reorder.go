@@ -84,10 +84,13 @@ type chain struct {
 	res    []residual
 }
 
-// buildChain decomposes the left-deep inner-join tree under root. It
-// returns ok=false when the chain is not safely reorderable: a leaf is
-// not a plain base-table scan, a join key side spans several leaves,
-// or a predicate contains a UDF call.
+// buildChain decomposes the left-deep inner-join tree under root. A
+// leaf is a base-table scan, or a Filter directly over one (the WHERE
+// conjuncts the binder placed there), whose conjuncts become the leaf's
+// filters. It returns ok=false when the chain is not safely
+// reorderable: a leaf is anything else, a join key side spans several
+// leaves, or a join key, ON or WHERE conjunct may raise (plan.MayFail),
+// which must see exactly the rows the syntactic plan gives it.
 func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 	c := &chain{}
 	var walk func(n plan.Node) bool
@@ -99,11 +102,15 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 			c.joins = append(c.joins, hj)
 			n = hj.Right
 		}
+		var placed []plan.Expr
+		if f, ok := n.(*plan.Filter); ok {
+			placed, n = plan.Conjuncts(f.Pred), f.Child
+		}
 		sc, ok := n.(*plan.Scan)
 		if !ok || sc.RowPos {
 			return false
 		}
-		c.leaves = append(c.leaves, &chainLeaf{scan: sc})
+		c.leaves = append(c.leaves, &chainLeaf{scan: sc, filters: placed})
 		return true
 	}
 	if !walk(root) || len(c.leaves) < 2 || len(c.leaves) > maxChainLeaves {
@@ -112,6 +119,9 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 	off := 0
 	for _, l := range c.leaves {
 		l.start = off
+		for k, f := range l.filters {
+			l.filters[k] = shiftExpr(f, off)
+		}
 		l.width = len(l.scan.Schema())
 		off += l.width
 		l.rows = float64(l.scan.Table.Data.NumRows())
@@ -121,7 +131,7 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 	for i, hj := range c.joins {
 		leaf := c.leaves[i+1]
 		for k := range hj.LeftKeys {
-			if hasCall(hj.LeftKeys[k]) || hasCall(hj.RightKeys[k]) {
+			if plan.MayFail(hj.LeftKeys[k]) || plan.MayFail(hj.RightKeys[k]) {
 				return nil, false
 			}
 			l := hj.LeftKeys[k] // prefix schema is a prefix of the full schema
@@ -138,20 +148,14 @@ func buildChain(root *plan.HashJoin, whereConjs []plan.Expr) (*chain, bool) {
 		}
 		if hj.Extra != nil {
 			for _, conj := range plan.Conjuncts(hj.Extra) {
-				if hasCall(conj) {
-					return nil, false
-				}
-				if !c.addConjunct(conj) {
+				if plan.MayFail(conj) || !c.addConjunct(conj) {
 					return nil, false
 				}
 			}
 		}
 	}
 	for _, conj := range whereConjs {
-		if hasCall(conj) {
-			continue // stays in the top filter only; estimated nowhere
-		}
-		if !c.addConjunct(conj) {
+		if plan.MayFail(conj) || !c.addConjunct(conj) {
 			return nil, false
 		}
 	}
@@ -187,22 +191,12 @@ func (c *chain) addConjunct(conj plan.Expr) bool {
 	return true
 }
 
-// leafCards estimates each leaf's post-filter cardinality. Conjuncts
-// that mirror a pushed-down scan predicate are counted once.
+// leafCards estimates each leaf's post-filter cardinality.
 func (c *chain) leafCards() {
 	for _, l := range c.leaves {
 		card := l.rows
-		for _, p := range l.scan.Preds {
-			card *= predSel(l.stats, l.rows, p)
-		}
 		for _, f := range l.filters {
-			if p, ok := scanPredAt(f, l.scan, l.start); ok {
-				if !predsContain(l.scan.Preds, p) {
-					card *= predSel(l.stats, l.rows, p)
-				}
-				continue
-			}
-			card *= filterConjSel(f)
+			card *= conjSel(f, l.scan, l.start)
 		}
 		l.card = math.Max(card, 1)
 	}
@@ -497,14 +491,13 @@ func (c *chain) filterLeaves() plan.Node {
 	return c.joins[len(c.joins)-1]
 }
 
-// above is what of the WHERE conjuncts the chain's new tree does not
-// evaluate: UDF calls, which no chain takes, and, unless the tree was
-// rebuilt (which places every other conjunct at its earliest join),
-// the conjuncts spanning several leaves.
-func (c *chain) above(whereConjs []plan.Expr, rebuilt bool) []plan.Expr {
+// spanning is what of the WHERE conjuncts a syntactic tree with
+// filtered leaves does not evaluate: those over several leaves. A
+// rebuilt tree places every conjunct at its earliest join.
+func (c *chain) spanning(whereConjs []plan.Expr) []plan.Expr {
 	var out []plan.Expr
 	for _, conj := range whereConjs {
-		if set, _ := c.refLeaves(conj); hasCall(conj) || !rebuilt && set.count() > 1 {
+		if set, _ := c.refLeaves(conj); set.count() > 1 {
 			out = append(out, conj)
 		}
 	}
@@ -527,38 +520,4 @@ func (c *chain) remapLayout(e plan.Expr, layout []int) plan.Expr {
 		}
 		return &plan.ColRef{Idx: off + (r.Idx - l.start), Typ: r.Typ, Name: r.Name}
 	})
-}
-
-// scanPredAt converts a conjunct whose column references live at
-// offset start (relative to scan sc's output) into a table-space scan
-// predicate, by the binder's pushdown shape rules (plan.ScanPred).
-func scanPredAt(e plan.Expr, sc *plan.Scan, start int) (plan.ScanPredicate, bool) {
-	p, ok := plan.ScanPred(e)
-	local := p.Col - start
-	if !ok || local < 0 {
-		return plan.ScanPredicate{}, false
-	}
-	p.Col = local
-	if sc.Projection != nil {
-		if local >= len(sc.Projection) {
-			return plan.ScanPredicate{}, false
-		}
-		p.Col = sc.Projection[local]
-	}
-	return p, true
-}
-
-// predsContain reports whether preds already includes p (same column,
-// operator and constant) — used to avoid double-counting conjuncts the
-// binder pushed down for zone-map pruning.
-func predsContain(preds []plan.ScanPredicate, p plan.ScanPredicate) bool {
-	for _, q := range preds {
-		if q.Col != p.Col || q.Op != p.Op {
-			continue
-		}
-		if cmp, err := q.Val.Compare(p.Val); err == nil && cmp == 0 {
-			return true
-		}
-	}
-	return false
 }

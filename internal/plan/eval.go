@@ -292,7 +292,7 @@ func evalCompare(op sql.BinaryOp, l, r *vector.Vector) (*vector.Vector, error) {
 			case sql.OpNe:
 				out[i] = a[i] != b[i]
 			default:
-				out[i] = CmpToBool(op, compareBool(a[i], b[i]))
+				out[i] = CmpToBool(op, CompareBool(a[i], b[i]))
 			}
 		}
 	case lt == vector.Blob && rt == vector.Blob:
@@ -312,8 +312,8 @@ func evalCompare(op sql.BinaryOp, l, r *vector.Vector) (*vector.Vector, error) {
 // floatCmpToBool applies IEEE comparison semantics: NaN is unordered,
 // so every predicate over it is FALSE except <>, which is TRUE. This
 // is what zone-map pruning assumes (NaN is excluded from segment
-// bounds because it can never satisfy =, <, <=, >, >=; the binder
-// never pushes <> down) — row-level evaluation must agree or pruned
+// bounds because it can never satisfy =, <, <=, >, >=; a <> kernel
+// never prunes) — row-level evaluation must agree or pruned
 // and unpruned scans would return different rows. ORDER BY
 // deliberately differs: sorting needs a total order, so there NaN is
 // greatest (vector.Value.Compare), the same split Go and Rust make
@@ -356,7 +356,8 @@ func CompareString(a, b string) int {
 	return 0
 }
 
-func compareBool(a, b bool) int {
+// CompareBool orders FALSE before TRUE.
+func CompareBool(a, b bool) int {
 	switch {
 	case !a && b:
 		return -1

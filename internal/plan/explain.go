@@ -29,9 +29,6 @@ func render(b *strings.Builder, n Node, depth int, act func(Node) string) {
 	switch x := n.(type) {
 	case *Scan:
 		s := fmt.Sprintf("Scan %s", x.Table.Name)
-		if len(x.Preds) > 0 {
-			s += fmt.Sprintf(" preds=%d", len(x.Preds))
-		}
 		if x.RowPos {
 			s += " rowpos"
 		}

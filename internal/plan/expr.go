@@ -149,6 +149,51 @@ func EachCall(e Expr, fn func(*Call) bool) bool {
 	return true
 }
 
+// MayFail reports whether evaluating e can raise an error on some row:
+// it calls a UDF, or converts a value where the conversion can fail —
+// a CAST, or a CASE arm taking the CASE's type, from VARCHAR to another
+// type (the text may not parse), or between types Value.Cast does not
+// convert. Everything else the binder accepts evaluates on every row.
+// A predicate that may fail stays where the statement put it: moved
+// below a join it would see rows the join drops, or miss rows another
+// moved conjunct rejects.
+func MayFail(e Expr) bool {
+	fails := false
+	mapExpr(e, func(x Expr) Expr {
+		switch y := x.(type) {
+		case *Call:
+			fails = true
+		case *Cast:
+			fails = fails || castMayFail(y.Operand.Type(), y.To)
+		case *Case:
+			for _, w := range y.Whens {
+				fails = fails || castMayFail(w.Then.Type(), y.Typ)
+			}
+			if y.Else != nil {
+				fails = fails || castMayFail(y.Else.Type(), y.Typ)
+			}
+		}
+		return x
+	})
+	return fails
+}
+
+// castMayFail reports whether Value.Cast can fail from one type to
+// another.
+func castMayFail(from, to vector.Type) bool {
+	switch {
+	case from == to || to == vector.String:
+		return false
+	case from == vector.Int32 || from == vector.Int64:
+		return to == vector.Blob
+	case from == vector.Float64 || from == vector.Bool:
+		return to != vector.Int32 && to != vector.Int64
+	case from == vector.String:
+		return to != vector.Blob
+	}
+	return true
+}
+
 // EachColRef walks e depth-first and invokes fn on every column
 // reference it contains.
 func EachColRef(e Expr, fn func(*ColRef)) {

@@ -29,33 +29,28 @@ type ExecHints struct {
 	FanoutLog2 int
 }
 
-// ScanPredicate is one scan-eligible WHERE conjunct of the form
-// `column <op> constant`, pushed down to the scan for zone-map
-// pruning. Col is the table-schema position (not the projected
-// position), so it stays valid across column pruning. The predicate
-// is advisory: the full WHERE filter still runs over every surviving
-// chunk, so pruning may only skip segments whose zone maps prove no
-// row can match — it never substitutes for row-level evaluation.
-// SplitFilter uses the same shape for the selection kernels a filter
-// runs, where Col is the filter input's position.
+// ScanPredicate is one selection kernel of a filter (SplitFilter): a
+// conjunct `column <op> constant` with the column on the left. Col is
+// the position of the column in the filter's input. A filter fused into
+// its scan also tests its kernels against each segment's zone maps, and
+// skips the segments they refute.
 type ScanPredicate struct {
 	Col int
-	Op  sql.BinaryOp // OpEq, OpLt, OpLe, OpGt or OpGe; a kernel may also be OpNe
+	Op  sql.BinaryOp // OpEq, OpNe, OpLt, OpLe, OpGt or OpGe
 	Val vector.Value // non-NULL constant
 }
 
 // Scan reads a base table. Projection (set by Prune) restricts the
 // produced columns to the listed table-schema positions; nil produces
-// every column. Preds (set by the binder) are pushed-down predicates
-// the scan may use to skip whole segments. RowPos (set by the
-// cost-based join reorderer, after pruning) appends a synthetic
-// "__rowpos" Int64 column holding each row's global position in the
-// table — positions count every segment, including ones zone-map
+// every column. A Filter directly over a Scan is fused into it by the
+// executor, and its kernels skip the segments zone maps refute. RowPos
+// (set by the cost-based join reorderer, after pruning) appends a
+// synthetic "__rowpos" Int64 column holding each row's global position
+// in the table — positions count every segment, including ones zone-map
 // pruning skips, so they identify rows stably across plans.
 type Scan struct {
 	Table      *catalog.Table
 	Projection []int
-	Preds      []ScanPredicate
 	RowPos     bool
 	Hints      ExecHints
 }

@@ -63,7 +63,7 @@ func pruneNode(node Node, needed []bool) (Node, []int) {
 			proj = []int{0}
 			remap[0] = 0
 		}
-		return &Scan{Table: n.Table, Projection: proj, Preds: n.Preds}, remap
+		return &Scan{Table: n.Table, Projection: proj}, remap
 
 	case *Filter:
 		req := cloneBools(needed)

@@ -3,122 +3,34 @@ package plan
 import (
 	"testing"
 
+	"vexdb/internal/catalog"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
 
-// findScan walks a bound plan down to its base-table scan.
-func findScan(t *testing.T, n Node) *Scan {
-	t.Helper()
-	for {
-		switch x := n.(type) {
-		case *Scan:
-			return x
-		case *Filter:
-			n = x.Child
-		case *Project:
-			n = x.Child
-		case *Aggregate:
-			n = x.Child
-		case *Sort:
-			n = x.Child
-		case *Limit:
-			n = x.Child
-		case *Distinct:
-			n = x.Child
-		default:
-			t.Fatalf("no scan under %T", n)
-		}
-	}
-}
-
-func TestScanPredicatePushdown(t *testing.T) {
-	cat := testCatalog(t)
-	cases := []struct {
-		query string
-		want  []ScanPredicate
-	}{
-		{
-			"SELECT a FROM wide WHERE a > 5",
-			[]ScanPredicate{{Col: 0, Op: sql.OpGt, Val: vector.NewInt64(5)}},
-		},
-		{
-			// Flipped operand: 10 >= d means d <= 10.
-			"SELECT a FROM wide WHERE 10 >= d",
-			[]ScanPredicate{{Col: 3, Op: sql.OpLe, Val: vector.NewInt64(10)}},
-		},
-		{
-			// Conjunction splits; non-eligible disjunct side drops all.
-			"SELECT a FROM wide WHERE a >= 1 AND c = 'x' AND b < 2.5",
-			[]ScanPredicate{
-				{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(1)},
-				{Col: 2, Op: sql.OpEq, Val: vector.NewString("x")},
-				{Col: 1, Op: sql.OpLt, Val: vector.NewFloat64(2.5)},
-			},
-		},
-		{"SELECT a FROM wide WHERE a > 5 OR d > 5", nil}, // disjunction
-		{"SELECT a FROM wide WHERE a <> 5", nil},         // <> excluded (NaN)
-		{"SELECT a FROM wide WHERE a + 1 > 5", nil},      // not col-vs-const
-		{"SELECT a FROM wide WHERE a > d", nil},          // col-vs-col
-		{"SELECT a FROM wide WHERE a = NULL", nil},       // NULL constant
-		{"SELECT a FROM wide WHERE c > 'm' AND a < 9", []ScanPredicate{ // string compare pushes
-			{Col: 2, Op: sql.OpGt, Val: vector.NewString("m")},
-			{Col: 0, Op: sql.OpLt, Val: vector.NewInt64(9)},
-		}},
-	}
-	for _, c := range cases {
-		scan := findScan(t, bind(t, cat, c.query))
-		if len(scan.Preds) != len(c.want) {
-			t.Errorf("%q: %d preds, want %d (%+v)", c.query, len(scan.Preds), len(c.want), scan.Preds)
-			continue
-		}
-		for i, p := range scan.Preds {
-			w := c.want[i]
-			if p.Col != w.Col || p.Op != w.Op || !p.Val.Equal(w.Val) {
-				t.Errorf("%q pred %d: got %+v want %+v", c.query, i, p, w)
-			}
-		}
-	}
-}
-
-// Pushed predicates must survive column pruning, including when the
-// predicate column itself is pruned from the projection.
-func TestScanPredicatesSurvivePrune(t *testing.T) {
-	cat := testCatalog(t)
-	node := bind(t, cat, "SELECT b FROM wide WHERE a > 5")
-	pruned := Prune(node)
-	scan := findScan(t, pruned)
-	if scan.Projection == nil {
-		t.Fatal("prune did not project")
-	}
-	if len(scan.Preds) != 1 || scan.Preds[0].Col != 0 {
-		t.Fatalf("preds lost in prune: %+v", scan.Preds)
-	}
-	// Col is a table position: column a (0) is not in the projection
-	// (only a and b are scanned: a for the filter, b for the output).
-	found := false
-	for _, p := range scan.Projection {
-		if p == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("filter column not scanned")
-	}
-}
-
-// walkScans collects every base-table scan under filters, projections
-// and joins.
-func walkScans(n Node) []*Scan {
-	var scans []*Scan
+// placedFilters returns each base-table scan under n, in syntactic
+// order, with the Filter directly over it (nil where there is none).
+func placedFilters(n Node) (scans []*Scan, filters []*Filter) {
 	var walk func(Node)
 	walk = func(n Node) {
 		switch x := n.(type) {
 		case *Scan:
-			scans = append(scans, x)
+			scans, filters = append(scans, x), append(filters, nil)
 		case *Filter:
+			if s, ok := x.Child.(*Scan); ok {
+				scans, filters = append(scans, s), append(filters, x)
+				return
+			}
 			walk(x.Child)
 		case *Project:
+			walk(x.Child)
+		case *Aggregate:
+			walk(x.Child)
+		case *Sort:
+			walk(x.Child)
+		case *Limit:
+			walk(x.Child)
+		case *Distinct:
 			walk(x.Child)
 		case *HashJoin:
 			walk(x.Left)
@@ -126,94 +38,189 @@ func walkScans(n Node) []*Scan {
 		}
 	}
 	walk(n)
-	return scans
+	return scans, filters
 }
 
-// WHERE conjuncts of the form col <op> const route through joins onto
-// the scan owning the column, with the combined-schema position mapped
-// back to the table-schema position.
+// whereAbove returns the WHERE left above the join under the select
+// list, nil when none is.
+func whereAbove(n Node) Expr {
+	if p, ok := n.(*Project); ok {
+		if f, ok := p.Child.(*Filter); ok {
+			if _, ok := f.Child.(*HashJoin); ok {
+				return f.Pred
+			}
+		}
+	}
+	return nil
+}
+
+// checkKernels asserts that f (nil: no filter) is exactly the kernels
+// want, in order, on the filter's input positions.
+func checkKernels(t *testing.T, what string, f *Filter, want []ScanPredicate) {
+	t.Helper()
+	var got []ScanPredicate
+	if f != nil {
+		var residual []Expr
+		if got, residual = SplitFilter(f.Pred); len(residual) > 0 {
+			t.Errorf("%s: residual %s placed on a scan", what, ExprString(AndAll(residual)))
+		}
+	}
+	if !sameKernels(got, want) {
+		t.Errorf("%s: kernels %+v, want %+v", what, got, want)
+	}
+}
+
+func sameKernels(got, want []ScanPredicate) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, p := range got {
+		if w := want[i]; p.Col != w.Col || p.Op != w.Op || !p.Val.Equal(w.Val) {
+			return false
+		}
+	}
+	return true
+}
+
+// The WHERE over one table is the filter the executor fuses into the
+// scan; its kernels, the conjuncts zone maps can refute, are every
+// `column <op> constant` of comparable types with the column on the
+// left: <> and BOOLEAN included, disjunctions, expressions,
+// column-vs-column and NULL constants not.
+func TestScanPredicatePushdown(t *testing.T) {
+	cat := testCatalog(t)
+	if _, err := cat.CreateTable("flags", catalog.Schema{{Name: "k", Type: vector.Int64}, {Name: "f", Type: vector.Bool}}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		query string
+		want  []ScanPredicate
+	}{
+		{"SELECT a FROM wide WHERE a > 5", []ScanPredicate{{Col: 0, Op: sql.OpGt, Val: vector.NewInt64(5)}}},
+		// Flipped operand: 10 >= d means d <= 10.
+		{"SELECT a FROM wide WHERE 10 >= d", []ScanPredicate{{Col: 3, Op: sql.OpLe, Val: vector.NewInt64(10)}}},
+		{"SELECT a FROM wide WHERE a >= 1 AND c = 'x' AND b < 2.5", []ScanPredicate{
+			{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(1)},
+			{Col: 2, Op: sql.OpEq, Val: vector.NewString("x")},
+			{Col: 1, Op: sql.OpLt, Val: vector.NewFloat64(2.5)},
+		}},
+		{"SELECT a FROM wide WHERE a <> 5", []ScanPredicate{{Col: 0, Op: sql.OpNe, Val: vector.NewInt64(5)}}},
+		{"SELECT k FROM flags WHERE f = TRUE", []ScanPredicate{{Col: 1, Op: sql.OpEq, Val: vector.NewBool(true)}}},
+		{"SELECT a FROM wide WHERE a > 5 OR d > 5", nil}, // disjunction
+		{"SELECT a FROM wide WHERE a + 1 > 5", nil},      // not col-vs-const
+		{"SELECT a FROM wide WHERE a > d", nil},          // col-vs-col
+		{"SELECT a FROM wide WHERE a = NULL", nil},       // NULL constant
+		{"SELECT a FROM wide WHERE c > 'm' AND a < 9", []ScanPredicate{
+			{Col: 2, Op: sql.OpGt, Val: vector.NewString("m")},
+			{Col: 0, Op: sql.OpLt, Val: vector.NewInt64(9)},
+		}},
+	}
+	for _, c := range cases {
+		_, filters := placedFilters(bind(t, cat, c.query))
+		if len(filters) != 1 || filters[0] == nil {
+			t.Fatalf("%q: no filter over the scan", c.query)
+		}
+		if kernels, _ := SplitFilter(filters[0].Pred); !sameKernels(kernels, c.want) {
+			t.Errorf("%q: kernels %+v, want %+v", c.query, kernels, c.want)
+		}
+	}
+}
+
+// Prune keeps the filter directly over its scan, reading the column
+// the filter needs even where the select list does not, and its kernel
+// then names the column's projected position.
+func TestScanPredicatesSurvivePrune(t *testing.T) {
+	cat := testCatalog(t)
+	scans, filters := placedFilters(Prune(bind(t, cat, "SELECT b FROM wide WHERE d > 5")))
+	if len(scans) != 1 || filters[0] == nil {
+		t.Fatal("prune lost the filter over the scan")
+	}
+	if p := scans[0].Projection; len(p) != 2 || p[0] != 1 || p[1] != 3 {
+		t.Fatalf("projection %v, want [1 3]", p)
+	}
+	checkKernels(t, "pruned", filters[0], []ScanPredicate{{Col: 1, Op: sql.OpGt, Val: vector.NewInt64(5)}})
+}
+
+// Under a join, each kernel conjunct moves onto the scan owning its
+// column, at the column's position in that scan; the rest stays above.
+// Under a LEFT join's right input it is copied: the WHERE above keeps
+// it for the NULL-padded rows. A WHERE with a conjunct that may raise
+// places nothing.
 func TestPushdownThroughJoin(t *testing.T) {
 	cat := testCatalog(t)
-	// wide.d is combined position 3, dim.weight is combined position
-	// 5+2=7; both must land on their own scan with local positions.
-	node := bind(t, cat,
-		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND dim.weight <= 2.5 AND wide.a + 1 > 2")
-	scans := walkScans(node)
-	if len(scans) != 2 {
-		t.Fatalf("found %d scans", len(scans))
+	q := "SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND dim.weight <= 2.5 AND wide.a + 1 > 2"
+	node := bind(t, cat, q)
+	_, filters := placedFilters(node)
+	checkKernels(t, "wide", filters[0], []ScanPredicate{{Col: 3, Op: sql.OpGt, Val: vector.NewInt64(5)}})
+	checkKernels(t, "dim", filters[1], []ScanPredicate{{Col: 2, Op: sql.OpLe, Val: vector.NewFloat64(2.5)}})
+	if above := whereAbove(node); above == nil || ExprString(above) != "((a + 1) > 2)" {
+		t.Fatalf("above the join: %v, want the one residual", above)
 	}
-	wide, dim := scans[0], scans[1]
-	if len(wide.Preds) != 1 || wide.Preds[0].Col != 3 || wide.Preds[0].Op != sql.OpGt {
-		t.Fatalf("wide preds = %+v", wide.Preds)
+
+	node = bind(t, cat, "SELECT wide.a FROM wide LEFT JOIN dim ON wide.a = dim.k WHERE dim.weight > 1 AND wide.d > 5")
+	_, filters = placedFilters(node)
+	checkKernels(t, "left input", filters[0], []ScanPredicate{{Col: 3, Op: sql.OpGt, Val: vector.NewInt64(5)}})
+	checkKernels(t, "right input", filters[1], []ScanPredicate{{Col: 2, Op: sql.OpGt, Val: vector.NewInt64(1)}})
+	if above := whereAbove(node); above == nil || ExprString(above) != "(weight > 1)" {
+		t.Fatalf("above the LEFT join: %v, want the copied conjunct alone", above)
 	}
-	if len(dim.Preds) != 1 || dim.Preds[0].Col != 2 || dim.Preds[0].Op != sql.OpLe {
-		t.Fatalf("dim preds = %+v", dim.Preds)
-	}
-	// The row-level filter still runs over the joined rows.
-	foundFilter := false
-	for n := node; ; {
-		if f, ok := n.(*Filter); ok {
-			foundFilter = true
-			_ = f
-			break
+
+	for _, q := range []string{
+		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND CAST(dim.label AS INTEGER) > 1",
+		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND CASE WHEN wide.b > 0 THEN wide.a ELSE wide.c END = 1",
+	} {
+		node = bind(t, cat, q)
+		if _, filters := placedFilters(node); filters[0] != nil || filters[1] != nil {
+			t.Fatalf("%q: a conjunct was placed beside one that may raise", q)
 		}
-		if p, ok := n.(*Project); ok {
-			n = p.Child
-			continue
+		if len(Conjuncts(whereAbove(node))) != 2 {
+			t.Fatalf("%q: the WHERE above lost a conjunct", q)
 		}
-		break
-	}
-	if !foundFilter {
-		t.Fatal("WHERE filter dropped")
 	}
 }
 
-// Multi-level join trees resolve columns through nested joins, and
-// subquery sides are left alone.
+// Through nested joins each conjunct finds its scan; a subquery's
+// side is left alone, its conjunct kept above.
 func TestPushdownThroughNestedJoin(t *testing.T) {
 	cat := testCatalog(t)
 	node := bind(t, cat,
 		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k JOIN wide w2 ON dim.k = w2.a "+
-			"WHERE dim.weight > 0.5 AND w2.d = 7")
-	scans := walkScans(node)
+			"WHERE dim.weight > 0.5 AND w2.d = 7 AND dim.weight < 9")
+	scans, filters := placedFilters(node)
 	if len(scans) != 3 {
 		t.Fatalf("found %d scans", len(scans))
 	}
-	if len(scans[0].Preds) != 0 {
-		t.Fatalf("wide got preds: %+v", scans[0].Preds)
-	}
-	if len(scans[1].Preds) != 1 || scans[1].Preds[0].Col != 2 {
-		t.Fatalf("dim preds = %+v", scans[1].Preds)
-	}
-	if len(scans[2].Preds) != 1 || scans[2].Preds[0].Col != 3 || scans[2].Preds[0].Op != sql.OpEq {
-		t.Fatalf("w2 preds = %+v", scans[2].Preds)
+	checkKernels(t, "wide", filters[0], nil)
+	checkKernels(t, "dim", filters[1], []ScanPredicate{
+		{Col: 2, Op: sql.OpGt, Val: vector.NewFloat64(0.5)},
+		{Col: 2, Op: sql.OpLt, Val: vector.NewInt64(9)},
+	})
+	checkKernels(t, "w2", filters[2], []ScanPredicate{{Col: 3, Op: sql.OpEq, Val: vector.NewInt64(7)}})
+	if whereAbove(node) != nil {
+		t.Fatal("a moved conjunct stayed above")
 	}
 
-	sub := bind(t, cat,
-		"SELECT s.a FROM (SELECT a FROM wide) s JOIN dim ON s.a = dim.k WHERE s.a > 3")
-	for _, s := range walkScans(sub) {
-		if len(s.Preds) != 0 {
-			t.Fatalf("subquery-side scan got pushdown: %+v", s.Preds)
-		}
+	node = bind(t, cat, "SELECT s.a FROM (SELECT a FROM wide) s JOIN dim ON s.a = dim.k WHERE s.a > 3 AND dim.k < 4")
+	_, filters = placedFilters(node)
+	checkKernels(t, "subquery", filters[0], nil)
+	checkKernels(t, "dim", filters[1], []ScanPredicate{{Col: 0, Op: sql.OpLt, Val: vector.NewInt64(4)}})
+	if above := whereAbove(node); above == nil || ExprString(above) != "(a > 3)" {
+		t.Fatalf("above the join: %v, want the subquery's conjunct", above)
 	}
 }
 
-// Join pushdowns survive column pruning (Scan.Preds use table-schema
-// positions, which Prune preserves).
+// Placed filters stay directly over their scans through Prune, their
+// kernels on the projected positions.
 func TestJoinPushdownSurvivesPrune(t *testing.T) {
 	cat := testCatalog(t)
-	node := bind(t, cat,
-		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5")
-	pruned := Prune(node)
-	found := false
-	for _, s := range walkScans(pruned) {
-		for _, p := range s.Preds {
-			if p.Col == 3 && p.Op == sql.OpGt {
-				found = true
-			}
-		}
+	scans, filters := placedFilters(Prune(bind(t, cat,
+		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND dim.label = 'x'")))
+	if p := scans[0].Projection; len(p) != 2 || p[0] != 0 || p[1] != 3 {
+		t.Fatalf("wide projection %v, want [0 3]", p)
 	}
-	if !found {
-		t.Fatal("pushdown lost in pruning")
+	checkKernels(t, "wide", filters[0], []ScanPredicate{{Col: 1, Op: sql.OpGt, Val: vector.NewInt64(5)}})
+	if p := scans[1].Projection; len(p) != 2 || p[0] != 0 || p[1] != 1 {
+		t.Fatalf("dim projection %v, want [0 1]", p)
 	}
+	checkKernels(t, "dim", filters[1], []ScanPredicate{{Col: 1, Op: sql.OpEq, Val: vector.NewString("x")}})
 }

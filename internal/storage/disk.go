@@ -3,11 +3,13 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"vexdb/internal/vector"
@@ -246,29 +248,57 @@ func readZoneValue(br *bufio.Reader) (vector.Value, error) {
 			return vector.Null(), err
 		}
 		if l > 1<<20 {
-			return vector.Null(), fmt.Errorf("storage: zone string %d bytes implausible", l)
+			return vector.Null(), fmt.Errorf("zone string %d bytes implausible", l)
 		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(br, b); err != nil {
+		b, err := readBytes(br, uint64(l))
+		if err != nil {
 			return vector.Null(), err
 		}
 		return vector.NewString(string(b)), nil
 	}
-	return vector.Null(), fmt.Errorf("storage: zone value type %d invalid", tb)
+	return vector.Null(), fmt.Errorf("zone value type %d invalid", tb)
 }
 
+// ErrBadTableFile is wrapped by every error ReadTable returns: the
+// input is no version-3 table file, is cut short, or is corrupt.
+var ErrBadTableFile = errors.New("bad table file")
+
 // ReadTable reads a table written by WriteTable (version 3). Other
-// versions are rejected.
+// versions are rejected. Whatever the input, it allocates in proportion
+// to the bytes it reads, past a fixed read buffer: no length or count
+// in the file is trusted before its bytes arrive.
 func ReadTable(r io.Reader) (names []string, store *ColumnStore, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("storage: read magic: %w", err)
+	if _, err = io.ReadFull(br, magic[:]); err != nil {
+		err = fmt.Errorf("read magic: %w", err)
+	} else if magic != tableMagicV3 {
+		err = fmt.Errorf("bad magic %q (unsupported table file version)", magic[:])
+	} else {
+		names, store, err = readTableSegments(br)
 	}
-	if magic != tableMagicV3 {
-		return nil, nil, fmt.Errorf("storage: bad magic %q (unsupported table file version)", magic[:])
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: %w: %w", ErrBadTableFile, err)
 	}
-	return readTableSegments(br)
+	return names, store, nil
+}
+
+// readBytes reads n bytes, growing its buffer as they arrive, so a
+// corrupt length fails at the end of the input instead of allocating
+// all it claims.
+func readBytes(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	for read := 0; ; {
+		k, err := io.ReadFull(r, buf[read:])
+		if read += k; err != nil {
+			return nil, err
+		}
+		if uint64(read) == n {
+			return buf, nil
+		}
+		grow := int(min(n-uint64(read), uint64(read)))
+		buf = slices.Grow(buf, grow)[:read+grow]
+	}
 }
 
 // readHeader reads the column-meta header.
@@ -280,23 +310,23 @@ func readHeader(br *bufio.Reader) (names []string, types []vector.Type, nrows ui
 	if err := binary.Read(br, binary.LittleEndian, &nrows); err != nil {
 		return nil, nil, 0, err
 	}
-	types = make([]vector.Type, ncols)
-	names = make([]string, ncols)
-	for i := range names {
+	for range ncols {
 		var nameLen uint16
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
 			return nil, nil, 0, err
 		}
-		nb := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nb); err != nil {
+		nb, err := readBytes(br, uint64(nameLen))
+		if err != nil {
 			return nil, nil, 0, err
 		}
-		names[i] = string(nb)
 		tb, err := br.ReadByte()
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		types[i] = vector.Type(tb)
+		if t := vector.Type(tb); t == vector.Invalid || t > vector.Blob {
+			return nil, nil, 0, fmt.Errorf("column %q: type %d invalid", nb, tb)
+		}
+		names, types = append(names, string(nb)), append(types, vector.Type(tb))
 	}
 	return names, types, nrows, nil
 }
@@ -307,19 +337,22 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 	if err != nil {
 		return nil, nil, err
 	}
-	store = NewColumnStore(types)
+	if len(types) == 0 {
+		return nil, nil, errors.New("no columns")
+	}
 	var nsegs uint32
 	if err := binary.Read(br, binary.LittleEndian, &nsegs); err != nil {
 		return nil, nil, err
 	}
 	var total uint64
+	var segs []*segment
 	for si := uint32(0); si < nsegs; si++ {
 		var rows uint32
 		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
 			return nil, nil, err
 		}
 		if rows == 0 || rows > SegmentRows {
-			return nil, nil, fmt.Errorf("storage: segment %d has %d rows (max %d)", si, rows, SegmentRows)
+			return nil, nil, fmt.Errorf("segment %d has %d rows (max %d)", si, rows, SegmentRows)
 		}
 		cols := make([]*SealedColumn, len(types))
 		for c := range types {
@@ -329,10 +362,10 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 			}
 			enc := Encoding(eb)
 			if !validEncoding(enc) {
-				return nil, nil, fmt.Errorf("storage: column %q: unknown encoding %d", names[c], eb)
+				return nil, nil, fmt.Errorf("column %q: unknown encoding %d", names[c], eb)
 			}
 			if err := encodingValidForType(enc, types[c]); err != nil {
-				return nil, nil, fmt.Errorf("storage: column %q: %w", names[c], err)
+				return nil, nil, fmt.Errorf("column %q: %w", names[c], err)
 			}
 			flags, err := br.ReadByte()
 			if err != nil {
@@ -341,6 +374,9 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 			var nullCount uint32
 			if err := binary.Read(br, binary.LittleEndian, &nullCount); err != nil {
 				return nil, nil, err
+			}
+			if nullCount > rows {
+				return nil, nil, fmt.Errorf("column %q: %d NULLs in %d rows", names[c], nullCount, rows)
 			}
 			zone := ZoneMap{NullCount: int(nullCount), Rows: int(rows)}
 			if flags&1 != 0 {
@@ -355,7 +391,7 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 				// at scan time a wrongly-typed bound could silently
 				// over-prune instead of erroring.
 				if zone.Min.Type() != types[c] || zone.Max.Type() != types[c] {
-					return nil, nil, fmt.Errorf("storage: column %q: zone bounds typed %s/%s for %s column",
+					return nil, nil, fmt.Errorf("column %q: zone bounds typed %s/%s for %s column",
 						names[c], zone.Min.Type(), zone.Max.Type(), types[c])
 				}
 			}
@@ -366,10 +402,10 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 					return nil, nil, err
 				}
 				if p == 0 || p > 16 {
-					return nil, nil, fmt.Errorf("storage: column %q: sketch precision %d invalid", names[c], p)
+					return nil, nil, fmt.Errorf("column %q: sketch precision %d invalid", names[c], p)
 				}
-				regs := make([]byte, 1<<p)
-				if _, err := io.ReadFull(br, regs); err != nil {
+				regs, err := readBytes(br, 1<<p)
+				if err != nil {
 					return nil, nil, err
 				}
 				// A precision other than the current hllP reads cleanly
@@ -380,8 +416,8 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 			if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
 				return nil, nil, err
 			}
-			payload := make([]byte, plen)
-			if _, err := io.ReadFull(br, payload); err != nil {
+			payload, err := readBytes(br, plen)
+			if err != nil {
 				return nil, nil, err
 			}
 			var sum uint32
@@ -389,16 +425,18 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 				return nil, nil, err
 			}
 			if crc32.ChecksumIEEE(payload) != sum {
-				return nil, nil, fmt.Errorf("storage: column %q: checksum mismatch", names[c])
+				return nil, nil, fmt.Errorf("column %q: checksum mismatch", names[c])
 			}
 			cols[c] = loadedColumn(enc, types[c], int(rows), zone, sketch, payload)
 		}
-		store.attachSealedSegment(int(rows), cols)
+		segs = append(segs, &segment{rows: int(rows), sealed: cols, zones: zonesOf(cols)})
 		total += uint64(rows)
 	}
 	if total != nrows {
-		return nil, nil, fmt.Errorf("storage: segments hold %d rows, header says %d", total, nrows)
+		return nil, nil, fmt.Errorf("segments hold %d rows, header says %d", total, nrows)
 	}
+	store = NewColumnStore(types)
+	store.cur.Store(&tableVersion{segs: segs, rows: int(total)})
 	return names, store, nil
 }
 
@@ -418,23 +456,52 @@ func encodingValidForType(enc Encoding, t vector.Type) error {
 	return nil
 }
 
-// SaveTableFile writes the table to path atomically (temp + rename).
+// SaveTableFile writes the table to path atomically and durably
+// (WriteFileAtomic).
 func SaveTableFile(path string, names []string, store *ColumnStore) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteTable(w, names, store) })
+}
+
+// WriteFileAtomic replaces path with what write writes: into a
+// temporary file beside it, which is fsynced, closed and renamed over
+// path, and then the directory is fsynced, so a crash at any point
+// leaves the old file or the new one, whole. It returns the first
+// error of any step, and on one removes the temporary file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := WriteTable(f, names, store); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs directory dir, making durable the entries created,
+// renamed or removed in it.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadTableFile reads a table file written by SaveTableFile. Sealed

@@ -3,9 +3,12 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -323,4 +326,100 @@ func TestDiskV2RejectsMistypedZoneBounds(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "zone bounds") {
 		t.Fatalf("err = %v, want zone-bounds type error", err)
 	}
+}
+
+// tableSeeds are whole table files: every column type with NULLs, an
+// all-NULL column and NULL-free integer and VARCHAR columns that seal
+// as FOR, RLE and dict, written with statistics (zone maps, sketches)
+// and without.
+func tableSeeds(t testing.TB) [][]byte {
+	types := append(slices.Clone(allTypes), vector.Int64, vector.Int32, vector.String)
+	names := make([]string, len(types))
+	cols := make([]*vector.Vector, len(types))
+	for c, typ := range types {
+		names[c] = fmt.Sprintf("c%d", c)
+		cols[c] = vector.New(typ, 0)
+	}
+	for i := range 40 {
+		for c, typ := range types {
+			switch {
+			case c < len(allTypes) && i%7 == c:
+				cols[c].AppendValue(vector.Null())
+			case c < len(allTypes):
+				cols[c].AppendValue(nonNullValueFor(typ))
+			case typ == vector.Int64:
+				cols[c].AppendValue(vector.NewInt64(int64(i / 8))) // runs
+			case typ == vector.Int32:
+				cols[c].AppendValue(vector.NewInt32(int32(1000 + i*3)))
+			default:
+				cols[c].AppendValue(vector.NewString(fmt.Sprintf("s%d", i%3)))
+			}
+		}
+	}
+	var seeds [][]byte
+	for _, compress := range []bool{true, false} {
+		s := NewColumnStore(types)
+		s.SetCompression(compress)
+		if err := s.AppendChunk(vector.NewChunk(cols...)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTable(&buf, names, s); err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	return seeds
+}
+
+// FuzzReadTable feeds whole table files — with zone maps and sketches,
+// truncated and bit-flipped — to ReadTable. Whatever the bytes, it
+// returns an error wrapping ErrBadTableFile or a table every column of
+// which decodes or fails with ErrCorruptColumn; it never panics, and
+// allocates in proportion to its input past its fixed read buffer.
+func FuzzReadTable(f *testing.F) {
+	for _, b := range tableSeeds(f) {
+		f.Add(b)
+		for _, cut := range []int{8, 12, 20, len(b) / 3, len(b) - 1} {
+			f.Add(b[:cut])
+		}
+		for _, at := range []int{9, 13, 21, 25, 40, len(b) / 2, len(b) - 5} {
+			flipped := bytes.Clone(b)
+			flipped[at] ^= 0xFF
+			f.Add(flipped)
+		}
+	}
+	// One BIGINT row whose payload claims 2^62 bytes, and 2^32-1
+	// columns of a five-byte file.
+	huge := binary.LittleEndian.AppendUint32(bytes.Clone(tableMagicV3[:]), 1)
+	huge = binary.LittleEndian.AppendUint64(huge, 1)
+	huge = append(huge, 1, 0, 'a', byte(vector.Int64))
+	huge = binary.LittleEndian.AppendUint32(huge, 1)
+	huge = binary.LittleEndian.AppendUint32(huge, 1)
+	huge = append(huge, byte(EncRaw), 0, 0, 0, 0, 0)
+	f.Add(binary.LittleEndian.AppendUint64(huge, 1<<62))
+	f.Add(binary.LittleEndian.AppendUint32(bytes.Clone(tableMagicV3[:]), math.MaxUint32))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, store, err := ReadTable(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 40*uint64(len(b))+(1<<20)+(64<<10) {
+			t.Fatalf("reading %d bytes allocated %d", len(b), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadTableFile) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		snap := store.Snapshot()
+		for i := range snap.NumSegments() {
+			for _, c := range snap.SegmentColumns(i, nil, nil) {
+				if _, err := c.Decode(nil); err != nil && !errors.Is(err, ErrCorruptColumn) {
+					t.Fatalf("segment %d: untyped decode error %v", i, err)
+				}
+			}
+		}
+	})
 }

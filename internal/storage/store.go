@@ -493,16 +493,6 @@ func (g *segment) rewrite(types []vector.Type, runs []RowRange, cast []*vector.V
 	return out, nil
 }
 
-// attachSealedSegment appends an already sealed segment (used when
-// loading a table file; payloads stay encoded until scanned).
-func (s *ColumnStore) attachSealedSegment(rows int, cols []*SealedColumn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := s.cur.Load()
-	segs := append(append([]*segment(nil), base.segs...), &segment{rows: rows, sealed: cols, zones: zonesOf(cols)})
-	s.cur.Store(&tableVersion{segs: segs, rows: base.rows + rows})
-}
-
 // Truncate removes all rows, keeping the schema. The empty successor
 // version carries no segments and therefore no zone maps or HLL
 // sketches: the statistics rollup (and with it the cost planner's

@@ -382,8 +382,9 @@ func (r *Rows) NextTable() (*Table, error) {
 }
 
 // ScanStats reports how many storage segments the query scanned and
-// how many it skipped outright via zone-map pruning of pushed-down
-// WHERE predicates, summed over the query's scans; the same counts
+// how many it skipped outright because their zone maps refute the
+// kernels of the filter fused into the scan, summed over the query's
+// scans; the same counts
 // reach each table's cumulative TableStats when the query closes. The
 // counters are live while the result streams; read them after draining
 // (or closing) for final values. Both are zero for row-less statements.
