@@ -66,7 +66,7 @@ func TestRegistryTable(t *testing.T) {
 	}
 }
 
-func TestEvalPartitionedMatchesSerial(t *testing.T) {
+func TestCallPartitionedMatchesSerial(t *testing.T) {
 	f := doubler()
 	n := 10_001 // odd length exercises uneven partitions
 	in := make([]float64, n)
@@ -79,7 +79,7 @@ func TestEvalPartitionedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
-		got, err := EvalPartitioned(f, args, parts)
+		got, err := f.Call(vector.Float64, args, n, parts)
 		if err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
@@ -94,7 +94,7 @@ func TestEvalPartitionedMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestEvalPartitionedNonParallelFallsBack(t *testing.T) {
+func TestCallNonParallelFallsBack(t *testing.T) {
 	f := doubler()
 	f.Parallel = false
 	calls := 0
@@ -104,7 +104,7 @@ func TestEvalPartitionedNonParallelFallsBack(t *testing.T) {
 		return inner(args)
 	}
 	args := []*vector.Vector{vector.FromFloat64s(make([]float64, 100))}
-	if _, err := EvalPartitioned(f, args, 8); err != nil {
+	if _, err := f.Call(vector.Float64, args, 100, 8); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -112,7 +112,7 @@ func TestEvalPartitionedNonParallelFallsBack(t *testing.T) {
 	}
 }
 
-func TestEvalPartitionedErrorPropagates(t *testing.T) {
+func TestCallErrorPropagates(t *testing.T) {
 	f := &ScalarFunc{
 		Name: "boom", Arity: 1, Parallel: true,
 		ReturnType: FixedReturn(vector.Int64),
@@ -121,8 +121,56 @@ func TestEvalPartitionedErrorPropagates(t *testing.T) {
 		},
 	}
 	args := []*vector.Vector{vector.FromInt64s(make([]int64, 100))}
-	if _, err := EvalPartitioned(f, args, 4); err == nil {
-		t.Fatal("partition error must propagate")
+	for _, parts := range []int{1, 4} {
+		if _, err := f.Call(vector.Int64, args, 100, parts); err == nil || err.Error() != "UDF boom: kaboom" {
+			t.Fatalf("parts=%d: error %v, want the partition's, named", parts, err)
+		}
+	}
+}
+
+// TestCallChecksAndCasts: a result of the wrong length fails the call
+// with the same text at every partition count; a result of another
+// type is cast to the bound type (BIGINT to INTEGER keeps the low 32
+// bits), and its NULLs survive.
+func TestCallChecksAndCasts(t *testing.T) {
+	extra := &ScalarFunc{
+		Name: "extra", Arity: 1, Parallel: true,
+		ReturnType: FixedReturn(vector.Int64),
+		Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+			return vector.FromInt64s(make([]int64, args[0].Len()+1)), nil
+		},
+	}
+	wide := &ScalarFunc{
+		Name: "wide", Arity: 1, Parallel: true,
+		ReturnType: FixedReturn(vector.Int32),
+		Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+			out := vector.New(vector.Int64, args[0].Len())
+			for i := range args[0].Len() {
+				if args[0].IsNull(i) {
+					out.AppendValue(vector.Null())
+				} else {
+					out.AppendValue(vector.NewInt64(args[0].Int64s()[i] + 1<<32))
+				}
+			}
+			return out, nil
+		},
+	}
+	in := vector.New(vector.Int64, 5)
+	for _, v := range []vector.Value{vector.NewInt64(1), vector.Null(), vector.NewInt64(-3), vector.NewInt64(4), vector.NewInt64(5)} {
+		in.AppendValue(v)
+	}
+	args := []*vector.Vector{in}
+	for _, parts := range []int{1, 2, 8} {
+		if _, err := extra.Call(vector.Int64, args, 5, parts); err == nil || err.Error() != "UDF extra: result row count differs from the input's" {
+			t.Fatalf("parts=%d: error %v", parts, err)
+		}
+		got, err := wide.Call(vector.Int32, args, 5, parts)
+		if err != nil {
+			t.Fatalf("parts=%d: %v", parts, err)
+		}
+		if got.Type() != vector.Int32 || got.Len() != 5 || !got.IsNull(1) || got.Int32s()[2] != -3 || got.Int32s()[4] != 5 {
+			t.Fatalf("parts=%d: %s[%d] %v", parts, got.Type(), got.Len(), got)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -19,6 +20,11 @@ import (
 
 // ScalarFunc is a vectorized scalar UDF. Eval receives full column
 // vectors of equal length and returns one vector of the same length.
+// The engine calls it only through Call, the boundary where its result
+// enters the engine: a result of another length fails the query, and a
+// result of another type than the call's bound type (ReturnType of the
+// argument types) is cast to it, so no operator downstream checks
+// either.
 type ScalarFunc struct {
 	// Name is the SQL-visible function name (case-insensitive).
 	Name string
@@ -27,7 +33,8 @@ type ScalarFunc struct {
 	// ReturnType infers the output type from argument types.
 	ReturnType func(args []vector.Type) (vector.Type, error)
 	// Eval computes the result column. It must return a vector whose
-	// length equals the input length (all inputs are equal length).
+	// length equals the input length (all inputs are equal length);
+	// Call fails the query otherwise.
 	Eval func(args []*vector.Vector) (*vector.Vector, error)
 	// Parallel marks the function safe for partitioned execution: the
 	// engine may split the input rows across goroutines and call Eval
@@ -136,59 +143,86 @@ func (r *Registry) ScalarNames() []string {
 	return out
 }
 
-// EvalPartitioned runs a Parallel scalar UDF split across nparts
-// partitions of the input vectors, preserving row order. Functions not
-// marked Parallel, inputs shorter than 2 rows, or nparts < 2 fall back
-// to a single Eval call.
-func EvalPartitioned(f *ScalarFunc, args []*vector.Vector, nparts int) (*vector.Vector, error) {
-	n := 0
-	if len(args) > 0 {
-		n = args[0].Len()
-	}
-	if !f.Parallel || nparts < 2 || n < 2 {
-		return f.Eval(args)
-	}
-	if nparts > n {
-		nparts = n
-	}
-	type result struct {
-		idx int
-		out *vector.Vector
-		err error
-	}
-	results := make([]result, nparts)
-	var wg sync.WaitGroup
-	for p := 0; p < nparts; p++ {
-		lo := p * n / nparts
-		hi := (p + 1) * n / nparts
-		part := make([]*vector.Vector, len(args))
-		for i, a := range args {
-			part[i] = a.Slice(lo, hi)
+// Call evaluates f over rows input rows, args its argument columns, and
+// returns a column of type typ — the call's bound type — with one row
+// per input row. It is the only place a scalar UDF is evaluated, so what
+// the function returns is checked here and nowhere downstream: every
+// Eval result must have exactly its input's row count, and a result of
+// another type is cast to typ. A Parallel function with arguments is
+// split across up to workers goroutines (one Eval per partition, row
+// order preserved); any other function is evaluated once. Errors read
+// "UDF <name>: …" at every width, and the first failing partition in
+// row order decides which.
+func (f *ScalarFunc) Call(typ vector.Type, args []*vector.Vector, rows, workers int) (_ *vector.Vector, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("UDF %s: %w", f.Name, err)
 		}
-		wg.Add(1)
-		go func(p int, part []*vector.Vector) {
-			defer wg.Done()
-			out, err := f.Eval(part)
-			results[p] = result{idx: p, out: out, err: err}
-		}(p, part)
+	}()
+	parts := 1
+	if f.Parallel && len(args) > 0 {
+		parts = max(1, min(workers, rows))
 	}
-	wg.Wait()
-	var out *vector.Vector
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	outs := make([]*vector.Vector, parts)
+	errs := make([]error, parts)
+	eval := func(p int) {
+		lo, hi := p*rows/parts, (p+1)*rows/parts
+		in := args
+		if parts > 1 {
+			in = make([]*vector.Vector, len(args))
+			for i, a := range args {
+				in[i] = a.Slice(lo, hi)
+			}
 		}
-		if out == nil {
-			out = r.out
-			continue
+		outs[p], errs[p] = f.Eval(in)
+		if errs[p] == nil && (outs[p] == nil || outs[p].Len() != hi-lo) {
+			errs[p] = errRowCount
 		}
-		out.AppendVector(r.out)
 	}
-	if out.Len() != n {
-		return nil, fmt.Errorf("core: partitioned UDF %s returned %d rows for %d inputs", f.Name, out.Len(), n)
+	if parts == 1 {
+		eval(0)
+	} else {
+		var wg sync.WaitGroup
+		for p := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				eval(p)
+			}()
+		}
+		wg.Wait()
 	}
-	return out, nil
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	out := outs[0]
+	if parts > 1 {
+		// Partitions that disagree on a type are cast one by one; a cast
+		// of the whole result names rows as the caller numbers them.
+		t := out.Type()
+		for _, o := range outs {
+			if o.Type() != t {
+				t = typ
+			}
+		}
+		out = vector.New(t, rows)
+		for _, o := range outs {
+			o, err := o.Cast(t)
+			if err != nil {
+				return nil, err
+			}
+			out.AppendVector(o)
+		}
+	}
+	return out.Cast(typ)
 }
+
+// errRowCount is the error of a call whose Eval returned a result of
+// another row count than its input. It names no count: those depend on
+// how the rows were partitioned.
+var errRowCount = errors.New("result row count differs from the input's")
 
 // FixedReturn returns a ReturnType function that always yields t.
 func FixedReturn(t vector.Type) func([]vector.Type) (vector.Type, error) {

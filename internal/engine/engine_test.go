@@ -10,6 +10,7 @@ import (
 	"vexdb/internal/core"
 	"vexdb/internal/difftest"
 	"vexdb/internal/plan"
+	"vexdb/internal/storage"
 	"vexdb/internal/vector"
 )
 
@@ -376,6 +377,9 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 		{"SELECT a FROM t WHERE NULL", nil, []string{"a"}, nil, false},
 		{"SELECT a FROM t WHERE NOT NULL", nil, []string{"a"}, nil, false},
 		{"SELECT a FROM t WHERE 1 = 0 AND a > 0", nil, []string{"a"}, nil, false},
+		{"SELECT a FROM t WHERE a = NULL", nil, []string{"a"}, nil, false},
+		{"SELECT CASE WHEN 1 = 1 THEN 'a' END AS x", []string{`"a"|`}, []string{"x"}, nil, false},
+		{"SELECT count(*) FROM t WHERE a > 5 AND NULL <> s || 'x'", []string{"0|"}, []string{"count"}, nil, false},
 		{"SELECT count(*) FROM t WHERE NULL OR a > 997", []string{"12|"}, []string{"count"}, nil, true},
 		{"SELECT a + NULL FROM t WHERE a = 5 LIMIT 2", []string{"N|", "N|"}, nil, []vector.Type{vector.Int32}, true},
 		{"SELECT -NULL", []string{"N|"}, nil, []vector.Type{vector.Float64}, false},
@@ -419,8 +423,10 @@ func TestTypesAndConstantsSettledAtBind(t *testing.T) {
 			t.Fatalf("EXPLAIN %s: want %q and no residual:\n%s", q, want, plan)
 		}
 	}
-	if plan := planText(t, db, "EXPLAIN ANALYZE "+"SELECT a FROM t WHERE NULL"); strings.Contains(plan, "Scan") {
-		t.Fatalf("a FALSE WHERE scans:\n%s", plan)
+	for _, q := range []string{"SELECT a FROM t WHERE NULL", "SELECT a FROM t WHERE a = NULL"} {
+		if plan := planText(t, db, "EXPLAIN ANALYZE "+q); strings.Contains(plan, "Scan") {
+			t.Fatalf("%s: a FALSE WHERE scans:\n%s", q, plan)
+		}
 	}
 	_, aggErr := db.Exec("SELECT abs(sum(a), 1) FROM t")
 	_, rowErr := db.Exec("SELECT abs(a, 1) FROM t")
@@ -577,6 +583,103 @@ func TestScalarUDF(t *testing.T) {
 	tab := mustQuery(t, db, "SELECT plus_ten(score) AS s FROM users WHERE id = 1")
 	if tab.Column("s").Get(0).Float64() != 19.5 {
 		t.Fatalf("udf = %v", tab.Column("s").Get(0))
+	}
+}
+
+// TestUDFBoundary: what a scalar UDF returns is checked and cast where
+// it is called, whatever operator the call sits under. Three Parallel
+// UDFs misbehave — one returns a row too many, one declares INTEGER and
+// returns BIGINT, one declares BOOLEAN and returns BIGINT — over a
+// scan, under a join (the UDF projection over it), in GROUP BY, ORDER
+// BY, WHERE and a join's residual. Each query has one outcome at every
+// point of difftest.Matrix: the one error text, or the same bytes with
+// the UDF's column in its declared type.
+func TestUDFBoundary(t *testing.T) {
+	db := newTestDB(t)
+	db.TempDir = t.TempDir()
+	loadWide(t, db, 2*storage.SegmentRows+100)
+	udf := func(name string, typ vector.Type, eval func(in []float64, nulls []bool) *vector.Vector) {
+		t.Helper()
+		err := db.Registry().RegisterScalar(&core.ScalarFunc{
+			Name: name, Arity: 1, Parallel: true, ReturnType: core.FixedReturn(typ),
+			Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+				in, err := args[0].AsFloat64s()
+				if err != nil {
+					return nil, err
+				}
+				return eval(in, args[0].Nulls()), nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	bigints := func(in []float64, nulls []bool, f func(float64) int64) *vector.Vector {
+		out := make([]int64, len(in))
+		for i, x := range in {
+			out[i] = f(x)
+		}
+		v := vector.FromInt64s(out)
+		for i, null := range nulls {
+			if null {
+				v.SetNull(i)
+			}
+		}
+		return v
+	}
+	udf("extra_row", vector.Int64, func(in []float64, _ []bool) *vector.Vector {
+		return vector.FromInt64s(make([]int64, len(in)+1))
+	})
+	udf("narrow", vector.Int32, func(in []float64, nulls []bool) *vector.Vector {
+		return bigints(in, nulls, func(x float64) int64 { return int64(x)*3 + 1<<32 }) // INTEGER keeps 3x
+	})
+	udf("truthy", vector.Bool, func(in []float64, nulls []bool) *vector.Vector {
+		return bigints(in, nulls, func(x float64) int64 { return int64(x) % 2 })
+	})
+	const extraErr = "UDF extra_row: result row count differs from the input's"
+	for _, c := range []struct {
+		q   string
+		typ vector.Type // the first column's, unless the query fails
+	}{
+		{"SELECT extra_row(k) AS v FROM w", vector.Invalid},
+		{"SELECT narrow(k) AS v, k FROM w", vector.Int32},
+		{"SELECT truthy(k) AS v, k FROM w", vector.Bool},
+		{"SELECT extra_row(u.score) AS v FROM users u JOIN orders o ON u.id = o.user_id", vector.Invalid},
+		{"SELECT extra_row(u.score) AS v, u.id FROM users u JOIN orders o ON u.id = o.user_id", vector.Invalid},
+		{"SELECT narrow(u.id) AS v, u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id", vector.Int32},
+		{"SELECT truthy(u.id) AS v, u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id", vector.Bool},
+		{"SELECT extra_row(g) AS v, count(*) AS n FROM w GROUP BY extra_row(g)", vector.Invalid},
+		{"SELECT narrow(g) AS v, count(*) AS n, sum(narrow(k)) AS s FROM w GROUP BY narrow(g)", vector.Int32},
+		{"SELECT truthy(g) AS v, count(*) AS n FROM w GROUP BY truthy(g)", vector.Bool},
+		{"SELECT k, s FROM w ORDER BY extra_row(k), k LIMIT 10", vector.Invalid},
+		{"SELECT k, v FROM w ORDER BY narrow(k) DESC, v, s LIMIT 30", vector.Int64},
+		{"SELECT k, v FROM w ORDER BY truthy(k), k DESC, v, s", vector.Int64},
+		{"SELECT count(*) AS n FROM w WHERE extra_row(k) > 3", vector.Invalid},
+		{"SELECT count(*) AS n, sum(v) AS s FROM w WHERE narrow(k) > 150", vector.Int64},
+		{"SELECT k, s FROM w WHERE truthy(k) AND g < 3", vector.Int64},
+		{"SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id AND extra_row(o.amount) > 1", vector.Invalid},
+		{"SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id AND narrow(o.amount) > 20", vector.Int64},
+		{"SELECT u.id, o.amount FROM users u LEFT JOIN orders o ON u.id = o.user_id AND truthy(o.amount)", vector.Int64},
+	} {
+		tab := difftest.Matrix(t, c.q, 64<<10, outcome(db, c.q))
+		if c.typ == vector.Invalid {
+			if tab.Names[0] != "error" || tab.Cols[0].Get(0).Str() != extraErr {
+				t.Fatalf("%s: want the error %q, got %v", c.q, extraErr, difftest.Fingerprint(tab))
+			}
+			continue
+		}
+		if tab.Names[0] == "error" || tab.Cols[0].Type() != c.typ || tab.NumRows() == 0 {
+			t.Fatalf("%s: want rows with a first column of %s, got %v", c.q, c.typ, difftest.Fingerprint(tab))
+		}
+	}
+	if got := difftest.Fingerprint(mustQuery(t, db, "SELECT narrow(id) AS v, truthy(id) AS b FROM users WHERE id < 3")); !slices.Equal(got, []string{`"v" INTEGER|"b" BOOLEAN|`, "3|true|", "6|false|"}) {
+		t.Fatalf("cast results: %q", got)
+	}
+	// A call's type is a real one: a UDF whose ReturnType gives none
+	// fails at bind, so no Invalid vector reaches an operator.
+	udf("untyped", vector.Invalid, func(in []float64, _ []bool) *vector.Vector { return vector.FromFloat64s(in) })
+	if _, err := db.Exec("SELECT untyped(k) FROM w WHERE k < 0"); err == nil || !strings.Contains(err.Error(), "function untyped returns no type") {
+		t.Fatalf("a UDF of no type: %v", err)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestInsertValuesMatchesSelect(t *testing.T) {
 		{"VALUES (1, 'b', nofn(1))", []string{`plan: function "nofn" is not registered`}},
 		{"VALUES ('abc', 2, nofn(1))", []string{`plan: function "nofn" is not registered`}},                                                                 // every cell binds before a cast fails
 		{"(s, b, a) VALUES ('x', 'q', 'r')", []string{`engine: column "a": cast row 0: cast "r" to BIGINT: strconv.ParseInt: parsing "r": invalid syntax`}}, // casts fail in column order
-		{"VALUES (1, 2, sqrt('x'))", []string{"exec: UDF sqrt: sqrt: vector type VARCHAR is not numeric"}},
+		{"VALUES (1, 2, sqrt('x'))", []string{"UDF sqrt: sqrt: vector type VARCHAR is not numeric"}},
 		{"VALUES (sum(count(*)), 2, 'x')", []string{"aggregate", "not allowed"}},
 	} {
 		_, err := db.Exec("INSERT INTO e " + c.stmt)

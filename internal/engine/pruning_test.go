@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,7 +175,8 @@ var joinPruningQueries = []struct {
 // Differential: join results with conjuncts placed on pruned compressed
 // scans return the bytes of the uncompressed, unpruned path, and of
 // their twins that nothing prunes, at every point of difftest.Matrix;
-// and at every point the placed conjuncts skip the same segments.
+// and at every point the placed conjuncts skip the same segments, which
+// EXPLAIN ANALYZE prints on the scans that skipped them.
 func TestJoinPushdownPrunedMatchesUnpruned(t *testing.T) {
 	const rows = storage.SegmentRows*4 + 123
 	comp := New()
@@ -201,6 +204,15 @@ func TestJoinPushdownPrunedMatchesUnpruned(t *testing.T) {
 		}
 		if d := difftest.Diff(difftest.Matrix(t, c.twin, 64<<10, skipping(c.twin, 0)), got); d != "" {
 			t.Fatalf("%s: differs from its twin: %s", c.q, d)
+		}
+		var shown int64
+		text := planText(t, comp, "EXPLAIN ANALYZE "+c.q)
+		for _, m := range regexp.MustCompile(`Scan .* skipped=(\d+)`).FindAllStringSubmatch(text, -1) {
+			n, _ := strconv.ParseInt(m[1], 10, 64)
+			shown += n
+		}
+		if shown != c.skipped {
+			t.Fatalf("%s: EXPLAIN ANALYZE shows %d segments skipped, want %d:\n%s", c.q, shown, c.skipped, text)
 		}
 	}
 }

@@ -560,10 +560,10 @@ func orderByPos(ctx *Context, pos []int64) []int {
 }
 
 // aggInputs evaluates an aggregation's group and argument expressions
-// over input chunks, coercing the rare result whose runtime type is
-// not the planned one so that tables and spill files are typed
-// statically. A dense table's inputs (slotted) are its arguments
-// alone: its group ids come with the chunk.
+// over input chunks; each result is of its expression's planned type
+// (plan.Evaluate), so tables and spill files are typed statically. A
+// dense table's inputs (slotted) are its arguments alone: its group ids
+// come with the chunk.
 type aggInputs struct {
 	spec    *plan.Aggregate
 	slotted bool
@@ -583,7 +583,7 @@ func newAggInputs(spec *plan.Aggregate) *aggInputs {
 // eval fills args and, unless slotted, keys and hashes for one chunk.
 func (in *aggInputs) eval(ch *vector.Chunk) (err error) {
 	for i := 0; i < len(in.keys) && !in.slotted; i++ {
-		if in.keys[i], err = evalAs(in.spec.GroupBy[i], ch); err != nil {
+		if in.keys[i], err = plan.Evaluate(in.spec.GroupBy[i], ch); err != nil {
 			return err
 		}
 	}
@@ -591,7 +591,7 @@ func (in *aggInputs) eval(ch *vector.Chunk) (err error) {
 		if s.Arg == nil {
 			continue
 		}
-		if in.args[i], err = evalAs(s.Arg, ch); err != nil {
+		if in.args[i], err = plan.Evaluate(s.Arg, ch); err != nil {
 			return err
 		}
 	}
@@ -610,14 +610,6 @@ func morselPos(pos []int64, morsel, n int) []int64 {
 		pos[r] = int64(morsel)<<32 | int64(r)
 	}
 	return pos
-}
-
-func evalAs(e plan.Expr, ch *vector.Chunk) (*vector.Vector, error) {
-	v, err := plan.Evaluate(e, ch)
-	if err != nil {
-		return nil, err
-	}
-	return v.Cast(e.Type())
 }
 
 // aggregation is one execution of an Aggregate node: the tables its

@@ -65,23 +65,6 @@ type graceLayout struct {
 	types    [2][]vector.Type
 	nullable [2]int
 	st       *nodeStats // the node's record: partitions spilled and kept
-
-	mu sync.Mutex // conform
-}
-
-// conform checks rows about to be routed against their stream's layout,
-// which the first rows set when the plan could not (a join's inputs are
-// typed at run time; all but the last column may be NULL).
-func (l *graceLayout) conform(stream int, cols []*vector.Vector) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.types[stream] == nil {
-		for _, c := range cols {
-			l.types[stream] = append(l.types[stream], c.Type())
-		}
-		l.nullable[stream] = len(cols) - 1
-	}
-	return checkSpilled(cols, l.types[stream], l.nullable[stream])
 }
 
 // graceFold folds rows of resident partition p, in a stream's layout and

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 
 	"vexdb/internal/plan"
@@ -172,9 +171,6 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 		pred, err := plan.Evaluate(spec.Extra, cand)
 		if err != nil {
 			return nil, err
-		}
-		if pred.Type() != vector.Bool {
-			return nil, fmt.Errorf("exec: join condition must be boolean, got %s", pred.Type())
 		}
 		kept := 0
 		for i, r := range out.probe {

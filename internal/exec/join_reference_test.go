@@ -436,7 +436,8 @@ func TestJoinReturnsItsBudget(t *testing.T) {
 		}{
 			{name: "cancelled mid-build", cancelAt: [2]int64{0, 40}},
 			{name: "cancelled mid-probe", cancelAt: [2]int64{40, 0}},
-			{name: "failing residual", residual: colRef(4, vector.Int64)}, // not a boolean
+			{name: "failing residual", residual: &plan.BinOp{Op: sql.OpGt, Typ: vector.Bool, // CAST('pa' AS INTEGER) fails
+				Left: &plan.Cast{Operand: colRef(2, vector.String), To: vector.Int32}, Right: &plan.Const{Val: vector.NewInt32(0), Typ: vector.Int32}}},
 		} {
 			qctx, cancel := context.WithCancel(context.Background())
 			side := func(tab *catalog.Table, at int64) plan.Node {
@@ -533,13 +534,19 @@ func FuzzJoinSpillChunk(f *testing.F) {
 			return
 		}
 		js, build, probe := fuzzJoin(t)
-		// The layouts are what the join's own rows set them to, and the
-		// build phase ends with every partition of level 0 resident.
+		// The layouts are the plan's, the join's own rows are of them,
+		// and the build phase ends with every partition of level 0
+		// resident.
 		nb := len(build) - 1
 		if err := js.addBuildChunk(vector.NewChunk(build[:nb]...)); err != nil {
 			t.Fatal(err)
 		}
-		if err := errors.Join(js.layout.conform(probeRows, probe), js.top.finishBuild()); err != nil {
+		for stream, cols := range [][]*vector.Vector{build, probe} {
+			if err := checkSpilled(cols, js.layout.types[stream], js.layout.nullable[stream]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := js.top.finishBuild(); err != nil {
 			t.Fatal(err)
 		}
 		if side%2 == 0 {

@@ -5,7 +5,8 @@
 //
 //   - Layouts. Build rows are [right columns..., seq], seq the row's
 //     position in the whole build input; probe rows [left columns...,
-//     posKey]. Both are typed by the first chunk of their side.
+//     posKey]. Both are typed by the plan: the inputs' schemas, then
+//     BIGINT. Only what is read back from disk is checked against them.
 //   - Folds. A resident partition keeps its build rows, and the hashes
 //     routed beside them, in a buffer that eviction writes out; when the
 //     build input drains the buffer is indexed, from those hashes, as a
@@ -110,6 +111,10 @@ func joinSortKeys(nOut int) []plan.SortKey {
 
 func newJoinSpill(ctx *Context, spec *plan.HashJoin, keyTypes []vector.Type, st *nodeStats) *joinSpill {
 	js := &joinSpill{ctx: ctx, spec: spec, keyTypes: keyTypes, layout: graceLayout{label: "join", st: st}}
+	for stream, in := range [2]plan.Node{buildRows: spec.Right, probeRows: spec.Left} {
+		js.layout.types[stream] = append(in.Schema().Types(), vector.Int64)
+		js.layout.nullable[stream] = len(js.layout.types[stream]) - 1
+	}
 	js.top = js.newPass(newGrace(ctx, &js.layout, uint(min(max(spec.Hints.FanoutLog2, 4), 8)), 0))
 	js.top.g.overflowed.Store(true)
 	js.outCols = len(spec.Left.Schema()) + len(spec.Right.Schema())
@@ -137,13 +142,9 @@ func (js *joinSpill) addBuildChunk(ch *vector.Chunk) (err error) {
 	js.nextSeq += int64(len(seq))
 	cols := append(slices.Clone(ch.Cols()), vector.FromInt64s(seq))
 	if js.empty == nil {
-		js.empty, err = newJoinTable(js.spec, js.keyTypes, ch.Slice(0, 0), nil, nil)
-	}
-	if err == nil {
-		err = js.layout.conform(buildRows, cols)
-	}
-	if err != nil {
-		return err
+		if js.empty, err = newJoinTable(js.spec, js.keyTypes, ch.Slice(0, 0), nil, nil); err != nil {
+			return err
+		}
 	}
 	return js.top.addBuild(cols)
 }
@@ -212,9 +213,6 @@ func (jp *joinPass) finishBuild() (err error) {
 // goes through the worker's private state.
 func (js *joinSpill) probeChunk(ch *vector.Chunk, chunkIdx int, ps *probeState) error {
 	cols := append(slices.Clone(ch.Cols()), vector.FromInt64s(morselPos(nil, chunkIdx, ch.NumRows())))
-	if err := js.layout.conform(probeRows, cols); err != nil {
-		return err
-	}
 	if ps.router == nil {
 		ps.router = js.top.prober(ps)
 	}

@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
-	"vexdb/internal/core"
-	"vexdb/internal/plan"
 	"vexdb/internal/vector"
 )
 
@@ -170,7 +167,6 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 		ids = make([]int32, len(hashes))
 	}
 	ids = ids[:len(hashes)]
-	gi.checkTypes(keys)
 	in := gi.int64Key(keys)
 	for r, h := range hashes {
 		if 2*gi.n >= len(gi.slots) {
@@ -199,7 +195,6 @@ func (gi *groupIndex) resolve(keys []*vector.Vector, hashes []uint64, ids []int3
 // may search one index at once.
 func (gi *groupIndex) find(keys []*vector.Vector, hashes []uint64) []int32 {
 	ids := make([]int32, len(hashes))
-	gi.checkTypes(keys)
 	in := gi.int64Key(keys)
 	var held []int64
 	if in != nil {
@@ -233,14 +228,6 @@ func (gi *groupIndex) int64Key(keys []*vector.Vector) []int64 {
 		return keys[0].Int64s()
 	}
 	return nil
-}
-
-func (gi *groupIndex) checkTypes(keys []*vector.Vector) {
-	for c, k := range gi.keys {
-		if keys[c].Type() != k.Type() {
-			panic(fmt.Sprintf("exec: group key %d is %s, index holds %s", c, keys[c].Type(), k.Type()))
-		}
-	}
 }
 
 // equalRow reports whether row r of the key columns is group id's key.
@@ -369,11 +356,4 @@ func identitySel(n int) []int {
 		sel[i] = i
 	}
 	return sel
-}
-
-// EvalPartitionedCall evaluates a bound UDF call over already
-// evaluated argument vectors, partitioned across workers when the
-// function allows it.
-func EvalPartitionedCall(call *plan.Call, args []*vector.Vector, workers int) (*vector.Vector, error) {
-	return core.EvalPartitioned(call.Fn, args, workers)
 }

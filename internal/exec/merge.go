@@ -403,10 +403,10 @@ func (b *runBuilder) add(ch *vector.Chunk, posBase int64) error {
 // beforeThreshold selects the rows of an incoming chunk that precede
 // the buffer's k-th row: one pass over the leading codes, the
 // comparator and the position only where a code ties the threshold's.
+// There is a threshold only when the leading key is coded (compact), and
+// every chunk's leading key is of its planned type, so it codes too.
 func (b *runBuilder) beforeThreshold(keys []*vector.Vector, posBase int64) ([]int, error) {
-	if b.lead = b.coder.encode(0, keys[0], b.lead); b.lead == nil {
-		return identitySel(keys[0].Len()), nil // not the planned type after all: keep everything
-	}
+	b.lead = b.coder.encode(0, keys[0], b.lead)
 	sel := b.sel[:0]
 	for r, code := range b.lead {
 		if code > b.thrCode {

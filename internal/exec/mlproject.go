@@ -18,8 +18,8 @@ import (
 // sliced before or after. Cancellation is observed at every chunk
 // boundary.
 //
-// Top-level Parallel calls are partitioned across the context's worker
-// count via EvalPartitionedCall.
+// Parallel calls are partitioned across the context's worker count by
+// core.ScalarFunc.Call.
 type mlProjectOp struct {
 	exprs []plan.Expr
 	child Operator
@@ -83,8 +83,8 @@ func (p *mlProjectOp) input() (*vector.Chunk, error) {
 	return ch, err
 }
 
-// evalExpr evaluates one expression over a chunk, partitioning
-// top-level Parallel UDF calls across workers.
+// evalExpr evaluates one expression over a chunk, partitioning Parallel
+// UDF calls at its top, and in their arguments, across workers.
 func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, error) {
 	if call, ok := e.(*plan.Call); ok && call.Fn.Parallel {
 		args := make([]*vector.Vector, len(call.Args))
@@ -95,7 +95,7 @@ func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, e
 			}
 			args[i] = v
 		}
-		return EvalPartitionedCall(call, args, p.ctx.Workers())
+		return call.Fn.Call(call.Typ, args, in.NumRows(), p.ctx.Workers())
 	}
 	return plan.Evaluate(e, in)
 }

@@ -339,11 +339,6 @@ func (s *ChunkStream) Materialize() (*vector.Table, error) {
 	}
 }
 
-// errColumnCast wraps a result-column cast failure.
-func errColumnCast(name string, err error) error {
-	return fmt.Errorf("exec: result column %q: %w", name, err)
-}
-
 // ----------------------------------------------------------------- stages
 
 // stageOp runs a chain of filter and projection stages over a child

@@ -207,7 +207,7 @@ type pipeScratch struct {
 // the chain is chunk-local, nil otherwise. UDF-bearing stages are
 // admitted only when every call is marked Parallel: that flag is the
 // function's declaration that concurrent evaluation over disjoint row
-// ranges is safe — the same contract EvalPartitionedCall relies on —
+// ranges is safe — the same contract core.ScalarFunc.Call relies on —
 // so model prediction runs morsel-parallel directly over base scans
 // with zone-map pruning intact. Holistic UDFs (not Parallel) may keep
 // unsynchronized state across calls and stay on the serial

@@ -179,6 +179,9 @@ func (p *Profile) Actuals(n plan.Node) string {
 	if dec, cod := st.decoded.Load(), st.coded.Load(); dec > 0 || cod > 0 {
 		parts = append(parts, fmt.Sprintf("decoded=%d coded=%d", dec, cod))
 	}
+	if sk := st.skipped.Load(); sk > 0 {
+		parts = append(parts, fmt.Sprintf("skipped=%d", sk))
+	}
 	if sp, res := st.spilled.Load(), st.resident.Load(); sp > 0 || res > 0 {
 		parts = append(parts, fmt.Sprintf("spilled=%d resident=%d", sp, res))
 	}

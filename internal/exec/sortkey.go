@@ -33,9 +33,8 @@ const nullCode = ^uint64(0)
 //	         under 8 bytes are decided by their code
 //	NULL     nullCode; DESC complements every code
 //
-// A BLOB key and a key vector that is not of the planned type are not
-// coded: every pair falls through to the
-// comparator, which orders it or reports why it cannot.
+// A key vector is of its planned type (plan.Evaluate). A BLOB key is
+// not coded: every pair falls through to the comparator.
 type sortCoder struct {
 	keys   []plan.SortKey
 	colKey []int // key i -> data column index for ColRef keys, else -1
@@ -55,9 +54,6 @@ func newSortCoder(keys []plan.SortKey) *sortCoder {
 // encode returns key k's codes for the rows of v in dst's storage, or
 // nil when v cannot be coded.
 func (c *sortCoder) encode(k int, v *vector.Vector, dst []uint64) []uint64 {
-	if v.Type() != c.keys[k].Expr.Type() {
-		return nil
-	}
 	out := slices.Grow(dst[:0], v.Len())[:v.Len()]
 	switch v.Type() {
 	case vector.Bool:

@@ -127,9 +127,9 @@ func (s *ChunkStream) Schema() catalog.Schema { return s.schema }
 // closed.
 func (s *ChunkStream) Profile() *Profile { return s.prof }
 
-// Next returns the next result chunk with columns cast to the declared
-// schema, or (nil, nil) when the stream is exhausted. After an error
-// the stream is done; further calls return (nil, nil).
+// Next returns the next result chunk, whose columns are of the declared
+// schema's types, or (nil, nil) when the stream is exhausted. After an
+// error the stream is done; further calls return (nil, nil).
 func (s *ChunkStream) Next() (*vector.Chunk, error) {
 	if s.done {
 		return nil, nil
@@ -145,16 +145,8 @@ func (s *ChunkStream) Next() (*vector.Chunk, error) {
 		s.done = true
 		return nil, cancelErr(s.ctx, err)
 	}
-	if ch == nil {
-		s.done = true
-		return nil, nil
-	}
-	out, err := castChunk(ch, s.schema)
-	if err != nil {
-		s.done = true
-		return nil, err
-	}
-	return out, nil
+	s.done = ch == nil
+	return ch, nil
 }
 
 // Cancel requests termination without closing the operators: Next
@@ -183,32 +175,4 @@ func (s *ChunkStream) Close() error {
 		}
 	})
 	return s.closeErr
-}
-
-// castChunk casts columns whose runtime type differs from the declared
-// schema (e.g. a scalar UDF's result, which need not be of the type it
-// declared).
-func castChunk(ch *vector.Chunk, schema catalog.Schema) (*vector.Chunk, error) {
-	for i := 0; i < ch.NumCols(); i++ {
-		if ch.Col(i).Type() != schema[i].Type {
-			return castChunkSlow(ch, schema)
-		}
-	}
-	return ch, nil
-}
-
-func castChunkSlow(ch *vector.Chunk, schema catalog.Schema) (*vector.Chunk, error) {
-	cols := make([]*vector.Vector, ch.NumCols())
-	for i := 0; i < ch.NumCols(); i++ {
-		c := ch.Col(i)
-		if c.Type() != schema[i].Type {
-			cc, err := c.Cast(schema[i].Type)
-			if err != nil {
-				return nil, errColumnCast(schema[i].Name, err)
-			}
-			c = cc
-		}
-		cols[i] = c
-	}
-	return vector.NewChunk(cols...), nil
 }

@@ -132,9 +132,6 @@ func (w *Where) keepResidual(rch *vector.Chunk, sel []int) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pv.Type() != vector.Bool {
-			return nil, fmt.Errorf("exec: WHERE predicate must be boolean, got %s", pv.Type())
-		}
 		bools, out := pv.Bools(), sel[:0]
 		for _, r := range sel {
 			if bools[r] && !pv.IsNull(r) {

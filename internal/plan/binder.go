@@ -628,6 +628,9 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: function %s: %w", x.Name, err)
 		}
+		if rt == vector.Invalid {
+			return nil, fmt.Errorf("plan: function %s returns no type", x.Name)
+		}
 		return &Call{Fn: fn, Args: args, Typ: rt}, nil
 	}
 	return nil, fmt.Errorf("plan: unsupported expression %T", e)
@@ -651,6 +654,9 @@ func (b *Binder) bindCase(x *sql.CaseExpr, sc *scope) (Expr, error) {
 		cond, err := b.bindPredicate(w.Cond, sc)
 		if err != nil {
 			return nil, err
+		}
+		if cond == nil { // every row passes
+			cond = &Const{Val: vector.NewBool(true), Typ: vector.Bool}
 		}
 		then, err := b.bindExpr(w.Then, sc)
 		if err != nil {
@@ -736,12 +742,19 @@ func settleLike(es ...Expr) []Expr {
 // the evaluator the executor runs. A scalar function call is never folded (a
 // registered function need not be pure), nor is a subtree whose
 // evaluation fails: that error is the statement's, raised when a row
-// reaches it, as if nothing folded.
+// reaches it, as if nothing folded. A comparison with a NULL constant
+// is NULL on every row, so it folds to a NULL BOOLEAN when its other
+// side cannot raise (MayFail); comparisons are type-checked at bind, so
+// the comparison itself never does.
 func fold(e Expr) Expr {
 	return mapExpr(e, func(x Expr) Expr {
-		switch x.(type) {
+		switch y := x.(type) {
 		case *Const, *ColRef, *Call:
 			return x
+		case *BinOp:
+			if comparesNull(y) {
+				return &Const{Val: vector.Null(), Typ: vector.Bool}
+			}
 		}
 		constant := true
 		EachColRef(x, func(*ColRef) { constant = false })
@@ -754,6 +767,21 @@ func fold(e Expr) Expr {
 		}
 		return &Const{Val: v, Typ: x.Type()}
 	})
+}
+
+// comparesNull reports whether b compares a NULL constant with an
+// operand that cannot raise.
+func comparesNull(b *BinOp) bool {
+	switch b.Op {
+	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+	default:
+		return false
+	}
+	isNull := func(e Expr) bool {
+		c, ok := e.(*Const)
+		return ok && c.Val.IsNull()
+	}
+	return isNull(b.Left) && !MayFail(b.Right) || isNull(b.Right) && !MayFail(b.Left)
 }
 
 // simplifyAnd simplifies a predicate's conjunction under three-valued

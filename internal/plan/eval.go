@@ -9,7 +9,9 @@ import (
 )
 
 // Evaluate computes a bound expression over a chunk, returning a
-// vector with one row per input row.
+// vector of e.Type() with one row per input row. Types are settled at
+// bind and a UDF's result is cast to its call's type where it is called
+// (core.ScalarFunc.Call), so no operator re-checks what it gets.
 func Evaluate(e Expr, ch *vector.Chunk) (*vector.Vector, error) {
 	switch x := e.(type) {
 	case *ColRef:
@@ -43,14 +45,7 @@ func Evaluate(e Expr, ch *vector.Chunk) (*vector.Vector, error) {
 			}
 			args[i] = v
 		}
-		out, err := x.Fn.Eval(args)
-		if err != nil {
-			return nil, fmt.Errorf("exec: UDF %s: %w", x.Fn.Name, err)
-		}
-		if out.Len() != ch.NumRows() {
-			return nil, fmt.Errorf("exec: UDF %s returned %d rows for %d inputs", x.Fn.Name, out.Len(), ch.NumRows())
-		}
-		return out, nil
+		return x.Fn.Call(x.Typ, args, ch.NumRows(), 1)
 	}
 	return nil, fmt.Errorf("exec: cannot evaluate %T", e)
 }
@@ -397,9 +392,6 @@ func evalLogical(x *BinOp, ch *vector.Chunk) (*vector.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if l.Type() != vector.Bool || r.Type() != vector.Bool {
-		return nil, fmt.Errorf("exec: %s requires boolean operands, got %s and %s", x.Op, l.Type(), r.Type())
-	}
 	n := l.Len()
 	a, b := l.Bools(), r.Bools()
 	out := make([]bool, n)
@@ -472,9 +464,6 @@ func evalNot(x *Not, ch *vector.Chunk) (*vector.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.Type() != vector.Bool {
-		return nil, fmt.Errorf("exec: NOT requires a boolean operand, got %s", in.Type())
-	}
 	out := make([]bool, in.Len())
 	for i, v := range in.Bools() {
 		out[i] = !v
@@ -509,9 +498,6 @@ func evalCase(x *Case, ch *vector.Chunk) (*vector.Vector, error) {
 		c, err := Evaluate(w.Cond, ch)
 		if err != nil {
 			return nil, err
-		}
-		if c.Type() != vector.Bool {
-			return nil, fmt.Errorf("exec: CASE condition must be boolean, got %s", c.Type())
 		}
 		t, err := Evaluate(w.Then, ch)
 		if err != nil {

@@ -123,6 +123,9 @@ func FuzzFold(f *testing.F) {
 			t.Fatalf("%s folds to %s of type %s, not %s", ExprString(e), ExprString(folded), folded.Type(), e.Type())
 		}
 		want, wantErr := Evaluate(e, ch)
+		if wantErr == nil && want.Type() != e.Type() {
+			t.Fatalf("%s evaluates to %s, not its type %s", ExprString(e), want.Type(), e.Type())
+		}
 		got, gotErr := Evaluate(folded, ch)
 		if wantErr != nil || gotErr != nil {
 			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {

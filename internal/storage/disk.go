@@ -250,7 +250,7 @@ func readZoneValue(br *bufio.Reader) (vector.Value, error) {
 		if l > 1<<20 {
 			return vector.Null(), fmt.Errorf("zone string %d bytes implausible", l)
 		}
-		b, err := readBytes(br, uint64(l))
+		b, err := ReadBytes(br, uint64(l))
 		if err != nil {
 			return vector.Null(), err
 		}
@@ -283,10 +283,12 @@ func ReadTable(r io.Reader) (names []string, store *ColumnStore, err error) {
 	return names, store, nil
 }
 
-// readBytes reads n bytes, growing its buffer as they arrive, so a
-// corrupt length fails at the end of the input instead of allocating
-// all it claims.
-func readBytes(r io.Reader, n uint64) ([]byte, error) {
+// ReadBytes reads n bytes, growing its buffer as they arrive, so a
+// corrupt or hostile length fails at the end of the input instead of
+// allocating all it claims: what it allocates is bounded by 64 KiB plus
+// a small multiple of the bytes that did arrive. Table files and the
+// wire server's requests are read through it.
+func ReadBytes(r io.Reader, n uint64) ([]byte, error) {
 	buf := make([]byte, min(n, 64<<10))
 	for read := 0; ; {
 		k, err := io.ReadFull(r, buf[read:])
@@ -315,7 +317,7 @@ func readHeader(br *bufio.Reader) (names []string, types []vector.Type, nrows ui
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
 			return nil, nil, 0, err
 		}
-		nb, err := readBytes(br, uint64(nameLen))
+		nb, err := ReadBytes(br, uint64(nameLen))
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -404,7 +406,7 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 				if p == 0 || p > 16 {
 					return nil, nil, fmt.Errorf("column %q: sketch precision %d invalid", names[c], p)
 				}
-				regs, err := readBytes(br, 1<<p)
+				regs, err := ReadBytes(br, 1<<p)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -416,7 +418,7 @@ func readTableSegments(br *bufio.Reader) (names []string, store *ColumnStore, er
 			if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
 				return nil, nil, err
 			}
-			payload, err := readBytes(br, plen)
+			payload, err := ReadBytes(br, plen)
 			if err != nil {
 				return nil, nil, err
 			}

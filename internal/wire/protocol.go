@@ -146,6 +146,10 @@ func (e *requestTooLargeError) Error() string {
 	return fmt.Sprintf("wire: request too large (%d bytes, limit %d)", e.n, maxRequestSize)
 }
 
+// readRequest reads one client request: a 4-byte little-endian length,
+// the protocol byte and that many bytes of SQL. The text is read as it
+// arrives (storage.ReadBytes), so a header claiming 16 MiB costs the
+// server nothing until the bytes come.
 func readRequest(r io.Reader) (Protocol, string, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -161,8 +165,8 @@ func readRequest(r io.Reader) (Protocol, string, error) {
 		}
 		return Protocol(hdr[4]), "", &requestTooLargeError{n}
 	}
-	sql := make([]byte, n)
-	if _, err := io.ReadFull(r, sql); err != nil {
+	sql, err := storage.ReadBytes(r, uint64(n))
+	if err != nil {
 		return 0, "", err
 	}
 	return Protocol(hdr[4]), string(sql), nil
@@ -181,6 +185,11 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
+// readFrame reads one server frame: the kind byte, a 4-byte
+// little-endian length and the payload. It allocates the claimed length
+// at once: the peer is the server the client dialed, its chunk frames
+// are legitimately megabytes, and a buffer grown as bytes arrive would
+// copy each of them again.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

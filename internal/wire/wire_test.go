@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vexdb/internal/catalog"
+	"vexdb/internal/difftest"
 	"vexdb/internal/engine"
 	"vexdb/internal/governor"
 	"vexdb/internal/vector"
@@ -100,7 +101,12 @@ func bigDB(t *testing.T, rows, workers int) *engine.DB {
 }
 
 func TestAllProtocolsRoundTrip(t *testing.T) {
-	_, addr := startServer(t)
+	db, addr := startServer(t)
+	const q = "SELECT id, v, name, raw FROM t ORDER BY id"
+	want, err := db.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
 		t.Run(proto.String(), func(t *testing.T) {
 			c, err := Dial(addr)
@@ -108,9 +114,12 @@ func TestAllProtocolsRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			tab, err := c.Query(proto, "SELECT id, v, name, raw FROM t ORDER BY id")
+			tab, err := c.Query(proto, q)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if d := difftest.Diff(tab, want.Table); d != "" {
+				t.Fatal(d)
 			}
 			if tab.NumRows() != 500 || tab.NumCols() != 4 {
 				t.Fatalf("dims %dx%d", tab.NumCols(), tab.NumRows())
@@ -137,7 +146,11 @@ func TestEscapingAndSpecialValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec(`INSERT INTO s VALUES ('tab	and
-newline', TRUE, -5), (NULL, FALSE, NULL)`); err != nil {
+newline', TRUE, -5), (NULL, FALSE, NULL), ('NULL', NULL, 0), ('', TRUE, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Exec("SELECT x, b, i FROM s")
+	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(db)
@@ -155,6 +168,9 @@ newline', TRUE, -5), (NULL, FALSE, NULL)`); err != nil {
 		c.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
+		}
+		if d := difftest.Diff(tab, want.Table); d != "" { // NULL apart from 'NULL' and ''
+			t.Fatalf("%s: %s", proto, d)
 		}
 		if got := tab.Column("x").Get(0).Str(); got != "tab\tand\nnewline" {
 			t.Fatalf("%s: escaped string = %q", proto, got)
@@ -373,29 +389,12 @@ func TestStreamedMatchesExecAllProtocols(t *testing.T) {
 				if err != nil {
 					t.Fatalf("w=%d %s %s: %v", workers, proto, q, err)
 				}
-				var rows int
-				for {
-					ch, err := st.Next()
-					if err != nil {
-						t.Fatalf("w=%d %s %s: %v", workers, proto, q, err)
-					}
-					if ch == nil {
-						break
-					}
-					for i := 0; i < ch.NumRows(); i++ {
-						for cidx := 0; cidx < ch.NumCols(); cidx++ {
-							got := ch.Col(cidx).Get(i).String()
-							exp := want.Table.Cols[cidx].Get(rows + i).String()
-							if got != exp {
-								t.Fatalf("w=%d %s %s: row %d col %d: %q != %q",
-									workers, proto, q, rows+i, cidx, got, exp)
-							}
-						}
-					}
-					rows += ch.NumRows()
+				got, err := difftest.Collect(st.Columns(), st.Types(), st.Next)
+				if err != nil {
+					t.Fatalf("w=%d %s %s: %v", workers, proto, q, err)
 				}
-				if rows != want.Table.NumRows() {
-					t.Fatalf("w=%d %s %s: %d rows, want %d", workers, proto, q, rows, want.Table.NumRows())
+				if d := difftest.Diff(got, want.Table); d != "" {
+					t.Fatalf("w=%d %s %s: %s", workers, proto, q, d)
 				}
 				c.Close()
 			}

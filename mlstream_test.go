@@ -85,10 +85,9 @@ func newMLStreamDB(t testing.TB, n int) *DB {
 // registerSerialPredict installs predict_serial: a non-Parallel UDF
 // reproducing the pre-streaming prediction path — fresh deserialization
 // on every call, the whole input scored by one ml.Predict. Because it
-// is not marked
-// Parallel, the planner routes it through udfProjectOp's
-// materialize-then-evaluate path, giving the differential baseline for
-// the streamed operator.
+// is not marked Parallel, mlProjectOp takes its input whole before the
+// one evaluation, giving the differential baseline for the streamed
+// path.
 func registerSerialPredict(t testing.TB, db *DB) {
 	t.Helper()
 	err := db.RegisterScalar(&ScalarFunc{
