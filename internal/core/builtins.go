@@ -158,32 +158,32 @@ func builtinScalars() []*ScalarFunc {
 			},
 		},
 		{
-			Name:  "coalesce",
-			Arity: -1,
-			ReturnType: func(args []vector.Type) (vector.Type, error) {
-				if len(args) == 0 {
-					return vector.Invalid, fmt.Errorf("coalesce: requires arguments")
-				}
-				for _, t := range args {
-					if t != vector.Invalid {
-						return t, nil
-					}
-				}
-				return args[0], nil
-			},
-			Parallel: true,
+			Name:       "coalesce",
+			Arity:      -1,
+			ReturnType: coalesceType,
+			Parallel:   true,
 			Eval: func(args []*vector.Vector) (*vector.Vector, error) {
-				if len(args) == 0 {
-					return nil, fmt.Errorf("coalesce: requires arguments")
+				types := make([]vector.Type, len(args))
+				for i, a := range args {
+					types[i] = a.Type()
+				}
+				t, err := coalesceType(types)
+				if err != nil {
+					return nil, fmt.Errorf("coalesce: %w", err)
 				}
 				n := args[0].Len()
-				out := vector.New(args[0].Type(), n)
+				out := vector.New(t, n)
 				for i := 0; i < n; i++ {
-					var v vector.Value = vector.Null()
+					v := vector.Null()
 					for _, a := range args {
 						if !a.IsNull(i) {
 							v = a.Get(i)
 							break
+						}
+					}
+					if !v.IsNull() && v.Type() != t {
+						if v, err = v.Cast(t); err != nil {
+							return nil, fmt.Errorf("coalesce: %w", err)
 						}
 					}
 					out.AppendValue(v)
@@ -192,4 +192,32 @@ func builtinScalars() []*ScalarFunc {
 			},
 		},
 	}
+}
+
+// coalesceType is coalesce's result type: its arguments' common numeric
+// type, or their one type when that is not numeric. An untyped argument
+// (Invalid) takes the type of the others, DOUBLE when none is typed; a
+// mix no cast reconciles (VARCHAR with INTEGER) is an error.
+func coalesceType(args []vector.Type) (vector.Type, error) {
+	if len(args) == 0 {
+		return vector.Invalid, fmt.Errorf("requires arguments")
+	}
+	t := vector.Invalid
+	for _, a := range args {
+		switch {
+		case a == vector.Invalid || a == t:
+		case t == vector.Invalid:
+			t = a
+		default:
+			c, ok := vector.CommonNumeric(t, a)
+			if !ok {
+				return vector.Invalid, fmt.Errorf("arguments of types %s and %s have no common type", t, a)
+			}
+			t = c
+		}
+	}
+	if t == vector.Invalid {
+		return vector.Float64, nil
+	}
+	return t, nil
 }

@@ -30,7 +30,9 @@ type ScalarFunc struct {
 	Name string
 	// Arity is the required argument count; -1 accepts any count.
 	Arity int
-	// ReturnType infers the output type from argument types.
+	// ReturnType infers the output type from argument types. An untyped
+	// argument (a bare NULL) is passed as Invalid and is then evaluated
+	// as a NULL of the type ReturnType gives.
 	ReturnType func(args []vector.Type) (vector.Type, error)
 	// Eval computes the result column. It must return a vector whose
 	// length equals the input length (all inputs are equal length);

@@ -281,6 +281,35 @@ func TestBuiltinFunctions(t *testing.T) {
 	}
 }
 
+// TestCoalesceMixedTypes: coalesce returns its arguments' common numeric
+// type, each chosen value cast to it, and refuses at bind a mix no cast
+// reconciles. A bare NULL argument takes the type of the others.
+func TestCoalesceMixedTypes(t *testing.T) {
+	db := newTestDB(t)
+	for _, c := range []struct {
+		query string
+		want  vector.Value
+	}{
+		{"SELECT coalesce(CAST(NULL AS INTEGER), 2.5) AS c", vector.NewFloat64(2.5)},
+		{"SELECT coalesce(CAST(NULL AS INTEGER), CAST(7000000000 AS BIGINT)) AS c", vector.NewInt64(7000000000)},
+		{"SELECT coalesce(age, score) AS c FROM users WHERE id = 1", vector.NewFloat64(30)},
+		{"SELECT coalesce(score, age) AS c FROM users WHERE id = 4", vector.NewFloat64(25)},
+		{"SELECT coalesce(name, NULL) AS c FROM users WHERE id = 1", vector.NewString("alice")},
+		{"SELECT coalesce(age, NULL) AS c FROM users WHERE id = 1", vector.NewInt32(30)},
+		{"SELECT coalesce(NULL, 'a') AS c", vector.NewString("a")},
+		{"SELECT coalesce(NULL, age) AS c FROM users WHERE id = 2", vector.NewInt32(25)},
+	} {
+		got := mustQuery(t, db, c.query).Cols[0]
+		if d, err := got.Get(0).Compare(c.want); got.Type() != c.want.Type() || err != nil || d != 0 {
+			t.Errorf("%q = %v (%s), want %v (%s)", c.query, got.Get(0), got.Type(), c.want, c.want.Type())
+		}
+	}
+	const mixed = "SELECT coalesce(name, age) AS c FROM users"
+	if _, err := db.Exec(mixed); err == nil || !strings.Contains(err.Error(), "no common type") {
+		t.Fatalf("%q: %v, want a bind error", mixed, err)
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	db := newTestDB(t)
 	tab := mustQuery(t, db, "SELECT DISTINCT age FROM users ORDER BY age")

@@ -722,8 +722,7 @@ func FuzzReadPartial(f *testing.F) {
 		defer ctx.spillMgr.Close()
 		sp := newAggSpiller(l, newGrace(ctx, &l.rows, 4, 0))
 		for range 2 {
-			sp.g.parts[0].streams[partialRows].cols = cols
-			if err := sp.g.flushStreams(0); err != nil {
+			if err := sp.g.write(&sp.g.parts[0].streams[partialRows], cols); err != nil {
 				t.Fatal(err)
 			}
 		}

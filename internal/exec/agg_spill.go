@@ -23,6 +23,20 @@
 // cardinality, short inputs) meet in the same partitions at the finish;
 // a lone table emits as it is.
 //
+// Out of core, what a spilled partition keeps between writes is at most
+// one chunk per stream: rows are staged in columns that grow to
+// DefaultChunkSize rows of the stream's layout once, are written as a
+// chunk when the next block would overfill them and are reset for the
+// next; the stream's last flush drops them (grace.stage; not charged to
+// the budget).
+// Evicted partitions end one at a time, each with the whole budget: the
+// routers are closed by then, and the runs emitted so far are held
+// (aggOut.keep) only until a reload takes the query over its budget with
+// them — shouldSpill over the reload's table and the held runs — which
+// writes them to the out-file (aggOut.evict); only a table over the
+// budget on its own re-partitions. A partition that fits the budget
+// alone is read back once and never split.
+//
 // Rows of one group hash to one partition chain and firstSeen is the
 // minimum input position over a group's rows — neither depends on who
 // saw which row when — so output bytes do not depend on the worker
@@ -208,10 +222,12 @@ func (s *aggSpiller) dumpTable(t *aggTable) error {
 // an aggregation's partitions end. Up to workers owners claim partitions
 // off a cursor; an owner folds in what the routers' blocks and then the
 // thread-local tables still hold for its partition, each in consumer
-// order, flushes what is buffered for disk and, if the partition is
-// resident, emits it: its groups are already merged by key. Evicted
-// partitions then re-aggregate one at a time (a reloaded partition may
-// need the whole budget).
+// order, flushes what is staged for disk and, if the partition is
+// resident, emits it: its groups are already merged by key. The routers
+// then close, and evicted partitions re-aggregate one at a time, since a
+// reloaded partition may need the whole budget: nothing of the pass
+// holds any of it by then but the runs out keeps, which a reload writes
+// to disk before it would re-partition.
 func (s *aggSpiller) finish(routers []*graceRouter, tables []*aggTable, workers int, out *aggOut) ([]*mergeRun, error) {
 	g := s.g
 	sels := make([][][]int, len(tables))
@@ -244,6 +260,9 @@ func (s *aggSpiller) finish(routers []*graceRouter, tables []*aggTable, workers 
 		runs[p] = []*mergeRun{mr}
 		return err
 	})
+	for _, r := range routers { // flushed: what their blocks held is the reloads'
+		r.close()
+	}
 	var spilled, resident int64
 	for p := range g.parts {
 		if st := &g.parts[p].streams; err == nil && len(st[0].refs)+len(st[1].refs) > 0 {
@@ -442,9 +461,7 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 		run, err = t.emitRun(ctx, nil)
 		runs = []*mergeRun{newMemRun(run)}
 	default:
-		sp := shared.get(ctx, spec)
-		out.spill = sp.g.overflowed.Load()
-		runs, err = sp.finish(routers, tables, len(consumers), out)
+		runs, err = shared.get(ctx, spec).finish(routers, tables, len(consumers), out)
 	}
 	// The aggregation state dies here; only the emitted runs live on.
 	for _, c := range consumers {
@@ -457,43 +474,63 @@ func finishAggEmit(ctx *Context, spec *plan.Aggregate, consumers []*aggConsumer,
 	return newRunMerger(ctx, nil, runs, -1, out.files, out.held), nil
 }
 
-// aggOut is where an aggregation's partition runs go: kept in memory
-// (their bytes accounted into held, released when the merger closes)
-// unless the aggregation overflowed its budget — spill — and the query
-// is still over it; then written to one shared out-file, created on
-// first need and owned by the merger, so merge-time memory stays
-// bounded by O(partitions) windows. Partition owners share it.
+// aggOut is where an aggregation's partition runs go: held in memory,
+// their bytes accounted into held (released when the merger closes),
+// until a reloaded partition needs the room (processAggPartition) and
+// evict writes them to one shared out-file, created on first need and
+// owned by the merger, so merge-time memory stays bounded by
+// O(partitions) windows. Partition owners share it.
 type aggOut struct {
 	ctx   *Context
 	st    *nodeStats // the node's record: runs spilled
-	spill bool
 	mu    sync.Mutex
 	files []*spill.File // none, or the out-file
 	held  int64
+	kept  []*mergeRun // the runs held in memory and not yet evicted
 }
 
-// keep takes one partition's run.
-func (o *aggOut) keep(run *sortedRun) (*mergeRun, error) {
+// keep holds one partition's run.
+func (o *aggOut) keep(run *sortedRun) *mergeRun {
+	mr := newMemRun(run)
 	if run.data.NumRows() == 0 {
-		return newMemRun(run), nil
+		return mr
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.spill && o.ctx.overBudget() {
-		if o.files == nil {
-			f, err := o.ctx.spillManager().Create("agg-out")
-			if err != nil {
-				return nil, err
-			}
-			o.files = []*spill.File{f}
-		}
-		o.st.runs.Add(1)
-		return spillSortedRun(o.files[0], run, nil)
-	}
 	b := runBytes(run)
 	o.held += b
 	o.ctx.memGrow(b)
-	return newMemRun(run), nil
+	o.kept = append(o.kept, mr)
+	return mr
+}
+
+// evict writes held runs to the out-file, oldest first, while over says
+// the room is still needed, and returns their bytes to the budget. A run
+// turns into its spilled form in place: the merger has not seen it yet.
+func (o *aggOut) evict(over func() bool) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for ; len(o.kept) > 0 && over(); o.kept = o.kept[1:] {
+		if o.files == nil {
+			f, err := o.ctx.spillManager().Create("agg-out")
+			if err != nil {
+				return err
+			}
+			o.files = []*spill.File{f}
+		}
+		mr := o.kept[0]
+		run := mr.cur
+		spilled, err := spillSortedRun(o.files[0], run, nil)
+		if err != nil {
+			return err
+		}
+		*mr = *spilled
+		b := runBytes(run)
+		o.held -= b
+		o.ctx.memShrink(b)
+		o.st.runs.Add(1)
+	}
+	return nil
 }
 
 // emitAggRun emits a finished table as a run and releases its bytes.
@@ -503,7 +540,7 @@ func emitAggRun(ctx *Context, t *aggTable, out *aggOut) (*mergeRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return out.keep(run)
+	return out.keep(run), nil
 }
 
 // processAggPartition re-aggregates evicted partition p of sp: partial
@@ -525,12 +562,14 @@ func processAggPartition(sp *aggSpiller, p int, out *aggOut) ([]*mergeRun, error
 		}
 	}()
 
-	// grown charges what the last chunk added to t and, once t is over
-	// budget, hands it to a sub-spiller on the next hash nibble.
+	// grown charges what the last chunk added to t. While t and the runs
+	// held so far are over budget it writes runs out and then, if t alone
+	// is over it still, hands t to a sub-spiller on the next hash nibble.
+	over := func() bool { return ctx.shouldSpill(t.size() + out.held) }
 	grown := func(prev int64) error {
 		ctx.memGrow(t.size() - prev)
-		if !ctx.shouldSpill(t.size()) {
-			return nil
+		if err := out.evict(over); err != nil || !ctx.shouldSpill(t.size()) {
+			return err
 		}
 		sub = newAggSpiller(layout, sp.g.sub())
 		router = sub.g.newRouter(rawRows, sub.foldRaw)

@@ -160,10 +160,7 @@ func (g *grace) deliver(p, stream int, cols []*vector.Vector, hashes []uint64, f
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if pt.spilled {
-		if b := &pt.streams[stream]; b.add(cols) >= vector.DefaultChunkSize {
-			return g.flush(b)
-		}
-		return nil
+		return g.stage(&pt.streams[stream], cols)
 	}
 	grown, err := fold(p, cols, hashes)
 	g.charge(pt, grown)
@@ -223,13 +220,42 @@ func (g *grace) evictPart(p int) error {
 	g.overflowed.Store(true)
 	pt.spilled = true
 	g.charge(pt, -pt.bytes)
-	pt.streams[0].cols = g.evict(p)
-	return g.flush(&pt.streams[0])
+	return g.write(&pt.streams[0], g.evict(p))
 }
 
-// flush writes one stream's buffered rows as a chunk.
+// stage appends rows to a spilled partition's stream. Staged rows the
+// block would take past one chunk are written first, and a block of a
+// chunk or more is written as it is, so a chunk holds at most
+// DefaultChunkSize rows and the staging stops growing at its first
+// chunk: from then on it is reused, emptied after each write.
+func (g *grace) stage(b *spillBuf, cols []*vector.Vector) error {
+	n := cols[0].Len()
+	if b.rows()+n > vector.DefaultChunkSize {
+		if err := g.flush(b); err != nil {
+			return err
+		}
+	}
+	if n >= vector.DefaultChunkSize {
+		return g.write(b, cols)
+	}
+	b.add(cols)
+	return nil
+}
+
+// flush writes one stream's staged rows as a chunk and empties the
+// staging for the next: WriteChunkRef has encoded them by the time it
+// returns, so nothing aliases the columns any more.
 func (g *grace) flush(b *spillBuf) error {
-	if b.rows() == 0 {
+	err := g.write(b, b.cols)
+	for _, v := range b.cols {
+		v.Reset()
+	}
+	return err
+}
+
+// write appends rows to the pass's file as one chunk of stream b.
+func (g *grace) write(b *spillBuf, cols []*vector.Vector) error {
+	if len(cols) == 0 || cols[0].Len() == 0 {
 		return nil
 	}
 	g.fileMu.Lock()
@@ -241,19 +267,22 @@ func (g *grace) flush(b *spillBuf) error {
 		}
 		g.file = file
 	}
-	ref, err := g.file.WriteChunkRef(b.cols)
+	ref, err := g.file.WriteChunkRef(cols)
 	if err != nil {
 		return err
 	}
 	b.refs = append(b.refs, ref)
-	b.cols = nil
 	return nil
 }
 
-// flushStreams writes out what partition p still buffers for disk.
+// flushStreams writes out what partition p still stages for disk and
+// drops the staging: a stream is flushed so when it gets no more rows
+// (one that later does, a join's probe rows, stages them anew).
 func (g *grace) flushStreams(p int) error {
 	pt := &g.parts[p]
-	return errors.Join(g.flush(&pt.streams[0]), g.flush(&pt.streams[1]))
+	err := errors.Join(g.flush(&pt.streams[0]), g.flush(&pt.streams[1]))
+	pt.streams[0].cols, pt.streams[1].cols = nil, nil
+	return err
 }
 
 // reload reads one stream of spilled partition p back, a chunk at a time
@@ -406,7 +435,8 @@ func (r *graceRouter) close() {
 // ------------------------------------------------------- files
 
 // spillBuf is one partition's stream of spilled rows of one layout: the
-// rows buffered in memory and the refs of the chunks already written.
+// rows staged in memory and the refs of the chunks already written. (A
+// join's resident partition keeps its build rows in one too, cols only.)
 type spillBuf struct {
 	cols []*vector.Vector
 	refs []spill.ChunkRef
@@ -420,8 +450,8 @@ func (b *spillBuf) rows() int {
 }
 
 // add appends rows to the buffer, which takes its layout from the first
-// rows it is given, and returns how many it holds.
-func (b *spillBuf) add(cols []*vector.Vector) int {
+// rows it is given.
+func (b *spillBuf) add(cols []*vector.Vector) {
 	if b.cols == nil {
 		b.cols = make([]*vector.Vector, len(cols))
 		for i, c := range cols {
@@ -431,7 +461,6 @@ func (b *spillBuf) add(cols []*vector.Vector) int {
 	for i, c := range cols {
 		b.cols[i].AppendVector(c)
 	}
-	return b.rows()
 }
 
 // errCorruptSpill marks spill chunks that do not have the layout their

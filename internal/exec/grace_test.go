@@ -207,3 +207,51 @@ func TestGraceEveryRowOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestGraceStagingAllocatesNothing: once a partition is spilled and its
+// staging has grown to a chunk, routing blocks into it and writing the
+// staged chunk allocates nothing: the staging is reset after every
+// write, not dropped.
+func TestGraceStagingAllocatesNothing(t *testing.T) {
+	ctx, _ := graceCtx(t, 2<<20) // blocks of a quarter chunk
+	var log []string
+	cp := newCountPass(newGrace(ctx, countLayout(), 4, 0), &log)
+	r := cp.g.newRouter(keyRows, cp.fold)
+	defer r.close()
+	defer cp.g.abandon()
+	if r.rows != vector.DefaultChunkSize/4 {
+		t.Fatalf("blocks of %d rows, want %d", r.rows, vector.DefaultChunkSize/4)
+	}
+	// A chunk's worth of keys that all belong to partition 0: four blocks
+	// staged, and a chunk written each time the next block comes.
+	cand := make([]int64, 32*vector.DefaultChunkSize)
+	for i := range cand {
+		cand[i] = int64(i)
+	}
+	var keys []int64
+	var hashes []uint64
+	for i, h := range hashKeyRows([]*vector.Vector{vector.FromInt64s(cand)}, len(cand), nil) {
+		if partitionOf(h, 4, 0) == 0 && len(keys) < vector.DefaultChunkSize {
+			keys, hashes = append(keys, cand[i]), append(hashes, h)
+		}
+	}
+	cols := []*vector.Vector{vector.FromInt64s(keys)}
+	route := func() {
+		if err := r.route(cols, hashes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route() // resident: folded
+	if err := cp.g.evictPart(0); err != nil {
+		t.Fatal(err)
+	}
+	route() // spilled: the staging grows to a chunk
+	if allocs := testing.AllocsPerRun(20, route); allocs != 0 {
+		t.Fatalf("%.0f allocations a chunk routed into a spilled partition, want 0", allocs)
+	}
+	// A chunk a call after the one that filled the staging: AllocsPerRun's
+	// warm-up and its 20.
+	if refs := len(cp.g.parts[0].streams[keyRows].refs); refs != 21 {
+		t.Fatalf("%d chunks written, want 21", refs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
 	"vexdb/internal/vector"
 )
@@ -134,4 +135,49 @@ func TestHybridAggGrowBudgetAvoidsSpill(t *testing.T) {
 			ctx.prof.Partitions(), ctx.prof.BytesWritten())
 	}
 	assertTempDirEmpty(t, dir)
+}
+
+// TestReloadedPartitionAggregatesInOnePass: a GROUP BY on an integer
+// and a string, about four rows a group (the shape of the benchmark's
+// agg_lo), under a budget a level-0 partition fits alone but not beside
+// the runs of the partitions emitted before it. A reload that outgrows
+// the budget writes those runs out before it re-partitions, so no
+// level-1 pass runs: at most the 16 level-0 partitions spill, and every
+// run written is a partition's.
+func TestReloadedPartitionAggregatesInOnePass(t *testing.T) {
+	const rows = 64 << 10
+	tab, err := catalog.New().CreateTable("e", catalog.Schema{
+		{Name: "lo", Type: vector.Int64}, {Name: "cat", Type: vector.String}, {Name: "w", Type: vector.Float64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	los, cats, ws := make([]int64, rows), make([]string, rows), make([]float64, rows)
+	for i := range rows {
+		h := uint64(i+1) * 0x9E3779B97F4A7C15
+		los[i], cats[i], ws[i] = int64(h>>40%250), fmt.Sprintf("c%02d", h>>20%64), float64(h>>8%4096)/16
+	}
+	if err := tab.Data.AppendChunk(vector.NewChunk(vector.FromInt64s(los), vector.FromStrings(cats), vector.FromFloat64s(ws))); err != nil {
+		t.Fatal(err)
+	}
+	node := &plan.Aggregate{
+		GroupBy:    []plan.Expr{colRef(0, vector.Int64), colRef(1, vector.String)},
+		GroupNames: []string{"lo", "cat"},
+		Aggs: []plan.AggSpec{
+			{Kind: plan.AggCount, Name: "n", Typ: vector.Int64},
+			{Kind: plan.AggSum, Arg: colRef(2, vector.Float64), Name: "sw", Typ: vector.Float64},
+		},
+		Child: &plan.Scan{Table: tab},
+	}
+	want := runPlan(t, node, &Context{Parallelism: 1})
+	for _, workers := range []int{1, 2} {
+		label := fmt.Sprintf("workers=%d", workers)
+		ctx, dir := spillCtx(t, workers, 320<<10)
+		assertTablesEqual(t, runPlan(t, node, ctx), want, label)
+		assertTempDirEmpty(t, dir)
+		spilled, resident, runs := ctx.prof.Partitions(), ctx.prof.ResidentPartitions(), ctx.prof.Runs()
+		t.Logf("%s: spilled=%d resident=%d runs=%d written=%d", label, spilled, resident, runs, ctx.prof.BytesWritten())
+		if spilled == 0 || spilled > 16 || runs > spilled+resident {
+			t.Fatalf("%s: spilled=%d resident=%d runs=%d: want 1-16 partitions spilled and no more runs than partitions", label, spilled, resident, runs)
+		}
+	}
 }

@@ -559,9 +559,10 @@ func FuzzJoinSpillChunk(f *testing.F) {
 		up := js.newPass(js.top.g.sub())
 		pt := &up.g.parts[0]
 		pt.spilled = true
-		pt.streams[buildRows].cols, pt.streams[probeRows].cols = build, probe
-		if err := up.g.flushStreams(0); err != nil {
-			t.Fatal(err)
+		for stream, cols := range [2][]*vector.Vector{buildRows: build, probeRows: probe} {
+			if err := up.g.write(&pt.streams[stream], cols); err != nil {
+				t.Fatal(err)
+			}
 		}
 		defer up.g.abandon()
 		ps := &probeState{sorter: newRunBuilder(js.ctx, joinSortKeys(js.outCols), 0, "join-out", &nodeStats{})}

@@ -494,9 +494,11 @@ func (s *runSort) compareSort(recs []sortRec, k int) error {
 }
 
 // buildRun sorts the current buffer by (keys, position) into a run,
-// truncated to the top-k limit when one is set, and resets the buffer.
-// The position tiebreak is explicit (not via sort stability): after a
-// top-k compaction the buffer is no longer in position order.
+// truncated to the top-k limit when one is set, and gives the buffer's
+// charge back: the run is a copy, and the buffer's columns are the
+// caller's to drop or reuse. The position tiebreak is explicit (not via
+// sort stability): after a top-k compaction the buffer is no longer in
+// position order.
 func (b *runBuilder) buildRun() (*sortedRun, error) {
 	n := len(b.pos)
 	// One allocation holds the records and the record sort's scratch;
@@ -534,7 +536,7 @@ func (b *runBuilder) buildRun() (*sortedRun, error) {
 		}
 	}
 	b.ctx.memShrink(b.bytes)
-	b.data, b.keys, b.pos, b.bytes, b.thr = nil, nil, nil, 0, -1
+	b.bytes, b.thr = 0, -1
 	return run, nil
 }
 
@@ -556,12 +558,21 @@ func (b *runBuilder) compact() error {
 }
 
 // spillCurrent sorts the buffer into a run and writes it to the
-// builder's spill file, freeing the buffer's memory.
+// builder's spill file. The buffer's charge goes back to the budget and
+// its columns are emptied, not dropped: the next run fills the arrays
+// this one grew.
 func (b *runBuilder) spillCurrent() error {
 	run, err := b.buildRun()
 	if err != nil {
 		return err
 	}
+	for _, v := range b.data {
+		v.Reset()
+	}
+	for _, v := range b.keys { // a ColRef key is a data column, reset again
+		v.Reset()
+	}
+	b.pos = b.pos[:0]
 	if b.file == nil {
 		f, err := b.ctx.spillManager().Create(b.label)
 		if err != nil {
@@ -590,6 +601,7 @@ func (b *runBuilder) finish() error {
 	if err != nil {
 		return err
 	}
+	b.data, b.keys, b.pos = nil, nil, nil
 	b.held = runBytes(run)
 	b.ctx.memGrow(b.held)
 	b.runs = append(b.runs, newMemRun(run))

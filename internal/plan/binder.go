@@ -621,8 +621,7 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			args[i] = settle(ba, vector.Float64)
-			types[i] = args[i].Type()
+			args[i], types[i] = ba, ba.Type()
 		}
 		rt, err := fn.ReturnType(types)
 		if err != nil {
@@ -630,6 +629,9 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope) (Expr, error) {
 		}
 		if rt == vector.Invalid {
 			return nil, fmt.Errorf("plan: function %s returns no type", x.Name)
+		}
+		for i := range args { // an untyped argument takes the call's type
+			args[i] = settle(args[i], rt)
 		}
 		return &Call{Fn: fn, Args: args, Typ: rt}, nil
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"vexdb/internal/storage"
@@ -141,13 +142,16 @@ func (m *Manager) release(f *File) {
 
 // File is one append-only spill file holding a sequence of chunks:
 // WriteChunkRef appends one and returns where it lies, ReadChunkAt
-// reads it back. A File is not safe for concurrent use.
+// reads it back. A File is not safe for concurrent use, and its two
+// buffers rely on that: one chunk is encoded into buf and one read into
+// rbuf at a time, each reused for the file's next.
 type File struct {
 	mgr  *Manager
 	f    *os.File
 	path string
 	w    *bufio.Writer
-	buf  []byte // the chunk being written, reused across the file's chunks
+	buf  []byte // the chunk being written
+	rbuf []byte // the chunk being read; DecodeChunk copies every value out of it
 
 	written int64
 	dirty   bool // buffered writes not yet flushed
@@ -211,11 +215,11 @@ func (f *File) ReadChunkAt(ref ChunkRef) ([]*vector.Vector, error) {
 		}
 		f.dirty = false
 	}
-	buf := make([]byte, ref.Len)
-	if _, err := f.f.ReadAt(buf, ref.Off); err != nil {
+	f.rbuf = slices.Grow(f.rbuf[:0], int(ref.Len))[:ref.Len]
+	if _, err := f.f.ReadAt(f.rbuf, ref.Off); err != nil {
 		return nil, fmt.Errorf("spill: read chunk at %d: %w", ref.Off, err)
 	}
-	cols, rest, err := storage.DecodeChunk(buf)
+	cols, rest, err := storage.DecodeChunk(f.rbuf)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("spill: %w", err)

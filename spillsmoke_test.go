@@ -91,28 +91,45 @@ func TestSpillSmoke(t *testing.T) {
 
 // BenchmarkMicroAggregateSpill measures the 200k-row high-cardinality
 // GROUP BY at an unlimited budget vs. a 4MB budget (grace-partitioned
-// out-of-core aggregation).
+// out-of-core aggregation), and a GROUP BY on an integer and a string,
+// about four rows a group, under 1MB: a budget each level-0 partition
+// fits alone, so no reload should re-partition. partitions/op is what
+// spilled, at most the 16 of level 0 when none does.
 func BenchmarkMicroAggregateSpill(b *testing.B) {
 	const rows = 200_000
-	for _, budget := range []int64{0, 4 << 20} {
-		name := "unlimited"
-		if budget > 0 {
-			name = "budget4MB"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			db := OpenOptions(Options{MemoryBudget: budget, TempDir: dir})
+	for _, c := range []struct {
+		name, query string
+		budget      int64
+	}{
+		{"unlimited", "SELECT key, count(*) AS n, sum(val) AS s FROM events GROUP BY key", 0},
+		{"budget4MB", "SELECT key, count(*) AS n, sum(val) AS s FROM events GROUP BY key", 4 << 20},
+		{"strKey/budget1MB", "SELECT key % 3000 AS k, tag, count(*) AS n, sum(val) AS s FROM events GROUP BY key % 3000, tag", 1 << 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db := OpenOptions(Options{MemoryBudget: c.budget, TempDir: b.TempDir()})
 			loadSpillWorkload(b, db, rows)
+			var partitions int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query("SELECT key, count(*) AS n, sum(val) AS s FROM events GROUP BY key")
+				rows, err := db.QueryStream(c.query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if tab.NumRows() == 0 {
+				n := 0
+				for rows.Next() {
+					n++
+				}
+				if err := rows.Err(); err != nil {
+					b.Fatal(err)
+				}
+				parts, _, _, _ := rows.SpillStats()
+				partitions += parts
+				rows.Close()
+				if n == 0 {
 					b.Fatal("empty result")
 				}
 			}
+			b.ReportMetric(float64(partitions)/float64(b.N), "partitions/op")
 		})
 	}
 }
