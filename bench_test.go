@@ -103,16 +103,24 @@ func BenchmarkMicroScanFilter(b *testing.B) {
 // benchmark sweeps. workers=1 is the serial baseline.
 var benchParallelWorkers = []int{1, 2, 4, 8}
 
+// withWorkers opens a session of db at the given width through SET.
+func withWorkers(b *testing.B, db *vexdb.DB, workers int) *vexdb.Session {
+	s := db.Session()
+	if _, err := s.Exec(fmt.Sprintf("SET workers = %d", workers)); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 func benchQueryParallel(b *testing.B, query string, check func(tab interface{ NumRows() int }) bool) {
 	db := votersDB(b)
-	defer db.SetParallelism(0)
 	for _, workers := range benchParallelWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetParallelism(workers)
+			s := withWorkers(b, db, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query(query)
+				tab, err := s.Query(query)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,14 +194,13 @@ func aggBenchEnv(b *testing.B) *vexdb.DB {
 
 func benchAggregate(b *testing.B, query string, minGroups int) {
 	db := aggBenchEnv(b)
-	defer db.SetParallelism(0)
 	for _, workers := range benchParallelWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetParallelism(workers)
+			s := withWorkers(b, db, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query(query)
+				tab, err := s.Query(query)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,12 +280,12 @@ func BenchmarkMicroHashJoinMultiKey(b *testing.B) {
 		}
 		for _, workers := range benchParallelWorkers {
 			b.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(b *testing.B) {
-				db.SetParallelism(workers)
+				s := withWorkers(b, db, workers)
 				var spilled int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := db.QueryStream("SELECT sum(d.v) AS n FROM events e JOIN dim d ON e.lo = d.lo AND e.cat = d.cat")
+					r, err := s.QueryStream("SELECT sum(d.v) AS n FROM events e JOIN dim d ON e.lo = d.lo AND e.cat = d.cat")
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -16,6 +16,10 @@
 // the WAL is checkpointed and sealed, then the process exits. A
 // second signal aborts immediately.
 //
+// -workers and -mem-budget are defaults: each connection is one
+// session, which SET workers = 2, SET memory_budget = 65536 or SET
+// planner = off change for that connection alone.
+//
 // Usage:
 //
 //	csdb-server [-addr 127.0.0.1:5433] [-db DIR] [-wal-dir DIR] [-init script.sql]

@@ -1,7 +1,10 @@
 // Command csdb is an interactive SQL shell for a vexdb database
 // (with the ML UDF suite loaded). It reads semicolon-terminated
 // statements from stdin or executes -c / -f input, against an
-// in-memory database or a directory opened with -db.
+// in-memory database or a directory opened with -db. Every statement
+// runs in one session, which starts at the -workers and -mem-budget
+// defaults; SET changes it for the statements after it, and SHOW
+// prints a setting.
 //
 // Usage:
 //
@@ -9,6 +12,13 @@
 //	csdb -db ./mydb           # open (and on exit save) a directory DB
 //	csdb -c "SELECT 1 + 1"    # run one statement
 //	csdb -f script.sql        # run a script
+//
+// A script can state one point of the byte-identity matrix:
+//
+//	SET workers = 2;
+//	SET memory_budget = 65536;
+//	SET planner = off;
+//	SELECT k, count(*) FROM t GROUP BY k;
 package main
 
 import (
@@ -38,10 +48,11 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("-mem-budget: %w", err))
 	}
+	opts := vexdb.Options{Parallelism: *workers, MemoryBudget: budget, TempDir: *tempDir, QueryTimeout: *queryTimeout}
 	var db *vexdb.DB
 	if *dbDir != "" {
 		if _, err := os.Stat(*dbDir); err == nil {
-			opened, err := vexdb.OpenDir(*dbDir)
+			opened, err := vexdb.OpenDirOptions(*dbDir, opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -49,12 +60,10 @@ func main() {
 		}
 	}
 	if db == nil {
-		db = vexdb.Open()
+		db = vexdb.OpenOptions(opts)
 	}
-	db.SetParallelism(*workers)
-	db.SetMemoryBudget(budget)
-	db.SetTempDir(*tempDir)
-	db.SetQueryTimeout(*queryTimeout)
+	sess := db.Session()
+	defer sess.Close()
 
 	exec := func(stmt string) bool {
 		stmt = strings.TrimSpace(stmt)
@@ -62,7 +71,7 @@ func main() {
 			return true
 		}
 		start := time.Now()
-		rows, err := db.QueryStream(stmt)
+		rows, err := sess.QueryStream(stmt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return false

@@ -3,7 +3,10 @@
 // budget, planner setting and delivery mode. Like net/http/httptest it
 // is a non-test package for tests to import; it knows nothing of the
 // engine, only of the tables a caller's run returns, so the engine's,
-// the executor's and the public package's tests share it.
+// the executor's and the public package's tests share it. Matrix runs
+// its points concurrently on the caller's one database, each in its own
+// session, so the contract is held under concurrent queries too, and a
+// caller's run must be safe for concurrent use.
 package difftest
 
 import (
@@ -13,6 +16,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"vexdb/internal/vector"
@@ -40,9 +44,18 @@ func (p Point) String() string {
 // differing row where a result differs in any bit from the oracle's
 // (width 1, unlimited, planner off, materialized) or run fails. It
 // returns the oracle's table for the caller to assert the rows it
-// expects. run sets the knobs to the point and reads q's result; a
-// caller that checks more at each point (scan or spill counters, the
-// plan) does so inside run.
+// expects.
+//
+// The oracle runs first; the other 23 points then run at once, each
+// on its own goroutine, so run must be safe for concurrent use: it
+// reads q's result in a session of its own at the point's settings,
+// never by changing state the points share. Where several points fail,
+// the lowest-numbered one is reported, so a failure reads the same
+// from run to run. A caller that checks more at each point (scan or
+// spill counters, the plan) does so inside run and reports a failed
+// check as run's error, since run is off the test's goroutine; a check
+// of state the points share (a temp directory left empty) follows
+// Matrix's return.
 func Matrix(t testing.TB, q string, tight int64, run func(Point) (*vector.Table, error)) *vector.Table {
 	t.Helper()
 	var ps []Point // the oracle first
@@ -59,13 +72,23 @@ func Matrix(t testing.TB, q string, tight int64, run func(Point) (*vector.Table,
 	if err != nil {
 		t.Fatalf("%s at %v: %v", q, ps[0], err)
 	}
-	for _, p := range ps[1:] {
-		got, err := run(p)
-		if err != nil {
-			t.Fatalf("%s at %v: %v", q, p, err)
-		}
-		if d := Diff(got, oracle); d != "" {
-			t.Fatalf("%s at %v: %s", q, p, d)
+	fails := make([]string, len(ps))
+	var wg sync.WaitGroup
+	for i, p := range ps[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := run(p); err != nil {
+				fails[i+1] = err.Error()
+			} else {
+				fails[i+1] = Diff(got, oracle)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, f := range fails {
+		if f != "" {
+			t.Fatalf("%s at %v: %s", q, ps[i], f)
 		}
 	}
 	return oracle

@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"vexdb/internal/vector"
 )
@@ -49,19 +51,34 @@ func TestFingerprintTellsApart(t *testing.T) {
 	}
 }
 
-// TestMatrixRunsEveryPoint: the oracle comes first, every point of the
-// product is run once, and the oracle's table is returned.
+// TestMatrixRunsEveryPoint: the oracle comes first and alone, the
+// other 23 points of the product are all in flight at once, each is run
+// once, and the oracle's table is returned.
 func TestMatrixRunsEveryPoint(t *testing.T) {
+	var mu sync.Mutex
 	seen := map[Point]bool{}
+	all := make(chan struct{}) // closed once the 23 are in flight
 	want := table("a", vector.FromInt64s([]int64{1, 2}))
 	got := Matrix(t, "q", 64<<10, func(p Point) (*vector.Table, error) {
-		if len(seen) == 0 && p != (Point{Width: 1}) {
-			t.Fatalf("first point %v is not the oracle", p)
-		}
-		if seen[p] {
-			t.Fatalf("%v run twice", p)
-		}
+		mu.Lock()
+		first, twice := len(seen) == 0, seen[p]
 		seen[p] = true
+		if len(seen) == 24 {
+			close(all)
+		}
+		mu.Unlock()
+		switch {
+		case first && p != (Point{Width: 1}):
+			return nil, fmt.Errorf("first point %v is not the oracle", p)
+		case twice:
+			return nil, fmt.Errorf("%v run twice", p)
+		case !first:
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				return nil, fmt.Errorf("%v waited for the other points alone", p)
+			}
+		}
 		return table("a", vector.FromInt64s([]int64{1, 2})), nil
 	})
 	if len(seen) != 24 || !seen[Point{8, 64 << 10, true, true}] || Diff(got, want) != "" {
@@ -70,13 +87,14 @@ func TestMatrixRunsEveryPoint(t *testing.T) {
 }
 
 // TestMatrixNamesThePoint: a point that differs, or fails, fails the
-// test with its label.
+// test with its label; of several, the lowest-numbered one (each case's
+// bad point comes before the width-8 budgeted points that also differ).
 func TestMatrixNamesThePoint(t *testing.T) {
 	for _, c := range []struct {
 		bad  Point
 		want string
 	}{
-		{Point{Width: 8, Budget: 64 << 10, Planner: true, Streamed: true}, "row 1 of 2"},
+		{Point{Width: 2, Budget: 64 << 10, Planner: true, Streamed: true}, "row 1 of 2"},
 		{Point{Width: 2}, "boom"},
 	} {
 		ft := &fakeT{TB: t}
@@ -85,10 +103,9 @@ func TestMatrixNamesThePoint(t *testing.T) {
 			defer close(done)
 			Matrix(ft, "q", 64<<10, func(p Point) (*vector.Table, error) {
 				switch {
-				case p != c.bad:
-				case c.want == "boom":
+				case p == c.bad && c.want == "boom":
 					return nil, errors.New("boom")
-				default:
+				case p == c.bad, p.Width == 8 && p.Budget > 0:
 					return table("a", vector.FromInt64s([]int64{1, 3})), nil
 				}
 				return table("a", vector.FromInt64s([]int64{1, 2})), nil

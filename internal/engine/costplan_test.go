@@ -163,8 +163,7 @@ func TestCostPlanShrinksSkewedJoin(t *testing.T) {
 	indent := func(ln string) int { return len(ln) - len(strings.TrimLeft(ln, " ")) }
 	var joinRows [2]int64
 	for i, planner := range []bool{false, true} {
-		db.NoCostPlanner = !planner
-		plan := mustQuery(t, db, "EXPLAIN ANALYZE "+q).Cols[0].Strings()
+		plan := mustQueryIn(t, db, Settings{Planner: planner}, "EXPLAIN ANALYZE "+q).Cols[0].Strings()
 		deepest, depth := -1, -1
 		for r, ln := range plan {
 			if !strings.Contains(ln, "HashJoin") {
@@ -227,8 +226,7 @@ func TestExplainOutput(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE missing actuals:\n%s", out)
 	}
 
-	db.NoCostPlanner = true
-	out = planText(t, db, "EXPLAIN "+q)
+	out = planTextIn(t, db, Settings{}, "EXPLAIN "+q)
 	if strings.Contains(out, "rowpos") {
 		t.Fatalf("syntactic plan must not be rewritten:\n%s", out)
 	}
@@ -383,8 +381,7 @@ func TestExplainSingleFilterOverJoin(t *testing.T) {
 	// A conjunct naming no column is left unfolded only when it fails;
 	// it fails with the planner as without it.
 	for _, planner := range []bool{false, true} {
-		db.NoCostPlanner = !planner
-		if _, err := db.Exec("SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND CAST('x' AS INTEGER) = 1"); err == nil {
+		if _, err := db.ExecSession(sessionOf(db, Settings{Planner: planner}), "SELECT ev1.v, dm.label FROM ev1 JOIN dm ON ev1.dk = dm.dk WHERE ev1.k < 3 AND CAST('x' AS INTEGER) = 1"); err == nil {
 			t.Fatalf("planner=%v: a failing conjunct over a join chain did not fail", planner)
 		}
 	}

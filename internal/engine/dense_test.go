@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -125,15 +126,14 @@ func TestDenseGroupMatchesReference(t *testing.T) {
 		write()
 		for qi, c := range denseQueries {
 			dq, rq := strings.ReplaceAll(c.q, " T", " dz"), strings.ReplaceAll(c.q, " T", " rz")
-			db.NoCostPlanner, db.Parallelism, db.MemoryBudget = false, 2, 0
-			if plan := planText(t, db, "EXPLAIN ANALYZE "+dq); strings.Contains(plan, "dense=") != c.dense {
+			two := Settings{Workers: 2, Planner: true}
+			if plan := planTextIn(t, db, two, "EXPLAIN ANALYZE "+dq); strings.Contains(plan, "dense=") != c.dense {
 				t.Fatalf("round %d q%d: dense tables over dz not as wanted:\n%s", round, qi, plan)
 			}
-			if plan := planText(t, db, "EXPLAIN ANALYZE "+rq); strings.Contains(plan, "dense=") {
+			if plan := planTextIn(t, db, two, "EXPLAIN ANALYZE "+rq); strings.Contains(plan, "dense=") {
 				t.Fatalf("round %d q%d: a dense table over rz:\n%s", round, qi, plan)
 			}
-			db.Parallelism = 1
-			if d := difftest.Diff(difftest.Matrix(t, dq, 64<<10, at(db, dq)), mustQuery(t, db, rq)); d != "" {
+			if d := difftest.Diff(difftest.Matrix(t, dq, 64<<10, at(db, dq)), mustQueryIn(t, db, Settings{Workers: 1, Planner: true}, rq)); d != "" {
 				t.Fatalf("round %d q%d: dz differs from rz: %s", round, qi, d)
 			}
 		}
@@ -143,7 +143,13 @@ func TestDenseGroupMatchesReference(t *testing.T) {
 // planText returns the lines an EXPLAIN statement prints.
 func planText(t *testing.T, db *DB, explain string) string {
 	t.Helper()
-	return strings.Join(mustQuery(t, db, explain).Cols[0].Strings(), "\n")
+	return planTextIn(t, db, db.defaults(), explain)
+}
+
+// planTextIn is planText in a session with the given settings.
+func planTextIn(t *testing.T, db *DB, set Settings, explain string) string {
+	t.Helper()
+	return strings.Join(mustQueryIn(t, db, set, explain).Cols[0].Strings(), "\n")
 }
 
 // writeUnderstatedTable saves a table c whose key k spans 1000…1999
@@ -185,8 +191,7 @@ func TestUnderstatedStatisticsAreAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		db.Parallelism = workers
-		rs, err := db.Query("SELECT k, count(*) AS n, sum(v) AS sv FROM c GROUP BY k")
+		rs, err := db.QuerySession(context.Background(), sessionOf(db, Settings{Workers: workers, Planner: true}), "SELECT k, count(*) AS n, sum(v) AS sv FROM c GROUP BY k")
 		if err == nil {
 			_, err = rs.Materialize()
 		}
@@ -209,7 +214,7 @@ func TestDenseStringExtremaUnderBudget(t *testing.T) {
 	t.Parallel()
 	const rows = 20_000
 	db := New()
-	db.TempDir = t.TempDir()
+	db.TempDir, db.Parallelism = t.TempDir(), 2
 	for _, name := range []string{"sz", "sr"} {
 		mustExec(t, db, "CREATE TABLE "+name+" (k BIGINT, name VARCHAR)")
 	}
@@ -231,7 +236,6 @@ func TestDenseStringExtremaUnderBudget(t *testing.T) {
 	}
 	const q = "SELECT k, max(name) AS mx, count(*) AS n FROM T GROUP BY k"
 	dq, rq := strings.ReplaceAll(q, " T", " sz"), strings.ReplaceAll(q, " T", " sr")
-	db.Parallelism = 2
 	if plan := planText(t, db, "EXPLAIN ANALYZE "+dq); !strings.Contains(plan, "dense=") {
 		t.Fatalf("no dense table without a budget:\n%s", plan)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -244,14 +245,13 @@ func at(db *DB, q string) func(difftest.Point) (*vector.Table, error) {
 	}
 }
 
-// queryAt runs q over db at p — its width, budget and planner setting,
-// drained materialized or chunk by chunk — and returns the rows and the
-// closed result set, whose counters stay readable. db's knobs are
-// restored afterwards.
+// queryAt runs q over db in a session at p — its width, budget and
+// planner setting — drained materialized or chunk by chunk, and returns
+// the rows and the closed result set, whose counters stay readable.
 func queryAt(db *DB, p difftest.Point, q string) (*vector.Table, *ResultSet, error) {
-	defer func(w int, b int64, off bool) { db.Parallelism, db.MemoryBudget, db.NoCostPlanner = w, b, off }(db.Parallelism, db.MemoryBudget, db.NoCostPlanner)
-	db.Parallelism, db.MemoryBudget, db.NoCostPlanner = p.Width, p.Budget, !p.Planner
-	rs, err := db.Query(q)
+	s := sessionOf(db, Settings{Workers: p.Width, Budget: p.Budget, Planner: p.Planner})
+	defer s.Close()
+	rs, err := db.QuerySession(context.Background(), s, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,6 +262,27 @@ func queryAt(db *DB, p difftest.Point, q string) (*vector.Table, *ResultSet, err
 	}
 	tab, err := difftest.Collect(rs.Schema().Names(), rs.Schema().Types(), rs.Next)
 	return tab, rs, err
+}
+
+// sessionOf opens a session of db with the given settings.
+func sessionOf(db *DB, set Settings) *Session {
+	s := db.NewSession()
+	s.Settings = set
+	return s
+}
+
+// mustQueryIn runs q over db in a session with the given settings and
+// returns its rows.
+func mustQueryIn(t *testing.T, db *DB, set Settings, q string) *vector.Table {
+	t.Helper()
+	res, err := db.ExecSession(sessionOf(db, set), q)
+	if err != nil {
+		t.Fatalf("%s at %+v: %v", q, set, err)
+	}
+	if res.Table == nil {
+		t.Fatalf("%s at %+v: no result table", q, set)
+	}
+	return res.Table
 }
 
 // loadWide populates a table large enough to span several storage

@@ -54,15 +54,18 @@ type DB struct {
 	closeMu sync.Mutex
 	closed  bool
 
-	// Parallelism bounds the morsel-driven parallel executor and
-	// partitioned UDF evaluation (0 = NumCPU).
+	// Parallelism is the default worker count of the morsel-driven
+	// executor and partitioned UDF evaluation (0 = NumCPU): the
+	// Settings.Workers of a session-less query and of a session opened
+	// later. Set it before queries run.
 	Parallelism int
 
-	// MemoryBudget bounds the estimated bytes a query's blocking
-	// operators (hash aggregation, join build, sort) may hold in
-	// memory; over-budget state grace-partitions or spills sorted
-	// runs to temp files under TempDir and results are unchanged.
-	// 0 = unlimited (spilling disabled).
+	// MemoryBudget is the default of Settings.Budget, as Parallelism
+	// is of Workers: the estimated bytes a query's blocking operators
+	// (hash aggregation, join build, sort) may hold in memory, past
+	// which state grace-partitions or spills sorted runs to temp files
+	// under TempDir with results unchanged. 0 = unlimited (spilling
+	// disabled).
 	MemoryBudget int64
 
 	// TempDir hosts per-query spill directories when MemoryBudget
@@ -71,13 +74,13 @@ type DB struct {
 
 	// Gov, when non-nil, is the process-wide resource governor: every
 	// SELECT admits through it before executing, leasing its memory
-	// budget and worker count from the shared pools instead of the
-	// per-query fields above (MemoryBudget still applies as a per-query
-	// cap when smaller than the lease). Writes (DDL/DML) are serialized
-	// by ddlMu and do not admit, but the SELECTs inside CTAS and
-	// INSERT..SELECT run through RunSelect before any write lock is
-	// taken, so they admit (without a session) and obey QueryTimeout
-	// like any other query.
+	// budget and worker count from the shared pools instead of taking
+	// its settings' (the settings' Budget still caps the lease when it
+	// is smaller). Writes (DDL/DML) are serialized by ddlMu and do not
+	// admit, but the SELECTs inside CTAS and INSERT..SELECT open under
+	// the statement's context and session before any write lock is
+	// taken, so they admit against that session's limits, stop on its
+	// cancellation and obey QueryTimeout like any other query.
 	Gov *governor.Governor
 
 	// QueryTimeout bounds each SELECT's wall-clock time, with or
@@ -85,12 +88,6 @@ type DB struct {
 	// one deadline; expiry stops the query with ErrQueryTimeout at the
 	// same checkpoints as cancellation. 0 = no deadline.
 	QueryTimeout time.Duration
-
-	// NoCostPlanner disables the cost-based planning pass (join
-	// reordering, build-side selection, execution hints); plans then
-	// execute exactly as bound. Results are identical either way; it is
-	// the test hook the byte-identity matrix flips.
-	NoCostPlanner bool
 }
 
 // New creates an empty in-memory database with the built-in scalar
@@ -115,13 +112,18 @@ type Result struct {
 	RowsAffected int64
 }
 
-// Exec parses and executes one SQL statement.
-func (db *DB) Exec(query string) (*Result, error) {
+// Exec parses and executes one SQL statement with the database's
+// default settings.
+func (db *DB) Exec(query string) (*Result, error) { return db.ExecSession(nil, query) }
+
+// ExecSession parses and executes one SQL statement in sess (nil: the
+// database's defaults) and materializes its result.
+func (db *DB) ExecSession(sess *Session, query string) (*Result, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(stmt)
+	return materialize(db.run(context.Background(), sess, stmt))
 }
 
 // ExecScript executes a semicolon-separated script, returning the
@@ -141,60 +143,88 @@ func (db *DB) ExecScript(script string) (*Result, error) {
 	return res, nil
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement with the database's default
+// settings and materializes its result.
 func (db *DB) ExecStmt(stmt sql.Statement) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sql.Select:
-		tab, err := db.RunSelect(s)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Table: tab}, nil
-	case *sql.Explain:
-		rs, err := db.explain(context.Background(), nil, s)
-		if err != nil {
-			return nil, err
-		}
-		tab, err := rs.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Table: tab}, nil
-	case *sql.CreateTable:
-		return db.execCreate(s)
-	case *sql.DropTable:
-		return db.execDrop(s)
-	case *sql.Insert:
-		return db.execInsert(s)
-	case *sql.Delete:
-		return db.execDelete(s)
-	case *sql.Update:
-		return db.execUpdate(s)
-	}
-	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	return materialize(db.run(context.Background(), nil, stmt))
 }
 
-// RunSelect binds and executes a SELECT, returning the materialized
-// result. It is a thin wrapper over the streaming path (openSelect)
-// for callers that want the whole relation at once.
-func (db *DB) RunSelect(s *sql.Select) (*vector.Table, error) {
-	stream, _, _, err := db.openSelect(context.Background(), nil, s)
+func materialize(rs *ResultSet, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer stream.Close()
-	return stream.Materialize()
+	tab, err := rs.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Table: tab, RowsAffected: rs.rowsAffected}, nil
 }
 
-func (db *DB) execCreate(s *sql.CreateTable) (*Result, error) {
+// run executes one statement of any kind under ctx, in sess (nil: the
+// database's defaults). A SELECT streams; the SELECT inside CTAS and
+// INSERT … SELECT runs under the same ctx and session, so it admits,
+// cancels and times out as the statement does.
+func (db *DB) run(ctx context.Context, sess *Session, stmt sql.Statement) (*ResultSet, error) {
+	var n int64
+	var err error
+	switch s := stmt.(type) {
+	case *sql.Select:
+		q, err := db.openSelect(ctx, sess, s)
+		if err != nil {
+			return nil, err
+		}
+		return &ResultSet{schema: q.cs.Schema(), stream: q.cs}, nil
+	case *sql.Explain:
+		return db.explain(ctx, sess, s)
+	case *sql.Set:
+		if sess == nil {
+			return nil, ErrNoSession
+		}
+		err = sess.Settings.set(s.Name, s.Value)
+	case *sql.Show:
+		set, _ := db.scope(sess)
+		v, err := set.show(s.Name)
+		if err != nil {
+			return nil, err
+		}
+		return textResult(s.Name, []string{v})
+	case *sql.CreateTable:
+		n, err = db.execCreate(ctx, sess, s)
+	case *sql.DropTable:
+		err = db.execDrop(s)
+	case *sql.Insert:
+		n, err = db.execInsert(ctx, sess, s)
+	case *sql.Delete:
+		n, err = db.execDelete(s)
+	case *sql.Update:
+		n, err = db.execUpdate(s)
+	default:
+		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &ResultSet{rowsAffected: n}, nil
+}
+
+// selectTable runs s under ctx in sess and materializes its rows.
+func (db *DB) selectTable(ctx context.Context, sess *Session, s *sql.Select) (*vector.Table, error) {
+	res, err := materialize(db.run(ctx, sess, s))
+	if err != nil {
+		return nil, err
+	}
+	return res.Table, nil
+}
+
+func (db *DB) execCreate(ctx context.Context, sess *Session, s *sql.CreateTable) (int64, error) {
 	// CTAS evaluates its SELECT before taking the DDL lock: the read
 	// pins its own snapshot and must not hold up concurrent writers.
 	var ctasRows *vector.Table
 	var schema catalog.Schema
 	if s.AsSelect != nil {
-		tab, err := db.RunSelect(s.AsSelect)
+		tab, err := db.selectTable(ctx, sess, s.AsSelect)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		ctasRows = tab
 		schema = make(catalog.Schema, tab.NumCols())
@@ -211,7 +241,7 @@ func (db *DB) execCreate(s *sql.CreateTable) (*Result, error) {
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	if s.IfNotExists && db.cat.HasTable(s.Name) {
-		return &Result{}, nil
+		return 0, nil
 	}
 	// One record carries schema and (for CTAS) rows, so the statement
 	// replays atomically: a torn tail drops it whole, never half.
@@ -221,55 +251,55 @@ func (db *DB) execCreate(s *sql.CreateTable) (*Result, error) {
 	}
 	lsn, err := db.walAppend(rec)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	ct, err := db.cat.CreateTable(s.Name, schema)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var affected int64
 	if ctasRows != nil && ctasRows.NumRows() > 0 {
 		if err := ct.Data.AppendChunk(ctasRows.Chunk()); err != nil {
-			return nil, err
+			return 0, err
 		}
 		affected = int64(ctasRows.NumRows())
 	}
 	if err := db.walCommit(lsn); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &Result{RowsAffected: affected}, nil
+	return affected, nil
 }
 
-func (db *DB) execDrop(s *sql.DropTable) (*Result, error) {
+func (db *DB) execDrop(s *sql.DropTable) error {
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	if s.IfExists && !db.cat.HasTable(s.Name) {
-		return &Result{}, nil
+		return nil
 	}
 	if !db.cat.HasTable(s.Name) {
-		return nil, fmt.Errorf("catalog: table %q does not exist", s.Name)
+		return fmt.Errorf("catalog: table %q does not exist", s.Name)
 	}
 	lsn, err := db.walAppend(&wal.Record{Type: wal.RecDrop, Table: s.Name})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := db.cat.DropTable(s.Name); err != nil {
-		return nil, err
+		return err
 	}
 	if err := db.walCommit(lsn); err != nil {
-		return nil, err
+		return err
 	}
-	return &Result{}, nil
+	return nil
 }
 
-func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
+func (db *DB) execInsert(ctx context.Context, sess *Session, s *sql.Insert) (int64, error) {
 	// Shared statement lock: INSERTs into different tables run
 	// concurrently; only DDL and checkpoints exclude us.
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	tab, err := db.cat.Table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	// Map the insert column list to table positions.
 	colIdx := make([]int, 0, len(tab.Schema))
@@ -281,7 +311,7 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 		for _, name := range s.Columns {
 			i := tab.Schema.IndexOf(name)
 			if i < 0 {
-				return nil, fmt.Errorf("engine: table %s has no column %q", s.Table, name)
+				return 0, fmt.Errorf("engine: table %s has no column %q", s.Table, name)
 			}
 			colIdx = append(colIdx, i)
 		}
@@ -325,24 +355,24 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 	// statement atomicity and replay all-or-nothing semantics.
 	var ch *vector.Chunk
 	if s.Query != nil {
-		src, err := db.RunSelect(s.Query)
+		src, err := db.selectTable(ctx, sess, s.Query)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		ch, err = buildChunk(src)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	} else {
 		ch, err = db.valuesChunk(tab, colIdx, s.Rows)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	if err := db.appendLogged(tab, ch); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &Result{RowsAffected: int64(ch.NumRows())}, nil
+	return int64(ch.NumRows()), nil
 }
 
 // valuesChunk evaluates VALUES rows into one chunk of the table's
@@ -483,45 +513,41 @@ func (db *DB) CreateTableFrom(name string, schema catalog.Schema, ch *vector.Chu
 // execDelete removes the rows where the predicate is TRUE. The
 // unqualified form truncates and logs RecTruncate; with a WHERE it is
 // a segment-granular rewrite (see rewriteRows).
-func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
+func (db *DB) execDelete(s *sql.Delete) (int64, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	tab, err := db.cat.Table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if s.Where != nil {
-		n, err := db.rewriteRows(tab, s.Where, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{RowsAffected: n}, nil
+		return db.rewriteRows(tab, s.Where, nil)
 	}
 	tab.LockWrites()
 	n := tab.Data.NumRows()
 	lsn, err := db.walAppend(&wal.Record{Type: wal.RecTruncate, Table: tab.Name})
 	if err != nil {
 		tab.UnlockWrites()
-		return nil, err
+		return 0, err
 	}
 	tab.Data.Truncate()
 	tab.UnlockWrites()
 	if err := db.walCommit(lsn); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &Result{RowsAffected: int64(n)}, nil
+	return int64(n), nil
 }
 
 // execUpdate applies the SET expressions to the rows where the
 // predicate is TRUE, in place, as a segment-granular rewrite (see
 // rewriteRows). Every SET expression reads the row as it was before
 // the statement.
-func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
+func (db *DB) execUpdate(s *sql.Update) (int64, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	tab, err := db.cat.Table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	binder := plan.NewBinder(db.cat, db.reg)
 	sc := newTableScope(tab)
@@ -529,10 +555,10 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	for _, asn := range s.Set {
 		ci := tab.Schema.IndexOf(asn.Column)
 		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %s has no column %q", s.Table, asn.Column)
+			return 0, fmt.Errorf("engine: table %s has no column %q", s.Table, asn.Column)
 		}
 		if set[ci], err = binder.BindExprIn(asn.Value, sc); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	n, err := db.rewriteRows(tab, s.Where, func(matched *vector.Chunk) ([]*vector.Vector, error) {
@@ -554,10 +580,7 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 		}
 		return cols, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: n}, nil
+	return n, err
 }
 
 // rewriteRows is DELETE with a WHERE (update == nil) and UPDATE: it

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/difftest"
@@ -99,7 +100,7 @@ func TestPruningScanStats(t *testing.T) {
 		db := New()
 		db.TempDir = t.TempDir()
 		loadClustered(t, db, rows, compress)
-		scans := 0
+		var scans atomic.Int64
 		tab := difftest.Matrix(t, q, 64<<10, func(p difftest.Point) (*vector.Table, error) {
 			tab, rs, err := queryAt(db, p, q)
 			if err != nil {
@@ -110,7 +111,7 @@ func TestPruningScanStats(t *testing.T) {
 			if st := rs.ScanStats(); compress && (st.Skipped() != 3 || st.Scanned() != 1) || !compress && st.Skipped() != 0 {
 				return nil, fmt.Errorf("compress=%v: scanned=%d skipped=%d", compress, st.Scanned(), st.Skipped())
 			}
-			scans++
+			scans.Add(1)
 			return tab, nil
 		})
 		if n := tab.Cols[0].Get(0).Int64(); n != int64(rows-7000) {
@@ -120,8 +121,8 @@ func TestPruningScanStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.Data.Stats().SegmentsSkipped; compress && got != int64(3*scans) || !compress && got != 0 {
-			t.Fatalf("compress=%v: cumulative skipped = %d after %d queries", compress, got, scans)
+		if got := e.Data.Stats().SegmentsSkipped; compress && got != 3*scans.Load() || !compress && got != 0 {
+			t.Fatalf("compress=%v: cumulative skipped = %d after %d queries", compress, got, scans.Load())
 		}
 	}
 }

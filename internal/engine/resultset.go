@@ -28,87 +28,80 @@ type ResultSet struct {
 	rowsAffected int64
 }
 
-// Query parses and executes one SQL statement, streaming result rows.
-// The caller must Close the ResultSet.
+// Query parses and executes one SQL statement with the database's
+// default settings, streaming result rows. The caller must Close the
+// ResultSet.
 func (db *DB) Query(query string) (*ResultSet, error) {
 	return db.QuerySession(context.Background(), nil, query)
 }
 
-// QuerySession is Query under a context and a governor session. The
-// query stops when ctx is done — queued for admission, opening or
-// streaming — and reports ctx's cause; when the database has a
-// governor, the query admits against sess's concurrent-query and
-// memory limits (a nil session admits without session limits). The
-// wire server passes one session per connection and one context per
-// request.
-func (db *DB) QuerySession(ctx context.Context, sess *governor.Session, query string) (*ResultSet, error) {
+// QuerySession is Query under a context and in a session. The query
+// runs with sess's settings — with the database's defaults, read when
+// it opens, for a nil session — and stops when ctx is done — queued
+// for admission, opening or streaming — reporting ctx's cause. When
+// the database has a governor, the query admits against sess's
+// concurrent-query and memory limits (a nil session admits without
+// session limits). The wire server passes one session per connection
+// and one context per request.
+func (db *DB) QuerySession(ctx context.Context, sess *Session, query string) (*ResultSet, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.queryStmt(ctx, sess, stmt)
+	return db.run(ctx, sess, stmt)
 }
 
-// QueryStmt executes a parsed statement, streaming result rows.
-// Non-SELECT statements run through the materializing Exec path (their
-// results are row counts, not relations).
+// QueryStmt executes a parsed statement with the database's default
+// settings, streaming result rows.
 func (db *DB) QueryStmt(stmt sql.Statement) (*ResultSet, error) {
-	return db.queryStmt(context.Background(), nil, stmt)
-}
-
-func (db *DB) queryStmt(ctx context.Context, sess *governor.Session, stmt sql.Statement) (*ResultSet, error) {
-	if s, ok := stmt.(*sql.Select); ok {
-		stream, _, _, err := db.openSelect(ctx, sess, s)
-		if err != nil {
-			return nil, err
-		}
-		return &ResultSet{schema: stream.Schema(), stream: stream}, nil
-	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		return db.explain(ctx, sess, ex)
-	}
-	res, err := db.ExecStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{rowsAffected: res.RowsAffected}, nil
+	return db.run(context.Background(), nil, stmt)
 }
 
 // planSelect binds and prunes s and returns it with the context it
-// runs in, before admission and the cost-based pass.
-func (db *DB) planSelect(s *sql.Select) (plan.Node, *exec.Context, error) {
+// runs in under set, before admission and the cost-based pass.
+func (db *DB) planSelect(s *sql.Select, set Settings) (plan.Node, *exec.Context, error) {
 	node, err := plan.NewBinder(db.cat, db.reg).BindSelect(s)
 	if err != nil {
 		return nil, nil, err
 	}
 	return plan.Prune(node), &exec.Context{
 		Snap:         db.cat.Snapshot(),
-		Parallelism:  db.Parallelism,
-		MemoryBudget: db.MemoryBudget,
+		Parallelism:  set.Workers,
+		MemoryBudget: set.Budget,
 		TempDir:      db.TempDir,
 	}, nil
 }
 
 // costPlan applies the cost-based pass for the context's width and
-// budget, unless it is disabled.
-func (db *DB) costPlan(node plan.Node, ctx *exec.Context) plan.Node {
-	if db.NoCostPlanner {
+// budget, unless the settings turn it off.
+func costPlan(node plan.Node, ctx *exec.Context, set Settings) plan.Node {
+	if !set.Planner {
 		return node
 	}
 	return cost.Apply(node, ctx.Workers(), ctx.MemoryBudget)
 }
 
-// openSelect binds and opens a SELECT under ctx, arming the query
-// deadline on it before admitting through the governor (when
+// openQuery is one opened SELECT: its stream, its planned tree, its
+// governor ticket (nil without a governor) and the settings it runs
+// with after the governor's grant.
+type openQuery struct {
+	cs     *exec.ChunkStream
+	node   plan.Node
+	ticket *governor.Ticket
+	set    Settings
+}
+
+// openSelect binds and opens a SELECT under ctx in sess, arming the
+// query deadline on it before admitting through the governor (when
 // configured), so admission wait, Open and execution share one
-// deadline. It returns the stream, the planned tree and the governor
-// ticket (nil without a governor). The ticket and the deadline are
-// released by the stream's OnClose hook, so every exit path — drain,
-// early Close, cancel, error — returns the lease exactly once.
-func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Select) (*exec.ChunkStream, plan.Node, *governor.Ticket, error) {
-	node, ectx, err := db.planSelect(s)
+// deadline. The ticket and the deadline are released by the stream's
+// OnClose hook, so every exit path — drain, early Close, cancel,
+// error — returns the lease exactly once.
+func (db *DB) openSelect(ctx context.Context, sess *Session, s *sql.Select) (*openQuery, error) {
+	set, gsess := db.scope(sess)
+	node, ectx, err := db.planSelect(s, set)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	release := func() {}
 	if d := db.QueryTimeout; d > 0 {
@@ -117,47 +110,48 @@ func (db *DB) openSelect(ctx context.Context, sess *governor.Session, s *sql.Sel
 	var ticket *governor.Ticket
 	if db.Gov != nil {
 		// Admission returns early once ctx is done; report why.
-		ticket, err = db.Gov.Admit(sess, ectx.Workers(), 0, ctx.Done())
+		ticket, err = db.Gov.Admit(gsess, ectx.Workers(), 0, ctx.Done())
 		if err != nil {
 			if ctx.Err() != nil {
 				err = context.Cause(ctx)
 			}
 			release()
-			return nil, nil, nil, err
+			return nil, err
 		}
 		ectx.Parallelism = ticket.Workers()
-		wireLease(ectx, ticket, db.MemoryBudget)
+		wireLease(ectx, ticket, set.Budget)
 		cancel := release
 		release = func() {
 			cancel()
 			ticket.Release()
 		}
 	}
-	node = db.costPlan(node, ectx)
+	node = costPlan(node, ectx, set)
 	ectx.Ctx, ectx.OnClose = ctx, release
 	cs, err := exec.Stream(node, ectx)
 	if err != nil {
 		release() // Stream does not fire OnClose on construction errors
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return cs, node, ticket, nil
+	set.Workers, set.Budget = ectx.Workers(), ectx.MemoryBudget
+	return &openQuery{cs: cs, node: node, ticket: ticket, set: set}, nil
 }
 
 // wireLease points an exec context's memory budget at a governor
 // ticket's dynamic lease. The initial budget is the smaller of the
-// lease and the engine's own per-query cap; LiveBudget re-reads the
+// lease and the query's own budget setting; LiveBudget re-reads the
 // lease watermark on every over-budget check (so grows and reclaim
 // shrinks take effect mid-query), and GrowBudget asks the governor for
 // idle pool bytes right before an operator would otherwise spill. The
-// engine cap stays a ceiling on both paths.
-func wireLease(ctx *exec.Context, t *governor.Ticket, engineCap int64) {
+// setting stays a ceiling on both paths.
+func wireLease(ctx *exec.Context, t *governor.Ticket, budget int64) {
 	lease := t.MemoryBudget()
 	if lease <= 0 {
-		return // pool disabled: engine budget stands alone
+		return // pool disabled: the setting stands alone
 	}
 	clamp := func(b int64) int64 {
-		if engineCap > 0 && b > engineCap {
-			return engineCap
+		if budget > 0 && b > budget {
+			return budget
 		}
 		return b
 	}
@@ -167,28 +161,32 @@ func wireLease(ctx *exec.Context, t *governor.Ticket, engineCap int64) {
 }
 
 // explain binds and plans ex.Query exactly as a SELECT would
-// (including the cost-based pass, unless disabled) and renders the
-// resulting tree as a one-column result set, one operator line per
-// row. EXPLAIN ANALYZE runs the query first (analyze).
-func (db *DB) explain(ctx context.Context, sess *governor.Session, ex *sql.Explain) (*ResultSet, error) {
-	var lines []string
+// (including the cost-based pass, unless the settings turn it off) and
+// renders the resulting tree as a one-column result set, one operator
+// line per row. EXPLAIN ANALYZE runs the query first (analyze).
+func (db *DB) explain(ctx context.Context, sess *Session, ex *sql.Explain) (*ResultSet, error) {
 	if ex.Analyze {
-		var err error
-		if lines, _, err = db.analyze(ctx, sess, ex.Query); err != nil {
-			return nil, err
-		}
-	} else {
-		n, ctx, err := db.planSelect(ex.Query)
+		text, _, err := db.analyze(ctx, sess, ex.Query)
 		if err != nil {
 			return nil, err
 		}
-		lines = strings.Split(plan.Render(db.costPlan(n, ctx), nil), "\n")
+		return textResult("plan", text)
 	}
-	tab, err := vector.NewTable([]string{"plan"}, []*vector.Vector{vector.FromStrings(lines)})
+	set, _ := db.scope(sess)
+	n, ectx, err := db.planSelect(ex.Query, set)
 	if err != nil {
 		return nil, err
 	}
-	schema := catalog.Schema{{Name: "plan", Type: vector.String}}
+	return textResult("plan", strings.Split(plan.Render(costPlan(n, ectx, set), nil), "\n"))
+}
+
+// textResult is a one-column VARCHAR result set of the given rows.
+func textResult(name string, rows []string) (*ResultSet, error) {
+	tab, err := vector.NewTable([]string{name}, []*vector.Vector{vector.FromStrings(rows)})
+	if err != nil {
+		return nil, err
+	}
+	schema := catalog.Schema{{Name: name, Type: vector.String}}
 	cs, err := exec.Stream(&plan.Material{Data: tab, Schem: schema}, &exec.Context{Parallelism: 1})
 	if err != nil {
 		return nil, err
@@ -201,15 +199,17 @@ func (db *DB) explain(ctx context.Context, sess *governor.Session, ex *sql.Expla
 // renders the planned tree with the query's profile, so each operator
 // reports what it did next to the estimates. The ticket is released
 // when the drained stream closes, before the plan text streams back, so
-// it cannot strand a lease; the rendering then leads with the query's
-// memory dynamics: initial vs final lease, grow/shrink counts, and
-// spill totals. It also returns the drained result set, whose totals
-// are the same profile's.
-func (db *DB) analyze(ctx context.Context, sess *governor.Session, s *sql.Select) ([]string, *ResultSet, error) {
-	cs, node, ticket, err := db.openSelect(ctx, sess, s)
+// it cannot strand a lease; the rendering then leads with the settings
+// the query ran with after the governor's grant, and its memory
+// dynamics: initial vs final lease, grow/shrink counts, and spill
+// totals. It also returns the drained result set, whose totals are the
+// same profile's.
+func (db *DB) analyze(ctx context.Context, sess *Session, s *sql.Select) ([]string, *ResultSet, error) {
+	q, err := db.openSelect(ctx, sess, s)
 	if err != nil {
 		return nil, nil, err
 	}
+	cs := q.cs
 	for {
 		ch, err := cs.Next()
 		if err != nil {
@@ -224,16 +224,17 @@ func (db *DB) analyze(ctx context.Context, sess *governor.Session, s *sql.Select
 		return nil, nil, err
 	}
 	prof := cs.Profile()
-	lines := append(explainMemoryLines(ticket, prof), strings.Split(plan.Render(node, prof.Actuals), "\n")...)
-	return lines, &ResultSet{schema: cs.Schema(), stream: cs}, nil
+	text := []string{fmt.Sprintf("settings: workers=%d budget=%d planner=%s", q.set.Workers, q.set.Budget, onOff(q.set.Planner))}
+	text = append(text, explainMemoryLines(q.ticket, prof)...)
+	text = append(text, strings.Split(plan.Render(q.node, prof.Actuals), "\n")...)
+	return text, &ResultSet{schema: cs.Schema(), stream: cs}, nil
 }
 
 // explainMemoryLines renders an EXPLAIN ANALYZE header describing the
 // query's memory dynamics: the governor lease it started with, the
 // lease it ended with after grows and reclaim shrinks, and what the
 // spill machinery did under that budget. Empty without a governor
-// lease and without spill activity, so plans from ungoverned databases
-// render exactly as before.
+// lease and without spill activity.
 func explainMemoryLines(t *governor.Ticket, spill *exec.Profile) []string {
 	var lines []string
 	if t != nil && t.InitialBudget() > 0 {

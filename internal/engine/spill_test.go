@@ -53,7 +53,7 @@ var spillQueries = []string{
 // TestEngineSpillDifferential: SQL-level results under a tiny budget
 // match the unlimited run at every point of difftest.Matrix; under the
 // budget SpillStats surface through the ResultSet, and the temp dir
-// ends empty.
+// ends empty once every point has closed.
 func TestEngineSpillDifferential(t *testing.T) {
 	t.Parallel()
 	const rows = 12_000
@@ -70,11 +70,11 @@ func TestEngineSpillDifferential(t *testing.T) {
 			if rs.SpillStats().Spilled() != (p.Budget > 0) {
 				return nil, fmt.Errorf("spilled=%v", rs.SpillStats().Spilled())
 			}
-			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-				return nil, fmt.Errorf("%d temp entries left (%v)", len(ents), err)
-			}
 			return tab, nil
 		})
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("%s: %d temp entries left (%v)", q, len(ents), err)
+		}
 	}
 }
 
@@ -139,16 +139,16 @@ func TestProfileCountersAgree(t *testing.T) {
 		}
 		return n
 	}
+	db := New()
+	db.TempDir = t.TempDir()
+	loadHighCard(t, db, rows)
+	tab, err := db.cat.Table("h")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, budget := range []int64{0, 32 << 10} {
-		db := New()
-		db.MemoryBudget, db.TempDir = budget, t.TempDir()
-		loadHighCard(t, db, rows)
-		tab, err := db.cat.Table("h")
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 2, 8} {
-			db.Parallelism = workers
+			s := sessionOf(db, Settings{Workers: workers, Budget: budget, Planner: true})
 			for _, q := range queries {
 				label := fmt.Sprintf("%q workers=%d budget=%d", q.sql, workers, budget)
 				stmt, err := sql.Parse(q.sql)
@@ -156,7 +156,7 @@ func TestProfileCountersAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := tab.Data.Stats()
-				lines, rs, err := db.analyze(context.Background(), nil, stmt.(*sql.Select))
+				lines, rs, err := db.analyze(context.Background(), s, stmt.(*sql.Select))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -58,8 +59,7 @@ func TestStreamMidStreamError(t *testing.T) {
 		return fmt.Sprintf("('%d')", i)
 	})
 	for _, workers := range []int{1, 2, 8} {
-		db.Parallelism = workers
-		rs, err := db.Query("SELECT CAST(v AS BIGINT) AS n FROM s")
+		rs, err := db.QuerySession(context.Background(), sessionOf(db, Settings{Workers: workers, Planner: true}), "SELECT CAST(v AS BIGINT) AS n FROM s")
 		if err != nil {
 			t.Fatalf("w=%d: open: %v", workers, err)
 		}

@@ -92,6 +92,20 @@ type Explain struct {
 	Query   *Select
 }
 
+// Set is SET name = value: it changes one setting of the session the
+// statement runs in. Name is lower-cased; Value is the value's text.
+type Set struct {
+	Name  string
+	Value string
+}
+
+// Show is SHOW name: one row holding the setting's current value.
+// SHOW is recognised only as a statement's first word, so it is no
+// reserved word.
+type Show struct {
+	Name string
+}
+
 // SelectItem is one projection in the select list. Star selects all
 // visible columns (optionally qualified: t.*).
 type SelectItem struct {
@@ -131,6 +145,8 @@ func (*Delete) stmt()      {}
 func (*Update) stmt()      {}
 func (*Select) stmt()      {}
 func (*Explain) stmt()     {}
+func (*Set) stmt()         {}
+func (*Show) stmt()        {}
 
 // ---------------------------------------------------------------- table refs
 

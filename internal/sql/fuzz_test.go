@@ -61,6 +61,15 @@ func FuzzParse(f *testing.F) {
 		"SELECT 1 2",
 		"SELECT 1e5, 2.5e-3, 1e+, 3.",
 		"EXPLAIN ANALYZE SELECT 1",
+		"SET workers = 2",
+		"SET memory_budget = -65536",
+		"SET planner = on",
+		"SET planner = 'off';",
+		"SET workers 2",
+		"SHOW workers",
+		"show Planner;",
+		"SHOW",
+		"UPDATE t SET a = 1 WHERE show = 2",
 	} {
 		f.Add(seed)
 	}

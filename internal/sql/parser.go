@@ -120,6 +120,14 @@ func (p *Parser) expectIdent() (string, error) {
 
 func (p *Parser) parseStatement() (Statement, error) {
 	t := p.peek()
+	if t.Kind == TokIdent && strings.EqualFold(t.Text, "SHOW") {
+		p.next()
+		name, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		return &Show{Name: strings.ToLower(name)}, nil
+	}
 	if t.Kind != TokKeyword {
 		return nil, p.errorf("expected statement, got %s", t)
 	}
@@ -148,8 +156,35 @@ func (p *Parser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case "UPDATE":
 		return p.parseUpdate()
+	case "SET":
+		return p.parseSet()
 	}
 	return nil, p.errorf("unsupported statement %s", t.Text)
+}
+
+// parseSet parses SET name = value. The value is one token — a number,
+// optionally negative, a word or a string — kept as its text for the
+// engine to read as the setting's type.
+func (p *Parser) parseSet() (Statement, error) {
+	p.next() // SET
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectSymbol("="); err != nil {
+		return nil, err
+	}
+	sign := ""
+	if p.accept(TokSymbol, "-") {
+		sign = "-"
+	}
+	t := p.peek()
+	switch t.Kind {
+	case TokInt, TokFloat, TokIdent, TokKeyword, TokString:
+		p.next()
+		return &Set{Name: strings.ToLower(name), Value: sign + t.Text}, nil
+	}
+	return nil, p.errorf("expected a value for %s, got %s", name, t)
 }
 
 func (p *Parser) parseCreate() (Statement, error) {

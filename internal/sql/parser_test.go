@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"reflect"
 	"testing"
 
 	"vexdb/internal/vector"
@@ -76,6 +77,32 @@ func TestParseDeleteUpdate(t *testing.T) {
 	u := mustParse(t, "UPDATE t SET a = a + 1, b = 'x' WHERE c IS NULL").(*Update)
 	if len(u.Set) != 2 || u.Where == nil {
 		t.Fatalf("u = %+v", u)
+	}
+}
+
+// TestParseSetShow: SET and SHOW are statements only as a statement's
+// first word; a setting's name is lower-cased and its value kept as
+// text. SHOW stays a plain name, and UPDATE … SET is untouched.
+func TestParseSetShow(t *testing.T) {
+	for src, want := range map[string]Statement{
+		"SET Workers = 2":         &Set{Name: "workers", Value: "2"},
+		"SET memory_budget = -1;": &Set{Name: "memory_budget", Value: "-1"},
+		"set planner = on":        &Set{Name: "planner", Value: "ON"},
+		"SET planner = 'off'":     &Set{Name: "planner", Value: "off"},
+		"show Planner":            &Show{Name: "planner"},
+	} {
+		if got := mustParse(t, src); !reflect.DeepEqual(got, want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", src, got, want)
+		}
+	}
+	for _, src := range []string{"SET workers 2", "SHOW", "SET workers = (2)", "SET = 2"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded", src)
+		}
+	}
+	mustParse(t, "SELECT show FROM t")
+	if u := mustParse(t, "UPDATE t SET show = 1").(*Update); u.Set[0].Column != "show" {
+		t.Fatalf("UPDATE … SET show: %+v", u)
 	}
 }
 

@@ -43,11 +43,7 @@ func benchServer(b *testing.B, rows int) (*engine.DB, string, func()) {
 			b.Fatal(err)
 		}
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv, addr := serve(b, db)
 	return db, addr, srv.Close
 }
 
@@ -61,11 +57,7 @@ func BenchmarkTimeToFirstChunk(b *testing.B) {
 	defer stop()
 	for _, proto := range []Protocol{Columnar, BinaryRows, TextRows} {
 		b.Run(proto.String(), func(b *testing.B) {
-			c, err := Dial(addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
+			c := dial(b, addr)
 			var firstChunk time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -108,11 +100,7 @@ func BenchmarkStreamLargeResult(b *testing.B) {
 	const rows = 200_000
 	_, addr, stop := benchServer(b, rows)
 	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(b, addr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -142,11 +130,7 @@ func BenchmarkStreamLargeResult(b *testing.B) {
 func BenchmarkLimitOverLargeTable(b *testing.B) {
 	_, addr, stop := benchServer(b, 200_000)
 	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(b, addr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

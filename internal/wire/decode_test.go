@@ -241,17 +241,8 @@ func TestRowIterateMatchesResultSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	_, addr := serve(t, db)
+	c := dial(t, addr)
 	for _, q := range []string{
 		"SELECT * FROM r",
 		"SELECT s, i64, f FROM r WHERE i64 > 0 ORDER BY i64",

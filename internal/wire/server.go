@@ -32,8 +32,10 @@ var ErrQueryCancelled = errors.New("wire: query cancelled by client")
 // connection's, which is a child of the server's: a client cancel, a
 // client that hangs up and a server Close each cancel one of them, and
 // the query stops wherever it is — queued for admission, opening or
-// streaming. When the database has a governor, each connection gets
-// one governor session, so per-session limits are per-connection.
+// streaming. Each connection holds one engine session: SET and SHOW
+// travel as ordinary requests and change or read that connection's
+// settings alone, and when the database has a governor its per-session
+// limits are per-connection.
 type Server struct {
 	db *engine.DB
 	ln net.Listener
@@ -51,7 +53,7 @@ type Server struct {
 // connState is one connection's serving state, shared between its
 // serve loop and the server's Shutdown.
 type connState struct {
-	sess    *governor.Session
+	sess    *engine.Session
 	serving atomic.Bool // a request is being served right now
 }
 
@@ -87,19 +89,14 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		st := &connState{}
-		if s.db.Gov != nil {
-			st.sess = s.db.Gov.NewSession()
-		}
+		st := &connState{sess: s.db.NewSession()}
 		s.conns[conn] = st
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn, st)
-			if st.sess != nil {
-				st.sess.Close()
-			}
+			st.sess.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -205,7 +202,7 @@ func (s *Server) isDraining() bool {
 // Statement failures become error frames and return nil (the
 // connection stays usable); a non-nil return means the connection
 // itself is broken.
-func (s *Server) serveQuery(ctx context.Context, bw *bufio.Writer, scratch *bytes.Buffer, sess *governor.Session, proto Protocol, query string) error {
+func (s *Server) serveQuery(ctx context.Context, bw *bufio.Writer, scratch *bytes.Buffer, sess *engine.Session, proto Protocol, query string) error {
 	switch proto {
 	case TextRows, BinaryRows, Columnar:
 	default:

@@ -16,8 +16,9 @@ import (
 
 // TestUnderstatedStatisticsOverWire: a loaded table whose zone maps
 // understate a GROUP BY key's range fails that query with the typed
-// error's text at every width, and the connection answers the next
-// query, as after TestSelectNullOverWire's.
+// error's text at every width — one server, each connection SETting its
+// own — and the connection answers the next query, as after
+// TestSelectNullOverWire's.
 func TestUnderstatedStatisticsOverWire(t *testing.T) {
 	const rows = 3*storage.SegmentRows + 100
 	src := engine.New()
@@ -49,22 +50,14 @@ func TestUnderstatedStatisticsOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	db := engine.New()
+	if err := db.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serve(t, db)
 	for _, workers := range []int{1, 2, 8} {
-		db := engine.New()
-		db.Parallelism = workers
-		if err := db.LoadDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(db)
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = c.Query(Columnar, "SELECT k, count(*) AS n, sum(v) AS sv FROM c GROUP BY k")
+		c := dial(t, addr, fmt.Sprintf("SET workers = %d", workers))
+		_, err := c.Query(Columnar, "SELECT k, count(*) AS n, sum(v) AS sv FROM c GROUP BY k")
 		if err == nil || !strings.Contains(err.Error(), storage.ErrOutOfDomain.Error()) {
 			t.Fatalf("workers=%d: err = %v, want %q", workers, err, storage.ErrOutOfDomain)
 		}
@@ -75,7 +68,5 @@ func TestUnderstatedStatisticsOverWire(t *testing.T) {
 		if n := tab.Column("n").Get(0).Int64(); n != rows {
 			t.Fatalf("workers=%d: next query: n = %d", workers, n)
 		}
-		c.Close()
-		srv.Close()
 	}
 }

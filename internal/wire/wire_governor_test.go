@@ -25,12 +25,7 @@ func govServer(t *testing.T, rows, workers int, cfg governor.Config, configure f
 	if configure != nil {
 		configure(db)
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	srv, addr := serve(t, db)
 	return db, srv, addr
 }
 
@@ -92,11 +87,7 @@ func TestOverloadTypedRejection(t *testing.T) {
 	db, _, addr := govServer(t, 200_000, 2, governor.Config{
 		MaxActive: 1, MaxQueued: 1, RetryAfter: 50 * time.Millisecond,
 	}, nil)
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
+	c1 := dial(t, addr)
 	st1, err := c1.Stream(Columnar, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +97,7 @@ func TestOverloadTypedRejection(t *testing.T) {
 	}
 
 	// Fill the one queue slot with a waiter that holds it.
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+	c2 := dial(t, addr)
 	queuedErr := make(chan error, 1)
 	go func() {
 		st, err := c2.Stream(Columnar, "SELECT count(*) AS n FROM big")
@@ -131,11 +118,7 @@ func TestOverloadTypedRejection(t *testing.T) {
 	}
 
 	// Third query: queue full -> typed rejection.
-	c3, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
+	c3 := dial(t, addr)
 	var ov *governor.OverloadedError
 	_, err = c3.Stream(Columnar, "SELECT count(*) AS n FROM big")
 	if !errors.As(err, &ov) {
@@ -165,11 +148,7 @@ func TestOverloadTypedRejection(t *testing.T) {
 // the query with ErrQueryCancelled and keeps the connection usable.
 func TestClientCancelMidStream(t *testing.T) {
 	_, _, addr := govServer(t, 400_000, 4, governor.Config{MaxActive: 4}, nil)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	st, err := c.Stream(Columnar, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -208,16 +187,12 @@ func TestClientCancelMidStream(t *testing.T) {
 // cap must be rejected in-band without desynchronizing the stream.
 func TestOversizedRequestKeepsConnection(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	big := make([]byte, maxRequestSize+1)
 	for i := range big {
 		big[i] = ' '
 	}
-	_, err = c.Stream(Columnar, string(big))
+	_, err := c.Stream(Columnar, string(big))
 	if err == nil {
 		t.Fatal("oversized request accepted")
 	}
@@ -238,20 +213,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, srv, addr := govServer(t, 100_000, 2, governor.Config{MaxActive: 4}, nil)
 
-	idle, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idle.Close()
+	idle := dial(t, addr)
 	if _, err := idle.Query(Columnar, "SELECT count(*) AS n FROM big"); err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	st, err := c.Stream(Columnar, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +287,7 @@ func TestQueryTimeoutOverWire(t *testing.T) {
 			registerNap(t, db, 5*time.Microsecond, &calls)
 			db.QueryTimeout = 30 * time.Millisecond
 		})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	// nap sleeps ~2 s over 400k rows, far past the deadline.
 	st, err := c.Stream(Columnar, "SELECT nap(id) AS id, pad FROM big")
 	var got error
@@ -371,10 +334,7 @@ type queuedStreamer struct {
 func queueBehindHolder(t *testing.T) *queuedStreamer {
 	t.Helper()
 	db, _, addr := govServer(t, 200_000, 2, governor.Config{MaxActive: 1}, nil)
-	h, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := dial(t, addr)
 	t.Cleanup(func() { h.Close() })
 	holder, err := h.Stream(Columnar, "SELECT id, pad FROM big")
 	if err != nil {
@@ -383,10 +343,7 @@ func queueBehindHolder(t *testing.T) *queuedStreamer {
 	if _, err := holder.Next(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	t.Cleanup(func() { c.Close() })
 	q := &queuedStreamer{db: db, holder: holder, c: c, errc: make(chan error, 1)}
 	go func() {
@@ -448,11 +405,7 @@ func TestServerCloseDuringJoinBuild(t *testing.T) {
 	var calls atomic.Int64
 	_, srv, addr := govServer(t, 60_000, 1, governor.Config{MaxActive: 4},
 		func(db *engine.DB) { registerNap(t, db, 20*time.Microsecond, &calls) })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	qerr := make(chan error, 1)
 	go func() {
 		_, err := c.Query(Columnar, "SELECT count(*) AS n FROM big a JOIN (SELECT id FROM big WHERE nap(id) >= 0) b ON a.id = b.id")

@@ -42,12 +42,7 @@ func startServer(t *testing.T) (*engine.DB, string) {
 	if _, err := db.Exec(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	_, addr := serve(t, db)
 	return db, addr
 }
 
@@ -57,12 +52,7 @@ func startServer(t *testing.T) (*engine.DB, string) {
 func bigServer(t *testing.T, rows, workers int) (*engine.DB, *Server, string) {
 	t.Helper()
 	db := bigDB(t, rows, workers)
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	srv, addr := serve(t, db)
 	return db, srv, addr
 }
 
@@ -109,11 +99,7 @@ func TestAllProtocolsRoundTrip(t *testing.T) {
 	}
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
 		t.Run(proto.String(), func(t *testing.T) {
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := dial(t, addr)
 			tab, err := c.Query(proto, q)
 			if err != nil {
 				t.Fatal(err)
@@ -153,17 +139,9 @@ newline', TRUE, -5), (NULL, FALSE, NULL), ('NULL', NULL, 0), ('', TRUE, 1)`); er
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, addr := serve(t, db)
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dial(t, addr)
 		tab, err := c.Query(proto, "SELECT x, b, i FROM s")
 		c.Close()
 		if err != nil {
@@ -186,11 +164,7 @@ newline', TRUE, -5), (NULL, FALSE, NULL), ('NULL', NULL, 0), ('', TRUE, 1)`); er
 
 func TestServerError(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	if _, err := c.Query(TextRows, "SELECT * FROM no_such_table"); err == nil {
 		t.Fatal("server error not propagated")
 	}
@@ -209,11 +183,7 @@ func TestServerError(t *testing.T) {
 // every protocol.
 func TestAggregateOfBareNullOverWire(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
 		tab, err := c.Query(proto, "SELECT max(NULL) AS mx, sum(NULL) AS s, count(DISTINCT NULL) AS cd FROM t")
 		if err != nil {
@@ -230,11 +200,7 @@ func TestAggregateOfBareNullOverWire(t *testing.T) {
 // answers the next query.
 func TestSelectNullOverWire(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	tab, err := c.Query(Columnar, "SELECT NULL")
 	if err != nil {
 		t.Fatal(err)
@@ -253,11 +219,7 @@ func TestSelectNullOverWire(t *testing.T) {
 
 func TestClientExecAndMultipleRequests(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	if _, err := c.Exec("CREATE TABLE made_remotely (a BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +308,7 @@ func TestHexCodec(t *testing.T) {
 
 func TestEmptyResult(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
 		tab, err := c.Query(proto, "SELECT id FROM t WHERE id < 0")
 		if err != nil {
@@ -365,26 +323,23 @@ func TestEmptyResult(t *testing.T) {
 // ------------------------------------------------ streaming coverage
 
 // Streamed wire results must be row-identical to the engine's
-// materialized Exec output across all protocols and worker counts.
+// materialized Exec output across all protocols and worker counts, each
+// connection SETting its width on one server.
 func TestStreamedMatchesExecAllProtocols(t *testing.T) {
+	db, _, addr := bigServer(t, 10_000, 1)
 	for _, workers := range []int{1, 2, 8} {
-		db, _, addr := bigServer(t, 10_000, workers)
-		queries := []string{
+		c := dial(t, addr, fmt.Sprintf("SET workers = %d", workers))
+		for _, q := range []string{
 			"SELECT id, pad FROM big",
 			"SELECT id * 2 AS d FROM big WHERE id % 7 = 0",
 			"SELECT count(*) AS n, sum(id) AS s FROM big",
 			"SELECT id FROM big LIMIT 11",
-		}
-		for _, q := range queries {
+		} {
 			want, err := db.Exec(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
-				c, err := Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
 				st, err := c.Stream(proto, q)
 				if err != nil {
 					t.Fatalf("w=%d %s %s: %v", workers, proto, q, err)
@@ -396,7 +351,6 @@ func TestStreamedMatchesExecAllProtocols(t *testing.T) {
 				if d := difftest.Diff(got, want.Table); d != "" {
 					t.Fatalf("w=%d %s %s: %s", workers, proto, q, d)
 				}
-				c.Close()
 			}
 		}
 	}
@@ -428,17 +382,9 @@ func TestMidStreamErrorOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, addr := serve(t, db)
 	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dial(t, addr)
 		st, err := c.Stream(proto, "SELECT CAST(v AS BIGINT) AS n FROM s")
 		if err != nil {
 			t.Fatalf("%s: open: %v", proto, err)
@@ -485,11 +431,7 @@ func TestMidStreamErrorOverWire(t *testing.T) {
 // without the server scanning the whole relation.
 func TestLimitEarlyExitOverWire(t *testing.T) {
 	_, _, addr := bigServer(t, 300_000, 4)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	start := time.Now()
 	st, err := c.Stream(Columnar, "SELECT id, pad FROM big LIMIT 5")
 	if err != nil {
@@ -523,10 +465,7 @@ func TestLimitEarlyExitOverWire(t *testing.T) {
 func TestClientDisconnectStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, srv, addr := govServer(t, 400_000, 8, governor.Config{MaxActive: 4}, nil)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	st, err := c.Stream(Columnar, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -543,11 +482,7 @@ func TestClientDisconnectStopsWorkers(t *testing.T) {
 // return promptly rather than waiting for the scan to finish.
 func TestServerCloseCancelsInFlight(t *testing.T) {
 	_, srv, addr := bigServer(t, 400_000, 8)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	st, err := c.Stream(BinaryRows, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -583,11 +518,7 @@ func TestServerCloseCancelsInFlight(t *testing.T) {
 // can serve the next request.
 func TestStreamCloseDrains(t *testing.T) {
 	_, _, addr := bigServer(t, 50_000, 2)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	st, err := c.Stream(TextRows, "SELECT id, pad FROM big")
 	if err != nil {
 		t.Fatal(err)
@@ -747,11 +678,7 @@ func TestSchemaRejectsInvalidType(t *testing.T) {
 		writeFrame(w, frameChunk, chunk)
 		writeEndFrame(w, 0)
 	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	if _, err := c.Query(Columnar, "SELECT 1, 2"); !errors.Is(err, ErrMalformed) ||
 		!strings.Contains(err.Error(), "0xee") {
 		t.Fatalf("invalid type byte: %v", err)
@@ -775,11 +702,7 @@ func TestDesyncLatchRefusesReuse(t *testing.T) {
 		binary.LittleEndian.PutUint32(chunk, 3)
 		writeFrame(w, frameChunk, chunk)
 	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	st, err := c.Stream(Columnar, "SELECT 1")
 	if err != nil {
 		t.Fatal(err)
@@ -791,4 +714,33 @@ func TestDesyncLatchRefusesReuse(t *testing.T) {
 		!strings.Contains(err.Error(), "desynchronized") {
 		t.Fatalf("desync not latched: %v", err)
 	}
+}
+
+// dial connects to addr for the rest of the test and runs each of sets
+// (SET statements) on the connection.
+func dial(t testing.TB, addr string, sets ...string) *Client {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, set := range sets {
+		if _, err := c.Exec(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// serve starts a server over db for the rest of the test.
+func serve(t testing.TB, db *engine.DB) (*Server, string) {
+	t.Helper()
+	srv := NewServer(db)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv, addr
 }

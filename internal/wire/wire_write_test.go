@@ -22,12 +22,7 @@ func TestConcurrentWireWriters(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE ingest (writer BIGINT, seq BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	_, addr := serve(t, db)
 
 	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
@@ -102,11 +97,7 @@ func TestConcurrentWireWriters(t *testing.T) {
 		}
 	}
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	tab, err := c.Query(Columnar, "SELECT writer, seq FROM ingest ORDER BY writer, seq")
 	if err != nil {
 		t.Fatal(err)

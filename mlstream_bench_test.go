@@ -13,17 +13,17 @@ import (
 func benchPredictQuery(b *testing.B, fn string) {
 	db := newMLStreamDB(b, 200000)
 	registerSerialPredict(b, db)
-	db.SetParallelism(1)
+	s := withWorkers(b, db, 1)
 	// Score against the voter pipeline's model shape
 	// (workload.DefaultConfig): a 16-tree forest, not the single tree
 	// the correctness tests use.
-	if _, err := db.Exec(`CREATE TABLE mrf AS SELECT model FROM train_rf((SELECT f0, f1, f2, label FROM pts WHERE id < 2000), 16, 10, 1)`); err != nil {
+	if _, err := s.Exec(`CREATE TABLE mrf AS SELECT model FROM train_rf((SELECT f0, f1, f2, label FROM pts WHERE id < 2000), 16, 10, 1)`); err != nil {
 		b.Fatal(err)
 	}
 	q := fmt.Sprintf(`SELECT count(*) AS n FROM (SELECT %s(model, f0, f1, f2) AS p FROM pts, mrf) q WHERE q.p >= 0`, fn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := db.Query(q)
+		tab, err := s.Query(q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func registerSerialPredict(t testing.TB, db *DB) {
 	}
 }
 
-func queryInt32Col(t *testing.T, db *DB, sql string) []int32 {
+func queryInt32Col(t *testing.T, db *Session, sql string) []int32 {
 	t.Helper()
 	tab, err := db.Query(sql)
 	if err != nil {
@@ -260,9 +260,8 @@ func TestStreamedPredictBoundedEvals(t *testing.T) {
 	registerProbe(t, db, "probe_tap", Int32, probe)
 
 	for _, w := range []int{1, 8} {
-		db.SetParallelism(w)
 		probe.reset()
-		got := queryInt32Col(t, db, `SELECT probe_tap(predict(model, f0, f1, f2)) FROM pts, m`)
+		got := queryInt32Col(t, withWorkers(t, db, w), `SELECT probe_tap(predict(model, f0, f1, f2)) FROM pts, m`)
 		if len(got) != n {
 			t.Fatalf("workers=%d: rows = %d, want %d", w, len(got), n)
 		}
@@ -289,8 +288,7 @@ func TestStreamedPredictLimitEarlyExit(t *testing.T) {
 
 	// Serial streaming path (join above the scan): LIMIT pulls whole
 	// chunks one at a time, so at most a few chunks are scored.
-	db.SetParallelism(1)
-	got := queryInt32Col(t, db, `SELECT probe_tap(predict(model, f0, f1, f2)) FROM pts, m LIMIT 10`)
+	got := queryInt32Col(t, withWorkers(t, db, 1), `SELECT probe_tap(predict(model, f0, f1, f2)) FROM pts, m LIMIT 10`)
 	if len(got) != 10 {
 		t.Fatalf("LIMIT 10 returned %d rows", len(got))
 	}
@@ -302,8 +300,7 @@ func TestStreamedPredictLimitEarlyExit(t *testing.T) {
 	// Morsel-parallel path (UDF directly over the base scan): the
 	// ordered driver's run-ahead window bounds wasted work, so far
 	// fewer rows than the input are evaluated before the abort.
-	db.SetParallelism(8)
-	if gotF, err := db.Query(`SELECT probe_pass(f0) FROM pts LIMIT 10`); err != nil || gotF.NumRows() != 10 {
+	if gotF, err := withWorkers(t, db, 8).Query(`SELECT probe_pass(f0) FROM pts LIMIT 10`); err != nil || gotF.NumRows() != 10 {
 		t.Fatalf("parallel LIMIT 10: %v", err)
 	}
 	_, _, ptotal := pass.snapshot()
@@ -320,14 +317,17 @@ func TestStreamedPredictUnderMemoryBudget(t *testing.T) {
 	const n = 200000
 	db := newMLStreamDB(t, n)
 
-	baseline := queryInt32Col(t, db, `SELECT predict(model, f0, f1, f2) FROM pts, m`)
+	baseline := queryInt32Col(t, db.Session(), `SELECT predict(model, f0, f1, f2) FROM pts, m`)
 	var wantSum int64
 	for _, v := range baseline {
 		wantSum += int64(v)
 	}
 
-	db.SetMemoryBudget(4 << 20)
-	rows, err := db.QueryStream(`SELECT predict(model, f0, f1, f2) FROM pts, m`)
+	s := db.Session()
+	if _, err := s.Exec("SET memory_budget = 4194304"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.QueryStream(`SELECT predict(model, f0, f1, f2) FROM pts, m`)
 	if err != nil {
 		t.Fatalf("QueryStream: %v", err)
 	}
@@ -402,8 +402,7 @@ func TestTrainedModelDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, w := range []int{1, 2, 8} {
-			db.SetParallelism(w)
-			tab, err := db.Query(tc.sql)
+			tab, err := withWorkers(t, db, w).Query(tc.sql)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.sql, w, err)
 			}

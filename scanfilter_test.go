@@ -61,11 +61,11 @@ func BenchmarkMicroScanFilterSelective(b *testing.B) {
 	loadFilterEvents(b, db, rows)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetParallelism(workers)
+			s := withWorkers(b, db, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query("SELECT id, hi, w FROM events WHERE lo < 80 AND w >= 2048")
+				tab, err := s.Query("SELECT id, hi, w FROM events WHERE lo < 80 AND w >= 2048")
 				if err != nil {
 					b.Fatal(err)
 				}

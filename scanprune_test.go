@@ -126,11 +126,11 @@ const sortBenchRows = 256_000
 func benchSort(b *testing.B, db *DB, query string, wantRows int) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetParallelism(workers)
+			s := withWorkers(b, db, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := db.Query(query)
+				tab, err := s.Query(query)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -198,12 +198,12 @@ func BenchmarkMicroDistinctAggParallel(b *testing.B) {
 		v.load(b, db, sortBenchRows)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(b *testing.B) {
-				db.SetParallelism(workers)
+				s := withWorkers(b, db, workers)
 				var spilled int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rows, err := db.QueryStream(v.query)
+					rows, err := s.QueryStream(v.query)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -234,9 +234,12 @@ func TestNextTableRetainsDataAcrossIteration(t *testing.T) {
 	db := Open()
 	loadSortedEvents(t, db, 20_000)
 	for _, workers := range []int{1, 2} {
-		db.SetParallelism(workers)
 		var next int64
-		for ti, tab := range drainTables(t, db, "SELECT id FROM events") {
+		tables, err := drainTables(withWorkers(t, db, workers), "SELECT id FROM events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, tab := range tables {
 			for _, x := range tab.Cols[0].Int64s() {
 				if x != next {
 					t.Fatalf("workers=%d table %d: row value %d, want %d (buffer overwritten?)", workers, ti, x, next)
@@ -264,8 +267,11 @@ func TestNextTableWritesDoNotReachTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := difftest.Matrix(t, q, 64<<10, func(p difftest.Point) (*Table, error) {
-		db.SetParallelism(p.Width)
-		for _, tab := range drainTables(t, db, q) {
+		tables, err := drainTables(sessionAt(db, p.Width, p.Budget, p.Planner), q)
+		if err != nil {
+			return nil, err
+		}
+		for _, tab := range tables {
 			clear(tab.Cols[0].Int64s())
 			clear(tab.Cols[1].Int64s())
 			clear(tab.Cols[2].Float64s())
@@ -278,21 +284,17 @@ func TestNextTableWritesDoNotReachTheStore(t *testing.T) {
 }
 
 // drainTables streams q and returns every table NextTable hands out.
-func drainTables(t *testing.T, db *DB, q string) []*Table {
-	t.Helper()
+func drainTables(db *Session, q string) ([]*Table, error) {
 	r, err := db.QueryStream(q)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer r.Close()
 	var tables []*Table
 	for {
 		tab, err := r.NextTable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab == nil {
-			return tables
+		if tab == nil || err != nil {
+			return tables, err
 		}
 		tables = append(tables, tab)
 	}

@@ -63,7 +63,8 @@ var spillSmokeQueries = []string{
 // smoke): GROUP BY / hash join / ORDER BY over 200k high-cardinality
 // rows return the same bytes at every point of difftest.Matrix; under
 // its 4MB budget each spills (nonzero SpillStats, bytes written and
-// read), without it none does, and TempDir is empty after every query.
+// read), without it none does, and TempDir is empty once every point
+// of a query has closed.
 func TestSpillSmoke(t *testing.T) {
 	const rows = 200_000
 	tempDir := t.TempDir()
@@ -81,11 +82,11 @@ func TestSpillSmoke(t *testing.T) {
 					return nil, fmt.Errorf("SpillStats partitions=%d runs=%d written=%d read=%d", parts, runs, w, r)
 				}
 			}
-			if ents, err := os.ReadDir(tempDir); err != nil || len(ents) != 0 {
-				return nil, fmt.Errorf("%d entries left in temp dir (%v)", len(ents), err)
-			}
 			return tab, nil
 		})
+		if ents, err := os.ReadDir(tempDir); err != nil || len(ents) != 0 {
+			t.Fatalf("%s: %d entries left in temp dir (%v)", q, len(ents), err)
+		}
 	}
 }
 
@@ -165,12 +166,12 @@ func BenchmarkMicroHashJoinSpill(b *testing.B) {
 		}
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(b *testing.B) {
-				db.SetParallelism(workers)
+				s := withWorkers(b, db, workers)
 				var spilled int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rows, err := db.QueryStream("SELECT sum(b.v) AS n FROM probe p JOIN build b ON p.k = b.k")
+					rows, err := s.QueryStream("SELECT sum(b.v) AS n FROM probe p JOIN build b ON p.k = b.k")
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -208,12 +209,12 @@ func BenchmarkMicroSortSpill(b *testing.B) {
 		loadSpillWorkload(b, db, sortBenchRows)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				db.SetParallelism(workers)
+				s := withWorkers(b, db, workers)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					n := 0
-					rows, err := db.QueryStream("SELECT event_id, val FROM events ORDER BY val, event_id")
+					rows, err := s.QueryStream("SELECT event_id, val FROM events ORDER BY val, event_id")
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -90,7 +90,7 @@ func TestMixedStormMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := OpenOptions(Options{
-		Parallelism:  1,
+		Parallelism:  4,
 		TempDir:      spillDir,
 		QueryTimeout: 30 * time.Second,
 		Governor: &GovernorConfig{
@@ -123,13 +123,15 @@ func TestMixedStormMatchesSerial(t *testing.T) {
 		cfg.TestModulus, cfg.Estimators, cfg.MaxDepth))
 	exec("CREATE TABLE ingest (writer BIGINT, seq BIGINT)")
 
-	// The serial baseline, in process at one worker; the storm then runs
-	// at four. The pool is small enough that some class spills, so the
-	// empty spill dir after shutdown means something.
+	// The serial baseline, in process in a session at one worker; the
+	// storm then runs at the default four. The pool is small enough that
+	// some class spills, so the empty spill dir after shutdown means
+	// something.
 	want := make([]uint64, len(stormClasses))
 	var spilled int64
+	serial := withWorkers(t, db, 1)
 	for i, q := range stormClasses {
-		rows, err := db.QueryStream(q.sql)
+		rows, err := serial.QueryStream(q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
@@ -152,7 +154,7 @@ func TestMixedStormMatchesSerial(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("no query class spilled under the pool")
 	}
-	db.SetParallelism(4)
+	serial.Close()
 
 	srv := wire.NewServer(db.Engine())
 	addr, err := srv.Start("127.0.0.1:0")

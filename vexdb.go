@@ -13,6 +13,7 @@
 package vexdb
 
 import (
+	"context"
 	"time"
 
 	"vexdb/internal/catalog"
@@ -103,7 +104,8 @@ type DB struct {
 type Options struct {
 	// Parallelism bounds the morsel-driven parallel executor's worker
 	// goroutines (0 = all CPUs). See SetParallelism for the ordering
-	// and floating-point guarantees.
+	// and floating-point guarantees. It and MemoryBudget are defaults:
+	// a Session overrides them with SET.
 	Parallelism int
 
 	// MemoryBudget bounds, per query, the estimated bytes of
@@ -254,41 +256,81 @@ func OpenDirOptions(dir string, opts Options) (*DB, error) {
 }
 
 func (db *DB) applyOptions(opts Options) {
-	db.SetParallelism(opts.Parallelism)
-	db.SetMemoryBudget(opts.MemoryBudget)
-	db.SetTempDir(opts.TempDir)
+	db.eng.Parallelism, db.eng.MemoryBudget, db.eng.TempDir = opts.Parallelism, opts.MemoryBudget, opts.TempDir
 	db.SetQueryTimeout(opts.QueryTimeout)
 	if opts.Governor != nil {
 		db.SetGovernor(*opts.Governor)
 	}
 }
 
-// Exec parses and executes one SQL statement.
-func (db *DB) Exec(query string) (*Result, error) { return db.eng.Exec(query) }
+// Exec parses and executes one SQL statement with the database's
+// default settings.
+func (db *DB) Exec(query string) (*Result, error) { return db.eng.ExecSession(nil, query) }
 
 // ExecScript executes a semicolon-separated SQL script and returns the
 // last statement's result.
 func (db *DB) ExecScript(script string) (*Result, error) { return db.eng.ExecScript(script) }
 
-// Query executes a SELECT and returns its materialized result table.
-func (db *DB) Query(query string) (*Table, error) {
-	res, err := db.eng.Exec(query)
+// Query executes a SELECT with the database's default settings and
+// returns its materialized result table.
+func (db *DB) Query(query string) (*Table, error) { return db.query(nil, query) }
+
+func (db *DB) query(s *engine.Session, query string) (*Table, error) {
+	res, err := db.eng.ExecSession(s, query)
 	if err != nil {
 		return nil, err
 	}
 	return res.Table, nil
 }
 
-// QueryStream executes a statement and streams its result: chunks are
-// pulled from the executor on demand, so iterating a huge result holds
-// O(chunk) memory and closing early stops the scan workers. The caller
-// must Close the returned Rows.
-func (db *DB) QueryStream(query string) (*Rows, error) {
-	rs, err := db.eng.Query(query)
+// QueryStream executes a statement with the database's default
+// settings and streams its result: chunks are pulled from the executor
+// on demand, so iterating a huge result holds O(chunk) memory and
+// closing early stops the scan workers. The caller must Close the
+// returned Rows.
+func (db *DB) QueryStream(query string) (*Rows, error) { return db.queryStream(nil, query) }
+
+func (db *DB) queryStream(s *engine.Session, query string) (*Rows, error) {
+	rs, err := db.eng.QuerySession(context.Background(), s, query)
 	if err != nil {
 		return nil, err
 	}
 	return &Rows{rs: rs}, nil
+}
+
+// Session is one client's scope on a database: its statements run
+// with the session's settings, which start as the database's defaults
+// (Options) and change with SET — SET workers = 2, SET memory_budget =
+// 65536 (bytes; 0 is unlimited), SET planner = off — while SHOW
+// workers returns one row of the current value. Sessions on one
+// database change nothing of each other's settings, nor the defaults.
+// Under a governor a session is one admission scope, so its per-session
+// limits hold. A session runs one statement at a time; Close it when
+// done.
+type Session struct {
+	db *DB
+	s  *engine.Session
+}
+
+// Session opens a session with the database's default settings.
+func (db *DB) Session() *Session { return &Session{db: db, s: db.eng.NewSession()} }
+
+// Exec parses and executes one SQL statement in the session.
+func (s *Session) Exec(query string) (*Result, error) { return s.db.eng.ExecSession(s.s, query) }
+
+// Query executes a SELECT in the session and returns its materialized
+// result table.
+func (s *Session) Query(query string) (*Table, error) { return s.db.query(s.s, query) }
+
+// QueryStream executes a statement in the session and streams its
+// result, as DB.QueryStream does.
+func (s *Session) QueryStream(query string) (*Rows, error) { return s.db.queryStream(s.s, query) }
+
+// Close ends the session: under a governor its later admissions fail,
+// and its running queries finish.
+func (s *Session) Close() error {
+	s.s.Close()
+	return nil
 }
 
 // Rows is a streaming result iterator in the style of database/sql:
@@ -419,26 +461,32 @@ func (db *DB) RegisterScalar(f *ScalarFunc) error { return db.eng.Registry().Reg
 // RegisterTable installs a table-valued UDF.
 func (db *DB) RegisterTable(f *TableFunc) error { return db.eng.Registry().RegisterTable(f) }
 
-// SetParallelism bounds the worker goroutines used by the morsel-driven
+// SetParallelism sets the default worker count of the morsel-driven
 // parallel executor (scans, filters, hash aggregation, hash-join
-// probing) and by partitioned UDF evaluation. 0 restores NumCPU.
-// Parallel execution preserves serial row order and row content, with
-// a floating-point caveat: SUM/AVG over DOUBLE accumulate partial sums
-// per worker, so results can differ from serial in the last ulps
-// (floating-point addition is not associative) and between runs; and
-// MIN/MAX over DOUBLE may pick either representative among values that
-// compare equal but are distinguishable (NaN against numbers, -0.0 vs
-// 0.0). Integer, string, COUNT and boolean results are exact.
+// probing) and of partitioned UDF evaluation: the workers of a
+// session-less query and of a session opened later (SET workers
+// changes one session's). 0 restores NumCPU. Call it before queries
+// run; it is not synchronized with them. Parallel execution preserves
+// serial row order and row content, with a floating-point caveat:
+// SUM/AVG over DOUBLE accumulate partial sums per worker, so results
+// can differ from serial in the last ulps (floating-point addition is
+// not associative) and between runs; and MIN/MAX over DOUBLE may pick
+// either representative among values that compare equal but are
+// distinguishable (NaN against numbers, -0.0 vs 0.0). Integer, string,
+// COUNT and boolean results are exact.
 func (db *DB) SetParallelism(n int) { db.eng.Parallelism = n }
 
-// SetMemoryBudget bounds, per query, the estimated in-memory footprint
-// of blocking operators; over-budget queries spill to TempDir and
-// return identical results (Options.MemoryBudget has the details).
-// 0 restores unlimited memory.
+// SetMemoryBudget sets the default per-query bound on the estimated
+// in-memory footprint of blocking operators, for session-less queries
+// and sessions opened later (SET memory_budget changes one session's);
+// over-budget queries spill to TempDir and return identical results
+// (Options.MemoryBudget has the details). 0 restores unlimited memory.
+// Call it before queries run; it is not synchronized with them.
 func (db *DB) SetMemoryBudget(bytes int64) { db.eng.MemoryBudget = bytes }
 
 // SetTempDir sets where spill files go when a memory budget forces
-// out-of-core execution. Empty restores os.TempDir().
+// out-of-core execution, for every query. Empty restores os.TempDir().
+// Call it before queries run; it is not synchronized with them.
 func (db *DB) SetTempDir(dir string) { db.eng.TempDir = dir }
 
 // SetQueryTimeout bounds each SELECT's total time, admission wait

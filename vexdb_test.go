@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vexdb/internal/difftest"
+	"vexdb/internal/engine"
 )
 
 // at is difftest.Matrix's run for q over db.
@@ -16,25 +17,42 @@ func at(db *DB, q string) func(difftest.Point) (*Table, error) {
 	}
 }
 
-// queryAt runs q over db at p — its width, budget and planner setting —
-// through Query, or streamed through QueryStream's chunks, and returns
-// the rows and, streamed, the closed Rows, whose counters stay
-// readable. db's knobs are restored afterwards.
+// queryAt runs q over db in a session at p — its width, budget and
+// planner setting — through Query, or streamed through QueryStream's
+// chunks, and returns the rows and, streamed, the closed Rows, whose
+// counters stay readable.
 func queryAt(db *DB, p difftest.Point, q string) (*Table, *Rows, error) {
-	e := db.eng
-	defer func(w int, b int64, off bool) { e.Parallelism, e.MemoryBudget, e.NoCostPlanner = w, b, off }(e.Parallelism, e.MemoryBudget, e.NoCostPlanner)
-	e.Parallelism, e.MemoryBudget, e.NoCostPlanner = p.Width, p.Budget, !p.Planner
+	s := sessionAt(db, p.Width, p.Budget, p.Planner)
+	defer s.Close()
 	if !p.Streamed {
-		tab, err := db.Query(q)
+		tab, err := s.Query(q)
 		return tab, nil, err
 	}
-	rows, err := db.QueryStream(q)
+	rows, err := s.QueryStream(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer rows.Close()
 	tab, err := difftest.Collect(rows.Columns(), rows.Types(), rows.rs.Next)
 	return tab, rows, err
+}
+
+// sessionAt opens a session of db at the given settings.
+func sessionAt(db *DB, workers int, budget int64, planner bool) *Session {
+	s := db.Session()
+	s.s.Settings = engine.Settings{Workers: workers, Budget: budget, Planner: planner}
+	return s
+}
+
+// withWorkers opens a session of db at the given width, its other
+// settings the defaults, through SET as a client states it.
+func withWorkers(tb testing.TB, db *DB, workers int) *Session {
+	tb.Helper()
+	s := db.Session()
+	if _, err := s.Exec(fmt.Sprintf("SET workers = %d", workers)); err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 // buildLabeled populates a labeled 2-feature table mirroring the
@@ -290,9 +308,8 @@ func TestPredictErrors(t *testing.T) {
 }
 
 func TestQueryStreamRows(t *testing.T) {
-	db := Open()
+	db := OpenOptions(Options{Parallelism: 4})
 	buildLabeled(t, db, "pts", 5000)
-	db.SetParallelism(4)
 
 	// Row-at-a-time iteration matches the materialized result.
 	want, err := db.Query("SELECT id, f0 FROM pts WHERE label = 1")
