@@ -61,7 +61,7 @@ func run() error {
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline, admission wait included (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight queries")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: writes become durable (group-commit fsync before ack) and crash recovery replays the log on start")
-	syncMode := flag.String("sync", "group", "WAL fsync policy: group (one fsync per commit batch), each (per statement), none (OS-buffered)")
+	syncMode := flag.String("sync", "group", "WAL fsync policy: group (one fsync per commit batch) or none (OS-buffered)")
 	flag.Parse()
 
 	budget, err := cliutil.ParseByteSize(*memBudget)

@@ -2,7 +2,9 @@ package vexdb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -11,6 +13,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"vexdb/internal/difftest"
+	"vexdb/internal/vector"
 )
 
 // The crash harness re-execs the test binary as a writer child
@@ -70,12 +75,15 @@ func (s crashStmt) apply(rows []crashRow) []crashRow {
 // numbers interleaved with UPDATEs and DELETEs of rows already
 // acknowledged. It prints "do <statement>" before each statement and
 // "ack" only after its commit returned — i.e. after its WAL record is
-// durable. With checkpoint set, its tenth statement is a checkpoint
-// taken with the tail segment open, followed by five INSERTs and a
-// DELETE of rows on both sides of the tail's end at the checkpoint:
-// recovery loads the checkpoint's image, whose tail was sealed, and
-// replays that DELETE onto segment boundaries the writer never had. It
-// never exits on its own; the parent kills it.
+// durable. Every fifth statement is one the engine refuses (a CREATE of
+// a taken name or with duplicate columns, an INSERT of the wrong
+// arity): it must fail, and is neither printed nor part of the prefix.
+// With checkpoint set, its tenth statement is a checkpoint taken with
+// the tail segment open, followed by five INSERTs and a DELETE of rows
+// on both sides of the tail's end at the checkpoint: recovery loads the
+// checkpoint's image, whose tail was sealed, and replays that DELETE
+// onto segment boundaries the writer never had. It never exits on its
+// own; the parent kills it.
 func crashChildMain(dir string, checkpoint bool) {
 	fail := func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "child %s: %v\n", what, err)
@@ -129,8 +137,23 @@ func crashChildMain(dir string, checkpoint bool) {
 		run(crashStmt{op: "I", seq: next, hi: next, payload: fmt.Sprintf("row-%d", next)})
 		next++
 	}
+	// Writes the engine refuses ride between the acknowledged ones: each
+	// must fail and log nothing, or recovery would not equal a prefix.
+	refused := []string{
+		"CREATE TABLE crashlog (seq BIGINT, payload VARCHAR)",
+		"CREATE TABLE dup (a INTEGER, a INTEGER)",
+		"CREATE TABLE d2 AS SELECT seq, seq FROM crashlog",
+		"INSERT INTO crashlog VALUES (1)",
+	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for n := 0; ; n++ {
+		if n%5 == 4 {
+			q := refused[n/5%len(refused)]
+			if _, err := db.Exec(q); err == nil {
+				fail(q, errors.New("a write the engine refuses succeeded"))
+			}
+			continue
+		}
 		if checkpoint && n == 10 && len(live) > 0 {
 			if err := db.Checkpoint(); err != nil {
 				fail("checkpoint", err)
@@ -445,7 +468,7 @@ func TestCreateTableFromDurable(t *testing.T) {
 }
 
 func TestSyncModesAllRecover(t *testing.T) {
-	for name, mode := range map[string]SyncMode{"group": SyncGroup, "each": SyncEach, "none": SyncNone} {
+	for name, mode := range map[string]SyncMode{"group": SyncGroup, "none": SyncNone} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "wal")
 			db, err := OpenDurable(Options{WALDir: dir, SyncMode: mode})
@@ -502,4 +525,187 @@ func TestTruncateResetsStatistics(t *testing.T) {
 	if after[0].HasMinMax {
 		t.Fatalf("stale min/max bounds after truncate: %+v", after[0])
 	}
+}
+
+// tableFingerprints returns every table of db by name, each as
+// difftest.Fingerprint of its rows in table order.
+func tableFingerprints(t testing.TB, db *DB) map[string][]string {
+	t.Helper()
+	out := make(map[string][]string)
+	for _, name := range db.TableNames() {
+		tab, err := db.Query("SELECT * FROM " + name)
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		out[name] = difftest.Fingerprint(tab)
+	}
+	return out
+}
+
+// sameTables fails t unless got holds the tables of want, row for row.
+func sameTables(t testing.TB, what string, got, want map[string][]string) {
+	t.Helper()
+	if !maps.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Fatalf("%s: tables %v, want %v", what, got, want)
+	}
+}
+
+// TestRefusedWritesAreNotLogged issues writes the engine refuses to a
+// durable database: each returns its error, the one a database without
+// a WAL returns too, and logs nothing, and the directory reopens —
+// without a Close, as a crash leaves it, and after one — to the tables
+// as they were before the write.
+func TestRefusedWritesAreNotLogged(t *testing.T) {
+	oneCol, err := NewTable([]string{"a"}, []*Vector{NewVectorInt32([]int32{7})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs, err := NewTable([]string{"a", "s"}, []*Vector{NewVectorString([]string{"x"}), NewVectorString([]string{"y"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(q string) func(*DB) error {
+		return func(db *DB) error { _, err := db.Exec(q); return err }
+	}
+	for _, c := range []struct {
+		name  string
+		write func(*DB) error
+	}{
+		{"create taken name", exec("CREATE TABLE t (y INTEGER)")},
+		{"create duplicate columns", exec("CREATE TABLE v (a INTEGER, a INTEGER)")},
+		{"ctas duplicate names", exec("CREATE TABLE x AS SELECT a, a FROM t")},
+		{"ctas taken name", exec("CREATE TABLE u AS SELECT a FROM t")},
+		{"create from taken name", func(db *DB) error { return db.CreateTableFrom("t", oneCol) }},
+		{"append wrong width", func(db *DB) error { return db.Engine().AppendChunk("t", oneCol.Chunk()) }},
+		{"append uncastable", func(db *DB) error { return db.Engine().AppendChunk("t", strs.Chunk()) }},
+		{"drop missing", exec("DROP TABLE nope")},
+		{"insert wrong arity", exec("INSERT INTO t VALUES (1)")},
+		{"update failing cast", exec("UPDATE t SET a = s WHERE a > 1")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const setup = `CREATE TABLE t (a INTEGER, s VARCHAR);
+				INSERT INTO t VALUES (1, '1'), (2, 'two'), (3, '3');
+				CREATE TABLE u AS SELECT s FROM t`
+			mem := Open()
+			if _, err := mem.ExecScript(setup); err != nil {
+				t.Fatal(err)
+			}
+			memErr := c.write(mem)
+			if memErr == nil {
+				t.Fatal("a database without a WAL accepted the write")
+			}
+			dir := t.TempDir()
+			db, err := OpenDurable(Options{WALDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := db.ExecScript(setup); err != nil {
+				t.Fatal(err)
+			}
+			before, size := tableFingerprints(t, db), db.Engine().WALSize()
+			if err := c.write(db); err == nil || err.Error() != memErr.Error() {
+				t.Fatalf("durable write returned %v, without a WAL %v", err, memErr)
+			}
+			if grown := db.Engine().WALSize() - size; grown != 0 {
+				t.Fatalf("the refused write logged %d bytes", grown)
+			}
+			sameTables(t, "live", tableFingerprints(t, db), before)
+			for _, closed := range []bool{false, true} {
+				if closed {
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				re, err := OpenDurable(Options{WALDir: dir})
+				if err != nil {
+					t.Fatalf("reopen (closed %v): %v", closed, err)
+				}
+				sameTables(t, fmt.Sprintf("reopened (closed %v)", closed), tableFingerprints(t, re), before)
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// fuzzTables are the tables FuzzReplayMatchesLive writes.
+var fuzzTables = [3]string{"a", "b", "c"}
+
+// fuzzWrite issues the write op and k choose against db: CREATE, CTAS,
+// INSERT (VALUES, SELECT, and a bulk append of BIGINT cells into the
+// INTEGER column), UPDATE, DELETE and DROP over fuzzTables, in forms
+// that apply, forms that fail on the state they meet, and forms the
+// engine always refuses. The write's error is dropped: a failing write
+// is as much the input as one that applies.
+func fuzzWrite(db *DB, op, k byte) {
+	t, u, v := fuzzTables[k%3], fuzzTables[k/3%3], int(k)
+	var q string
+	switch op % 14 {
+	case 0:
+		q = fmt.Sprintf("CREATE TABLE %s (x INTEGER, y VARCHAR)", t)
+	case 1:
+		q = fmt.Sprintf("CREATE TABLE %s (x INTEGER, X VARCHAR)", t)
+	case 2:
+		q = fmt.Sprintf("CREATE TABLE %s AS SELECT x, y FROM %s WHERE x < %d", t, u, v)
+	case 3:
+		q = fmt.Sprintf("CREATE TABLE %s AS SELECT x, x FROM %s", t, u)
+	case 4:
+		q = fmt.Sprintf("INSERT INTO %s VALUES (%d, 's%d'), (%d, '%d')", t, v, v, v+1, v)
+	case 5:
+		q = fmt.Sprintf("INSERT INTO %s VALUES (%d)", t, v)
+	case 6:
+		q = fmt.Sprintf("INSERT INTO %s SELECT x, y FROM %s", t, u)
+	case 7:
+		q = fmt.Sprintf("UPDATE %s SET x = x + 1, y = 'u%d' WHERE x < %d", t, v, v)
+	case 8:
+		q = fmt.Sprintf("UPDATE %s SET x = y WHERE x >= %d", t, v)
+	case 9:
+		q = fmt.Sprintf("DELETE FROM %s WHERE x < %d", t, v)
+	case 10:
+		q = "DELETE FROM " + t
+	case 11:
+		q = "DROP TABLE " + t
+	case 12:
+		_ = db.Engine().AppendChunk(t, vector.NewChunk(NewVectorInt32([]int32{int32(v)})))
+		return
+	default:
+		_ = db.Engine().AppendChunk(t, vector.NewChunk(NewVectorInt64([]int64{int64(v), -1}), NewVectorString([]string{"bulk", fmt.Sprint(v)})))
+		return
+	}
+	_, _ = db.Exec(q)
+}
+
+// FuzzReplayMatchesLive drives a durable database (SyncNone) with
+// the writes pairs of bytes choose (fuzzWrite), then opens its
+// directory again without closing it: the replayed database must hold
+// the same tables as the live one, each with the same rows in the same
+// order. The seeds include a CREATE over a table holding rows, a
+// duplicate-column CREATE and a CTAS naming one column twice.
+func FuzzReplayMatchesLive(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 0, 4, 3, 0, 0, 13, 0})
+	f.Add([]byte{1, 1, 0, 1, 13, 1})
+	f.Add([]byte{0, 0, 4, 0, 3, 1, 2, 1, 12, 1})
+	f.Add([]byte{0, 0, 4, 0, 4, 5, 7, 3, 8, 0, 9, 2, 6, 0, 10, 0, 5, 0, 11, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		dir := t.TempDir()
+		db, err := OpenDurable(Options{WALDir: dir, SyncMode: SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for i := 0; i+1 < len(ops); i += 2 {
+			fuzzWrite(db, ops[i], ops[i+1])
+		}
+		re, err := OpenDurable(Options{WALDir: dir, SyncMode: SyncNone})
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		defer re.Close()
+		sameTables(t, "replayed", tableFingerprints(t, re), tableFingerprints(t, db))
+	})
 }

@@ -83,34 +83,49 @@ func New() *Catalog {
 func key(name string) string { return strings.ToLower(name) }
 
 // CreateTable registers a new table with the given schema and a fresh
-// column store. It fails when the name is taken or the schema is
-// invalid.
+// column store. It fails as CheckCreate does.
 func (c *Catalog) CreateTable(name string, schema Schema) (*Table, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.checkCreateLocked(name, schema); err != nil {
+		return nil, err
+	}
+	t := &Table{Name: name, Schema: schema, Data: storage.NewColumnStore(schema.Types())}
+	c.tables[key(name)] = t
+	return t, nil
+}
+
+// CheckCreate returns the error CreateTable(name, schema) would fail
+// with now: an empty name or one that is taken, no columns, a
+// duplicate column name, or a column of invalid type.
+func (c *Catalog) CheckCreate(name string, schema Schema) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.checkCreateLocked(name, schema)
+}
+
+func (c *Catalog) checkCreateLocked(name string, schema Schema) error {
 	if name == "" {
-		return nil, fmt.Errorf("catalog: empty table name")
+		return fmt.Errorf("catalog: empty table name")
 	}
 	if len(schema) == 0 {
-		return nil, fmt.Errorf("catalog: table %q has no columns", name)
+		return fmt.Errorf("catalog: table %q has no columns", name)
 	}
 	seen := make(map[string]bool, len(schema))
 	for _, col := range schema {
 		k := key(col.Name)
 		if seen[k] {
-			return nil, fmt.Errorf("catalog: table %q: duplicate column %q", name, col.Name)
+			return fmt.Errorf("catalog: table %q: duplicate column %q", name, col.Name)
 		}
 		seen[k] = true
 		if col.Type == vector.Invalid {
-			return nil, fmt.Errorf("catalog: table %q: column %q has invalid type", name, col.Name)
+			return fmt.Errorf("catalog: table %q: column %q has invalid type", name, col.Name)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.tables[key(name)]; ok {
-		return nil, fmt.Errorf("catalog: table %q already exists", name)
+		return fmt.Errorf("catalog: table %q already exists", name)
 	}
-	t := &Table{Name: name, Schema: schema, Data: storage.NewColumnStore(schema.Types())}
-	c.tables[key(name)] = t
-	return t, nil
+	return nil
 }
 
 // AttachTable registers an existing table object (used when loading a

@@ -1,14 +1,24 @@
 // Durability: the write-ahead log and checkpoint/recovery protocol.
 //
-// Every write statement appends one WAL record before it applies to
-// the in-memory column stores and is acknowledged only after the
-// record is durable (group commit, see internal/wal). A checkpoint
-// quiesces writers, saves every table under the WAL directory, writes
-// a manifest naming the checkpoint's last LSN, and seals the log down
-// to a single checkpoint record. Recovery loads the manifest's tables
-// and replays only records past its LSN, so replay is idempotent and
-// a crash at any point — mid-append, mid-checkpoint, mid-manifest
-// rename — recovers exactly the acknowledged prefix.
+// Every write takes one path, applyRecord, and replay takes the same
+// one. A statement evaluates what it writes (VALUES, a SELECT, the
+// rows a WHERE matches) into one WAL record; then, under the
+// statement's locks, the record is checked against the current state
+// for every condition its mutation can fail on, logged, and applied,
+// which cannot fail once the check passed; the statement commits
+// (waits until the record is durable, group commit, see internal/wal)
+// outside the table lock and is acknowledged after. A write the check
+// refuses returns its error and is never logged, so the log holds only
+// records that applied. Replay runs the same check and apply on each
+// record; one that fails its check fails the open as corruption.
+//
+// A checkpoint quiesces writers, saves every table under the WAL
+// directory, writes a manifest naming the checkpoint's last LSN, and
+// seals the log down to a single checkpoint record. Recovery loads the
+// manifest's tables and replays only records past its LSN, so replay
+// is idempotent and a crash at any point — mid-append,
+// mid-checkpoint, mid-manifest rename — recovers exactly the
+// acknowledged prefix.
 package engine
 
 import (
@@ -46,11 +56,15 @@ func (db *DB) EnableWAL(dir string, mode wal.SyncMode) error {
 		return err
 	}
 	l.EnsureNextLSN(cpLSN)
+	// db.wal is still nil, so applyRecord logs nothing again.
 	if err := l.Replay(func(r *wal.Record) error {
 		if r.LSN <= cpLSN {
 			return nil // already captured by the checkpoint's tables
 		}
-		return db.applyRecord(r)
+		if _, err := db.applyRecord(r); err != nil {
+			return fmt.Errorf("record at LSN %d: %w: %w", r.LSN, wal.ErrCorrupt, err)
+		}
+		return nil
 	}); err != nil {
 		l.Close()
 		return fmt.Errorf("engine: WAL replay: %w", err)
@@ -117,68 +131,80 @@ func (db *DB) loadCheckpoint(dir string) (uint64, error) {
 	return lsn, nil
 }
 
-// applyRecord applies one replayed record to the in-memory state. The
-// log is authoritative: a conflicting pre-existing table (e.g. from a
-// directory load that overlaps the WAL's history) is replaced.
-func (db *DB) applyRecord(r *wal.Record) error {
-	switch r.Type {
-	case wal.RecCheckpoint:
-		return nil
-	case wal.RecCreate:
-		if db.cat.HasTable(r.Table) {
-			if err := db.cat.DropTable(r.Table); err != nil {
-				return err
-			}
-		}
-		schema := make(catalog.Schema, len(r.Cols))
-		for i, c := range r.Cols {
-			schema[i] = catalog.Column{Name: c.Name, Type: c.Type}
-		}
-		t, err := db.cat.CreateTable(r.Table, schema)
-		if err != nil {
-			return err
-		}
-		if r.Chunk != nil && r.Chunk.NumRows() > 0 {
-			return t.Data.AppendChunk(r.Chunk)
-		}
-		return nil
-	case wal.RecDrop:
-		return db.cat.DropTable(r.Table)
-	case wal.RecTruncate:
-		t, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
-		}
-		t.Data.Truncate()
-		return nil
-	case wal.RecInsert:
-		t, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
-		}
-		return t.Data.AppendChunk(r.Chunk)
-	case wal.RecRewrite:
-		t, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
-		}
-		return t.Data.Rewrite(r.Ranges, r.Chunk)
+// applyRecord is the only place a record changes the catalog or a
+// column store, for a live statement and for replay alike. It checks
+// rec against the current state (check); a refused record returns the
+// mutation's error and is not logged. Otherwise it logs rec — with the
+// WAL on and outside replay — and applies it, returning its LSN for
+// the caller to commit. Callers hold ddlMu (exclusively for CREATE and
+// DROP) and, for a record naming an existing table, that table's write
+// lock, so per-table apply order matches LSN order and the state the
+// check saw is the state the apply meets.
+func (db *DB) applyRecord(rec *wal.Record) (uint64, error) {
+	apply, err := db.check(rec)
+	if err != nil {
+		return 0, err
 	}
-	return fmt.Errorf("engine: replay record type %s", r.Type)
+	var lsn uint64
+	if db.wal != nil {
+		if lsn, err = db.wal.Append(rec); err != nil {
+			return 0, fmt.Errorf("engine: wal append: %w", err)
+		}
+	}
+	return lsn, apply()
 }
 
-// walAppend logs rec, returning its LSN. With the WAL off it is a
-// no-op. Callers hold the target table's write lock (or ddlMu
-// exclusively), so per-table apply order matches LSN order.
-func (db *DB) walAppend(rec *wal.Record) (uint64, error) {
-	if db.wal == nil {
-		return 0, nil
+// check tests rec against the current state for every condition its
+// mutation can fail on — a name taken or absent, a schema with no,
+// duplicate or invalid columns, rows that do not conform to the
+// table, ranges or replacement rows that do not match it — and
+// returns the mutation, which then cannot fail. Rows are conformed to
+// the table's types here, so the record logs the rows the table holds.
+func (db *DB) check(rec *wal.Record) (func() error, error) {
+	switch rec.Type {
+	case wal.RecCheckpoint:
+		return func() error { return nil }, nil
+	case wal.RecCreate:
+		schema := make(catalog.Schema, len(rec.Cols))
+		for i, c := range rec.Cols {
+			schema[i] = catalog.Column{Name: c.Name, Type: c.Type}
+		}
+		err := db.cat.CheckCreate(rec.Table, schema)
+		if err == nil && rec.Chunk != nil {
+			rec.Chunk, err = storage.Conform(schema.Types(), rec.Chunk)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			t, err := db.cat.CreateTable(rec.Table, schema)
+			if err != nil || rec.Chunk == nil {
+				return err
+			}
+			return t.Data.AppendChunk(rec.Chunk)
+		}, nil
 	}
-	lsn, err := db.wal.Append(rec)
+	t, err := db.cat.Table(rec.Table)
 	if err != nil {
-		return 0, fmt.Errorf("engine: wal append: %w", err)
+		return nil, err
 	}
-	return lsn, nil
+	switch rec.Type {
+	case wal.RecDrop:
+		return func() error { return db.cat.DropTable(rec.Table) }, nil
+	case wal.RecTruncate:
+		return func() error { t.Data.Truncate(); return nil }, nil
+	case wal.RecInsert:
+		if rec.Chunk, err = storage.Conform(t.Data.Types(), rec.Chunk); err != nil {
+			return nil, err
+		}
+		return func() error { return t.Data.AppendChunk(rec.Chunk) }, nil
+	case wal.RecRewrite:
+		if rec.Chunk, err = t.Data.CheckRewrite(rec.Ranges, rec.Chunk); err != nil {
+			return nil, err
+		}
+		return func() error { return t.Data.Rewrite(rec.Ranges, rec.Chunk) }, nil
+	}
+	return nil, fmt.Errorf("engine: record type %s", rec.Type)
 }
 
 // walCommit blocks until lsn is durable. Callers run it after
@@ -191,15 +217,6 @@ func (db *DB) walCommit(lsn uint64) error {
 		return fmt.Errorf("engine: wal commit: %w", err)
 	}
 	return nil
-}
-
-// walSchema converts a catalog schema to WAL column definitions.
-func walSchema(schema catalog.Schema) []wal.ColumnDef {
-	cols := make([]wal.ColumnDef, len(schema))
-	for i, c := range schema {
-		cols[i] = wal.ColumnDef{Name: c.Name, Type: c.Type}
-	}
-	return cols
 }
 
 // Checkpoint persists the current state and seals the log: writers are

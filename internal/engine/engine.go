@@ -217,57 +217,63 @@ func (db *DB) selectTable(ctx context.Context, sess *Session, s *sql.Select) (*v
 }
 
 func (db *DB) execCreate(ctx context.Context, sess *Session, s *sql.CreateTable) (int64, error) {
-	// CTAS evaluates its SELECT before taking the DDL lock: the read
-	// pins its own snapshot and must not hold up concurrent writers.
-	var ctasRows *vector.Table
-	var schema catalog.Schema
-	if s.AsSelect != nil {
-		tab, err := db.selectTable(ctx, sess, s.AsSelect)
-		if err != nil {
-			return 0, err
-		}
-		ctasRows = tab
-		schema = make(catalog.Schema, tab.NumCols())
-		for i, name := range tab.Names {
-			schema[i] = catalog.Column{Name: name, Type: tab.Cols[i].Type()}
-		}
-	} else {
-		schema = make(catalog.Schema, len(s.Columns))
+	if s.AsSelect == nil {
+		schema := make(catalog.Schema, len(s.Columns))
 		for i, c := range s.Columns {
 			schema[i] = catalog.Column{Name: c.Name, Type: c.Type}
 		}
+		return db.createTable(s.Name, schema, nil, s.IfNotExists)
 	}
+	// CTAS evaluates its SELECT before taking the DDL lock: the read
+	// pins its own snapshot and must not hold up concurrent writers.
+	tab, err := db.selectTable(ctx, sess, s.AsSelect)
+	if err != nil {
+		return 0, err
+	}
+	return db.createTable(s.Name, tableSchema(tab), tab.Chunk(), s.IfNotExists)
+}
 
+// CreateTableFrom creates a table named name holding the rows of an
+// already materialized relation (the bulk-load fast path), as CTAS
+// does: schema and rows travel in one WAL record, so the load replays
+// all-or-nothing.
+func (db *DB) CreateTableFrom(name string, tab *vector.Table) error {
+	_, err := db.createTable(name, tableSchema(tab), tab.Chunk(), false)
+	return err
+}
+
+// tableSchema is the schema of a table holding tab's columns.
+func tableSchema(tab *vector.Table) catalog.Schema {
+	schema := make(catalog.Schema, tab.NumCols())
+	for i, name := range tab.Names {
+		schema[i] = catalog.Column{Name: name, Type: tab.Cols[i].Type()}
+	}
+	return schema
+}
+
+// createTable is CREATE TABLE, CTAS and CreateTableFrom. One record
+// carries the schema and the rows, if any, so the statement replays
+// atomically: a torn tail drops it whole, never half. It returns the
+// rows written.
+func (db *DB) createTable(name string, schema catalog.Schema, ch *vector.Chunk, ifNotExists bool) (int64, error) {
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
-	if s.IfNotExists && db.cat.HasTable(s.Name) {
+	if ifNotExists && db.cat.HasTable(name) {
 		return 0, nil
 	}
-	// One record carries schema and (for CTAS) rows, so the statement
-	// replays atomically: a torn tail drops it whole, never half.
-	rec := &wal.Record{Type: wal.RecCreate, Table: s.Name, Cols: walSchema(schema)}
-	if ctasRows != nil && ctasRows.NumRows() > 0 {
-		rec.Chunk = ctasRows.Chunk()
+	rec := &wal.Record{Type: wal.RecCreate, Table: name, Cols: make([]wal.ColumnDef, len(schema))}
+	for i, c := range schema {
+		rec.Cols[i] = wal.ColumnDef{Name: c.Name, Type: c.Type}
 	}
-	lsn, err := db.walAppend(rec)
+	var n int64
+	if ch != nil && ch.NumRows() > 0 {
+		rec.Chunk, n = ch, int64(ch.NumRows())
+	}
+	lsn, err := db.applyRecord(rec)
 	if err != nil {
 		return 0, err
 	}
-	ct, err := db.cat.CreateTable(s.Name, schema)
-	if err != nil {
-		return 0, err
-	}
-	var affected int64
-	if ctasRows != nil && ctasRows.NumRows() > 0 {
-		if err := ct.Data.AppendChunk(ctasRows.Chunk()); err != nil {
-			return 0, err
-		}
-		affected = int64(ctasRows.NumRows())
-	}
-	if err := db.walCommit(lsn); err != nil {
-		return 0, err
-	}
-	return affected, nil
+	return n, db.walCommit(lsn)
 }
 
 func (db *DB) execDrop(s *sql.DropTable) error {
@@ -276,20 +282,11 @@ func (db *DB) execDrop(s *sql.DropTable) error {
 	if s.IfExists && !db.cat.HasTable(s.Name) {
 		return nil
 	}
-	if !db.cat.HasTable(s.Name) {
-		return fmt.Errorf("catalog: table %q does not exist", s.Name)
-	}
-	lsn, err := db.walAppend(&wal.Record{Type: wal.RecDrop, Table: s.Name})
+	lsn, err := db.applyRecord(&wal.Record{Type: wal.RecDrop, Table: s.Name})
 	if err != nil {
 		return err
 	}
-	if err := db.cat.DropTable(s.Name); err != nil {
-		return err
-	}
-	if err := db.walCommit(lsn); err != nil {
-		return err
-	}
-	return nil
+	return db.walCommit(lsn)
 }
 
 func (db *DB) execInsert(ctx context.Context, sess *Session, s *sql.Insert) (int64, error) {
@@ -435,9 +432,9 @@ func (db *DB) valuesChunk(tab *catalog.Table, colIdx []int, rows [][]sql.Expr) (
 	return vector.NewChunk(cols...), nil
 }
 
-// AppendChunk appends ch, whose columns must match the table's schema,
-// to the named table as one logged INSERT (the bulk-load path for an
-// existing table).
+// AppendChunk appends ch, whose columns must conform to the table's
+// schema (storage.Conform), to the named table as one logged INSERT
+// (the bulk-load path for an existing table).
 func (db *DB) AppendChunk(table string, ch *vector.Chunk) error {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
@@ -448,26 +445,36 @@ func (db *DB) AppendChunk(table string, ch *vector.Chunk) error {
 	return db.appendLogged(tab, ch)
 }
 
-// appendLogged logs ch as one RecInsert and appends it under the
-// table's write lock, so the log records rows in table order: a
+// appendLogged writes ch to tab as one RecInsert under the table's
+// write lock (writeTable), so the log records rows in table order: a
 // RecRewrite names rows by that order. The caller holds ddlMu shared.
 func (db *DB) appendLogged(tab *catalog.Table, ch *vector.Chunk) error {
 	if ch.NumRows() == 0 {
 		return nil
 	}
-	tab.LockWrites()
-	lsn, err := db.walAppend(&wal.Record{Type: wal.RecInsert, Table: tab.Name, Chunk: ch})
+	return db.writeTable(tab, func() (*wal.Record, error) {
+		return &wal.Record{Type: wal.RecInsert, Table: tab.Name, Chunk: ch}, nil
+	})
+}
+
+// writeTable writes to tab the record build returns (nothing when it
+// returns nil): build and applyRecord run under the table's write
+// lock, so build sees the table as the record will find it, and the
+// commit waits outside it, so committers of concurrent statements
+// share one fsync (group commit). The caller holds ddlMu shared.
+func (db *DB) writeTable(tab *catalog.Table, build func() (*wal.Record, error)) error {
+	lsn, err := func() (uint64, error) {
+		tab.LockWrites()
+		defer tab.UnlockWrites()
+		rec, err := build()
+		if err != nil || rec == nil {
+			return 0, err
+		}
+		return db.applyRecord(rec)
+	}()
 	if err != nil {
-		tab.UnlockWrites()
 		return err
 	}
-	if err := tab.Data.AppendChunk(ch); err != nil {
-		tab.UnlockWrites()
-		return err
-	}
-	tab.UnlockWrites()
-	// Durability wait happens outside the table lock, so committers of
-	// concurrent statements share one fsync (group commit).
 	return db.walCommit(lsn)
 }
 
@@ -484,32 +491,6 @@ func castValue(v vector.Value, t vector.Type) (vector.Value, error) {
 	return cv.Get(0), nil
 }
 
-// CreateTableFrom creates a table from an already materialized
-// relation (the bulk-load fast path). Schema and rows travel in one
-// WAL record, like CTAS, so the load replays all-or-nothing.
-func (db *DB) CreateTableFrom(name string, schema catalog.Schema, ch *vector.Chunk) error {
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	rec := &wal.Record{Type: wal.RecCreate, Table: name, Cols: walSchema(schema)}
-	if ch != nil && ch.NumRows() > 0 {
-		rec.Chunk = ch
-	}
-	lsn, err := db.walAppend(rec)
-	if err != nil {
-		return err
-	}
-	ct, err := db.cat.CreateTable(name, schema)
-	if err != nil {
-		return err
-	}
-	if ch != nil && ch.NumRows() > 0 {
-		if err := ct.Data.AppendChunk(ch); err != nil {
-			return err
-		}
-	}
-	return db.walCommit(lsn)
-}
-
 // execDelete removes the rows where the predicate is TRUE. The
 // unqualified form truncates and logs RecTruncate; with a WHERE it is
 // a segment-granular rewrite (see rewriteRows).
@@ -523,16 +504,12 @@ func (db *DB) execDelete(s *sql.Delete) (int64, error) {
 	if s.Where != nil {
 		return db.rewriteRows(tab, s.Where, nil)
 	}
-	tab.LockWrites()
-	n := tab.Data.NumRows()
-	lsn, err := db.walAppend(&wal.Record{Type: wal.RecTruncate, Table: tab.Name})
+	var n int
+	err = db.writeTable(tab, func() (*wal.Record, error) {
+		n = tab.Data.NumRows()
+		return &wal.Record{Type: wal.RecTruncate, Table: tab.Name}, nil
+	})
 	if err != nil {
-		tab.UnlockWrites()
-		return 0, err
-	}
-	tab.Data.Truncate()
-	tab.UnlockWrites()
-	if err := db.walCommit(lsn); err != nil {
 		return 0, err
 	}
 	return int64(n), nil
@@ -619,67 +596,54 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 		}
 	}
 
-	tab.LockWrites()
-	locked := true
-	defer func() {
-		if locked {
-			tab.UnlockWrites()
-		}
-	}()
-	snap := tab.Data.Snapshot()
-	filter := exec.CompileWhere(pred)
-	var sc exec.SegmentScratch // matched columns decode into its buffers: update copies them out
-	var ranges []storage.RowRange
 	var matched int64
-	first := 0
-	for i, rows := range snap.SegmentRowCounts() {
-		base := first
-		first += rows
-		if filter.Refutes(snap.Zones(i), nil) {
-			continue
-		}
-		sel, cols, err := filter.ScanSegment(snap, i, nil, &sc, update != nil)
-		if err != nil {
-			return 0, err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		for _, r := range sel {
-			if k := len(ranges) - 1; k >= 0 && ranges[k].End == base+r {
-				ranges[k].End++
-			} else {
-				ranges = append(ranges, storage.RowRange{Start: base + r, End: base + r + 1})
+	err := db.writeTable(tab, func() (*wal.Record, error) {
+		snap := tab.Data.Snapshot()
+		filter := exec.CompileWhere(pred)
+		var sc exec.SegmentScratch // matched columns decode into its buffers: update copies them out
+		var ranges []storage.RowRange
+		first := 0
+		for i, rows := range snap.SegmentRowCounts() {
+			base := first
+			first += rows
+			if filter.Refutes(snap.Zones(i), nil) {
+				continue
 			}
-		}
-		matched += int64(len(sel))
-		if update != nil {
-			cols, err := update(vector.NewChunk(cols...))
+			sel, cols, err := filter.ScanSegment(snap, i, nil, &sc, update != nil)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			for c, v := range cols {
-				repl[c].AppendVector(v)
+			if len(sel) == 0 {
+				continue
+			}
+			for _, r := range sel {
+				if k := len(ranges) - 1; k >= 0 && ranges[k].End == base+r {
+					ranges[k].End++
+				} else {
+					ranges = append(ranges, storage.RowRange{Start: base + r, End: base + r + 1})
+				}
+			}
+			matched += int64(len(sel))
+			if update != nil {
+				cols, err := update(vector.NewChunk(cols...))
+				if err != nil {
+					return nil, err
+				}
+				for c, v := range cols {
+					repl[c].AppendVector(v)
+				}
 			}
 		}
-	}
-	if matched == 0 {
-		return 0, nil
-	}
-	rec := &wal.Record{Type: wal.RecRewrite, Table: tab.Name, Ranges: ranges}
-	if update != nil {
-		rec.Chunk = vector.NewChunk(repl...)
-	}
-	lsn, err := db.walAppend(rec)
+		if matched == 0 {
+			return nil, nil
+		}
+		rec := &wal.Record{Type: wal.RecRewrite, Table: tab.Name, Ranges: ranges}
+		if update != nil {
+			rec.Chunk = vector.NewChunk(repl...)
+		}
+		return rec, nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	if err := tab.Data.Rewrite(ranges, rec.Chunk); err != nil {
-		return 0, err
-	}
-	tab.UnlockWrites()
-	locked = false
-	if err := db.walCommit(lsn); err != nil {
 		return 0, err
 	}
 	return matched, nil

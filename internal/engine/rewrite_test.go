@@ -33,8 +33,11 @@ func rewriteTable(t *testing.T, rows int, bad func(id int) bool) (*DB, *catalog.
 			ss[i] = "x"
 		}
 	}
-	schema := catalog.Schema{{Name: "id", Type: vector.Int64}, {Name: "n", Type: vector.Int64}, {Name: "s", Type: vector.String}}
-	if err := db.CreateTableFrom("t", schema, vector.NewChunk(vector.FromInt64s(ids), vector.FromInt64s(ns), vector.FromStrings(ss))); err != nil {
+	data, err := vector.NewTable([]string{"id", "n", "s"}, []*vector.Vector{vector.FromInt64s(ids), vector.FromInt64s(ns), vector.FromStrings(ss)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTableFrom("t", data); err != nil {
 		t.Fatal(err)
 	}
 	tab, err := db.Catalog().Table("t")

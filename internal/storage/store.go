@@ -22,6 +22,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -263,41 +264,48 @@ func zonesOf(sealed []*SealedColumn) []ZoneMap {
 	return out
 }
 
-// AppendChunk appends the rows of ch. Column arity and types must
-// match the store schema; numeric columns are cast when they differ.
-// Segments that fill up are sealed in place. The new rows are
-// published in a single version swap once the whole chunk is in, so
-// snapshot readers see either none or all of them.
+// AppendChunk appends the rows of ch, conformed to the store's types
+// (Conform). Segments that fill up are sealed in place. The new rows
+// are published in a single version swap once the whole chunk is in,
+// so snapshot readers see either none or all of them.
 func (s *ColumnStore) AppendChunk(ch *vector.Chunk) error {
-	cast, err := s.castColumns(ch)
+	ch, err := Conform(s.types, ch)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.appendLocked(s.cur.Load(), cast, ch.NumRows())
+	v := s.appendLocked(s.cur.Load(), ch.Cols(), ch.NumRows())
 	s.cur.Store(v)
 	return nil
 }
 
-// castColumns aligns a chunk's columns with the store schema.
-func (s *ColumnStore) castColumns(ch *vector.Chunk) ([]*vector.Vector, error) {
-	if ch.NumCols() != len(s.types) {
-		return nil, fmt.Errorf("storage: append %d columns to %d-column table", ch.NumCols(), len(s.types))
+// Conform returns ch with its columns cast to types, or the error
+// appending ch to a store of those types fails with: a chunk of another
+// width, or a column whose values do not cast. A chunk that already
+// has the types comes back as it is.
+func Conform(types []vector.Type, ch *vector.Chunk) (*vector.Chunk, error) {
+	if ch.NumCols() != len(types) {
+		return nil, fmt.Errorf("storage: append %d columns to %d-column table", ch.NumCols(), len(types))
 	}
-	cast := make([]*vector.Vector, ch.NumCols())
-	for i := 0; i < ch.NumCols(); i++ {
-		c := ch.Col(i)
-		if c.Type() != s.types[i] {
-			cc, err := c.Cast(s.types[i])
-			if err != nil {
-				return nil, fmt.Errorf("storage: column %d: %w", i, err)
-			}
-			c = cc
+	var cast []*vector.Vector
+	for i, t := range types {
+		if ch.Col(i).Type() == t {
+			continue
+		}
+		c, err := ch.Col(i).Cast(t)
+		if err != nil {
+			return nil, fmt.Errorf("storage: column %d: %w", i, err)
+		}
+		if cast == nil {
+			cast = slices.Clone(ch.Cols())
 		}
 		cast[i] = c
 	}
-	return cast, nil
+	if cast == nil {
+		return ch, nil
+	}
+	return vector.NewChunk(cast...), nil
 }
 
 // appendLocked builds base's successor version with n rows of cast
@@ -387,25 +395,20 @@ func CheckRanges(ranges []RowRange, limit int) (int, error) {
 // store loaded from a checkpoint image, whose tail was sealed early,
 // applies a logged rewrite to the rows it named when it was logged.
 func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
-	var cast []*vector.Vector
-	if rows != nil {
-		var err error
-		if cast, err = s.castColumns(rows); err != nil {
-			return err
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	base := s.cur.Load()
-	n, err := CheckRanges(ranges, base.rows)
+	rows, err := s.CheckRewrite(ranges, rows)
 	if err != nil {
 		return err
 	}
-	if rows != nil && rows.NumRows() != n {
-		return fmt.Errorf("storage: %d replacement rows for %d ordinals", rows.NumRows(), n)
-	}
+	base := s.cur.Load()
+	n := rangeRows(ranges)
 	if n == 0 {
 		return nil
+	}
+	var cast []*vector.Vector
+	if rows != nil {
+		cast = rows.Cols()
 	}
 	segs := make([]*segment, 0, len(base.segs))
 	var local []RowRange // the ranges' part in the current segment, segment-relative
@@ -443,6 +446,21 @@ func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
 	}
 	s.cur.Store(v)
 	return nil
+}
+
+// CheckRewrite returns the error Rewrite(ranges, rows) fails with
+// against the current version — ranges CheckRanges refuses, a
+// replacement count other than the rows they name, replacement rows
+// that do not conform — or else rows conformed to the store's types.
+func (s *ColumnStore) CheckRewrite(ranges []RowRange, rows *vector.Chunk) (*vector.Chunk, error) {
+	n, err := CheckRanges(ranges, s.NumRows())
+	if err != nil || rows == nil {
+		return nil, err
+	}
+	if rows.NumRows() != n {
+		return nil, fmt.Errorf("storage: %d replacement rows for %d ordinals", rows.NumRows(), n)
+	}
+	return Conform(s.types, rows)
 }
 
 // rangeRows counts the rows ranges name.

@@ -29,6 +29,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"vexdb/internal/storage"
 )
 
 // SyncMode selects the durability/latency trade-off of Commit.
@@ -39,10 +41,9 @@ const (
 	// every Commit returns only after its record is on stable storage,
 	// and concurrent committers share the fsync.
 	SyncGroup SyncMode = iota
-	// SyncEach fsyncs every record individually inside Append, with no
-	// batching. It exists as the per-statement-fsync baseline the
-	// group-commit benchmark compares against.
-	SyncEach
+	// Value 1 was the per-record-fsync mode, since removed; it stays
+	// unused so the remaining modes keep their numeric values.
+	_
 	// SyncNone writes records to the OS buffer cache on Commit but
 	// never fsyncs there; the log is synced only at checkpoints and
 	// Close. An OS crash can lose the un-synced suffix (replay still
@@ -55,12 +56,10 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "", "group", "always", "full":
 		return SyncGroup, nil
-	case "each", "statement":
-		return SyncEach, nil
 	case "none", "async", "off":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync mode %q (want group, each or none)", s)
+	return 0, fmt.Errorf("wal: unknown sync mode %q (want group or none)", s)
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -100,12 +99,34 @@ type Log struct {
 // frame-aligned. Records already in the log are not applied — call
 // Replay for that.
 func Open(dir string, mode SyncMode) (*Log, error) {
+	_, dirErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, LogName), os.O_CREATE|os.O_RDWR, 0o644)
+	path := filepath.Join(dir, LogName)
+	_, fileErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	// A new log's directory entry, and a new directory's entry in its
+	// parent, are made durable before any record is: otherwise a power
+	// loss before the first checkpoint syncs the directory can drop the
+	// file and every acknowledged write in it (Pillai et al., OSDI
+	// 2014). The kill -9 harness cannot show this, since a killed
+	// process leaves the page cache intact; a test waits for a file
+	// layer that can drop unsynced directory entries.
+	if os.IsNotExist(fileErr) {
+		dirs := []string{dir}
+		if os.IsNotExist(dirErr) {
+			dirs = append(dirs, filepath.Dir(dir))
+		}
+		for _, d := range dirs {
+			if err := storage.SyncDir(d); err != nil {
+				f.Close()
+				return nil, err
+			}
+		}
 	}
 	l := &Log{dir: dir, mode: mode, f: f}
 	l.cond = sync.NewCond(&l.mu)
@@ -224,8 +245,7 @@ func (l *Log) EnsureNextLSN(lsn uint64) {
 // Append assigns the record its LSN and buffers its frame. The record
 // is not durable (and with SyncGroup not even written) until a
 // Commit at or past the returned LSN returns; callers must not
-// acknowledge the write before then. With SyncEach the record is
-// written and fsynced before Append returns.
+// acknowledge the write before then.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -244,26 +264,13 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
 	l.size += int64(frameHeader + len(payload))
-	if l.mode == SyncEach {
-		// Per-record durability, serialized under the lock: write and
-		// fsync this statement alone (the group-commit baseline).
-		for l.syncing {
-			l.cond.Wait()
-		}
-		if err := l.flushLocked(true); err != nil {
-			return 0, err
-		}
-		l.syncs.Add(1)
-		l.commits.Add(1)
-	}
 	return rec.LSN, nil
 }
 
-// Commit blocks until every record up to lsn is durable (SyncGroup),
-// written to the OS (SyncNone), or already synced (SyncEach). The
-// first committer of a round becomes the leader and writes+fsyncs the
-// whole buffer; committers arriving during the fsync batch into the
-// next round.
+// Commit blocks until every record up to lsn is durable (SyncGroup)
+// or written to the OS (SyncNone). The first committer of a round
+// becomes the leader and writes+fsyncs the whole buffer; committers
+// arriving during the fsync batch into the next round.
 func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -318,9 +325,9 @@ func (l *Log) Commit(lsn uint64) error {
 	}
 }
 
-// flushLocked writes the buffer and optionally fsyncs. Caller holds
-// mu with no leader in flight.
-func (l *Log) flushLocked(sync bool) error {
+// flushLocked writes the buffer and fsyncs. Caller holds mu with no
+// leader in flight.
+func (l *Log) flushLocked() error {
 	if l.err != nil {
 		return l.err
 	}
@@ -331,11 +338,9 @@ func (l *Log) flushLocked(sync bool) error {
 		}
 		l.buf = nil
 	}
-	if sync {
-		if err := l.f.Sync(); err != nil {
-			l.err = err
-			return err
-		}
+	if err := l.f.Sync(); err != nil {
+		l.err = err
+		return err
 	}
 	if l.nextLSN > 0 && l.nextLSN-1 > l.durable {
 		l.durable = l.nextLSN - 1
@@ -351,7 +356,7 @@ func (l *Log) Sync() error {
 	for l.syncing {
 		l.cond.Wait()
 	}
-	return l.flushLocked(true)
+	return l.flushLocked()
 }
 
 // Reset seals the log at a checkpoint: the file is truncated to empty
@@ -405,7 +410,7 @@ func (l *Log) Reset(checkpointLSN uint64) error {
 
 // GroupStats reports the commit fsyncs issued and the records they
 // made durable; commits/syncs is the effective group-commit batch
-// size (SyncEach counts each inline fsync as a batch of one).
+// size.
 func (l *Log) GroupStats() (syncs, commits int64) {
 	return l.syncs.Load(), l.commits.Load()
 }
@@ -435,7 +440,7 @@ func (l *Log) Close() error {
 	for l.syncing {
 		l.cond.Wait()
 	}
-	flushErr := l.flushLocked(true)
+	flushErr := l.flushLocked()
 	closeErr := l.f.Close()
 	if l.err == nil {
 		l.err = fmt.Errorf("wal: log closed")

@@ -292,10 +292,9 @@ func TestResetSealsLog(t *testing.T) {
 // Group commit under contention: all records from all goroutines must
 // be durable, in strictly increasing LSN order, with no gaps. The fsync
 // count is the group-commit gate: 16 committers share fsyncs under
-// SyncGroup (at most one per two records), SyncEach pays one per record
-// and SyncNone none.
+// SyncGroup (at most one per two records) and SyncNone pays none.
 func TestGroupCommitConcurrent(t *testing.T) {
-	for _, mode := range []SyncMode{SyncGroup, SyncEach, SyncNone} {
+	for _, mode := range []SyncMode{SyncGroup, SyncNone} {
 		mode := mode
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
 			dir := t.TempDir()
@@ -339,10 +338,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			case SyncGroup:
 				if syncs > commits/2 {
 					t.Fatalf("%d fsyncs for %d commits: group commit did not batch", syncs, commits)
-				}
-			case SyncEach:
-				if syncs != commits {
-					t.Fatalf("%d fsyncs for %d commits, want one per record", syncs, commits)
 				}
 			case SyncNone:
 				if syncs != 0 {
@@ -390,14 +385,16 @@ func TestEnsureNextLSN(t *testing.T) {
 
 func TestParseSyncMode(t *testing.T) {
 	for s, want := range map[string]SyncMode{
-		"": SyncGroup, "group": SyncGroup, "each": SyncEach, "none": SyncNone, "async": SyncNone,
+		"": SyncGroup, "group": SyncGroup, "none": SyncNone, "async": SyncNone,
 	} {
 		got, err := ParseSyncMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSyncMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
+	for _, s := range []string{"bogus", "each", "statement"} {
+		if _, err := ParseSyncMode(s); err == nil {
+			t.Fatalf("mode %q accepted", s)
+		}
 	}
 }

@@ -110,9 +110,9 @@ func registerMLFunctions(db *DB) {
 		return m, m.FitWorkers(X, y, workers)
 	})
 
-	// predict scores feature columns against the cached model through
-	// ml's per-chunk scoring: the cache hands back the already
-	// deserialized classifier (pointer-identity fast path per chunk) and
+	// predict scores feature columns against the cached models through
+	// ml's batch scoring (predictRuns): the cache hands back each run's
+	// already deserialized classifier (pointer-identity fast path) and
 	// PredictLabelsInto writes straight into the result column — no
 	// per-call Unmarshal, no per-row feature boxing.
 	mustRegisterScalar(&ScalarFunc{
@@ -121,12 +121,8 @@ func registerMLFunctions(db *DB) {
 		Parallel:   true,
 		ReturnType: core.FixedReturn(Int32),
 		Eval: func(args []*Vector) (*Vector, error) {
-			clf, X, err := predictInputsCached("predict", args, cache)
+			out, err := predictRuns("predict", args, cache, ml.PredictLabelsInto)
 			if err != nil {
-				return nil, err
-			}
-			out := make([]int32, len(X[0]))
-			if err := ml.PredictLabelsInto(clf, X, out); err != nil {
 				return nil, err
 			}
 			return vector.FromInt32s(out), nil
@@ -139,12 +135,8 @@ func registerMLFunctions(db *DB) {
 		Parallel:   true,
 		ReturnType: core.FixedReturn(Float64),
 		Eval: func(args []*Vector) (*Vector, error) {
-			clf, X, err := predictInputsCached("predict_confidence", args, cache)
+			out, err := predictRuns("predict_confidence", args, cache, ml.PredictConfidenceInto)
 			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, len(X[0]))
-			if err := ml.PredictConfidenceInto(clf, X, out); err != nil {
 				return nil, err
 			}
 			return vector.FromFloat64s(out), nil
@@ -340,34 +332,54 @@ func (c *modelCache) noteIdentLocked(blob []byte, clf ml.Classifier) {
 	c.ident[0] = identEntry{ptr: &blob[0], size: len(blob), clf: clf}
 }
 
-// predictInputsCached resolves the model from the first argument's
-// blob (constant across rows) through the §5.1 snapshot cache and
-// converts the remaining arguments to column-major features — the
-// body of the paper's Listing 2, minus the per-call deserialization.
-func predictInputsCached(fn string, args []*Vector, cache *modelCache) (ml.Classifier, [][]float64, error) {
+// predictRuns scores the feature columns args[1:] into a new result
+// column, each run of rows that share a model blob (args[0]; the same
+// bytes by pointer identity, as the cache's ring compares them) with
+// that blob's classifier from the §5.1 snapshot cache — the body of the
+// paper's Listing 2, minus the per-call deserialization. A NULL model
+// in any row fails the call.
+func predictRuns[T any](fn string, args []*Vector, cache *modelCache, score func(ml.Classifier, [][]float64, []T) error) ([]T, error) {
 	if len(args) < 2 {
-		return nil, nil, fmt.Errorf("%s: requires (model, feature...) arguments", fn)
+		return nil, fmt.Errorf("%s: requires (model, feature...) arguments", fn)
 	}
-	if args[0].Type() != Blob {
-		return nil, nil, fmt.Errorf("%s: first argument must be a model BLOB, got %s", fn, args[0].Type())
+	models := args[0]
+	if models.Type() != Blob {
+		return nil, fmt.Errorf("%s: first argument must be a model BLOB, got %s", fn, models.Type())
 	}
-	if args[0].Len() == 0 {
-		return nil, nil, fmt.Errorf("%s: empty input", fn)
-	}
-	if args[0].IsNull(0) {
-		return nil, nil, fmt.Errorf("%s: model is NULL", fn)
-	}
-	clf, err := cache.get(args[0].Blobs()[0])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", fn, err)
+	n := models.Len()
+	if n == 0 {
+		return nil, fmt.Errorf("%s: empty input", fn)
 	}
 	X := make([][]float64, len(args)-1)
 	for i, a := range args[1:] {
 		col, err := a.AsFloat64s()
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: feature %d: %w", fn, i, err)
+			return nil, fmt.Errorf("%s: feature %d: %w", fn, i, err)
 		}
 		X[i] = col
 	}
-	return clf, X, nil
+	out := make([]T, n)
+	blobs, run := models.Blobs(), make([][]float64, len(X))
+	for lo := 0; lo < n; {
+		if models.IsNull(lo) {
+			return nil, fmt.Errorf("%s: model is NULL", fn)
+		}
+		b := blobs[lo]
+		hi := lo + 1
+		for hi < n && !models.IsNull(hi) && len(blobs[hi]) == len(b) && (len(b) == 0 || &blobs[hi][0] == &b[0]) {
+			hi++
+		}
+		clf, err := cache.get(b)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", fn, err)
+		}
+		for i, col := range X {
+			run[i] = col[lo:hi]
+		}
+		if err := score(clf, run, out[lo:hi]); err != nil {
+			return nil, err
+		}
+		lo = hi
+	}
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vexdb/internal/difftest"
 	"vexdb/ml"
 )
 
@@ -130,6 +131,67 @@ func TestPredictCachedEndToEnd(t *testing.T) {
 	}
 	if tab2.Column("n").Get(0).Int64() != 40 {
 		t.Fatal("cached run diverged")
+	}
+}
+
+// TestPredictScoresEachRowWithItsModel joins 3000 points with two
+// tree models trained on opposite labels, models on either side of the
+// join: every row's label and confidence must be its own model's,
+// scored outside SQL, at every Matrix point. predict once scored a
+// whole chunk with its first row's model, so a chunk holding rows of
+// both models got one model's labels, depending on join order.
+func TestPredictScoresEachRowWithItsModel(t *testing.T) {
+	db := Open()
+	xs := make([]float64, 3000)
+	for i := range xs {
+		xs[i] = float64(i % 6)
+	}
+	pts, err := NewTable([]string{"x"}, []*Vector{NewVectorFloat64(xs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTableFrom("pts", pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecScript(`
+		CREATE TABLE tr (x DOUBLE, y INTEGER, z INTEGER);
+		INSERT INTO tr VALUES (0.0, 0, 1), (1.0, 0, 1), (2.0, 0, 1), (3.0, 1, 0), (4.0, 1, 0), (5.0, 1, 0);
+		CREATE TABLE ms (id INTEGER, model BLOB);
+		INSERT INTO ms SELECT 1, model FROM train_tree((SELECT x, y FROM tr), 4);
+		INSERT INTO ms SELECT 2, model FROM train_tree((SELECT x, z FROM tr), 4)`); err != nil {
+		t.Fatal(err)
+	}
+	models, err := db.Query("SELECT id, model FROM ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clfs := map[int32]ml.Classifier{}
+	for r := 0; r < models.NumRows(); r++ {
+		if clfs[models.Cols[0].Int32s()[r]], err = ml.Unmarshal(models.Cols[1].Blobs()[r]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, from := range []string{"pts p, ms m", "ms m, pts p"} {
+		q := "SELECT p.x, m.id, predict(m.model, p.x) AS label, predict_confidence(m.model, p.x) AS conf FROM " + from
+		tab := difftest.Matrix(t, q, 64<<10, at(db, q))
+		if tab.NumRows() != 2*len(xs) {
+			t.Fatalf("%s: %d rows, want %d", from, tab.NumRows(), 2*len(xs))
+		}
+		labels, confs := make([]int32, 1), make([]float64, 1)
+		for r := 0; r < tab.NumRows(); r++ {
+			x, id := tab.Cols[0].Float64s()[r], tab.Cols[1].Int32s()[r]
+			X := [][]float64{{x}}
+			if err := ml.PredictLabelsInto(clfs[id], X, labels); err != nil {
+				t.Fatal(err)
+			}
+			if err := ml.PredictConfidenceInto(clfs[id], X, confs); err != nil {
+				t.Fatal(err)
+			}
+			if got := tab.Cols[2].Int32s()[r]; got != labels[0] || tab.Cols[3].Float64s()[r] != confs[0] {
+				t.Fatalf("%s: row %d (x=%v, model %d) scored %d/%v, its model gives %d/%v",
+					from, r, x, id, got, tab.Cols[3].Float64s()[r], labels[0], confs[0])
+			}
+		}
 	}
 }
 

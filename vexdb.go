@@ -16,7 +16,6 @@ import (
 	"context"
 	"time"
 
-	"vexdb/internal/catalog"
 	"vexdb/internal/core"
 	"vexdb/internal/engine"
 	"vexdb/internal/governor"
@@ -150,9 +149,8 @@ type Options struct {
 
 	// SyncMode picks the WAL's fsync policy: SyncGroup (default)
 	// fsyncs once per group-commit batch so concurrent writers share
-	// the disk flush, SyncEach fsyncs every statement individually,
-	// SyncNone leaves flushing to the OS (and to Checkpoint/Close).
-	// Ignored without WALDir.
+	// the disk flush, SyncNone leaves flushing to the OS (and to
+	// Checkpoint/Close). Ignored without WALDir.
 	SyncMode SyncMode
 }
 
@@ -164,14 +162,12 @@ type SyncMode = wal.SyncMode
 const (
 	// SyncGroup fsyncs once per group-commit batch (default).
 	SyncGroup = wal.SyncGroup
-	// SyncEach fsyncs every statement individually.
-	SyncEach = wal.SyncEach
 	// SyncNone never fsyncs on commit; only checkpoints and Close do.
 	SyncNone = wal.SyncNone
 )
 
-// ParseSyncMode maps "group", "each" or "none" (and common aliases)
-// to a SyncMode; the empty string selects SyncGroup.
+// ParseSyncMode maps "group" or "none" (and common aliases) to a
+// SyncMode; the empty string selects SyncGroup.
 func ParseSyncMode(s string) (SyncMode, error) { return wal.ParseSyncMode(s) }
 
 // GovernorConfig configures the process-wide resource governor:
@@ -257,9 +253,9 @@ func OpenDirOptions(dir string, opts Options) (*DB, error) {
 
 func (db *DB) applyOptions(opts Options) {
 	db.eng.Parallelism, db.eng.MemoryBudget, db.eng.TempDir = opts.Parallelism, opts.MemoryBudget, opts.TempDir
-	db.SetQueryTimeout(opts.QueryTimeout)
+	db.eng.QueryTimeout = opts.QueryTimeout
 	if opts.Governor != nil {
-		db.SetGovernor(*opts.Governor)
+		db.eng.Gov = governor.New(*opts.Governor)
 	}
 }
 
@@ -489,17 +485,6 @@ func (db *DB) SetMemoryBudget(bytes int64) { db.eng.MemoryBudget = bytes }
 // Call it before queries run; it is not synchronized with them.
 func (db *DB) SetTempDir(dir string) { db.eng.TempDir = dir }
 
-// SetQueryTimeout bounds each SELECT's total time, admission wait
-// included (Options.QueryTimeout has the details). 0 removes the
-// deadline. Call before queries start; it is not synchronized with
-// concurrent query execution.
-func (db *DB) SetQueryTimeout(d time.Duration) { db.eng.QueryTimeout = d }
-
-// SetGovernor installs a process-wide resource governor configured by
-// cfg (Options.Governor has the details). Call before queries start;
-// it is not synchronized with concurrent query execution.
-func (db *DB) SetGovernor(cfg GovernorConfig) { db.eng.Gov = governor.New(cfg) }
-
 // GovernorStats is a snapshot of the resource governor's gauges and
 // counters: active/queued queries, leased pool bytes and utilization,
 // admission outcomes, and the adaptive-lease activity (TryGrow grants,
@@ -559,15 +544,7 @@ func (db *DB) NumRows(name string) int {
 // relation, bulk-appending its columns (the fast path for loading
 // generated or imported data, bypassing SQL INSERT parsing).
 func (db *DB) CreateTableFrom(name string, tab *Table) error {
-	schema := make(catalog.Schema, tab.NumCols())
-	for i, n := range tab.Names {
-		schema[i] = catalog.Column{Name: n, Type: tab.Cols[i].Type()}
-	}
-	var ch *vector.Chunk
-	if tab.NumRows() > 0 {
-		ch = tab.Chunk()
-	}
-	return db.eng.CreateTableFrom(name, schema, ch)
+	return db.eng.CreateTableFrom(name, tab)
 }
 
 // Engine exposes the underlying engine instance for in-module tooling
