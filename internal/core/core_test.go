@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vexdb/internal/vector"
@@ -130,8 +131,8 @@ func TestCallErrorPropagates(t *testing.T) {
 
 // TestCallChecksAndCasts: a result of the wrong length fails the call
 // with the same text at every partition count; a result of another
-// type is cast to the bound type (BIGINT to INTEGER keeps the low 32
-// bits), and its NULLs survive.
+// type is cast to the bound type, and its NULLs survive; a BIGINT past
+// INTEGER's range fails the cast rather than wrapping.
 func TestCallChecksAndCasts(t *testing.T) {
 	extra := &ScalarFunc{
 		Name: "extra", Arity: 1, Parallel: true,
@@ -140,21 +141,24 @@ func TestCallChecksAndCasts(t *testing.T) {
 			return vector.FromInt64s(make([]int64, args[0].Len()+1)), nil
 		},
 	}
-	wide := &ScalarFunc{
-		Name: "wide", Arity: 1, Parallel: true,
-		ReturnType: FixedReturn(vector.Int32),
-		Eval: func(args []*vector.Vector) (*vector.Vector, error) {
-			out := vector.New(vector.Int64, args[0].Len())
-			for i := range args[0].Len() {
-				if args[0].IsNull(i) {
-					out.AppendValue(vector.Null())
-				} else {
-					out.AppendValue(vector.NewInt64(args[0].Int64s()[i] + 1<<32))
+	shifted := func(name string, by int64) *ScalarFunc {
+		return &ScalarFunc{
+			Name: name, Arity: 1, Parallel: true,
+			ReturnType: FixedReturn(vector.Int32),
+			Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+				out := vector.New(vector.Int64, args[0].Len())
+				for i := range args[0].Len() {
+					if args[0].IsNull(i) {
+						out.AppendValue(vector.Null())
+					} else {
+						out.AppendValue(vector.NewInt64(args[0].Int64s()[i] + by))
+					}
 				}
-			}
-			return out, nil
-		},
+				return out, nil
+			},
+		}
 	}
+	wide, over := shifted("wide", 0), shifted("over", 1<<32)
 	in := vector.New(vector.Int64, 5)
 	for _, v := range []vector.Value{vector.NewInt64(1), vector.Null(), vector.NewInt64(-3), vector.NewInt64(4), vector.NewInt64(5)} {
 		in.AppendValue(v)
@@ -170,6 +174,9 @@ func TestCallChecksAndCasts(t *testing.T) {
 		}
 		if got.Type() != vector.Int32 || got.Len() != 5 || !got.IsNull(1) || got.Int32s()[2] != -3 || got.Int32s()[4] != 5 {
 			t.Fatalf("parts=%d: %s[%d] %v", parts, got.Type(), got.Len(), got)
+		}
+		if _, err := over.Call(vector.Int32, args, 5, parts); err == nil || !strings.Contains(err.Error(), "cast 4294967297 to INTEGER: out of range") {
+			t.Fatalf("parts=%d: out-of-range result: error %v", parts, err)
 		}
 	}
 }

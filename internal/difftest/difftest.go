@@ -38,6 +38,13 @@ func (p Point) String() string {
 	return fmt.Sprintf("width=%d budget=%d planner=%v %s", p.Width, p.Budget, p.Planner, mode)
 }
 
+// inFlight bounds the points Matrix runs at once. Each point holds its
+// own result and, under a budget, its own spill buffers, so running all
+// 23 together multiplies a query's footprint by 23; a few at a time
+// still interleave queries on one database, which is what the contract
+// is held under.
+const inFlight = 3
+
 // Matrix runs q through run at each of its 24 points — widths 1, 2
 // and 8 × budgets unlimited and tight × planner off and on ×
 // materialized and streamed — and fails t with the point and the first
@@ -46,8 +53,9 @@ func (p Point) String() string {
 // returns the oracle's table for the caller to assert the rows it
 // expects.
 //
-// The oracle runs first; the other 23 points then run at once, each
-// on its own goroutine, so run must be safe for concurrent use: it
+// The oracle runs first; the other 23 points then run concurrently,
+// each on its own goroutine and at most inFlight at once, so run must
+// be safe for concurrent use: it
 // reads q's result in a session of its own at the point's settings,
 // never by changing state the points share. Where several points fail,
 // the lowest-numbered one is reported, so a failure reads the same
@@ -74,10 +82,12 @@ func Matrix(t testing.TB, q string, tight int64, run func(Point) (*vector.Table,
 	}
 	fails := make([]string, len(ps))
 	var wg sync.WaitGroup
+	slots := make(chan struct{}, inFlight)
 	for i, p := range ps[1:] {
 		wg.Add(1)
+		slots <- struct{}{}
 		go func() {
-			defer wg.Done()
+			defer func() { <-slots; wg.Done() }()
 			if got, err := run(p); err != nil {
 				fails[i+1] = err.Error()
 			} else {

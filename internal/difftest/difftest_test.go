@@ -52,21 +52,37 @@ func TestFingerprintTellsApart(t *testing.T) {
 }
 
 // TestMatrixRunsEveryPoint: the oracle comes first and alone, the
-// other 23 points of the product are all in flight at once, each is run
-// once, and the oracle's table is returned.
+// other 23 points run concurrently but never more than inFlight at once
+// (and that many do run at once), each is run once, and the oracle's
+// table is returned.
 func TestMatrixRunsEveryPoint(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[Point]bool{}
-	all := make(chan struct{}) // closed once the 23 are in flight
+	running, peak := 0, 0
+	full := make(chan struct{}) // closed once inFlight points are in flight
 	want := table("a", vector.FromInt64s([]int64{1, 2}))
 	got := Matrix(t, "q", 64<<10, func(p Point) (*vector.Table, error) {
 		mu.Lock()
 		first, twice := len(seen) == 0, seen[p]
 		seen[p] = true
-		if len(seen) == 24 {
-			close(all)
+		if !first {
+			running++
+			if peak = max(peak, running); peak == inFlight && running == inFlight {
+				select {
+				case <-full:
+				default:
+					close(full)
+				}
+			}
 		}
 		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			if !first {
+				running--
+			}
+			mu.Unlock()
+		}()
 		switch {
 		case first && p != (Point{Width: 1}):
 			return nil, fmt.Errorf("first point %v is not the oracle", p)
@@ -74,15 +90,19 @@ func TestMatrixRunsEveryPoint(t *testing.T) {
 			return nil, fmt.Errorf("%v run twice", p)
 		case !first:
 			select {
-			case <-all:
+			case <-full:
 			case <-time.After(10 * time.Second):
 				return nil, fmt.Errorf("%v waited for the other points alone", p)
 			}
+			time.Sleep(time.Millisecond) // overlap the next points, were the bound not kept
 		}
 		return table("a", vector.FromInt64s([]int64{1, 2})), nil
 	})
 	if len(seen) != 24 || !seen[Point{8, 64 << 10, true, true}] || Diff(got, want) != "" {
 		t.Fatalf("%d points run; oracle %q", len(seen), Fingerprint(got))
+	}
+	if peak != inFlight {
+		t.Fatalf("%d points in flight at most, want %d", peak, inFlight)
 	}
 }
 

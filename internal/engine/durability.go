@@ -61,7 +61,7 @@ func (db *DB) EnableWAL(dir string, mode wal.SyncMode) error {
 		if r.LSN <= cpLSN {
 			return nil // already captured by the checkpoint's tables
 		}
-		if _, err := db.applyRecord(r); err != nil {
+		if _, err := db.applyRecord(r, db.Parallelism); err != nil {
 			return fmt.Errorf("record at LSN %d: %w: %w", r.LSN, wal.ErrCorrupt, err)
 		}
 		return nil
@@ -135,13 +135,14 @@ func (db *DB) loadCheckpoint(dir string) (uint64, error) {
 // column store, for a live statement and for replay alike. It checks
 // rec against the current state (check); a refused record returns the
 // mutation's error and is not logged. Otherwise it logs rec — with the
-// WAL on and outside replay — and applies it, returning its LSN for
-// the caller to commit. Callers hold ddlMu (exclusively for CREATE and
+// WAL on and outside replay — and applies it, sealing the segments its
+// rows fill up to width at a time (the writing statement's workers),
+// and returns its LSN for the caller to commit. Callers hold ddlMu (exclusively for CREATE and
 // DROP) and, for a record naming an existing table, that table's write
 // lock, so per-table apply order matches LSN order and the state the
 // check saw is the state the apply meets.
-func (db *DB) applyRecord(rec *wal.Record) (uint64, error) {
-	apply, err := db.check(rec)
+func (db *DB) applyRecord(rec *wal.Record, width int) (uint64, error) {
+	apply, err := db.check(rec, width)
 	if err != nil {
 		return 0, err
 	}
@@ -160,7 +161,7 @@ func (db *DB) applyRecord(rec *wal.Record) (uint64, error) {
 // table, ranges or replacement rows that do not match it — and
 // returns the mutation, which then cannot fail. Rows are conformed to
 // the table's types here, so the record logs the rows the table holds.
-func (db *DB) check(rec *wal.Record) (func() error, error) {
+func (db *DB) check(rec *wal.Record, width int) (func() error, error) {
 	switch rec.Type {
 	case wal.RecCheckpoint:
 		return func() error { return nil }, nil
@@ -181,7 +182,7 @@ func (db *DB) check(rec *wal.Record) (func() error, error) {
 			if err != nil || rec.Chunk == nil {
 				return err
 			}
-			return t.Data.AppendChunk(rec.Chunk)
+			return t.Data.AppendChunkWidth(rec.Chunk, width)
 		}, nil
 	}
 	t, err := db.cat.Table(rec.Table)
@@ -197,12 +198,12 @@ func (db *DB) check(rec *wal.Record) (func() error, error) {
 		if rec.Chunk, err = storage.Conform(t.Data.Types(), rec.Chunk); err != nil {
 			return nil, err
 		}
-		return func() error { return t.Data.AppendChunk(rec.Chunk) }, nil
+		return func() error { return t.Data.AppendChunkWidth(rec.Chunk, width) }, nil
 	case wal.RecRewrite:
 		if rec.Chunk, err = t.Data.CheckRewrite(rec.Ranges, rec.Chunk); err != nil {
 			return nil, err
 		}
-		return func() error { return t.Data.Rewrite(rec.Ranges, rec.Chunk) }, nil
+		return func() error { return t.Data.Rewrite(rec.Ranges, rec.Chunk, width) }, nil
 	}
 	return nil, fmt.Errorf("engine: record type %s", rec.Type)
 }

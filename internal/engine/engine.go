@@ -195,9 +195,9 @@ func (db *DB) run(ctx context.Context, sess *Session, stmt sql.Statement) (*Resu
 	case *sql.Insert:
 		n, err = db.execInsert(ctx, sess, s)
 	case *sql.Delete:
-		n, err = db.execDelete(s)
+		n, err = db.execDelete(sess, s)
 	case *sql.Update:
-		n, err = db.execUpdate(s)
+		n, err = db.execUpdate(sess, s)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
@@ -222,7 +222,7 @@ func (db *DB) execCreate(ctx context.Context, sess *Session, s *sql.CreateTable)
 		for i, c := range s.Columns {
 			schema[i] = catalog.Column{Name: c.Name, Type: c.Type}
 		}
-		return db.createTable(s.Name, schema, nil, s.IfNotExists)
+		return db.createTable(s.Name, schema, nil, s.IfNotExists, 0)
 	}
 	// CTAS evaluates its SELECT before taking the DDL lock: the read
 	// pins its own snapshot and must not hold up concurrent writers.
@@ -230,15 +230,15 @@ func (db *DB) execCreate(ctx context.Context, sess *Session, s *sql.CreateTable)
 	if err != nil {
 		return 0, err
 	}
-	return db.createTable(s.Name, tableSchema(tab), tab.Chunk(), s.IfNotExists)
+	return db.createTable(s.Name, tableSchema(tab), tab.Chunk(), s.IfNotExists, db.workers(sess))
 }
 
 // CreateTableFrom creates a table named name holding the rows of an
 // already materialized relation (the bulk-load fast path), as CTAS
 // does: schema and rows travel in one WAL record, so the load replays
-// all-or-nothing.
+// all-or-nothing. Its segments seal at the database's default width.
 func (db *DB) CreateTableFrom(name string, tab *vector.Table) error {
-	_, err := db.createTable(name, tableSchema(tab), tab.Chunk(), false)
+	_, err := db.createTable(name, tableSchema(tab), tab.Chunk(), false, db.Parallelism)
 	return err
 }
 
@@ -253,9 +253,9 @@ func tableSchema(tab *vector.Table) catalog.Schema {
 
 // createTable is CREATE TABLE, CTAS and CreateTableFrom. One record
 // carries the schema and the rows, if any, so the statement replays
-// atomically: a torn tail drops it whole, never half. It returns the
-// rows written.
-func (db *DB) createTable(name string, schema catalog.Schema, ch *vector.Chunk, ifNotExists bool) (int64, error) {
+// atomically: a torn tail drops it whole, never half. The segments the
+// rows fill seal up to width at a time. It returns the rows written.
+func (db *DB) createTable(name string, schema catalog.Schema, ch *vector.Chunk, ifNotExists bool, width int) (int64, error) {
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	if ifNotExists && db.cat.HasTable(name) {
@@ -269,7 +269,7 @@ func (db *DB) createTable(name string, schema catalog.Schema, ch *vector.Chunk, 
 	if ch != nil && ch.NumRows() > 0 {
 		rec.Chunk, n = ch, int64(ch.NumRows())
 	}
-	lsn, err := db.applyRecord(rec)
+	lsn, err := db.applyRecord(rec, width)
 	if err != nil {
 		return 0, err
 	}
@@ -282,7 +282,7 @@ func (db *DB) execDrop(s *sql.DropTable) error {
 	if s.IfExists && !db.cat.HasTable(s.Name) {
 		return nil
 	}
-	lsn, err := db.applyRecord(&wal.Record{Type: wal.RecDrop, Table: s.Name})
+	lsn, err := db.applyRecord(&wal.Record{Type: wal.RecDrop, Table: s.Name}, 0)
 	if err != nil {
 		return err
 	}
@@ -366,7 +366,7 @@ func (db *DB) execInsert(ctx context.Context, sess *Session, s *sql.Insert) (int
 			return 0, err
 		}
 	}
-	if err := db.appendLogged(tab, ch); err != nil {
+	if err := db.appendLogged(tab, ch, db.workers(sess)); err != nil {
 		return 0, err
 	}
 	return int64(ch.NumRows()), nil
@@ -434,7 +434,8 @@ func (db *DB) valuesChunk(tab *catalog.Table, colIdx []int, rows [][]sql.Expr) (
 
 // AppendChunk appends ch, whose columns must conform to the table's
 // schema (storage.Conform), to the named table as one logged INSERT
-// (the bulk-load path for an existing table).
+// (the bulk-load path for an existing table), sealing at the database's
+// default width.
 func (db *DB) AppendChunk(table string, ch *vector.Chunk) error {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
@@ -442,17 +443,17 @@ func (db *DB) AppendChunk(table string, ch *vector.Chunk) error {
 	if err != nil {
 		return err
 	}
-	return db.appendLogged(tab, ch)
+	return db.appendLogged(tab, ch, db.Parallelism)
 }
 
 // appendLogged writes ch to tab as one RecInsert under the table's
 // write lock (writeTable), so the log records rows in table order: a
 // RecRewrite names rows by that order. The caller holds ddlMu shared.
-func (db *DB) appendLogged(tab *catalog.Table, ch *vector.Chunk) error {
+func (db *DB) appendLogged(tab *catalog.Table, ch *vector.Chunk, width int) error {
 	if ch.NumRows() == 0 {
 		return nil
 	}
-	return db.writeTable(tab, func() (*wal.Record, error) {
+	return db.writeTable(tab, width, func() (*wal.Record, error) {
 		return &wal.Record{Type: wal.RecInsert, Table: tab.Name, Chunk: ch}, nil
 	})
 }
@@ -461,8 +462,9 @@ func (db *DB) appendLogged(tab *catalog.Table, ch *vector.Chunk) error {
 // returns nil): build and applyRecord run under the table's write
 // lock, so build sees the table as the record will find it, and the
 // commit waits outside it, so committers of concurrent statements
-// share one fsync (group commit). The caller holds ddlMu shared.
-func (db *DB) writeTable(tab *catalog.Table, build func() (*wal.Record, error)) error {
+// share one fsync (group commit). The segments the record fills or
+// rebuilds seal up to width at a time. The caller holds ddlMu shared.
+func (db *DB) writeTable(tab *catalog.Table, width int, build func() (*wal.Record, error)) error {
 	lsn, err := func() (uint64, error) {
 		tab.LockWrites()
 		defer tab.UnlockWrites()
@@ -470,7 +472,7 @@ func (db *DB) writeTable(tab *catalog.Table, build func() (*wal.Record, error)) 
 		if err != nil || rec == nil {
 			return 0, err
 		}
-		return db.applyRecord(rec)
+		return db.applyRecord(rec, width)
 	}()
 	if err != nil {
 		return err
@@ -494,7 +496,7 @@ func castValue(v vector.Value, t vector.Type) (vector.Value, error) {
 // execDelete removes the rows where the predicate is TRUE. The
 // unqualified form truncates and logs RecTruncate; with a WHERE it is
 // a segment-granular rewrite (see rewriteRows).
-func (db *DB) execDelete(s *sql.Delete) (int64, error) {
+func (db *DB) execDelete(sess *Session, s *sql.Delete) (int64, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	tab, err := db.cat.Table(s.Table)
@@ -502,10 +504,10 @@ func (db *DB) execDelete(s *sql.Delete) (int64, error) {
 		return 0, err
 	}
 	if s.Where != nil {
-		return db.rewriteRows(tab, s.Where, nil)
+		return db.rewriteRows(tab, s.Where, db.workers(sess), nil)
 	}
 	var n int
-	err = db.writeTable(tab, func() (*wal.Record, error) {
+	err = db.writeTable(tab, 0, func() (*wal.Record, error) {
 		n = tab.Data.NumRows()
 		return &wal.Record{Type: wal.RecTruncate, Table: tab.Name}, nil
 	})
@@ -519,7 +521,7 @@ func (db *DB) execDelete(s *sql.Delete) (int64, error) {
 // predicate is TRUE, in place, as a segment-granular rewrite (see
 // rewriteRows). Every SET expression reads the row as it was before
 // the statement.
-func (db *DB) execUpdate(s *sql.Update) (int64, error) {
+func (db *DB) execUpdate(sess *Session, s *sql.Update) (int64, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	tab, err := db.cat.Table(s.Table)
@@ -538,7 +540,7 @@ func (db *DB) execUpdate(s *sql.Update) (int64, error) {
 			return 0, err
 		}
 	}
-	n, err := db.rewriteRows(tab, s.Where, func(matched *vector.Chunk) ([]*vector.Vector, error) {
+	n, err := db.rewriteRows(tab, s.Where, db.workers(sess), func(matched *vector.Chunk) ([]*vector.Vector, error) {
 		cols := append([]*vector.Vector(nil), matched.Cols()...)
 		for ci, e := range set {
 			if e == nil {
@@ -577,7 +579,7 @@ func (db *DB) execUpdate(s *sql.Update) (int64, error) {
 // decoded, for UPDATE alone (exec.Where.ScanSegment). Nothing is logged or applied
 // until every segment is evaluated, so an error leaves the table and
 // the log as they were. It returns the count of rows matched.
-func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matched *vector.Chunk) ([]*vector.Vector, error)) (int64, error) {
+func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, width int, update func(matched *vector.Chunk) ([]*vector.Vector, error)) (int64, error) {
 	var pred plan.Expr
 	if where != nil {
 		var err error
@@ -597,7 +599,7 @@ func (db *DB) rewriteRows(tab *catalog.Table, where sql.Expr, update func(matche
 	}
 
 	var matched int64
-	err := db.writeTable(tab, func() (*wal.Record, error) {
+	err := db.writeTable(tab, width, func() (*wal.Record, error) {
 		snap := tab.Data.Snapshot()
 		filter := exec.CompileWhere(pred)
 		var sc exec.SegmentScratch // matched columns decode into its buffers: update copies them out

@@ -660,7 +660,7 @@ func TestUDFBoundary(t *testing.T) {
 		return vector.FromInt64s(make([]int64, len(in)+1))
 	})
 	udf("narrow", vector.Int32, func(in []float64, nulls []bool) *vector.Vector {
-		return bigints(in, nulls, func(x float64) int64 { return int64(x)*3 + 1<<32 }) // INTEGER keeps 3x
+		return bigints(in, nulls, func(x float64) int64 { return int64(x) * 3 }) // in INTEGER's range, so the cast keeps it
 	})
 	udf("truthy", vector.Bool, func(in []float64, nulls []bool) *vector.Vector {
 		return bigints(in, nulls, func(x float64) int64 { return int64(x) % 2 })

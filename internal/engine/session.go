@@ -78,6 +78,13 @@ func (db *DB) scope(sess *Session) (Settings, *governor.Session) {
 	return sess.Settings, sess.gov
 }
 
+// workers is the worker count of a statement in sess (nil: none), the
+// width its write seals segments at.
+func (db *DB) workers(sess *Session) int {
+	set, _ := db.scope(sess)
+	return set.Workers
+}
+
 // set assigns the text value to the named setting.
 func (s *Settings) set(name, value string) error {
 	bad := func(want string) error {

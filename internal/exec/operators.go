@@ -314,29 +314,10 @@ func Run(node plan.Node, ctx *Context) (*vector.Table, error) {
 }
 
 // Materialize drains the stream into a table with the schema's column
-// names. The stream is exhausted afterwards; the caller still owns
-// Close.
+// names (vector.CollectTable: each column sized once). The stream is
+// exhausted afterwards; the caller still owns Close.
 func (s *ChunkStream) Materialize() (*vector.Table, error) {
-	cols := make([]*vector.Vector, len(s.schema))
-	for i, c := range s.schema {
-		cols[i] = vector.New(c.Type, 0)
-	}
-	out, err := vector.NewTable(s.schema.Names(), cols)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ch, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			return out, nil
-		}
-		if err := out.AppendChunk(ch); err != nil {
-			return nil, err
-		}
-	}
+	return vector.CollectTable(s.schema.Names(), s.schema.Types(), s.Next)
 }
 
 // ----------------------------------------------------------------- stages

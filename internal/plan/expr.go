@@ -179,14 +179,16 @@ func MayFail(e Expr) bool {
 }
 
 // castMayFail reports whether Value.Cast can fail from one type to
-// another.
+// another: a narrowing numeric cast fails out of range.
 func castMayFail(from, to vector.Type) bool {
 	switch {
 	case from == to || to == vector.String:
 		return false
-	case from == vector.Int32 || from == vector.Int64:
+	case from == vector.Int32:
 		return to == vector.Blob
-	case from == vector.Float64 || from == vector.Bool:
+	case from == vector.Int64:
+		return to == vector.Blob || to == vector.Int32
+	case from == vector.Bool:
 		return to != vector.Int32 && to != vector.Int64
 	case from == vector.String:
 		return to != vector.Blob

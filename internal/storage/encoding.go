@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -72,115 +73,84 @@ func (z ZoneMap) HasMinMax() bool {
 	return z.Min.Type() != vector.Invalid && z.Max.Type() != vector.Invalid
 }
 
-// computeZone scans a column once for min/max and null count.
-// Float64 NaNs are excluded from the bounds: NaN compares false
-// against everything, so a NaN row can never satisfy the comparison
-// predicates pruning is allowed to act on (=, <, <=, >, >=). Numeric
-// columns take unboxed fast paths — sealing runs on the append hot
-// path.
+// computeZone scans a column once for min/max and null count. Every
+// orderable type takes a typed loop, so no row is boxed into a
+// vector.Value: sealing runs on the append hot path. Float64 NaNs are
+// excluded from the bounds: NaN compares false against everything, so a
+// NaN row can never satisfy the comparison predicates pruning is
+// allowed to act on (=, <, <=, >, >=). VARCHAR bounds are in Go string
+// order, which is Value.Compare's order for strings.
 func computeZone(v *vector.Vector) ZoneMap {
 	n := v.Len()
 	z := ZoneMap{Rows: n}
-	switch v.Type() {
-	case vector.Int32:
-		var mn, mx int32
-		seen := false
-		for i, x := range v.Int32s() {
-			if v.IsNull(i) {
+	nulls := v.Nulls()
+	if nulls != nil {
+		for _, null := range nulls[:n] {
+			if null {
 				z.NullCount++
-				continue
-			}
-			if !seen {
-				mn, mx, seen = x, x, true
-				continue
-			}
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
 			}
 		}
-		if seen {
+		if z.NullCount == 0 {
+			nulls = nil
+		}
+	}
+	switch v.Type() {
+	case vector.Int32:
+		if mn, mx, ok := zoneBounds(v.Int32s(), nulls); ok {
 			z.Min, z.Max = vector.NewInt32(mn), vector.NewInt32(mx)
 		}
 	case vector.Int64:
-		var mn, mx int64
-		seen := false
-		for i, x := range v.Int64s() {
-			if v.IsNull(i) {
-				z.NullCount++
-				continue
-			}
-			if !seen {
-				mn, mx, seen = x, x, true
-				continue
-			}
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		if seen {
+		if mn, mx, ok := zoneBounds(v.Int64s(), nulls); ok {
 			z.Min, z.Max = vector.NewInt64(mn), vector.NewInt64(mx)
 		}
 	case vector.Float64:
-		var mn, mx float64
-		seen := false
-		for i, x := range v.Float64s() {
-			if v.IsNull(i) {
-				z.NullCount++
-				continue
-			}
-			if math.IsNaN(x) {
-				continue
-			}
-			if !seen {
-				mn, mx, seen = x, x, true
-				continue
-			}
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		if seen {
+		if mn, mx, ok := zoneBounds(v.Float64s(), nulls); ok {
 			z.Min, z.Max = vector.NewFloat64(mn), vector.NewFloat64(mx)
 		}
-	case vector.Blob:
-		for i := 0; i < n; i++ {
-			if v.IsNull(i) {
-				z.NullCount++ // blobs are not orderable; null count only
+	case vector.String:
+		switch mn, mx, ok := zoneBounds(v.Strings(), nulls); {
+		case !ok:
+		case len(mn) > zoneMaxString || len(mx) > zoneMaxString:
+			z.Min, z.Max = vector.Null(), vector.Null()
+		default:
+			z.Min, z.Max = vector.NewString(mn), vector.NewString(mx)
+		}
+	case vector.Bool:
+		var seen [2]bool // seen[0]: a false row, seen[1]: a true one
+		for i, b := range v.Bools() {
+			if nulls == nil || !nulls[i] {
+				seen[b2i(b)] = true
 			}
 		}
-	default: // Bool, String
-		for i := 0; i < n; i++ {
-			if v.IsNull(i) {
-				z.NullCount++
-				continue
-			}
-			val := v.Get(i)
-			if z.Min.Type() == vector.Invalid {
-				z.Min, z.Max = val, val
-				continue
-			}
-			if c, err := val.Compare(z.Min); err == nil && c < 0 {
-				z.Min = val
-			}
-			if c, err := val.Compare(z.Max); err == nil && c > 0 {
-				z.Max = val
-			}
+		if seen[0] || seen[1] {
+			z.Min, z.Max = vector.NewBool(!seen[0]), vector.NewBool(seen[1])
 		}
-	}
-	if v.Type() == vector.String && z.HasMinMax() &&
-		(len(z.Min.Str()) > zoneMaxString || len(z.Max.Str()) > zoneMaxString) {
-		z.Min, z.Max = vector.Null(), vector.Null()
 	}
 	return z
+}
+
+// zoneBounds returns the least and greatest of the xs that nulls (nil:
+// none) does not mark and that are not NaN, and whether there is one.
+func zoneBounds[T cmp.Ordered](xs []T, nulls []bool) (mn, mx T, seen bool) {
+	for i, x := range xs {
+		switch {
+		case nulls != nil && nulls[i]:
+		case !seen:
+			mn, mx, seen = x, x, x == x // a NaN never starts the bounds
+		case x < mn: // a NaN is neither less nor greater than a bound
+			mn = x
+		case x > mx:
+			mx = x
+		}
+	}
+	return mn, mx, seen
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SealedColumn is one immutable column of a sealed segment: an

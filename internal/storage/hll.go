@@ -12,6 +12,7 @@ package storage
 
 import (
 	"math"
+	"math/bits"
 
 	"vexdb/internal/vector"
 )
@@ -33,17 +34,16 @@ type HLL struct {
 func NewHLL() *HLL { return &HLL{} }
 
 // AddHash folds one 64-bit hashed value into the sketch. Callers hash
-// their values first (hllInt64 / hllFloat64 / hllBytes) so that the
-// register distribution is uniform regardless of the input domain.
+// their values first (hllMix / hllString / hllBytes) so that the
+// register distribution is uniform regardless of the input domain. The
+// top hllP bits pick the register; the rank is one more than the count
+// of leading zeros in the rest, read in one instruction
+// (bits.LeadingZeros64) rather than by a shift loop whose random trip
+// count defeats the branch predictor.
 func (h *HLL) AddHash(x uint64) {
 	idx := x >> (64 - hllP)
 	rest := x<<hllP | 1<<(hllP-1) // low bits; sentinel keeps rank ≤ 64-p+1
-	rank := byte(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
-	if rank > h.reg[idx] {
+	if rank := byte(bits.LeadingZeros64(rest) + 1); rank > h.reg[idx] {
 		h.reg[idx] = rank
 	}
 }

@@ -130,10 +130,10 @@ func TestRewriteMatchesModel(t *testing.T) {
 			rows = replacementRows(ranges, round)
 		}
 		before := s.Snapshot()
-		if err := s.Rewrite(ranges, rows); err != nil {
+		if err := s.Rewrite(ranges, rows, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := loaded.Rewrite(ranges, rows); err != nil {
+		if err := loaded.Rewrite(ranges, rows, 0); err != nil {
 			t.Fatal(err)
 		}
 		m.apply(ranges, rows)
@@ -184,7 +184,7 @@ func TestRewriteRejectsBadRanges(t *testing.T) {
 			mustColumn(t, s, 1).Slice(0, 3), mustColumn(t, s, 2).Slice(0, 3))},
 	} {
 		before := s.Snapshot()
-		if err := s.Rewrite(c.ranges, c.rows); err == nil {
+		if err := s.Rewrite(c.ranges, c.rows, 0); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 		if s.Snapshot().v != before.v {

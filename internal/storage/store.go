@@ -22,6 +22,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -264,18 +265,23 @@ func zonesOf(sealed []*SealedColumn) []ZoneMap {
 	return out
 }
 
-// AppendChunk appends the rows of ch, conformed to the store's types
-// (Conform). Segments that fill up are sealed in place. The new rows
-// are published in a single version swap once the whole chunk is in,
-// so snapshot readers see either none or all of them.
-func (s *ColumnStore) AppendChunk(ch *vector.Chunk) error {
+// AppendChunk is AppendChunkWidth at width 0: segments that fill up
+// are sealed up to GOMAXPROCS at a time.
+func (s *ColumnStore) AppendChunk(ch *vector.Chunk) error { return s.AppendChunkWidth(ch, 0) }
+
+// AppendChunkWidth appends the rows of ch, conformed to the store's
+// types (Conform). Segments that fill up are sealed up to width at a
+// time (see sealer; width ≤ 0 means GOMAXPROCS). The new rows are
+// published in a single version swap once the whole chunk is in and
+// sealed, so snapshot readers see either none or all of them.
+func (s *ColumnStore) AppendChunkWidth(ch *vector.Chunk, width int) error {
 	ch, err := Conform(s.types, ch)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.appendLocked(s.cur.Load(), ch.Cols(), ch.NumRows())
+	v := s.appendLocked(s.cur.Load(), ch.Cols(), ch.NumRows(), width)
 	s.cur.Store(v)
 	return nil
 }
@@ -310,9 +316,10 @@ func Conform(types []vector.Type, ch *vector.Chunk) (*vector.Chunk, error) {
 
 // appendLocked builds base's successor version with n rows of cast
 // appended. Sealed segments are shared by pointer; an open tail is
-// cloned before it is touched. Caller holds s.mu and publishes the
-// result.
-func (s *ColumnStore) appendLocked(base *tableVersion, cast []*vector.Vector, n int) *tableVersion {
+// cloned before it is touched; segments that fill are sealed up to
+// width at a time while the next ones fill. Caller holds s.mu and
+// publishes the result.
+func (s *ColumnStore) appendLocked(base *tableVersion, cast []*vector.Vector, n, width int) *tableVersion {
 	segs := append([]*segment(nil), base.segs...)
 	var tail *segment
 	if len(segs) > 0 {
@@ -321,6 +328,7 @@ func (s *ColumnStore) appendLocked(base *tableVersion, cast []*vector.Vector, n 
 			segs[len(segs)-1] = tail
 		}
 	}
+	sl := newSealer(s.compress, width)
 	offset := 0
 	for offset < n {
 		if tail == nil {
@@ -338,11 +346,75 @@ func (s *ColumnStore) appendLocked(base *tableVersion, cast []*vector.Vector, n 
 		tail.rows += take
 		offset += take
 		if tail.rows == SegmentRows {
-			tail.seal(s.compress)
+			sl.add(tail)
 			tail = nil
 		}
 	}
+	sl.wait()
 	return &tableVersion{segs: segs, rows: base.rows + n}
+}
+
+// sealer seals the segments one write fills, up to width at a time,
+// each by its own goroutine, while the writer goes on filling the next:
+// at most width segments seal and one fills at any moment, so a bulk
+// write holds a bounded number of unsealed segments. A write that fills
+// only one segment seals it inline and starts no goroutine. A sealed
+// segment's bytes, zone maps and sketches are those of its rows alone,
+// so they do not depend on the width.
+type sealer struct {
+	compress bool
+	width    int
+	held     *segment      // the first full segment, until a second fills
+	sem      chan struct{} // width tokens, made when a second segment fills
+	wg       sync.WaitGroup
+}
+
+// newSealer returns a sealer of the given width, clamped to
+// GOMAXPROCS (≤ 0: GOMAXPROCS): more sealers than threads the scheduler
+// runs seal nothing sooner.
+func newSealer(compress bool, width int) *sealer {
+	procs := runtime.GOMAXPROCS(0)
+	if width <= 0 || width > procs {
+		width = procs
+	}
+	return &sealer{compress: compress, width: width}
+}
+
+// add seals g, now or by the time wait returns. The caller must not
+// touch g until then.
+func (sl *sealer) add(g *segment) {
+	switch {
+	case sl.width <= 1:
+		g.seal(sl.compress)
+		return
+	case sl.sem == nil && sl.held == nil:
+		sl.held = g
+		return
+	case sl.sem == nil:
+		sl.sem = make(chan struct{}, sl.width)
+		sl.spawn(sl.held)
+		sl.held = nil
+	}
+	sl.spawn(g)
+}
+
+// spawn seals g in a goroutine once one of the width slots is free.
+func (sl *sealer) spawn(g *segment) {
+	sl.sem <- struct{}{}
+	sl.wg.Add(1)
+	go func() {
+		defer func() { <-sl.sem; sl.wg.Done() }()
+		g.seal(sl.compress)
+	}()
+}
+
+// wait returns once every segment added is sealed.
+func (sl *sealer) wait() {
+	if sl.held != nil {
+		sl.held.seal(sl.compress)
+		sl.held = nil
+	}
+	sl.wg.Wait()
 }
 
 // AppendRow appends a single row of values.
@@ -394,7 +466,9 @@ func CheckRanges(ranges []RowRange, limit int) (int, error) {
 // ordinal names the same row wherever the segment boundaries lie: a
 // store loaded from a checkpoint image, whose tail was sealed early,
 // applies a logged rewrite to the rows it named when it was logged.
-func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
+// Rebuilt sealed segments are sealed up to width at a time, as
+// AppendChunkWidth's are.
+func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk, width int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rows, err := s.CheckRewrite(ranges, rows)
@@ -411,6 +485,7 @@ func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
 		cast = rows.Cols()
 	}
 	segs := make([]*segment, 0, len(base.segs))
+	sl := newSealer(s.compress, width)
 	var local []RowRange // the ranges' part in the current segment, segment-relative
 	ri, next, taken, start := 0, ranges[0].Start, 0, 0
 	for i, seg := range base.segs {
@@ -431,15 +506,21 @@ func (s *ColumnStore) Rewrite(ranges []RowRange, rows *vector.Chunk) error {
 			segs = append(segs, seg)
 			continue
 		}
-		g, err := seg.rewrite(s.types, local, cast, taken, s.compress)
+		g, err := seg.rewrite(s.types, local, cast, taken)
 		if err != nil {
+			sl.wait()
 			return fmt.Errorf("storage: segment %d: %w", i, err)
 		}
 		taken += rangeRows(local)
-		if g.rows > 0 {
-			segs = append(segs, g)
+		if g.rows == 0 {
+			continue
+		}
+		segs = append(segs, g)
+		if seg.sealed != nil {
+			sl.add(g)
 		}
 	}
+	sl.wait()
 	v := &tableVersion{segs: segs, rows: base.rows}
 	if cast == nil {
 		v.rows -= n
@@ -473,10 +554,10 @@ func rangeRows(ranges []RowRange) int {
 }
 
 // rewrite returns a copy of g with the segment-relative runs deleted
-// (cast == nil) or overwritten by cast's rows from position from on. A
-// sealed segment comes back sealed, the open tail open; an emptied
-// segment comes back with no rows for the caller to drop.
-func (g *segment) rewrite(types []vector.Type, runs []RowRange, cast []*vector.Vector, from int, compress bool) (*segment, error) {
+// (cast == nil) or overwritten by cast's rows from position from on,
+// open for the caller to seal when g was sealed; an emptied segment
+// comes back with no rows for the caller to drop.
+func (g *segment) rewrite(types []vector.Type, runs []RowRange, cast []*vector.Vector, from int) (*segment, error) {
 	out := &segment{cols: make([]*vector.Vector, len(types)), rows: g.rows}
 	if cast == nil {
 		out.rows -= rangeRows(runs)
@@ -504,9 +585,6 @@ func (g *segment) rewrite(types []vector.Type, runs []RowRange, cast []*vector.V
 		}
 		nc.AppendVector(col.Slice(prev, g.rows))
 		out.cols[c] = nc
-	}
-	if g.sealed != nil && out.rows > 0 {
-		out.seal(compress)
 	}
 	return out, nil
 }

@@ -120,6 +120,40 @@ func (t *Table) Column(name string) *Vector {
 	return nil
 }
 
+// CollectTable drains next (a nil chunk ends it) into a table of the
+// given column names and types. The chunks are collected first and each
+// column is then sized once, so no column grows by doubling and every
+// row is copied once.
+func CollectTable(names []string, types []Type, next func() (*Chunk, error)) (*Table, error) {
+	var chunks []*Chunk
+	total := 0
+	for {
+		ch, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if ch == nil {
+			break
+		}
+		chunks = append(chunks, ch)
+		total += ch.NumRows()
+	}
+	cols := make([]*Vector, len(types))
+	for i, t := range types {
+		cols[i] = New(t, total)
+	}
+	out, err := NewTable(names, cols)
+	if err != nil {
+		return nil, err
+	}
+	for _, ch := range chunks {
+		if err := out.AppendChunk(ch); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // AppendChunk appends the rows of ch to the table. Column types and
 // arity must match.
 func (t *Table) AppendChunk(ch *Chunk) error {

@@ -144,8 +144,14 @@ func (v Value) Cast(to Type) (Value, error) {
 	case Int32:
 		switch v.typ {
 		case Int64:
+			if v.i64 < math.MinInt32 || v.i64 > math.MaxInt32 {
+				return Null(), v.outOfRange(to)
+			}
 			return NewInt32(int32(v.i64)), nil
 		case Float64:
+			if t := math.Trunc(v.f64); !(t >= math.MinInt32 && t <= math.MaxInt32) {
+				return Null(), v.outOfRange(to)
+			}
 			return NewInt32(int32(v.f64)), nil
 		case Bool:
 			if v.b {
@@ -164,6 +170,10 @@ func (v Value) Cast(to Type) (Value, error) {
 		case Int32:
 			return NewInt64(v.i64), nil
 		case Float64:
+			// -2^63 and 2^63 are exact DOUBLEs; the range is [-2^63, 2^63).
+			if t := math.Trunc(v.f64); !(t >= math.MinInt64 && t < -math.MinInt64) {
+				return Null(), v.outOfRange(to)
+			}
 			return NewInt64(int64(v.f64)), nil
 		case Bool:
 			if v.b {
@@ -196,6 +206,13 @@ func (v Value) Cast(to Type) (Value, error) {
 		}
 	}
 	return Null(), fmt.Errorf("unsupported cast from %s to %s", v.typ, to)
+}
+
+// outOfRange is the error of a numeric cast whose value the target type
+// cannot hold: a BIGINT past INTEGER's range, or a DOUBLE that is NaN,
+// infinite or past the target's range once truncated toward zero.
+func (v Value) outOfRange(to Type) error {
+	return fmt.Errorf("cast %s to %s: out of range", v.String(), to)
 }
 
 // Compare orders two non-NULL values of comparable types, returning

@@ -735,12 +735,3 @@ func zeroColumns(types []vector.Type, n int) []*vector.Vector {
 	}
 	return cols
 }
-
-// newColumns returns one empty column per type with room for n rows.
-func newColumns(types []vector.Type, n int) []*vector.Vector {
-	cols := make([]*vector.Vector, len(types))
-	for i, t := range types {
-		cols[i] = vector.New(t, n)
-	}
-	return cols
-}

@@ -557,31 +557,7 @@ func (c *Client) Query(proto Protocol, sql string) (*vector.Table, error) {
 		// possibly empty.
 		return &vector.Table{}, nil
 	}
-	// Collect the decoded chunks first, so each result column is sized
-	// once instead of growing by doubling.
-	var chunks []*vector.Chunk
-	total := 0
-	for {
-		ch, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			break
-		}
-		chunks = append(chunks, ch)
-		total += ch.NumRows()
-	}
-	out, err := vector.NewTable(st.names, newColumns(st.types, total))
-	if err != nil {
-		return nil, err
-	}
-	for _, ch := range chunks {
-		if err := out.AppendChunk(ch); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return vector.CollectTable(st.names, st.types, st.Next)
 }
 
 // Exec executes a statement, discarding any result rows, and reports

@@ -42,14 +42,10 @@ func (db *DB) ImportCSV(table, path string) (int64, error) {
 		c := &df.Cols[i]
 		switch c.Kind {
 		case frame.Int:
-			if tab.Schema[i].Type == Int32 {
-				v := vector.New(Int32, c.Len())
-				for _, x := range c.Ints {
-					v.AppendValue(vector.NewInt32(int32(x)))
-				}
-				cols[i] = v
-			} else {
-				cols[i] = vector.FromInt64s(c.Ints)
+			// An INTEGER column takes the cast INSERT applies, which
+			// refuses a value past its range.
+			if cols[i], err = vector.FromInt64s(c.Ints).Cast(tab.Schema[i].Type); err != nil {
+				return 0, fmt.Errorf("vexdb: column %q: %w", tab.Schema[i].Name, err)
 			}
 		case frame.Float:
 			cols[i] = vector.FromFloat64s(c.Floats)
