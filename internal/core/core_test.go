@@ -67,34 +67,6 @@ func TestRegistryTable(t *testing.T) {
 	}
 }
 
-func TestCallPartitionedMatchesSerial(t *testing.T) {
-	f := doubler()
-	n := 10_001 // odd length exercises uneven partitions
-	in := make([]float64, n)
-	for i := range in {
-		in[i] = float64(i)
-	}
-	args := []*vector.Vector{vector.FromFloat64s(in)}
-	serial, err := f.Eval(args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
-		got, err := f.Call(vector.Float64, args, n, parts)
-		if err != nil {
-			t.Fatalf("parts=%d: %v", parts, err)
-		}
-		if got.Len() != n {
-			t.Fatalf("parts=%d: len %d", parts, got.Len())
-		}
-		for i := 0; i < n; i++ {
-			if got.Float64s()[i] != serial.Float64s()[i] {
-				t.Fatalf("parts=%d row %d differs", parts, i)
-			}
-		}
-	}
-}
-
 func TestCallNonParallelFallsBack(t *testing.T) {
 	f := doubler()
 	f.Parallel = false
@@ -105,7 +77,7 @@ func TestCallNonParallelFallsBack(t *testing.T) {
 		return inner(args)
 	}
 	args := []*vector.Vector{vector.FromFloat64s(make([]float64, 100))}
-	if _, err := f.Call(vector.Float64, args, 100, 8); err != nil {
+	if _, err := f.Call(vector.Float64, args, 100); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -122,15 +94,13 @@ func TestCallErrorPropagates(t *testing.T) {
 		},
 	}
 	args := []*vector.Vector{vector.FromInt64s(make([]int64, 100))}
-	for _, parts := range []int{1, 4} {
-		if _, err := f.Call(vector.Int64, args, 100, parts); err == nil || err.Error() != "UDF boom: kaboom" {
-			t.Fatalf("parts=%d: error %v, want the partition's, named", parts, err)
-		}
+	if _, err := f.Call(vector.Int64, args, 100); err == nil || err.Error() != "UDF boom: kaboom" {
+		t.Fatalf("error %v, want Eval's, named", err)
 	}
 }
 
-// TestCallChecksAndCasts: a result of the wrong length fails the call
-// with the same text at every partition count; a result of another
+// TestCallChecksAndCasts: a result of the wrong length fails the call;
+// a result of another
 // type is cast to the bound type, and its NULLs survive; a BIGINT past
 // INTEGER's range fails the cast rather than wrapping.
 func TestCallChecksAndCasts(t *testing.T) {
@@ -164,20 +134,18 @@ func TestCallChecksAndCasts(t *testing.T) {
 		in.AppendValue(v)
 	}
 	args := []*vector.Vector{in}
-	for _, parts := range []int{1, 2, 8} {
-		if _, err := extra.Call(vector.Int64, args, 5, parts); err == nil || err.Error() != "UDF extra: result row count differs from the input's" {
-			t.Fatalf("parts=%d: error %v", parts, err)
-		}
-		got, err := wide.Call(vector.Int32, args, 5, parts)
-		if err != nil {
-			t.Fatalf("parts=%d: %v", parts, err)
-		}
-		if got.Type() != vector.Int32 || got.Len() != 5 || !got.IsNull(1) || got.Int32s()[2] != -3 || got.Int32s()[4] != 5 {
-			t.Fatalf("parts=%d: %s[%d] %v", parts, got.Type(), got.Len(), got)
-		}
-		if _, err := over.Call(vector.Int32, args, 5, parts); err == nil || !strings.Contains(err.Error(), "cast 4294967297 to INTEGER: out of range") {
-			t.Fatalf("parts=%d: out-of-range result: error %v", parts, err)
-		}
+	if _, err := extra.Call(vector.Int64, args, 5); err == nil || err.Error() != "UDF extra: result row count differs from the input's" {
+		t.Fatalf("error %v", err)
+	}
+	got, err := wide.Call(vector.Int32, args, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Type() != vector.Int32 || got.Len() != 5 || !got.IsNull(1) || got.Int32s()[2] != -3 || got.Int32s()[4] != 5 {
+		t.Fatalf("%s[%d] %v", got.Type(), got.Len(), got)
+	}
+	if _, err := over.Call(vector.Int32, args, 5); err == nil || !strings.Contains(err.Error(), "cast 4294967297 to INTEGER: out of range") {
+		t.Fatalf("out-of-range result: error %v", err)
 	}
 }
 

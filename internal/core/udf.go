@@ -2,8 +2,9 @@
 // vectorized user-defined function framework that deeply integrates
 // machine-learning pipelines into the column store. UDFs receive whole
 // column vectors (not scalar rows), mirroring MonetDB/Python UDFs:
-// scalar UDFs map input columns to an output column and may be
-// executed partitioned across goroutines; table UDFs consume
+// scalar UDFs map input columns to an output column, and a Parallel one
+// runs on every worker of a morsel pipeline, a chunk at a time; table
+// UDFs consume
 // materialized relations plus scalar parameters and return a relation,
 // which is how models are trained (Listing 1 of the paper) and stored
 // as BLOBs.
@@ -39,9 +40,10 @@ type ScalarFunc struct {
 	// Call fails the query otherwise.
 	Eval func(args []*vector.Vector) (*vector.Vector, error)
 	// Parallel marks the function safe for partitioned execution: the
-	// engine may split the input rows across goroutines and call Eval
-	// once per partition. Functions whose output row i depends only on
-	// input row i (such as model prediction) should set this.
+	// engine may split the input rows into chunks and call Eval once
+	// per chunk, from several goroutines at once. Functions whose output
+	// row i depends only on input row i (such as model prediction)
+	// should set this.
 	Parallel bool
 }
 
@@ -148,82 +150,28 @@ func (r *Registry) ScalarNames() []string {
 // Call evaluates f over rows input rows, args its argument columns, and
 // returns a column of type typ — the call's bound type — with one row
 // per input row. It is the only place a scalar UDF is evaluated, so what
-// the function returns is checked here and nowhere downstream: every
-// Eval result must have exactly its input's row count, and a result of
-// another type is cast to typ. A Parallel function with arguments is
-// split across up to workers goroutines (one Eval per partition, row
-// order preserved); any other function is evaluated once. Errors read
-// "UDF <name>: …" at every width, and the first failing partition in
-// row order decides which.
-func (f *ScalarFunc) Call(typ vector.Type, args []*vector.Vector, rows, workers int) (_ *vector.Vector, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("UDF %s: %w", f.Name, err)
-		}
-	}()
-	parts := 1
-	if f.Parallel && len(args) > 0 {
-		parts = max(1, min(workers, rows))
+// the function returns is checked here and nowhere downstream: the Eval
+// result must have exactly the input's row count, and a result of
+// another type is cast to typ. Errors read "UDF <name>: …". Call
+// evaluates the rows it is given at once; a query evaluates a Parallel
+// function chunk by chunk, on as many workers as its morsel pipeline
+// runs.
+func (f *ScalarFunc) Call(typ vector.Type, args []*vector.Vector, rows int) (*vector.Vector, error) {
+	out, err := f.Eval(args)
+	if err == nil && (out == nil || out.Len() != rows) {
+		err = errRowCount
 	}
-	outs := make([]*vector.Vector, parts)
-	errs := make([]error, parts)
-	eval := func(p int) {
-		lo, hi := p*rows/parts, (p+1)*rows/parts
-		in := args
-		if parts > 1 {
-			in = make([]*vector.Vector, len(args))
-			for i, a := range args {
-				in[i] = a.Slice(lo, hi)
-			}
-		}
-		outs[p], errs[p] = f.Eval(in)
-		if errs[p] == nil && (outs[p] == nil || outs[p].Len() != hi-lo) {
-			errs[p] = errRowCount
-		}
+	if err == nil {
+		out, err = out.Cast(typ)
 	}
-	if parts == 1 {
-		eval(0)
-	} else {
-		var wg sync.WaitGroup
-		for p := range parts {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eval(p)
-			}()
-		}
-		wg.Wait()
+	if err != nil {
+		return nil, fmt.Errorf("UDF %s: %w", f.Name, err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := outs[0]
-	if parts > 1 {
-		// Partitions that disagree on a type are cast one by one; a cast
-		// of the whole result names rows as the caller numbers them.
-		t := out.Type()
-		for _, o := range outs {
-			if o.Type() != t {
-				t = typ
-			}
-		}
-		out = vector.New(t, rows)
-		for _, o := range outs {
-			o, err := o.Cast(t)
-			if err != nil {
-				return nil, err
-			}
-			out.AppendVector(o)
-		}
-	}
-	return out.Cast(typ)
+	return out, nil
 }
 
 // errRowCount is the error of a call whose Eval returned a result of
-// another row count than its input. It names no count: those depend on
-// how the rows were partitioned.
+// another row count than its input.
 var errRowCount = errors.New("result row count differs from the input's")
 
 // FixedReturn returns a ReturnType function that always yields t.

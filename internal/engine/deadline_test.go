@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -90,4 +94,62 @@ func TestJoinBuildHonoursQueryTimeout(t *testing.T) {
 	if elapsed := time.Since(start); !errors.Is(err, ErrQueryTimeout) || elapsed > 120*time.Millisecond {
 		t.Fatalf("err = %v after %v, want ErrQueryTimeout within 120ms", err, elapsed)
 	}
+}
+
+// fanOutDB holds t: 3 600 rows of (k, v) with k = v % keys, so a probe
+// row of t joined with itself on k has 3 600 / keys matches.
+func fanOutDB(t *testing.T, keys int) *DB {
+	t.Helper()
+	db := New()
+	db.TempDir = t.TempDir()
+	mustExec(t, db, "CREATE TABLE t (k INTEGER, v INTEGER)")
+	batchInsert(t, db, "t", 3600, func(i int) string { return fmt.Sprintf("(%d, %d)", i%keys, i) })
+	return db
+}
+
+// TestFanOutJoinDeadline: with one key value every probe row of the
+// self-join has 3 600 matches, 12 960 000 pairs in all. The join emits
+// them a bounded chunk at a time, each a cancellation point, so a
+// 100 ms deadline ends the query within 200 ms, in memory and spilled,
+// at one worker and at two.
+func TestFanOutJoinDeadline(t *testing.T) {
+	db := fanOutDB(t, 1)
+	db.QueryTimeout = 100 * time.Millisecond
+	const q = "SELECT count(*) AS n FROM t a JOIN t b ON a.k = b.k"
+	for _, budget := range []int64{0, 4 << 10} {
+		for _, workers := range []int{1, 2} {
+			sess := db.NewSession()
+			sess.Settings.Workers, sess.Settings.Budget = workers, budget
+			start := time.Now()
+			rs, err := db.QuerySession(context.Background(), sess, q)
+			if err == nil {
+				_, err = rs.Materialize()
+			}
+			elapsed := time.Since(start)
+			sess.Close()
+			if !errors.Is(err, ErrQueryTimeout) || elapsed > 200*time.Millisecond {
+				t.Fatalf("budget=%d workers=%d: err = %v after %v, want ErrQueryTimeout within 200ms", budget, workers, err, elapsed)
+			}
+		}
+	}
+}
+
+// TestLimitStopsFanOutJoin: LIMIT 5 over a join whose probe rows have
+// 60 matches each takes a chunk from the join and stops it. At two
+// workers the join emits at most what the exchange above it claims
+// ahead, five chunks, where it once emitted every match of whole probe
+// chunks (112 080 rows).
+func TestLimitStopsFanOutJoin(t *testing.T) {
+	db := fanOutDB(t, 60)
+	const q = "SELECT a.v, b.v FROM t a JOIN t b ON a.k = b.k LIMIT 5"
+	act := regexp.MustCompile(`HashJoin .*act=(\d+)`)
+	for _, ln := range mustQueryIn(t, db, Settings{Workers: 2}, "EXPLAIN ANALYZE "+q).Cols[0].Strings() {
+		if m := act.FindStringSubmatch(ln); m != nil {
+			if n, _ := strconv.Atoi(m[1]); n > 10240 {
+				t.Fatalf("HashJoin emitted %d rows under LIMIT 5: %q", n, ln)
+			}
+			return
+		}
+	}
+	t.Fatal("no HashJoin line with act=")
 }

@@ -20,7 +20,7 @@ import (
 type aggOp struct {
 	spec    *plan.Aggregate
 	st      *nodeStats
-	in      chunkFeed
+	in      *pipeSpec
 	ctx     *Context
 	started bool
 	emitter aggEmitter
@@ -726,7 +726,7 @@ func (cs aggConsumers) consume(ch *vector.Chunk, morsel int) error {
 // run consumes the input — chunks that share a w never overlap — and
 // returns the result's emitter. What the consumers hold when the input
 // fails or the query is cancelled goes back to the budget.
-func (a *aggregation) run(in *chunkFeed) (em aggEmitter, err error) {
+func (a *aggregation) run(in *pipeSpec) (em aggEmitter, err error) {
 	a.groupOnCodes(in)
 	threads := make([]aggConsumers, a.workers)
 	err = in.forEach(a.ctx, a.workers, func(w, morsel int, ch *vector.Chunk) error {
@@ -870,7 +870,7 @@ func (a *aggOp) Open(ctx *Context) error {
 func (a *aggOp) Next() (*vector.Chunk, error) {
 	if !a.started {
 		a.started = true
-		em, err := newAggregation(a.ctx, a.spec, a.in.workers, a.st).run(&a.in)
+		em, err := newAggregation(a.ctx, a.spec, a.in.workers, a.st).run(a.in)
 		if err != nil {
 			return nil, err
 		}

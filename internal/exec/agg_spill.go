@@ -520,7 +520,7 @@ func (o *aggOut) evict(over func() bool) error {
 		}
 		mr := o.kept[0]
 		run := mr.cur
-		spilled, err := spillSortedRun(o.files[0], run, nil)
+		spilled, err := spillSortedRun(o.files[0], run, nil, nil)
 		if err != nil {
 			return err
 		}

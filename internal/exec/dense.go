@@ -271,14 +271,14 @@ func keyValues[T any](slots []int, null uint64, val func(int) T) []T {
 // snapshot the scan then reads and asks the scan for each dense table's
 // group ids as a column after its own, leaving undecoded the key
 // columns nothing else reads.
-func (a *aggregation) groupOnCodes(in *chunkFeed) {
+func (a *aggregation) groupOnCodes(in *pipeSpec) {
 	for i := range a.tables {
 		a.tables[i].dom = nil
 	}
-	if in.pipe == nil || len(in.pipe.stages) > 0 {
+	if len(in.stages) > 0 {
 		return
 	}
-	s, ok := in.pipe.src.(*scanSource)
+	s, ok := in.src.(*scanSource)
 	if !ok {
 		return
 	}

@@ -186,7 +186,7 @@ func TestDenseTableBoundsItsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.groupOnCodes(&in)
+		a.groupOnCodes(in)
 		var threads []aggConsumers
 		for range workers {
 			threads = append(threads, a.newConsumers())
@@ -282,7 +282,7 @@ func TestDenseTablesShareTheFairShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.groupOnCodes(&in)
+		a.groupOnCodes(in)
 		dense := 0
 		for _, st := range a.tables {
 			if st.dom != nil {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"slices"
-
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
@@ -129,21 +127,32 @@ func (t *joinTable) size() int64 {
 	return t.gi.bytes + 4*int64(cap(t.start)+cap(t.rows))
 }
 
-// joinOut is one probe's result. chunk holds the joined rows, left
-// columns then right, in the three sections every join emits per probe
-// chunk: the matched pairs that pass the residual, ordered by (probe
-// row, build row); then, for a LEFT join, the probe rows whose key
-// matched no build row, NULL-padded; then the probe rows whose every
-// match the residual rejected, NULL-padded.
-type joinOut struct {
-	chunk               *vector.Chunk
-	probe, build        []int // the matched section's pairs
-	unmatched, rejected []int // the padded sections' probe rows
+// joinCursor is one probe chunk's way through a joinTable: the one probe
+// kernel, in memory and spilled. The joined rows, left columns then
+// right, come in the three sections every join emits per probe chunk:
+// the matched pairs that pass the residual, by (probe row, build row);
+// then, for a LEFT join, the probe rows whose key matched no build row,
+// NULL-padded; then those whose every match the residual rejected,
+// NULL-padded. next returns at most vector.DefaultChunkSize of them,
+// resuming at (probe row, match offset), and runs the residual over one
+// candidate batch at a time.
+type joinCursor struct {
+	t        *joinTable
+	spec     *plan.HashJoin
+	in       joinInput
+	ids      []int32 // per probe row, its key id; -1 when it has none or a NULL key
+	state    []uint8 // per probe row: 0 no pair, 1 pairs, 2 a pair the residual kept
+	row, off int     // the next pair: probe row row's off-th match
+	pad      int     // the next padding candidate: row pad unmatched, then row pad-len(ids) rejected
+
+	// The last chunk's rows: each one's probe row, the matched ones'
+	// build rows (they come first), and how many padded ones are unmatched.
+	probe, build []int
+	unmatched    int
 }
 
-// probe joins prepared probe rows against the table: the one probe
-// kernel, in memory and spilled.
-func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
+// cursor starts joining prepared probe rows against the table.
+func (t *joinTable) cursor(spec *plan.HashJoin, in joinInput) *joinCursor {
 	ids := t.gi.find(in.keys, in.hashes)
 	pairs := 0
 	for r, id := range ids {
@@ -153,57 +162,87 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 			pairs += int(t.start[id+1] - t.start[id])
 		}
 	}
-	out := &joinOut{probe: make([]int, 0, pairs), build: make([]int, 0, pairs)}
-	// Per probe row: 0 no pair, 1 pairs, 2 a pair the residual kept.
-	state := make([]uint8, len(ids))
-	for r, id := range ids {
-		if id < 0 {
-			continue
-		}
-		for _, m := range t.rows[t.start[id]:t.start[id+1]] {
-			out.probe = append(out.probe, r)
-			out.build = append(out.build, int(m))
-		}
-		state[r] = 1
+	c := &joinCursor{t: t, spec: spec, in: in, ids: ids, state: make([]uint8, len(ids))}
+	if spec.Kind == sql.LeftJoin {
+		pairs += len(ids)
+	} else {
+		c.pad = 2 * len(ids)
 	}
-	if spec.Extra != nil && pairs > 0 {
-		cand := vector.NewChunk(append(in.ch.Gather(out.probe).Cols(), t.build.Gather(out.build).Cols()...)...)
-		pred, err := plan.Evaluate(spec.Extra, cand)
-		if err != nil {
+	size := min(pairs, vector.DefaultChunkSize)
+	c.probe, c.build = make([]int, 0, size), make([]int, 0, size)
+	return c
+}
+
+// next returns the cursor's next joined rows, nil once it has returned
+// them all. Padded rows fill what room is left once every pair has been
+// through the residual.
+func (c *joinCursor) next() (*vector.Chunk, error) {
+	c.probe, c.build, c.unmatched = c.probe[:0], c.build[:0], 0
+	for n := len(c.ids); len(c.probe) == 0; {
+		if c.row >= n && c.pad >= 2*n {
+			return nil, nil
+		}
+		if err := c.match(); err != nil {
 			return nil, err
 		}
-		kept := 0
-		for i, r := range out.probe {
-			if !pred.IsNull(i) && pred.Bools()[i] {
-				out.probe[kept], out.build[kept] = r, out.build[i]
-				kept++
-				state[r] = 2
+		for ; c.row >= n && c.pad < 2*n && len(c.probe) < vector.DefaultChunkSize; c.pad++ {
+			if r := c.pad; r < n && c.state[r] == 0 {
+				c.probe = append(c.probe, r)
+				c.unmatched++
+			} else if r >= n && c.spec.Extra != nil && c.state[r-n] == 1 {
+				c.probe = append(c.probe, r-n)
 			}
 		}
-		out.probe, out.build = out.probe[:kept], out.build[:kept]
 	}
-	left := out.probe
-	if spec.Kind == sql.LeftJoin {
-		for r, s := range state {
-			if s == 0 {
-				out.unmatched = append(out.unmatched, r)
-			} else if s == 1 && spec.Extra != nil {
-				out.rejected = append(out.rejected, r)
-			}
+	cols := c.in.ch.Gather(c.probe).Cols()
+	for _, col := range c.t.build.Gather(c.build).Cols() {
+		if pads := len(c.probe) - len(c.build); pads > 0 {
+			col.AppendVector(vector.Constant(vector.Null(), pads, col.Type()))
 		}
-		if len(out.unmatched)+len(out.rejected) > 0 {
-			left = slices.Concat(out.probe, out.unmatched, out.rejected)
+		cols = append(cols, col)
+	}
+	return vector.NewChunk(cols...), nil
+}
+
+// match fills the chunk with up to a chunk's worth of the next pairs
+// and keeps those that pass the residual.
+func (c *joinCursor) match() error {
+	t := c.t
+	for c.row < len(c.ids) && len(c.probe) < vector.DefaultChunkSize {
+		id := c.ids[c.row]
+		if id < 0 {
+			c.row++
+			continue
+		}
+		ms := t.rows[int(t.start[id])+c.off : t.start[id+1]]
+		take := min(len(ms), vector.DefaultChunkSize-len(c.probe))
+		for _, m := range ms[:take] {
+			c.probe = append(c.probe, c.row)
+			c.build = append(c.build, int(m))
+		}
+		c.state[c.row] = max(c.state[c.row], 1)
+		if c.off += take; take == len(ms) {
+			c.row, c.off = c.row+1, 0
 		}
 	}
-	cols := in.ch.Gather(left).Cols()
-	for _, c := range t.build.Gather(out.build).Cols() {
-		if pads := len(left) - len(out.probe); pads > 0 {
-			c.AppendVector(vector.Constant(vector.Null(), pads, c.Type()))
-		}
-		cols = append(cols, c)
+	if c.spec.Extra == nil || len(c.probe) == 0 {
+		return nil
 	}
-	out.chunk = vector.NewChunk(cols...)
-	return out, nil
+	cand := vector.NewChunk(append(c.in.ch.Gather(c.probe).Cols(), t.build.Gather(c.build).Cols()...)...)
+	pred, err := plan.Evaluate(c.spec.Extra, cand)
+	if err != nil {
+		return err
+	}
+	kept := 0
+	for i, r := range c.probe {
+		if !pred.IsNull(i) && pred.Bools()[i] {
+			c.probe[kept], c.build[kept] = r, c.build[i]
+			kept++
+			c.state[r] = 2
+		}
+	}
+	c.probe, c.build = c.probe[:kept], c.build[:kept]
+	return nil
 }
 
 // ------------------------------------------------------- operator
@@ -212,22 +251,23 @@ func (t *joinTable) probe(spec *plan.HashJoin, in joinInput) (*joinOut, error) {
 // input is materialized into a joinTable; left chunks probe it.
 // Residual ON conjuncts are applied to joined rows.
 //
-// When the left input is a morsel-parallelizable pipeline (probe.pipe),
-// workers probe left morsels concurrently, re-emitting join output in
-// morsel order so results match serial execution row for row.
+// The probe side is a morsel pipeline — a table's or, under a join, an
+// aggregate or a UNION, an operator's chunks — whose workers probe
+// morsels concurrently, each through a joinCursor, and the ordered
+// driver re-emits the output in morsel order, a bounded chunk at a time,
+// so results match serial execution row for row.
 type hashJoinOp struct {
 	spec  *plan.HashJoin
 	st    *nodeStats
-	probe chunkFeed // the left input
-	build chunkFeed // the right input, drained into a joinTable at Open
+	probe *pipeSpec // the left input
+	build *pipeSpec // the right input, drained into a joinTable at Open
 
-	drv *orderedDriver // the parallel in-memory probe
+	drv *orderedDriver // the in-memory probe
 	ctx *Context
 
 	keyTypes []vector.Type
 	table    *joinTable
 	charged  int64 // what the build rows and the table hold of the budget
-	done     bool
 
 	// spill is non-nil once the build side grace-partitioned to disk
 	// under the memory budget (join_spill.go); probing then runs
@@ -238,7 +278,7 @@ type hashJoinOp struct {
 }
 
 func (j *hashJoinOp) Open(ctx *Context) error {
-	j.done, j.ctx, j.spill, j.spillMerger = false, ctx, nil, nil
+	j.ctx, j.spill, j.spillMerger = ctx, nil, nil
 	j.keyTypes = joinKeyTypes(j.spec)
 	if err := j.build.open(ctx); err != nil {
 		return err
@@ -259,10 +299,12 @@ func (j *hashJoinOp) Open(ctx *Context) error {
 		return err
 	}
 	j.charge(j.table.size())
-	if j.probe.pipe != nil { // probing only reads the table, so workers share it
-		j.drv = j.probe.pipe.ordered(ctx, j.probe.workers, j.probeChunk)
+	if err := j.probe.open(ctx); err != nil {
+		return err
 	}
-	return j.probe.open(ctx)
+	// Probing only reads the table, so workers share it.
+	j.drv = j.probe.ordered(ctx, j.probeMorsel)
+	return nil
 }
 
 func (j *hashJoinOp) charge(n int64) {
@@ -305,44 +347,41 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, error) {
 func (j *hashJoinOp) spillNext() (*vector.Chunk, error) {
 	if j.spillMerger == nil {
 		var err error
-		if j.spillMerger, err = j.spill.probeAll(&j.probe); err != nil {
+		if j.spillMerger, err = j.spill.probeAll(j.probe); err != nil {
 			return nil, err
 		}
 	}
 	ch, err := j.spillMerger.next(j.ctx)
 	if err != nil || ch == nil {
-		j.done = true
 		return nil, err
 	}
 	return vector.NewChunk(ch.Cols()[:j.spill.outCols]...), nil
 }
 
 func (j *hashJoinOp) Next() (*vector.Chunk, error) {
-	if j.done {
-		return nil, nil
-	}
 	if j.spill != nil {
 		return j.spillNext()
 	}
-	if j.drv != nil {
-		return j.drv.next()
-	}
-	ch, err := pull(j.ctx, j.probe.child, j.probeChunk)
-	j.done = ch == nil
-	return ch, err
+	return j.drv.next()
 }
 
-// probeChunk joins one probe chunk, nil when none of its rows joins.
-func (j *hashJoinOp) probeChunk(ch *vector.Chunk) (*vector.Chunk, error) {
+// probeMorsel joins one probe chunk, emitting the output a bounded chunk
+// at a time.
+func (j *hashJoinOp) probeMorsel(ch *vector.Chunk, emit func(*vector.Chunk) error) error {
 	in, err := prepareJoin(j.spec.LeftKeys, j.keyTypes, ch, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := j.table.probe(j.spec, in)
-	if err != nil || out.chunk.NumRows() == 0 {
-		return nil, err
+	c := j.table.cursor(j.spec, in)
+	for {
+		out, err := c.next()
+		if err != nil || out == nil {
+			return err
+		}
+		if err := emit(out); err != nil {
+			return err
+		}
 	}
-	return out.chunk, nil
 }
 
 func (j *hashJoinOp) Close() error {

@@ -244,17 +244,24 @@ func refJoinCase(t testing.TB, pairs [][2]int, kind sql.JoinKind, residual bool,
 
 // TestJoinMatchesReference: the columnar join — in memory, hybrid,
 // fully spilled and re-partitioned, at every worker count — emits the
-// reference's bytes.
+// reference's bytes, and in chunks of at most vector.DefaultChunkSize
+// rows (countOp fails the query otherwise), also where one probe row
+// has more matches than that.
 func TestJoinMatchesReference(t *testing.T) {
 	cases := 0
 	for pi, pairs := range refKeyPairs {
 		for _, kind := range []sql.JoinKind{sql.InnerJoin, sql.LeftJoin} {
 			for _, residual := range []bool{false, true} {
-				for shape := 0; shape < 3; shape++ {
+				for shape := 0; shape < 4; shape++ {
+					if shape == 3 && pi > 0 {
+						continue // the fan-out shape has keys of its own
+					}
 					// Probe sides span chunks; the output stays in the tens of
 					// thousands of rows whatever the key's cardinality.
 					lrows, rrows := vector.DefaultChunkSize+900, 40
 					switch {
+					case shape == 3:
+						lrows, rrows = 40, vector.DefaultChunkSize+300 // one key value: a probe row's matches cross chunk boundaries
 					case len(pairs) == 0:
 						lrows, rrows = 700, 25
 					case pairs[0][0] == exHi && shape == 0:
@@ -268,13 +275,19 @@ func TestJoinMatchesReference(t *testing.T) {
 					}
 					cases++
 					spec := refJoinCase(t, pairs, kind, residual, lrows, rrows, int64(cases))
+					if shape == 3 { // ON l.hi % 1 = r.hi % 1: every probe row with a hi meets every build row with one
+						one := func() []plan.Expr {
+							return []plan.Expr{&plan.BinOp{Op: sql.OpMod, Left: colRef(0, vector.Int64), Right: &plan.Const{Val: vector.NewInt64(1), Typ: vector.Int64}, Typ: vector.Int64}}
+						}
+						spec.LeftKeys, spec.RightKeys = one(), one()
+					}
 					if cases%2 == 0 {
 						spec.Hints.FanoutLog2 = 8
 					}
 					want := referenceJoin(t, spec)
 					for _, workers := range []int{1, 2, 3, 8} {
 						for _, budget := range []int64{0, 64 << 10, 4 << 10} {
-							label := fmt.Sprintf("on=%v kind=%v residual=%v rows=%dx%d workers=%d budget=%d", pairs, kind, residual, lrows, rrows, workers, budget)
+							label := fmt.Sprintf("on=%v shape=%d kind=%v residual=%v rows=%dx%d workers=%d budget=%d", pairs, shape, kind, residual, lrows, rrows, workers, budget)
 							ctx, dir := spillCtx(t, workers, budget)
 							assertSameBytes(t, label, runPlan(t, spec, ctx).Cols, want)
 							assertTempDirEmpty(t, dir)

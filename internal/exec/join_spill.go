@@ -20,10 +20,10 @@
 //     keyed on (posKey, seq), restoring byte-identical in-memory emission
 //     order; that sort spills its own runs under the same budget.
 //
-// The posKey section bits name the three sections of joinOut, which is
-// the in-memory per-chunk emission layout: matched rows first (by probe
-// row, then build row), then LEFT-join padded rows — unmatched-key rows
-// before residual-rejected rows, each in probe-row order.
+// The posKey section bits name the three sections of a joinCursor's
+// output, the in-memory per-chunk emission order: matched rows first (by
+// probe row, then build row), then LEFT-join padded rows — unmatched-key
+// rows before residual-rejected rows, each in probe-row order.
 //
 // Level 0 has 16 partitions, up to 256 when the planner estimated the
 // build side large enough that one pass at 16 would still leave
@@ -267,29 +267,39 @@ func (jp *joinPass) addProbe(r *graceRouter, ps *probeState, cols []*vector.Vect
 }
 
 // join probes one table and appends the result, tagged, to the worker's
-// order-restoring run builder: a matched row sorts by (its probe row's
-// posKey, its build row's seq), a padded row after every matched row of
-// its chunk, in its section. outPos only reserves distinct position
-// ranges per builder chunk — the restoration sort keys on the tags, so
-// reservation order across workers is irrelevant.
+// order-restoring run builder, a bounded chunk at a time: a matched row
+// sorts by (its probe row's posKey, its build row's seq), a padded row
+// after every matched row of its chunk, in its section. outPos only
+// reserves distinct position ranges per builder chunk — the restoration
+// sort keys on the tags, so reservation order across workers is
+// irrelevant.
 func (js *joinSpill) join(t *joinTable, in joinInput, tags []int64, ps *probeState) error {
-	out, err := t.probe(js.spec, in)
-	if err != nil || out.chunk.NumRows() == 0 {
-		return err
+	c := t.cursor(js.spec, in)
+	for {
+		if js.ctx.interrupted() {
+			return ErrCancelled
+		}
+		out, err := c.next()
+		if err != nil || out == nil {
+			return err
+		}
+		n := out.NumRows()
+		pos, seq := make([]int64, n), make([]int64, n)
+		for i, r := range c.probe {
+			switch {
+			case i < len(c.build):
+				pos[i], seq[i] = tags[r], t.seq[c.build[i]]
+			case i < len(c.build)+c.unmatched:
+				pos[i] = tags[r] | unmatchedBit
+			default:
+				pos[i] = tags[r] | unmatchedBit | residualBit
+			}
+		}
+		cols := append(out.Cols(), vector.FromInt64s(pos), vector.FromInt64s(seq))
+		if err := ps.sorter.add(vector.NewChunk(cols...), js.outPos.Add(int64(n))-int64(n)); err != nil {
+			return err
+		}
 	}
-	n := out.chunk.NumRows()
-	pos, seq := make([]int64, 0, n), make([]int64, n)
-	for i, r := range out.probe {
-		pos, seq[i] = append(pos, tags[r]), t.seq[out.build[i]]
-	}
-	for _, r := range out.unmatched {
-		pos = append(pos, tags[r]|unmatchedBit)
-	}
-	for _, r := range out.rejected {
-		pos = append(pos, tags[r]|unmatchedBit|residualBit)
-	}
-	cols := append(out.chunk.Cols(), vector.FromInt64s(pos), vector.FromInt64s(seq))
-	return ps.sorter.add(vector.NewChunk(cols...), js.outPos.Add(int64(n))-int64(n))
 }
 
 // finishProbe ends a pass's probe phase — the routers' last blocks join
@@ -329,7 +339,7 @@ func (jp *joinPass) finishProbe(routers []*graceRouter, ps *probeState) error {
 // pipelined probe side keeps its morsel parallelism — workers claim
 // morsels and probe concurrently, each with a state of its own; the
 // order-restoring sort hides the scheduling.
-func (js *joinSpill) probeAll(in *chunkFeed) (*runMerger, error) {
+func (js *joinSpill) probeAll(in *pipeSpec) (*runMerger, error) {
 	js.states = make([]*probeState, max(in.workers, 1))
 	err := in.forEach(js.ctx, in.workers, func(w, i int, ch *vector.Chunk) error {
 		if js.states[w] == nil {

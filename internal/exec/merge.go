@@ -109,6 +109,7 @@ type mergeRun struct {
 	cur   *sortedRun
 	idx   int
 	fetch func() (*sortedRun, error) // nil for in-memory runs
+	refs  []spill.ChunkRef           // a spilled run's windows, which fetch reads in order
 	done  bool
 	slot  int // cur's index among the windows of the merge batch in progress, -1 before its first pick
 }
@@ -307,6 +308,7 @@ type runBuilder struct {
 
 	file *spill.File // shared by all of this builder's spilled runs
 	runs []*mergeRun // spilled runs completed so far
+	tail *sortedRun  // the last spilled row's keys and position
 	held int64       // tracker bytes of the final in-memory run
 }
 
@@ -580,13 +582,33 @@ func (b *runBuilder) spillCurrent() error {
 		}
 		b.file = f
 	}
-	mr, err := spillSortedRun(b.file, run, b.coder)
+	var onto *mergeRun
+	if len(b.runs) > 0 && b.continues(run) {
+		onto = b.runs[len(b.runs)-1]
+	}
+	mr, err := spillSortedRun(b.file, run, b.coder, onto)
 	if err != nil {
 		return err
 	}
-	b.st.runs.Add(1)
-	b.runs = append(b.runs, mr)
+	last := []int{len(run.pos) - 1}
+	b.tail = &sortedRun{keys: gatherVecs(run.keys, last), pos: gatherBy(run.pos, last)}
+	if mr != onto {
+		b.st.runs.Add(1)
+		b.runs = append(b.runs, mr)
+	}
 	return nil
+}
+
+// continues reports whether run sorts wholly after the rows spilled
+// before it, so that its windows extend the last run instead of
+// widening the merge by one: a merge holds a window of every run, and
+// input that arrives in order — a spilled join's output mostly does, a
+// bounded chunk at a time — would otherwise cut a run per chunk under a
+// small budget. Rows the comparator cannot order start a run; the merge
+// reports them if it compares them.
+func (b *runBuilder) continues(run *sortedRun) bool {
+	c, err := compareKeyRows(b.coder.keys, run.keys, 0, b.tail.keys, 0)
+	return err == nil && (c > 0 || c == 0 && run.pos[0] > b.tail.pos[0])
 }
 
 // finish sorts what is still buffered into the builder's last run,
@@ -655,8 +677,9 @@ func runBytes(run *sortedRun) int64 {
 // re-evaluates key expressions (UDF keys are called exactly once per
 // row, and computed keys cost no decode-time work); key codes are not
 // written: each window's are recomputed from its key column as it
-// loads. coder is nil for keyless runs.
-func spillSortedRun(f *spill.File, run *sortedRun, coder *sortCoder) (*mergeRun, error) {
+// loads. coder is nil for keyless runs. Given onto, a run spilled to f
+// whose rows all sort before run's, the windows extend it instead.
+func spillSortedRun(f *spill.File, run *sortedRun, coder *sortCoder, onto *mergeRun) (*mergeRun, error) {
 	nd := run.data.NumCols()
 	extras := make([]*vector.Vector, 0, len(run.keys))
 	for i, k := range run.keys {
@@ -682,15 +705,19 @@ func spillSortedRun(f *spill.File, run *sortedRun, coder *sortCoder) (*mergeRun,
 		}
 		refs = append(refs, ref)
 	}
+	if onto != nil {
+		onto.refs = append(onto.refs, refs...)
+		return onto, nil
+	}
 	// The cursor starts before an empty window, so the first advance
 	// loads the run's front row for the merge to see.
-	mr := &mergeRun{cur: &sortedRun{data: run.data.Slice(0, 0)}, idx: -1}
+	mr := &mergeRun{cur: &sortedRun{data: run.data.Slice(0, 0)}, idx: -1, refs: refs}
 	next := 0
 	mr.fetch = func() (*sortedRun, error) {
-		if next >= len(refs) {
+		if next >= len(mr.refs) {
 			return nil, nil
 		}
-		cols, err := f.ReadChunkAt(refs[next])
+		cols, err := f.ReadChunkAt(mr.refs[next])
 		if err != nil {
 			return nil, err
 		}

@@ -5,99 +5,59 @@ import (
 	"vexdb/internal/vector"
 )
 
-// mlProjectOp is the vectorized projection over UDF calls — the engine's
-// PREDICT operator. Row-local (Parallel) calls score each arriving chunk
-// as it is pulled: memory stays O(chunk) no matter the input size, LIMIT
-// consumers stop the scan early, and a memory-governed query never needs
-// to spill its scored input. A holistic call (not Parallel: output row i
-// may depend on any input row) makes the input whole — the child is
-// drained before the one evaluation. Either way the evaluated columns
-// are emitted in standard-sized slices (a join can hand over more than
-// DefaultChunkSize rows at once), so downstream operators and the wire
-// never see an oversized chunk; row-local calls give the same bytes
-// sliced before or after. Cancellation is observed at every chunk
-// boundary.
-//
-// Parallel calls are partitioned across the context's worker count by
-// core.ScalarFunc.Call.
+// mlProjectOp is the projection over a holistic UDF call — one not
+// marked Parallel, whose output row i may depend on any input row. It
+// drains its child, evaluates the projection once over the whole input,
+// as MonetDB/Python vectorized UDFs see whole columns, and emits the
+// result in chunk-sized slices as tableFuncOp does. Cancellation is
+// observed between input chunks. A projection whose calls are all
+// Parallel (model prediction) is no operator of its own: it is a stage
+// of a morsel pipeline, over a scan or a join alike (pipeline).
 type mlProjectOp struct {
 	exprs []plan.Expr
 	child Operator
-	whole bool // some call is not Parallel (derived from the plan)
 	ctx   *Context
-	out   *vector.Chunk // evaluated rows not yet emitted
-	done  bool          // the child is exhausted
+	out   tableChunks // the result; its data is nil until the input is drained
 }
 
 func (p *mlProjectOp) Open(ctx *Context) error {
-	p.ctx, p.out, p.done = ctx, nil, false
+	p.ctx, p.out = ctx, tableChunks{}
 	return p.child.Open(ctx)
 }
 
 func (p *mlProjectOp) Next() (*vector.Chunk, error) {
-	for p.out == nil {
-		if p.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		if p.done {
-			return nil, nil
-		}
-		in, err := p.input()
-		if err != nil {
+	if p.out.data == nil {
+		if err := p.evaluate(); err != nil {
 			return nil, err
 		}
-		if in == nil || in.NumRows() == 0 {
-			continue
-		}
-		cols := make([]*vector.Vector, len(p.exprs))
-		for i, e := range p.exprs {
-			if cols[i], err = p.evalExpr(e, in); err != nil {
-				return nil, err
-			}
-		}
-		p.out = vector.NewChunk(cols...)
 	}
-	ch := p.out
-	if n := ch.NumRows(); n > vector.DefaultChunkSize {
-		ch, p.out = ch.Slice(0, vector.DefaultChunkSize), ch.Slice(vector.DefaultChunkSize, n)
-	} else {
-		p.out = nil
-	}
-	return ch, nil
+	return p.out.Next()
 }
 
-// input returns the next rows to evaluate: the child's next chunk or,
-// for a holistic projection, all of its chunks as one.
-func (p *mlProjectOp) input() (*vector.Chunk, error) {
-	if p.whole {
-		var all spillBuf
-		p.done = true
-		err := (&chunkFeed{child: p.child}).forEach(p.ctx, 1, func(_, _ int, ch *vector.Chunk) error {
-			all.add(ch.Cols())
-			return nil
-		})
-		return vector.NewChunk(all.cols...), err
+// evaluate drains the child and evaluates the projection over all of
+// its rows; an empty input calls nothing.
+func (p *mlProjectOp) evaluate() error {
+	var all spillBuf
+	err := opPipe(p.child, 1).forEach(p.ctx, 1, func(_, _ int, ch *vector.Chunk) error {
+		all.add(ch.Cols())
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	ch, err := p.child.Next()
-	p.done = ch == nil
-	return ch, err
-}
-
-// evalExpr evaluates one expression over a chunk, partitioning Parallel
-// UDF calls at its top, and in their arguments, across workers.
-func (p *mlProjectOp) evalExpr(e plan.Expr, in *vector.Chunk) (*vector.Vector, error) {
-	if call, ok := e.(*plan.Call); ok && call.Fn.Parallel {
-		args := make([]*vector.Vector, len(call.Args))
-		for i, a := range call.Args {
-			v, err := p.evalExpr(a, in)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+	p.out.data = &vector.Table{}
+	if all.rows() == 0 {
+		return nil
+	}
+	in := vector.NewChunk(all.cols...)
+	for _, e := range p.exprs {
+		v, err := plan.Evaluate(e, in)
+		if err != nil {
+			return err
 		}
-		return call.Fn.Call(call.Typ, args, in.NumRows(), p.ctx.Workers())
+		p.out.data.Cols = append(p.out.data.Cols, v)
 	}
-	return plan.Evaluate(e, in)
+	return nil
 }
 
 func (p *mlProjectOp) Close() error { return p.child.Close() }

@@ -142,8 +142,7 @@ func buildWith(node plan.Node, workers int, prof *Profile) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch op.(type) {
-	case *parallelPipeOp, *stageOp:
+	if _, ok := op.(*parallelPipeOp); ok {
 		return op, nil
 	}
 	return &countOp{Operator: op, st: prof.node(node)}, nil
@@ -165,8 +164,12 @@ func serialHint(node plan.Node) bool {
 	return false
 }
 
-// countOp counts the rows an operator emits into its node's record; it
-// changes nothing else.
+// countOp counts the rows an operator emits into its node's record, and
+// holds every operator that is not a pipeline to the chunk bound: a
+// chunk of more than vector.DefaultChunkSize rows is an internal error.
+// A pipeline's chunks are its source's, bounded there — a table's
+// segments and slices, or an operator's chunks, which pass through here
+// — and its stages never add rows.
 type countOp struct {
 	Operator
 	st *nodeStats
@@ -175,23 +178,31 @@ type countOp struct {
 func (c *countOp) Next() (*vector.Chunk, error) {
 	ch, err := c.Operator.Next()
 	if ch != nil {
+		if n := ch.NumRows(); n > vector.DefaultChunkSize {
+			return nil, fmt.Errorf("exec: internal error: %T emitted a chunk of %d rows, over the %d-row bound", c.Operator, n, vector.DefaultChunkSize)
+		}
 		c.st.rows.Add(int64(ch.NumRows()))
 	}
 	return ch, err
 }
 
-// buildNode builds one node. A Scan/Material/Filter/Project chain that
-// extractPipe accepts is a morsel pipeline at width workers: the
-// exchange (parallelPipeOp) when its rows stream on, or the input of the
-// blocking operator above it. Filters and UDF-free projections over
-// anything else run the same stages in a stageOp.
+// buildNode builds one node. A Scan, Filter or Project is a
+// morsel pipeline (pipeline) at its width: the exchange
+// (parallelPipeOp), or, under a blocking operator, that operator's input
+// (feed). A projection over a call that is not Parallel is mlProjectOp.
 func buildNode(node plan.Node, workers int, prof *Profile) (Operator, error) {
 	switch n := node.(type) {
-	case *plan.Scan, *plan.Material, *plan.Filter, *plan.Project:
-		if pipe := extractPipe(node, prof); pipe != nil {
-			return &parallelPipeOp{pipe: pipe, workers: workers}, nil
+	case *plan.Scan, *plan.Filter, *plan.Project:
+		if p, ok := node.(*plan.Project); ok && !callsAllParallel(p.Exprs) {
+			// A holistic call must see the whole input at once, as
+			// MonetDB/Python vectorized UDFs do.
+			child, err := buildWith(p.Child, workers, prof)
+			return &mlProjectOp{exprs: p.Exprs, child: child}, err
 		}
-		return buildStage(node, workers, prof)
+		pipe, err := pipeline(node, workers, prof)
+		return &parallelPipeOp{pipe: pipe}, err
+	case *plan.Material:
+		return &tableChunks{data: n.Data}, nil
 	case *plan.TableFuncScan:
 		return &tableFuncOp{spec: n}, nil
 	case *plan.HashJoin:
@@ -243,62 +254,22 @@ func buildNode(node plan.Node, workers int, prof *Profile) (Operator, error) {
 		}
 		var op Operator = &unionOp{arms: [2]Operator{left, right}, types: n.Schema().Types()}
 		if !n.All {
-			op = &aggOp{spec: groupByAll(n, plan.ExecHints{}), st: prof.node(n), in: chunkFeed{child: op}}
+			op = &aggOp{spec: groupByAll(n, plan.ExecHints{}), st: prof.node(n), in: opPipe(op, workers)}
 		}
 		return op, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", node)
 }
 
-// feed builds node as a blocking operator's input: the morsel pipeline
-// itself, drained by up to workers goroutines, when pipe allows it and
-// node is one, else the operator node builds to, whose chunks arrive in
-// order on one thread.
-func feed(node plan.Node, workers int, pipe bool, prof *Profile) (chunkFeed, error) {
+// feed builds node as a blocking operator's input: its morsel pipeline
+// when pipe allows it, else the operator node builds to, whose chunks
+// are drained on one thread.
+func feed(node plan.Node, workers int, pipe bool, prof *Profile) (*pipeSpec, error) {
 	if pipe {
-		if p := extractPipe(node, prof); p != nil {
-			return chunkFeed{pipe: p, workers: workers}, nil
-		}
+		return pipeline(node, workers, prof)
 	}
-	child, err := buildWith(node, workers, prof)
-	return chunkFeed{child: child}, err
-}
-
-// buildStage builds a Filter or Project that is not part of a morsel
-// pipeline: over a join, an aggregate, a UNION or a table function, or
-// a filter whose predicate calls a UDF not marked Parallel. Such a
-// filter directly over a scan is still fused into it, so its kernels
-// prune, and runs at one worker. A projection with UDF calls is
-// mlProjectOp; the rest fold into one stageOp per chain.
-func buildStage(node plan.Node, workers int, prof *Profile) (Operator, error) {
-	var st pipeStage
-	var under plan.Node
-	if f, ok := node.(*plan.Filter); ok {
-		if scan, ok := f.Child.(*plan.Scan); ok {
-			if src := (&scanSource{scan: scan, st: prof.node(scan)}); src.fuse(f, prof.node(f)) {
-				return &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: 1}, nil
-			}
-		}
-		st, under = pipeStage{where: CompileWhere(f.Pred), st: prof.node(f)}, f.Child
-	} else {
-		p := node.(*plan.Project)
-		st, under = pipeStage{exprs: p.Exprs, st: prof.node(p)}, p.Child
-	}
-	child, err := buildWith(under, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-	if exprsHaveUDF(st.exprs) {
-		// Row-local (Parallel) UDFs — model prediction — stream chunk
-		// at a time; a holistic one must see the whole input at once,
-		// as MonetDB/Python vectorized UDFs do.
-		return &mlProjectOp{exprs: st.exprs, child: child, whole: !callsAllParallel(st.exprs)}, nil
-	}
-	if s, ok := child.(*stageOp); ok {
-		s.stages = append(s.stages, st)
-		return s, nil
-	}
-	return &stageOp{stages: []pipeStage{st}, child: child}, nil
+	op, err := buildWith(node, workers, prof)
+	return opPipe(op, 1), err
 }
 
 // Run executes a plan to completion, returning the materialized result
@@ -318,48 +289,6 @@ func Run(node plan.Node, ctx *Context) (*vector.Table, error) {
 // exhausted afterwards; the caller still owns Close.
 func (s *ChunkStream) Materialize() (*vector.Table, error) {
 	return vector.CollectTable(s.schema.Names(), s.schema.Types(), s.Next)
-}
-
-// ----------------------------------------------------------------- stages
-
-// stageOp runs a chain of filter and projection stages over a child
-// operator's chunks with the loop a morsel pipeline runs them in
-// (runStages).
-type stageOp struct {
-	stages []pipeStage
-	child  Operator
-	ctx    *Context
-	sc     pipeScratch
-}
-
-func (s *stageOp) Open(ctx *Context) error {
-	s.ctx = ctx
-	return s.child.Open(ctx)
-}
-
-func (s *stageOp) Next() (*vector.Chunk, error) {
-	return pull(s.ctx, s.child, func(ch *vector.Chunk) (*vector.Chunk, error) { return runStages(s.stages, ch, &s.sc) })
-}
-
-func (s *stageOp) Close() error { return s.child.Close() }
-
-// pull returns the first non-nil chunk fn makes of one of child's next
-// chunks, nil when child is exhausted. It observes cancellation between
-// input chunks: a selective filter or a join whose probe rows all miss
-// can pass over many before one survives.
-func pull(ctx *Context, child Operator, fn func(*vector.Chunk) (*vector.Chunk, error)) (*vector.Chunk, error) {
-	for {
-		if ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := child.Next()
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		if ch, err = fn(ch); err != nil || ch != nil {
-			return ch, err
-		}
-	}
 }
 
 // exprsHaveUDF reports whether any expression contains a UDF call.

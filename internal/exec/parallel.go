@@ -1,20 +1,24 @@
-// Morsel-driven execution at every width. A query pipeline whose leaf
-// is a base-table scan or materialized relation is split into morsels
-// (one storage segment or chunk-sized slice each); a shared atomic
-// cursor hands morsels to the query's workers — one worker included:
-// a serial query runs the same pipeline at width one — which run the
-// chunk-local filter→project stages, and either re-emit the surviving
-// chunks in morsel order (exchange), feed thread-local aggregation
-// tables — or, once those stop reducing their input, shared hash
-// partitions — that are merged when the input drains (aggOp, agg.go;
-// SELECT DISTINCT and the dedup stage of DISTINCT aggregates are
-// group-bys with no aggregates), sort per-worker runs merged by a loser
-// tree (sortOp, merge.go), or probe a shared hash-join build table.
-// Every width produces the exact row order one worker produces, so
-// both ORDER BY and ORDER BY-less results stay deterministic.
+// Morsel-driven execution at every width. Every chain of filters and
+// projections is a pipeline over a morsel source: a base table, split
+// into segments that a shared atomic cursor hands to the query's
+// workers, or any other operator, whose chunks the workers claim in
+// order under the source's lock — one worker included: a serial query
+// runs the same pipeline at width one. The workers run the chunk-local
+// filter→project stages and either re-emit the surviving chunks in
+// morsel order (exchange), feed thread-local aggregation tables — or,
+// once those stop reducing their input, shared hash partitions — that
+// are merged when the input drains (aggOp, agg.go; SELECT DISTINCT and
+// the dedup stage of DISTINCT aggregates are group-bys with no
+// aggregates), sort per-worker runs merged by a loser tree (sortOp,
+// merge.go), or probe a shared hash-join build table. A morsel's output
+// reaches the consumer as bounded chunks, one at a time. Every width
+// produces the exact row order one worker produces, so both ORDER BY
+// and ORDER BY-less results stay deterministic.
 package exec
 
 import (
+	"cmp"
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -25,14 +29,31 @@ import (
 
 // ------------------------------------------------------- morsel sources
 
-// morselSource yields the input of a parallel pipeline as independently
-// fetchable morsels, counting the rows it reads into its node's record.
-// open snapshots the input and returns the morsel count; fetch must be
-// safe for concurrent use, and returns nil for a morsel a fused filter
-// empties. A source that decodes does so through sc.
+// morselSource yields a pipeline's input as morsels. start readies it
+// for one drain. claim, safe for concurrent use, hands out the next
+// morsel: its index, in input order and no index twice, and its chunk —
+// nil for a morsel a fused filter empties — or, once the input is
+// exhausted, more false. A source that decodes does so through sc.
 type morselSource interface {
-	open(ctx *Context) int
-	fetch(i int, sc *pipeScratch) (*vector.Chunk, error)
+	start(ctx *Context)
+	claim(sc *pipeScratch) (i int, ch *vector.Chunk, more bool, err error)
+}
+
+// morselCursor hands a table source's morsels 0..n-1 out, in order, to
+// any number of claimants; the source fetches each where it is claimed.
+type morselCursor struct {
+	n    int
+	next atomic.Int64
+}
+
+func (c *morselCursor) reset(n int) {
+	c.n = n
+	c.next.Store(0)
+}
+
+func (c *morselCursor) take() (int, bool) {
+	i := int(c.next.Add(1)) - 1
+	return i, i < c.n
 }
 
 // scanSource reads one storage segment per morsel (zero-copy for
@@ -40,22 +61,23 @@ type morselSource interface {
 // overlaps decode with compute across the pool). A Filter directly
 // above the scan is fused into it (where, with fst its node's record):
 // segments whose zone maps refute its kernels (Where.Refutes) are
-// skipped at open — they are no morsel, so no worker claims them and no
+// skipped at start — they are no morsel, so no worker claims them and no
 // exchange slot waits on them — and in the others its kernels run on
 // the segment's codes and only the rows it keeps are decoded
 // (Where.ScanSegment). An
 // aggregation that groups on codes (dense.go) pins the snapshot the
-// scan reads before it opens, and has it append its rows' group ids.
+// scan reads before it starts, and has it append its rows' group ids.
 type scanSource struct {
 	scan   *plan.Scan
 	st     *nodeStats
 	where  *Where
 	fst    *nodeStats
-	pinned *storage.TableSnapshot // the next open's snapshot, when set
+	pinned *storage.TableSnapshot // the next start's snapshot, when set
 	groups *scanGroups
 	store  *storage.TableSnapshot
 	segs   []int // the segment of each morsel
 	bases  []int64
+	cur    morselCursor
 }
 
 // everyRow is the Where of a scan without a fused filter.
@@ -78,7 +100,7 @@ func (s *scanSource) outWidth() int {
 	return s.scan.Width()
 }
 
-func (s *scanSource) open(ctx *Context) int {
+func (s *scanSource) start(ctx *Context) {
 	s.store, s.pinned = s.pinned, nil
 	if s.store == nil {
 		s.store = ctx.tableData(s.scan.Table)
@@ -93,7 +115,16 @@ func (s *scanSource) open(ctx *Context) int {
 		}
 	}
 	s.st.skipped.Add(int64(s.store.NumSegments() - len(s.segs)))
-	return len(s.segs)
+	s.cur.reset(len(s.segs))
+}
+
+func (s *scanSource) claim(sc *pipeScratch) (int, *vector.Chunk, bool, error) {
+	i, ok := s.cur.take()
+	if !ok {
+		return i, nil, false, nil
+	}
+	ch, err := s.fetch(i, sc)
+	return i, ch, true, err
 }
 
 func (s *scanSource) fetch(i int, sc *pipeScratch) (*vector.Chunk, error) {
@@ -146,29 +177,33 @@ func (s *scanSource) fuse(f *plan.Filter, st *nodeStats) bool {
 	return true
 }
 
-// materialSource slices a materialized table into chunk-sized morsels.
-type materialSource struct {
-	data *vector.Table
-	st   *nodeStats
+// opSource takes an operator's chunks as morsels, claimed under its
+// lock, index and chunk together, so the indexes are the operator's
+// chunk sequence — the positions aggregation and sort order rows by —
+// whichever worker pulls each. It is opened and closed with the pipeline.
+type opSource struct {
+	op   Operator
+	mu   sync.Mutex
+	n    int  // the claims so far
+	done bool // op is exhausted or has failed
 }
 
-func (m *materialSource) open(*Context) int { return numChunks(m.data) }
+func (s *opSource) start(*Context) {}
 
-func (m *materialSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
-	ch := chunkOf(m.data, i)
-	m.st.rows.Add(int64(ch.NumRows()))
-	return ch, nil
-}
-
-// numChunks is how many chunk-sized slices data has.
-func numChunks(data *vector.Table) int {
-	return (data.NumRows() + vector.DefaultChunkSize - 1) / vector.DefaultChunkSize
-}
-
-// chunkOf returns data's chunk-sized slice i.
-func chunkOf(data *vector.Table, i int) *vector.Chunk {
-	from := i * vector.DefaultChunkSize
-	return data.Chunk().Slice(from, min(from+vector.DefaultChunkSize, data.NumRows()))
+// claim holds the lock while the operator makes its chunk, which may
+// wait on the operator's own workers: no index may be taken before the
+// chunk it names.
+func (s *opSource) claim(*pipeScratch) (int, *vector.Chunk, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.n
+	s.n++
+	if s.done {
+		return i, nil, false, nil
+	}
+	ch, err := s.op.Next()
+	s.done = ch == nil || err != nil
+	return i, ch, !s.done || err != nil, err
 }
 
 // ------------------------------------------------------- pipeline spec
@@ -183,10 +218,13 @@ type pipeStage struct {
 	st    *nodeStats
 }
 
-// pipeSpec is a morsel-parallelizable scan→filter→project chain.
+// pipeSpec is a morsel pipeline: a source, the filter and projection
+// stages over it, and the width it runs at. An operator's input —
+// exchange, join probe and build, aggregation, run generation — is one.
 type pipeSpec struct {
-	src    morselSource
-	stages []pipeStage
+	src     morselSource
+	stages  []pipeStage
+	workers int
 }
 
 // pipeScratch holds one worker's reusable buffers: its stage filters'
@@ -203,100 +241,104 @@ type pipeScratch struct {
 	ids [][]int32 // a grouping scan's id columns (scanGroups)
 }
 
-// extractPipe returns the pipeline form of node when every operator in
-// the chain is chunk-local, nil otherwise. UDF-bearing stages are
-// admitted only when every call is marked Parallel: that flag is the
-// function's declaration that concurrent evaluation over disjoint row
-// ranges is safe — the same contract core.ScalarFunc.Call relies on —
-// so model prediction runs morsel-parallel directly over base scans
-// with zone-map pruning intact. Holistic UDFs (not Parallel) may keep
-// unsynchronized state across calls and stay on the serial
-// materializing path.
-func extractPipe(node plan.Node, prof *Profile) *pipeSpec {
+// pipeline returns node as a morsel pipeline: a chain of filters and
+// projections over a scan reads its segments, over anything else that
+// operator's chunks (opSource). It runs at workers unless a call in it
+// is not Parallel — the function's declaration that concurrent
+// evaluation over disjoint rows is safe, so model prediction runs
+// morsel-parallel over a scan, with zone-map pruning intact, as over a
+// join. A holistic function may keep unsynchronized state, so its chain
+// runs at width one, and a projection over one is mlProjectOp.
+func pipeline(node plan.Node, workers int, prof *Profile) (*pipeSpec, error) {
 	switch n := node.(type) {
 	case *plan.Scan:
-		return &pipeSpec{src: &scanSource{scan: n, st: prof.node(n)}}
-	case *plan.Material:
-		return &pipeSpec{src: &materialSource{data: n.Data, st: prof.node(n)}}
+		return &pipeSpec{src: &scanSource{scan: n, st: prof.node(n)}, workers: workers}, nil
 	case *plan.Filter:
-		if !callsAllParallel([]plan.Expr{n.Pred}) {
-			return nil
+		p, err := pipeline(n.Child, workers, prof)
+		if err != nil {
+			return nil, err
 		}
-		p := extractPipe(n.Child, prof)
-		if p == nil {
-			return nil
+		if !callsAllParallel([]plan.Expr{n.Pred}) {
+			p.workers = 1
 		}
 		if s, ok := p.src.(*scanSource); ok && len(p.stages) == 0 && s.fuse(n, prof.node(n)) {
-			return p
+			return p, nil
 		}
 		p.stages = append(p.stages, pipeStage{where: CompileWhere(n.Pred), st: prof.node(n)})
-		return p
+		return p, nil
 	case *plan.Project:
-		if !callsAllParallel(n.Exprs) {
-			return nil
+		if callsAllParallel(n.Exprs) {
+			p, err := pipeline(n.Child, workers, prof)
+			if err != nil {
+				return nil, err
+			}
+			p.stages = append(p.stages, pipeStage{exprs: n.Exprs, st: prof.node(n)})
+			return p, nil
 		}
-		p := extractPipe(n.Child, prof)
-		if p == nil {
-			return nil
-		}
-		p.stages = append(p.stages, pipeStage{exprs: n.Exprs, st: prof.node(n)})
-		return p
+	}
+	op, err := buildWith(node, workers, prof)
+	return opPipe(op, workers), err
+}
+
+// opPipe is the pipeline of op's chunks at width workers.
+func opPipe(op Operator, workers int) *pipeSpec {
+	return &pipeSpec{src: &opSource{op: op}, workers: workers}
+}
+
+// open opens the operator a pipeline reads, if it reads one; a table
+// source is read from the snapshot its drain takes.
+func (p *pipeSpec) open(ctx *Context) error {
+	if s, ok := p.src.(*opSource); ok {
+		return s.op.Open(ctx)
 	}
 	return nil
 }
 
-// run fetches morsel i through the worker's scratch and runs the
-// pipeline stages over it. It returns nil when a filter eliminates
-// every row.
-func (p *pipeSpec) run(i int, sc *pipeScratch) (*vector.Chunk, error) {
-	ch, err := p.src.fetch(i, sc)
-	if err != nil || ch == nil {
-		return nil, err
+// close closes the operator a pipeline reads, drained or not.
+func (p *pipeSpec) close() error {
+	if s, ok := p.src.(*opSource); ok {
+		return s.op.Close()
 	}
-	return runStages(p.stages, ch, sc)
+	return nil
 }
 
-// runStages runs the stages over ch in order, nil when a filter
+// claim claims the source's next morsel through the worker's scratch and
+// runs the stages over it in order. Its chunk is nil when a filter
 // eliminates every row.
-func runStages(stages []pipeStage, ch *vector.Chunk, sc *pipeScratch) (*vector.Chunk, error) {
-	for _, st := range stages {
+func (p *pipeSpec) claim(sc *pipeScratch) (i int, ch *vector.Chunk, more bool, err error) {
+	i, ch, more, err = p.src.claim(sc)
+	for _, st := range p.stages {
+		if err != nil || ch == nil {
+			return i, nil, more, err
+		}
 		if st.where != nil {
-			out, err := st.where.filter(ch, &sc.sel)
-			if err != nil || out == nil {
-				return nil, err
-			}
-			ch = out
+			ch, err = st.where.filter(ch, &sc.sel)
 		} else {
 			cols := make([]*vector.Vector, len(st.exprs))
-			for i, e := range st.exprs {
-				v, err := plan.Evaluate(e, ch)
-				if err != nil {
-					return nil, err
+			for c, e := range st.exprs {
+				if cols[c], err = plan.Evaluate(e, ch); err != nil {
+					return i, nil, more, err
 				}
-				cols[i] = v
 			}
 			ch = vector.NewChunk(cols...)
 		}
-		st.st.rows.Add(int64(ch.NumRows()))
+		if ch != nil {
+			st.st.rows.Add(int64(ch.NumRows()))
+		}
 	}
-	return ch, nil
+	return i, ch, more, err
 }
 
-// ordered starts workers that run the pipeline's morsels and then over
-// what is left of each; the results are re-emitted in morsel order.
-func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (*vector.Chunk, error)) *orderedDriver {
-	n := p.src.open(ctx)
-	scratch := make([]pipeScratch, workers)
+// ordered starts the pipeline's workers, which run its morsels and then
+// pass each non-empty result to then, whose emitted chunks are
+// re-emitted in morsel order.
+func (p *pipeSpec) ordered(ctx *Context, then func(ch *vector.Chunk, emit func(*vector.Chunk) error) error) *orderedDriver {
+	p.src.start(ctx)
+	scratch := make([]pipeScratch, max(p.workers, 1))
 	for w := range scratch {
 		scratch[w].seg.own = true
 	}
-	return startOrdered(n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := p.run(i, &scratch[w])
-		if err != nil || ch == nil {
-			return nil, err
-		}
-		return then(ch)
-	})
+	return startOrdered(ctx.Ctx, p.workers, func(w int) (int, *vector.Chunk, bool, error) { return p.claim(&scratch[w]) }, then)
 }
 
 // forEach drains the pipeline through a pool of up to workers
@@ -306,17 +348,17 @@ func (p *pipeSpec) ordered(ctx *Context, workers int, then func(*vector.Chunk) (
 // observe cancellation between morsels, and a cancelled drain is
 // ErrCancelled: whatever fn accumulated saw only part of the input.
 func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch *vector.Chunk) error) error {
-	n := p.src.open(ctx)
+	p.src.start(ctx)
 	scratch := make([]pipeScratch, max(workers, 1))
-	err := parallelFor(workers, n, func(w, i int) error {
+	err := claimAll(workers, func(w int) (bool, error) {
 		if ctx.interrupted() {
-			return ErrCancelled
+			return false, ErrCancelled
 		}
-		ch, err := p.run(i, &scratch[w])
+		i, ch, more, err := p.claim(&scratch[w])
 		if err == nil && ch != nil && ch.NumRows() > 0 {
 			err = fn(w, i, ch)
 		}
-		return err
+		return more, err
 	})
 	if err == nil && ctx.interrupted() {
 		return ErrCancelled
@@ -324,67 +366,36 @@ func (p *pipeSpec) forEach(ctx *Context, workers int, fn func(w, morsel int, ch 
 	return err
 }
 
-// chunkFeed is a blocking operator's input: a child operator, whose
-// chunks go in order to worker 0, or — pipe — a morsel pipeline drained
-// by up to workers goroutines.
-type chunkFeed struct {
-	child   Operator  // nil when pipe is set
-	pipe    *pipeSpec // the morsel-parallel form
-	workers int
-}
-
-func (f *chunkFeed) open(ctx *Context) error {
-	if f.pipe != nil {
-		return nil // forEach snapshots the source
-	}
-	return f.child.Open(ctx)
-}
-
-// forEach pushes the input's non-empty chunks at fn, each with its index
-// in the input stream, as pipeSpec.forEach does.
-func (f *chunkFeed) forEach(ctx *Context, workers int, fn func(w, morsel int, ch *vector.Chunk) error) error {
-	if f.pipe != nil {
-		return f.pipe.forEach(ctx, workers, fn)
-	}
-	for morsel := 0; ; morsel++ {
-		if ctx.interrupted() {
-			return ErrCancelled
-		}
-		ch, err := f.child.Next()
-		if err != nil || ch == nil {
-			return err
-		}
-		if ch.NumRows() > 0 {
-			if err := fn(0, morsel, ch); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// close ends the input, drained or not.
-func (f *chunkFeed) close() error {
-	if f.pipe != nil {
-		return nil
-	}
-	return f.child.Close()
-}
-
 // parallelFor calls fn(w, i) once for every i below n from up to
 // workers goroutines (at least one), w being the caller's index among
 // them, which claim the indexes in order off a shared cursor. The first
 // error stops the claiming and is returned.
 func parallelFor(workers, n int, fn func(w, i int) error) error {
-	errs := make([]error, max(min(workers, n), 1))
-	var next atomic.Int64
+	var cur morselCursor
+	cur.reset(n)
+	return claimAll(min(workers, n), func(w int) (bool, error) {
+		i, ok := cur.take()
+		if !ok {
+			return false, nil
+		}
+		return true, fn(w, i)
+	})
+}
+
+// claimAll calls claim from up to workers goroutines (at least one), w
+// being the caller's index among them, each until it reports nothing
+// left to claim; the first error stops them all and is returned.
+func claimAll(workers int, claim func(w int) (bool, error)) error {
+	errs := make([]error, max(workers, 1))
+	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n && errs[w] == nil; i = int(next.Add(1)) - 1 {
-				if errs[w] = fn(w, i); errs[w] != nil {
-					next.Store(int64(n))
+			for more := true; more && !stop.Load(); {
+				if more, errs[w] = claim(w); errs[w] != nil {
+					stop.Store(true)
 				}
 			}
 		}()
@@ -400,83 +411,93 @@ func parallelFor(workers, n int, fn func(w, i int) error) error {
 
 // ------------------------------------------------------- ordered driver
 
-type slotResult struct {
-	ch  *vector.Chunk
-	err error
+// morselSlot carries one in-flight morsel's output to the consumer: its
+// chunks in order, then nil, with err set before the nil when the
+// morsel failed — or endOfInput, where a morsel would be, once the
+// input is exhausted.
+type morselSlot struct {
+	chunks chan *vector.Chunk // two: a morsel of one chunk is handed over whole, and its worker moves on
+	err    error
 }
 
-// orderedDriver fans morsels 0..n-1 out to workers and re-emits the
-// per-morsel results in morsel order, so the parallel operator's
-// output is indistinguishable from serial execution. A token window
-// bounds how far workers run ahead of the consumer, keeping buffered
-// memory bounded and letting LIMIT-style consumers stop the scan
-// early instead of racing through the whole input.
+var endOfInput = new(vector.Chunk)
+
+// orderedDriver fans morsels out to workers and re-emits each morsel's
+// chunks in morsel order, as serial execution emits them. Its worker
+// hands the consumer a morsel's output a chunk at a time, so a morsel
+// that makes many (a join key with many build rows) holds two at most.
+// A token window bounds how far workers run ahead of the consumer, so
+// buffered memory stays bounded and a LIMIT stops the input early.
 type orderedDriver struct {
-	slots     []chan slotResult
-	tokens    chan struct{}
-	done      chan struct{}
-	ext       <-chan struct{} // external cancellation (the query context's Done)
-	closeOnce sync.Once
-	cursor    int
-	stop      atomic.Bool
-	wg        sync.WaitGroup
+	slots    []morselSlot // morsel i's output goes through slots[i%len(slots)]
+	tokens   chan struct{}
+	ctx      context.Context // done once the query is cancelled or the driver stops
+	stop     context.CancelFunc
+	cursor   int // the morsel being consumed
+	finished bool
+	wg       sync.WaitGroup
 }
 
-// startOrdered launches workers applying fn to each morsel. fn gets
-// the worker id so it can use per-worker scratch state. Result slots
-// are 1-buffered and written at most once, so delivery never blocks;
-// a worker that claims a morsel before observing stop always runs it
-// to completion, so the slot next() is waiting on is always being
-// computed by some worker (no consumer deadlock). Slots past an
-// error or abort may stay unwritten — next() never reads them because
-// it hard-stops at the first error.
-//
-// ext is the query context's Done channel (nil when there is none):
-// when it closes, workers stop claiming morsels and a blocked next()
-// returns ErrCancelled, so a consumer abandoned mid-stream (client
+// startOrdered launches workers that each loop claiming a morsel with
+// claim — its index, in order and no index twice, its chunk, and false
+// once the input is exhausted — and passing the chunk to then, which
+// hands its output to emit. The run-ahead window (2x workers tokens,
+// one per claim, returned as the consumer finishes a morsel) keeps
+// morsel i's slot free until its worker writes to it. A claimed morsel
+// runs to completion unless the driver stops, so the one next() waits
+// on is always being computed (no consumer deadlock). Once parent (the
+// query's context; nil for none) is done the workers stop and a blocked
+// next() returns ErrCancelled, so an abandoned consumer (client
 // disconnect, server shutdown) does not strand the driver.
-func startOrdered(n, workers int, ext <-chan struct{}, fn func(worker, morsel int) (*vector.Chunk, error)) *orderedDriver {
-	d := &orderedDriver{
-		slots: make([]chan slotResult, n),
-		done:  make(chan struct{}),
-		ext:   ext,
-	}
+func startOrdered(parent context.Context, workers int, claim func(w int) (int, *vector.Chunk, bool, error), then func(ch *vector.Chunk, emit func(*vector.Chunk) error) error) *orderedDriver {
+	workers = max(workers, 1)
+	d := &orderedDriver{slots: make([]morselSlot, 2*workers), tokens: make(chan struct{}, 2*workers)}
+	d.ctx, d.stop = context.WithCancel(cmp.Or(parent, context.Background()))
 	for i := range d.slots {
-		d.slots[i] = make(chan slotResult, 1)
-	}
-	if workers > n {
-		workers = n
-	}
-	// The run-ahead window: workers hold a token per in-flight morsel,
-	// and next() returns one per consumed slot. 2x workers keeps every
-	// worker busy while bounding run-ahead.
-	runAhead := 2 * workers
-	if runAhead > n {
-		runAhead = n
-	}
-	d.tokens = make(chan struct{}, n) // consumed-slot returns never block
-	for i := 0; i < runAhead; i++ {
+		d.slots[i].chunks = make(chan *vector.Chunk, 2)
 		d.tokens <- struct{}{}
 	}
-	var next atomic.Int64
 	d.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer d.wg.Done()
+			var slot *morselSlot
+			send := func(ch *vector.Chunk) error {
+				select {
+				case slot.chunks <- ch:
+					return nil
+				case <-d.ctx.Done():
+					return ErrCancelled
+				}
+			}
+			emit := func(ch *vector.Chunk) error {
+				if ch == nil || ch.NumRows() == 0 {
+					return nil
+				}
+				return send(ch)
+			}
 			for {
 				select {
 				case <-d.tokens:
-				case <-d.done:
-					return
-				case <-d.ext: // nil when no external cancel; never fires
+				case <-d.ctx.Done():
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n || d.stop.Load() || d.interrupted() {
+				if d.ctx.Err() != nil { // a ready token can win the select
 					return
 				}
-				ch, err := fn(w, i)
-				d.slots[i] <- slotResult{ch: ch, err: err}
+				i, ch, more, err := claim(w)
+				slot = &d.slots[i%len(d.slots)]
+				if !more {
+					_ = send(endOfInput) // the worker stops either way
+					return
+				}
+				if err == nil && ch != nil {
+					err = then(ch, emit)
+				}
+				slot.err = err
+				if send(nil) != nil {
+					return
+				}
 			}
 		}(w)
 	}
@@ -485,69 +506,62 @@ func startOrdered(n, workers int, ext <-chan struct{}, fn func(worker, morsel in
 
 // next returns the next non-empty chunk in morsel order, nil at end.
 // After an error the driver is exhausted: further calls return nil.
-// External cancellation unblocks a waiting next with ErrCancelled —
-// the slot it was waiting on may belong to a worker that exited
-// without claiming it, so waiting on would deadlock.
+// Cancellation unblocks a waiting next with ErrCancelled — the morsel it
+// was waiting on may belong to a worker that exited without claiming
+// it, so waiting on would deadlock.
 func (d *orderedDriver) next() (*vector.Chunk, error) {
-	for d.cursor < len(d.slots) {
-		var r slotResult
+	for !d.finished {
+		slot := &d.slots[d.cursor%len(d.slots)]
 		select {
-		case r = <-d.slots[d.cursor]:
-		case <-d.ext:
-			d.stop.Store(true)
-			d.cursor = len(d.slots)
-			return nil, ErrCancelled
-		}
-		d.cursor++
-		d.tokens <- struct{}{}
-		if r.err != nil {
-			d.stop.Store(true)
-			d.cursor = len(d.slots)
-			return nil, r.err
-		}
-		if r.ch != nil && r.ch.NumRows() > 0 {
-			return r.ch, nil
+		case ch := <-slot.chunks:
+			switch {
+			case ch == endOfInput:
+				d.finished = true
+			case ch != nil:
+				return ch, nil
+			case slot.err != nil:
+				return d.fail(slot.err)
+			default:
+				d.cursor++
+				d.tokens <- struct{}{}
+			}
+		case <-d.ctx.Done():
+			return d.fail(ErrCancelled)
 		}
 	}
 	return nil, nil
 }
 
-// interrupted reports whether the external cancellation channel has
-// closed (tokens and ext race in the worker select, so a ready token
-// can win after cancellation; this check keeps cancelled workers from
-// claiming further morsels).
-func (d *orderedDriver) interrupted() bool {
-	select {
-	case <-d.ext:
-		return true
-	default:
-		return false
-	}
+// fail ends the stream at err and stops the workers.
+func (d *orderedDriver) fail(err error) (*vector.Chunk, error) {
+	d.stop()
+	d.finished = true
+	return nil, err
 }
 
-// abort stops morsel dispatch, wakes token-blocked workers, and waits
-// for in-flight workers to finish.
+// abort stops the workers, wherever they wait, and waits for them.
 func (d *orderedDriver) abort() {
 	if d == nil {
 		return
 	}
-	d.stop.Store(true)
-	d.closeOnce.Do(func() { close(d.done) })
+	d.stop()
 	d.wg.Wait()
 }
 
 // ------------------------------------------------------- exchange op
 
-// parallelPipeOp is the exchange operator: it executes a scan→filter→
-// project chain morsel-parallel and emits chunks in scan order.
+// parallelPipeOp is the exchange operator: it executes a pipeline
+// morsel-parallel and emits its chunks in input order.
 type parallelPipeOp struct {
-	pipe    *pipeSpec
-	workers int
-	drv     *orderedDriver
+	pipe *pipeSpec
+	drv  *orderedDriver
 }
 
 func (p *parallelPipeOp) Open(ctx *Context) error {
-	p.drv = p.pipe.ordered(ctx, p.workers, func(ch *vector.Chunk) (*vector.Chunk, error) { return ch, nil })
+	if err := p.pipe.open(ctx); err != nil {
+		return err
+	}
+	p.drv = p.pipe.ordered(ctx, func(ch *vector.Chunk, emit func(*vector.Chunk) error) error { return emit(ch) })
 	return nil
 }
 
@@ -555,7 +569,7 @@ func (p *parallelPipeOp) Next() (*vector.Chunk, error) { return p.drv.next() }
 
 func (p *parallelPipeOp) Close() error {
 	p.drv.abort()
-	return nil
+	return p.pipe.close()
 }
 
 // ------------------------------------------------------- build helpers

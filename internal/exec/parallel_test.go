@@ -52,6 +52,11 @@ func gtPred(col int, typ vector.Type, threshold int64) plan.Expr {
 // the morsel-parallel operators rather than silently staying serial.
 func TestBuildSelectsParallelOperators(t *testing.T) {
 	tab := buildMultiSegTable(t, 100)
+	// overScan reports whether p reads the table's morsels at width 4.
+	overScan := func(p *pipeSpec) bool {
+		_, ok := p.src.(*scanSource)
+		return ok && p.workers == 4
+	}
 	filter := &plan.Filter{Pred: gtPred(0, vector.Int64, 10), Child: &plan.Scan{Table: tab}}
 
 	op, err := buildNode(filter, 4, &Profile{})
@@ -72,7 +77,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || !overScan(a.in) {
 		t.Fatalf("aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
@@ -86,7 +91,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || !overScan(a.in) {
 		t.Fatalf("distinct aggregate built %T, want *aggOp over a pipeline", op)
 	}
 
@@ -98,7 +103,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, ok := op.(*sortOp); !ok || s.in.pipe == nil {
+	if s, ok := op.(*sortOp); !ok || !overScan(s.in) {
 		t.Fatalf("sort over pipeline built %T, want *sortOp over a pipeline", op)
 	}
 
@@ -107,7 +112,7 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, ok := op.(*aggOp); !ok || a.in.pipe == nil {
+	if a, ok := op.(*aggOp); !ok || !overScan(a.in) {
 		t.Fatalf("DISTINCT built %T, want *aggOp over a pipeline (group-by rewrite)", op)
 	}
 
@@ -123,8 +128,8 @@ func TestBuildSelectsParallelOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	jop, ok := op.(*hashJoinOp)
-	if !ok || jop.probe.pipe == nil {
-		t.Fatalf("join built %T (probePipe set: %v), want parallel-probe *hashJoinOp", op, ok && jop.probe.pipe != nil)
+	if !ok || !overScan(jop.probe) {
+		t.Fatalf("join built %T, want parallel-probe *hashJoinOp", op)
 	}
 }
 
@@ -262,13 +267,27 @@ func TestOpenErrorReleasesWorkers(t *testing.T) {
 	}
 }
 
+// orderedOver starts a driver over morsels 0..n-1, each the chunk fn
+// makes of it, re-emitted as they are.
+func orderedOver(n, workers int, fn func(i int) *vector.Chunk) *orderedDriver {
+	var cur morselCursor
+	cur.reset(n)
+	return startOrdered(nil, workers, func(int) (int, *vector.Chunk, bool, error) {
+		i, ok := cur.take()
+		if !ok {
+			return i, nil, false, nil
+		}
+		return i, fn(i), true, nil
+	}, func(ch *vector.Chunk, emit func(*vector.Chunk) error) error { return emit(ch) })
+}
+
 func TestOrderedDriverOrdering(t *testing.T) {
 	const n = 64
-	drv := startOrdered(n, 8, nil, func(_, i int) (*vector.Chunk, error) {
+	drv := orderedOver(n, 8, func(i int) *vector.Chunk {
 		if i%3 == 0 {
-			return nil, nil // simulate fully filtered morsels
+			return nil // simulate fully filtered morsels
 		}
-		return vector.NewChunk(vector.FromInt64s([]int64{int64(i)})), nil
+		return vector.NewChunk(vector.FromInt64s([]int64{int64(i)}))
 	})
 	defer drv.abort()
 	want := int64(-1)
@@ -298,9 +317,9 @@ func TestOrderedDriverOrdering(t *testing.T) {
 func TestOrderedDriverBoundedRunAhead(t *testing.T) {
 	const n, workers = 64, 2
 	var calls atomic.Int64
-	drv := startOrdered(n, workers, nil, func(_, i int) (*vector.Chunk, error) {
+	drv := orderedOver(n, workers, func(i int) *vector.Chunk {
 		calls.Add(1)
-		return vector.NewChunk(vector.FromInt64s([]int64{int64(i)})), nil
+		return vector.NewChunk(vector.FromInt64s([]int64{int64(i)}))
 	})
 	if ch, err := drv.next(); err != nil || ch == nil {
 		t.Fatalf("first morsel: %v %v", ch, err)

@@ -131,7 +131,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		return &tableOp{data: bigMaterialTable(t, 10_000)}
 	}
 
-	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, st: &nodeStats{}, in: chunkFeed{child: child()}}
+	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, st: &nodeStats{}, in: opPipe(child(), 1)}
 	if err := sortop.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("sort: err = %v, want ErrCancelled", err)
 	}
 
-	agg := &aggOp{spec: &plan.Aggregate{}, st: &nodeStats{}, in: chunkFeed{child: child()}}
+	agg := &aggOp{spec: &plan.Aggregate{}, st: &nodeStats{}, in: opPipe(child(), 1)}
 	if err := agg.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("agg: err = %v, want ErrCancelled", err)
 	}
 
-	dist := &aggOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, st: &nodeStats{}, in: chunkFeed{child: child()}}
+	dist := &aggOp{spec: &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Idx: 0, Typ: vector.Int64}}, GroupNames: []string{"x"}}, st: &nodeStats{}, in: opPipe(child(), 1)}
 	if err := dist.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
 		t.Fatalf("distinct: err = %v, want ErrCancelled", err)
 	}
 
-	filt := &stageOp{stages: []pipeStage{{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}), st: &nodeStats{}}}, child: child()}
+	filt := &parallelPipeOp{pipe: &pipeSpec{src: &opSource{op: child()}, stages: []pipeStage{{where: CompileWhere(&plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}), st: &nodeStats{}}}, workers: 1}}
 	if err := filt.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

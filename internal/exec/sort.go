@@ -22,7 +22,7 @@ import (
 type sortOp struct {
 	spec *plan.Sort
 	st   *nodeStats
-	in   chunkFeed
+	in   *pipeSpec
 
 	ctx    *Context
 	merger *runMerger

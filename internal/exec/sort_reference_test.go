@@ -289,6 +289,38 @@ func TestSortKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSortExtendsRunsInOrder: under a budget that spills every chunk,
+// a run that sorts wholly after the rows spilled before it extends the
+// last run. Input in key order makes one run; in reverse order, a run
+// per chunk; mostly in order (a constant key, tied on position), one
+// again. The bytes are the reference's either way.
+func TestSortExtendsRunsInOrder(t *testing.T) {
+	const chunks = 6
+	tab := buildSortTable(t, chunks*vector.DefaultChunkSize, 9)
+	all := wholeTable(t, tab)
+	for _, c := range []struct {
+		keys []plan.SortKey
+		runs int64
+	}{
+		{[]plan.SortKey{{Expr: soCol(soID)}}, 1},
+		{[]plan.SortKey{{Expr: soCol(soID), Desc: true}}, chunks},
+		{[]plan.SortKey{{Expr: soCol(soSame)}}, 1},
+	} {
+		want, err := referenceSort(t, c.keys, all, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, dir := spillCtx(t, 1, 1)
+		got := runPlan(t, &plan.Sort{Keys: c.keys, Child: &plan.Scan{Table: tab}}, ctx)
+		label := fmt.Sprintf("keys=%v", c.keys)
+		assertSameBytes(t, label, got.Cols, want)
+		if runs := ctx.prof.Runs(); runs != c.runs {
+			t.Errorf("%s: %d runs spilled, want %d", label, runs, c.runs)
+		}
+		assertTempDirEmpty(t, dir)
+	}
+}
+
 // TestTopKShedsRowsBeforeSpilling: a LIMIT sort whose workers' buffers
 // together exceed the budget before any of them reaches the compaction
 // floor must compact — drop the rows that cannot reach the top k —
@@ -324,7 +356,11 @@ func TestSortRunsFollowScheduler(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		old := runtime.GOMAXPROCS(procs)
 		ctx := &Context{Parallelism: 8}
-		op := &sortOp{spec: spec, st: &nodeStats{}, in: chunkFeed{pipe: extractPipe(spec.Child, &Profile{}), workers: 8}}
+		pipe, err := pipeline(spec.Child, 8, &Profile{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := &sortOp{spec: spec, st: &nodeStats{}, in: pipe}
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -535,7 +535,7 @@ func TestDistinctReturnsItsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if piped.(*aggOp).in.pipe == nil {
+	if _, ok := piped.(*aggOp).in.src.(*scanSource); !ok {
 		t.Fatal("DISTINCT over a scan is not fed by the morsel pipeline")
 	}
 	for _, c := range []struct {
@@ -544,7 +544,7 @@ func TestDistinctReturnsItsBudget(t *testing.T) {
 		prof    *Profile
 		op      Operator
 	}{
-		{"child-fed", 1, childProf, &aggOp{spec: groupByAll(scan, plan.ExecHints{}), st: childProf.node(scan), in: chunkFeed{child: child}}},
+		{"child-fed", 1, childProf, &aggOp{spec: groupByAll(scan, plan.ExecHints{}), st: childProf.node(scan), in: opPipe(child, 1)}},
 		{"pipe-fed", 2, pipedProf, piped},
 	} {
 		ctx, _ := spillCtx(t, c.workers, 1<<20)

@@ -79,11 +79,18 @@ type countingSource struct {
 	perMors int
 	fetches atomic.Int64
 	delay   time.Duration
+	cur     morselCursor
 }
 
-func (c *countingSource) open(*Context) int { return (c.rows + c.perMors - 1) / c.perMors }
+func (c *countingSource) morsels() int { return (c.rows + c.perMors - 1) / c.perMors }
 
-func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
+func (c *countingSource) start(*Context) { c.cur.reset(c.morsels()) }
+
+func (c *countingSource) claim(*pipeScratch) (int, *vector.Chunk, bool, error) {
+	i, ok := c.cur.take()
+	if !ok {
+		return i, nil, false, nil
+	}
 	c.fetches.Add(1)
 	if c.delay > 0 {
 		time.Sleep(c.delay)
@@ -97,7 +104,7 @@ func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 	for j := range vals {
 		vals[j] = int64(from + j)
 	}
-	return vector.NewChunk(vector.FromInt64s(vals)), nil
+	return i, vector.NewChunk(vector.FromInt64s(vals)), true, nil
 }
 
 // Abandoning a stream early (client disconnect) must stop workers with
@@ -106,7 +113,7 @@ func (c *countingSource) fetch(i int, _ *pipeScratch) (*vector.Chunk, error) {
 func TestChunkStreamCloseStopsFetches(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 64 * 16, perMors: 16}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src, workers: workers}}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
@@ -130,7 +137,7 @@ func TestChunkStreamCloseStopsFetches(t *testing.T) {
 func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	const workers = 2
 	src := &countingSource{rows: 1 << 20, perMors: 8, delay: 2 * time.Millisecond}
-	op := &parallelPipeOp{pipe: &pipeSpec{src: src}, workers: workers}
+	op := &parallelPipeOp{pipe: &pipeSpec{src: src, workers: workers}}
 	qctx, cancel := context.WithCancelCause(context.Background())
 	ctx := &Context{Parallelism: workers, Ctx: qctx}
 	if err := op.Open(ctx); err != nil {
@@ -155,7 +162,7 @@ func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, total := src.fetches.Load(), int64(src.open(nil)); got >= total {
+	if got, total := src.fetches.Load(), int64(src.morsels()); got >= total {
 		t.Fatalf("all %d morsels fetched despite cancel", total)
 	}
 }

@@ -14,10 +14,32 @@ import (
 // against the declared schema, and streams it out in chunks.
 type tableFuncOp struct {
 	spec *plan.TableFuncScan
-	out  *vector.Table // the result, sliced into chunks
-	n    int           // its chunk count
-	next int           // the first chunk not yet emitted
+	tableChunks
 }
+
+// tableChunks is the operator of a table — a materialized relation, or
+// the result of a table function or a holistic projection — emitted in
+// chunk-sized slices.
+type tableChunks struct {
+	data *vector.Table
+	next int // the first chunk not yet emitted
+}
+
+func (t *tableChunks) Open(*Context) error {
+	t.next = 0
+	return nil
+}
+
+func (t *tableChunks) Next() (*vector.Chunk, error) {
+	if t.data == nil || t.next*vector.DefaultChunkSize >= t.data.NumRows() {
+		return nil, nil
+	}
+	from := t.next * vector.DefaultChunkSize
+	t.next++
+	return t.data.Chunk().Slice(from, min(from+vector.DefaultChunkSize, t.data.NumRows())), nil
+}
+
+func (t *tableChunks) Close() error { return nil }
 
 func (t *tableFuncOp) Open(ctx *Context) error {
 	args := make([]core.TableArg, len(t.spec.Args))
@@ -54,16 +76,6 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 			out.Cols[i] = cc
 		}
 	}
-	t.out, t.n, t.next = out, numChunks(out), 0
+	t.tableChunks = tableChunks{data: out}
 	return nil
 }
-
-func (t *tableFuncOp) Next() (*vector.Chunk, error) {
-	if t.next >= t.n {
-		return nil, nil
-	}
-	t.next++
-	return chunkOf(t.out, t.next-1), nil
-}
-
-func (t *tableFuncOp) Close() error { return nil }

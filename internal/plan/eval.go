@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
@@ -45,7 +46,7 @@ func Evaluate(e Expr, ch *vector.Chunk) (*vector.Vector, error) {
 			}
 			args[i] = v
 		}
-		return x.Fn.Call(x.Typ, args, ch.NumRows(), 1)
+		return x.Fn.Call(x.Typ, args, ch.NumRows())
 	}
 	return nil, fmt.Errorf("exec: cannot evaluate %T", e)
 }
@@ -182,7 +183,8 @@ func evalArith(op sql.BinaryOp, outType vector.Type, l, r *vector.Vector) (*vect
 		}
 		return res, nil
 	}
-	// Integer path (Int32 or Int64 output).
+	// Integer path (Int32 or Int64 output). A result the output type
+	// cannot hold fails the expression, as a narrowing cast does.
 	a, err := asInt64s(l)
 	if err != nil {
 		return nil, err
@@ -192,19 +194,35 @@ func evalArith(op sql.BinaryOp, outType vector.Type, l, r *vector.Vector) (*vect
 		return nil, err
 	}
 	out := make([]int64, n)
-	var divZero []int
+	var divZero, over []int
 	switch op {
 	case sql.OpAdd:
 		for i := range out {
-			out[i] = a[i] + b[i]
+			if out[i] = a[i] + b[i]; (a[i]^out[i])&(b[i]^out[i]) < 0 {
+				over = append(over, i)
+			}
 		}
 	case sql.OpSub:
 		for i := range out {
-			out[i] = a[i] - b[i]
+			if out[i] = a[i] - b[i]; (a[i]^b[i])&(a[i]^out[i]) < 0 {
+				over = append(over, i)
+			}
 		}
 	case sql.OpMul:
 		for i := range out {
-			out[i] = a[i] * b[i]
+			hi, lo := bits.Mul64(uint64(a[i]), uint64(b[i]))
+			// The signed product's high word is the unsigned one's less
+			// each negative factor's partner; it fits when that word is
+			// the low word's sign.
+			if a[i] < 0 {
+				hi -= uint64(b[i])
+			}
+			if b[i] < 0 {
+				hi -= uint64(a[i])
+			}
+			if out[i] = int64(lo); int64(hi) != out[i]>>63 {
+				over = append(over, i)
+			}
 		}
 	case sql.OpMod:
 		for i := range out {
@@ -221,13 +239,20 @@ func evalArith(op sql.BinaryOp, outType vector.Type, l, r *vector.Vector) (*vect
 	if outType == vector.Int32 {
 		o32 := make([]int32, n)
 		for i, v := range out {
-			o32[i] = int32(v)
+			if o32[i] = int32(v); int64(o32[i]) != v {
+				over = append(over, i)
+			}
 		}
 		res = vector.FromInt32s(o32)
 	} else {
 		res = vector.FromInt64s(out)
 	}
 	combineNulls(res, l, r)
+	for _, i := range over {
+		if !res.IsNull(i) {
+			return nil, fmt.Errorf("%d %s %d: out of range for %s", a[i], op, b[i], outType)
+		}
+	}
 	for _, i := range divZero {
 		res.SetNull(i)
 	}

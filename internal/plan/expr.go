@@ -150,7 +150,8 @@ func EachCall(e Expr, fn func(*Call) bool) bool {
 }
 
 // MayFail reports whether evaluating e can raise an error on some row:
-// it calls a UDF, or converts a value where the conversion can fail —
+// it calls a UDF, computes integer + - * (the result may leave its
+// type's range), or converts a value where the conversion can fail —
 // a CAST, or a CASE arm taking the CASE's type, from VARCHAR to another
 // type (the text may not parse), or between types Value.Cast does not
 // convert. Everything else the binder accepts evaluates on every row.
@@ -163,6 +164,8 @@ func MayFail(e Expr) bool {
 		switch y := x.(type) {
 		case *Call:
 			fails = true
+		case *BinOp:
+			fails = fails || (y.Op == sql.OpAdd || y.Op == sql.OpSub || y.Op == sql.OpMul) && y.Typ != vector.Float64
 		case *Cast:
 			fails = fails || castMayFail(y.Operand.Type(), y.To)
 		case *Case:

@@ -148,12 +148,12 @@ func TestScanPredicatesSurvivePrune(t *testing.T) {
 // places nothing.
 func TestPushdownThroughJoin(t *testing.T) {
 	cat := testCatalog(t)
-	q := "SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND dim.weight <= 2.5 AND wide.a + 1 > 2"
+	q := "SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND dim.weight <= 2.5 AND wide.b + 1 > 2"
 	node := bind(t, cat, q)
 	_, filters := placedFilters(node)
 	checkKernels(t, "wide", filters[0], []ScanPredicate{{Col: 3, Op: sql.OpGt, Val: vector.NewInt64(5)}})
 	checkKernels(t, "dim", filters[1], []ScanPredicate{{Col: 2, Op: sql.OpLe, Val: vector.NewFloat64(2.5)}})
-	if above := whereAbove(node); above == nil || ExprString(above) != "((a + 1) > 2)" {
+	if above := whereAbove(node); above == nil || ExprString(above) != "((b + 1) > 2)" {
 		t.Fatalf("above the join: %v, want the one residual", above)
 	}
 
@@ -168,6 +168,7 @@ func TestPushdownThroughJoin(t *testing.T) {
 	for _, q := range []string{
 		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND CAST(dim.label AS INTEGER) > 1",
 		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND CASE WHEN wide.b > 0 THEN wide.a ELSE wide.c END = 1",
+		"SELECT wide.a FROM wide JOIN dim ON wide.a = dim.k WHERE wide.d > 5 AND wide.a + 1 > 2", // integer + may leave its range
 	} {
 		node = bind(t, cat, q)
 		if _, filters := placedFilters(node); filters[0] != nil || filters[1] != nil {

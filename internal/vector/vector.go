@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -462,18 +463,38 @@ func (v *Vector) Cast(to Type) (*Vector, error) {
 	}
 	// Numeric widenings convert the payload in one typed pass and keep
 	// the null mask.
-	var wide *Vector
+	var typed *Vector
+	bad := -1
 	switch {
 	case v.typ == Int32 && to == Int64:
-		wide = FromInt64s(widen[int64](v.i32))
+		typed = FromInt64s(widen[int64](v.i32))
 	case v.typ == Int32 && to == Float64:
-		wide = FromFloat64s(widen[float64](v.i32))
+		typed = FromFloat64s(widen[float64](v.i32))
 	case v.typ == Int64 && to == Float64:
-		wide = FromFloat64s(widen[float64](v.i64))
+		typed = FromFloat64s(widen[float64](v.i64))
+	// Narrowings to an integer type check each row's range in the same
+	// pass; the first row out of range fails as Value.Cast fails it.
+	case v.typ == Int64 && to == Int32:
+		typed, bad = narrow[int32](v.i64, v.nulls, func(x int64) bool { return x >= math.MinInt32 && x <= math.MaxInt32 })
+	case v.typ == Float64 && to == Int32:
+		typed, bad = narrow[int32](v.f64, v.nulls, func(x float64) bool {
+			t := math.Trunc(x)
+			return t >= math.MinInt32 && t <= math.MaxInt32
+		})
+	case v.typ == Float64 && to == Int64:
+		// -2^63 and 2^63 are exact DOUBLEs; the range is [-2^63, 2^63).
+		typed, bad = narrow[int64](v.f64, v.nulls, func(x float64) bool {
+			t := math.Trunc(x)
+			return t >= math.MinInt64 && t < -math.MinInt64
+		})
 	}
-	if wide != nil {
-		wide.nulls = append([]bool(nil), v.nulls...)
-		return wide, nil
+	if bad >= 0 {
+		_, err := v.Get(bad).Cast(to)
+		return nil, fmt.Errorf("cast row %d: %w", bad, err)
+	}
+	if typed != nil {
+		typed.nulls = append([]bool(nil), v.nulls...)
+		return typed, nil
 	}
 	out := New(to, v.length)
 	for i := 0; i < v.length; i++ {
@@ -547,6 +568,29 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// narrow converts the rows of xs that nulls does not mark NULL to D,
+// truncating toward zero, while fits holds for them; it returns the
+// first row it fails for, or the vector and -1.
+func narrow[D int32 | int64, S int64 | float64](xs []S, nulls []bool, fits func(S) bool) (*Vector, int) {
+	out := make([]D, len(xs))
+	for i, x := range xs {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if !fits(x) {
+			return nil, i
+		}
+		out[i] = D(x)
+	}
+	switch out := any(out).(type) {
+	case []int32:
+		return FromInt32s(out), -1
+	case []int64:
+		return FromInt64s(out), -1
+	}
+	return nil, -1
 }
 
 func widen[D int64 | float64, S int32 | int64](xs []S) []D {

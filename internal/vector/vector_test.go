@@ -1,7 +1,9 @@
 package vector
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -389,5 +391,78 @@ func TestQuickAppendVector(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// castBoxed is Vector.Cast as it was for every cast but the widenings:
+// one boxed Value.Cast and AppendValue per row.
+func castBoxed(v *Vector, to Type) (*Vector, error) {
+	out := New(to, v.Len())
+	for i := 0; i < v.Len(); i++ {
+		if v.IsNull(i) {
+			out.AppendValue(Null())
+			continue
+		}
+		cv, err := v.Get(i).Cast(to)
+		if err != nil {
+			return nil, fmt.Errorf("cast row %d: %w", i, err)
+		}
+		out.AppendValue(cv)
+	}
+	return out, nil
+}
+
+// TestNarrowingCastMatchesBoxed: the typed BIGINT→INTEGER and
+// DOUBLE→INTEGER/BIGINT loops give the boxed loop's values, NULLs and
+// errors, row numbers included, over vectors drawn from the edges of
+// each range (NaN, ±Inf, ±2^63, the int32 bounds and one past them,
+// fractions truncated toward zero) with and without NULLs.
+func TestNarrowingCastMatchesBoxed(t *testing.T) {
+	ints := []int64{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt64, math.MinInt64, 12345}
+	floats := []float64{0, -0.9, 0.9, 2.5, -2.5, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxInt32, math.MinInt32, math.MaxInt32 + 0.5, math.MinInt32 - 0.5, math.MaxInt32 + 1, math.MinInt32 - 1,
+		-math.MinInt64, math.MinInt64, math.Nextafter(-math.MinInt64, 0), math.Nextafter(math.MinInt64, 0), 1e300, 42}
+	rng := rand.New(rand.NewSource(3))
+	cast := 0 // the casts that succeeded
+	for round := range 600 {
+		n := 1 + rng.Intn(12)
+		nullFrac := []float64{0, 0.3, 1}[round%3]
+		from := []Type{Int64, Float64}[round/3%2]
+		v := New(from, n)
+		for range n {
+			switch {
+			case rng.Float64() < nullFrac:
+				v.AppendValue(Null())
+			case from == Int64:
+				v.AppendValue(NewInt64(ints[rng.Intn(len(ints))]))
+			default:
+				v.AppendValue(NewFloat64(floats[rng.Intn(len(floats))]))
+			}
+		}
+		for _, to := range []Type{Int32, Int64} {
+			if from == Int64 && to == Int64 {
+				continue
+			}
+			got, gerr := v.Cast(to)
+			want, werr := castBoxed(v, to)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("round %d %s→%s: error %v, boxed %v", round, from, to, gerr, werr)
+			}
+			if werr != nil {
+				continue
+			}
+			cast++
+			if got.Type() != to || got.Len() != n {
+				t.Fatalf("round %d %s→%s: %s[%d]", round, from, to, got.Type(), got.Len())
+			}
+			for i := range n {
+				if got.IsNull(i) != want.IsNull(i) || !got.IsNull(i) && !got.Get(i).Equal(want.Get(i)) {
+					t.Fatalf("round %d %s→%s row %d: %v, boxed %v", round, from, to, i, got.Get(i), want.Get(i))
+				}
+			}
+		}
+	}
+	if cast < 200 {
+		t.Fatalf("only %d of the casts succeeded", cast)
 	}
 }

@@ -16,10 +16,12 @@ import (
 // the target type cannot hold — a BIGINT past INTEGER, a DOUBLE that is
 // NaN, infinite or past the target once truncated — fails with "out of
 // range" wherever it runs: CAST, INSERT, UPDATE and ImportCSV. An
-// in-range DOUBLE still truncates toward zero. A refused INSERT or
-// UPDATE logs nothing. A narrowing-cast conjunct over a join stays above
-// it (plan.MayFail), so rows the join drops never reach the cast, at
-// every point of difftest.Matrix.
+// in-range DOUBLE still truncates toward zero. Integer + - * whose
+// result leaves its type — INTEGER past int32, BIGINT past int64 — fails
+// the same way instead of wrapping. A refused INSERT or UPDATE logs
+// nothing. A narrowing-cast or integer-arithmetic conjunct over a join
+// stays above it (plan.MayFail), so rows the join drops never reach it,
+// at every point of difftest.Matrix.
 func TestNarrowingCastsFailOutOfRange(t *testing.T) {
 	wantOutOfRange := func(what string, err error) {
 		t.Helper()
@@ -37,9 +39,41 @@ func TestNarrowingCastsFailOutOfRange(t *testing.T) {
 		"SELECT CAST(CAST('NaN' AS DOUBLE) AS BIGINT)",
 		"SELECT CAST(CAST('NaN' AS DOUBLE) AS INTEGER)",
 		"SELECT CAST(CAST('-Inf' AS DOUBLE) AS INTEGER)",
+		"SELECT 9223372036854775807 + 1",
+		"SELECT -9223372036854775807 - 2",
+		"SELECT 4294967296 * 4294967296",
+		"SELECT -4294967296 * 2147483649",
+		"SELECT 3037000500 * -3037000500",
 	} {
 		_, err := mem.Query(q)
 		wantOutOfRange(q, err)
+	}
+	big, err := mem.Query("SELECT 3000000000 * -3000000000 AS p, 3 * -3000000000 AS q, -3000000000 * 3 AS r, 9223372036854775807 - 1 AS s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := difftest.Fingerprint(big); !slices.Equal(got[1:], []string{"-9000000000000000000|-9000000000|-9000000000|9223372036854775806|"}) {
+		t.Errorf("in-range BIGINT arithmetic: %q", got)
+	}
+	if _, err := mem.ExecScript(`CREATE TABLE ints (a INTEGER, b INTEGER);
+		INSERT INTO ints VALUES (2147483647, 1), (-2147483648, 1), (65536, 16384)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT a + b FROM ints",
+		"SELECT b - a FROM ints",
+		"SELECT a * a FROM ints WHERE a = 65536",
+		"SELECT a * a FROM ints WHERE a < 0",
+	} {
+		_, err := mem.Query(q)
+		wantOutOfRange(q, err)
+	}
+	arith, err := mem.Query("SELECT a - b AS d, a * b AS p FROM ints WHERE a > 0 ORDER BY a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := difftest.Fingerprint(arith); !slices.Equal(got[1:], []string{"49152|1073741824|", "2147483646|2147483647|"}) {
+		t.Errorf("in-range arithmetic: %q", got)
 	}
 	in, err := mem.Query("SELECT CAST(2147483647.9 AS INTEGER) AS a, CAST(-2.7 AS BIGINT) AS b, " +
 		"CAST(-2147483648 AS INTEGER) AS c, CAST(-9223372036854775808.0 AS BIGINT) AS d")
@@ -119,6 +153,7 @@ func TestNarrowingCastsFailOutOfRange(t *testing.T) {
 	for _, q := range []string{
 		"SELECT big.id, keys.id AS k FROM big JOIN keys ON big.id = keys.id WHERE CAST(big.v AS INTEGER) >= 0 ORDER BY big.id",
 		"SELECT big.id, keys.id AS k FROM keys JOIN big ON big.id = keys.id WHERE CAST(big.d AS BIGINT) >= 0 ORDER BY big.id",
+		"SELECT big.id, keys.id AS k FROM big JOIN keys ON big.id = keys.id WHERE big.v * big.v + 9223372036829795000 >= 0 ORDER BY big.id",
 	} {
 		tab := difftest.Matrix(t, q, 64<<10, func(p difftest.Point) (*Table, error) {
 			tab, _, err := queryAt(j, p, q)
